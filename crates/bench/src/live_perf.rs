@@ -25,7 +25,8 @@ use strip_db::store::Store;
 use strip_db::update::Update;
 use strip_live::executor::LiveConfig;
 use strip_live::protocol::{
-    encode_batch_body, for_each_batch_update, read_msg, write_msg, FrameReader, Msg, WireUpdate,
+    encode_batch_body, for_each_batch_update, read_msg, write_msg, FrameReader, Msg, WireStats,
+    WireUpdate,
 };
 use strip_live::server::serve;
 use strip_live::spsc;
@@ -138,6 +139,51 @@ fn synth_update(i: usize) -> WireUpdate {
     }
 }
 
+/// The credited client session the batched end-to-end measurements share:
+/// opts into credit, sends `n_updates` synthetic updates in `UpdateBatch`
+/// frames and returns the stats-barrier reply. A frame carries
+/// `min(max_batch, credit)` updates and the client blocks for a top-up
+/// only at zero credit — the rule `loadgen::Batcher::flush` uses. Waiting
+/// for a whole batch of credit instead wedges at `0 < credit < max_batch`:
+/// the server withholds grants below its low-water mark from a client
+/// that still holds window.
+fn send_credited_stream(stream: &mut TcpStream, n_updates: usize, max_batch: usize) -> WireStats {
+    write_msg(stream, &Msg::CreditRequest).expect("credit request");
+    let mut credit = 0u64;
+    let mut updates: Vec<WireUpdate> = Vec::with_capacity(max_batch);
+    let mut body = Vec::new();
+    let mut frame = Vec::new();
+    let mut sent = 0usize;
+    while sent < n_updates {
+        while credit == 0 {
+            match read_msg(stream).expect("credit grant") {
+                Some(Msg::Credit(g)) => credit += g,
+                other => panic!("expected Credit, got {other:?}"),
+            }
+        }
+        let k = max_batch
+            .min(n_updates - sent)
+            .min(usize::try_from(credit).unwrap_or(usize::MAX));
+        updates.clear();
+        updates.extend((sent..sent + k).map(synth_update));
+        encode_batch_body(&mut body, &updates).expect("batch within frame limit");
+        frame.clear();
+        frame.extend_from_slice(&u32::try_from(body.len()).expect("frame size").to_le_bytes());
+        frame.extend_from_slice(&body);
+        stream.write_all(&frame).expect("send batch frame");
+        credit -= k as u64;
+        sent += k;
+    }
+    write_msg(stream, &Msg::StatsRequest).expect("send barrier");
+    loop {
+        match read_msg(stream).expect("barrier reply") {
+            Some(Msg::Credit(_)) => {} // done sending; absorb top-ups
+            Some(Msg::StatsResponse(s)) => break s,
+            other => panic!("expected StatsResponse, got {other:?}"),
+        }
+    }
+}
+
 /// Updates/sec through the full live path when updates travel in
 /// `UpdateBatch` frames of up to `max_batch` under credit flow control —
 /// the batched twin of [`live_ingest`]. Same scaled-down cost model, same
@@ -173,41 +219,7 @@ pub fn live_ingest_batched(n_updates: usize, max_batch: usize, reps: usize) -> R
         stream.set_nodelay(true).expect("nodelay");
 
         let started = Instant::now();
-        write_msg(&mut stream, &Msg::CreditRequest).expect("credit request");
-        let mut credit = match read_msg(&mut stream).expect("initial grant") {
-            Some(Msg::Credit(g)) => g,
-            other => panic!("expected Credit, got {other:?}"),
-        };
-        let mut updates: Vec<WireUpdate> = Vec::with_capacity(max_batch);
-        let mut body = Vec::new();
-        let mut frame = Vec::new();
-        let mut sent = 0usize;
-        while sent < n_updates {
-            let k = max_batch.min(n_updates - sent);
-            while (credit as usize) < k {
-                match read_msg(&mut stream).expect("credit top-up") {
-                    Some(Msg::Credit(g)) => credit += g,
-                    other => panic!("expected Credit, got {other:?}"),
-                }
-            }
-            updates.clear();
-            updates.extend((sent..sent + k).map(synth_update));
-            encode_batch_body(&mut body, &updates).expect("batch within frame limit");
-            frame.clear();
-            frame.extend_from_slice(&u32::try_from(body.len()).expect("frame size").to_le_bytes());
-            frame.extend_from_slice(&body);
-            stream.write_all(&frame).expect("send batch frame");
-            credit -= k as u64;
-            sent += k;
-        }
-        write_msg(&mut stream, &Msg::StatsRequest).expect("send barrier");
-        let stats = loop {
-            match read_msg(&mut stream).expect("barrier reply") {
-                Some(Msg::Credit(_)) => {} // done sending; absorb top-ups
-                Some(Msg::StatsResponse(s)) => break s,
-                other => panic!("expected StatsResponse, got {other:?}"),
-            }
-        };
+        let stats = send_credited_stream(&mut stream, n_updates, max_batch);
         best = best.min(started.elapsed().as_secs_f64());
         assert_eq!(
             stats.ingested, n_updates as u64,
@@ -268,41 +280,7 @@ pub fn live_ingest_striped(
         stream.set_nodelay(true).expect("nodelay");
 
         let started = Instant::now();
-        write_msg(&mut stream, &Msg::CreditRequest).expect("credit request");
-        let mut credit = match read_msg(&mut stream).expect("initial grant") {
-            Some(Msg::Credit(g)) => g,
-            other => panic!("expected Credit, got {other:?}"),
-        };
-        let mut updates: Vec<WireUpdate> = Vec::with_capacity(max_batch);
-        let mut body = Vec::new();
-        let mut frame = Vec::new();
-        let mut sent = 0usize;
-        while sent < n_updates {
-            let k = max_batch.min(n_updates - sent);
-            while (credit as usize) < k {
-                match read_msg(&mut stream).expect("credit top-up") {
-                    Some(Msg::Credit(g)) => credit += g,
-                    other => panic!("expected Credit, got {other:?}"),
-                }
-            }
-            updates.clear();
-            updates.extend((sent..sent + k).map(synth_update));
-            encode_batch_body(&mut body, &updates).expect("batch within frame limit");
-            frame.clear();
-            frame.extend_from_slice(&u32::try_from(body.len()).expect("frame size").to_le_bytes());
-            frame.extend_from_slice(&body);
-            stream.write_all(&frame).expect("send batch frame");
-            credit -= k as u64;
-            sent += k;
-        }
-        write_msg(&mut stream, &Msg::StatsRequest).expect("send barrier");
-        let stats = loop {
-            match read_msg(&mut stream).expect("barrier reply") {
-                Some(Msg::Credit(_)) => {} // done sending; absorb top-ups
-                Some(Msg::StatsResponse(s)) => break s,
-                other => panic!("expected StatsResponse, got {other:?}"),
-            }
-        };
+        let stats = send_credited_stream(&mut stream, n_updates, max_batch);
         best = best.min(started.elapsed().as_secs_f64());
         assert_eq!(
             stats.ingested, n_updates as u64,
@@ -877,41 +855,7 @@ pub fn live_ingest_batched_durable(
         stream.set_nodelay(true).expect("nodelay");
 
         let started = Instant::now();
-        write_msg(&mut stream, &Msg::CreditRequest).expect("credit request");
-        let mut credit = match read_msg(&mut stream).expect("initial grant") {
-            Some(Msg::Credit(g)) => g,
-            other => panic!("expected Credit, got {other:?}"),
-        };
-        let mut updates: Vec<WireUpdate> = Vec::with_capacity(max_batch);
-        let mut body = Vec::new();
-        let mut frame = Vec::new();
-        let mut sent = 0usize;
-        while sent < n_updates {
-            let k = max_batch.min(n_updates - sent);
-            while (credit as usize) < k {
-                match read_msg(&mut stream).expect("credit top-up") {
-                    Some(Msg::Credit(g)) => credit += g,
-                    other => panic!("expected Credit, got {other:?}"),
-                }
-            }
-            updates.clear();
-            updates.extend((sent..sent + k).map(synth_update));
-            encode_batch_body(&mut body, &updates).expect("batch within frame limit");
-            frame.clear();
-            frame.extend_from_slice(&u32::try_from(body.len()).expect("frame size").to_le_bytes());
-            frame.extend_from_slice(&body);
-            stream.write_all(&frame).expect("send batch frame");
-            credit -= k as u64;
-            sent += k;
-        }
-        write_msg(&mut stream, &Msg::StatsRequest).expect("send barrier");
-        let stats = loop {
-            match read_msg(&mut stream).expect("barrier reply") {
-                Some(Msg::Credit(_)) => {} // done sending; absorb top-ups
-                Some(Msg::StatsResponse(s)) => break s,
-                other => panic!("expected StatsResponse, got {other:?}"),
-            }
-        };
+        let stats = send_credited_stream(&mut stream, n_updates, max_batch);
         best = best.min(started.elapsed().as_secs_f64());
         assert_eq!(stats.ingested, n_updates as u64);
         drop(stream);

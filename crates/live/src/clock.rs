@@ -12,6 +12,13 @@ use std::time::{Duration, Instant};
 
 use strip_sim::time::SimTime;
 
+#[cfg(test)]
+thread_local! {
+    /// Clock readings taken on this thread — the executor is
+    /// single-threaded, so a test that runs it inline gets an exact count.
+    static READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Monotonic wall clock anchored at an origin instant.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveClock {
@@ -30,7 +37,31 @@ impl LiveClock {
     /// Wall time elapsed since the origin, on the substrate's time axis.
     #[must_use]
     pub fn now(&self) -> SimTime {
+        #[cfg(test)]
+        READS.with(|r| r.set(r.get() + 1));
         SimTime::from_secs(self.origin.elapsed().as_secs_f64())
+    }
+
+    /// Clock readings this thread has taken so far (test-only counter).
+    #[cfg(test)]
+    pub(crate) fn reads() -> u64 {
+        READS.with(std::cell::Cell::get)
+    }
+
+    /// Burns CPU until the clock reads at least `deadline` (spin wait) and
+    /// returns the reading that ended the wait — exactly one reading when
+    /// the deadline has already passed. The executor charges slices in
+    /// chunks far below the scheduler's sleep granularity, so spinning is
+    /// the only way to model the paper's busy CPU faithfully; callers bound
+    /// the distance to `deadline` by the preemption quantum.
+    pub fn spin_until(&self, deadline: SimTime) -> SimTime {
+        loop {
+            let now = self.now();
+            if now >= deadline {
+                return now;
+            }
+            std::hint::spin_loop();
+        }
     }
 
     /// Maps a protocol timestamp (signed microseconds on this clock's axis)
@@ -47,18 +78,11 @@ impl LiveClock {
         (t.as_secs() * 1e6).round() as i64
     }
 
-    /// Burns CPU until `secs` of wall time have passed (spin wait). The
-    /// executor charges slices in chunks far below the scheduler's sleep
-    /// granularity, so spinning is the only way to model the paper's busy
-    /// CPU faithfully; callers bound `secs` by the preemption quantum.
+    /// Burns CPU until `secs` of wall time have passed from the call:
+    /// [`LiveClock::spin_until`] on a clock started here.
     pub fn spin_for(secs: f64) {
-        if secs <= 0.0 {
-            return;
-        }
-        let start = Instant::now();
-        let target = Duration::from_secs_f64(secs);
-        while start.elapsed() < target {
-            std::hint::spin_loop();
+        if secs > 0.0 {
+            LiveClock::start().spin_until(SimTime::from_secs(secs));
         }
     }
 
@@ -87,6 +111,31 @@ mod tests {
             "spin under-waited: {}",
             b.since(a)
         );
+    }
+
+    #[test]
+    fn spin_until_returns_a_reading_at_or_past_the_deadline() {
+        let c = LiveClock::start();
+        let deadline = c.now() + 0.001;
+        let before = LiveClock::reads();
+        let end = c.spin_until(deadline);
+        assert!(
+            end >= deadline,
+            "spin ended at {end:?}, before {deadline:?}"
+        );
+        assert!(LiveClock::reads() - before > 1, "a future deadline spins");
+        assert!(c.now() >= end);
+    }
+
+    #[test]
+    fn spin_until_a_past_deadline_takes_exactly_one_reading() {
+        let c = LiveClock::start();
+        let past = c.now();
+        LiveClock::spin_for(20e-6);
+        let before = LiveClock::reads();
+        let end = c.spin_until(past);
+        assert_eq!(LiveClock::reads() - before, 1);
+        assert!(end >= past + 20e-6);
     }
 
     #[test]

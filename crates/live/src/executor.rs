@@ -13,6 +13,13 @@
 //! the next chunk boundary rather than instantaneously (DESIGN.md §12
 //! quantifies the approximation).
 //!
+//! Clock discipline: the executor keeps one reading, [`Executor::now`],
+//! per scheduling point. A slice starts at the reading that ended the
+//! previous scheduling point and ends at the reading
+//! [`LiveClock::spin_until`] returned, so a back-to-back install costs one
+//! clock read; the reading is refreshed after a poll that handled input,
+//! after an idle wait, and after any run-loop pass that did not burn.
+//!
 //! The executor runs on one thread and is fed through an [`Ingest`]
 //! channel; the TCP front end (`server`) and in-process tests use the same
 //! channel type, so the scheduling core is exercised identically in both.
@@ -362,6 +369,9 @@ pub struct Executor {
     cfg: SimConfig,
     quantum: f64,
     clock: LiveClock,
+    /// The latest clock reading: where the previous scheduling point ended
+    /// and the next slice starts (see the module docs).
+    now: SimTime,
     costs: CostModel,
     policy: Policy,
     queue_policy: QueuePolicy,
@@ -478,6 +488,7 @@ impl Executor {
         Executor {
             quantum: cfg.quantum,
             clock: LiveClock::start(),
+            now: SimTime::ZERO,
             costs: sim.costs,
             policy: sim.policy,
             queue_policy: sim.queue_policy,
@@ -526,32 +537,44 @@ impl Executor {
                 item: watch,
             });
         }
+        self.now = self.clock.now();
         while !self.shutdown {
-            let now = self.clock.now();
-            self.process_timers(now);
-            self.drain_ingest(now);
+            let polled_at = self.now;
+            self.process_timers(polled_at);
+            self.drain_ingest();
             if self.shutdown {
                 break;
             }
-            if !self.step(now) {
+            if !self.step() {
                 self.idle_wait();
+            }
+            // A pass that neither burned nor handled input (a zero-cost
+            // queue transfer, an abort, an idle timeout) still ends on a
+            // fresh reading, so timers cannot starve.
+            if self.now == polled_at {
+                self.now = self.clock.now();
             }
         }
         // A shutdown can arrive while batched updates sit un-popped in
         // the ingest rings; drain them into the OS queue so the final
         // report's conservation identity accounts for every update a
         // connection thread handed over before the stop.
-        let now = self.clock.now();
-        self.drain_streams(now);
+        self.now = self.clock.now();
+        self.drain_streams(self.now);
         self.finalize()
     }
 
     // ---- ingest -------------------------------------------------------------
 
-    /// Drains everything currently queued on the channel. Returns true if
-    /// at least one update arrival was among the drained messages (the
-    /// burn loop uses this as its preemption signal).
-    fn drain_ingest(&mut self, now: SimTime) -> bool {
+    /// Drains everything currently queued on the channel and the rings,
+    /// stamping arrivals with the current reading; the clock is re-read
+    /// afterwards if anything was handled (handling takes time, an empty
+    /// poll does not). Returns true if at least one update arrival was
+    /// among the drained messages (the burn loop uses this as its
+    /// preemption signal).
+    fn drain_ingest(&mut self) -> bool {
+        let now = self.now;
+        let handled = self.events;
         let mut update_arrived = false;
         loop {
             match self.rx.try_recv() {
@@ -564,6 +587,9 @@ impl Executor {
             }
         }
         update_arrived |= self.drain_streams(now);
+        if self.events != handled {
+            self.now = self.clock.now();
+        }
         update_arrived
     }
 
@@ -774,11 +800,22 @@ impl Executor {
     /// encode is O(store) on the executor thread (cheap: tens of µs at the
     /// paper's store sizes); the atomic write and segment truncation
     /// happen on the flusher.
+    ///
+    /// The image is stamped with `update_seq` — every update *accepted* —
+    /// and the flusher cuts the log below that stamp, so the store must
+    /// hold every accepted update when it is taken. A due snapshot
+    /// therefore waits (re-tried at every poll) until nothing accepted is
+    /// still queued or in flight: sustained backlog defers snapshots, and
+    /// segment rotation alone bounds file size meanwhile.
     fn maybe_snapshot(&mut self, now: SimTime) {
         let Some(every) = self.snapshot_every else {
             return;
         };
         if now.as_secs() < self.next_snapshot_at {
+            return;
+        }
+        let drops = self.queue_drops();
+        if drops.left_in_os + drops.left_in_uq + drops.in_flight > 0 {
             return;
         }
         if let Some(wal) = &mut self.wal {
@@ -812,7 +849,7 @@ impl Executor {
     /// pushes do not wake the channel, so the poll interval bounds the
     /// ring's idle-side latency.
     fn idle_wait(&mut self) {
-        let now = self.clock.now().as_secs();
+        let now = self.now.as_secs();
         let mut wait: f64 = if self.streams.is_empty() {
             0.005
         } else {
@@ -826,8 +863,8 @@ impl Executor {
         }
         match self.rx.recv_timeout(Duration::from_secs_f64(wait)) {
             Ok(msg) => {
-                let now = self.clock.now();
-                self.handle_msg(msg, now);
+                self.now = self.clock.now();
+                self.handle_msg(msg, self.now);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => self.shutdown = true,
@@ -847,14 +884,15 @@ impl Executor {
 
     /// One pass of the controller's dispatch loop. Returns false when
     /// there is nothing to do (the caller then blocks on ingest).
-    fn step(&mut self, now: SimTime) -> bool {
+    fn step(&mut self) -> bool {
+        let now = self.now;
         if let Some(alpha) = self.alpha {
             if self.policy.uses_update_queue() {
                 self.uq.discard_expired(now, alpha);
             }
         }
         if policy::updates_have_priority(self.policy, &self.work_state())
-            && self.try_update_step(now, false) != Step::Nothing
+            && self.try_update_step(false) != Step::Nothing
         {
             return true;
         }
@@ -862,12 +900,12 @@ impl Executor {
         // queue at every scheduling point even when installs must wait.
         if self.policy.uses_update_queue()
             && !self.os.is_empty()
-            && self.try_update_step(now, true) != Step::Nothing
+            && self.try_update_step(true) != Step::Nothing
         {
             return true;
         }
         if self.running.is_some() {
-            self.run_txn(now);
+            self.run_txn();
             return true;
         }
         if self.cfg.feasible_deadline {
@@ -882,10 +920,10 @@ impl Executor {
                 slice: Slice::Segment,
                 pending_apply: None,
             });
-            self.run_txn(now);
+            self.run_txn();
             return true;
         }
-        if self.try_update_step(now, false) != Step::Nothing {
+        if self.try_update_step(false) != Step::Nothing {
             return true;
         }
         // Lowest-priority background work: drain one pending DAG delta
@@ -907,9 +945,8 @@ impl Executor {
             // report's conservation identity still closes.
             return true;
         }
-        let now = self.clock.now();
         self.events += 1;
-        self.dag_apply(node, now);
+        self.dag_apply(node, self.now);
         true
     }
 
@@ -919,14 +956,15 @@ impl Executor {
 
     /// Mirrors the controller's `try_update_step`; burns the slice inline
     /// instead of scheduling a `CpuDone` event.
-    fn try_update_step(&mut self, now: SimTime, receive_only: bool) -> Step {
+    fn try_update_step(&mut self, receive_only: bool) -> Step {
+        let now = self.now;
         if !self.policy.uses_update_queue() {
             if receive_only {
                 return Step::Nothing;
             }
             return match self.os.receive() {
                 Some(u) => {
-                    self.run_install(now, u, InstallPath::Immediate, 0.0);
+                    self.run_install(u, InstallPath::Immediate, 0.0);
                     Step::Slice
                 }
                 None => Step::Nothing,
@@ -935,7 +973,7 @@ impl Executor {
         if let Some(u) = self.os.receive() {
             if policy::arrival_route(self.policy, u.object.class) == ArrivalRoute::InstallImmediate
             {
-                self.run_install(now, u, InstallPath::Immediate, 0.0);
+                self.run_install(u, InstallPath::Immediate, 0.0);
                 return Step::Slice;
             }
             let cost = self.costs.queue_op_time(self.uq.len() + 1) + self.take_preempt_cost();
@@ -967,7 +1005,7 @@ impl Executor {
         match popped {
             Some(u) => {
                 let dequeue_cost = self.costs.queue_op_time(self.uq.len() + 1);
-                self.run_install(now, u, InstallPath::Background, dequeue_cost);
+                self.run_install(u, InstallPath::Background, dequeue_cost);
                 Step::Slice
             }
             None => Step::Nothing,
@@ -979,7 +1017,7 @@ impl Executor {
     /// Runs one install slice to completion: the superseded check, the
     /// lookup/write burn, then the store/tracker commit. Installs are never
     /// preempted (§4.2); ingest drained mid-burn waits in its queues.
-    fn run_install(&mut self, _now: SimTime, update: Update, path: InstallPath, extra: f64) {
+    fn run_install(&mut self, update: Update, path: InstallPath, extra: f64) {
         let obj = self.store.view(update.object);
         let superseded = if obj.attr_count() == 1 {
             update.generation_ts <= obj.generation_ts
@@ -1004,7 +1042,7 @@ impl Executor {
             // conservation identity still closes.
             return;
         }
-        let end = self.clock.now();
+        let end = self.now;
         self.events += 1;
         let applied = !superseded && self.apply_update(&update, end);
         if applied {
@@ -1016,27 +1054,29 @@ impl Executor {
     }
 
     /// Burns `duration` seconds of update-side CPU (installs and queue
-    /// transfers), draining ingest and firing timers between chunks.
-    /// Returns false when a shutdown arrived mid-burn.
+    /// transfers) from the current reading, draining ingest and firing
+    /// timers between chunks. The slice ends at a fixed deadline, so a
+    /// chunk's overshoot shortens the next chunk instead of lengthening
+    /// the slice; the last chunk does not poll — the caller's scheduling
+    /// point does, at the same reading. Returns false when a shutdown
+    /// arrived mid-burn.
     fn burn_update_work(&mut self, duration: f64) -> bool {
-        let started = self.clock.now();
-        let mut remaining = duration;
-        while remaining > 0.0 {
-            let chunk = remaining.min(self.quantum);
-            LiveClock::spin_for(chunk);
-            remaining -= chunk;
-            let now = self.clock.now();
-            self.process_timers(now);
-            self.drain_ingest(now);
-            if self.shutdown {
-                let end = self.clock.now();
-                self.metrics.charge_busy(Activity::Update, started, end);
-                return false;
+        let started = self.now;
+        let end = started + duration;
+        let completed = loop {
+            self.now = self.clock.spin_until(end.min(self.now + self.quantum));
+            if self.now >= end {
+                break true;
             }
-        }
-        let end = self.clock.now();
-        self.metrics.charge_busy(Activity::Update, started, end);
-        true
+            self.process_timers(self.now);
+            self.drain_ingest();
+            if self.shutdown {
+                break false;
+            }
+        };
+        self.metrics
+            .charge_busy(Activity::Update, started, self.now);
+        completed
     }
 
     /// Mirrors the controller's `apply_update` (no history, no triggers;
@@ -1202,8 +1242,9 @@ impl Executor {
     /// Runs the bound transaction until it commits, aborts, is preempted,
     /// or a shutdown arrives. Instant transitions (staleness checks, OD
     /// refresh decisions) happen inline, exactly as in the controller.
-    fn run_txn(&mut self, mut now: SimTime) {
+    fn run_txn(&mut self) {
         loop {
+            let now = self.now;
             let Some(rt) = self.running.as_ref() else {
                 return; // committed or aborted
             };
@@ -1227,7 +1268,7 @@ impl Executor {
             };
             let deadline = rt.txn.deadline();
             let (outcome, performed) = self.burn_txn_slice(duration, deadline);
-            now = self.clock.now();
+            let now = self.now;
             match outcome {
                 TxnBurn::Completed => {
                     self.events += 1;
@@ -1272,43 +1313,37 @@ impl Executor {
         }
     }
 
-    /// Burns one transaction slice in quantum chunks. Returns the outcome
-    /// and how many seconds of the planned duration were actually
-    /// performed. The transaction's own deadline is checked *before*
-    /// timers are processed so `process_timers` never races it.
+    /// Burns one transaction slice from the current reading in quantum
+    /// chunks against the slice's fixed end (see
+    /// [`Executor::burn_update_work`]), polling after every chunk: the
+    /// next slice of the same transaction starts without returning to the
+    /// run loop. Returns the outcome and how many seconds of the planned
+    /// duration were performed. The transaction's own deadline is checked
+    /// *before* timers are processed so `process_timers` never races it.
     fn burn_txn_slice(&mut self, duration: f64, deadline: SimTime) -> (TxnBurn, f64) {
-        let started = self.clock.now();
+        let started = self.now;
+        let end = started + duration;
         let preemptible = policy::preempts_on_arrival(self.policy);
-        let mut remaining = duration;
-        loop {
-            if remaining <= 0.0 {
-                break;
+        let outcome = loop {
+            if self.now >= end {
+                break TxnBurn::Completed;
             }
-            let chunk = remaining.min(self.quantum);
-            LiveClock::spin_for(chunk);
-            remaining -= chunk;
-            let now = self.clock.now();
-            if now >= deadline {
-                self.metrics.charge_busy(Activity::Txn, started, now);
-                return (TxnBurn::DeadlinePassed, duration - remaining);
+            self.now = self.clock.spin_until(end.min(self.now + self.quantum));
+            if self.now >= deadline {
+                break TxnBurn::DeadlinePassed;
             }
-            self.process_timers(now);
-            let update_arrived = self.drain_ingest(now);
+            self.process_timers(self.now);
+            let update_arrived = self.drain_ingest();
             if self.shutdown {
-                let end = self.clock.now();
-                self.metrics.charge_busy(Activity::Txn, started, end);
-                return (TxnBurn::Shutdown, duration - remaining);
+                break TxnBurn::Shutdown;
             }
             if preemptible && update_arrived {
-                let end = self.clock.now();
-                self.metrics.charge_busy(Activity::Txn, started, end);
                 self.pending_preempt_cost = self.costs.preempt_time();
-                return (TxnBurn::Preempted, duration - remaining);
+                break TxnBurn::Preempted;
             }
-        }
-        let end = self.clock.now();
-        self.metrics.charge_busy(Activity::Txn, started, end);
-        (TxnBurn::Completed, duration)
+        };
+        self.metrics.charge_busy(Activity::Txn, started, self.now);
+        (outcome, self.now.since(started).min(duration))
     }
 
     /// Mirrors the controller's `on_txn_slice_done`.
@@ -1542,7 +1577,7 @@ impl Executor {
 
     /// Final accounting, mirroring `Controller::finalize`.
     fn finalize(mut self) -> RunReport {
-        let end = self.clock.now();
+        let end = self.now;
         let drops = self.queue_drops();
         // Seal the WAL first (drain, append the seal record, fsync): the
         // final report's counters then include the close-out fsync, and an
@@ -1733,6 +1768,152 @@ mod tests {
         tx.send(Ingest::Shutdown).expect("send shutdown");
         let report = handle.join().expect("executor thread");
         assert_eq!(report.updates.installed_total(), 1);
+    }
+
+    /// An updates-first executor driven step by step from the test thread,
+    /// with its first clock reading taken. No feasibility screening: a
+    /// late transaction must run into its deadline, not be turned away.
+    fn stepped(quantum: f64) -> (mpsc::Sender<Ingest>, Executor) {
+        let sim = SimConfig {
+            policy: Policy::UpdatesFirst,
+            feasible_deadline: false,
+            ..base_cfg()
+        };
+        let cfg = LiveConfig::with_quantum(sim, quantum).expect("valid live config");
+        let (tx, rx) = mpsc::channel();
+        let mut exec = Executor::new(&cfg, rx);
+        exec.now = exec.clock.now();
+        (tx, exec)
+    }
+
+    fn wire_txn(compute_micros: u64, slack_micros: u64) -> WireTxn {
+        WireTxn {
+            id: 1,
+            class: 0,
+            value: 1.0,
+            slack_micros,
+            compute_micros,
+            reads: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn back_to_back_installs_take_one_clock_reading_each() {
+        const N: u64 = 100_000;
+        // A modelled install far below the cost of reading the clock: the
+        // runtime's own per-update work is all that is left. Generations
+        // rise, so every update is worth installing.
+        let sim = SimConfig {
+            policy: Policy::UpdatesFirst,
+            os_max: N as usize + 1,
+            costs: CostModel {
+                ips: 1.0e15,
+                ..CostModel::default()
+            },
+            ..base_cfg()
+        };
+        let cfg = LiveConfig::new(sim).expect("valid live config");
+        let (tx, rx) = mpsc::channel();
+        let exec = Executor::new(&cfg, rx);
+        for i in 0..N {
+            tx.send(Ingest::Update(wire_update(
+                (i % 2) as u8,
+                (i % 4) as u32,
+                i as i64 + 1,
+                i as f64,
+            )))
+            .expect("send update");
+        }
+        // The executor runs on this thread (the read counter is
+        // thread-local); a helper stops it once the backlog is installed.
+        let stopper = std::thread::spawn(move || loop {
+            let (rtx, rrx) = mpsc::sync_channel(1);
+            tx.send(Ingest::Snapshot { reply: rtx })
+                .expect("send snapshot");
+            let report = rrx.recv().expect("interim report");
+            if report.updates.installed_total() == N {
+                tx.send(Ingest::Shutdown).expect("send shutdown");
+                return;
+            }
+            LiveClock::coarse_sleep(0.002);
+        });
+        let before = LiveClock::reads();
+        let report = exec.run();
+        let reads = LiveClock::reads() - before;
+        stopper.join().expect("stopper thread");
+        assert_eq!(report.updates.installed_total(), N);
+        eprintln!("{reads} clock readings for {N} installed updates");
+        assert!(reads * 10 <= N * 11, "more than 1.1 readings per update");
+    }
+
+    #[test]
+    fn three_quantum_install_spans_three_quanta_and_is_charged_end_to_end() {
+        // Table 3 install: 24 000 instructions at 50 MIPS = 480 µs.
+        let quantum = 160e-6;
+        let (_tx, mut exec) = stepped(quantum);
+        exec.accept_update(&wire_update(0, 1, 1_000, 1.0), exec.now);
+        let started = exec.now;
+        assert!(exec.step());
+        let spanned = exec.now.since(started);
+        assert!(spanned >= 3.0 * quantum, "slice spanned only {spanned} s");
+        assert_eq!(exec.metrics.busy_update_so_far(), spanned);
+        assert_eq!(exec.finalize().updates.installed_total(), 1);
+    }
+
+    #[test]
+    fn deadline_inside_a_slice_aborts_within_one_quantum() {
+        let quantum = LiveConfig::DEFAULT_QUANTUM;
+        let (_tx, mut exec) = stepped(quantum);
+        // 50 ms of work due 50 ms after arrival, started 30 ms late: the
+        // deadline falls 20 ms into the 50 ms slice.
+        exec.accept_txn(wire_txn(50_000, 0), exec.now);
+        let deadline = exec.now + 0.050;
+        exec.now = exec.clock.spin_until(exec.now + 0.030);
+        assert!(exec.step());
+        assert!(exec.running.is_none(), "the late transaction must be gone");
+        let late = exec.now.since(deadline);
+        assert!(late >= 0.0, "aborted {late} s before the deadline");
+        // One quantum when the thread keeps its CPU; the bound leaves room
+        // for a lost timeslice and is still half of what running the slice
+        // out would give (30 ms).
+        assert!(late < 30.0 * quantum, "abort detected {late} s late");
+        let report = exec.finalize();
+        assert_eq!(report.txns.missed_deadline, 1);
+        assert_eq!(report.txns.committed, 0);
+    }
+
+    #[test]
+    fn shutdown_mid_install_and_mid_txn_keeps_conservation() {
+        // Mid-install: the stop is found at the first chunk boundary; the
+        // update is neither applied nor queued, but still accounted.
+        let (tx, mut exec) = stepped(100e-6);
+        exec.accept_update(&wire_update(0, 1, 1_000, 1.0), exec.now);
+        tx.send(Ingest::Shutdown).expect("send shutdown");
+        assert!(exec.step());
+        assert!(exec.shutdown);
+        let report = exec.finalize();
+        assert_eq!(report.updates.arrived, 1);
+        assert_eq!(report.updates.installed_total(), 0);
+        assert_eq!(report.updates.terminal_total(), report.updates.arrived);
+
+        // Mid-transaction: the partial slice is consumed and the
+        // transaction is reported in flight.
+        let (tx, mut exec) = stepped(100e-6);
+        exec.accept_txn(wire_txn(50_000, 50_000), exec.now);
+        tx.send(Ingest::Shutdown).expect("send shutdown");
+        let started = exec.now;
+        assert!(exec.step());
+        assert!(exec.shutdown);
+        assert!(exec.now.since(started) < 0.050, "the slice must be cut");
+        assert_eq!(
+            exec.metrics.busy_txn_so_far(),
+            exec.now.since(started),
+            "a cut slice is charged up to the reading that ended it"
+        );
+        let report = exec.finalize();
+        assert_eq!(report.txns.arrived, 1);
+        assert_eq!(report.txns.in_flight_at_end, 1);
+        assert_eq!(report.txns.finished(), 0);
     }
 
     fn dag_cfg(policy: Policy) -> SimConfig {

@@ -25,10 +25,10 @@
 //! and the compute demand is divided proportionally to each stripe's
 //! read count.
 
-// lint: allow-file(wall-clock, reason=the accept loop polls a shutdown flag between non-blocking accepts; this is transport plumbing outside the modelled CPU)
+// lint: allow-file(wall-clock, reason=a connection's transport sniff sleeps between peeks; this is transport plumbing outside the modelled CPU)
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
@@ -241,6 +241,7 @@ impl ServerHandle {
             .join()
             .map_err(|_| io::Error::other("executor thread panicked"))?;
         self.stop.store(true, Ordering::Release);
+        wake_accept(self.addr);
         self.accept
             .join()
             .map_err(|_| io::Error::other("accept thread panicked"))?;
@@ -282,8 +283,9 @@ pub struct ShutdownTrigger {
 
 impl ShutdownTrigger {
     /// Requests shutdown: every stripe executor drains, finalizes
-    /// (sealing its WAL if one is attached), and the accept loop stops.
-    /// Idempotent.
+    /// (sealing its WAL if one is attached), and connection readers stop
+    /// waiting on full rings; [`ServerHandle::wait`] then returns and
+    /// tears down the accept loop. Idempotent.
     pub fn fire(&self) {
         for tx in &self.txs {
             let _ = tx.send(Ingest::Shutdown);
@@ -323,7 +325,7 @@ pub fn serve_recovered(
     recovered: Option<Vec<crate::recovery::Recovered>>,
 ) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
     let recovered = match (&cfg.durability, recovered) {
         (Some(d), None) if d.recover => Some(crate::recovery::recover_all(cfg)?),
         (_, r) => r,
@@ -400,25 +402,38 @@ pub fn serve_recovered(
     })
 }
 
-/// Polls for connections every 50 ms until the stop flag is raised.
+/// Blocks in `accept()`, handing each connection to its own thread, until
+/// the stop flag is found raised on return from the call — every stop path
+/// ends in [`ServerHandle::wait`], which raises the flag and then connects
+/// to the listener itself ([`wake_accept`]).
 fn accept_loop(listener: &TcpListener, router: &Router, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_router = router.clone();
-                let conn_stop = Arc::clone(stop);
-                let _ = thread::Builder::new()
-                    .name("stripd-conn".into())
-                    .spawn(move || {
-                        let _ = handle_conn(stream, &conn_router, &conn_stop);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => break,
+    loop {
+        let conn = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            break; // the wake-up connection, or a client racing it
         }
+        let Ok((stream, _)) = conn else { break };
+        let conn_router = router.clone();
+        let conn_stop = Arc::clone(stop);
+        let _ = thread::Builder::new()
+            .name("stripd-conn".into())
+            .spawn(move || {
+                let _ = handle_conn(stream, &conn_router, &conn_stop);
+            });
     }
+}
+
+/// Gets the accept loop out of its blocking `accept()` with a loopback
+/// connection to the listener's own address. A failed connect means the
+/// listener is already gone, which is the state being asked for.
+fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
 }
 
 /// Per-connection state of the batched ingest path: one ring producer

@@ -232,3 +232,29 @@ fn metrics_endpoint_serves_prometheus_text() {
     let report = handle.shutdown().expect("clean shutdown");
     assert_eq!(report.updates.arrived, 1);
 }
+
+#[test]
+fn accept_does_not_wait_out_a_poll_interval() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let handle = serve(&live_cfg(Policy::UpdatesFirst), listener).expect("serve");
+    // Back-to-back scrapes, each on a fresh connection: with the accept
+    // loop blocked in `accept()` one costs a few hundred microseconds; a
+    // loop that sleeps between polls made every one wait out its 50 ms.
+    let started = std::time::Instant::now();
+    for _ in 0..10 {
+        let mut http = connect(handle.addr());
+        http.write_all(b"GET /metrics HTTP/1.1\r\nHost: stripd\r\n\r\n")
+            .expect("send scrape");
+        let mut page = String::new();
+        http.read_to_string(&mut page).expect("read scrape");
+        assert!(page.starts_with("HTTP/1.1 200 OK"), "bad status: {page}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(250),
+        "10 scrapes took {elapsed:?}"
+    );
+    // The blocked accept loop must still be woken by shutdown.
+    let report = handle.shutdown().expect("clean shutdown");
+    assert_eq!(report.updates.arrived, 0);
+}
