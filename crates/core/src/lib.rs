@@ -20,6 +20,9 @@
 //! Entry points:
 //!
 //! * [`config::SimConfig`] — all parameters of the paper's Tables 1–3.
+//! * [`scheduler::Scheduler`] — the scheduling state machine itself, with no
+//!   clock behind it; the simulator below and the `strip-live` server are
+//!   its two drivers.
 //! * [`controller::run_simulation`] — run one simulation against
 //!   [`sources::UpdateSource`] / [`sources::TxnSource`] implementations
 //!   (Poisson generators live in `strip-workload`).
@@ -35,6 +38,7 @@ pub mod metrics;
 pub mod policy;
 pub mod ready;
 pub mod report;
+pub mod scheduler;
 pub mod sources;
 pub mod stripe;
 pub mod txn;
@@ -43,6 +47,7 @@ pub use config::{Policy, QueuePolicy, SimConfig, StalenessDef};
 pub use controller::{run_simulation, Controller, Event};
 pub use fingerprint::config_fingerprint;
 pub use report::RunReport;
+pub use scheduler::Scheduler;
 pub use sources::{ScriptedTxns, ScriptedUpdates, TxnSource, UpdateSource, UpdateSpec};
 pub use stripe::StripeMap;
 pub use txn::{Transaction, TxnSpec};

@@ -125,6 +125,13 @@ impl Metrics {
         self.fold_base_taken = true;
     }
 
+    /// True while a configured warm-up window has not been closed by
+    /// [`Metrics::snapshot_warmup`].
+    #[must_use]
+    pub fn warmup_pending(&self) -> bool {
+        !self.fold_base_taken && self.warmup_end > SimTime::ZERO
+    }
+
     // ---- transaction events ------------------------------------------------
 
     /// A transaction arrived.

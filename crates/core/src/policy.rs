@@ -1,16 +1,15 @@
 //! Clock-agnostic scheduling decisions — the paper's §4 algorithms as pure
 //! functions.
 //!
-//! The [`crate::controller::Controller`] (discrete-event simulator) and the
-//! `strip-live` wall-clock executor must make *identical* scheduling
-//! decisions: which side of the CPU split gets the next slice, whether an
-//! arrival preempts, where a received update goes, when a view read pays a
-//! queue scan, and when OD installs on demand. This module is that shared
-//! brain: every function is a pure map from observable queue/ready-set
-//! state to a decision — no clocks, no queues, no I/O — so the simulator
-//! stays bit-for-bit deterministic (see `tests/policy_parity.rs`) and the
-//! live executor provably runs the same policies against wall-clock
-//! deadlines.
+//! Which side of the CPU split gets the next slice, whether an arrival
+//! preempts, where a received update goes, when a view read pays a queue
+//! scan, and when OD installs on demand: every function here is a pure map
+//! from observable queue/ready-set state to a decision — no clocks, no
+//! queues, no I/O. Their one caller is [`crate::scheduler::Scheduler`], the
+//! state machine that both the simulator's `Controller` and the
+//! `strip-live` executor drive, so the two runtimes make *identical*
+//! decisions by construction; `tests/policy_parity.rs` pins the results
+//! and thereby guards the two drivers.
 //!
 //! | decision | paper | function |
 //! |----------|-------|----------|

@@ -78,6 +78,11 @@ impl ReadyQueue {
         Some(self.txns.swap_remove(idx))
     }
 
+    /// The queued transactions, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
+        self.txns.iter()
+    }
+
     /// Number of queued transactions.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -19,7 +19,7 @@
 //! | D5   | panicking-io            | checkpoint/trace I/O: no unwrap/expect/`[]` |
 //! | D6   | raw-f64-sum             | stats-adjacent files: use Welford helpers   |
 //! | D7   | durability-boundary     | WAL/snapshot/recovery: checked I/O only; sim-path crates must not import them |
-//! | D8   | live-panic              | live runtime (non-durability files): every `unwrap`/`expect`/`panic!` needs a per-site allow naming its invariant |
+//! | D8   | live-panic              | live runtime (non-durability files) and the scheduler core it drives: every `unwrap`/`expect`/`panic!` needs a per-site allow naming its invariant |
 //! | D9   | atomic-protocol         | everywhere scanned: every `Ordering::*` site must match its field's declared role in `crates/lint/sync_protocol.toml` |
 //! | D10  | lock-order              | everywhere scanned: `.lock()` only on registered Mutexes; nested acquisitions ascend in rank |
 //! | D11  | send-sync-audit         | everywhere scanned: `unsafe impl Send/Sync` needs a registry entry naming its invariant |
@@ -94,6 +94,10 @@ const D7_DURABILITY_FILES: [&str; 3] = [
     "crates/live/src/wal.rs",
 ];
 
+/// The one file outside the live crate that runs on the executor thread
+/// (D8): the scheduler core, which both the simulator and `stripd` drive.
+const D8_CORE_FILES: [&str; 1] = ["crates/core/src/scheduler.rs"];
+
 /// Crates whose `src/` must never name a durability module (D7, isolation
 /// mode): the deterministic sim/report path must not grow a filesystem
 /// dependency. Everything in D2 scope except the live runtime itself.
@@ -133,9 +137,12 @@ pub fn rules_for(rel: &str) -> Vec<RuleId> {
     if D7_DURABILITY_FILES.contains(&rel) || crate_name.is_none_or(|c| D7_SIM_CRATES.contains(&c)) {
         rules.push(RuleId::DurabilityBoundary);
     }
-    // D8 covers the live runtime's non-durability modules; the durability
-    // files already answer to D7's stricter no-allow-needed variant.
-    if crate_name.is_some_and(|c| c == "live") && !D7_DURABILITY_FILES.contains(&rel) {
+    // D8 covers the live runtime's non-durability modules (the durability
+    // files already answer to D7's stricter no-allow-needed variant) and
+    // the scheduler core that runs on the executor thread.
+    if (crate_name.is_some_and(|c| c == "live") && !D7_DURABILITY_FILES.contains(&rel))
+        || D8_CORE_FILES.contains(&rel)
+    {
         rules.push(RuleId::LivePanic);
     }
     rules
@@ -454,13 +461,16 @@ mod tests {
         assert!(!rules_for("crates/live/src/server.rs").contains(&RuleId::DurabilityBoundary));
 
         // D8 pins panic sites across the live runtime except the
-        // durability files (D7's checked-I/O mode admits no allows there)
-        // and never reaches other crates.
+        // durability files (D7's checked-I/O mode admits no allows there),
+        // plus the scheduler core the executor thread runs; the rest of
+        // the simulator (its driver included) stays out of reach.
         assert!(rules_for("crates/live/src/executor.rs").contains(&RuleId::LivePanic));
         assert!(rules_for("crates/live/src/server.rs").contains(&RuleId::LivePanic));
         assert!(rules_for("crates/live/src/bin/stripd.rs").contains(&RuleId::LivePanic));
         assert!(!rules_for("crates/live/src/wal.rs").contains(&RuleId::LivePanic));
+        assert!(rules_for("crates/core/src/scheduler.rs").contains(&RuleId::LivePanic));
         assert!(!rules_for("crates/core/src/controller.rs").contains(&RuleId::LivePanic));
+        assert!(!rules_for("crates/core/src/policy.rs").contains(&RuleId::LivePanic));
     }
 
     #[test]

@@ -36,9 +36,10 @@ use strip_db::store::Store;
 use strip_db::update::Update;
 
 use crate::clock::LiveClock;
-use crate::executor::{initial_store, stripe_configs, LiveConfig};
+use crate::executor::{stripe_configs, LiveConfig};
 use crate::snapshot;
 use crate::wal::{self, REC_SEAL, REC_UPDATE, SEGMENT_FILE};
+use strip_core::scheduler::initial_store;
 
 /// Outcome of [`recover`]: the rebuilt store plus replay accounting.
 #[derive(Debug)]
