@@ -4,53 +4,399 @@
 //! (§3.5): missed-deadline fraction `pMD`, `psuccess`, `psuc|nontardy`,
 //! average value per second `AV`, CPU-time split `ρt`/`ρu`, and the
 //! time-weighted stale fractions `fold_l`/`fold_h`.
+//!
+//! Every scalar of the nine accounting structs is declared exactly once, as
+//! `pub name: type = Rule` inside the `tabled!` invocation that emits the
+//! struct. Declaration order is JSON order, and the [`Rule`] says how the
+//! field combines across replicas and stripes. [`RunReport::to_json`],
+//! [`RunReport::average`], [`RunReport::merge_stripes`] and the checkpoint
+//! format ([`RunReport::scalars`] / [`RunReport::set_scalars`]) walk those
+//! declarations, so a new metric is one new row. A field that fits no rule
+//! is declared without one and handled by hand next to the walks.
+
+use std::fmt;
+use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 use strip_sim::stats::Welford;
 
-/// Per-value-class transaction outcomes (Low = index 0, High = index 1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ClassCounts {
-    /// Arrivals of this class.
-    pub arrived: u64,
-    /// On-time commits of this class.
-    pub committed: u64,
-    /// On-time fresh commits of this class.
-    pub committed_fresh: u64,
+/// How one tabled field combines across reports. `Count` and `Peak` fields
+/// are `u64`, the rest `f64`; `tabled!` checks that at compile time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// Event counter: stripes sum, replicas take the rounded mean.
+    Count,
+    /// High-water mark: stripes take the max, replicas the rounded mean.
+    Peak,
+    /// Accumulated amount: stripes sum, replicas take the mean.
+    Total,
+    /// Extent shared by the stripes: stripes take the max, replicas the mean.
+    Span,
+    /// Intensive quantity: equal-weight mean across stripes and replicas.
+    Level,
+    /// Response-time moment: the walk leaves it zero and the callers pool it
+    /// with a commit-weighted Welford merge.
+    Pooled,
 }
 
-/// Transaction accounting.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TxnCounts {
-    /// Transactions that arrived inside the measurement window.
-    pub arrived: u64,
-    /// Committed at or before their deadline.
-    pub committed: u64,
-    /// Committed on time having read only fresh data.
-    pub committed_fresh: u64,
-    /// Aborted by the firm-deadline watchdog (reached the deadline while
-    /// queued or running).
-    pub missed_deadline: u64,
-    /// Aborted early by the feasible-deadline policy (could no longer make
-    /// the deadline).
-    pub aborted_infeasible: u64,
-    /// Aborted because a view read observed stale data (abort-on-stale
-    /// mode).
-    pub aborted_stale: u64,
-    /// Still queued or running when the simulation horizon was reached.
-    pub in_flight_at_end: u64,
-    /// Total value of on-time commits.
-    pub value_committed: f64,
-    /// View reads that observed stale data (metric criterion).
-    pub stale_reads: u64,
-    /// Total view reads performed.
-    pub view_reads: u64,
-    /// Mean response time (commit − arrival) over committed transactions.
-    pub response_mean: f64,
-    /// Std. dev. of response time over committed transactions.
-    pub response_sd: f64,
-    /// Per-value-class breakdown (`[low, high]`).
-    pub by_class: [ClassCounts; 2],
+/// Which set of reports a walk combines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Across {
+    /// Independent runs of one configuration ([`RunReport::average`]).
+    Replicas,
+    /// Disjoint slices of one run ([`RunReport::merge_stripes`]).
+    Stripes,
+}
+
+impl Rule {
+    fn counts(self, across: Across, vals: impl Iterator<Item = u64> + Clone) -> u64 {
+        match (across, self) {
+            (Across::Replicas, _) => {
+                let n = vals.clone().count() as f64;
+                // lint: allow(raw-f64-sum, reason=lossless u128 count sum, not a float reduction)
+                (vals.map(u128::from).sum::<u128>() as f64 / n).round() as u64
+            }
+            (Across::Stripes, Rule::Peak) => vals.max().unwrap_or(0),
+            // lint: allow(raw-f64-sum, reason=u64 counter totals over disjoint stripes are exact)
+            (Across::Stripes, _) => vals.sum(),
+        }
+    }
+
+    fn reals(self, across: Across, vals: impl Iterator<Item = f64> + Clone) -> f64 {
+        match (across, self) {
+            (_, Rule::Pooled) => 0.0,
+            // lint: allow(raw-f64-sum, reason=stripe totals are exact sums of disjoint slices; pinned by the per-stripe conservation tests)
+            (Across::Stripes, Rule::Total) => vals.sum(),
+            (Across::Stripes, Rule::Span) => vals.fold(0.0, f64::max),
+            // lint: allow(raw-f64-sum, reason=field-wise mean; exact sum/n semantics are pinned by the conservation-rounding proptests and tests/report_table.rs)
+            _ => vals.clone().sum::<f64>() / vals.count() as f64,
+        }
+    }
+
+    /// Combines one field's values. A rule only sees the variant `tabled!`
+    /// pairs it with, so neither `filter_map` ever drops anything.
+    fn combine(self, across: Across, vals: impl Iterator<Item = Value> + Clone) -> Value {
+        match self {
+            Rule::Count | Rule::Peak => Value::Count(self.counts(
+                across,
+                vals.filter_map(|v| match v {
+                    Value::Count(n) => Some(n),
+                    Value::Real(_) => None,
+                }),
+            )),
+            _ => Value::Real(self.reals(
+                across,
+                vals.filter_map(|v| match v {
+                    Value::Real(x) => Some(x),
+                    Value::Count(_) => None,
+                }),
+            )),
+        }
+    }
+
+    /// Reads a value of this rule's type back from its [`Value`] `Display`
+    /// form; `None` when `text` is not such a number (a non-finite real
+    /// prints as `null` and does not come back).
+    #[must_use]
+    pub fn parse(self, text: &str) -> Option<Value> {
+        match self {
+            Rule::Count | Rule::Peak => text.parse().ok().map(Value::Count),
+            _ => text.parse().ok().map(Value::Real),
+        }
+    }
+}
+
+/// The value of one tabled field. `Display` is its JSON form, which the
+/// checkpoints reuse: [`Rule::parse`] restores it bit-for-bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A [`Rule::Count`] or [`Rule::Peak`] field.
+    Count(u64),
+    /// A field of any other rule.
+    Real(f64),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Count(n) => n.fmt(f),
+            // Shortest round-tripping decimal; non-finite values (which no
+            // healthy run produces) become `null` so the output stays JSON.
+            Value::Real(x) if x.is_finite() => write!(f, "{x:?}"),
+            Value::Real(_) => f.write_str("null"),
+        }
+    }
+}
+
+/// One tabled field of one struct: name, rule, current value.
+pub type Row = (&'static str, Rule, Value);
+
+/// A struct declared through `tabled!`, with its type erased so
+/// [`SECTIONS`] can list all of them.
+trait Section {
+    /// The fields that carry a rule, in declaration order.
+    fn rows(&self) -> Vec<Row>;
+    /// Overwrites those fields, in the same order, from `values`.
+    fn fill(&mut self, values: &mut dyn Iterator<Item = Value>);
+}
+
+/// Emits each struct and its [`Section`] from one declaration. A field
+/// written `pub name: type = Rule` is tabled; one without `= Rule` is
+/// irregular and invisible to the walks.
+macro_rules! tabled {
+    (@value Count, $($x:tt)+) => { Value::Count($($x)+) };
+    (@value Peak, $($x:tt)+) => { Value::Count($($x)+) };
+    (@value $real:ident, $($x:tt)+) => { Value::Real($($x)+) };
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                pub $field:ident: $ty:ty $(= $rule:ident)?,
+            )*
+        }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        impl Section for $name {
+            fn rows(&self) -> Vec<Row> {
+                vec![$($(
+                    (stringify!($field), Rule::$rule, tabled!(@value $rule, self.$field)),
+                )?)*]
+            }
+
+            fn fill(&mut self, values: &mut dyn Iterator<Item = Value>) {
+                $($(
+                    if let Some(tabled!(@value $rule, x)) = values.next() {
+                        self.$field = x;
+                    }
+                )?)*
+            }
+        }
+    )*};
+}
+
+tabled! {
+    /// Per-value-class transaction outcomes (Low = index 0, High = index 1).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct ClassCounts {
+        /// Arrivals of this class.
+        pub arrived: u64 = Count,
+        /// On-time commits of this class.
+        pub committed: u64 = Count,
+        /// On-time fresh commits of this class.
+        pub committed_fresh: u64 = Count,
+    }
+
+    /// Transaction accounting.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct TxnCounts {
+        /// Transactions that arrived inside the measurement window.
+        pub arrived: u64 = Count,
+        /// Committed at or before their deadline.
+        pub committed: u64 = Count,
+        /// Committed on time having read only fresh data.
+        pub committed_fresh: u64 = Count,
+        /// Aborted by the firm-deadline watchdog (reached the deadline while
+        /// queued or running).
+        pub missed_deadline: u64 = Count,
+        /// Aborted early by the feasible-deadline policy (could no longer make
+        /// the deadline).
+        pub aborted_infeasible: u64 = Count,
+        /// Aborted because a view read observed stale data (abort-on-stale
+        /// mode).
+        pub aborted_stale: u64 = Count,
+        /// Still queued or running when the simulation horizon was reached.
+        pub in_flight_at_end: u64 = Count,
+        /// Total value of on-time commits.
+        pub value_committed: f64 = Total,
+        /// View reads that observed stale data (metric criterion).
+        pub stale_reads: u64 = Count,
+        /// Total view reads performed.
+        pub view_reads: u64 = Count,
+        /// Mean response time (commit − arrival) over committed transactions.
+        pub response_mean: f64 = Pooled,
+        /// Std. dev. of response time over committed transactions.
+        pub response_sd: f64 = Pooled,
+        /// Per-value-class breakdown (`[low, high]`).
+        pub by_class: [ClassCounts; 2],
+    }
+
+    /// Update-stream accounting.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct UpdateCounts {
+        /// Updates that arrived inside the measurement window.
+        pub arrived: u64 = Count,
+        /// Arrivals discarded because the OS queue was full.
+        pub os_dropped: u64 = Count,
+        /// Updates placed into the application-level update queue.
+        pub enqueued: u64 = Count,
+        /// Updates installed from the update queue by the background update
+        /// process (or straight off the OS queue under UF).
+        pub installed_background: u64 = Count,
+        /// Updates installed on arrival (UF always; SU for high importance).
+        pub installed_immediate: u64 = Count,
+        /// Updates installed on demand while a transaction waited (OD).
+        pub installed_on_demand: u64 = Count,
+        /// Updates skipped after lookup because the store already held a value
+        /// at least as recent.
+        pub superseded_skips: u64 = Count,
+        /// Queued updates discarded as MA-expired.
+        pub expired_dropped: u64 = Count,
+        /// Queued updates discarded by the `UQ_max` overflow policy.
+        pub overflow_dropped: u64 = Count,
+        /// Queued updates removed as superseded by the hash-index extension.
+        pub dedup_dropped: u64 = Count,
+        /// Arrivals shed by controller admission control before entering the OS
+        /// queue (robustness extension).
+        pub admission_shed: u64 = Count,
+        /// Largest update-queue length observed.
+        pub max_uq_len: u64 = Peak,
+        /// Largest OS-queue length observed.
+        pub max_os_len: u64 = Peak,
+        /// Updates still waiting in the OS queue at the horizon.
+        pub left_in_os: u64 = Count,
+        /// Updates still waiting in the update queue at the horizon.
+        pub left_in_update_queue: u64 = Count,
+        /// Updates on the CPU (being installed, or taken for an on-demand
+        /// apply) when the horizon was reached.
+        pub in_flight_at_end: u64 = Count,
+    }
+
+    /// CPU-time accounting over the measurement window.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct CpuStats {
+        /// Seconds spent on transaction work (ρt numerator).
+        pub busy_txn: f64 = Total,
+        /// Seconds spent on update work — receiving, queueing, scanning,
+        /// installing (ρu numerator).
+        pub busy_update: f64 = Total,
+        /// Length of the measurement window in seconds (the longest stripe
+        /// window of a sharded run).
+        pub measured_secs: f64 = Span,
+        /// Discrete events processed by the engine (diagnostic).
+        pub events_processed: u64 = Count,
+        /// Buffer-pool misses charged to view reads (disk extension).
+        pub io_misses_reads: u64 = Count,
+        /// Buffer-pool misses charged to installs (disk extension).
+        pub io_misses_installs: u64 = Count,
+    }
+
+    /// Historical-view accounting (zeros when the extension is disabled).
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct HistoryStats {
+        /// View reads served as-of a past instant.
+        pub historical_reads: u64 = Count,
+        /// As-of reads whose instant predated the retained window.
+        pub misses: u64 = Count,
+        /// Versions appended to the chains.
+        pub appends: u64 = Count,
+        /// Versions pruned by retention or the per-object cap.
+        pub pruned: u64 = Count,
+        /// Versions retained at the horizon.
+        pub entries_at_end: u64 = Count,
+    }
+
+    /// Update-triggered rule accounting (zeros when the extension is disabled).
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct TriggerStats {
+        /// Rule firings caused by installs.
+        pub fired: u64 = Count,
+        /// Firings coalesced because the rule was already pending.
+        pub coalesced: u64 = Count,
+        /// Firings dropped by the pending-queue bound.
+        pub dropped: u64 = Count,
+        /// Rule executions completed.
+        pub executed: u64 = Count,
+        /// Pending executions at the horizon (including one on the CPU).
+        pub pending_at_end: u64 = Count,
+        /// Mean delay from firing to execution completion, seconds.
+        pub lag_mean: f64 = Level,
+        /// Largest pending-queue length observed.
+        pub max_pending: u64 = Peak,
+    }
+
+    /// Derived-view DAG accounting (extension; zeros when no DAG is
+    /// configured). The propagation buckets obey the conservation law
+    /// `enqueued = applied + coalesced + shed + pending_at_end` on run totals.
+    /// Each stripe drives a full DAG replica over its own slice of the update
+    /// stream, so the counters sum exactly across stripes.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct DagStats {
+        /// Delta enqueue events (base installs plus cascades).
+        pub enqueued: u64 = Count,
+        /// Pending deltas applied (background drain plus on-demand refreshes).
+        pub applied: u64 = Count,
+        /// Enqueues merged into an already-pending node.
+        pub coalesced: u64 = Count,
+        /// Enqueues rejected by the pending bound.
+        pub shed: u64 = Count,
+        /// Pending deltas left at the horizon.
+        pub pending_at_end: u64 = Count,
+        /// Derived-node reads performed by transactions.
+        pub derived_reads: u64 = Count,
+        /// Derived reads that observed a (transitively) stale node.
+        pub stale_derived_reads: u64 = Count,
+        /// Recursive on-demand refresh passes performed before derived reads.
+        pub od_refreshes: u64 = Count,
+        /// Mean delay from a delta's first enqueue to its application, seconds.
+        pub lag_mean: f64 = Level,
+        /// Largest number of simultaneously pending nodes observed.
+        pub max_pending: u64 = Peak,
+        /// Time-weighted fraction of transitively stale derived nodes
+        /// (`fold_derived` — the DAG twin of `fold_l`/`fold_h`).
+        pub fold_derived: f64 = Level,
+    }
+
+    /// Resilience accounting (robustness extension; all zeros/`None` for an
+    /// undisturbed run with the paper's queue policies).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct ResilienceStats {
+        /// Duplicate deliveries injected by the disturbance layer.
+        pub duplicated: u64 = Count,
+        /// Out-of-order deliveries observed at the source.
+        pub reordered: u64 = Count,
+        /// Arrivals held during the outage window and released in the catch-up
+        /// flood.
+        pub outage_held: u64 = Count,
+        /// Arrivals delivered as part of a multi-arrival batch.
+        pub burst_grouped: u64 = Count,
+        /// Arrivals shed by controller admission control (mirrors
+        /// `UpdateCounts::admission_shed`).
+        pub admission_shed: u64 = Count,
+        /// Seconds after the outage ended until the stale-object count first
+        /// returned to its pre-outage baseline; `None` when no outage was
+        /// configured or the system had not recovered by the horizon.
+        /// Replicas average over those that did recover; stripes take the
+        /// slowest.
+        pub recovery_secs: Option<f64>,
+    }
+
+    /// Durability accounting (live-runtime WAL/snapshot/recovery subsystem;
+    /// all zeros for simulator runs and for live runs without `--wal`).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct DurabilityStats {
+        /// Records appended to the write-ahead log.
+        pub wal_appended: u64 = Count,
+        /// `fsync` calls issued by the group-commit flusher.
+        pub wal_fsyncs: u64 = Count,
+        /// Bytes written to the log (records plus segment headers).
+        pub wal_bytes: u64 = Count,
+        /// Largest number of records covered by a single fsync (group size).
+        pub wal_group_max: u64 = Peak,
+        /// Store snapshots sealed (atomic write-rename completed).
+        pub snapshots_written: u64 = Count,
+        /// Sealed-segment rotations performed by the flusher (size-bounded
+        /// log growth; each rotation chains a new active segment).
+        pub wal_rotations: u64 = Count,
+        /// WAL records replayed into the store during recovery.
+        pub recovery_replayed: u64 = Count,
+        /// Torn or CRC-failing tail records discarded during recovery.
+        pub recovery_discarded: u64 = Count,
+    }
 }
 
 impl TxnCounts {
@@ -102,47 +448,6 @@ impl TxnCounts {
     }
 }
 
-/// Update-stream accounting.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct UpdateCounts {
-    /// Updates that arrived inside the measurement window.
-    pub arrived: u64,
-    /// Arrivals discarded because the OS queue was full.
-    pub os_dropped: u64,
-    /// Updates placed into the application-level update queue.
-    pub enqueued: u64,
-    /// Updates installed from the update queue by the background update
-    /// process (or straight off the OS queue under UF).
-    pub installed_background: u64,
-    /// Updates installed on arrival (UF always; SU for high importance).
-    pub installed_immediate: u64,
-    /// Updates installed on demand while a transaction waited (OD).
-    pub installed_on_demand: u64,
-    /// Updates skipped after lookup because the store already held a value
-    /// at least as recent.
-    pub superseded_skips: u64,
-    /// Queued updates discarded as MA-expired.
-    pub expired_dropped: u64,
-    /// Queued updates discarded by the `UQ_max` overflow policy.
-    pub overflow_dropped: u64,
-    /// Queued updates removed as superseded by the hash-index extension.
-    pub dedup_dropped: u64,
-    /// Arrivals shed by controller admission control before entering the OS
-    /// queue (robustness extension).
-    pub admission_shed: u64,
-    /// Largest update-queue length observed.
-    pub max_uq_len: u64,
-    /// Largest OS-queue length observed.
-    pub max_os_len: u64,
-    /// Updates still waiting in the OS queue at the horizon.
-    pub left_in_os: u64,
-    /// Updates still waiting in the update queue at the horizon.
-    pub left_in_update_queue: u64,
-    /// Updates on the CPU (being installed, or taken for an on-demand
-    /// apply) when the horizon was reached.
-    pub in_flight_at_end: u64,
-}
-
 impl UpdateCounts {
     /// All installs, regardless of path.
     #[must_use]
@@ -168,161 +473,6 @@ impl UpdateCounts {
     }
 }
 
-/// Historical-view accounting (zeros when the extension is disabled).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct HistoryStats {
-    /// View reads served as-of a past instant.
-    pub historical_reads: u64,
-    /// As-of reads whose instant predated the retained window.
-    pub misses: u64,
-    /// Versions appended to the chains.
-    pub appends: u64,
-    /// Versions pruned by retention or the per-object cap.
-    pub pruned: u64,
-    /// Versions retained at the horizon.
-    pub entries_at_end: u64,
-}
-
-impl HistoryStats {
-    /// Fraction of historical reads that missed the retained window.
-    #[must_use]
-    pub fn miss_fraction(&self) -> f64 {
-        if self.historical_reads == 0 {
-            return 0.0;
-        }
-        self.misses as f64 / self.historical_reads as f64
-    }
-}
-
-/// Update-triggered rule accounting (zeros when the extension is disabled).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TriggerStats {
-    /// Rule firings caused by installs.
-    pub fired: u64,
-    /// Firings coalesced because the rule was already pending.
-    pub coalesced: u64,
-    /// Firings dropped by the pending-queue bound.
-    pub dropped: u64,
-    /// Rule executions completed.
-    pub executed: u64,
-    /// Pending executions at the horizon (including one on the CPU).
-    pub pending_at_end: u64,
-    /// Mean delay from firing to execution completion, seconds.
-    pub lag_mean: f64,
-    /// Largest pending-queue length observed.
-    pub max_pending: u64,
-}
-
-/// Derived-view DAG accounting (extension; zeros when no DAG is
-/// configured). The propagation buckets obey the conservation law
-/// `enqueued = applied + coalesced + shed + pending_at_end` on run totals.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DagStats {
-    /// Delta enqueue events (base installs plus cascades).
-    pub enqueued: u64,
-    /// Pending deltas applied (background drain plus on-demand refreshes).
-    pub applied: u64,
-    /// Enqueues merged into an already-pending node.
-    pub coalesced: u64,
-    /// Enqueues rejected by the pending bound.
-    pub shed: u64,
-    /// Pending deltas left at the horizon.
-    pub pending_at_end: u64,
-    /// Derived-node reads performed by transactions.
-    pub derived_reads: u64,
-    /// Derived reads that observed a (transitively) stale node.
-    pub stale_derived_reads: u64,
-    /// Recursive on-demand refresh passes performed before derived reads.
-    pub od_refreshes: u64,
-    /// Mean delay from a delta's first enqueue to its application, seconds.
-    pub lag_mean: f64,
-    /// Largest number of simultaneously pending nodes observed.
-    pub max_pending: u64,
-    /// Time-weighted fraction of transitively stale derived nodes
-    /// (`fold_derived` — the DAG twin of `fold_l`/`fold_h`).
-    pub fold_derived: f64,
-}
-
-impl DagStats {
-    /// Every enqueue ends in exactly one terminal bucket.
-    #[must_use]
-    pub fn terminal_total(&self) -> u64 {
-        self.applied + self.coalesced + self.shed + self.pending_at_end
-    }
-
-    /// Fraction of derived reads that observed a stale node.
-    #[must_use]
-    pub fn stale_derived_fraction(&self) -> f64 {
-        if self.derived_reads == 0 {
-            return 0.0;
-        }
-        self.stale_derived_reads as f64 / self.derived_reads as f64
-    }
-}
-
-/// Resilience accounting (robustness extension; all zeros/`None` for an
-/// undisturbed run with the paper's queue policies).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ResilienceStats {
-    /// Duplicate deliveries injected by the disturbance layer.
-    pub duplicated: u64,
-    /// Out-of-order deliveries observed at the source.
-    pub reordered: u64,
-    /// Arrivals held during the outage window and released in the catch-up
-    /// flood.
-    pub outage_held: u64,
-    /// Arrivals delivered as part of a multi-arrival batch.
-    pub burst_grouped: u64,
-    /// Arrivals shed by controller admission control (mirrors
-    /// `UpdateCounts::admission_shed`).
-    pub admission_shed: u64,
-    /// Seconds after the outage ended until the stale-object count first
-    /// returned to its pre-outage baseline; `None` when no outage was
-    /// configured or the system had not recovered by the horizon.
-    pub recovery_secs: Option<f64>,
-}
-
-/// Durability accounting (live-runtime WAL/snapshot/recovery subsystem;
-/// all zeros for simulator runs and for live runs without `--wal`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DurabilityStats {
-    /// Records appended to the write-ahead log.
-    pub wal_appended: u64,
-    /// `fsync` calls issued by the group-commit flusher.
-    pub wal_fsyncs: u64,
-    /// Bytes written to the log (records plus segment headers).
-    pub wal_bytes: u64,
-    /// Largest number of records covered by a single fsync (group size).
-    pub wal_group_max: u64,
-    /// Store snapshots sealed (atomic write-rename completed).
-    pub snapshots_written: u64,
-    /// Sealed-segment rotations performed by the flusher (size-bounded
-    /// log growth; each rotation chains a new active segment).
-    pub wal_rotations: u64,
-    /// WAL records replayed into the store during recovery.
-    pub recovery_replayed: u64,
-    /// Torn or CRC-failing tail records discarded during recovery.
-    pub recovery_discarded: u64,
-}
-
-/// CPU-time accounting over the measurement window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CpuStats {
-    /// Seconds spent on transaction work (ρt numerator).
-    pub busy_txn: f64,
-    /// Seconds spent on update work — receiving, queueing, scanning,
-    /// installing (ρu numerator).
-    pub busy_update: f64,
-    /// Length of the measurement window in seconds.
-    pub measured_secs: f64,
-    /// Discrete events processed by the engine (diagnostic).
-    pub events_processed: u64,
-    /// Buffer-pool misses charged to view reads (disk extension).
-    pub io_misses_reads: u64,
-    /// Buffer-pool misses charged to installs (disk extension).
-    pub io_misses_installs: u64,
-}
-
 impl CpuStats {
     /// `ρt` — fraction of CPU time spent on transactions.
     #[must_use]
@@ -346,6 +496,34 @@ impl CpuStats {
     #[must_use]
     pub fn utilization(&self) -> f64 {
         self.rho_t() + self.rho_u()
+    }
+}
+
+impl HistoryStats {
+    /// Fraction of historical reads that missed the retained window.
+    #[must_use]
+    pub fn miss_fraction(&self) -> f64 {
+        if self.historical_reads == 0 {
+            return 0.0;
+        }
+        self.misses as f64 / self.historical_reads as f64
+    }
+}
+
+impl DagStats {
+    /// Every enqueue ends in exactly one terminal bucket.
+    #[must_use]
+    pub fn terminal_total(&self) -> u64 {
+        self.applied + self.coalesced + self.shed + self.pending_at_end
+    }
+
+    /// Fraction of derived reads that observed a stale node.
+    #[must_use]
+    pub fn stale_derived_fraction(&self) -> f64 {
+        if self.derived_reads == 0 {
+            return 0.0;
+        }
+        self.stale_derived_reads as f64 / self.derived_reads as f64
     }
 }
 
@@ -444,6 +622,41 @@ pub struct RunReport {
     pub stripes: Vec<StripeSummary>,
 }
 
+/// Where one tabled struct sits inside a [`RunReport`].
+struct SectionAt {
+    /// Prefix of the struct's checkpoint keys (`"txns.low"`).
+    key: &'static str,
+    get: fn(&RunReport) -> &dyn Section,
+    get_mut: fn(&mut RunReport) -> &mut dyn Section,
+}
+
+macro_rules! section {
+    ($key:literal, $($place:tt)+) => {
+        SectionAt {
+            key: $key,
+            get: |r| &r.$($place)+,
+            get_mut: |r| &mut r.$($place)+,
+        }
+    };
+}
+
+/// Every tabled struct of a report. The combining walks and the checkpoint
+/// format go through this list; [`RunReport::to_json`] lays the same
+/// structs out by hand because the JSON document nests `by_class` and
+/// interleaves the folds.
+const SECTIONS: &[SectionAt] = &[
+    section!("txns", txns),
+    section!("txns.low", txns.by_class[0]),
+    section!("txns.high", txns.by_class[1]),
+    section!("updates", updates),
+    section!("cpu", cpu),
+    section!("history", history),
+    section!("triggers", triggers),
+    section!("dag", dag),
+    section!("resilience", resilience),
+    section!("durability", durability),
+];
+
 /// JSON string literal with the escapes required by RFC 8259.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -460,14 +673,54 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Shortest round-tripping decimal for a finite float; non-finite values
-/// (which no healthy run produces) become `null` so the output stays JSON.
+/// A float in JSON form (see [`Value`]'s `Display`).
 fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
+    Value::Real(v).to_string()
+}
+
+/// A JSON object under construction. Members render through `Display`; a
+/// float goes in as a [`Value::Real`].
+struct JsonObject(String);
+
+impl JsonObject {
+    fn new() -> Self {
+        JsonObject(String::from("{"))
     }
+
+    fn member(mut self, key: &str, value: impl fmt::Display) -> Self {
+        let sep = if self.0.len() > 1 { "," } else { "" };
+        let _ = write!(self.0, "{sep}\"{key}\":{value}");
+        self
+    }
+
+    /// Every tabled field of `s`, in order.
+    fn rows(self, s: &dyn Section) -> Self {
+        let rows = s.rows().into_iter();
+        rows.fold(self, |object, (name, _, value)| object.member(name, value))
+    }
+
+    fn end(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
+}
+
+fn json_array(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(","))
+}
+
+/// Commit-weighted pooling of the response-time moments (a mean of standard
+/// deviations is not the standard deviation of the pooled population).
+fn pooled_response(parts: &[RunReport]) -> (f64, f64) {
+    let mut pooled = Welford::new();
+    for r in parts {
+        pooled.merge(&Welford::from_moments(
+            r.txns.committed,
+            r.txns.response_mean,
+            r.txns.response_sd,
+        ));
+    }
+    (pooled.mean(), pooled.std_dev())
 }
 
 impl RunReport {
@@ -480,194 +733,68 @@ impl RunReport {
     /// paper-derived metrics (§3.5) ride along under `"derived"`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let class = |c: &ClassCounts| {
-            format!(
-                "{{\"arrived\":{},\"committed\":{},\"committed_fresh\":{}}}",
-                c.arrived, c.committed, c.committed_fresh
+        let (t, u, c) = (&self.txns, &self.updates, &self.cpu);
+        let real = Value::Real;
+        let section = |s: &dyn Section| JsonObject::new().rows(s);
+        let by_class = json_array(t.by_class.iter().map(|class| section(class).end()));
+        let recovery = self.resilience.recovery_secs;
+        let timeline = self.timeline.iter().map(|w| {
+            JsonObject::new()
+                .member("t_start", real(w.t_start))
+                .member("finished", w.finished)
+                .member("committed", w.committed)
+                .member("committed_fresh", w.committed_fresh)
+                .end()
+        });
+        let stripes = self.stripes.iter().map(|s| {
+            JsonObject::new()
+                .member("stripe", s.stripe)
+                .member("n_low", s.n_low)
+                .member("n_high", s.n_high)
+                .member("arrived", s.updates.arrived)
+                .member("installed_total", s.updates.installed_total())
+                .member("terminal_total", s.updates.terminal_total())
+                .member("txn_arrived", s.txns.arrived)
+                .member("txn_committed", s.txns.committed)
+                .member("fold_low", real(s.fold_low))
+                .member("fold_high", real(s.fold_high))
+                .member("wal_appended", s.durability.wal_appended)
+                .end()
+        });
+        let derived = JsonObject::new()
+            .member("p_md", real(t.p_md()))
+            .member("p_success", real(t.p_success()))
+            .member("p_suc_nontardy", real(t.p_suc_nontardy()))
+            .member("stale_read_fraction", real(t.stale_read_fraction()))
+            .member("av", real(self.av()))
+            .member("rho_t", real(c.rho_t()))
+            .member("rho_u", real(c.rho_u()))
+            .member("installed_total", u.installed_total())
+            .member("terminal_total", u.terminal_total());
+        JsonObject::new()
+            .member("policy", json_str(&self.policy))
+            .member("seed", self.seed)
+            .member("duration", real(self.duration))
+            .member("warmup", real(self.warmup))
+            .member("txns", section(t).member("by_class", by_class).end())
+            .member("updates", section(u).end())
+            .member("cpu", section(c).end())
+            .member("fold_low", real(self.fold_low))
+            .member("fold_high", real(self.fold_high))
+            .member("history", section(&self.history).end())
+            .member("triggers", section(&self.triggers).end())
+            .member("dag", section(&self.dag).end())
+            .member(
+                "resilience",
+                section(&self.resilience)
+                    .member("recovery_secs", recovery.map_or("null".into(), json_f64))
+                    .end(),
             )
-        };
-        let timeline = self
-            .timeline
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"t_start\":{},\"finished\":{},\"committed\":{},\"committed_fresh\":{}}}",
-                    json_f64(w.t_start),
-                    w.finished,
-                    w.committed,
-                    w.committed_fresh
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut out = String::with_capacity(2048);
-        out.push('{');
-        out.push_str(&format!("\"policy\":{},", json_str(&self.policy)));
-        out.push_str(&format!("\"seed\":{},", self.seed));
-        out.push_str(&format!("\"duration\":{},", json_f64(self.duration)));
-        out.push_str(&format!("\"warmup\":{},", json_f64(self.warmup)));
-        let t = &self.txns;
-        out.push_str(&format!(
-            "\"txns\":{{\"arrived\":{},\"committed\":{},\"committed_fresh\":{},\
-             \"missed_deadline\":{},\"aborted_infeasible\":{},\"aborted_stale\":{},\
-             \"in_flight_at_end\":{},\"value_committed\":{},\"stale_reads\":{},\
-             \"view_reads\":{},\"response_mean\":{},\"response_sd\":{},\
-             \"by_class\":[{},{}]}},",
-            t.arrived,
-            t.committed,
-            t.committed_fresh,
-            t.missed_deadline,
-            t.aborted_infeasible,
-            t.aborted_stale,
-            t.in_flight_at_end,
-            json_f64(t.value_committed),
-            t.stale_reads,
-            t.view_reads,
-            json_f64(t.response_mean),
-            json_f64(t.response_sd),
-            class(&t.by_class[0]),
-            class(&t.by_class[1]),
-        ));
-        let u = &self.updates;
-        out.push_str(&format!(
-            "\"updates\":{{\"arrived\":{},\"os_dropped\":{},\"enqueued\":{},\
-             \"installed_background\":{},\"installed_immediate\":{},\
-             \"installed_on_demand\":{},\"superseded_skips\":{},\
-             \"expired_dropped\":{},\"overflow_dropped\":{},\"dedup_dropped\":{},\
-             \"admission_shed\":{},\"max_uq_len\":{},\"max_os_len\":{},\
-             \"left_in_os\":{},\"left_in_update_queue\":{},\"in_flight_at_end\":{}}},",
-            u.arrived,
-            u.os_dropped,
-            u.enqueued,
-            u.installed_background,
-            u.installed_immediate,
-            u.installed_on_demand,
-            u.superseded_skips,
-            u.expired_dropped,
-            u.overflow_dropped,
-            u.dedup_dropped,
-            u.admission_shed,
-            u.max_uq_len,
-            u.max_os_len,
-            u.left_in_os,
-            u.left_in_update_queue,
-            u.in_flight_at_end,
-        ));
-        let c = &self.cpu;
-        out.push_str(&format!(
-            "\"cpu\":{{\"busy_txn\":{},\"busy_update\":{},\"measured_secs\":{},\
-             \"events_processed\":{},\"io_misses_reads\":{},\"io_misses_installs\":{}}},",
-            json_f64(c.busy_txn),
-            json_f64(c.busy_update),
-            json_f64(c.measured_secs),
-            c.events_processed,
-            c.io_misses_reads,
-            c.io_misses_installs,
-        ));
-        out.push_str(&format!("\"fold_low\":{},", json_f64(self.fold_low)));
-        out.push_str(&format!("\"fold_high\":{},", json_f64(self.fold_high)));
-        let h = &self.history;
-        out.push_str(&format!(
-            "\"history\":{{\"historical_reads\":{},\"misses\":{},\"appends\":{},\
-             \"pruned\":{},\"entries_at_end\":{}}},",
-            h.historical_reads, h.misses, h.appends, h.pruned, h.entries_at_end,
-        ));
-        let g = &self.triggers;
-        out.push_str(&format!(
-            "\"triggers\":{{\"fired\":{},\"coalesced\":{},\"dropped\":{},\
-             \"executed\":{},\"pending_at_end\":{},\"lag_mean\":{},\"max_pending\":{}}},",
-            g.fired,
-            g.coalesced,
-            g.dropped,
-            g.executed,
-            g.pending_at_end,
-            json_f64(g.lag_mean),
-            g.max_pending,
-        ));
-        let dg = &self.dag;
-        out.push_str(&format!(
-            "\"dag\":{{\"enqueued\":{},\"applied\":{},\"coalesced\":{},\"shed\":{},\
-             \"pending_at_end\":{},\"derived_reads\":{},\"stale_derived_reads\":{},\
-             \"od_refreshes\":{},\"lag_mean\":{},\"max_pending\":{},\"fold_derived\":{}}},",
-            dg.enqueued,
-            dg.applied,
-            dg.coalesced,
-            dg.shed,
-            dg.pending_at_end,
-            dg.derived_reads,
-            dg.stale_derived_reads,
-            dg.od_refreshes,
-            json_f64(dg.lag_mean),
-            dg.max_pending,
-            json_f64(dg.fold_derived),
-        ));
-        let r = &self.resilience;
-        out.push_str(&format!(
-            "\"resilience\":{{\"duplicated\":{},\"reordered\":{},\"outage_held\":{},\
-             \"burst_grouped\":{},\"admission_shed\":{},\"recovery_secs\":{}}},",
-            r.duplicated,
-            r.reordered,
-            r.outage_held,
-            r.burst_grouped,
-            r.admission_shed,
-            r.recovery_secs.map_or("null".to_string(), json_f64),
-        ));
-        let d = &self.durability;
-        out.push_str(&format!(
-            "\"durability\":{{\"wal_appended\":{},\"wal_fsyncs\":{},\"wal_bytes\":{},\
-             \"wal_group_max\":{},\"snapshots_written\":{},\"wal_rotations\":{},\
-             \"recovery_replayed\":{},\"recovery_discarded\":{}}},",
-            d.wal_appended,
-            d.wal_fsyncs,
-            d.wal_bytes,
-            d.wal_group_max,
-            d.snapshots_written,
-            d.wal_rotations,
-            d.recovery_replayed,
-            d.recovery_discarded,
-        ));
-        out.push_str(&format!("\"timeline\":[{timeline}],"));
-        let stripes = self
-            .stripes
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"stripe\":{},\"n_low\":{},\"n_high\":{},\"arrived\":{},\
-                     \"installed_total\":{},\"terminal_total\":{},\"txn_arrived\":{},\
-                     \"txn_committed\":{},\"fold_low\":{},\"fold_high\":{},\
-                     \"wal_appended\":{}}}",
-                    s.stripe,
-                    s.n_low,
-                    s.n_high,
-                    s.updates.arrived,
-                    s.updates.installed_total(),
-                    s.updates.terminal_total(),
-                    s.txns.arrived,
-                    s.txns.committed,
-                    json_f64(s.fold_low),
-                    json_f64(s.fold_high),
-                    s.durability.wal_appended,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!("\"stripes\":[{stripes}],"));
-        out.push_str(&format!(
-            "\"derived\":{{\"p_md\":{},\"p_success\":{},\"p_suc_nontardy\":{},\
-             \"stale_read_fraction\":{},\"av\":{},\"rho_t\":{},\"rho_u\":{},\
-             \"installed_total\":{},\"terminal_total\":{}}}",
-            json_f64(t.p_md()),
-            json_f64(t.p_success()),
-            json_f64(t.p_suc_nontardy()),
-            json_f64(t.stale_read_fraction()),
-            json_f64(self.av()),
-            json_f64(c.rho_t()),
-            json_f64(c.rho_u()),
-            u.installed_total(),
-            u.terminal_total(),
-        ));
-        out.push('}');
-        out
+            .member("durability", section(&self.durability).end())
+            .member("timeline", json_array(timeline))
+            .member("stripes", json_array(stripes))
+            .member("derived", derived.end())
+            .end()
     }
 
     /// `AV` — average value per second returned by on-time commits.
@@ -679,215 +806,101 @@ impl RunReport {
         self.txns.value_committed / self.cpu.measured_secs
     }
 
-    /// Field-wise mean across replica runs of the same configuration.
+    /// Every tabled field, in table order, with the checkpoint-key prefix of
+    /// its struct (`"dag"`, `"txns.low"`). The irregular members (labels,
+    /// folds, `recovery_secs`, `timeline`, `stripes`) are not included.
+    pub fn scalars(&self) -> impl Iterator<Item = (&'static str, Row)> + '_ {
+        SECTIONS.iter().flat_map(move |at| {
+            let rows = (at.get)(self).rows();
+            rows.into_iter().map(move |row| (at.key, row))
+        })
+    }
+
+    /// Overwrites the tabled fields from `values`, which must follow the
+    /// order of [`RunReport::scalars`].
+    pub fn set_scalars(&mut self, values: impl IntoIterator<Item = Value>) {
+        let mut values = values.into_iter();
+        for at in SECTIONS {
+            (at.get_mut)(self).fill(&mut values);
+        }
+    }
+
+    /// What [`RunReport::average`] and [`RunReport::merge_stripes`] share:
+    /// labels from the first report, every tabled field by its [`Rule`],
+    /// and timeline windows per index out to the *longest* timeline
+    /// (counting only the reports that cover each window).
+    fn combine(parts: &[RunReport], across: Across) -> RunReport {
+        let first = &parts[0];
+        let mut out = RunReport {
+            policy: first.policy.clone(),
+            seed: first.seed,
+            duration: first.duration,
+            warmup: first.warmup,
+            ..RunReport::default()
+        };
+        let tables: Vec<Vec<Row>> = parts
+            .iter()
+            .map(|r| r.scalars().map(|(_, row)| row).collect())
+            .collect();
+        out.set_scalars(tables[0].iter().enumerate().map(|(i, &(_, rule, _))| {
+            let column = tables.iter().map(|table| table[i].2);
+            rule.combine(across, column)
+        }));
+        let windows = parts.iter().map(|r| r.timeline.len()).max().unwrap_or(0);
+        out.timeline = (0..windows)
+            .map(|w| {
+                let covering = parts.iter().filter_map(move |r| r.timeline.get(w));
+                let count = |f: fn(&TimelineWindow) -> u64| {
+                    Rule::Count.counts(across, covering.clone().map(f))
+                };
+                TimelineWindow {
+                    t_start: covering.clone().next().map_or(0.0, |t| t.t_start),
+                    finished: count(|t| t.finished),
+                    committed: count(|t| t.committed),
+                    committed_fresh: count(|t| t.committed_fresh),
+                }
+            })
+            .collect();
+        out
+    }
+
+    /// Field-wise mean across replica runs of the same configuration: every
+    /// tabled field by the replica half of its [`Rule`], the folds exactly.
     ///
-    /// Real-valued fields are averaged exactly. Counters are averaged and
-    /// rounded to the nearest integer **except** the two totals bound by a
-    /// conservation law (`txns.arrived`, `updates.arrived`): those are
-    /// re-derived as the sum of their rounded outcome buckets, so the
-    /// averaged report satisfies the same conservation invariants as every
-    /// input (independent rounding of total and parts would break them).
-    /// Response-time moments are pooled with a Welford merge weighted by
-    /// each replica's commit count, not averaged naively (a mean of
-    /// standard deviations is not the standard deviation of the pooled
-    /// population). Label fields (`policy`, `seed`, `duration`, `warmup`)
-    /// come from the first report, so the result keeps the base replica's
-    /// identity. Timeline windows are averaged per index out to the
-    /// *longest* replica timeline, dividing by the number of replicas that
-    /// actually cover each window.
+    /// The totals bound by a conservation law (`txns.arrived`,
+    /// `updates.arrived`, `dag.enqueued`) are re-derived as the sum of their
+    /// rounded outcome buckets, so the averaged report satisfies the same
+    /// conservation invariants as every input (independent rounding of
+    /// total and parts would break them). Response-time moments are pooled;
+    /// a single replica passes its moments through untouched (exact
+    /// identity). `recovery_secs` is the mean over the replicas that did
+    /// recover, `None` only when none of them did.
     ///
     /// # Panics
     /// Panics when `reports` is empty.
     #[must_use]
     pub fn average(reports: &[RunReport]) -> RunReport {
         assert!(!reports.is_empty(), "cannot average zero reports");
-        let n = reports.len() as f64;
-        // lint: allow(raw-f64-sum, reason=field-wise replica mean; exact sum/n semantics are pinned by the conservation-rounding proptests)
-        let mf = |f: &dyn Fn(&RunReport) -> f64| reports.iter().map(f).sum::<f64>() / n;
-        let mu = |f: &dyn Fn(&RunReport) -> u64| {
-            // lint: allow(raw-f64-sum, reason=lossless u128 count sum, not a float reduction)
-            (reports.iter().map(|r| f(r) as u128).sum::<u128>() as f64 / n).round() as u64
+        let mean = |pick: fn(&RunReport) -> f64| {
+            Rule::Level.reals(Across::Replicas, reports.iter().map(pick))
         };
-        let first = &reports[0];
-        // Pool response moments over commits; a single replica passes its
-        // moments through untouched (exact identity).
-        let (response_mean, response_sd) = if reports.len() == 1 {
-            (first.txns.response_mean, first.txns.response_sd)
-        } else {
-            let mut pooled = Welford::new();
-            for r in reports {
-                pooled.merge(&Welford::from_moments(
-                    r.txns.committed,
-                    r.txns.response_mean,
-                    r.txns.response_sd,
-                ));
-            }
-            (pooled.mean(), pooled.std_dev())
-        };
-        let class = |c: usize| ClassCounts {
-            arrived: mu(&|r| r.txns.by_class[c].arrived),
-            committed: mu(&|r| r.txns.by_class[c].committed),
-            committed_fresh: mu(&|r| r.txns.by_class[c].committed_fresh),
-        };
-        let windows = reports.iter().map(|r| r.timeline.len()).max().unwrap_or(0);
-        let timeline = (0..windows)
-            .map(|w| {
-                let covering = reports.iter().filter(|r| r.timeline.len() > w).count() as f64;
-                let muw = |f: &dyn Fn(&TimelineWindow) -> u64| {
-                    (reports
-                        .iter()
-                        .filter_map(|r| r.timeline.get(w))
-                        .map(|t| f(t) as u128)
-                        // lint: allow(raw-f64-sum, reason=lossless u128 count sum, not a float reduction)
-                        .sum::<u128>() as f64
-                        / covering)
-                        .round() as u64
-                };
-                TimelineWindow {
-                    t_start: reports
-                        .iter()
-                        .find_map(|r| r.timeline.get(w))
-                        .map_or(0.0, |t| t.t_start),
-                    finished: muw(&|t| t.finished),
-                    committed: muw(&|t| t.committed),
-                    committed_fresh: muw(&|t| t.committed_fresh),
-                }
-            })
+        let recovered: Vec<f64> = reports
+            .iter()
+            .filter_map(|r| r.resilience.recovery_secs)
             .collect();
-        let txns = {
-            let committed = mu(&|r| r.txns.committed);
-            let missed_deadline = mu(&|r| r.txns.missed_deadline);
-            let aborted_infeasible = mu(&|r| r.txns.aborted_infeasible);
-            let aborted_stale = mu(&|r| r.txns.aborted_stale);
-            let in_flight_at_end = mu(&|r| r.txns.in_flight_at_end);
-            TxnCounts {
-                arrived: committed
-                    + missed_deadline
-                    + aborted_infeasible
-                    + aborted_stale
-                    + in_flight_at_end,
-                committed,
-                committed_fresh: mu(&|r| r.txns.committed_fresh),
-                missed_deadline,
-                aborted_infeasible,
-                aborted_stale,
-                in_flight_at_end,
-                value_committed: mf(&|r| r.txns.value_committed),
-                stale_reads: mu(&|r| r.txns.stale_reads),
-                view_reads: mu(&|r| r.txns.view_reads),
-                response_mean,
-                response_sd,
-                by_class: [class(0), class(1)],
-            }
+        let mut out = RunReport::combine(reports, Across::Replicas);
+        out.fold_low = mean(|r| r.fold_low);
+        out.fold_high = mean(|r| r.fold_high);
+        out.resilience.recovery_secs = (!recovered.is_empty())
+            .then(|| Rule::Level.reals(Across::Replicas, recovered.iter().copied()));
+        (out.txns.response_mean, out.txns.response_sd) = match reports {
+            [only] => (only.txns.response_mean, only.txns.response_sd),
+            _ => pooled_response(reports),
         };
-        RunReport {
-            policy: first.policy.clone(),
-            seed: first.seed,
-            duration: first.duration,
-            warmup: first.warmup,
-            txns,
-            updates: {
-                let mut u = UpdateCounts {
-                    // Re-derived below from the rounded terminal buckets.
-                    arrived: 0,
-                    os_dropped: mu(&|r| r.updates.os_dropped),
-                    enqueued: mu(&|r| r.updates.enqueued),
-                    installed_background: mu(&|r| r.updates.installed_background),
-                    installed_immediate: mu(&|r| r.updates.installed_immediate),
-                    installed_on_demand: mu(&|r| r.updates.installed_on_demand),
-                    superseded_skips: mu(&|r| r.updates.superseded_skips),
-                    expired_dropped: mu(&|r| r.updates.expired_dropped),
-                    overflow_dropped: mu(&|r| r.updates.overflow_dropped),
-                    dedup_dropped: mu(&|r| r.updates.dedup_dropped),
-                    admission_shed: mu(&|r| r.updates.admission_shed),
-                    max_uq_len: mu(&|r| r.updates.max_uq_len),
-                    max_os_len: mu(&|r| r.updates.max_os_len),
-                    left_in_os: mu(&|r| r.updates.left_in_os),
-                    left_in_update_queue: mu(&|r| r.updates.left_in_update_queue),
-                    in_flight_at_end: mu(&|r| r.updates.in_flight_at_end),
-                };
-                u.arrived = u.terminal_total();
-                u
-            },
-            cpu: CpuStats {
-                busy_txn: mf(&|r| r.cpu.busy_txn),
-                busy_update: mf(&|r| r.cpu.busy_update),
-                measured_secs: mf(&|r| r.cpu.measured_secs),
-                events_processed: mu(&|r| r.cpu.events_processed),
-                io_misses_reads: mu(&|r| r.cpu.io_misses_reads),
-                io_misses_installs: mu(&|r| r.cpu.io_misses_installs),
-            },
-            fold_low: mf(&|r| r.fold_low),
-            fold_high: mf(&|r| r.fold_high),
-            history: HistoryStats {
-                historical_reads: mu(&|r| r.history.historical_reads),
-                misses: mu(&|r| r.history.misses),
-                appends: mu(&|r| r.history.appends),
-                pruned: mu(&|r| r.history.pruned),
-                entries_at_end: mu(&|r| r.history.entries_at_end),
-            },
-            triggers: TriggerStats {
-                fired: mu(&|r| r.triggers.fired),
-                coalesced: mu(&|r| r.triggers.coalesced),
-                dropped: mu(&|r| r.triggers.dropped),
-                executed: mu(&|r| r.triggers.executed),
-                pending_at_end: mu(&|r| r.triggers.pending_at_end),
-                lag_mean: mf(&|r| r.triggers.lag_mean),
-                max_pending: mu(&|r| r.triggers.max_pending),
-            },
-            dag: {
-                let mut d = DagStats {
-                    // Re-derived below from the rounded terminal buckets so
-                    // the delta conservation law survives per-field rounding.
-                    enqueued: 0,
-                    applied: mu(&|r| r.dag.applied),
-                    coalesced: mu(&|r| r.dag.coalesced),
-                    shed: mu(&|r| r.dag.shed),
-                    pending_at_end: mu(&|r| r.dag.pending_at_end),
-                    derived_reads: mu(&|r| r.dag.derived_reads),
-                    stale_derived_reads: mu(&|r| r.dag.stale_derived_reads),
-                    od_refreshes: mu(&|r| r.dag.od_refreshes),
-                    lag_mean: mf(&|r| r.dag.lag_mean),
-                    max_pending: mu(&|r| r.dag.max_pending),
-                    fold_derived: mf(&|r| r.dag.fold_derived),
-                };
-                d.enqueued = d.terminal_total();
-                d
-            },
-            resilience: ResilienceStats {
-                duplicated: mu(&|r| r.resilience.duplicated),
-                reordered: mu(&|r| r.resilience.reordered),
-                outage_held: mu(&|r| r.resilience.outage_held),
-                burst_grouped: mu(&|r| r.resilience.burst_grouped),
-                admission_shed: mu(&|r| r.resilience.admission_shed),
-                // Mean over the replicas that did recover; `None` only when
-                // none of them did (or no outage was configured).
-                recovery_secs: {
-                    let recovered: Vec<f64> = reports
-                        .iter()
-                        .filter_map(|r| r.resilience.recovery_secs)
-                        .collect();
-                    if recovered.is_empty() {
-                        None
-                    } else {
-                        // lint: allow(raw-f64-sum, reason=exact mean over the recovering replicas; Welford would shift the pinned resilience figures by an ulp)
-                        Some(recovered.iter().sum::<f64>() / recovered.len() as f64)
-                    }
-                },
-            },
-            durability: DurabilityStats {
-                wal_appended: mu(&|r| r.durability.wal_appended),
-                wal_fsyncs: mu(&|r| r.durability.wal_fsyncs),
-                wal_bytes: mu(&|r| r.durability.wal_bytes),
-                wal_group_max: mu(&|r| r.durability.wal_group_max),
-                snapshots_written: mu(&|r| r.durability.snapshots_written),
-                wal_rotations: mu(&|r| r.durability.wal_rotations),
-                recovery_replayed: mu(&|r| r.durability.recovery_replayed),
-                recovery_discarded: mu(&|r| r.durability.recovery_discarded),
-            },
-            timeline,
-            stripes: Vec::new(),
-        }
+        out.txns.arrived = out.txns.finished() + out.txns.in_flight_at_end;
+        out.updates.arrived = out.updates.terminal_total();
+        out.dag.enqueued = out.dag.terminal_total();
+        out
     }
 
     /// Collect-and-merge of per-stripe reports into one aggregate (the
@@ -897,14 +910,13 @@ impl RunReport {
     /// Unlike [`RunReport::average`] this *sums*: each stripe saw a
     /// disjoint slice of the object space and the update stream, so the
     /// aggregate counters are exact totals and every conservation identity
-    /// that holds per stripe holds for the merge. Response moments are
-    /// pooled with a commit-weighted Welford merge; the stale-fraction
-    /// folds are means weighted by each stripe's partition size (a stripe
-    /// owning no objects of a class contributes no weight); peak queue
-    /// lengths and the WAL group maximum take the max across stripes, and
-    /// `measured_secs` / `events_processed` take the longest stripe window
-    /// and the summed event count. The input reports are retained verbatim
-    /// as [`StripeSummary`] rows in `stripes`, indexed by position.
+    /// that holds per stripe holds for the merge. Every tabled field takes
+    /// the stripe half of its [`Rule`]; response moments are pooled; the
+    /// stale-fraction folds are means weighted by each stripe's partition
+    /// size (a stripe owning no objects of a class contributes no weight);
+    /// `recovery_secs` is the slowest stripe's. The input reports are
+    /// retained verbatim as [`StripeSummary`] rows in `stripes`, indexed by
+    /// position.
     ///
     /// # Panics
     /// Panics when `parts` is empty or its length differs from `shapes`.
@@ -912,21 +924,8 @@ impl RunReport {
     pub fn merge_stripes(parts: &[RunReport], shapes: &[(u32, u32)]) -> RunReport {
         assert!(!parts.is_empty(), "cannot merge zero stripe reports");
         assert_eq!(parts.len(), shapes.len(), "one shape per stripe report");
-        let su = |f: &dyn Fn(&RunReport) -> u64| -> u64 { parts.iter().map(f).sum() }; // lint: allow(raw-f64-sum, reason=u64 counter totals over disjoint stripes are exact)
-                                                                                       // lint: allow(raw-f64-sum, reason=stripe totals are exact sums of disjoint slices; pinned by the per-stripe conservation tests)
-        let sf = |f: &dyn Fn(&RunReport) -> f64| -> f64 { parts.iter().map(f).sum() };
-        let mx = |f: &dyn Fn(&RunReport) -> u64| -> u64 { parts.iter().map(f).max().unwrap_or(0) };
-        let mut pooled = Welford::new();
-        for r in parts {
-            pooled.merge(&Welford::from_moments(
-                r.txns.committed,
-                r.txns.response_mean,
-                r.txns.response_sd,
-            ));
-        }
-        // Partition-size-weighted stale folds: each stripe's fold covers
-        // only the objects it owns.
-        let weighted = |pick: &dyn Fn(&RunReport) -> f64, weight: &dyn Fn(&(u32, u32)) -> u32| {
+        // Each stripe's fold covers only the objects it owns.
+        let weighted = |pick: fn(&RunReport) -> f64, weight: fn(&(u32, u32)) -> u32| {
             let total: u64 = shapes.iter().map(|s| u64::from(weight(s))).sum(); // lint: allow(raw-f64-sum, reason=u64 partition sizes sum exactly)
             if total == 0 {
                 return 0.0;
@@ -939,158 +938,30 @@ impl RunReport {
                 .sum::<f64>()
                 / total as f64
         };
-        let class = |c: usize| ClassCounts {
-            arrived: su(&|r| r.txns.by_class[c].arrived),
-            committed: su(&|r| r.txns.by_class[c].committed),
-            committed_fresh: su(&|r| r.txns.by_class[c].committed_fresh),
-        };
-        let windows = parts.iter().map(|r| r.timeline.len()).max().unwrap_or(0);
-        let timeline = (0..windows)
-            .map(|w| TimelineWindow {
-                t_start: parts
-                    .iter()
-                    .find_map(|r| r.timeline.get(w))
-                    .map_or(0.0, |t| t.t_start),
-                finished: parts
-                    .iter()
-                    .filter_map(|r| r.timeline.get(w))
-                    .map(|t| t.finished)
-                    .sum(), // lint: allow(raw-f64-sum, reason=u64 window counts over disjoint stripes are exact)
-                committed: parts
-                    .iter()
-                    .filter_map(|r| r.timeline.get(w))
-                    .map(|t| t.committed)
-                    .sum(), // lint: allow(raw-f64-sum, reason=u64 window counts over disjoint stripes are exact)
-                committed_fresh: parts
-                    .iter()
-                    .filter_map(|r| r.timeline.get(w))
-                    .map(|t| t.committed_fresh)
-                    // lint: allow(raw-f64-sum, reason=u64 window counts over disjoint stripes are exact)
-                    .sum(),
+        let mut out = RunReport::combine(parts, Across::Stripes);
+        out.fold_low = weighted(|r| r.fold_low, |s| s.0);
+        out.fold_high = weighted(|r| r.fold_high, |s| s.1);
+        (out.txns.response_mean, out.txns.response_sd) = pooled_response(parts);
+        out.resilience.recovery_secs = parts
+            .iter()
+            .filter_map(|r| r.resilience.recovery_secs)
+            .reduce(f64::max);
+        out.stripes = parts
+            .iter()
+            .zip(shapes)
+            .enumerate()
+            .map(|(i, (r, &(n_low, n_high)))| StripeSummary {
+                stripe: i as u32,
+                n_low,
+                n_high,
+                txns: r.txns.clone(),
+                updates: r.updates.clone(),
+                fold_low: r.fold_low,
+                fold_high: r.fold_high,
+                durability: r.durability,
             })
             .collect();
-        let first = &parts[0];
-        RunReport {
-            policy: first.policy.clone(),
-            seed: first.seed,
-            duration: first.duration,
-            warmup: first.warmup,
-            txns: TxnCounts {
-                arrived: su(&|r| r.txns.arrived),
-                committed: su(&|r| r.txns.committed),
-                committed_fresh: su(&|r| r.txns.committed_fresh),
-                missed_deadline: su(&|r| r.txns.missed_deadline),
-                aborted_infeasible: su(&|r| r.txns.aborted_infeasible),
-                aborted_stale: su(&|r| r.txns.aborted_stale),
-                in_flight_at_end: su(&|r| r.txns.in_flight_at_end),
-                value_committed: sf(&|r| r.txns.value_committed),
-                stale_reads: su(&|r| r.txns.stale_reads),
-                view_reads: su(&|r| r.txns.view_reads),
-                response_mean: pooled.mean(),
-                response_sd: pooled.std_dev(),
-                by_class: [class(0), class(1)],
-            },
-            updates: UpdateCounts {
-                arrived: su(&|r| r.updates.arrived),
-                os_dropped: su(&|r| r.updates.os_dropped),
-                enqueued: su(&|r| r.updates.enqueued),
-                installed_background: su(&|r| r.updates.installed_background),
-                installed_immediate: su(&|r| r.updates.installed_immediate),
-                installed_on_demand: su(&|r| r.updates.installed_on_demand),
-                superseded_skips: su(&|r| r.updates.superseded_skips),
-                expired_dropped: su(&|r| r.updates.expired_dropped),
-                overflow_dropped: su(&|r| r.updates.overflow_dropped),
-                dedup_dropped: su(&|r| r.updates.dedup_dropped),
-                admission_shed: su(&|r| r.updates.admission_shed),
-                max_uq_len: mx(&|r| r.updates.max_uq_len),
-                max_os_len: mx(&|r| r.updates.max_os_len),
-                left_in_os: su(&|r| r.updates.left_in_os),
-                left_in_update_queue: su(&|r| r.updates.left_in_update_queue),
-                in_flight_at_end: su(&|r| r.updates.in_flight_at_end),
-            },
-            cpu: CpuStats {
-                busy_txn: sf(&|r| r.cpu.busy_txn),
-                busy_update: sf(&|r| r.cpu.busy_update),
-                measured_secs: parts
-                    .iter()
-                    .map(|r| r.cpu.measured_secs)
-                    .fold(0.0, f64::max),
-                events_processed: su(&|r| r.cpu.events_processed),
-                io_misses_reads: su(&|r| r.cpu.io_misses_reads),
-                io_misses_installs: su(&|r| r.cpu.io_misses_installs),
-            },
-            fold_low: weighted(&|r| r.fold_low, &|s| s.0),
-            fold_high: weighted(&|r| r.fold_high, &|s| s.1),
-            history: HistoryStats {
-                historical_reads: su(&|r| r.history.historical_reads),
-                misses: su(&|r| r.history.misses),
-                appends: su(&|r| r.history.appends),
-                pruned: su(&|r| r.history.pruned),
-                entries_at_end: su(&|r| r.history.entries_at_end),
-            },
-            triggers: TriggerStats {
-                fired: su(&|r| r.triggers.fired),
-                coalesced: su(&|r| r.triggers.coalesced),
-                dropped: su(&|r| r.triggers.dropped),
-                executed: su(&|r| r.triggers.executed),
-                pending_at_end: su(&|r| r.triggers.pending_at_end),
-                lag_mean: weighted(&|r| r.triggers.lag_mean, &|_| 1),
-                max_pending: mx(&|r| r.triggers.max_pending),
-            },
-            // Each stripe drives a full DAG replica over its own slice of the
-            // update stream, so counters sum exactly; the lag and staleness
-            // folds are per-stripe means averaged with equal weight.
-            dag: DagStats {
-                enqueued: su(&|r| r.dag.enqueued),
-                applied: su(&|r| r.dag.applied),
-                coalesced: su(&|r| r.dag.coalesced),
-                shed: su(&|r| r.dag.shed),
-                pending_at_end: su(&|r| r.dag.pending_at_end),
-                derived_reads: su(&|r| r.dag.derived_reads),
-                stale_derived_reads: su(&|r| r.dag.stale_derived_reads),
-                od_refreshes: su(&|r| r.dag.od_refreshes),
-                lag_mean: weighted(&|r| r.dag.lag_mean, &|_| 1),
-                max_pending: mx(&|r| r.dag.max_pending),
-                fold_derived: weighted(&|r| r.dag.fold_derived, &|_| 1),
-            },
-            resilience: ResilienceStats {
-                duplicated: su(&|r| r.resilience.duplicated),
-                reordered: su(&|r| r.resilience.reordered),
-                outage_held: su(&|r| r.resilience.outage_held),
-                burst_grouped: su(&|r| r.resilience.burst_grouped),
-                admission_shed: su(&|r| r.resilience.admission_shed),
-                recovery_secs: parts
-                    .iter()
-                    .filter_map(|r| r.resilience.recovery_secs)
-                    .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v)))),
-            },
-            durability: DurabilityStats {
-                wal_appended: su(&|r| r.durability.wal_appended),
-                wal_fsyncs: su(&|r| r.durability.wal_fsyncs),
-                wal_bytes: su(&|r| r.durability.wal_bytes),
-                wal_group_max: mx(&|r| r.durability.wal_group_max),
-                snapshots_written: su(&|r| r.durability.snapshots_written),
-                wal_rotations: su(&|r| r.durability.wal_rotations),
-                recovery_replayed: su(&|r| r.durability.recovery_replayed),
-                recovery_discarded: su(&|r| r.durability.recovery_discarded),
-            },
-            timeline,
-            stripes: parts
-                .iter()
-                .zip(shapes)
-                .enumerate()
-                .map(|(i, (r, &(n_low, n_high)))| StripeSummary {
-                    stripe: i as u32,
-                    n_low,
-                    n_high,
-                    txns: r.txns.clone(),
-                    updates: r.updates.clone(),
-                    fold_low: r.fold_low,
-                    fold_high: r.fold_high,
-                    durability: r.durability,
-                })
-                .collect(),
-        }
+        out
     }
 }
 

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use strip_core::config::SimConfig;
-use strip_core::report::{RunReport, TimelineWindow};
+use strip_core::report::{RunReport, TimelineWindow, Value};
 use strip_workload::run_paper_sim;
 
 use crate::sweep::{run_indexed, RunSettings};
@@ -308,19 +308,22 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 // ---- checkpoint format ------------------------------------------------------
 //
-// One `key value` pair per line; floats use Rust's shortest round-trip
-// display form, so parse(serialize(r)) == r bit-for-bit. Timeline windows
-// are one `timeline t finished committed fresh` line each, in order.
-// `resilience.recovery_secs` is written only when present.
-
-// v2: checkpoints carry a `config_fingerprint` of the full SimConfig; v1
-// files (identity = policy/seed/duration only) are rejected and re-run.
-const CHECKPOINT_HEADER: &str = "strip-checkpoint v2";
+// One `key value` pair per line; floats are written in shortest round-trip
+// form, so parse(serialize(r)) == r bit-for-bit. The labels and folds come
+// first, then every row of the `RunReport` field table under its
+// `section.field` key (so a field added to the table is checkpointed with no
+// edit here), then `resilience.recovery_secs` when present, then one
+// `timeline t finished committed fresh` line per window, in order.
+//
+// v3: the body walks the report field table, which brought in the `dag.*`
+// and WAL-rotation keys that the hand-listed v2 body never wrote. Files of
+// an older version fail the header check and the point is re-run.
+const CHECKPOINT_HEADER: &str = "strip-checkpoint v3";
 
 /// Serialises a report to the checkpoint text form.
 #[must_use]
 pub fn serialize_report(r: &RunReport) -> String {
-    let mut s = String::with_capacity(2048);
+    let mut s = String::with_capacity(4096);
     let _ = writeln!(s, "{CHECKPOINT_HEADER}");
     let mut kv = |k: &str, v: &dyn fmt::Display| {
         let _ = writeln!(s, "{k} {v}");
@@ -329,81 +332,14 @@ pub fn serialize_report(r: &RunReport) -> String {
     kv("seed", &r.seed);
     kv("duration", &r.duration);
     kv("warmup", &r.warmup);
-    let t = &r.txns;
-    kv("txns.arrived", &t.arrived);
-    kv("txns.committed", &t.committed);
-    kv("txns.committed_fresh", &t.committed_fresh);
-    kv("txns.missed_deadline", &t.missed_deadline);
-    kv("txns.aborted_infeasible", &t.aborted_infeasible);
-    kv("txns.aborted_stale", &t.aborted_stale);
-    kv("txns.in_flight_at_end", &t.in_flight_at_end);
-    kv("txns.value_committed", &t.value_committed);
-    kv("txns.stale_reads", &t.stale_reads);
-    kv("txns.view_reads", &t.view_reads);
-    kv("txns.response_mean", &t.response_mean);
-    kv("txns.response_sd", &t.response_sd);
-    for (c, name) in t.by_class.iter().zip(["low", "high"]) {
-        kv(&format!("txns.{name}.arrived"), &c.arrived);
-        kv(&format!("txns.{name}.committed"), &c.committed);
-        kv(&format!("txns.{name}.committed_fresh"), &c.committed_fresh);
-    }
-    let u = &r.updates;
-    kv("updates.arrived", &u.arrived);
-    kv("updates.os_dropped", &u.os_dropped);
-    kv("updates.enqueued", &u.enqueued);
-    kv("updates.installed_background", &u.installed_background);
-    kv("updates.installed_immediate", &u.installed_immediate);
-    kv("updates.installed_on_demand", &u.installed_on_demand);
-    kv("updates.superseded_skips", &u.superseded_skips);
-    kv("updates.expired_dropped", &u.expired_dropped);
-    kv("updates.overflow_dropped", &u.overflow_dropped);
-    kv("updates.dedup_dropped", &u.dedup_dropped);
-    kv("updates.admission_shed", &u.admission_shed);
-    kv("updates.max_uq_len", &u.max_uq_len);
-    kv("updates.max_os_len", &u.max_os_len);
-    kv("updates.left_in_os", &u.left_in_os);
-    kv("updates.left_in_update_queue", &u.left_in_update_queue);
-    kv("updates.in_flight_at_end", &u.in_flight_at_end);
-    let c = &r.cpu;
-    kv("cpu.busy_txn", &c.busy_txn);
-    kv("cpu.busy_update", &c.busy_update);
-    kv("cpu.measured_secs", &c.measured_secs);
-    kv("cpu.events_processed", &c.events_processed);
-    kv("cpu.io_misses_reads", &c.io_misses_reads);
-    kv("cpu.io_misses_installs", &c.io_misses_installs);
     kv("fold_low", &r.fold_low);
     kv("fold_high", &r.fold_high);
-    let h = &r.history;
-    kv("history.historical_reads", &h.historical_reads);
-    kv("history.misses", &h.misses);
-    kv("history.appends", &h.appends);
-    kv("history.pruned", &h.pruned);
-    kv("history.entries_at_end", &h.entries_at_end);
-    let g = &r.triggers;
-    kv("triggers.fired", &g.fired);
-    kv("triggers.coalesced", &g.coalesced);
-    kv("triggers.dropped", &g.dropped);
-    kv("triggers.executed", &g.executed);
-    kv("triggers.pending_at_end", &g.pending_at_end);
-    kv("triggers.lag_mean", &g.lag_mean);
-    kv("triggers.max_pending", &g.max_pending);
-    let z = &r.resilience;
-    kv("resilience.duplicated", &z.duplicated);
-    kv("resilience.reordered", &z.reordered);
-    kv("resilience.outage_held", &z.outage_held);
-    kv("resilience.burst_grouped", &z.burst_grouped);
-    kv("resilience.admission_shed", &z.admission_shed);
-    if let Some(rec) = z.recovery_secs {
+    for (section, (name, _, value)) in r.scalars() {
+        kv(&format!("{section}.{name}"), &value);
+    }
+    if let Some(rec) = r.resilience.recovery_secs {
         kv("resilience.recovery_secs", &rec);
     }
-    let y = &r.durability;
-    kv("durability.wal_appended", &y.wal_appended);
-    kv("durability.wal_fsyncs", &y.wal_fsyncs);
-    kv("durability.wal_bytes", &y.wal_bytes);
-    kv("durability.wal_group_max", &y.wal_group_max);
-    kv("durability.snapshots_written", &y.snapshots_written);
-    kv("durability.recovery_replayed", &y.recovery_replayed);
-    kv("durability.recovery_discarded", &y.recovery_discarded);
     for w in &r.timeline {
         kv(
             "timeline",
@@ -444,92 +380,27 @@ pub fn parse_report(text: &str) -> Option<RunReport> {
             map.insert(key, value);
         }
     }
-    let u = |k: &str| -> Option<u64> { map.get(k)?.parse().ok() };
     let f = |k: &str| -> Option<f64> { map.get(k)?.parse().ok() };
     let mut r = RunReport {
         policy: (*map.get("policy")?).to_string(),
-        seed: u("seed")?,
+        seed: map.get("seed")?.parse().ok()?,
         duration: f("duration")?,
         warmup: f("warmup")?,
+        fold_low: f("fold_low")?,
+        fold_high: f("fold_high")?,
+        timeline,
         ..RunReport::default()
     };
-    let t = &mut r.txns;
-    t.arrived = u("txns.arrived")?;
-    t.committed = u("txns.committed")?;
-    t.committed_fresh = u("txns.committed_fresh")?;
-    t.missed_deadline = u("txns.missed_deadline")?;
-    t.aborted_infeasible = u("txns.aborted_infeasible")?;
-    t.aborted_stale = u("txns.aborted_stale")?;
-    t.in_flight_at_end = u("txns.in_flight_at_end")?;
-    t.value_committed = f("txns.value_committed")?;
-    t.stale_reads = u("txns.stale_reads")?;
-    t.view_reads = u("txns.view_reads")?;
-    t.response_mean = f("txns.response_mean")?;
-    t.response_sd = f("txns.response_sd")?;
-    for (class, name) in t.by_class.iter_mut().zip(["low", "high"]) {
-        class.arrived = u(&format!("txns.{name}.arrived"))?;
-        class.committed = u(&format!("txns.{name}.committed"))?;
-        class.committed_fresh = u(&format!("txns.{name}.committed_fresh"))?;
+    let rows: Option<Vec<Value>> = r
+        .scalars()
+        .map(|(section, (name, rule, _))| {
+            rule.parse(map.get(format!("{section}.{name}").as_str())?)
+        })
+        .collect();
+    r.set_scalars(rows?);
+    if map.contains_key("resilience.recovery_secs") {
+        r.resilience.recovery_secs = Some(f("resilience.recovery_secs")?);
     }
-    let d = &mut r.updates;
-    d.arrived = u("updates.arrived")?;
-    d.os_dropped = u("updates.os_dropped")?;
-    d.enqueued = u("updates.enqueued")?;
-    d.installed_background = u("updates.installed_background")?;
-    d.installed_immediate = u("updates.installed_immediate")?;
-    d.installed_on_demand = u("updates.installed_on_demand")?;
-    d.superseded_skips = u("updates.superseded_skips")?;
-    d.expired_dropped = u("updates.expired_dropped")?;
-    d.overflow_dropped = u("updates.overflow_dropped")?;
-    d.dedup_dropped = u("updates.dedup_dropped")?;
-    d.admission_shed = u("updates.admission_shed")?;
-    d.max_uq_len = u("updates.max_uq_len")?;
-    d.max_os_len = u("updates.max_os_len")?;
-    d.left_in_os = u("updates.left_in_os")?;
-    d.left_in_update_queue = u("updates.left_in_update_queue")?;
-    d.in_flight_at_end = u("updates.in_flight_at_end")?;
-    let c = &mut r.cpu;
-    c.busy_txn = f("cpu.busy_txn")?;
-    c.busy_update = f("cpu.busy_update")?;
-    c.measured_secs = f("cpu.measured_secs")?;
-    c.events_processed = u("cpu.events_processed")?;
-    c.io_misses_reads = u("cpu.io_misses_reads")?;
-    c.io_misses_installs = u("cpu.io_misses_installs")?;
-    r.fold_low = f("fold_low")?;
-    r.fold_high = f("fold_high")?;
-    let h = &mut r.history;
-    h.historical_reads = u("history.historical_reads")?;
-    h.misses = u("history.misses")?;
-    h.appends = u("history.appends")?;
-    h.pruned = u("history.pruned")?;
-    h.entries_at_end = u("history.entries_at_end")?;
-    let g = &mut r.triggers;
-    g.fired = u("triggers.fired")?;
-    g.coalesced = u("triggers.coalesced")?;
-    g.dropped = u("triggers.dropped")?;
-    g.executed = u("triggers.executed")?;
-    g.pending_at_end = u("triggers.pending_at_end")?;
-    g.lag_mean = f("triggers.lag_mean")?;
-    g.max_pending = u("triggers.max_pending")?;
-    let z = &mut r.resilience;
-    z.duplicated = u("resilience.duplicated")?;
-    z.reordered = u("resilience.reordered")?;
-    z.outage_held = u("resilience.outage_held")?;
-    z.burst_grouped = u("resilience.burst_grouped")?;
-    z.admission_shed = u("resilience.admission_shed")?;
-    z.recovery_secs = f("resilience.recovery_secs");
-    // Durability keys default to zero when absent: checkpoints written
-    // before the live WAL subsystem existed (and every simulator run, which
-    // has no durability layer) simply omit them.
-    let y = &mut r.durability;
-    y.wal_appended = u("durability.wal_appended").unwrap_or_default();
-    y.wal_fsyncs = u("durability.wal_fsyncs").unwrap_or_default();
-    y.wal_bytes = u("durability.wal_bytes").unwrap_or_default();
-    y.wal_group_max = u("durability.wal_group_max").unwrap_or_default();
-    y.snapshots_written = u("durability.snapshots_written").unwrap_or_default();
-    y.recovery_replayed = u("durability.recovery_replayed").unwrap_or_default();
-    y.recovery_discarded = u("durability.recovery_discarded").unwrap_or_default();
-    r.timeline = timeline;
     Some(r)
 }
 
@@ -538,7 +409,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use strip_core::config::Policy;
+    use strip_core::report::Rule;
 
+    /// A report built by walking the field table: row `i` holds `i + 1`
+    /// (counters) or `(i + 1) / 7` (reals), so every row — including ones
+    /// added after this test was written — has a distinct non-default value.
     fn sample_report() -> RunReport {
         let mut r = RunReport {
             policy: "TF".into(),
@@ -549,23 +424,15 @@ mod tests {
             fold_high: 1.0 / 3.0,
             ..RunReport::default()
         };
-        r.txns.arrived = 1201;
-        r.txns.committed = 1100;
-        r.txns.value_committed = 9_876.543_21;
-        r.txns.response_mean = 0.033;
-        r.txns.by_class[1].committed_fresh = 17;
-        r.updates.arrived = 20_000;
-        r.updates.overflow_dropped = 55;
-        r.updates.admission_shed = 7;
-        r.cpu.busy_txn = 12.75;
-        r.cpu.events_processed = 123_456;
-        r.history.appends = 42;
-        r.triggers.lag_mean = 0.25;
-        r.resilience.duplicated = 31;
+        let rows: Vec<Value> = (1u64..)
+            .zip(r.scalars())
+            .map(|(row, (_, (_, rule, _)))| match rule {
+                Rule::Count | Rule::Peak => Value::Count(row),
+                _ => Value::Real(row as f64 / 7.0),
+            })
+            .collect();
+        r.set_scalars(rows);
         r.resilience.recovery_secs = Some(std::f64::consts::PI);
-        r.durability.wal_appended = 4_096;
-        r.durability.wal_fsyncs = 16;
-        r.durability.recovery_replayed = 128;
         r.timeline = vec![
             TimelineWindow {
                 t_start: 0.0,
@@ -618,7 +485,14 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_bit_for_bit() {
         let r = sample_report();
-        let parsed = parse_report(&serialize_report(&r)).expect("parse");
+        assert!(r
+            .scalars()
+            .all(|(_, (_, _, v))| v != Value::Count(0) && v != Value::Real(0.0)));
+        let text = serialize_report(&r);
+        assert!(
+            text.contains("\ndag.od_refreshes ") && text.contains("\ndurability.wal_rotations ")
+        );
+        let parsed = parse_report(&text).expect("parse");
         assert_eq!(parsed, r);
         // No recovery and no timeline also round-trip.
         let plain = RunReport {
@@ -632,14 +506,23 @@ mod tests {
     fn parse_rejects_garbage_and_missing_fields() {
         assert!(parse_report("").is_none());
         assert!(parse_report("strip-checkpoint v0\npolicy UF\n").is_none());
-        // Pre-fingerprint checkpoints are rejected wholesale by the version
-        // bump, even when their body would otherwise parse.
-        let v1 = serialize_report(&sample_report())
-            .replace("strip-checkpoint v2", "strip-checkpoint v1");
-        assert!(parse_report(&v1).is_none());
+        // Older checkpoints are rejected wholesale by the version bump, even
+        // when their body would otherwise parse.
         let full = serialize_report(&sample_report());
+        let v2 = full.replace(CHECKPOINT_HEADER, "strip-checkpoint v2");
+        assert!(parse_report(&v2).is_none());
         let truncated: String = full.lines().take(10).collect::<Vec<_>>().join("\n");
         assert!(parse_report(&truncated).is_none());
+        // Every table row is required, and a malformed value is not a zero.
+        let without_row: String = full
+            .lines()
+            .filter(|l| !l.starts_with("durability.wal_rotations "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(parse_report(&without_row).is_none());
+        let recovery = format!("resilience.recovery_secs {}", std::f64::consts::PI);
+        assert!(full.contains(&recovery));
+        assert!(parse_report(&full.replace(&recovery, "resilience.recovery_secs soon")).is_none());
     }
 
     #[test]

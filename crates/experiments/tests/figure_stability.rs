@@ -34,3 +34,40 @@ fn figure_csv_and_ascii_are_byte_stable_across_runs() {
         );
     }
 }
+
+/// A campaign resumed from its checkpoints must print what the fresh one
+/// printed. figD1 reads only `dag.*` fields, which checkpoint format v2
+/// never wrote: its resumed panels were all zeros.
+#[test]
+fn figd1_resume_equals_fresh() {
+    use strip_experiments::figures::DAG_DEPTH_GRID;
+    use strip_experiments::SweepRunner;
+
+    let dir = std::env::temp_dir().join(format!("strip-figd1-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let campaign = || {
+        Campaign::with_runner(
+            RunSettings::quick(20.0),
+            SweepRunner::new().with_checkpoint_dir(&dir),
+        )
+    };
+    let mut first = campaign();
+    let fresh = first.figure(FigureId::FigD1);
+    assert_eq!(first.resumed(), 0);
+
+    let mut second = campaign();
+    let resumed = second.figure(FigureId::FigD1);
+    assert_eq!(second.resumed(), 4 * DAG_DEPTH_GRID.len());
+    assert_eq!(resumed, fresh);
+    let od = resumed
+        .iter()
+        .find(|f| f.id == "figd1c")
+        .and_then(|f| f.series.iter().find(|s| s.label == "OD"))
+        .expect("figd1c has an OD series");
+    assert!(
+        od.points.iter().all(|&(_, refreshes)| refreshes > 0.0),
+        "OD refreshes lost on resume: {:?}",
+        od.points
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use strip_core::report::RunReport;
+use strip_core::report::{RunReport, StripeSummary};
 use strip_core::stripe::{splitmix64, StripeMap};
 use strip_db::object::{Importance, ViewObjectId};
 use strip_obs::PromText;
@@ -782,164 +782,83 @@ pub fn stats_from_report(r: &RunReport) -> WireStats {
     }
 }
 
-/// Renders the Prometheus-style text page for `/metrics`. Sharded runs
-/// additionally expose per-stripe series (label `stripe`) for the
-/// conservation-bearing counters, fed from the merged report's
-/// [`StripeSummary`](strip_core::report::StripeSummary) rows.
+/// How one `/metrics` series reads its value from the merged report and the
+/// wire-level aggregates derived from it.
+enum Sample {
+    Counter(fn(&RunReport, &WireStats) -> u64),
+    Gauge(fn(&RunReport, &WireStats) -> f64),
+    /// One gauge with a `class="low"` and a `class="high"` sample.
+    GaugeByClass(fn(&RunReport, &WireStats) -> [f64; 2]),
+}
+use Sample::{Counter, Gauge, GaugeByClass};
+
+/// Every aggregate series of the `/metrics` page, in page order:
+/// `(name, help, sample)`. A new series is one new row.
+#[rustfmt::skip]
+const SERIES: &[(&str, &str, Sample)] = &[
+    ("strip_live_updates_ingested_total", "Updates that arrived at the server.", Counter(|_, s| s.ingested)),
+    ("strip_live_updates_applied_total", "Updates installed into the store (any path).", Counter(|_, s| s.applied)),
+    ("strip_live_updates_superseded_total", "Updates skipped after lookup (store already newer).", Counter(|_, s| s.superseded)),
+    ("strip_live_updates_shed_total", "Updates dropped by queue bounds, MA expiry, dedup or admission.", Counter(|_, s| s.shed)),
+    ("strip_live_updates_queued", "Updates still queued or on the CPU.", Gauge(|_, s| s.queued as f64)),
+    ("strip_live_txns_arrived_total", "Transactions submitted.", Counter(|_, s| s.txns_arrived)),
+    ("strip_live_txns_committed_total", "Transactions committed by their deadline.", Counter(|_, s| s.txns_committed)),
+    ("strip_live_txns_missed_total", "Transactions aborted (deadline, infeasible, or stale read).", Counter(|_, s| s.txns_missed)),
+    ("strip_live_os_queue_depth", "Current OS receive-queue depth.", Gauge(|_, s| s.os_depth as f64)),
+    ("strip_live_update_queue_depth", "Current application update-queue depth.", Gauge(|_, s| s.uq_depth as f64)),
+    ("strip_live_fold", "Time-weighted stale fraction per importance class.", GaugeByClass(|_, s| [s.fold_low, s.fold_high])),
+    ("strip_live_p_md", "Missed-deadline fraction.", Gauge(|_, s| s.p_md)),
+    ("strip_live_av", "Average value per second from on-time commits.", Gauge(|_, s| s.av)),
+    ("strip_live_cpu_rho_t", "CPU utilisation by transactions.", Gauge(|r, _| r.cpu.rho_t())),
+    ("strip_live_cpu_rho_u", "CPU utilisation by update installation.", Gauge(|r, _| r.cpu.rho_u())),
+    ("strip_live_wal_appended_total", "Accepted updates appended to the write-ahead log.", Counter(|r, _| r.durability.wal_appended)),
+    ("strip_live_wal_fsyncs_total", "fsync calls issued by the WAL flusher.", Counter(|r, _| r.durability.wal_fsyncs)),
+    ("strip_live_wal_bytes_total", "Bytes written to the WAL segment chain (headers included).", Counter(|r, _| r.durability.wal_bytes)),
+    ("strip_live_wal_group_max", "Largest group of records covered by one fsync.", Gauge(|r, _| r.durability.wal_group_max as f64)),
+    ("strip_live_wal_rotations_total", "Active WAL segments sealed into the rotated chain.", Counter(|r, _| r.durability.wal_rotations)),
+    ("strip_live_snapshots_written_total", "Store snapshots persisted (each truncates the segment chain).", Counter(|r, _| r.durability.snapshots_written)),
+    ("strip_live_recovery_replayed_total", "WAL records replayed by recovery at startup.", Counter(|r, _| r.durability.recovery_replayed)),
+    ("strip_live_recovery_discarded_total", "Torn or corrupt WAL tail records rejected by recovery.", Counter(|r, _| r.durability.recovery_discarded)),
+    ("strip_live_dag_deltas_enqueued_total", "Derived-view deltas enqueued by base installs and cascades.", Counter(|r, _| r.dag.enqueued)),
+    ("strip_live_dag_deltas_applied_total", "Derived-view pending deltas applied.", Counter(|r, _| r.dag.applied)),
+    ("strip_live_dag_deltas_coalesced_total", "Derived-view deltas merged into an already-pending node.", Counter(|r, _| r.dag.coalesced)),
+    ("strip_live_dag_deltas_shed_total", "Derived-view deltas rejected by the pending bound.", Counter(|r, _| r.dag.shed)),
+    ("strip_live_dag_deltas_pending", "Derived-view nodes with a pending delta.", Gauge(|r, _| r.dag.pending_at_end as f64)),
+    ("strip_live_dag_od_refreshes_total", "Recursive on-demand derived refreshes (OD only).", Counter(|r, _| r.dag.od_refreshes)),
+    ("strip_live_dag_fold_derived", "Time-weighted stale fraction of derived views.", Gauge(|r, _| r.dag.fold_derived)),
+];
+
+/// `(name, help, reading)` of one per-stripe series.
+type StripeSeries = (&'static str, &'static str, fn(&StripeSummary) -> u64);
+
+/// The per-stripe series of a sharded run (label `stripe`): the
+/// conservation-bearing counters of each [`StripeSummary`] row.
+#[rustfmt::skip]
+const STRIPE_SERIES: &[StripeSeries] = &[
+    ("strip_live_stripe_updates_ingested", "Updates that arrived at each stripe.", |s| s.updates.arrived),
+    ("strip_live_stripe_updates_applied", "Updates installed by each stripe.", |s| s.updates.installed_total()),
+    ("strip_live_stripe_updates_terminal", "Updates in a terminal bucket at each stripe (conservation).", |s| s.updates.terminal_total()),
+    ("strip_live_stripe_txns_arrived", "Transactions admitted by each stripe.", |s| s.txns.arrived),
+    ("strip_live_stripe_wal_appended", "WAL records appended by each stripe's flusher.", |s| s.durability.wal_appended),
+];
+
+/// Renders the Prometheus-style text page for `/metrics`: every row of
+/// [`SERIES`], then for sharded runs the stripe count and every row of
+/// [`STRIPE_SERIES`].
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn render_metrics(r: &RunReport) -> String {
     let s = stats_from_report(r);
     let mut page = PromText::new();
-    page.counter(
-        "strip_live_updates_ingested_total",
-        "Updates that arrived at the server.",
-        s.ingested,
-    );
-    page.counter(
-        "strip_live_updates_applied_total",
-        "Updates installed into the store (any path).",
-        s.applied,
-    );
-    page.counter(
-        "strip_live_updates_superseded_total",
-        "Updates skipped after lookup (store already newer).",
-        s.superseded,
-    );
-    page.counter(
-        "strip_live_updates_shed_total",
-        "Updates dropped by queue bounds, MA expiry, dedup or admission.",
-        s.shed,
-    );
-    page.gauge(
-        "strip_live_updates_queued",
-        "Updates still queued or on the CPU.",
-        s.queued as f64,
-    );
-    page.counter(
-        "strip_live_txns_arrived_total",
-        "Transactions submitted.",
-        s.txns_arrived,
-    );
-    page.counter(
-        "strip_live_txns_committed_total",
-        "Transactions committed by their deadline.",
-        s.txns_committed,
-    );
-    page.counter(
-        "strip_live_txns_missed_total",
-        "Transactions aborted (deadline, infeasible, or stale read).",
-        s.txns_missed,
-    );
-    page.gauge(
-        "strip_live_os_queue_depth",
-        "Current OS receive-queue depth.",
-        s.os_depth as f64,
-    );
-    page.gauge(
-        "strip_live_update_queue_depth",
-        "Current application update-queue depth.",
-        s.uq_depth as f64,
-    );
-    page.gauge_labeled(
-        "strip_live_fold",
-        "Time-weighted stale fraction per importance class.",
-        "class",
-        &[("low", s.fold_low), ("high", s.fold_high)],
-    );
-    page.gauge("strip_live_p_md", "Missed-deadline fraction.", s.p_md);
-    page.gauge(
-        "strip_live_av",
-        "Average value per second from on-time commits.",
-        s.av,
-    );
-    page.gauge(
-        "strip_live_cpu_rho_t",
-        "CPU utilisation by transactions.",
-        r.cpu.rho_t(),
-    );
-    page.gauge(
-        "strip_live_cpu_rho_u",
-        "CPU utilisation by update installation.",
-        r.cpu.rho_u(),
-    );
-    let d = &r.durability;
-    page.counter(
-        "strip_live_wal_appended_total",
-        "Accepted updates appended to the write-ahead log.",
-        d.wal_appended,
-    );
-    page.counter(
-        "strip_live_wal_fsyncs_total",
-        "fsync calls issued by the WAL flusher.",
-        d.wal_fsyncs,
-    );
-    page.counter(
-        "strip_live_wal_bytes_total",
-        "Bytes written to the WAL segment chain (headers included).",
-        d.wal_bytes,
-    );
-    page.gauge(
-        "strip_live_wal_group_max",
-        "Largest group of records covered by one fsync.",
-        d.wal_group_max as f64,
-    );
-    page.counter(
-        "strip_live_wal_rotations_total",
-        "Active WAL segments sealed into the rotated chain.",
-        d.wal_rotations,
-    );
-    page.counter(
-        "strip_live_snapshots_written_total",
-        "Store snapshots persisted (each truncates the segment chain).",
-        d.snapshots_written,
-    );
-    page.counter(
-        "strip_live_recovery_replayed_total",
-        "WAL records replayed by recovery at startup.",
-        d.recovery_replayed,
-    );
-    page.counter(
-        "strip_live_recovery_discarded_total",
-        "Torn or corrupt WAL tail records rejected by recovery.",
-        d.recovery_discarded,
-    );
-    let g = &r.dag;
-    page.counter(
-        "strip_live_dag_deltas_enqueued_total",
-        "Derived-view deltas enqueued by base installs and cascades.",
-        g.enqueued,
-    );
-    page.counter(
-        "strip_live_dag_deltas_applied_total",
-        "Derived-view pending deltas applied.",
-        g.applied,
-    );
-    page.counter(
-        "strip_live_dag_deltas_coalesced_total",
-        "Derived-view deltas merged into an already-pending node.",
-        g.coalesced,
-    );
-    page.counter(
-        "strip_live_dag_deltas_shed_total",
-        "Derived-view deltas rejected by the pending bound.",
-        g.shed,
-    );
-    page.gauge(
-        "strip_live_dag_deltas_pending",
-        "Derived-view nodes with a pending delta.",
-        g.pending_at_end as f64,
-    );
-    page.counter(
-        "strip_live_dag_od_refreshes_total",
-        "Recursive on-demand derived refreshes (OD only).",
-        g.od_refreshes,
-    );
-    page.gauge(
-        "strip_live_dag_fold_derived",
-        "Time-weighted stale fraction of derived views.",
-        g.fold_derived,
-    );
+    for (name, help, sample) in SERIES {
+        match sample {
+            Counter(read) => page.counter(name, help, read(r, &s)),
+            Gauge(read) => page.gauge(name, help, read(r, &s)),
+            GaugeByClass(read) => {
+                let [low, high] = read(r, &s);
+                page.gauge_labeled(name, help, "class", &[("low", low), ("high", high)]);
+            }
+        }
+    }
     if !r.stripes.is_empty() {
         page.gauge(
             "strip_live_stripes",
@@ -947,58 +866,14 @@ pub fn render_metrics(r: &RunReport) -> String {
             r.stripes.len() as f64,
         );
         let labels: Vec<String> = r.stripes.iter().map(|s| s.stripe.to_string()).collect();
-        let series = |vals: Vec<f64>| -> Vec<(&str, f64)> {
-            labels
+        for (name, help, read) in STRIPE_SERIES {
+            let samples: Vec<(&str, f64)> = labels
                 .iter()
-                .map(String::as_str)
-                .zip(vals)
-                .collect::<Vec<_>>()
-        };
-        page.gauge_labeled(
-            "strip_live_stripe_updates_ingested",
-            "Updates that arrived at each stripe.",
-            "stripe",
-            &series(r.stripes.iter().map(|s| s.updates.arrived as f64).collect()),
-        );
-        page.gauge_labeled(
-            "strip_live_stripe_updates_applied",
-            "Updates installed by each stripe.",
-            "stripe",
-            &series(
-                r.stripes
-                    .iter()
-                    .map(|s| s.updates.installed_total() as f64)
-                    .collect(),
-            ),
-        );
-        page.gauge_labeled(
-            "strip_live_stripe_updates_terminal",
-            "Updates in a terminal bucket at each stripe (conservation).",
-            "stripe",
-            &series(
-                r.stripes
-                    .iter()
-                    .map(|s| s.updates.terminal_total() as f64)
-                    .collect(),
-            ),
-        );
-        page.gauge_labeled(
-            "strip_live_stripe_txns_arrived",
-            "Transactions admitted by each stripe.",
-            "stripe",
-            &series(r.stripes.iter().map(|s| s.txns.arrived as f64).collect()),
-        );
-        page.gauge_labeled(
-            "strip_live_stripe_wal_appended",
-            "WAL records appended by each stripe's flusher.",
-            "stripe",
-            &series(
-                r.stripes
-                    .iter()
-                    .map(|s| s.durability.wal_appended as f64)
-                    .collect(),
-            ),
-        );
+                .zip(&r.stripes)
+                .map(|(label, stripe)| (label.as_str(), read(stripe) as f64))
+                .collect();
+            page.gauge_labeled(name, help, "stripe", &samples);
+        }
     }
     page.render()
 }
@@ -1058,6 +933,58 @@ mod tests {
         let page = render_metrics(&report);
         assert!(page.contains("strip_live_updates_ingested_total 0"));
         assert!(page.contains("strip_live_fold{class=\"high\"}"));
+    }
+
+    /// A two-stripe report with a distinct value behind every series.
+    fn metrics_sample() -> RunReport {
+        let mut r = RunReport::default();
+        let t = &mut r.txns;
+        (t.arrived, t.committed, t.committed_fresh) = (40, 31, 29);
+        (t.missed_deadline, t.aborted_infeasible, t.aborted_stale) = (4, 3, 2);
+        t.value_committed = 93.0;
+        let u = &mut r.updates;
+        (u.arrived, u.os_dropped, u.enqueued) = (1_000, 11, 700);
+        (
+            u.installed_background,
+            u.installed_immediate,
+            u.installed_on_demand,
+        ) = (500, 200, 100);
+        (u.superseded_skips, u.expired_dropped, u.overflow_dropped) = (60, 13, 17);
+        (u.dedup_dropped, u.admission_shed) = (19, 23);
+        (u.left_in_os, u.left_in_update_queue, u.in_flight_at_end) = (31, 25, 1);
+        (r.cpu.busy_txn, r.cpu.busy_update, r.cpu.measured_secs) = (1.5, 0.75, 6.0);
+        (r.fold_low, r.fold_high) = (0.125, 0.0625);
+        let d = &mut r.durability;
+        (d.wal_appended, d.wal_fsyncs, d.wal_bytes, d.wal_group_max) = (900, 45, 36_864, 64);
+        (d.snapshots_written, d.wal_rotations) = (2, 3);
+        (d.recovery_replayed, d.recovery_discarded) = (850, 5);
+        let g = &mut r.dag;
+        (g.enqueued, g.applied, g.coalesced, g.shed, g.pending_at_end) = (300, 210, 70, 12, 8);
+        (g.od_refreshes, g.fold_derived) = (37, 0.375);
+        for (stripe, share) in [(0u32, 600u64), (1, 400)] {
+            let mut s = StripeSummary {
+                stripe,
+                ..StripeSummary::default()
+            };
+            s.updates.arrived = share;
+            s.updates.installed_background = share / 2;
+            s.updates.superseded_skips = share / 10;
+            s.updates.left_in_os = 7 + u64::from(stripe);
+            s.txns.arrived = 20 + u64::from(stripe);
+            s.durability.wal_appended = share - 50;
+            r.stripes.push(s);
+        }
+        r
+    }
+
+    /// Byte-for-byte pin of the `/metrics` page, taken with the hand-written
+    /// `page.counter(..)`/`page.gauge(..)` sequence that preceded the tables.
+    #[test]
+    fn metrics_page_is_pinned() {
+        assert_eq!(
+            render_metrics(&metrics_sample()),
+            include_str!("../tests/golden/metrics_page.txt")
+        );
     }
 
     /// A router over loopback channels, without any executor thread.

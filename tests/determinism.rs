@@ -9,13 +9,27 @@
 //! the checkpoint text format (`serialize_report`), the exact
 //! representation the resume path trusts.
 
-use strip_core::config::{Policy, SimConfig};
+use strip_core::config::{DagSpec, Policy, SimConfig};
 use strip_experiments::runner::serialize_report;
 use strip_experiments::sweep::{run_sweep_replicated, RunSettings};
 
-/// A small but non-trivial sweep: every paper policy at two loads.
+/// A small but non-trivial sweep: every paper policy at two loads, plus one
+/// derived-view DAG run (under UF, which installs enough in two seconds for
+/// deltas to cascade). `serialize_report` carries every `dag.*` field, so
+/// the blob comparison sees DAG non-determinism too.
 fn sweep_configs() -> Vec<SimConfig> {
-    let mut configs = Vec::new();
+    let mut configs = vec![SimConfig::builder()
+        .policy(Policy::UpdatesFirst)
+        .dag(Some(DagSpec {
+            width: 20,
+            ..DagSpec::default()
+        }))
+        .duration(2.0)
+        .seed(0x5712_1995)
+        .n_low(60)
+        .n_high(60)
+        .build()
+        .expect("valid dag config")];
     for &policy in &Policy::PAPER_SET {
         for lambda_t in [6.0, 14.0] {
             configs.push(
