@@ -5,12 +5,19 @@
     metrics_check.py acked SOURCE ACKED_FILE --wait
     metrics_check.py acked SOURCE ACKED_FILE
     metrics_check.py stripes SOURCE COUNT
+    metrics_check.py shutdown HOST:PORT PIDFILE OUTFILE KEY
 
-SOURCE is a saved page or an http:// URL. Every subcommand asserts
-update-count conservation: ingested == applied + superseded + shed + queued.
+SOURCE is a saved page or an http:// URL. Every subcommand but `shutdown`
+asserts update-count conservation: ingested == applied + superseded + shed
++ queued. `shutdown` sends the wire shutdown frame, waits for the server
+whose pid is in PIDFILE to exit, and requires its final report in OUTFILE
+to carry the JSON key KEY.
 """
 import argparse
+import os
 import re
+import socket
+import struct
 import sys
 import time
 import urllib.request
@@ -96,6 +103,24 @@ def check_stripes(vals, stripes, count):
           {s: int(ing[s]) for s in sorted(ing)}, f'sum={int(total)}')
 
 
+def shutdown(addr, pid_file, out_file, key):
+    host, _, port = addr.rpartition(':')
+    with socket.create_connection((host, int(port))) as s:
+        s.sendall(struct.pack('<I', 1) + b'\x06')
+    pid = int(open(pid_file).read())
+    for _ in range(100):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, 15)
+        sys.exit('stripd did not exit')
+    assert f'"{key}"' in open(out_file).read(), f'no "{key}" in {out_file}'
+    print(f'stripd exited; final report carries "{key}"')
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest='check', required=True)
@@ -113,8 +138,15 @@ def main():
     p = sub.add_parser('stripes')
     p.add_argument('source')
     p.add_argument('count', type=int)
+    p = sub.add_parser('shutdown')
+    p.add_argument('addr')
+    p.add_argument('pid_file')
+    p.add_argument('out_file')
+    p.add_argument('key')
     args = parser.parse_args()
 
+    if args.check == 'shutdown':
+        return shutdown(args.addr, args.pid_file, args.out_file, args.key)
     if args.check == 'acked' and args.wait:
         vals = wait_for_acked(args.source, args.acked_file)
     else:

@@ -1,8 +1,8 @@
 //! Bench-gated durability harness. Prices what crash durability costs the
 //! live runtime: the WAL layers in isolation (append to the written
 //! watermark, group commit at a real fsync cadence, recovery replay), and
-//! end-to-end TCP ingest with fold/p(MD) across fsync cadences against
-//! the no-WAL baseline — the acceptance gate is `--fsync off` within 5%
+//! end-to-end batched TCP ingest with fold/p(MD) across fsync cadences
+//! against the no-WAL baseline — the acceptance gate is `--fsync off` within 5%
 //! of that baseline. Writes a machine-readable JSON artefact (default
 //! `BENCH_7.json`; first CLI argument overrides the path).
 //!
@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 use strip_bench::live_perf::{
     layer_group_commit, layer_recovery_replay, layer_wal_append, live_ingest_batched_durable,
-    live_ingest_durable, DurableIngest, RateResult,
+    DurableIngest, RateResult,
 };
 use strip_live::wal::FsyncPolicy;
 
@@ -107,9 +107,6 @@ fn main() {
     let replay = layer_recovery_replay(n_layer, reps);
     print_rate(&replay, "record");
 
-    eprintln!(
-        "# end-to-end TCP ingest across fsync cadences ({n_updates} updates, best of {reps}) …"
-    );
     let cadences: [(&str, Option<FsyncPolicy>); 5] = [
         ("none", None),
         ("off", Some(FsyncPolicy::Off)),
@@ -117,26 +114,9 @@ fn main() {
         ("group:1000us", Some(FsyncPolicy::Group(1_000))),
         ("always", Some(FsyncPolicy::Always)),
     ];
-    let sweeps: Vec<(&str, DurableIngest)> = cadences
-        .iter()
-        .map(|(label, fsync)| {
-            let d = live_ingest_durable(n_updates, *fsync, reps);
-            print_rate(&d.rate, "update");
-            (*label, d)
-        })
-        .collect();
-    let baseline = sweeps[0].1.rate.ops_per_sec();
-    let wal_off = sweeps[1].1.rate.ops_per_sec();
-    let off_overhead = 1.0 - wal_off / baseline;
-    eprintln!(
-        "--fsync off overhead vs no-WAL baseline: {:.2}%",
-        off_overhead * 100.0
-    );
-
-    // The acceptance gate is measured on the batched wire path — PR 6's
-    // `live/tcp_ingest_batched` (batch 512) — against a same-machine
-    // no-WAL baseline, so machine speed differences vs the committed
-    // BENCH_6.json cancel out.
+    // The acceptance gate is measured against a same-machine no-WAL
+    // baseline, so machine speed differences vs the committed artefact
+    // cancel out.
     let batch = 512;
     eprintln!(
         "# batched ingest (batch {batch}) across fsync cadences ({n_updates} updates, best of {reps}) …"
@@ -164,8 +144,8 @@ fn main() {
         json,
         "  \"description\": \"crash durability pricing: WAL layer costs (append to the written \
          watermark with fsync off, group commit at 250us/1000us cadences, recovery replay of a \
-         cold segment), and end-to-end TCP ingest with fold/p(MD) across fsync cadences vs \
-         same-machine no-WAL baselines, frame-per-update and batched (1000x-scaled cost model, \
+         cold segment), and end-to-end batched TCP ingest with fold/p(MD) across fsync cadences vs \
+         a same-machine no-WAL baseline (1000x-scaled cost model, \
          StatsRequest written-watermark barrier). Caveat: on a single-CPU host (host_cpus=1) the \
          flusher thread cannot overlap with the executor, so its encode+crc+write cost \
          serializes into the measured rate; on multi-core hosts the steady-state executor-side \
@@ -180,14 +160,6 @@ fn main() {
         rate_json(&mut json, "    ", r);
     }
     json.push_str("\n  ],\n");
-    json.push_str("  \"ingest_by_fsync\": [\n");
-    for (i, (label, d)) in sweeps.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        ingest_json(&mut json, "    ", label, d);
-    }
-    json.push_str("\n  ],\n");
     json.push_str("  \"ingest_batched_by_fsync\": [\n");
     for (i, (label, d)) in batched_sweeps.iter().enumerate() {
         if i > 0 {
@@ -197,7 +169,6 @@ fn main() {
     }
     json.push_str("\n  ],\n");
     let _ = writeln!(json, "  \"batch_size\": {batch},");
-    let _ = writeln!(json, "  \"fsync_off_overhead\": {off_overhead:.4},");
     let _ = writeln!(
         json,
         "  \"batched_fsync_off_overhead\": {batched_off_overhead:.4}"

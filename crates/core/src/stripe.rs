@@ -119,6 +119,24 @@ impl StripeMap {
         (b[0].len() as u32, b[1].len() as u32)
     }
 
+    /// The single-store configuration stripe `s` of a `cfg` run executes:
+    /// the stripe's local shape, `stripes = 1`, and — only when the run is
+    /// actually striped, so a one-stripe run stays bit-identical to the
+    /// unstriped one — a seed mixed as `seed ^ splitmix64(s + 1)`, which
+    /// gives every stripe independent service-time draws and a distinct
+    /// config fingerprint. The striped simulator and the live server both
+    /// derive their sub-runs here, so they match by construction.
+    #[must_use]
+    pub fn sub_config(&self, cfg: &crate::config::SimConfig, s: u32) -> crate::config::SimConfig {
+        let mut sub = cfg.clone();
+        (sub.n_low, sub.n_high) = self.shape(s);
+        sub.stripes = 1;
+        if self.stripes > 1 {
+            sub.seed = cfg.seed ^ splitmix64(u64::from(s) + 1);
+        }
+        sub
+    }
+
     /// Remaps a global id owned by *any* stripe onto an object owned by
     /// `stripe`, preserving the class when the stripe holds objects of
     /// that class (falling back to the other class otherwise). Used by

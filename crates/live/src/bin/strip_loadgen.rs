@@ -8,19 +8,18 @@
 //! strip-loadgen [--addr 127.0.0.1:7411] [--lambda-u R] [--lambda-t R] \
 //!               [--duration SECS] [--n-low N] [--n-high N] \
 //!               [--mean-update-age S] [--compute-mean S] [--seed N] \
-//!               [--batch N] [--shutdown]
+//!               [--shutdown]
 //! ```
 //!
-//! With `--batch N` updates travel in `UpdateBatch` frames of up to `N`
-//! updates under credit-based flow control (same seeded arrivals, far
-//! fewer syscalls); with `--shutdown` the loadgen sends a shutdown frame
-//! after collecting the report, ending the server run.
+//! Updates travel in `UpdateBatch` frames under credit-based flow
+//! control; with `--shutdown` the loadgen sends a shutdown frame after
+//! collecting the report, ending the server run.
 
 use std::net::TcpStream;
 use std::process::ExitCode;
 
 use strip_core::config::SimConfig;
-use strip_live::loadgen::{replay, replay_batched};
+use strip_live::loadgen::replay;
 use strip_live::protocol::{write_msg, Msg};
 
 struct Args {
@@ -33,7 +32,6 @@ struct Args {
     mean_update_age: f64,
     compute_mean: f64,
     seed: u64,
-    batch: usize,
     shutdown: bool,
 }
 
@@ -48,7 +46,6 @@ fn parse_args() -> Result<Args, String> {
         mean_update_age: 0.5,
         compute_mean: 0.02,
         seed: 0x5712_1995,
-        batch: 0,
         shutdown: false,
     };
     let mut it = std::env::args().skip(1);
@@ -61,7 +58,7 @@ fn parse_args() -> Result<Args, String> {
             return Err(
                 "usage: strip-loadgen [--addr A] [--lambda-u R] [--lambda-t R] \
                  [--duration S] [--n-low N] [--n-high N] [--mean-update-age S] \
-                 [--compute-mean S] [--seed N] [--batch N] [--shutdown]"
+                 [--compute-mean S] [--seed N] [--shutdown]"
                     .to_string(),
             );
         }
@@ -83,11 +80,6 @@ fn parse_args() -> Result<Args, String> {
             "--compute-mean" => args.compute_mean = num(&val)?,
             "--seed" => {
                 args.seed = val
-                    .parse()
-                    .map_err(|_| format!("invalid value `{val}` for {flag}"))?;
-            }
-            "--batch" => {
-                args.batch = val
                     .parse()
                     .map_err(|_| format!("invalid value `{val}` for {flag}"))?;
             }
@@ -123,12 +115,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = if args.batch > 0 {
-        replay_batched(&args.addr, &cfg, args.batch)
-    } else {
-        replay(&args.addr, &cfg)
-    };
-    let summary = match result {
+    let summary = match replay(&args.addr, &cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("replay against {}: {e}", args.addr);

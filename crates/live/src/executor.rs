@@ -30,7 +30,7 @@ use strip_core::config::SimConfig;
 use strip_core::report::{ResilienceStats, RunReport};
 use strip_core::scheduler::{initial_store, Scheduler};
 use strip_core::sources::UpdateSpec;
-use strip_core::stripe::{splitmix64, StripeMap};
+use strip_core::stripe::StripeMap;
 use strip_core::txn::TxnSpec;
 use strip_db::object::{Importance, ViewObjectId};
 use strip_db::staleness::ExpiryWatch;
@@ -163,15 +163,14 @@ impl LiveConfig {
 }
 
 /// The per-stripe executor configurations of a sharded run. Stripe `s`
-/// owns the local object shape carved out by [`StripeMap`], mixes the run
-/// seed exactly as the striped simulator does (`seed ^ splitmix64(s+1)`
-/// only when `stripes > 1`) so its [`initial_store`] ages and service
-/// draws match the corresponding `run_paper_sim_striped` sub-run
-/// bit-for-bit, and logs to its own `stripe-<s>/` durability
-/// subdirectory. The distinct per-stripe seed also gives every stripe a
-/// distinct config fingerprint, so WAL/snapshot artefacts can never be
-/// replayed into the wrong stripe. A `stripes <= 1` config is returned
-/// unchanged — the single-store paths stay byte-identical.
+/// runs [`StripeMap::sub_config`] — the same shape and seed the
+/// corresponding `run_paper_sim_striped` sub-run gets, so its
+/// [`initial_store`] ages and service draws match it bit-for-bit — and
+/// logs to its own `stripe-<s>/` durability subdirectory. The distinct
+/// per-stripe seed also gives every stripe a distinct config
+/// fingerprint, so WAL/snapshot artefacts can never be replayed into the
+/// wrong stripe. A `stripes <= 1` config is returned unchanged — the
+/// single-store paths stay byte-identical.
 #[must_use]
 pub fn stripe_configs(cfg: &LiveConfig) -> Vec<LiveConfig> {
     if cfg.sim.stripes <= 1 {
@@ -181,11 +180,7 @@ pub fn stripe_configs(cfg: &LiveConfig) -> Vec<LiveConfig> {
     (0..map.stripes())
         .map(|s| {
             let mut sub = cfg.clone();
-            let (n_low, n_high) = map.shape(s);
-            sub.sim.n_low = n_low;
-            sub.sim.n_high = n_high;
-            sub.sim.stripes = 1;
-            sub.sim.seed = cfg.sim.seed ^ splitmix64(u64::from(s) + 1);
+            sub.sim = map.sub_config(&cfg.sim, s);
             if let Some(d) = &mut sub.durability {
                 d.dir = d.dir.join(format!("stripe-{s}"));
             }
@@ -194,11 +189,15 @@ pub fn stripe_configs(cfg: &LiveConfig) -> Vec<LiveConfig> {
         .collect()
 }
 
-/// One message into the executor thread. The TCP connection threads and
-/// in-process tests speak the same enum.
+/// One message into the executor thread: the control plane of the TCP
+/// connection threads (their updates ride [`Ingest::Stream`] rings) and
+/// the whole interface of in-process producers.
 #[derive(Debug)]
 pub enum Ingest {
-    /// An external update arrival (paper Figure 2, step 2).
+    /// An external update arrival (paper Figure 2, step 2), injected
+    /// in-process ([`crate::server::ServerHandle::ingest`], unit tests).
+    /// The TCP server never sends this: a wire update reaches the executor
+    /// through its connection's ring.
     Update(WireUpdate),
     /// A transaction submission.
     Txn(WireTxn),
@@ -226,9 +225,9 @@ pub enum Ingest {
         reply: SyncSender<RunReport>,
     },
     /// Attach a lock-free update stream: the executor pops the ring on
-    /// every ingest drain. This is the batched fast path — updates flow
-    /// through the ring without ever touching the channel, which the
-    /// slower control messages keep using.
+    /// every ingest drain. This is how every wire update travels — through
+    /// its connection's bounded ring, never the channel, which carries the
+    /// control messages.
     Stream(spsc::Consumer<WireUpdate>),
     /// Stop the run; the executor finalises metrics and returns.
     Shutdown,

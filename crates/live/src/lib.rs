@@ -18,7 +18,7 @@
 //!   (updates, transactions, queries, stats and report requests, plus
 //!   batched update frames with credit-based flow control).
 //! * [`spsc`] — the bounded lock-free single-producer/single-consumer
-//!   ring that hands batched updates from connection threads to the
+//!   ring that hands every wire update from its connection thread to the
 //!   executor without a lock on the hot path.
 //! * [`executor`] — the single-threaded scheduling core: quantum-chunked
 //!   CPU slices, UF/SU arrival preemption, firm-deadline watchdogs, MA
@@ -33,7 +33,8 @@
 //!   prefix), run before the listener binds.
 //! * [`signal`] — a SIGTERM/SIGINT latch so operator kills take the
 //!   orderly drain-seal-report path.
-//! * [`server`] — the `stripd` front end: a TCP accept loop feeding the
+//! * [`server`] — the `stripd` front end: a TCP accept loop whose
+//!   connection threads send updates over the rings and control over the
 //!   executor's ingest channel, plus a Prometheus-style `/metrics` page
 //!   served on the same port.
 //! * [`loadgen`] — `strip-loadgen`: replays the `strip-workload` Poisson
@@ -58,7 +59,7 @@ pub mod wal;
 
 pub use clock::LiveClock;
 pub use executor::{stripe_configs, Executor, Ingest, LiveConfig, LiveConfigError};
-pub use loadgen::{replay, replay_batched, LoadgenSummary};
+pub use loadgen::{replay, LoadgenSummary};
 pub use protocol::{
     FrameReader, Msg, WireQuery, WireQueryResponse, WireStats, WireTxn, WireUpdate,
 };

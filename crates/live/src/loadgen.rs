@@ -6,7 +6,8 @@
 //! [`SimConfig`] the simulator uses, so a live run and a simulation of the
 //! same seed see statistically identical offered load. The two arrival
 //! streams are merged by arrival time and paced against the loadgen's own
-//! [`LiveClock`]; each spec becomes one wire frame. When the horizon is
+//! [`LiveClock`]; updates travel in `UpdateBatch` frames under credit
+//! flow control, each transaction in its own frame. When the horizon is
 //! reached the loadgen asks the *server* for its stats and its JSON
 //! report — the comparison artefact is produced by the same
 //! `RunReport::to_json` path the simulator's `repro report` uses, not by
@@ -27,19 +28,23 @@ use strip_workload::generators::{PoissonTxns, PoissonUpdates};
 
 use crate::clock::LiveClock;
 use crate::protocol::{
-    encode_batch_body, read_msg, write_msg, Msg, WireStats, WireTxn, WireUpdate, MAX_BATCH_UPDATES,
-    UPDATE_ENTRY,
+    encode_batch_body, read_msg, write_msg, Msg, WireStats, WireTxn, WireUpdate, UPDATE_ENTRY,
 };
+
+/// Most updates one `UpdateBatch` frame carries. A frame holds only
+/// updates that are already due when it is sent, so this caps frame size
+/// without touching the offered load.
+const MAX_BATCH: usize = 256;
 
 /// What a replay produced: client-side send counters plus the server's
 /// own aggregate counters and full JSON report.
 #[derive(Debug, Clone)]
 pub struct LoadgenSummary {
-    /// Updates sent (individually framed or inside batch frames).
+    /// Updates sent (inside batch frames).
     pub sent_updates: u64,
     /// Transaction frames sent.
     pub sent_txns: u64,
-    /// `UpdateBatch` frames sent (0 in unbatched mode).
+    /// `UpdateBatch` frames sent.
     pub sent_batches: u64,
     /// Wall-clock seconds the replay took.
     pub elapsed: f64,
@@ -53,15 +58,6 @@ pub struct LoadgenSummary {
 enum Arrival {
     Update(UpdateSpec),
     Txn(TxnSpec),
-}
-
-impl Arrival {
-    fn at(&self) -> f64 {
-        match self {
-            Arrival::Update(u) => u.arrival.as_secs(),
-            Arrival::Txn(t) => t.arrival.as_secs(),
-        }
-    }
 }
 
 /// Pulls the two generator streams in arrival order.
@@ -157,67 +153,7 @@ fn wire_txn(t: &TxnSpec) -> WireTxn {
     }
 }
 
-/// Replays `cfg`'s workload against the server at `addr` in real time,
-/// then retrieves the server's stats and JSON report over the same
-/// connection.
-///
-/// # Errors
-///
-/// Propagates connection and protocol I/O errors, and `InvalidData` when
-/// the server answers with an unexpected message type.
-pub fn replay(addr: &str, cfg: &SimConfig) -> io::Result<LoadgenSummary> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let clock = LiveClock::start();
-    let mut merged = Merged::new(cfg);
-    let mut sent_updates = 0u64;
-    let mut sent_txns = 0u64;
-    while let Some(arrival) = merged.next() {
-        pace_until(&clock, arrival.at());
-        match arrival {
-            Arrival::Update(u) => {
-                write_msg(&mut stream, &Msg::Update(wire_update(&u)))?;
-                sent_updates += 1;
-            }
-            Arrival::Txn(t) => {
-                write_msg(&mut stream, &Msg::Txn(wire_txn(&t)))?;
-                sent_txns += 1;
-            }
-        }
-    }
-    // Let the horizon pass before sampling the server.
-    pace_until(&clock, cfg.duration);
-    write_msg(&mut stream, &Msg::StatsRequest)?;
-    let stats = match read_msg(&mut stream)? {
-        Some(Msg::StatsResponse(s)) => s,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected StatsResponse, got {other:?}"),
-            ))
-        }
-    };
-    write_msg(&mut stream, &Msg::ReportRequest)?;
-    let report_json = match read_msg(&mut stream)? {
-        Some(Msg::ReportJson(j)) => j,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected ReportJson, got {other:?}"),
-            ))
-        }
-    };
-    Ok(LoadgenSummary {
-        sent_updates,
-        sent_txns,
-        sent_batches: 0,
-        elapsed: clock.now().as_secs(),
-        stats,
-        report_json,
-    })
-}
-
-/// Client-side state of one batched replay connection: the pending
+/// Client-side state of one replay connection: the pending
 /// batch, its reusable encode buffer, and the credit window.
 struct Batcher {
     pending: Vec<WireUpdate>,
@@ -229,10 +165,10 @@ struct Batcher {
 }
 
 impl Batcher {
-    fn new(max_batch: usize) -> Batcher {
+    fn new() -> Batcher {
         Batcher {
-            pending: Vec::with_capacity(max_batch),
-            body: Vec::with_capacity(5 + max_batch * UPDATE_ENTRY),
+            pending: Vec::with_capacity(MAX_BATCH),
+            body: Vec::with_capacity(5 + MAX_BATCH * UPDATE_ENTRY),
             credit: 0,
             sent_batches: 0,
         }
@@ -305,23 +241,22 @@ fn write_frame_vectored(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Replays `cfg`'s workload like [`replay`], but carries updates in
-/// [`Msg::UpdateBatch`] frames of up to `max_batch` updates (clamped to
-/// [`MAX_BATCH_UPDATES`]) under the credit-based flow control of
+/// Replays `cfg`'s workload against the server at `addr` in real time,
+/// then retrieves the server's stats and JSON report over the same
+/// connection. Updates travel in [`Msg::UpdateBatch`] frames of up to
+/// [`MAX_BATCH`] updates under the credit-based flow control of
 /// DESIGN.md §13. Pacing is per *arrival*, not per frame: a batch frame
 /// carries exactly the updates that are already due when it is sent, so
-/// the offered load keeps the same seeded Poisson timing as the
-/// unbatched replay and sim/live decision parity is preserved.
+/// the offered load keeps the generators' seeded Poisson timing.
 ///
 /// # Errors
 ///
 /// Propagates connection and protocol I/O errors, and `InvalidData` when
 /// the server answers with an unexpected message type.
-pub fn replay_batched(addr: &str, cfg: &SimConfig, max_batch: usize) -> io::Result<LoadgenSummary> {
-    let max_batch = max_batch.clamp(1, MAX_BATCH_UPDATES);
+pub fn replay(addr: &str, cfg: &SimConfig) -> io::Result<LoadgenSummary> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    let mut batcher = Batcher::new(max_batch);
+    let mut batcher = Batcher::new();
     // Opt into flow control before offering load.
     write_msg(&mut stream, &Msg::CreditRequest)?;
     match read_msg(&mut stream)? {
@@ -347,7 +282,7 @@ pub fn replay_batched(addr: &str, cfg: &SimConfig, max_batch: usize) -> io::Resu
                 sent_updates += 1;
                 // Keep filling while the batch has room and the next
                 // arrival is an update that is already due.
-                let full = batcher.pending.len() >= max_batch;
+                let full = batcher.pending.len() >= MAX_BATCH;
                 let next_due_update = matches!(
                     merged.peek(),
                     Some((at, true)) if at <= clock.now().as_secs()
@@ -429,8 +364,12 @@ mod tests {
         let mut last = f64::NEG_INFINITY;
         let mut n = 0;
         while let Some(a) = merged.next() {
-            assert!(a.at() >= last, "arrivals out of order");
-            last = a.at();
+            let at = match a {
+                Arrival::Update(u) => u.arrival.as_secs(),
+                Arrival::Txn(t) => t.arrival.as_secs(),
+            };
+            assert!(at >= last, "arrivals out of order");
+            last = at;
             n += 1;
         }
         assert!(n > 10, "expected a non-trivial merged stream, got {n}");

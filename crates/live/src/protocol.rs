@@ -272,6 +272,17 @@ fn put_update(out: &mut Vec<u8>, u: &WireUpdate) {
     put_u64(out, u.attr_mask);
 }
 
+/// Appends an update-batch payload (count, entries) after its tag byte.
+/// The one tag-7 encoder: [`Msg::encode_body`] and [`encode_batch_body`]
+/// both end here.
+fn put_batch(out: &mut Vec<u8>, updates: &[WireUpdate]) {
+    out.reserve(4 + updates.len() * UPDATE_ENTRY);
+    put_u32(out, updates.len() as u32);
+    for u in updates {
+        put_update(out, u);
+    }
+}
+
 impl Msg {
     /// Tag byte identifying this message kind on the wire.
     #[must_use]
@@ -318,13 +329,7 @@ impl Msg {
                 put_u32(&mut out, q.index);
             }
             Msg::StatsRequest | Msg::ReportRequest | Msg::Shutdown | Msg::CreditRequest => {}
-            Msg::UpdateBatch(updates) => {
-                out.reserve(4 + updates.len() * UPDATE_ENTRY);
-                put_u32(&mut out, updates.len() as u32);
-                for u in updates {
-                    put_update(&mut out, u);
-                }
-            }
+            Msg::UpdateBatch(updates) => put_batch(&mut out, updates),
             Msg::Credit(n) => put_u64(&mut out, *n),
             Msg::DerivedQuery(q) => put_u32(&mut out, q.node),
             Msg::DerivedQueryResponse(r) => {
@@ -506,15 +511,9 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
         5 => c.finish(Msg::ReportRequest),
         6 => c.finish(Msg::Shutdown),
         7 => {
-            let n = c.u32()? as usize;
-            if n > MAX_BATCH_UPDATES {
-                return Err(ProtoError::TooLarge(BATCH_FIXED + n * UPDATE_ENTRY));
-            }
-            let mut updates = Vec::with_capacity(n);
-            for _ in 0..n {
-                updates.push(c.update()?);
-            }
-            c.finish(Msg::UpdateBatch(updates))
+            let mut updates = Vec::with_capacity(body.len() / UPDATE_ENTRY);
+            for_each_batch_update(body, |u| updates.push(u))?;
+            Ok(Msg::UpdateBatch(updates))
         }
         8 => c.finish(Msg::CreditRequest),
         9 => {
@@ -587,40 +586,38 @@ pub fn encode_batch_body(out: &mut Vec<u8>, updates: &[WireUpdate]) -> Result<()
         ));
     }
     out.clear();
-    out.reserve(BATCH_FIXED + updates.len() * UPDATE_ENTRY);
     out.push(7);
-    put_u32(out, updates.len() as u32);
-    for u in updates {
-        put_update(out, u);
-    }
+    put_batch(out, updates);
     Ok(())
 }
 
-/// Decodes an [`Msg::UpdateBatch`] body (tag byte included) without
-/// allocating, invoking `f` once per update in wire order. This is the
-/// server's ingest fast path: updates go straight from the receive buffer
-/// into the SPSC ring with no intermediate `Vec`.
+/// Decodes the updates of an update frame body (tag byte included)
+/// without allocating, invoking `f` once per update in wire order: a
+/// tag-1 [`Msg::Update`] body is a batch of one, a tag-7
+/// [`Msg::UpdateBatch`] body carries its count. This is the server's
+/// ingest path: updates go straight from the receive buffer into the
+/// SPSC ring with no intermediate `Vec`.
 ///
 /// Returns the number of updates decoded.
 ///
 /// # Errors
 ///
-/// Returns [`ProtoError`] when the body is not a well-formed batch frame
-/// (wrong tag, truncated or trailing payload, bad class, count past
+/// Returns [`ProtoError`] when the body is not a well-formed update frame
+/// (any other tag, truncated or trailing payload, bad class, count past
 /// [`MAX_BATCH_UPDATES`]).
-pub fn for_each_batch_update(
-    body: &[u8],
-    mut f: impl FnMut(WireUpdate),
-) -> Result<usize, ProtoError> {
+pub fn for_each_update(body: &[u8], mut f: impl FnMut(WireUpdate)) -> Result<usize, ProtoError> {
     let mut c = Cursor { buf: body, pos: 0 };
-    let tag = c.u8()?;
-    if tag != 7 {
-        return Err(ProtoError::BadTag(tag));
-    }
-    let n = c.u32()? as usize;
-    if n > MAX_BATCH_UPDATES {
-        return Err(ProtoError::TooLarge(BATCH_FIXED + n * UPDATE_ENTRY));
-    }
+    let n = match c.u8()? {
+        1 => 1,
+        7 => {
+            let n = c.u32()? as usize;
+            if n > MAX_BATCH_UPDATES {
+                return Err(ProtoError::TooLarge(BATCH_FIXED + n * UPDATE_ENTRY));
+            }
+            n
+        }
+        tag => return Err(ProtoError::BadTag(tag)),
+    };
     for _ in 0..n {
         f(c.update()?);
     }
@@ -629,6 +626,19 @@ pub fn for_each_batch_update(
         return Err(ProtoError::Trailing(left));
     }
     Ok(n)
+}
+
+/// [`for_each_update`] restricted to [`Msg::UpdateBatch`] bodies — the
+/// counterpart of [`encode_batch_body`].
+///
+/// # Errors
+///
+/// As [`for_each_update`], and [`ProtoError::BadTag`] for a tag-1 body.
+pub fn for_each_batch_update(body: &[u8], f: impl FnMut(WireUpdate)) -> Result<usize, ProtoError> {
+    match body.first() {
+        Some(&tag) if tag != 7 => Err(ProtoError::BadTag(tag)),
+        _ => for_each_update(body, f),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1011,20 +1021,30 @@ mod tests {
     }
 
     #[test]
-    fn for_each_batch_update_matches_the_allocating_decoder() {
+    fn batch_body_round_trips_through_the_streaming_codec() {
         let updates = batch_of(17);
-        let body = Msg::UpdateBatch(updates.clone()).encode_body();
+        let mut body = Vec::new();
+        encode_batch_body(&mut body, &updates).unwrap();
         let mut seen = Vec::new();
         let n = for_each_batch_update(&body, |u| seen.push(u)).unwrap();
         assert_eq!(n, 17);
         assert_eq!(seen, updates);
 
-        // Wrong tag, trailing byte and truncation are all rejected.
+        // A single-update frame is a batch of one to `for_each_update`
+        // only; the batch decoder refuses its tag.
         let update_body = Msg::Update(updates[0]).encode_body();
+        let mut one = Vec::new();
+        assert_eq!(for_each_update(&update_body, |u| one.push(u)), Ok(1));
+        assert_eq!(one, updates[..1]);
         assert!(matches!(
             for_each_batch_update(&update_body, |_| {}),
             Err(ProtoError::BadTag(1))
         ));
+        assert!(matches!(
+            for_each_update(&[4], |_| {}),
+            Err(ProtoError::BadTag(4))
+        ));
+        // Trailing byte and truncation are rejected.
         let mut trailing = body.clone();
         trailing.push(0);
         assert!(matches!(

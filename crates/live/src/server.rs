@@ -1,10 +1,15 @@
 //! The `stripd` TCP front end.
 //!
 //! Each stripe's executor thread owns its own scheduling core; an accept
-//! loop hands every connection to its own thread, and connection threads
-//! talk to the executors exclusively through per-stripe [`Ingest`]
-//! channels — the same channels in-process tests drive directly, so TCP
-//! adds transport and nothing else. A [`Router`] (shared by value with
+//! loop hands every connection to its own thread. A connection thread
+//! reaches the executors two ways and no other. **Data**: every update,
+//! whether it arrived in a tag-1 or a tag-7 frame, rides the session's
+//! bounded per-stripe SPSC rings. **Control**: transactions, queries,
+//! snapshots, the ring hand-over and shutdown ride the per-stripe
+//! [`Ingest`] channels, each control frame only after the session's own
+//! rings have been popped — so one connection's frames take effect in
+//! wire order, through the one arrival path of the paper's Figure 2
+//! (network → bounded OS queue). A [`Router`] (shared by value with
 //! every connection) translates global wire object ids into
 //! stripe-local ids with the same [`strip_core::stripe`] hash the striped
 //! simulator uses; for a single-stripe server the map is absent and
@@ -43,7 +48,7 @@ use strip_obs::PromText;
 use crate::credit::CreditWindow;
 use crate::executor::{stripe_configs, Executor, Ingest, LiveConfig};
 use crate::protocol::{
-    decode_body, for_each_batch_update, write_msg, FrameReader, Msg, WireQuery, WireStats, WireTxn,
+    decode_body, for_each_update, write_msg, FrameReader, Msg, WireQuery, WireStats, WireTxn,
     WireUpdate,
 };
 use crate::spsc;
@@ -436,31 +441,38 @@ fn wake_accept(mut addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
-/// Per-connection state of the batched ingest path: one ring producer
-/// per stripe plus the credit-window counters (see [`CreditWindow`] for
-/// the grant arithmetic, which is model-checked under loom in
-/// `tests/loom_spsc.rs`).
+/// Per-connection state of the update path: one ring producer per stripe
+/// (none until the session's first update frame) plus the credit-window
+/// counters (see [`CreditWindow`] for the grant arithmetic, which is
+/// model-checked under loom in `tests/loom_spsc.rs`).
 struct BatchState {
-    /// Ring producers aligned with the router's stripe channels.
+    /// Ring producers aligned with the router's stripe channels; empty
+    /// until [`BatchState::attach`].
     producers: Vec<spsc::Producer<WireUpdate>>,
     /// Cumulative counters of the credit protocol for this connection.
     window: CreditWindow,
 }
 
 impl BatchState {
+    /// A session that has sent no update yet: no rings, nothing granted.
+    fn new() -> BatchState {
+        BatchState {
+            producers: Vec::new(),
+            window: CreditWindow::new(),
+        }
+    }
+
     /// Creates one ring per stripe and hands each consumer half to its
-    /// executor.
-    fn attach(router: &Router) -> Option<BatchState> {
-        let mut producers = Vec::with_capacity(router.txs.len());
+    /// executor. Returns false when an executor is gone.
+    fn attach(&mut self, router: &Router) -> bool {
         for tx in &router.txs {
             let (producer, consumer) = spsc::ring(RING_CAPACITY);
-            tx.send(Ingest::Stream(consumer)).ok()?;
-            producers.push(producer);
+            if tx.send(Ingest::Stream(consumer)).is_err() {
+                return false;
+            }
+            self.producers.push(producer);
         }
-        Some(BatchState {
-            producers,
-            window: CreditWindow::new(),
-        })
+        true
     }
 
     /// Pushes one update to its owning stripe's ring, spinning (with a
@@ -542,9 +554,8 @@ impl BatchState {
     }
 
     /// Blocks until every stripe's executor has popped everything this
-    /// connection pushed, so control frames (stats, report, query,
-    /// shutdown) sent after a batch observe all of its updates — the same
-    /// ordering the channel gave unbatched sessions for free.
+    /// connection pushed, so a control frame sent after an update takes
+    /// effect after it (and a stats reply or final report counts it).
     fn flush(&self, stop: &AtomicBool) {
         for p in &self.producers {
             while !p.is_drained() {
@@ -576,72 +587,43 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
         return serve_metrics(&mut stream, router);
     }
     let mut frames = FrameReader::new();
-    let mut batch: Option<BatchState> = None;
+    let mut batch = BatchState::new();
     loop {
         let Some(body) = frames.next_frame(&mut stream)? else {
             return Ok(()); // clean EOF
         };
-        // Fast path: batch frames decode straight out of the receive
-        // buffer into the lock-free rings — no `Vec<WireUpdate>`, no
-        // channel, no per-update syscall.
-        if body.first() == Some(&7) {
-            if batch.is_none() {
-                batch = BatchState::attach(router);
-                if batch.is_none() {
-                    return Ok(()); // executor gone
-                }
+        // Data plane: an update frame (tag 1, or tag 7 for many) decodes
+        // straight out of the receive buffer into the lock-free rings —
+        // no `Vec<WireUpdate>`, no channel, no per-update syscall.
+        if matches!(body.first(), Some(1 | 7)) {
+            if batch.producers.is_empty() && !batch.attach(router) {
+                return Ok(()); // executor gone
             }
-            let state = batch.as_mut().expect("batch state attached"); // lint: allow(live-panic, reason=attached on the branch above when absent)
             let mut aborted = false;
-            for_each_batch_update(body, |w| {
+            for_each_update(body, |w| {
                 if !aborted {
-                    aborted = !state.push(router, w, stop);
+                    aborted = !batch.push(router, w, stop);
                 }
             })
             .map_err(io::Error::from)?;
             if aborted {
                 return Ok(()); // server stopping; drop the remainder
             }
-            state.top_up(&mut stream, stop)?;
+            batch.top_up(&mut stream, stop)?;
             continue;
         }
+        // Control plane: a control frame leaves this session only after
+        // the session's updates have been popped, so the executors see
+        // one connection's frames in wire order (and a stats reply or the
+        // final report counts every update sent ahead of it).
         let msg = decode_body(body).map_err(io::Error::from)?;
+        batch.flush(stop);
         match msg {
-            Msg::Update(w) => {
-                let (s, w) = router.route_update(w);
-                if router.txs[s].send(Ingest::Update(w)).is_err() {
-                    return Ok(());
-                }
-            }
-            // Only reachable if the fast path above stops intercepting
-            // tag 7; keeps the slow path semantically complete.
-            Msg::UpdateBatch(updates) => {
-                if batch.is_none() {
-                    batch = BatchState::attach(router);
-                    if batch.is_none() {
-                        return Ok(());
-                    }
-                }
-                let state = batch.as_mut().expect("batch state attached"); // lint: allow(live-panic, reason=attached on the branch above when absent)
-                for w in updates {
-                    if !state.push(router, w, stop) {
-                        return Ok(());
-                    }
-                }
-                state.top_up(&mut stream, stop)?;
-            }
             Msg::CreditRequest => {
-                if batch.is_none() {
-                    batch = BatchState::attach(router);
-                    if batch.is_none() {
-                        return Ok(());
-                    }
-                }
-                let state = batch.as_mut().expect("batch state attached"); // lint: allow(live-panic, reason=attached on the branch above when absent)
-                state.window.opt_in();
+                batch.window.opt_in();
                 // Initial grant: whatever the rings can absorb.
-                let grant = state.grantable();
-                state.window.record_grant(grant);
+                let grant = batch.grantable();
+                batch.window.record_grant(grant);
                 write_msg(&mut stream, &Msg::Credit(grant))?;
             }
             Msg::Txn(w) => {
@@ -652,9 +634,6 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
                 }
             }
             Msg::Query(q) => {
-                if let Some(state) = &batch {
-                    state.flush(stop);
-                }
                 let (s, q) = router.route_query(q);
                 let (qtx, qrx) = mpsc::sync_channel(1);
                 if router.txs[s].send(Ingest::Query { q, reply: qtx }).is_err() {
@@ -666,9 +645,6 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
                 write_msg(&mut stream, &Msg::QueryResponse(resp))?;
             }
             Msg::DerivedQuery(q) => {
-                if let Some(state) = &batch {
-                    state.flush(stop);
-                }
                 // Every stripe drives a full DAG replica over its own slice
                 // of the update stream; a derived query interrogates one
                 // deterministic replica (single-stripe runs see the whole
@@ -687,31 +663,23 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
                 write_msg(&mut stream, &Msg::DerivedQueryResponse(resp))?;
             }
             Msg::StatsRequest => {
-                if let Some(state) = &batch {
-                    state.flush(stop);
-                }
                 let report = request_snapshot(router)?;
                 write_msg(&mut stream, &Msg::StatsResponse(stats_from_report(&report)))?;
             }
             Msg::ReportRequest => {
-                if let Some(state) = &batch {
-                    state.flush(stop);
-                }
                 let report = request_snapshot(router)?;
                 write_msg(&mut stream, &Msg::ReportJson(report.to_json()))?;
             }
             Msg::Shutdown => {
-                // Drain this connection's rings before stopping so the
-                // final report counts every update batched ahead of the
-                // shutdown frame (update-count conservation).
-                if let Some(state) = &batch {
-                    state.flush(stop);
-                }
                 router.broadcast(|| Ingest::Shutdown);
                 stop.store(true, Ordering::Release);
                 return Ok(());
             }
-            Msg::QueryResponse(_)
+            // Update frames were consumed by the data plane above; what
+            // is left here is server-to-client traffic.
+            Msg::Update(_)
+            | Msg::UpdateBatch(_)
+            | Msg::QueryResponse(_)
             | Msg::StatsResponse(_)
             | Msg::ReportJson(_)
             | Msg::Credit(_)
@@ -1032,7 +1000,8 @@ mod tests {
     fn credit_window_accounts_for_uncredited_backlog() {
         let (router, rxs) = test_router(1, 8, 8);
         let stop = AtomicBool::new(false);
-        let mut state = BatchState::attach(&router).expect("attach");
+        let mut state = BatchState::new();
+        assert!(state.attach(&router), "attach");
         let mut consumer = match rxs[0].try_recv() {
             Ok(Ingest::Stream(c)) => c,
             other => panic!("expected stream attach, got {other:?}"),
@@ -1071,6 +1040,126 @@ mod tests {
         // Fully drained: one whole ring minus the (zero) unspent window.
         while consumer.pop().is_some() {}
         assert_eq!(state.grantable(), cap);
+    }
+
+    /// A session against `router` with the test playing executor: a
+    /// loopback client socket whose server end runs [`handle_conn`] on its
+    /// own thread.
+    fn loopback_session(router: &Router, stop: &Arc<AtomicBool>) -> (TcpStream, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        let (router, stop) = (router.clone(), Arc::clone(stop));
+        let session = thread::spawn(move || {
+            let _ = handle_conn(conn, &router, &stop);
+        });
+        (client, session)
+    }
+
+    const STEP: Duration = Duration::from_secs(10);
+
+    /// The ring the session hands over at its first update frame.
+    fn expect_stream(rx: &Receiver<Ingest>) -> spsc::Consumer<WireUpdate> {
+        match rx.recv_timeout(STEP) {
+            Ok(Ingest::Stream(c)) => c,
+            other => panic!("expected the session's ring first, got {other:?}"),
+        }
+    }
+
+    /// A control frame leaves a session only after that session's updates
+    /// have been popped — for `Txn` too, and whichever frame carried the
+    /// updates. The negative half waits on a timeout: it can only pass
+    /// late, never fail spuriously, because nothing forwards the `Txn`
+    /// while the ring is occupied.
+    #[test]
+    fn txn_is_forwarded_only_after_the_sessions_updates_are_popped() {
+        let txn = WireTxn {
+            id: 7,
+            class: 1,
+            value: 1.0,
+            slack_micros: 1_000,
+            compute_micros: 100,
+            reads: vec![(0, 1)],
+        };
+        let frames = [
+            (
+                Msg::UpdateBatch((0..5).map(|i| wire_update(0, i)).collect()),
+                5,
+            ),
+            (Msg::Update(wire_update(1, 3)), 1),
+        ];
+        for (updates, sent) in frames {
+            let (router, rxs) = test_router(1, 8, 8);
+            let stop = Arc::new(AtomicBool::new(false));
+            let (mut client, session) = loopback_session(&router, &stop);
+            write_msg(&mut client, &updates).expect("send updates");
+            write_msg(&mut client, &Msg::Txn(txn.clone())).expect("send txn");
+
+            let mut ring = expect_stream(&rxs[0]);
+            match rxs[0].recv_timeout(Duration::from_millis(200)) {
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                other => panic!("control overtook the un-popped ring: {other:?}"),
+            }
+            assert_eq!(ring.len(), sent, "every update waits in the ring");
+            while ring.pop().is_some() {}
+            match rxs[0].recv_timeout(STEP) {
+                Ok(Ingest::Txn(got)) => assert_eq!(got, txn),
+                other => panic!("expected the txn once the ring drained, got {other:?}"),
+            }
+            drop(client);
+            session.join().expect("session thread");
+        }
+    }
+
+    /// Overload from an uncredited frame-per-update sender is bounded by
+    /// the ring (and becomes TCP backpressure), not queued on the
+    /// unbounded channel.
+    #[test]
+    fn uncredited_single_update_frames_are_bounded_by_the_ring() {
+        let (router, rxs) = test_router(1, 8, 8);
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut client, session) = loopback_session(&router, &stop);
+        let total = RING_CAPACITY + 1_000;
+        let writer = thread::spawn(move || {
+            let frame = Msg::Update(wire_update(0, 1)).encode_frame();
+            for _ in 0..total {
+                client.write_all(&frame).expect("send update");
+            }
+            client // keep the socket open until the test has counted
+        });
+
+        let mut ring = expect_stream(&rxs[0]);
+        let deadline = std::time::Instant::now() + STEP;
+        while ring.len() < RING_CAPACITY {
+            assert!(std::time::Instant::now() < deadline, "ring never filled");
+            thread::yield_now();
+        }
+        // The connection thread is now parked on the full ring with the
+        // overflow still in the socket.
+        assert_eq!(ring.len(), RING_CAPACITY);
+        assert!(
+            matches!(rxs[0].try_recv(), Err(mpsc::TryRecvError::Empty)),
+            "no update may travel over the channel"
+        );
+
+        let mut popped = 0usize;
+        while popped < total {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "session never resumed"
+            );
+            match ring.pop() {
+                Some(_) => popped += 1,
+                None => thread::yield_now(),
+            }
+        }
+        drop(writer.join().expect("writer thread"));
+        session.join().expect("session thread");
+        assert!(ring.pop().is_none() && ring.is_closed());
+        assert!(
+            matches!(rxs[0].try_recv(), Err(mpsc::TryRecvError::Empty)),
+            "no update may travel over the channel"
+        );
     }
 
     #[test]

@@ -139,19 +139,10 @@ pub fn run_paper_sim_striped(cfg: &SimConfig) -> Result<RunReport, ConfigError> 
             parts.push(RunReport::default());
             continue;
         }
-        let mut sub = cfg.clone();
-        sub.n_low = n_low;
-        sub.n_high = n_high;
-        // The sub-run itself is a single store; disturbance was already
-        // applied to the global stream before partitioning.
-        sub.stripes = 1;
+        // The sub-run is a single store; disturbance was already applied
+        // to the global stream before partitioning.
+        let mut sub = map.sub_config(cfg, s as u32);
         sub.disturbance = None;
-        // Independent service-time draws per stripe; stripe 0 of a
-        // single-stripe run keeps the base seed so the scripted path is
-        // bit-identical to the unstriped simulator.
-        if map.stripes() > 1 {
-            sub.seed = cfg.seed ^ splitmix64(s as u64 + 1);
-        }
         parts.push(run_simulation_checked(&sub, u, ScriptedTxns::new(t))?);
     }
     Ok(RunReport::merge_stripes(&parts, &shapes))
