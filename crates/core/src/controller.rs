@@ -4,9 +4,9 @@
 //! only supplies time. The [`Controller`] pulls arrivals from its workload
 //! sources, keeps them and the deadline/expiry watchdogs on the event
 //! calendar, turns each slice the core puts on the CPU into a `CpuDone`
-//! event at `now + secs`, and cuts that slice when the core asks for a
-//! preemption. The `strip-live` executor is the other driver of the same
-//! core: it burns slices on the wall clock instead.
+//! event at `now + secs`, and cuts that slice when an arrival's verdict
+//! asks for a preemption. The `strip-live` executor is the other driver of
+//! the same core: it burns slices on the wall clock instead.
 
 use strip_db::object::Importance;
 use strip_db::staleness::ExpiryWatch;
@@ -16,7 +16,7 @@ use strip_sim::time::SimTime;
 
 use crate::config::{ConfigError, SimConfig};
 use crate::report::{ResilienceStats, RunReport};
-use crate::scheduler::{initial_store, Scheduler};
+use crate::scheduler::{initial_store, Preempt, Scheduler};
 use crate::sources::{TxnSource, UpdateSource, UpdateSpec};
 use crate::txn::TxnSpec;
 
@@ -224,12 +224,14 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
         }
     }
 
-    /// Cuts the slice on the CPU and frees the CPU; its `CpuDone` stays on
-    /// the calendar and is ignored when it pops, no later slice having its
+    /// Frees the CPU on an arrival's verdict, if it gave one, and hands
+    /// the verdict back to the core. The cut slice's `CpuDone` stays on the
+    /// calendar and is ignored when it pops, no later slice having its
     /// epoch.
-    fn cut_slice(&mut self, now: SimTime) {
-        if let Some(slice) = self.cpu.take() {
-            self.core.interrupt(now.since(slice.started), now);
+    fn preempt(&mut self, verdict: Option<Preempt>, now: SimTime) {
+        if let Some((verdict, slice)) = verdict.zip(self.cpu) {
+            self.cpu = None;
+            self.core.preempt(verdict, now.since(slice.started), now);
         }
     }
 }
@@ -248,26 +250,20 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
         // `dispatch`) the slice completion.
         match event {
             Event::UpdateArrival(spec) => {
-                let preempts = self.core.on_update(&spec, now);
+                let verdict = self.core.on_update(&spec, now);
                 if let Some(next) = self.update_src.next_update() {
                     ctx.schedule_at(next.arrival, Event::UpdateArrival(next));
                 }
-                if preempts {
-                    self.cut_slice(now);
-                    self.core.charge_preemption(now);
-                }
+                self.preempt(verdict, now);
             }
             Event::TxnArrival(spec) => {
                 let txn_id = spec.id;
-                let (deadline, outbids) = self.core.on_txn(spec, now);
+                let (deadline, verdict) = self.core.on_txn(spec, now);
                 ctx.schedule_at(deadline, Event::Deadline { txn_id });
                 if let Some(next) = self.txn_src.next_txn() {
                     ctx.schedule_at(next.arrival, Event::TxnArrival(next));
                 }
-                if outbids {
-                    self.cut_slice(now);
-                    self.core.requeue_bound(now);
-                }
+                self.preempt(verdict, now);
             }
             Event::CpuDone { epoch } => {
                 if self.cpu.is_none_or(|slice| slice.epoch != epoch) {
@@ -280,7 +276,9 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
             }
             Event::Deadline { txn_id } => {
                 if self.core.txn_on_cpu().is_some_and(|t| t.id() == txn_id) {
-                    self.cut_slice(now);
+                    if let Some(slice) = self.cpu.take() {
+                        self.core.interrupt(now.since(slice.started), now);
+                    }
                 }
                 self.core.on_deadline(txn_id, now);
             }

@@ -42,12 +42,23 @@
 //!
 //! A driver keeps three promises: inputs carry non-decreasing times; at
 //! most one slice is out at a time, and while none is out (after a
-//! `finish`, an `interrupt`, or an input that found the CPU idle) it calls
-//! `next_slice` before letting time pass; and it arms the MA-expiry watch a
-//! `finish` returns, delivering it to `on_expiry` at its instant. When an
-//! input asks for a preemption the driver interrupts the slice that is out
-//! and then tells the core why (see [`Scheduler::on_update`],
-//! [`Scheduler::on_txn`], [`Scheduler::on_deadline`]).
+//! `finish`, an `interrupt`, a `preempt`, or an input that found the CPU
+//! idle) it calls `next_slice` before letting time pass; and it arms the
+//! MA-expiry watch a `finish` returns, delivering it to `on_expiry` at its
+//! instant. An arrival that wants the slice that is out cut short says so
+//! with a [`Preempt`] verdict — [`Scheduler::on_update`] and
+//! [`Scheduler::on_txn`] return the same `Option<Preempt>` — and the driver
+//! hands that verdict back through [`Scheduler::preempt`], which cuts the
+//! slice and does the bookkeeping the verdict implies. A driver never
+//! needs to know which kind it was given, so every driver honours both. A
+//! deadline is the driver's own timer: it [`Scheduler::interrupt`]s a slice
+//! of the transaction that is due, then calls [`Scheduler::on_deadline`].
+//!
+//! The same holds for configuration: whatever `SimConfig::validate`
+//! accepts, every driver runs. Admission control, value-density
+//! preemption, historical views, rules and the disk model are state and
+//! decisions in here, and a slice's modelled I/O stall is one more cost a
+//! driver lets pass like any other.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -198,6 +209,20 @@ enum UpdateStep {
     InstantProgress,
     /// No update work available.
     Nothing,
+}
+
+/// Why an arrival wants the transaction slice that is out cut short: the
+/// verdict of [`Scheduler::on_update`] and [`Scheduler::on_txn`], handed
+/// back through [`Scheduler::preempt`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preempt {
+    /// An update arrived under a policy that serves arrivals first (UF,
+    /// SU): the next update slice owes the two context switches.
+    ByUpdate,
+    /// A transaction of higher value density arrived (the value-density
+    /// preemption extension): the bound transaction goes back to the ready
+    /// queue; no switch cost is modelled between transactions.
+    ByTxn,
 }
 
 /// The answer to a monitoring-plane read of one derived node (see
@@ -564,11 +589,10 @@ impl Scheduler {
 
     // ---- inputs -------------------------------------------------------------
 
-    /// An external update arrives (`spec.arrival` is `now`). Returns true
-    /// when the arrival preempts the transaction slice that is out: the
-    /// driver must [`Scheduler::interrupt`] it and then call
-    /// [`Scheduler::charge_preemption`].
-    pub fn on_update(&mut self, spec: &UpdateSpec, now: SimTime) -> bool {
+    /// An external update arrives (`spec.arrival` is `now`). Returns a
+    /// verdict when the arrival preempts the transaction slice that is out:
+    /// the driver must hand it back through [`Scheduler::preempt`].
+    pub fn on_update(&mut self, spec: &UpdateSpec, now: SimTime) -> Option<Preempt> {
         debug_assert!(spec.arrival == now);
         // Admission control (robustness extension): past the utilisation
         // threshold, low-importance arrivals are shed before the OS queue.
@@ -599,7 +623,8 @@ impl Scheduler {
         self.metrics
             .observe_queue_lengths(self.os_queue.len(), self.uq.len());
         self.emit_queue_depth(now);
-        !shed && policy::preempts_on_arrival(self.cfg.policy) && self.txn_on_cpu().is_some()
+        (!shed && policy::preempts_on_arrival(self.cfg.policy) && self.txn_on_cpu().is_some())
+            .then_some(Preempt::ByUpdate)
     }
 
     /// True when the admission controller sheds this arrival: low
@@ -620,23 +645,12 @@ impl Scheduler {
         busy / elapsed > admission.util_threshold
     }
 
-    /// The slice just interrupted was preempted by an update arrival: the
-    /// next update slice owes the two context switches.
-    pub fn charge_preemption(&mut self, now: SimTime) {
-        self.pending_preempt_cost = self.costs.preempt_time();
-        if let Some(txn) = self.running.as_ref().map(|rt| rt.txn.id()) {
-            let cost_secs = self.pending_preempt_cost;
-            self.emit(now, TraceKind::Preempt { txn, cost_secs });
-        }
-    }
-
     /// A transaction arrives (`spec.arrival` is `now`). Returns its firm
     /// deadline, at which the driver must call [`Scheduler::on_deadline`],
-    /// and whether it out-bids the transaction whose plan segment is out
-    /// (the value-density preemption extension): if so the driver must
-    /// [`Scheduler::interrupt`] that slice and then call
-    /// [`Scheduler::requeue_bound`].
-    pub fn on_txn(&mut self, spec: TxnSpec, now: SimTime) -> (SimTime, bool) {
+    /// and a verdict when it out-bids the transaction whose plan segment is
+    /// out (the value-density preemption extension): the driver must hand
+    /// it back through [`Scheduler::preempt`].
+    pub fn on_txn(&mut self, spec: TxnSpec, now: SimTime) -> (SimTime, Option<Preempt>) {
         debug_assert!(spec.arrival == now);
         self.metrics.txn_arrived(now, spec.class);
         let txn = Transaction::new(spec, self.cfg.p_view, &self.costs);
@@ -647,23 +661,7 @@ impl Scheduler {
                 .is_some_and(|bound| txn.value_density() > bound.value_density());
         let deadline = txn.deadline();
         self.ready.push(txn);
-        (deadline, outbids)
-    }
-
-    /// The slice just interrupted lost the CPU to a denser transaction:
-    /// the bound transaction goes back to the ready queue (no switch cost
-    /// is modelled between transactions).
-    pub fn requeue_bound(&mut self, now: SimTime) {
-        if let Some(rt) = self.running.take() {
-            self.emit(
-                now,
-                TraceKind::Preempt {
-                    txn: rt.txn.id(),
-                    cost_secs: 0.0,
-                },
-            );
-            self.ready.push(rt.txn);
-        }
+        (deadline, outbids.then_some(Preempt::ByTxn))
     }
 
     /// The firm-deadline watchdog of transaction `txn_id` fires: abort it
@@ -756,7 +754,8 @@ impl Scheduler {
     }
 
     /// The slice that is out was cut after `performed_secs` of its length
-    /// (a preemption, a deadline, the end of the run): charge it and keep
+    /// (a deadline, the end of the run; a preemption goes through
+    /// [`Scheduler::preempt`]): charge it and keep
     /// a transaction slice's partial progress. Update work is not
     /// resumable — installs are never preempted (§4.2) — so a driver only
     /// cuts it when the run ends; it then stays on the CPU, and
@@ -782,6 +781,30 @@ impl Scheduler {
                 }
             }
             work => self.on_cpu = Some(work),
+        }
+    }
+
+    /// The driver cut the slice that is out, after `performed_secs` of its
+    /// length, on the verdict an arrival returned: [`Scheduler::interrupt`]
+    /// plus what the verdict implies for the transaction that lost the CPU.
+    pub fn preempt(&mut self, verdict: Preempt, performed_secs: f64, now: SimTime) {
+        self.interrupt(performed_secs, now);
+        match verdict {
+            Preempt::ByUpdate => {
+                let cost_secs = self.costs.preempt_time();
+                self.pending_preempt_cost = cost_secs;
+                if let Some(txn) = self.bound_txn().map(Transaction::id) {
+                    self.emit(now, TraceKind::Preempt { txn, cost_secs });
+                }
+            }
+            Preempt::ByTxn => {
+                if let Some(rt) = self.running.take() {
+                    // No switch cost is modelled between transactions.
+                    let (txn, cost_secs) = (rt.txn.id(), 0.0);
+                    self.emit(now, TraceKind::Preempt { txn, cost_secs });
+                    self.ready.push(rt.txn);
+                }
+            }
         }
     }
 

@@ -6,8 +6,11 @@
 //! every step advances to the earliest of (slice end, next arrival, next
 //! deadline, next expiry, warm-up end). On the fig03 short grid — the four
 //! algorithms at λt ∈ {2.5, 10, 20}, 5 simulated seconds — plus one point
-//! with a 3×50×3 derived-view DAG it must produce the very report the
-//! simulator produces from the same arrivals, byte for byte.
+//! with a 3×50×3 derived-view DAG and one per extension (admission
+//! control, value-density preemption, historical views, rules, the disk
+//! model) it must produce the very report the simulator produces from the
+//! same arrivals, byte for byte. None of the extensions has a line of
+//! driver code below: the driver hands the core's verdict back, no more.
 //!
 //! What the calendar adds to the comparison and this driver has to mimic:
 //! `events_processed` also counts the completion event of a slice that was
@@ -16,7 +19,10 @@
 //! arrivals here carry continuous random times, so the only ties are the
 //! initial expiry watches clamped to t = 0, which commute.
 
-use strip_core::config::{DagSpec, Policy, SimConfig};
+use strip_core::config::{
+    AdmissionControl, DagSpec, HistoryAccess, IoModel, Policy, SimConfig, SimConfigBuilder,
+    TriggerConfig,
+};
 use strip_core::controller::run_simulation;
 use strip_core::report::{ResilienceStats, RunReport};
 use strip_core::scheduler::{initial_store, Scheduler};
@@ -153,14 +159,15 @@ fn drive(cfg: &SimConfig, updates: &[UpdateSpec], txns: &[TxnSpec]) -> RunReport
             break;
         }
         events += 1;
-        // Cuts the slice on the CPU when the core asks for it.
-        let mut cut = |core: &mut Scheduler| {
+        // Takes the slice off the CPU when the core asks for a cut;
+        // returns how long it ran.
+        let mut cut = || {
             let (started, end) = slice
                 .take()
                 .expect("the core cuts only a slice that is out");
-            core.interrupt(now.since(started), now);
             // The calendar would still pop the stale completion event.
             events += u64::from(end <= horizon);
+            now.since(started)
         };
         match next {
             Next::SliceEnd => {
@@ -171,26 +178,24 @@ fn drive(cfg: &SimConfig, updates: &[UpdateSpec], txns: &[TxnSpec]) -> RunReport
             }
             Next::Update => {
                 next_update += 1;
-                if core.on_update(&updates[next_update - 1], now) {
-                    cut(&mut core);
-                    core.charge_preemption(now);
+                if let Some(verdict) = core.on_update(&updates[next_update - 1], now) {
+                    core.preempt(verdict, cut(), now);
                 }
             }
             Next::Txn => {
                 next_txn += 1;
                 let spec = txns[next_txn - 1].clone();
                 let id = spec.id;
-                let (deadline, outbids) = core.on_txn(spec, now);
+                let (deadline, verdict) = core.on_txn(spec, now);
                 deadlines.push((deadline, id));
-                if outbids {
-                    cut(&mut core);
-                    core.requeue_bound(now);
+                if let Some(verdict) = verdict {
+                    core.preempt(verdict, cut(), now);
                 }
             }
             Next::Deadline(i) => {
                 let (_, id) = deadlines.swap_remove(i);
                 if core.txn_on_cpu().is_some_and(|t| t.id() == id) {
-                    cut(&mut core);
+                    core.interrupt(cut(), now);
                 }
                 core.on_deadline(id, now);
             }
@@ -213,7 +218,7 @@ fn drive(cfg: &SimConfig, updates: &[UpdateSpec], txns: &[TxnSpec]) -> RunReport
     core.report(horizon, events, ResilienceStats::default())
 }
 
-fn assert_same_report(cfg: &SimConfig, label: &str) {
+fn assert_same_report(cfg: &SimConfig, label: &str) -> RunReport {
     let (updates, txns) = arrivals(cfg);
     assert!(
         updates.len() > 100 && txns.len() > 5,
@@ -227,6 +232,7 @@ fn assert_same_report(cfg: &SimConfig, label: &str) {
     let driven = drive(cfg, &updates, &txns);
     assert!(simulated.txns.committed > 0, "{label}: nothing committed");
     assert_eq!(driven.to_json(), simulated.to_json(), "{label}");
+    driven
 }
 
 #[test]
@@ -258,4 +264,58 @@ fn calendar_free_driver_reproduces_the_simulator_with_a_view_dag() {
     let spec = cfg.dag.expect("dag configured");
     assert_eq!((spec.depth, spec.width, spec.fanout), (3, 50, 3));
     assert_same_report(&cfg, "dag3x50x3/OD");
+}
+
+#[test]
+fn calendar_free_driver_reproduces_the_simulator_with_every_extension() {
+    let base = || {
+        SimConfig::builder()
+            .lambda_t(10.0)
+            .duration(5.0)
+            .seed(0x5712_1995)
+    };
+    // Each point: the extension switched on over a fig03 point, and the
+    // counter that shows the run exercised it.
+    type Exercised = fn(&RunReport) -> u64;
+    let points: [(&str, SimConfigBuilder, Exercised); 4] = [
+        (
+            "admission",
+            base().lambda_t(20.0).admission(Some(AdmissionControl {
+                util_threshold: 0.5,
+            })),
+            |r| r.updates.admission_shed,
+        ),
+        (
+            "history",
+            base().history(Some(HistoryAccess::default())),
+            |r| r.history.appends.min(r.history.historical_reads),
+        ),
+        (
+            "triggers",
+            base().triggers(Some(TriggerConfig::default())),
+            |r| r.triggers.executed,
+        ),
+        (
+            "io",
+            base().policy(Policy::OnDemand).io(Some(IoModel::default())),
+            |r| r.cpu.io_misses_installs.min(r.cpu.io_misses_reads),
+        ),
+    ];
+    for (label, cfg, exercised) in points {
+        let cfg = cfg.build().expect("extension point is valid");
+        let report = assert_same_report(&cfg, label);
+        assert!(exercised(&report) > 0, "{label}: never exercised");
+    }
+    // Value-density preemption has no counter of its own: it is exercised
+    // when out-bidding changes what the same arrivals lead to.
+    let [plain, preempting] = [false, true].map(|on| {
+        let cfg = base()
+            .policy(Policy::TransactionsFirst)
+            .lambda_t(20.0)
+            .txn_preemption(on)
+            .build()
+            .expect("extension point is valid");
+        assert_same_report(&cfg, "txn_preemption")
+    });
+    assert_ne!(plain.to_json(), preempting.to_json(), "nobody was out-bid");
 }

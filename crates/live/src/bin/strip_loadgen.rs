@@ -65,28 +65,25 @@ fn parse_args() -> Result<Args, String> {
         let val = it
             .next()
             .ok_or_else(|| format!("missing value for {flag}"))?;
-        let num = |s: &str| -> Result<f64, String> {
-            s.parse()
-                .map_err(|_| format!("invalid value `{s}` for {flag}"))
-        };
         match flag.as_str() {
             "--addr" => args.addr = val,
-            "--lambda-u" => args.lambda_u = num(&val)?,
-            "--lambda-t" => args.lambda_t = num(&val)?,
-            "--duration" => args.duration = num(&val)?,
-            "--n-low" => args.n_low = num(&val)? as u32,
-            "--n-high" => args.n_high = num(&val)? as u32,
-            "--mean-update-age" => args.mean_update_age = num(&val)?,
-            "--compute-mean" => args.compute_mean = num(&val)?,
-            "--seed" => {
-                args.seed = val
-                    .parse()
-                    .map_err(|_| format!("invalid value `{val}` for {flag}"))?;
-            }
+            "--lambda-u" => args.lambda_u = parse_num(&val, &flag)?,
+            "--lambda-t" => args.lambda_t = parse_num(&val, &flag)?,
+            "--duration" => args.duration = parse_num(&val, &flag)?,
+            "--n-low" => args.n_low = parse_num(&val, &flag)?,
+            "--n-high" => args.n_high = parse_num(&val, &flag)?,
+            "--mean-update-age" => args.mean_update_age = parse_num(&val, &flag)?,
+            "--compute-mean" => args.compute_mean = parse_num(&val, &flag)?,
+            "--seed" => args.seed = parse_num(&val, &flag)?,
             other => return Err(format!("unknown flag `{other}` (try --help)")),
         }
     }
     Ok(args)
+}
+
+fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
+    s.parse()
+        .map_err(|_| format!("invalid value `{s}` for {flag}"))
 }
 
 fn main() -> ExitCode {

@@ -6,10 +6,11 @@
 //! advances a virtual clock past each slice the core hands out, the
 //! executor *burns* the slice by spinning on the wall clock in
 //! quantum-sized chunks (see [`LiveConfig::quantum`]), draining ingest and
-//! firing timers between chunks. Preemption under UF/SU is therefore
-//! quantised: an arriving update interrupts a transaction at the next
-//! chunk boundary rather than instantaneously (DESIGN.md §12 quantifies
-//! the approximation).
+//! firing timers between chunks. Preemption is therefore quantised: an
+//! arrival whose verdict asks for one — an update under UF/SU, a denser
+//! transaction under value-density preemption — cuts the transaction
+//! slice at the next chunk boundary rather than instantaneously
+//! (DESIGN.md §12 quantifies the approximation).
 //!
 //! Clock discipline: the executor keeps one reading, [`Executor::now`],
 //! per scheduling point. A slice starts at the reading that ended the
@@ -28,7 +29,7 @@ use std::time::Duration;
 
 use strip_core::config::SimConfig;
 use strip_core::report::{ResilienceStats, RunReport};
-use strip_core::scheduler::{initial_store, Scheduler};
+use strip_core::scheduler::{initial_store, Preempt, Scheduler};
 use strip_core::sources::UpdateSpec;
 use strip_core::stripe::StripeMap;
 use strip_core::txn::TxnSpec;
@@ -50,9 +51,16 @@ pub const QUERY_NO_SUCH_OBJECT: u8 = 2;
 /// server with no DAG configured, or a node id out of range.
 pub const DERIVED_NO_SUCH_NODE: u8 = 2;
 
-/// Configuration of a live run: a plain [`SimConfig`] (the executor honours
-/// the same policy, staleness, queue and cost parameters as the simulator)
-/// plus the preemption quantum.
+/// Configuration of a live run: a plain [`SimConfig`] plus the preemption
+/// quantum. Every `SimConfig` the core validates runs live: the executor
+/// honours each field that governs the server (policy, staleness, queues,
+/// costs, and the admission, value-density preemption, history, rule and
+/// disk-model extensions, all of which are state inside the scheduler
+/// core), and the fields that describe the offered load (`lambda_u`,
+/// `update_mode`, `disturbance`, …) are the load generator's to honour.
+/// Recovery rebuilds the store and the staleness tracker only: the history
+/// store and pending rule firings are volatile across a restart (the rules
+/// themselves are regenerated from the seed).
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
     /// The substrate configuration shared with the simulator.
@@ -66,13 +74,9 @@ pub struct LiveConfig {
     pub durability: Option<crate::wal::DurabilityConfig>,
 }
 
-/// Reasons a [`SimConfig`] cannot drive the live executor.
+/// Reasons a [`LiveConfig`] cannot be built.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LiveConfigError {
-    /// A simulator-only extension was enabled; the live runtime supports
-    /// the paper's core model (the four policies, both staleness criteria,
-    /// queue bounds and shedding) but none of the named extension.
-    Unsupported(&'static str),
     /// The quantum is not a positive number of seconds (or is implausibly
     /// large for a preemption quantum).
     BadQuantum(f64),
@@ -80,18 +84,12 @@ pub enum LiveConfigError {
 
 impl std::fmt::Display for LiveConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LiveConfigError::Unsupported(what) => {
-                write!(f, "live runtime does not support the `{what}` extension")
-            }
-            LiveConfigError::BadQuantum(q) => {
-                write!(
-                    f,
-                    "quantum must be in (0, {}] seconds, got {q}",
-                    LiveConfig::MAX_QUANTUM
-                )
-            }
-        }
+        let LiveConfigError::BadQuantum(q) = self;
+        write!(
+            f,
+            "quantum must be in (0, {}] seconds, got {q}",
+            LiveConfig::MAX_QUANTUM
+        )
     }
 }
 
@@ -111,8 +109,7 @@ impl LiveConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`LiveConfigError::Unsupported`] when a simulator-only
-    /// extension is enabled (see [`LiveConfig::with_quantum`]).
+    /// None for the default quantum; see [`LiveConfig::with_quantum`].
     pub fn new(sim: SimConfig) -> Result<Self, LiveConfigError> {
         Self::with_quantum(sim, Self::DEFAULT_QUANTUM)
     }
@@ -121,29 +118,9 @@ impl LiveConfig {
     ///
     /// # Errors
     ///
-    /// Rejects configurations the live executor cannot honour: the
-    /// historical-view store, trigger rules, the disk-I/O model, stream
-    /// disturbance (that is the loadgen's job in live mode), admission
-    /// control and value-density transaction preemption are simulator-only.
+    /// Returns [`LiveConfigError::BadQuantum`] for a quantum outside
+    /// `(0, MAX_QUANTUM]`. `sim` is never refused.
     pub fn with_quantum(sim: SimConfig, quantum: f64) -> Result<Self, LiveConfigError> {
-        if sim.history.is_some() {
-            return Err(LiveConfigError::Unsupported("history"));
-        }
-        if sim.triggers.is_some() {
-            return Err(LiveConfigError::Unsupported("triggers"));
-        }
-        if sim.io.is_some() {
-            return Err(LiveConfigError::Unsupported("io"));
-        }
-        if sim.disturbance.is_some() {
-            return Err(LiveConfigError::Unsupported("disturbance"));
-        }
-        if sim.admission.is_some() {
-            return Err(LiveConfigError::Unsupported("admission"));
-        }
-        if sim.txn_preemption {
-            return Err(LiveConfigError::Unsupported("txn_preemption"));
-        }
         if !quantum.is_finite() || quantum <= 0.0 || quantum > Self::MAX_QUANTUM {
             return Err(LiveConfigError::BadQuantum(quantum));
         }
@@ -260,8 +237,8 @@ impl<T> Ord for Timer<T> {
 
 /// Why a slice stopped before its end.
 enum Cut {
-    /// An update arrived and the policy preempts on arrival.
-    Preempted,
+    /// An arrival's verdict asked for a preemption.
+    Preempted(Preempt),
     /// The deadline of the transaction being run (by id) passed mid-slice.
     DeadlinePassed(u64),
     /// A shutdown request arrived mid-slice.
@@ -409,16 +386,17 @@ impl Executor {
     /// Drains everything currently queued on the channel and the rings,
     /// stamping arrivals with the current reading; the clock is re-read
     /// afterwards if anything was handled (handling takes time, an empty
-    /// poll does not). Returns true if the core asked for a preemption on
-    /// behalf of at least one drained update (the burn loop cuts a
-    /// transaction slice on it).
-    fn drain_ingest(&mut self) -> bool {
+    /// poll does not). Returns the first verdict the core gave on behalf
+    /// of a drained arrival (the burn loop cuts a transaction slice on it;
+    /// the core judged later arrivals against the same slice, so the first
+    /// verdict is the one the simulator would have acted on).
+    fn drain_ingest(&mut self) -> Option<Preempt> {
         let now = self.now;
         let handled = self.events;
-        let mut preempt = false;
+        let mut preempt = None;
         loop {
             match self.rx.try_recv() {
-                Ok(msg) => preempt |= self.handle_msg(msg, now),
+                Ok(msg) => preempt = preempt.or(self.handle_msg(msg, now)),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     self.shutdown = true;
@@ -426,7 +404,7 @@ impl Executor {
                 }
             }
         }
-        preempt |= self.drain_streams(now);
+        preempt = preempt.or(self.drain_streams(now));
         if self.events != handled {
             self.now = self.clock.now();
         }
@@ -437,12 +415,12 @@ impl Executor {
     /// rings (bounded by a per-ring length snapshot, so a producer
     /// pushing at full speed cannot pin the executor here) and drops
     /// rings whose producer has disconnected and that are empty.
-    /// Returns true when a popped update asks for a preemption.
-    fn drain_streams(&mut self, now: SimTime) -> bool {
+    /// Returns the first verdict a popped update was given.
+    fn drain_streams(&mut self, now: SimTime) -> Option<Preempt> {
         if self.streams.is_empty() {
-            return false;
+            return None;
         }
-        let mut preempt = false;
+        let mut preempt = None;
         // The rings move out of `self` for the duration of the drain so
         // `accept_update` can borrow the rest of the executor mutably.
         let mut streams = std::mem::take(&mut self.streams);
@@ -450,7 +428,7 @@ impl Executor {
             for _ in 0..c.len() {
                 let Some(w) = c.pop() else { break };
                 self.events += 1;
-                preempt |= self.accept_update(&w, now);
+                preempt = preempt.or(self.accept_update(&w, now));
             }
         }
         streams.retain(|c| !(c.is_closed() && c.is_empty()));
@@ -458,13 +436,13 @@ impl Executor {
         preempt
     }
 
-    /// Handles one ingest message; returns true when it was an update
-    /// arrival that asks for a preemption.
-    fn handle_msg(&mut self, msg: Ingest, now: SimTime) -> bool {
+    /// Handles one ingest message; returns the core's verdict when it was
+    /// an arrival that asks for a preemption.
+    fn handle_msg(&mut self, msg: Ingest, now: SimTime) -> Option<Preempt> {
         self.events += 1;
         match msg {
             Ingest::Update(w) => return self.accept_update(&w, now),
-            Ingest::Txn(w) => self.accept_txn(w, now),
+            Ingest::Txn(w) => return self.accept_txn(w, now),
             Ingest::Query { q, reply } => {
                 let _ = reply.send(self.answer_query(&q, now));
             }
@@ -485,14 +463,14 @@ impl Executor {
             Ingest::Stream(consumer) => self.streams.push(consumer),
             Ingest::Shutdown => self.shutdown = true,
         }
-        false
+        None
     }
 
     /// Hands one update arrival to the core (and, first, to the WAL).
     /// Returns the core's verdict on preemption; the burn loop acts on it.
-    fn accept_update(&mut self, w: &WireUpdate, now: SimTime) -> bool {
+    fn accept_update(&mut self, w: &WireUpdate, now: SimTime) -> Option<Preempt> {
         let Some(object) = self.wire_object(w.class, w.index) else {
-            return false; // out-of-range target: drop silently (never sent by loadgen)
+            return None; // out-of-range target: drop silently (never sent by loadgen)
         };
         if let Some(wal) = &mut self.wal {
             // Log before state (before even the OS queue): the WAL records
@@ -510,17 +488,14 @@ impl Executor {
         self.core.on_update(&spec, now)
     }
 
-    /// Admits one transaction and arms its deadline watchdog.
-    fn accept_txn(&mut self, w: WireTxn, now: SimTime) {
-        let Some(class) = Importance::from_index(w.class as usize) else {
-            return;
-        };
+    /// Admits one transaction and arms its deadline watchdog. Returns the
+    /// core's verdict on preemption, like [`Executor::accept_update`].
+    fn accept_txn(&mut self, w: WireTxn, now: SimTime) -> Option<Preempt> {
+        let class = Importance::from_index(w.class as usize)?;
         let mut reads = Vec::with_capacity(w.reads.len());
         for &(c, i) in &w.reads {
-            let Some(obj) = self.wire_object(c, i) else {
-                return; // a bad read set invalidates the whole transaction
-            };
-            reads.push(obj);
+            // A bad read set invalidates the whole transaction.
+            reads.push(self.wire_object(c, i)?);
         }
         let spec = TxnSpec {
             id: w.id,
@@ -532,13 +507,12 @@ impl Executor {
             reads,
             derived_reads: Vec::new(),
         };
-        // `LiveConfig` refuses value-density preemption, so the new
-        // transaction never out-bids the bound one.
-        let (deadline, _outbids) = self.core.on_txn(spec, now);
+        let (deadline, verdict) = self.core.on_txn(spec, now);
         self.deadlines.push(Timer {
             at: deadline.as_secs(),
             item: w.id,
         });
+        verdict
     }
 
     /// Resolves a wire (class, index) pair against the configured store.
@@ -718,11 +692,13 @@ impl Executor {
                 // and every later report counts it as in flight so the
                 // conservation identity still closes.
                 let performed = self.now.since(started).min(secs);
-                self.core.interrupt(performed, self.now);
                 match cut {
-                    Cut::Preempted => self.core.charge_preemption(self.now),
-                    Cut::DeadlinePassed(id) => self.core.on_deadline(id, self.now),
-                    Cut::Shutdown => {}
+                    Cut::Preempted(verdict) => self.core.preempt(verdict, performed, self.now),
+                    Cut::DeadlinePassed(id) => {
+                        self.core.interrupt(performed, self.now);
+                        self.core.on_deadline(id, self.now);
+                    }
+                    Cut::Shutdown => self.core.interrupt(performed, self.now),
                 }
                 return true;
             }
@@ -779,8 +755,8 @@ impl Executor {
             if self.shutdown {
                 return Some(Cut::Shutdown);
             }
-            if preempt {
-                return Some(Cut::Preempted);
+            if let Some(verdict) = preempt {
+                return Some(Cut::Preempted(verdict));
             }
         }
     }
@@ -849,24 +825,28 @@ mod tests {
     }
 
     #[test]
-    fn rejects_simulator_only_extensions() {
-        let cfg = SimConfig::builder()
+    fn every_valid_sim_config_builds_a_live_config() {
+        use strip_core::config::{
+            AdmissionControl, DisturbanceSpec, HistoryAccess, IoModel, TriggerConfig,
+        };
+        let all_six = SimConfig::builder()
             .n_low(4)
             .n_high(4)
+            .n_general(4)
+            .history(Some(HistoryAccess::default()))
+            .triggers(Some(TriggerConfig::default()))
+            .io(Some(IoModel::default()))
+            .disturbance(Some(DisturbanceSpec::default()))
+            .admission(Some(AdmissionControl::default()))
             .txn_preemption(true)
             .build()
             .expect("valid config");
-        let err = LiveConfig::new(cfg).unwrap_err();
-        assert_eq!(err, LiveConfigError::Unsupported("txn_preemption"));
-        assert!(matches!(
-            LiveConfig::with_quantum(base_cfg(), 0.0),
-            Err(LiveConfigError::BadQuantum(_))
-        ));
-        assert!(matches!(
-            LiveConfig::with_quantum(base_cfg(), 1.0),
-            Err(LiveConfigError::BadQuantum(_))
-        ));
-        assert!(LiveConfig::new(base_cfg()).is_ok());
+        assert!(LiveConfig::new(all_six).is_ok());
+        // The quantum is the one thing a live config can get wrong.
+        for quantum in [0.0, -1.0, 1.0, f64::NAN] {
+            let err = LiveConfig::with_quantum(base_cfg(), quantum).unwrap_err();
+            assert!(matches!(err, LiveConfigError::BadQuantum(_)), "{err}");
+        }
     }
 
     #[test]

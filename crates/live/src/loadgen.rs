@@ -1,10 +1,12 @@
 //! `strip-loadgen` — replays the simulator's workload against a live
 //! server.
 //!
-//! The generators are the exact Poisson processes of `strip-workload`
-//! ([`PoissonUpdates`], [`PoissonTxns`]), built from the same
+//! The generators are the exact processes of `strip-workload`
+//! ([`UpdateStream::from_config`], [`PoissonTxns`]), built from the same
 //! [`SimConfig`] the simulator uses, so a live run and a simulation of the
-//! same seed see statistically identical offered load. The two arrival
+//! same seed see statistically identical offered load — every field that
+//! describes the stream (`lambda_u`, `update_mode`, `disturbance`, …) is
+//! honoured here, the server never reads them. The two arrival
 //! streams are merged by arrival time and paced against the loadgen's own
 //! [`LiveClock`]; updates travel in `UpdateBatch` frames under credit
 //! flow control, each transaction in its own frame. When the horizon is
@@ -24,7 +26,7 @@ use std::net::TcpStream;
 use strip_core::config::SimConfig;
 use strip_core::sources::{TxnSource, UpdateSource, UpdateSpec};
 use strip_core::txn::TxnSpec;
-use strip_workload::generators::{PoissonTxns, PoissonUpdates};
+use strip_workload::generators::{PoissonTxns, UpdateStream};
 
 use crate::clock::LiveClock;
 use crate::protocol::{
@@ -62,7 +64,7 @@ enum Arrival {
 
 /// Pulls the two generator streams in arrival order.
 struct Merged {
-    updates: PoissonUpdates,
+    updates: UpdateStream,
     txns: PoissonTxns,
     next_update: Option<UpdateSpec>,
     next_txn: Option<TxnSpec>,
@@ -70,7 +72,7 @@ struct Merged {
 
 impl Merged {
     fn new(cfg: &SimConfig) -> Self {
-        let mut updates = PoissonUpdates::from_config(cfg);
+        let mut updates = UpdateStream::from_config(cfg);
         let mut txns = PoissonTxns::from_config(cfg);
         let next_update = updates.next_update();
         let next_txn = txns.next_txn();
@@ -84,46 +86,27 @@ impl Merged {
 
     /// The arrival `next()` would return, as `(arrival seconds, is it an
     /// update)` — the batcher peeks to decide whether to keep filling
-    /// the pending batch or flush it.
+    /// the pending batch or flush it. Ties go to the update.
     fn peek(&self) -> Option<(f64, bool)> {
-        match (&self.next_update, &self.next_txn) {
-            (None, None) => None,
-            (Some(u), None) => Some((u.arrival.as_secs(), true)),
-            (None, Some(t)) => Some((t.arrival.as_secs(), false)),
-            (Some(u), Some(t)) => {
-                if u.arrival <= t.arrival {
-                    Some((u.arrival.as_secs(), true))
-                } else {
-                    Some((t.arrival.as_secs(), false))
-                }
-            }
+        let update = self.next_update.as_ref().map(|u| u.arrival);
+        let txn = self.next_txn.as_ref().map(|t| t.arrival);
+        match (update, txn) {
+            (Some(u), Some(t)) if t < u => Some((t.as_secs(), false)),
+            (Some(u), _) => Some((u.as_secs(), true)),
+            (None, t) => t.map(|t| (t.as_secs(), false)),
         }
     }
 
     fn next(&mut self) -> Option<Arrival> {
-        match (&self.next_update, &self.next_txn) {
-            (None, None) => None,
-            (Some(_), None) => {
-                let u = self.next_update.take().expect("checked update"); // lint: allow(live-panic, reason=taken only after the peek that filled it)
-                self.next_update = self.updates.next_update();
-                Some(Arrival::Update(u))
-            }
-            (None, Some(_)) => {
-                let t = self.next_txn.take().expect("checked txn"); // lint: allow(live-panic, reason=taken only after the peek that filled it)
-                self.next_txn = self.txns.next_txn();
-                Some(Arrival::Txn(t))
-            }
-            (Some(u), Some(t)) => {
-                if u.arrival <= t.arrival {
-                    let u = self.next_update.take().expect("checked update"); // lint: allow(live-panic, reason=taken only after the peek that filled it)
-                    self.next_update = self.updates.next_update();
-                    Some(Arrival::Update(u))
-                } else {
-                    let t = self.next_txn.take().expect("checked txn"); // lint: allow(live-panic, reason=taken only after the peek that filled it)
-                    self.next_txn = self.txns.next_txn();
-                    Some(Arrival::Txn(t))
-                }
-            }
+        let (_, is_update) = self.peek()?;
+        if is_update {
+            let due = self.next_update.take();
+            self.next_update = self.updates.next_update();
+            due.map(Arrival::Update)
+        } else {
+            let due = self.next_txn.take();
+            self.next_txn = self.txns.next_txn();
+            due.map(Arrival::Txn)
         }
     }
 }
@@ -373,6 +356,85 @@ mod tests {
             n += 1;
         }
         assert!(n > 10, "expected a non-trivial merged stream, got {n}");
+    }
+
+    /// The updates of `cfg`'s merged stream, in arrival order.
+    fn merged_updates(cfg: &SimConfig) -> Vec<UpdateSpec> {
+        let mut merged = Merged::new(cfg);
+        let mut out = Vec::new();
+        while let Some(a) = merged.next() {
+            if let Arrival::Update(u) = a {
+                out.push(u);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn merged_stream_honours_every_field_that_describes_the_stream() {
+        use std::collections::BTreeMap;
+        use strip_core::config::{DisturbanceSpec, UpdateMode};
+        let base = SimConfig::builder()
+            .n_low(8)
+            .n_high(8)
+            .lambda_u(200.0)
+            .lambda_t(20.0)
+            .duration(1.0)
+            .warmup(0.0);
+
+        // Periodic: each object is re-generated every `period` seconds
+        // sharp (network ages scatter the arrivals, not the generations).
+        let cfg = base
+            .clone()
+            .update_mode(UpdateMode::Periodic { jitter_frac: 0.0 })
+            .build()
+            .expect("valid periodic config");
+        let period = cfg.per_object_refresh_mean(true);
+        let mut generations: BTreeMap<_, Vec<f64>> = BTreeMap::new();
+        for u in merged_updates(&cfg) {
+            generations
+                .entry(u.object)
+                .or_default()
+                .push(u.generation_ts.as_secs());
+        }
+        assert_eq!(generations.len(), 16, "every object reports");
+        for (object, mut gens) in generations {
+            gens.sort_by(f64::total_cmp);
+            assert!(gens.len() > 5, "{object:?} reported {} times", gens.len());
+            for pair in gens.windows(2) {
+                // A whole number of periods: an emission whose arrival
+                // fell past the horizon leaves a gap of two.
+                let periods = (pair[1] - pair[0]) / period;
+                assert!(
+                    periods > 0.5 && (periods - periods.round()).abs() < 1e-6,
+                    "{object:?} re-generated after {periods} periods"
+                );
+            }
+        }
+
+        // Disturbed: duplicate deliveries reach the wire.
+        let plain = base.clone().build().expect("valid config");
+        let disturbed = base
+            .disturbance(Some(DisturbanceSpec {
+                p_duplicate: 0.5,
+                ..DisturbanceSpec::default()
+            }))
+            .build()
+            .expect("valid disturbed config");
+        let sent = merged_updates(&disturbed);
+        let repeats = sent
+            .windows(2)
+            .filter(|w| w[0].object == w[1].object && w[0].generation_ts == w[1].generation_ts)
+            .count();
+        assert!(
+            sent.len() > merged_updates(&plain).len() + 50,
+            "{} sent",
+            sent.len()
+        );
+        assert!(
+            repeats > 0,
+            "no duplicate was delivered next to its original"
+        );
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //! changing one parameter (say `λ_t`) never perturbs the other processes —
 //! essential for low-variance comparisons across a sweep.
 
-use strip_core::config::SimConfig;
-use strip_core::sources::{TxnSource, UpdateSource, UpdateSpec};
+use strip_core::config::{SimConfig, UpdateMode};
+use strip_core::sources::{StreamDisturbanceStats, TxnSource, UpdateSource, UpdateSpec};
 use strip_core::txn::TxnSpec;
 use strip_db::object::{Importance, ViewObjectId};
 use strip_sim::dist::{ClampedNormal, Distribution, Exponential, Poisson, Uniform, Zipf};
 use strip_sim::rng::Xoshiro256pp;
 use strip_sim::time::SimTime;
+
+use crate::disturbance::DisturbedUpdates;
 
 /// Stream labels for RNG sub-stream derivation.
 pub(crate) mod stream {
@@ -320,7 +322,7 @@ impl PeriodicUpdates {
     /// Panics if `cfg.update_mode` is not periodic.
     #[must_use]
     pub fn from_config(cfg: &SimConfig) -> Self {
-        let strip_core::config::UpdateMode::Periodic { jitter_frac } = cfg.update_mode else {
+        let UpdateMode::Periodic { jitter_frac } = cfg.update_mode else {
             panic!("PeriodicUpdates requires UpdateMode::Periodic");
         };
         let root = Xoshiro256pp::seed_from_u64(cfg.seed);
@@ -424,27 +426,38 @@ impl UpdateSource for PeriodicUpdates {
     }
 }
 
-/// An update stream built from a [`SimConfig`]: Poisson (the paper's model)
-/// or periodic (extension).
+/// The update stream a [`SimConfig`] describes — the one place a config
+/// turns into an update source, for the simulator and the live load
+/// generator alike: Poisson (the paper's model) or periodic (extension),
+/// behind the fault-injection layer when the config asks for one.
 #[derive(Debug, Clone)]
 pub enum UpdateStream {
     /// Poisson arrivals (paper §5.1).
     Poisson(PoissonUpdates),
     /// Fixed per-object periods (extension).
     Periodic(PeriodicUpdates),
+    /// Either of the above, disturbed (robustness extension).
+    Disturbed(Box<DisturbedUpdates<UpdateStream>>),
 }
 
 impl UpdateStream {
-    /// Chooses the stream type from `cfg.update_mode`.
+    /// Chooses the stream type from `cfg.update_mode` and wraps it in
+    /// [`DisturbedUpdates`] when `cfg.disturbance` is set; an undisturbed
+    /// config gets the bare generator, bit-identical to builds that predate
+    /// the layer.
     #[must_use]
     pub fn from_config(cfg: &SimConfig) -> Self {
-        match cfg.update_mode {
-            strip_core::config::UpdateMode::Aperiodic => {
-                UpdateStream::Poisson(PoissonUpdates::from_config(cfg))
-            }
-            strip_core::config::UpdateMode::Periodic { .. } => {
+        let stream = match cfg.update_mode {
+            UpdateMode::Aperiodic => UpdateStream::Poisson(PoissonUpdates::from_config(cfg)),
+            UpdateMode::Periodic { .. } => {
                 UpdateStream::Periodic(PeriodicUpdates::from_config(cfg))
             }
+        };
+        match cfg.disturbance {
+            Some(spec) => {
+                UpdateStream::Disturbed(Box::new(DisturbedUpdates::new(stream, spec, cfg.seed)))
+            }
+            None => stream,
         }
     }
 }
@@ -454,6 +467,16 @@ impl UpdateSource for UpdateStream {
         match self {
             UpdateStream::Poisson(s) => s.next_update(),
             UpdateStream::Periodic(s) => s.next_update(),
+            UpdateStream::Disturbed(s) => s.next_update(),
+        }
+    }
+
+    fn disturbance_stats(&self) -> StreamDisturbanceStats {
+        match self {
+            UpdateStream::Disturbed(s) => s.disturbance_stats(),
+            UpdateStream::Poisson(_) | UpdateStream::Periodic(_) => {
+                StreamDisturbanceStats::default()
+            }
         }
     }
 }

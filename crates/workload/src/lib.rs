@@ -57,23 +57,18 @@ pub fn run_paper_sim(cfg: &SimConfig) -> RunReport {
 /// Fallible variant of [`run_paper_sim`]: surfaces config-validation
 /// failures as a value so sweep drivers can record them per point.
 ///
-/// When `cfg.disturbance` is set, the update stream is wrapped in the
-/// fault-injection layer ([`DisturbedUpdates`]); otherwise the generators
-/// feed the controller directly and the run is bit-identical to builds
-/// that predate the layer.
+/// The update stream is whatever [`UpdateStream::from_config`] builds for
+/// `cfg`, fault-injection layer included.
 ///
 /// # Errors
 ///
 /// Returns [`ConfigError`] if `cfg` fails validation.
 pub fn run_paper_sim_checked(cfg: &SimConfig) -> Result<RunReport, ConfigError> {
-    let updates = generators::UpdateStream::from_config(cfg);
-    let txns = PoissonTxns::from_config(cfg);
-    match cfg.disturbance {
-        Some(spec) => {
-            run_simulation_checked(cfg, DisturbedUpdates::new(updates, spec, cfg.seed), txns)
-        }
-        None => run_simulation_checked(cfg, updates, txns),
-    }
+    run_simulation_checked(
+        cfg,
+        UpdateStream::from_config(cfg),
+        PoissonTxns::from_config(cfg),
+    )
 }
 
 /// Like [`run_paper_sim_checked`], but with a flight recorder attached
@@ -88,15 +83,10 @@ pub fn run_paper_sim_traced(
     cfg: &SimConfig,
     trace: TraceConfig,
 ) -> Result<(RunReport, TraceData), ConfigError> {
-    let updates = generators::UpdateStream::from_config(cfg);
-    let txns = PoissonTxns::from_config(cfg);
-    match cfg.disturbance {
-        Some(spec) => run_simulation_traced(
-            cfg,
-            DisturbedUpdates::new(updates, spec, cfg.seed),
-            txns,
-            trace,
-        ),
-        None => run_simulation_traced(cfg, updates, txns, trace),
-    }
+    run_simulation_traced(
+        cfg,
+        UpdateStream::from_config(cfg),
+        PoissonTxns::from_config(cfg),
+        trace,
+    )
 }

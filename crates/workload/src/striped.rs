@@ -37,7 +37,6 @@ use strip_core::stripe::{splitmix64, StripeMap};
 use strip_core::txn::TxnSpec;
 
 use crate::generators::{PoissonTxns, UpdateStream};
-use crate::DisturbedUpdates;
 
 /// A partitioned slice of the global update stream. Unlike
 /// [`strip_core::sources::ScriptedUpdates`] this does not assert arrival
@@ -69,20 +68,9 @@ fn partition_updates(cfg: &SimConfig, map: &StripeMap) -> Vec<PartitionedUpdates
             ..spec
         });
     };
-    let stream = UpdateStream::from_config(cfg);
-    match cfg.disturbance {
-        Some(spec) => {
-            let mut disturbed = DisturbedUpdates::new(stream, spec, cfg.seed);
-            while let Some(u) = disturbed.next_update() {
-                route(u);
-            }
-        }
-        None => {
-            let mut stream = stream;
-            while let Some(u) = stream.next_update() {
-                route(u);
-            }
-        }
+    let mut stream = UpdateStream::from_config(cfg);
+    while let Some(u) = stream.next_update() {
+        route(u);
     }
     parts
 }

@@ -9,27 +9,48 @@
 //! the checkpoint text format (`serialize_report`), the exact
 //! representation the resume path trusts.
 
-use strip_core::config::{DagSpec, Policy, SimConfig};
+use strip_core::config::{DagSpec, DisturbanceSpec, Policy, SimConfig};
 use strip_experiments::runner::serialize_report;
 use strip_experiments::sweep::{run_sweep_replicated, RunSettings};
+use strip_obs::TraceConfig;
+use strip_workload::{run_paper_sim_checked, run_paper_sim_striped, run_paper_sim_traced};
 
 /// A small but non-trivial sweep: every paper policy at two loads, plus one
 /// derived-view DAG run (under UF, which installs enough in two seconds for
-/// deltas to cascade). `serialize_report` carries every `dag.*` field, so
-/// the blob comparison sees DAG non-determinism too.
+/// deltas to cascade) and one run over a disturbed stream (every fault on).
+/// `serialize_report` carries every `dag.*` and `resilience.*` field, so
+/// the blob comparison sees their non-determinism too.
 fn sweep_configs() -> Vec<SimConfig> {
-    let mut configs = vec![SimConfig::builder()
-        .policy(Policy::UpdatesFirst)
-        .dag(Some(DagSpec {
-            width: 20,
-            ..DagSpec::default()
-        }))
-        .duration(2.0)
-        .seed(0x5712_1995)
-        .n_low(60)
-        .n_high(60)
-        .build()
-        .expect("valid dag config")];
+    let small = || {
+        SimConfig::builder()
+            .duration(2.0)
+            .seed(0x5712_1995)
+            .n_low(60)
+            .n_high(60)
+    };
+    let mut configs = vec![
+        small()
+            .policy(Policy::UpdatesFirst)
+            .dag(Some(DagSpec {
+                width: 20,
+                ..DagSpec::default()
+            }))
+            .build()
+            .expect("valid dag config"),
+        small()
+            .policy(Policy::OnDemand)
+            .disturbance(Some(DisturbanceSpec {
+                burst_size: 4,
+                outage_from: 0.5,
+                outage_secs: 0.3,
+                jitter_max: 0.01,
+                p_duplicate: 0.1,
+                p_reorder: 0.2,
+                ..DisturbanceSpec::default()
+            }))
+            .build()
+            .expect("valid disturbed config"),
+    ];
     for &policy in &Policy::PAPER_SET {
         for lambda_t in [6.0, 14.0] {
             configs.push(
@@ -109,5 +130,43 @@ fn replica_zero_matches_the_unreplicated_run() {
             serialize_report(&set4[0]),
             "replica 0 must not feel the presence of replicas 1-3"
         );
+    }
+}
+
+#[test]
+fn every_runner_sees_the_stream_the_one_constructor_builds() {
+    // Plain, traced and striped(1) runs all get their update stream from
+    // `UpdateStream::from_config`, disturbance included.
+    for (c, cfg) in sweep_configs().iter().enumerate() {
+        let plain = run_paper_sim_checked(cfg).expect("valid config");
+        assert_eq!(
+            cfg.disturbance.is_some(),
+            plain.resilience.duplicated > 0,
+            "config {c}: a stream is disturbed exactly when its config says so"
+        );
+        let (traced, _) = run_paper_sim_traced(cfg, TraceConfig::default()).expect("valid config");
+        assert_eq!(
+            serialize_report(&plain),
+            serialize_report(&traced),
+            "config {c}: tracing changed the run"
+        );
+        // The stripe merge re-pools the response moments (last-ulp
+        // noise), so transactions are compared on their counts.
+        let striped = run_paper_sim_striped(cfg).expect("valid config");
+        let counts = |r: &strip_core::report::RunReport| {
+            let t = &r.txns;
+            let value = t.value_committed.to_bits();
+            (
+                t.arrived,
+                t.finished(),
+                t.committed_fresh,
+                t.view_reads,
+                value,
+            )
+        };
+        assert_eq!(counts(&striped), counts(&plain), "config {c}");
+        assert_eq!(striped.updates, plain.updates, "config {c}");
+        assert_eq!(striped.fold_low.to_bits(), plain.fold_low.to_bits());
+        assert_eq!(striped.fold_high.to_bits(), plain.fold_high.to_bits());
     }
 }
