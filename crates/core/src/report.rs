@@ -8,11 +8,14 @@
 //! Every scalar of the nine accounting structs is declared exactly once, as
 //! `pub name: type = Rule` inside the `tabled!` invocation that emits the
 //! struct. Declaration order is JSON order, and the [`Rule`] says how the
-//! field combines across replicas and stripes. [`RunReport::to_json`],
-//! [`RunReport::average`], [`RunReport::merge_stripes`] and the checkpoint
-//! format ([`RunReport::scalars`] / [`RunReport::set_scalars`]) walk those
+//! field merges across the stripes of one run. [`RunReport::to_json`],
+//! [`RunReport::merge_stripes`] and the checkpoint format
+//! ([`RunReport::scalars`] / [`RunReport::set_scalars`]) walk those
 //! declarations, so a new metric is one new row. A field that fits no rule
 //! is declared without one and handled by hand next to the walks.
+//!
+//! Replicas of one configuration are never merged into a report: a figure
+//! takes each metric's mean and deviation over the per-replica values.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -20,77 +23,58 @@ use std::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 use strip_sim::stats::Welford;
 
-/// How one tabled field combines across reports. `Count` and `Peak` fields
-/// are `u64`, the rest `f64`; `tabled!` checks that at compile time.
+/// How one tabled field merges across the stripes of a run
+/// ([`RunReport::merge_stripes`]). `Count` and `Peak` fields are `u64`, the
+/// rest `f64`; `tabled!` checks that at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// Event counter: stripes sum, replicas take the rounded mean.
+    /// Event counter: the sum.
     Count,
-    /// High-water mark: stripes take the max, replicas the rounded mean.
+    /// High-water mark: the max.
     Peak,
-    /// Accumulated amount: stripes sum, replicas take the mean.
+    /// Accumulated amount: the sum.
     Total,
-    /// Extent shared by the stripes: stripes take the max, replicas the mean.
+    /// Extent shared by the stripes: the max.
     Span,
-    /// Intensive quantity: equal-weight mean across stripes and replicas.
+    /// Intensive quantity: the equal-weight mean.
     Level,
-    /// Response-time moment: the walk leaves it zero and the callers pool it
+    /// Response-time moment: the walk leaves it zero and the caller pools it
     /// with a commit-weighted Welford merge.
     Pooled,
 }
 
-/// Which set of reports a walk combines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Across {
-    /// Independent runs of one configuration ([`RunReport::average`]).
-    Replicas,
-    /// Disjoint slices of one run ([`RunReport::merge_stripes`]).
-    Stripes,
-}
-
 impl Rule {
-    fn counts(self, across: Across, vals: impl Iterator<Item = u64> + Clone) -> u64 {
-        match (across, self) {
-            (Across::Replicas, _) => {
-                let n = vals.clone().count() as f64;
-                // lint: allow(raw-f64-sum, reason=lossless u128 count sum, not a float reduction)
-                (vals.map(u128::from).sum::<u128>() as f64 / n).round() as u64
-            }
-            (Across::Stripes, Rule::Peak) => vals.max().unwrap_or(0),
+    fn counts(self, vals: impl Iterator<Item = u64>) -> u64 {
+        match self {
+            Rule::Peak => vals.max().unwrap_or(0),
             // lint: allow(raw-f64-sum, reason=u64 counter totals over disjoint stripes are exact)
-            (Across::Stripes, _) => vals.sum(),
+            _ => vals.sum(),
         }
     }
 
-    fn reals(self, across: Across, vals: impl Iterator<Item = f64> + Clone) -> f64 {
-        match (across, self) {
-            (_, Rule::Pooled) => 0.0,
+    fn reals(self, vals: impl Iterator<Item = f64> + Clone) -> f64 {
+        match self {
+            Rule::Pooled => 0.0,
             // lint: allow(raw-f64-sum, reason=stripe totals are exact sums of disjoint slices; pinned by the per-stripe conservation tests)
-            (Across::Stripes, Rule::Total) => vals.sum(),
-            (Across::Stripes, Rule::Span) => vals.fold(0.0, f64::max),
-            // lint: allow(raw-f64-sum, reason=field-wise mean; exact sum/n semantics are pinned by the conservation-rounding proptests and tests/report_table.rs)
+            Rule::Total => vals.sum(),
+            Rule::Span => vals.fold(0.0, f64::max),
+            // lint: allow(raw-f64-sum, reason=field-wise mean; exact sum/n semantics are pinned by tests/report_table.rs)
             _ => vals.clone().sum::<f64>() / vals.count() as f64,
         }
     }
 
-    /// Combines one field's values. A rule only sees the variant `tabled!`
+    /// Merges one field's values. A rule only sees the variant `tabled!`
     /// pairs it with, so neither `filter_map` ever drops anything.
-    fn combine(self, across: Across, vals: impl Iterator<Item = Value> + Clone) -> Value {
+    fn combine(self, vals: impl Iterator<Item = Value> + Clone) -> Value {
         match self {
-            Rule::Count | Rule::Peak => Value::Count(self.counts(
-                across,
-                vals.filter_map(|v| match v {
-                    Value::Count(n) => Some(n),
-                    Value::Real(_) => None,
-                }),
-            )),
-            _ => Value::Real(self.reals(
-                across,
-                vals.filter_map(|v| match v {
-                    Value::Real(x) => Some(x),
-                    Value::Count(_) => None,
-                }),
-            )),
+            Rule::Count | Rule::Peak => Value::Count(self.counts(vals.filter_map(|v| match v {
+                Value::Count(n) => Some(n),
+                Value::Real(_) => None,
+            }))),
+            _ => Value::Real(self.reals(vals.filter_map(|v| match v {
+                Value::Real(x) => Some(x),
+                Value::Count(_) => None,
+            }))),
         }
     }
 
@@ -370,8 +354,7 @@ tabled! {
         /// Seconds after the outage ended until the stale-object count first
         /// returned to its pre-outage baseline; `None` when no outage was
         /// configured or the system had not recovered by the horizon.
-        /// Replicas average over those that did recover; stripes take the
-        /// slowest.
+        /// Stripes take the slowest.
         pub recovery_secs: Option<f64>,
     }
 
@@ -825,11 +808,10 @@ impl RunReport {
         }
     }
 
-    /// What [`RunReport::average`] and [`RunReport::merge_stripes`] share:
-    /// labels from the first report, every tabled field by its [`Rule`],
-    /// and timeline windows per index out to the *longest* timeline
-    /// (counting only the reports that cover each window).
-    fn combine(parts: &[RunReport], across: Across) -> RunReport {
+    /// The table-driven part of [`RunReport::merge_stripes`]: labels from
+    /// the first report, every tabled field by its [`Rule`], and timeline
+    /// windows summed per index out to the *longest* timeline.
+    fn combine(parts: &[RunReport]) -> RunReport {
         let first = &parts[0];
         let mut out = RunReport {
             policy: first.policy.clone(),
@@ -844,15 +826,14 @@ impl RunReport {
             .collect();
         out.set_scalars(tables[0].iter().enumerate().map(|(i, &(_, rule, _))| {
             let column = tables.iter().map(|table| table[i].2);
-            rule.combine(across, column)
+            rule.combine(column)
         }));
         let windows = parts.iter().map(|r| r.timeline.len()).max().unwrap_or(0);
         out.timeline = (0..windows)
             .map(|w| {
                 let covering = parts.iter().filter_map(move |r| r.timeline.get(w));
-                let count = |f: fn(&TimelineWindow) -> u64| {
-                    Rule::Count.counts(across, covering.clone().map(f))
-                };
+                let count =
+                    |f: fn(&TimelineWindow) -> u64| Rule::Count.counts(covering.clone().map(f));
                 TimelineWindow {
                     t_start: covering.clone().next().map_or(0.0, |t| t.t_start),
                     finished: count(|t| t.finished),
@@ -864,59 +845,19 @@ impl RunReport {
         out
     }
 
-    /// Field-wise mean across replica runs of the same configuration: every
-    /// tabled field by the replica half of its [`Rule`], the folds exactly.
-    ///
-    /// The totals bound by a conservation law (`txns.arrived`,
-    /// `updates.arrived`, `dag.enqueued`) are re-derived as the sum of their
-    /// rounded outcome buckets, so the averaged report satisfies the same
-    /// conservation invariants as every input (independent rounding of
-    /// total and parts would break them). Response-time moments are pooled;
-    /// a single replica passes its moments through untouched (exact
-    /// identity). `recovery_secs` is the mean over the replicas that did
-    /// recover, `None` only when none of them did.
-    ///
-    /// # Panics
-    /// Panics when `reports` is empty.
-    #[must_use]
-    pub fn average(reports: &[RunReport]) -> RunReport {
-        assert!(!reports.is_empty(), "cannot average zero reports");
-        let mean = |pick: fn(&RunReport) -> f64| {
-            Rule::Level.reals(Across::Replicas, reports.iter().map(pick))
-        };
-        let recovered: Vec<f64> = reports
-            .iter()
-            .filter_map(|r| r.resilience.recovery_secs)
-            .collect();
-        let mut out = RunReport::combine(reports, Across::Replicas);
-        out.fold_low = mean(|r| r.fold_low);
-        out.fold_high = mean(|r| r.fold_high);
-        out.resilience.recovery_secs = (!recovered.is_empty())
-            .then(|| Rule::Level.reals(Across::Replicas, recovered.iter().copied()));
-        (out.txns.response_mean, out.txns.response_sd) = match reports {
-            [only] => (only.txns.response_mean, only.txns.response_sd),
-            _ => pooled_response(reports),
-        };
-        out.txns.arrived = out.txns.finished() + out.txns.in_flight_at_end;
-        out.updates.arrived = out.updates.terminal_total();
-        out.dag.enqueued = out.dag.terminal_total();
-        out
-    }
-
     /// Collect-and-merge of per-stripe reports into one aggregate (the
     /// cross-stripe barrier of the sharded runtime, and the striped
     /// simulator's report composition).
     ///
-    /// Unlike [`RunReport::average`] this *sums*: each stripe saw a
-    /// disjoint slice of the object space and the update stream, so the
-    /// aggregate counters are exact totals and every conservation identity
-    /// that holds per stripe holds for the merge. Every tabled field takes
-    /// the stripe half of its [`Rule`]; response moments are pooled; the
-    /// stale-fraction folds are means weighted by each stripe's partition
-    /// size (a stripe owning no objects of a class contributes no weight);
-    /// `recovery_secs` is the slowest stripe's. The input reports are
-    /// retained verbatim as [`StripeSummary`] rows in `stripes`, indexed by
-    /// position.
+    /// Each stripe saw a disjoint slice of the object space and the update
+    /// stream, so the aggregate counters are exact totals and every
+    /// conservation identity that holds per stripe holds for the merge.
+    /// Every tabled field merges by its [`Rule`]; response moments are
+    /// pooled; the stale-fraction folds are means weighted by each stripe's
+    /// partition size (a stripe owning no objects of a class contributes no
+    /// weight); `recovery_secs` is the slowest stripe's. The input reports
+    /// are retained verbatim as [`StripeSummary`] rows in `stripes`, indexed
+    /// by position.
     ///
     /// # Panics
     /// Panics when `parts` is empty or its length differs from `shapes`.
@@ -938,7 +879,7 @@ impl RunReport {
                 .sum::<f64>()
                 / total as f64
         };
-        let mut out = RunReport::combine(parts, Across::Stripes);
+        let mut out = RunReport::combine(parts);
         out.fold_low = weighted(|r| r.fold_low, |s| s.0);
         out.fold_high = weighted(|r| r.fold_high, |s| s.1);
         (out.txns.response_mean, out.txns.response_sd) = pooled_response(parts);
@@ -1032,133 +973,6 @@ mod tests {
             ..RunReport::default()
         };
         assert!((r.av() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_of_one_is_identity() {
-        let r = RunReport {
-            policy: "UF".into(),
-            seed: 7,
-            duration: 10.0,
-            txns: TxnCounts {
-                arrived: 3,
-                committed: 2,
-                in_flight_at_end: 1,
-                value_committed: 1.25,
-                response_mean: 0.37,
-                response_sd: 0.21,
-                ..TxnCounts::default()
-            },
-            fold_low: 0.125,
-            ..RunReport::default()
-        };
-        assert_eq!(RunReport::average(std::slice::from_ref(&r)), r);
-    }
-
-    #[test]
-    fn average_means_fields() {
-        let mut a = RunReport::default();
-        a.txns.arrived = 10;
-        a.txns.committed = 10;
-        a.txns.value_committed = 2.0;
-        a.fold_low = 0.2;
-        let mut b = a.clone();
-        b.seed = 1;
-        b.txns.arrived = 13;
-        b.txns.committed = 13;
-        b.txns.value_committed = 4.0;
-        b.fold_low = 0.6;
-        let avg = RunReport::average(&[a, b]);
-        assert_eq!(avg.seed, 0); // identity comes from the first replica
-        assert_eq!(avg.txns.committed, 12); // (10+13)/2 rounds to nearest
-        assert_eq!(avg.txns.arrived, 12); // derived from the rounded buckets
-        assert!((avg.txns.value_committed - 3.0).abs() < 1e-12);
-        assert!((avg.fold_low - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_preserves_conservation_under_rounding() {
-        // Per-replica conservation holds, but the bucket means all land on
-        // .5: independent rounding of `arrived` would disagree with the
-        // rounded bucket sum.
-        let mut a = RunReport::default();
-        a.txns.arrived = 5;
-        a.txns.committed = 2;
-        a.txns.missed_deadline = 2;
-        a.txns.in_flight_at_end = 1;
-        a.updates.arrived = 3;
-        a.updates.installed_background = 2;
-        a.updates.left_in_os = 1;
-        let mut b = RunReport::default();
-        b.txns.arrived = 8;
-        b.txns.committed = 3;
-        b.txns.missed_deadline = 3;
-        b.txns.in_flight_at_end = 2;
-        b.updates.arrived = 6;
-        b.updates.installed_background = 3;
-        b.updates.left_in_os = 2;
-        b.updates.superseded_skips = 1;
-        let avg = RunReport::average(&[a, b]);
-        assert_eq!(
-            avg.txns.finished() + avg.txns.in_flight_at_end,
-            avg.txns.arrived
-        );
-        assert_eq!(avg.updates.terminal_total(), avg.updates.arrived);
-    }
-
-    #[test]
-    fn average_pools_response_moments() {
-        // Replica A holds samples {0, 2}, replica B holds {2, 4}; the
-        // pooled population {0, 2, 2, 4} has mean 2 and variance 8/3.
-        let mut a = RunReport::default();
-        a.txns.arrived = 2;
-        a.txns.committed = 2;
-        a.txns.response_mean = 1.0;
-        a.txns.response_sd = 2.0_f64.sqrt();
-        let mut b = a.clone();
-        b.txns.response_mean = 3.0;
-        let avg = RunReport::average(&[a, b]);
-        assert!((avg.txns.response_mean - 2.0).abs() < 1e-12);
-        assert!((avg.txns.response_sd - (8.0_f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_timeline_spans_longest_replica() {
-        let window = |t_start: f64, finished: u64| TimelineWindow {
-            t_start,
-            finished,
-            committed: finished,
-            committed_fresh: finished,
-        };
-        let a = RunReport {
-            timeline: vec![window(0.0, 4)],
-            ..RunReport::default()
-        };
-        let b = RunReport {
-            timeline: vec![window(0.0, 2), window(5.0, 9)],
-            ..RunReport::default()
-        };
-        let avg = RunReport::average(&[a, b]);
-        assert_eq!(avg.timeline.len(), 2);
-        assert_eq!(avg.timeline[0].finished, 3); // (4 + 2) / 2 replicas
-        assert_eq!(avg.timeline[1].t_start, 5.0);
-        assert_eq!(avg.timeline[1].finished, 9); // only one replica covers it
-    }
-
-    #[test]
-    fn average_resilience_recovery_over_recovered_replicas() {
-        let mut a = RunReport::default();
-        a.resilience.recovery_secs = Some(2.0);
-        a.resilience.duplicated = 4;
-        let mut b = RunReport::default();
-        b.resilience.recovery_secs = None;
-        b.resilience.duplicated = 6;
-        let avg = RunReport::average(&[a, b]);
-        assert_eq!(avg.resilience.recovery_secs, Some(2.0));
-        assert_eq!(avg.resilience.duplicated, 5);
-        let c = RunReport::default();
-        let none = RunReport::average(&[c.clone(), c]);
-        assert_eq!(none.resilience.recovery_secs, None);
     }
 
     #[test]

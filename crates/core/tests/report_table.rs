@@ -1,5 +1,5 @@
-//! Pins the arithmetic of [`RunReport::average`], [`RunReport::merge_stripes`]
-//! and [`RunReport::to_json`] bit-for-bit.
+//! Pins the arithmetic of [`RunReport::merge_stripes`] and
+//! [`RunReport::to_json`] bit-for-bit.
 //!
 //! The digests below were taken with the hand-written per-field traversals
 //! (one `mu`/`mf`/`su`/`sf`/`mx` line per field) that preceded the field
@@ -153,12 +153,15 @@ fn random_report(rng: &mut Rng) -> RunReport {
     r
 }
 
-/// `(average digest, merge_stripes digest)` of set `i`.
-fn digests(i: u64) -> (u64, u64) {
+/// The `merge_stripes` digest of set `i`.
+fn digest(i: u64) -> u64 {
     let mut rng = Rng(0x5712_1995 ^ i.wrapping_mul(0xA076_1D64_78BD_642F));
-    let replicas: Vec<RunReport> = (0..=rng.below(5))
-        .map(|_| random_report(&mut rng))
-        .collect();
+    // The digests were taken when each set led with up to five reports for
+    // a second walk; drawing them still keeps the stripe inputs, and so the
+    // pinned digests, where they were.
+    for _ in 0..=rng.below(5) {
+        random_report(&mut rng);
+    }
     let parts: Vec<RunReport> = (0..=rng.below(4))
         .map(|_| random_report(&mut rng))
         .collect();
@@ -173,93 +176,87 @@ fn digests(i: u64) -> (u64, u64) {
         .map(|_| (size(), size()))
         .map(|shape| if i % 8 == 7 { (0, 0) } else { shape })
         .collect();
-    (
-        fnv1a_64(RunReport::average(&replicas).to_json().as_bytes()),
-        fnv1a_64(
-            RunReport::merge_stripes(&parts, &shapes)
-                .to_json()
-                .as_bytes(),
-        ),
+    fnv1a_64(
+        RunReport::merge_stripes(&parts, &shapes)
+            .to_json()
+            .as_bytes(),
     )
 }
 
 /// Taken at commit 487f25e (hand-written traversals).
 #[rustfmt::skip]
-const PINNED: [(u64, u64); 64] = [
-    (0xb24f9d0f0511e0ba, 0x4e015205bbc4035b),
-    (0xe8324c04ba88f827, 0x64e7ca273e56565b),
-    (0x8054622a0be90e40, 0xea1d5aad4ad44ba3),
-    (0x022aa6b72f913d5a, 0xec8a0a7dc2e37e8f),
-    (0x31c239053b168f5a, 0xc3e57e79a4eabe13),
-    (0x28786e5daa128bb2, 0xc654ddff22e74b83),
-    (0x4b074ce6a5fe2c23, 0xbe23aded1fca677c),
-    (0x82bb479528e3f6ca, 0xb09ef219dd993e73),
-    (0xe8a7da1fffd80705, 0x160d7bed588431e7),
-    (0xac10442b547fc7d5, 0x2abcaf3bfc2b75f3),
-    (0x27fc955297cdd7a1, 0x561b1032284ca276),
-    (0x8b67d4e2ec5b24df, 0xb9d6bc38273a27aa),
-    (0xd82e75cc813e7f94, 0xcc56aa912a1c37c9),
-    (0x5b41e341c09c6228, 0xda87c46cff534c9f),
-    (0xc1d3f46aa64f1688, 0x0079d52773efe3d7),
-    (0x63eaadc50253bdc7, 0x3411c3c3607346fa),
-    (0x95da19fc64f9bdfd, 0x3f37aa6e469945c9),
-    (0xc6ab3b7e6281a05f, 0x61a57941d94e29d6),
-    (0x8f40d47eba577cfb, 0x4cec4984de3c953c),
-    (0xd6f4ee07c91c925f, 0x830a0c6e133d8aa6),
-    (0x8afa9e0fca44f0b5, 0x0550efe88429f2fa),
-    (0xfdc44dc77dc41553, 0x7e89c076972ef14d),
-    (0x5fc86ecc6663aa23, 0x374059a35a7cf4d4),
-    (0x66145e20de5824c0, 0x35d6a81993a43f43),
-    (0xcbb5bd67c1ba7523, 0xf439ac8e1df223d2),
-    (0x6c86e031850a6e44, 0x9724fcd4a1f86e35),
-    (0xa26d0a3cbde57604, 0x6123cfd07bac335e),
-    (0xb1c940b95793cba3, 0x2ff378d8cd830d30),
-    (0xecaab06aca451f22, 0x690ca03b2e61f83b),
-    (0xde30b543976611b9, 0x606e48c395423222),
-    (0xde9a517ab3e4b49b, 0x124cc537dc8cace8),
-    (0x99dffe5ab09d95bf, 0x4d9a8a41899ea792),
-    (0x542adfcaa2534165, 0xbbe521c7fa5d3442),
-    (0xeec68fb54cc94609, 0xe72849272889eed6),
-    (0x46c45a08e0b4b3ce, 0x7a3de52ce4cda43d),
-    (0x31bf619989800710, 0x5159f8de7f3513d5),
-    (0xf0f0d9350f1de78a, 0xeb8f053915c42544),
-    (0xca5e9bff37a88c24, 0x9c7b4f1cbdc49fca),
-    (0xa0379a9c170f6d18, 0xd2add9e298ef7310),
-    (0x11c5db378df26861, 0xd3a37e43f9a5c2ae),
-    (0x07304d76dbc64fbd, 0x5c123ca4725fe114),
-    (0xde6e33b57fb1fa0a, 0x00288ada608ce5eb),
-    (0x22ae47850c3bdf23, 0x49edb600d3e4e6b2),
-    (0xd755fd50175dbe36, 0x959b67b9e9aac302),
-    (0xafb71bf77f91b143, 0x76c73e4b2e22d1b5),
-    (0x72a24de604c2eaaa, 0x1e12495f2c8a0c7c),
-    (0x6ff46f0a9c27f627, 0xcd7fc3b9aeb16440),
-    (0x1d9e62d13f04c74e, 0xa4f182ed432ecc51),
-    (0xa2f4262b1edab4b9, 0x32a5a13f28c45af0),
-    (0x8e6db00d0884437b, 0x698e5e4f053d3420),
-    (0x4bae7ebc988ffa03, 0x0589b3579ab8bd2d),
-    (0xe626a5b24650dfb4, 0xa164a70f6d5194b7),
-    (0x77514c96badec7c6, 0x475d2cc827ec0cd9),
-    (0x9398befdef3ab248, 0x798bb984eeefc6a3),
-    (0xd8b0ffd615f21b63, 0xbdabf173ae7d0ba3),
-    (0x0797796748f593cc, 0xd4746ffea9c3e73e),
-    (0x7175138ed1e02a10, 0xa36803a9f0fc7c1c),
-    (0x537bc7588495cd92, 0x186b04a3b4708e7d),
-    (0x096dd57353433eb0, 0x4a70a6289dffb23a),
-    (0x278e8ef5c1bcf6f3, 0x33a9c368b063c785),
-    (0xb8e6ab18ea561b88, 0x8bb9aaf6974620d2),
-    (0x26311d11a198efa8, 0x9a6ca5e0095f579b),
-    (0x8726bb09d7c9ecb3, 0xc9f6a5c6fa23a0c8),
-    (0x32e032f446856ff4, 0x5413b17bebb001c8),
+const PINNED: [u64; 64] = [
+    0x4e015205bbc4035b,
+    0x64e7ca273e56565b,
+    0xea1d5aad4ad44ba3,
+    0xec8a0a7dc2e37e8f,
+    0xc3e57e79a4eabe13,
+    0xc654ddff22e74b83,
+    0xbe23aded1fca677c,
+    0xb09ef219dd993e73,
+    0x160d7bed588431e7,
+    0x2abcaf3bfc2b75f3,
+    0x561b1032284ca276,
+    0xb9d6bc38273a27aa,
+    0xcc56aa912a1c37c9,
+    0xda87c46cff534c9f,
+    0x0079d52773efe3d7,
+    0x3411c3c3607346fa,
+    0x3f37aa6e469945c9,
+    0x61a57941d94e29d6,
+    0x4cec4984de3c953c,
+    0x830a0c6e133d8aa6,
+    0x0550efe88429f2fa,
+    0x7e89c076972ef14d,
+    0x374059a35a7cf4d4,
+    0x35d6a81993a43f43,
+    0xf439ac8e1df223d2,
+    0x9724fcd4a1f86e35,
+    0x6123cfd07bac335e,
+    0x2ff378d8cd830d30,
+    0x690ca03b2e61f83b,
+    0x606e48c395423222,
+    0x124cc537dc8cace8,
+    0x4d9a8a41899ea792,
+    0xbbe521c7fa5d3442,
+    0xe72849272889eed6,
+    0x7a3de52ce4cda43d,
+    0x5159f8de7f3513d5,
+    0xeb8f053915c42544,
+    0x9c7b4f1cbdc49fca,
+    0xd2add9e298ef7310,
+    0xd3a37e43f9a5c2ae,
+    0x5c123ca4725fe114,
+    0x00288ada608ce5eb,
+    0x49edb600d3e4e6b2,
+    0x959b67b9e9aac302,
+    0x76c73e4b2e22d1b5,
+    0x1e12495f2c8a0c7c,
+    0xcd7fc3b9aeb16440,
+    0xa4f182ed432ecc51,
+    0x32a5a13f28c45af0,
+    0x698e5e4f053d3420,
+    0x0589b3579ab8bd2d,
+    0xa164a70f6d5194b7,
+    0x475d2cc827ec0cd9,
+    0x798bb984eeefc6a3,
+    0xbdabf173ae7d0ba3,
+    0xd4746ffea9c3e73e,
+    0xa36803a9f0fc7c1c,
+    0x186b04a3b4708e7d,
+    0x4a70a6289dffb23a,
+    0x33a9c368b063c785,
+    0x8bb9aaf6974620d2,
+    0x9a6ca5e0095f579b,
+    0xc9f6a5c6fa23a0c8,
+    0x5413b17bebb001c8,
 ];
 
 #[test]
 fn table_walks_reproduce_the_hand_written_arithmetic() {
-    let got: Vec<(u64, u64)> = (0..64).map(digests).collect();
+    let got: Vec<u64> = (0..64).map(digest).collect();
     if got != PINNED {
-        let rows: Vec<String> = got
-            .iter()
-            .map(|(a, m)| format!("    ({a:#018x}, {m:#018x}),"))
-            .collect();
+        let rows: Vec<String> = got.iter().map(|m| format!("    {m:#018x},")).collect();
         panic!("digests moved; actual table:\n{}", rows.join("\n"));
     }
 }

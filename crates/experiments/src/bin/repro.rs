@@ -17,13 +17,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use strip_core::config::{Policy, SimConfig};
-use strip_core::controller::run_simulation;
 use strip_experiments::{
     export_figure, render_parameter_tables, run_trace, Campaign, FigureId, RunSettings,
     SweepRunner, TraceTarget,
 };
 use strip_obs::TraceConfig;
-use strip_workload::generators::{PoissonTxns, PoissonUpdates};
+use strip_workload::run_paper_sim_checked;
 
 struct Args {
     figures: Vec<FigureId>,
@@ -182,22 +181,18 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// the live server uses for its shutdown report and the loadgen's
 /// `ReportRequest` reply.
 fn run_report_mode(args: &Args) -> ExitCode {
-    for policy in &args.report_policies {
-        let cfg = match SimConfig::builder()
-            .policy(*policy)
-            .duration(args.settings.duration)
-            .seed(args.settings.seed)
-            .build()
-        {
-            Ok(c) => c,
+    for &policy in &args.report_policies {
+        let cfg = args.settings.apply(SimConfig {
+            policy,
+            ..SimConfig::default()
+        });
+        let report = match run_paper_sim_checked(&cfg) {
+            Ok(report) => report,
             Err(e) => {
                 eprintln!("# config for {}: {e}", policy.label());
                 return ExitCode::FAILURE;
             }
         };
-        let updates = PoissonUpdates::from_config(&cfg);
-        let txns = PoissonTxns::from_config(&cfg);
-        let report = run_simulation(&cfg, updates, txns);
         if args.json {
             println!("{}", report.to_json());
         } else {

@@ -1,16 +1,22 @@
 //! Reproduction of every figure in the paper's evaluation (§6).
 //!
-//! Each paper figure is regenerated by a [`Campaign`] method that sweeps the
-//! same parameter the paper sweeps, runs all four scheduling algorithms, and
-//! extracts the plotted metric from the [`RunReport`]s. Sweeps shared by
-//! several figures (e.g. the baseline λt sweep behind Figures 3–6) are
-//! memoised within a campaign.
+//! The evaluation has one shape — a metric against one swept parameter, one
+//! curve per algorithm — so every experiment is declared once, as data. A
+//! row of [`SWEEPS`] says what is simulated: the x grid, what the curves
+//! vary, how a point's [`SimConfig`] is built, and the x that `repro trace`
+//! runs. A row of [`PANELS`] says what is plotted from a sweep. A
+//! [`Campaign`] runs sweeps through the [`SweepRunner`], memoised by key (so
+//! the baseline λt sweep behind Figures 3–6 and 11–13 runs once), and
+//! assembles panels; nothing else knows a figure.
 
 use std::collections::BTreeMap;
 use std::str::FromStr;
 
-use strip_core::config::{DagSpec, DisturbanceSpec, Policy, QueuePolicy, ShedPolicy, SimConfig};
+use strip_core::config::{
+    DagSpec, DisturbanceSpec, Policy, QueuePolicy, ShedPolicy, SimConfig, SimConfigBuilder,
+};
 use strip_core::report::RunReport;
+use strip_db::cost::CostModel;
 use strip_db::staleness::StalenessSpec;
 use strip_sim::stats::Welford;
 
@@ -43,93 +49,77 @@ pub const OUTAGE_GRID: [f64; 5] = [0.0, 2.0, 5.0, 10.0, 20.0];
 /// DAG depths swept by the figD1 derived-view experiment (extension).
 pub const DAG_DEPTH_GRID: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 6.0];
 
-/// The reproducible experiments, one per paper figure (plus the parameter
-/// tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FigureId {
+/// Emits [`FigureId`], [`FigureId::ALL`] and [`FigureId::name`] from one
+/// `Variant = "name"` list, in paper order.
+macro_rules! figure_ids {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal,)*) => {
+        /// The reproducible experiments, one per paper figure (plus the
+        /// parameter tables).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum FigureId {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl FigureId {
+            /// All experiments in paper order.
+            pub const ALL: [FigureId; [$($name),*].len()] = [$(FigureId::$variant),*];
+
+            /// Canonical name ("fig03", "tables").
+            #[must_use]
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(FigureId::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+figure_ids! {
     /// Tables 1–3: baseline parameters.
-    Tables,
+    Tables = "tables",
     /// Figure 3: CPU time split ρt / ρu vs λt.
-    Fig03,
+    Fig03 = "fig03",
     /// Figure 4: pMD and AV vs λt.
-    Fig04,
+    Fig04 = "fig04",
     /// Figure 5: fold_l and fold_h vs λt.
-    Fig05,
+    Fig05 = "fig05",
     /// Figure 6: psuccess and psuc|nontardy vs λt.
-    Fig06,
+    Fig06 = "fig06",
     /// Figure 7: AV vs x_update and x_queue.
-    Fig07,
+    Fig07 = "fig07",
     /// Figure 8: AV vs x_scan.
-    Fig08,
+    Fig08 = "fig08",
     /// Figure 9: psuccess and AV vs λu.
-    Fig09,
+    Fig09 = "fig09",
     /// Figure 10: AV vs α (alone, and with Nl/Nh scaled).
-    Fig10,
+    Fig10 = "fig10",
     /// Figure 11: FIFO/LIFO ratios of fold_l and psuccess vs λt.
-    Fig11,
+    Fig11 = "fig11",
     /// Figure 12: fold_h vs λt with stale-abort, and ratio to no-abort.
-    Fig12,
+    Fig12 = "fig12",
     /// Figure 13: AV vs λt with stale-abort, and ratio to no-abort.
-    Fig13,
+    Fig13 = "fig13",
     /// Figure 14: psuccess vs λt with stale-abort.
-    Fig14,
+    Fig14 = "fig14",
     /// Figure 15: AV vs p_view (abort mode), plus stale-read fractions.
-    Fig15,
+    Fig15 = "fig15",
     /// Figure 16: psuccess vs λt under UU.
-    Fig16,
+    Fig16 = "fig16",
     /// Resilience experiment (not in the paper): staleness, missed
     /// deadlines and recovery time vs feed-outage length, plus shedding
     /// policies under the catch-up flood.
-    FigR1,
+    FigR1 = "figr1",
     /// Derived-view DAG experiment (extension): delta-propagation lag,
     /// derived staleness and on-demand refresh load vs DAG depth.
-    FigD1,
+    FigD1 = "figd1",
 }
 
 impl FigureId {
-    /// All experiments in paper order.
-    pub const ALL: [FigureId; 17] = [
-        FigureId::Tables,
-        FigureId::Fig03,
-        FigureId::Fig04,
-        FigureId::Fig05,
-        FigureId::Fig06,
-        FigureId::Fig07,
-        FigureId::Fig08,
-        FigureId::Fig09,
-        FigureId::Fig10,
-        FigureId::Fig11,
-        FigureId::Fig12,
-        FigureId::Fig13,
-        FigureId::Fig14,
-        FigureId::Fig15,
-        FigureId::Fig16,
-        FigureId::FigR1,
-        FigureId::FigD1,
-    ];
-
-    /// Canonical name ("fig03", "tables").
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            FigureId::Tables => "tables",
-            FigureId::Fig03 => "fig03",
-            FigureId::Fig04 => "fig04",
-            FigureId::Fig05 => "fig05",
-            FigureId::Fig06 => "fig06",
-            FigureId::Fig07 => "fig07",
-            FigureId::Fig08 => "fig08",
-            FigureId::Fig09 => "fig09",
-            FigureId::Fig10 => "fig10",
-            FigureId::Fig11 => "fig11",
-            FigureId::Fig12 => "fig12",
-            FigureId::Fig13 => "fig13",
-            FigureId::Fig14 => "fig14",
-            FigureId::Fig15 => "fig15",
-            FigureId::Fig16 => "fig16",
-            FigureId::FigR1 => "figr1",
-            FigureId::FigD1 => "figd1",
-        }
+    /// The figure's panels: the [`PANELS`] rows whose id its name prefixes
+    /// (`fig04` owns `fig04a` and `fig04b`; `tables` owns none).
+    pub fn panels(self) -> impl Iterator<Item = &'static Panel> {
+        PANELS.iter().filter(move |p| p.id.starts_with(self.name()))
     }
 }
 
@@ -145,8 +135,598 @@ impl FromStr for FigureId {
     }
 }
 
-type SweepData = Vec<(Policy, f64, Vec<RunReport>)>;
-type ShedSweepData = Vec<(ShedPolicy, f64, Vec<RunReport>)>;
+/// What one curve of a sweep varies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Curve {
+    /// One of the paper's four scheduling algorithms.
+    Algorithm(Policy),
+    /// An update-queue shedding policy, run under TF (figR1 panel d).
+    Shedding(ShedPolicy),
+}
+
+impl Curve {
+    /// Legend label of the curve's series.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Curve::Algorithm(policy) => policy.label(),
+            Curve::Shedding(shed) => shed.label(),
+        }
+    }
+
+    /// The paper's baseline as the curve runs it; every sweep varies this.
+    fn base(self) -> SimConfigBuilder {
+        match self {
+            Curve::Algorithm(policy) => SimConfig::builder().policy(policy),
+            Curve::Shedding(shed) => SimConfig::builder()
+                .policy(Policy::TransactionsFirst)
+                .uq_shed(shed),
+        }
+    }
+}
+
+fn algorithms() -> Vec<Curve> {
+    Policy::PAPER_SET.map(Curve::Algorithm).to_vec()
+}
+
+fn shedding_policies() -> Vec<Curve> {
+    ShedPolicy::ALL.map(Curve::Shedding).to_vec()
+}
+
+/// One simulated experiment: every curve at every x.
+pub struct Sweep {
+    /// Memoisation key and checkpoint-file namespace.
+    pub key: &'static str,
+    /// Name of the swept parameter (the x-axis label of every panel).
+    pub x_label: &'static str,
+    /// The swept values.
+    pub xs: &'static [f64],
+    /// The curves, in legend order.
+    pub curves: fn() -> Vec<Curve>,
+    /// The x at which `repro trace` runs the sweep: where the curves differ
+    /// most visibly.
+    pub trace_x: f64,
+    /// Sets what the sweep varies, at `x`, on a curve's baseline.
+    /// [`Sweep::config`] validates the result and applies the campaign's
+    /// duration and seed.
+    pub build: fn(SimConfigBuilder, &RunSettings, f64) -> SimConfigBuilder,
+}
+
+impl Sweep {
+    /// The sweep's points, curve-major: the job order of the runner and of
+    /// the checkpoint files.
+    pub fn points(&self) -> impl Iterator<Item = (Curve, f64)> + '_ {
+        (self.curves)()
+            .into_iter()
+            .flat_map(|curve| self.xs.iter().map(move |&x| (curve, x)))
+    }
+
+    /// The configuration a campaign with `settings` runs at `(curve, x)`.
+    ///
+    /// # Panics
+    /// Panics when a row builds parameters the core rejects: every grid is
+    /// meant to lie inside the validated ranges.
+    #[must_use]
+    pub fn config(&self, settings: &RunSettings, curve: Curve, x: f64) -> SimConfig {
+        let built = (self.build)(curve.base(), settings, x).build();
+        settings.apply(built.unwrap_or_else(|e| panic!("sweep {} at x = {x}: {e}", self.key)))
+    }
+}
+
+/// A feed outage of `secs` seconds starting at 40% of the run.
+fn outage(settings: &RunSettings, secs: f64) -> Option<DisturbanceSpec> {
+    Some(DisturbanceSpec {
+        outage_from: settings.duration * 0.4,
+        outage_secs: secs,
+        ..DisturbanceSpec::default()
+    })
+}
+
+/// The λt every λt sweep is traced at: the knee of the paper's curves.
+const TRACE_LAMBDA_T: f64 = 12.0;
+
+/// Emits one `static` per row, so [`PANELS`] can name its sweeps, and
+/// [`SWEEPS`] listing them all.
+macro_rules! sweeps {
+    ($($(#[$doc:meta])* $name:ident = $row:expr;)*) => {
+        $($(#[$doc])* pub static $name: Sweep = $row;)*
+
+        /// Every sweep, in declaration order.
+        pub static SWEEPS: &[&Sweep] = &[$(&$name),*];
+    };
+}
+
+sweeps! {
+    /// The baseline workload (Figures 3–6; the denominator of 11–13).
+    BASELINE_LT = Sweep {
+        key: "baseline_lt",
+        x_label: "lambda_t",
+        xs: &LT_GRID,
+        curves: algorithms,
+        trace_x: TRACE_LAMBDA_T,
+        build: |base, _, lt| base.lambda_t(lt),
+    };
+    /// Transactions abort on a stale view read (Figures 12–14).
+    ABORT_LT = Sweep {
+        key: "abort_lt",
+        x_label: "lambda_t",
+        xs: &LT_GRID,
+        curves: algorithms,
+        trace_x: TRACE_LAMBDA_T,
+        build: |base, _, lt| base.lambda_t(lt).abort_on_stale(true),
+    };
+    /// LIFO update queue (the denominator of Figure 11).
+    LIFO_LT = Sweep {
+        key: "lifo_lt",
+        x_label: "lambda_t",
+        xs: &LT_GRID,
+        curves: algorithms,
+        trace_x: TRACE_LAMBDA_T,
+        build: |base, _, lt| base.lambda_t(lt).queue_policy(QueuePolicy::Lifo),
+    };
+    /// Unapplied-update staleness criterion (Figure 16).
+    UU_LT = Sweep {
+        key: "uu_lt",
+        x_label: "lambda_t",
+        xs: &LT_GRID_UU,
+        curves: algorithms,
+        trace_x: TRACE_LAMBDA_T,
+        build: |base, _, lt| base.lambda_t(lt).staleness(StalenessSpec::UnappliedUpdate),
+    };
+    /// Install cost (Figure 7a).
+    XUPDATE = Sweep {
+        key: "xupdate",
+        x_label: "x_update",
+        xs: &XUPDATE_GRID,
+        curves: algorithms,
+        trace_x: 40_000.0,
+        build: |base, _, x| {
+            base.costs(CostModel {
+                x_update: x,
+                ..CostModel::default()
+            })
+        },
+    };
+    /// Queue add/remove cost (Figure 7b).
+    XQUEUE = Sweep {
+        key: "xqueue",
+        x_label: "x_queue",
+        xs: &XQUEUE_GRID,
+        curves: algorithms,
+        trace_x: 4_000.0,
+        build: |base, _, x| {
+            base.costs(CostModel {
+                x_queue: x,
+                ..CostModel::default()
+            })
+        },
+    };
+    /// Queue scan cost (Figure 8).
+    XSCAN = Sweep {
+        key: "xscan",
+        x_label: "x_scan",
+        xs: &XSCAN_GRID,
+        curves: algorithms,
+        trace_x: 8_000.0,
+        build: |base, _, x| {
+            base.costs(CostModel {
+                x_scan: x,
+                ..CostModel::default()
+            })
+        },
+    };
+    /// Update arrival rate (Figure 9).
+    LAMBDA_U = Sweep {
+        key: "lambda_u",
+        x_label: "lambda_u",
+        xs: &LU_GRID,
+        curves: algorithms,
+        trace_x: 550.0,
+        build: |base, _, lu| base.lambda_u(lu),
+    };
+    /// Maximum age α (Figure 10a). AV only responds to α when stale reads
+    /// cost something, so both α sweeps abort on stale reads: the one
+    /// setting that reproduces the paper's strong AV-vs-α dependence for
+    /// every algorithm including UF (see EXPERIMENTS.md).
+    ALPHA = Sweep {
+        key: "alpha",
+        x_label: "alpha",
+        xs: &ALPHA_GRID,
+        curves: algorithms,
+        trace_x: 3.0,
+        build: |base, _, alpha| base.max_age(alpha).abort_on_stale(true),
+    };
+    /// α with Nl and Nh scaled to hold α·λu/(Nl+Nh) constant (Figure 10b).
+    ALPHA_SCALED = Sweep {
+        key: "alpha_scaled",
+        x_label: "alpha",
+        xs: &ALPHA_GRID,
+        curves: algorithms,
+        trace_x: 3.0,
+        build: |base, _, alpha| {
+            let n = (500.0 * alpha / 7.0).round() as u32;
+            base.max_age(alpha).n_low(n).n_high(n).abort_on_stale(true)
+        },
+    };
+    /// Fraction of the computation done before the view reads, aborting on
+    /// stale reads (Figure 15).
+    PVIEW = Sweep {
+        key: "pview",
+        x_label: "p_view",
+        xs: &PVIEW_GRID,
+        curves: algorithms,
+        trace_x: 0.8,
+        build: |base, _, pv| base.p_view(pv).abort_on_stale(true),
+    };
+    /// figD1: a derived-view DAG of swept depth. Width shrinks with depth so
+    /// the node count stays roughly constant and only the propagation
+    /// distance varies.
+    DAG_DEPTH = Sweep {
+        key: "dag_depth",
+        x_label: "dag_depth",
+        xs: &DAG_DEPTH_GRID,
+        curves: algorithms,
+        trace_x: 3.0,
+        build: |base, _, depth| {
+            let depth = depth.round() as u32;
+            let width = (120 / depth).max(1);
+            base.dag(Some(DagSpec {
+                depth,
+                width,
+                ..DagSpec::default()
+            }))
+        },
+    };
+    /// figR1 panels a–c: a feed outage of swept length.
+    RESILIENCE_OUTAGE = Sweep {
+        key: "resilience_outage",
+        x_label: "outage_secs",
+        xs: &OUTAGE_GRID,
+        curves: algorithms,
+        trace_x: 5.0,
+        build: |base, settings, secs| base.disturbance(outage(settings, secs)),
+    };
+    /// figR1 panel d: the same outage under TF, one curve per shedding
+    /// policy. A roomy OS queue lets the catch-up flood reach the update
+    /// queue and a tight `UQ_max` overflows there, so what the queue evicts
+    /// decides how stale the high-importance partition gets.
+    RESILIENCE_SHED = Sweep {
+        key: "resilience_shed",
+        x_label: "outage_secs",
+        xs: &OUTAGE_GRID,
+        curves: shedding_policies,
+        trace_x: 5.0,
+        build: |base, settings, secs| {
+            base.disturbance(outage(settings, secs))
+                .os_max(20_000)
+                .uq_max(250)
+        },
+    };
+}
+
+/// One plotted panel: a metric of every point of a sweep.
+pub struct Panel {
+    /// Identifier matching the paper ("fig04a"); the owning figure's name
+    /// is its prefix.
+    pub id: &'static str,
+    /// Human title.
+    pub title: &'static str,
+    /// Y-axis label.
+    pub y_label: &'static str,
+    /// The qualitative shape the paper reports.
+    pub expect: &'static str,
+    /// The sweep the metric is read from.
+    pub sweep: &'static Sweep,
+    /// For a ratio panel, the sweep whose metric divides `sweep`'s.
+    pub over: Option<&'static Sweep>,
+    /// The plotted quantity of one run.
+    pub metric: Metric,
+}
+
+/// A scalar read off one run's report.
+pub type Metric = fn(&RunReport) -> f64;
+
+/// Every panel of every figure, in paper order. A panel with an `over`
+/// sweep plots the ratio of the two sweeps' replica means.
+pub static PANELS: [Panel; 32] = [
+    Panel {
+        id: "fig03a",
+        title: "CPU fraction spent on transactions vs λt",
+        y_label: "rho_t",
+        expect: "all rise toward saturation; TF/OD highest, UF lowest",
+        sweep: &BASELINE_LT,
+        over: None,
+        metric: |r| r.cpu.rho_t(),
+    },
+    Panel {
+        id: "fig03b",
+        title: "CPU fraction spent on updates vs λt",
+        y_label: "rho_u",
+        expect: "UF flat at ~0.19; TF/OD fall toward 0; SU between; OD slightly above TF",
+        sweep: &BASELINE_LT,
+        over: None,
+        metric: |r| r.cpu.rho_u(),
+    },
+    Panel {
+        id: "fig04a",
+        title: "Fraction of missed deadlines vs λt",
+        y_label: "pMD",
+        expect: "increasing; TF/OD lowest, UF highest, SU between",
+        sweep: &BASELINE_LT,
+        over: None,
+        metric: |r| r.txns.p_md(),
+    },
+    Panel {
+        id: "fig04b",
+        title: "Average value per second vs λt",
+        y_label: "AV",
+        expect: "increasing with load; TF/OD highest, UF lowest",
+        sweep: &BASELINE_LT,
+        over: None,
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig05a",
+        title: "Stale fraction of low-importance data vs λt",
+        y_label: "fold_l",
+        expect: "UF flat <10%; TF/OD approach 1 under load; SU tracks TF",
+        sweep: &BASELINE_LT,
+        over: None,
+        metric: |r| r.fold_low,
+    },
+    Panel {
+        id: "fig05b",
+        title: "Stale fraction of high-importance data vs λt",
+        y_label: "fold_h",
+        expect: "UF and SU flat <10%; TF/OD approach 1; OD slightly below TF",
+        sweep: &BASELINE_LT,
+        over: None,
+        metric: |r| r.fold_high,
+    },
+    Panel {
+        id: "fig06a",
+        title: "psuccess vs λt",
+        y_label: "psuccess",
+        expect: "decreasing; OD best over entire range, TF worst, UF/SU between",
+        sweep: &BASELINE_LT,
+        over: None,
+        metric: |r| r.txns.p_success(),
+    },
+    Panel {
+        id: "fig06b",
+        title: "psuc|nontardy vs λt",
+        y_label: "psuc|nontardy",
+        expect: "OD and UF high; TF low; SU dips then recovers toward UF",
+        sweep: &BASELINE_LT,
+        over: None,
+        metric: |r| r.txns.p_suc_nontardy(),
+    },
+    Panel {
+        id: "fig07a",
+        title: "AV vs x_update",
+        y_label: "AV",
+        expect: "UF and SU drop sharply as installs get heavier; TF/OD insensitive",
+        sweep: &XUPDATE,
+        over: None,
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig07b",
+        title: "AV vs x_queue",
+        y_label: "AV",
+        expect: "queue-using algorithms degrade slowly; modest in the <1000 range",
+        sweep: &XQUEUE,
+        over: None,
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig08",
+        title: "AV vs x_scan",
+        y_label: "AV",
+        expect: "OD degrades most (it scans on stale reads) but stays competitive",
+        sweep: &XSCAN,
+        over: None,
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig09a",
+        title: "psuccess vs λu",
+        y_label: "psuccess",
+        expect: "OD rises (fresher data at same value); TF falls; UF/SU between",
+        sweep: &LAMBDA_U,
+        over: None,
+        metric: |r| r.txns.p_success(),
+    },
+    Panel {
+        id: "fig09b",
+        title: "AV vs λu",
+        y_label: "AV",
+        expect: "TF/OD flat; UF and SU return less value as the stream grows",
+        sweep: &LAMBDA_U,
+        over: None,
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig10a",
+        title: "AV vs α (abort on stale reads)",
+        y_label: "AV",
+        expect: "small α hurts every algorithm; TF/OD recover fastest as α grows",
+        sweep: &ALPHA,
+        over: None,
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig10b",
+        title: "AV vs α with Nl, Nh scaled proportionally",
+        y_label: "AV",
+        expect: "nearly flat: the ratio α/(Nl+Nh) drives performance, not α itself",
+        sweep: &ALPHA_SCALED,
+        over: None,
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig11a",
+        title: "fold_l(FIFO) / fold_l(LIFO) vs λt",
+        y_label: "fold_l ratio",
+        expect: "≥1 for queue-using algorithms (FIFO leaves data staler); UF ≈ 1",
+        sweep: &BASELINE_LT,
+        over: Some(&LIFO_LT),
+        metric: |r| r.fold_low,
+    },
+    Panel {
+        id: "fig11b",
+        title: "psuccess(FIFO) / psuccess(LIFO) vs λt",
+        y_label: "psuccess ratio",
+        expect: "≤1 for TF especially (FIFO installs nearly-expired updates first)",
+        sweep: &BASELINE_LT,
+        over: Some(&LIFO_LT),
+        metric: |r| r.txns.p_success(),
+    },
+    Panel {
+        id: "fig12a",
+        title: "fold_h vs λt (abort on stale reads)",
+        y_label: "fold_h",
+        expect: "TF drops to <20% stale (aborts free time for updates); UF/SU stay fresh",
+        sweep: &ABORT_LT,
+        over: None,
+        metric: |r| r.fold_high,
+    },
+    Panel {
+        id: "fig12b",
+        title: "fold_h(abort) / fold_h(no abort) vs λt",
+        y_label: "fold_h ratio",
+        expect: "TF well below 1 (much fresher with aborts); UF ≈ 1",
+        sweep: &ABORT_LT,
+        over: Some(&BASELINE_LT),
+        metric: |r| r.fold_high,
+    },
+    Panel {
+        id: "fig13a",
+        title: "AV vs λt (abort on stale reads)",
+        y_label: "AV",
+        expect: "OD clear winner; SU beats both TF and UF",
+        sweep: &ABORT_LT,
+        over: None,
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig13b",
+        title: "AV(abort) / AV(no abort) vs λt",
+        y_label: "AV ratio",
+        expect: "TF hurt the most by aborts; OD close to 1",
+        sweep: &ABORT_LT,
+        over: Some(&BASELINE_LT),
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig14",
+        title: "psuccess vs λt (abort on stale reads)",
+        y_label: "psuccess",
+        expect: "OD first by 10–15 points over UF; TF second thanks to fresher data",
+        sweep: &ABORT_LT,
+        over: None,
+        metric: |r| r.txns.p_success(),
+    },
+    Panel {
+        id: "fig15a",
+        title: "AV vs p_view (abort on stale reads)",
+        y_label: "AV",
+        expect: "all decrease as reads move later; SU and TF worst",
+        sweep: &PVIEW,
+        over: None,
+        metric: RunReport::av,
+    },
+    Panel {
+        id: "fig15b",
+        title: "Fraction of stale view reads vs p_view",
+        y_label: "stale read fraction",
+        expect: "SU and TF read stale most often; OD least",
+        sweep: &PVIEW,
+        over: None,
+        metric: |r| r.txns.stale_read_fraction(),
+    },
+    Panel {
+        id: "fig16",
+        title: "psuccess vs λt (Unapplied Update staleness)",
+        y_label: "psuccess",
+        expect: "same ranking as MA: OD, UF, SU, TF from best to worst",
+        sweep: &UU_LT,
+        over: None,
+        metric: |r| r.txns.p_success(),
+    },
+    Panel {
+        id: "figr1a",
+        title: "Stale fraction of high-importance data vs outage length",
+        y_label: "fold_h",
+        expect: "grows with the outage for every algorithm; UF recovers fastest",
+        sweep: &RESILIENCE_OUTAGE,
+        over: None,
+        metric: |r| r.fold_high,
+    },
+    Panel {
+        id: "figr1b",
+        title: "Missed deadlines vs outage length",
+        y_label: "pMD",
+        expect: "catch-up flood steals CPU: pMD rises most for UF/SU",
+        sweep: &RESILIENCE_OUTAGE,
+        over: None,
+        metric: |r| r.txns.p_md(),
+    },
+    Panel {
+        id: "figr1c",
+        title: "Post-outage staleness recovery time vs outage length",
+        y_label: "recovery_secs",
+        expect: "longer outages take longer to drain; 0 when never disturbed \
+         or not recovered by the horizon",
+        sweep: &RESILIENCE_OUTAGE,
+        over: None,
+        metric: |r| r.resilience.recovery_secs.unwrap_or(0.0),
+    },
+    Panel {
+        id: "figr1d",
+        title: "fold_h vs outage length by shedding policy (TF, UQ_max = 250)",
+        y_label: "fold_h",
+        expect: "drop-low-imp keeps high-importance data freshest through the flood",
+        sweep: &RESILIENCE_SHED,
+        over: None,
+        metric: |r| r.fold_high,
+    },
+    Panel {
+        id: "figd1a",
+        title: "Time-averaged stale fraction of derived views vs DAG depth",
+        y_label: "fold_derived",
+        expect: "saturated baseline, so background propagation (lowest-priority \
+         work) rarely runs: TF/SU pin near 1, UF grows with depth as \
+         cascades lengthen, OD is freshest and improves with depth — \
+         each refresh quiesces a whole ancestor cone",
+        sweep: &DAG_DEPTH,
+        over: None,
+        metric: |r| r.dag.fold_derived,
+    },
+    Panel {
+        id: "figd1b",
+        title: "Mean delta-application lag vs DAG depth",
+        y_label: "dag lag (s)",
+        expect: "lag falls with depth at constant node budget: the base-attached \
+         rank shrinks, so fewer installs enqueue and the pending map \
+         drains faster; SU > OD > UF; TF ≈ 0 — it installs so few bases \
+         under load that almost nothing ever enqueues",
+        sweep: &DAG_DEPTH,
+        over: None,
+        metric: |r| r.dag.lag_mean,
+    },
+    Panel {
+        id: "figd1c",
+        title: "On-demand derived refreshes vs DAG depth",
+        y_label: "od_refreshes",
+        expect: "zero for UF/TF/SU; OD pays one recursive refresh per stale \
+         derived read, falling with depth as each refresh freshens a \
+         longer ancestor cone",
+        sweep: &DAG_DEPTH,
+        over: None,
+        metric: |r| r.dag.od_refreshes as f64,
+    },
+];
 
 /// A reproduction campaign: shared settings plus memoised sweeps.
 ///
@@ -157,8 +737,8 @@ type ShedSweepData = Vec<(ShedPolicy, f64, Vec<RunReport>)>;
 pub struct Campaign {
     settings: RunSettings,
     runner: SweepRunner,
-    cache: BTreeMap<&'static str, SweepData>,
-    shed_cache: Option<ShedSweepData>,
+    /// Replica sets of every sweep run so far, in [`Sweep::points`] order.
+    cache: BTreeMap<&'static str, Vec<Vec<RunReport>>>,
     failures: Vec<PointFailure>,
     resumed: usize,
 }
@@ -179,7 +759,6 @@ impl Campaign {
             settings,
             runner,
             cache: BTreeMap::new(),
-            shed_cache: None,
             failures: Vec::new(),
             resumed: 0,
         }
@@ -204,752 +783,86 @@ impl Campaign {
         self.resumed
     }
 
-    fn policy_sweep<F>(&mut self, key: &'static str, xs: &[f64], build: F) -> SweepData
-    where
-        F: Fn(Policy, f64) -> SimConfig,
-    {
-        if let Some(cached) = self.cache.get(key) {
-            return cached.clone();
+    /// Reproduces one experiment; returns its panels.
+    pub fn figure(&mut self, id: FigureId) -> Vec<Figure> {
+        id.panels().map(|panel| self.assemble(panel)).collect()
+    }
+
+    /// The replica sets of `sweep`, simulated on first use.
+    fn sweep(&mut self, sweep: &'static Sweep) -> &[Vec<RunReport>] {
+        if !self.cache.contains_key(sweep.key) {
+            let configs = sweep
+                .points()
+                .map(|(curve, x)| sweep.config(&self.settings, curve, x))
+                .collect();
+            let outcome = self
+                .runner
+                .run_replicated(&self.settings, sweep.key, configs);
+            self.failures.extend(outcome.failures);
+            self.resumed += outcome.resumed;
+            self.cache.insert(sweep.key, outcome.replica_sets);
         }
-        let mut labels = Vec::new();
-        let mut configs = Vec::new();
-        for &policy in &Policy::PAPER_SET {
-            for &x in xs {
-                labels.push((policy, x));
-                configs.push(self.settings.apply(build(policy, x)));
+        &self.cache[sweep.key]
+    }
+
+    /// `metric` at every point of `sweep`, accumulated over the replicas.
+    fn stats(&mut self, sweep: &'static Sweep, metric: Metric) -> Vec<(Curve, f64, Welford)> {
+        let per_point = self.sweep(sweep).iter().map(|replicas| {
+            let mut stats = Welford::new();
+            for report in replicas {
+                stats.push(metric(report));
             }
-        }
-        let outcome = self.runner.run_replicated(&self.settings, key, configs);
-        self.failures.extend(outcome.failures);
-        self.resumed += outcome.resumed;
-        let data: SweepData = labels
+            stats
+        });
+        sweep
+            .points()
+            .zip(per_point)
+            .map(|((curve, x), stats)| (curve, x, stats))
+            .collect()
+    }
+
+    /// One series per curve of the panel's sweep: the replica mean of the
+    /// metric, with its standard deviation when the sweep is replicated.
+    /// A ratio panel divides by the mean at the same curve and x of its
+    /// `over` sweep, skips points where that is zero or missing, and has no
+    /// spread (a quotient of means has no per-replica deviation).
+    fn assemble(&mut self, panel: &Panel) -> Figure {
+        let numer = self.stats(panel.sweep, panel.metric);
+        let denom = panel.over.map(|over| self.stats(over, panel.metric));
+        let with_spread = denom.is_none() && numer.iter().any(|(_, _, n)| n.count() > 1);
+        let series = (panel.sweep.curves)()
             .into_iter()
-            .zip(outcome.replica_sets)
-            .map(|((p, x), rs)| (p, x, rs))
-            .collect();
-        self.cache.insert(key, data.clone());
-        data
-    }
-
-    // ---- shared sweeps ------------------------------------------------------
-
-    fn baseline_lt(&mut self) -> SweepData {
-        self.policy_sweep("baseline_lt", &LT_GRID, |policy, lt| {
-            SimConfig::builder()
-                .policy(policy)
-                .lambda_t(lt)
-                .build()
-                .expect("baseline config")
-        })
-    }
-
-    fn abort_lt(&mut self) -> SweepData {
-        self.policy_sweep("abort_lt", &LT_GRID, |policy, lt| {
-            SimConfig::builder()
-                .policy(policy)
-                .lambda_t(lt)
-                .abort_on_stale(true)
-                .build()
-                .expect("abort config")
-        })
-    }
-
-    fn lifo_lt(&mut self) -> SweepData {
-        self.policy_sweep("lifo_lt", &LT_GRID, |policy, lt| {
-            SimConfig::builder()
-                .policy(policy)
-                .lambda_t(lt)
-                .queue_policy(QueuePolicy::Lifo)
-                .build()
-                .expect("lifo config")
-        })
-    }
-
-    fn uu_lt(&mut self) -> SweepData {
-        self.policy_sweep("uu_lt", &LT_GRID_UU, |policy, lt| {
-            SimConfig::builder()
-                .policy(policy)
-                .lambda_t(lt)
-                .staleness(StalenessSpec::UnappliedUpdate)
-                .build()
-                .expect("uu config")
-        })
-    }
-
-    /// figD1: the baseline workload over a derived-view DAG whose depth is
-    /// swept; width shrinks with depth so the node count stays roughly
-    /// constant and only the propagation distance varies.
-    fn dag_depth(&mut self) -> SweepData {
-        self.policy_sweep("dag_depth", &DAG_DEPTH_GRID, |policy, depth| {
-            let depth = depth.round() as u32;
-            SimConfig::builder()
-                .policy(policy)
-                .dag(Some(DagSpec {
-                    depth,
-                    width: (120 / depth).max(1),
-                    ..DagSpec::default()
-                }))
-                .build()
-                .expect("dag depth config")
-        })
-    }
-
-    /// figR1 panels a–c: a feed outage of `secs` seconds starting at 40% of
-    /// the run, otherwise the baseline workload, for all four algorithms.
-    fn outage_lt(&mut self) -> SweepData {
-        let outage_from = self.settings.duration * 0.4;
-        self.policy_sweep("resilience_outage", &OUTAGE_GRID, move |policy, secs| {
-            SimConfig::builder()
-                .policy(policy)
-                .disturbance(Some(DisturbanceSpec {
-                    outage_from,
-                    outage_secs: secs,
-                    ..DisturbanceSpec::default()
-                }))
-                .build()
-                .expect("outage config")
-        })
-    }
-
-    /// figR1 panel d: the same outage under TF with a tight update queue,
-    /// one series per shedding policy. The catch-up flood at the window end
-    /// overflows `UQ_max`, so what the queue evicts decides how stale the
-    /// high-importance partition gets.
-    fn shed_outage(&mut self) -> ShedSweepData {
-        if let Some(cached) = &self.shed_cache {
-            return cached.clone();
-        }
-        let outage_from = self.settings.duration * 0.4;
-        let mut labels = Vec::new();
-        let mut configs = Vec::new();
-        for &shed in &ShedPolicy::ALL {
-            for &secs in &OUTAGE_GRID {
-                labels.push((shed, secs));
-                let cfg = SimConfig::builder()
-                    .policy(Policy::TransactionsFirst)
-                    .disturbance(Some(DisturbanceSpec {
-                        outage_from,
-                        outage_secs: secs,
-                        ..DisturbanceSpec::default()
-                    }))
-                    // Roomy OS queue so the flood reaches the update queue;
-                    // tight UQ_max so the shedding policy has to act.
-                    .os_max(20_000)
-                    .uq_max(250)
-                    .uq_shed(shed)
-                    .build()
-                    .expect("shed config");
-                configs.push(self.settings.apply(cfg));
-            }
-        }
-        let outcome = self
-            .runner
-            .run_replicated(&self.settings, "resilience_shed", configs);
-        self.failures.extend(outcome.failures);
-        self.resumed += outcome.resumed;
-        let data: ShedSweepData = labels
-            .into_iter()
-            .zip(outcome.replica_sets)
-            .map(|((p, x), rs)| (p, x, rs))
-            .collect();
-        self.shed_cache = Some(data.clone());
-        data
-    }
-
-    // ---- figure assembly ----------------------------------------------------
-
-    fn assemble<F>(
-        id: &str,
-        title: &str,
-        x_label: &str,
-        y_label: &str,
-        expect: &str,
-        data: &SweepData,
-        metric: F,
-    ) -> Figure
-    where
-        F: Fn(&RunReport) -> f64,
-    {
-        let stats = |rs: &[RunReport]| -> Welford {
-            let mut w = Welford::new();
-            for r in rs {
-                w.push(metric(r));
-            }
-            w
-        };
-        let mean = |rs: &[RunReport]| -> f64 { stats(rs).mean() };
-        let sd = |rs: &[RunReport]| -> f64 { stats(rs).std_dev() };
-        let replicated = data.iter().any(|(_, _, rs)| rs.len() > 1);
-        let series = Policy::PAPER_SET
-            .iter()
-            .map(|p| Series {
-                label: p.label().to_string(),
-                points: data
-                    .iter()
-                    .filter(|(dp, _, _)| dp == p)
-                    .map(|(_, x, rs)| (*x, mean(rs)))
-                    .collect(),
-                spread: if replicated {
-                    data.iter()
-                        .filter(|(dp, _, _)| dp == p)
-                        .map(|(_, _, rs)| sd(rs))
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-            })
-            .collect();
-        Figure {
-            id: id.to_string(),
-            title: title.to_string(),
-            x_label: x_label.to_string(),
-            y_label: y_label.to_string(),
-            series,
-            paper_expectation: expect.to_string(),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_ratio<F>(
-        id: &str,
-        title: &str,
-        x_label: &str,
-        y_label: &str,
-        expect: &str,
-        numer: &SweepData,
-        denom: &SweepData,
-        metric: F,
-    ) -> Figure
-    where
-        F: Fn(&RunReport) -> f64,
-    {
-        let mean = |rs: &[RunReport]| -> f64 {
-            let mut w = Welford::new();
-            for r in rs {
-                w.push(metric(r));
-            }
-            w.mean()
-        };
-        let series = Policy::PAPER_SET
-            .iter()
-            .map(|p| {
-                let points = numer
-                    .iter()
-                    .filter(|(dp, _, _)| dp == p)
-                    .filter_map(|(_, x, rn)| {
-                        denom
+            .map(|curve| {
+                let own = numer.iter().filter(|(c, _, _)| *c == curve);
+                let points = own.clone().filter_map(|(_, x, n)| match &denom {
+                    None => Some((*x, n.mean())),
+                    Some(denom) => {
+                        let (_, _, d) = denom
                             .iter()
-                            .find(|(dp, dx, _)| dp == p && (dx - x).abs() < 1e-9)
-                            .map(|(_, _, rd)| {
-                                let d = mean(rd);
-                                let n = mean(rn);
-                                (*x, if d.abs() < 1e-12 { f64::NAN } else { n / d })
-                            })
-                    })
-                    .filter(|(_, y)| y.is_finite())
-                    .collect();
+                            .find(|(c, dx, _)| *c == curve && (dx - x).abs() < 1e-9)?;
+                        let d = d.mean();
+                        let y = n.mean() / d;
+                        (d.abs() >= 1e-12 && y.is_finite()).then_some((*x, y))
+                    }
+                });
                 Series {
-                    label: p.label().to_string(),
-                    points,
-                    spread: Vec::new(),
+                    label: curve.label().to_string(),
+                    points: points.collect(),
+                    spread: if with_spread {
+                        own.map(|(_, _, n)| n.std_dev()).collect()
+                    } else {
+                        Vec::new()
+                    },
                 }
             })
             .collect();
         Figure {
-            id: id.to_string(),
-            title: title.to_string(),
-            x_label: x_label.to_string(),
-            y_label: y_label.to_string(),
+            id: panel.id.to_string(),
+            title: panel.title.to_string(),
+            x_label: panel.sweep.x_label.to_string(),
+            y_label: panel.y_label.to_string(),
             series,
-            paper_expectation: expect.to_string(),
-        }
-    }
-
-    /// Reproduces one experiment; returns its panels.
-    pub fn figure(&mut self, id: FigureId) -> Vec<Figure> {
-        match id {
-            FigureId::Tables => vec![],
-            FigureId::Fig03 => {
-                let d = self.baseline_lt();
-                vec![
-                    Self::assemble(
-                        "fig03a",
-                        "CPU fraction spent on transactions vs λt",
-                        "lambda_t",
-                        "rho_t",
-                        "all rise toward saturation; TF/OD highest, UF lowest",
-                        &d,
-                        |r| r.cpu.rho_t(),
-                    ),
-                    Self::assemble(
-                        "fig03b",
-                        "CPU fraction spent on updates vs λt",
-                        "lambda_t",
-                        "rho_u",
-                        "UF flat at ~0.19; TF/OD fall toward 0; SU between; OD slightly above TF",
-                        &d,
-                        |r| r.cpu.rho_u(),
-                    ),
-                ]
-            }
-            FigureId::Fig04 => {
-                let d = self.baseline_lt();
-                vec![
-                    Self::assemble(
-                        "fig04a",
-                        "Fraction of missed deadlines vs λt",
-                        "lambda_t",
-                        "pMD",
-                        "increasing; TF/OD lowest, UF highest, SU between",
-                        &d,
-                        |r| r.txns.p_md(),
-                    ),
-                    Self::assemble(
-                        "fig04b",
-                        "Average value per second vs λt",
-                        "lambda_t",
-                        "AV",
-                        "increasing with load; TF/OD highest, UF lowest",
-                        &d,
-                        RunReport::av,
-                    ),
-                ]
-            }
-            FigureId::Fig05 => {
-                let d = self.baseline_lt();
-                vec![
-                    Self::assemble(
-                        "fig05a",
-                        "Stale fraction of low-importance data vs λt",
-                        "lambda_t",
-                        "fold_l",
-                        "UF flat <10%; TF/OD approach 1 under load; SU tracks TF",
-                        &d,
-                        |r| r.fold_low,
-                    ),
-                    Self::assemble(
-                        "fig05b",
-                        "Stale fraction of high-importance data vs λt",
-                        "lambda_t",
-                        "fold_h",
-                        "UF and SU flat <10%; TF/OD approach 1; OD slightly below TF",
-                        &d,
-                        |r| r.fold_high,
-                    ),
-                ]
-            }
-            FigureId::Fig06 => {
-                let d = self.baseline_lt();
-                vec![
-                    Self::assemble(
-                        "fig06a",
-                        "psuccess vs λt",
-                        "lambda_t",
-                        "psuccess",
-                        "decreasing; OD best over entire range, TF worst, UF/SU between",
-                        &d,
-                        |r| r.txns.p_success(),
-                    ),
-                    Self::assemble(
-                        "fig06b",
-                        "psuc|nontardy vs λt",
-                        "lambda_t",
-                        "psuc|nontardy",
-                        "OD and UF high; TF low; SU dips then recovers toward UF",
-                        &d,
-                        |r| r.txns.p_suc_nontardy(),
-                    ),
-                ]
-            }
-            FigureId::Fig07 => {
-                let a = self.policy_sweep("xupdate", &XUPDATE_GRID, |policy, x| {
-                    let mut cfg = SimConfig {
-                        policy,
-                        ..SimConfig::default()
-                    };
-                    cfg.costs.x_update = x;
-                    cfg
-                });
-                let b = self.policy_sweep("xqueue", &XQUEUE_GRID, |policy, x| {
-                    let mut cfg = SimConfig {
-                        policy,
-                        ..SimConfig::default()
-                    };
-                    cfg.costs.x_queue = x;
-                    cfg
-                });
-                vec![
-                    Self::assemble(
-                        "fig07a",
-                        "AV vs x_update",
-                        "x_update",
-                        "AV",
-                        "UF and SU drop sharply as installs get heavier; TF/OD insensitive",
-                        &a,
-                        RunReport::av,
-                    ),
-                    Self::assemble(
-                        "fig07b",
-                        "AV vs x_queue",
-                        "x_queue",
-                        "AV",
-                        "queue-using algorithms degrade slowly; modest in the <1000 range",
-                        &b,
-                        RunReport::av,
-                    ),
-                ]
-            }
-            FigureId::Fig08 => {
-                let d = self.policy_sweep("xscan", &XSCAN_GRID, |policy, x| {
-                    let mut cfg = SimConfig {
-                        policy,
-                        ..SimConfig::default()
-                    };
-                    cfg.costs.x_scan = x;
-                    cfg
-                });
-                vec![Self::assemble(
-                    "fig08",
-                    "AV vs x_scan",
-                    "x_scan",
-                    "AV",
-                    "OD degrades most (it scans on stale reads) but stays competitive",
-                    &d,
-                    RunReport::av,
-                )]
-            }
-            FigureId::Fig09 => {
-                let d = self.policy_sweep("lambda_u", &LU_GRID, |policy, lu| {
-                    SimConfig::builder()
-                        .policy(policy)
-                        .lambda_u(lu)
-                        .build()
-                        .expect("lambda_u config")
-                });
-                vec![
-                    Self::assemble(
-                        "fig09a",
-                        "psuccess vs λu",
-                        "lambda_u",
-                        "psuccess",
-                        "OD rises (fresher data at same value); TF falls; UF/SU between",
-                        &d,
-                        |r| r.txns.p_success(),
-                    ),
-                    Self::assemble(
-                        "fig09b",
-                        "AV vs λu",
-                        "lambda_u",
-                        "AV",
-                        "TF/OD flat; UF and SU return less value as the stream grows",
-                        &d,
-                        RunReport::av,
-                    ),
-                ]
-            }
-            FigureId::Fig10 => {
-                // AV only responds to α when stale reads cost something: we
-                // run Figure 10 with abort-on-stale, the one setting that
-                // reproduces the paper's strong AV-vs-α dependence for every
-                // algorithm including UF (see EXPERIMENTS.md).
-                let a = self.policy_sweep("alpha", &ALPHA_GRID, |policy, alpha| {
-                    SimConfig::builder()
-                        .policy(policy)
-                        .max_age(alpha)
-                        .abort_on_stale(true)
-                        .build()
-                        .expect("alpha config")
-                });
-                let b = self.policy_sweep("alpha_scaled", &ALPHA_GRID, |policy, alpha| {
-                    // Scale Nl and Nh with α to hold α·λu/(Nl+Nh) constant.
-                    let n = (500.0 * alpha / 7.0).round() as u32;
-                    SimConfig::builder()
-                        .policy(policy)
-                        .max_age(alpha)
-                        .n_low(n)
-                        .n_high(n)
-                        .abort_on_stale(true)
-                        .build()
-                        .expect("alpha-scaled config")
-                });
-                vec![
-                    Self::assemble(
-                        "fig10a",
-                        "AV vs α (abort on stale reads)",
-                        "alpha",
-                        "AV",
-                        "small α hurts every algorithm; TF/OD recover fastest as α grows",
-                        &a,
-                        RunReport::av,
-                    ),
-                    Self::assemble(
-                        "fig10b",
-                        "AV vs α with Nl, Nh scaled proportionally",
-                        "alpha",
-                        "AV",
-                        "nearly flat: the ratio α/(Nl+Nh) drives performance, not α itself",
-                        &b,
-                        RunReport::av,
-                    ),
-                ]
-            }
-            FigureId::Fig11 => {
-                let fifo = self.baseline_lt();
-                let lifo = self.lifo_lt();
-                vec![
-                    Self::assemble_ratio(
-                        "fig11a",
-                        "fold_l(FIFO) / fold_l(LIFO) vs λt",
-                        "lambda_t",
-                        "fold_l ratio",
-                        "≥1 for queue-using algorithms (FIFO leaves data staler); UF ≈ 1",
-                        &fifo,
-                        &lifo,
-                        |r| r.fold_low,
-                    ),
-                    Self::assemble_ratio(
-                        "fig11b",
-                        "psuccess(FIFO) / psuccess(LIFO) vs λt",
-                        "lambda_t",
-                        "psuccess ratio",
-                        "≤1 for TF especially (FIFO installs nearly-expired updates first)",
-                        &fifo,
-                        &lifo,
-                        |r| r.txns.p_success(),
-                    ),
-                ]
-            }
-            FigureId::Fig12 => {
-                let ab = self.abort_lt();
-                let base = self.baseline_lt();
-                vec![
-                    Self::assemble(
-                        "fig12a",
-                        "fold_h vs λt (abort on stale reads)",
-                        "lambda_t",
-                        "fold_h",
-                        "TF drops to <20% stale (aborts free time for updates); UF/SU stay fresh",
-                        &ab,
-                        |r| r.fold_high,
-                    ),
-                    Self::assemble_ratio(
-                        "fig12b",
-                        "fold_h(abort) / fold_h(no abort) vs λt",
-                        "lambda_t",
-                        "fold_h ratio",
-                        "TF well below 1 (much fresher with aborts); UF ≈ 1",
-                        &ab,
-                        &base,
-                        |r| r.fold_high,
-                    ),
-                ]
-            }
-            FigureId::Fig13 => {
-                let ab = self.abort_lt();
-                let base = self.baseline_lt();
-                vec![
-                    Self::assemble(
-                        "fig13a",
-                        "AV vs λt (abort on stale reads)",
-                        "lambda_t",
-                        "AV",
-                        "OD clear winner; SU beats both TF and UF",
-                        &ab,
-                        RunReport::av,
-                    ),
-                    Self::assemble_ratio(
-                        "fig13b",
-                        "AV(abort) / AV(no abort) vs λt",
-                        "lambda_t",
-                        "AV ratio",
-                        "TF hurt the most by aborts; OD close to 1",
-                        &ab,
-                        &base,
-                        RunReport::av,
-                    ),
-                ]
-            }
-            FigureId::Fig14 => {
-                let ab = self.abort_lt();
-                vec![Self::assemble(
-                    "fig14",
-                    "psuccess vs λt (abort on stale reads)",
-                    "lambda_t",
-                    "psuccess",
-                    "OD first by 10–15 points over UF; TF second thanks to fresher data",
-                    &ab,
-                    |r| r.txns.p_success(),
-                )]
-            }
-            FigureId::Fig15 => {
-                let d = self.policy_sweep("pview", &PVIEW_GRID, |policy, pv| {
-                    SimConfig::builder()
-                        .policy(policy)
-                        .p_view(pv)
-                        .abort_on_stale(true)
-                        .build()
-                        .expect("pview config")
-                });
-                vec![
-                    Self::assemble(
-                        "fig15a",
-                        "AV vs p_view (abort on stale reads)",
-                        "p_view",
-                        "AV",
-                        "all decrease as reads move later; SU and TF worst",
-                        &d,
-                        RunReport::av,
-                    ),
-                    Self::assemble(
-                        "fig15b",
-                        "Fraction of stale view reads vs p_view",
-                        "p_view",
-                        "stale read fraction",
-                        "SU and TF read stale most often; OD least",
-                        &d,
-                        |r| r.txns.stale_read_fraction(),
-                    ),
-                ]
-            }
-            FigureId::Fig16 => {
-                let d = self.uu_lt();
-                vec![Self::assemble(
-                    "fig16",
-                    "psuccess vs λt (Unapplied Update staleness)",
-                    "lambda_t",
-                    "psuccess",
-                    "same ranking as MA: OD, UF, SU, TF from best to worst",
-                    &d,
-                    |r| r.txns.p_success(),
-                )]
-            }
-            FigureId::FigR1 => {
-                let d = self.outage_lt();
-                let s = self.shed_outage();
-                vec![
-                    Self::assemble(
-                        "figr1a",
-                        "Stale fraction of high-importance data vs outage length",
-                        "outage_secs",
-                        "fold_h",
-                        "grows with the outage for every algorithm; UF recovers fastest",
-                        &d,
-                        |r| r.fold_high,
-                    ),
-                    Self::assemble(
-                        "figr1b",
-                        "Missed deadlines vs outage length",
-                        "outage_secs",
-                        "pMD",
-                        "catch-up flood steals CPU: pMD rises most for UF/SU",
-                        &d,
-                        |r| r.txns.p_md(),
-                    ),
-                    Self::assemble(
-                        "figr1c",
-                        "Post-outage staleness recovery time vs outage length",
-                        "outage_secs",
-                        "recovery_secs",
-                        "longer outages take longer to drain; 0 when never disturbed \
-                         or not recovered by the horizon",
-                        &d,
-                        |r| r.resilience.recovery_secs.unwrap_or(0.0),
-                    ),
-                    Self::assemble_shed(
-                        "figr1d",
-                        "fold_h vs outage length by shedding policy (TF, UQ_max = 250)",
-                        "outage_secs",
-                        "fold_h",
-                        "drop-low-imp keeps high-importance data freshest through the flood",
-                        &s,
-                        |r| r.fold_high,
-                    ),
-                ]
-            }
-            FigureId::FigD1 => {
-                let d = self.dag_depth();
-                vec![
-                    Self::assemble(
-                        "figd1a",
-                        "Time-averaged stale fraction of derived views vs DAG depth",
-                        "dag_depth",
-                        "fold_derived",
-                        "saturated baseline, so background propagation (lowest-priority \
-                         work) rarely runs: TF/SU pin near 1, UF grows with depth as \
-                         cascades lengthen, OD is freshest and improves with depth — \
-                         each refresh quiesces a whole ancestor cone",
-                        &d,
-                        |r| r.dag.fold_derived,
-                    ),
-                    Self::assemble(
-                        "figd1b",
-                        "Mean delta-application lag vs DAG depth",
-                        "dag_depth",
-                        "dag lag (s)",
-                        "lag falls with depth at constant node budget: the base-attached \
-                         rank shrinks, so fewer installs enqueue and the pending map \
-                         drains faster; SU > OD > UF; TF ≈ 0 — it installs so few bases \
-                         under load that almost nothing ever enqueues",
-                        &d,
-                        |r| r.dag.lag_mean,
-                    ),
-                    Self::assemble(
-                        "figd1c",
-                        "On-demand derived refreshes vs DAG depth",
-                        "dag_depth",
-                        "od_refreshes",
-                        "zero for UF/TF/SU; OD pays one recursive refresh per stale \
-                         derived read, falling with depth as each refresh freshens a \
-                         longer ancestor cone",
-                        &d,
-                        |r| r.dag.od_refreshes as f64,
-                    ),
-                ]
-            }
-        }
-    }
-
-    /// Like [`Campaign::assemble`] but with one series per shedding policy
-    /// (figR1 panel d sweeps [`ShedPolicy::ALL`], not the scheduling
-    /// algorithms).
-    fn assemble_shed<F>(
-        id: &str,
-        title: &str,
-        x_label: &str,
-        y_label: &str,
-        expect: &str,
-        data: &ShedSweepData,
-        metric: F,
-    ) -> Figure
-    where
-        F: Fn(&RunReport) -> f64,
-    {
-        let mean = |rs: &[RunReport]| -> f64 {
-            let mut w = Welford::new();
-            for r in rs {
-                w.push(metric(r));
-            }
-            w.mean()
-        };
-        let series = ShedPolicy::ALL
-            .iter()
-            .map(|p| Series {
-                label: p.label().to_string(),
-                points: data
-                    .iter()
-                    .filter(|(dp, _, _)| dp == p)
-                    .map(|(_, x, rs)| (*x, mean(rs)))
-                    .collect(),
-                spread: Vec::new(),
-            })
-            .collect();
-        Figure {
-            id: id.to_string(),
-            title: title.to_string(),
-            x_label: x_label.to_string(),
-            y_label: y_label.to_string(),
-            series,
-            paper_expectation: expect.to_string(),
+            paper_expectation: panel.expect.to_string(),
         }
     }
 }
@@ -1099,6 +1012,38 @@ mod tests {
     }
 
     #[test]
+    fn every_panel_has_one_figure_and_every_sweep_one_key() {
+        for panel in &PANELS {
+            let owners = FigureId::ALL
+                .iter()
+                .filter(|f| f.panels().any(|p| p.id == panel.id));
+            assert_eq!(owners.count(), 1, "{}", panel.id);
+            if let Some(over) = panel.over {
+                assert_eq!((over.curves)(), (panel.sweep.curves)(), "{}", panel.id);
+            }
+        }
+        assert_eq!(FigureId::Tables.panels().count(), 0);
+        for id in &FigureId::ALL[1..] {
+            assert!(id.panels().count() > 0, "{id:?} has no panel");
+        }
+        // SWEEPS holds exactly the sweeps the panels plot, each key once.
+        let mut keys: Vec<&str> = SWEEPS.iter().map(|s| s.key).collect();
+        keys.sort_unstable();
+        let mut plotted: Vec<&str> = PANELS
+            .iter()
+            .flat_map(|p| [Some(p.sweep), p.over])
+            .flatten()
+            .map(|s| s.key)
+            .collect();
+        plotted.sort_unstable();
+        plotted.dedup();
+        assert_eq!(keys, plotted);
+        for sweep in SWEEPS {
+            assert_eq!(sweep.points().count(), 4 * sweep.xs.len(), "{}", sweep.key);
+        }
+    }
+
+    #[test]
     fn parameter_tables_match_paper() {
         let t = render_parameter_tables();
         assert!(t.contains("Table 1"));
@@ -1155,9 +1100,9 @@ mod tests {
         assert_eq!(figs[3].series.len(), ShedPolicy::ALL.len());
         assert!(c.failures().is_empty());
         // Both resilience sweeps are memoised.
-        let before = (c.cache.len(), c.shed_cache.is_some());
+        assert_eq!(c.cache.len(), 2);
         let again = c.figure(FigureId::FigR1);
-        assert_eq!((c.cache.len(), c.shed_cache.is_some()), before);
+        assert_eq!(c.cache.len(), 2);
         assert_eq!(again.len(), 4);
     }
 

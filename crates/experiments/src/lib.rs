@@ -1,15 +1,17 @@
 //! `strip-experiments` — the harness that regenerates every experiment in
 //! the paper's evaluation (§6).
 //!
-//! * [`sweep`] — parallel parameter-sweep execution over the Poisson
-//!   workload.
-//! * [`runner`] — crash-isolated sweep execution with one-retry semantics
-//!   and on-disk checkpoints, so long campaigns survive a panicking point
-//!   and a killed process resumes where it stopped.
-//! * [`figures`] — one runner per paper figure (3–16) plus the parameter
-//!   tables and the figR1 resilience experiment, with shared sweeps memoised
-//!   per [`figures::Campaign`].
+//! * [`figures`] — the experiments as data: one [`figures::SWEEPS`] row per
+//!   simulated sweep, one [`figures::PANELS`] row per plotted panel of
+//!   Figures 3–16, figR1 and figD1, plus the parameter tables; a
+//!   [`figures::Campaign`] runs and memoises the sweeps.
+//! * [`runner`] — the sweep executor: replica expansion, crash isolation
+//!   with one retry, and on-disk checkpoints, so long campaigns survive a
+//!   panicking point and a killed process resumes where it stopped.
+//! * [`sweep`] — campaign settings and the lock-free parallel job loop.
 //! * [`table`] — ASCII/CSV rendering of reproduced figures.
+//! * [`tracing`] — `repro trace`: a figure's sweep at its representative x
+//!   with the flight recorder attached.
 //!
 //! The `repro` binary drives a full campaign:
 //!
@@ -30,7 +32,7 @@ pub mod tracing;
 
 pub use figures::{render_parameter_tables, Campaign, FigureId};
 pub use runner::{PointFailure, SweepOutcome, SweepRunner};
-pub use sweep::{run_sweep, RunSettings};
+pub use sweep::RunSettings;
 pub use table::{Figure, Series};
 pub use tracing::{run_trace, trace_configs, Scenario, TraceTarget};
 

@@ -1,9 +1,8 @@
 //! Crash-isolated, checkpointing sweep execution.
 //!
-//! The plain sweep in [`crate::sweep`] assumes every simulation returns; one
-//! panicking point would tear down the whole campaign and lose hours of
-//! completed work. [`SweepRunner`] hardens that path for long reproduction
-//! runs:
+//! One panicking point must not tear down a whole campaign and lose hours
+//! of completed work, so [`SweepRunner`] — the one sweep executor — is
+//! hardened for long reproduction runs:
 //!
 //! * every point runs under [`std::panic::catch_unwind`], so a crash is
 //!   confined to its own point;
@@ -121,9 +120,9 @@ impl SweepRunner {
         self.checkpoint_dir.as_deref()
     }
 
-    /// Replica-expands `configs` exactly like
-    /// [`crate::sweep::run_sweep_replicated`] (replica `r` runs with
-    /// `cfg.seed.wrapping_add(r)`) and executes every job crash-isolated.
+    /// Runs every configuration under `settings.replicas` seeds — replica `r`
+    /// with `cfg.seed.wrapping_add(r)`, so replica 0 is bit-identical to the
+    /// unreplicated run — and executes every job crash-isolated.
     ///
     /// `sweep` namespaces the checkpoint files so distinct sweeps sharing a
     /// directory cannot collide.
@@ -674,7 +673,26 @@ mod tests {
     }
 
     #[test]
-    fn replica_expansion_matches_plain_sweep() {
+    fn order_and_results_do_not_depend_on_the_thread_count() {
+        // Real simulations, two seeds each.
+        let mut settings = RunSettings::quick(2.0);
+        settings.replicas = 2;
+        let runner = SweepRunner::new();
+        let sequential = runner.run_replicated(&settings, "seq", configs(6));
+        settings.threads = 4;
+        let parallel = runner.run_replicated(&settings, "par", configs(6));
+        assert_eq!(sequential.replica_sets, parallel.replica_sets);
+        assert!(parallel.failures.is_empty());
+        for (cfg, reps) in configs(6).iter().zip(&parallel.replica_sets) {
+            assert_eq!(reps[0].policy, cfg.policy.label());
+            assert_eq!(reps[1].seed, cfg.seed + 1);
+        }
+        let empty = runner.run_replicated(&settings, "none", Vec::new());
+        assert!(empty.replica_sets.is_empty());
+    }
+
+    #[test]
+    fn replicas_run_with_consecutive_seeds() {
         let mut settings = RunSettings::quick(2.0);
         settings.replicas = 3;
         let runner = SweepRunner::new().with_run_fn(fake_run());

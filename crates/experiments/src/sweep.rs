@@ -1,21 +1,16 @@
-//! Parameter-sweep execution.
+//! Campaign settings and the parallel job loop under
+//! [`crate::runner::SweepRunner`].
 //!
-//! A sweep is a list of labelled configurations executed (in parallel when
-//! cores allow) with the Poisson workload of `strip-workload`. Results come
-//! back in submission order regardless of completion order, so figures are
-//! deterministic.
-//!
-//! Result collection is lock-free: jobs are claimed from a shared atomic
-//! cursor and every worker writes each finished report into that job's own
-//! pre-allocated slot (a `OnceLock` per index), so no two workers ever
-//! contend on a slot and no mutex guards the hot path.
+//! Results come back in submission order regardless of completion order, so
+//! figures are deterministic. Collection is lock-free: jobs are claimed from
+//! a shared atomic cursor and every worker writes each finished result into
+//! that job's own pre-allocated slot (a `OnceLock` per index), so no two
+//! workers ever contend on a slot and no mutex guards the hot path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use strip_core::config::SimConfig;
-use strip_core::report::RunReport;
-use strip_workload::run_paper_sim;
 
 /// Global knobs of a reproduction campaign.
 #[derive(Debug, Clone)]
@@ -27,7 +22,7 @@ pub struct RunSettings {
     /// Worker threads for the sweep (`0` = autodetect).
     pub threads: usize,
     /// Independent replications per data point (seeds `seed..seed+replicas`);
-    /// figures report the mean across replicas.
+    /// figures report each metric's mean and standard deviation across them.
     pub replicas: usize,
 }
 
@@ -83,8 +78,7 @@ impl RunSettings {
 /// Runs `n` indexed jobs across `workers` threads; slot `i` of the result
 /// receives `f(i)`. Jobs are claimed from a shared atomic cursor and each
 /// slot is written exactly once by whichever worker claimed it, so
-/// collection needs no lock. Shared by the plain sweep below and the
-/// crash-isolated runner (`crate::runner`).
+/// collection needs no lock.
 pub(crate) fn run_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send + Sync,
@@ -117,123 +111,9 @@ where
         .collect()
 }
 
-/// Runs `jobs` simulations across `workers` threads; slot `i` of the result
-/// receives job `i`'s report.
-fn run_jobs(jobs: Vec<SimConfig>, workers: usize) -> Vec<RunReport> {
-    run_indexed(jobs.len(), workers, |i| run_paper_sim(&jobs[i]))
-}
-
-/// Runs every configuration under every replica seed, returning the full
-/// per-config replica sets in input order.
-///
-/// Replica `r` of a configuration runs with `cfg.seed.wrapping_add(r)`, so
-/// replica 0 is bit-identical to the unreplicated run.
-#[must_use]
-pub fn run_sweep_replicated(
-    settings: &RunSettings,
-    configs: Vec<SimConfig>,
-) -> Vec<Vec<RunReport>> {
-    let replicas = settings.replicas.max(1);
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let mut jobs = Vec::with_capacity(configs.len() * replicas);
-    for cfg in &configs {
-        for rep in 0..replicas {
-            let mut c = cfg.clone();
-            c.seed = c.seed.wrapping_add(rep as u64);
-            jobs.push(c);
-        }
-    }
-    let workers = settings.worker_count(jobs.len());
-    let reports = run_jobs(jobs, workers);
-    reports
-        .chunks(replicas)
-        .map(<[RunReport]>::to_vec)
-        .collect()
-}
-
-/// Runs every configuration, returning one report per config in input
-/// order. With `replicas > 1` each report is the field-wise mean across the
-/// replica seeds ([`RunReport::average`]); with `replicas == 1` the single
-/// run is returned untouched (bit-for-bit).
-#[must_use]
-pub fn run_sweep(settings: &RunSettings, configs: Vec<SimConfig>) -> Vec<RunReport> {
-    run_sweep_replicated(settings, configs)
-        .into_iter()
-        .map(|mut reps| {
-            if reps.len() == 1 {
-                reps.pop().expect("one replica")
-            } else {
-                RunReport::average(&reps)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strip_core::config::Policy;
-
-    fn configs(n: usize) -> Vec<SimConfig> {
-        (0..n)
-            .map(|i| {
-                SimConfig::builder()
-                    .policy(Policy::PAPER_SET[i % 4])
-                    .lambda_t(2.0 + i as f64)
-                    .duration(2.0)
-                    .seed(5)
-                    .build()
-                    .unwrap()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sweep_preserves_order() {
-        let settings = RunSettings {
-            duration: 2.0,
-            seed: 5,
-            threads: 3,
-            replicas: 1,
-        };
-        let cfgs = configs(6);
-        let expected: Vec<String> = cfgs.iter().map(|c| c.policy.label().to_string()).collect();
-        let reports = run_sweep(&settings, cfgs);
-        let got: Vec<String> = reports.iter().map(|r| r.policy.clone()).collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let cfgs = configs(4);
-        let seq = run_sweep(
-            &RunSettings {
-                duration: 2.0,
-                seed: 5,
-                threads: 1,
-                replicas: 1,
-            },
-            cfgs.clone(),
-        );
-        let par = run_sweep(
-            &RunSettings {
-                duration: 2.0,
-                seed: 5,
-                threads: 4,
-                replicas: 1,
-            },
-            cfgs,
-        );
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn empty_sweep() {
-        let reports = run_sweep(&RunSettings::quick(1.0), vec![]);
-        assert!(reports.is_empty());
-    }
 
     #[test]
     fn settings_apply_overrides() {
@@ -249,46 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn replicas_expand_and_average() {
-        let mut settings = RunSettings::quick(2.0);
-        settings.replicas = 3;
-        let cfgs = configs(2);
-        let sets = run_sweep_replicated(&settings, cfgs.clone());
-        assert_eq!(sets.len(), 2);
-        for (cfg, reps) in cfgs.iter().zip(&sets) {
-            assert_eq!(reps.len(), 3);
-            // Replica 0 carries the base seed; later replicas increment it.
-            for (r, rep) in reps.iter().enumerate() {
-                assert_eq!(rep.seed, cfg.seed.wrapping_add(r as u64));
-            }
+    fn run_indexed_fills_every_slot_in_order() {
+        for workers in [1, 3] {
+            assert_eq!(run_indexed(6, workers, |i| i * i), [0, 1, 4, 9, 16, 25]);
+            assert!(run_indexed(0, workers, |i| i).is_empty());
         }
-        let averaged = run_sweep(&settings, cfgs);
-        assert_eq!(averaged.len(), 2);
-        for (avg, reps) in averaged.iter().zip(&sets) {
-            let mean_av: f64 = reps.iter().map(|r| r.txns.value_committed).sum::<f64>() / 3.0;
-            assert!((avg.txns.value_committed - mean_av).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn replicas_one_is_bit_identical_to_unreplicated() {
-        let cfgs = configs(3);
-        let base = run_sweep(&RunSettings::quick(2.0), cfgs.clone());
-        let mut settings = RunSettings::quick(2.0);
-        settings.replicas = 1;
-        let replicated = run_sweep(&settings, cfgs);
-        assert_eq!(base, replicated);
-    }
-
-    #[test]
-    fn parallel_replicated_equals_sequential_replicated() {
-        let mut seq_settings = RunSettings::quick(2.0);
-        seq_settings.replicas = 2;
-        let mut par_settings = seq_settings.clone();
-        par_settings.threads = 4;
-        let cfgs = configs(3);
-        let seq = run_sweep_replicated(&seq_settings, cfgs.clone());
-        let par = run_sweep_replicated(&par_settings, cfgs);
-        assert_eq!(seq, par);
     }
 }

@@ -21,8 +21,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use strip_core::config::{ConfigError, DisturbanceSpec, Policy, QueuePolicy, SimConfig};
-use strip_db::staleness::StalenessSpec;
+use strip_core::config::{Policy, SimConfig};
 use strip_obs::{chrome_trace_json, gauges_csv, records_csv, TraceConfig};
 use strip_workload::{run_paper_sim_traced, scenarios};
 
@@ -104,63 +103,43 @@ impl FromStr for TraceTarget {
     }
 }
 
-/// The λt at which the representative figure configurations run: the knee
-/// of the paper's curves, where the policies differ most visibly.
-const TRACE_LAMBDA_T: f64 = 12.0;
-
-/// Builds the labelled configurations a target traces: one per paper
-/// policy, parameterised like the target's sweep at its most informative
-/// operating point.
+/// Builds the labelled configurations a target traces. A figure is traced
+/// as the sweep of its first panel, at that sweep's [`Sweep::trace_x`]: one
+/// run per curve, configured exactly like the sweep's own point there. A
+/// scenario runs its preset under each of the paper's policies.
 ///
-/// # Errors
-///
-/// Returns the builder's [`ConfigError`] when a figure's representative
-/// configuration fails validation (e.g. an out-of-range override in
-/// `settings`).
-pub fn trace_configs(
-    target: TraceTarget,
-    settings: &RunSettings,
-) -> Result<Vec<(String, SimConfig)>, ConfigError> {
-    Policy::PAPER_SET
-        .iter()
-        .map(|&policy| {
-            let cfg = match target {
-                TraceTarget::Scenario(sc) => {
-                    let built = match sc {
-                        Scenario::ProgramTrading => {
-                            scenarios::program_trading(policy, settings.seed)
-                        }
-                        Scenario::PlantControl => scenarios::plant_control(policy, settings.seed),
-                        Scenario::Telecom => scenarios::telecom(policy, settings.seed),
-                    };
-                    settings.apply(built)
-                }
-                TraceTarget::Figure(fig) => {
-                    let b = SimConfig::builder().policy(policy).lambda_t(TRACE_LAMBDA_T);
-                    let b = match fig {
-                        // Figures 11: queue-discipline comparison → LIFO leg.
-                        FigureId::Fig11 => b.queue_policy(QueuePolicy::Lifo),
-                        // Figures 12–15: the abort-on-stale mode.
-                        FigureId::Fig12 | FigureId::Fig13 | FigureId::Fig14 | FigureId::Fig15 => {
-                            b.abort_on_stale(true)
-                        }
-                        // Figure 16: unapplied-update staleness criterion.
-                        FigureId::Fig16 => b.staleness(StalenessSpec::UnappliedUpdate),
-                        // figR1: a mid-run feed outage with catch-up flood.
-                        FigureId::FigR1 => b.disturbance(Some(DisturbanceSpec {
-                            outage_from: settings.duration * 0.4,
-                            outage_secs: 5.0_f64.min(settings.duration * 0.1),
-                            ..DisturbanceSpec::default()
-                        })),
-                        // Figures 3–10 share the baseline workload.
-                        _ => b,
-                    };
-                    settings.apply(b.build()?)
-                }
+/// [`Sweep::trace_x`]: crate::figures::Sweep::trace_x
+#[must_use]
+pub fn trace_configs(target: TraceTarget, settings: &RunSettings) -> Vec<(String, SimConfig)> {
+    let label = |curve: &str| format!("{}-{curve}", target.name());
+    match target {
+        TraceTarget::Scenario(sc) => {
+            let preset: fn(Policy, u64) -> SimConfig = match sc {
+                Scenario::ProgramTrading => scenarios::program_trading,
+                Scenario::PlantControl => scenarios::plant_control,
+                Scenario::Telecom => scenarios::telecom,
             };
-            Ok((format!("{}-{}", target.name(), policy.label()), cfg))
-        })
-        .collect()
+            Policy::PAPER_SET
+                .iter()
+                .map(|&policy| {
+                    let cfg = settings.apply(preset(policy, settings.seed));
+                    (label(policy.label()), cfg)
+                })
+                .collect()
+        }
+        TraceTarget::Figure(fig) => {
+            let Some(sweep) = fig.panels().next().map(|panel| panel.sweep) else {
+                return Vec::new();
+            };
+            (sweep.curves)()
+                .into_iter()
+                .map(|curve| {
+                    let cfg = sweep.config(settings, curve, sweep.trace_x);
+                    (label(curve.label()), cfg)
+                })
+                .collect()
+        }
+    }
 }
 
 /// Runs every configuration of `target` with the flight recorder attached
@@ -169,8 +148,8 @@ pub fn trace_configs(
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors; an invalid generated configuration is
-/// reported as [`std::io::ErrorKind::InvalidInput`].
+/// Propagates filesystem errors; a configuration the core rejects (a bad
+/// `--seconds`, say) is reported as [`std::io::ErrorKind::InvalidInput`].
 pub fn run_trace(
     target: TraceTarget,
     settings: &RunSettings,
@@ -178,10 +157,8 @@ pub fn run_trace(
     dir: &Path,
 ) -> std::io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
-    let configs = trace_configs(target, settings)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
     let mut written = Vec::new();
-    for (label, cfg) in configs {
+    for (label, cfg) in trace_configs(target, settings) {
         let (_report, data) = run_paper_sim_traced(&cfg, trace).map_err(|e| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{label}: {e}"))
         })?;
@@ -202,6 +179,7 @@ pub fn run_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strip_db::staleness::StalenessSpec;
 
     #[test]
     fn targets_parse_figures_and_scenarios() {
@@ -218,15 +196,36 @@ mod tests {
     }
 
     #[test]
-    fn figure_targets_build_one_config_per_policy() {
+    fn a_figure_is_traced_as_its_own_sweep_at_trace_x() {
         let settings = RunSettings::quick(5.0);
-        let configs =
-            trace_configs(TraceTarget::Figure(FigureId::Fig16), &settings).expect("trace configs");
-        assert_eq!(configs.len(), Policy::PAPER_SET.len());
-        for (label, cfg) in &configs {
+        for fig in &FigureId::ALL[1..] {
+            let sweep = fig.panels().next().expect("a panel").sweep;
+            let expected: Vec<(String, SimConfig)> = Policy::PAPER_SET
+                .iter()
+                .map(|&policy| {
+                    let base = SimConfig::builder().policy(policy);
+                    let built = (sweep.build)(base, &settings, sweep.trace_x);
+                    let cfg = settings.apply(built.build().expect("valid point"));
+                    (format!("{}-{}", fig.name(), policy.label()), cfg)
+                })
+                .collect();
+            assert_eq!(
+                trace_configs(TraceTarget::Figure(*fig), &settings),
+                expected
+            );
+        }
+        // What the per-figure `match` this replaced had let drift: fig10
+        // sweeps with abort-on-stale, figd1 over a DAG, fig16 under UU.
+        let traced = |fig| trace_configs(TraceTarget::Figure(fig), &settings);
+        assert!(traced(FigureId::Fig10)
+            .iter()
+            .all(|(_, c)| c.abort_on_stale));
+        assert!(traced(FigureId::FigD1).iter().all(|(_, c)| c.dag.is_some()));
+        for (label, cfg) in traced(FigureId::Fig16) {
             assert!(label.starts_with("fig16-"), "label {label}");
             assert_eq!(cfg.duration, 5.0);
             assert_eq!(cfg.staleness, StalenessSpec::UnappliedUpdate);
+            assert_eq!(cfg.lambda_t, 12.0);
         }
     }
 
@@ -238,9 +237,10 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let settings = RunSettings::quick(2.0);
+        // Five seconds: long enough for UF to reach its first DAG deltas.
+        let settings = RunSettings::quick(5.0);
         let written = run_trace(
-            TraceTarget::Figure(FigureId::Fig06),
+            TraceTarget::Figure(FigureId::FigD1),
             &settings,
             TraceConfig::default(),
             &dir,
@@ -251,8 +251,14 @@ mod tests {
             let meta = std::fs::metadata(path).expect("exported file");
             assert!(meta.len() > 0, "{} is empty", path.display());
         }
-        let json = std::fs::read_to_string(dir.join("fig06-UF.trace.json")).expect("chrome trace");
+        let json = std::fs::read_to_string(dir.join("figd1-UF.trace.json")).expect("chrome trace");
         assert!(json.contains("\"traceEvents\""));
+        // The traced figD1 run maintains a DAG, as its sweep does.
+        let records = std::fs::read_to_string(dir.join("figd1-UF.records.csv")).expect("records");
+        assert!(
+            records.contains("dag_apply"),
+            "no DAG work in the figD1 trace"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

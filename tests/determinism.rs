@@ -7,11 +7,13 @@
 //! sweeps must be byte-stable too — the thread count may only change
 //! wall-clock time, never a single bit of output. Reports are compared in
 //! the checkpoint text format (`serialize_report`), the exact
-//! representation the resume path trusts.
+//! representation the resume path trusts. The sweeps go through
+//! `SweepRunner::run_replicated`, the executor every `repro` figure uses.
 
 use strip_core::config::{DagSpec, DisturbanceSpec, Policy, SimConfig};
+use strip_core::report::RunReport;
 use strip_experiments::runner::serialize_report;
-use strip_experiments::sweep::{run_sweep_replicated, RunSettings};
+use strip_experiments::{RunSettings, SweepRunner};
 use strip_obs::TraceConfig;
 use strip_workload::{run_paper_sim_checked, run_paper_sim_striped, run_paper_sim_traced};
 
@@ -59,8 +61,8 @@ fn sweep_configs() -> Vec<SimConfig> {
                     .lambda_t(lambda_t)
                     // Byte-identity does not need the paper's durations or
                     // full database; small runs keep the matrix fast under
-                    // debug. (`run_sweep_replicated` takes duration/seed
-                    // from the configs, not from `RunSettings`.)
+                    // debug. (`run_replicated` takes duration/seed from
+                    // the configs, not from `RunSettings`.)
                     .duration(2.0)
                     .seed(0x5712_1995)
                     .n_low(60)
@@ -73,15 +75,22 @@ fn sweep_configs() -> Vec<SimConfig> {
     configs
 }
 
-/// Serializes a full replicated sweep result to one comparable byte blob.
-fn sweep_bytes(threads: usize, replicas: usize) -> String {
+/// The per-config replica sets of the sweep, none of them failed.
+fn replica_sets(threads: usize, replicas: usize) -> Vec<Vec<RunReport>> {
     let settings = RunSettings {
         duration: 1.0,
         seed: 0x5712_1995,
         threads,
         replicas,
     };
-    let sets = run_sweep_replicated(&settings, sweep_configs());
+    let outcome = SweepRunner::new().run_replicated(&settings, "determinism", sweep_configs());
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    outcome.replica_sets
+}
+
+/// Serializes a full replicated sweep result to one comparable byte blob.
+fn sweep_bytes(threads: usize, replicas: usize) -> String {
+    let sets = replica_sets(threads, replicas);
     let mut blob = String::new();
     for (c, set) in sets.iter().enumerate() {
         for (r, report) in set.iter().enumerate() {
@@ -110,18 +119,8 @@ fn reports_are_byte_identical_across_thread_counts() {
 fn replica_zero_matches_the_unreplicated_run() {
     // Replica r runs with seed+r, so replica 0 of a replicated sweep must
     // be bit-identical to the corresponding unreplicated run.
-    let settings1 = RunSettings {
-        duration: 1.0,
-        seed: 0x5712_1995,
-        threads: 2,
-        replicas: 1,
-    };
-    let settings4 = RunSettings {
-        replicas: 4,
-        ..settings1
-    };
-    let base = run_sweep_replicated(&settings1, sweep_configs());
-    let replicated = run_sweep_replicated(&settings4, sweep_configs());
+    let base = replica_sets(2, 1);
+    let replicated = replica_sets(2, 4);
     assert_eq!(base.len(), replicated.len());
     for (set1, set4) in base.iter().zip(&replicated) {
         assert_eq!(set4.len(), 4);
@@ -153,7 +152,7 @@ fn every_runner_sees_the_stream_the_one_constructor_builds() {
         // The stripe merge re-pools the response moments (last-ulp
         // noise), so transactions are compared on their counts.
         let striped = run_paper_sim_striped(cfg).expect("valid config");
-        let counts = |r: &strip_core::report::RunReport| {
+        let counts = |r: &RunReport| {
             let t = &r.txns;
             let value = t.value_committed.to_bits();
             (
