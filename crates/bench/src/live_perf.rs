@@ -281,8 +281,6 @@ pub fn layer_recovery_replay(n_updates: usize, reps: usize) -> RateResult {
         .build()
         .expect("valid replay config");
     let fingerprint = strip_core::config_fingerprint(&sim);
-    let tmp = TempWal::new("replay");
-    std::fs::create_dir_all(&tmp.0).expect("create wal dir");
     let mut segment = Vec::with_capacity(32 + n_updates * REC_LEN);
     segment.extend_from_slice(
         &SegmentHeader {
@@ -295,13 +293,14 @@ pub fn layer_recovery_replay(n_updates: usize, reps: usize) -> RateResult {
         segment.extend_from_slice(&WalRecord::update(i as u64, synth_update(i), i as i64).encode());
     }
     let mut cfg = LiveConfig::new(sim).expect("valid live config");
-    cfg.durability = Some(DurabilityConfig::new(&tmp.0));
 
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
-        // Re-write the artefacts each rep: recover() re-bases the
-        // snapshot, which would otherwise shrink later reps' replay.
-        let _ = std::fs::remove_file(tmp.0.join("snapshot.bin"));
+        // A wiped directory each rep: recover() re-bases onto a snapshot,
+        // which would otherwise leave later reps nothing to replay.
+        let tmp = TempWal::new("replay");
+        std::fs::create_dir_all(&tmp.0).expect("create wal dir");
+        cfg.durability = Some(DurabilityConfig::new(&tmp.0));
         std::fs::write(tmp.0.join(strip_live::wal::SEGMENT_FILE), &segment).expect("write segment");
         let started = Instant::now();
         let recovered = strip_live::recovery::recover(&cfg).expect("recover");

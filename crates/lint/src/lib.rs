@@ -18,7 +18,7 @@
 //! | D4   | undocumented-unsafe     | everywhere: `unsafe` needs `// SAFETY:`     |
 //! | D5   | panicking-io            | checkpoint/trace I/O: no unwrap/expect/`[]` |
 //! | D6   | raw-f64-sum             | stats-adjacent files: use Welford helpers   |
-//! | D7   | durability-boundary     | WAL/snapshot/recovery: checked I/O only; sim-path crates must not import them |
+//! | D7   | durability-boundary     | WAL/snapshot/recovery/logdir: checked I/O only; sim-path crates must not import them |
 //! | D8   | live-panic              | live runtime (non-durability files) and the scheduler core it drives: every `unwrap`/`expect`/`panic!` needs a per-site allow naming its invariant |
 //! | D9   | atomic-protocol         | everywhere scanned: every `Ordering::*` site must match its field's declared role in `crates/lint/sync_protocol.toml` |
 //! | D10  | lock-order              | everywhere scanned: `.lock()` only on registered Mutexes; nested acquisitions ascend in rank |
@@ -88,7 +88,8 @@ const D6_FILES: [&str; 3] = [
 /// Durability I/O modules (D7, checked-I/O mode): the crash-safety path
 /// runs unattended and must degrade via `Result` — a panic here turns a
 /// recoverable disk hiccup into data loss.
-const D7_DURABILITY_FILES: [&str; 3] = [
+const D7_DURABILITY_FILES: [&str; 4] = [
+    "crates/live/src/logdir.rs",
     "crates/live/src/recovery.rs",
     "crates/live/src/snapshot.rs",
     "crates/live/src/wal.rs",
@@ -449,6 +450,7 @@ mod tests {
             "crates/live/src/wal.rs",
             "crates/live/src/snapshot.rs",
             "crates/live/src/recovery.rs",
+            "crates/live/src/logdir.rs",
         ] {
             assert!(
                 rules_for(f).contains(&RuleId::DurabilityBoundary),

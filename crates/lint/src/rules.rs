@@ -399,7 +399,7 @@ pub(crate) fn snippet(lines: &[&str], line: u32) -> String {
 fn is_durability_file(file: &str) -> bool {
     matches!(
         file.rsplit('/').next(),
-        Some("wal.rs" | "snapshot.rs" | "recovery.rs")
+        Some("wal.rs" | "snapshot.rs" | "recovery.rs" | "logdir.rs")
     )
 }
 
@@ -603,7 +603,7 @@ pub fn analyze_source(file: &str, src: &str, rules: &[RuleId]) -> Vec<Violation>
             // module would grow the deterministic simulator a filesystem
             // dependency. Matching the full `strip_live::<module>` path
             // keeps idents like `Ingest::Snapshot` from firing.
-            "wal" | "snapshot" | "recovery"
+            "wal" | "snapshot" | "recovery" | "logdir"
                 if rules.contains(&RuleId::DurabilityBoundary)
                     && preceded_by_path("strip_live")
                     && !exempt(RuleId::DurabilityBoundary, t.line) =>

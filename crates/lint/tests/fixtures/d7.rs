@@ -1,8 +1,8 @@
 // Fixture: must trigger D7 (durability-boundary) exactly once.
 // Not compiled; read as data by the self-tests.
 
-use strip_live::wal::WalHandle;
+use strip_live::logdir::chain;
 
-fn attach(handle: WalHandle) -> WalHandle {
-    handle
+fn walk(dir: &std::path::Path) -> usize {
+    chain(dir).map_or(0, Iterator::count)
 }

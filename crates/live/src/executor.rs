@@ -159,7 +159,7 @@ pub fn stripe_configs(cfg: &LiveConfig) -> Vec<LiveConfig> {
             let mut sub = cfg.clone();
             sub.sim = map.sub_config(&cfg.sim, s);
             if let Some(d) = &mut sub.durability {
-                d.dir = d.dir.join(format!("stripe-{s}"));
+                d.dir = crate::logdir::stripe_dir(&d.dir, s);
             }
             sub
         })

@@ -27,9 +27,12 @@
 //! * [`wal`] — crash durability: an append-only, CRC-protected log of
 //!   accepted updates, group-committed by a dedicated flusher thread so
 //!   the quantum loop never blocks on `fsync`.
-//! * [`snapshot`] — periodic atomic store images; each one seals and
-//!   truncates the log segment.
-//! * [`recovery`] — snapshot load + WAL tail replay (longest valid
+//! * [`snapshot`] — the byte format of the periodic store images; each
+//!   one cuts the log.
+//! * [`logdir`] — the durability directory: the one module that names,
+//!   truncates, renames, unlinks or fsyncs a file, and the order it does
+//!   so in.
+//! * [`recovery`] — snapshot load + WAL chain replay (longest valid
 //!   prefix), run before the listener binds.
 //! * [`signal`] — a SIGTERM/SIGINT latch so operator kills take the
 //!   orderly drain-seal-report path.
@@ -49,6 +52,7 @@ pub mod clock;
 pub mod credit;
 pub mod executor;
 pub mod loadgen;
+pub mod logdir;
 pub mod protocol;
 pub mod recovery;
 pub mod server;

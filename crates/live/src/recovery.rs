@@ -1,27 +1,28 @@
 //! Crash recovery: snapshot load plus WAL tail replay.
 //!
-//! The recovery state machine (DESIGN.md §14) runs **before** `stripd`
-//! binds its listener, so a recovering server is never visible half-built:
+//! Recovery runs **before** `stripd` binds its listener, so a recovering
+//! server is never visible half-built. It reads the durability directory
+//! through [`crate::logdir`] only, and what it makes of every state a
+//! crash can leave there is the table in DESIGN.md §14:
 //!
-//! 1. **Snapshot** — load `snapshot.bin` if present; a valid image yields
-//!    a [`Store`] and the first sequence number it does not cover. No
-//!    snapshot means recovery starts from the configured initial store at
-//!    sequence 0 (a WAL-only crash early in a run).
-//! 2. **Replay** — scan the segment chain in log order: every sealed
-//!    (rotated) segment ascending by rotation index, then the active
-//!    `wal.seg` last ([`crate::wal::scan_segment`] per segment). Each
-//!    header is verified against the running config's fingerprint and
-//!    the chain's `base_seq` continuity is enforced; within a segment
-//!    the longest valid record prefix is kept. A torn tail is legal only
-//!    in the *final* segment — rotation seals and fsyncs every chained
-//!    link before the next one exists — so corruption inside a sealed
-//!    link aborts recovery rather than silently skipping records.
-//!    Re-`install`s go through the same worthiness check as live
-//!    traffic, so replay is idempotent and order-insensitive with
-//!    respect to superseded generations.
+//! 1. **Snapshot** — a valid image yields a [`Store`] and the first
+//!    sequence number it does not cover. No snapshot means the configured
+//!    initial store at sequence 0 (a WAL-only crash early in a run).
+//! 2. **Replay** — fold over [`logdir::chain`]: every sealed link
+//!    ascending, the active segment last ([`crate::wal::scan_segment`] per
+//!    file, headers verified against the running config's fingerprint). A
+//!    link may not begin above the sequence number reached so far — the
+//!    records in between are gone, and recovery refuses rather than skip
+//!    them. The longest-valid-prefix rule applies to the *final* segment
+//!    only, all the way down to a torn header; rotation seals and fsyncs
+//!    every link before the next one exists, so an unsealed, torn or
+//!    short interior link aborts recovery too. Re-`install`s go through
+//!    the same worthiness check as live traffic, so replay is idempotent
+//!    and order-insensitive with respect to superseded generations.
 //! 3. **Re-base** — write a fresh snapshot of the recovered store
-//!    (atomically) so the caller can truncate the segment without ever
-//!    holding state only the old segment proves.
+//!    (atomically) so the caller can restart the segment at
+//!    [`Recovered::next_seq`] without ever holding state only the old
+//!    segment proves.
 //!
 //! Torn or CRC-failing tail records are counted in
 //! [`Recovered::discarded`], never replayed. A fingerprint mismatch on
@@ -37,8 +38,8 @@ use strip_db::update::Update;
 
 use crate::clock::LiveClock;
 use crate::executor::{stripe_configs, LiveConfig};
-use crate::snapshot;
-use crate::wal::{self, REC_SEAL, REC_UPDATE, SEGMENT_FILE};
+use crate::wal::{self, HDR_LEN, REC_SEAL, REC_UPDATE};
+use crate::{logdir, snapshot};
 use strip_core::scheduler::initial_store;
 
 /// Outcome of [`recover`]: the rebuilt store plus replay accounting.
@@ -54,6 +55,10 @@ pub struct Recovered {
     pub discarded: u64,
     /// A snapshot file was found and loaded (false: WAL-only recovery).
     pub snapshot_loaded: bool,
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Rebuilds store state from the durability directory of `cfg` and
@@ -75,20 +80,19 @@ pub fn recover(cfg: &LiveConfig) -> io::Result<Recovered> {
     let attrs = cfg.sim.attrs_per_object.max(1);
     // First boot with `--recover` on a fresh directory is a legal cold
     // start; the re-base snapshot below needs the directory to exist.
-    std::fs::create_dir_all(&dur.dir)?;
+    logdir::create(&dur.dir)?;
 
     // Phase 1: snapshot.
-    let (mut store, mut next_seq, snapshot_loaded) = match snapshot::read(&dur.dir)? {
+    let (mut store, mut next_seq, snapshot_loaded) = match logdir::read_snapshot(&dur.dir)? {
         Some(bytes) => {
             let img = snapshot::decode(&bytes, fingerprint)?;
             if img.n_low != cfg.sim.n_low || img.n_high != cfg.sim.n_high || img.attrs != attrs {
                 // The fingerprint should already preclude this; keep the
                 // check so a decoder bug cannot turn into an index panic.
-                return Err(wal::WalError::FingerprintMismatch {
-                    expected: fingerprint,
-                    found: img.next_seq,
-                }
-                .into());
+                return Err(invalid(format!(
+                    "snapshot shape {}+{}x{} does not match the configured {}+{}x{attrs}",
+                    img.n_low, img.n_high, img.attrs, cfg.sim.n_low, cfg.sim.n_high
+                )));
             }
             let objects = img.objects;
             let n_low = img.n_low as usize;
@@ -104,32 +108,31 @@ pub fn recover(cfg: &LiveConfig) -> io::Result<Recovered> {
         None => (initial_store(&cfg.sim), 0, false),
     };
 
-    // Phase 2: WAL chain replay — sealed links ascending, active tail
-    // last. A crash can land between a rotation's rename and the new
-    // active segment's creation, so a missing `wal.seg` contributes
-    // nothing rather than erroring.
+    // Phase 2: WAL chain replay.
     let mut replayed = 0u64;
     let mut discarded = 0u64;
-    let mut chain: Vec<(std::path::PathBuf, bool)> = wal::list_rotated(&dur.dir)?
-        .into_iter()
-        .map(|(_, path)| (path, false))
-        .collect();
-    chain.push((dur.dir.join(SEGMENT_FILE), true));
-    for (path, is_final) in chain {
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound && is_final => continue,
-            Err(e) => return Err(e),
-        };
+    for link in logdir::chain(&dur.dir)? {
+        let (bytes, is_final) = link?;
+        if is_final && bytes.len() < HDR_LEN {
+            // `begin` truncates, then writes the header: a crash between
+            // the two tore the tail before its first record.
+            discarded += u64::from(!bytes.is_empty());
+            continue;
+        }
         let scan = wal::scan_segment(&bytes, fingerprint)?;
+        let base = scan.header.base_seq;
         if !is_final && (!scan.sealed || scan.discarded > 0) {
             // Rotation fsyncs the seal before chaining the next link; an
             // unsealed or torn interior segment means records this chain
             // claims to hold are unrecoverable.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsealed or torn interior WAL segment {}", path.display()),
-            ));
+            return Err(invalid(format!(
+                "unsealed or torn interior WAL segment (base_seq {base})"
+            )));
+        }
+        if base > next_seq {
+            return Err(invalid(format!(
+                "WAL chain has lost a link: records {next_seq}..{base} are missing"
+            )));
         }
         discarded += scan.discarded;
         for rec in &scan.records {
@@ -139,6 +142,7 @@ pub fn recover(cfg: &LiveConfig) -> io::Result<Recovered> {
                 continue;
             }
             debug_assert_eq!(rec.kind, REC_UPDATE);
+            next_seq = rec.seq + 1;
             let w = rec.update;
             let Some(class) = Importance::from_index(w.class as usize) else {
                 discarded += 1;
@@ -162,14 +166,13 @@ pub fn recover(cfg: &LiveConfig) -> io::Result<Recovered> {
             };
             let _ = store.install(&update); // worthiness decides
             replayed += 1;
-            next_seq = rec.seq + 1;
         }
     }
 
     // Phase 3: re-base, so the caller's fresh segment (base_seq =
     // next_seq) never strands replayed state in a truncated log.
     let image = snapshot::encode(&store, attrs, fingerprint, next_seq);
-    snapshot::write_atomic(&dur.dir, &image)?;
+    logdir::write_snapshot(&dur.dir, &image)?;
 
     Ok(Recovered {
         store,

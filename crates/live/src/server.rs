@@ -315,7 +315,8 @@ pub fn serve(cfg: &LiveConfig, listener: TcpListener) -> io::Result<ServerHandle
 /// to print the replay summary before binding — and passes the results
 /// in, one per stripe in stripe order. Starts one executor thread and
 /// (when durability is configured) one WAL flusher per stripe, each over
-/// its own `stripe-<s>/` directory; for `stripes > 1` a merger thread
+/// its own `stripe-<s>/` directory — which starts afresh unless a
+/// recovery result stands on it; for `stripes > 1` a merger thread
 /// joins the executors and composes the final report at the cross-stripe
 /// barrier.
 ///

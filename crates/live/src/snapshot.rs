@@ -8,11 +8,9 @@
 //! in this reproduction (paper §3.2) and zeroed on recovery, just as it is
 //! on a cold start.
 //!
-//! Snapshots are written **atomically**: encode to `snapshot.bin.tmp`,
-//! fsync the file, `rename` over `snapshot.bin`, fsync the directory. A
-//! crash at any instant leaves either the old complete snapshot or the new
-//! complete snapshot, never a torn one — and the whole-file CRC catches
-//! anything the filesystem mangles anyway.
+//! This module is the byte format only. Where an image lives and how it
+//! is replaced atomically is [`crate::logdir`]'s business; the whole-file
+//! CRC here catches anything the filesystem mangles anyway.
 //!
 //! Wire form (all integers little-endian):
 //!
@@ -29,8 +27,7 @@
 //! `SimTime` the tracker and worthiness checks saw, and the initial ages
 //! drawn at startup are not microsecond-aligned.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 
 use strip_db::object::{Importance, ViewObject, ViewObjectId};
@@ -39,10 +36,6 @@ use strip_sim::time::SimTime;
 
 use crate::wal::{crc32, WalError};
 
-/// Snapshot file name inside the WAL directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-/// Temporary file the atomic write-rename goes through.
-pub const SNAPSHOT_TMP: &str = "snapshot.bin.tmp";
 /// Snapshot header magic.
 pub const SNAP_MAGIC: [u8; 8] = *b"STRIPSNP";
 /// Snapshot format version.
@@ -198,43 +191,14 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<DecodedSnapshot
     })
 }
 
-/// Writes `bytes` as the directory's snapshot, atomically: tmp file,
-/// fsync, rename over [`SNAPSHOT_FILE`], fsync the directory entry.
+/// [`crate::logdir`]'s atomic snapshot replace, under the name the
+/// benchmark times.
 ///
 /// # Errors
 ///
 /// Any I/O failure along the tmp-write-rename path.
 pub fn write_atomic(dir: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = dir.join(SNAPSHOT_TMP);
-    let dst = dir.join(SNAPSHOT_FILE);
-    let mut f = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, &dst)?;
-    // The rename itself must survive a power cut: sync the directory.
-    File::open(dir)?.sync_all()?;
-    Ok(())
-}
-
-/// Reads the directory's snapshot, `None` if one was never written.
-///
-/// # Errors
-///
-/// Any I/O failure other than the file not existing.
-pub fn read(dir: &Path) -> io::Result<Option<Vec<u8>>> {
-    let mut f = match File::open(dir.join(SNAPSHOT_FILE)) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes)?;
-    Ok(Some(bytes))
+    crate::logdir::write_snapshot(dir, bytes)
 }
 
 #[cfg(test)]
@@ -357,23 +321,5 @@ mod tests {
         let crc = crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
         assert!(matches!(decode(&bytes, FP), Err(WalError::Truncated)));
-    }
-
-    #[test]
-    fn write_atomic_then_read_round_trips_and_replaces() {
-        let dir = std::env::temp_dir().join(format!("strip-snap-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        assert!(read(&dir).expect("read empty dir").is_none());
-
-        let first = encode(&populated_store(), 2, FP, 3);
-        write_atomic(&dir, &first).expect("first write");
-        assert_eq!(read(&dir).expect("read back").as_deref(), Some(&first[..]));
-
-        let second = encode(&populated_store(), 2, FP, 99);
-        write_atomic(&dir, &second).expect("second write");
-        assert_eq!(read(&dir).expect("read back").as_deref(), Some(&second[..]));
-        assert!(!dir.join(SNAPSHOT_TMP).exists(), "tmp file left behind");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

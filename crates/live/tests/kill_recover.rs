@@ -12,6 +12,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
+use strip_live::logdir;
 use strip_live::protocol::{read_msg, write_msg, Msg, WireQuery, WireUpdate};
 
 const N_LOW: u32 = 16;
@@ -323,9 +324,10 @@ fn killed_striped_server_recovers_every_acked_update_across_stripes() {
     server.kill9();
 
     // Every stripe must have its own durability directory and segment.
-    for s in 0..STRIPES {
+    for s in 0..STRIPES as u32 {
+        let mut chain = logdir::chain(&logdir::stripe_dir(&dir, s)).expect("list stripe chain");
         assert!(
-            dir.join(format!("stripe-{s}")).join("wal.seg").is_file(),
+            chain.any(|link| link.expect("read segment").1),
             "stripe {s} has no WAL segment"
         );
     }
@@ -396,6 +398,42 @@ fn killed_striped_server_recovers_every_acked_update_across_stripes() {
         report.contains("\"stripes\"") && report.contains("\"durability\""),
         "merged report lacks stripe accounting: {report}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fresh_start_on_a_used_directory_recovers_the_new_runs_acked_updates() {
+    let dir = temp_wal_dir("fresh-on-used");
+
+    // Run 1 leaves a snapshot stamped past anything run 2 will log.
+    let server = Server::spawn(&dir, &["--snapshot-secs", "0.2"]);
+    let mut stream = server.connect();
+    send_burst(&mut stream, 0, 96);
+    ack_barrier(&mut stream, 96);
+    while !dir.join(logdir::SNAPSHOT_FILE).is_file() {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    server.shutdown(&mut stream);
+
+    // Run 2: no --recover, so the directory starts afresh; sequence
+    // numbers restart at 0, below run 1's stamp.
+    let server = Server::spawn(&dir, &["--snapshot-secs", "3600"]);
+    let mut stream = server.connect();
+    let expected = send_burst(&mut stream, 1_000, 40);
+    ack_barrier(&mut stream, 40);
+    drop(stream);
+    server.kill9();
+
+    // Run 3 recovers run 2, from its log alone.
+    let server = Server::spawn(&dir, &["--snapshot-secs", "3600", "--recover"]);
+    let banner = server.recovered_line.clone().expect("recovery banner");
+    assert!(
+        banner.contains("snapshot=none") && banner.contains("replayed=40"),
+        "a stale snapshot shadowed the new run's log: {banner}"
+    );
+    let mut stream = server.connect();
+    assert_state_matches(&mut stream, &expected);
+    server.shutdown(&mut stream);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

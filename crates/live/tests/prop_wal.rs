@@ -6,12 +6,13 @@
 use proptest::prelude::*;
 use strip_core::config::SimConfig;
 use strip_core::config_fingerprint;
+use strip_db::store::Store;
 use strip_live::protocol::WireUpdate;
 use strip_live::wal::{
     rotated_segment_name, scan_segment, DurabilityConfig, SegmentHeader, WalError, WalRecord,
     HDR_LEN, REC_LEN, REC_SEAL, SEGMENT_FILE,
 };
-use strip_live::{recover, LiveConfig};
+use strip_live::{recover, snapshot, LiveConfig, Recovered};
 
 fn update_strategy() -> impl Strategy<Value = WireUpdate> {
     (
@@ -193,13 +194,31 @@ fn fresh_chain_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// A store as snapshot bytes stamped `next_seq`.
+fn image(cfg: &LiveConfig, store: &Store, next_seq: u64) -> Vec<u8> {
+    let attrs = cfg.sim.attrs_per_object.max(1);
+    snapshot::encode(store, attrs, config_fingerprint(&cfg.sim), next_seq)
+}
+
+/// `recover` twice is `recover` once: the second pass finds everything in
+/// the re-base image and replays nothing.
+fn assert_recovery_is_idempotent(cfg: &LiveConfig, once: &Recovered) {
+    let twice = recover(cfg).expect("second recovery");
+    assert_eq!(twice.replayed, 0);
+    assert_eq!(twice.next_seq, once.next_seq);
+    assert!(
+        image(cfg, &twice.store, twice.next_seq) == image(cfg, &once.store, once.next_seq),
+        "stores differ"
+    );
+}
+
 proptest! {
     // The full rotation contract, end to end through `recover()`: a chain
     // of sealed links followed by an active segment torn at an arbitrary
-    // byte (including exactly at a record boundary) must replay every
-    // record in every sealed link plus the longest valid prefix of the
-    // tail, discard at most the one torn record, and leave `next_seq`
-    // pointing one past the last replayed update.
+    // byte (including exactly at a record boundary, and inside the header)
+    // must replay every record in every sealed link plus the longest valid
+    // prefix of the tail, discard at most the one torn record, and leave
+    // `next_seq` pointing one past the last replayed update.
     #[test]
     fn recovery_replays_rotated_chain_and_tolerates_torn_tail(
         per_link in prop::collection::vec(1usize..6, 0..4),
@@ -236,49 +255,189 @@ proptest! {
             })
             .collect();
         let mut bytes = encode_segment(fingerprint, chain_records, &active);
-        let cut = bytes.len().saturating_sub(cut_back).max(HDR_LEN);
+        let cut = bytes.len().saturating_sub(cut_back);
         bytes.truncate(cut);
         std::fs::write(dir.join(SEGMENT_FILE), &bytes).expect("write active");
 
         let rec = recover(&cfg).expect("chain recovers");
-        let whole_tail = ((cut - HDR_LEN) / REC_LEN) as u64;
+        // A tail torn inside its header holds no record; the torn bytes
+        // count like any other torn record.
+        let (whole_tail, torn) = match cut.checked_sub(HDR_LEN) {
+            Some(body) => ((body / REC_LEN) as u64, !body.is_multiple_of(REC_LEN)),
+            None => (0, cut > 0),
+        };
         prop_assert_eq!(rec.replayed, chain_records + whole_tail);
-        prop_assert_eq!(
-            rec.discarded,
-            u64::from(!(cut - HDR_LEN).is_multiple_of(REC_LEN))
-        );
+        prop_assert_eq!(rec.discarded, u64::from(torn));
         prop_assert_eq!(rec.next_seq, rec.replayed);
         prop_assert!(!rec.snapshot_loaded);
+        assert_recovery_is_idempotent(&cfg, &rec);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Writes the directory's snapshot: the initial store, stamped `next_seq`.
+fn write_image(cfg: &LiveConfig, next_seq: u64) {
+    let store = strip_core::scheduler::initial_store(&cfg.sim);
+    let dir = &cfg.durability.as_ref().expect("durable config").dir;
+    snapshot::write_atomic(dir, &image(cfg, &store, next_seq)).expect("write image");
+}
+
+/// Writes sealed link `idx` holding updates `seqs` and the seal after them.
+fn write_link(dir: &std::path::Path, fingerprint: u64, idx: u64, seqs: std::ops::Range<u64>) {
+    let mut records: Vec<WalRecord> = seqs.clone().map(chain_update).collect();
+    records.push(WalRecord::seal(seqs.end));
+    std::fs::write(
+        dir.join(rotated_segment_name(idx)),
+        encode_segment(fingerprint, seqs.start, &records),
+    )
+    .expect("write link");
 }
 
 #[test]
 fn recovery_rejects_torn_or_unsealed_interior_link() {
     // Rotation seals and fsyncs a link before the next one exists, so an
-    // interior link that is torn (or missing its seal) means acknowledged
-    // records are gone; recovery must refuse rather than skip silently.
-    for unsealed in [false, true] {
+    // interior link that is torn, unsealed, shorter than its header or
+    // absent means acknowledged records are gone; recovery must refuse
+    // rather than skip silently.
+    for case in ["torn seal", "unsealed", "headerless", "missing link"] {
         let dir = fresh_chain_dir("torn");
         let cfg = chain_config(&dir);
         let fingerprint = config_fingerprint(&cfg.sim);
-        let mut records: Vec<WalRecord> = (0..3).map(chain_update).collect();
-        if !unsealed {
-            records.push(WalRecord::seal(3));
-        }
-        let mut link = encode_segment(fingerprint, 0, &records);
-        if !unsealed {
-            let torn = link.len() - REC_LEN / 2; // tear the seal itself
-            link.truncate(torn);
-        }
-        std::fs::write(dir.join(rotated_segment_name(0)), link).expect("write link");
+        write_link(&dir, fingerprint, 0, 0..4);
+        write_link(&dir, fingerprint, 1, 4..8);
+        write_link(&dir, fingerprint, 2, 8..10);
         std::fs::write(
             dir.join(SEGMENT_FILE),
-            encode_segment(fingerprint, 3, &[WalRecord::seal(3)]),
+            encode_segment(fingerprint, 10, &[WalRecord::seal(10)]),
         )
         .expect("write active");
+        assert_eq!(recover(&cfg).expect("intact chain").replayed, 10);
+
+        let link = dir.join(rotated_segment_name(1));
+        let intact = std::fs::read(&link).expect("read link");
+        match case {
+            "torn seal" => std::fs::write(&link, &intact[..intact.len() - REC_LEN / 2]),
+            "unsealed" => std::fs::write(&link, &intact[..intact.len() - REC_LEN]),
+            "headerless" => std::fs::write(&link, &intact[..HDR_LEN - 1]),
+            _ => std::fs::remove_file(&link),
+        }
+        .expect("damage link");
+        // The first recovery re-based at 10; start over from the log alone.
+        std::fs::remove_file(dir.join("snapshot.bin")).expect("remove image");
         let err = recover(&cfg).expect_err("interior damage must abort");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{case}: {err}");
+        if case == "missing link" {
+            assert!(err.to_string().contains("4..8"), "range not named: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn recovery_tolerates_an_active_segment_torn_inside_its_header() {
+    // `begin` truncates the active segment, then writes its header. A crash
+    // between the two — in a fresh start, a rotation or a snapshot cut —
+    // loses nothing, so recovery must boot from what stands beside it.
+    for beside in ["nothing", "a sealed chain", "a snapshot"] {
+        for short in [0, HDR_LEN - 1] {
+            let dir = fresh_chain_dir("headerless");
+            let cfg = chain_config(&dir);
+            let fingerprint = config_fingerprint(&cfg.sim);
+            let covered = match beside {
+                "a sealed chain" => {
+                    write_link(&dir, fingerprint, 0, 0..3);
+                    3
+                }
+                "a snapshot" => {
+                    write_image(&cfg, 5);
+                    5
+                }
+                _ => 0,
+            };
+            let header = SegmentHeader {
+                fingerprint,
+                base_seq: covered,
+            }
+            .encode();
+            std::fs::write(dir.join(SEGMENT_FILE), &header[..short]).expect("write active");
+
+            let rec = recover(&cfg).unwrap_or_else(|e| panic!("beside {beside}, {short} B: {e}"));
+            assert_eq!(rec.next_seq, covered, "beside {beside}");
+            assert_eq!(rec.replayed, if beside == "a sealed chain" { 3 } else { 0 });
+            assert_eq!(rec.discarded, u64::from(short > 0));
+            assert_eq!(rec.snapshot_loaded, beside == "a snapshot");
+            assert_recovery_is_idempotent(&cfg, &rec);
+
+            // A full-length header that fails its checks is damage, not a
+            // torn tail: still refused.
+            let mut bad = header;
+            bad[HDR_LEN - 1] ^= 1;
+            std::fs::write(dir.join(SEGMENT_FILE), bad).expect("write active");
+            assert!(
+                recover(&cfg).is_err(),
+                "beside {beside}: bad header accepted"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// One state a crashed transition leaves on disk, and what recovery must
+/// make of it. Links and the active segment hold updates `from..to`.
+struct Crashed {
+    at: &'static str,
+    snapshot: Option<u64>,
+    links: &'static [(u64, u64)],
+    /// `(base_seq, from, to)`.
+    active: Option<(u64, u64, u64)>,
+    replayed: u64,
+    next_seq: u64,
+}
+
+#[test]
+fn recovery_accepts_every_state_a_crashed_transition_leaves() {
+    // Rows of the crash table in DESIGN.md §14 that the tests above do not
+    // reach.
+    #[rustfmt::skip]
+    let rows = [
+        Crashed { at: "rotate: renamed, before begin",
+                  snapshot: None, links: &[(0, 4)], active: None, replayed: 4, next_seq: 4 },
+        Crashed { at: "cut: image replaced, before begin",
+                  snapshot: Some(6), links: &[(0, 4)], active: Some((4, 4, 6)), replayed: 0, next_seq: 6 },
+        // The fresh header sits above the stale chain's last seal: not a
+        // gap, the image covers what lies between.
+        Crashed { at: "cut: begun, chain not yet unlinked",
+                  snapshot: Some(6), links: &[(0, 4)], active: Some((6, 6, 6)), replayed: 0, next_seq: 6 },
+        Crashed { at: "cut: chain half unlinked",
+                  snapshot: Some(10), links: &[(0, 4)], active: Some((10, 10, 12)), replayed: 2, next_seq: 12 },
+        Crashed { at: "start after recover: chain unlinked, before begin",
+                  snapshot: Some(6), links: &[], active: Some((4, 4, 6)), replayed: 0, next_seq: 6 },
+        Crashed { at: "fresh start: active unlinked, rest of the old run still there",
+                  snapshot: Some(6), links: &[(6, 8)], active: None, replayed: 2, next_seq: 8 },
+    ];
+    for row in rows {
+        let dir = fresh_chain_dir("crashed");
+        let cfg = chain_config(&dir);
+        let fingerprint = config_fingerprint(&cfg.sim);
+        if let Some(stamp) = row.snapshot {
+            write_image(&cfg, stamp);
+        }
+        for (idx, &(from, to)) in row.links.iter().enumerate() {
+            write_link(&dir, fingerprint, idx as u64, from..to);
+        }
+        if let Some((base, from, to)) = row.active {
+            let records: Vec<WalRecord> = (from..to).map(chain_update).collect();
+            std::fs::write(
+                dir.join(SEGMENT_FILE),
+                encode_segment(fingerprint, base, &records),
+            )
+            .expect("write active");
+        }
+        let rec = recover(&cfg).unwrap_or_else(|e| panic!("{}: {e}", row.at));
+        assert_eq!(rec.replayed, row.replayed, "{}", row.at);
+        assert_eq!(rec.next_seq, row.next_seq, "{}", row.at);
+        assert_eq!(rec.discarded, 0, "{}", row.at);
+        assert_recovery_is_idempotent(&cfg, &rec);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,7 +8,6 @@
 //!   outages, jitter, duplicates, reordering; robustness extension).
 //! * [`scenarios`] — presets for the paper's three motivating domains:
 //!   program trading, plant control, telecommunications.
-//! * [`trace`] — capture/replay of materialised workloads.
 //! * [`run_paper_sim`] — one-call entry point: build both generators from a
 //!   [`SimConfig`] and run the full simulation.
 
@@ -19,12 +18,10 @@ pub mod disturbance;
 pub mod generators;
 pub mod scenarios;
 pub mod striped;
-pub mod trace;
 
 pub use disturbance::DisturbedUpdates;
 pub use generators::{PeriodicUpdates, PoissonTxns, PoissonUpdates, UpdateStream};
 pub use striped::run_paper_sim_striped;
-pub use trace::Trace;
 
 use strip_core::config::{ConfigError, SimConfig};
 use strip_core::controller::{run_simulation_checked, run_simulation_traced};
