@@ -1,21 +1,18 @@
-//! `strip-bench` — benchmark targets for the reproduction.
+//! `strip-bench` — the measurements `benchmark/` does not cover yet.
 //!
-//! The paper's figures and tables are regenerated by the `repro` binary
-//! (`repro figNN`, `repro tables`, `repro figr1`); what lives under
-//! `benches/` is what `repro` does not cover:
+//! The simulator and the live ingest path are timed in one place, the
+//! `benchmark/` package at the repository root (README.md, "Benchmark").
+//! Two things remain here until it grows the workloads that replace them:
 //!
-//! * `micro_*` — criterion microbenchmarks of the substrate (event queue,
-//!   update queue, RNG, whole-simulator throughput).
-//! * `ablation`, `ext_*` — ablation and extension sweeps.
-//! * `fig03_short_sweep` — the timed end-to-end short sweep behind the
-//!   `perf_harness` binary, which emits machine-readable `BENCH_*.json`
-//!   (see [`perf`]).
-//!
-//! This library crate hosts shared helpers for those targets and for the
-//! harness binaries under `src/bin/`.
+//! * [`live_perf`] and the `durability_harness` / `shard_harness` binaries
+//!   under `src/bin/`, which write `BENCH_7.json` (fsync cadence) and
+//!   `BENCH_8.json` (stripe scaling).
+//! * `benches/ablation` and `benches/ext_*` — `harness = false` sweeps of
+//!   the model ablations and extensions whose tables EXPERIMENTS.md quotes.
+//!   They print results, they time nothing. The paper's own figures and
+//!   tables come from the `repro` binary.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod live_perf;
-pub mod perf;

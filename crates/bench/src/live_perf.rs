@@ -6,9 +6,8 @@
 //! (syscall, decode, ring, install, policy decision, end-to-end rate) is
 //! measured by `benchmark/` — see its README.
 //!
-//! Unlike [`crate::perf`]'s paired old-vs-new measurements these are
-//! single-sided rates — there is no seed implementation of the live
-//! runtime to compare against.
+//! These are single-sided rates — there is no seed implementation of the
+//! live runtime to compare against.
 
 use std::hint::black_box;
 use std::io::Write as _;

@@ -133,7 +133,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let v = it.next().ok_or("--trace needs a value")?;
                 trace_dir = PathBuf::from(v);
             }
-            "--help" | "-h" => return Err(usage()),
             name if report_mode => report_policies.push(parse_policy(name)?),
             name if trace_mode => trace_targets.push(
                 name.parse::<TraceTarget>()
@@ -249,6 +248,10 @@ fn run_trace_mode(args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(msg) => {

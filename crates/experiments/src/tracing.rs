@@ -28,35 +28,43 @@ use strip_workload::{run_paper_sim_traced, scenarios};
 use crate::figures::FigureId;
 use crate::sweep::RunSettings;
 
-/// The paper's three motivating application domains (§2), as trace targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
-    /// Program trading: large object count, tight deadlines.
-    ProgramTrading,
-    /// Plant control: small hot database, high-importance skew.
-    PlantControl,
-    /// Telecommunications network management: bursty update feed.
-    Telecom,
+/// One of the paper's three motivating application domains (§2), as a
+/// trace target: its CLI name and the preset it runs per policy and seed.
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario {
+    name: &'static str,
+    preset: fn(Policy, u64) -> SimConfig,
 }
 
 impl Scenario {
-    /// All scenarios, in presentation order.
+    /// All scenarios, in presentation order. This is the one place a preset
+    /// is stated; parsing, naming and tracing read it.
+    #[rustfmt::skip]
     pub const ALL: [Scenario; 3] = [
-        Scenario::ProgramTrading,
-        Scenario::PlantControl,
-        Scenario::Telecom,
+        // Program trading: large object count, tight deadlines.
+        Scenario { name: "program_trading", preset: scenarios::program_trading },
+        // Plant control: small hot database, high-importance skew.
+        Scenario { name: "plant_control", preset: scenarios::plant_control },
+        // Telecommunications network management: bursty update feed.
+        Scenario { name: "telecom", preset: scenarios::telecom },
     ];
 
     /// Canonical CLI name.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        match self {
-            Scenario::ProgramTrading => "program_trading",
-            Scenario::PlantControl => "plant_control",
-            Scenario::Telecom => "telecom",
-        }
+        self.name
     }
 }
+
+/// Names are unique in [`Scenario::ALL`], and comparing function pointers
+/// is not meaningful.
+impl PartialEq for Scenario {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+
+impl Eq for Scenario {}
 
 /// What `repro trace` should capture: a paper figure's representative
 /// configuration, or a scenario preset.
@@ -113,20 +121,13 @@ impl FromStr for TraceTarget {
 pub fn trace_configs(target: TraceTarget, settings: &RunSettings) -> Vec<(String, SimConfig)> {
     let label = |curve: &str| format!("{}-{curve}", target.name());
     match target {
-        TraceTarget::Scenario(sc) => {
-            let preset: fn(Policy, u64) -> SimConfig = match sc {
-                Scenario::ProgramTrading => scenarios::program_trading,
-                Scenario::PlantControl => scenarios::plant_control,
-                Scenario::Telecom => scenarios::telecom,
-            };
-            Policy::PAPER_SET
-                .iter()
-                .map(|&policy| {
-                    let cfg = settings.apply(preset(policy, settings.seed));
-                    (label(policy.label()), cfg)
-                })
-                .collect()
-        }
+        TraceTarget::Scenario(sc) => Policy::PAPER_SET
+            .iter()
+            .map(|&policy| {
+                let cfg = settings.apply((sc.preset)(policy, settings.seed));
+                (label(policy.label()), cfg)
+            })
+            .collect(),
         TraceTarget::Figure(fig) => {
             let Some(sweep) = fig.panels().next().map(|panel| panel.sweep) else {
                 return Vec::new();
@@ -189,7 +190,7 @@ mod tests {
         );
         assert_eq!(
             "plant_control".parse::<TraceTarget>(),
-            Ok(TraceTarget::Scenario(Scenario::PlantControl))
+            Ok(TraceTarget::Scenario(Scenario::ALL[1]))
         );
         assert!("tables".parse::<TraceTarget>().is_err());
         assert!("fig99".parse::<TraceTarget>().is_err());

@@ -47,7 +47,7 @@ pub use sync::{analyze_sync, REGISTRY_PATH};
 /// Directories under `crates/` that are vendored stand-ins for registry
 /// crates (the build environment is offline). They are third-party idiom,
 /// not sim code, and are never scanned.
-pub const VENDORED: [&str; 5] = ["serde", "serde_derive", "proptest", "criterion", "loom"];
+pub const VENDORED: [&str; 4] = ["serde", "serde_derive", "proptest", "loom"];
 
 /// Crates whose `src/` must not read wall-clock time (D1): everything that
 /// executes inside or reports on simulated time, plus the live runtime —

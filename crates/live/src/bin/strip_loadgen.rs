@@ -22,6 +22,10 @@ use strip_core::config::SimConfig;
 use strip_live::loadgen::replay;
 use strip_live::protocol::{write_msg, Msg};
 
+const USAGE: &str = "usage: strip-loadgen [--addr A] [--lambda-u R] [--lambda-t R] \
+     [--duration S] [--n-low N] [--n-high N] [--mean-update-age S] \
+     [--compute-mean S] [--seed N] [--shutdown]";
+
 struct Args {
     addr: String,
     lambda_u: f64,
@@ -54,14 +58,6 @@ fn parse_args() -> Result<Args, String> {
             args.shutdown = true;
             continue;
         }
-        if flag == "--help" || flag == "-h" {
-            return Err(
-                "usage: strip-loadgen [--addr A] [--lambda-u R] [--lambda-t R] \
-                 [--duration S] [--n-low N] [--n-high N] [--mean-update-age S] \
-                 [--compute-mean S] [--seed N] [--shutdown]"
-                    .to_string(),
-            );
-        }
         let val = it
             .next()
             .ok_or_else(|| format!("missing value for {flag}"))?;
@@ -87,6 +83,10 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
 }
 
 fn main() -> ExitCode {
+    if std::env::args().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {

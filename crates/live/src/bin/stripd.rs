@@ -20,7 +20,7 @@
 //!        [--staleness ma|uu|either] [--max-age SECS] [--quantum-us US] \
 //!        [--n-low N] [--n-high N] [--stripes N] [--warmup SECS] [--seed N] \
 //!        [--wal DIR] [--fsync always|group:<us>|off] [--wal-rotate BYTES] \
-//!        [--snapshot-secs SECS] [--recover]
+//!        [--snapshot-secs SECS] [--recover] [--dag DEPTHxWIDTHxFANOUT]
 //! ```
 
 use std::net::TcpListener;
@@ -33,6 +33,12 @@ use strip_live::executor::LiveConfig;
 use strip_live::server::serve_recovered;
 use strip_live::wal::{DurabilityConfig, FsyncPolicy};
 use strip_live::{recovery, signal};
+
+const USAGE: &str = "usage: stripd [--addr A] [--policy uf|tf|su|od] \
+     [--staleness ma|uu|either] [--max-age S] [--quantum-us US] \
+     [--n-low N] [--n-high N] [--stripes N] [--warmup S] [--seed N] \
+     [--wal DIR] [--fsync always|group:<us>|off] [--wal-rotate BYTES] \
+     [--snapshot-secs S] [--recover] [--dag DEPTHxWIDTHxFANOUT]";
 
 struct Args {
     addr: String,
@@ -135,14 +141,6 @@ fn parse_args() -> Result<Args, String> {
                         .ok_or_else(|| format!("invalid --dag `{v}` (DEPTHxWIDTHxFANOUT)"))?,
                 );
             }
-            "--help" | "-h" => {
-                return Err("usage: stripd [--addr A] [--policy uf|tf|su|od] \
-                     [--staleness ma|uu|either] [--max-age S] [--quantum-us US] \
-                     [--n-low N] [--n-high N] [--stripes N] [--warmup S] [--seed N] \
-                     [--wal DIR] [--fsync always|group:<us>|off] [--wal-rotate BYTES] \
-                     [--snapshot-secs S] [--recover] [--dag DEPTHxWIDTHxFANOUT]"
-                    .to_string())
-            }
             other => return Err(format!("unknown flag `{other}` (try --help)")),
         }
     }
@@ -181,6 +179,10 @@ fn build_config(a: &Args) -> Result<SimConfig, String> {
 }
 
 fn main() -> ExitCode {
+    if std::env::args().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {

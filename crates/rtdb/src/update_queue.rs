@@ -39,11 +39,9 @@
 //! larger keys. Updates arrive nearly sorted by generation time (an arrival
 //! is out of order only w.r.t. updates generated after it that arrived
 //! before it, ~`λ_u · mean_age / 2` of them), so the walk is amortised O(1)
-//! on the simulator's streams. The seed `BTreeMap`-based implementation is
-//! preserved verbatim in [`reference`] as the benchmark baseline and the
-//! proptest oracle.
-
-pub mod reference;
+//! on the simulator's streams. The seed `BTreeMap`-based implementation
+//! survives under `tests/reference/` as the oracle `tests/prop_update_queue.rs`
+//! compares this one against.
 
 use serde::{Deserialize, Serialize};
 use strip_sim::time::SimTime;
@@ -1038,56 +1036,5 @@ mod tests {
         }
         assert!(q.check_invariants());
         assert!(q.slab_slots() <= 16, "arena grew to {}", q.slab_slots());
-    }
-
-    #[test]
-    fn matches_reference_on_mixed_workload() {
-        use super::reference::ReferenceUpdateQueue;
-        // Deterministic pseudo-random interleaving of every operation,
-        // checked step by step against the seed implementation.
-        let mut slab = UpdateQueue::new(8, true);
-        let mut oracle = ReferenceUpdateQueue::new(8, true);
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for seq in 0..4_000u64 {
-            let r = rng();
-            let obj = ViewObjectId::new(
-                if r & 1 == 0 {
-                    Importance::Low
-                } else {
-                    Importance::High
-                },
-                ((r >> 1) % 6) as u32,
-            );
-            let gen = (rng() % 1_000) as f64 * 0.1;
-            match rng() % 6 {
-                0 | 1 => {
-                    let u = Update {
-                        seq,
-                        object: obj,
-                        generation_ts: t(gen),
-                        arrival_ts: t(gen + 0.05),
-                        payload: seq as f64,
-                        attr_mask: Update::COMPLETE,
-                    };
-                    assert_eq!(slab.insert(u), oracle.insert(u));
-                }
-                2 => assert_eq!(slab.pop_oldest(), oracle.pop_oldest()),
-                3 => assert_eq!(slab.pop_newest(), oracle.pop_newest()),
-                4 => assert_eq!(slab.take_newest_for(obj), oracle.take_newest_for(obj)),
-                _ => assert_eq!(
-                    slab.discard_expired(t(gen), 20.0),
-                    oracle.discard_expired(t(gen), 20.0)
-                ),
-            }
-            assert_eq!(slab.len(), oracle.len());
-        }
-        assert!(slab.check_invariants());
-        assert!(slab.iter().eq(oracle.iter()));
     }
 }

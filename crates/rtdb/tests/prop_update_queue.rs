@@ -1,10 +1,14 @@
-//! Property tests: the generation-ordered update queue against a
-//! brute-force reference model, under arbitrary operation sequences.
+//! Differential tests: the slab-backed update queue against two oracles
+//! that share no code with it — a brute-force `Vec` model and the seed
+//! `BTreeMap` implementation kept in `reference/` — under arbitrary
+//! operation sequences.
+
+mod reference;
 
 use proptest::prelude::*;
+use reference::ReferenceUpdateQueue;
 use strip_db::object::{Importance, ViewObjectId};
 use strip_db::update::Update;
-use strip_db::update_queue::reference::ReferenceUpdateQueue;
 use strip_db::update_queue::UpdateQueue;
 use strip_sim::time::SimTime;
 
@@ -225,6 +229,7 @@ fn run_xops(ops: Vec<XOp>, cap: usize, dedup: bool) {
                     }
                 }
                 prop_assert!(!slab.has_pending_for(id));
+                prop_assert!(!seed.has_pending_for(id));
             }
             XOp::PopHottest { salt } => {
                 // A salted pseudo-score: arbitrary but identical for both
@@ -236,6 +241,7 @@ fn run_xops(ops: Vec<XOp>, cap: usize, dedup: bool) {
         }
         prop_assert_eq!(slab.len(), seed.len());
         prop_assert_eq!(slab.is_empty(), seed.is_empty());
+        prop_assert_eq!(slab.capacity(), seed.capacity());
         prop_assert!(
             slab.iter().eq(seed.iter()),
             "generation-order iteration diverged"
@@ -310,4 +316,64 @@ proptest! {
             assert_eq!(q.has_pending_for(id), expect.is_some());
         }
     }
+}
+
+/// The oracle itself: the seed implementation keeps the seed semantics.
+#[test]
+fn reference_keeps_seed_semantics() {
+    let mut q = ReferenceUpdateQueue::new(2, true);
+    q.insert(mk_update(0, 1, 1_000));
+    let out = q.insert(mk_update(1, 1, 2_000));
+    assert_eq!(out.deduped, 1);
+    assert_eq!(q.len(), 1);
+    q.insert(mk_update(2, 2, 3_000));
+    let out = q.insert(mk_update(3, 3, 4_000));
+    assert_eq!(out.displaced.unwrap().seq, 1);
+    assert_eq!(q.pop_oldest().unwrap().seq, 2);
+    assert_eq!(q.pop_newest().unwrap().seq, 3);
+    assert!(q.is_empty());
+}
+
+#[test]
+fn matches_reference_on_mixed_workload() {
+    // Deterministic pseudo-random interleaving of every operation,
+    // checked step by step against the seed implementation.
+    let t = SimTime::from_secs;
+    let mut slab = UpdateQueue::new(8, true);
+    let mut oracle = ReferenceUpdateQueue::new(8, true);
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut rng = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for seq in 0..4_000u64 {
+        let r = rng();
+        let obj = vid(((r >> 1) % 6) as u32, r & 1 != 0);
+        let gen = (rng() % 1_000) as f64 * 0.1;
+        match rng() % 6 {
+            0 | 1 => {
+                let u = Update {
+                    seq,
+                    object: obj,
+                    generation_ts: t(gen),
+                    arrival_ts: t(gen + 0.05),
+                    payload: seq as f64,
+                    attr_mask: Update::COMPLETE,
+                };
+                assert_eq!(slab.insert(u), oracle.insert(u));
+            }
+            2 => assert_eq!(slab.pop_oldest(), oracle.pop_oldest()),
+            3 => assert_eq!(slab.pop_newest(), oracle.pop_newest()),
+            4 => assert_eq!(slab.take_newest_for(obj), oracle.take_newest_for(obj)),
+            _ => assert_eq!(
+                slab.discard_expired(t(gen), 20.0),
+                oracle.discard_expired(t(gen), 20.0)
+            ),
+        }
+        assert_eq!(slab.len(), oracle.len());
+    }
+    assert!(slab.check_invariants());
+    assert!(slab.iter().eq(oracle.iter()));
 }

@@ -1,23 +1,20 @@
-//! The seed `BTreeMap`-based update queue, kept verbatim as a baseline.
+//! The seed `BTreeMap`-based update queue, kept verbatim as the oracle.
 //!
 //! [`ReferenceUpdateQueue`] is the repository's original implementation of
 //! the generation-ordered update queue: a `BTreeMap<QueueKey, Update>` for
 //! global order plus a `HashMap<ViewObjectId, BTreeSet<QueueKey>>` per-object
-//! index (O(log n) everywhere, one `Vec` allocation per dedup sweep). It is
-//! **not** used by the simulator — the slab-backed
-//! [`UpdateQueue`](super::UpdateQueue) replaced it — but it remains here as
-//! (a) the oracle for the equivalence proptests and (b) the baseline the
-//! micro benchmarks measure speedups against.
-
-// lint: allow-file(nondeterministic-order, reason=seed oracle kept verbatim; the HashMap index is keyed lookups only and is never iterated)
+//! index (O(log n) everywhere, one `Vec` allocation per dedup sweep). The
+//! slab-backed `strip_db::update_queue::UpdateQueue` replaced it; it shares
+//! no code with that structure, which is what makes it the oracle
+//! `prop_update_queue.rs` compares against.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use strip_sim::time::SimTime;
 
-use super::InsertOutcome;
-use crate::object::ViewObjectId;
-use crate::update::Update;
+use strip_db::object::ViewObjectId;
+use strip_db::update::Update;
+use strip_db::update_queue::InsertOutcome;
 
 /// Key ordering queued updates by generation time (sequence number breaks
 /// ties deterministically).
@@ -222,34 +219,5 @@ impl ReferenceUpdateQueue {
     /// Iterates queued updates in generation order (oldest first).
     pub fn iter(&self) -> impl Iterator<Item = &Update> {
         self.by_generation.values()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::object::Importance;
-
-    #[test]
-    fn reference_keeps_seed_semantics() {
-        let mut q = ReferenceUpdateQueue::new(2, true);
-        let mk = |seq: u64, idx: u32, gen: f64| Update {
-            seq,
-            object: ViewObjectId::new(Importance::Low, idx),
-            generation_ts: SimTime::from_secs(gen),
-            arrival_ts: SimTime::from_secs(gen + 0.05),
-            payload: seq as f64,
-            attr_mask: Update::COMPLETE,
-        };
-        q.insert(mk(0, 1, 1.0));
-        let out = q.insert(mk(1, 1, 2.0));
-        assert_eq!(out.deduped, 1);
-        assert_eq!(q.len(), 1);
-        q.insert(mk(2, 2, 3.0));
-        let out = q.insert(mk(3, 3, 4.0));
-        assert_eq!(out.displaced.unwrap().seq, 1);
-        assert_eq!(q.pop_oldest().unwrap().seq, 2);
-        assert_eq!(q.pop_newest().unwrap().seq, 3);
-        assert!(q.is_empty());
     }
 }

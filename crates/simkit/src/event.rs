@@ -9,7 +9,7 @@
 //!
 //! The calendar is an indexed **four-ary min-heap** keyed on `(time, seq)`.
 //! Compared to the `std::collections::BinaryHeap` binary heap it replaces
-//! (preserved in [`reference`] as the benchmark baseline), a 4-ary heap is
+//! (kept under `tests/reference/` as the pop-order oracle), a 4-ary heap is
 //! half as deep, so a sift-down touches half as many cache lines — the right
 //! trade for this workload, where almost every processed event schedules a
 //! follow-up and the heap is hot in every simulated second. Because
@@ -318,109 +318,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The seed `BinaryHeap` calendar, kept verbatim as the baseline for the
-/// micro benchmarks and as the oracle for the pop-order proptests. Not used
-/// by the engine.
-pub mod reference {
-    use core::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    use crate::time::SimTime;
-
-    struct Entry<E> {
-        time: SimTime,
-        seq: u64,
-        event: E,
-    }
-
-    impl<E> PartialEq for Entry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-
-    impl<E> Eq for Entry<E> {}
-
-    impl<E> PartialOrd for Entry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl<E> Ord for Entry<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // BinaryHeap is a max-heap; reverse so the earliest entry is
-            // popped first.
-            other
-                .time
-                .cmp(&self.time)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    /// The seed future-event list (see the module docs).
-    pub struct EventQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        next_seq: u64,
-        scheduled: u64,
-    }
-
-    impl<E> Default for EventQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> EventQueue<E> {
-        /// Creates an empty calendar.
-        #[must_use]
-        pub fn new() -> Self {
-            EventQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                scheduled: 0,
-            }
-        }
-
-        /// Schedules `event` to fire at `time`.
-        pub fn schedule(&mut self, time: SimTime, event: E) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.scheduled += 1;
-            self.heap.push(Entry { time, seq, event });
-        }
-
-        /// Removes and returns the earliest event, if any.
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            self.heap.pop().map(|e| (e.time, e.event))
-        }
-
-        /// The time of the earliest pending event, if any.
-        #[must_use]
-        pub fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|e| e.time)
-        }
-
-        /// Number of pending events.
-        #[must_use]
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// True when no events are pending.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
-        /// Total number of events ever scheduled (for diagnostics).
-        #[must_use]
-        pub fn total_scheduled(&self) -> u64 {
-            self.scheduled
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,40 +381,5 @@ mod tests {
         assert_eq!(q.capacity(), cap);
         while q.pop().is_some() {}
         assert_eq!(q.capacity(), cap);
-    }
-
-    #[test]
-    fn matches_reference_heap_on_adversarial_interleaving() {
-        // Deterministic pseudo-random mix of schedules (with many exact-tie
-        // times) and pops; the 4-ary heap must emit the identical sequence
-        // as the seed BinaryHeap, including FIFO tie order.
-        let mut quad = EventQueue::new();
-        let mut oracle = reference::EventQueue::new();
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for i in 0..10_000u64 {
-            if rng() % 3 != 0 {
-                // Coarse times (one of 64 values) force frequent ties.
-                let time = t((rng() % 64) as f64);
-                quad.schedule(time, i);
-                oracle.schedule(time, i);
-            } else {
-                assert_eq!(quad.peek_time(), oracle.peek_time());
-                assert_eq!(quad.pop(), oracle.pop());
-            }
-            assert_eq!(quad.len(), oracle.len());
-        }
-        loop {
-            let (a, b) = (quad.pop(), oracle.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

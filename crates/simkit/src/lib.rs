@@ -11,8 +11,8 @@
 //! * [`rng`] — self-contained, cross-platform deterministic generators
 //!   (SplitMix64 seeding, xoshiro256++ sampling, named sub-streams).
 //! * [`dist`] — the distributions the paper's workload model requires.
-//! * [`stats`] — exact time-weighted integrals (for staleness fractions),
-//!   one-pass mean/variance, histograms.
+//! * [`stats`] — exact time-weighted integrals (for staleness fractions)
+//!   and one-pass mean/variance.
 //!
 //! # Example
 //!
@@ -54,5 +54,5 @@ pub use dist::{ClampedNormal, Distribution, Exponential, Normal, Uniform, Zipf};
 pub use engine::{Ctx, Engine, Simulation};
 pub use event::EventQueue;
 pub use rng::{SplitMix64, Xoshiro256pp};
-pub use stats::{Histogram, TimeWeighted, Welford};
+pub use stats::{TimeWeighted, Welford};
 pub use time::SimTime;

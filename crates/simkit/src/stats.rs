@@ -4,7 +4,7 @@
 //! of the stale fraction (Section 3.5), so the central type here is
 //! [`TimeWeighted`], an exact piecewise-constant integrator. [`Welford`]
 //! accumulates means/variances of per-entity observations (response times,
-//! values) in one pass, and [`Histogram`] captures distributions.
+//! values) in one pass.
 
 use serde::{Deserialize, Serialize};
 
@@ -191,92 +191,6 @@ impl Welford {
     }
 }
 
-/// A fixed-bucket histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` equal-width buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `lo >= hi`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0, "histogram needs at least one bucket");
-        assert!(lo < hi, "lo must be < hi");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total number of observations (including under/overflow).
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        // lint: allow(raw-f64-sum, reason=lossless u64 bucket-count sum, not a float reduction)
-        self.underflow + self.overflow + self.buckets.iter().sum::<u64>()
-    }
-
-    /// Bucket counts.
-    #[must_use]
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below range / at-or-above range.
-    #[must_use]
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Approximate quantile (inclusive of out-of-range mass at the ends).
-    ///
-    /// Returns `None` if the histogram is empty.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut cum = self.underflow;
-        if cum >= target {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(self.lo + width * (i as f64 + 1.0));
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,33 +302,5 @@ mod tests {
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance(), 0.0);
         assert_eq!(w.count(), 0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0); // 0.0..9.9 uniformly
-        }
-        assert_eq!(h.count(), 100);
-        assert!(h.buckets().iter().all(|&c| c == 10));
-        let median = h.quantile(0.5).unwrap();
-        assert!((4.0..=6.0).contains(&median), "median {median}");
-    }
-
-    #[test]
-    fn histogram_out_of_range() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(-1.0);
-        h.record(2.0);
-        h.record(0.5);
-        assert_eq!(h.out_of_range(), (1, 1));
-        assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_none() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert!(h.quantile(0.5).is_none());
     }
 }

@@ -1,12 +1,15 @@
-//! Property tests: the four-ary-heap calendar against the seed
-//! `BinaryHeap` implementation, under arbitrary schedule/pop interleavings.
+//! Differential tests: the four-ary-heap calendar against the seed
+//! `BinaryHeap` implementation kept in `reference/`, under arbitrary
+//! schedule/pop interleavings.
 //!
 //! Because both are keyed on the strict total order `(time, seq)`, the two
 //! must emit **identical** pop sequences — including FIFO order at exact
 //! time ties — for any interleaving.
 
+mod reference;
+
 use proptest::prelude::*;
-use strip_sim::event::{reference, EventQueue};
+use strip_sim::event::EventQueue;
 use strip_sim::time::SimTime;
 
 #[derive(Debug, Clone)]
@@ -83,6 +86,41 @@ proptest! {
             if w[0].0 == w[1].0 {
                 prop_assert!(w[0].1 < w[1].1);
             }
+        }
+    }
+}
+
+#[test]
+fn matches_reference_heap_on_adversarial_interleaving() {
+    // Deterministic pseudo-random mix of schedules (with many exact-tie
+    // times) and pops; the 4-ary heap must emit the identical sequence
+    // as the seed BinaryHeap, including FIFO tie order.
+    let mut quad = EventQueue::new();
+    let mut oracle = reference::EventQueue::new();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut rng = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for i in 0..10_000u64 {
+        if rng() % 3 != 0 {
+            // Coarse times (one of 64 values) force frequent ties.
+            let time = SimTime::from_secs((rng() % 64) as f64);
+            quad.schedule(time, i);
+            oracle.schedule(time, i);
+        } else {
+            assert_eq!(quad.peek_time(), oracle.peek_time());
+            assert_eq!(quad.pop(), oracle.pop());
+        }
+        assert_eq!(quad.len(), oracle.len());
+    }
+    loop {
+        let (a, b) = (quad.pop(), oracle.pop());
+        assert_eq!(a, b);
+        if a.is_none() {
+            break;
         }
     }
 }

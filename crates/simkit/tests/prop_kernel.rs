@@ -1,10 +1,9 @@
 //! Property tests of the simulation kernel: event ordering, time-weighted
-//! statistics, Welford accumulation and histogram totals against
-//! brute-force references.
+//! statistics and Welford accumulation against brute-force references.
 
 use proptest::prelude::*;
 use strip_sim::event::EventQueue;
-use strip_sim::stats::{Histogram, TimeWeighted, Welford};
+use strip_sim::stats::{TimeWeighted, Welford};
 use strip_sim::time::SimTime;
 
 proptest! {
@@ -117,18 +116,5 @@ proptest! {
         prop_assert_eq!(a.count(), whole.count());
         prop_assert!((a.mean() - whole.mean()).abs() < 1e-9);
         prop_assert!((a.variance() - whole.variance()).abs() < 1e-7);
-    }
-
-    /// Histograms never lose observations.
-    #[test]
-    fn histogram_conserves_count(xs in prop::collection::vec(-10f64..10.0, 1..300)) {
-        let mut h = Histogram::new(-5.0, 5.0, 10);
-        for &x in &xs {
-            h.record(x);
-        }
-        prop_assert_eq!(h.count(), xs.len() as u64);
-        let (under, over) = h.out_of_range();
-        let inside: u64 = h.buckets().iter().sum();
-        prop_assert_eq!(under + over + inside, xs.len() as u64);
     }
 }
