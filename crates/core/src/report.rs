@@ -47,7 +47,6 @@ impl Rule {
     fn counts(self, vals: impl Iterator<Item = u64>) -> u64 {
         match self {
             Rule::Peak => vals.max().unwrap_or(0),
-            // lint: allow(raw-f64-sum, reason=u64 counter totals over disjoint stripes are exact)
             _ => vals.sum(),
         }
     }
@@ -55,10 +54,8 @@ impl Rule {
     fn reals(self, vals: impl Iterator<Item = f64> + Clone) -> f64 {
         match self {
             Rule::Pooled => 0.0,
-            // lint: allow(raw-f64-sum, reason=stripe totals are exact sums of disjoint slices; pinned by the per-stripe conservation tests)
             Rule::Total => vals.sum(),
             Rule::Span => vals.fold(0.0, f64::max),
-            // lint: allow(raw-f64-sum, reason=field-wise mean; exact sum/n semantics are pinned by tests/report_table.rs)
             _ => vals.clone().sum::<f64>() / vals.count() as f64,
         }
     }
@@ -867,7 +864,7 @@ impl RunReport {
         assert_eq!(parts.len(), shapes.len(), "one shape per stripe report");
         // Each stripe's fold covers only the objects it owns.
         let weighted = |pick: fn(&RunReport) -> f64, weight: fn(&(u32, u32)) -> u32| {
-            let total: u64 = shapes.iter().map(|s| u64::from(weight(s))).sum(); // lint: allow(raw-f64-sum, reason=u64 partition sizes sum exactly)
+            let total: u64 = shapes.iter().map(|s| u64::from(weight(s))).sum();
             if total == 0 {
                 return 0.0;
             }
@@ -875,7 +872,6 @@ impl RunReport {
                 .iter()
                 .zip(shapes)
                 .map(|(r, s)| pick(r) * f64::from(weight(s)))
-                // lint: allow(raw-f64-sum, reason=weighted mean over <=256 stripes; no catastrophic cancellation possible for values in [0,1])
                 .sum::<f64>()
                 / total as f64
         };

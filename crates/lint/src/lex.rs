@@ -1,4 +1,4 @@
-//! A minimal Rust lexer: just enough structure for the D1–D6 rules.
+//! A minimal Rust lexer: just enough structure for the lint's rules.
 //!
 //! The build environment has no registry access, so `syn` is not available;
 //! the rules only need identifier/punctuation streams with accurate line
@@ -14,7 +14,7 @@ pub enum TokKind {
     Ident,
     /// A single punctuation character (`:`, `[`, `!`, ...).
     Punct,
-    /// String / byte-string / raw-string literal (text not retained).
+    /// String / byte-string / raw-string literal.
     Str,
     /// Character literal.
     Char,
@@ -28,7 +28,8 @@ pub enum TokKind {
 #[derive(Debug, Clone)]
 pub struct Tok {
     pub kind: TokKind,
-    /// Identifier text; for punctuation the single character.
+    /// Identifier text; for punctuation the single character; for a
+    /// string literal its source text, quotes included.
     pub text: String,
     pub line: u32,
     pub col: u32,
@@ -152,6 +153,7 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 if k < b.len() && b[k] == '"' {
                     // Consume through the matching closing quote.
+                    let start = i;
                     while i <= k {
                         bump!();
                     }
@@ -180,7 +182,7 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     out.tokens.push(Tok {
                         kind: TokKind::Str,
-                        text: String::new(),
+                        text: b[start..i].iter().collect(),
                         line: tline,
                         col: tcol,
                     });
@@ -192,6 +194,7 @@ pub fn lex(src: &str) -> Lexed {
         }
         // Plain strings.
         if c == '"' {
+            let start = i;
             bump!();
             while i < b.len() {
                 if b[i] == '\\' {
@@ -208,7 +211,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             out.tokens.push(Tok {
                 kind: TokKind::Str,
-                text: String::new(),
+                text: b[start..i].iter().collect(),
                 line: tline,
                 col: tcol,
             });

@@ -1,5 +1,6 @@
-//! `strip-lint` — the workspace's determinism & soundness static-analysis
-//! pass.
+//! `strip-lint` — the workspace's static gate: determinism & soundness
+//! rules and the structure rows, one scan, run by `tests/structure.rs` of
+//! the root package (so `cargo test` is where it fails).
 //!
 //! The reproduction's headline guarantees (bit-identical golden traces,
 //! checkpoint fingerprints, disturbance substreams that leave baselines
@@ -8,40 +9,31 @@
 //! failure axis: lock-free publication protocols whose memory orderings
 //! are correct only as a set, never one line at a time. This crate walks
 //! every non-vendored workspace crate with a purpose-built lexer (the
-//! offline build has no `syn`; see [`lex`]) and enforces eleven rules:
-//!
-//! | code | name                    | scope                                       |
-//! |------|-------------------------|---------------------------------------------|
-//! | D1   | wall-clock              | sim-time + live crates: no `Instant`/`SystemTime` outside annotated clock/transport modules |
-//! | D2   | nondeterministic-order  | sim/report/live paths: no `HashMap`/`HashSet` |
-//! | D3   | ambient-entropy         | everywhere but `simkit::rng`                |
-//! | D4   | undocumented-unsafe     | everywhere: `unsafe` needs `// SAFETY:`     |
-//! | D5   | panicking-io            | checkpoint/trace I/O: no unwrap/expect/`[]` |
-//! | D6   | raw-f64-sum             | stats-adjacent files: use Welford helpers   |
-//! | D7   | durability-boundary     | WAL/snapshot/recovery/logdir: checked I/O only; sim-path crates must not import them |
-//! | D8   | live-panic              | live runtime (non-durability files) and the scheduler core it drives: every `unwrap`/`expect`/`panic!` needs a per-site allow naming its invariant |
-//! | D9   | atomic-protocol         | everywhere scanned: every `Ordering::*` site must match its field's declared role in `crates/lint/sync_protocol.toml` |
-//! | D10  | lock-order              | everywhere scanned: `.lock()` only on registered Mutexes; nested acquisitions ascend in rank |
-//! | D11  | send-sync-audit         | everywhere scanned: `unsafe impl Send/Sync` needs a registry entry naming its invariant |
+//! offline build has no `syn`; see [`lex`]) and enforces the per-file rules
+//! D1–D5, D7 and D8 ([`rules`]), the cross-file rules D9–D11 ([`sync`]) and
+//! the structure rows S1–S5 ([`structure`]); [`RuleId`] describes each, and
+//! DESIGN.md §11 has the table with scopes and evidence.
 //!
 //! D9–D11 are cross-file: they check the code against the sync-site
 //! registry (see [`registry`] and [`sync`]) and fail on stale registry
 //! entries too, so coverage is two-way by construction.
 //!
-//! Violations are silenced in place with
+//! A D-violation is silenced in place with
 //! `// lint: allow(<rule>, reason=...)` (same or next line) or
 //! `// lint: allow-file(<rule>, reason=...)`; the reason is mandatory.
-//! See DESIGN.md §11 for the full rationale.
+//! Nothing silences an S-row. See DESIGN.md §11 for the full rationale.
 
 pub mod lex;
 pub mod registry;
 pub mod rules;
+pub mod structure;
 pub mod sync;
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 pub use rules::{analyze_source, RuleId, Violation};
+pub use structure::check_structure;
 pub use sync::{analyze_sync, REGISTRY_PATH};
 
 /// Directories under `crates/` that are vendored stand-ins for registry
@@ -75,14 +67,6 @@ const D3_EXEMPT: [&str; 1] = ["crates/simkit/src/rng.rs"];
 const D5_FILES: [&str; 2] = [
     "crates/experiments/src/runner.rs",
     "crates/experiments/src/tracing.rs",
-];
-
-/// Stats-adjacent files (D6): the Welford helpers live in
-/// `simkit::stats`; aggregation here must use them, not raw f64 sums.
-const D6_FILES: [&str; 3] = [
-    "crates/simkit/src/stats.rs",
-    "crates/core/src/report.rs",
-    "crates/experiments/src/figures.rs",
 ];
 
 /// Durability I/O modules (D7, checked-I/O mode): the crash-safety path
@@ -132,9 +116,6 @@ pub fn rules_for(rel: &str) -> Vec<RuleId> {
     if D5_FILES.contains(&rel) {
         rules.push(RuleId::PanickingIo);
     }
-    if D6_FILES.contains(&rel) {
-        rules.push(RuleId::RawF64Sum);
-    }
     if D7_DURABILITY_FILES.contains(&rel) || crate_name.is_none_or(|c| D7_SIM_CRATES.contains(&c)) {
         rules.push(RuleId::DurabilityBoundary);
     }
@@ -151,7 +132,7 @@ pub fn rules_for(rel: &str) -> Vec<RuleId> {
 
 /// Collects every `.rs` file the lint scans: `src/` of the root package
 /// and of each non-vendored crate under `crates/`. Paths come back sorted
-/// so reports and JSON are themselves deterministic.
+/// so reports are themselves deterministic.
 ///
 /// # Errors
 ///
@@ -200,124 +181,57 @@ pub fn relative_label(root: &Path, path: &Path) -> String {
 }
 
 /// Scans the workspace at `root`: the per-file rules D1–D8 under each
-/// file's applicability set, then the cross-file sync rules D9–D11 over
-/// every scanned file against the registry at
-/// [`REGISTRY_PATH`](sync::REGISTRY_PATH). A missing or unparsable
-/// registry is itself a violation — the sync gate must never silently
-/// turn off. `only` restricts both passes. Violations come back sorted
-/// by (file, line, rule, col).
+/// file's applicability set, the cross-file sync rules D9–D11 against
+/// the registry at [`REGISTRY_PATH`](sync::REGISTRY_PATH), and the
+/// structure rows S1–S5. A missing or unparsable registry is itself a
+/// violation — the sync gate must never silently turn off. Violations
+/// come back sorted by (file, line, rule, col).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors (unreadable file or directory).
-pub fn scan_workspace(root: &Path, only: Option<&[RuleId]>) -> std::io::Result<Vec<Violation>> {
+pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut all = Vec::new();
     let mut sources: Vec<(String, String)> = Vec::new();
     for path in scan_targets(root)? {
         let rel = relative_label(root, &path);
         let src = std::fs::read_to_string(&path)?;
-        let mut rules = rules_for(&rel);
-        if let Some(filter) = only {
-            rules.retain(|r| filter.contains(r));
-        }
-        if !rules.is_empty() {
-            all.extend(analyze_source(&rel, &src, &rules));
-        }
+        all.extend(analyze_source(&rel, &src, &rules_for(&rel)));
         sources.push((rel, src));
     }
 
-    let sync_wanted = only.is_none_or(|f| f.iter().any(|r| RuleId::SYNC.contains(r)));
-    if sync_wanted {
-        let reg_path = root.join(REGISTRY_PATH);
-        let mut sync_violations = match std::fs::read_to_string(&reg_path) {
-            Ok(text) => match registry::parse(&text) {
-                Ok(reg) => analyze_sync(&sources, &reg),
-                Err((line, msg)) => vec![Violation {
-                    rule: RuleId::AtomicProtocol,
-                    file: REGISTRY_PATH.to_string(),
+    let registry_broken = |line: u32, message: String| Violation {
+        rule: RuleId::AtomicProtocol,
+        file: REGISTRY_PATH.to_string(),
+        line,
+        col: 1,
+        message,
+        snippet: String::new(),
+    };
+    match std::fs::read_to_string(root.join(REGISTRY_PATH)) {
+        Ok(text) => match registry::parse(&text) {
+            Ok(reg) => all.extend(analyze_sync(&sources, &reg)),
+            Err((line, msg)) => {
+                all.push(registry_broken(
                     line,
-                    col: 1,
-                    message: format!("registry parse error: {msg}"),
-                    snippet: String::new(),
-                }],
-            },
-            Err(e) => vec![Violation {
-                rule: RuleId::AtomicProtocol,
-                file: REGISTRY_PATH.to_string(),
-                line: 1,
-                col: 1,
-                message: format!(
-                    "sync-site registry missing or unreadable ({e}); the atomic-protocol \
-                     gate cannot run without it"
-                ),
-                snippet: String::new(),
-            }],
-        };
-        if let Some(filter) = only {
-            sync_violations.retain(|v| filter.contains(&v.rule));
-        }
-        all.extend(sync_violations);
+                    format!("registry parse error: {msg}"),
+                ));
+            }
+        },
+        Err(e) => all.push(registry_broken(
+            1,
+            format!(
+                "sync-site registry missing or unreadable ({e}); the atomic-protocol \
+                 gate cannot run without it"
+            ),
+        )),
     }
+    all.extend(check_structure(&sources));
 
     all.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule, a.col).cmp(&(b.file.as_str(), b.line, b.rule, b.col))
     });
     Ok(all)
-}
-
-/// Stable identity of a violation for baseline comparison: rule code,
-/// file, and the trimmed source snippet — deliberately *not* the line
-/// number, which drifts on every unrelated edit.
-#[must_use]
-pub fn baseline_key(v: &Violation) -> String {
-    format!("{}\t{}\t{}", v.rule.code(), v.file, v.snippet)
-}
-
-/// Renders violations as a committed baseline file: one key per line,
-/// `#` comments, stable order.
-#[must_use]
-pub fn render_baseline(violations: &[Violation]) -> String {
-    let mut s = String::from(
-        "# strip-lint baseline: pinned pre-existing violations (code\\tfile\\tsnippet).\n\
-         # Regenerate with `strip-lint --write-baseline <path>`; new violations not\n\
-         # listed here fail CI.\n",
-    );
-    let mut keys: Vec<String> = violations.iter().map(baseline_key).collect();
-    keys.sort();
-    for k in keys {
-        s.push_str(&k);
-        s.push('\n');
-    }
-    s
-}
-
-/// Subtracts a committed baseline from `violations`: each baseline line
-/// absolves at most one matching violation (multiset semantics), so a
-/// *new* duplicate of a pinned site still fails. Returns the surviving
-/// violations.
-#[must_use]
-pub fn apply_baseline(violations: Vec<Violation>, baseline: &str) -> Vec<Violation> {
-    let mut budget: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    for line in baseline.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        *budget.entry(line).or_insert(0) += 1;
-    }
-    violations
-        .into_iter()
-        .filter(|v| {
-            let key = baseline_key(v);
-            match budget.get_mut(key.as_str()) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    false
-                }
-                _ => true,
-            }
-        })
-        .collect()
 }
 
 /// Renders one violation in rustc's `error:` style.
@@ -334,56 +248,6 @@ pub fn render_text(v: &Violation) -> String {
     let _ = writeln!(s, "  --> {}:{}:{}", v.file, v.line, v.col);
     if !v.snippet.is_empty() {
         let _ = writeln!(s, "   | {}", v.snippet);
-    }
-    s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the machine-readable JSON report (hand-rolled: the vendored
-/// serde stand-in has no serializer, and the schema is four fields).
-#[must_use]
-pub fn render_json(violations: &[Violation]) -> String {
-    let mut s = String::from("{\n  \"tool\": \"strip-lint\",\n  \"version\": 1,\n");
-    let _ = writeln!(s, "  \"violation_count\": {},", violations.len());
-    s.push_str("  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"rule\": \"{}\", \"code\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"col\": {}, \"message\": \"{}\", \"snippet\": \"{}\"}}",
-            v.rule.name(),
-            v.rule.code(),
-            json_escape(&v.file),
-            v.line,
-            v.col,
-            json_escape(&v.message),
-            json_escape(&v.snippet),
-        );
-    }
-    if violations.is_empty() {
-        s.push_str("]\n}\n");
-    } else {
-        s.push_str("\n  ]\n}\n");
     }
     s
 }
@@ -413,9 +277,6 @@ mod tests {
             "experiments may time real sweeps"
         );
 
-        let r = rules_for("crates/simkit/src/stats.rs");
-        assert!(r.contains(&RuleId::RawF64Sum));
-
         // The live runtime is in D1/D2 scope: its clock and transport
         // modules carry explicit allow-file annotations, everything else
         // must stay clock-agnostic.
@@ -435,7 +296,6 @@ mod tests {
         assert!(r.contains(&RuleId::AmbientEntropy));
         assert!(r.contains(&RuleId::UndocumentedUnsafe));
         assert!(!r.contains(&RuleId::PanickingIo));
-        assert!(!r.contains(&RuleId::RawF64Sum));
 
         let r = rules_for("src/lib.rs");
         assert!(r.contains(&RuleId::NondeterministicOrder));
@@ -473,23 +333,6 @@ mod tests {
         assert!(rules_for("crates/core/src/scheduler.rs").contains(&RuleId::LivePanic));
         assert!(!rules_for("crates/core/src/controller.rs").contains(&RuleId::LivePanic));
         assert!(!rules_for("crates/core/src/policy.rs").contains(&RuleId::LivePanic));
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let v = Violation {
-            rule: RuleId::NondeterministicOrder,
-            file: "a.rs".into(),
-            line: 3,
-            col: 7,
-            message: "say \"hi\"".into(),
-            snippet: "let m = HashMap::new();".into(),
-        };
-        let j = render_json(std::slice::from_ref(&v));
-        assert!(j.contains("\"violation_count\": 1"));
-        assert!(j.contains("\"rule\": \"nondeterministic-order\""));
-        assert!(j.contains("\\\"hi\\\""));
-        assert!(render_json(&[]).contains("\"violations\": []"));
     }
 
     #[test]

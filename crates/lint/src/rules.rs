@@ -1,5 +1,5 @@
-//! The determinism & soundness rule set (D1–D6) and the annotation
-//! escape hatch.
+//! The per-file determinism & soundness rules (D1–D5, D7, D8) and the
+//! annotation escape hatch.
 //!
 //! Every rule walks the token stream produced by [`crate::lex`]; comments
 //! and literals are already out of band, so rule keywords inside strings or
@@ -34,8 +34,6 @@ pub enum RuleId {
     UndocumentedUnsafe,
     /// D5: panicking calls / indexing in checkpoint & trace I/O modules.
     PanickingIo,
-    /// D6: raw `f64` sum loops where the Welford helpers exist.
-    RawF64Sum,
     /// D7: durability boundary — WAL/snapshot/recovery modules must stay
     /// checked-I/O (no unwrap/expect/panic), and no sim-path crate may
     /// import them (the simulator must never grow a filesystem
@@ -63,19 +61,26 @@ pub enum RuleId {
     /// Sync` must carry a sync-registry entry naming the invariant it
     /// stands on (and registry entries must not go stale).
     SendSyncAudit,
+    /// S1–S5: the structure gates, one per row group of
+    /// [`crate::structure::ROWS`]. No annotation silences them.
+    SchedulerCore,
+    UpdatePath,
+    ConfigContract,
+    ExperimentTable,
+    DurabilityDirectory,
     /// Malformed `lint: allow` annotation (always on).
     BadAllow,
 }
 
 impl RuleId {
-    /// Every real rule, in document order (excludes the meta rule).
-    pub const ALL: [RuleId; 11] = [
+    /// Every rule a `lint: allow` can name, in document order (the
+    /// structure gates and the meta rule take no annotation).
+    pub const ALL: [RuleId; 10] = [
         RuleId::WallClock,
         RuleId::NondeterministicOrder,
         RuleId::AmbientEntropy,
         RuleId::UndocumentedUnsafe,
         RuleId::PanickingIo,
-        RuleId::RawF64Sum,
         RuleId::DurabilityBoundary,
         RuleId::LivePanic,
         RuleId::AtomicProtocol,
@@ -83,108 +88,38 @@ impl RuleId {
         RuleId::SendSyncAudit,
     ];
 
-    /// The cross-file synchronization-protocol rules (checked by
-    /// [`crate::sync`] against the registry, not by [`analyze_source`]).
-    pub const SYNC: [RuleId; 3] = [
-        RuleId::AtomicProtocol,
-        RuleId::LockOrder,
-        RuleId::SendSyncAudit,
-    ];
+    /// Short code ("D1") and annotation name ("wall-clock").
+    fn code_and_name(self) -> (&'static str, &'static str) {
+        match self {
+            RuleId::WallClock => ("D1", "wall-clock"),
+            RuleId::NondeterministicOrder => ("D2", "nondeterministic-order"),
+            RuleId::AmbientEntropy => ("D3", "ambient-entropy"),
+            RuleId::UndocumentedUnsafe => ("D4", "undocumented-unsafe"),
+            RuleId::PanickingIo => ("D5", "panicking-io"),
+            RuleId::DurabilityBoundary => ("D7", "durability-boundary"),
+            RuleId::LivePanic => ("D8", "live-panic"),
+            RuleId::AtomicProtocol => ("D9", "atomic-protocol"),
+            RuleId::LockOrder => ("D10", "lock-order"),
+            RuleId::SendSyncAudit => ("D11", "send-sync-audit"),
+            RuleId::SchedulerCore => ("S1", "one-scheduler-core"),
+            RuleId::UpdatePath => ("S2", "one-update-path"),
+            RuleId::ConfigContract => ("S3", "one-config-contract"),
+            RuleId::ExperimentTable => ("S4", "one-experiment-table"),
+            RuleId::DurabilityDirectory => ("S5", "one-durability-directory"),
+            RuleId::BadAllow => ("A0", "bad-allow"),
+        }
+    }
 
     /// Short code ("D1").
     #[must_use]
     pub fn code(&self) -> &'static str {
-        match self {
-            RuleId::WallClock => "D1",
-            RuleId::NondeterministicOrder => "D2",
-            RuleId::AmbientEntropy => "D3",
-            RuleId::UndocumentedUnsafe => "D4",
-            RuleId::PanickingIo => "D5",
-            RuleId::RawF64Sum => "D6",
-            RuleId::DurabilityBoundary => "D7",
-            RuleId::LivePanic => "D8",
-            RuleId::AtomicProtocol => "D9",
-            RuleId::LockOrder => "D10",
-            RuleId::SendSyncAudit => "D11",
-            RuleId::BadAllow => "A0",
-        }
+        self.code_and_name().0
     }
 
     /// Annotation name ("nondeterministic-order").
     #[must_use]
     pub fn name(&self) -> &'static str {
-        match self {
-            RuleId::WallClock => "wall-clock",
-            RuleId::NondeterministicOrder => "nondeterministic-order",
-            RuleId::AmbientEntropy => "ambient-entropy",
-            RuleId::UndocumentedUnsafe => "undocumented-unsafe",
-            RuleId::PanickingIo => "panicking-io",
-            RuleId::RawF64Sum => "raw-f64-sum",
-            RuleId::DurabilityBoundary => "durability-boundary",
-            RuleId::LivePanic => "live-panic",
-            RuleId::AtomicProtocol => "atomic-protocol",
-            RuleId::LockOrder => "lock-order",
-            RuleId::SendSyncAudit => "send-sync-audit",
-            RuleId::BadAllow => "bad-allow",
-        }
-    }
-
-    /// Parses a code ("D2") or name ("nondeterministic-order").
-    #[must_use]
-    pub fn parse(s: &str) -> Option<RuleId> {
-        let s = s.trim();
-        RuleId::ALL
-            .iter()
-            .find(|r| r.code().eq_ignore_ascii_case(s) || r.name() == s)
-            .copied()
-    }
-
-    /// One-line description used in diagnostics.
-    #[must_use]
-    pub fn summary(&self) -> &'static str {
-        match self {
-            RuleId::WallClock => {
-                "wall-clock time source in a sim-time crate (use simkit::time::SimTime)"
-            }
-            RuleId::NondeterministicOrder => {
-                "hash collection in a deterministic sim/report path (iteration order is \
-                 nondeterministic; use BTreeMap/BTreeSet/Vec)"
-            }
-            RuleId::AmbientEntropy => {
-                "ambient entropy source outside simkit::rng (all randomness must flow from \
-                 the run seed)"
-            }
-            RuleId::UndocumentedUnsafe => "`unsafe` without a `// SAFETY:` comment",
-            RuleId::PanickingIo => {
-                "panicking call in a checkpoint/trace I/O module (use Result-based paths)"
-            }
-            RuleId::RawF64Sum => {
-                "raw f64 sum where the Welford helpers exist (use Welford::push/merge)"
-            }
-            RuleId::DurabilityBoundary => {
-                "durability boundary breach (checked I/O only in WAL/snapshot/recovery; \
-                 sim-path crates must not import them)"
-            }
-            RuleId::LivePanic => {
-                "unpinned panic site in the live runtime (convert reachable failures to \
-                 checked errors, or pin the invariant with `// lint: allow(live-panic, \
-                 reason=...)`)"
-            }
-            RuleId::AtomicProtocol => {
-                "atomic operation outside the declared sync protocol (declare the field's \
-                 role and orderings in crates/lint/sync_protocol.toml)"
-            }
-            RuleId::LockOrder => {
-                "lock acquisition outside the declared partial order (register the lock \
-                 and its rank in crates/lint/sync_protocol.toml; nested acquisitions must \
-                 ascend in rank)"
-            }
-            RuleId::SendSyncAudit => {
-                "`unsafe impl Send/Sync` without a sync-registry entry naming its \
-                 invariant (declare it in crates/lint/sync_protocol.toml)"
-            }
-            RuleId::BadAllow => "malformed `lint: allow` annotation (missing rule or reason=)",
-        }
+        self.code_and_name().1
     }
 }
 
@@ -330,7 +265,11 @@ pub(crate) fn parse_allows(
             push_bad(bad, c, file, lines, "expected `allow(rule, reason=...)`");
             continue;
         };
-        let Some(rule) = RuleId::parse(rule_part) else {
+        let named = rule_part.trim();
+        let Some(&rule) = RuleId::ALL
+            .iter()
+            .find(|r| r.code().eq_ignore_ascii_case(named) || r.name() == named)
+        else {
             push_bad(
                 bad,
                 c,
@@ -365,12 +304,14 @@ fn push_bad(bad: &mut Vec<Violation>, c: &Comment, file: &str, lines: &[&str], w
         file: file.to_string(),
         line: c.line,
         col: 1,
-        message: format!("{}: {why}", RuleId::BadAllow.summary()),
+        message: format!("malformed `lint: allow` annotation: {why}"),
         snippet: snippet(lines, c.line),
     });
 }
 
-fn allowed(allows: &[Allow], rule: RuleId, line: u32) -> bool {
+/// Whether an allow in `allows` covers `rule` at `line` (the sync pass
+/// shares the per-file annotation machinery).
+pub(crate) fn allowed(allows: &[Allow], rule: RuleId, line: u32) -> bool {
     allows.iter().any(|a| {
         a.rule == rule
             && match a.span {
@@ -378,12 +319,6 @@ fn allowed(allows: &[Allow], rule: RuleId, line: u32) -> bool {
                 Some((lo, hi)) => (lo..=hi).contains(&line),
             }
     })
-}
-
-/// Whether an allow in `allows` covers `rule` at `line` (the sync pass
-/// shares the per-file annotation machinery).
-pub(crate) fn allow_covers(allows: &[Allow], rule: RuleId, line: u32) -> bool {
-    allowed(allows, rule, line)
 }
 
 pub(crate) fn snippet(lines: &[&str], line: u32) -> String {
@@ -404,7 +339,7 @@ fn is_durability_file(file: &str) -> bool {
 }
 
 /// Runs `rules` over `src`, reporting as `file`. The caller decides which
-/// rules apply to the file (see [`crate::workspace`]); `BadAllow` is always
+/// rules apply to the file (see [`crate::rules_for`]); `BadAllow` is always
 /// active.
 #[must_use]
 pub fn analyze_source(file: &str, src: &str, rules: &[RuleId]) -> Vec<Violation> {
@@ -539,65 +474,42 @@ pub fn analyze_source(file: &str, src: &str, rules: &[RuleId]) -> Vec<Violation>
                     &mut out,
                 );
             }
-            "unwrap" | "expect"
-                if rules.contains(&RuleId::PanickingIo)
-                    && prev_is_dot
-                    && !exempt(RuleId::PanickingIo, t.line) =>
-            {
-                fire(
-                    RuleId::PanickingIo,
-                    t,
-                    format!(
-                        "`.{}()` panics; checkpoint/trace I/O must stay Result-based",
-                        t.text
+            // The three no-panic rules, first claimant wins: D5 in
+            // checkpoint/trace I/O; D7's checked-I/O mode in the durability
+            // modules, which run the crash path unattended (no indexing
+            // heuristic there — the fixed-offset codecs slice by constant
+            // bounds on length-checked buffers); D8 in the rest of the live
+            // runtime, where a panic takes a stripe executor down, so every
+            // surviving site names its invariant in a per-site allow.
+            "unwrap" | "expect" | "panic" if !in_regions(&tests, t.line) => {
+                let (what, called) = if t.text == "panic" {
+                    let bang = tokens.get(i + 1).is_some_and(|x| x.is_punct('!'));
+                    ("panic!".to_string(), bang)
+                } else {
+                    (format!(".{}()", t.text), prev_is_dot)
+                };
+                let claim = [
+                    (
+                        RuleId::PanickingIo,
+                        "checkpoint/trace I/O stays Result-based",
                     ),
-                    &mut out,
-                );
-            }
-            "panic"
-                if rules.contains(&RuleId::PanickingIo)
-                    && tokens.get(i + 1).is_some_and(|x| x.is_punct('!'))
-                    && !exempt(RuleId::PanickingIo, t.line) =>
-            {
-                fire(
-                    RuleId::PanickingIo,
-                    t,
-                    "`panic!` in a checkpoint/trace I/O module".to_string(),
-                    &mut out,
-                );
-            }
-            // D7 checked-I/O mode: the durability modules run the crash
-            // path unattended and must degrade via Result. (No indexing
-            // heuristic here — the fixed-offset codecs slice by constant
-            // bounds on buffers whose length was already checked.)
-            "unwrap" | "expect"
-                if rules.contains(&RuleId::DurabilityBoundary)
-                    && is_durability_file(file)
-                    && prev_is_dot
-                    && !exempt(RuleId::DurabilityBoundary, t.line) =>
-            {
-                fire(
-                    RuleId::DurabilityBoundary,
-                    t,
-                    format!(
-                        "`.{}()` panics; WAL/snapshot/recovery I/O must stay Result-based",
-                        t.text
+                    (
+                        RuleId::DurabilityBoundary,
+                        "WAL/snapshot/recovery I/O stays Result-based",
                     ),
-                    &mut out,
-                );
-            }
-            "panic"
-                if rules.contains(&RuleId::DurabilityBoundary)
-                    && is_durability_file(file)
-                    && tokens.get(i + 1).is_some_and(|x| x.is_punct('!'))
-                    && !exempt(RuleId::DurabilityBoundary, t.line) =>
-            {
-                fire(
-                    RuleId::DurabilityBoundary,
-                    t,
-                    "`panic!` in a durability module".to_string(),
-                    &mut out,
-                );
+                    (
+                        RuleId::LivePanic,
+                        "use a checked error, or pin the invariant with an allow",
+                    ),
+                ]
+                .into_iter()
+                .find(|(rule, _)| {
+                    rules.contains(rule)
+                        && (*rule != RuleId::DurabilityBoundary || is_durability_file(file))
+                });
+                if let (true, Some((rule, why))) = (called, claim) {
+                    fire(rule, t, format!("`{what}` can panic; {why}"), &mut out);
+                }
             }
             // D7 isolation mode: a sim-path crate naming a durability
             // module would grow the deterministic simulator a filesystem
@@ -615,55 +527,6 @@ pub fn analyze_source(file: &str, src: &str, rules: &[RuleId]) -> Vec<Violation>
                         "durability module `strip_live::{}` named in a sim-path crate",
                         t.text
                     ),
-                    &mut out,
-                );
-            }
-            // D8: the live runtime serves real traffic unattended; a
-            // panic anywhere in it takes a stripe executor (and the run's
-            // accounting) down. Every surviving panic site must name the
-            // invariant it stands on in a per-site allow, so new ones
-            // cannot slip in unexamined. Tests are exempt.
-            "unwrap" | "expect"
-                if rules.contains(&RuleId::LivePanic)
-                    && prev_is_dot
-                    && !exempt(RuleId::LivePanic, t.line) =>
-            {
-                fire(
-                    RuleId::LivePanic,
-                    t,
-                    format!(
-                        "`.{}()` in live-runtime code; use a checked error or pin the \
-                         invariant with an allow",
-                        t.text
-                    ),
-                    &mut out,
-                );
-            }
-            "panic"
-                if rules.contains(&RuleId::LivePanic)
-                    && tokens.get(i + 1).is_some_and(|x| x.is_punct('!'))
-                    && !exempt(RuleId::LivePanic, t.line) =>
-            {
-                fire(
-                    RuleId::LivePanic,
-                    t,
-                    "`panic!` in live-runtime code; use a checked error or pin the \
-                     invariant with an allow"
-                        .to_string(),
-                    &mut out,
-                );
-            }
-            "sum"
-                if rules.contains(&RuleId::RawF64Sum)
-                    && prev_is_dot
-                    && !exempt(RuleId::RawF64Sum, t.line) =>
-            {
-                fire(
-                    RuleId::RawF64Sum,
-                    t,
-                    "raw `.sum()` reduction; use Welford (push/merge/from_moments) for \
-                     stats-bearing aggregation"
-                        .to_string(),
                     &mut out,
                 );
             }
@@ -853,13 +716,6 @@ mod tests {\n\
             &only,
         );
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn d6_catches_dot_sum() {
-        let v = run("fn f(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::RawF64Sum);
     }
 
     #[test]

@@ -224,8 +224,7 @@ fn scan_file(
     // vec is discarded here to avoid duplicates.
     let mut scratch = Vec::new();
     let allows = crate::rules::parse_allows(&lexed.comments, file, &lines, &mut scratch);
-    let allowed =
-        |rule: RuleId, line: u32| -> bool { crate::rules::allow_covers(&allows, rule, line) };
+    let allowed = |rule: RuleId, line: u32| -> bool { crate::rules::allowed(&allows, rule, line) };
 
     let mut ctx = ContextTracker::default();
     let mut held: Vec<HeldGuard> = Vec::new();

@@ -1,4 +1,5 @@
-// Fixture: must pass every rule (D1-D6), exercising the escape hatches.
+// Fixture: must pass every rule and every structure row, exercising the
+// escape hatches.
 // Not compiled; read as data by the self-tests.
 
 use std::collections::BTreeMap;
@@ -13,10 +14,6 @@ fn first(xs: &[u8]) -> u8 {
     // SAFETY: callers guarantee `xs` is non-empty, so the pointer read
     // stays in bounds.
     unsafe { *xs.as_ptr() }
-}
-
-fn mean(w: &Welford) -> f64 {
-    w.mean()
 }
 
 #[cfg(test)]

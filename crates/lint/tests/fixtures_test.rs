@@ -1,38 +1,113 @@
-//! Self-tests over the rule fixtures: each `dN.rs` must trigger its rule
-//! exactly once (and nothing else), `clean.rs` must pass every rule, and
-//! the CLI binary must exit nonzero on each violating fixture.
+//! Self-tests over the fixtures: each must trigger its rule or structure
+//! row exactly once (and nothing else) when scanned under the path it
+//! stands in for, and `clean.rs` must pass everything.
 
 use std::path::PathBuf;
-use std::process::Command;
 
-use strip_lint::{analyze_source, RuleId};
+use strip_lint::{analyze_source, check_structure, RuleId, Violation};
 
-fn fixture(name: &str) -> (PathBuf, String) {
+/// Every per-file rule and every structure row over the fixture `name`,
+/// scanned as the workspace file `scanned_as`.
+fn scan(name: &str, scanned_as: &str) -> Vec<Violation> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
     let src = std::fs::read_to_string(&path).expect("fixture readable");
-    (path, src)
+    let mut violations = analyze_source(scanned_as, &src, &RuleId::ALL);
+    violations.extend(check_structure(&[(scanned_as.to_string(), src)]));
+    violations
 }
 
-const CASES: [(&str, RuleId); 7] = [
-    ("d1.rs", RuleId::WallClock),
-    ("d2.rs", RuleId::NondeterministicOrder),
-    ("d3.rs", RuleId::AmbientEntropy),
-    ("d4.rs", RuleId::UndocumentedUnsafe),
-    ("d5.rs", RuleId::PanickingIo),
-    ("d6.rs", RuleId::RawF64Sum),
+/// (fixture, the path it is scanned as, the rule that fires).
+const CASES: [(&str, &str, RuleId); 20] = [
+    ("d1.rs", "d1.rs", RuleId::WallClock),
+    ("d2.rs", "d2.rs", RuleId::NondeterministicOrder),
+    ("d3.rs", "d3.rs", RuleId::AmbientEntropy),
+    ("d4.rs", "d4.rs", RuleId::UndocumentedUnsafe),
+    ("d5.rs", "d5.rs", RuleId::PanickingIo),
     // d7.rs exercises D7's isolation mode (a sim-path crate naming a
     // durability module); the checked-I/O mode is covered by unit tests,
     // since under the full rule set an `.unwrap()` is claimed by D5 first.
-    ("d7.rs", RuleId::DurabilityBoundary),
+    ("d7.rs", "d7.rs", RuleId::DurabilityBoundary),
+    // One fixture per row of `structure::ROWS`, in table order. The two
+    // `OnceIn` rows whose fixture stands in for the row's own file carry
+    // the first definition too; the others are scanned as a neighbour.
+    (
+        "s1_scheduler_fn.rs",
+        "crates/live/src/executor.rs",
+        RuleId::SchedulerCore,
+    ),
+    (
+        "s2_channel_update.rs",
+        "crates/live/src/server.rs",
+        RuleId::UpdatePath,
+    ),
+    (
+        "s2_second_replay.rs",
+        "crates/live/src/loadgen.rs",
+        RuleId::UpdatePath,
+    ),
+    (
+        "s2_batch_flag.rs",
+        "crates/live/src/bin/strip_loadgen.rs",
+        RuleId::UpdatePath,
+    ),
+    (
+        "s3_unsupported.rs",
+        "crates/live/src/executor.rs",
+        RuleId::ConfigContract,
+    ),
+    (
+        "s3_disturbance.rs",
+        "crates/workload/src/disturbance.rs",
+        RuleId::ConfigContract,
+    ),
+    (
+        "s3_charge_preemption.rs",
+        "crates/core/src/controller.rs",
+        RuleId::ConfigContract,
+    ),
+    (
+        "s3_loadgen_allow.rs",
+        "crates/live/src/loadgen.rs",
+        RuleId::ConfigContract,
+    ),
+    (
+        "s3_stream_by_hand.rs",
+        "crates/experiments/src/runner.rs",
+        RuleId::ConfigContract,
+    ),
+    (
+        "s4_second_assemble.rs",
+        "crates/experiments/src/sweep.rs",
+        RuleId::ExperimentTable,
+    ),
+    (
+        "s4_run_sweep.rs",
+        "crates/experiments/src/sweep.rs",
+        RuleId::ExperimentTable,
+    ),
+    (
+        "s4_duplicate_key.rs",
+        "crates/experiments/src/scenarios.rs",
+        RuleId::ExperimentTable,
+    ),
+    (
+        "s4_figure_code.rs",
+        "crates/experiments/src/tracing.rs",
+        RuleId::ExperimentTable,
+    ),
+    (
+        "s5_fs_outside_logdir.rs",
+        "crates/live/src/wal.rs",
+        RuleId::DurabilityDirectory,
+    ),
 ];
 
 #[test]
 fn each_fixture_triggers_its_rule_exactly_once() {
-    for (name, rule) in CASES {
-        let (_, src) = fixture(name);
-        let violations = analyze_source(name, &src, &RuleId::ALL);
+    for (name, scanned_as, rule) in CASES {
+        let violations = scan(name, scanned_as);
         assert_eq!(
             violations.len(),
             1,
@@ -45,48 +120,6 @@ fn each_fixture_triggers_its_rule_exactly_once() {
 
 #[test]
 fn clean_fixture_passes_every_rule() {
-    let (_, src) = fixture("clean.rs");
-    let violations = analyze_source("clean.rs", &src, &RuleId::ALL);
+    let violations = scan("clean.rs", "clean.rs");
     assert!(violations.is_empty(), "{violations:?}");
-}
-
-#[test]
-fn cli_exits_nonzero_on_each_rule_fixture_and_zero_on_clean() {
-    for (name, _) in CASES {
-        let (path, _) = fixture(name);
-        let status = Command::new(env!("CARGO_BIN_EXE_strip-lint"))
-            .args(["--quiet", "--file"])
-            .arg(&path)
-            .status()
-            .expect("spawn strip-lint");
-        assert_eq!(status.code(), Some(1), "{name}: expected exit 1");
-    }
-    let (clean, _) = fixture("clean.rs");
-    let status = Command::new(env!("CARGO_BIN_EXE_strip-lint"))
-        .args(["--quiet", "--file"])
-        .arg(&clean)
-        .status()
-        .expect("spawn strip-lint");
-    assert_eq!(status.code(), Some(0), "clean.rs: expected exit 0");
-}
-
-#[test]
-fn cli_writes_json_report() {
-    let out = std::env::temp_dir().join(format!("strip-lint-{}.json", std::process::id()));
-    let (path, _) = fixture("d2.rs");
-    let status = Command::new(env!("CARGO_BIN_EXE_strip-lint"))
-        .args(["--quiet", "--file"])
-        .arg(&path)
-        .arg("--json")
-        .arg(&out)
-        .status()
-        .expect("spawn strip-lint");
-    assert_eq!(status.code(), Some(1));
-    let json = std::fs::read_to_string(&out).expect("json report written");
-    assert!(json.contains("\"violation_count\": 1"), "{json}");
-    assert!(
-        json.contains("\"rule\": \"nondeterministic-order\""),
-        "{json}"
-    );
-    let _ = std::fs::remove_file(&out);
 }

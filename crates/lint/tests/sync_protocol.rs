@@ -1,17 +1,15 @@
-//! The sync-protocol gate, end to end: the seeded-violation fixtures
-//! fail as D9/D10/D11 must, and the committed registry
-//! (`crates/lint/sync_protocol.toml`) covers the workspace 100% in both
-//! directions — zero undeclared sync sites in the code, zero stale
-//! entries in the registry. The coverage pins at the bottom keep the
-//! registry honest about *what* it covers, so a PR that deletes entries
-//! wholesale (rather than keeping them in step with the code) fails
-//! loudly here even though the two-way check in `analyze_sync` would
-//! already catch any single drifted entry.
+//! The sync-protocol rules on their fixtures: the seeded violations fail
+//! as D9/D10/D11 must. That the committed registry
+//! (`crates/lint/sync_protocol.toml`) and the code agree in both
+//! directions is part of the one workspace scan (`tests/structure.rs` at
+//! the root); the coverage pins at the bottom keep the registry honest
+//! about *what* it covers, so a PR that deletes entries wholesale (rather
+//! than keeping them in step with the code) fails loudly here.
 
 use std::path::PathBuf;
 
 use strip_lint::registry::{self, SyncRegistry};
-use strip_lint::{analyze_sync, render_text, scan_workspace, RuleId, REGISTRY_PATH};
+use strip_lint::{analyze_sync, RuleId, REGISTRY_PATH};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -79,21 +77,6 @@ fn d11_fixture_unregistered_send_impl_fails() {
     );
 }
 
-/// The workspace self-check: running only the sync rules over the real
-/// tree against the committed registry must come back empty — every
-/// atomic site, lock acquisition and `unsafe impl` is declared, and
-/// every declaration still matches a site.
-#[test]
-fn workspace_has_zero_undeclared_sync_sites() {
-    let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let violations = scan_workspace(&root, Some(&RuleId::SYNC)).expect("workspace scan");
-    let rendered: String = violations.iter().map(render_text).collect();
-    assert!(
-        violations.is_empty(),
-        "sync-protocol violations:\n{rendered}"
-    );
-}
-
 /// Coverage pins: the committed registry's shape. Update deliberately
 /// when the concurrency surface changes — each bullet is a reviewed
 /// protocol, not bookkeeping.
@@ -140,23 +123,4 @@ fn committed_registry_covers_the_audited_surface() {
         .send_sync
         .iter()
         .all(|s| s.file == "crates/live/src/spsc.rs" && s.type_name == "Inner"));
-}
-
-/// `--baseline` semantics: a pinned line absolves exactly one matching
-/// violation; unpinned and duplicate-beyond-budget violations survive.
-#[test]
-fn baseline_consumes_pinned_sites_multiset_style() {
-    let v = run_fixture("d9.rs");
-    assert_eq!(v.len(), 1);
-    let baseline = strip_lint::render_baseline(&v);
-    assert!(strip_lint::apply_baseline(v.clone(), &baseline).is_empty());
-    // The same site twice against a budget of one: one survives.
-    let mut twice = v.clone();
-    twice.extend(v);
-    assert_eq!(strip_lint::apply_baseline(twice, &baseline).len(), 1);
-    // An empty baseline absolves nothing.
-    assert_eq!(
-        strip_lint::apply_baseline(run_fixture("d9.rs"), "# empty\n").len(),
-        1
-    );
 }

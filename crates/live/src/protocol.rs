@@ -735,6 +735,17 @@ impl FrameReader {
         }
     }
 
+    /// Creates a reader whose buffer starts with `prefix`: bytes the caller
+    /// took off the transport before handing it over (at most the default
+    /// capacity).
+    #[must_use]
+    pub(crate) fn with_prefix(prefix: &[u8]) -> Self {
+        let mut reader = Self::new();
+        reader.buf[..prefix.len()].copy_from_slice(prefix);
+        reader.end = prefix.len();
+        reader
+    }
+
     /// Returns the next complete frame body, reading from `r` only when
     /// the buffer does not already hold one. `Ok(None)` on a clean EOF
     /// at a frame boundary. The returned slice is valid until the next

@@ -30,15 +30,12 @@
 //! and the compute demand is divided proportionally to each stripe's
 //! read count.
 
-// lint: allow-file(wall-clock, reason=a connection's transport sniff sleeps between peeks; this is transport plumbing outside the modelled CPU)
-
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 use strip_core::report::{RunReport, StripeSummary};
 use strip_core::stripe::{splitmix64, StripeMap};
@@ -575,19 +572,17 @@ impl BatchState {
 fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -> io::Result<()> {
     stream.set_nodelay(true)?;
     // Sniff the transport: binary frames are at least 5 bytes, so waiting
-    // for 4 peeked bytes cannot deadlock a well-formed client.
+    // for 4 cannot deadlock a well-formed client. The bytes are read, not
+    // peeked, so a peer that closes short of them is an EOF here.
     let mut first = [0u8; 4];
-    loop {
-        let n = stream.peek(&mut first)?;
-        if n >= 4 || n == 0 {
-            break;
-        }
-        thread::sleep(Duration::from_millis(1));
+    match stream.read_exact(&mut first) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
+        sniffed => sniffed?,
     }
     if first == *b"GET " {
         return serve_metrics(&mut stream, router);
     }
-    let mut frames = FrameReader::new();
+    let mut frames = FrameReader::with_prefix(&first);
     let mut batch = BatchState::new();
     loop {
         let Some(body) = frames.next_frame(&mut stream)? else {
@@ -849,7 +844,8 @@ pub fn render_metrics(r: &RunReport) -> String {
 
 /// Answers one HTTP GET with the metrics page and closes.
 fn serve_metrics(stream: &mut TcpStream, router: &Router) -> io::Result<()> {
-    // Read and discard the request head (bounded).
+    // Read and discard the rest of the request head (bounded); the
+    // caller's sniff took its first four bytes.
     let mut buf = [0u8; 4096];
     let mut seen = Vec::new();
     loop {
@@ -877,6 +873,7 @@ fn serve_metrics(stream: &mut TcpStream, router: &Router) -> io::Result<()> {
 mod tests {
     use super::*;
     use std::sync::mpsc::Receiver;
+    use std::time::Duration;
 
     #[test]
     fn stats_mapping_is_conservative_by_construction() {
@@ -1110,6 +1107,26 @@ mod tests {
             drop(client);
             session.join().expect("session thread");
         }
+    }
+
+    /// A peer that closes before the four sniffed bytes arrive ends the
+    /// session; no thread is left polling for the rest.
+    #[test]
+    fn session_ends_when_the_peer_closes_inside_the_transport_sniff() {
+        let (router, _rxs) = test_router(1, 8, 8);
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut client, session) = loopback_session(&router, &stop);
+        client.write_all(&[5, 0]).expect("send two bytes");
+        drop(client);
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
+        while !session.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "session outlived its peer"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        session.join().expect("session thread");
     }
 
     /// Overload from an uncredited frame-per-update sender is bounded by

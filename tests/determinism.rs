@@ -1,6 +1,7 @@
 //! Cross-thread-count / cross-replica determinism harness.
 //!
-//! The static-analysis pass (`strip-lint`, rules D1–D3) guards the
+//! The static-analysis pass (`strip-lint` rules D1–D3, which
+//! `tests/structure.rs` runs) guards the
 //! *sources* of nondeterminism; this harness checks the *outcome*: the
 //! same configuration must produce **byte-identical** serialized reports
 //! regardless of how many worker threads execute the sweep, and replicated
