@@ -2,28 +2,41 @@
 //!
 //! Every scheduling decision lives in [`strip_core::scheduler`], the one
 //! copy of the paper's algorithms that the simulator's `Controller` also
-//! drives; this module only supplies time and I/O. Where the simulator
-//! advances a virtual clock past each slice the core hands out, the
-//! executor *burns* the slice by spinning on the wall clock in
-//! quantum-sized chunks (see [`LiveConfig::quantum`]), draining ingest and
-//! firing timers between chunks. Preemption is therefore quantised: an
-//! arrival whose verdict asks for one — an update under UF/SU, a denser
+//! drives; this module only supplies time and I/O. A *scheduling point*
+//! ([`Executor::poll`]) fires due timers, drains ingest and opens a
+//! *window*: one [`LiveConfig::quantum`] from its clock reading, by the
+//! end of which the next poll is due.
+//!
+//! Update work — installs, queue transfers, rule executions, DAG applies:
+//! every slice with no transaction on the CPU — is never preempted (§4.2),
+//! so while such slices follow each other back to back and their planned
+//! ends stay inside the window, the executor does exactly what the
+//! simulator does: `finish` at the planned instant `start + secs`, then
+//! `next_slice` at that instant, with no clock read, timer pass or ingest
+//! poll in between. That sequence is a *run*. It is *settled* — the wall
+//! clock is spun up to the run's planned end — before anything can
+//! observe it: before the next poll, before a transaction slice, and
+//! before a slice too long for the window. Those slices are *burned* by
+//! spinning on the wall clock in chunks that end at the poll deadline,
+//! with a scheduling point after each chunk, so preemption is quantised:
+//! an arrival whose verdict asks for one — an update under UF/SU, a denser
 //! transaction under value-density preemption — cuts the transaction
 //! slice at the next chunk boundary rather than instantaneously
 //! (DESIGN.md §12 quantifies the approximation).
 //!
-//! Clock discipline: the executor keeps one reading, [`Executor::now`],
-//! per scheduling point. A slice starts at the reading that ended the
-//! previous scheduling point and ends at the reading
-//! [`LiveClock::spin_until`] returned, so a back-to-back install costs one
-//! clock read; the reading is refreshed after a poll that handled input,
-//! after an idle wait, and after any run-loop pass that did not burn.
+//! Clock discipline: [`Executor::now`] is always a reading the wall clock
+//! has reached, and every handler of a scheduling point is passed that one
+//! reading. Inside a run time is *planned*, not read; the clock is only
+//! consulted every [`RUN_CLOCK_STRIDE`] slices, so that a cost model
+//! cheaper than the runtime itself cannot carry a run past its poll
+//! deadline. Busy time inside a run is therefore the modelled time, as in
+//! the simulator; what the runtime spends beyond the model reads as idle.
 //!
 //! The executor runs on one thread and is fed through an [`Ingest`]
 //! channel; the TCP front end (`server`) and in-process tests use the same
 //! channel type, so the scheduling core is exercised identically in both.
 
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::time::Duration;
 
@@ -65,9 +78,12 @@ pub const DERIVED_NO_SUCH_NODE: u8 = 2;
 pub struct LiveConfig {
     /// The substrate configuration shared with the simulator.
     pub sim: SimConfig,
-    /// Chunk size, in seconds, in which CPU slices are burned. Ingest is
-    /// drained and timers fire between chunks, so this bounds both the
-    /// preemption latency under UF/SU and the deadline-detection error.
+    /// The longest the executor goes without a scheduling point, in
+    /// seconds: a run of update work is planned this far ahead of a poll
+    /// and longer slices are burned in chunks of it. Ingest is drained and
+    /// timers fire at scheduling points only, so this bounds arrival
+    /// stamping, the preemption latency under UF/SU and the deadline- and
+    /// expiry-detection error.
     pub quantum: f64,
     /// Crash durability (WAL + snapshots); `None` runs in-memory only,
     /// exactly as before the durability subsystem existed.
@@ -235,6 +251,12 @@ impl<T> Ord for Timer<T> {
     }
 }
 
+/// Slices between two clock readings inside a run. A reading costs about
+/// 40 ns, so this stride adds under 1 ns to an update; at the ~100 ns the
+/// runtime spends on one, it lets a run whose modelled cost is below that
+/// overrun its poll deadline by a few µs at most.
+const RUN_CLOCK_STRIDE: u32 = 64;
+
 /// Why a slice stopped before its end.
 enum Cut {
     /// An arrival's verdict asked for a preemption.
@@ -257,10 +279,23 @@ pub struct Executor {
     core: Scheduler,
     quantum: f64,
     clock: LiveClock,
-    /// The latest clock reading: where the previous scheduling point ended
-    /// and the next slice starts (see the module docs).
+    /// The latest clock reading: where the previous scheduling point, run
+    /// or burned slice ended and the next slice starts (see the module
+    /// docs). Never ahead of the wall clock.
     now: SimTime,
-    expiry: BinaryHeap<Timer<ExpiryWatch>>,
+    /// When the next scheduling point is due: one quantum past the reading
+    /// the last one ended at.
+    poll_by: SimTime,
+    /// The MA-expiry watch of each object's latest install, by
+    /// [`Executor::watch_slot`]; `None` once it fired (or before any
+    /// install). An overwritten watch could never act — the tracker
+    /// ignores a superseded version — so only the latest is kept.
+    watches: Vec<Option<ExpiryWatch>>,
+    /// One entry per `Some` slot of `watches`, keyed by the instant of the
+    /// watch that armed it; a later watch of the same slot re-keys the
+    /// entry when it comes due. At most one entry per object, whatever
+    /// the update rate.
+    expiry: BinaryHeap<Timer<usize>>,
     deadlines: BinaryHeap<Timer<u64>>,
     events: u64,
     shutdown: bool,
@@ -328,6 +363,8 @@ impl Executor {
             quantum: cfg.quantum,
             clock: LiveClock::start(),
             now: SimTime::ZERO,
+            poll_by: SimTime::ZERO,
+            watches: vec![None; (cfg.sim.n_low + cfg.sim.n_high) as usize],
             expiry: BinaryHeap::new(),
             deadlines: BinaryHeap::new(),
             events: 0,
@@ -349,16 +386,12 @@ impl Executor {
     #[must_use]
     pub fn run(mut self) -> RunReport {
         for watch in self.core.initial_watches() {
-            self.expiry.push(Timer {
-                at: watch.at.max(SimTime::ZERO).as_secs(),
-                item: watch,
-            });
+            self.arm(watch);
         }
         self.now = self.clock.now();
         while !self.shutdown {
             let polled_at = self.now;
-            self.process_timers(polled_at);
-            self.drain_ingest();
+            self.poll();
             if self.shutdown {
                 break;
             }
@@ -379,6 +412,16 @@ impl Executor {
         self.now = self.clock.now();
         self.drain_streams(self.now);
         self.finalize()
+    }
+
+    /// One scheduling point at the current reading: fires due timers,
+    /// drains ingest, and opens the next window. Returns the verdict
+    /// [`Executor::drain_ingest`] does.
+    fn poll(&mut self) -> Option<Preempt> {
+        self.process_timers(self.now);
+        let preempt = self.drain_ingest();
+        self.poll_by = self.now + self.quantum;
+        preempt
     }
 
     // ---- ingest -------------------------------------------------------------
@@ -576,10 +619,24 @@ impl Executor {
             wal.flush();
         }
         let t = now.as_secs();
-        while self.expiry.peek().is_some_and(|e| e.at <= t) {
-            let e = self.expiry.pop().expect("peeked expiry entry"); // lint: allow(live-panic, reason=pop follows a successful peek on the same heap)
-            self.core.on_expiry(e.item, now);
-            self.events += 1;
+        while let Some(mut head) = self.expiry.peek_mut() {
+            if head.at > t {
+                break;
+            }
+            let slot = &mut self.watches[head.item];
+            match *slot {
+                // Overwritten since the entry was keyed: wait for the
+                // latest value's instant instead.
+                Some(watch) if watch.at.as_secs() > t => head.at = watch.at.as_secs(),
+                _ => {
+                    let fired = slot.take();
+                    PeekMut::pop(head);
+                    if let Some(watch) = fired {
+                        self.core.on_expiry(watch, now);
+                        self.events += 1;
+                    }
+                }
+            }
         }
         if self.core.metrics().warmup_pending() && t >= self.core.config().warmup {
             self.core.on_warmup_end(now);
@@ -633,6 +690,30 @@ impl Executor {
         self.next_snapshot_at = now.as_secs() + every;
     }
 
+    /// Arms the expiry watchdog of the value just installed into
+    /// `watch.object`, replacing the one of the value it overwrote. An
+    /// object's watches only move later (an install never lowers a
+    /// generation), so the heap entry already there comes due no later
+    /// than this watch and [`Executor::process_timers`] re-keys it then.
+    fn arm(&mut self, watch: ExpiryWatch) {
+        let slot = self.watch_slot(watch.object);
+        if self.watches[slot].replace(watch).is_none() {
+            self.expiry.push(Timer {
+                at: watch.at.as_secs(),
+                item: slot,
+            });
+        }
+    }
+
+    /// Index of `object` in `watches`: the low partition, then the high.
+    fn watch_slot(&self, object: ViewObjectId) -> usize {
+        let base = match object.class {
+            Importance::Low => 0,
+            Importance::High => self.core.config().n_low,
+        };
+        (base + object.index) as usize
+    }
+
     /// Wall-clock seconds of the earliest pending timer, if any.
     fn next_timer_at(&self) -> Option<f64> {
         let e = self.expiry.peek().map(|e| e.at);
@@ -673,17 +754,58 @@ impl Executor {
 
     // ---- slices -------------------------------------------------------------
 
-    /// One scheduling point: asks the core for the next slice and burns
-    /// it. Returns false when there is nothing to run (the caller then
-    /// blocks on ingest).
+    /// Runs the core from the current reading until a scheduling point is
+    /// due: a run of update work at its planned instants, then — settled —
+    /// at most one burned update slice, or the transaction slices that
+    /// follow each other without one. Returns false when there is nothing
+    /// to run (the caller then blocks on ingest).
     fn step(&mut self) -> bool {
         let Some(mut secs) = self.core.next_slice(self.now) else {
             return false;
         };
+        // Planned time: where the slice that is out starts. It leaves
+        // `self.now` behind through a run and is settled before anything
+        // but the core reads it.
+        let mut at = self.now;
+        let mut run = 0u32;
         loop {
             // Only a slice of the bound transaction can be cut by an
             // arrival or by its own deadline.
             let txn = self.core.txn_on_cpu().map(|t| (t.id(), t.deadline()));
+            if txn.is_none() && at + secs <= self.poll_by {
+                at += secs;
+                self.finish(at);
+                run += 1;
+                if run.is_multiple_of(RUN_CLOCK_STRIDE) {
+                    let reading = self.clock.now();
+                    if reading >= self.poll_by {
+                        self.now = reading;
+                        return true;
+                    }
+                }
+                match self.core.next_slice(at) {
+                    Some(next) => secs = next,
+                    None => {
+                        self.settle(at);
+                        return true;
+                    }
+                }
+                continue;
+            }
+            if run > 0 {
+                self.settle(at);
+                // Update work too long for what is left of the window gets
+                // the scheduling point the run loop gives a step's first
+                // slice. A transaction slice polls after its every chunk,
+                // the first of which ends with the window.
+                if txn.is_none() {
+                    self.poll();
+                    if self.shutdown {
+                        self.core.interrupt(0.0, self.now);
+                        return true;
+                    }
+                }
+            }
             let started = self.now;
             if let Some(cut) = self.burn(started + secs, txn) {
                 // A cut slice consumed the wall time since its start,
@@ -702,16 +824,10 @@ impl Executor {
                 }
                 return true;
             }
-            if let Some(watch) = self.core.finish(self.now) {
-                self.expiry.push(Timer {
-                    at: watch.at.as_secs(),
-                    item: watch,
-                });
-            }
-            self.events += 1;
+            self.finish(self.now);
             // What follows a transaction slice starts at this very
             // reading, already polled by the slice's last chunk; after
-            // update work the run loop polls first.
+            // burned update work the run loop polls first.
             if txn.is_none() {
                 return true;
             }
@@ -719,14 +835,34 @@ impl Executor {
                 Some(next) => secs = next,
                 None => return true,
             }
+            (at, run) = (self.now, 0);
+        }
+    }
+
+    /// The slice that is out ran its full length, to `at`: hands it back
+    /// to the core and arms the watch of the value it installed, if any.
+    fn finish(&mut self, at: SimTime) {
+        if let Some(watch) = self.core.finish(at) {
+            self.arm(watch);
+        }
+        self.events += 1;
+    }
+
+    /// Settles a run: spins until the wall clock has reached `planned`,
+    /// the instant the run's last slice ended at, so that whatever follows
+    /// — a poll, a burned slice — starts at a reading no effect of the run
+    /// lies ahead of. One reading when the wall is already there.
+    fn settle(&mut self, planned: SimTime) {
+        if planned > self.now {
+            self.now = self.clock.spin_until(planned);
         }
     }
 
     /// Burns the slice on the core's CPU from the current reading to `end`
-    /// in quantum chunks, draining ingest and firing timers between
-    /// chunks. The end is fixed, so a chunk's overshoot shortens the next
-    /// chunk instead of lengthening the slice. Returns why the slice was
-    /// cut, or `None` when it ran its full length.
+    /// in chunks that stop at the poll deadline, with a scheduling point
+    /// after each chunk. The end is fixed, so a chunk's overshoot shortens
+    /// the next chunk instead of lengthening the slice. Returns why the
+    /// slice was cut, or `None` when it ran its full length.
     ///
     /// `txn` is the id and deadline of the transaction a transaction
     /// slice belongs to. Such a slice polls after every chunk, the last
@@ -740,7 +876,7 @@ impl Executor {
             if txn.is_some() && self.now >= end {
                 return None;
             }
-            self.now = self.clock.spin_until(end.min(self.now + self.quantum));
+            self.now = self.clock.spin_until(end.min(self.poll_by));
             match txn {
                 None if self.now >= end => return None,
                 Some((id, deadline)) if self.now >= deadline => {
@@ -748,10 +884,9 @@ impl Executor {
                 }
                 _ => {}
             }
-            self.process_timers(self.now);
             // The core asks for a preemption only while a transaction
             // slice is out.
-            let preempt = self.drain_ingest();
+            let preempt = self.poll();
             if self.shutdown {
                 return Some(Cut::Shutdown);
             }
@@ -959,11 +1094,78 @@ mod tests {
             feasible_deadline: false,
             ..base_cfg()
         };
+        stepped_with(sim, quantum)
+    }
+
+    /// [`stepped`] over any configuration.
+    fn stepped_with(sim: SimConfig, quantum: f64) -> (mpsc::Sender<Ingest>, Executor) {
         let cfg = LiveConfig::with_quantum(sim, quantum).expect("valid live config");
         let (tx, rx) = mpsc::channel();
         let mut exec = Executor::new(&cfg, rx);
         exec.now = exec.clock.now();
         (tx, exec)
+    }
+
+    /// Keeps the core's trace from here on, so a test can read the stamps
+    /// the driver hands it ([`trace_of`]).
+    fn traced(mut exec: Executor) -> Executor {
+        exec.core.set_trace(strip_obs::TraceConfig {
+            capacity: 1 << 20,
+            gauge_every: None,
+        });
+        exec
+    }
+
+    /// One pass of the run loop, minus the idle wait: a scheduling point,
+    /// then whatever [`Executor::step`] runs before the next one is due.
+    fn pass(exec: &mut Executor) -> bool {
+        let polled_at = exec.now;
+        exec.poll();
+        let ran = exec.step();
+        if exec.now == polled_at {
+            exec.now = exec.clock.now();
+        }
+        ran
+    }
+
+    /// `n` updates with rising generations, spread over both classes and
+    /// `per_class` objects of each, handed to the core at the current
+    /// reading: a backlog already in the OS queue.
+    fn backlog(exec: &mut Executor, n: u64, per_class: u64) {
+        for i in 0..n {
+            let w = wire_update(
+                (i % 2) as u8,
+                (i / 2 % per_class) as u32,
+                i as i64 + 1,
+                i as f64,
+            );
+            exec.accept_update(&w, exec.now);
+        }
+    }
+
+    /// A model whose install (24 000 instructions at Table 3) takes
+    /// `install_secs`.
+    fn costs_with_install(install_secs: f64) -> CostModel {
+        let table3 = CostModel::default();
+        CostModel {
+            ips: table3.ips * table3.install_time() / install_secs,
+            ..table3
+        }
+    }
+
+    /// The records of a [`traced`] executor, in the order the driver
+    /// caused them: their stamps must never go back, and none may lie
+    /// ahead of the reading the executor is at.
+    fn trace_of(exec: &mut Executor) -> Vec<strip_obs::TraceRecord> {
+        let trace = exec.core.take_trace().expect("a traced executor");
+        assert_eq!(trace.overwritten, 0, "the trace ring was too small");
+        let stamps = trace.records;
+        assert!(
+            stamps.windows(2).all(|w| w[0].at <= w[1].at),
+            "stamps went back"
+        );
+        assert!(stamps.last().is_none_or(|r| r.at <= exec.now.as_secs()));
+        stamps
     }
 
     fn wire_txn(compute_micros: u64, slack_micros: u64) -> WireTxn {
@@ -978,7 +1180,7 @@ mod tests {
     }
 
     #[test]
-    fn back_to_back_installs_take_one_clock_reading_each() {
+    fn a_run_of_installs_reads_the_clock_once_per_stride() {
         const N: u64 = 100_000;
         // A modelled install far below the cost of reading the clock: the
         // runtime's own per-update work is all that is left. Generations
@@ -1023,7 +1225,322 @@ mod tests {
         stopper.join().expect("stopper thread");
         assert_eq!(report.updates.installed_total(), N);
         eprintln!("{reads} clock readings for {N} installed updates");
-        assert!(reads * 10 <= N * 11, "more than 1.1 readings per update");
+        assert!(reads * 20 <= N, "more than 0.05 readings per update");
+    }
+
+    #[test]
+    fn a_run_is_charged_its_planned_time_and_settled_before_the_next_poll() {
+        // 50 installs of 4.8 µs: 240 µs of planned time, one window.
+        const N: u64 = 50;
+        let costs = costs_with_install(4.8e-6);
+        let sim = SimConfig {
+            policy: Policy::UpdatesFirst,
+            costs,
+            ..base_cfg()
+        };
+        let (_tx, exec) = stepped_with(sim, LiveConfig::DEFAULT_QUANTUM);
+        let mut exec = traced(exec);
+        backlog(&mut exec, N, 4);
+        exec.poll();
+        let started = exec.now;
+        assert!(exec.step());
+        // One step ran them all.
+        assert_eq!(exec.core.store().installs(), N);
+        let planned = N as f64 * costs.install_time();
+        let busy = exec.core.metrics().busy_update_so_far();
+        assert!(
+            (busy - planned).abs() < 1e-12,
+            "charged {busy}, planned {planned}"
+        );
+        // Settled: the wall clock has reached the last planned instant.
+        assert!(exec.now.since(started) >= planned - 1e-12);
+        assert!(exec.now <= exec.clock.now());
+        assert!(busy <= exec.now.as_secs());
+        trace_of(&mut exec);
+    }
+
+    #[test]
+    fn interim_reports_between_runs_conserve_updates_and_busy_time() {
+        // A model cheaper than the runtime: planned time lags the wall.
+        const N: u64 = 100_000;
+        let sim = SimConfig {
+            policy: Policy::UpdatesFirst,
+            os_max: N as usize + 1,
+            costs: costs_with_install(48e-9),
+            ..base_cfg()
+        };
+        let (_tx, exec) = stepped_with(sim, LiveConfig::DEFAULT_QUANTUM);
+        let mut exec = traced(exec);
+        backlog(&mut exec, N, 4);
+        let mut interim = 0;
+        while pass(&mut exec) {
+            assert!(
+                exec.now <= exec.clock.now(),
+                "a poll ahead of the wall clock"
+            );
+            let report = exec.snapshot(exec.now);
+            assert_eq!(report.updates.arrived, N);
+            assert_eq!(report.updates.terminal_total(), report.updates.arrived);
+            let m = exec.core.metrics();
+            assert!(m.busy_update_so_far() + m.busy_txn_so_far() <= exec.now.as_secs());
+            interim += u32::from(exec.core.queue_drops().left_in_os > 0);
+        }
+        assert!(interim > 0, "no report was taken under backlog");
+        assert_eq!(exec.core.store().installs(), N);
+        trace_of(&mut exec);
+    }
+
+    #[test]
+    fn paper_scale_installs_get_a_scheduling_point_each() {
+        use strip_obs::TraceKind;
+        // Table 3: a 480 µs install against the 500 µs quantum. One fits a
+        // window and the next does not, so the run is one slice long and
+        // every install is followed by a scheduling point — the run loop's,
+        // or the one a step gives the slice too long for its window.
+        let (tx, exec) = stepped(LiveConfig::DEFAULT_QUANTUM);
+        let mut exec = traced(exec);
+        let install = CostModel::default().install_time();
+        backlog(&mut exec, 10, 4);
+        let mut points = 0;
+        let mut arrival = None;
+        while exec.core.store().installs() < 10 {
+            let before = exec.core.store().installs();
+            exec.poll();
+            points += 1;
+            // Waiting in the channel while the step runs: whichever
+            // scheduling point comes next answers it.
+            let (rtx, rrx) = mpsc::sync_channel(1);
+            tx.send(Ingest::Snapshot { reply: rtx })
+                .expect("send snapshot");
+            if arrival.is_none() {
+                tx.send(Ingest::Update(wire_update(1, 3, 1_000, 7.0)))
+                    .expect("send update");
+                arrival = Some(exec.core.update_seq());
+            }
+            assert!(exec.step());
+            let after = exec.core.store().installs();
+            assert!(
+                after - before <= 2,
+                "{} installs on one poll",
+                after - before
+            );
+            if let Ok(mid) = rrx.try_recv() {
+                // Taken inside the step: between its two installs.
+                assert_eq!(mid.updates.installed_total(), before + 1);
+                assert_eq!(after, before + 2);
+                points += 1;
+            }
+        }
+        assert!(points >= 10, "{points} scheduling points for 10 installs");
+        // The update sent while the first install ran was stamped before
+        // the second began: a whole install lies between its arrival and
+        // the second install's end.
+        let stamps = trace_of(&mut exec);
+        let arrived = stamps
+            .iter()
+            .rfind(|r| matches!(r.kind, TraceKind::QueueDepth { os: 9, .. }))
+            .expect("the sent update reached the OS queue behind eight others")
+            .at;
+        let ends: Vec<f64> = stamps
+            .iter()
+            .filter(|r| matches!(r.kind, TraceKind::Install { .. }))
+            .map(|r| r.at)
+            .collect();
+        assert!(ends[0] <= arrived, "stamped before the first install ended");
+        assert!(
+            arrived + install <= ends[1] + 1e-12,
+            "stamped inside the second"
+        );
+    }
+
+    #[test]
+    fn a_cost_free_backlog_still_polls_every_quantum() {
+        // live_drain's shape — 1 M updates over 512 objects already in the
+        // OS queue — under a model where planned time all but stands
+        // still, so only the in-run clock stride ends a run.
+        const N: u64 = 1_000_000;
+        let sim = SimConfig {
+            policy: Policy::UpdatesFirst,
+            feasible_deadline: false,
+            n_low: 256,
+            n_high: 256,
+            os_max: N as usize + 1,
+            costs: CostModel {
+                ips: 1.0e15,
+                ..CostModel::default()
+            },
+            ..base_cfg()
+        };
+        let (tx, mut exec) = stepped_with(sim, LiveConfig::DEFAULT_QUANTUM);
+        backlog(&mut exec, N, 256);
+        exec.now = exec.clock.now();
+        // A transaction the backlog starves: its deadline passes unserved.
+        exec.accept_txn(wire_txn(1_000, 9_000), exec.now);
+        let deadline = SimTime::from_secs(exec.deadlines.peek().expect("armed").at);
+        for _ in 0..3 {
+            assert!(pass(&mut exec));
+        }
+        let (qtx, qrx) = mpsc::sync_channel(1);
+        let asked = exec.clock.now();
+        tx.send(Ingest::Query {
+            q: WireQuery { class: 0, index: 1 },
+            reply: qtx,
+        })
+        .expect("send query");
+        let (mut answered, mut missed) = (None, None);
+        while answered.is_none() || missed.is_none() {
+            assert!(pass(&mut exec), "the backlog ran out first");
+            if answered.is_none() && qrx.try_recv().is_ok() {
+                answered = Some(exec.clock.now().since(asked));
+            }
+            if missed.is_none() && exec.deadlines.is_empty() {
+                missed = Some(exec.now.since(deadline));
+            }
+        }
+        assert!(exec.core.queue_drops().left_in_os > 0, "not mid-backlog");
+        let (answered, missed) = (answered.expect("set"), missed.expect("set"));
+        assert!(answered <= 0.005, "query answered after {answered} s");
+        assert!((0.0..=0.005).contains(&missed), "miss seen {missed} s late");
+        while pass(&mut exec) {}
+        assert_eq!(exec.core.store().installs(), N);
+        // One watch per object, however many installs.
+        assert!(
+            exec.expiry.len() <= 512,
+            "{} heap entries",
+            exec.expiry.len()
+        );
+        assert_eq!(exec.finalize().txns.missed_deadline, 1);
+    }
+
+    #[test]
+    fn a_transaction_under_backlog_starts_at_a_reading_the_wall_has_reached() {
+        use strip_obs::{TraceKind, TraceTrack};
+        // Transactions first, installs in idle time, and a 40 µs install:
+        // planned time runs ahead of the wall through every run.
+        let sim = SimConfig {
+            policy: Policy::TransactionsFirst,
+            costs: costs_with_install(40e-6),
+            ..base_cfg()
+        };
+        let (tx, exec) = stepped_with(sim, LiveConfig::DEFAULT_QUANTUM);
+        let mut exec = traced(exec);
+        backlog(&mut exec, 100, 4);
+        for _ in 0..2 {
+            assert!(pass(&mut exec));
+        }
+        let installed = exec.core.store().installs();
+        assert!((1..100).contains(&installed), "{installed} installed");
+        tx.send(Ingest::Txn(wire_txn(1_000, 50_000)))
+            .expect("send txn");
+        let wall = exec.clock.now();
+        while pass(&mut exec) {
+            assert!(
+                exec.now <= exec.clock.now(),
+                "a poll ahead of the wall clock"
+            );
+        }
+        let stamps = trace_of(&mut exec);
+        let start = stamps
+            .iter()
+            .find(|r| {
+                matches!(
+                    r.kind,
+                    TraceKind::SliceStart {
+                        track: TraceTrack::Txn,
+                        ..
+                    }
+                )
+            })
+            .expect("the transaction ran");
+        // It arrived at a poll and started there: after the send, on a
+        // settled reading — every install planned before it lies behind.
+        assert!(start.at >= wall.as_secs());
+        let report = exec.finalize();
+        assert_eq!(report.txns.committed, 1);
+        assert_eq!(report.updates.installed_total(), 100);
+    }
+
+    #[test]
+    fn only_the_latest_watch_of_an_object_is_kept_and_fires() {
+        let alpha = 0.050;
+        let sim = SimConfig {
+            policy: Policy::UpdatesFirst,
+            staleness: StalenessSpec::MaxAge { alpha },
+            os_max: 100_001,
+            costs: costs_with_install(48e-9),
+            ..base_cfg()
+        };
+        let quantum = LiveConfig::DEFAULT_QUANTUM;
+        let (_tx, mut exec) = stepped_with(sim, quantum);
+        let (a, b) = (
+            ViewObjectId::new(Importance::Low, 1),
+            ViewObjectId::new(Importance::High, 2),
+        );
+        // 100 000 installs over four objects (two per class), generated
+        // over the last 100 ms: the oldest arrive expired, the rest arm a
+        // watch each.
+        exec.now = exec.clock.spin_until(SimTime::from_secs(0.101));
+        let micros = LiveClock::sim_to_micros(exec.now);
+        for i in 0..100_000i64 {
+            let w = wire_update(
+                (i % 2) as u8,
+                1 + (i / 2 % 2) as u32,
+                micros - 99_999 + i,
+                1.0,
+            );
+            exec.accept_update(&w, exec.now);
+        }
+        while pass(&mut exec) {}
+        assert_eq!(exec.core.store().installs(), 100_000);
+        assert!(exec.expiry.len() <= 4, "{} heap entries", exec.expiry.len());
+        // A and B get a value generated now; then idle, a poll every
+        // 100 µs, and 30 ms in A is overwritten.
+        let t0 = exec.now;
+        for w in [(0, 1), (1, 2)] {
+            exec.accept_update(
+                &wire_update(w.0, w.1, LiveClock::sim_to_micros(t0), 2.0),
+                t0,
+            );
+        }
+        let t1 = t0 + 0.030;
+        let (mut a_stale_at, mut b_stale_at) = (None, None);
+        let mut overwritten = false;
+        while a_stale_at.is_none() {
+            exec.now = exec.clock.spin_until(exec.now + 100e-6);
+            if !overwritten && exec.now >= t1 {
+                exec.accept_update(
+                    &wire_update(0, 1, LiveClock::sim_to_micros(t1), 3.0),
+                    exec.now,
+                );
+                overwritten = true;
+            }
+            pass(&mut exec);
+            assert!(exec.expiry.len() <= 4, "{} heap entries", exec.expiry.len());
+            if b_stale_at.is_none() && exec.core.tracker().is_stale(b) {
+                // The watch of A's overwritten value was due with B's.
+                assert!(
+                    !exec.core.tracker().is_stale(a),
+                    "an overwritten watch fired"
+                );
+                b_stale_at = Some(exec.now);
+            }
+            if exec.core.tracker().is_stale(a) {
+                a_stale_at = Some(exec.now);
+            }
+        }
+        // Each flips at its latest generation + α; the bound leaves room
+        // for a lost timeslice (one quantum when the thread keeps its CPU).
+        let slack = 20.0 * quantum;
+        let b_late = b_stale_at.expect("B expires before A").since(t0 + alpha);
+        let a_late = a_stale_at.expect("loop ended").since(t1 + alpha);
+        assert!(
+            (-2e-6..slack).contains(&b_late),
+            "B flipped {b_late} s late"
+        );
+        assert!(
+            (-2e-6..slack).contains(&a_late),
+            "A flipped {a_late} s late"
+        );
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! * [`spsc`] — the bounded lock-free single-producer/single-consumer
 //!   ring that hands every wire update from its connection thread to the
 //!   executor without a lock on the hot path.
-//! * [`executor`] — the single-threaded scheduling core: quantum-chunked
-//!   CPU slices, UF/SU arrival preemption, firm-deadline watchdogs, MA
-//!   expiry timers, and the same [`strip_core::report::RunReport`] at the
-//!   end.
+//! * [`executor`] — the single-threaded wall-clock driver of the
+//!   scheduling core: a scheduling point per quantum, runs of update work
+//!   at planned instants, quantum-chunked transaction slices, UF/SU
+//!   arrival preemption, firm-deadline watchdogs, MA expiry timers, and
+//!   the same [`strip_core::report::RunReport`] at the end.
 //! * [`wal`] — crash durability: an append-only, CRC-protected log of
 //!   accepted updates, group-committed by a dedicated flusher thread so
 //!   the quantum loop never blocks on `fsync`.
