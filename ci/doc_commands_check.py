@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checks that the cargo commands the docs quote name things that exist.
+"""Checks that the commands the docs quote name things that exist.
 
     doc_commands_check.py [ROOT]
 
@@ -7,8 +7,9 @@ Reads every `cargo run|bench|test ...` inside a fenced block or an inline
 code span of the files in DOCS and resolves its `-p PKG` (or
 `--manifest-path`, or neither: the root package) and each `--bin`,
 `--bench`, `--example` or `--test` target against the manifests and the
-directories cargo auto-discovers targets from. Exits 1 listing every
-command whose package or target is missing. Standard library only.
+directories cargo auto-discovers targets from; every `python3 ci/X.py`
+quoted the same way must name a script that exists. Exits 1 listing every
+command whose package, target or script is missing. Standard library only.
 """
 import glob
 import os
@@ -31,6 +32,7 @@ KINDS = {
     '--test': ('test', 'tests'),
 }
 CARGO = re.compile(r'\bcargo\s+(?:run|bench|test)\b[^`]*')
+SCRIPT = re.compile(r'\bpython3\s+(ci/\S+\.py)')
 # Where cargo's own arguments end: the program's arguments or the shell's.
 END = {'--', '#', '|', '||', '&&', ';', '>', '2>&1'}
 
@@ -67,8 +69,8 @@ def workspace(root):
     return packages, root_name
 
 
-def commands(text):
-    """(offset, command) of every quoted cargo command in `text`."""
+def commands(text, pattern=CARGO):
+    """(offset, command) of every quoted match of `pattern` in `text`."""
     # A fenced line ending in a backslash continues on the next; blanking
     # the pair joins them and keeps every offset where it was.
     text = text.replace('\\\n', '  ')
@@ -78,13 +80,13 @@ def commands(text):
         if line.lstrip().startswith('```'):
             fenced = not fenced
         elif fenced:
-            for m in CARGO.finditer(line):
+            for m in pattern.finditer(line):
                 yield offset + m.start(), m.group()
         offset += len(line)
     prose = re.sub(r'^```.*?^```', lambda m: ' ' * len(m.group()), text,
                    flags=re.S | re.M)
     for span in re.finditer(r'`([^`]+)`', prose):
-        for m in CARGO.finditer(span.group(1)):
+        for m in pattern.finditer(span.group(1)):
             yield span.start(1) + m.start(), m.group()
 
 
@@ -135,7 +137,14 @@ def main():
             for complaint in check(root, packages, root_name, command):
                 failures += 1
                 print(f'{doc}:{line}: {complaint}: {" ".join(command.split())}')
-    print(f'doc_commands_check: {checked} cargo command(s) in {len(DOCS)} '
+        for offset, command in sorted(set(commands(text, SCRIPT))):
+            checked += 1
+            script = SCRIPT.match(command).group(1)
+            if not os.path.isfile(os.path.join(root, script)):
+                failures += 1
+                line = text.count('\n', 0, offset) + 1
+                print(f'{doc}:{line}: no script {script}: {command}')
+    print(f'doc_commands_check: {checked} command(s) in {len(DOCS)} '
           f'file(s), {failures} unresolved')
     return 1 if failures else 0
 

@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Where a program spends its time: a ptrace PC sampler for hosts without perf.
+
+    sample.py [--interval-ms 5] [--top 25] BINARY [ARGS...]
+
+Runs BINARY ARGS (its stdout goes to this script's stderr) and, every
+interval until it exits, attaches to each of its threads with ptrace, reads
+the program counter, and detaches. Each sample is symbolised with
+`addr2line -f -i -C`, so a frame inlined into another counts for both;
+samples in a shared library are attributed to the library as a whole. It
+prints the sample count and, for the top frames, the leaf share (the
+innermost frame of the sample) and the inclusive share (the frame appears
+anywhere in the sample's inline chain). Only the inline chain is known: a
+function's out-of-line callees are not in its inclusive share. Standard
+library only (ctypes, /proc, addr2line); x86-64 Linux.
+"""
+import argparse
+import collections
+import ctypes
+import os
+import re
+import struct
+import subprocess
+import sys
+import time
+
+PTRACE_GETREGS, PTRACE_ATTACH, PTRACE_DETACH = 12, 16, 17
+WALL = 0x40000000
+# struct user_regs_struct (x86-64): 27 registers, rip is the 17th.
+REGS_WORDS, RIP = 27, 16
+
+libc = ctypes.CDLL(None, use_errno=True)
+libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+libc.ptrace.restype = ctypes.c_long
+
+
+def sample_pc(tid):
+    """The program counter of thread `tid`, or None if it could not be read."""
+    if libc.ptrace(PTRACE_ATTACH, tid, None, None) != 0:
+        return None
+    try:
+        os.waitpid(tid, WALL)
+        regs = (ctypes.c_ulonglong * REGS_WORDS)()
+        if libc.ptrace(PTRACE_GETREGS, tid, None, ctypes.byref(regs)) != 0:
+            return None
+        return regs[RIP]
+    except ChildProcessError:
+        return None
+    finally:
+        libc.ptrace(PTRACE_DETACH, tid, None, None)
+
+
+def mappings(pid):
+    """(start, end, file offset, path) of every file-backed executable mapping."""
+    out = []
+    with open(f'/proc/{pid}/maps') as f:
+        for line in f:
+            parts = line.split(maxsplit=5)
+            if len(parts) == 6 and 'x' in parts[1] and parts[5].startswith('/'):
+                start, end = (int(x, 16) for x in parts[0].split('-'))
+                out.append((start, end, int(parts[2], 16), parts[5].strip()))
+    return out
+
+
+def load_segments(path):
+    """(file offset, vaddr, file size) of each PT_LOAD header of an ELF64 file."""
+    with open(path, 'rb') as f:
+        head = f.read(64)
+        phoff, = struct.unpack_from('<Q', head, 32)
+        phentsize, phnum = struct.unpack_from('<HH', head, 54)
+        f.seek(phoff)
+        table = f.read(phentsize * phnum)
+    segs = []
+    for i in range(phnum):
+        p_type, _, p_offset, p_vaddr, _, p_filesz = struct.unpack_from('<IIQQQQ', table, i * phentsize)
+        if p_type == 1:
+            segs.append((p_offset, p_vaddr, p_filesz))
+    return segs
+
+
+def to_vaddr(segs, offset):
+    """The link-time address of file offset `offset`."""
+    for p_offset, p_vaddr, p_filesz in segs:
+        if p_offset <= offset < p_offset + p_filesz:
+            return p_vaddr + offset - p_offset
+    return offset
+
+
+def symbolise(binary, addrs):
+    """{vaddr: [frames, innermost first]} from one addr2line call."""
+    out = {}
+    if not addrs:
+        return out
+    text = subprocess.run(['addr2line', '-a', '-f', '-i', '-C', '-e', binary]
+                          + [hex(a) for a in addrs],
+                          capture_output=True, text=True, check=True).stdout
+    current = None
+    lines = text.splitlines()
+    # After each `0x…` address line come (function, file:line) pairs.
+    i = 0
+    while i < len(lines):
+        if re.fullmatch(r'0x[0-9a-f]+', lines[i]):
+            current = out.setdefault(int(lines[i], 16), [])
+            i += 1
+            continue
+        current.append(re.sub(r'::h[0-9a-f]{16}$', '', lines[i]))
+        i += 2
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split('\n\n')[0])
+    ap.add_argument('--interval-ms', type=float, default=5.0)
+    ap.add_argument('--top', type=int, default=25)
+    ap.add_argument('binary')
+    ap.add_argument('args', nargs=argparse.REMAINDER)
+    args = ap.parse_args()
+
+    child = subprocess.Popen([args.binary] + args.args, stdout=sys.stderr)
+    binary = os.path.realpath(args.binary)
+    pcs = collections.Counter()
+    maps = []
+    while child.poll() is None:
+        time.sleep(args.interval_ms / 1000)
+        try:
+            tids = [int(t) for t in os.listdir(f'/proc/{child.pid}/task')]
+            fresh = [pc for pc in map(sample_pc, tids) if pc is not None]
+            pcs.update(fresh)
+            if any(not any(s <= pc < e for s, e, _, _ in maps) for pc in fresh):
+                maps = mappings(child.pid)
+        except (FileNotFoundError, ProcessLookupError):
+            break
+    child.wait()
+
+    # PC -> (module, link-time address); the binary's own PCs are symbolised.
+    segs = load_segments(binary)
+    where = {}
+    for pc in pcs:
+        hit = next(((off + pc - s, path) for s, e, off, path in maps if s <= pc < e), None)
+        if hit is None:
+            where[pc] = ('[unknown]', None)
+        elif os.path.realpath(hit[1]) == binary:
+            where[pc] = (binary, to_vaddr(segs, hit[0]))
+        else:
+            where[pc] = (os.path.basename(hit[1]), None)
+    frames = symbolise(binary, sorted({a for m, a in where.values() if a is not None}))
+
+    total = sum(pcs.values())
+    leaf, incl = collections.Counter(), collections.Counter()
+    for pc, n in pcs.items():
+        module, addr = where[pc]
+        chain = frames.get(addr) or [f'[{module}]' if addr is None else '??']
+        leaf[chain[0]] += n
+        for name in set(chain):
+            incl[name] += n
+
+    print(f'{total} samples of {" ".join([args.binary] + args.args)}')
+    print(f'{"leaf":>7} {"incl":>7}  frame')
+    for name, n in incl.most_common(args.top):
+        print(f'{leaf[name] / total:7.1%} {n / total:7.1%}  {name}')
+    return child.returncode
+
+
+if __name__ == '__main__':
+    sys.exit(main())

@@ -494,13 +494,22 @@ impl SimConfig {
     }
 
     /// Sizes the event calendar for this scenario so the engine never
-    /// reallocates mid-run. The steady-state calendar is dominated by the
-    /// per-object MA staleness watchdogs (up to one per view object), plus
-    /// in-flight transaction/update events and the arrival-source
-    /// self-scheduling; a small constant covers those.
+    /// reallocates mid-run. Under a Maximum Age criterion the calendar is
+    /// dominated by the MA watchdogs: one per install, each pending for up
+    /// to α — about ⌈α·λu⌉ of them in steady state, give or take four
+    /// Poisson standard deviations, and one per view object at the start
+    /// (the initial watches fall due as installs arm new ones). The rest —
+    /// the next arrival of each source, transaction deadlines, the
+    /// completions of preempted slices — fit in a constant 256. The
+    /// calendar reserves this many slab slots and near-heap entries
+    /// (DESIGN.md §8).
     #[must_use]
     pub fn calendar_capacity_hint(&self) -> usize {
-        self.n_low as usize + self.n_high as usize + 256
+        let watches = self.staleness.alpha().map_or(0, |alpha| {
+            let steady = (alpha * self.lambda_u).ceil() as usize;
+            (steady + 4 * steady.isqrt()).max(self.n_low as usize + self.n_high as usize)
+        });
+        watches + 256
     }
 
     /// Validates parameter consistency.

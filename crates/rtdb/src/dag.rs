@@ -24,8 +24,6 @@
 //!   incrementally by counter cascades, never by graph walks on the hot
 //!   path.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 use strip_sim::time::SimTime;
 
@@ -84,6 +82,17 @@ pub struct DagNode {
     pub inputs: Vec<DagInput>,
 }
 
+impl DagNode {
+    /// The node's distinct base objects, in input order.
+    fn distinct_bases(&self) -> impl Iterator<Item = ViewObjectId> + '_ {
+        let inputs = &self.inputs;
+        (0..inputs.len()).filter_map(move |k| match inputs[k] {
+            DagInput::Base(obj) if !inputs[..k].contains(&inputs[k]) => Some(obj),
+            _ => None,
+        })
+    }
+}
+
 /// Why a node list does not form a valid DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DagError {
@@ -118,8 +127,11 @@ impl std::fmt::Display for DagError {
 pub struct ViewDag {
     nodes: Vec<DagNode>,
     ranks: Vec<u32>,
-    /// base object → nodes reading it.
-    base_dependents: BTreeMap<ViewObjectId, Vec<u32>>,
+    /// Base object → nodes reading it, as compressed rows: the nodes of
+    /// the object at [`ViewObjectId::slot`] `s` are
+    /// `base_deps[base_offsets[s]..base_offsets[s + 1]]`, ascending.
+    base_offsets: Vec<u32>,
+    base_deps: Vec<u32>,
     /// derived node → higher nodes reading it.
     dependents: Vec<Vec<u32>>,
 }
@@ -135,40 +147,55 @@ impl ViewDag {
     /// the graph cyclic.
     pub fn new(nodes: Vec<DagNode>) -> Result<Self, DagError> {
         let mut ranks = vec![0u32; nodes.len()];
-        let mut base_dependents: BTreeMap<ViewObjectId, Vec<u32>> = BTreeMap::new();
         let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
+        // Row lengths first: object slot `s` counts into `base_offsets[s + 1]`.
+        let mut base_offsets = vec![0u32];
         for (i, node) in nodes.iter().enumerate() {
             if node.id != i as u32 {
                 return Err(DagError::BadId(i as u32));
             }
             let mut rank = 0;
             for input in &node.inputs {
-                match *input {
-                    DagInput::Base(obj) => base_dependents.entry(obj).or_default().push(node.id),
-                    DagInput::Derived(j) => {
-                        if j >= node.id {
-                            return Err(DagError::ForwardEdge {
-                                node: node.id,
-                                input: j,
-                            });
-                        }
-                        rank = rank.max(ranks[j as usize] + 1);
-                        dependents[j as usize].push(node.id);
+                if let DagInput::Derived(j) = *input {
+                    if j >= node.id {
+                        return Err(DagError::ForwardEdge {
+                            node: node.id,
+                            input: j,
+                        });
                     }
+                    rank = rank.max(ranks[j as usize] + 1);
+                    dependents[j as usize].push(node.id);
                 }
             }
             ranks[i] = rank;
-        }
-        for deps in base_dependents.values_mut() {
-            deps.dedup();
+            for obj in node.distinct_bases() {
+                let end = obj.slot() + 2;
+                if base_offsets.len() < end {
+                    base_offsets.resize(end, 0);
+                }
+                base_offsets[end - 1] += 1;
+            }
         }
         for deps in &mut dependents {
             deps.dedup();
         }
+        for s in 1..base_offsets.len() {
+            base_offsets[s] += base_offsets[s - 1];
+        }
+        // Then the rows, filled in node order so each one is ascending.
+        let mut cursor = base_offsets.clone();
+        let mut base_deps = vec![0u32; base_offsets[base_offsets.len() - 1] as usize];
+        for node in &nodes {
+            for obj in node.distinct_bases() {
+                base_deps[cursor[obj.slot()] as usize] = node.id;
+                cursor[obj.slot()] += 1;
+            }
+        }
         Ok(ViewDag {
             nodes,
             ranks,
-            base_dependents,
+            base_offsets,
+            base_deps,
             dependents,
         })
     }
@@ -206,7 +233,10 @@ impl ViewDag {
     /// Derived nodes that read base object `object`.
     #[must_use]
     pub fn base_dependents(&self, object: ViewObjectId) -> &[u32] {
-        self.base_dependents.get(&object).map_or(&[], Vec::as_slice)
+        match self.base_offsets.get(object.slot()..object.slot() + 2) {
+            Some(&[from, to]) => &self.base_deps[from as usize..to as usize],
+            _ => &[],
+        }
     }
 
     /// Derived nodes that read derived node `node`.
@@ -326,15 +356,23 @@ pub struct ApplyResult {
 }
 
 /// Mutable maintenance state over a [`ViewDag`]: node values, the
-/// coalesced pending-delta map, and incrementally maintained transitive
-/// staleness.
+/// coalesced pending deltas, and incrementally maintained transitive
+/// staleness — all dense per-node tables.
 #[derive(Debug, Clone)]
 pub struct DagState {
     values: Vec<f64>,
-    pending: BTreeMap<u32, PendingDelta>,
+    /// Per node: its coalesced pending delta, if any.
+    pending: Vec<Option<PendingDelta>>,
+    /// Bit `n % 64` of word `n / 64` is set iff node `n` has a pending
+    /// delta, so the lowest set bit is the next node of the rank-order
+    /// drain.
+    pending_bits: Vec<u64>,
+    pending_len: usize,
     /// Per node: how many of its *derived* inputs are currently stale.
     stale_inputs: Vec<u32>,
     stale_now: u32,
+    /// The flip cascades' work stack, kept between calls.
+    stack: Vec<u32>,
     max_pending: usize,
     /// Conservation counters.
     pub stats: DagCounters,
@@ -347,9 +385,12 @@ impl DagState {
     pub fn new(dag: &ViewDag, store: &Store, max_pending: u32) -> Self {
         DagState {
             values: full_recompute(dag, store),
-            pending: BTreeMap::new(),
+            pending: vec![None; dag.len()],
+            pending_bits: vec![0; dag.len().div_ceil(64)],
+            pending_len: 0,
             stale_inputs: vec![0; dag.len()],
             stale_now: 0,
+            stack: Vec::new(),
             max_pending: max_pending.max(1) as usize,
             stats: DagCounters::default(),
         }
@@ -371,7 +412,7 @@ impl DagState {
     /// derived input.
     #[must_use]
     pub fn is_stale(&self, node: u32) -> bool {
-        self.pending.contains_key(&node) || self.stale_inputs[node as usize] > 0
+        self.pending[node as usize].is_some() || self.stale_inputs[node as usize] > 0
     }
 
     /// How many nodes are stale right now.
@@ -383,7 +424,7 @@ impl DagState {
     /// Number of nodes with a pending delta.
     #[must_use]
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending_len
     }
 
     /// Lowest node id with a pending delta — the next node the rank-order
@@ -391,19 +432,33 @@ impl DagState {
     /// waiting on another pending node below it).
     #[must_use]
     pub fn next_pending(&self) -> Option<u32> {
-        self.pending.keys().next().copied()
+        let (word, bits) = self
+            .pending_bits
+            .iter()
+            .enumerate()
+            .find(|(_, bits)| **bits != 0)?;
+        Some(word as u32 * 64 + bits.trailing_zeros())
     }
 
     /// The pending entry of `node`, if any.
     #[must_use]
     pub fn pending(&self, node: u32) -> Option<&PendingDelta> {
-        self.pending.get(&node)
+        self.pending.get(node as usize)?.as_ref()
+    }
+
+    /// Removes and returns the pending entry of `node`, if any.
+    fn take_pending(&mut self, node: u32) -> Option<PendingDelta> {
+        let entry = self.pending.get_mut(node as usize)?.take()?;
+        self.pending_bits[node as usize / 64] &= !(1 << (node % 64));
+        self.pending_len -= 1;
+        Some(entry)
     }
 
     fn flip_on(&mut self, dag: &ViewDag, node: u32) {
         // `node` just became stale: bump every dependent's stale-input
         // count, recursing into dependents that flip in turn.
-        let mut stack = vec![node];
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(node);
         self.stale_now += 1;
         while let Some(n) = stack.pop() {
             for &d in dag.dependents(n) {
@@ -415,11 +470,13 @@ impl DagState {
                 }
             }
         }
+        self.stack = stack;
     }
 
     fn flip_off(&mut self, dag: &ViewDag, node: u32) {
         // `node` just became fresh: the exact inverse cascade.
-        let mut stack = vec![node];
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(node);
         self.stale_now -= 1;
         while let Some(n) = stack.pop() {
             for &d in dag.dependents(n) {
@@ -430,6 +487,7 @@ impl DagState {
                 }
             }
         }
+        self.stack = stack;
     }
 
     fn enqueue(
@@ -441,26 +499,25 @@ impl DagState {
         now: SimTime,
     ) -> EnqueueOutcome {
         self.stats.enqueued += 1;
-        if let Some(p) = self.pending.get_mut(&node) {
+        if let Some(p) = &mut self.pending[node as usize] {
             p.merged += 1;
             p.magnitude += magnitude;
             self.stats.coalesced += 1;
             return EnqueueOutcome::Coalesced;
         }
-        if self.pending.len() >= self.max_pending {
+        if self.pending_len >= self.max_pending {
             self.stats.shed += 1;
             return EnqueueOutcome::Shed;
         }
         let was = self.is_stale(node);
-        self.pending.insert(
-            node,
-            PendingDelta {
-                kind,
-                merged: 1,
-                magnitude,
-                first_enqueued: now,
-            },
-        );
+        self.pending[node as usize] = Some(PendingDelta {
+            kind,
+            merged: 1,
+            magnitude,
+            first_enqueued: now,
+        });
+        self.pending_bits[node as usize / 64] |= 1 << (node % 64);
+        self.pending_len += 1;
         if !was {
             self.flip_on(dag, node);
         }
@@ -477,9 +534,8 @@ impl DagState {
         now: SimTime,
     ) -> usize {
         // The dependent list borrows the dag, not self.
-        let deps: &[u32] = dag.base_dependents(object);
-        for i in 0..deps.len() {
-            let d = dag.base_dependents(object)[i];
+        let deps = dag.base_dependents(object);
+        for &d in deps {
             self.enqueue(dag, d, DeltaKind::Base, magnitude, now);
         }
         deps.len()
@@ -495,7 +551,7 @@ impl DagState {
         node: u32,
         now: SimTime,
     ) -> Option<ApplyResult> {
-        let entry = self.pending.remove(&node)?;
+        let entry = self.take_pending(node)?;
         self.stats.applied += 1;
         if self.stale_inputs[node as usize] == 0 {
             self.flip_off(dag, node);
@@ -505,8 +561,7 @@ impl DagState {
         self.values[node as usize] = new;
         let changed = new.to_bits() != old.to_bits();
         if changed {
-            for i in 0..dag.dependents(node).len() {
-                let d = dag.dependents(node)[i];
+            for &d in dag.dependents(node) {
                 self.enqueue(dag, d, DeltaKind::Cascade, new - old, now);
             }
         }
@@ -524,28 +579,7 @@ impl DagState {
     /// recursive on-demand refresh performs before answering a read.
     #[must_use]
     pub fn pending_closure(&self, dag: &ViewDag, node: u32) -> Vec<u32> {
-        use std::collections::BTreeSet;
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![node];
-        let mut found = BTreeSet::new();
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
-            }
-            if self.pending.contains_key(&n) {
-                found.insert(n);
-            }
-            for input in dag.inputs(n) {
-                if let DagInput::Derived(j) = *input {
-                    // Only walk into stale subtrees — fresh ancestors have
-                    // nothing pending anywhere above them.
-                    if self.is_stale(j) {
-                        stack.push(j);
-                    }
-                }
-            }
-        }
-        found.into_iter().collect()
+        self.closure(dag, node, |n| self.pending[n as usize].is_some())
     }
 
     /// The *stale* ancestor closure of `node`, ascending (= topological)
@@ -558,16 +592,22 @@ impl DagState {
     /// pending for background propagation).
     #[must_use]
     pub fn stale_closure(&self, dag: &ViewDag, node: u32) -> Vec<u32> {
-        use std::collections::BTreeSet;
-        let mut seen = BTreeSet::new();
+        self.closure(dag, node, |n| self.is_stale(n))
+    }
+
+    /// The nodes satisfying `keep` among `node` and its ancestors reached
+    /// through stale derived inputs (fresh ancestors have nothing pending
+    /// anywhere above them), ascending.
+    fn closure(&self, dag: &ViewDag, node: u32, keep: impl Fn(u32) -> bool) -> Vec<u32> {
+        let mut seen = vec![false; dag.len()];
         let mut stack = vec![node];
-        let mut found = BTreeSet::new();
+        let mut found = Vec::new();
         while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
+            if std::mem::replace(&mut seen[n as usize], true) {
                 continue;
             }
-            if self.is_stale(n) {
-                found.insert(n);
+            if keep(n) {
+                found.push(n);
             }
             for input in dag.inputs(n) {
                 if let DagInput::Derived(j) = *input {
@@ -577,7 +617,8 @@ impl DagState {
                 }
             }
         }
-        found.into_iter().collect()
+        found.sort_unstable();
+        found
     }
 }
 

@@ -62,6 +62,14 @@ impl ViewObjectId {
     pub fn new(class: Importance, index: u32) -> Self {
         ViewObjectId { class, index }
     }
+
+    /// Dense index over both classes, `index · 2 + class`: the slot of
+    /// per-object tables (update-queue chains, DAG base dependents).
+    #[inline]
+    #[must_use]
+    pub fn slot(self) -> usize {
+        self.index as usize * 2 + self.class.index()
+    }
 }
 
 /// A snapshot view object: the current externally sourced value, the

@@ -128,7 +128,7 @@ pub struct UpdateQueue {
     head: u32,
     /// Newest-key node of the global list.
     tail: u32,
-    /// Per-object anchors; slot = `index * 2 + class.index()`.
+    /// Per-object anchors, indexed by [`ViewObjectId::slot`].
     chains: Vec<ObjChain>,
     len: usize,
     capacity: usize,
@@ -173,10 +173,6 @@ impl UpdateQueue {
         (u.generation_ts, u.seq)
     }
 
-    fn slot_of(object: ViewObjectId) -> usize {
-        object.index as usize * 2 + object.class.index()
-    }
-
     fn object_at(slot: usize) -> ViewObjectId {
         let class = if slot.is_multiple_of(2) {
             Importance::Low
@@ -188,7 +184,7 @@ impl UpdateQueue {
 
     fn chain(&self, object: ViewObjectId) -> ObjChain {
         self.chains
-            .get(Self::slot_of(object))
+            .get(object.slot())
             .copied()
             .unwrap_or(EMPTY_CHAIN)
     }
@@ -248,7 +244,7 @@ impl UpdateQueue {
             }
         }
         // Object chain: same backward walk, usually empty or a single hop.
-        let slot = Self::slot_of(object);
+        let slot = object.slot();
         if slot >= self.chains.len() {
             self.chains.resize(slot + 1, EMPTY_CHAIN);
         }
@@ -292,7 +288,7 @@ impl UpdateQueue {
         } else {
             self.tail = node.prev;
         }
-        let slot = Self::slot_of(node.update.object);
+        let slot = node.update.object.slot();
         if node.obj_prev != NIL {
             self.nodes[node.obj_prev as usize].obj_next = node.obj_next;
         } else {

@@ -92,7 +92,7 @@ impl<E> Engine<E> {
 
     /// Creates an engine whose calendar has room for `cap` pending events,
     /// so a model with a known steady-state population (e.g. one watchdog
-    /// per database object) runs without calendar reallocations.
+    /// per recent install) runs without calendar reallocations.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         Engine {
@@ -112,6 +112,12 @@ impl<E> Engine<E> {
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.processed
+    }
+
+    /// The calendar, read-only (for diagnostics: pending count, capacity).
+    #[must_use]
+    pub fn calendar(&self) -> &EventQueue<E> {
+        &self.calendar
     }
 
     /// Schedules an initial event at absolute time `at` before the run

@@ -7,17 +7,32 @@
 //! deadline watchdog was armed before the completion event, so at an exact
 //! tie the deadline fires first".
 //!
-//! The calendar is an indexed **four-ary min-heap** keyed on `(time, seq)`.
-//! Compared to the `std::collections::BinaryHeap` binary heap it replaces
-//! (kept under `tests/reference/` as the pop-order oracle), a 4-ary heap is
-//! half as deep, so a sift-down touches half as many cache lines — the right
-//! trade for this workload, where almost every processed event schedules a
-//! follow-up and the heap is hot in every simulated second. Because
-//! `(time, seq)` is a strict total order (`seq` is unique), *any* correct
-//! heap pops the exact same sequence, so swapping the structure cannot
-//! change simulation results.
+//! Every pending event sits in one slab slot from `schedule` to `pop` — it
+//! is copied in once and out once. The slots are ordered by two tiers,
+//! split on fixed-width time buckets (`bucket = secs / width`, truncated
+//! toward zero):
+//!
+//! * the **near tier** is a four-ary min-heap of `(time, seq)` keys and
+//!   slot indices covering every pending event whose bucket is at or
+//!   before the `current` bucket — the few events of the next
+//!   milliseconds;
+//! * the **far tier** is a ring of `RING` buckets, each an unsorted list
+//!   of slots, holding the events of the next `RING · width` seconds (in
+//!   the simulator: the Maximum Age watchdogs, armed α = 7 s out by every
+//!   install), plus one overflow list for events beyond the ring. When the
+//!   heap empties, `current` steps to the next bucket and that bucket's
+//!   slots join the heap; the overflow list is redistributed each time
+//!   `current` starts a new revolution.
+//!
+//! Pop order is exactly `(time, seq)`: the bucket index is monotone
+//! non-decreasing in time, so every far event is strictly later than every
+//! near event, and the heap orders the near ones. Because `(time, seq)` is
+//! a strict total order (`seq` is unique), the calendar pops the same
+//! sequence as the `std::collections::BinaryHeap` it replaced (kept under
+//! `tests/reference/` as the pop-order oracle) — the tiers cannot change
+//! simulation results.
 
-use core::mem::ManuallyDrop;
+use core::mem::{self, ManuallyDrop};
 use core::ptr;
 
 use crate::time::SimTime;
@@ -42,21 +57,62 @@ fn bits_to_secs(bits: u64) -> f64 {
     f64::from_bits((m ^ (((m >> 63) as u64) >> 1) as i64) as u64)
 }
 
-/// An entry in the calendar, keyed by the packed `u128`
-/// `time_bits << 64 | seq`: the earliest time pops first and the sequence
-/// number breaks ties in scheduling order. Packing the whole key into one
-/// integer makes every heap comparison a single branch (or a conditional
-/// move inside the child tournament).
-struct Entry<E> {
+/// A near-heap entry, keyed by the packed `u128` `time_bits << 64 | seq`:
+/// the earliest time pops first and the sequence number breaks ties in
+/// scheduling order. Packing the whole key into one integer makes every
+/// heap comparison a single branch (or a conditional move inside the child
+/// tournament). The event itself stays in slab slot `slot`, so a sift moves
+/// 32 bytes whatever the size of `E`.
+#[derive(Clone, Copy)]
+struct Entry {
     key: u128,
-    event: E,
+    slot: u32,
 }
 
-impl<E> Entry<E> {
-    #[inline]
-    fn time(&self) -> SimTime {
-        SimTime::from_secs(bits_to_secs((self.key >> 64) as u64))
-    }
+/// Buckets per second: a bucket is 2⁻⁷ s ≈ 7.8 ms wide. At the paper's
+/// baseline an update arrives every 2.5 ms and installs in 0.48 ms, so a
+/// bucket holds a few arrivals, their installs and the watchdogs that
+/// fall due beside them — over the `sim_sweep` points the near heap holds
+/// 2–5 events on average and never more than ≈ 50 of the ≈ 2 800 pending,
+/// while transaction compute (≈ 120 ms), deadlines (0.1–1.2 s) and MA
+/// watchdogs (α = 7 s) wait unsorted in the ring. A power of two, so the
+/// product below is exact scaling.
+const BUCKETS_PER_SEC: f64 = 128.0;
+
+/// Ring length (a power of two): 2 048 × 7.8 ms = 16 s of lookahead, which
+/// covers the baseline α = 7 s with room for the longer α sweeps; events
+/// further out wait in the overflow list.
+const RING: usize = 2_048;
+
+/// `bucket & RING_MASK` is the bucket's ring slot (also for negative
+/// buckets: two's complement makes it the euclidean remainder).
+const RING_MASK: u64 = RING as u64 - 1;
+
+/// End of a slab list.
+const NIL: u32 = u32::MAX;
+
+/// The time a key carries, in seconds.
+#[inline]
+fn key_secs(key: u128) -> f64 {
+    bits_to_secs((key >> 64) as u64)
+}
+
+/// The bucket of `secs`. Truncation is monotone non-decreasing over every
+/// non-NaN `f64` — negatives and ±∞ included, `as` saturates — which is
+/// all the pop-order argument needs (and, unlike `floor`, is no libm call).
+#[inline]
+fn bucket_of(secs: f64) -> i64 {
+    (secs * BUCKETS_PER_SEC) as i64
+}
+
+/// One slot of the slab: a pending event and its key, or a free slot
+/// (`event` is `None`). `next` links the slot into its far-tier list — a
+/// ring bucket, the overflow list or the free list; an event in the near
+/// heap is on no list.
+struct Slot<E> {
+    key: u128,
+    next: u32,
+    event: Option<E>,
 }
 
 /// Heap arity: each node has up to four children.
@@ -145,9 +201,29 @@ impl<T> Drop for Hole<'_, T> {
     }
 }
 
-/// A future-event list holding events of type `E`.
+/// A future-event list holding events of type `E` (see the module docs
+/// for the two tiers).
 pub struct EventQueue<E> {
-    entries: Vec<Entry<E>>,
+    /// Near tier: a four-ary heap over every pending event whose bucket is
+    /// at or before `current`. Non-empty whenever the queue is: a pop that
+    /// empties it refills it from the far tier.
+    near: Vec<Entry>,
+    /// Every pending event, in either tier, plus the free slots.
+    slab: Vec<Slot<E>>,
+    /// Head of the free-slot list.
+    free: u32,
+    /// Head of each ring bucket's list: bucket `b` (with
+    /// `current < b < current + RING`) lives in `ring[b & RING_MASK]`.
+    ring: Box<[u32]>,
+    /// Head of the list of events that were `RING` or more buckets ahead
+    /// of `current` when they were filed.
+    overflow: u32,
+    /// The latest bucket the near tier has taken in.
+    current: i64,
+    /// Events in the far tier (ring and overflow).
+    far_len: usize,
+    /// Of those, events in the overflow list.
+    overflow_len: usize,
     next_seq: u64,
     scheduled: u64,
 }
@@ -162,20 +238,24 @@ impl<E> EventQueue<E> {
     /// Creates an empty calendar.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue {
-            entries: Vec::new(),
-            next_seq: 0,
-            scheduled: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty calendar with room for `cap` events, so a run with
-    /// a known population (e.g. one watchdog per view object) never
-    /// reallocates.
+    /// Creates an empty calendar with room for `cap` pending events, so a
+    /// run with a known population (one MA watchdog per install within α)
+    /// never reallocates. The ring is one fixed allocation whatever `cap`
+    /// is.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            entries: Vec::with_capacity(cap),
+            near: Vec::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            free: NIL,
+            ring: vec![NIL; RING].into_boxed_slice(),
+            overflow: NIL,
+            current: 0,
+            far_len: 0,
+            overflow_len: 0,
             next_seq: 0,
             scheduled: 0,
         }
@@ -186,39 +266,66 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled += 1;
-        self.entries.push(Entry {
-            key: (u128::from(secs_to_bits(time.as_secs())) << 64) | u128::from(seq),
-            event,
-        });
-        self.sift_up(self.entries.len() - 1);
+        let secs = time.as_secs();
+        let key = (u128::from(secs_to_bits(secs)) << 64) | u128::from(seq);
+        let slot = if self.free == NIL {
+            self.slab.push(Slot {
+                key,
+                next: NIL,
+                event: Some(event),
+            });
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 - 1 pending events")
+        } else {
+            // Reuse the most recently freed slot (still in cache), in place.
+            let i = self.free;
+            let slot = &mut self.slab[i as usize];
+            self.free = slot.next;
+            slot.key = key;
+            slot.event = Some(event);
+            i
+        };
+        let bucket = bucket_of(secs);
+        if self.near.is_empty() {
+            // The queue is empty: any bucket may be the current one.
+            self.current = bucket;
+        }
+        self.file(bucket, Entry { key, slot });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let mut entry = self.entries.pop()?;
-        if !self.entries.is_empty() {
-            core::mem::swap(&mut entry, &mut self.entries[0]);
+        let mut top = self.near.pop()?;
+        if !self.near.is_empty() {
+            mem::swap(&mut top, &mut self.near[0]);
             self.sift_down_to_bottom(0);
+        } else if self.far_len > 0 {
+            self.refill();
         }
-        Some((entry.time(), entry.event))
+        let slot = &mut self.slab[top.slot as usize];
+        let event = slot.event.take().expect("a queued slot holds its event");
+        slot.next = self.free;
+        self.free = top.slot;
+        Some((SimTime::from_secs(key_secs(top.key)), event))
     }
 
     /// The time of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.entries.first().map(Entry::time)
+        self.near
+            .first()
+            .map(|top| SimTime::from_secs(key_secs(top.key)))
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.near.len() + self.far_len
     }
 
     /// True when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.near.is_empty()
     }
 
     /// Total number of events ever scheduled (for diagnostics).
@@ -227,10 +334,95 @@ impl<E> EventQueue<E> {
         self.scheduled
     }
 
-    /// Allocated capacity of the backing storage (for diagnostics).
+    /// How many pending events fit without reallocating (for diagnostics).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.entries.capacity()
+        self.near.capacity().min(self.slab.capacity())
+    }
+
+    /// Files a slotted event of bucket `bucket` into the tier it belongs
+    /// to.
+    fn file(&mut self, bucket: i64, entry: Entry) {
+        if bucket <= self.current {
+            self.push_near(entry);
+            return;
+        }
+        // `bucket > current`; the difference may exceed `i64::MAX` (±∞
+        // saturate), but not `u64::MAX`.
+        let next = if (bucket.wrapping_sub(self.current) as u64) < RING as u64 {
+            mem::replace(
+                &mut self.ring[(bucket as u64 & RING_MASK) as usize],
+                entry.slot,
+            )
+        } else {
+            self.overflow_len += 1;
+            mem::replace(&mut self.overflow, entry.slot)
+        };
+        self.slab[entry.slot as usize].next = next;
+        self.far_len += 1;
+    }
+
+    /// Moves the next non-empty bucket into the (empty) near heap: steps
+    /// `current` through the ring, redistributing the overflow list at
+    /// each new revolution, or jumps to the overflow's earliest bucket when
+    /// the ring is empty.
+    fn refill(&mut self) {
+        while self.near.is_empty() {
+            if self.far_len == self.overflow_len {
+                let mut s = self.overflow;
+                self.current = i64::MAX;
+                while s != NIL {
+                    let (entry, next) = self.listed(s);
+                    self.current = self.current.min(bucket_of(key_secs(entry.key)));
+                    s = next;
+                }
+                self.redistribute();
+            } else {
+                self.current += 1;
+                if self.current as u64 & RING_MASK == 0 {
+                    self.redistribute();
+                }
+            }
+            let mut s = mem::replace(
+                &mut self.ring[(self.current as u64 & RING_MASK) as usize],
+                NIL,
+            );
+            while s != NIL {
+                let (entry, next) = self.listed(s);
+                self.far_len -= 1;
+                self.push_near(entry);
+                s = next;
+            }
+        }
+    }
+
+    /// Re-files every overflow event against the current bucket.
+    fn redistribute(&mut self) {
+        let mut s = mem::replace(&mut self.overflow, NIL);
+        self.far_len -= self.overflow_len;
+        self.overflow_len = 0;
+        while s != NIL {
+            let (entry, next) = self.listed(s);
+            self.file(bucket_of(key_secs(entry.key)), entry);
+            s = next;
+        }
+    }
+
+    /// The heap entry of far-tier slot `s`, and the next slot of its list.
+    fn listed(&self, s: u32) -> (Entry, u32) {
+        let slot = &self.slab[s as usize];
+        (
+            Entry {
+                key: slot.key,
+                slot: s,
+            },
+            slot.next,
+        )
+    }
+
+    fn push_near(&mut self, entry: Entry) {
+        self.near.push(entry);
+        self.sift_up(self.near.len() - 1);
     }
 
     fn sift_up(&mut self, pos: usize) {
@@ -238,7 +430,7 @@ impl<E> EventQueue<E> {
         // parent indices of in-bounds nodes are in bounds and never equal
         // the hole position.
         unsafe {
-            let mut hole = Hole::new(&mut self.entries, pos);
+            let mut hole = Hole::new(&mut self.near, pos);
             while hole.pos > 0 {
                 let parent = (hole.pos - 1) / ARITY;
                 if hole.get(parent).key <= hole.element().key {
@@ -258,13 +450,13 @@ impl<E> EventQueue<E> {
     /// comparison saves a quarter of the comparisons on the hot pop path
     /// (the same "bounce" strategy `BinaryHeap::pop` uses).
     fn sift_down_to_bottom(&mut self, pos: usize) {
-        let n = self.entries.len();
+        let n = self.near.len();
         // SAFETY: callers pass an in-bounds index; child indices are checked
         // against `n` before use and are strictly greater than the hole
         // position, and the bubble-up phase only revisits ancestors of the
         // leaf the hole reached.
         unsafe {
-            let mut hole = Hole::new(&mut self.entries, pos);
+            let mut hole = Hole::new(&mut self.near, pos);
             loop {
                 let first = hole.pos * ARITY + 1;
                 if first + ARITY <= n {
@@ -375,11 +567,16 @@ mod tests {
     fn with_capacity_never_reallocates_within_budget() {
         let mut q = EventQueue::with_capacity(64);
         let cap = q.capacity();
-        for i in 0..64 {
-            q.schedule(t(64.0 - i as f64), i);
+        assert!(cap >= 64);
+        // Descending times all land in the near heap; ascending ones over
+        // 32 s fill ring buckets and the overflow list.
+        for secs in [|i: i32| 64.0 - f64::from(i), |i: i32| f64::from(i) / 2.0] {
+            for i in 0..64 {
+                q.schedule(t(secs(i)), i);
+            }
+            assert_eq!(q.capacity(), cap);
+            while q.pop().is_some() {}
+            assert_eq!(q.capacity(), cap);
         }
-        assert_eq!(q.capacity(), cap);
-        while q.pop().is_some() {}
-        assert_eq!(q.capacity(), cap);
     }
 }

@@ -1,14 +1,18 @@
-//! Miri regression tests for the calendar's hole-sifting path.
+//! Miri regression tests for the calendar's hole-sifting path and its
+//! slab tiers.
 //!
-//! The indexed 4-ary heap moves elements with `ptr::read` /
+//! The near tier's 4-ary heap moves elements with `ptr::read` /
 //! `copy_nonoverlapping` through a `Hole` that leaves one slot logically
-//! empty until drop. The bugs that technique invites — double drops, leaks
-//! of the displaced element, reads of the vacated slot — are exactly what
-//! Miri detects and ordinary tests cannot. These tests drive the queue
-//! through a deterministic churn with a drop-counting payload so Miri's
-//! borrow and initialization tracking covers every sift path (hot
-//! four-child tournament, cold partial last level, sift-up bounce, and
-//! mid-heap holes from interleaved push/pop).
+//! empty until drop; the far tier parks events in slab slots threaded onto
+//! ring-bucket, overflow and free lists. The bugs those invite — double
+//! drops, leaks of a displaced or parked event, reads of a vacated slot —
+//! are exactly what Miri detects and ordinary tests cannot. These tests
+//! drive the queue through deterministic churn with a drop-counting
+//! payload so Miri's borrow and initialization tracking covers every sift
+//! path (hot four-child tournament, cold partial last level, sift-up
+//! bounce, mid-heap holes from interleaved push/pop) and every tier move
+//! (bucket into heap, overflow redistribution, slot reuse), and drop the
+//! queue with events still waiting in each tier.
 //!
 //! CI runs this weekly under `cargo +nightly miri test` (see
 //! `.github/workflows/miri.yml`); under plain `cargo test` it still
@@ -103,6 +107,46 @@ fn dropping_a_loaded_queue_drops_every_payload_once() {
     }
     drop(q);
     assert_eq!(hits.get(), n);
+}
+
+#[test]
+fn events_left_in_every_tier_drop_once() {
+    // Times spread over 100 s against a 16 s ring. Popping half of them
+    // moves buckets into the heap and, at each new revolution,
+    // redistributes the overflow list; the queue is then refilled ahead of
+    // the clock and dropped with events waiting in the near heap, in ring
+    // buckets and in the overflow list.
+    let hits = Rc::new(Cell::new(0u64));
+    let mut rng = Xoshiro256pp::seed_from_u64(0x7135);
+    let n = op_count() as u64 / 4;
+    let mut q = EventQueue::new();
+    let mut schedule = |q: &mut EventQueue<DropCounter>, from: f64| {
+        let t = SimTime::from_secs(from + rng.next_f64() * 100.0);
+        q.schedule(
+            t,
+            DropCounter {
+                hits: Rc::clone(&hits),
+            },
+        );
+    };
+    for _ in 0..n {
+        schedule(&mut q, 0.0);
+    }
+    let mut last = SimTime::from_secs(0.0);
+    for _ in 0..n / 2 {
+        let (t, ev) = q.pop().expect("non-empty queue pops");
+        assert!(t >= last, "pops must be time-ordered");
+        last = t;
+        drop(ev);
+    }
+    assert!(last.as_secs() > 20.0, "the clock passed a revolution");
+    for _ in 0..n / 2 {
+        schedule(&mut q, last.as_secs());
+    }
+    assert_eq!(hits.get(), n / 2);
+    assert_eq!(q.len() as u64, n);
+    drop(q);
+    assert_eq!(hits.get(), n + n / 2, "every payload drops exactly once");
 }
 
 #[test]

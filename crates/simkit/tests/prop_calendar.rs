@@ -1,69 +1,135 @@
-//! Differential tests: the four-ary-heap calendar against the seed
+//! Differential tests: the two-tier calendar against the seed
 //! `BinaryHeap` implementation kept in `reference/`, under arbitrary
 //! schedule/pop interleavings.
 //!
 //! Because both are keyed on the strict total order `(time, seq)`, the two
 //! must emit **identical** pop sequences — including FIFO order at exact
-//! time ties — for any interleaving.
+//! time ties — for any interleaving. The time mixes below aim at the
+//! tiers' edges: one bucket holding everything, times far beyond the ring
+//! (overflow and its redistribution), negative and infinite times, spreads
+//! far below a bucket's width, and schedules earlier than events already
+//! popped.
 
 mod reference;
 
 use proptest::prelude::*;
 use strip_sim::event::EventQueue;
+use strip_sim::rng::Xoshiro256pp;
 use strip_sim::time::SimTime;
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// Schedule at one of a few coarse times (collisions exercise the FIFO
-    /// tie-break).
-    Schedule {
-        time_ms: u32,
-    },
+/// One step of a calendar workout.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Schedule at an absolute time (seconds).
+    At(f64),
+    /// Schedule relative to the last popped time (may be earlier).
+    AfterLast(f64),
     Pop,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0u32..64).prop_map(|slot| Op::Schedule { time_ms: slot * 250 }),
-        2 => Just(Op::Pop),
-    ]
+/// Runs `steps` on the calendar and on the seed oracle side by side: every
+/// pop, peek, length and scheduled count must agree, and so must the
+/// drained tails.
+fn replay(steps: &[Step]) {
+    let mut cal = EventQueue::new();
+    let mut oracle = reference::EventQueue::new();
+    let mut last = 0.0;
+    for (payload, step) in steps.iter().enumerate() {
+        let at = match *step {
+            Step::At(secs) => Some(secs),
+            Step::AfterLast(offset) => Some(last + offset),
+            Step::Pop => None,
+        };
+        if let Some(secs) = at {
+            let time = SimTime::from_secs(secs);
+            cal.schedule(time, payload);
+            oracle.schedule(time, payload);
+        } else {
+            assert_eq!(cal.peek_time(), oracle.peek_time());
+            let popped = cal.pop();
+            assert_eq!(popped, oracle.pop());
+            if let Some((t, _)) = popped {
+                last = t.as_secs();
+            }
+        }
+        assert_eq!(cal.len(), oracle.len());
+        assert_eq!(cal.is_empty(), oracle.is_empty());
+        assert_eq!(cal.total_scheduled(), oracle.total_scheduled());
+    }
+    loop {
+        assert_eq!(cal.peek_time(), oracle.peek_time());
+        let (a, b) = (cal.pop(), oracle.pop());
+        assert_eq!(a, b);
+        assert_eq!(cal.len(), oracle.len());
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+/// Steps that schedule at times drawn from `times`, popping two times in
+/// five.
+fn steps(times: impl Strategy<Value = f64> + 'static) -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        prop_oneof![3 => times.prop_map(Step::At), 2 => Just(Step::Pop)],
+        1..400,
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn quad_heap_matches_seed_binary_heap(
-        ops in prop::collection::vec(op_strategy(), 1..400),
+    fn all_tie_times_pop_fifo(steps in steps(Just(7.25))) {
+        replay(&steps);
+    }
+
+    #[test]
+    fn times_far_beyond_the_ring(steps in steps(0.0..1e6)) {
+        // 1e6 s is ~60 000 revolutions of the 16 s ring: nearly every
+        // event waits in the overflow list and is redistributed.
+        replay(&steps);
+    }
+
+    #[test]
+    fn negative_and_infinite_times(steps in steps(prop_oneof![
+        Just(f64::NEG_INFINITY),
+        Just(f64::INFINITY),
+        Just(-0.0),
+        Just(0.0),
+        -20.0..20.0,
+        -1e12..-1e3,
+        1e15..1e18,
+        (-4i32..4).prop_map(|k| f64::from(k) / 128.0),
+    ])) {
+        replay(&steps);
+    }
+
+    #[test]
+    fn sub_nanosecond_spreads_inside_one_bucket(
+        steps in steps((0u32..1_000).prop_map(|k| 5.0 + f64::from(k) * 1e-12)),
     ) {
-        let mut quad = EventQueue::new();
-        let mut seed = reference::EventQueue::new();
-        let mut payload = 0u64;
-        for op in ops {
-            match op {
-                Op::Schedule { time_ms } => {
-                    let time = SimTime::from_secs(f64::from(time_ms) / 1000.0);
-                    quad.schedule(time, payload);
-                    seed.schedule(time, payload);
-                    payload += 1;
-                }
-                Op::Pop => {
-                    prop_assert_eq!(quad.peek_time(), seed.peek_time());
-                    prop_assert_eq!(quad.pop(), seed.pop());
-                }
-            }
-            prop_assert_eq!(quad.len(), seed.len());
-            prop_assert_eq!(quad.is_empty(), seed.is_empty());
-            prop_assert_eq!(quad.total_scheduled(), seed.total_scheduled());
-        }
-        // Drain both: the tails must agree too.
-        loop {
-            let (a, b) = (quad.pop(), seed.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        replay(&steps);
+    }
+
+    #[test]
+    fn schedules_earlier_than_popped_times(steps in prop::collection::vec(
+        prop_oneof![
+            3 => (-30.0..30.0).prop_map(Step::AfterLast),
+            1 => (0.0..60.0).prop_map(Step::At),
+            3 => Just(Step::Pop),
+        ],
+        1..400,
+    )) {
+        replay(&steps);
+    }
+
+    #[test]
+    fn quad_heap_matches_seed_binary_heap(
+        // One of 64 coarse times: collisions exercise the FIFO tie-break.
+        steps in steps((0u32..64).prop_map(|slot| f64::from(slot * 250) / 1000.0)),
+    ) {
+        replay(&steps);
     }
 
     #[test]
@@ -91,12 +157,49 @@ proptest! {
 }
 
 #[test]
+fn matches_reference_on_the_simulators_delay_mix() {
+    // What the controller schedules at the paper's baseline: an update
+    // arrival every 2.5 ms on average, a 0.48 ms install after each, a
+    // transaction every 100 ms with a deadline ≈ 0.2–1.2 s out, and an MA
+    // watchdog α = 7 s after every install — always at or after the
+    // current time, as the engine schedules.
+    let mut cal = EventQueue::new();
+    let mut oracle = reference::EventQueue::new();
+    let mut rng = Xoshiro256pp::seed_from_u64(0x5712_1995);
+    let mut exp = |mean: f64| -mean * rng.next_f64_open_zero().ln();
+    let mut follow_ups = vec![(0.0, 0u8), (0.0, 1)];
+    for id in 0..200_000u64 {
+        for (at, kind) in follow_ups.drain(..) {
+            let time = SimTime::from_secs(at);
+            cal.schedule(time, (kind, id));
+            oracle.schedule(time, (kind, id));
+        }
+        assert_eq!(cal.peek_time(), oracle.peek_time());
+        let popped = cal.pop();
+        assert_eq!(popped, oracle.pop());
+        assert_eq!(cal.len(), oracle.len());
+        let Some((now, (kind, _))) = popped else {
+            break;
+        };
+        let now = now.as_secs();
+        match kind {
+            // Update arrival: the next one, and an install.
+            0 => follow_ups.extend([(now + exp(0.0025), 0), (now + 0.000_48, 2)]),
+            // Transaction arrival: the next one, and its deadline.
+            1 => follow_ups.extend([(now + exp(0.1), 1), (now + 0.22 + exp(0.4), 3)]),
+            // Install done: its watchdog.
+            2 => follow_ups.push((now + 7.0, 4)),
+            _ => {}
+        }
+    }
+    assert!(cal.len() > 2_000, "the watchdogs pile up: {}", cal.len());
+}
+
+#[test]
 fn matches_reference_heap_on_adversarial_interleaving() {
     // Deterministic pseudo-random mix of schedules (with many exact-tie
-    // times) and pops; the 4-ary heap must emit the identical sequence
-    // as the seed BinaryHeap, including FIFO tie order.
-    let mut quad = EventQueue::new();
-    let mut oracle = reference::EventQueue::new();
+    // times) and pops; the calendar must emit the identical sequence as
+    // the seed BinaryHeap, including FIFO tie order.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut rng = move || {
         state ^= state << 13;
@@ -104,23 +207,15 @@ fn matches_reference_heap_on_adversarial_interleaving() {
         state ^= state << 17;
         state
     };
-    for i in 0..10_000u64 {
-        if rng() % 3 != 0 {
-            // Coarse times (one of 64 values) force frequent ties.
-            let time = SimTime::from_secs((rng() % 64) as f64);
-            quad.schedule(time, i);
-            oracle.schedule(time, i);
-        } else {
-            assert_eq!(quad.peek_time(), oracle.peek_time());
-            assert_eq!(quad.pop(), oracle.pop());
-        }
-        assert_eq!(quad.len(), oracle.len());
-    }
-    loop {
-        let (a, b) = (quad.pop(), oracle.pop());
-        assert_eq!(a, b);
-        if a.is_none() {
-            break;
-        }
-    }
+    let steps: Vec<Step> = (0..10_000)
+        .map(|_| {
+            if rng() % 3 != 0 {
+                // Coarse times (one of 64 values) force frequent ties.
+                Step::At((rng() % 64) as f64)
+            } else {
+                Step::Pop
+            }
+        })
+        .collect();
+    replay(&steps);
 }

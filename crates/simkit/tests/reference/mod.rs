@@ -1,5 +1,5 @@
 //! The seed `BinaryHeap` calendar, kept verbatim as the oracle for the
-//! pop-order tests in `prop_calendar.rs`. The engine's four-ary heap
+//! pop-order tests in `prop_calendar.rs`. The engine's two-tier calendar
 //! (`strip_sim::event::EventQueue`) replaced it and shares no code with it.
 
 use core::cmp::Ordering;

@@ -1,9 +1,14 @@
 //! Conservation and sanity invariants that must hold for EVERY
 //! configuration: transactions and updates are neither lost nor double
-//! counted, CPU time adds up, and all fractions stay in range.
+//! counted, CPU time adds up, all fractions stay in range, and the event
+//! calendar stays inside the capacity the config reserves for it.
 
 use strip::core::config::{Policy, QueuePolicy, SimConfig, StalenessDef};
+use strip::core::controller::Controller;
 use strip::run_paper_sim;
+use strip::sim::engine::Engine;
+use strip::sim::time::SimTime;
+use strip::workload::{PoissonTxns, UpdateStream};
 use strip::RunReport;
 
 fn check_invariants(r: &RunReport, label: &str) {
@@ -155,4 +160,34 @@ fn different_seeds_differ_but_agree_statistically() {
     for av in &avs {
         assert!((av - mean).abs() / mean < 0.1, "AV {av} vs mean {mean}");
     }
+}
+
+#[test]
+fn calendar_holds_a_baseline_run_within_its_capacity_hint() {
+    // Under UF every update installs and arms an MA watchdog α = 7 s out,
+    // so ≈ α·λu = 2 800 of them are pending at once — not one per view
+    // object (1 000), which is what the hint used to count.
+    let cfg = base(Policy::UpdatesFirst, 0x5712_1995);
+    let hint = cfg.calendar_capacity_hint();
+    let mut controller = Controller::new(
+        cfg.clone(),
+        UpdateStream::from_config(&cfg),
+        PoissonTxns::from_config(&cfg),
+    );
+    let mut engine = Engine::with_capacity(hint);
+    let reserved = engine.calendar().capacity();
+    assert!(reserved >= hint);
+    controller.prime(&mut engine);
+    let mut peak = 0;
+    for s in 1..=cfg.duration as u32 {
+        engine.run_until(&mut controller, SimTime::from_secs(f64::from(s)));
+        peak = peak.max(engine.calendar().len());
+    }
+    assert!(peak > 2_500, "the watchdogs pile up: peak {peak}");
+    assert!(peak <= hint, "peak {peak} pending events, hint {hint}");
+    assert_eq!(
+        engine.calendar().capacity(),
+        reserved,
+        "the calendar reallocated mid-run"
+    );
 }
