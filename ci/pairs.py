@@ -62,7 +62,9 @@ def main():
     with open(os.path.join(args.change, 'BENCHMARK.json')) as f:
         end_to_end = json.load(f)['end_to_end']
 
-    sides = {'parent': args.parent, 'change': args.change}
+    # Absolute: each run joins the binary to its directory and also runs
+    # with that directory as cwd, so a relative path would resolve twice.
+    sides = {'parent': os.path.abspath(args.parent), 'change': os.path.abspath(args.change)}
     runs = {side: [] for side in sides}
     for pair in range(1, args.pairs + 1):
         order = ['parent', 'change'] if pair % 2 else ['change', 'parent']

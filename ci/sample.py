@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Where a program spends its time: a ptrace PC sampler for hosts without perf.
 
-    sample.py [--interval-ms 5] [--top 25] BINARY [ARGS...]
+    sample.py [--interval-ms 5] [--top 25] [--thread PREFIX] [--lines N]
+              BINARY [ARGS...]
 
 Runs BINARY ARGS (its stdout goes to this script's stderr) and, every
 interval until it exits, attaches to each of its threads with ptrace, reads
-the program counter, and detaches. Each sample is symbolised with
+the program counter, and detaches. With `--thread PREFIX` only threads whose
+name (`/proc/PID/task/TID/comm`) starts with PREFIX are sampled, so idle
+helper threads do not dilute the profile. Each sample is symbolised with
 `addr2line -f -i -C`, so a frame inlined into another counts for both;
 samples in a shared library are attributed to the library as a whole. It
 prints the sample count and, for the top frames, the leaf share (the
 innermost frame of the sample) and the inclusive share (the frame appears
 anywhere in the sample's inline chain). Only the inline chain is known: a
-function's out-of-line callees are not in its inclusive share. Standard
-library only (ctypes, /proc, addr2line); x86-64 Linux.
+function's out-of-line callees are not in its inclusive share. With
+`--lines N` it also ranks the N source lines that hold the most samples
+(the innermost frame's `file:line`). Standard library only (ctypes, /proc,
+addr2line); x86-64 Linux.
 """
 import argparse
 import collections
@@ -48,6 +53,15 @@ def sample_pc(tid):
         return None
     finally:
         libc.ptrace(PTRACE_DETACH, tid, None, None)
+
+
+def thread_name(pid, tid):
+    """The name of thread `tid` of process `pid`, or '' once it has exited."""
+    try:
+        with open(f'/proc/{pid}/task/{tid}/comm') as f:
+            return f.read().strip()
+    except OSError:
+        return ''
 
 
 def mappings(pid):
@@ -86,8 +100,17 @@ def to_vaddr(segs, offset):
     return offset
 
 
+def source_line(loc):
+    """`file:line` without the toolchain's checkout prefix or a discriminator."""
+    loc = re.sub(r' \(discriminator \d+\)$', '', loc)
+    loc = re.sub(r'^/rustc/[0-9a-f]+/', '', loc)
+    cwd = os.getcwd() + os.sep
+    return loc[len(cwd):] if loc.startswith(cwd) else loc
+
+
 def symbolise(binary, addrs):
-    """{vaddr: [frames, innermost first]} from one addr2line call."""
+    """{vaddr: [(function, file:line), innermost first]} from one addr2line
+    call."""
     out = {}
     if not addrs:
         return out
@@ -103,7 +126,8 @@ def symbolise(binary, addrs):
             current = out.setdefault(int(lines[i], 16), [])
             i += 1
             continue
-        current.append(re.sub(r'::h[0-9a-f]{16}$', '', lines[i]))
+        loc = lines[i + 1] if i + 1 < len(lines) else '??:0'
+        current.append((re.sub(r'::h[0-9a-f]{16}$', '', lines[i]), source_line(loc)))
         i += 2
     return out
 
@@ -112,6 +136,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split('\n\n')[0])
     ap.add_argument('--interval-ms', type=float, default=5.0)
     ap.add_argument('--top', type=int, default=25)
+    ap.add_argument('--thread', metavar='PREFIX', default='',
+                    help='sample only threads whose name starts with PREFIX')
+    ap.add_argument('--lines', metavar='N', type=int, default=0,
+                    help='also rank the N source lines holding the most samples')
     ap.add_argument('binary')
     ap.add_argument('args', nargs=argparse.REMAINDER)
     args = ap.parse_args()
@@ -123,7 +151,8 @@ def main():
     while child.poll() is None:
         time.sleep(args.interval_ms / 1000)
         try:
-            tids = [int(t) for t in os.listdir(f'/proc/{child.pid}/task')]
+            tids = [int(t) for t in os.listdir(f'/proc/{child.pid}/task')
+                    if thread_name(child.pid, t).startswith(args.thread)]
             fresh = [pc for pc in map(sample_pc, tids) if pc is not None]
             pcs.update(fresh)
             if any(not any(s <= pc < e for s, e, _, _ in maps) for pc in fresh):
@@ -146,18 +175,26 @@ def main():
     frames = symbolise(binary, sorted({a for m, a in where.values() if a is not None}))
 
     total = sum(pcs.values())
-    leaf, incl = collections.Counter(), collections.Counter()
+    if not total:
+        sys.exit(f'no samples (no thread named {args.thread}*?)' if args.thread else 'no samples')
+    leaf, incl, lines = collections.Counter(), collections.Counter(), collections.Counter()
     for pc, n in pcs.items():
         module, addr = where[pc]
-        chain = frames.get(addr) or [f'[{module}]' if addr is None else '??']
-        leaf[chain[0]] += n
-        for name in set(chain):
+        unknown = f'[{module}]' if addr is None else '??'
+        chain = frames.get(addr) or [(unknown, unknown)]
+        leaf[chain[0][0]] += n
+        lines[chain[0][1]] += n
+        for name in {name for name, _ in chain}:
             incl[name] += n
 
     print(f'{total} samples of {" ".join([args.binary] + args.args)}')
     print(f'{"leaf":>7} {"incl":>7}  frame')
     for name, n in incl.most_common(args.top):
         print(f'{leaf[name] / total:7.1%} {n / total:7.1%}  {name}')
+    if args.lines:
+        print(f'\n{"leaf":>7}  source line')
+        for loc, n in lines.most_common(args.lines):
+            print(f'{n / total:7.1%}  {loc}')
     return child.returncode
 
 

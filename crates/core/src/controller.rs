@@ -8,7 +8,7 @@
 //! asks for a preemption. The `strip-live` executor is the other driver of
 //! the same core: it burns slices on the wall clock instead.
 
-use strip_db::object::Importance;
+use strip_db::object::{Importance, ViewObjectId};
 use strip_db::staleness::ExpiryWatch;
 use strip_obs::{TraceConfig, TraceData};
 use strip_sim::engine::{Ctx, Engine, Simulation};
@@ -20,13 +20,16 @@ use crate::scheduler::{initial_store, Preempt, Scheduler};
 use crate::sources::{TxnSource, UpdateSource, UpdateSpec};
 use crate::txn::TxnSpec;
 
-/// Events of the controller model.
-#[derive(Debug, Clone)]
+/// Events of the controller model. They carry no payload the calendar key
+/// already holds: each source has exactly one arrival pending, whose spec
+/// waits in the [`Controller`], and an expiry's instant is its key. So an
+/// event is 16 bytes and the calendar moves no more than that.
+#[derive(Debug, Clone, Copy)]
 pub enum Event {
-    /// An external update arrives at the system.
-    UpdateArrival(UpdateSpec),
-    /// A transaction arrives.
-    TxnArrival(TxnSpec),
+    /// The pending external update (`Controller::next_update`) arrives.
+    UpdateArrival,
+    /// The pending transaction (`Controller::next_txn`) arrives.
+    TxnArrival,
     /// The current CPU slice completes (valid only for the matching epoch).
     CpuDone {
         /// Epoch the slice was started under; stale epochs are ignored.
@@ -37,10 +40,27 @@ pub enum Event {
         /// Transaction id.
         txn_id: u64,
     },
-    /// MA staleness watchdog for one installed value.
-    Expiry(ExpiryWatch),
+    /// MA staleness watchdog for one installed value; it fires at the
+    /// watch's instant, so only what the tracker compares rides along.
+    Expiry {
+        /// Object to re-examine.
+        object: ViewObjectId,
+        /// Version of the install the watchdog guards.
+        version: u64,
+    },
     /// End of the metric warm-up window.
     WarmupEnd,
+}
+
+impl Event {
+    /// The calendar entry of `watch`: its instant and the event.
+    fn expiry(watch: ExpiryWatch) -> (SimTime, Event) {
+        let event = Event::Expiry {
+            object: watch.object,
+            version: watch.version,
+        };
+        (watch.at, event)
+    }
 }
 
 /// The slice on the CPU, as the calendar knows it (the work itself stays
@@ -60,6 +80,10 @@ pub struct Controller<U, T> {
     epoch: u64,
     update_src: U,
     txn_src: T,
+    /// The update whose `UpdateArrival` is on the calendar.
+    next_update: Option<UpdateSpec>,
+    /// The transaction whose `TxnArrival` is on the calendar.
+    next_txn: Option<TxnSpec>,
     horizon: SimTime,
     /// Outage window from the disturbance spec (robustness extension),
     /// driving the staleness-recovery measurement.
@@ -104,6 +128,8 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
             epoch: 0,
             update_src,
             txn_src,
+            next_update: None,
+            next_txn: None,
             outage,
             outage_baseline: None,
             recovery_at: None,
@@ -114,17 +140,20 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
     /// the initial staleness watchdogs.
     pub fn prime(&mut self, engine: &mut Engine<Event>) {
         for watch in self.core.initial_watches() {
-            engine.prime(watch.at.max(SimTime::ZERO), Event::Expiry(watch));
+            let (at, event) = Event::expiry(watch);
+            engine.prime(at.max(SimTime::ZERO), event);
         }
         let warmup = self.core.config().warmup;
         if warmup > 0.0 {
             engine.prime(SimTime::from_secs(warmup), Event::WarmupEnd);
         }
-        if let Some(u) = self.update_src.next_update() {
-            engine.prime(u.arrival, Event::UpdateArrival(u));
+        self.next_update = self.update_src.next_update();
+        if let Some(u) = &self.next_update {
+            engine.prime(u.arrival, Event::UpdateArrival);
         }
-        if let Some(t) = self.txn_src.next_txn() {
-            engine.prime(t.arrival, Event::TxnArrival(t));
+        self.next_txn = self.txn_src.next_txn();
+        if let Some(t) = &self.next_txn {
+            engine.prime(t.arrival, Event::TxnArrival);
         }
     }
 
@@ -249,19 +278,29 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
         // the order: watchdogs, then the next arrival, then (in
         // `dispatch`) the slice completion.
         match event {
-            Event::UpdateArrival(spec) => {
+            Event::UpdateArrival => {
+                debug_assert!(self.next_update.is_some(), "update marker without a spec");
+                let Some(spec) = self.next_update.take() else {
+                    return;
+                };
                 let verdict = self.core.on_update(&spec, now);
-                if let Some(next) = self.update_src.next_update() {
-                    ctx.schedule_at(next.arrival, Event::UpdateArrival(next));
+                self.next_update = self.update_src.next_update();
+                if let Some(next) = &self.next_update {
+                    ctx.schedule_at(next.arrival, Event::UpdateArrival);
                 }
                 self.preempt(verdict, now);
             }
-            Event::TxnArrival(spec) => {
+            Event::TxnArrival => {
+                debug_assert!(self.next_txn.is_some(), "transaction marker without a spec");
+                let Some(spec) = self.next_txn.take() else {
+                    return;
+                };
                 let txn_id = spec.id;
                 let (deadline, verdict) = self.core.on_txn(spec, now);
                 ctx.schedule_at(deadline, Event::Deadline { txn_id });
-                if let Some(next) = self.txn_src.next_txn() {
-                    ctx.schedule_at(next.arrival, Event::TxnArrival(next));
+                self.next_txn = self.txn_src.next_txn();
+                if let Some(next) = &self.next_txn {
+                    ctx.schedule_at(next.arrival, Event::TxnArrival);
                 }
                 self.preempt(verdict, now);
             }
@@ -271,7 +310,8 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
                 }
                 self.cpu = None;
                 if let Some(watch) = self.core.finish(now) {
-                    ctx.schedule_at(watch.at, Event::Expiry(watch));
+                    let (at, event) = Event::expiry(watch);
+                    ctx.schedule_at(at, event);
                 }
             }
             Event::Deadline { txn_id } => {
@@ -282,7 +322,14 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
                 }
                 self.core.on_deadline(txn_id, now);
             }
-            Event::Expiry(watch) => self.core.on_expiry(watch, now),
+            Event::Expiry { object, version } => {
+                let watch = ExpiryWatch {
+                    object,
+                    version,
+                    at: now,
+                };
+                self.core.on_expiry(watch, now);
+            }
             Event::WarmupEnd => self.core.on_warmup_end(now),
         }
         self.dispatch(now, ctx);
@@ -381,4 +428,23 @@ pub fn run_simulation_traced<U: UpdateSource, T: TxnSource>(
         report,
         data.expect("trace sink was installed before the run"),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use strip_sim::event::EventQueue;
+
+    /// The calendar moves each event into and out of a slab slot: a payload
+    /// put back into `Event` would grow every one of the ≈ 2 800 pending
+    /// slots of a baseline run.
+    #[test]
+    fn events_and_their_calendar_slots_stay_small() {
+        let (event, slot) = (
+            std::mem::size_of::<Event>(),
+            EventQueue::<Event>::SLOT_BYTES,
+        );
+        assert!(event <= 16, "Event is {event} bytes");
+        assert!(slot <= 48, "a calendar slot is {slot} bytes");
+    }
 }

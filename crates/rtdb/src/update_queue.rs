@@ -26,22 +26,34 @@
 //! simulated second, every one of Figures 3–16 sweeps thousands of seconds),
 //! so it is built for the cache, not for generality: update nodes live in a
 //! slab arena (`Vec<Node>` plus an intrusive free list, so steady state
-//! performs **zero allocations**) and each node is threaded onto two
-//! intrusive doubly-linked lists —
+//! performs **zero allocations**) and each node is reachable two ways —
 //!
-//! * the **global list**, sorted by `(generation_ts, seq)`, giving O(1)
-//!   FIFO/LIFO dequeue, O(1) overflow discard and O(expired) MA expiry;
+//! * the **order**, a `VecDeque` of `(key, slot)` entries sorted by the
+//!   packed key `generation_ts.order_bits() << 64 | seq` (one integer
+//!   compare), giving O(1) FIFO/LIFO dequeue, O(1) overflow discard and
+//!   O(expired) MA expiry at its two ends. A removal from the middle
+//!   (dedup, `take_newest_for`, the scanning shed policies) binary-searches
+//!   the key and leaves a *tombstone*: the entry keeps its key, so the
+//!   order stays sorted, and drops its slot. Tombstones are trimmed
+//!   whenever they reach an end, so both ends are always live, and the
+//!   order is compacted once they outnumber the live entries;
 //! * a **per-object chain** anchored in a dense `Vec` indexed by
 //!   [`ViewObjectId`], giving O(1) newest-for-object lookup and O(1)
 //!   per-object drain.
 //!
-//! Enqueue finds the global position by walking back from the tail past
-//! larger keys. Updates arrive nearly sorted by generation time (an arrival
-//! is out of order only w.r.t. updates generated after it that arrived
-//! before it, ~`λ_u · mean_age / 2` of them), so the walk is amortised O(1)
-//! on the simulator's streams. The seed `BTreeMap`-based implementation
-//! survives under `tests/reference/` as the oracle `tests/prop_update_queue.rs`
-//! compares this one against.
+//! Enqueue finds its position by scanning back from the tail past larger
+//! keys, then shifts that many entries up (the per-object chain takes the
+//! same backward walk). Updates arrive nearly sorted by generation time (an
+//! arrival is out of order only w.r.t. updates generated after it that
+//! arrived before it, ~`λ_u · mean_age / 2` of them), so the scan is short
+//! on the simulator's streams — 11.6 entries at a mean depth of ≈ 1 300
+//! over the `sim_sweep` inserts, 20 at ≈ 2 600 on its TF and OD points at
+//! λt ≥ 10 — and reads contiguous memory instead of chasing a pointer per
+//! step. The seed `BTreeMap`-based implementation
+//! survives under `tests/reference/` as the oracle
+//! `tests/prop_update_queue.rs` compares this one against.
+
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use strip_sim::time::SimTime;
@@ -50,23 +62,36 @@ use crate::object::{Importance, ViewObjectId};
 use crate::shed::ShedPolicy;
 use crate::update::Update;
 
-/// Key ordering queued updates by generation time (sequence number breaks
-/// ties deterministically).
-type QueueKey = (SimTime, u64);
+/// Key ordering queued updates by generation time, the sequence number
+/// breaking ties: `generation_ts.order_bits() << 64 | seq`.
+type QueueKey = u128;
 
-/// Sentinel node index meaning "no node".
+/// Sentinel node index meaning "no node" (and, in the order, a tombstone).
 const NIL: u32 = u32::MAX;
 
-/// One slab entry: the update plus its links on the global list
-/// (`prev`/`next`) and on its object's chain (`obj_prev`/`obj_next`). Free
-/// entries reuse `next` as the free-list link.
+/// One slab entry: the update plus its links on its object's chain
+/// (`obj_prev`/`obj_next`). Free entries reuse `obj_next` as the free-list
+/// link.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     update: Update,
-    prev: u32,
-    next: u32,
     obj_prev: u32,
     obj_next: u32,
+}
+
+/// One entry of the generation order: a key and the node that holds it, or
+/// a tombstone (`slot == NIL`) keeping the key of an update removed from
+/// the middle.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: QueueKey,
+    slot: u32,
+}
+
+impl Entry {
+    fn is_live(self) -> bool {
+        self.slot != NIL
+    }
 }
 
 /// Head and tail of one object's chain (both `NIL` when empty). The chain
@@ -122,15 +147,15 @@ pub struct InsertOutcome {
 #[derive(Debug, Clone)]
 pub struct UpdateQueue {
     nodes: Vec<Node>,
-    /// Head of the intrusive free list through `Node::next`.
+    /// Head of the intrusive free list through `Node::obj_next`.
     free: u32,
-    /// Oldest-key node of the global list.
-    head: u32,
-    /// Newest-key node of the global list.
-    tail: u32,
+    /// Every queued update's entry, sorted by key, plus `tombs` tombstones;
+    /// the first and last entries are live.
+    order: VecDeque<Entry>,
+    /// Tombstones in `order`; never more than its live entries.
+    tombs: usize,
     /// Per-object anchors, indexed by [`ViewObjectId::slot`].
     chains: Vec<ObjChain>,
-    len: usize,
     capacity: usize,
     dedup: bool,
     shed: ShedPolicy,
@@ -156,10 +181,9 @@ impl UpdateQueue {
         UpdateQueue {
             nodes: Vec::with_capacity(capacity.min(1 << 16)),
             free: NIL,
-            head: NIL,
-            tail: NIL,
+            order: VecDeque::with_capacity(capacity.min(1 << 16)),
+            tombs: 0,
             chains: Vec::new(),
-            len: 0,
             capacity,
             dedup,
             shed,
@@ -170,7 +194,7 @@ impl UpdateQueue {
     }
 
     fn key(u: &Update) -> QueueKey {
-        (u.generation_ts, u.seq)
+        (u128::from(u.generation_ts.order_bits()) << 64) | u128::from(u.seq)
     }
 
     fn object_at(slot: usize) -> ViewObjectId {
@@ -196,14 +220,12 @@ impl UpdateQueue {
     fn alloc(&mut self, update: Update) -> u32 {
         let fresh = Node {
             update,
-            prev: NIL,
-            next: NIL,
             obj_prev: NIL,
             obj_next: NIL,
         };
         if self.free != NIL {
             let idx = self.free;
-            self.free = self.nodes[idx as usize].next;
+            self.free = self.nodes[idx as usize].obj_next;
             self.nodes[idx as usize] = fresh;
             idx
         } else {
@@ -213,36 +235,18 @@ impl UpdateQueue {
         }
     }
 
-    /// Threads `update` onto both lists at its key-sorted position.
+    /// Files `update` into the order and onto its object's chain, each at
+    /// its key-sorted position.
     fn link(&mut self, update: Update) {
         let key = Self::key(&update);
         let object = update.object;
         let idx = self.alloc(update);
-        // Global list: walk back from the tail past larger keys. Streams are
-        // nearly generation-sorted, so this is a short hop in practice.
-        let mut after = self.tail;
-        while after != NIL && self.node_key(after) > key {
-            after = self.nodes[after as usize].prev;
-        }
-        if after == NIL {
-            self.nodes[idx as usize].next = self.head;
-            if self.head != NIL {
-                self.nodes[self.head as usize].prev = idx;
-            } else {
-                self.tail = idx;
-            }
-            self.head = idx;
-        } else {
-            let next = self.nodes[after as usize].next;
-            self.nodes[idx as usize].prev = after;
-            self.nodes[idx as usize].next = next;
-            self.nodes[after as usize].next = idx;
-            if next != NIL {
-                self.nodes[next as usize].prev = idx;
-            } else {
-                self.tail = idx;
-            }
-        }
+        // Order: scan back from the tail past larger keys (tombstones
+        // included: they keep their keys). Streams are nearly
+        // generation-sorted, so this is a short scan in practice.
+        let later = self.order.iter().rev().take_while(|e| e.key > key).count();
+        self.order
+            .insert(self.order.len() - later, Entry { key, slot: idx });
         // Object chain: same backward walk, usually empty or a single hop.
         let slot = object.slot();
         if slot >= self.chains.len() {
@@ -272,22 +276,53 @@ impl UpdateQueue {
                 self.chains[slot].tail = idx;
             }
         }
-        self.len += 1;
     }
 
-    /// Detaches node `idx` from both lists and returns it to the free list.
-    fn unlink(&mut self, idx: u32) -> Update {
+    /// Removes the update whose entry is at `pos` of the order: off an end
+    /// directly, from the middle as a tombstone.
+    fn remove_at(&mut self, pos: usize) -> Update {
+        let idx = self.order[pos].slot;
+        debug_assert!(idx != NIL, "removing a tombstone");
+        if pos == 0 {
+            self.order.pop_front();
+            while self.order.front().is_some_and(|e| !e.is_live()) {
+                self.order.pop_front();
+                self.tombs -= 1;
+            }
+        } else if pos + 1 == self.order.len() {
+            self.order.pop_back();
+            while self.order.back().is_some_and(|e| !e.is_live()) {
+                self.order.pop_back();
+                self.tombs -= 1;
+            }
+        } else {
+            self.order[pos].slot = NIL;
+            self.tombs += 1;
+        }
+        if self.tombs > self.order.len() - self.tombs {
+            self.order.retain(|e| e.is_live());
+            self.tombs = 0;
+        }
+        self.release(idx)
+    }
+
+    /// Removes the update held by node `idx`, finding its entry by binary
+    /// search on its key.
+    fn remove_node(&mut self, idx: u32) -> Update {
+        let key = self.node_key(idx);
+        let mut pos = self.order.partition_point(|e| e.key < key);
+        // Keys are unique; the scan only matters for a tombstone left by
+        // an earlier update with the same `(generation_ts, seq)`.
+        while self.order[pos].slot != idx {
+            pos += 1;
+        }
+        self.remove_at(pos)
+    }
+
+    /// Detaches node `idx` from its object's chain and returns it to the
+    /// free list.
+    fn release(&mut self, idx: u32) -> Update {
         let node = self.nodes[idx as usize];
-        if node.prev != NIL {
-            self.nodes[node.prev as usize].next = node.next;
-        } else {
-            self.head = node.next;
-        }
-        if node.next != NIL {
-            self.nodes[node.next as usize].prev = node.prev;
-        } else {
-            self.tail = node.prev;
-        }
         let slot = node.update.object.slot();
         if node.obj_prev != NIL {
             self.nodes[node.obj_prev as usize].obj_next = node.obj_next;
@@ -299,9 +334,8 @@ impl UpdateQueue {
         } else {
             self.chains[slot].tail = node.obj_prev;
         }
-        self.nodes[idx as usize].next = self.free;
+        self.nodes[idx as usize].obj_next = self.free;
         self.free = idx;
-        self.len -= 1;
         node.update
     }
 
@@ -327,66 +361,58 @@ impl UpdateQueue {
             let mut cur = chain.head;
             while cur != NIL {
                 let next = self.nodes[cur as usize].obj_next;
-                self.unlink(cur);
+                self.remove_node(cur);
                 outcome.deduped += 1;
                 self.dedup_dropped += 1;
                 cur = next;
             }
         }
         self.link(update);
-        if self.len > self.capacity {
+        if self.len() > self.capacity {
             // Shed one queued update — possibly the new arrival itself
-            // (it is already linked, so it competes on equal terms).
+            // (it is already filed, so it competes on equal terms).
             let victim = self.overflow_victim();
-            outcome.displaced = Some(self.unlink(victim));
+            outcome.displaced = Some(self.remove_at(victim));
             self.overflow_dropped += 1;
         }
         outcome
     }
 
-    /// Picks the node the shedding policy sacrifices on overflow. The
-    /// paper's rule ([`ShedPolicy::DropOldest`]) stays O(1); the scanning
-    /// policies walk the global list from the oldest generation, which is
-    /// fine because this only runs on the overflow path.
-    fn overflow_victim(&self) -> u32 {
+    /// The position in the order of the update the shedding policy
+    /// sacrifices on overflow. The paper's rule ([`ShedPolicy::DropOldest`])
+    /// stays O(1); the scanning policies walk the order from the oldest
+    /// generation, which is fine because this only runs on the overflow
+    /// path.
+    fn overflow_victim(&self) -> usize {
+        let first = |pred: &dyn Fn(&Node) -> bool| {
+            self.order
+                .iter()
+                .position(|e| e.is_live() && pred(&self.nodes[e.slot as usize]))
+                .unwrap_or(0)
+        };
         match self.shed {
-            ShedPolicy::DropOldest => self.head,
-            ShedPolicy::DropNewest => self.tail,
+            ShedPolicy::DropOldest => 0,
+            ShedPolicy::DropNewest => self.order.len() - 1,
             ShedPolicy::DropLowestImportance => {
-                let mut cur = self.head;
-                while cur != NIL {
-                    if self.nodes[cur as usize].update.object.class == Importance::Low {
-                        return cur;
-                    }
-                    cur = self.nodes[cur as usize].next;
-                }
-                self.head
+                first(&|n| n.update.object.class == Importance::Low)
             }
-            ShedPolicy::CoalescePerObject => {
-                // A node that is not its object chain's tail is superseded
-                // by a newer queued update for the same object; installing
-                // it would be wasted work. In dedup mode every node is its
-                // chain's tail, so this degenerates to DropOldest.
-                let mut cur = self.head;
-                while cur != NIL {
-                    if self.nodes[cur as usize].obj_next != NIL {
-                        return cur;
-                    }
-                    cur = self.nodes[cur as usize].next;
-                }
-                self.head
-            }
+            // A node that is not its object chain's tail is superseded by a
+            // newer queued update for the same object; installing it would
+            // be wasted work. In dedup mode every node is its chain's tail,
+            // so this degenerates to DropOldest.
+            ShedPolicy::CoalescePerObject => first(&|n| n.obj_next != NIL),
         }
     }
 
     /// Removes the update with the oldest generation (FIFO service).
     pub fn pop_oldest(&mut self) -> Option<Update> {
-        (self.head != NIL).then(|| self.unlink(self.head))
+        (!self.order.is_empty()).then(|| self.remove_at(0))
     }
 
     /// Removes the update with the newest generation (LIFO service).
     pub fn pop_newest(&mut self) -> Option<Update> {
-        (self.tail != NIL).then(|| self.unlink(self.tail))
+        let last = self.order.len().checked_sub(1)?;
+        Some(self.remove_at(last))
     }
 
     /// Discards every queued update whose value age exceeds `alpha` at
@@ -395,14 +421,16 @@ impl UpdateQueue {
     /// inspects the head.
     pub fn discard_expired(&mut self, now: SimTime, alpha: f64) -> usize {
         let mut n = 0;
-        while self.head != NIL {
+        while let Some(head) = self.order.front() {
             // Same age test as `Update::expired_at`, so the head check and
-            // per-update expiry agree bit-for-bit.
-            let gen_ts = self.nodes[self.head as usize].update.generation_ts;
+            // per-update expiry agree bit-for-bit. The generation comes
+            // from the key, not the node: a `-0.0` comes back as `+0.0`,
+            // which changes neither the difference's value nor the test.
+            let gen_ts = SimTime::from_order_bits((head.key >> 64) as u64);
             if now.since(gen_ts) <= alpha {
                 break;
             }
-            self.unlink(self.head);
+            self.remove_at(0);
             n += 1;
         }
         self.expired_dropped += n as u64;
@@ -420,7 +448,7 @@ impl UpdateQueue {
     /// Removes and returns the newest queued update for `object`.
     pub fn take_newest_for(&mut self, object: ViewObjectId) -> Option<Update> {
         let tail = self.chain(object).tail;
-        (tail != NIL).then(|| self.unlink(tail))
+        (tail != NIL).then(|| self.remove_node(tail))
     }
 
     /// True if any update for `object` is queued.
@@ -453,13 +481,13 @@ impl UpdateQueue {
     /// Number of queued updates.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.order.len() - self.tombs
     }
 
     /// True when no updates are queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.order.is_empty()
     }
 
     /// The configured bound (`UQ_max`).
@@ -488,15 +516,10 @@ impl UpdateQueue {
 
     /// Iterates queued updates in generation order (oldest first).
     pub fn iter(&self) -> impl Iterator<Item = &Update> {
-        let mut cur = self.head;
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let node = &self.nodes[cur as usize];
-            cur = node.next;
-            Some(&node.update)
-        })
+        self.order
+            .iter()
+            .filter(|e| e.is_live())
+            .map(|e| &self.nodes[e.slot as usize].update)
     }
 
     /// Slab high-water mark: how many node slots have ever been allocated
@@ -507,41 +530,49 @@ impl UpdateQueue {
         self.nodes.len()
     }
 
-    /// Internal consistency check used by tests: both intrusive lists are
-    /// sorted, mutually consistent, and describe the same `len` nodes.
+    /// Tombstones currently in the generation order (diagnostic).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn tombstones(&self) -> usize {
+        self.tombs
+    }
+
+    /// Internal consistency check used by tests: the order is sorted, its
+    /// tombstone count is right and never exceeds its live entries, both
+    /// ends are live, and every live entry names a distinct node holding
+    /// its key; the object chains are sorted and cover exactly those nodes.
     #[doc(hidden)]
     #[must_use]
     pub fn check_invariants(&self) -> bool {
-        // Walk the global list: strictly ascending keys, consistent back
-        // links, `len` nodes exactly.
         let mut seen = vec![false; self.nodes.len()];
-        let mut count = 0usize;
-        let mut prev = NIL;
-        let mut cur = self.head;
+        let mut tombs = 0usize;
         let mut last_key = None;
-        while cur != NIL {
-            let node = &self.nodes[cur as usize];
-            if node.prev != prev {
+        for e in &self.order {
+            if last_key.is_some_and(|k| k >= e.key) {
                 return false;
             }
-            let key = Self::key(&node.update);
-            if last_key.is_some_and(|k| k >= key) {
+            last_key = Some(e.key);
+            if !e.is_live() {
+                tombs += 1;
+                continue;
+            }
+            let i = e.slot as usize;
+            if i >= self.nodes.len() || seen[i] || Self::key(&self.nodes[i].update) != e.key {
                 return false;
             }
-            last_key = Some(key);
-            seen[cur as usize] = true;
-            count += 1;
-            if count > self.len {
-                return false;
-            }
-            prev = cur;
-            cur = node.next;
+            seen[i] = true;
         }
-        if count != self.len || self.tail != prev {
+        let live = self.order.len() - tombs;
+        let live_end = |e: Option<&Entry>| e.is_none_or(|e| e.is_live());
+        if tombs != self.tombs
+            || tombs > live
+            || !live_end(self.order.front())
+            || !live_end(self.order.back())
+        {
             return false;
         }
         // Walk every object chain: sorted, object-homogeneous, and covering
-        // exactly the nodes of the global list.
+        // exactly the live nodes of the order.
         let mut chained = 0usize;
         for (slot, chain) in self.chains.iter().enumerate() {
             let object = Self::object_at(slot);
@@ -559,7 +590,7 @@ impl UpdateQueue {
                 }
                 last_key = Some(key);
                 chained += 1;
-                if chained > self.len {
+                if chained > live {
                     return false;
                 }
                 oprev = cur;
@@ -569,7 +600,7 @@ impl UpdateQueue {
                 return false;
             }
         }
-        chained == self.len
+        chained == live
     }
 }
 
@@ -1017,6 +1048,39 @@ mod tests {
         q.insert(upd(2, 2, 2.0));
         let gens: Vec<f64> = q.iter().map(|u| u.generation_ts.as_secs()).collect();
         assert_eq!(gens, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn middle_removals_leave_tombstones_until_compaction() {
+        let mut q = UpdateQueue::new(10, false);
+        for i in 0..6u64 {
+            q.insert(upd(i, i as u32, i as f64));
+        }
+        let take = |q: &mut UpdateQueue, obj: u32| {
+            let u = q.take_newest_for(ViewObjectId::new(Importance::Low, obj));
+            assert!(q.check_invariants());
+            u.unwrap().seq
+        };
+        // Generations 0..6; removing 2 and 3 leaves two tombstones.
+        assert_eq!((take(&mut q, 2), take(&mut q, 3)), (2, 3));
+        assert_eq!((q.len(), q.tombstones()), (4, 2));
+        // An end removal trims only the tombstones it uncovers.
+        assert_eq!(q.pop_oldest().unwrap().seq, 0);
+        assert_eq!((q.len(), q.tombstones()), (3, 2));
+        assert_eq!(q.pop_oldest().unwrap().seq, 1);
+        assert_eq!((q.len(), q.tombstones()), (2, 0));
+        // Tombstones outnumbering the live entries are compacted away.
+        for i in 6..10u64 {
+            q.insert(upd(i, i as u32, i as f64));
+        }
+        assert_eq!((take(&mut q, 6), take(&mut q, 7)), (6, 7));
+        assert_eq!((q.len(), q.tombstones()), (4, 2));
+        assert_eq!(take(&mut q, 8), 8);
+        assert_eq!((q.len(), q.tombstones()), (3, 3));
+        assert_eq!(take(&mut q, 5), 5);
+        assert_eq!((q.len(), q.tombstones()), (2, 0));
+        let seqs: Vec<u64> = q.iter().map(|u| u.seq).collect();
+        assert_eq!(seqs, vec![4, 9]);
     }
 
     #[test]

@@ -162,6 +162,48 @@ fn run_conservation(ops: Vec<Op>, cap: usize, dedup: bool, shed: ShedPolicy) {
     }
 }
 
+/// A long run of `n` operations over `objects` objects per class, drawn
+/// from a seeded xorshift in phases of 100–600 operations: *fill* (mostly
+/// inserts, so the queue sits at its bound and sheds), *hollow* (mostly
+/// removals of an object's newest update, from anywhere in the generation
+/// order) and *drain* (both ends and MA expiry). Generations trail a clock
+/// that advances 1 ms per insert, with stragglers up to 5 s late.
+fn phased_ops(seed: u64, n: usize, objects: u32) -> Vec<Op> {
+    let mut state = seed | 1;
+    let mut rng = move |bound: u32| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % u64::from(bound)) as u32
+    };
+    let mut ops = Vec::with_capacity(n);
+    let mut clock_ms = 0u32;
+    while ops.len() < n {
+        let phase = rng(3);
+        for _ in 0..100 + rng(500) {
+            let (obj, high) = (rng(objects), rng(2) == 1);
+            let op = match (phase, rng(100)) {
+                (0, 85..) | (2, 0..40) => Op::PopOldest,
+                (1, 0..75) => Op::TakeNewestFor { obj, high },
+                (2, 40..80) => Op::PopNewest,
+                (2, 80..84) => Op::DiscardExpired {
+                    now_ms: clock_ms,
+                    alpha_ms: 1_000 + rng(20_000),
+                },
+                _ => {
+                    clock_ms += 1;
+                    let late = if rng(20) == 0 { 5_000 } else { 50 };
+                    let gen_ms = clock_ms - rng(clock_ms.min(late) + 1);
+                    Op::Insert { obj, high, gen_ms }
+                }
+            };
+            ops.push(op);
+        }
+    }
+    ops.truncate(n);
+    ops
+}
+
 /// OS-queue mirror: `deliver`/`receive` with each shedding policy loses
 /// exactly one message per overflow and conserves the rest.
 fn run_os_conservation(arrivals: Vec<(u32, bool, u32)>, cap: usize, shed: ShedPolicy) {
@@ -243,6 +285,24 @@ proptest! {
     ) {
         for shed in ShedPolicy::ALL {
             run_os_conservation(arrivals.clone(), cap, shed);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn long_phased_runs_conserve_under_every_policy(
+        seed in 0u64..u64::MAX,
+        n in 2_000usize..2_400,
+        cap in 1usize..3_000,
+        objects in 1u32..400,
+        dedup in proptest::bool::ANY,
+    ) {
+        let ops = phased_ops(seed, n, objects);
+        for shed in ShedPolicy::ALL {
+            run_conservation(ops.clone(), cap, dedup, shed);
         }
     }
 }

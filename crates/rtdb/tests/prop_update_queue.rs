@@ -1,7 +1,8 @@
 //! Differential tests: the slab-backed update queue against two oracles
 //! that share no code with it — a brute-force `Vec` model and the seed
 //! `BTreeMap` implementation kept in `reference/` — under arbitrary
-//! operation sequences.
+//! operation sequences. Generation times include both zeros: they are
+//! equal `SimTime`s, so only the sequence number may order them.
 
 mod reference;
 
@@ -15,16 +16,26 @@ use strip_sim::time::SimTime;
 /// Operations exercised against both implementations.
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { obj: u32, gen_ms: u32 },
+    Insert { obj: u32, gen: f64 },
     PopOldest,
     PopNewest,
     DiscardExpired { now_ms: u32, alpha_ms: u32 },
     TakeNewestFor { obj: u32 },
 }
 
+/// Generation times in seconds: a millisecond grid over 10 s, and both
+/// zeros.
+fn gen_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        8 => (0u32..10_000).prop_map(|ms| f64::from(ms) / 1000.0),
+        1 => Just(-0.0),
+        1 => Just(0.0),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0u32..20, 0u32..10_000).prop_map(|(obj, gen_ms)| Op::Insert { obj, gen_ms }),
+        4 => (0u32..20, gen_strategy()).prop_map(|(obj, gen)| Op::Insert { obj, gen }),
         2 => Just(Op::PopOldest),
         2 => Just(Op::PopNewest),
         1 => (0u32..12_000, 100u32..5_000)
@@ -95,12 +106,12 @@ impl Model {
     }
 }
 
-fn mk_update(seq: u64, obj: u32, gen_ms: u32) -> Update {
+fn mk_update(seq: u64, obj: u32, gen: f64) -> Update {
     Update {
         seq,
         object: ViewObjectId::new(Importance::Low, obj),
-        generation_ts: SimTime::from_secs(f64::from(gen_ms) / 1000.0),
-        arrival_ts: SimTime::from_secs(f64::from(gen_ms) / 1000.0 + 0.05),
+        generation_ts: SimTime::from_secs(gen),
+        arrival_ts: SimTime::from_secs(gen + 0.05),
         payload: f64::from(seq as u32),
         attr_mask: Update::COMPLETE,
     }
@@ -112,8 +123,8 @@ fn run_ops(ops: Vec<Op>, cap: usize, dedup: bool) {
     let mut seq = 0u64;
     for op in ops {
         match op {
-            Op::Insert { obj, gen_ms } => {
-                let u = mk_update(seq, obj, gen_ms);
+            Op::Insert { obj, gen } => {
+                let u = mk_update(seq, obj, gen);
                 seq += 1;
                 q.insert(u);
                 model.insert(u, cap, dedup);
@@ -152,7 +163,7 @@ fn run_ops(ops: Vec<Op>, cap: usize, dedup: bool) {
 /// drain interleavings.
 #[derive(Debug, Clone)]
 enum XOp {
-    Insert { obj: u32, high: bool, gen_ms: u32 },
+    Insert { obj: u32, high: bool, gen: f64 },
     PopOldest,
     PopNewest,
     DiscardExpired { now_ms: u32, alpha_ms: u32 },
@@ -164,8 +175,8 @@ enum XOp {
 fn xop_strategy() -> impl Strategy<Value = XOp> {
     let id = || (0u32..12, proptest::bool::ANY);
     prop_oneof![
-        5 => (id(), 0u32..10_000)
-            .prop_map(|((obj, high), gen_ms)| XOp::Insert { obj, high, gen_ms }),
+        5 => (id(), gen_strategy())
+            .prop_map(|((obj, high), gen)| XOp::Insert { obj, high, gen }),
         2 => Just(XOp::PopOldest),
         2 => Just(XOp::PopNewest),
         1 => (0u32..12_000, 100u32..5_000)
@@ -187,17 +198,20 @@ fn vid(obj: u32, high: bool) -> ViewObjectId {
 
 /// Drives the slab queue and the seed `BTreeMap` implementation through the
 /// same operation sequence, asserting identical observable behaviour after
-/// every step.
-fn run_xops(ops: Vec<XOp>, cap: usize, dedup: bool) {
+/// every step. Returns how often the slab's tombstones, having reached its
+/// live entries, were cleared (the compaction threshold crossed).
+fn run_xops(ops: Vec<XOp>, cap: usize, dedup: bool) -> usize {
     let mut slab = UpdateQueue::new(cap, dedup);
     let mut seed = ReferenceUpdateQueue::new(cap, dedup);
     let mut seq = 0u64;
+    let mut crossings = 0;
     for op in ops {
+        let (tombs, live) = (slab.tombstones(), slab.len());
         match op {
-            XOp::Insert { obj, high, gen_ms } => {
+            XOp::Insert { obj, high, gen } => {
                 let u = Update {
                     object: vid(obj, high),
-                    ..mk_update(seq, obj, gen_ms)
+                    ..mk_update(seq, obj, gen)
                 };
                 seq += 1;
                 prop_assert_eq!(slab.insert(u), seed.insert(u));
@@ -250,7 +264,65 @@ fn run_xops(ops: Vec<XOp>, cap: usize, dedup: bool) {
         prop_assert_eq!(slab.expired_dropped(), seed.expired_dropped());
         prop_assert_eq!(slab.dedup_dropped(), seed.dedup_dropped());
         prop_assert!(slab.check_invariants());
+        if tombs > 0 && tombs + 1 >= live && slab.tombstones() == 0 {
+            crossings += 1;
+        }
     }
+    crossings
+}
+
+/// A long run of `n` operations over `objects` objects per class, drawn
+/// from a seeded xorshift in phases of 100–600 operations: *fill* (mostly
+/// inserts), *hollow* (mostly removals of an object's newest update, which
+/// sits anywhere in the generation order, so tombstones build up to the
+/// compaction threshold) and *drain* (both ends and MA expiry).
+/// Generations trail a clock that advances 1 ms per insert, nearly sorted
+/// as the simulator's streams are, with stragglers up to 5 s late and both
+/// zeros.
+fn phased_ops(seed: u64, n: usize, objects: u32) -> Vec<XOp> {
+    let mut state = seed | 1;
+    let mut rng = move |bound: u32| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % u64::from(bound)) as u32
+    };
+    let mut ops = Vec::with_capacity(n);
+    let mut clock_ms = 0u32;
+    while ops.len() < n {
+        let phase = rng(3);
+        for _ in 0..100 + rng(500) {
+            let (obj, high) = (rng(objects), rng(2) == 1);
+            let roll = rng(100);
+            let op = match (phase, roll) {
+                (1, 0..70) => XOp::TakeNewestFor { obj, high },
+                (1, 70..74) => XOp::DrainObject { obj, high },
+                (1, 74..76) => XOp::PopHottest {
+                    salt: u64::from(rng(u32::MAX)),
+                },
+                (2, 0..40) => XOp::PopOldest,
+                (2, 40..80) => XOp::PopNewest,
+                (2, 80..84) => XOp::DiscardExpired {
+                    now_ms: clock_ms,
+                    alpha_ms: 1_000 + rng(20_000),
+                },
+                (0, 85..) => XOp::PopOldest,
+                _ => {
+                    clock_ms += 1;
+                    let gen = match rng(50) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2..5 => f64::from(clock_ms - rng(clock_ms.min(5_000) + 1)) / 1000.0,
+                        _ => f64::from(clock_ms - rng(clock_ms.min(50) + 1)) / 1000.0,
+                    };
+                    XOp::Insert { obj, high, gen }
+                }
+            };
+            ops.push(op);
+        }
+    }
+    ops.truncate(n);
+    ops
 }
 
 proptest! {
@@ -284,11 +356,11 @@ proptest! {
 
     #[test]
     fn dedup_holds_at_most_one_update_per_object(
-        inserts in prop::collection::vec((0u32..10, 0u32..10_000), 1..200)
+        inserts in prop::collection::vec((0u32..10, gen_strategy()), 1..200)
     ) {
         let mut q = UpdateQueue::new(1_000, true);
-        for (i, (obj, gen_ms)) in inserts.into_iter().enumerate() {
-            q.insert(mk_update(i as u64, obj, gen_ms));
+        for (i, (obj, gen)) in inserts.into_iter().enumerate() {
+            q.insert(mk_update(i as u64, obj, gen));
         }
         let mut seen = std::collections::HashSet::new();
         for u in q.iter() {
@@ -299,11 +371,11 @@ proptest! {
 
     #[test]
     fn newest_for_agrees_with_iteration(
-        inserts in prop::collection::vec((0u32..8, 0u32..10_000), 1..100)
+        inserts in prop::collection::vec((0u32..8, gen_strategy()), 1..100)
     ) {
         let mut q = UpdateQueue::new(1_000, false);
-        for (i, (obj, gen_ms)) in inserts.into_iter().enumerate() {
-            q.insert(mk_update(i as u64, obj, gen_ms));
+        for (i, (obj, gen)) in inserts.into_iter().enumerate() {
+            q.insert(mk_update(i as u64, obj, gen));
         }
         for obj in 0..8u32 {
             let id = ViewObjectId::new(Importance::Low, obj);
@@ -318,16 +390,31 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn long_phased_runs_match_seed_btreemap(
+        seed in 0u64..u64::MAX,
+        n in 2_000usize..2_400,
+        cap in 1usize..3_000,
+        objects in 1u32..400,
+        dedup in proptest::bool::ANY,
+    ) {
+        run_xops(phased_ops(seed, n, objects), cap, dedup);
+    }
+}
+
 /// The oracle itself: the seed implementation keeps the seed semantics.
 #[test]
 fn reference_keeps_seed_semantics() {
     let mut q = ReferenceUpdateQueue::new(2, true);
-    q.insert(mk_update(0, 1, 1_000));
-    let out = q.insert(mk_update(1, 1, 2_000));
+    q.insert(mk_update(0, 1, 1.0));
+    let out = q.insert(mk_update(1, 1, 2.0));
     assert_eq!(out.deduped, 1);
     assert_eq!(q.len(), 1);
-    q.insert(mk_update(2, 2, 3_000));
-    let out = q.insert(mk_update(3, 3, 4_000));
+    q.insert(mk_update(2, 2, 3.0));
+    let out = q.insert(mk_update(3, 3, 4.0));
     assert_eq!(out.displaced.unwrap().seq, 1);
     assert_eq!(q.pop_oldest().unwrap().seq, 2);
     assert_eq!(q.pop_newest().unwrap().seq, 3);
@@ -376,4 +463,21 @@ fn matches_reference_on_mixed_workload() {
     }
     assert!(slab.check_invariants());
     assert!(slab.iter().eq(oracle.iter()));
+}
+
+#[test]
+fn long_runs_cross_the_compaction_threshold_repeatedly() {
+    // The phased runs above with capacity 3 000 over 20 objects a class,
+    // so a hollow phase reaches most queued objects: every run must clear
+    // a full load of tombstones several times, with and without dedup,
+    // and still match the seed implementation step by step.
+    for dedup in [false, true] {
+        for seed in 1..=3u64 {
+            let crossings = run_xops(phased_ops(seed, 3_000, 20), 3_000, dedup);
+            assert!(
+                crossings >= 3,
+                "seed {seed}, dedup {dedup}: compaction threshold crossed {crossings} times"
+            );
+        }
+    }
 }

@@ -26,7 +26,9 @@
 //!
 //! Pop order is exactly `(time, seq)`: the bucket index is monotone
 //! non-decreasing in time, so every far event is strictly later than every
-//! near event, and the heap orders the near ones. Because `(time, seq)` is
+//! near event, and the heap orders the near ones on
+//! [`SimTime::order_bits`], which is `SimTime`'s own order (`-0.0` and
+//! `+0.0` tie, and pop as `+0.0`). Because `(time, seq)` is
 //! a strict total order (`seq` is unique), the calendar pops the same
 //! sequence as the `std::collections::BinaryHeap` it replaced (kept under
 //! `tests/reference/` as the pop-order oracle) — the tiers cannot change
@@ -37,27 +39,8 @@ use core::ptr;
 
 use crate::time::SimTime;
 
-/// Order-preserving bijection from the `f64` total order to the `u64`
-/// order: the same sign-flip trick `f64::total_cmp` performs on *every*
-/// comparison, hoisted so it runs once per `schedule` instead of O(log n)
-/// times per sift. Self-inverse up to the final sign toggle — see
-/// [`bits_to_secs`].
-#[inline]
-fn secs_to_bits(secs: f64) -> u64 {
-    let b = secs.to_bits() as i64;
-    (b ^ (((b >> 63) as u64) >> 1) as i64) as u64 ^ (1 << 63)
-}
-
-/// Inverse of [`secs_to_bits`]: the conditional mantissa flip depends only
-/// on the (preserved) sign bit, so undoing the sign toggle and re-applying
-/// the flip recovers the original bits exactly.
-#[inline]
-fn bits_to_secs(bits: u64) -> f64 {
-    let m = (bits ^ (1 << 63)) as i64;
-    f64::from_bits((m ^ (((m >> 63) as u64) >> 1) as i64) as u64)
-}
-
-/// A near-heap entry, keyed by the packed `u128` `time_bits << 64 | seq`:
+/// A near-heap entry, keyed by the packed `u128`
+/// `time.order_bits() << 64 | seq`:
 /// the earliest time pops first and the sequence number breaks ties in
 /// scheduling order. Packing the whole key into one integer makes every
 /// heap comparison a single branch (or a conditional move inside the child
@@ -91,18 +74,18 @@ const RING_MASK: u64 = RING as u64 - 1;
 /// End of a slab list.
 const NIL: u32 = u32::MAX;
 
-/// The time a key carries, in seconds.
+/// The time a key carries.
 #[inline]
-fn key_secs(key: u128) -> f64 {
-    bits_to_secs((key >> 64) as u64)
+fn key_time(key: u128) -> SimTime {
+    SimTime::from_order_bits((key >> 64) as u64)
 }
 
-/// The bucket of `secs`. Truncation is monotone non-decreasing over every
+/// The bucket of `time`. Truncation is monotone non-decreasing over every
 /// non-NaN `f64` — negatives and ±∞ included, `as` saturates — which is
 /// all the pop-order argument needs (and, unlike `floor`, is no libm call).
 #[inline]
-fn bucket_of(secs: f64) -> i64 {
-    (secs * BUCKETS_PER_SEC) as i64
+fn bucket_of(time: SimTime) -> i64 {
+    (time.as_secs() * BUCKETS_PER_SEC) as i64
 }
 
 /// One slot of the slab: a pending event and its key, or a free slot
@@ -235,6 +218,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes of one slab slot holding an `E`: the `u128` key, the list
+    /// link and the event, padded to the key's alignment.
+    pub const SLOT_BYTES: usize = mem::size_of::<Slot<E>>();
+
     /// Creates an empty calendar.
     #[must_use]
     pub fn new() -> Self {
@@ -266,8 +253,7 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled += 1;
-        let secs = time.as_secs();
-        let key = (u128::from(secs_to_bits(secs)) << 64) | u128::from(seq);
+        let key = (u128::from(time.order_bits()) << 64) | u128::from(seq);
         let slot = if self.free == NIL {
             self.slab.push(Slot {
                 key,
@@ -284,7 +270,7 @@ impl<E> EventQueue<E> {
             slot.event = Some(event);
             i
         };
-        let bucket = bucket_of(secs);
+        let bucket = bucket_of(time);
         if self.near.is_empty() {
             // The queue is empty: any bucket may be the current one.
             self.current = bucket;
@@ -305,15 +291,13 @@ impl<E> EventQueue<E> {
         let event = slot.event.take().expect("a queued slot holds its event");
         slot.next = self.free;
         self.free = top.slot;
-        Some((SimTime::from_secs(key_secs(top.key)), event))
+        Some((key_time(top.key), event))
     }
 
     /// The time of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.near
-            .first()
-            .map(|top| SimTime::from_secs(key_secs(top.key)))
+        self.near.first().map(|top| key_time(top.key))
     }
 
     /// Number of pending events.
@@ -373,7 +357,7 @@ impl<E> EventQueue<E> {
                 self.current = i64::MAX;
                 while s != NIL {
                     let (entry, next) = self.listed(s);
-                    self.current = self.current.min(bucket_of(key_secs(entry.key)));
+                    self.current = self.current.min(bucket_of(key_time(entry.key)));
                     s = next;
                 }
                 self.redistribute();
@@ -403,7 +387,7 @@ impl<E> EventQueue<E> {
         self.overflow_len = 0;
         while s != NIL {
             let (entry, next) = self.listed(s);
-            self.file(bucket_of(key_secs(entry.key)), entry);
+            self.file(bucket_of(key_time(entry.key)), entry);
             s = next;
         }
     }

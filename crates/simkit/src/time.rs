@@ -77,8 +77,38 @@ impl SimTime {
             self
         }
     }
+
+    /// The time as a `u64` whose unsigned order is the time order: the
+    /// sign-flip bijection `f64::total_cmp` applies on every comparison,
+    /// hoisted so an ordered structure pays it once per key. `-0.0` is
+    /// first canonicalised to `+0.0` (`== 0.0` holds for both, so they
+    /// must share a key); otherwise the map is injective, and strictly
+    /// monotone: `a < b` ⇔ `a.order_bits() < b.order_bits()`.
+    #[inline]
+    #[must_use]
+    pub fn order_bits(self) -> u64 {
+        // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+        let b = (self.0 + 0.0).to_bits() as i64;
+        (b ^ (((b >> 63) as u64) >> 1) as i64) as u64 ^ (1 << 63)
+    }
+
+    /// Inverse of [`SimTime::order_bits`] (a key made from `-0.0` comes
+    /// back as `+0.0`): the conditional mantissa flip depends only on the
+    /// preserved sign bit, so undoing the sign toggle and re-applying the
+    /// flip recovers the bits exactly.
+    #[inline]
+    #[must_use]
+    pub fn from_order_bits(bits: u64) -> SimTime {
+        let m = (bits ^ (1 << 63)) as i64;
+        SimTime(f64::from_bits(
+            (m ^ (((m >> 63) as u64) >> 1) as i64) as u64,
+        ))
+    }
 }
 
+// The order is the hardware float compare: total because no `SimTime` is
+// NaN, and consistent with the derived `PartialEq` (`-0.0 == 0.0`), which
+// `f64::total_cmp` is not.
 impl Eq for SimTime {}
 
 impl PartialOrd for SimTime {
@@ -86,12 +116,38 @@ impl PartialOrd for SimTime {
     fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
         Some(self.cmp(other))
     }
+
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        self.0 < other.0
+    }
+
+    #[inline]
+    fn le(&self, other: &Self) -> bool {
+        self.0 <= other.0
+    }
+
+    #[inline]
+    fn gt(&self, other: &Self) -> bool {
+        self.0 > other.0
+    }
+
+    #[inline]
+    fn ge(&self, other: &Self) -> bool {
+        self.0 >= other.0
+    }
 }
 
 impl Ord for SimTime {
     #[inline]
     fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+        if self.0 < other.0 {
+            core::cmp::Ordering::Less
+        } else if self.0 > other.0 {
+            core::cmp::Ordering::Greater
+        } else {
+            core::cmp::Ordering::Equal
+        }
     }
 }
 
@@ -166,6 +222,43 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         let _ = SimTime::from_secs(f64::NAN);
+    }
+
+    #[test]
+    fn order_agrees_with_eq_and_order_bits() {
+        use core::cmp::Ordering;
+        let times: Vec<SimTime> = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::from_bits(1), // the smallest-magnitude negative subnormal
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0,
+            1e300,
+            f64::INFINITY,
+        ]
+        .into_iter()
+        .map(SimTime::from_secs)
+        .collect();
+        for &a in &times {
+            assert_eq!(SimTime::from_order_bits(a.order_bits()), a);
+            for &b in &times {
+                assert_eq!(a == b, a.cmp(&b) == Ordering::Equal, "{a:?} vs {b:?}");
+                assert_eq!(a.partial_cmp(&b), Some(a.cmp(&b)));
+                assert_eq!(a < b, a.cmp(&b) == Ordering::Less);
+                assert_eq!(a >= b, a.cmp(&b) != Ordering::Less);
+                assert_eq!(a.order_bits().cmp(&b.order_bits()), a.cmp(&b));
+            }
+        }
+        let (neg, pos) = (SimTime::from_secs(-0.0), SimTime::ZERO);
+        assert_eq!(neg, pos);
+        assert_eq!(neg.order_bits(), pos.order_bits());
+        assert!(SimTime::from_order_bits(neg.order_bits())
+            .as_secs()
+            .is_sign_positive());
     }
 
     #[test]
