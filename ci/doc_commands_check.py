@@ -8,8 +8,10 @@ code span of the files in DOCS and resolves its `-p PKG` (or
 `--manifest-path`, or neither: the root package) and each `--bin`,
 `--bench`, `--example` or `--test` target against the manifests and the
 directories cargo auto-discovers targets from; every `python3 ci/X.py`
-quoted the same way must name a script that exists. Exits 1 listing every
-command whose package, target or script is missing. Standard library only.
+quoted the same way must name a script that exists, and every figure name
+(`fig…`) in a quoted `repro …` command must be one `figure_ids!` declares
+in FIGURES. Exits 1 listing every command whose package, target, script or
+figure is missing. Standard library only.
 """
 import glob
 import os
@@ -33,6 +35,9 @@ KINDS = {
 }
 CARGO = re.compile(r'\bcargo\s+(?:run|bench|test)\b[^`]*')
 SCRIPT = re.compile(r'\bpython3\s+(ci/\S+\.py)')
+REPRO = re.compile(r'\brepro\s[^`]*')
+FIGURE = re.compile(r'fig[a-z0-9]+')
+FIGURES = 'crates/experiments/src/figures.rs'
 # Where cargo's own arguments end: the program's arguments or the shell's.
 END = {'--', '#', '|', '||', '&&', ';', '>', '2>&1'}
 
@@ -67,6 +72,24 @@ def workspace(root):
                 name, targets = package(directory)
                 packages[name] = targets
     return packages, root_name
+
+
+def figure_names(root):
+    """The names the `figure_ids!` list in FIGURES declares."""
+    with open(os.path.join(root, FIGURES)) as f:
+        text = f.read()
+    block = text[text.index('figure_ids! {'):]
+    return set(re.findall(r'=\s*"(\w+)"', block[:block.index('\n}')]))
+
+
+def unknown_figures(figures, command):
+    """The `fig…` words of a `repro …` command that name no figure."""
+    words = []
+    for word in command.split():
+        if word in END - {'--'}:
+            break
+        words.append(word)
+    return [w for w in words if FIGURE.fullmatch(w) and w not in figures]
 
 
 def commands(text, pattern=CARGO):
@@ -127,6 +150,7 @@ def check(root, packages, root_name, command):
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else '.'
     packages, root_name = workspace(root)
+    figures = figure_names(root)
     failures = checked = 0
     for doc in DOCS:
         with open(os.path.join(root, doc)) as f:
@@ -144,6 +168,13 @@ def main():
                 failures += 1
                 line = text.count('\n', 0, offset) + 1
                 print(f'{doc}:{line}: no script {script}: {command}')
+        for offset, command in sorted(set(commands(text, REPRO))):
+            checked += 1
+            line = text.count('\n', 0, offset) + 1
+            for name in unknown_figures(figures, command):
+                failures += 1
+                print(f'{doc}:{line}: no figure `{name}` in {FIGURES}: '
+                      f'{" ".join(command.split())}')
     print(f'doc_commands_check: {checked} command(s) in {len(DOCS)} '
           f'file(s), {failures} unresolved')
     return 1 if failures else 0

@@ -2,15 +2,11 @@
 //!
 //! The simulator and the live ingest path are timed in one place, the
 //! `benchmark/` package at the repository root (README.md, "Benchmark").
-//! Two things remain here until it grows the workloads that replace them:
-//!
-//! * [`live_perf`] and the `durability_harness` / `shard_harness` binaries
-//!   under `src/bin/`, which write `BENCH_7.json` (fsync cadence) and
-//!   `BENCH_8.json` (stripe scaling).
-//! * `benches/ablation` and `benches/ext_*` — `harness = false` sweeps of
-//!   the model ablations and extensions whose tables EXPERIMENTS.md quotes.
-//!   They print results, they time nothing. The paper's own figures and
-//!   tables come from the `repro` binary.
+//! What remains here waits for it to grow the fsync-cadence and
+//! stripe-scaling workloads: [`live_perf`] and the `durability_harness` /
+//! `shard_harness` binaries under `src/bin/`, which write `BENCH_7.json`
+//! and `BENCH_8.json`. Every simulator experiment, the paper's and the
+//! extensions alike, is a figure of the `repro` binary.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

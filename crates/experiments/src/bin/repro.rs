@@ -159,9 +159,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if figures.is_empty() && trace_targets.is_empty() && report_policies.is_empty() {
         return Err(usage());
     }
-    figures.dedup();
-    trace_targets.dedup();
-    report_policies.dedup();
+    first_mentions(&mut figures);
+    first_mentions(&mut trace_targets);
+    first_mentions(&mut report_policies);
     Ok(Args {
         figures,
         trace_targets,
@@ -172,6 +172,18 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         checkpoint_dir,
         trace_dir,
     })
+}
+
+/// Keeps the first mention of each name, in order: a name repeated
+/// anywhere on the command line runs once.
+fn first_mentions<T: PartialEq>(names: &mut Vec<T>) {
+    let mut kept = Vec::with_capacity(names.len());
+    for name in names.drain(..) {
+        if !kept.contains(&name) {
+            kept.push(name);
+        }
+    }
+    *names = kept;
 }
 
 /// Runs the `repro report` subcommand: one paper-baseline run per policy,
@@ -357,6 +369,23 @@ mod tests {
         assert!(parse(&["fig06", "--seconds", "-3"]).is_err());
         assert!(parse(&["fig06", "--seconds"]).is_err());
         assert!(parse(&[]).is_err());
+    }
+
+    #[test]
+    fn a_repeated_name_runs_once_in_first_mention_order() {
+        let a = parse(&["fig08", "fig07", "fig08"]).unwrap();
+        assert_eq!(a.figures, [FigureId::Fig08, FigureId::Fig07]);
+        let a = parse(&["fig04", "all"]).unwrap();
+        assert_eq!(a.figures.len(), FigureId::ALL.len());
+        assert_eq!(a.figures[0], FigureId::Fig04);
+        let a = parse(&["report", "od", "tf", "od"]).unwrap();
+        assert_eq!(
+            a.report_policies,
+            [Policy::OnDemand, Policy::TransactionsFirst]
+        );
+        let a = parse(&["trace", "fig06", "telecom", "fig06"]).unwrap();
+        let names: Vec<&str> = a.trace_targets.iter().map(TraceTarget::name).collect();
+        assert_eq!(names, ["fig06", "telecom"]);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Reproduction of every figure in the paper's evaluation (§6).
+//! Reproduction of every figure in the paper's evaluation (§6), and of the
+//! experiments it leaves open (figX1–figX4).
 //!
 //! The evaluation has one shape — a metric against one swept parameter, one
 //! curve per algorithm — so every experiment is declared once, as data. A
@@ -13,10 +14,12 @@ use std::collections::BTreeMap;
 use std::str::FromStr;
 
 use strip_core::config::{
-    DagSpec, DisturbanceSpec, Policy, QueuePolicy, ShedPolicy, SimConfig, SimConfigBuilder,
+    BurstSpec, DagSpec, DisturbanceSpec, HistoryAccess, IoModel, Policy, QueuePolicy, ShedPolicy,
+    SimConfig, SimConfigBuilder, TriggerConfig, UpdateMode,
 };
-use strip_core::report::RunReport;
+use strip_core::report::{RunReport, TimelineWindow};
 use strip_db::cost::CostModel;
+use strip_db::history::HistoryPolicy;
 use strip_db::staleness::StalenessSpec;
 use strip_sim::stats::Welford;
 
@@ -48,6 +51,32 @@ pub const PVIEW_GRID: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
 pub const OUTAGE_GRID: [f64; 5] = [0.0, 2.0, 5.0, 10.0, 20.0];
 /// DAG depths swept by the figD1 derived-view experiment (extension).
 pub const DAG_DEPTH_GRID: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 6.0];
+/// A switch, off then on (figX1, figX2).
+pub const ON_OFF: [f64; 2] = [0.0, 1.0];
+/// A three-way categorical knob, by index; the sweep's x label names each.
+pub const THREE_WAY: [f64; 3] = [0.0, 1.0, 2.0];
+/// CPU fractions reserved for updates (figX1a–b).
+pub const FX_GRID: [f64; 5] = [0.05, 0.1, 0.19, 0.3, 0.5];
+/// Probabilities that an update is partial (figX2c–d).
+pub const P_PARTIAL_GRID: [f64; 3] = [0.0, 0.5, 1.0];
+/// History retention in seconds (figX3a–c).
+pub const RETENTION_GRID: [f64; 4] = [5.0, 15.0, 30.0, 60.0];
+/// Numbers of update-triggered rules (figX3d–f).
+pub const N_RULES_GRID: [f64; 2] = [0.0, 1_000.0];
+/// Buffer-pool hit ratios (figX3g); 1 is the paper's main-memory database.
+pub const HIT_RATIO_GRID: [f64; 4] = [1.0, 0.95, 0.9, 0.8];
+/// Width of figX4's timeline windows, seconds.
+const WINDOW_SECS: f64 = 20.0;
+/// figX4's window starts: 0, 20, …, 980 s, the windows of a 1000 s run.
+pub const WINDOW_GRID: [f64; 50] = {
+    let mut starts = [0.0; 50];
+    let mut i = 0;
+    while i < starts.len() {
+        starts[i] = WINDOW_SECS * i as f64;
+        i += 1;
+    }
+    starts
+};
 
 /// Emits [`FigureId`], [`FigureId::ALL`] and [`FigureId::name`] from one
 /// `Variant = "name"` list, in paper order.
@@ -113,6 +142,18 @@ figure_ids! {
     /// Derived-view DAG experiment (extension): delta-propagation lag,
     /// derived staleness and on-demand refresh load vs DAG depth.
     FigD1 = "figd1",
+    /// Ablations (extension, λt = 15): a fixed update fraction, the indexed
+    /// queue, the split queue, transaction preemption, feasible deadlines.
+    FigX1 = "figx1",
+    /// Update-stream properties (extension, λt = 10): periodic and partial
+    /// updates, install order under skewed reads, the staleness criterion.
+    FigX2 = "figx2",
+    /// Services (extension, λt = 10): history retention, triggered rules,
+    /// a disk-resident buffer pool.
+    FigX3 = "figx3",
+    /// Transient overload (extension): per-window psuccess through a 4×
+    /// transaction burst.
+    FigX4 = "figx4",
 }
 
 impl FigureId {
@@ -402,6 +443,160 @@ sweeps! {
                 .uq_max(250)
         },
     };
+    /// figX1a–b (paper §7): updates get the CPU while their share is below x.
+    FIXED_FRACTION = Sweep {
+        key: "fixed_fraction",
+        x_label: "update_fraction",
+        xs: &FX_GRID,
+        curves: || vec![Curve::Algorithm(Policy::FixedFraction { fraction: 0.0 })],
+        trace_x: 0.19,
+        build: |base, _, fraction| base.lambda_t(15.0).policy(Policy::FixedFraction { fraction }),
+    };
+    /// figX1c–d (paper §4.4): the hash-indexed queue at Figure 8's heaviest scans.
+    INDEXED_QUEUE = Sweep {
+        key: "indexed_queue",
+        x_label: "indexed (0 off, 1 on)",
+        xs: &ON_OFF,
+        curves: algorithms,
+        trace_x: 0.0,
+        build: |base, s, on| {
+            (XSCAN.build)(base, s, 10_000.0).lambda_t(15.0).indexed_queue(on > 0.0)
+        },
+    };
+    /// figX1e (paper §4.2 "future study"): high-importance updates install first.
+    SPLIT_QUEUE = Sweep {
+        key: "split_queue",
+        x_label: "split (0 off, 1 on)",
+        xs: &ON_OFF,
+        curves: algorithms,
+        trace_x: 1.0,
+        build: |base, _, on| base.lambda_t(15.0).split_update_queue(on > 0.0),
+    };
+    /// figX1f: the split queue on a stream whose high share fits TF's spare CPU.
+    SPLIT_QUEUE_SKEWED = Sweep {
+        key: "split_queue_skewed",
+        x_label: "split (0 off, 1 on)",
+        xs: &ON_OFF,
+        curves: algorithms,
+        trace_x: 1.0,
+        build: |base, _, on| {
+            base.lambda_t(10.0).p_update_low(0.8).n_high(200).split_update_queue(on > 0.0)
+        },
+    };
+    /// figX1g–h: value-density preemption between transactions.
+    TXN_PREEMPTION = Sweep {
+        key: "txn_preemption",
+        x_label: "preemption (0 off, 1 on)",
+        xs: &ON_OFF,
+        curves: algorithms,
+        trace_x: 1.0,
+        build: |base, _, on| base.lambda_t(15.0).txn_preemption(on > 0.0),
+    };
+    /// figX1i–k: the paper's feasible-deadline scheduling, off and on.
+    FEASIBLE_DEADLINE = Sweep {
+        key: "feasible_deadline",
+        x_label: "feasible_dl (0 off, 1 on)",
+        xs: &ON_OFF,
+        curves: algorithms,
+        trace_x: 0.0,
+        build: |base, _, on| base.lambda_t(15.0).feasible_deadline(on > 0.0),
+    };
+    /// figX2a–b (paper §2/§7): every object re-reported each 2.5 s (< α), ±5%.
+    PERIODIC = Sweep {
+        key: "periodic",
+        x_label: "periodic (0 off, 1 on)",
+        xs: &ON_OFF,
+        curves: algorithms,
+        trace_x: 1.0,
+        build: |base, _, on| {
+            let mode = [UpdateMode::Aperiodic, UpdateMode::Periodic { jitter_frac: 0.1 }];
+            base.lambda_t(10.0).update_mode(mode[on as usize])
+        },
+    };
+    /// figX2c–d (paper §2/§7): four attributes per object; a partial update sets one.
+    PARTIAL_UPDATES = Sweep {
+        key: "partial_updates",
+        x_label: "p_partial",
+        xs: &P_PARTIAL_GRID,
+        curves: algorithms,
+        trace_x: 1.0,
+        build: |base, _, p| base.lambda_t(10.0).attrs_per_object(4).p_partial_update(p),
+    };
+    /// figX2e (generalising §3.2): install order under Zipf(1.0) reads.
+    INSTALL_ORDER = Sweep {
+        key: "install_order",
+        x_label: "order (0 FIFO, 1 LIFO, 2 HotFirst)",
+        xs: &THREE_WAY,
+        curves: algorithms,
+        trace_x: 2.0,
+        build: |base, _, i| {
+            let order = [QueuePolicy::Fifo, QueuePolicy::Lifo, QueuePolicy::HotFirst];
+            base.lambda_t(10.0).read_skew(1.0).queue_policy(order[i as usize])
+        },
+    };
+    /// figX2f (paper §2): stale under MA, under UU, or under either.
+    STALENESS_CRITERION = Sweep {
+        key: "staleness_criterion",
+        x_label: "criterion (0 MA, 1 UU, 2 Either)",
+        xs: &THREE_WAY,
+        curves: algorithms,
+        trace_x: 2.0,
+        build: |base, _, i| {
+            use StalenessSpec::{Either, MaxAge, UnappliedUpdate};
+            let criterion = [MaxAge { alpha: 7.0 }, UnappliedUpdate, Either { alpha: 7.0 }];
+            base.lambda_t(10.0).staleness(criterion[i as usize])
+        },
+    };
+    /// figX3a–c (paper §2/§7): 20% of reads as-of an instant up to 30 s back.
+    HISTORY_RETENTION = Sweep {
+        key: "history_retention",
+        x_label: "retention_secs",
+        xs: &RETENTION_GRID,
+        curves: algorithms,
+        trace_x: 15.0,
+        build: |base, _, retention_secs| {
+            let policy = HistoryPolicy { retention_secs, max_entries_per_object: 1024 };
+            let access = HistoryAccess { policy, ..HistoryAccess::default() };
+            base.lambda_t(10.0).history(Some(access))
+        },
+    };
+    /// figX3d–f (paper §7): rules of four sources, 10k instructions per run.
+    TRIGGER_RULES = Sweep {
+        key: "trigger_rules",
+        x_label: "n_rules",
+        xs: &N_RULES_GRID,
+        curves: algorithms,
+        trace_x: 1_000.0,
+        build: |base, _, n| {
+            let rules = TriggerConfig { n_rules: n as u32, ..TriggerConfig::default() };
+            base.lambda_t(10.0).triggers((n > 0.0).then_some(rules))
+        },
+    };
+    /// figX3g (paper §7): a buffer pool charging ≈ 2 ms per miss.
+    HIT_RATIO = Sweep {
+        key: "hit_ratio",
+        x_label: "hit_ratio",
+        xs: &HIT_RATIO_GRID,
+        curves: algorithms,
+        trace_x: 0.8,
+        build: |base, _, hit_ratio| {
+            let io = IoModel { hit_ratio, ..IoModel::default() };
+            base.lambda_t(10.0).io((hit_ratio < 1.0).then_some(io))
+        },
+    };
+    /// figX4 (§6's overload, dynamic): x is a window; a curve's windows share a run.
+    TRANSIENT_BURST = Sweep {
+        key: "transient_burst",
+        x_label: "t_start",
+        xs: &WINDOW_GRID,
+        curves: algorithms,
+        trace_x: 300.0,
+        build: |base, settings, _| {
+            let from = 0.3 * settings.duration;
+            let burst = BurstSpec { from, until: from + 100.0, factor: 4.0 };
+            base.lambda_t(6.0).lambda_t_burst(Some(burst)).timeline_window(Some(WINDOW_SECS))
+        },
+    };
 }
 
 /// One plotted panel: a metric of every point of a sweep.
@@ -423,12 +618,13 @@ pub struct Panel {
     pub metric: Metric,
 }
 
-/// A scalar read off one run's report.
-pub type Metric = fn(&RunReport) -> f64;
+/// A scalar read off one run's report at the point's x. NaN means the run
+/// has no such point (a window it never reached), and the panel omits it.
+pub type Metric = fn(&RunReport, f64) -> f64;
 
 /// Every panel of every figure, in paper order. A panel with an `over`
 /// sweep plots the ratio of the two sweeps' replica means.
-pub static PANELS: [Panel; 32] = [
+pub static PANELS: [Panel; 57] = [
     Panel {
         id: "fig03a",
         title: "CPU fraction spent on transactions vs λt",
@@ -436,7 +632,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "all rise toward saturation; TF/OD highest, UF lowest",
         sweep: &BASELINE_LT,
         over: None,
-        metric: |r| r.cpu.rho_t(),
+        metric: |r, _| r.cpu.rho_t(),
     },
     Panel {
         id: "fig03b",
@@ -445,7 +641,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "UF flat at ~0.19; TF/OD fall toward 0; SU between; OD slightly above TF",
         sweep: &BASELINE_LT,
         over: None,
-        metric: |r| r.cpu.rho_u(),
+        metric: |r, _| r.cpu.rho_u(),
     },
     Panel {
         id: "fig04a",
@@ -454,7 +650,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "increasing; TF/OD lowest, UF highest, SU between",
         sweep: &BASELINE_LT,
         over: None,
-        metric: |r| r.txns.p_md(),
+        metric: |r, _| r.txns.p_md(),
     },
     Panel {
         id: "fig04b",
@@ -463,7 +659,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "increasing with load; TF/OD highest, UF lowest",
         sweep: &BASELINE_LT,
         over: None,
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig05a",
@@ -472,7 +668,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "UF flat <10%; TF/OD approach 1 under load; SU tracks TF",
         sweep: &BASELINE_LT,
         over: None,
-        metric: |r| r.fold_low,
+        metric: |r, _| r.fold_low,
     },
     Panel {
         id: "fig05b",
@@ -481,7 +677,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "UF and SU flat <10%; TF/OD approach 1; OD slightly below TF",
         sweep: &BASELINE_LT,
         over: None,
-        metric: |r| r.fold_high,
+        metric: |r, _| r.fold_high,
     },
     Panel {
         id: "fig06a",
@@ -490,7 +686,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "decreasing; OD best over entire range, TF worst, UF/SU between",
         sweep: &BASELINE_LT,
         over: None,
-        metric: |r| r.txns.p_success(),
+        metric: |r, _| r.txns.p_success(),
     },
     Panel {
         id: "fig06b",
@@ -499,7 +695,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "OD and UF high; TF low; SU dips then recovers toward UF",
         sweep: &BASELINE_LT,
         over: None,
-        metric: |r| r.txns.p_suc_nontardy(),
+        metric: |r, _| r.txns.p_suc_nontardy(),
     },
     Panel {
         id: "fig07a",
@@ -508,7 +704,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "UF and SU drop sharply as installs get heavier; TF/OD insensitive",
         sweep: &XUPDATE,
         over: None,
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig07b",
@@ -517,7 +713,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "queue-using algorithms degrade slowly; modest in the <1000 range",
         sweep: &XQUEUE,
         over: None,
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig08",
@@ -526,7 +722,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "OD degrades most (it scans on stale reads) but stays competitive",
         sweep: &XSCAN,
         over: None,
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig09a",
@@ -535,7 +731,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "OD rises (fresher data at same value); TF falls; UF/SU between",
         sweep: &LAMBDA_U,
         over: None,
-        metric: |r| r.txns.p_success(),
+        metric: |r, _| r.txns.p_success(),
     },
     Panel {
         id: "fig09b",
@@ -544,7 +740,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "TF/OD flat; UF and SU return less value as the stream grows",
         sweep: &LAMBDA_U,
         over: None,
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig10a",
@@ -553,7 +749,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "small α hurts every algorithm; TF/OD recover fastest as α grows",
         sweep: &ALPHA,
         over: None,
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig10b",
@@ -562,7 +758,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "nearly flat: the ratio α/(Nl+Nh) drives performance, not α itself",
         sweep: &ALPHA_SCALED,
         over: None,
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig11a",
@@ -571,7 +767,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "≥1 for queue-using algorithms (FIFO leaves data staler); UF ≈ 1",
         sweep: &BASELINE_LT,
         over: Some(&LIFO_LT),
-        metric: |r| r.fold_low,
+        metric: |r, _| r.fold_low,
     },
     Panel {
         id: "fig11b",
@@ -580,7 +776,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "≤1 for TF especially (FIFO installs nearly-expired updates first)",
         sweep: &BASELINE_LT,
         over: Some(&LIFO_LT),
-        metric: |r| r.txns.p_success(),
+        metric: |r, _| r.txns.p_success(),
     },
     Panel {
         id: "fig12a",
@@ -589,7 +785,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "TF drops to <20% stale (aborts free time for updates); UF/SU stay fresh",
         sweep: &ABORT_LT,
         over: None,
-        metric: |r| r.fold_high,
+        metric: |r, _| r.fold_high,
     },
     Panel {
         id: "fig12b",
@@ -598,7 +794,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "TF well below 1 (much fresher with aborts); UF ≈ 1",
         sweep: &ABORT_LT,
         over: Some(&BASELINE_LT),
-        metric: |r| r.fold_high,
+        metric: |r, _| r.fold_high,
     },
     Panel {
         id: "fig13a",
@@ -607,7 +803,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "OD clear winner; SU beats both TF and UF",
         sweep: &ABORT_LT,
         over: None,
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig13b",
@@ -616,7 +812,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "TF hurt the most by aborts; OD close to 1",
         sweep: &ABORT_LT,
         over: Some(&BASELINE_LT),
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig14",
@@ -625,7 +821,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "OD first by 10–15 points over UF; TF second thanks to fresher data",
         sweep: &ABORT_LT,
         over: None,
-        metric: |r| r.txns.p_success(),
+        metric: |r, _| r.txns.p_success(),
     },
     Panel {
         id: "fig15a",
@@ -634,7 +830,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "all decrease as reads move later; SU and TF worst",
         sweep: &PVIEW,
         over: None,
-        metric: RunReport::av,
+        metric: |r, _| r.av(),
     },
     Panel {
         id: "fig15b",
@@ -643,7 +839,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "SU and TF read stale most often; OD least",
         sweep: &PVIEW,
         over: None,
-        metric: |r| r.txns.stale_read_fraction(),
+        metric: |r, _| r.txns.stale_read_fraction(),
     },
     Panel {
         id: "fig16",
@@ -652,7 +848,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "same ranking as MA: OD, UF, SU, TF from best to worst",
         sweep: &UU_LT,
         over: None,
-        metric: |r| r.txns.p_success(),
+        metric: |r, _| r.txns.p_success(),
     },
     Panel {
         id: "figr1a",
@@ -661,7 +857,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "grows with the outage for every algorithm; UF recovers fastest",
         sweep: &RESILIENCE_OUTAGE,
         over: None,
-        metric: |r| r.fold_high,
+        metric: |r, _| r.fold_high,
     },
     Panel {
         id: "figr1b",
@@ -670,7 +866,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "catch-up flood steals CPU: pMD rises most for UF/SU",
         sweep: &RESILIENCE_OUTAGE,
         over: None,
-        metric: |r| r.txns.p_md(),
+        metric: |r, _| r.txns.p_md(),
     },
     Panel {
         id: "figr1c",
@@ -680,7 +876,7 @@ pub static PANELS: [Panel; 32] = [
          or not recovered by the horizon",
         sweep: &RESILIENCE_OUTAGE,
         over: None,
-        metric: |r| r.resilience.recovery_secs.unwrap_or(0.0),
+        metric: |r, _| r.resilience.recovery_secs.unwrap_or(0.0),
     },
     Panel {
         id: "figr1d",
@@ -689,7 +885,7 @@ pub static PANELS: [Panel; 32] = [
         expect: "drop-low-imp keeps high-importance data freshest through the flood",
         sweep: &RESILIENCE_SHED,
         over: None,
-        metric: |r| r.fold_high,
+        metric: |r, _| r.fold_high,
     },
     Panel {
         id: "figd1a",
@@ -701,7 +897,7 @@ pub static PANELS: [Panel; 32] = [
          each refresh quiesces a whole ancestor cone",
         sweep: &DAG_DEPTH,
         over: None,
-        metric: |r| r.dag.fold_derived,
+        metric: |r, _| r.dag.fold_derived,
     },
     Panel {
         id: "figd1b",
@@ -713,7 +909,7 @@ pub static PANELS: [Panel; 32] = [
          under load that almost nothing ever enqueues",
         sweep: &DAG_DEPTH,
         over: None,
-        metric: |r| r.dag.lag_mean,
+        metric: |r, _| r.dag.lag_mean,
     },
     Panel {
         id: "figd1c",
@@ -724,7 +920,235 @@ pub static PANELS: [Panel; 32] = [
          longer ancestor cone",
         sweep: &DAG_DEPTH,
         over: None,
-        metric: |r| r.dag.od_refreshes as f64,
+        metric: |r, _| r.dag.od_refreshes as f64,
+    },
+    Panel {
+        id: "figx1a",
+        title: "fold_h vs CPU fraction reserved for updates (FX, λt = 15)",
+        y_label: "fold_h",
+        expect: "a sharp freshness transition near the stream's own demand (0.19)",
+        sweep: &FIXED_FRACTION,
+        over: None,
+        metric: |r, _| r.fold_high,
+    },
+    Panel {
+        id: "figx1b",
+        title: "psuccess vs CPU fraction reserved for updates (FX, λt = 15)",
+        y_label: "psuccess",
+        expect: "below OD's psuccess at λt = 15 (fig06a): it refreshes unread data",
+        sweep: &FIXED_FRACTION,
+        over: None,
+        metric: |r, _| r.txns.p_success(),
+    },
+    Panel {
+        id: "figx1c",
+        title: "AV with and without the indexed update queue (x_scan = 10 000)",
+        y_label: "AV",
+        expect: "OD collapses on linear scans and the index restores it; others flat",
+        sweep: &INDEXED_QUEUE,
+        over: None,
+        metric: |r, _| r.av(),
+    },
+    Panel {
+        id: "figx1d",
+        title: "Peak update-queue length with and without the index (x_scan = 10 000)",
+        y_label: "max_uq_len",
+        expect: "the index keeps at most one update per object and bounds the queue",
+        sweep: &INDEXED_QUEUE,
+        over: None,
+        metric: |r, _| r.updates.max_uq_len as f64,
+    },
+    Panel {
+        id: "figx1e",
+        title: "fold_h with and without a split update queue (λt = 15)",
+        y_label: "fold_h",
+        expect: "barely moves: TF has almost no install slots left to allocate",
+        sweep: &SPLIT_QUEUE,
+        over: None,
+        metric: |r, _| r.fold_high,
+    },
+    Panel {
+        id: "figx1f",
+        title: "fold_h with and without a split queue (p_ul = 0.8, N_h = 200, λt = 10)",
+        y_label: "fold_h",
+        expect: "TF recovers SU-like high-importance freshness without SU's preemptions",
+        sweep: &SPLIT_QUEUE_SKEWED,
+        over: None,
+        metric: |r, _| r.fold_high,
+    },
+    Panel {
+        id: "figx1g",
+        title: "Mean response time with and without transaction preemption (λt = 15)",
+        y_label: "response_mean (s)",
+        expect: "value-density preemption shortens the mean response",
+        sweep: &TXN_PREEMPTION,
+        over: None,
+        metric: |r, _| r.txns.response_mean,
+    },
+    Panel {
+        id: "figx1h",
+        title: "AV with and without transaction preemption (λt = 15)",
+        y_label: "AV",
+        expect: "a marginal gain at most",
+        sweep: &TXN_PREEMPTION,
+        over: None,
+        metric: |r, _| r.av(),
+    },
+    Panel {
+        id: "figx1i",
+        title: "Infeasible-deadline aborts with feasible-deadline scheduling off/on (λt = 15)",
+        y_label: "aborted_infeasible",
+        expect: "zero when off; on, doomed transactions are aborted early",
+        sweep: &FEASIBLE_DEADLINE,
+        over: None,
+        metric: |r, _| r.txns.aborted_infeasible as f64,
+    },
+    Panel {
+        id: "figx1j",
+        title: "Deadline-watchdog aborts with feasible-deadline scheduling off/on (λt = 15)",
+        y_label: "missed_deadline",
+        expect: "off, the early aborts become watchdog aborts",
+        sweep: &FEASIBLE_DEADLINE,
+        over: None,
+        metric: |r, _| r.txns.missed_deadline as f64,
+    },
+    Panel {
+        id: "figx1k",
+        title: "AV with feasible-deadline scheduling off/on (λt = 15)",
+        y_label: "AV",
+        expect: "on returns more value: less CPU is spent on doomed transactions",
+        sweep: &FEASIBLE_DEADLINE,
+        over: None,
+        metric: |r, _| r.av(),
+    },
+    Panel {
+        id: "figx2a",
+        title: "fold_l under aperiodic and periodic updates (λt = 10)",
+        y_label: "fold_l",
+        expect: "refreshed every 2.5 s < α, UF is never stale, the others by neglect",
+        sweep: &PERIODIC,
+        over: None,
+        metric: |r, _| r.fold_low,
+    },
+    Panel {
+        id: "figx2b",
+        title: "psuccess under aperiodic and periodic updates (λt = 10)",
+        y_label: "psuccess",
+        expect: "every algorithm gains several points",
+        sweep: &PERIODIC,
+        over: None,
+        metric: |r, _| r.txns.p_success(),
+    },
+    Panel {
+        id: "figx2c",
+        title: "fold_l vs fraction of partial updates (4 attributes, λt = 10)",
+        y_label: "fold_l",
+        expect: "rises steeply: MA follows the oldest of the four attributes",
+        sweep: &PARTIAL_UPDATES,
+        over: None,
+        metric: |r, _| r.fold_low,
+    },
+    Panel {
+        id: "figx2d",
+        title: "rho_u vs fraction of partial updates (4 attributes, λt = 10)",
+        y_label: "rho_u",
+        expect: "falls: partial installs write a quarter of an object",
+        sweep: &PARTIAL_UPDATES,
+        over: None,
+        metric: |r, _| r.cpu.rho_u(),
+    },
+    Panel {
+        id: "figx2e",
+        title: "psuccess vs install order under Zipf(1.0) reads (λt = 10)",
+        y_label: "psuccess",
+        expect: "TF: HotFirst above LIFO above FIFO, most of the way to OD",
+        sweep: &INSTALL_ORDER,
+        over: None,
+        metric: |r, _| r.txns.p_success(),
+    },
+    Panel {
+        id: "figx2f",
+        title: "psuccess vs staleness criterion (λt = 10)",
+        y_label: "psuccess",
+        expect: "Either is at most the smaller of MA and UU",
+        sweep: &STALENESS_CRITERION,
+        over: None,
+        metric: |r, _| r.txns.p_success(),
+    },
+    Panel {
+        id: "figx3a",
+        title: "As-of read miss fraction vs history retention (λt = 10)",
+        y_label: "miss fraction",
+        expect: "falls as retention covers the 30 s lag range",
+        sweep: &HISTORY_RETENTION,
+        over: None,
+        metric: |r, _| r.history.miss_fraction(),
+    },
+    Panel {
+        id: "figx3b",
+        title: "Retained versions at the end vs history retention (λt = 10)",
+        y_label: "entries_at_end",
+        expect: "memory grows with retention",
+        sweep: &HISTORY_RETENTION,
+        over: None,
+        metric: |r, _| r.history.entries_at_end as f64,
+    },
+    Panel {
+        id: "figx3c",
+        title: "AV vs history retention (λt = 10)",
+        y_label: "AV",
+        expect: "flat: an as-of read costs one lookup",
+        sweep: &HISTORY_RETENTION,
+        over: None,
+        metric: |r, _| r.av(),
+    },
+    Panel {
+        id: "figx3d",
+        title: "Rule firings vs number of rules (λt = 10)",
+        y_label: "fired",
+        expect: "proportional to each algorithm's install rate",
+        sweep: &TRIGGER_RULES,
+        over: None,
+        metric: |r, _| r.triggers.fired as f64,
+    },
+    Panel {
+        id: "figx3e",
+        title: "Rule executions vs number of rules (λt = 10)",
+        y_label: "executed",
+        expect: "rules are update-side work: UF executes them, TF/OD starve them",
+        sweep: &TRIGGER_RULES,
+        over: None,
+        metric: |r, _| r.triggers.executed as f64,
+    },
+    Panel {
+        id: "figx3f",
+        title: "Mean rule execution lag vs number of rules (λt = 10)",
+        y_label: "lag_mean (s)",
+        expect: "seconds under UF",
+        sweep: &TRIGGER_RULES,
+        over: None,
+        metric: |r, _| r.triggers.lag_mean,
+    },
+    Panel {
+        id: "figx3g",
+        title: "AV vs buffer-pool hit ratio (≈ 2 ms per miss, λt = 10)",
+        y_label: "AV",
+        expect: "UF falls with the miss rate (it installs every update); OD barely moves",
+        sweep: &HIT_RATIO,
+        over: None,
+        metric: |r, _| r.av(),
+    },
+    Panel {
+        id: "figx4",
+        title: "psuccess per 20 s window through a 4× transaction burst at 30% of the run",
+        y_label: "psuccess",
+        expect: "all collapse in the burst; after it TF recovers last, as its backlog drains",
+        sweep: &TRANSIENT_BURST,
+        over: None,
+        metric: |r, t| {
+            let window = r.timeline.get((t / WINDOW_SECS) as usize);
+            window.map_or(f64::NAN, TimelineWindow::p_success)
+        },
     },
 ];
 
@@ -788,36 +1212,46 @@ impl Campaign {
         id.panels().map(|panel| self.assemble(panel)).collect()
     }
 
-    /// The replica sets of `sweep`, simulated on first use.
+    /// The replica sets of `sweep`, simulated on first use. Each distinct
+    /// configuration runs once: points that build the same one (figX4's
+    /// windows of a curve) share its run.
     fn sweep(&mut self, sweep: &'static Sweep) -> &[Vec<RunReport>] {
         if !self.cache.contains_key(sweep.key) {
-            let configs = sweep
+            let mut distinct: Vec<SimConfig> = Vec::new();
+            let runs: Vec<usize> = sweep
                 .points()
-                .map(|(curve, x)| sweep.config(&self.settings, curve, x))
+                .map(|(curve, x)| {
+                    let cfg = sweep.config(&self.settings, curve, x);
+                    distinct.iter().position(|d| *d == cfg).unwrap_or_else(|| {
+                        distinct.push(cfg);
+                        distinct.len() - 1
+                    })
+                })
                 .collect();
             let outcome = self
                 .runner
-                .run_replicated(&self.settings, sweep.key, configs);
+                .run_replicated(&self.settings, sweep.key, distinct);
             self.failures.extend(outcome.failures);
             self.resumed += outcome.resumed;
-            self.cache.insert(sweep.key, outcome.replica_sets);
+            let sets = runs.iter().map(|&i| outcome.replica_sets[i].clone());
+            self.cache.insert(sweep.key, sets.collect());
         }
         &self.cache[sweep.key]
     }
 
     /// `metric` at every point of `sweep`, accumulated over the replicas.
     fn stats(&mut self, sweep: &'static Sweep, metric: Metric) -> Vec<(Curve, f64, Welford)> {
-        let per_point = self.sweep(sweep).iter().map(|replicas| {
-            let mut stats = Welford::new();
-            for report in replicas {
-                stats.push(metric(report));
-            }
-            stats
-        });
+        let per_point = self.sweep(sweep);
         sweep
             .points()
             .zip(per_point)
-            .map(|((curve, x), stats)| (curve, x, stats))
+            .map(|((curve, x), replicas)| {
+                let mut stats = Welford::new();
+                for report in replicas {
+                    stats.push(metric(report, x));
+                }
+                (curve, x, stats)
+            })
             .collect()
     }
 
@@ -825,7 +1259,8 @@ impl Campaign {
     /// metric, with its standard deviation when the sweep is replicated.
     /// A ratio panel divides by the mean at the same curve and x of its
     /// `over` sweep, skips points where that is zero or missing, and has no
-    /// spread (a quotient of means has no per-replica deviation).
+    /// spread (a quotient of means has no per-replica deviation). A point
+    /// whose mean is NaN is omitted.
     fn assemble(&mut self, panel: &Panel) -> Figure {
         let numer = self.stats(panel.sweep, panel.metric);
         let denom = panel.over.map(|over| self.stats(over, panel.metric));
@@ -833,7 +1268,9 @@ impl Campaign {
         let series = (panel.sweep.curves)()
             .into_iter()
             .map(|curve| {
-                let own = numer.iter().filter(|(c, _, _)| *c == curve);
+                let own = numer
+                    .iter()
+                    .filter(|(c, _, n)| *c == curve && !n.mean().is_nan());
                 let points = own.clone().filter_map(|(_, x, n)| match &denom {
                     None => Some((*x, n.mean())),
                     Some(denom) => {
@@ -989,7 +1426,8 @@ mod tests {
         plotted.dedup();
         assert_eq!(keys, plotted);
         for sweep in SWEEPS {
-            assert_eq!(sweep.points().count(), 4 * sweep.xs.len(), "{}", sweep.key);
+            let points = (sweep.curves)().len() * sweep.xs.len();
+            assert_eq!(sweep.points().count(), points, "{}", sweep.key);
         }
     }
 

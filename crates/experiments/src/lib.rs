@@ -3,8 +3,9 @@
 //!
 //! * [`figures`] — the experiments as data: one [`figures::SWEEPS`] row per
 //!   simulated sweep, one [`figures::PANELS`] row per plotted panel of
-//!   Figures 3–16, figR1 and figD1, plus the parameter tables; a
-//!   [`figures::Campaign`] runs and memoises the sweeps.
+//!   Figures 3–16, figR1, figD1 and the extensions figX1–figX4, plus the
+//!   parameter tables; a [`figures::Campaign`] runs and memoises the
+//!   sweeps, each distinct configuration once.
 //! * [`runner`] — the sweep executor: replica expansion, crash isolation
 //!   with one retry, and on-disk checkpoints, so long campaigns survive a
 //!   panicking point and a killed process resumes where it stopped.

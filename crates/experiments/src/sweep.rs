@@ -39,8 +39,7 @@ impl Default for RunSettings {
 
 /// Reads the default per-point duration from `REPRO_SECONDS` (falling back
 /// to the paper's 1000 simulated seconds).
-#[must_use]
-pub fn default_duration() -> f64 {
+fn default_duration() -> f64 {
     std::env::var("REPRO_SECONDS")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())

@@ -18,6 +18,13 @@ pub struct Series {
     pub spread: Vec<f64>,
 }
 
+impl Series {
+    /// Index of the point at `x`, if the series has one.
+    fn point_at(&self, x: f64) -> Option<usize> {
+        self.points.iter().position(|(px, _)| (px - x).abs() < 1e-9)
+    }
+}
+
 /// A reproduced figure: everything needed to print or export it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Figure {
@@ -44,32 +51,28 @@ impl Figure {
         out.push_str(&format!("== {} — {} ==\n", self.id, self.title));
         out.push_str(&format!("   paper: {}\n", self.paper_expectation));
         let xs = self.x_values();
-        // Columns widen to fit the longest label plus a separating space.
+        // Columns widen to fit the longest label or value plus a
+        // separating space.
+        let values = self.series.iter().flat_map(|s| &s.points);
         let w = self
             .series
             .iter()
-            .map(|s| s.label.len() + 1)
-            .chain(std::iter::once(self.x_label.len() + 1))
+            .map(|s| s.label.len())
+            .chain(std::iter::once(self.x_label.len()))
+            .chain(values.flat_map(|(x, y)| [format!("{x:.4}").len(), format!("{y:.4}").len()]))
+            .map(|len| len + 1)
             .fold(12, usize::max);
         out.push_str(&format!("{:>w$}", self.x_label));
         for s in &self.series {
             out.push_str(&format!("{:>w$}", s.label));
         }
         out.push('\n');
-        for (i, x) in xs.iter().enumerate() {
+        for x in xs {
             out.push_str(&format!("{x:>w$.4}"));
             for s in &self.series {
-                match s.points.get(i) {
-                    Some(&(px, y)) if (px - x).abs() < 1e-9 => {
-                        out.push_str(&format!("{y:>w$.4}"));
-                    }
-                    _ => {
-                        // Series on a different grid: find matching x.
-                        match s.points.iter().find(|(px, _)| (px - x).abs() < 1e-9) {
-                            Some(&(_, y)) => out.push_str(&format!("{y:>w$.4}")),
-                            None => out.push_str(&format!("{:>w$}", "-")),
-                        }
-                    }
+                match s.point_at(x) {
+                    Some(i) => out.push_str(&format!("{:>w$.4}", s.points[i].1)),
+                    None => out.push_str(&format!("{:>w$}", "-")),
                 }
             }
             out.push('\n');
@@ -93,16 +96,12 @@ impl Figure {
             }
         }
         out.push('\n');
-        for (i, x) in self.x_values().iter().enumerate() {
+        for x in self.x_values() {
             out.push_str(&format!("{x}"));
             for s in &self.series {
                 out.push(',');
-                let idx = s
-                    .points
-                    .iter()
-                    .position(|(px, _)| (px - x).abs() < 1e-9)
-                    .or(if i < s.points.len() { Some(i) } else { None });
-                if let Some(idx) = idx {
+                // A series with no point at this x leaves its cells empty.
+                if let Some(idx) = s.point_at(x) {
                     out.push_str(&format!("{}", s.points[idx].1));
                     if with_spread {
                         out.push(',');
@@ -209,6 +208,33 @@ mod tests {
         assert_eq!(lines.next(), Some("x,A,A_sd,B,B_sd"));
         assert_eq!(lines.next(), Some("1,0.5,0.1,0.25,0.05"));
         assert_eq!(lines.next(), Some("2,0.75,0.2,0.5,0.06"));
+    }
+
+    #[test]
+    fn a_gap_in_a_series_is_an_empty_cell_not_a_neighbours_value() {
+        let mut f = fig();
+        f.series[1].points.remove(0);
+        let csv = f.to_csv();
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some("x,A,B"));
+        assert_eq!(lines.next(), Some("1,0.5,"));
+        assert_eq!(lines.next(), Some("2,0.75,0.5"));
+        f.series[1].spread = vec![0.06];
+        f.series[0].spread = vec![0.1, 0.2];
+        let csv = f.to_csv();
+        assert_eq!(csv.lines().nth(1), Some("1,0.5,0.1,,"));
+        assert_eq!(csv.lines().nth(2), Some("2,0.75,0.2,0.5,0.06"));
+        assert!(f.render_ascii().lines().nth(3).unwrap().ends_with('-'));
+    }
+
+    #[test]
+    fn columns_widen_to_keep_large_values_apart() {
+        let mut f = fig();
+        f.series[0].points[0].1 = 1_574_551.0;
+        f.series[1].points[0].1 = 650_634.0;
+        let ascii = f.render_ascii();
+        let row = ascii.lines().nth(3).unwrap();
+        assert_eq!(row.split_whitespace().count(), 3, "{row}");
     }
 
     #[test]

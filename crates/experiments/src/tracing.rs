@@ -180,6 +180,7 @@ pub fn run_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Curve;
     use strip_db::staleness::StalenessSpec;
 
     #[test]
@@ -201,9 +202,12 @@ mod tests {
         let settings = RunSettings::quick(5.0);
         for fig in &FigureId::ALL[1..] {
             let sweep = fig.panels().next().expect("a panel").sweep;
-            let expected: Vec<(String, SimConfig)> = Policy::PAPER_SET
-                .iter()
-                .map(|&policy| {
+            let expected: Vec<(String, SimConfig)> = (sweep.curves)()
+                .into_iter()
+                .map(|curve| {
+                    let Curve::Algorithm(policy) = curve else {
+                        panic!("{fig:?} is traced over algorithms");
+                    };
                     let base = SimConfig::builder().policy(policy);
                     let built = (sweep.build)(base, &settings, sweep.trace_x);
                     let cfg = settings.apply(built.build().expect("valid point"));
@@ -222,6 +226,11 @@ mod tests {
             .iter()
             .all(|(_, c)| c.abort_on_stale));
         assert!(traced(FigureId::FigD1).iter().all(|(_, c)| c.dag.is_some()));
+        // figX1's first sweep has one curve, FX at its traced fraction.
+        let fx = traced(FigureId::FigX1);
+        assert_eq!(fx.len(), 1);
+        assert_eq!(fx[0].0, "figx1-FX");
+        assert_eq!(fx[0].1.policy, Policy::FixedFraction { fraction: 0.19 });
         for (label, cfg) in traced(FigureId::Fig16) {
             assert!(label.starts_with("fig16-"), "label {label}");
             assert_eq!(cfg.duration, 5.0);

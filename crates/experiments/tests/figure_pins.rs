@@ -1,9 +1,10 @@
 //! Pins every panel of every figure bit-for-bit.
 //!
-//! The digests below are FNV-1a of `to_csv() + render_ascii()` and were
-//! taken at commit 666856a, where each panel was a hand-written arm of a
-//! 17-arm `match` over three assemblers; the `SWEEPS`/`PANELS` tables must
-//! reproduce every one. On a mismatch the test prints the actual table.
+//! The digests below are FNV-1a of `to_csv() + render_ascii()`. Those of
+//! the paper's figures, figR1 and figD1 were taken at commit 666856a, where
+//! each panel was a hand-written arm of a 17-arm `match` over three
+//! assemblers; the `SWEEPS`/`PANELS` tables must reproduce every one. On a
+//! mismatch the test prints the actual table.
 
 use strip_core::fingerprint::fnv1a_64;
 use strip_experiments::{Campaign, FigureId, RunSettings};
@@ -71,6 +72,38 @@ const PINNED: &[(&str, u64)] = &[
     ("figd1c", 0x5a1a04b62c3f795d),
 ];
 
+/// figX1–figX4, one replica. Taken when the four extension targets of
+/// `crates/bench` became these rows; at 1000 s every value those targets
+/// printed is the panel's value at the same curve and x.
+#[rustfmt::skip]
+const PINNED_EXTENSIONS: &[(&str, u64)] = &[
+    ("figx1a", 0x246d5ecaf07a7739),
+    ("figx1b", 0xb3947ed2eb96ed04),
+    ("figx1c", 0xb85c7e6ac8fcec17),
+    ("figx1d", 0x127d09bbec1e514f),
+    ("figx1e", 0xef01ffca67ff0f65),
+    ("figx1f", 0xc0d56aafcff90325),
+    ("figx1g", 0x6fb3a80e6e580028),
+    ("figx1h", 0x3315cd14bab098da),
+    ("figx1i", 0x23c51f7808fab6a3),
+    ("figx1j", 0xa152cd4ddb3f839a),
+    ("figx1k", 0xc1556eb109d539de),
+    ("figx2a", 0x20fc50763116cd24),
+    ("figx2b", 0x82aa33efabbd337c),
+    ("figx2c", 0x5d296fe7374f5b1c),
+    ("figx2d", 0xc102c0089575ebd6),
+    ("figx2e", 0x3457a70e8b6673a1),
+    ("figx2f", 0x3fff6379e3f1c677),
+    ("figx3a", 0x5ee2da037aed949e),
+    ("figx3b", 0x2512a9fb5d5c54b4),
+    ("figx3c", 0x46751093beddfa9b),
+    ("figx3d", 0xfa9ea8697d85e845),
+    ("figx3e", 0x180f0749e2215309),
+    ("figx3f", 0x096502c295027b67),
+    ("figx3g", 0xddcc7a8abb271008),
+    ("figx4", 0x21a9a7f78dc4b2ff),
+];
+
 /// fig04 and fig11 at two replicas (mean ± sd columns; ratio panels carry
 /// no spread). Taken at commit 666856a.
 #[rustfmt::skip]
@@ -82,8 +115,23 @@ const PINNED_REPLICATED: &[(&str, u64)] = &[
 ];
 
 #[test]
-fn every_panel_matches_its_pre_table_digest() {
-    check(&digests(1, &FigureId::ALL), PINNED);
+fn every_panel_matches_its_pinned_digest() {
+    check(
+        &digests(1, &FigureId::ALL),
+        &[PINNED, PINNED_EXTENSIONS].concat(),
+    );
+}
+
+/// At 2 s a run reaches only figX4's first window: the later 49 are no
+/// point at all, not NaN.
+#[test]
+fn a_window_the_run_never_reaches_is_no_point() {
+    let panels = Campaign::new(RunSettings::quick(2.0)).figure(FigureId::FigX4);
+    for series in &panels[0].series {
+        assert_eq!(series.points.len(), 1, "{}", series.label);
+        assert_eq!(series.points[0].0, 0.0);
+    }
+    assert!(!panels[0].to_csv().contains("NaN"));
 }
 
 #[test]

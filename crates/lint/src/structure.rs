@@ -41,7 +41,7 @@ const FIGURES: &str = "crates/experiments/src/figures.rs";
 const SWEEP_CODE: &[&str] = &["crates/experiments/src/", "crates/core/src/"];
 
 /// Every structure check, in gate order.
-pub const ROWS: [Row; 14] = [
+pub const ROWS: [Row; 15] = [
     Row {
         rule: RuleId::SchedulerCore,
         needles: &[
@@ -163,10 +163,31 @@ pub const ROWS: [Row; 14] = [
             "key: \"dag_depth\"",
             "key: \"resilience_outage\"",
             "key: \"resilience_shed\"",
+            "key: \"fixed_fraction\"",
+            "key: \"indexed_queue\"",
+            "key: \"split_queue\"",
+            "key: \"split_queue_skewed\"",
+            "key: \"txn_preemption\"",
+            "key: \"feasible_deadline\"",
+            "key: \"periodic\"",
+            "key: \"partial_updates\"",
+            "key: \"install_order\"",
+            "key: \"staleness_criterion\"",
+            "key: \"history_retention\"",
+            "key: \"trigger_rules\"",
+            "key: \"hit_ratio\"",
+            "key: \"transient_burst\"",
         ],
         scope: &["crates/experiments/src/"],
         expect: Expect::OnceIn(FIGURES),
         why: "each sweep is declared once",
+    },
+    Row {
+        rule: RuleId::ExperimentTable,
+        needles: &["run_paper_sim*"],
+        scope: &["crates/bench/"],
+        expect: Expect::Never,
+        why: "every simulator experiment is a SWEEPS/PANELS row",
     },
     Row {
         rule: RuleId::ExperimentTable,

@@ -19,7 +19,7 @@ fn scan(name: &str, scanned_as: &str) -> Vec<Violation> {
 }
 
 /// (fixture, the path it is scanned as, the rule that fires).
-const CASES: [(&str, &str, RuleId); 20] = [
+const CASES: [(&str, &str, RuleId); 21] = [
     ("d1.rs", "d1.rs", RuleId::WallClock),
     ("d2.rs", "d2.rs", RuleId::NondeterministicOrder),
     ("d3.rs", "d3.rs", RuleId::AmbientEntropy),
@@ -90,6 +90,11 @@ const CASES: [(&str, &str, RuleId); 20] = [
     (
         "s4_duplicate_key.rs",
         "crates/experiments/src/scenarios.rs",
+        RuleId::ExperimentTable,
+    ),
+    (
+        "s4_bench_experiment.rs",
+        "crates/bench/src/ablation.rs",
         RuleId::ExperimentTable,
     ),
     (
