@@ -32,11 +32,19 @@
 //! deadline. Busy time inside a run is therefore the modelled time, as in
 //! the simulator; what the runtime spends beyond the model reads as idle.
 //!
+//! A stats, report or `/metrics` reply is an *ack*: it counts every update
+//! accepted before it, so with a WAL it may leave only once the flusher
+//! has written those records. The executor takes the report when the
+//! request is handled and *parks* it; every scheduling point sends the
+//! parked replies the flusher's written watermark covers. Only the reply
+//! waits for the log — the executor keeps scheduling.
+//!
 //! The executor runs on one thread and is fed through an [`Ingest`]
 //! channel; the TCP front end (`server`) and in-process tests use the same
 //! channel type, so the scheduling core is exercised identically in both.
 
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::time::Duration;
 
@@ -212,7 +220,9 @@ pub enum Ingest {
         /// Where to deliver the answer.
         reply: SyncSender<WireDerivedQueryResponse>,
     },
-    /// Request for an interim (or, after shutdown, final) [`RunReport`].
+    /// Request for an interim (or, after shutdown, final) [`RunReport`],
+    /// taken when the request is handled. With a WAL the reply is an ack
+    /// and leaves once the log holds every update the report counts.
     Snapshot {
         /// Where to deliver the report.
         reply: SyncSender<RunReport>,
@@ -256,6 +266,21 @@ impl<T> Ord for Timer<T> {
 /// runtime spends on one, it lets a run whose modelled cost is below that
 /// overrun its poll deadline by a few µs at most.
 const RUN_CLOCK_STRIDE: u32 = 64;
+
+/// The longest an idle executor sleeps while acks are parked: a quarter
+/// of the flusher's longest idle nap, so a parked reply leaves close
+/// behind the write that covers it.
+const ACK_TICK: f64 = 50e-6;
+
+/// A report waiting for the WAL: it acknowledges every update accepted
+/// before it was taken, so it leaves once the written watermark reaches
+/// `seq`.
+#[derive(Debug)]
+struct Ack {
+    seq: u64,
+    report: RunReport,
+    reply: SyncSender<RunReport>,
+}
 
 /// Why a slice stopped before its end.
 enum Cut {
@@ -308,6 +333,8 @@ pub struct Executor {
     /// WAL counters, kept past [`WalHandle::seal`](crate::wal::WalHandle)
     /// so the final report can read the post-seal totals.
     wal_stats: Option<std::sync::Arc<crate::wal::WalStats>>,
+    /// Parked acks in request order; their `seq`s never go back.
+    acks: VecDeque<Ack>,
     /// Fingerprint of the configuration, stamped into snapshots.
     fingerprint: u64,
     /// Seconds between periodic snapshots (`None`: never snapshot).
@@ -373,6 +400,7 @@ impl Executor {
             streams: Vec::new(),
             wal,
             wal_stats,
+            acks: VecDeque::new(),
             fingerprint: strip_core::config_fingerprint(&cfg.sim),
             snapshot_every,
             next_snapshot_at: snapshot_every.unwrap_or(f64::INFINITY),
@@ -415,11 +443,13 @@ impl Executor {
     }
 
     /// One scheduling point at the current reading: fires due timers,
-    /// drains ingest, and opens the next window. Returns the verdict
-    /// [`Executor::drain_ingest`] does.
+    /// drains ingest, sends the acks the WAL has caught up with, and opens
+    /// the next window. Returns the verdict [`Executor::drain_ingest`]
+    /// does.
     fn poll(&mut self) -> Option<Preempt> {
         self.process_timers(self.now);
         let preempt = self.drain_ingest();
+        self.release_acks();
         self.poll_by = self.now + self.quantum;
         preempt
     }
@@ -493,15 +523,18 @@ impl Executor {
                 let _ = reply.send(self.answer_derived_query(q.node, now));
             }
             Ingest::Snapshot { reply } => {
-                // The ack barrier: a stats reply acknowledges every update
-                // accepted before it, so those records must be written
-                // (kill -9-durable) before the reply leaves. Group-commit
-                // latency is bounded (≤ ring drain + one write), so this
-                // does not stall the loop meaningfully.
+                // An ack: the records of every update accepted so far must
+                // be written (kill -9-durable) before the reply leaves, so
+                // they go to the flusher now and the reply is parked.
                 if let Some(wal) = &mut self.wal {
-                    wal.barrier(self.core.update_seq());
+                    wal.flush();
                 }
-                let _ = reply.send(self.snapshot(now));
+                self.acks.push_back(Ack {
+                    seq: self.core.update_seq(),
+                    report: self.snapshot(now),
+                    reply,
+                });
+                self.release_acks();
             }
             Ingest::Stream(consumer) => self.streams.push(consumer),
             Ingest::Shutdown => self.shutdown = true,
@@ -728,10 +761,13 @@ impl Executor {
     /// 5 ms tick — whichever is first. Only reached when there is no work.
     /// With lock-free streams attached the tick tightens to 200 µs: ring
     /// pushes do not wake the channel, so the poll interval bounds the
-    /// ring's idle-side latency.
+    /// ring's idle-side latency. With acks parked it is [`ACK_TICK`]: the
+    /// flusher's writes do not wake the channel either.
     fn idle_wait(&mut self) {
         let now = self.now.as_secs();
-        let mut wait: f64 = if self.streams.is_empty() {
+        let mut wait: f64 = if !self.acks.is_empty() {
+            ACK_TICK
+        } else if self.streams.is_empty() {
             0.005
         } else {
             200e-6
@@ -915,16 +951,32 @@ impl Executor {
         report
     }
 
+    /// Sends every parked ack the WAL's written watermark covers, in
+    /// request order. Without a WAL every ack is covered, and so it is
+    /// once the flusher has failed: the run continues undurable.
+    fn release_acks(&mut self) {
+        let written = match &self.wal_stats {
+            Some(stats) if !stats.is_failed() => stats.written_seq(),
+            _ => u64::MAX,
+        };
+        let due = self.acks.partition_point(|ack| ack.seq <= written);
+        for ack in self.acks.drain(..due) {
+            let _ = ack.reply.send(ack.report);
+        }
+    }
+
     /// Final accounting: the same report, after the WAL is sealed.
     fn finalize(mut self) -> RunReport {
         // Seal the WAL first (drain, append the seal record, fsync): the
         // final report's counters then include the close-out fsync, and an
         // orderly shutdown is provably non-lossy before we claim success.
+        // The seal writes every record, so every parked ack leaves.
         if let Some(wal) = self.wal.take() {
             if let Err(e) = wal.seal() {
                 eprintln!("stripd: wal seal failed: {e}");
             }
         }
+        self.release_acks();
         self.snapshot(self.now)
     }
 }
@@ -1104,6 +1156,35 @@ mod tests {
         let mut exec = Executor::new(&cfg, rx);
         exec.now = exec.clock.now();
         (tx, exec)
+    }
+
+    /// [`stepped_with`] over a [`WalHandle::stalled`] log: nothing is
+    /// written until the test moves the watermark through the returned
+    /// counters.
+    ///
+    /// [`WalHandle::stalled`]: crate::wal::WalHandle::stalled
+    fn stepped_durable(
+        sim: SimConfig,
+    ) -> (
+        mpsc::Sender<Ingest>,
+        Executor,
+        std::sync::Arc<crate::wal::WalStats>,
+    ) {
+        let cfg = LiveConfig::new(sim).expect("valid live config");
+        let wal = crate::wal::WalHandle::stalled(0);
+        let stats = wal.stats();
+        let (tx, rx) = mpsc::channel();
+        let mut exec = Executor::with_wal(&cfg, rx, Some(wal), None);
+        exec.now = exec.clock.now();
+        (tx, exec, stats)
+    }
+
+    /// Asks for a report; the reply arrives on the returned receiver.
+    fn ask_report(tx: &mpsc::Sender<Ingest>) -> mpsc::Receiver<RunReport> {
+        let (rtx, rrx) = mpsc::sync_channel(1);
+        tx.send(Ingest::Snapshot { reply: rtx })
+            .expect("send snapshot");
+        rrx
     }
 
     /// Keeps the core's trace from here on, so a test can read the stamps
@@ -1659,6 +1740,77 @@ mod tests {
             assert_eq!(r.updates.arrived, 6);
             assert_eq!(r.updates.terminal_total(), r.updates.arrived);
         }
+    }
+
+    #[test]
+    fn a_parked_ack_waits_for_the_log_and_the_executor_installs_meanwhile() {
+        // 1 000 installs of 4.8 µs: about ten windows of update work.
+        const N: u64 = 1_000;
+        let sim = SimConfig {
+            policy: Policy::UpdatesFirst,
+            costs: costs_with_install(4.8e-6),
+            ..base_cfg()
+        };
+        let (tx, mut exec, wal) = stepped_durable(sim);
+        backlog(&mut exec, N, 4);
+        let reply = ask_report(&tx);
+        let mut windows = 0;
+        while exec.core.store().installs() < N {
+            assert!(pass(&mut exec), "the backlog ran out first");
+            assert!(
+                reply.try_recv().is_err(),
+                "acked before the log was written"
+            );
+            windows += 1;
+        }
+        assert!(windows > 1, "the backlog ran in one window");
+        // The flusher writes the first N - 1 records: still not covered.
+        wal.mark_written(N - 1, false);
+        exec.poll();
+        assert!(reply.try_recv().is_err(), "acked a record still unwritten");
+        wal.mark_written(N, false);
+        exec.poll();
+        // The report is the one taken when the request was handled, before
+        // any install; it leaves once the log covers all it counts.
+        let report = reply.try_recv().expect("the covered ack left");
+        assert_eq!(report.updates.arrived, N);
+        assert_eq!(report.updates.installed_total(), 0);
+        assert_eq!(report.updates.terminal_total(), report.updates.arrived);
+        assert_eq!(exec.finalize().updates.installed_total(), N);
+    }
+
+    #[test]
+    fn parked_acks_leave_in_order_and_once_the_log_fails_or_is_sealed() {
+        let (tx, mut exec, wal) = stepped_durable(base_cfg());
+        let mut asked = Vec::new();
+        for _ in 0..3 {
+            backlog(&mut exec, 2, 4);
+            asked.push(ask_report(&tx));
+            exec.poll();
+        }
+        let arrived =
+            |rrx: &mpsc::Receiver<RunReport>| rrx.try_recv().ok().map(|r| r.updates.arrived);
+        assert_eq!(asked.iter().map(arrived).collect::<Vec<_>>(), [None; 3]);
+        // Covering the first two leaves the third parked.
+        wal.mark_written(4, false);
+        exec.poll();
+        assert_eq!(
+            asked.iter().map(arrived).collect::<Vec<_>>(),
+            [Some(2), Some(4), None]
+        );
+        // A failed flusher holds nothing back: the run goes on undurable.
+        wal.mark_written(4, true);
+        exec.poll();
+        assert_eq!(arrived(&asked[2]), Some(6));
+
+        // Sealing writes everything, so shutdown answers what is parked.
+        let (tx, mut exec, _wal) = stepped_durable(base_cfg());
+        backlog(&mut exec, 2, 4);
+        let last = ask_report(&tx);
+        exec.poll();
+        assert!(last.try_recv().is_err());
+        exec.finalize();
+        assert_eq!(arrived(&last), Some(2));
     }
 
     fn dag_cfg(policy: Policy) -> SimConfig {

@@ -548,10 +548,18 @@ impl WalStats {
     }
 
     /// The flusher hit an I/O error and stopped (appends are dropped,
-    /// barriers return immediately; the run continues undurable).
+    /// acks are no longer held for the log; the run continues undurable).
     #[must_use]
     pub fn is_failed(&self) -> bool {
         self.failed.load(Ordering::Acquire)
+    }
+
+    /// Moves the written watermark of a [`WalHandle::stalled`] log, or
+    /// marks it failed, as the flusher would.
+    #[cfg(test)]
+    pub(crate) fn mark_written(&self, seq: u64, failed: bool) {
+        self.written.store(seq, Ordering::Release);
+        self.failed.store(failed, Ordering::Release);
     }
 
     /// Point-in-time durability counters (recovery fields are the
@@ -696,11 +704,12 @@ impl WalHandle {
         self.push_msg(WalMsg::Snapshot { bytes, next_seq });
     }
 
-    /// The ack barrier: flushes the pending chunk, then blocks until every
-    /// record below `next_seq` has been `write`-handed to the OS (NOT
-    /// necessarily fsynced — see [`WalStats::written`]). Called before a
-    /// stats reply is sent, so "acked" implies "survives `kill -9`" at
-    /// every fsync cadence.
+    /// The ack barrier, blocking: flushes the pending chunk, then waits
+    /// until every record below `next_seq` has been `write`-handed to the
+    /// OS (NOT necessarily fsynced — see [`WalStats::written`]), or the
+    /// flusher has failed. For a caller with nothing else to do; the
+    /// executor never calls it — it parks a reply until
+    /// [`WalStats::written_seq`] covers it and keeps scheduling.
     pub fn barrier(&mut self, next_seq: u64) {
         self.flush();
         while self.stats.written_seq() < next_seq && !self.stats.is_failed() {
@@ -712,6 +721,38 @@ impl WalHandle {
     #[must_use]
     pub fn stats(&self) -> Arc<WalStats> {
         Arc::clone(&self.stats)
+    }
+
+    /// A handle whose flusher writes nothing until the seal: it discards
+    /// every message and leaves the written watermark at `base_seq` until
+    /// a test moves it ([`WalStats::mark_written`]), so a test can hold
+    /// acks parked. Sealing marks every appended record written.
+    #[cfg(test)]
+    pub(crate) fn stalled(base_seq: u64) -> WalHandle {
+        let (tx, mut rx) = spsc::ring(WAL_RING_CAPACITY);
+        let stats = Arc::new(WalStats::new(base_seq));
+        let flusher_stats = Arc::clone(&stats);
+        let flusher = std::thread::spawn(move || {
+            let mut next_seq = base_seq;
+            loop {
+                while let Some(msg) = rx.pop() {
+                    if let WalMsg::Chunk(records) = msg {
+                        next_seq = records.last().map_or(next_seq, |r| r.seq + 1);
+                    }
+                }
+                if rx.is_closed() && rx.is_empty() {
+                    flusher_stats.written.store(next_seq, Ordering::Release);
+                    return Ok(());
+                }
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        });
+        WalHandle {
+            tx,
+            pending: Vec::with_capacity(CHUNK_RECORDS),
+            stats,
+            flusher,
+        }
     }
 
     /// Closes the ring and joins the flusher, which drains every pending

@@ -139,8 +139,8 @@ fn send_burst(stream: &mut TcpStream, start: u32, count: u32) -> HashMap<(u8, u3
 
 /// Stats barrier: once a reply shows `ingested == total`, every update
 /// sent before it has been accepted by the executor AND written into the
-/// WAL segment (the executor waits on the flusher's written watermark
-/// before replying), so a `kill -9` after this point may not lose any of
+/// WAL segment (the reply is parked until the flusher's written watermark
+/// covers them), so a `kill -9` after this point may not lose any of
 /// them. Polls on until `queued == 0` too, so queries that follow observe
 /// the applied state, not a half-drained backlog.
 fn ack_barrier(stream: &mut TcpStream, total: u64) {
