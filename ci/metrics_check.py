@@ -4,7 +4,6 @@
     metrics_check.py conservation SOURCE [--nonzero]
     metrics_check.py acked SOURCE ACKED_FILE --wait
     metrics_check.py acked SOURCE ACKED_FILE
-    metrics_check.py stripes SOURCE COUNT
     metrics_check.py shutdown HOST:PORT PIDFILE OUTFILE KEY
 
 SOURCE is a saved page or an http:// URL. Every subcommand but `shutdown`
@@ -15,33 +14,25 @@ to carry the JSON key KEY.
 """
 import argparse
 import os
-import re
 import socket
 import struct
 import sys
 import time
 import urllib.request
 
-STRIPE = re.compile(r'(strip_live_stripe_\w+)\{stripe="(\d+)"\}')
-
-
 def scrape(source):
-    """Returns (plain series, per-stripe series) of one page."""
+    """Returns the series of one page by name."""
     if source.startswith('http://'):
         page = urllib.request.urlopen(source).read().decode()
     else:
         page = open(source).read()
-    vals, stripes = {}, {}
+    vals = {}
     for line in page.splitlines():
         if line.startswith('#') or not line.strip():
             continue
         name, _, value = line.rpartition(' ')
-        m = STRIPE.match(name)
-        if m:
-            stripes.setdefault(m.group(1), {})[int(m.group(2))] = float(value)
-        else:
-            vals[name] = float(value)
-    return vals, stripes
+        vals[name] = float(value)
+    return vals
 
 
 def conservation(vals, nonzero=False):
@@ -62,11 +53,11 @@ def wait_for_acked(source, acked_file):
     the counters stable across a beat (the flusher writes on a 100us nap
     cadence, so stability means the segment is caught up)."""
     for _ in range(100):
-        v, _ = scrape(source)
+        v = scrape(source)
         if v['strip_live_updates_queued'] == 0 and \
            v['strip_live_wal_appended_total'] == v['strip_live_updates_ingested_total'] > 0:
             time.sleep(0.3)
-            w, _ = scrape(source)
+            w = scrape(source)
             if w['strip_live_wal_appended_total'] == v['strip_live_wal_appended_total']:
                 acked = int(w['strip_live_wal_appended_total'])
                 open(acked_file, 'w').write(str(acked))
@@ -83,24 +74,6 @@ def verify_acked(vals, acked_file):
     assert replayed == acked, f'acked {acked} but replayed {replayed:.0f}'
     assert discarded == 0, f'{discarded:.0f} records discarded from an acked tail'
     print(f'every acked update is back: {acked} acked = {replayed:.0f} replayed, 0 discarded')
-
-
-def check_stripes(vals, stripes, count):
-    assert vals['strip_live_stripes'] == count, vals.get('strip_live_stripes')
-    ing = stripes['strip_live_stripe_updates_ingested']
-    term = stripes['strip_live_stripe_updates_terminal']
-    assert sorted(ing) == list(range(count)), \
-        f'expected {count} stripe series, got {sorted(ing)}'
-    for s in sorted(ing):
-        assert ing[s] > 0, f'stripe {s} saw no updates'
-    # Quiesced totals: what each stripe ingested must be terminal, and the
-    # per-stripe series must sum to the merged counters.
-    total = vals['strip_live_updates_ingested_total']
-    assert sum(ing.values()) == total, (ing, total)
-    queued = vals['strip_live_updates_queued']
-    assert sum(term.values()) + queued == total, (term, queued, total)
-    print('per-stripe conservation holds:',
-          {s: int(ing[s]) for s in sorted(ing)}, f'sum={int(total)}')
 
 
 def shutdown(addr, pid_file, out_file, key):
@@ -135,9 +108,6 @@ def main():
                    help='poll until the WAL holds every ingested update and '
                         'write that count to ACKED_FILE; without it, check that '
                         'recovery replayed exactly the count in ACKED_FILE')
-    p = sub.add_parser('stripes')
-    p.add_argument('source')
-    p.add_argument('count', type=int)
     p = sub.add_parser('shutdown')
     p.add_argument('addr')
     p.add_argument('pid_file')
@@ -150,11 +120,9 @@ def main():
     if args.check == 'acked' and args.wait:
         vals = wait_for_acked(args.source, args.acked_file)
     else:
-        vals, stripes = scrape(args.source)
+        vals = scrape(args.source)
         if args.check == 'acked':
             verify_acked(vals, args.acked_file)
-        elif args.check == 'stripes':
-            check_stripes(vals, stripes, args.count)
     conservation(vals, nonzero=getattr(args, 'nonzero', False))
 
 

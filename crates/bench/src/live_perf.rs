@@ -1,8 +1,7 @@
 //! Perf measurements of the live runtime (`strip-live`) that the
-//! `benchmark/` package has no workload for yet: batched wire ingest
-//! against a striped server (`shard_harness`, `BENCH_8.json`) and the WAL
-//! layers plus end-to-end ingest across fsync cadences
-//! (`durability_harness`, `BENCH_7.json`). The ingest ladder itself
+//! `benchmark/` package has no workload for yet: the WAL layers plus
+//! end-to-end ingest across fsync cadences (`durability_harness`,
+//! `BENCH_7.json`). The ingest ladder itself
 //! (syscall, decode, ring, install, policy decision, end-to-end rate) is
 //! measured by `benchmark/` — see its README.
 //!
@@ -100,79 +99,6 @@ fn send_credited_stream(stream: &mut TcpStream, n_updates: usize, max_batch: usi
             Some(Msg::StatsResponse(s)) => break s,
             other => panic!("expected StatsResponse, got {other:?}"),
         }
-    }
-}
-
-/// Updates/sec through the sharded live path: a credited stream of
-/// `UpdateBatch` frames of up to `max_batch` updates, against a server
-/// running `stripes` executor threads over a hash-partitioned store
-/// (DESIGN.md §15), so the
-/// connection reader fans each update out to its owner stripe's SPSC
-/// ring and the `StatsRequest` barrier collect-and-merges across all
-/// stripes. On a host with fewer cores than stripes the threads
-/// time-slice and the measurement prices sharding *overhead*; scaling
-/// needs `host_cpus >= stripes` (the harness records `host_cpus`).
-///
-/// # Panics
-///
-/// Panics on socket errors or when the server miscounts the stream.
-#[must_use]
-pub fn live_ingest_striped(
-    n_updates: usize,
-    max_batch: usize,
-    stripes: u32,
-    reps: usize,
-) -> RateResult {
-    let max_batch = max_batch.clamp(1, strip_live::protocol::MAX_BATCH_UPDATES);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let sim = SimConfig::builder()
-            .n_low(256)
-            .n_high(256)
-            .lambda_u(0.0)
-            .lambda_t(0.0)
-            .duration(3_600.0)
-            .warmup(0.0)
-            .policy(Policy::UpdatesFirst)
-            .stripes(stripes)
-            .costs(CostModel {
-                ips: 50.0e9,
-                ..CostModel::default()
-            })
-            .build()
-            .expect("valid striped-ingest config");
-        let cfg = LiveConfig::new(sim).expect("valid live config");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-        let handle = serve(&cfg, listener).expect("serve");
-        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-
-        let started = Instant::now();
-        let stats = send_credited_stream(&mut stream, n_updates, max_batch);
-        best = best.min(started.elapsed().as_secs_f64());
-        assert_eq!(
-            stats.ingested, n_updates as u64,
-            "merged stats must cover the whole stream across stripes"
-        );
-        drop(stream);
-        let report = handle.shutdown().expect("clean shutdown");
-        assert_eq!(report.updates.terminal_total(), report.updates.arrived);
-        if stripes > 1 {
-            assert_eq!(report.stripes.len(), stripes as usize, "per-stripe rows");
-            let per_stripe: u64 = report.stripes.iter().map(|s| s.updates.arrived).sum();
-            assert_eq!(per_stripe, n_updates as u64, "stripe counters must sum");
-        }
-    }
-    RateResult {
-        name: match stripes {
-            1 => "live/tcp_ingest_stripes_1",
-            2 => "live/tcp_ingest_stripes_2",
-            4 => "live/tcp_ingest_stripes_4",
-            8 => "live/tcp_ingest_stripes_8",
-            _ => "live/tcp_ingest_striped",
-        },
-        ops: n_updates as u64,
-        secs: best,
     }
 }
 
@@ -349,11 +275,10 @@ fn fsync_name_batched(fsync: Option<FsyncPolicy>) -> &'static str {
 /// Updates/sec through the full live path — socket, decode, ring, policy
 /// routing, install — with every accepted update also group-committed to
 /// a WAL under `fsync` (`None` = durability off, the baseline the
-/// `--fsync off` < 5% acceptance gate is measured against). Same
-/// `UpdateBatch` frames under credit flow control and scaled-down cost
-/// model as [`live_ingest_striped`]; the `StatsRequest` barrier
-/// additionally waits on the flusher's written watermark when a WAL is
-/// attached.
+/// `--fsync off` < 5% acceptance gate is measured against), sent as
+/// `UpdateBatch` frames under credit flow control against a cost model
+/// scaled down 1000x; the `StatsRequest` barrier additionally waits on
+/// the flusher's written watermark when a WAL is attached.
 ///
 /// # Panics
 ///
@@ -441,14 +366,6 @@ pub fn live_ingest_batched_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn striped_ingest_measures_a_real_stream() {
-        let r = live_ingest_striped(500, 64, 2, 1);
-        assert_eq!(r.name, "live/tcp_ingest_stripes_2");
-        assert_eq!(r.ops, 500);
-        assert!(r.secs > 0.0 && r.ops_per_sec() > 0.0);
-    }
 
     #[test]
     fn durability_layers_measure_and_count_exactly() {

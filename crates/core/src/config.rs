@@ -419,12 +419,6 @@ pub struct SimConfig {
     pub timeline_window: Option<f64>,
     /// Master RNG seed; every stochastic process derives a sub-stream.
     pub seed: u64,
-    /// Number of store stripes (scale-out extension). The object space is
-    /// partitioned by a deterministic hash of object id (see
-    /// [`crate::stripe::StripeMap`]); each stripe owns its controller
-    /// state, queues, staleness tracker, and metrics. `1` (the paper's
-    /// model) keeps the single-store code paths bit-identical.
-    pub stripes: u32,
 }
 
 impl Default for SimConfig {
@@ -479,7 +473,6 @@ impl Default for SimConfig {
             warmup: 0.0,
             timeline_window: None,
             seed: 0x5712_1995,
-            stripes: 1,
         }
     }
 }
@@ -706,14 +699,6 @@ impl SimConfig {
         if let Some(alpha) = self.staleness.alpha() {
             check(alpha > 0.0, "staleness alpha must be > 0")?;
         }
-        check(
-            (1..=256).contains(&self.stripes),
-            "stripes must be in [1, 256]",
-        )?;
-        check(
-            self.stripes <= self.n_low + self.n_high,
-            "stripes must not exceed the number of view objects",
-        )?;
         Ok(())
     }
 
@@ -854,8 +839,6 @@ impl SimConfigBuilder {
         warmup: f64);
     setter!(/// Sets the master seed.
         seed: u64);
-    setter!(/// Sets the number of store stripes (scale-out extension).
-        stripes: u32);
 
     /// Sets transaction value distributions `(low_mean, low_sd, high_mean,
     /// high_sd)`.
@@ -924,8 +907,6 @@ mod tests {
         assert!(c.feasible_deadline);
         assert!(!c.txn_preemption);
         assert_eq!(c.queue_policy, QueuePolicy::Fifo);
-        // Scale-out extension defaults off: one stripe, the paper's model.
-        assert_eq!(c.stripes, 1);
         assert!(c.validate().is_ok());
     }
 
@@ -975,14 +956,6 @@ mod tests {
             .build()
             .is_err());
         assert!(SimConfig::builder().n_low(0).n_high(0).build().is_err());
-        assert!(SimConfig::builder().stripes(0).build().is_err());
-        assert!(SimConfig::builder().stripes(257).build().is_err());
-        assert!(SimConfig::builder()
-            .n_low(2)
-            .n_high(2)
-            .stripes(8)
-            .build()
-            .is_err());
         assert!(SimConfig::builder()
             .disturbance(Some(DisturbanceSpec {
                 burst_size: 0,

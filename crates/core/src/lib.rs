@@ -40,7 +40,6 @@ pub mod ready;
 pub mod report;
 pub mod scheduler;
 pub mod sources;
-pub mod stripe;
 pub mod txn;
 
 pub use config::{Policy, QueuePolicy, SimConfig, StalenessDef};
@@ -49,5 +48,4 @@ pub use fingerprint::config_fingerprint;
 pub use report::RunReport;
 pub use scheduler::Scheduler;
 pub use sources::{ScriptedTxns, ScriptedUpdates, TxnSource, UpdateSource, UpdateSpec};
-pub use stripe::StripeMap;
 pub use txn::{Transaction, TxnSpec};

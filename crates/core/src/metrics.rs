@@ -456,7 +456,6 @@ impl Metrics {
             resilience,
             durability: DurabilityStats::default(),
             timeline: self.timeline,
-            stripes: Vec::new(),
             cpu: CpuStats {
                 busy_txn: self.busy_txn,
                 busy_update: self.busy_update,

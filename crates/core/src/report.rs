@@ -7,12 +7,12 @@
 //!
 //! Every scalar of the nine accounting structs is declared exactly once, as
 //! `pub name: type = Rule` inside the `tabled!` invocation that emits the
-//! struct. Declaration order is JSON order, and the [`Rule`] says how the
-//! field merges across the stripes of one run. [`RunReport::to_json`],
-//! [`RunReport::merge_stripes`] and the checkpoint format
-//! ([`RunReport::scalars`] / [`RunReport::set_scalars`]) walk those
-//! declarations, so a new metric is one new row. A field that fits no rule
-//! is declared without one and handled by hand next to the walks.
+//! struct. Declaration order is JSON order, and the [`Rule`] says whether
+//! the field is a count or a real. [`RunReport::to_json`] and the
+//! checkpoint format ([`RunReport::scalars`] / [`RunReport::set_scalars`])
+//! walk those declarations, so a new metric is one new row. A field that
+//! fits no rule is declared without one and handled by hand next to the
+//! walks.
 //!
 //! Replicas of one configuration are never merged into a report: a figure
 //! takes each metric's mean and deviation over the per-replica values.
@@ -21,68 +21,27 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
-use strip_sim::stats::Welford;
 
-/// How one tabled field merges across the stripes of a run
-/// ([`RunReport::merge_stripes`]). `Count` and `Peak` fields are `u64`, the
-/// rest `f64`; `tabled!` checks that at compile time.
+/// The type of one tabled field, which is what a checkpoint parses it
+/// back as: `Count` fields are `u64`, `Real` fields `f64`; `tabled!`
+/// checks that at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// Event counter: the sum.
+    /// A `u64` counter or high-water mark.
     Count,
-    /// High-water mark: the max.
-    Peak,
-    /// Accumulated amount: the sum.
-    Total,
-    /// Extent shared by the stripes: the max.
-    Span,
-    /// Intensive quantity: the equal-weight mean.
-    Level,
-    /// Response-time moment: the walk leaves it zero and the caller pools it
-    /// with a commit-weighted Welford merge.
-    Pooled,
+    /// An `f64` amount, extent, level or moment.
+    Real,
 }
 
 impl Rule {
-    fn counts(self, vals: impl Iterator<Item = u64>) -> u64 {
-        match self {
-            Rule::Peak => vals.max().unwrap_or(0),
-            _ => vals.sum(),
-        }
-    }
-
-    fn reals(self, vals: impl Iterator<Item = f64> + Clone) -> f64 {
-        match self {
-            Rule::Pooled => 0.0,
-            Rule::Total => vals.sum(),
-            Rule::Span => vals.fold(0.0, f64::max),
-            _ => vals.clone().sum::<f64>() / vals.count() as f64,
-        }
-    }
-
-    /// Merges one field's values. A rule only sees the variant `tabled!`
-    /// pairs it with, so neither `filter_map` ever drops anything.
-    fn combine(self, vals: impl Iterator<Item = Value> + Clone) -> Value {
-        match self {
-            Rule::Count | Rule::Peak => Value::Count(self.counts(vals.filter_map(|v| match v {
-                Value::Count(n) => Some(n),
-                Value::Real(_) => None,
-            }))),
-            _ => Value::Real(self.reals(vals.filter_map(|v| match v {
-                Value::Real(x) => Some(x),
-                Value::Count(_) => None,
-            }))),
-        }
-    }
-
     /// Reads a value of this rule's type back from its [`Value`] `Display`
     /// form; `None` when `text` is not such a number (a non-finite real
     /// prints as `null` and does not come back).
     #[must_use]
     pub fn parse(self, text: &str) -> Option<Value> {
         match self {
-            Rule::Count | Rule::Peak => text.parse().ok().map(Value::Count),
-            _ => text.parse().ok().map(Value::Real),
+            Rule::Count => text.parse().ok().map(Value::Count),
+            Rule::Real => text.parse().ok().map(Value::Real),
         }
     }
 }
@@ -91,9 +50,9 @@ impl Rule {
 /// checkpoints reuse: [`Rule::parse`] restores it bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
-    /// A [`Rule::Count`] or [`Rule::Peak`] field.
+    /// A [`Rule::Count`] field.
     Count(u64),
-    /// A field of any other rule.
+    /// A [`Rule::Real`] field.
     Real(f64),
 }
 
@@ -126,8 +85,7 @@ trait Section {
 /// irregular and invisible to the walks.
 macro_rules! tabled {
     (@value Count, $($x:tt)+) => { Value::Count($($x)+) };
-    (@value Peak, $($x:tt)+) => { Value::Count($($x)+) };
-    (@value $real:ident, $($x:tt)+) => { Value::Real($($x)+) };
+    (@value Real, $($x:tt)+) => { Value::Real($($x)+) };
     ($(
         $(#[$meta:meta])*
         pub struct $name:ident {
@@ -193,15 +151,15 @@ tabled! {
         /// Still queued or running when the simulation horizon was reached.
         pub in_flight_at_end: u64 = Count,
         /// Total value of on-time commits.
-        pub value_committed: f64 = Total,
+        pub value_committed: f64 = Real,
         /// View reads that observed stale data (metric criterion).
         pub stale_reads: u64 = Count,
         /// Total view reads performed.
         pub view_reads: u64 = Count,
         /// Mean response time (commit − arrival) over committed transactions.
-        pub response_mean: f64 = Pooled,
+        pub response_mean: f64 = Real,
         /// Std. dev. of response time over committed transactions.
-        pub response_sd: f64 = Pooled,
+        pub response_sd: f64 = Real,
         /// Per-value-class breakdown (`[low, high]`).
         pub by_class: [ClassCounts; 2],
     }
@@ -235,9 +193,9 @@ tabled! {
         /// queue (robustness extension).
         pub admission_shed: u64 = Count,
         /// Largest update-queue length observed.
-        pub max_uq_len: u64 = Peak,
+        pub max_uq_len: u64 = Count,
         /// Largest OS-queue length observed.
-        pub max_os_len: u64 = Peak,
+        pub max_os_len: u64 = Count,
         /// Updates still waiting in the OS queue at the horizon.
         pub left_in_os: u64 = Count,
         /// Updates still waiting in the update queue at the horizon.
@@ -251,13 +209,12 @@ tabled! {
     #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
     pub struct CpuStats {
         /// Seconds spent on transaction work (ρt numerator).
-        pub busy_txn: f64 = Total,
+        pub busy_txn: f64 = Real,
         /// Seconds spent on update work — receiving, queueing, scanning,
         /// installing (ρu numerator).
-        pub busy_update: f64 = Total,
-        /// Length of the measurement window in seconds (the longest stripe
-        /// window of a sharded run).
-        pub measured_secs: f64 = Span,
+        pub busy_update: f64 = Real,
+        /// Length of the measurement window in seconds.
+        pub measured_secs: f64 = Real,
         /// Discrete events processed by the engine (diagnostic).
         pub events_processed: u64 = Count,
         /// Buffer-pool misses charged to view reads (disk extension).
@@ -295,16 +252,14 @@ tabled! {
         /// Pending executions at the horizon (including one on the CPU).
         pub pending_at_end: u64 = Count,
         /// Mean delay from firing to execution completion, seconds.
-        pub lag_mean: f64 = Level,
+        pub lag_mean: f64 = Real,
         /// Largest pending-queue length observed.
-        pub max_pending: u64 = Peak,
+        pub max_pending: u64 = Count,
     }
 
     /// Derived-view DAG accounting (extension; zeros when no DAG is
     /// configured). The propagation buckets obey the conservation law
     /// `enqueued = applied + coalesced + shed + pending_at_end` on run totals.
-    /// Each stripe drives a full DAG replica over its own slice of the update
-    /// stream, so the counters sum exactly across stripes.
     #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
     pub struct DagStats {
         /// Delta enqueue events (base installs plus cascades).
@@ -324,12 +279,12 @@ tabled! {
         /// Recursive on-demand refresh passes performed before derived reads.
         pub od_refreshes: u64 = Count,
         /// Mean delay from a delta's first enqueue to its application, seconds.
-        pub lag_mean: f64 = Level,
+        pub lag_mean: f64 = Real,
         /// Largest number of simultaneously pending nodes observed.
-        pub max_pending: u64 = Peak,
+        pub max_pending: u64 = Count,
         /// Time-weighted fraction of transitively stale derived nodes
         /// (`fold_derived` — the DAG twin of `fold_l`/`fold_h`).
-        pub fold_derived: f64 = Level,
+        pub fold_derived: f64 = Real,
     }
 
     /// Resilience accounting (robustness extension; all zeros/`None` for an
@@ -351,7 +306,6 @@ tabled! {
         /// Seconds after the outage ended until the stale-object count first
         /// returned to its pre-outage baseline; `None` when no outage was
         /// configured or the system had not recovered by the horizon.
-        /// Stripes take the slowest.
         pub recovery_secs: Option<f64>,
     }
 
@@ -366,7 +320,7 @@ tabled! {
         /// Bytes written to the log (records plus segment headers).
         pub wal_bytes: u64 = Count,
         /// Largest number of records covered by a single fsync (group size).
-        pub wal_group_max: u64 = Peak,
+        pub wal_group_max: u64 = Count,
         /// Store snapshots sealed (atomic write-rename completed).
         pub snapshots_written: u64 = Count,
         /// Sealed-segment rotations performed by the flusher (size-bounded
@@ -541,30 +495,6 @@ impl TimelineWindow {
     }
 }
 
-/// Per-stripe slice of a sharded run (scale-out extension; empty for
-/// single-stripe runs). Carries the full counter sets of the stripe's own
-/// executor so per-stripe conservation (`updates.terminal_total() ==
-/// updates.arrived`) can be checked independently of the aggregate.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StripeSummary {
-    /// Stripe index in `[0, stripes)`.
-    pub stripe: u32,
-    /// Low-importance objects owned by this stripe.
-    pub n_low: u32,
-    /// High-importance objects owned by this stripe.
-    pub n_high: u32,
-    /// The stripe's transaction accounting.
-    pub txns: TxnCounts,
-    /// The stripe's update accounting.
-    pub updates: UpdateCounts,
-    /// Stale fraction of the stripe's low partition.
-    pub fold_low: f64,
-    /// Stale fraction of the stripe's high partition.
-    pub fold_high: f64,
-    /// The stripe's WAL/snapshot/recovery accounting.
-    pub durability: DurabilityStats,
-}
-
 /// The complete result of one simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
@@ -598,8 +528,6 @@ pub struct RunReport {
     pub durability: DurabilityStats,
     /// Per-window outcomes (extension; empty unless `timeline_window` set).
     pub timeline: Vec<TimelineWindow>,
-    /// Per-stripe slices (scale-out extension; empty unless `stripes > 1`).
-    pub stripes: Vec<StripeSummary>,
 }
 
 /// Where one tabled struct sits inside a [`RunReport`].
@@ -620,8 +548,8 @@ macro_rules! section {
     };
 }
 
-/// Every tabled struct of a report. The combining walks and the checkpoint
-/// format go through this list; [`RunReport::to_json`] lays the same
+/// Every tabled struct of a report. The checkpoint format goes through
+/// this list; [`RunReport::to_json`] lays the same
 /// structs out by hand because the JSON document nests `by_class` and
 /// interleaves the folds.
 const SECTIONS: &[SectionAt] = &[
@@ -689,20 +617,6 @@ fn json_array(items: impl Iterator<Item = String>) -> String {
     format!("[{}]", items.collect::<Vec<_>>().join(","))
 }
 
-/// Commit-weighted pooling of the response-time moments (a mean of standard
-/// deviations is not the standard deviation of the pooled population).
-fn pooled_response(parts: &[RunReport]) -> (f64, f64) {
-    let mut pooled = Welford::new();
-    for r in parts {
-        pooled.merge(&Welford::from_moments(
-            r.txns.committed,
-            r.txns.response_mean,
-            r.txns.response_sd,
-        ));
-    }
-    (pooled.mean(), pooled.std_dev())
-}
-
 impl RunReport {
     /// Renders the full report as a JSON object.
     ///
@@ -724,21 +638,6 @@ impl RunReport {
                 .member("finished", w.finished)
                 .member("committed", w.committed)
                 .member("committed_fresh", w.committed_fresh)
-                .end()
-        });
-        let stripes = self.stripes.iter().map(|s| {
-            JsonObject::new()
-                .member("stripe", s.stripe)
-                .member("n_low", s.n_low)
-                .member("n_high", s.n_high)
-                .member("arrived", s.updates.arrived)
-                .member("installed_total", s.updates.installed_total())
-                .member("terminal_total", s.updates.terminal_total())
-                .member("txn_arrived", s.txns.arrived)
-                .member("txn_committed", s.txns.committed)
-                .member("fold_low", real(s.fold_low))
-                .member("fold_high", real(s.fold_high))
-                .member("wal_appended", s.durability.wal_appended)
                 .end()
         });
         let derived = JsonObject::new()
@@ -772,7 +671,9 @@ impl RunReport {
             )
             .member("durability", section(&self.durability).end())
             .member("timeline", json_array(timeline))
-            .member("stripes", json_array(stripes))
+            // Kept so the document's bytes stay put; only a change to the
+            // benchmark's pinned digests may drop it.
+            .member("stripes", "[]")
             .member("derived", derived.end())
             .end()
     }
@@ -788,7 +689,7 @@ impl RunReport {
 
     /// Every tabled field, in table order, with the checkpoint-key prefix of
     /// its struct (`"dag"`, `"txns.low"`). The irregular members (labels,
-    /// folds, `recovery_secs`, `timeline`, `stripes`) are not included.
+    /// folds, `recovery_secs`, `timeline`) are not included.
     pub fn scalars(&self) -> impl Iterator<Item = (&'static str, Row)> + '_ {
         SECTIONS.iter().flat_map(move |at| {
             let rows = (at.get)(self).rows();
@@ -803,102 +704,6 @@ impl RunReport {
         for at in SECTIONS {
             (at.get_mut)(self).fill(&mut values);
         }
-    }
-
-    /// The table-driven part of [`RunReport::merge_stripes`]: labels from
-    /// the first report, every tabled field by its [`Rule`], and timeline
-    /// windows summed per index out to the *longest* timeline.
-    fn combine(parts: &[RunReport]) -> RunReport {
-        let first = &parts[0];
-        let mut out = RunReport {
-            policy: first.policy.clone(),
-            seed: first.seed,
-            duration: first.duration,
-            warmup: first.warmup,
-            ..RunReport::default()
-        };
-        let tables: Vec<Vec<Row>> = parts
-            .iter()
-            .map(|r| r.scalars().map(|(_, row)| row).collect())
-            .collect();
-        out.set_scalars(tables[0].iter().enumerate().map(|(i, &(_, rule, _))| {
-            let column = tables.iter().map(|table| table[i].2);
-            rule.combine(column)
-        }));
-        let windows = parts.iter().map(|r| r.timeline.len()).max().unwrap_or(0);
-        out.timeline = (0..windows)
-            .map(|w| {
-                let covering = parts.iter().filter_map(move |r| r.timeline.get(w));
-                let count =
-                    |f: fn(&TimelineWindow) -> u64| Rule::Count.counts(covering.clone().map(f));
-                TimelineWindow {
-                    t_start: covering.clone().next().map_or(0.0, |t| t.t_start),
-                    finished: count(|t| t.finished),
-                    committed: count(|t| t.committed),
-                    committed_fresh: count(|t| t.committed_fresh),
-                }
-            })
-            .collect();
-        out
-    }
-
-    /// Collect-and-merge of per-stripe reports into one aggregate (the
-    /// cross-stripe barrier of the sharded runtime, and the striped
-    /// simulator's report composition).
-    ///
-    /// Each stripe saw a disjoint slice of the object space and the update
-    /// stream, so the aggregate counters are exact totals and every
-    /// conservation identity that holds per stripe holds for the merge.
-    /// Every tabled field merges by its [`Rule`]; response moments are
-    /// pooled; the stale-fraction folds are means weighted by each stripe's
-    /// partition size (a stripe owning no objects of a class contributes no
-    /// weight); `recovery_secs` is the slowest stripe's. The input reports
-    /// are retained verbatim as [`StripeSummary`] rows in `stripes`, indexed
-    /// by position.
-    ///
-    /// # Panics
-    /// Panics when `parts` is empty or its length differs from `shapes`.
-    #[must_use]
-    pub fn merge_stripes(parts: &[RunReport], shapes: &[(u32, u32)]) -> RunReport {
-        assert!(!parts.is_empty(), "cannot merge zero stripe reports");
-        assert_eq!(parts.len(), shapes.len(), "one shape per stripe report");
-        // Each stripe's fold covers only the objects it owns.
-        let weighted = |pick: fn(&RunReport) -> f64, weight: fn(&(u32, u32)) -> u32| {
-            let total: u64 = shapes.iter().map(|s| u64::from(weight(s))).sum();
-            if total == 0 {
-                return 0.0;
-            }
-            parts
-                .iter()
-                .zip(shapes)
-                .map(|(r, s)| pick(r) * f64::from(weight(s)))
-                .sum::<f64>()
-                / total as f64
-        };
-        let mut out = RunReport::combine(parts);
-        out.fold_low = weighted(|r| r.fold_low, |s| s.0);
-        out.fold_high = weighted(|r| r.fold_high, |s| s.1);
-        (out.txns.response_mean, out.txns.response_sd) = pooled_response(parts);
-        out.resilience.recovery_secs = parts
-            .iter()
-            .filter_map(|r| r.resilience.recovery_secs)
-            .reduce(f64::max);
-        out.stripes = parts
-            .iter()
-            .zip(shapes)
-            .enumerate()
-            .map(|(i, (r, &(n_low, n_high)))| StripeSummary {
-                stripe: i as u32,
-                n_low,
-                n_high,
-                txns: r.txns.clone(),
-                updates: r.updates.clone(),
-                fold_low: r.fold_low,
-                fold_high: r.fold_high,
-                durability: r.durability,
-            })
-            .collect();
-        out
     }
 }
 

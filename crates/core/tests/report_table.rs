@@ -1,11 +1,7 @@
-//! Pins the arithmetic of [`RunReport::merge_stripes`] and
-//! [`RunReport::to_json`] bit-for-bit.
+//! Pins [`RunReport::to_json`] bit-for-bit.
 //!
-//! The digests below were taken with the hand-written per-field traversals
-//! (one `mu`/`mf`/`su`/`sf`/`mx` line per field) that preceded the field
-//! table in `report.rs`; the table-driven walks must reproduce every one.
 //! The generator names each field by hand on purpose: it is the independent
-//! side of the comparison.
+//! side of the comparison with the table-driven walk in `report.rs`.
 
 use strip_core::fingerprint::fnv1a_64;
 use strip_core::report::{RunReport, TimelineWindow};
@@ -141,7 +137,7 @@ fn random_report(rng: &mut Rng) -> RunReport {
     y.wal_rotations = rng.count();
     y.recovery_replayed = rng.count();
     y.recovery_discarded = rng.count();
-    // Ragged: replicas and stripes cover different numbers of windows.
+    // Ragged: reports cover different numbers of windows.
     r.timeline = (0..rng.below(5))
         .map(|w| TimelineWindow {
             t_start: w as f64 * 12.5,
@@ -153,103 +149,85 @@ fn random_report(rng: &mut Rng) -> RunReport {
     r
 }
 
-/// The `merge_stripes` digest of set `i`.
+/// The `to_json` digest of set `i`: every report the set draws, in order.
 fn digest(i: u64) -> u64 {
     let mut rng = Rng(0x5712_1995 ^ i.wrapping_mul(0xA076_1D64_78BD_642F));
-    // The digests were taken when each set led with up to five reports for
-    // a second walk; drawing them still keeps the stripe inputs, and so the
-    // pinned digests, where they were.
-    for _ in 0..=rng.below(5) {
-        random_report(&mut rng);
+    let mut json = String::new();
+    for bound in [5, 4] {
+        for _ in 0..=rng.below(bound) {
+            json.push_str(&random_report(&mut rng).to_json());
+        }
     }
-    let parts: Vec<RunReport> = (0..=rng.below(4))
-        .map(|_| random_report(&mut rng))
-        .collect();
-    // A third of the partition sizes are zero; every eighth set owns no
-    // objects at all (the zero-total-weight fold).
-    let mut size = || match rng.below(3) {
-        0 => 0,
-        _ => rng.below(500) as u32,
-    };
-    let shapes: Vec<(u32, u32)> = parts
-        .iter()
-        .map(|_| (size(), size()))
-        .map(|shape| if i % 8 == 7 { (0, 0) } else { shape })
-        .collect();
-    fnv1a_64(
-        RunReport::merge_stripes(&parts, &shapes)
-            .to_json()
-            .as_bytes(),
-    )
+    fnv1a_64(json.as_bytes())
 }
 
-/// Taken at commit 487f25e (hand-written traversals).
+/// Taken at commit 2dde2a5.
 #[rustfmt::skip]
 const PINNED: [u64; 64] = [
-    0x4e015205bbc4035b,
-    0x64e7ca273e56565b,
-    0xea1d5aad4ad44ba3,
-    0xec8a0a7dc2e37e8f,
-    0xc3e57e79a4eabe13,
-    0xc654ddff22e74b83,
-    0xbe23aded1fca677c,
-    0xb09ef219dd993e73,
-    0x160d7bed588431e7,
-    0x2abcaf3bfc2b75f3,
-    0x561b1032284ca276,
-    0xb9d6bc38273a27aa,
-    0xcc56aa912a1c37c9,
-    0xda87c46cff534c9f,
-    0x0079d52773efe3d7,
-    0x3411c3c3607346fa,
-    0x3f37aa6e469945c9,
-    0x61a57941d94e29d6,
-    0x4cec4984de3c953c,
-    0x830a0c6e133d8aa6,
-    0x0550efe88429f2fa,
-    0x7e89c076972ef14d,
-    0x374059a35a7cf4d4,
-    0x35d6a81993a43f43,
-    0xf439ac8e1df223d2,
-    0x9724fcd4a1f86e35,
-    0x6123cfd07bac335e,
-    0x2ff378d8cd830d30,
-    0x690ca03b2e61f83b,
-    0x606e48c395423222,
-    0x124cc537dc8cace8,
-    0x4d9a8a41899ea792,
-    0xbbe521c7fa5d3442,
-    0xe72849272889eed6,
-    0x7a3de52ce4cda43d,
-    0x5159f8de7f3513d5,
-    0xeb8f053915c42544,
-    0x9c7b4f1cbdc49fca,
-    0xd2add9e298ef7310,
-    0xd3a37e43f9a5c2ae,
-    0x5c123ca4725fe114,
-    0x00288ada608ce5eb,
-    0x49edb600d3e4e6b2,
-    0x959b67b9e9aac302,
-    0x76c73e4b2e22d1b5,
-    0x1e12495f2c8a0c7c,
-    0xcd7fc3b9aeb16440,
-    0xa4f182ed432ecc51,
-    0x32a5a13f28c45af0,
-    0x698e5e4f053d3420,
-    0x0589b3579ab8bd2d,
-    0xa164a70f6d5194b7,
-    0x475d2cc827ec0cd9,
-    0x798bb984eeefc6a3,
-    0xbdabf173ae7d0ba3,
-    0xd4746ffea9c3e73e,
-    0xa36803a9f0fc7c1c,
-    0x186b04a3b4708e7d,
-    0x4a70a6289dffb23a,
-    0x33a9c368b063c785,
-    0x8bb9aaf6974620d2,
-    0x9a6ca5e0095f579b,
-    0xc9f6a5c6fa23a0c8,
-    0x5413b17bebb001c8,
+    0x70aef33e12a0e70b,
+    0xb163d6b9f846e5ef,
+    0xe6bfbee153c94e8e,
+    0xe92f14168db86703,
+    0x3b07b6c337fb2320,
+    0x0617913703ca54a0,
+    0xd11cd8a4522aa594,
+    0x22fbda549e70d394,
+    0xeb98ed59dcdd5fd0,
+    0x533d94e19c38a696,
+    0x2dfe5c2c0bb41db3,
+    0xef2bfaf9bfc6a52c,
+    0xb2e2d617d663757f,
+    0x66688ae484c90b9f,
+    0x92bfbe816617bfff,
+    0x38b7088dcc476089,
+    0x15744338ccf5e95d,
+    0x02570213b3bdada2,
+    0xbc30621425438c40,
+    0x7ea6596d8c6c19e9,
+    0xc1c192ddec286ce0,
+    0xf7b14639f61e9a55,
+    0x7c5391a5e13ba64d,
+    0x3731b3e74893d007,
+    0x27b58e947098d56c,
+    0x0d986d5b858a4774,
+    0xa5d3cec73e4bd00c,
+    0xcecd8bbefcd2910d,
+    0xb4a25632f6de5d0e,
+    0xc6e2112f622810bf,
+    0xd7a650caadad1925,
+    0x1c0f878fb907430f,
+    0x01179c8c45ddd725,
+    0x4a9c38f66e17c059,
+    0x443630dc6727bde3,
+    0x0184045cd1679325,
+    0x5c557a9c829ec5e0,
+    0x5fa28be13fc8290c,
+    0xf233027d795c9a60,
+    0x7b6bfa97a3b5b26f,
+    0x4bcd4cf9e7fbcaa6,
+    0xb39cfc7467564ce0,
+    0x63e28ec08c78c842,
+    0x3c48eea6f2afcf27,
+    0x78f0c800808c158f,
+    0x04a2a51e3dbedbfb,
+    0xf58d27a5ae549632,
+    0x30fd9fa8e9c1c840,
+    0x8942fb5b30bf3f1a,
+    0x949d6188f9b3c765,
+    0xf5fec21f02f8b9d0,
+    0xec6daa4041893015,
+    0x01605a2cf0ac2de4,
+    0xd0cd03a049204405,
+    0x056afdc77084df63,
+    0x58e7ee5234cd83dd,
+    0xe9235a35d1c55ee3,
+    0x4359d0de4f6fbd53,
+    0xf0e06f28dbbc2b78,
+    0xa6a58b573f6a7303,
+    0xdfa1a14a7f2e5458,
+    0x571c08c9b5f9d4a7,
+    0x3389e5a9dbc55cc2,
+    0x12fa1a91ce7daeab,
 ];
 
 #[test]

@@ -426,8 +426,8 @@ mod tests {
         let rows: Vec<Value> = (1u64..)
             .zip(r.scalars())
             .map(|(row, (_, (_, rule, _)))| match rule {
-                Rule::Count | Rule::Peak => Value::Count(row),
-                _ => Value::Real(row as f64 / 7.0),
+                Rule::Count => Value::Count(row),
+                Rule::Real => Value::Real(row as f64 / 7.0),
             })
             .collect();
         r.set_scalars(rows);

@@ -479,7 +479,7 @@ pub fn analyze_source(file: &str, src: &str, rules: &[RuleId]) -> Vec<Violation>
             // modules, which run the crash path unattended (no indexing
             // heuristic there — the fixed-offset codecs slice by constant
             // bounds on length-checked buffers); D8 in the rest of the live
-            // runtime, where a panic takes a stripe executor down, so every
+            // runtime, where a panic takes the executor down, so every
             // surviving site names its invariant in a per-site allow.
             "unwrap" | "expect" | "panic" if !in_regions(&tests, t.line) => {
                 let (what, called) = if t.text == "panic" {

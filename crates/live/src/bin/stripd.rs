@@ -10,15 +10,10 @@
 //! crash, `--recover` replays the snapshot + WAL tail before the listener
 //! binds. See DESIGN.md §14.
 //!
-//! With `--stripes N` the object space is hash-partitioned across N
-//! executor threads, each with its own queues, staleness tracker, and
-//! (under `--wal`) its own `stripe-<s>/` WAL directory; recovery replays
-//! the stripes independently. See DESIGN.md §15.
-//!
 //! ```text
 //! stripd [--addr 127.0.0.1:7411] [--policy uf|tf|su|od] \
 //!        [--staleness ma|uu|either] [--max-age SECS] [--quantum-us US] \
-//!        [--n-low N] [--n-high N] [--stripes N] [--warmup SECS] [--seed N] \
+//!        [--n-low N] [--n-high N] [--warmup SECS] [--seed N] \
 //!        [--wal DIR] [--fsync always|group:<us>|off] [--wal-rotate BYTES] \
 //!        [--snapshot-secs SECS] [--recover] [--dag DEPTHxWIDTHxFANOUT]
 //! ```
@@ -36,7 +31,7 @@ use strip_live::{recovery, signal};
 
 const USAGE: &str = "usage: stripd [--addr A] [--policy uf|tf|su|od] \
      [--staleness ma|uu|either] [--max-age S] [--quantum-us US] \
-     [--n-low N] [--n-high N] [--stripes N] [--warmup S] [--seed N] \
+     [--n-low N] [--n-high N] [--warmup S] [--seed N] \
      [--wal DIR] [--fsync always|group:<us>|off] [--wal-rotate BYTES] \
      [--snapshot-secs S] [--recover] [--dag DEPTHxWIDTHxFANOUT]";
 
@@ -48,7 +43,6 @@ struct Args {
     quantum_us: u64,
     n_low: u32,
     n_high: u32,
-    stripes: u32,
     warmup: f64,
     seed: u64,
     wal_dir: Option<String>,
@@ -86,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
         quantum_us: 500,
         n_low: 500,
         n_high: 500,
-        stripes: 1,
         warmup: 0.0,
         seed: 0x5712_1995,
         wal_dir: None,
@@ -122,7 +115,6 @@ fn parse_args() -> Result<Args, String> {
             "--quantum-us" => args.quantum_us = parse_num(&val()?, &flag)?,
             "--n-low" => args.n_low = parse_num(&val()?, &flag)?,
             "--n-high" => args.n_high = parse_num(&val()?, &flag)?,
-            "--stripes" => args.stripes = parse_num(&val()?, &flag)?,
             "--warmup" => args.warmup = parse_num(&val()?, &flag)?,
             "--seed" => args.seed = parse_num(&val()?, &flag)?,
             "--wal" => args.wal_dir = Some(val()?),
@@ -167,7 +159,6 @@ fn build_config(a: &Args) -> Result<SimConfig, String> {
         .lambda_t(0.0)
         .n_low(a.n_low)
         .n_high(a.n_high)
-        .stripes(a.stripes)
         .policy(a.policy)
         .staleness(staleness)
         .max_age(a.max_age)
@@ -215,31 +206,17 @@ fn main() -> ExitCode {
         });
     }
     // Recover before binding: a recovering server is never half-visible.
-    // Each stripe replays its own snapshot + segment chain.
     let recovered = if args.recover {
-        match recovery::recover_all(&cfg) {
-            Ok(parts) => {
-                if parts.len() == 1 {
-                    let r = &parts[0];
-                    println!(
-                        "stripd recovered: snapshot={} replayed={} discarded={} next_seq={}",
-                        if r.snapshot_loaded { "loaded" } else { "none" },
-                        r.replayed,
-                        r.discarded,
-                        r.next_seq
-                    );
-                } else {
-                    for (s, r) in parts.iter().enumerate() {
-                        println!(
-                            "stripd recovered stripe={s}: snapshot={} replayed={} discarded={} next_seq={}",
-                            if r.snapshot_loaded { "loaded" } else { "none" },
-                            r.replayed,
-                            r.discarded,
-                            r.next_seq
-                        );
-                    }
-                }
-                Some(parts)
+        match recovery::recover(&cfg) {
+            Ok(r) => {
+                println!(
+                    "stripd recovered: snapshot={} replayed={} discarded={} next_seq={}",
+                    if r.snapshot_loaded { "loaded" } else { "none" },
+                    r.replayed,
+                    r.discarded,
+                    r.next_seq
+                );
+                Some(r)
             }
             Err(e) => {
                 eprintln!("recover: {e}");
@@ -279,14 +256,13 @@ fn main() -> ExitCode {
             });
     }
     println!(
-        "stripd listening on {} policy={} staleness={} quantum={}us wal={} fsync={} stripes={} dag={}",
+        "stripd listening on {} policy={} staleness={} quantum={}us wal={} fsync={} dag={}",
         handle.addr(),
         cfg.sim.policy.label(),
         args.staleness,
         args.quantum_us,
         args.wal_dir.as_deref().unwrap_or("off"),
         args.fsync,
-        args.stripes,
         args.dag.map_or_else(
             || "off".to_string(),
             |d| format!("{}x{}x{}", d.depth, d.width, d.fanout)

@@ -7,8 +7,8 @@
 //! Protocol recap (DESIGN.md §13): a client that sends `CreditRequest`
 //! opts into flow control; the server grants window in `Credit` frames
 //! and the client may have at most `granted - spent` updates in flight.
-//! The server computes grants from *ring occupancy* — the scarcest
-//! stripe's free slots minus the still-unspent window — so a credited
+//! The server computes grants from *ring occupancy* — the ring's free
+//! slots minus the still-unspent window — so a credited
 //! client can never push into a full ring, even when uncredited updates
 //! (pushed before the opt-in) still occupy slots.
 
@@ -79,15 +79,14 @@ impl CreditWindow {
         self.granted == self.spent()
     }
 
-    /// Window the server can grant right now given the scarcest ring's
-    /// free slots, without risking a ring overrun on any stripe.
+    /// Window the server can grant right now given the ring's free slots,
+    /// without risking a ring overrun.
     ///
     /// `granted - spent` is what the client may still use; a new grant
-    /// on top of it must fit in `min_free`, so the grant is
-    /// `min_free - unspent`. Both invariants are debug-asserted; release
+    /// on top of it must fit in `free`, so the grant is `free - unspent`. Both invariants are debug-asserted; release
     /// builds clamp instead of masking drift with wrapping subtraction.
     #[must_use]
-    pub fn grantable(&self, min_free: u64) -> u64 {
+    pub fn grantable(&self, free: u64) -> u64 {
         let spent = self.spent();
         debug_assert!(
             spent <= self.granted || !self.credited,
@@ -95,7 +94,7 @@ impl CreditWindow {
             self.granted
         );
         let unspent = self.granted.saturating_sub(spent);
-        min_free.saturating_sub(unspent)
+        free.saturating_sub(unspent)
     }
 
     /// Records a grant sent to the client.

@@ -52,7 +52,6 @@ use strip_core::config::SimConfig;
 use strip_core::report::{ResilienceStats, RunReport};
 use strip_core::scheduler::{initial_store, Preempt, Scheduler};
 use strip_core::sources::UpdateSpec;
-use strip_core::stripe::StripeMap;
 use strip_core::txn::TxnSpec;
 use strip_db::object::{Importance, ViewObjectId};
 use strip_db::staleness::ExpiryWatch;
@@ -161,33 +160,6 @@ impl LiveConfig {
         self.durability = Some(durability);
         self
     }
-}
-
-/// The per-stripe executor configurations of a sharded run. Stripe `s`
-/// runs [`StripeMap::sub_config`] — the same shape and seed the
-/// corresponding `run_paper_sim_striped` sub-run gets, so its
-/// [`initial_store`] ages and service draws match it bit-for-bit — and
-/// logs to its own `stripe-<s>/` durability subdirectory. The distinct
-/// per-stripe seed also gives every stripe a distinct config
-/// fingerprint, so WAL/snapshot artefacts can never be replayed into the
-/// wrong stripe. A `stripes <= 1` config is returned unchanged — the
-/// single-store paths stay byte-identical.
-#[must_use]
-pub fn stripe_configs(cfg: &LiveConfig) -> Vec<LiveConfig> {
-    if cfg.sim.stripes <= 1 {
-        return vec![cfg.clone()];
-    }
-    let map = StripeMap::from_config(&cfg.sim);
-    (0..map.stripes())
-        .map(|s| {
-            let mut sub = cfg.clone();
-            sub.sim = map.sub_config(&cfg.sim, s);
-            if let Some(d) = &mut sub.durability {
-                d.dir = crate::logdir::stripe_dir(&d.dir, s);
-            }
-            sub
-        })
-        .collect()
 }
 
 /// One message into the executor thread: the control plane of the TCP
@@ -567,6 +539,12 @@ impl Executor {
     /// Admits one transaction and arms its deadline watchdog. Returns the
     /// core's verdict on preemption, like [`Executor::accept_update`].
     fn accept_txn(&mut self, w: WireTxn, now: SimTime) -> Option<Preempt> {
+        // Only a finite, non-negative value is a value: NaN or ±inf would
+        // win every value-density comparison and poison `value_committed`.
+        // Like a bad read set, it invalidates the whole transaction.
+        if !(w.value.is_finite() && w.value >= 0.0) {
+            return None;
+        }
         let class = Importance::from_index(w.class as usize)?;
         let mut reads = Vec::with_capacity(w.reads.len());
         for &(c, i) in &w.reads {
@@ -1661,6 +1639,38 @@ mod tests {
         let report = exec.finalize();
         assert_eq!(report.txns.missed_deadline, 1);
         assert_eq!(report.txns.committed, 0);
+    }
+
+    /// A value that is NaN, infinite or negative would win every
+    /// value-density comparison or poison `value_committed`, so it is
+    /// refused before it is counted, like a bad read set.
+    #[test]
+    fn a_non_finite_or_negative_value_is_refused_before_it_is_counted() {
+        let (_tx, mut exec) = stepped(LiveConfig::DEFAULT_QUANTUM);
+        for (id, value) in [(1, f64::NAN), (2, f64::INFINITY), (3, -1.0)] {
+            let bad = WireTxn {
+                id,
+                value,
+                ..wire_txn(100, 1_000_000)
+            };
+            assert!(exec.accept_txn(bad, exec.now).is_none());
+        }
+        assert_eq!(exec.snapshot(exec.now).txns.arrived, 0);
+        assert!(exec.deadlines.is_empty(), "no watchdog for a refused txn");
+
+        exec.accept_txn(
+            WireTxn {
+                id: 4,
+                ..wire_txn(100, 1_000_000)
+            },
+            exec.now,
+        );
+        while pass(&mut exec) {}
+        let report = exec.finalize();
+        assert_eq!(report.txns.arrived, 1);
+        assert_eq!(report.txns.committed, 1);
+        assert_eq!(report.txns.value_committed, 1.0);
+        assert!(report.av().is_finite());
     }
 
     #[test]

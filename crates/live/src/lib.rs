@@ -63,7 +63,7 @@ pub mod spsc;
 pub mod wal;
 
 pub use clock::LiveClock;
-pub use executor::{stripe_configs, Executor, Ingest, LiveConfig, LiveConfigError};
+pub use executor::{Executor, Ingest, LiveConfig, LiveConfigError};
 pub use loadgen::{replay, LoadgenSummary};
 pub use protocol::{
     FrameReader, Msg, WireQuery, WireQueryResponse, WireStats, WireTxn, WireUpdate,

@@ -6,7 +6,6 @@
 //! <dir>/snapshot.bin.tmp  the image being written; never read
 //! <dir>/wal.NNNNNN.seg    sealed links of the chain, ascending rotation index
 //! <dir>/wal.seg           the active segment: header, then records
-//! <dir>/stripe-<s>/       the same layout, one per stripe of a sharded server
 //! ```
 //!
 //! The byte formats belong to [`crate::wal`] and [`crate::snapshot`]; this
@@ -47,12 +46,6 @@ pub const SEGMENT_FILE: &str = "wal.seg";
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Temporary file the atomic snapshot replace goes through.
 pub const SNAPSHOT_TMP: &str = "snapshot.bin.tmp";
-
-/// Durability directory of stripe `s` under a sharded server's `dir`.
-#[must_use]
-pub fn stripe_dir(dir: &Path, s: u32) -> PathBuf {
-    dir.join(format!("stripe-{s}"))
-}
 
 /// File name of sealed (rotated) segment `idx` inside the WAL directory.
 #[must_use]

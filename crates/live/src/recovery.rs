@@ -37,7 +37,7 @@ use strip_db::store::Store;
 use strip_db::update::Update;
 
 use crate::clock::LiveClock;
-use crate::executor::{stripe_configs, LiveConfig};
+use crate::executor::LiveConfig;
 use crate::wal::{self, HDR_LEN, REC_SEAL, REC_UPDATE};
 use crate::{logdir, snapshot};
 use strip_core::scheduler::initial_store;
@@ -183,18 +183,13 @@ pub fn recover(cfg: &LiveConfig) -> io::Result<Recovered> {
     })
 }
 
-/// Sharded recovery: runs [`recover`] once per stripe, each against its
-/// own `stripe-<s>/` durability subdirectory and stripe-local
-/// configuration (see [`stripe_configs`]), in stripe order. Stripes are
-/// independent failure domains — each replays its own chain — so the
-/// result vector lines up index-for-index with the executors
-/// `serve_recovered` will start. For `stripes <= 1` this is exactly one
-/// [`recover`] over the flat directory.
+/// [`recover`], as a one-element vector. Every caller in this workspace
+/// calls [`recover`]; this form stays because the benchmark package
+/// (`benchmark/src/live_burst.rs`) indexes `[0]` of it.
 ///
 /// # Errors
 ///
-/// The first failing stripe aborts the whole recovery: booting with a
-/// partial store would silently violate cross-stripe conservation.
+/// Those of [`recover`].
 pub fn recover_all(cfg: &LiveConfig) -> io::Result<Vec<Recovered>> {
-    stripe_configs(cfg).iter().map(recover).collect()
+    Ok(vec![recover(cfg)?])
 }

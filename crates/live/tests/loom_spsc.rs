@@ -9,8 +9,8 @@
 //! overwriting), and the empty-ring/close edge (a pop against an empty
 //! ring returns `None` and close is observed only after the last value).
 //! Two protocol models ride along: the server's credit-grant arithmetic
-//! (the real [`CreditWindow`] against real rings — grants may never let
-//! a credited push find a full stripe) and the WAL flusher's
+//! (the real [`CreditWindow`] against a real ring — grants may never let
+//! a credited push find it full) and the WAL flusher's
 //! chunk-then-watermark Release publication.
 //!
 //! Run with:
@@ -106,30 +106,28 @@ fn full_ring_pushes_are_refused_not_overwritten() {
 }
 
 /// Credit-grant model: the server's credit arithmetic (the *real*
-/// [`CreditWindow`] from `strip_live::credit`, driven against real rings)
+/// [`CreditWindow`] from `strip_live::credit`, driven against a real ring)
 /// racing a draining executor. The property the wire protocol stands on:
-/// a grant is computed from the scarcest stripe's observed free slots
-/// minus the client's unspent window, and the executor only ever *frees*
-/// slots concurrently — so a credited client spending its whole window
-/// into one stripe (the adversarial placement) must never find that ring
-/// full. A stale `consumed()` observation under-estimates frees and
-/// shrinks the grant; it can never inflate it. The model also carries an
-/// uncredited backlog update so the occupancy-vs-grant distinction that
-/// `pre_credit` exists for is exercised, and checks FIFO on the loaded
-/// stripe end to end.
+/// a grant is computed from the ring's observed free slots minus the
+/// client's unspent window, and the executor only ever *frees* slots
+/// concurrently — so a credited client spending its whole window must
+/// never find the ring full. A stale `consumed()` observation
+/// under-estimates frees and shrinks the grant; it can never inflate it.
+/// The model also carries an uncredited backlog update so the
+/// occupancy-vs-grant distinction that `pre_credit` exists for is
+/// exercised, and checks FIFO end to end.
 #[test]
 fn credit_grants_never_let_a_credited_push_find_a_full_ring() {
     loom::model(|| {
         const CAP: usize = 2;
         let (mut p0, mut c0) = ring::<u32>(CAP);
-        let (p1, _c1) = ring::<u32>(CAP);
-        // One uncredited update already occupies stripe 0 before the
+        // One uncredited update already occupies the ring before the
         // client opts in: it holds a slot but never drew credit.
         p0.push(100).expect("empty ring accepts the backlog update");
         let mut window = CreditWindow::new();
         window.on_update();
         window.opt_in();
-        // The executor drains stripe 0 concurrently with the grant
+        // The executor drains the ring concurrently with the grant
         // rounds (bounded attempts; a miss is a legal schedule).
         let consumer = loom::thread::spawn(move || {
             let mut got = Vec::new();
@@ -140,16 +138,12 @@ fn credit_grants_never_let_a_credited_push_find_a_full_ring() {
             }
             (c0, got)
         });
-        // Two grant rounds, each spent entirely into stripe 0 — the
-        // scarcest ring, so the bound is tight, not slack.
+        // Two grant rounds, each spent entirely, so the bound is tight,
+        // not slack.
         let mut next = 0u32;
         for _ in 0..2 {
-            let min_free = [&p0, &p1]
-                .iter()
-                .map(|p| (CAP as u64).saturating_sub(p.pushed().saturating_sub(p.consumed())))
-                .min()
-                .expect("two stripes");
-            let grant = window.grantable(min_free);
+            let free = (CAP as u64).saturating_sub(p0.pushed().saturating_sub(p0.consumed()));
+            let grant = window.grantable(free);
             window.record_grant(grant);
             for _ in 0..grant {
                 window.on_update();

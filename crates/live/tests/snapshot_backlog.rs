@@ -21,7 +21,7 @@ use strip_db::object::{Importance, ViewObjectId};
 use strip_live::clock::LiveClock;
 use strip_live::executor::{Executor, Ingest, LiveConfig};
 use strip_live::protocol::WireUpdate;
-use strip_live::recovery::recover_all;
+use strip_live::recovery::recover;
 use strip_live::wal::{DurabilityConfig, WalHandle};
 
 const N_PER_CLASS: u32 = 16;
@@ -109,7 +109,7 @@ fn assert_recovers(
 ) -> bool {
     let mut cfg = cfg.clone();
     cfg.durability.as_mut().expect("durability").dir = dir.to_path_buf();
-    let rec = recover_all(&cfg).expect("recover").remove(0);
+    let rec = recover(&cfg).expect("recover");
     assert_eq!(
         rec.next_seq, acked,
         "recovery must cover every acked update"

@@ -1,4 +1,4 @@
-//! Property tests for the derived-view DAG (DESIGN.md §17): delta
+//! Property tests for the derived-view DAG (DESIGN.md §16): delta
 //! conservation under random generated DAGs and interleavings, and the
 //! incremental path against the full-recompute oracle at quiescent points.
 

@@ -17,11 +17,9 @@
 pub mod disturbance;
 pub mod generators;
 pub mod scenarios;
-pub mod striped;
 
 pub use disturbance::DisturbedUpdates;
 pub use generators::{PeriodicUpdates, PoissonTxns, PoissonUpdates, UpdateStream};
-pub use striped::run_paper_sim_striped;
 
 use strip_core::config::{ConfigError, SimConfig};
 use strip_core::controller::{run_simulation_checked, run_simulation_traced};

@@ -14,10 +14,7 @@
 //! order) and that a change to the core is an intended one.
 
 use strip::core::config::{DagSpec, Policy, SimConfig};
-use strip::core::stripe::{stripe_of, StripeMap};
-use strip::db::object::{Importance, ViewObjectId};
 use strip::run_paper_sim;
-use strip::workload::run_paper_sim_striped;
 
 /// (policy, λt, arrived, committed, committed_fresh, installed,
 /// value_committed, fold_low, fold_high, events_processed).
@@ -110,93 +107,8 @@ fn extracted_policy_module_is_bit_identical_on_fig03_short_sweep() {
     }
 }
 
-/// The striped runner with `stripes = 1` must route everything through
-/// stripe 0 and reproduce the pre-refactor golden pins bit-for-bit: the
-/// scripted partition of the seeded workload is a faithful
-/// materialisation of the lazy generator path, and a single stripe is the
-/// paper's single store.
-#[test]
-fn striped_runner_with_one_stripe_matches_golden_pins() {
-    for row in PRE_REFACTOR {
-        let (label, lambda_t, arrived, committed, fresh, installed, value, fl, fh, events) = row;
-        let cfg = SimConfig::builder()
-            .policy(policy_by_label(label))
-            .lambda_t(lambda_t)
-            .duration(5.0)
-            .seed(0x5712_1995)
-            .stripes(1)
-            .build()
-            .unwrap();
-        let r = run_paper_sim_striped(&cfg).unwrap();
-        let tag = format!("striped {label} λt={lambda_t}");
-        assert_eq!(r.txns.arrived, arrived, "{tag}: arrived");
-        assert_eq!(r.txns.committed, committed, "{tag}: committed");
-        assert_eq!(r.txns.committed_fresh, fresh, "{tag}: fresh");
-        assert_eq!(r.updates.installed_total(), installed, "{tag}: installed");
-        assert_eq!(r.cpu.events_processed, events, "{tag}: events");
-        assert!(
-            (r.txns.value_committed - value).abs() < 1e-6,
-            "{tag}: value"
-        );
-        assert!((r.fold_low - fl).abs() < 1e-6, "{tag}: fold_low");
-        assert!((r.fold_high - fh).abs() < 1e-6, "{tag}: fold_high");
-    }
-}
-
-/// Sharded sweep: for every policy and stripe count, each stripe's update
-/// accounting must conserve independently (every arrival ends in exactly
-/// one terminal bucket *within its own stripe* — updates never migrate),
-/// the per-stripe shapes must tile the object space, and the aggregate
-/// must equal the sum of its stripes.
-#[test]
-fn striped_sweep_conserves_per_stripe_across_policies() {
-    for stripes in [1u32, 4, 16] {
-        for label in ["UF", "TF", "SU", "OD"] {
-            let cfg = SimConfig::builder()
-                .policy(policy_by_label(label))
-                .lambda_t(10.0)
-                .duration(5.0)
-                .seed(0x5712_1995)
-                .stripes(stripes)
-                .build()
-                .unwrap();
-            let r = run_paper_sim_striped(&cfg).unwrap();
-            let tag = format!("{label} stripes={stripes}");
-            assert_eq!(r.stripes.len(), stripes as usize, "{tag}: summary rows");
-            let (mut low, mut high) = (0u32, 0u32);
-            let (mut arrived, mut installed, mut txn_arrived) = (0u64, 0u64, 0u64);
-            for s in &r.stripes {
-                assert_eq!(
-                    s.updates.terminal_total(),
-                    s.updates.arrived,
-                    "{tag}: stripe {} leaks updates",
-                    s.stripe
-                );
-                low += s.n_low;
-                high += s.n_high;
-                arrived += s.updates.arrived;
-                installed += s.updates.installed_total();
-                txn_arrived += s.txns.arrived;
-            }
-            assert_eq!((low, high), (cfg.n_low, cfg.n_high), "{tag}: shape tiling");
-            assert_eq!(r.updates.arrived, arrived, "{tag}: aggregate arrivals");
-            assert_eq!(
-                r.updates.installed_total(),
-                installed,
-                "{tag}: aggregate installs"
-            );
-            assert_eq!(r.txns.arrived, txn_arrived, "{tag}: aggregate txns");
-            assert_eq!(
-                r.updates.terminal_total(),
-                r.updates.arrived,
-                "{tag}: aggregate conservation"
-            );
-        }
-    }
-}
-
-/// Derived-view DAG sweep: a depth×fanout grid under all four algorithms
-/// and stripe counts 1 and 4. For every point the delta accounting must
+/// Derived-view DAG sweep: a depth×fanout grid under all four algorithms.
+/// For every point the delta accounting must
 /// conserve (`enqueued = applied + coalesced + shed + pending`), reruns
 /// must be bit-identical, derived reads must actually occur, and only OD
 /// may pay on-demand refreshes. This is the scenario-family analogue of
@@ -205,75 +117,53 @@ fn striped_sweep_conserves_per_stripe_across_policies() {
 /// refactor must preserve.
 #[test]
 fn dag_scenario_sweep_conserves_and_is_deterministic() {
-    for stripes in [1u32, 4] {
-        for &depth in &[1u32, 3] {
-            for &fanout in &[2u32, 4] {
-                for label in ["UF", "TF", "SU", "OD"] {
-                    let build = || {
-                        SimConfig::builder()
-                            .policy(policy_by_label(label))
-                            .lambda_t(10.0)
-                            .duration(5.0)
-                            .seed(0x5712_1995)
-                            .stripes(stripes)
-                            .dag(Some(DagSpec {
-                                depth,
-                                width: 12,
-                                fanout,
-                                ..DagSpec::default()
-                            }))
-                            .build()
-                            .unwrap()
-                    };
-                    let r = run_paper_sim_striped(&build()).unwrap();
-                    let tag = format!("{label} stripes={stripes} depth={depth} fanout={fanout}");
-                    assert_eq!(
-                        r.dag.enqueued,
-                        r.dag.terminal_total(),
-                        "{tag}: delta conservation"
+    for &depth in &[1u32, 3] {
+        for &fanout in &[2u32, 4] {
+            for label in ["UF", "TF", "SU", "OD"] {
+                let build = || {
+                    SimConfig::builder()
+                        .policy(policy_by_label(label))
+                        .lambda_t(10.0)
+                        .duration(5.0)
+                        .seed(0x5712_1995)
+                        .dag(Some(DagSpec {
+                            depth,
+                            width: 12,
+                            fanout,
+                            ..DagSpec::default()
+                        }))
+                        .build()
+                        .unwrap()
+                };
+                let r = run_paper_sim(&build());
+                let tag = format!("{label} depth={depth} fanout={fanout}");
+                assert_eq!(
+                    r.dag.enqueued,
+                    r.dag.terminal_total(),
+                    "{tag}: delta conservation"
+                );
+                assert!(r.dag.enqueued > 0, "{tag}: installs must enqueue deltas");
+                assert!(r.dag.derived_reads > 0, "{tag}: txns must read derived");
+                if label == "OD" {
+                    assert!(
+                        r.dag.stale_derived_reads == 0 || r.dag.od_refreshes > 0,
+                        "{tag}: OD must refresh stale derived reads"
                     );
-                    assert!(r.dag.enqueued > 0, "{tag}: installs must enqueue deltas");
-                    assert!(r.dag.derived_reads > 0, "{tag}: txns must read derived");
-                    if label == "OD" {
-                        assert!(
-                            r.dag.stale_derived_reads == 0 || r.dag.od_refreshes > 0,
-                            "{tag}: OD must refresh stale derived reads"
-                        );
-                    } else {
-                        assert_eq!(r.dag.od_refreshes, 0, "{tag}: only OD refreshes");
-                    }
-                    // Base-stream accounting still conserves with the DAG on.
-                    assert_eq!(
-                        r.updates.terminal_total(),
-                        r.updates.arrived,
-                        "{tag}: update conservation"
-                    );
-                    let again = run_paper_sim_striped(&build()).unwrap();
-                    assert_eq!(r.dag, again.dag, "{tag}: determinism");
-                    assert_eq!(
-                        r.cpu.events_processed, again.cpu.events_processed,
-                        "{tag}: event-count determinism"
-                    );
+                } else {
+                    assert_eq!(r.dag.od_refreshes, 0, "{tag}: only OD refreshes");
                 }
-            }
-        }
-    }
-}
-
-/// Sim/live routing parity: the simulator's stripe partitioner and the
-/// live connection readers both call `strip_core::stripe::stripe_of`;
-/// this pins the map-backed translation to the primitive across the
-/// swept stripe counts so the two layers can never diverge.
-#[test]
-fn stripe_routing_is_shared_between_sim_and_live() {
-    for stripes in [1u32, 4, 16] {
-        let map = StripeMap::new(stripes, 500, 500);
-        for class in Importance::ALL {
-            for index in (0..500).step_by(7) {
-                let id = ViewObjectId::new(class, index);
-                let (s, local) = map.to_local(id);
-                assert_eq!(s, stripe_of(class, index, stripes));
-                assert_eq!(map.to_global(s, local), id);
+                // Base-stream accounting still conserves with the DAG on.
+                assert_eq!(
+                    r.updates.terminal_total(),
+                    r.updates.arrived,
+                    "{tag}: update conservation"
+                );
+                let again = run_paper_sim(&build());
+                assert_eq!(r.dag, again.dag, "{tag}: determinism");
+                assert_eq!(
+                    r.cpu.events_processed, again.cpu.events_processed,
+                    "{tag}: event-count determinism"
+                );
             }
         }
     }
