@@ -347,9 +347,6 @@ pub struct SimConfig {
     pub os_max: usize,
     /// Maximum size of the update queue, in updates (UQ_max).
     pub uq_max: usize,
-    /// OS-queue overflow shedding policy (paper §3.3: the kernel rejects the
-    /// arriving message, i.e. `DropNewest`).
-    pub os_shed: ShedPolicy,
     /// Update-queue overflow shedding policy (paper §4.2: discard the oldest
     /// generation, i.e. `DropOldest`).
     pub uq_shed: ShedPolicy,
@@ -450,7 +447,6 @@ impl Default for SimConfig {
             costs: CostModel::default(),
             os_max: 4_000,
             uq_max: 5_600,
-            os_shed: ShedPolicy::DropNewest,
             uq_shed: ShedPolicy::DropOldest,
             feasible_deadline: true,
             txn_preemption: false,
@@ -807,8 +803,6 @@ impl SimConfigBuilder {
         os_max: usize);
     setter!(/// Sets the update queue bound.
         uq_max: usize);
-    setter!(/// Sets the OS-queue overflow shedding policy.
-        os_shed: ShedPolicy);
     setter!(/// Sets the update-queue overflow shedding policy.
         uq_shed: ShedPolicy);
     setter!(/// Applies disturbances to the update stream.
@@ -999,7 +993,6 @@ mod tests {
     #[test]
     fn resilience_defaults_are_off() {
         let c = SimConfig::default();
-        assert_eq!(c.os_shed, ShedPolicy::DropNewest);
         assert_eq!(c.uq_shed, ShedPolicy::DropOldest);
         assert!(c.disturbance.is_none());
         assert!(c.admission.is_none());

@@ -383,7 +383,7 @@ impl Scheduler {
             alpha: cfg.staleness.alpha(),
             store,
             tracker,
-            os_queue: OsQueue::with_shed(cfg.os_max, cfg.os_shed),
+            os_queue: OsQueue::new(cfg.os_max),
             uq: DualUpdateQueue::with_shed(
                 cfg.uq_max,
                 cfg.indexed_queue,
@@ -611,10 +611,9 @@ impl Scheduler {
                 attr_mask: spec.attr_mask,
             };
             self.update_seq += 1;
-            // Exactly one update is lost per overflow event, whichever
-            // victim the shedding policy picked.
+            // A full OS queue rejects the arrival (paper §3.3).
             let outcome = self.os_queue.deliver(update);
-            self.metrics.update_arrived(now, !outcome.lost_one());
+            self.metrics.update_arrived(now, outcome.accepted);
         }
         // The system has been handed this update: under UU the object is now
         // stale until a value at least this recent is installed.

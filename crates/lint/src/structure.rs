@@ -41,7 +41,7 @@ const FIGURES: &str = "crates/experiments/src/figures.rs";
 const SWEEP_CODE: &[&str] = &["crates/experiments/src/", "crates/core/src/"];
 
 /// Every structure check, in gate order.
-pub const ROWS: [Row; 15] = [
+pub const ROWS: [Row; 17] = [
     Row {
         rule: RuleId::SchedulerCore,
         needles: &[
@@ -87,6 +87,20 @@ pub const ROWS: [Row; 15] = [
         scope: &["crates/live/src/"],
         expect: Expect::Never,
         why: "no option selects a frame shape",
+    },
+    Row {
+        rule: RuleId::UpdatePath,
+        needles: &["Msg::Update("],
+        scope: &["crates/"],
+        expect: Expect::Never,
+        why: "one frame carries updates: UpdateBatch, within the session's credit",
+    },
+    Row {
+        rule: RuleId::UpdatePath,
+        needles: &["os_shed"],
+        scope: &["crates/"],
+        expect: Expect::Never,
+        why: "the OS queue rejects the arrival (paper §3.3); no option picks another victim",
     },
     Row {
         rule: RuleId::ConfigContract,

@@ -19,7 +19,7 @@ fn scan(name: &str, scanned_as: &str) -> Vec<Violation> {
 }
 
 /// (fixture, the path it is scanned as, the rule that fires).
-const CASES: [(&str, &str, RuleId); 21] = [
+const CASES: [(&str, &str, RuleId); 23] = [
     ("d1.rs", "d1.rs", RuleId::WallClock),
     ("d2.rs", "d2.rs", RuleId::NondeterministicOrder),
     ("d3.rs", "d3.rs", RuleId::AmbientEntropy),
@@ -50,6 +50,16 @@ const CASES: [(&str, &str, RuleId); 21] = [
     (
         "s2_batch_flag.rs",
         "crates/live/src/bin/strip_loadgen.rs",
+        RuleId::UpdatePath,
+    ),
+    (
+        "s2_update_frame.rs",
+        "crates/live/src/protocol.rs",
+        RuleId::UpdatePath,
+    ),
+    (
+        "s2_os_shed.rs",
+        "crates/core/src/config.rs",
         RuleId::UpdatePath,
     ),
     (

@@ -7,18 +7,18 @@
 //! microseconds — generation timestamps may precede the receiving server's
 //! start (the external source stamped them), so the sign matters.
 //!
-//! Client → server: [`Msg::Update`], [`Msg::Txn`], [`Msg::Query`],
-//! [`Msg::StatsRequest`], [`Msg::ReportRequest`], [`Msg::Shutdown`],
-//! [`Msg::UpdateBatch`], [`Msg::CreditRequest`], [`Msg::DerivedQuery`].
-//! Server → client: [`Msg::QueryResponse`], [`Msg::StatsResponse`],
-//! [`Msg::ReportJson`], [`Msg::Credit`], [`Msg::DerivedQueryResponse`].
+//! Client → server: [`Msg::CreditRequest`], [`Msg::UpdateBatch`],
+//! [`Msg::Txn`], [`Msg::Query`], [`Msg::StatsRequest`],
+//! [`Msg::ReportRequest`], [`Msg::Shutdown`], [`Msg::DerivedQuery`].
+//! Server → client: [`Msg::Credit`], [`Msg::QueryResponse`],
+//! [`Msg::StatsResponse`], [`Msg::ReportJson`],
+//! [`Msg::DerivedQueryResponse`].
 //!
-//! The batched ingest path (DESIGN.md §13) amortises the per-frame
-//! syscall and length-prefix overhead: an [`Msg::UpdateBatch`] carries up
-//! to [`MAX_BATCH_UPDATES`] updates in one frame, and the opt-in credit
-//! protocol ([`Msg::CreditRequest`] / [`Msg::Credit`]) bounds how many
-//! un-acknowledged updates a sender may have in flight so the server's
-//! lock-free ingest ring never overruns.
+//! One frame kind carries updates (DESIGN.md §13): an [`Msg::UpdateBatch`]
+//! holds up to [`MAX_BATCH_UPDATES`] of them, and a sender may have only
+//! as many in flight as the server granted it ([`Msg::CreditRequest`],
+//! then [`Msg::Credit`]), so the server's lock-free ingest ring never
+//! overruns.
 //!
 //! Decoding is strict: unknown tags, short payloads, trailing bytes and
 //! oversized frames are all errors ([`ProtoError`]) — a protocol slip
@@ -42,8 +42,7 @@ const READ_ENTRY: usize = 5;
 pub const MAX_TXN_READS: usize = (MAX_FRAME - TXN_FIXED) / READ_ENTRY;
 
 /// Bytes per update inside an [`Msg::UpdateBatch`] body: class + index +
-/// generation + payload + attr_mask (the [`Msg::Update`] payload without
-/// its tag byte).
+/// generation + payload + attr_mask.
 pub const UPDATE_ENTRY: usize = 1 + 4 + 8 + 8 + 8;
 
 /// Fixed-size prefix of an update-batch body: tag + update count.
@@ -171,8 +170,6 @@ pub struct WireStats {
 /// One protocol message (the body of one frame).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Client → server: an external update (tag 1).
-    Update(WireUpdate),
     /// Client → server: a transaction (tag 2).
     Txn(WireTxn),
     /// Client → server: a point read (tag 3).
@@ -183,13 +180,14 @@ pub enum Msg {
     ReportRequest,
     /// Client → server: stop the executor and finalise the run (tag 6).
     Shutdown,
-    /// Client → server: many updates in one frame (tag 7). At most
-    /// [`MAX_BATCH_UPDATES`] per frame; the encoder refuses more.
+    /// Client → server: external updates (tag 7), the one frame that
+    /// carries them. At most [`MAX_BATCH_UPDATES`] per frame; the encoder
+    /// refuses more.
     UpdateBatch(Vec<WireUpdate>),
-    /// Client → server: opt in to credit-based flow control (tag 8). The
-    /// server answers with an initial [`Msg::Credit`] grant and tops the
-    /// window up as its ingest ring drains; after opting in the client
-    /// must not have more un-granted updates in flight than its credit.
+    /// Client → server: ask for update credit (tag 8). The server answers
+    /// with a [`Msg::Credit`] grant and tops the window up as its ingest
+    /// ring drains; a session that sends an update it was not granted is
+    /// closed.
     CreditRequest,
     /// Client → server: read one derived-view DAG node (tag 9).
     DerivedQuery(WireDerivedQuery),
@@ -288,7 +286,6 @@ impl Msg {
     #[must_use]
     pub fn tag(&self) -> u8 {
         match self {
-            Msg::Update(_) => 1,
             Msg::Txn(_) => 2,
             Msg::Query(_) => 3,
             Msg::StatsRequest => 4,
@@ -311,7 +308,6 @@ impl Msg {
         let mut out = Vec::with_capacity(64);
         out.push(self.tag());
         match self {
-            Msg::Update(u) => put_update(&mut out, u),
             Msg::Txn(t) => {
                 put_u64(&mut out, t.id);
                 out.push(t.class);
@@ -471,10 +467,6 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
     let mut c = Cursor { buf: body, pos: 0 };
     let tag = c.u8()?;
     match tag {
-        1 => {
-            let msg = Msg::Update(c.update()?);
-            c.finish(msg)
-        }
         2 => {
             let id = c.u64()?;
             let class = c.class()?;
@@ -591,33 +583,32 @@ pub fn encode_batch_body(out: &mut Vec<u8>, updates: &[WireUpdate]) -> Result<()
     Ok(())
 }
 
-/// Decodes the updates of an update frame body (tag byte included)
-/// without allocating, invoking `f` once per update in wire order: a
-/// tag-1 [`Msg::Update`] body is a batch of one, a tag-7
-/// [`Msg::UpdateBatch`] body carries its count. This is the server's
-/// ingest path: updates go straight from the receive buffer into the
-/// SPSC ring with no intermediate `Vec`.
+/// Decodes the updates of an [`Msg::UpdateBatch`] body (tag byte
+/// included) without allocating, invoking `f` once per update in wire
+/// order — the counterpart of [`encode_batch_body`]. This is the server's
+/// ingest path: updates go straight from the receive buffer into the SPSC
+/// ring with no intermediate `Vec`.
 ///
 /// Returns the number of updates decoded.
 ///
 /// # Errors
 ///
-/// Returns [`ProtoError`] when the body is not a well-formed update frame
-/// (any other tag, truncated or trailing payload, bad class, count past
+/// Returns [`ProtoError`] when the body is not a well-formed batch (any
+/// other tag, truncated or trailing payload, bad class, count past
 /// [`MAX_BATCH_UPDATES`]).
-pub fn for_each_update(body: &[u8], mut f: impl FnMut(WireUpdate)) -> Result<usize, ProtoError> {
+pub fn for_each_batch_update(
+    body: &[u8],
+    mut f: impl FnMut(WireUpdate),
+) -> Result<usize, ProtoError> {
     let mut c = Cursor { buf: body, pos: 0 };
-    let n = match c.u8()? {
-        1 => 1,
-        7 => {
-            let n = c.u32()? as usize;
-            if n > MAX_BATCH_UPDATES {
-                return Err(ProtoError::TooLarge(BATCH_FIXED + n * UPDATE_ENTRY));
-            }
-            n
-        }
-        tag => return Err(ProtoError::BadTag(tag)),
-    };
+    let tag = c.u8()?;
+    if tag != 7 {
+        return Err(ProtoError::BadTag(tag));
+    }
+    let n = c.u32()? as usize;
+    if n > MAX_BATCH_UPDATES {
+        return Err(ProtoError::TooLarge(BATCH_FIXED + n * UPDATE_ENTRY));
+    }
     for _ in 0..n {
         f(c.update()?);
     }
@@ -626,19 +617,6 @@ pub fn for_each_update(body: &[u8], mut f: impl FnMut(WireUpdate)) -> Result<usi
         return Err(ProtoError::Trailing(left));
     }
     Ok(n)
-}
-
-/// [`for_each_update`] restricted to [`Msg::UpdateBatch`] bodies — the
-/// counterpart of [`encode_batch_body`].
-///
-/// # Errors
-///
-/// As [`for_each_update`], and [`ProtoError::BadTag`] for a tag-1 body.
-pub fn for_each_batch_update(body: &[u8], f: impl FnMut(WireUpdate)) -> Result<usize, ProtoError> {
-    match body.first() {
-        Some(&tag) if tag != 7 => Err(ProtoError::BadTag(tag)),
-        _ => for_each_update(body, f),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -868,13 +846,6 @@ mod tests {
     #[test]
     fn round_trip_every_fixed_message() {
         let msgs = [
-            Msg::Update(WireUpdate {
-                class: 1,
-                index: 42,
-                generation_micros: -1_500_000,
-                payload: 3.25,
-                attr_mask: u64::MAX,
-            }),
             Msg::Query(WireQuery { class: 0, index: 7 }),
             Msg::DerivedQuery(WireDerivedQuery { node: 17 }),
             Msg::DerivedQueryResponse(WireDerivedQueryResponse {
@@ -928,13 +899,13 @@ mod tests {
     fn framed_stream_round_trip() {
         let mut wire = Vec::new();
         let sent = [
-            Msg::Update(WireUpdate {
+            Msg::UpdateBatch(vec![WireUpdate {
                 class: 0,
                 index: 1,
                 generation_micros: 5,
                 payload: 1.0,
                 attr_mask: u64::MAX,
-            }),
+            }]),
             Msg::StatsRequest,
         ];
         for m in &sent {
@@ -960,13 +931,13 @@ mod tests {
         body.push(0);
         assert_eq!(decode_body(&body), Err(ProtoError::Trailing(1)));
         // Truncated update.
-        let body = Msg::Update(WireUpdate {
+        let body = Msg::UpdateBatch(vec![WireUpdate {
             class: 0,
             index: 0,
             generation_micros: 0,
             payload: 0.0,
             attr_mask: 0,
-        })
+        }])
         .encode_body();
         assert_eq!(
             decode_body(&body[..body.len() - 1]),
@@ -1040,19 +1011,8 @@ mod tests {
         let n = for_each_batch_update(&body, |u| seen.push(u)).unwrap();
         assert_eq!(n, 17);
         assert_eq!(seen, updates);
-
-        // A single-update frame is a batch of one to `for_each_update`
-        // only; the batch decoder refuses its tag.
-        let update_body = Msg::Update(updates[0]).encode_body();
-        let mut one = Vec::new();
-        assert_eq!(for_each_update(&update_body, |u| one.push(u)), Ok(1));
-        assert_eq!(one, updates[..1]);
         assert!(matches!(
-            for_each_batch_update(&update_body, |_| {}),
-            Err(ProtoError::BadTag(1))
-        ));
-        assert!(matches!(
-            for_each_update(&[4], |_| {}),
+            for_each_batch_update(&[4], |_| {}),
             Err(ProtoError::BadTag(4))
         ));
         // Trailing byte and truncation are rejected.
@@ -1066,6 +1026,24 @@ mod tests {
             for_each_batch_update(&body[..body.len() - 1], |_| {}),
             Err(ProtoError::Truncated)
         ));
+    }
+
+    /// Tag 1 once carried a single update; it is now an unknown tag to
+    /// both decoders, so no update enters except in a batch frame.
+    #[test]
+    fn a_tag_1_single_update_body_is_an_unknown_tag() {
+        let mut batch = Vec::new();
+        encode_batch_body(&mut batch, &batch_of(1)).unwrap();
+        let mut tag_1 = vec![1u8];
+        tag_1.extend_from_slice(&batch[BATCH_FIXED..]);
+        assert_eq!(tag_1.len(), 1 + UPDATE_ENTRY);
+        assert_eq!(decode_body(&tag_1), Err(ProtoError::BadTag(1)));
+        let mut seen = 0;
+        assert_eq!(
+            for_each_batch_update(&tag_1, |_| seen += 1),
+            Err(ProtoError::BadTag(1))
+        );
+        assert_eq!(seen, 0);
     }
 
     /// A reader that hands out at most `chunk` bytes per `read` call, to
@@ -1088,7 +1066,7 @@ mod tests {
     fn frame_reader_extracts_every_frame_at_any_chunk_size() {
         let msgs = [
             Msg::UpdateBatch(batch_of(40)),
-            Msg::Update(batch_of(1)[0]),
+            Msg::UpdateBatch(batch_of(1)),
             Msg::StatsRequest,
             Msg::UpdateBatch(batch_of(0)),
             Msg::Shutdown,

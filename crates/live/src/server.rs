@@ -2,13 +2,15 @@
 //!
 //! One executor thread owns the scheduling core; an accept loop hands
 //! every connection to its own thread. A connection thread reaches the
-//! executor two ways and no other. **Data**: every update, whether it
-//! arrived in a tag-1 or a tag-7 frame, rides the session's bounded SPSC
-//! ring. **Control**: transactions, queries, snapshots, the ring
-//! hand-over and shutdown ride the executor's [`Ingest`] channel, each
-//! control frame only after the session's ring has been popped — so one
-//! connection's frames take effect in wire order, through the one arrival
-//! path of the paper's Figure 2 (network → bounded OS queue). The listener
+//! executor two ways and no other. **Data**: updates arrive only in
+//! tag-7 batch frames, only within the credit the session was granted
+//! (`CreditRequest` → `Credit`), and ride the session's bounded SPSC ring;
+//! an update past the grant ends the session. **Control**: transactions,
+//! queries, snapshots, the ring hand-over and shutdown ride the executor's
+//! [`Ingest`] channel, each control frame only after the session's ring
+//! has been popped — so one connection's frames take effect in wire order,
+//! through the one arrival path of the paper's Figure 2 (network → bounded
+//! OS queue). The listener
 //! port doubles as a Prometheus-style scrape endpoint: a connection whose
 //! first bytes are `GET ` is answered with an HTTP `text/plain` metrics
 //! page instead of the binary protocol.
@@ -26,7 +28,7 @@ use strip_obs::PromText;
 use crate::credit::CreditWindow;
 use crate::executor::{Executor, Ingest, LiveConfig};
 use crate::protocol::{
-    decode_body, for_each_update, write_msg, FrameReader, Msg, WireStats, WireUpdate,
+    decode_body, for_each_batch_update, write_msg, FrameReader, Msg, WireStats, WireUpdate,
 };
 use crate::recovery::Recovered;
 use crate::spsc;
@@ -124,8 +126,8 @@ pub struct ShutdownTrigger {
 
 impl ShutdownTrigger {
     /// Requests shutdown: the executor drains, finalizes (sealing its WAL
-    /// if one is attached), and connection readers stop waiting on full
-    /// rings; [`ServerHandle::wait`] then returns and tears down the
+    /// if one is attached), and connection readers stop waiting on the
+    /// executor; [`ServerHandle::wait`] then returns and tears down the
     /// accept loop. Idempotent.
     pub fn fire(&self) {
         let _ = self.tx.send(Ingest::Shutdown);
@@ -228,12 +230,12 @@ fn wake_accept(mut addr: SocketAddr) {
 }
 
 /// Per-connection state of the update path: the session's ring producer
-/// (none until its first update frame) plus the credit-window counters
+/// (none until its first accepted update) plus the credit-window counters
 /// (see [`CreditWindow`] for the grant arithmetic, which is model-checked
 /// under loom in `tests/loom_spsc.rs`).
 struct BatchState {
     /// The producer half of the session's ring; `None` until
-    /// [`BatchState::attach`].
+    /// [`BatchState::push`] accepts the first update.
     producer: Option<spsc::Producer<WireUpdate>>,
     /// Cumulative counters of the credit protocol for this connection.
     window: CreditWindow,
@@ -248,50 +250,40 @@ impl BatchState {
         }
     }
 
-    /// Creates the session's ring and hands its consumer half to the
-    /// executor. Returns false when the executor is gone.
-    fn attach(&mut self, tx: &Sender<Ingest>) -> bool {
-        let (producer, consumer) = spsc::ring(RING_CAPACITY);
-        self.producer = Some(producer);
-        tx.send(Ingest::Stream(consumer)).is_ok()
-    }
-
-    /// Pushes one update to the session's ring, spinning (with a stop
-    /// check) while the ring is full. Credited clients never trip the full
-    /// case — the grant arithmetic in [`BatchState::grantable`] keeps a
-    /// slot free for every credited update — so the spin only serves
-    /// uncredited senders. Returns false when a server stop aborted the
-    /// wait, or when no ring is attached.
-    fn push(&mut self, update: WireUpdate, stop: &AtomicBool) -> bool {
-        let Some(producer) = &mut self.producer else {
-            return false;
-        };
-        self.window.on_update();
-        let mut v = update;
-        loop {
-            match producer.push(v) {
-                Ok(()) => return true,
-                Err(back) => {
-                    if stop.load(Ordering::Acquire) {
-                        return false;
-                    }
-                    v = back;
-                    thread::yield_now();
-                }
-            }
+    /// Pushes one update into the session's ring, spending one unit of
+    /// window; the first accepted update creates the ring and hands its
+    /// consumer half to the executor. An update past the window is refused
+    /// without being pushed. Inside the window the ring has room —
+    /// [`BatchState::grantable`] keeps a slot free for every granted
+    /// update — so a full ring is an error too, never a wait.
+    fn push(&mut self, update: WireUpdate, tx: &Sender<Ingest>) -> io::Result<()> {
+        if !self.window.on_update() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "update sent past the credit window",
+            ));
         }
+        let producer = match &mut self.producer {
+            Some(producer) => producer,
+            None => {
+                let (producer, consumer) = spsc::ring(RING_CAPACITY);
+                tx.send(Ingest::Stream(consumer))
+                    .map_err(|_| io::Error::other("executor gone"))?;
+                self.producer.insert(producer)
+            }
+        };
+        producer.push(update).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "ingest ring full inside the credit window",
+            )
+        })
     }
 
     /// Window the server can grant right now without risking a ring
-    /// overrun.
-    ///
-    /// Grants are bounded by the ring's free slots minus the client's
-    /// unspent window — counting *occupancy* rather than inferring it from
-    /// grant totals, so updates pushed before the `CreditRequest` (which
-    /// old grant-side arithmetic silently ignored, over-granting by exactly
-    /// their ring footprint) are accounted for. The window arithmetic
-    /// itself lives in [`CreditWindow::grantable`]; this wrapper
-    /// contributes the occupancy observation.
+    /// overrun: the ring's free slots minus the client's unspent window.
+    /// The window arithmetic lives in [`CreditWindow::grantable`]; this
+    /// wrapper contributes the occupancy observation.
     fn grantable(&self) -> u64 {
         let free = self.producer.as_ref().map_or(RING_CAPACITY as u64, |p| {
             let in_flight = p.pushed().saturating_sub(p.consumed());
@@ -311,9 +303,6 @@ impl BatchState {
     /// consumable, spinning until the executor frees window — it is
     /// always draining, so the wait terminates.
     fn top_up(&mut self, stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<()> {
-        if !self.window.is_credited() {
-            return Ok(());
-        }
         let mut grantable = self.grantable();
         while grantable < CREDIT_LOW_WATER {
             if !self.window.starved() {
@@ -371,24 +360,23 @@ fn handle_conn(
         let Some(body) = frames.next_frame(&mut stream)? else {
             return Ok(()); // clean EOF
         };
-        // Data plane: an update frame (tag 1, or tag 7 for many) decodes
-        // straight out of the receive buffer into the lock-free ring — no
-        // `Vec<WireUpdate>`, no channel, no per-update syscall.
-        if matches!(body.first(), Some(1 | 7)) {
-            if batch.producer.is_none() && !batch.attach(tx) {
-                return Ok(()); // executor gone
-            }
-            let mut aborted = false;
-            for_each_update(body, |w| {
-                if !aborted {
-                    aborted = !batch.push(w, stop);
+        // Data plane: a batch frame decodes straight out of the receive
+        // buffer into the lock-free ring — no `Vec<WireUpdate>`, no
+        // channel, no per-update syscall. The first update past the credit
+        // window ends the session; none after it is pushed.
+        if body.first() == Some(&7) {
+            let mut pushed = Ok(());
+            let n = for_each_batch_update(body, |w| {
+                if pushed.is_ok() {
+                    pushed = batch.push(w, tx);
                 }
             })
             .map_err(io::Error::from)?;
-            if aborted {
-                return Ok(()); // server stopping; drop the remainder
+            pushed?;
+            // An empty frame spent no window, so it earns no top-up.
+            if n > 0 {
+                batch.top_up(&mut stream, stop)?;
             }
-            batch.top_up(&mut stream, stop)?;
             continue;
         }
         // Control plane: a control frame leaves this session only after
@@ -399,8 +387,8 @@ fn handle_conn(
         batch.flush(stop);
         match msg {
             Msg::CreditRequest => {
-                batch.window.opt_in();
-                // Initial grant: whatever the ring can absorb.
+                // Whatever the ring can absorb beyond the unspent window; a
+                // repeated request resets nothing.
                 let grant = batch.grantable();
                 batch.window.record_grant(grant);
                 write_msg(&mut stream, &Msg::Credit(grant))?;
@@ -443,10 +431,9 @@ fn handle_conn(
                 stop.store(true, Ordering::Release);
                 return Ok(());
             }
-            // Update frames were consumed by the data plane above; what
-            // is left here is server-to-client traffic.
-            Msg::Update(_)
-            | Msg::UpdateBatch(_)
+            // Batch frames were consumed by the data plane above; what is
+            // left here is server-to-client traffic.
+            Msg::UpdateBatch(_)
             | Msg::QueryResponse(_)
             | Msg::StatsResponse(_)
             | Msg::ReportJson(_)
@@ -594,7 +581,7 @@ fn serve_metrics(stream: &mut TcpStream, tx: &Sender<Ingest>) -> io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::WireTxn;
+    use crate::protocol::{read_msg, WireTxn};
     use std::sync::mpsc::Receiver;
     use std::time::Duration;
 
@@ -673,38 +660,28 @@ mod tests {
         }
     }
 
-    /// Satellite regression for the credit-window clamp: the old
-    /// grant-side formula (`capacity - (granted - consumed)`) ignored
-    /// ring occupancy created *before* the client opted into flow
-    /// control, granting a full window against a full ring. The checked
-    /// occupancy-based arithmetic must grant exactly the free slots.
+    /// The grant arithmetic counts ring occupancy: with the window spent
+    /// and the ring full nothing is grantable, and draining half the ring
+    /// opens exactly half a ring of window.
     #[test]
-    fn credit_window_accounts_for_uncredited_backlog() {
+    fn credit_window_grants_exactly_the_slots_the_executor_freed() {
         let (tx, rx) = mpsc::channel();
-        let stop = AtomicBool::new(false);
         let mut state = BatchState::new();
-        assert!(state.attach(&tx), "attach");
+        let cap = RING_CAPACITY as u64;
+
+        // The first grant is the whole ring, which does not exist yet.
+        assert_eq!(state.grantable(), cap);
+        state.window.record_grant(cap);
+        for i in 0..cap {
+            state
+                .push(wire_update(0, (i % 8) as u32), &tx)
+                .expect("an update inside the window");
+        }
         let mut consumer = match rx.try_recv() {
             Ok(Ingest::Stream(c)) => c,
             other => panic!("expected stream attach, got {other:?}"),
         };
-        let cap = RING_CAPACITY as u64;
-
-        // Fill the ring with uncredited pushes (nothing consumed yet).
-        for i in 0..cap {
-            assert!(state.push(wire_update(0, (i % 8) as u32), &stop));
-        }
-        assert_eq!(
-            state.grantable(),
-            0,
-            "full ring must grant nothing (old formula granted {cap})"
-        );
-
-        // Opt in at the boundary: the initial grant must also be 0.
-        state.window.opt_in();
-        let grant = state.grantable();
-        assert_eq!(grant, 0);
-        state.window.record_grant(grant);
+        assert_eq!(state.grantable(), 0, "full ring, window spent");
 
         // Drain half the ring; exactly that much window opens up.
         for _ in 0..cap / 2 {
@@ -712,10 +689,17 @@ mod tests {
         }
         assert_eq!(state.grantable(), cap / 2);
         state.window.record_grant(cap / 2);
+        assert_eq!(
+            state.grantable(),
+            0,
+            "the unspent window holds the free half"
+        );
 
         // The client spends the window to the boundary: zero again.
         for i in 0..cap / 2 {
-            assert!(state.push(wire_update(1, (i % 8) as u32), &stop));
+            state
+                .push(wire_update(1, (i % 8) as u32), &tx)
+                .expect("an update inside the window");
         }
         assert_eq!(state.grantable(), 0);
 
@@ -724,24 +708,32 @@ mod tests {
         assert_eq!(state.grantable(), cap);
     }
 
-    /// A session with the test playing executor: a loopback client socket
-    /// whose server end runs [`handle_conn`] on its own thread, and the
-    /// receiving end of the channel it talks to.
-    fn loopback_session(stop: &Arc<AtomicBool>) -> (TcpStream, JoinHandle<()>, Receiver<Ingest>) {
+    /// A session on a loopback socket whose server end runs
+    /// [`handle_conn`] into `tx` on a thread the test can join.
+    fn session_into(
+        tx: Sender<Ingest>,
+        stop: &Arc<AtomicBool>,
+    ) -> (TcpStream, JoinHandle<io::Result<()>>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (conn, _) = listener.accept().expect("accept");
-        let (tx, rx) = mpsc::channel();
         let stop = Arc::clone(stop);
-        let session = thread::spawn(move || {
-            let _ = handle_conn(conn, &tx, &stop);
-        });
+        (client, thread::spawn(move || handle_conn(conn, &tx, &stop)))
+    }
+
+    /// A session with the test playing executor: the client socket, the
+    /// session thread and the receiving end of the channel it talks to.
+    fn loopback_session(
+        stop: &Arc<AtomicBool>,
+    ) -> (TcpStream, JoinHandle<io::Result<()>>, Receiver<Ingest>) {
+        let (tx, rx) = mpsc::channel();
+        let (client, session) = session_into(tx, stop);
         (client, session, rx)
     }
 
     const STEP: Duration = Duration::from_secs(10);
 
-    /// The ring the session hands over at its first update frame.
+    /// The ring the session hands over at its first accepted update.
     fn expect_stream(rx: &Receiver<Ingest>) -> spsc::Consumer<WireUpdate> {
         match rx.recv_timeout(STEP) {
             Ok(Ingest::Stream(c)) => c,
@@ -749,9 +741,102 @@ mod tests {
         }
     }
 
+    /// Waits for a session to end on its own, then returns the error it
+    /// ended with.
+    fn refusal(session: JoinHandle<io::Result<()>>) -> io::Error {
+        let deadline = std::time::Instant::now() + STEP;
+        while !session.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "session outlived its protocol breach"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        session
+            .join()
+            .expect("session thread panicked")
+            .expect_err("session ended without an error")
+    }
+
+    /// A live server with an idle workload, for sessions whose updates a
+    /// real executor pops.
+    fn idle_server() -> ServerHandle {
+        let sim = strip_core::config::SimConfig::builder()
+            .n_low(4)
+            .n_high(4)
+            .lambda_u(0.0)
+            .lambda_t(0.0)
+            .duration(1.0)
+            .warmup(0.0)
+            .build()
+            .expect("valid config");
+        let cfg = LiveConfig::new(sim).expect("valid live config");
+        serve(&cfg, TcpListener::bind("127.0.0.1:0").expect("bind")).expect("serve")
+    }
+
+    /// `ingested` as a second connection's stats reply reads it.
+    fn ingested(addr: SocketAddr) -> u64 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write_msg(&mut stream, &Msg::StatsRequest).expect("stats request");
+        match read_msg(&mut stream).expect("stats reply") {
+            Some(Msg::StatsResponse(s)) => s.ingested,
+            other => panic!("expected StatsResponse, got {other:?}"),
+        }
+    }
+
+    /// A client that sends one update more than it was granted loses the
+    /// session at that update, and only the granted updates arrive.
+    #[test]
+    fn an_update_past_the_grant_ends_the_session_and_is_not_ingested() {
+        let server = idle_server();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut client, session) = session_into(server.ingest(), &stop);
+        write_msg(&mut client, &Msg::CreditRequest).expect("credit request");
+        let grant = match read_msg(&mut client) {
+            Ok(Some(Msg::Credit(g))) => g,
+            other => panic!("expected the initial Credit, got {other:?}"),
+        };
+        // Two frames carry grant + 1 updates. After the first, less than
+        // `CREDIT_LOW_WATER` is grantable however much the executor has
+        // popped, and the client is not starved, so no top-up moves the
+        // window before the second frame overruns it by one.
+        let first = CREDIT_LOW_WATER - 1;
+        for n in [first, grant + 1 - first] {
+            let updates = (0..n).map(|i| wire_update(0, (i % 4) as u32)).collect();
+            write_msg(&mut client, &Msg::UpdateBatch(updates)).expect("send batch");
+        }
+        assert_eq!(refusal(session).kind(), io::ErrorKind::InvalidData);
+        // The session's ring is closed; poll until the executor popped it.
+        let deadline = std::time::Instant::now() + STEP;
+        let mut seen = ingested(server.addr());
+        while seen < grant && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(2));
+            seen = ingested(server.addr());
+        }
+        assert_eq!(seen, grant, "exactly the granted updates arrive");
+        server.shutdown().expect("shutdown");
+    }
+
+    /// A session that never asked for credit has none: its first update
+    /// closes it, and nothing reaches the executor.
+    #[test]
+    fn an_update_before_any_credit_request_ends_the_session() {
+        let server = idle_server();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut client, session) = session_into(server.ingest(), &stop);
+        write_msg(&mut client, &Msg::UpdateBatch(vec![wire_update(0, 1)])).expect("send batch");
+        assert_eq!(refusal(session).kind(), io::ErrorKind::InvalidData);
+        assert!(
+            matches!(read_msg(&mut client), Ok(None) | Err(_)),
+            "the session is closed"
+        );
+        assert_eq!(ingested(server.addr()), 0);
+        server.shutdown().expect("shutdown");
+    }
+
     /// A control frame leaves a session only after that session's updates
-    /// have been popped — for `Txn` too, and whichever frame carried the
-    /// updates. The negative half waits on a timeout: it can only pass
+    /// have been popped — for `Txn` too, and however many updates the batch
+    /// carried. The negative half waits on a timeout: it can only pass
     /// late, never fail spuriously, because nothing forwards the `Txn`
     /// while the ring is occupied.
     #[test]
@@ -764,17 +849,16 @@ mod tests {
             compute_micros: 100,
             reads: vec![(0, 1)],
         };
-        let frames = [
-            (
-                Msg::UpdateBatch((0..5).map(|i| wire_update(0, i)).collect()),
-                5,
-            ),
-            (Msg::Update(wire_update(1, 3)), 1),
-        ];
-        for (updates, sent) in frames {
+        for sent in [5, 1] {
             let stop = Arc::new(AtomicBool::new(false));
             let (mut client, session, rx) = loopback_session(&stop);
-            write_msg(&mut client, &updates).expect("send updates");
+            let updates = (0..sent).map(|i| wire_update(1, i)).collect();
+            write_msg(&mut client, &Msg::CreditRequest).expect("credit request");
+            assert!(matches!(
+                read_msg(&mut client),
+                Ok(Some(Msg::Credit(g))) if g >= u64::from(sent)
+            ));
+            write_msg(&mut client, &Msg::UpdateBatch(updates)).expect("send updates");
             write_msg(&mut client, &Msg::Txn(txn.clone())).expect("send txn");
 
             let mut ring = expect_stream(&rx);
@@ -782,14 +866,17 @@ mod tests {
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 other => panic!("control overtook the un-popped ring: {other:?}"),
             }
-            assert_eq!(ring.len(), sent, "every update waits in the ring");
+            assert_eq!(ring.len(), sent as usize, "every update waits in the ring");
             while ring.pop().is_some() {}
             match rx.recv_timeout(STEP) {
                 Ok(Ingest::Txn(got)) => assert_eq!(got, txn),
                 other => panic!("expected the txn once the ring drained, got {other:?}"),
             }
             drop(client);
-            session.join().expect("session thread");
+            session
+                .join()
+                .expect("session thread")
+                .expect("clean close");
         }
     }
 
@@ -809,57 +896,9 @@ mod tests {
             );
             thread::sleep(Duration::from_millis(5));
         }
-        session.join().expect("session thread");
-    }
-
-    /// Overload from an uncredited frame-per-update sender is bounded by
-    /// the ring (and becomes TCP backpressure), not queued on the
-    /// unbounded channel.
-    #[test]
-    fn uncredited_single_update_frames_are_bounded_by_the_ring() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let (mut client, session, rx) = loopback_session(&stop);
-        let total = RING_CAPACITY + 1_000;
-        let writer = thread::spawn(move || {
-            let frame = Msg::Update(wire_update(0, 1)).encode_frame();
-            for _ in 0..total {
-                client.write_all(&frame).expect("send update");
-            }
-            client // keep the socket open until the test has counted
-        });
-
-        let mut ring = expect_stream(&rx);
-        let deadline = std::time::Instant::now() + STEP;
-        while ring.len() < RING_CAPACITY {
-            assert!(std::time::Instant::now() < deadline, "ring never filled");
-            thread::yield_now();
-        }
-        // The connection thread is now parked on the full ring with the
-        // overflow still in the socket.
-        assert_eq!(ring.len(), RING_CAPACITY);
-        assert!(
-            matches!(rx.try_recv(), Err(mpsc::TryRecvError::Empty)),
-            "no update may travel over the channel"
-        );
-
-        let mut popped = 0usize;
-        while popped < total {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "session never resumed"
-            );
-            match ring.pop() {
-                Some(_) => popped += 1,
-                None => thread::yield_now(),
-            }
-        }
-        drop(writer.join().expect("writer thread"));
-        session.join().expect("session thread");
-        assert!(ring.pop().is_none() && ring.is_closed());
-        // The session is gone, and with it the channel's only sender.
-        assert!(
-            matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)),
-            "no update may travel over the channel"
-        );
+        session
+            .join()
+            .expect("session thread")
+            .expect("clean close");
     }
 }

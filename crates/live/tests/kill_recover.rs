@@ -103,29 +103,35 @@ impl Server {
 }
 
 /// Deterministic burst: `count` updates over the partitions, generations
-/// strictly increasing so every install is worthy. Returns the expected
+/// strictly increasing so every install is worthy, sent as one batch frame
+/// after a `CreditRequest` whose grant covers them. Returns the expected
 /// final (payload, generation) per object.
 fn send_burst(stream: &mut TcpStream, start: u32, count: u32) -> HashMap<(u8, u32), (f64, i64)> {
+    write_msg(stream, &Msg::CreditRequest).expect("credit request");
+    match read_msg(stream).expect("credit reply") {
+        // A repeated request is granted what the ring freed since the
+        // last one; the window is then one whole ring again.
+        Some(Msg::Credit(_)) => {}
+        other => panic!("expected Credit, got {other:?}"),
+    }
     let mut expected = HashMap::new();
+    let mut updates = Vec::new();
     for k in start..start + count {
         // LCG-ish spread over both classes, no wall-clock or entropy.
         let class = (k.wrapping_mul(2_654_435_761) >> 16 & 1) as u8;
         let index = k.wrapping_mul(40_503) % if class == 0 { N_LOW } else { N_HIGH };
         let generation_micros = 1_000 * i64::from(k + 1);
         let payload = f64::from(k) * 0.5 - 3.0;
-        write_msg(
-            stream,
-            &Msg::Update(WireUpdate {
-                class,
-                index,
-                generation_micros,
-                payload,
-                attr_mask: u64::MAX,
-            }),
-        )
-        .expect("send update");
+        updates.push(WireUpdate {
+            class,
+            index,
+            generation_micros,
+            payload,
+            attr_mask: u64::MAX,
+        });
         expected.insert((class, index), (payload, generation_micros));
     }
+    write_msg(stream, &Msg::UpdateBatch(updates)).expect("send burst");
     expected
 }
 

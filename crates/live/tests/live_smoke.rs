@@ -30,22 +30,34 @@ fn connect(handle_addr: std::net::SocketAddr) -> TcpStream {
     stream
 }
 
+/// Asks for update credit and returns the initial grant: a session may
+/// send only the updates it was granted.
+fn request_credit(stream: &mut TcpStream) -> u64 {
+    write_msg(stream, &Msg::CreditRequest).expect("credit request");
+    match read_msg(stream).expect("credit reply") {
+        Some(Msg::Credit(g)) => g,
+        other => panic!("expected Credit, got {other:?}"),
+    }
+}
+
 #[test]
 fn tcp_updates_are_conserved_and_queries_answered() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
     let handle = serve(&live_cfg(Policy::TransactionsFirst), listener).expect("serve");
     let mut stream = connect(handle.addr());
 
-    // A burst of updates: two per object so the later generation wins.
+    // A burst of updates, one per batch frame inside the grant: two per
+    // object so the later generation wins.
     let n_updates = 24u32;
+    assert!(request_credit(&mut stream) >= u64::from(n_updates));
     for i in 0..n_updates {
-        let msg = Msg::Update(WireUpdate {
+        let msg = Msg::UpdateBatch(vec![WireUpdate {
             class: (i % 2) as u8,
             index: i % 4,
             generation_micros: 1_000 * i64::from(i + 1),
             payload: f64::from(i),
             attr_mask: u64::MAX,
-        });
+        }]);
         write_msg(&mut stream, &msg).expect("send update");
     }
     // One transaction reading a known object.
@@ -124,12 +136,8 @@ fn batched_updates_are_conserved_through_shutdown() {
     let handle = serve(&live_cfg(Policy::UpdatesFirst), listener).expect("serve");
     let mut stream = connect(handle.addr());
 
-    // Opt into flow control; the initial grant is one full ring.
-    write_msg(&mut stream, &Msg::CreditRequest).expect("credit request");
-    let mut credit = match read_msg(&mut stream).expect("credit reply") {
-        Some(Msg::Credit(g)) => g,
-        other => panic!("expected Credit, got {other:?}"),
-    };
+    // The initial grant is one full ring.
+    let mut credit = request_credit(&mut stream);
     assert_eq!(credit as usize, RING_CAPACITY, "initial window is one ring");
 
     // Several batches, including an empty one (legal, a no-op).
@@ -200,15 +208,16 @@ fn metrics_endpoint_serves_prometheus_text() {
 
     // Feed one update through a binary connection first.
     let mut stream = connect(handle.addr());
+    assert!(request_credit(&mut stream) >= 1);
     write_msg(
         &mut stream,
-        &Msg::Update(WireUpdate {
+        &Msg::UpdateBatch(vec![WireUpdate {
             class: 0,
             index: 0,
             generation_micros: 1_000,
             payload: 1.0,
             attr_mask: u64::MAX,
-        }),
+        }]),
     )
     .expect("send update");
     // StatsRequest acts as a barrier: the reply is only sent once the

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use strip_live::protocol::{
-    read_msg, write_msg, Msg, WireDerivedQuery, WireDerivedQueryResponse, WireQuery,
-    WireQueryResponse, WireStats, WireTxn, WireUpdate, MAX_BATCH_UPDATES, MAX_TXN_READS,
+    decode_body, read_msg, write_msg, Msg, ProtoError, WireDerivedQuery, WireDerivedQueryResponse,
+    WireQuery, WireQueryResponse, WireStats, WireTxn, WireUpdate, MAX_BATCH_UPDATES, MAX_TXN_READS,
 };
 
 /// Encodes `msg` into a buffer and decodes it back out.
@@ -101,7 +101,6 @@ fn stats_strategy() -> impl Strategy<Value = WireStats> {
 
 fn msg_strategy() -> impl Strategy<Value = Msg> {
     prop_oneof![
-        3 => update_strategy().prop_map(Msg::Update),
         3 => txn_strategy().prop_map(Msg::Txn),
         3 => prop::collection::vec(update_strategy(), 0..60).prop_map(Msg::UpdateBatch),
         1 => Just(Msg::CreditRequest),
@@ -190,11 +189,11 @@ fn zero_length_payloads_round_trip() {
     assert_eq!(round_trip(&batch), batch);
 }
 
-/// A single-update batch round-trips and carries the same payload bytes
-/// as the equivalent singleton `Update` frame (only tag and count
-/// differ) — the batch format is the update format, amortised.
+/// A single-update batch round-trips, and the same update entry behind
+/// tag 1 (the retired one-update frame: tag, then the entry, no count) is
+/// an unknown tag — a batch frame is the only way in for an update.
 #[test]
-fn single_update_batch_round_trips() {
+fn single_update_batch_round_trips_and_a_tag_1_body_is_refused() {
     let u = WireUpdate {
         class: 1,
         index: 123,
@@ -205,8 +204,9 @@ fn single_update_batch_round_trips() {
     let batch = Msg::UpdateBatch(vec![u]);
     assert_eq!(round_trip(&batch), batch);
     let batch_body = batch.encode_body();
-    let update_body = Msg::Update(u).encode_body();
-    assert_eq!(&batch_body[5..], &update_body[1..]);
+    let mut tag_1 = vec![1u8];
+    tag_1.extend_from_slice(&batch_body[5..]);
+    assert_eq!(decode_body(&tag_1), Err(ProtoError::BadTag(1)));
 }
 
 /// Maximum-size edge: the largest batch that fits in `MAX_FRAME`

@@ -4,40 +4,21 @@
 //! receives them. The OS queue lives in kernel space, is small (`OS_max`),
 //! and only supports FIFO receive of the next message — it cannot be
 //! searched or reordered, which is why the algorithms that defer updates
-//! also maintain the application-level update queue.
-//!
-//! Overflow behaviour is pluggable (robustness extension): the paper's
-//! kernel rejects the arriving message ([`ShedPolicy::DropNewest`], the
-//! default), but a smarter receive-side daemon could instead evict a
-//! buffered message to admit the arrival. Either way exactly one update is
-//! lost per overflow event, so `dropped` counts overflow events regardless
-//! of policy.
+//! also maintain the application-level update queue. On overflow the
+//! kernel rejects the arriving message; `dropped` counts those rejections.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use strip_sim::time::SimTime;
-
-use crate::object::{Importance, ViewObjectId};
-use crate::shed::ShedPolicy;
 use crate::update::Update;
 
-/// Outcome of [`OsQueue::deliver`] on a full queue: either the arrival was
-/// rejected (`accepted == false`) or a buffered message was evicted to make
-/// room (`displaced`). At most one of the two loss modes occurs per call.
+/// Outcome of [`OsQueue::deliver`]: whether the arrival entered the buffer
+/// or was rejected by a full queue. A struct rather than a `bool` because
+/// `benchmark/src/layers.rs` reads `.accepted`; only a change that may edit
+/// `benchmark/` can flatten it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
     /// The arriving update entered the buffer.
     pub accepted: bool,
-    /// A previously buffered update evicted to admit the arrival.
-    pub displaced: Option<Update>,
-}
-
-impl Delivery {
-    /// True when the call lost an update (the arrival or a buffered one).
-    #[must_use]
-    pub fn lost_one(&self) -> bool {
-        !self.accepted || self.displaced.is_some()
-    }
 }
 
 /// Bounded FIFO of arrived-but-unreceived updates.
@@ -45,101 +26,30 @@ impl Delivery {
 pub struct OsQueue {
     buf: VecDeque<Update>,
     capacity: usize,
-    shed: ShedPolicy,
     dropped: u64,
 }
 
 impl OsQueue {
-    /// Creates a queue bounded at `capacity` messages with the paper's
-    /// overflow rule (reject the arrival).
+    /// Creates a queue bounded at `capacity` messages.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        OsQueue::with_shed(capacity, ShedPolicy::DropNewest)
-    }
-
-    /// Creates a queue bounded at `capacity` messages with an explicit
-    /// overflow shedding policy.
-    #[must_use]
-    pub fn with_shed(capacity: usize, shed: ShedPolicy) -> Self {
         OsQueue {
             buf: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            shed,
             dropped: 0,
         }
     }
 
-    /// Delivers an arriving update. On overflow the shedding policy decides
-    /// whether the arrival is rejected or a buffered message is evicted;
-    /// either way one drop is counted.
+    /// Delivers an arriving update; a full queue rejects it and counts one
+    /// drop.
     pub fn deliver(&mut self, update: Update) -> Delivery {
-        if self.buf.len() < self.capacity {
+        let accepted = self.buf.len() < self.capacity;
+        if accepted {
             self.buf.push_back(update);
-            return Delivery {
-                accepted: true,
-                displaced: None,
-            };
+        } else {
+            self.dropped += 1;
         }
-        self.dropped += 1;
-        match self.shed {
-            ShedPolicy::DropNewest => Delivery {
-                accepted: false,
-                displaced: None,
-            },
-            ShedPolicy::DropOldest => self.admit_evicting(0, update),
-            ShedPolicy::DropLowestImportance => {
-                if let Some(i) = self
-                    .buf
-                    .iter()
-                    .position(|u| u.object.class == Importance::Low)
-                {
-                    self.admit_evicting(i, update)
-                } else if update.object.class == Importance::Low {
-                    // Only high-importance messages buffered and a
-                    // low-importance arrival: the arrival is the victim.
-                    Delivery {
-                        accepted: false,
-                        displaced: None,
-                    }
-                } else {
-                    self.admit_evicting(0, update)
-                }
-            }
-            ShedPolicy::CoalescePerObject => {
-                let i = self.superseded_index(&update).unwrap_or(0);
-                self.admit_evicting(i, update)
-            }
-        }
-    }
-
-    /// Evicts the message at `index` and appends `update`.
-    fn admit_evicting(&mut self, index: usize, update: Update) -> Delivery {
-        let victim = self.buf.remove(index);
-        self.buf.push_back(update);
-        Delivery {
-            accepted: true,
-            displaced: victim,
-        }
-    }
-
-    /// Index of the oldest buffered message superseded by a newer buffered
-    /// message (or by `arrival`) for the same object. One O(len) pass: walk
-    /// back-to-front tracking the newest generation seen per object, and
-    /// report the frontmost superseded entry.
-    fn superseded_index(&self, arrival: &Update) -> Option<usize> {
-        let mut newest: BTreeMap<ViewObjectId, SimTime> = BTreeMap::new();
-        newest.insert(arrival.object, arrival.generation_ts);
-        let mut best: Option<usize> = None;
-        for (i, u) in self.buf.iter().enumerate().rev() {
-            if newest.get(&u.object).is_some_and(|g| *g >= u.generation_ts) {
-                best = Some(i);
-            }
-            let entry = newest.entry(u.object).or_insert(u.generation_ts);
-            if u.generation_ts > *entry {
-                *entry = u.generation_ts;
-            }
-        }
-        best
+        Delivery { accepted }
     }
 
     /// Receives the next message in arrival order.
@@ -159,7 +69,7 @@ impl OsQueue {
         self.buf.is_empty()
     }
 
-    /// Overflow events (one update lost each).
+    /// Overflow events (one rejected arrival each).
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -179,13 +89,9 @@ mod tests {
     use strip_sim::time::SimTime;
 
     fn upd(seq: u64) -> Update {
-        upd_on(seq, Importance::Low, 0)
-    }
-
-    fn upd_on(seq: u64, class: Importance, index: u32) -> Update {
         Update {
             seq,
-            object: ViewObjectId::new(class, index),
+            object: ViewObjectId::new(Importance::Low, 0),
             generation_ts: SimTime::from_secs(seq as f64),
             arrival_ts: SimTime::from_secs(seq as f64),
             payload: 0.0,
@@ -212,11 +118,10 @@ mod tests {
         assert!(q.deliver(upd(1)).accepted);
         let lost = q.deliver(upd(2));
         assert!(!lost.accepted);
-        assert!(lost.displaced.is_none());
         assert_eq!(q.dropped(), 1);
         assert_eq!(q.len(), 2);
-        // Receiving frees a slot.
-        q.receive();
+        // The arrival was the victim; receiving frees a slot.
+        assert_eq!(q.receive().unwrap().seq, 0);
         assert!(q.deliver(upd(3)).accepted);
         assert_eq!(q.capacity(), 2);
     }
@@ -227,51 +132,5 @@ mod tests {
         assert!(q.is_empty());
         q.deliver(upd(0));
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn drop_oldest_displaces_front() {
-        let mut q = OsQueue::with_shed(2, ShedPolicy::DropOldest);
-        q.deliver(upd(0));
-        q.deliver(upd(1));
-        let out = q.deliver(upd(2));
-        assert!(out.accepted);
-        assert_eq!(out.displaced.unwrap().seq, 0);
-        assert_eq!(q.dropped(), 1);
-        assert_eq!(q.receive().unwrap().seq, 1);
-        assert_eq!(q.receive().unwrap().seq, 2);
-    }
-
-    #[test]
-    fn drop_lowest_importance_protects_high() {
-        let mut q = OsQueue::with_shed(2, ShedPolicy::DropLowestImportance);
-        q.deliver(upd_on(0, Importance::High, 0));
-        q.deliver(upd_on(1, Importance::Low, 1));
-        // A high arrival evicts the buffered low message.
-        let out = q.deliver(upd_on(2, Importance::High, 2));
-        assert_eq!(out.displaced.unwrap().seq, 1);
-        // All-high buffer + low arrival: the arrival is rejected.
-        let out = q.deliver(upd_on(3, Importance::Low, 3));
-        assert!(!out.accepted);
-        // All-high buffer + high arrival: oldest high is evicted.
-        let out = q.deliver(upd_on(4, Importance::High, 4));
-        assert_eq!(out.displaced.unwrap().seq, 0);
-        assert_eq!(q.dropped(), 3);
-    }
-
-    #[test]
-    fn coalesce_evicts_superseded_first() {
-        let mut q = OsQueue::with_shed(3, ShedPolicy::CoalescePerObject);
-        q.deliver(upd_on(0, Importance::Low, 7)); // superseded by seq 2
-        q.deliver(upd_on(1, Importance::Low, 8));
-        q.deliver(upd_on(2, Importance::Low, 7));
-        let out = q.deliver(upd_on(3, Importance::Low, 9));
-        assert_eq!(out.displaced.unwrap().seq, 0);
-        // No superseded entry left: falls back to the oldest.
-        let out = q.deliver(upd_on(4, Importance::Low, 10));
-        assert_eq!(out.displaced.unwrap().seq, 1);
-        // The arrival itself can supersede a buffered message.
-        let out = q.deliver(upd_on(5, Importance::Low, 9));
-        assert_eq!(out.displaced.unwrap().seq, 3);
     }
 }

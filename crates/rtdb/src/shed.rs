@@ -1,12 +1,14 @@
-//! Load-shedding policies for the bounded queues (robustness extension).
+//! Load-shedding policies for the bounded update queue (robustness
+//! extension).
 //!
 //! The paper bounds both queues (`OS_max`, `UQ_max`) and prescribes one
 //! overflow reaction each: the OS queue rejects the arriving message
-//! (§3.3), the update queue discards its oldest update (§4.2). Under
-//! disturbed streams — catch-up floods after an outage, sustained bursts —
-//! *which* update is sacrificed decides how staleness degrades, so the
-//! overflow reaction is generalised into a pluggable [`ShedPolicy`] shared
-//! by both queues. The paper's defaults remain the defaults.
+//! (§3.3), the update queue discards its oldest update (§4.2). The OS
+//! queue keeps the kernel's rule. Under disturbed streams — catch-up
+//! floods after an outage, sustained bursts — *which* queued update is
+//! sacrificed decides how staleness degrades, so the update queue's
+//! overflow reaction is a pluggable [`ShedPolicy`]. The paper's rule
+//! remains the default.
 
 use serde::{Deserialize, Serialize};
 
@@ -18,10 +20,9 @@ use serde::{Deserialize, Serialize};
 /// shedding property tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShedPolicy {
-    /// Reject the newest update — the arrival itself for the FIFO OS queue,
-    /// the newest *generation* for the generation-ordered update queue.
-    /// This is the OS queue's behaviour in the paper (§3.3: the kernel
-    /// discards the message).
+    /// Reject the newest *generation*, which may be the arrival itself —
+    /// the update-queue counterpart of the OS queue's fixed rule (§3.3:
+    /// the kernel discards the arriving message).
     DropNewest,
     /// Evict the oldest update. This is the paper's update-queue overflow
     /// rule (§4.2) — the oldest generation is the closest to expiring
