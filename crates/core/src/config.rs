@@ -555,7 +555,10 @@ impl SimConfig {
         check(self.costs.ips > 0.0, "ips must be > 0")?;
         check(self.os_max > 0, "os_max must be > 0")?;
         check(self.uq_max > 0, "uq_max must be > 0")?;
-        check(self.duration > 0.0, "duration must be > 0")?;
+        check(
+            self.duration > 0.0 && self.duration.is_finite(),
+            "duration must be finite and > 0",
+        )?;
         check(
             (0.0..self.duration).contains(&self.warmup),
             "warmup must be in [0, duration)",
@@ -944,6 +947,11 @@ mod tests {
             .build()
             .is_err());
         assert!(SimConfig::builder().duration(0.0).build().is_err());
+        assert!(SimConfig::builder()
+            .duration(f64::INFINITY)
+            .build()
+            .is_err());
+        assert!(SimConfig::builder().duration(f64::NAN).build().is_err());
         assert!(SimConfig::builder().warmup(1000.0).build().is_err());
         assert!(SimConfig::builder()
             .policy(Policy::FixedFraction { fraction: 1.5 })

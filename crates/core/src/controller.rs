@@ -1,17 +1,18 @@
 //! The simulator driver: the scheduler core under a virtual clock.
 //!
 //! Every scheduling decision lives in [`crate::scheduler`]; this module
-//! only supplies time. The [`Controller`] pulls arrivals from its workload
-//! sources, keeps them and the deadline/expiry watchdogs on the event
-//! calendar, turns each slice the core puts on the CPU into a `CpuDone`
-//! event at `now + secs`, and cuts that slice when an arrival's verdict
-//! asks for a preemption. The `strip-live` executor is the other driver of
-//! the same core: it burns slices on the wall clock instead.
+//! only supplies time. The [`Controller`] owns the event calendar and runs
+//! the simulator's one loop ([`Controller::run_until`]): it pulls arrivals
+//! from its workload sources, keeps them and the deadline/expiry watchdogs
+//! on the calendar, turns each slice the core puts on the CPU into a
+//! `CpuDone` event at `now + secs`, and cuts that slice when an arrival's
+//! verdict asks for a preemption. The `strip-live` executor is the other
+//! driver of the same core: it burns slices on the wall clock instead.
 
 use strip_db::object::{Importance, ViewObjectId};
 use strip_db::staleness::ExpiryWatch;
 use strip_obs::{TraceConfig, TraceData};
-use strip_sim::engine::{Ctx, Engine, Simulation};
+use strip_sim::event::EventQueue;
 use strip_sim::time::SimTime;
 
 use crate::config::{ConfigError, SimConfig};
@@ -73,8 +74,11 @@ struct Slice {
 }
 
 /// The controller simulation: drives the [`Scheduler`] from workload
-/// sources on an event calendar, producing a [`RunReport`].
+/// sources on its own event calendar, producing a [`RunReport`].
 pub struct Controller<U, T> {
+    calendar: EventQueue<Event>,
+    /// Events popped so far, stale `CpuDone`s included.
+    events: u64,
     core: Scheduler,
     cpu: Option<Slice>,
     epoch: u64,
@@ -97,31 +101,23 @@ pub struct Controller<U, T> {
 
 impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
     /// Builds a controller for `cfg`, initialising view objects with
-    /// steady-state exponential ages (see DESIGN.md).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation.
-    #[must_use]
-    pub fn new(cfg: SimConfig, update_src: U, txn_src: T) -> Self {
-        Self::try_new(cfg, update_src, txn_src).expect("invalid SimConfig")
-    }
-
-    /// Fallible variant of [`Controller::new`]: surfaces the validation
-    /// error instead of panicking, so sweep drivers can report a bad
-    /// config point without aborting the whole campaign.
+    /// steady-state exponential ages (see DESIGN.md), and puts the initial
+    /// staleness watchdogs, the warm-up boundary and the first arrivals on
+    /// a calendar sized by [`SimConfig::calendar_capacity_hint`].
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if `cfg` fails validation.
-    pub fn try_new(cfg: SimConfig, update_src: U, txn_src: T) -> Result<Self, ConfigError> {
+    pub fn new(cfg: SimConfig, update_src: U, txn_src: T) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let outage = cfg
             .disturbance
             .and_then(|d| d.outage_window())
             .map(|(from, to)| (SimTime::from_secs(from), SimTime::from_secs(to)));
         let store = initial_store(&cfg);
-        Ok(Controller {
+        let mut c = Controller {
+            calendar: EventQueue::with_capacity(cfg.calendar_capacity_hint()),
+            events: 0,
             horizon: SimTime::from_secs(cfg.duration),
             core: Scheduler::new(cfg, store, 0),
             cpu: None,
@@ -133,41 +129,57 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
             outage,
             outage_baseline: None,
             recovery_at: None,
-        })
-    }
-
-    /// Primes the engine with the first arrivals, the warm-up boundary and
-    /// the initial staleness watchdogs.
-    pub fn prime(&mut self, engine: &mut Engine<Event>) {
-        for watch in self.core.initial_watches() {
+        };
+        for watch in c.core.initial_watches() {
             let (at, event) = Event::expiry(watch);
-            engine.prime(at.max(SimTime::ZERO), event);
+            c.calendar.schedule(at.max(SimTime::ZERO), event);
         }
-        let warmup = self.core.config().warmup;
+        let warmup = c.core.config().warmup;
         if warmup > 0.0 {
-            engine.prime(SimTime::from_secs(warmup), Event::WarmupEnd);
+            c.calendar
+                .schedule(SimTime::from_secs(warmup), Event::WarmupEnd);
         }
-        self.next_update = self.update_src.next_update();
-        if let Some(u) = &self.next_update {
-            engine.prime(u.arrival, Event::UpdateArrival);
+        c.next_update = c.update_src.next_update();
+        if let Some(u) = &c.next_update {
+            c.calendar.schedule(u.arrival, Event::UpdateArrival);
         }
-        self.next_txn = self.txn_src.next_txn();
-        if let Some(t) = &self.next_txn {
-            engine.prime(t.arrival, Event::TxnArrival);
+        c.next_txn = c.txn_src.next_txn();
+        if let Some(t) = &c.next_txn {
+            c.calendar.schedule(t.arrival, Event::TxnArrival);
+        }
+        Ok(c)
+    }
+
+    /// The calendar, read-only (for diagnostics: pending count, capacity).
+    #[must_use]
+    pub fn calendar(&self) -> &EventQueue<Event> {
+        &self.calendar
+    }
+
+    /// The simulator's run loop: handles every pending event due at or
+    /// before `end` (and the horizon), in calendar order, sampling the
+    /// gauges after each. Resumable: a run in steps handles the same
+    /// events as one call.
+    ///
+    /// Gauges are sampled per handled event rather than on the calendar,
+    /// so a traced run pops exactly the events (and counts exactly the
+    /// `events_processed`) of an untraced one.
+    pub fn run_until(&mut self, end: SimTime) {
+        let end = end.min(self.horizon);
+        while self.calendar.peek_time().is_some_and(|t| t <= end) {
+            let (now, event) = self.calendar.pop().expect("a peeked event pops");
+            self.events += 1;
+            self.handle(event, now);
+            self.core.sample_gauges(now);
         }
     }
 
-    /// Consumes the controller and produces the final report; `end` is the
-    /// simulation horizon, `events` the engine's processed-event count.
+    /// Consumes the controller and produces the report at the horizon,
+    /// with the flight recorder's capture (`None` when tracing was never
+    /// enabled).
     #[must_use]
-    pub fn finalize(self, end: SimTime, events: u64) -> RunReport {
-        self.finalize_traced(end, events).0
-    }
-
-    /// Like [`Controller::finalize`], but also returns the flight
-    /// recorder's capture (`None` when tracing was never enabled).
-    #[must_use]
-    pub fn finalize_traced(mut self, end: SimTime, events: u64) -> (RunReport, Option<TraceData>) {
+    pub fn finish(mut self) -> (RunReport, Option<TraceData>) {
+        let end = self.horizon;
         // Cut any slice still on the CPU at the horizon: it is charged up
         // to `end` and closed in the trace, and update work stays in
         // flight.
@@ -187,22 +199,8 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
                 _ => None,
             },
         };
-        let report = self.core.report(end, events, resilience);
+        let report = self.core.report(end, self.events, resilience);
         (report, self.core.take_trace())
-    }
-
-    /// Read-only access to the scheduler core: its store, staleness
-    /// tracker and queues (for examples and tests).
-    #[must_use]
-    pub fn core(&self) -> &Scheduler {
-        &self.core
-    }
-
-    /// Installs a flight recorder; subsequent scheduling points are
-    /// recorded into it. Tracing is observation-only: it must not (and by
-    /// construction cannot) change the simulated schedule.
-    pub fn set_trace(&mut self, cfg: TraceConfig) {
-        self.core.set_trace(cfg);
     }
 
     // ---- resilience (robustness extension) ----------------------------------
@@ -239,7 +237,7 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
 
     /// If the CPU is free, asks the core for the next slice and schedules
     /// its completion.
-    fn dispatch(&mut self, now: SimTime, ctx: &mut Ctx<'_, Event>) {
+    fn dispatch(&mut self, now: SimTime) {
         if self.cpu.is_some() {
             return;
         }
@@ -249,7 +247,8 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
                 epoch: self.epoch,
                 started: now,
             });
-            ctx.schedule_at(now + secs, Event::CpuDone { epoch: self.epoch });
+            self.calendar
+                .schedule(now + secs, Event::CpuDone { epoch: self.epoch });
         }
     }
 
@@ -263,16 +262,11 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
             self.core.preempt(verdict, now.since(slice.started), now);
         }
     }
-}
 
-impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
-    type Event = Event;
+    // ---- events -------------------------------------------------------------
 
-    fn handle(&mut self, event: Event, ctx: &mut Ctx<'_, Event>) {
-        let now = ctx.now();
-        if now > self.horizon {
-            return;
-        }
+    /// Handles one event at its instant `now`.
+    fn handle(&mut self, event: Event, now: SimTime) {
         self.note_resilience(now);
         // The calendar breaks ties by scheduling order, so each arm keeps
         // the order: watchdogs, then the next arrival, then (in
@@ -286,7 +280,7 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
                 let verdict = self.core.on_update(&spec, now);
                 self.next_update = self.update_src.next_update();
                 if let Some(next) = &self.next_update {
-                    ctx.schedule_at(next.arrival, Event::UpdateArrival);
+                    self.calendar.schedule(next.arrival, Event::UpdateArrival);
                 }
                 self.preempt(verdict, now);
             }
@@ -297,10 +291,10 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
                 };
                 let txn_id = spec.id;
                 let (deadline, verdict) = self.core.on_txn(spec, now);
-                ctx.schedule_at(deadline, Event::Deadline { txn_id });
+                self.calendar.schedule(deadline, Event::Deadline { txn_id });
                 self.next_txn = self.txn_src.next_txn();
                 if let Some(next) = &self.next_txn {
-                    ctx.schedule_at(next.arrival, Event::TxnArrival);
+                    self.calendar.schedule(next.arrival, Event::TxnArrival);
                 }
                 self.preempt(verdict, now);
             }
@@ -311,7 +305,7 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
                 self.cpu = None;
                 if let Some(watch) = self.core.finish(now) {
                     let (at, event) = Event::expiry(watch);
-                    ctx.schedule_at(at, event);
+                    self.calendar.schedule(at, event);
                 }
             }
             Event::Deadline { txn_id } => {
@@ -332,18 +326,14 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
             }
             Event::WarmupEnd => self.core.on_warmup_end(now),
         }
-        self.dispatch(now, ctx);
-    }
-
-    /// Gauge sampling rides the engine's observation hook rather than
-    /// calendar events, so a traced run processes exactly the same event
-    /// sequence (and `events_processed` count) as an untraced one.
-    fn after_event(&mut self, now: SimTime) {
-        self.core.sample_gauges(now);
+        self.dispatch(now);
     }
 }
 
-/// Runs one complete simulation of `cfg` against the given sources.
+/// Runs one complete simulation of `cfg` against the given sources, with
+/// a flight recorder attached when `trace` is given. The report is
+/// bit-identical either way — tracing is observation-only — and the
+/// capture is `Some` exactly when `trace` was.
 ///
 /// # Example
 ///
@@ -372,62 +362,27 @@ impl<U: UpdateSource, T: TxnSource> Simulation for Controller<U, T> {
 ///     reads: vec![],
 ///     derived_reads: vec![],
 /// }]);
-/// let report = run_simulation(&cfg, NoArrivals, txns);
+/// let (report, trace) = run_simulation(&cfg, NoArrivals, txns, None).unwrap();
+/// assert!(trace.is_none());
 /// assert_eq!(report.txns.committed, 1);
 /// assert!((report.av() - 2.0 / 5.0).abs() < 1e-12);
 /// ```
-#[must_use]
+///
+/// # Errors
+///
+/// Returns [`ConfigError`] if `cfg` fails validation.
 pub fn run_simulation<U: UpdateSource, T: TxnSource>(
     cfg: &SimConfig,
     update_src: U,
     txn_src: T,
-) -> RunReport {
-    run_simulation_checked(cfg, update_src, txn_src).expect("invalid SimConfig")
-}
-
-/// Fallible variant of [`run_simulation`]: surfaces config-validation
-/// failures as a value so sweep drivers can record them per point.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if `cfg` fails validation.
-pub fn run_simulation_checked<U: UpdateSource, T: TxnSource>(
-    cfg: &SimConfig,
-    update_src: U,
-    txn_src: T,
-) -> Result<RunReport, ConfigError> {
-    let mut controller = Controller::try_new(cfg.clone(), update_src, txn_src)?;
-    let mut engine = Engine::with_capacity(cfg.calendar_capacity_hint());
-    controller.prime(&mut engine);
-    let horizon = SimTime::from_secs(cfg.duration);
-    engine.run_until(&mut controller, horizon);
-    Ok(controller.finalize(horizon, engine.events_processed()))
-}
-
-/// Like [`run_simulation_checked`], but with a flight recorder attached:
-/// returns the capture alongside the report. The report is bit-identical
-/// to the untraced run's — tracing is observation-only.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if `cfg` fails validation.
-pub fn run_simulation_traced<U: UpdateSource, T: TxnSource>(
-    cfg: &SimConfig,
-    update_src: U,
-    txn_src: T,
-    trace: TraceConfig,
-) -> Result<(RunReport, TraceData), ConfigError> {
-    let mut controller = Controller::try_new(cfg.clone(), update_src, txn_src)?;
-    controller.set_trace(trace);
-    let mut engine = Engine::with_capacity(cfg.calendar_capacity_hint());
-    controller.prime(&mut engine);
-    let horizon = SimTime::from_secs(cfg.duration);
-    engine.run_until(&mut controller, horizon);
-    let (report, data) = controller.finalize_traced(horizon, engine.events_processed());
-    Ok((
-        report,
-        data.expect("trace sink was installed before the run"),
-    ))
+    trace: Option<TraceConfig>,
+) -> Result<(RunReport, Option<TraceData>), ConfigError> {
+    let mut controller = Controller::new(cfg.clone(), update_src, txn_src)?;
+    if let Some(trace) = trace {
+        controller.core.set_trace(trace);
+    }
+    controller.run_until(controller.horizon);
+    Ok(controller.finish())
 }
 
 #[cfg(test)]

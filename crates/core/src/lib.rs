@@ -23,9 +23,12 @@
 //! * [`scheduler::Scheduler`] — the scheduling state machine itself, with no
 //!   clock behind it; the simulator below and the `strip-live` server are
 //!   its two drivers.
-//! * [`controller::run_simulation`] — run one simulation against
-//!   [`sources::UpdateSource`] / [`sources::TxnSource`] implementations
-//!   (Poisson generators live in `strip-workload`).
+//! * [`controller::Controller`] — the simulator driver: it owns the event
+//!   calendar and its one loop, [`Controller::run_until`], hands each event
+//!   to the scheduler and the CPU slice back to the calendar.
+//! * [`controller::run_simulation`] — run one simulation (traced or not)
+//!   against [`sources::UpdateSource`] / [`sources::TxnSource`]
+//!   implementations (Poisson generators live in `strip-workload`).
 //! * [`report::RunReport`] — every raw counter and derived metric of §3.5.
 
 #![warn(missing_docs)]
@@ -43,7 +46,7 @@ pub mod sources;
 pub mod txn;
 
 pub use config::{Policy, QueuePolicy, SimConfig, StalenessDef};
-pub use controller::{run_simulation, Controller, Event};
+pub use controller::{run_simulation, Controller};
 pub use fingerprint::config_fingerprint;
 pub use report::RunReport;
 pub use scheduler::Scheduler;

@@ -450,15 +450,6 @@ impl DagStats {
     pub fn terminal_total(&self) -> u64 {
         self.applied + self.coalesced + self.shed + self.pending_at_end
     }
-
-    /// Fraction of derived reads that observed a stale node.
-    #[must_use]
-    pub fn stale_derived_fraction(&self) -> f64 {
-        if self.derived_reads == 0 {
-            return 0.0;
-        }
-        self.stale_derived_reads as f64 / self.derived_reads as f64
-    }
 }
 
 /// One timeline window of transaction outcomes (extension; populated when

@@ -3,7 +3,7 @@
 //! against the paper's §3–§4 semantics.
 
 use strip_core::config::{Policy, QueuePolicy, SimConfig};
-use strip_core::controller::run_simulation;
+use strip_core::controller::{run_simulation, Controller};
 use strip_core::report::RunReport;
 use strip_core::sources::{NoArrivals, ScriptedTxns, ScriptedUpdates, UpdateSpec};
 use strip_core::txn::TxnSpec;
@@ -66,7 +66,14 @@ fn high(i: u32) -> ViewObjectId {
 }
 
 fn run(cfg: &SimConfig, updates: Vec<UpdateSpec>, txns: Vec<TxnSpec>) -> RunReport {
-    run_simulation(cfg, ScriptedUpdates::new(updates), ScriptedTxns::new(txns))
+    let (report, _) = run_simulation(
+        cfg,
+        ScriptedUpdates::new(updates),
+        ScriptedTxns::new(txns),
+        None,
+    )
+    .unwrap();
+    report
 }
 
 #[test]
@@ -797,9 +804,88 @@ fn warmup_excludes_staleness_transient() {
 #[test]
 fn empty_simulation_is_silent() {
     let c = cfg(Policy::OnDemand, 3.0);
-    let r = run_simulation(&c, NoArrivals, NoArrivals);
+    let (r, _) = run_simulation(&c, NoArrivals, NoArrivals, None).unwrap();
     assert_eq!(r.txns.arrived, 0);
     assert_eq!(r.updates.arrived, 0);
     assert_eq!(r.cpu.utilization(), 0.0);
     assert_eq!(r.av(), 0.0);
+}
+
+// ---- the run loop: `Controller::run_until` ----------------------------------
+
+/// A scripted workload that keeps every event kind busy for `secs`
+/// seconds: an update every 50 ms over both classes, and a transaction
+/// reading two objects every 300 ms, one in four too long to meet its
+/// deadline.
+fn busy(secs: f64) -> (Vec<UpdateSpec>, Vec<TxnSpec>) {
+    let updates = (0..(secs * 20.0) as u32)
+        .map(|i| {
+            let at = f64::from(i) * 0.05 + 0.01;
+            let obj = if i % 3 == 0 { high(i % 4) } else { low(i % 4) };
+            upd(at, at - 0.1, obj)
+        })
+        .collect();
+    let txns = (0..(secs / 0.3) as u64)
+        .map(|i| {
+            let compute = if i % 4 == 0 { 0.5 } else { 0.05 };
+            let reads = vec![low((i % 4) as u32), high(((i + 1) % 4) as u32)];
+            txn(i + 1, i as f64 * 0.3 + 0.02, compute, 0.2, reads)
+        })
+        .collect();
+    (updates, txns)
+}
+
+fn controller(
+    cfg: &SimConfig,
+    updates: Vec<UpdateSpec>,
+    txns: Vec<TxnSpec>,
+) -> Controller<ScriptedUpdates, ScriptedTxns> {
+    Controller::new(
+        cfg.clone(),
+        ScriptedUpdates::new(updates),
+        ScriptedTxns::new(txns),
+    )
+    .unwrap()
+}
+
+#[test]
+fn an_event_at_the_horizon_is_handled_and_none_after_it() {
+    let c = cfg(Policy::TransactionsFirst, 5.0);
+    let at_horizon = run(&c, vec![], vec![txn(1, 5.0, 0.1, 0.5, vec![])]);
+    assert_eq!(at_horizon.txns.arrived, 1);
+    assert_eq!(at_horizon.txns.in_flight_at_end, 1);
+    let after = run(&c, vec![], vec![txn(1, 5.0 + 1e-9, 0.1, 0.5, vec![])]);
+    assert_eq!(after.txns.arrived, 0);
+    assert_eq!(
+        after.cpu.events_processed + 1,
+        at_horizon.cpu.events_processed
+    );
+}
+
+#[test]
+fn run_until_in_steps_reports_what_one_run_does() {
+    let mut c = cfg(Policy::OnDemand, 10.0);
+    c.staleness = StalenessSpec::MaxAge { alpha: 0.4 };
+    let (updates, txns) = busy(12.0);
+    let whole = run(&c, updates.clone(), txns.clone());
+    assert!(whole.txns.committed > 0 && whole.txns.aborted_infeasible > 0);
+    assert!(whole.txns.committed_fresh > 0 && whole.txns.stale_reads > 0);
+    assert!(whole.updates.installed_total() > 0);
+    let mut stepped = controller(&c, updates, txns);
+    for s in 1..=10 {
+        stepped.run_until(t(f64::from(s)));
+    }
+    assert_eq!(stepped.finish().0.to_json(), whole.to_json());
+}
+
+#[test]
+fn run_until_past_the_horizon_handles_nothing_beyond_it() {
+    let c = cfg(Policy::UpdatesFirst, 4.0);
+    let (updates, txns) = busy(8.0);
+    let whole = run(&c, updates.clone(), txns.clone());
+    let mut past = controller(&c, updates, txns);
+    past.run_until(t(100.0));
+    // The arrivals due after the horizon are still pending.
+    assert!(past.calendar().peek_time().is_some_and(|at| at > t(4.0)));
+    assert_eq!(past.finish().0.to_json(), whole.to_json());
 }

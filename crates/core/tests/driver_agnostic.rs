@@ -224,11 +224,13 @@ fn assert_same_report(cfg: &SimConfig, label: &str) -> RunReport {
         updates.len() > 100 && txns.len() > 5,
         "{label}: thin workload"
     );
-    let simulated = run_simulation(
+    let (simulated, _) = run_simulation(
         cfg,
         ScriptedUpdates::new(updates.clone()),
         ScriptedTxns::new(txns.clone()),
-    );
+        None,
+    )
+    .unwrap();
     let driven = drive(cfg, &updates, &txns);
     assert!(simulated.txns.committed > 0, "{label}: nothing committed");
     assert_eq!(driven.to_json(), simulated.to_json(), "{label}");

@@ -184,7 +184,7 @@ proptest! {
         let extras = Extras { history, triggers, io };
         let (us, ts, n_updates, n_txns) = build_sources(&seed);
         let c = cfg(policy, staleness, abort, qp, indexed, &extras);
-        let r = run_simulation(&c, us, ts);
+        let r = run_simulation(&c, us, ts, None).unwrap().0;
 
         // Every arrival is accounted for.
         prop_assert_eq!(r.txns.arrived, n_txns);
@@ -241,8 +241,8 @@ proptest! {
         let c = cfg(policy, StalenessSpec::MaxAge { alpha: 2.0 }, false, QueuePolicy::Fifo, false, &extras);
         let (u1, t1, _, _) = build_sources(&seed);
         let (u2, t2, _, _) = build_sources(&seed);
-        let r1 = run_simulation(&c, u1, t1);
-        let r2 = run_simulation(&c, u2, t2);
+        let r1 = run_simulation(&c, u1, t1, None).unwrap().0;
+        let r2 = run_simulation(&c, u2, t2, None).unwrap().0;
         prop_assert_eq!(r1, r2);
     }
 
@@ -257,7 +257,7 @@ proptest! {
         let (us, ts, _, _) = build_sources(&seed);
         let extras = Extras { history: false, triggers: false, io: false };
         let c = cfg(policy, StalenessSpec::MaxAge { alpha: 2.0 }, false, QueuePolicy::Fifo, false, &extras);
-        let r = run_simulation(&c, us, ts);
+        let r = run_simulation(&c, us, ts, None).unwrap().0;
         prop_assert!(r.txns.value_committed <= offered + 1e-9);
         if r.txns.committed > 0 {
             prop_assert!(r.txns.response_mean >= 0.0);

@@ -100,8 +100,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 settings.duration = v
                     .parse::<f64>()
                     .map_err(|e| format!("bad --seconds: {e}"))?;
-                if settings.duration <= 0.0 {
-                    return Err("--seconds must be positive".into());
+                if !(settings.duration.is_finite() && settings.duration > 0.0) {
+                    return Err("--seconds must be finite and positive".into());
                 }
             }
             "--seed" => {
@@ -367,6 +367,8 @@ mod tests {
     fn rejects_unknown_figures_and_bad_flags() {
         assert!(parse(&["fig99"]).is_err());
         assert!(parse(&["fig06", "--seconds", "-3"]).is_err());
+        assert!(parse(&["report", "tf", "--seconds", "inf"]).is_err());
+        assert!(parse(&["fig06", "--seconds", "NaN"]).is_err());
         assert!(parse(&["fig06", "--seconds"]).is_err());
         assert!(parse(&[]).is_err());
     }

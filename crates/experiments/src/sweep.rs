@@ -38,12 +38,12 @@ impl Default for RunSettings {
 }
 
 /// Reads the default per-point duration from `REPRO_SECONDS` (falling back
-/// to the paper's 1000 simulated seconds).
+/// to the paper's 1000 simulated seconds unless it is finite and positive).
 fn default_duration() -> f64 {
     std::env::var("REPRO_SECONDS")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
-        .filter(|d| *d > 0.0)
+        .filter(|d| d.is_finite() && *d > 0.0)
         .unwrap_or(1_000.0)
 }
 

@@ -41,7 +41,7 @@ const FIGURES: &str = "crates/experiments/src/figures.rs";
 const SWEEP_CODE: &[&str] = &["crates/experiments/src/", "crates/core/src/"];
 
 /// Every structure check, in gate order.
-pub const ROWS: [Row; 17] = [
+pub const ROWS: [Row; 19] = [
     Row {
         rule: RuleId::SchedulerCore,
         needles: &[
@@ -66,6 +66,20 @@ pub const ROWS: [Row; 17] = [
         scope: &["crates/"],
         expect: Expect::OnceIn(SCHEDULER),
         why: "the scheduling state machine lives once and both drivers call it",
+    },
+    Row {
+        rule: RuleId::SchedulerCore,
+        needles: &["fn run_until"],
+        scope: &["crates/"],
+        expect: Expect::OnceIn("crates/core/src/controller.rs"),
+        why: "the simulator has one run loop, the Controller's over its own calendar",
+    },
+    Row {
+        rule: RuleId::SchedulerCore,
+        needles: &["impl Simulation", "trait Simulation"],
+        scope: &["crates/"],
+        expect: Expect::Never,
+        why: "no generic model layer stands between the calendar and the Controller",
     },
     Row {
         rule: RuleId::UpdatePath,

@@ -19,7 +19,7 @@ fn scan(name: &str, scanned_as: &str) -> Vec<Violation> {
 }
 
 /// (fixture, the path it is scanned as, the rule that fires).
-const CASES: [(&str, &str, RuleId); 23] = [
+const CASES: [(&str, &str, RuleId); 25] = [
     ("d1.rs", "d1.rs", RuleId::WallClock),
     ("d2.rs", "d2.rs", RuleId::NondeterministicOrder),
     ("d3.rs", "d3.rs", RuleId::AmbientEntropy),
@@ -35,6 +35,16 @@ const CASES: [(&str, &str, RuleId); 23] = [
     (
         "s1_scheduler_fn.rs",
         "crates/live/src/executor.rs",
+        RuleId::SchedulerCore,
+    ),
+    (
+        "s1_second_run_loop.rs",
+        "crates/simkit/src/engine.rs",
+        RuleId::SchedulerCore,
+    ),
+    (
+        "s1_simulation_trait.rs",
+        "crates/simkit/src/engine.rs",
         RuleId::SchedulerCore,
     ),
     (
@@ -74,7 +84,7 @@ const CASES: [(&str, &str, RuleId); 23] = [
     ),
     (
         "s3_charge_preemption.rs",
-        "crates/core/src/controller.rs",
+        "crates/core/src/policy.rs",
         RuleId::ConfigContract,
     ),
     (

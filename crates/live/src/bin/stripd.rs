@@ -202,7 +202,6 @@ fn main() -> ExitCode {
             fsync: args.fsync,
             rotate_bytes: args.wal_rotate,
             snapshot_secs: args.snapshot_secs,
-            recover: args.recover,
         });
     }
     // Recover before binding: a recovering server is never half-visible.

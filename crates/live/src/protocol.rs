@@ -359,17 +359,6 @@ impl Msg {
         }
         out
     }
-
-    /// Encodes the complete frame, length prefix included.
-    #[must_use]
-    pub fn encode_frame(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        debug_assert!(body.len() <= MAX_FRAME, "oversized outgoing frame");
-        let mut out = Vec::with_capacity(4 + body.len());
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -145,18 +145,16 @@ pub fn serve(cfg: &LiveConfig, listener: TcpListener) -> io::Result<ServerHandle
     serve_recovered(cfg, listener, None)
 }
 
-/// [`serve`], with recovery made explicit: when `cfg.durability` asks for
-/// recovery and `recovered` is `None`, recovery runs here (before any
-/// connection is accepted); `stripd` instead recovers first — to print the
-/// replay summary before binding — and passes the result in. Starts the
-/// executor thread and, when durability is configured, its WAL flusher,
-/// which starts the directory afresh unless a recovery result stands on
-/// it.
+/// [`serve`] on a recovered state: `recovered` is what
+/// [`recover`](crate::recovery::recover) read back from `cfg.durability`'s
+/// directory (`stripd --recover` runs it before binding, to print the
+/// replay summary), or `None` to start empty. Starts the executor thread
+/// and, when durability is configured, its WAL flusher, which starts the
+/// directory afresh unless a recovery result stands on it.
 ///
 /// # Errors
 ///
-/// Listener configuration, recovery (damaged or mismatched artefacts) and
-/// WAL startup.
+/// Listener configuration and WAL startup.
 pub fn serve_recovered(
     cfg: &LiveConfig,
     listener: TcpListener,
@@ -164,10 +162,6 @@ pub fn serve_recovered(
 ) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(false)?;
-    let recovered = match (&cfg.durability, recovered) {
-        (Some(d), None) if d.recover => Some(crate::recovery::recover(cfg)?),
-        (_, r) => r,
-    };
     let wal = match &cfg.durability {
         Some(d) => {
             let fingerprint = strip_core::config_fingerprint(&cfg.sim);
@@ -599,11 +593,13 @@ mod tests {
             .warmup(0.0)
             .build()
             .expect("valid config");
-        let report = run_simulation(
+        let (report, _) = run_simulation(
             &cfg,
             ScriptedUpdates::new(Vec::new()),
             ScriptedTxns::new(Vec::new()),
-        );
+            None,
+        )
+        .expect("valid config");
         let s = stats_from_report(&report);
         assert_eq!(s.ingested, s.applied + s.superseded + s.shed + s.queued);
         let page = render_metrics(&report);

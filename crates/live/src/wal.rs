@@ -265,8 +265,6 @@ pub struct DurabilityConfig {
     /// Seconds between periodic store snapshots (each snapshot seals and
     /// truncates the log segment chain).
     pub snapshot_secs: f64,
-    /// Recover from the directory's snapshot + WAL chain before serving.
-    pub recover: bool,
     /// Rotate the active segment into the sealed chain once it exceeds
     /// this many bytes (0 disables rotation; growth is then bounded only
     /// by the snapshot cadence).
@@ -275,14 +273,13 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Defaults: 1 ms group commit, a snapshot every 5 s, 64 MiB
-    /// rotation, no recovery.
+    /// rotation.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Group(1_000),
             snapshot_secs: 5.0,
-            recover: false,
             rotate_bytes: DEFAULT_ROTATE_BYTES,
         }
     }

@@ -7,7 +7,8 @@
 //!
 //! * [`time::SimTime`] — a totally ordered simulated clock.
 //! * [`event::EventQueue`] — a stable (FIFO tie-breaking) future-event list.
-//! * [`engine::Engine`] / [`engine::Simulation`] — the run loop.
+//!   The run loop is the model's own: `strip-core`'s `Controller` pops
+//!   its calendar and handles each event.
 //! * [`rng`] — self-contained, cross-platform deterministic generators
 //!   (SplitMix64 seeding, xoshiro256++ sampling, named sub-streams).
 //! * [`dist`] — the distributions the paper's workload model requires.
@@ -16,27 +17,25 @@
 //!
 //! # Example
 //!
+//! A run loop over the calendar: each ping schedules the next one a
+//! second later, and the loop stops at the horizon.
+//!
 //! ```
-//! use strip_sim::engine::{Ctx, Engine, Simulation};
+//! use strip_sim::event::EventQueue;
 //! use strip_sim::time::SimTime;
 //!
-//! struct Pinger {
-//!     count: u32,
-//! }
-//!
-//! impl Simulation for Pinger {
-//!     type Event = ();
-//!     fn handle(&mut self, _ev: (), ctx: &mut Ctx<'_, ()>) {
-//!         self.count += 1;
-//!         ctx.schedule_in(1.0, ());
+//! let horizon = SimTime::from_secs(10.0);
+//! let mut calendar = EventQueue::new();
+//! calendar.schedule(SimTime::ZERO, "ping");
+//! let mut pings = 0;
+//! while let Some((now, event)) = calendar.pop() {
+//!     if now > horizon {
+//!         break;
 //!     }
+//!     pings += 1;
+//!     calendar.schedule(now + 1.0, event);
 //! }
-//!
-//! let mut engine = Engine::new();
-//! let mut sim = Pinger { count: 0 };
-//! engine.prime(SimTime::ZERO, ());
-//! engine.run_until(&mut sim, SimTime::from_secs(10.0));
-//! assert_eq!(sim.count, 11); // t = 0, 1, ..., 10
+//! assert_eq!(pings, 11); // t = 0, 1, ..., 10
 //! ```
 
 #![warn(missing_docs)]
@@ -44,14 +43,12 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod dist;
-pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use dist::{ClampedNormal, Distribution, Exponential, Normal, Uniform, Zipf};
-pub use engine::{Ctx, Engine, Simulation};
 pub use event::EventQueue;
 pub use rng::{SplitMix64, Xoshiro256pp};
 pub use stats::{TimeWeighted, Welford};

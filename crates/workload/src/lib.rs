@@ -22,7 +22,7 @@ pub use disturbance::DisturbedUpdates;
 pub use generators::{PeriodicUpdates, PoissonTxns, PoissonUpdates, UpdateStream};
 
 use strip_core::config::{ConfigError, SimConfig};
-use strip_core::controller::{run_simulation_checked, run_simulation_traced};
+use strip_core::controller::run_simulation;
 use strip_core::report::RunReport;
 use strip_obs::{TraceConfig, TraceData};
 
@@ -59,11 +59,13 @@ pub fn run_paper_sim(cfg: &SimConfig) -> RunReport {
 ///
 /// Returns [`ConfigError`] if `cfg` fails validation.
 pub fn run_paper_sim_checked(cfg: &SimConfig) -> Result<RunReport, ConfigError> {
-    run_simulation_checked(
+    let (report, _) = run_simulation(
         cfg,
         UpdateStream::from_config(cfg),
         PoissonTxns::from_config(cfg),
-    )
+        None,
+    )?;
+    Ok(report)
 }
 
 /// Like [`run_paper_sim_checked`], but with a flight recorder attached
@@ -78,10 +80,11 @@ pub fn run_paper_sim_traced(
     cfg: &SimConfig,
     trace: TraceConfig,
 ) -> Result<(RunReport, TraceData), ConfigError> {
-    run_simulation_traced(
+    let (report, data) = run_simulation(
         cfg,
         UpdateStream::from_config(cfg),
         PoissonTxns::from_config(cfg),
-        trace,
-    )
+        Some(trace),
+    )?;
+    Ok((report, data.expect("a traced run returns its capture")))
 }

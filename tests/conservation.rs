@@ -6,7 +6,6 @@
 use strip::core::config::{Policy, QueuePolicy, SimConfig, StalenessDef};
 use strip::core::controller::Controller;
 use strip::run_paper_sim;
-use strip::sim::engine::Engine;
 use strip::sim::time::SimTime;
 use strip::workload::{PoissonTxns, UpdateStream};
 use strip::RunReport;
@@ -173,20 +172,19 @@ fn calendar_holds_a_baseline_run_within_its_capacity_hint() {
         cfg.clone(),
         UpdateStream::from_config(&cfg),
         PoissonTxns::from_config(&cfg),
-    );
-    let mut engine = Engine::with_capacity(hint);
-    let reserved = engine.calendar().capacity();
+    )
+    .unwrap();
+    let reserved = controller.calendar().capacity();
     assert!(reserved >= hint);
-    controller.prime(&mut engine);
     let mut peak = 0;
     for s in 1..=cfg.duration as u32 {
-        engine.run_until(&mut controller, SimTime::from_secs(f64::from(s)));
-        peak = peak.max(engine.calendar().len());
+        controller.run_until(SimTime::from_secs(f64::from(s)));
+        peak = peak.max(controller.calendar().len());
     }
     assert!(peak > 2_500, "the watchdogs pile up: peak {peak}");
     assert!(peak <= hint, "peak {peak} pending events, hint {hint}");
     assert_eq!(
-        engine.calendar().capacity(),
+        controller.calendar().capacity(),
         reserved,
         "the calendar reallocated mid-run"
     );
