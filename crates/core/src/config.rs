@@ -184,55 +184,19 @@ pub struct BurstSpec {
     pub factor: f64,
 }
 
-/// Disturbances applied to the update arrival stream (robustness
-/// extension). The paper assumes a well-behaved Poisson stream; real ticker
-/// feeds burst, drop out, jitter, duplicate and reorder. Each disturbance is
-/// a *delay-only* transform of the base stream, driven by its own RNG
-/// sub-stream, so the undisturbed baseline stays bit-identical and the
-/// disturbed stream still delivers arrivals in non-decreasing time order.
+/// A feed outage on the update stream (robustness extension, figR1). The
+/// paper assumes a well-behaved Poisson stream; here the source falls
+/// silent for a window and then delivers what it generated meanwhile as a
+/// catch-up flood. Delay-only: the undisturbed stream's draws are
+/// unchanged and arrivals stay in non-decreasing time order.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DisturbanceSpec {
-    /// Deliver arrivals in batches of this size: each group of consecutive
-    /// arrivals is held and released together at the group's latest release
-    /// time. 1 = no batching.
-    pub burst_size: u32,
     /// Start of the feed outage, seconds (meaningful when `outage_secs > 0`).
     pub outage_from: f64,
     /// Outage length, seconds: arrivals generated inside
     /// `[outage_from, outage_from + outage_secs)` are held and released as a
     /// catch-up flood when the feed returns. 0 = no outage.
     pub outage_secs: f64,
-    /// Per-arrival delivery jitter: each arrival is delayed by an extra
-    /// `U[0, jitter_max)` seconds. 0 = none.
-    pub jitter_max: f64,
-    /// Probability an arrival is delivered twice (the duplicate trails by
-    /// `U[0, duplicate_lag)` seconds).
-    pub p_duplicate: f64,
-    /// Maximum extra delay of a duplicate copy, seconds.
-    pub duplicate_lag: f64,
-    /// Probability an arrival is delayed by an extra `U[0, reorder_lag)`
-    /// seconds — long enough to slip behind later arrivals, i.e.
-    /// out-of-order delivery.
-    pub p_reorder: f64,
-    /// Maximum extra delay of a reordered arrival, seconds.
-    pub reorder_lag: f64,
-}
-
-impl Default for DisturbanceSpec {
-    /// Every disturbance off: wrapping the stream with this spec is a
-    /// behavioural no-op (used to test transparency of the layer).
-    fn default() -> Self {
-        DisturbanceSpec {
-            burst_size: 1,
-            outage_from: 0.0,
-            outage_secs: 0.0,
-            jitter_max: 0.0,
-            p_duplicate: 0.0,
-            duplicate_lag: 0.05,
-            p_reorder: 0.0,
-            reorder_lag: 0.2,
-        }
-    }
 }
 
 impl DisturbanceSpec {
@@ -241,26 +205,6 @@ impl DisturbanceSpec {
     #[must_use]
     pub fn outage_window(&self) -> Option<(f64, f64)> {
         (self.outage_secs > 0.0).then_some((self.outage_from, self.outage_from + self.outage_secs))
-    }
-}
-
-/// Controller-side admission control (robustness extension): when the
-/// estimated CPU utilisation (busy time since warm-up over elapsed time)
-/// exceeds `util_threshold`, arriving low-importance updates are shed before
-/// entering the OS queue — spending the remaining headroom on transactions
-/// and high-importance freshness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdmissionControl {
-    /// Estimated-utilisation threshold above which low-importance arrivals
-    /// are shed, in `[0, 1]`.
-    pub util_threshold: f64,
-}
-
-impl Default for AdmissionControl {
-    fn default() -> Self {
-        AdmissionControl {
-            util_threshold: 0.9,
-        }
     }
 }
 
@@ -396,12 +340,9 @@ pub struct SimConfig {
     /// Disk-resident buffer-pool model (paper §7 extension); `None` = the
     /// paper's main-memory database.
     pub io: Option<IoModel>,
-    /// Disturbances applied to the update stream (robustness extension);
+    /// A feed outage on the update stream (robustness extension);
     /// `None` = the paper's well-behaved stream.
     pub disturbance: Option<DisturbanceSpec>,
-    /// Controller admission control (robustness extension); `None` = admit
-    /// every arrival the OS queue can hold.
-    pub admission: Option<AdmissionControl>,
     /// Number of general-data objects (cost folded into compute time; the
     /// store still carries real general data for API users).
     pub n_general: u32,
@@ -463,7 +404,6 @@ impl Default for SimConfig {
             dag: None,
             io: None,
             disturbance: None,
-            admission: None,
             n_general: 100,
             duration: 1_000.0,
             warmup: 0.0,
@@ -515,6 +455,11 @@ impl SimConfig {
                 Err(ConfigError(what.to_string()))
             }
         }
+        // The domain of a distribution's mean or spread, a slack bound or
+        // a time: NaN and infinity fail it too.
+        fn finite_nonneg(x: f64) -> bool {
+            x >= 0.0 && x.is_finite()
+        }
         check(
             self.lambda_u >= 0.0 && self.lambda_u.is_finite(),
             "lambda_u must be >= 0",
@@ -535,23 +480,50 @@ impl SimConfig {
             (0.0..=1.0).contains(&self.p_view),
             "p_view must be in [0,1]",
         )?;
-        check(self.mean_update_age >= 0.0, "mean_update_age must be >= 0")?;
+        check(
+            finite_nonneg(self.mean_update_age),
+            "mean_update_age must be finite and >= 0",
+        )?;
         check(
             self.n_low + self.n_high > 0,
             "need at least one view object",
         )?;
         check(
-            self.slack_min >= 0.0 && self.slack_max >= self.slack_min,
-            "slack range must satisfy 0 <= slack_min <= slack_max",
+            self.slack_min >= 0.0 && self.slack_max >= self.slack_min && self.slack_max.is_finite(),
+            "slack range must satisfy 0 <= slack_min <= slack_max < inf",
         )?;
-        check(self.reads_mean >= 0.0, "reads_mean must be >= 0")?;
+        check(
+            self.value_low_mean.is_finite() && self.value_high_mean.is_finite(),
+            "transaction value means must be finite",
+        )?;
+        check(
+            finite_nonneg(self.value_low_sd) && finite_nonneg(self.value_high_sd),
+            "transaction value sds must be finite and >= 0",
+        )?;
+        check(
+            finite_nonneg(self.reads_mean),
+            "reads_mean must be finite and >= 0",
+        )?;
+        check(
+            finite_nonneg(self.reads_sd),
+            "reads_sd must be finite and >= 0",
+        )?;
         check(
             self.read_skew >= 0.0 && self.read_skew.is_finite(),
             "read_skew must be >= 0",
         )?;
-        check(self.compute_mean > 0.0, "compute_mean must be > 0")?;
-        check(self.compute_sd >= 0.0, "compute_sd must be >= 0")?;
-        check(self.max_age > 0.0, "max_age must be > 0")?;
+        check(
+            self.compute_mean > 0.0 && self.compute_mean.is_finite(),
+            "compute_mean must be finite and > 0",
+        )?;
+        check(
+            finite_nonneg(self.compute_sd),
+            "compute_sd must be finite and >= 0",
+        )?;
+        check(
+            self.max_age > 0.0 && self.max_age.is_finite(),
+            "max_age must be finite and > 0",
+        )?;
         check(self.costs.ips > 0.0, "ips must be > 0")?;
         check(self.os_max > 0, "os_max must be > 0")?;
         check(self.uq_max > 0, "uq_max must be > 0")?;
@@ -653,7 +625,6 @@ impl SimConfig {
             )?;
         }
         if let Some(d) = self.disturbance {
-            check(d.burst_size >= 1, "disturbance burst_size must be >= 1")?;
             check(
                 d.outage_from >= 0.0 && d.outage_from.is_finite(),
                 "disturbance outage_from must be >= 0",
@@ -661,32 +632,6 @@ impl SimConfig {
             check(
                 d.outage_secs >= 0.0 && d.outage_secs.is_finite(),
                 "disturbance outage_secs must be >= 0",
-            )?;
-            check(
-                d.jitter_max >= 0.0 && d.jitter_max.is_finite(),
-                "disturbance jitter_max must be >= 0",
-            )?;
-            check(
-                (0.0..=1.0).contains(&d.p_duplicate),
-                "disturbance p_duplicate must be in [0,1]",
-            )?;
-            check(
-                d.duplicate_lag >= 0.0 && d.duplicate_lag.is_finite(),
-                "disturbance duplicate_lag must be >= 0",
-            )?;
-            check(
-                (0.0..=1.0).contains(&d.p_reorder),
-                "disturbance p_reorder must be in [0,1]",
-            )?;
-            check(
-                d.reorder_lag >= 0.0 && d.reorder_lag.is_finite(),
-                "disturbance reorder_lag must be >= 0",
-            )?;
-        }
-        if let Some(a) = self.admission {
-            check(
-                (0.0..=1.0).contains(&a.util_threshold),
-                "admission util_threshold must be in [0,1]",
             )?;
         }
         if let UpdateMode::Periodic { jitter_frac } = self.update_mode {
@@ -696,7 +641,10 @@ impl SimConfig {
             )?;
         }
         if let Some(alpha) = self.staleness.alpha() {
-            check(alpha > 0.0, "staleness alpha must be > 0")?;
+            check(
+                alpha > 0.0 && alpha.is_finite(),
+                "staleness alpha must be finite and > 0",
+            )?;
         }
         Ok(())
     }
@@ -808,10 +756,8 @@ impl SimConfigBuilder {
         uq_max: usize);
     setter!(/// Sets the update-queue overflow shedding policy.
         uq_shed: ShedPolicy);
-    setter!(/// Applies disturbances to the update stream.
+    setter!(/// Applies a feed outage to the update stream.
         disturbance: Option<DisturbanceSpec>);
-    setter!(/// Enables controller admission control.
-        admission: Option<AdmissionControl>);
     setter!(/// Enables/disables feasible-deadline scheduling.
         feasible_deadline: bool);
     setter!(/// Enables/disables transaction-transaction preemption.
@@ -960,24 +906,44 @@ mod tests {
         assert!(SimConfig::builder().n_low(0).n_high(0).build().is_err());
         assert!(SimConfig::builder()
             .disturbance(Some(DisturbanceSpec {
-                burst_size: 0,
-                ..DisturbanceSpec::default()
+                outage_from: 1.0,
+                outage_secs: -1.0,
             }))
             .build()
             .is_err());
         assert!(SimConfig::builder()
             .disturbance(Some(DisturbanceSpec {
-                p_duplicate: 1.5,
-                ..DisturbanceSpec::default()
+                outage_from: f64::NAN,
+                outage_secs: 1.0,
             }))
             .build()
             .is_err());
-        assert!(SimConfig::builder()
-            .admission(Some(AdmissionControl {
-                util_threshold: -0.1,
-            }))
-            .build()
-            .is_err());
+        // Distribution parameters the generators and the calendar cannot
+        // take: each of these used to build and then panic (or abort on a
+        // calendar sized from an infinite α) inside the run.
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for bad in [
+            SimConfig::builder().reads_mean(inf),
+            SimConfig::builder().reads_sd(inf),
+            SimConfig::builder().reads_sd(nan),
+            SimConfig::builder().reads_sd(-1.0),
+            SimConfig::builder().compute_mean(inf),
+            SimConfig::builder().compute_sd(inf),
+            SimConfig::builder().values(nan, 0.5, 2.0, 0.5),
+            SimConfig::builder().values(1.0, 0.5, inf, 0.5),
+            SimConfig::builder().values(1.0, inf, 2.0, 0.5),
+            SimConfig::builder().values(1.0, 0.5, 2.0, inf),
+            SimConfig::builder().values(1.0, -0.5, 2.0, 0.5),
+            SimConfig::builder().values(1.0, 0.5, 2.0, -0.5),
+            SimConfig::builder().slack_max(inf),
+            SimConfig::builder().mean_update_age(inf),
+            SimConfig::builder().max_age(inf),
+            SimConfig::builder()
+                .staleness(StalenessSpec::Either { alpha: 1.0 })
+                .max_age(inf),
+        ] {
+            assert!(bad.clone().build().is_err(), "accepted {bad:?}");
+        }
         assert!(SimConfig::builder()
             .dag(Some(DagSpec {
                 depth: 0,
@@ -1003,14 +969,15 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.uq_shed, ShedPolicy::DropOldest);
         assert!(c.disturbance.is_none());
-        assert!(c.admission.is_none());
-        // The neutral disturbance spec is valid and declares no outage.
-        let d = DisturbanceSpec::default();
+        // A zero-length outage declares no window.
+        let d = DisturbanceSpec {
+            outage_from: 100.0,
+            outage_secs: 0.0,
+        };
         assert_eq!(d.outage_window(), None);
         let d = DisturbanceSpec {
             outage_from: 100.0,
             outage_secs: 5.0,
-            ..DisturbanceSpec::default()
         };
         assert_eq!(d.outage_window(), Some((100.0, 105.0)));
     }

@@ -186,18 +186,13 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
         if let Some(slice) = self.cpu {
             self.core.interrupt(end.since(slice.started), end);
         }
-        let stream = self.update_src.disturbance_stats();
         let resilience = ResilienceStats {
-            duplicated: stream.duplicated,
-            reordered: stream.reordered,
-            outage_held: stream.outage_held,
-            burst_grouped: stream.burst_grouped,
-            // Filled in from the update counters by `Metrics::finalize`.
-            admission_shed: 0,
+            outage_held: self.update_src.outage_held(),
             recovery_secs: match (self.outage, self.recovery_at) {
                 (Some((_, outage_end)), Some(at)) => Some(at.since(outage_end)),
                 _ => None,
             },
+            ..ResilienceStats::default()
         };
         let report = self.core.report(end, self.events, resilience);
         (report, self.core.take_trace())

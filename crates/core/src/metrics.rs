@@ -322,16 +322,6 @@ impl Metrics {
         }
     }
 
-    /// A low-importance arrival was shed by controller admission control
-    /// before reaching the OS queue (robustness extension). Counts as
-    /// arrived + shed, never as an OS drop.
-    pub fn update_admission_shed(&mut self, arrival: SimTime) {
-        if self.in_window(arrival) {
-            self.updates.arrived += 1;
-            self.updates.admission_shed += 1;
-        }
-    }
-
     /// An update entered the application-level update queue.
     pub fn update_enqueued(&mut self, now: SimTime) {
         if self.in_window(now) {
@@ -397,9 +387,8 @@ impl Metrics {
 
     /// Closes the window at `end` and produces the report. Queue-side drop
     /// counters are read from the queue structures by the controller and
-    /// passed in via `queue_drops`; disturbance counters and the recovery
-    /// time come pre-assembled in `resilience` (the admission-shed mirror is
-    /// filled in here from this collector's own counter).
+    /// passed in via `queue_drops`; the outage counter and the recovery
+    /// time come pre-assembled in `resilience`.
     #[allow(clippy::too_many_arguments)]
     pub fn finalize(
         mut self,
@@ -409,7 +398,7 @@ impl Metrics {
         end: SimTime,
         tracker: &StalenessTracker,
         queue_drops: QueueDrops,
-        mut resilience: ResilienceStats,
+        resilience: ResilienceStats,
         events_processed: u64,
     ) -> RunReport {
         debug_assert!(
@@ -432,7 +421,6 @@ impl Metrics {
         self.updates.in_flight_at_end = queue_drops.in_flight;
         self.txns.response_mean = self.response.mean();
         self.txns.response_sd = self.response.std_dev();
-        resilience.admission_shed = self.updates.admission_shed;
         RunReport {
             policy: policy_label.to_string(),
             seed,

@@ -189,8 +189,9 @@ tabled! {
         pub overflow_dropped: u64 = Count,
         /// Queued updates removed as superseded by the hash-index extension.
         pub dedup_dropped: u64 = Count,
-        /// Arrivals shed by controller admission control before entering the OS
-        /// queue (robustness extension).
+        /// Always 0: nothing sheds arrivals before the OS queue. The row
+        /// keeps the report's JSON schema, and the digests pinned on it,
+        /// unchanged until the next schema change drops it.
         pub admission_shed: u64 = Count,
         /// Largest update-queue length observed.
         pub max_uq_len: u64 = Count,
@@ -287,21 +288,24 @@ tabled! {
         pub fold_derived: f64 = Real,
     }
 
-    /// Resilience accounting (robustness extension; all zeros/`None` for an
-    /// undisturbed run with the paper's queue policies).
+    /// Resilience accounting (robustness extension; all zeros/`None` for a
+    /// run without a feed outage). `duplicated`, `reordered`,
+    /// `burst_grouped` and `admission_shed` always read 0: the only
+    /// disturbance is the outage. They keep the report's JSON schema, and
+    /// the digests pinned on it, unchanged until the next schema change
+    /// drops them.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
     pub struct ResilienceStats {
-        /// Duplicate deliveries injected by the disturbance layer.
+        /// Always 0 (see the type's docs).
         pub duplicated: u64 = Count,
-        /// Out-of-order deliveries observed at the source.
+        /// Always 0 (see the type's docs).
         pub reordered: u64 = Count,
-        /// Arrivals held during the outage window and released in the catch-up
-        /// flood.
+        /// Arrivals generated inside the outage window, held and released
+        /// in the catch-up flood at its end (or stranded by the horizon).
         pub outage_held: u64 = Count,
-        /// Arrivals delivered as part of a multi-arrival batch.
+        /// Always 0 (see the type's docs).
         pub burst_grouped: u64 = Count,
-        /// Arrivals shed by controller admission control (mirrors
-        /// `UpdateCounts::admission_shed`).
+        /// Always 0 (see the type's docs).
         pub admission_shed: u64 = Count,
         /// Seconds after the outage ended until the stale-object count first
         /// returned to its pre-outage baseline; `None` when no outage was

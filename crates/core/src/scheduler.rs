@@ -55,10 +55,10 @@
 //! of the transaction that is due, then calls [`Scheduler::on_deadline`].
 //!
 //! The same holds for configuration: whatever `SimConfig::validate`
-//! accepts, every driver runs. Admission control, value-density
-//! preemption, historical views, rules and the disk model are state and
-//! decisions in here, and a slice's modelled I/O stall is one more cost a
-//! driver lets pass like any other.
+//! accepts, every driver runs. Value-density preemption, historical
+//! views, rules and the disk model are state and decisions in here, and
+//! a slice's modelled I/O stall is one more cost a driver lets pass like
+//! any other.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -594,54 +594,28 @@ impl Scheduler {
     /// the driver must hand it back through [`Scheduler::preempt`].
     pub fn on_update(&mut self, spec: &UpdateSpec, now: SimTime) -> Option<Preempt> {
         debug_assert!(spec.arrival == now);
-        // Admission control (robustness extension): past the utilisation
-        // threshold, low-importance arrivals are shed before the OS queue.
-        // The object still becomes UU-stale — the external world moved on
-        // whether or not the message was kept.
-        let shed = self.admission_sheds(spec.object.class, now);
-        if shed {
-            self.metrics.update_admission_shed(now);
-        } else {
-            let update = Update {
-                seq: self.update_seq,
-                object: spec.object,
-                generation_ts: spec.generation_ts,
-                arrival_ts: now,
-                payload: spec.payload,
-                attr_mask: spec.attr_mask,
-            };
-            self.update_seq += 1;
-            // A full OS queue rejects the arrival (paper §3.3).
-            let outcome = self.os_queue.deliver(update);
-            self.metrics.update_arrived(now, outcome.accepted);
-        }
+        let update = Update {
+            seq: self.update_seq,
+            object: spec.object,
+            generation_ts: spec.generation_ts,
+            arrival_ts: now,
+            payload: spec.payload,
+            attr_mask: spec.attr_mask,
+        };
+        self.update_seq += 1;
+        // A full OS queue rejects the arrival (paper §3.3).
+        let outcome = self.os_queue.deliver(update);
+        self.metrics.update_arrived(now, outcome.accepted);
         // The system has been handed this update: under UU the object is now
-        // stale until a value at least this recent is installed.
+        // stale until a value at least this recent is installed, whether or
+        // not the OS queue kept the message.
         self.tracker
             .on_receive(spec.object, spec.generation_ts, now);
         self.metrics
             .observe_queue_lengths(self.os_queue.len(), self.uq.len());
         self.emit_queue_depth(now);
-        (!shed && policy::preempts_on_arrival(self.cfg.policy) && self.txn_on_cpu().is_some())
+        (policy::preempts_on_arrival(self.cfg.policy) && self.txn_on_cpu().is_some())
             .then_some(Preempt::ByUpdate)
-    }
-
-    /// True when the admission controller sheds this arrival: low
-    /// importance only, and the measured CPU utilisation so far exceeds
-    /// the configured threshold.
-    fn admission_sheds(&self, class: Importance, now: SimTime) -> bool {
-        let Some(admission) = self.cfg.admission else {
-            return false;
-        };
-        if class != Importance::Low {
-            return false;
-        }
-        let elapsed = now.as_secs();
-        if elapsed <= 0.0 {
-            return false;
-        }
-        let busy = self.metrics.busy_update_so_far() + self.metrics.busy_txn_so_far();
-        busy / elapsed > admission.util_threshold
     }
 
     /// A transaction arrives (`spec.arrival` is `now`). Returns its firm

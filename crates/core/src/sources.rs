@@ -26,31 +26,15 @@ pub struct UpdateSpec {
     pub attr_mask: u64,
 }
 
-/// Counters kept by a disturbed update source (robustness extension). A
-/// well-behaved source reports all zeros — the default.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamDisturbanceStats {
-    /// Extra duplicate deliveries emitted.
-    pub duplicated: u64,
-    /// Arrivals delivered after an arrival generated later than them
-    /// (observed order inversions).
-    pub reordered: u64,
-    /// Arrivals held during an outage window and released in the catch-up
-    /// flood.
-    pub outage_held: u64,
-    /// Arrivals delivered as part of a multi-arrival batch.
-    pub burst_grouped: u64,
-}
-
 /// Produces the external update stream in non-decreasing arrival order.
 pub trait UpdateSource {
     /// The next update arrival, or `None` when the stream ends.
     fn next_update(&mut self) -> Option<UpdateSpec>;
 
-    /// Disturbance counters accumulated so far (zero for well-behaved
-    /// sources).
-    fn disturbance_stats(&self) -> StreamDisturbanceStats {
-        StreamDisturbanceStats::default()
+    /// Arrivals generated inside a feed outage so far, delivered or not
+    /// (zero for well-behaved sources).
+    fn outage_held(&self) -> u64 {
+        0
     }
 }
 

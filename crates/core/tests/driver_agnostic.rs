@@ -6,10 +6,10 @@
 //! every step advances to the earliest of (slice end, next arrival, next
 //! deadline, next expiry, warm-up end). On the fig03 short grid — the four
 //! algorithms at λt ∈ {2.5, 10, 20}, 5 simulated seconds — plus one point
-//! with a 3×50×3 derived-view DAG and one per extension (admission
-//! control, value-density preemption, historical views, rules, the disk
-//! model) it must produce the very report the simulator produces from the
-//! same arrivals, byte for byte. None of the extensions has a line of
+//! with a 3×50×3 derived-view DAG and one per extension (value-density
+//! preemption, historical views, rules, the disk model) it must produce
+//! the very report the simulator produces from the same arrivals, byte
+//! for byte. None of the extensions has a line of
 //! driver code below: the driver hands the core's verdict back, no more.
 //!
 //! What the calendar adds to the comparison and this driver has to mimic:
@@ -20,8 +20,7 @@
 //! initial expiry watches clamped to t = 0, which commute.
 
 use strip_core::config::{
-    AdmissionControl, DagSpec, HistoryAccess, IoModel, Policy, SimConfig, SimConfigBuilder,
-    TriggerConfig,
+    DagSpec, HistoryAccess, IoModel, Policy, SimConfig, SimConfigBuilder, TriggerConfig,
 };
 use strip_core::controller::run_simulation;
 use strip_core::report::{ResilienceStats, RunReport};
@@ -279,14 +278,7 @@ fn calendar_free_driver_reproduces_the_simulator_with_every_extension() {
     // Each point: the extension switched on over a fig03 point, and the
     // counter that shows the run exercised it.
     type Exercised = fn(&RunReport) -> u64;
-    let points: [(&str, SimConfigBuilder, Exercised); 4] = [
-        (
-            "admission",
-            base().lambda_t(20.0).admission(Some(AdmissionControl {
-                util_threshold: 0.5,
-            })),
-            |r| r.updates.admission_shed,
-        ),
+    let points: [(&str, SimConfigBuilder, Exercised); 3] = [
         (
             "history",
             base().history(Some(HistoryAccess::default())),

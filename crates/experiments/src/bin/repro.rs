@@ -49,8 +49,8 @@ fn usage() -> String {
          \n\
          With --checkpoint DIR every completed data point is persisted and a\n\
          rerun with the same parameters resumes instead of re-simulating; a\n\
-         point that crashes is retried once and then reported, without\n\
-         aborting the rest of the campaign.\n\
+         point that crashes is reported without aborting the rest of the\n\
+         campaign.\n\
          \n\
          'repro trace' re-runs one representative configuration of the named\n\
          figure (or scenario preset) per scheduling policy with the flight\n\
@@ -316,14 +316,11 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "# {} data point(s) failed twice and were excluded:",
+            "# {} data point(s) failed and were excluded:",
             campaign.failures().len()
         );
         for f in campaign.failures() {
-            eprintln!(
-                "#   {}[{}] {} after {} attempts: {}",
-                f.sweep, f.index, f.label, f.attempts, f.message
-            );
+            eprintln!("#   {}[{}] {}: {}", f.sweep, f.index, f.label, f.message);
         }
         ExitCode::FAILURE
     }

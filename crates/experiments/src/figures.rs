@@ -259,7 +259,6 @@ fn outage(settings: &RunSettings, secs: f64) -> Option<DisturbanceSpec> {
     Some(DisturbanceSpec {
         outage_from: settings.duration * 0.4,
         outage_secs: secs,
-        ..DisturbanceSpec::default()
     })
 }
 
@@ -1155,9 +1154,9 @@ pub static PANELS: [Panel; 57] = [
 /// A reproduction campaign: shared settings plus memoised sweeps.
 ///
 /// Every sweep executes through the crash-isolated [`SweepRunner`]: a point
-/// that panics is retried once and then recorded in [`Campaign::failures`]
-/// instead of aborting the campaign, and (with a checkpoint directory
-/// configured) completed points persist across process restarts.
+/// that panics is recorded in [`Campaign::failures`] instead of aborting
+/// the campaign, and (with a checkpoint directory configured) completed
+/// points persist across process restarts.
 pub struct Campaign {
     settings: RunSettings,
     runner: SweepRunner,

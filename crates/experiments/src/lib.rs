@@ -7,8 +7,8 @@
 //!   parameter tables; a [`figures::Campaign`] runs and memoises the
 //!   sweeps, each distinct configuration once.
 //! * [`runner`] — the sweep executor: replica expansion, crash isolation
-//!   with one retry, and on-disk checkpoints, so long campaigns survive a
-//!   panicking point and a killed process resumes where it stopped.
+//!   and on-disk checkpoints, so long campaigns survive a panicking point
+//!   and a killed process resumes where it stopped.
 //! * [`sweep`] — campaign settings and the lock-free parallel job loop.
 //! * [`table`] — ASCII/CSV rendering of reproduced figures.
 //! * [`tracing`] — `repro trace`: a figure's sweep at its representative x

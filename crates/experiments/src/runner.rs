@@ -6,10 +6,10 @@
 //!
 //! * every point runs under [`std::panic::catch_unwind`], so a crash is
 //!   confined to its own point;
-//! * a crashed point is retried once with the same seed (distinguishing a
-//!   transient environment fault from a deterministic bug);
-//! * points that still fail are recorded as [`PointFailure`]s in the
-//!   [`SweepOutcome`] instead of aborting the remaining points;
+//! * a point that panics is recorded as a [`PointFailure`] in the
+//!   [`SweepOutcome`] instead of aborting the remaining points (it is not
+//!   retried: a run is deterministic in its config, so a rerun with the
+//!   same seed would panic again);
 //! * when a checkpoint directory is configured, every completed point is
 //!   serialised to disk, and a rerun of the same sweep resumes from those
 //!   files instead of re-simulating.
@@ -39,7 +39,7 @@ use crate::sweep::{run_indexed, RunSettings};
 /// substitute a run function that panics on chosen configurations.
 pub type RunFn = Arc<dyn Fn(&SimConfig) -> RunReport + Send + Sync>;
 
-/// One point that panicked on both its attempts.
+/// One point whose run panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointFailure {
     /// Sweep namespace the point belonged to (the memoisation key).
@@ -48,9 +48,7 @@ pub struct PointFailure {
     pub index: usize,
     /// Human-readable point identity (policy label and seed).
     pub label: String,
-    /// Attempts made (always 2: the initial run plus one same-seed retry).
-    pub attempts: u32,
-    /// Panic payload of the final attempt.
+    /// Panic payload.
     pub message: String,
 }
 
@@ -61,7 +59,7 @@ pub struct SweepOutcome {
     /// failed are omitted from their set; a point where every replica failed
     /// yields an empty set.
     pub replica_sets: Vec<Vec<RunReport>>,
-    /// Points that panicked twice, in job-index order.
+    /// Points that panicked, in job-index order.
     pub failures: Vec<PointFailure>,
     /// Points satisfied from checkpoint files instead of simulation.
     pub resumed: usize,
@@ -161,16 +159,13 @@ impl SweepRunner {
                 resumed.fetch_add(1, Ordering::Relaxed);
                 return Some(report);
             }
-            let mut message = String::new();
-            for _attempt in 0..2 {
-                match catch_unwind(AssertUnwindSafe(|| (self.run)(cfg))) {
-                    Ok(report) => {
-                        self.store_checkpoint(sweep, i, cfg, &report);
-                        return Some(report);
-                    }
-                    Err(payload) => message = panic_message(payload.as_ref()),
+            let message = match catch_unwind(AssertUnwindSafe(|| (self.run)(cfg))) {
+                Ok(report) => {
+                    self.store_checkpoint(sweep, i, cfg, &report);
+                    return Some(report);
                 }
-            }
+                Err(payload) => panic_message(payload.as_ref()),
+            };
             // A panic while another worker held the lock only poisons the
             // Vec push, which cannot leave it inconsistent: recover the
             // guard rather than cascading the panic through the sweep.
@@ -181,7 +176,6 @@ impl SweepRunner {
                     sweep: sweep.to_string(),
                     index: i,
                     label: format!("{} seed={:#x}", cfg.policy.label(), cfg.seed),
-                    attempts: 2,
                     message,
                 });
             None
@@ -543,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn panicking_point_is_retried_recorded_and_isolated() {
+    fn panicking_point_is_recorded_and_isolated() {
         let calls = Arc::new(AtomicU64::new(0));
         let calls_in_run = Arc::clone(&calls);
         let run: RunFn = Arc::new(move |cfg: &SimConfig| {
@@ -559,7 +553,7 @@ mod tests {
         let runner = SweepRunner::new().with_run_fn(run);
         let settings = RunSettings::quick(2.0);
         let out = runner.run_replicated(&settings, "iso", configs(3));
-        // Point 1 (seed 50) fails twice; the other points survive.
+        // Point 1 (seed 50) fails; the other points survive.
         assert_eq!(out.replica_sets.len(), 3);
         assert_eq!(out.replica_sets[0].len(), 1);
         assert!(out.replica_sets[1].is_empty());
@@ -567,33 +561,10 @@ mod tests {
         assert_eq!(out.failures.len(), 1);
         let fail = &out.failures[0];
         assert_eq!(fail.index, 1);
-        assert_eq!(fail.attempts, 2);
         assert!(fail.message.contains("seed 50"), "got: {}", fail.message);
         assert_eq!(fail.sweep, "iso");
-        // 2 good points + 2 attempts on the crashing one.
-        assert_eq!(calls.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn flaky_point_succeeds_on_retry() {
-        let first = Arc::new(AtomicU64::new(1));
-        let first_in_run = Arc::clone(&first);
-        let run: RunFn = Arc::new(move |cfg: &SimConfig| {
-            if cfg.seed == 50 && first_in_run.swap(0, Ordering::Relaxed) == 1 {
-                panic!("transient fault");
-            }
-            RunReport {
-                policy: cfg.policy.label().to_string(),
-                seed: cfg.seed,
-                duration: cfg.duration,
-                ..RunReport::default()
-            }
-        });
-        let runner = SweepRunner::new().with_run_fn(run);
-        let out = runner.run_replicated(&RunSettings::quick(2.0), "flaky", configs(2));
-        assert!(out.failures.is_empty());
-        assert_eq!(out.replica_sets[1].len(), 1);
-        assert_eq!(out.replica_sets[1][0].seed, 50);
+        // One run per point: the crashing one is not retried.
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
 
     #[test]

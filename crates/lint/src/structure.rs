@@ -41,7 +41,7 @@ const FIGURES: &str = "crates/experiments/src/figures.rs";
 const SWEEP_CODE: &[&str] = &["crates/experiments/src/", "crates/core/src/"];
 
 /// Every structure check, in gate order.
-pub const ROWS: [Row; 19] = [
+pub const ROWS: [Row; 21] = [
     Row {
         rule: RuleId::SchedulerCore,
         needles: &[
@@ -129,6 +129,20 @@ pub const ROWS: [Row; 19] = [
         scope: &["crates/workload/src/"],
         expect: Expect::OnlyIn(GENERATORS),
         why: "UpdateStream::from_config alone turns a config into a stream",
+    },
+    Row {
+        rule: RuleId::ConfigContract,
+        needles: &["AdmissionControl"],
+        scope: &["crates/"],
+        expect: Expect::Never,
+        why: "every arrival reaches the OS queue; no option sheds it at the door",
+    },
+    Row {
+        rule: RuleId::ConfigContract,
+        needles: &["p_duplicate", "p_reorder", "burst_size"],
+        scope: &["crates/"],
+        expect: Expect::Never,
+        why: "the one stream disturbance is the feed outage figR1 sweeps",
     },
     Row {
         rule: RuleId::ConfigContract,

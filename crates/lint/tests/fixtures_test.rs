@@ -19,7 +19,7 @@ fn scan(name: &str, scanned_as: &str) -> Vec<Violation> {
 }
 
 /// (fixture, the path it is scanned as, the rule that fires).
-const CASES: [(&str, &str, RuleId); 25] = [
+const CASES: [(&str, &str, RuleId); 27] = [
     ("d1.rs", "d1.rs", RuleId::WallClock),
     ("d2.rs", "d2.rs", RuleId::NondeterministicOrder),
     ("d3.rs", "d3.rs", RuleId::AmbientEntropy),
@@ -79,6 +79,16 @@ const CASES: [(&str, &str, RuleId); 25] = [
     ),
     (
         "s3_disturbance.rs",
+        "crates/workload/src/disturbance.rs",
+        RuleId::ConfigContract,
+    ),
+    (
+        "s3_admission.rs",
+        "crates/core/src/config.rs",
+        RuleId::ConfigContract,
+    ),
+    (
+        "s3_stream_fault.rs",
         "crates/workload/src/disturbance.rs",
         RuleId::ConfigContract,
     ),

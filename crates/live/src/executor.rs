@@ -74,10 +74,10 @@ pub const DERIVED_NO_SUCH_NODE: u8 = 2;
 /// Configuration of a live run: a plain [`SimConfig`] plus the preemption
 /// quantum. Every `SimConfig` the core validates runs live: the executor
 /// honours each field that governs the server (policy, staleness, queues,
-/// costs, and the admission, value-density preemption, history, rule and
-/// disk-model extensions, all of which are state inside the scheduler
-/// core), and the fields that describe the offered load (`lambda_u`,
-/// `update_mode`, `disturbance`, …) are the load generator's to honour.
+/// costs, and the value-density preemption, history, rule and disk-model
+/// extensions, all of which are state inside the scheduler core), and the
+/// fields that describe the offered load (`lambda_u`, `update_mode`, the
+/// `disturbance` outage, …) are the load generator's to honour.
 /// Recovery rebuilds the store and the staleness tracker only: the history
 /// store and pending rule firings are volatile across a restart (the rules
 /// themselves are regenerated from the seed).
@@ -991,22 +991,22 @@ mod tests {
 
     #[test]
     fn every_valid_sim_config_builds_a_live_config() {
-        use strip_core::config::{
-            AdmissionControl, DisturbanceSpec, HistoryAccess, IoModel, TriggerConfig,
-        };
-        let all_six = SimConfig::builder()
+        use strip_core::config::{DisturbanceSpec, HistoryAccess, IoModel, TriggerConfig};
+        let every_extension = SimConfig::builder()
             .n_low(4)
             .n_high(4)
             .n_general(4)
             .history(Some(HistoryAccess::default()))
             .triggers(Some(TriggerConfig::default()))
             .io(Some(IoModel::default()))
-            .disturbance(Some(DisturbanceSpec::default()))
-            .admission(Some(AdmissionControl::default()))
+            .disturbance(Some(DisturbanceSpec {
+                outage_from: 1.0,
+                outage_secs: 1.0,
+            }))
             .txn_preemption(true)
             .build()
             .expect("valid config");
-        assert!(LiveConfig::new(all_six).is_ok());
+        assert!(LiveConfig::new(every_extension).is_ok());
         // The quantum is the one thing a live config can get wrong.
         for quantum in [0.0, -1.0, 1.0, f64::NAN] {
             let err = LiveConfig::with_quantum(base_cfg(), quantum).unwrap_err();

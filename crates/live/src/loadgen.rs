@@ -412,29 +412,27 @@ mod tests {
             }
         }
 
-        // Disturbed: duplicate deliveries reach the wire.
+        // Outage: the feed is silent for [0.25 s, 0.75 s), and what it
+        // generated meanwhile reaches the wire in one flood at 0.75 s.
         let plain = base.clone().build().expect("valid config");
         let disturbed = base
             .disturbance(Some(DisturbanceSpec {
-                p_duplicate: 0.5,
-                ..DisturbanceSpec::default()
+                outage_from: 0.25,
+                outage_secs: 0.5,
             }))
             .build()
             .expect("valid disturbed config");
         let sent = merged_updates(&disturbed);
-        let repeats = sent
-            .windows(2)
-            .filter(|w| w[0].object == w[1].object && w[0].generation_ts == w[1].generation_ts)
-            .count();
-        assert!(
-            sent.len() > merged_updates(&plain).len() + 50,
-            "{} sent",
-            sent.len()
+        assert_eq!(
+            sent.len(),
+            merged_updates(&plain).len(),
+            "an outage drops nothing"
         );
-        assert!(
-            repeats > 0,
-            "no duplicate was delivered next to its original"
-        );
+        assert!(sent
+            .iter()
+            .all(|u| !(0.25..0.75).contains(&u.arrival.as_secs())));
+        let flood = sent.iter().filter(|u| u.arrival.as_secs() == 0.75).count();
+        assert!(flood > 50, "{flood} updates in the flood");
     }
 
     #[test]

@@ -142,8 +142,7 @@ pub struct WireStats {
     pub applied: u64,
     /// Updates skipped because the store already held a newer value.
     pub superseded: u64,
-    /// Updates dropped: OS-queue overflow, UQ overflow, MA expiry, dedup,
-    /// admission shedding.
+    /// Updates dropped: OS-queue overflow, UQ overflow, MA expiry, dedup.
     pub shed: u64,
     /// Updates still queued (OS + update queue + on the CPU).
     pub queued: u64,

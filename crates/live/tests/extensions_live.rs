@@ -1,7 +1,7 @@
 //! Every `SimConfig` the core validates runs live.
 //!
-//! Admission control, value-density preemption, historical views, rules
-//! and the disk model are state and decisions inside
+//! Value-density preemption, historical views, rules and the disk model
+//! are state and decisions inside
 //! `strip_core::scheduler::Scheduler`; the executor has no code for any of
 //! them. Each gets an in-process executor run here that must end conserved
 //! with the feature's own counter moved, and a history + rules config must
@@ -14,7 +14,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use strip_core::config::{
-    AdmissionControl, HistoryAccess, IoModel, Policy, SimConfig, SimConfigBuilder, TriggerConfig,
+    HistoryAccess, IoModel, Policy, SimConfig, SimConfigBuilder, TriggerConfig,
 };
 use strip_core::report::RunReport;
 use strip_db::cost::CostModel;
@@ -169,28 +169,6 @@ fn every_extension_runs_live() {
     let r = shutdown(&tx, exec);
     assert_conserved(&r, 64, 1);
     assert!(r.cpu.io_misses_installs > 0, "no install missed");
-
-    // admission: Table 3 installs (480 µs) keep the CPU saturated, so
-    // low-importance arrivals that find it so are shed at the door.
-    let cfg = live(
-        base()
-            .costs(CostModel::default())
-            .admission(Some(AdmissionControl {
-                util_threshold: 0.05,
-            })),
-    );
-    let (tx, exec) = start(&cfg, None);
-    send_updates(&tx, 0..200);
-    wait_until(&tx, "a busy CPU", |r| r.updates.installed_total() >= 20);
-    send_updates(&tx, 200..300);
-    let r = report(&tx);
-    assert!(r.updates.admission_shed > 0, "overload shed nothing");
-    assert!(
-        r.updates.admission_shed <= 50,
-        "only low importance is shed"
-    );
-    assert_conserved(&r, 300, 0);
-    assert_conserved(&shutdown(&tx, exec), 300, 0);
 }
 
 #[test]

@@ -1,215 +1,84 @@
-//! Stream-disturbance layer (robustness extension).
+//! Feed outage over the update stream (robustness extension, figR1).
 //!
-//! Wraps any [`UpdateSource`] and perturbs its arrival process with
-//! composable faults — batch (burst) delivery, an outage window followed
-//! by a catch-up flood, delay jitter, duplicate deliveries and
-//! out-of-order delivery — while preserving the controller's contract
-//! that arrivals are produced in non-decreasing order.
-//!
-//! Every fault is a *delay-only* transform: a disturbed arrival is never
-//! released before its undisturbed arrival instant. Combined with the
-//! non-decreasing inner stream this gives a simple safe-release rule: a
-//! buffered arrival with release time `r` may be emitted once the next
-//! undisturbed arrival is at `r` or later, because no future arrival can
-//! be perturbed to land before `r`.
-//!
-//! "Out of order" therefore means inversions of the *generation* order
-//! observed by the receiver (an update overtaken by a later-generated
-//! one), exactly the disorder the dedup/supersede machinery must absorb;
-//! the delivered timeline itself stays monotone.
-//!
-//! The layer draws from its own RNG sub-stream (label 8, disjoint from
-//! the generator labels 1–7), so an undisturbed run is bit-identical
-//! whether or not this module is linked, and enabling one fault never
-//! re-randomises another.
+//! Wraps any [`UpdateSource`] and silences it for a window `[from, to)`:
+//! an inner arrival generated inside the window is delivered at `to`, in
+//! the catch-up flood, and every other arrival passes through unchanged.
+//! The map is monotone, so the output keeps the inner order and the
+//! controller's contract that arrivals come in non-decreasing time. The
+//! layer draws no random numbers, so the inner stream is bit-identical
+//! with or without it.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::VecDeque;
 
 use strip_core::config::DisturbanceSpec;
-use strip_core::sources::{StreamDisturbanceStats, UpdateSource, UpdateSpec};
-use strip_sim::rng::Xoshiro256pp;
+use strip_core::sources::{UpdateSource, UpdateSpec};
 use strip_sim::time::SimTime;
 
-use crate::generators::stream;
-
-/// One transformed arrival waiting for safe release.
-#[derive(Debug, Clone, Copy)]
-struct Held {
-    spec: UpdateSpec,
-    /// Position in the undisturbed stream (for inversion counting).
-    base_seq: u64,
-    /// Extra delivery injected by the duplicate fault.
-    is_dup: bool,
-}
-
-/// An [`UpdateSource`] adapter applying a [`DisturbanceSpec`] to `inner`.
+/// An [`UpdateSource`] adapter applying the outage of a [`DisturbanceSpec`]
+/// to `inner`.
 #[derive(Debug, Clone)]
 pub struct DisturbedUpdates<S> {
     inner: S,
-    spec: DisturbanceSpec,
-    outage: Option<(SimTime, SimTime)>,
-    rng: Xoshiro256pp,
-    /// One-slot lookahead of the inner stream.
-    peeked: Option<UpdateSpec>,
-    exhausted: bool,
-    /// Release order over buffered arrivals: (release time, key).
-    pending: BinaryHeap<Reverse<(SimTime, u64)>>,
-    held: BTreeMap<u64, Held>,
-    next_key: u64,
-    /// Members of the burst group being assembled.
-    group: Vec<(UpdateSpec, u64)>,
-    /// Latest individual release time in the current group — the batch
-    /// delivery instant once the group flushes.
-    group_max: SimTime,
-    base_seq: u64,
-    max_released: Option<u64>,
-    stats: StreamDisturbanceStats,
+    /// The outage window `[from, to)`; `None` passes everything through.
+    window: Option<(SimTime, SimTime)>,
+    /// The window's arrivals, re-stamped to `to`, then the first arrival
+    /// after it. Filled from `inner` in one go the first time the stream
+    /// reaches the window, so `held` also counts the arrivals that a
+    /// horizon before `to` strands.
+    flood: VecDeque<UpdateSpec>,
+    held: u64,
 }
 
 impl<S: UpdateSource> DisturbedUpdates<S> {
-    /// Wraps `inner` with the faults described by `spec`, seeding the
-    /// layer's private RNG sub-stream from the run seed.
+    /// Wraps `inner` with the outage described by `spec`.
     #[must_use]
-    pub fn new(inner: S, spec: DisturbanceSpec, seed: u64) -> Self {
-        let outage = spec
+    pub fn new(inner: S, spec: DisturbanceSpec) -> Self {
+        let window = spec
             .outage_window()
             .map(|(from, to)| (SimTime::from_secs(from), SimTime::from_secs(to)));
         DisturbedUpdates {
             inner,
-            spec,
-            outage,
-            rng: Xoshiro256pp::seed_from_u64(seed).substream(stream::DISTURBANCE),
-            peeked: None,
-            exhausted: false,
-            pending: BinaryHeap::new(),
-            held: BTreeMap::new(),
-            next_key: 0,
-            group: Vec::new(),
-            group_max: SimTime::ZERO,
-            base_seq: 0,
-            max_released: None,
-            stats: StreamDisturbanceStats::default(),
+            window,
+            flood: VecDeque::new(),
+            held: 0,
         }
-    }
-
-    fn fill_peek(&mut self) {
-        if self.peeked.is_none() && !self.exhausted {
-            self.peeked = self.inner.next_update();
-            self.exhausted = self.peeked.is_none();
-        }
-    }
-
-    fn push_held(&mut self, release: SimTime, spec: UpdateSpec, base_seq: u64, is_dup: bool) {
-        let key = self.next_key;
-        self.next_key += 1;
-        self.pending.push(Reverse((release, key)));
-        self.held.insert(
-            key,
-            Held {
-                spec,
-                base_seq,
-                is_dup,
-            },
-        );
-    }
-
-    /// Applies the delay faults to one inner arrival and buffers the
-    /// result (plus any duplicate delivery).
-    fn transform(&mut self, spec: UpdateSpec) {
-        let base_seq = self.base_seq;
-        self.base_seq += 1;
-        let mut release = spec.arrival;
-        if let Some((from, to)) = self.outage {
-            if release >= from && release < to {
-                // Held at the silent source; joins the catch-up flood.
-                release = to;
-                self.stats.outage_held += 1;
-            }
-        }
-        if self.spec.jitter_max > 0.0 {
-            release += self.rng.next_f64() * self.spec.jitter_max;
-        }
-        if self.spec.p_reorder > 0.0 && self.rng.chance(self.spec.p_reorder) {
-            release += self.rng.next_f64() * self.spec.reorder_lag;
-        }
-        let dup_at = (self.spec.p_duplicate > 0.0 && self.rng.chance(self.spec.p_duplicate))
-            .then(|| release + self.rng.next_f64() * self.spec.duplicate_lag);
-        if self.spec.burst_size > 1 {
-            self.group_max = self.group_max.max(release);
-            self.group.push((spec, base_seq));
-            if self.group.len() >= self.spec.burst_size as usize {
-                self.flush_group();
-            }
-        } else {
-            self.push_held(release, spec, base_seq, false);
-        }
-        if let Some(at) = dup_at {
-            self.stats.duplicated += 1;
-            self.push_held(at, spec, base_seq, true);
-        }
-    }
-
-    /// Releases the assembled burst group at its batch instant.
-    fn flush_group(&mut self) {
-        if self.group.len() > 1 {
-            self.stats.burst_grouped += self.group.len() as u64;
-        }
-        let at = self.group_max;
-        let members: Vec<_> = self.group.drain(..).collect();
-        for (spec, base_seq) in members {
-            self.push_held(at, spec, base_seq, false);
-        }
-        self.group_max = SimTime::ZERO;
     }
 }
 
 impl<S: UpdateSource> UpdateSource for DisturbedUpdates<S> {
     fn next_update(&mut self) -> Option<UpdateSpec> {
-        loop {
-            self.fill_peek();
-            if let Some(&Reverse((release, _))) = self.pending.peek() {
-                // Safe once no future inner arrival (each released at or
-                // after its own instant) nor the in-progress burst group
-                // (flushed at ≥ group_max) can precede it.
-                let safe_inner = self.peeked.is_none_or(|p| release <= p.arrival);
-                let safe_group = self.group.is_empty() || release <= self.group_max;
-                if safe_inner && safe_group {
-                    let Reverse((release, key)) = self.pending.pop().expect("peeked head");
-                    let held = self.held.remove(&key).expect("held spec");
-                    if !held.is_dup {
-                        match self.max_released {
-                            Some(max) if held.base_seq < max => self.stats.reordered += 1,
-                            _ => self.max_released = Some(held.base_seq),
-                        }
-                    }
-                    let mut spec = held.spec;
-                    spec.arrival = release;
-                    return Some(spec);
+        if let Some(spec) = self.flood.pop_front() {
+            return Some(spec);
+        }
+        let spec = self.inner.next_update()?;
+        match self.window {
+            Some((from, to)) if spec.arrival >= from && spec.arrival < to => {
+                // The feed is silent until `to`: everything it generates
+                // meanwhile joins the flood. The inner stream is
+                // non-decreasing, so after the first arrival at or past
+                // `to` none is in the window.
+                let mut next = Some(spec);
+                while let Some(mut held) = next.filter(|u| u.arrival < to) {
+                    held.arrival = to;
+                    self.flood.push_back(held);
+                    self.held += 1;
+                    next = self.inner.next_update();
                 }
+                self.flood.extend(next);
+                self.flood.pop_front()
             }
-            if let Some(spec) = self.peeked.take() {
-                self.transform(spec);
-                continue;
-            }
-            if !self.group.is_empty() {
-                self.flush_group();
-                continue;
-            }
-            return None;
+            _ => Some(spec),
         }
     }
 
-    fn disturbance_stats(&self) -> StreamDisturbanceStats {
-        self.stats
+    fn outage_held(&self) -> u64 {
+        self.held
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::PoissonUpdates;
-    use strip_core::config::SimConfig;
     use strip_core::sources::ScriptedUpdates;
     use strip_db::object::{Importance, ViewObjectId};
 
@@ -223,39 +92,19 @@ mod tests {
         }
     }
 
-    fn drain<S: UpdateSource>(mut s: S) -> (Vec<UpdateSpec>, StreamDisturbanceStats) {
-        let mut out = Vec::new();
-        while let Some(u) = s.next_update() {
-            out.push(u);
-        }
-        (out, s.disturbance_stats())
-    }
-
-    #[test]
-    fn neutral_spec_is_identity() {
-        let items: Vec<_> = (0..50).map(|i| spec_at(f64::from(i) * 0.1, i)).collect();
-        let (out, stats) = drain(DisturbedUpdates::new(
-            ScriptedUpdates::new(items.clone()),
-            DisturbanceSpec::default(),
-            7,
-        ));
-        assert_eq!(out, items);
-        assert_eq!(stats, StreamDisturbanceStats::default());
-    }
-
     #[test]
     fn outage_floods_at_window_end() {
         let spec = DisturbanceSpec {
             outage_from: 5.0,
             outage_secs: 3.0,
-            ..DisturbanceSpec::default()
         };
         // Arrivals at 0.05, 0.15, … keep clear of the float boundaries at
         // 5.0 and 8.0; exactly 30 fall inside the window.
         let items: Vec<_> = (0..200)
             .map(|i| spec_at(f64::from(i) * 0.1 + 0.05, i))
             .collect();
-        let (out, stats) = drain(DisturbedUpdates::new(ScriptedUpdates::new(items), spec, 5));
+        let mut s = DisturbedUpdates::new(ScriptedUpdates::new(items), spec);
+        let out: Vec<_> = std::iter::from_fn(|| s.next_update()).collect();
         assert_eq!(out.len(), 200);
         assert!(out.windows(2).all(|w| w[0].arrival <= w[1].arrival));
         assert!(out
@@ -265,86 +114,7 @@ mod tests {
             .iter()
             .filter(|u| u.arrival == SimTime::from_secs(8.0))
             .count() as u64;
-        assert_eq!(stats.outage_held, 30);
+        assert_eq!(s.outage_held(), 30);
         assert_eq!(flood, 30);
-    }
-
-    #[test]
-    fn duplicates_add_repeat_deliveries() {
-        let items: Vec<_> = (0..200).map(|i| spec_at(f64::from(i) * 0.01, i)).collect();
-        let spec = DisturbanceSpec {
-            p_duplicate: 0.5,
-            ..DisturbanceSpec::default()
-        };
-        let (out, stats) = drain(DisturbedUpdates::new(ScriptedUpdates::new(items), spec, 3));
-        assert_eq!(out.len() as u64, 200 + stats.duplicated);
-        assert!(stats.duplicated > 50, "duplicated {}", stats.duplicated);
-        assert!(out.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-    }
-
-    #[test]
-    fn bursts_batch_arrivals_at_one_instant() {
-        let items: Vec<_> = (0..12).map(|i| spec_at(f64::from(i), i)).collect();
-        let spec = DisturbanceSpec {
-            burst_size: 4,
-            ..DisturbanceSpec::default()
-        };
-        let (out, stats) = drain(DisturbedUpdates::new(ScriptedUpdates::new(items), spec, 1));
-        assert_eq!(out.len(), 12);
-        assert_eq!(stats.burst_grouped, 12);
-        for (g, chunk) in out.chunks(4).enumerate() {
-            // Batched at the latest member's own instant, original order.
-            assert!(chunk.iter().all(|u| u.arrival == chunk[3].arrival));
-            let batch_at = (g * 4 + 3) as f64;
-            assert_eq!(chunk[3].arrival, SimTime::from_secs(batch_at));
-        }
-    }
-
-    #[test]
-    fn combined_faults_keep_arrivals_ordered() {
-        let cfg = SimConfig::builder().duration(20.0).seed(9).build().unwrap();
-        let spec = DisturbanceSpec {
-            burst_size: 4,
-            outage_from: 5.0,
-            outage_secs: 3.0,
-            jitter_max: 0.02,
-            p_duplicate: 0.1,
-            p_reorder: 0.2,
-            ..DisturbanceSpec::default()
-        };
-        let inner = PoissonUpdates::from_config(&cfg);
-        let (out, stats) = drain(DisturbedUpdates::new(inner, spec, cfg.seed));
-        assert!(!out.is_empty());
-        for w in out.windows(2) {
-            assert!(w[0].arrival <= w[1].arrival, "delivery out of order");
-        }
-        assert!(out.iter().all(|u| u.generation_ts <= u.arrival));
-        assert!(stats.outage_held > 0);
-        assert!(stats.duplicated > 0);
-        assert!(stats.reordered > 0);
-        assert!(stats.burst_grouped > 0);
-    }
-
-    #[test]
-    fn disturbance_is_deterministic_per_seed() {
-        let cfg = SimConfig::builder()
-            .duration(10.0)
-            .seed(11)
-            .build()
-            .unwrap();
-        let spec = DisturbanceSpec {
-            jitter_max: 0.05,
-            p_duplicate: 0.2,
-            p_reorder: 0.2,
-            ..DisturbanceSpec::default()
-        };
-        let run = || {
-            drain(DisturbedUpdates::new(
-                PoissonUpdates::from_config(&cfg),
-                spec,
-                cfg.seed,
-            ))
-        };
-        assert_eq!(run(), run());
     }
 }

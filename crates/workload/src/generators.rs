@@ -14,7 +14,7 @@
 //! essential for low-variance comparisons across a sweep.
 
 use strip_core::config::{SimConfig, UpdateMode};
-use strip_core::sources::{StreamDisturbanceStats, TxnSource, UpdateSource, UpdateSpec};
+use strip_core::sources::{TxnSource, UpdateSource, UpdateSpec};
 use strip_core::txn::TxnSpec;
 use strip_db::object::{Importance, ViewObjectId};
 use strip_sim::dist::{ClampedNormal, Distribution, Exponential, Poisson, Uniform, Zipf};
@@ -32,9 +32,6 @@ pub(crate) mod stream {
     pub const TXN_ARRIVAL: u64 = 5;
     pub const TXN_SHAPE: u64 = 6;
     pub const TXN_READS: u64 = 7;
-    /// Fault-injection layer (`crate::disturbance`) — disjoint from the
-    /// generator labels so disturbances never perturb workload draws.
-    pub const DISTURBANCE: u64 = 8;
     /// Derived-view reads (DAG extension); its own sub-stream so enabling
     /// the DAG never perturbs the base read/shape/arrival draws.
     pub const TXN_DERIVED_READS: u64 = 9;
@@ -429,22 +426,21 @@ impl UpdateSource for PeriodicUpdates {
 /// The update stream a [`SimConfig`] describes — the one place a config
 /// turns into an update source, for the simulator and the live load
 /// generator alike: Poisson (the paper's model) or periodic (extension),
-/// behind the fault-injection layer when the config asks for one.
+/// behind a feed outage when the config asks for one.
 #[derive(Debug, Clone)]
 pub enum UpdateStream {
     /// Poisson arrivals (paper §5.1).
     Poisson(PoissonUpdates),
     /// Fixed per-object periods (extension).
     Periodic(PeriodicUpdates),
-    /// Either of the above, disturbed (robustness extension).
+    /// Either of the above behind a feed outage (robustness extension).
     Disturbed(Box<DisturbedUpdates<UpdateStream>>),
 }
 
 impl UpdateStream {
     /// Chooses the stream type from `cfg.update_mode` and wraps it in
     /// [`DisturbedUpdates`] when `cfg.disturbance` is set; an undisturbed
-    /// config gets the bare generator, bit-identical to builds that predate
-    /// the layer.
+    /// config gets the bare generator.
     #[must_use]
     pub fn from_config(cfg: &SimConfig) -> Self {
         let stream = match cfg.update_mode {
@@ -454,9 +450,7 @@ impl UpdateStream {
             }
         };
         match cfg.disturbance {
-            Some(spec) => {
-                UpdateStream::Disturbed(Box::new(DisturbedUpdates::new(stream, spec, cfg.seed)))
-            }
+            Some(spec) => UpdateStream::Disturbed(Box::new(DisturbedUpdates::new(stream, spec))),
             None => stream,
         }
     }
@@ -471,12 +465,10 @@ impl UpdateSource for UpdateStream {
         }
     }
 
-    fn disturbance_stats(&self) -> StreamDisturbanceStats {
+    fn outage_held(&self) -> u64 {
         match self {
-            UpdateStream::Disturbed(s) => s.disturbance_stats(),
-            UpdateStream::Poisson(_) | UpdateStream::Periodic(_) => {
-                StreamDisturbanceStats::default()
-            }
+            UpdateStream::Disturbed(s) => s.outage_held(),
+            UpdateStream::Poisson(_) | UpdateStream::Periodic(_) => 0,
         }
     }
 }

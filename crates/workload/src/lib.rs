@@ -4,8 +4,8 @@
 //! * [`generators`] — the paper's Poisson update stream (Table 1) and
 //!   transaction stream (Table 2), with independent RNG sub-streams per
 //!   stochastic process.
-//! * [`disturbance`] — fault injection over the update stream (bursts,
-//!   outages, jitter, duplicates, reordering; robustness extension).
+//! * [`disturbance`] — a feed outage over the update stream (robustness
+//!   extension, figR1).
 //! * [`scenarios`] — presets for the paper's three motivating domains:
 //!   program trading, plant control, telecommunications.
 //! * [`run_paper_sim`] — one-call entry point: build both generators from a
@@ -53,7 +53,7 @@ pub fn run_paper_sim(cfg: &SimConfig) -> RunReport {
 /// failures as a value so sweep drivers can record them per point.
 ///
 /// The update stream is whatever [`UpdateStream::from_config`] builds for
-/// `cfg`, fault-injection layer included.
+/// `cfg`, feed outage included.
 ///
 /// # Errors
 ///

@@ -43,13 +43,8 @@ fn sweep_configs() -> Vec<SimConfig> {
         small()
             .policy(Policy::OnDemand)
             .disturbance(Some(DisturbanceSpec {
-                burst_size: 4,
                 outage_from: 0.5,
                 outage_secs: 0.3,
-                jitter_max: 0.01,
-                p_duplicate: 0.1,
-                p_reorder: 0.2,
-                ..DisturbanceSpec::default()
             }))
             .build()
             .expect("valid disturbed config"),
@@ -141,7 +136,7 @@ fn every_runner_sees_the_stream_the_one_constructor_builds() {
         let plain = run_paper_sim_checked(cfg).expect("valid config");
         assert_eq!(
             cfg.disturbance.is_some(),
-            plain.resilience.duplicated > 0,
+            plain.resilience.outage_held > 0,
             "config {c}: a stream is disturbed exactly when its config says so"
         );
         let (traced, _) = run_paper_sim_traced(cfg, TraceConfig::default()).expect("valid config");

@@ -2,6 +2,7 @@
 //! bounded-queue shedding, and the crash-isolated, checkpointing sweep
 //! runner (figR1's machinery, end to end).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use strip_core::config::{DisturbanceSpec, Policy, ShedPolicy, SimConfig};
@@ -18,7 +19,6 @@ fn outage_cfg(policy: Policy, outage_secs: f64) -> SimConfig {
         .disturbance(Some(DisturbanceSpec {
             outage_from: 20.0,
             outage_secs,
-            ..DisturbanceSpec::default()
         }))
         .build()
         .unwrap()
@@ -68,7 +68,6 @@ fn shed_cfg(shed: ShedPolicy) -> SimConfig {
         .disturbance(Some(DisturbanceSpec {
             outage_from: 20.0,
             outage_secs: 15.0,
-            ..DisturbanceSpec::default()
         }))
         .build()
         .unwrap()
@@ -95,8 +94,13 @@ fn drop_lowest_importance_keeps_high_partition_fresher() {
 }
 
 #[test]
-fn panicking_point_is_retried_recorded_and_not_fatal() {
-    let bomb: RunFn = Arc::new(|cfg: &SimConfig| {
+fn panicking_point_is_recorded_and_not_fatal() {
+    let su_calls = Arc::new(AtomicUsize::new(0));
+    let su_calls_in_bomb = Arc::clone(&su_calls);
+    let bomb: RunFn = Arc::new(move |cfg: &SimConfig| {
+        if cfg.policy == Policy::SplitUpdates {
+            su_calls_in_bomb.fetch_add(1, Ordering::Relaxed);
+        }
         assert!(
             cfg.policy != Policy::SplitUpdates,
             "injected SU crash (test hook)"
@@ -115,8 +119,12 @@ fn panicking_point_is_retried_recorded_and_not_fatal() {
         OUTAGE_GRID.len(),
         "one recorded failure per SU outage point"
     );
+    assert_eq!(
+        su_calls.load(Ordering::Relaxed),
+        OUTAGE_GRID.len(),
+        "a crashing point runs once: a same-seed rerun would panic again"
+    );
     for f in failures {
-        assert_eq!(f.attempts, 2, "each crash is retried once");
         assert!(f.label.starts_with("SU"), "unexpected label {}", f.label);
         assert!(f.message.contains("injected SU crash"));
     }
