@@ -9,17 +9,24 @@ interval until it exits, attaches to each of its threads with ptrace, reads
 the program counter, and detaches. With `--thread PREFIX` only threads whose
 name (`/proc/PID/task/TID/comm`) starts with PREFIX are sampled, so idle
 helper threads do not dilute the profile. Each sample is symbolised with
-`addr2line -f -i -C`, so a frame inlined into another counts for both;
-samples in a shared library are attributed to the library as a whole. It
+`addr2line -f -i -C`, so a frame inlined into another counts for both.
+A sample in a shared library is attributed to the nearest symbol at or
+before it that `nm -D --defined-only` lists for the library: the frame
+ranking names it `symbol [library]`, the line ranking
+`library:symbol+offset`. Only exported symbols are listed, so a sample in
+an internal routine (glibc's `__memmove_avx_unaligned_erms`, say) lands
+on the exported symbol laid out before it; the offset tells such samples
+apart from ones in the symbol itself. It
 prints the sample count and, for the top frames, the leaf share (the
 innermost frame of the sample) and the inclusive share (the frame appears
 anywhere in the sample's inline chain). Only the inline chain is known: a
 function's out-of-line callees are not in its inclusive share. With
 `--lines N` it also ranks the N source lines that hold the most samples
 (the innermost frame's `file:line`). Standard library only (ctypes, /proc,
-addr2line); x86-64 Linux.
+addr2line, nm); x86-64 Linux.
 """
 import argparse
+import bisect
 import collections
 import ctypes
 import os
@@ -100,6 +107,30 @@ def to_vaddr(segs, offset):
     return offset
 
 
+def dynamic_symbols(path):
+    """([address], [name]) of the code symbols `nm -D --defined-only` lists
+    for shared library `path`, by address; version suffixes dropped."""
+    text = subprocess.run(['nm', '-D', '--defined-only', path],
+                          capture_output=True, text=True).stdout
+    syms = []
+    for line in text.splitlines():
+        parts = line.split()
+        if len(parts) == 3 and parts[1] in 'TtWwi':
+            syms.append((int(parts[0], 16), parts[2].split('@')[0]))
+    syms.sort()
+    return [a for a, _ in syms], [n for _, n in syms]
+
+
+def library_frame(symbols, lib, vaddr):
+    """(frame, location) of link-time address `vaddr` of library `lib`: the
+    nearest symbol at or before it, and that symbol plus the offset."""
+    addrs, names = symbols
+    i = bisect.bisect_right(addrs, vaddr) - 1
+    if i < 0:
+        return f'[{lib}]', f'{lib}:{vaddr:#x}'
+    return f'{names[i]} [{lib}]', f'{lib}:{names[i]}+{vaddr - addrs[i]:#x}'
+
+
 def source_line(loc):
     """`file:line` without the toolchain's checkout prefix or a discriminator."""
     loc = re.sub(r' \(discriminator \d+\)$', '', loc)
@@ -161,27 +192,32 @@ def main():
             break
     child.wait()
 
-    # PC -> (module, link-time address); the binary's own PCs are symbolised.
+    # PC -> the binary's link-time address, symbolised below, or the frame
+    # chain of a library symbol or an unknown mapping.
     segs = load_segments(binary)
-    where = {}
+    libs = {}
+    where, chains = {}, {}
     for pc in pcs:
         hit = next(((off + pc - s, path) for s, e, off, path in maps if s <= pc < e), None)
         if hit is None:
-            where[pc] = ('[unknown]', None)
+            chains[pc] = [('[unknown]', '[unknown]')]
         elif os.path.realpath(hit[1]) == binary:
-            where[pc] = (binary, to_vaddr(segs, hit[0]))
+            where[pc] = to_vaddr(segs, hit[0])
         else:
-            where[pc] = (os.path.basename(hit[1]), None)
-    frames = symbolise(binary, sorted({a for m, a in where.values() if a is not None}))
+            path = hit[1]
+            if path not in libs:
+                libs[path] = (load_segments(path), dynamic_symbols(path))
+            lib_segs, symbols = libs[path]
+            vaddr = to_vaddr(lib_segs, hit[0])
+            chains[pc] = [library_frame(symbols, os.path.basename(path), vaddr)]
+    frames = symbolise(binary, sorted(set(where.values())))
 
     total = sum(pcs.values())
     if not total:
         sys.exit(f'no samples (no thread named {args.thread}*?)' if args.thread else 'no samples')
     leaf, incl, lines = collections.Counter(), collections.Counter(), collections.Counter()
     for pc, n in pcs.items():
-        module, addr = where[pc]
-        unknown = f'[{module}]' if addr is None else '??'
-        chain = frames.get(addr) or [(unknown, unknown)]
+        chain = chains.get(pc) or frames.get(where[pc]) or [('??', '??')]
         leaf[chain[0][0]] += n
         lines[chain[0][1]] += n
         for name in {name for name, _ in chain}:

@@ -29,7 +29,8 @@
 //! [`Scheduler`] owns every piece of scheduling state and makes every
 //! decision, but has no clock, calendar, channel or file behind it. A
 //! driver feeds it inputs stamped with the driver's own reading of time —
-//! [`Scheduler::on_update`], [`Scheduler::on_txn`],
+//! [`Scheduler::on_update`] (or a block of arrivals at one instant,
+//! [`Scheduler::on_updates`]), [`Scheduler::on_txn`],
 //! [`Scheduler::on_deadline`], [`Scheduler::on_expiry`] — asks it for the
 //! next CPU slice with [`Scheduler::next_slice`], lets that much time pass,
 //! and reports back through [`Scheduler::finish`] (the slice ran its full
@@ -46,7 +47,7 @@
 //! idle) it calls `next_slice` before letting time pass; and it arms the
 //! MA-expiry watch a `finish` returns, delivering it to `on_expiry` at its
 //! instant. An arrival that wants the slice that is out cut short says so
-//! with a [`Preempt`] verdict — [`Scheduler::on_update`] and
+//! with a [`Preempt`] verdict — [`Scheduler::on_update`], `on_updates` and
 //! [`Scheduler::on_txn`] return the same `Option<Preempt>` — and the driver
 //! hands that verdict back through [`Scheduler::preempt`], which cuts the
 //! slice and does the bookkeeping the verdict implies. A driver never
@@ -604,16 +605,59 @@ impl Scheduler {
         };
         self.update_seq += 1;
         // A full OS queue rejects the arrival (paper §3.3).
-        let outcome = self.os_queue.deliver(update);
-        self.metrics.update_arrived(now, outcome.accepted);
+        let accepted = self.os_queue.deliver(update).accepted;
+        let os_len = self.os_queue.len();
+        self.note_arrival(spec.object, spec.generation_ts, accepted, os_len, now);
+        self.arrival_verdict()
+    }
+
+    /// A block of external updates arrives at `now`: each entry, in order,
+    /// is stamped in place with the next sequence number and arrival `now`
+    /// and accounted exactly as [`Scheduler::on_update`] accounts one
+    /// arrival; then the OS queue takes the block whole, rejecting the
+    /// entries past its capacity. Returns the verdict the block's first
+    /// arrival would get from `on_update` (every later one gets the same).
+    pub fn on_updates(&mut self, mut block: Vec<Update>, now: SimTime) -> Option<Preempt> {
+        if block.is_empty() {
+            return None;
+        }
+        let before = self.os_queue.len();
+        let room = self.os_queue.capacity() - before;
+        for (i, u) in block.iter_mut().enumerate() {
+            u.seq = self.update_seq;
+            u.arrival_ts = now;
+            self.update_seq += 1;
+            let os_len = before + room.min(i + 1);
+            self.note_arrival(u.object, u.generation_ts, i < room, os_len, now);
+        }
+        self.os_queue.append(block);
+        self.arrival_verdict()
+    }
+
+    /// The bookkeeping of one arrival, whether or not the OS queue kept
+    /// it; `os_len` is the queue's length just after it.
+    fn note_arrival(
+        &mut self,
+        object: ViewObjectId,
+        generation_ts: SimTime,
+        os_accepted: bool,
+        os_len: usize,
+        now: SimTime,
+    ) {
+        self.metrics.update_arrived(now, os_accepted);
         // The system has been handed this update: under UU the object is now
         // stale until a value at least this recent is installed, whether or
         // not the OS queue kept the message.
-        self.tracker
-            .on_receive(spec.object, spec.generation_ts, now);
-        self.metrics
-            .observe_queue_lengths(self.os_queue.len(), self.uq.len());
-        self.emit_queue_depth(now);
+        self.tracker.on_receive(object, generation_ts, now);
+        self.metrics.observe_queue_lengths(os_len, self.uq.len());
+        if self.trace.is_some() {
+            let (os, uq) = (os_len as u32, self.uq.len() as u32);
+            self.emit(now, TraceKind::QueueDepth { os, uq });
+        }
+    }
+
+    /// Whether an arrival preempts the transaction slice that is out.
+    fn arrival_verdict(&self) -> Option<Preempt> {
         (policy::preempts_on_arrival(self.cfg.policy) && self.txn_on_cpu().is_some())
             .then_some(Preempt::ByUpdate)
     }

@@ -8,8 +8,13 @@
 //! server grants window in `Credit` frames, and the client may have at
 //! most `granted - received` updates in flight. An update past the window
 //! is refused. The server computes grants from *ring occupancy* — the
-//! ring's free slots minus the still-unspent window — so an update inside
-//! the window always finds a free ring slot.
+//! ring's capacity minus the updates in it ([`InFlight`]) and minus the
+//! still-unspent window — so an update inside the window always finds a
+//! free ring slot. Credit counts updates while a slot holds a frame's
+//! block of them; a block holds at least one, so a ring with room for
+//! `capacity` updates has room for their blocks.
+
+use std::collections::VecDeque;
 
 /// Cumulative counters of one connection's credit window. Both counters
 /// are monotonic and `received <= granted` always holds; the type is
@@ -63,6 +68,50 @@ impl CreditWindow {
     }
 }
 
+/// Updates in a session's ring, counted from its producer side: the
+/// lengths of the blocks pushed, retired against the ring's consumer
+/// cursor (`Producer::consumed`, blocks popped). Adds no shared state.
+#[derive(Debug, Default)]
+pub struct InFlight {
+    /// Lengths of the pushed blocks not yet known to be popped, oldest
+    /// first.
+    lengths: VecDeque<u64>,
+    /// Blocks known to be popped.
+    retired_blocks: u64,
+    /// Updates ever pushed.
+    pushed: u64,
+    /// Updates in the blocks known to be popped.
+    retired: u64,
+}
+
+impl InFlight {
+    /// Nothing pushed.
+    #[must_use]
+    pub fn new() -> InFlight {
+        InFlight::default()
+    }
+
+    /// Records a block of `len` updates pushed into the ring.
+    pub fn on_push(&mut self, len: u64) {
+        self.lengths.push_back(len);
+        self.pushed += len;
+    }
+
+    /// Updates pushed and not yet popped, given the ring's count of
+    /// blocks popped. A stale count under-estimates the pops, so the
+    /// result can only be too high, never too low.
+    pub fn updates(&mut self, blocks_popped: u64) -> u64 {
+        while self.retired_blocks < blocks_popped {
+            let Some(len) = self.lengths.pop_front() else {
+                break;
+            };
+            self.retired_blocks += 1;
+            self.retired += len;
+        }
+        self.pushed - self.retired
+    }
+}
+
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -92,6 +141,22 @@ mod tests {
         assert!(w.starved());
         assert!(!w.on_update());
         assert_eq!(w.grantable(4), 4);
+    }
+
+    #[test]
+    fn in_flight_retires_whole_blocks_in_push_order() {
+        let mut f = InFlight::new();
+        assert_eq!(f.updates(0), 0);
+        for len in [3, 1, 2] {
+            f.on_push(len);
+        }
+        assert_eq!(f.updates(0), 6);
+        assert_eq!(f.updates(1), 3, "the first block held three");
+        assert_eq!(f.updates(1), 3, "a repeated count retires nothing");
+        assert_eq!(f.updates(3), 0);
+        f.on_push(4);
+        assert_eq!(f.updates(3), 4);
+        assert_eq!(f.updates(4), 0);
     }
 
     #[test]

@@ -55,6 +55,7 @@ use strip_core::sources::UpdateSpec;
 use strip_core::txn::TxnSpec;
 use strip_db::object::{Importance, ViewObjectId};
 use strip_db::staleness::ExpiryWatch;
+use strip_db::update::Update;
 use strip_sim::time::SimTime;
 
 use crate::clock::LiveClock;
@@ -162,6 +163,41 @@ impl LiveConfig {
     }
 }
 
+/// One batch frame's updates, decoded on its connection thread: what a
+/// session's ring carries ([`Ingest::Stream`]) and what the OS queue keeps
+/// once the executor has popped and stamped it. Each entry is
+/// [`unstamped`] until then.
+pub type Block = Vec<Update>;
+
+/// A wire update as its connection thread puts it into a [`Block`]: the
+/// executor stamps `seq` and `arrival_ts` when it pops the block. Until
+/// then `arrival_ts` is zero and `seq` carries the wire's
+/// `generation_micros`, so the WAL logs the timestamp that arrived, not
+/// one rounded through seconds. `None` for a class byte the decoder
+/// refuses.
+#[must_use]
+pub fn unstamped(w: &WireUpdate) -> Option<Update> {
+    Some(Update {
+        seq: w.generation_micros as u64,
+        object: ViewObjectId::new(Importance::from_index(w.class as usize)?, w.index),
+        generation_ts: LiveClock::micros_to_sim(w.generation_micros),
+        arrival_ts: SimTime::ZERO,
+        payload: w.payload,
+        attr_mask: w.attr_mask,
+    })
+}
+
+/// The wire update an [`unstamped`] entry was decoded from.
+fn wire_of(u: &Update) -> WireUpdate {
+    WireUpdate {
+        class: u.object.class.index() as u8,
+        index: u.object.index,
+        generation_micros: u.seq as i64,
+        payload: u.payload,
+        attr_mask: u.attr_mask,
+    }
+}
+
 /// One message into the executor thread: the control plane of the TCP
 /// connection threads (their updates ride [`Ingest::Stream`] rings) and
 /// the whole interface of in-process producers.
@@ -200,10 +236,10 @@ pub enum Ingest {
         reply: SyncSender<RunReport>,
     },
     /// Attach a lock-free update stream: the executor pops the ring on
-    /// every ingest drain. This is how every wire update travels — through
-    /// its connection's bounded ring, never the channel, which carries the
-    /// control messages.
-    Stream(spsc::Consumer<WireUpdate>),
+    /// every ingest drain. This is how every wire update travels — in its
+    /// frame's [`Block`], through its connection's bounded ring, never the
+    /// channel, which carries the control messages.
+    Stream(spsc::Consumer<Block>),
     /// Stop the run; the executor finalises metrics and returns.
     Shutdown,
 }
@@ -299,7 +335,7 @@ pub struct Executor {
     rx: Receiver<Ingest>,
     /// Lock-free ingest rings attached by [`Ingest::Stream`], one per
     /// batching connection; popped on every ingest drain.
-    streams: Vec<spsc::Consumer<WireUpdate>>,
+    streams: Vec<spsc::Consumer<Block>>,
     /// Handle to the WAL flusher thread, when durability is on.
     wal: Option<crate::wal::WalHandle>,
     /// WAL counters, kept past [`WalHandle::seal`](crate::wal::WalHandle)
@@ -456,24 +492,23 @@ impl Executor {
         preempt
     }
 
-    /// Pops every update currently queued in the attached lock-free
+    /// Pops every block currently queued in the attached lock-free
     /// rings (bounded by a per-ring length snapshot, so a producer
     /// pushing at full speed cannot pin the executor here) and drops
     /// rings whose producer has disconnected and that are empty.
-    /// Returns the first verdict a popped update was given.
+    /// Returns the first verdict a popped block was given.
     fn drain_streams(&mut self, now: SimTime) -> Option<Preempt> {
         if self.streams.is_empty() {
             return None;
         }
         let mut preempt = None;
         // The rings move out of `self` for the duration of the drain so
-        // `accept_update` can borrow the rest of the executor mutably.
+        // `accept_block` can borrow the rest of the executor mutably.
         let mut streams = std::mem::take(&mut self.streams);
         for c in &mut streams {
             for _ in 0..c.len() {
-                let Some(w) = c.pop() else { break };
-                self.events += 1;
-                preempt = preempt.or(self.accept_update(&w, now));
+                let Some(block) = c.pop() else { break };
+                preempt = preempt.or(self.accept_block(block, now));
             }
         }
         streams.retain(|c| !(c.is_closed() && c.is_empty()));
@@ -536,6 +571,25 @@ impl Executor {
         self.core.on_update(&spec, now)
     }
 
+    /// Hands one popped block to the core (and, first, to the WAL). Every
+    /// entry is an event; one naming an object outside the store is
+    /// dropped here, as [`Executor::accept_update`] drops it, and the rest
+    /// are stamped and queued by [`Scheduler::on_updates`]. Returns the
+    /// core's verdict on preemption.
+    fn accept_block(&mut self, mut block: Block, now: SimTime) -> Option<Preempt> {
+        self.events += block.len() as u64;
+        block.retain(|u| self.in_store(u.object));
+        if let Some(wal) = &mut self.wal {
+            // Log before state, with the sequence numbers the core is
+            // about to stamp.
+            let arrival = LiveClock::sim_to_micros(now);
+            for (seq, u) in (self.core.update_seq()..).zip(&block) {
+                wal.append(seq, wire_of(u), arrival);
+            }
+        }
+        self.core.on_updates(block, now)
+    }
+
     /// Admits one transaction and arms its deadline watchdog. Returns the
     /// core's verdict on preemption, like [`Executor::accept_update`].
     fn accept_txn(&mut self, w: WireTxn, now: SimTime) -> Option<Preempt> {
@@ -571,12 +625,17 @@ impl Executor {
 
     /// Resolves a wire (class, index) pair against the configured store.
     fn wire_object(&self, class: u8, index: u32) -> Option<ViewObjectId> {
-        let class = Importance::from_index(class as usize)?;
-        let n = match class {
+        let object = ViewObjectId::new(Importance::from_index(class as usize)?, index);
+        self.in_store(object).then_some(object)
+    }
+
+    /// True when `object` is one of the configured store's.
+    fn in_store(&self, object: ViewObjectId) -> bool {
+        let n = match object.class {
             Importance::Low => self.core.config().n_low,
             Importance::High => self.core.config().n_high,
         };
-        (index < n).then(|| ViewObjectId::new(class, index))
+        object.index < n
     }
 
     /// Answers a metadata query from the store and tracker without
@@ -653,8 +712,11 @@ impl Executor {
             self.core.on_warmup_end(now);
             self.events += 1;
         }
-        while self.deadlines.peek().is_some_and(|e| e.at <= t) {
-            let e = self.deadlines.pop().expect("peeked deadline entry"); // lint: allow(live-panic, reason=pop follows a successful peek on the same heap)
+        while let Some(head) = self.deadlines.peek_mut() {
+            if head.at > t {
+                break;
+            }
+            let e = PeekMut::pop(head);
             self.events += 1;
             // A watchdog whose transaction already finished is stale; the
             // core ignores it.
@@ -989,6 +1051,31 @@ mod tests {
         }
     }
 
+    /// The block a connection thread decodes from a frame of `updates`.
+    fn block(updates: impl IntoIterator<Item = WireUpdate>) -> Block {
+        updates
+            .into_iter()
+            .map(|w| unstamped(&w).expect("a valid class"))
+            .collect()
+    }
+
+    /// A block entry logs the generation micros that arrived, including
+    /// ones a round trip through seconds would not return.
+    #[test]
+    fn an_unstamped_entry_logs_the_wire_update_it_was_decoded_from() {
+        for micros in [i64::MIN, -1, 0, (1 << 53) + 1, i64::MAX] {
+            let w = WireUpdate {
+                class: 1,
+                index: 3,
+                generation_micros: micros,
+                payload: -2.5,
+                attr_mask: 0b101,
+            };
+            assert_eq!(wire_of(&unstamped(&w).expect("a valid class")), w);
+        }
+        assert!(unstamped(&wire_update(2, 0, 0, 0.0)).is_none());
+    }
+
     #[test]
     fn every_valid_sim_config_builds_a_live_config() {
         use strip_core::config::{DisturbanceSpec, HistoryAccess, IoModel, TriggerConfig};
@@ -1040,13 +1127,15 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let exec = Executor::new(&cfg, rx);
         let (mut prod, cons) = crate::spsc::ring(64);
-        for i in 0..10u32 {
-            prod.push(wire_update(
-                u8::from(i % 2 == 0),
-                i % 4,
-                1_000 * i64::from(i + 1),
-                f64::from(i),
-            ))
+        for frame in [0..3u32, 3..4, 4..10] {
+            prod.push(block(frame.map(|i| {
+                wire_update(
+                    u8::from(i % 2 == 0),
+                    i % 4,
+                    1_000 * i64::from(i + 1),
+                    f64::from(i),
+                )
+            })))
             .expect("ring has room");
         }
         drop(prod);
@@ -1057,6 +1146,27 @@ mod tests {
         let report = exec.run();
         assert_eq!(report.updates.arrived, 10);
         assert_eq!(report.updates.terminal_total(), report.updates.arrived);
+    }
+
+    /// An update naming an object outside the store counts as an event
+    /// and as nothing else: no sequence number, no arrival, no WAL record.
+    #[test]
+    fn an_out_of_range_update_counts_as_an_event_and_nothing_else() {
+        let (tx, mut exec, stats) = stepped_durable(base_cfg());
+        exec.poll(); // the warm-up end fires here, not below
+        let (mut prod, cons) = crate::spsc::ring(8);
+        let frame = [(0, 0), (0, 9), (1, 1), (1, 4), (0, 2)];
+        prod.push(block(
+            frame.map(|(class, index)| wire_update(class, index, 1_000, 1.0)),
+        ))
+        .expect("ring has room");
+        tx.send(Ingest::Stream(cons)).expect("attach stream");
+        let before = exec.events;
+        exec.poll();
+        assert_eq!(exec.events - before, 1 + 5, "the attach and five pops");
+        assert_eq!(exec.core.update_seq(), 3);
+        assert_eq!(exec.snapshot(exec.now).updates.arrived, 3);
+        assert_eq!(stats.durability().wal_appended, 3);
     }
 
     #[test]
@@ -1931,15 +2041,15 @@ mod tests {
         // mid-stream. Every enqueued delta must still land in exactly one
         // terminal bucket (applied, coalesced, shed, or pending at end).
         let (mut prod, cons) = crate::spsc::ring(64);
-        for i in 0..10u32 {
-            prod.push(wire_update(
+        prod.push(block((0..10u32).map(|i| {
+            wire_update(
                 u8::from(i % 2 == 0),
                 i % 4,
                 100_000 * i64::from(i + 1),
                 f64::from(i),
-            ))
-            .expect("ring has room");
-        }
+            )
+        })))
+        .expect("ring has room");
         drop(prod);
         tx.send(Ingest::Stream(cons)).expect("attach stream");
         tx.send(Ingest::Shutdown).expect("send shutdown");

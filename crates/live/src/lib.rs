@@ -18,8 +18,8 @@
 //!   (updates, transactions, queries, stats and report requests, plus
 //!   batched update frames with credit-based flow control).
 //! * [`spsc`] — the bounded lock-free single-producer/single-consumer
-//!   ring that hands every wire update from its connection thread to the
-//!   executor without a lock on the hot path.
+//!   ring that hands every wire update, in its frame's block, from its
+//!   connection thread to the executor without a lock on the hot path.
 //! * [`executor`] — the single-threaded wall-clock driver of the
 //!   scheduling core: a scheduling point per quantum, runs of update work
 //!   at planned instants, quantum-chunked transaction slices, UF/SU

@@ -4,8 +4,9 @@
 //! every connection to its own thread. A connection thread reaches the
 //! executor two ways and no other. **Data**: updates arrive only in
 //! tag-7 batch frames, only within the credit the session was granted
-//! (`CreditRequest` → `Credit`), and ride the session's bounded SPSC ring;
-//! an update past the grant ends the session. **Control**: transactions,
+//! (`CreditRequest` → `Credit`), are decoded into one block per frame,
+//! and ride the session's bounded SPSC ring; an update past the grant
+//! ends the session. **Control**: transactions,
 //! queries, snapshots, the ring hand-over and shutdown ride the executor's
 //! [`Ingest`] channel, each control frame only after the session's ring
 //! has been popped — so one connection's frames take effect in wire order,
@@ -25,15 +26,16 @@ use std::thread::{self, JoinHandle};
 use strip_core::report::RunReport;
 use strip_obs::PromText;
 
-use crate::credit::CreditWindow;
-use crate::executor::{Executor, Ingest, LiveConfig};
+use crate::credit::{CreditWindow, InFlight};
+use crate::executor::{unstamped, Block, Executor, Ingest, LiveConfig};
 use crate::protocol::{
-    decode_body, for_each_batch_update, write_msg, FrameReader, Msg, WireStats, WireUpdate,
+    decode_body, for_each_batch_update, write_msg, FrameReader, Msg, WireStats, UPDATE_ENTRY,
 };
 use crate::recovery::Recovered;
 use crate::spsc;
 
-/// Capacity of each connection's lock-free ingest ring. Must be at least
+/// Capacity of each connection's lock-free ingest ring, in blocks, and the
+/// most credit a session holds, in updates. Must be at least
 /// [`crate::protocol::MAX_BATCH_UPDATES`] so a full window of credit (one
 /// ring's worth) always admits the largest legal batch frame without the
 /// producer blocking mid-frame.
@@ -224,13 +226,16 @@ fn wake_accept(mut addr: SocketAddr) {
 }
 
 /// Per-connection state of the update path: the session's ring producer
-/// (none until its first accepted update) plus the credit-window counters
-/// (see [`CreditWindow`] for the grant arithmetic, which is model-checked
-/// under loom in `tests/loom_spsc.rs`).
+/// (none until its first accepted update), the updates in that ring, and
+/// the credit-window counters (see [`CreditWindow`] and [`InFlight`] for
+/// the grant arithmetic, which is model-checked under loom in
+/// `tests/loom_spsc.rs`).
 struct BatchState {
     /// The producer half of the session's ring; `None` until
-    /// [`BatchState::push`] accepts the first update.
-    producer: Option<spsc::Producer<WireUpdate>>,
+    /// [`BatchState::push`] accepts the first block.
+    producer: Option<spsc::Producer<Block>>,
+    /// Updates pushed into the ring and not yet popped.
+    in_flight: InFlight,
     /// Cumulative counters of the credit protocol for this connection.
     window: CreditWindow,
 }
@@ -240,22 +245,48 @@ impl BatchState {
     fn new() -> BatchState {
         BatchState {
             producer: None,
+            in_flight: InFlight::new(),
             window: CreditWindow::new(),
         }
     }
 
-    /// Pushes one update into the session's ring, spending one unit of
-    /// window; the first accepted update creates the ring and hands its
-    /// consumer half to the executor. An update past the window is refused
-    /// without being pushed. Inside the window the ring has room —
-    /// [`BatchState::grantable`] keeps a slot free for every granted
-    /// update — so a full ring is an error too, never a wait.
-    fn push(&mut self, update: WireUpdate, tx: &Sender<Ingest>) -> io::Result<()> {
-        if !self.window.on_update() {
+    /// Decodes one batch frame (`body`, tag included) into a block sized
+    /// to it, spending one unit of window per update, and pushes the block.
+    /// The updates inside the window are pushed even when a later one
+    /// overruns it or fails to decode; then the session ends with that
+    /// error. Returns the frame's update count.
+    fn push_frame(&mut self, body: &[u8], tx: &Sender<Ingest>) -> io::Result<usize> {
+        let mut block = Vec::with_capacity(body.len() / UPDATE_ENTRY);
+        let mut overrun = false;
+        let window = &mut self.window;
+        let decoded = for_each_batch_update(body, |w| {
+            // The first update past the window ends the session; the
+            // window stays spent, so none after it is kept either.
+            if !window.on_update() {
+                overrun = true;
+            } else if let Some(u) = unstamped(&w) {
+                block.push(u);
+            }
+        });
+        self.push(block, tx)?;
+        let n = decoded.map_err(io::Error::from)?;
+        if overrun {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "update sent past the credit window",
             ));
+        }
+        Ok(n)
+    }
+
+    /// Pushes one block into the session's ring; the first block creates
+    /// the ring and hands its consumer half to the executor. Inside the
+    /// window the ring has room — [`BatchState::grantable`] keeps a slot
+    /// free for every granted update, and a block holds at least one — so
+    /// a full ring is an error, never a wait. An empty block is not sent.
+    fn push(&mut self, block: Block, tx: &Sender<Ingest>) -> io::Result<()> {
+        if block.is_empty() {
+            return Ok(());
         }
         let producer = match &mut self.producer {
             Some(producer) => producer,
@@ -266,28 +297,33 @@ impl BatchState {
                 self.producer.insert(producer)
             }
         };
-        producer.push(update).map_err(|_| {
+        let len = block.len() as u64;
+        producer.push(block).map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 "ingest ring full inside the credit window",
             )
-        })
+        })?;
+        self.in_flight.on_push(len);
+        Ok(())
     }
 
     /// Window the server can grant right now without risking a ring
-    /// overrun: the ring's free slots minus the client's unspent window.
-    /// The window arithmetic lives in [`CreditWindow::grantable`]; this
-    /// wrapper contributes the occupancy observation.
-    fn grantable(&self) -> u64 {
-        let free = self.producer.as_ref().map_or(RING_CAPACITY as u64, |p| {
-            let in_flight = p.pushed().saturating_sub(p.consumed());
-            debug_assert!(
-                in_flight <= RING_CAPACITY as u64,
-                "ring occupancy {in_flight} exceeds capacity"
-            );
-            (RING_CAPACITY as u64).saturating_sub(in_flight)
-        });
-        self.window.grantable(free)
+    /// overrun: the ring's capacity minus the updates in it, minus the
+    /// client's unspent window. The window arithmetic lives in
+    /// [`CreditWindow::grantable`]; this wrapper contributes the occupancy
+    /// observation.
+    fn grantable(&mut self) -> u64 {
+        let in_flight = match &self.producer {
+            Some(p) => self.in_flight.updates(p.consumed()),
+            None => 0,
+        };
+        debug_assert!(
+            in_flight <= RING_CAPACITY as u64,
+            "ring occupancy {in_flight} exceeds capacity"
+        );
+        self.window
+            .grantable((RING_CAPACITY as u64).saturating_sub(in_flight))
     }
 
     /// Tops the client's credit window up. Normally a grant is only
@@ -355,18 +391,12 @@ fn handle_conn(
             return Ok(()); // clean EOF
         };
         // Data plane: a batch frame decodes straight out of the receive
-        // buffer into the lock-free ring — no `Vec<WireUpdate>`, no
-        // channel, no per-update syscall. The first update past the credit
-        // window ends the session; none after it is pushed.
+        // buffer into one block of updates, which rides the lock-free ring
+        // whole and becomes the OS queue's — no channel, no per-update
+        // syscall, no copy on the executor. The first update past the
+        // credit window ends the session; none after it is pushed.
         if body.first() == Some(&7) {
-            let mut pushed = Ok(());
-            let n = for_each_batch_update(body, |w| {
-                if pushed.is_ok() {
-                    pushed = batch.push(w, tx);
-                }
-            })
-            .map_err(io::Error::from)?;
-            pushed?;
+            let n = batch.push_frame(body, tx)?;
             // An empty frame spent no window, so it earns no top-up.
             if n > 0 {
                 batch.top_up(&mut stream, stop)?;
@@ -575,7 +605,7 @@ fn serve_metrics(stream: &mut TcpStream, tx: &Sender<Ingest>) -> io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_msg, WireTxn};
+    use crate::protocol::{read_msg, WireTxn, WireUpdate};
     use std::sync::mpsc::Receiver;
     use std::time::Duration;
 
@@ -656,9 +686,17 @@ mod tests {
         }
     }
 
-    /// The grant arithmetic counts ring occupancy: with the window spent
-    /// and the ring full nothing is grantable, and draining half the ring
-    /// opens exactly half a ring of window.
+    /// A frame of `n` updates to objects of `class`.
+    fn frame(class: u8, n: u64) -> Vec<u8> {
+        let updates: Vec<_> = (0..n).map(|i| wire_update(class, (i % 4) as u32)).collect();
+        let mut body = Vec::new();
+        crate::protocol::encode_batch_body(&mut body, &updates).expect("encode");
+        body
+    }
+
+    /// The grant arithmetic counts ring occupancy in updates: with the
+    /// window spent and the ring full nothing is grantable, and draining
+    /// half the ring's updates opens exactly half a ring of window.
     #[test]
     fn credit_window_grants_exactly_the_slots_the_executor_freed() {
         let (tx, rx) = mpsc::channel();
@@ -668,10 +706,10 @@ mod tests {
         // The first grant is the whole ring, which does not exist yet.
         assert_eq!(state.grantable(), cap);
         state.window.record_grant(cap);
-        for i in 0..cap {
-            state
-                .push(wire_update(0, (i % 8) as u32), &tx)
-                .expect("an update inside the window");
+        // Frames of 1, 3 and 4 updates: eight per three frames.
+        for n in [1, 3, 4].into_iter().cycle().take(cap as usize / 8 * 3) {
+            let pushed = state.push_frame(&frame(0, n), &tx);
+            assert_eq!(pushed.expect("updates inside the window"), n as usize);
         }
         let mut consumer = match rx.try_recv() {
             Ok(Ingest::Stream(c)) => c,
@@ -679,10 +717,12 @@ mod tests {
         };
         assert_eq!(state.grantable(), 0, "full ring, window spent");
 
-        // Drain half the ring; exactly that much window opens up.
-        for _ in 0..cap / 2 {
-            assert!(consumer.pop().is_some());
+        // Drain half the ring's updates; exactly that much window opens up.
+        let mut popped = 0;
+        while popped < cap / 2 {
+            popped += consumer.pop().expect("a queued block").len() as u64;
         }
+        assert_eq!(popped, cap / 2);
         assert_eq!(state.grantable(), cap / 2);
         state.window.record_grant(cap / 2);
         assert_eq!(
@@ -691,11 +731,11 @@ mod tests {
             "the unspent window holds the free half"
         );
 
-        // The client spends the window to the boundary: zero again.
-        for i in 0..cap / 2 {
-            state
-                .push(wire_update(1, (i % 8) as u32), &tx)
-                .expect("an update inside the window");
+        // The client spends the window to the boundary in one-update
+        // frames, a ring slot each: zero again.
+        for _ in 0..cap / 2 {
+            let pushed = state.push_frame(&frame(1, 1), &tx);
+            assert_eq!(pushed.expect("an update inside the window"), 1);
         }
         assert_eq!(state.grantable(), 0);
 
@@ -730,7 +770,7 @@ mod tests {
     const STEP: Duration = Duration::from_secs(10);
 
     /// The ring the session hands over at its first accepted update.
-    fn expect_stream(rx: &Receiver<Ingest>) -> spsc::Consumer<WireUpdate> {
+    fn expect_stream(rx: &Receiver<Ingest>) -> spsc::Consumer<Block> {
         match rx.recv_timeout(STEP) {
             Ok(Ingest::Stream(c)) => c,
             other => panic!("expected the session's ring first, got {other:?}"),
@@ -754,9 +794,8 @@ mod tests {
             .expect_err("session ended without an error")
     }
 
-    /// A live server with an idle workload, for sessions whose updates a
-    /// real executor pops.
-    fn idle_server() -> ServerHandle {
+    /// An idle workload over four objects a class.
+    fn idle_config() -> LiveConfig {
         let sim = strip_core::config::SimConfig::builder()
             .n_low(4)
             .n_high(4)
@@ -766,8 +805,17 @@ mod tests {
             .warmup(0.0)
             .build()
             .expect("valid config");
-        let cfg = LiveConfig::new(sim).expect("valid live config");
-        serve(&cfg, TcpListener::bind("127.0.0.1:0").expect("bind")).expect("serve")
+        LiveConfig::new(sim).expect("valid live config")
+    }
+
+    /// A live server with an idle workload, for sessions whose updates a
+    /// real executor pops.
+    fn idle_server() -> ServerHandle {
+        serve(
+            &idle_config(),
+            TcpListener::bind("127.0.0.1:0").expect("bind"),
+        )
+        .expect("serve")
     }
 
     /// `ingested` as a second connection's stats reply reads it.
@@ -811,6 +859,80 @@ mod tests {
         }
         assert_eq!(seen, grant, "exactly the granted updates arrive");
         server.shutdown().expect("shutdown");
+    }
+
+    /// `ingested` once it reaches `want` or [`STEP`] has passed, whichever
+    /// comes first.
+    fn ingested_reaching(addr: SocketAddr, want: u64) -> u64 {
+        let deadline = std::time::Instant::now() + STEP;
+        let mut seen = ingested(addr);
+        while seen < want && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(2));
+            seen = ingested(addr);
+        }
+        seen
+    }
+
+    /// The session's credit grant, asked for on a fresh session.
+    fn ask_credit(client: &mut TcpStream) -> u64 {
+        write_msg(client, &Msg::CreditRequest).expect("credit request");
+        match read_msg(client) {
+            Ok(Some(Msg::Credit(g))) => g,
+            other => panic!("expected the initial Credit, got {other:?}"),
+        }
+    }
+
+    /// A frame whose entry `k` carries a bad class delivers entries
+    /// `0..k`, then ends the session.
+    #[test]
+    fn a_bad_class_at_entry_k_delivers_the_entries_before_it_then_ends_the_session() {
+        const K: usize = 5;
+        let server = idle_server();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut client, session) = session_into(server.ingest(), &stop);
+        assert!(ask_credit(&mut client) > 8);
+        let updates: Vec<_> = (0..8).map(|i| wire_update(1, i % 4)).collect();
+        let mut body = Vec::new();
+        crate::protocol::encode_batch_body(&mut body, &updates).expect("encode");
+        // The class byte leads each entry, after the tag and the count.
+        body[1 + 4 + K * crate::protocol::UPDATE_ENTRY] = 2;
+        client
+            .write_all(&(body.len() as u32).to_le_bytes())
+            .expect("send length");
+        client.write_all(&body).expect("send body");
+        assert_eq!(refusal(session).kind(), io::ErrorKind::InvalidData);
+        assert_eq!(ingested_reaching(server.addr(), K as u64), K as u64);
+        server.shutdown().expect("shutdown");
+    }
+
+    /// An update naming an object outside the store spends credit like any
+    /// other, but it neither counts as arrived nor reaches the WAL.
+    #[test]
+    fn an_out_of_range_update_spends_credit_and_is_neither_arrived_nor_logged() {
+        let dir = std::env::temp_dir().join(format!("strip-server-oob-{}", std::process::id()));
+        let cfg = idle_config().with_durability(crate::wal::DurabilityConfig::new(&dir));
+        let server = serve(&cfg, TcpListener::bind("127.0.0.1:0").expect("bind")).expect("serve");
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut client, session) = session_into(server.ingest(), &stop);
+        let grant = ask_credit(&mut client);
+        // As in the overrun test, two frames carry grant + 1 updates; every
+        // fourth of the first names index 99 of a 4-object class. Were those
+        // free, the second frame would fit the window.
+        let first = CREDIT_LOW_WATER - 1;
+        let out_of_range = first.div_ceil(4);
+        let frame: Vec<_> = (0..first)
+            .map(|i| wire_update(0, if i % 4 == 0 { 99 } else { (i % 4) as u32 }))
+            .collect();
+        write_msg(&mut client, &Msg::UpdateBatch(frame)).expect("send batch");
+        let rest = (0..grant + 1 - first).map(|i| wire_update(1, (i % 4) as u32));
+        write_msg(&mut client, &Msg::UpdateBatch(rest.collect())).expect("send batch");
+        assert_eq!(refusal(session).kind(), io::ErrorKind::InvalidData);
+        let arrived = grant - out_of_range;
+        assert_eq!(ingested_reaching(server.addr(), arrived), arrived);
+        let report = server.shutdown().expect("shutdown");
+        assert_eq!(report.updates.arrived, arrived);
+        assert_eq!(report.durability.wal_appended, arrived);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A session that never asked for credit has none: its first update
@@ -862,8 +984,8 @@ mod tests {
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 other => panic!("control overtook the un-popped ring: {other:?}"),
             }
-            assert_eq!(ring.len(), sent as usize, "every update waits in the ring");
-            while ring.pop().is_some() {}
+            let waiting: usize = std::iter::from_fn(|| ring.pop()).map(|b| b.len()).sum();
+            assert_eq!(waiting, sent as usize, "every update waits in the ring");
             match rx.recv_timeout(STEP) {
                 Ok(Ingest::Txn(got)) => assert_eq!(got, txn),
                 other => panic!("expected the txn once the ring drained, got {other:?}"),

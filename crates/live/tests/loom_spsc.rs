@@ -9,8 +9,9 @@
 //! overwriting), and the empty-ring/close edge (a pop against an empty
 //! ring returns `None` and close is observed only after the last value).
 //! Two protocol models ride along: the server's credit-grant arithmetic
-//! (the real [`CreditWindow`] against a real ring — grants may never let
-//! a credited push find it full) and the WAL flusher's
+//! (the real [`CreditWindow`] and [`InFlight`] against a real ring of
+//! blocks — grants may never let a credited push find it full) and the
+//! WAL flusher's
 //! chunk-then-watermark Release publication.
 //!
 //! Run with:
@@ -25,7 +26,7 @@
 //! send the DFS down an infinite schedule.
 #![cfg(loom)]
 
-use strip_live::credit::CreditWindow;
+use strip_live::credit::{CreditWindow, InFlight};
 use strip_live::spsc::ring;
 
 /// Streaming: a producer pushes a short FIFO sequence while the consumer
@@ -106,48 +107,60 @@ fn full_ring_pushes_are_refused_not_overwritten() {
 }
 
 /// Credit-grant model: the server's credit arithmetic (the *real*
-/// [`CreditWindow`] from `strip_live::credit`, driven against a real ring)
-/// racing a draining executor. The property the wire protocol stands on:
-/// a grant is computed from the ring's observed free slots minus the
-/// client's unspent window, and the executor only ever *frees* slots
-/// concurrently — so a credited client spending its whole window must
-/// never find the ring full. A stale `consumed()` observation
-/// under-estimates frees and shrinks the grant; it can never inflate it.
-/// The model also checks FIFO end to end.
+/// [`CreditWindow`] and [`InFlight`] from `strip_live::credit`, driven
+/// against a real ring of blocks) racing a draining executor. The
+/// property the wire protocol stands on: a grant is computed from the
+/// ring's capacity minus the updates in it — the lengths of the pushed
+/// blocks, retired against the consumer's cursor — minus the client's
+/// unspent window, and the executor only ever *frees* slots concurrently,
+/// so a credited client spending its whole window, in blocks of 1–3
+/// updates, must never find the ring full. A stale `consumed()`
+/// observation under-estimates frees and shrinks the grant; it can never
+/// inflate it. The model also checks FIFO end to end.
 #[test]
 fn credit_grants_never_let_a_credited_push_find_a_full_ring() {
     loom::model(|| {
-        const CAP: usize = 2;
-        let (mut p0, mut c0) = ring::<u32>(CAP);
+        const CAP: usize = 4;
+        let (mut p0, mut c0) = ring::<Vec<u32>>(CAP);
         let mut window = CreditWindow::new();
+        let mut in_flight = InFlight::new();
         // The executor drains the ring concurrently with the grant
         // rounds (bounded attempts; a miss is a legal schedule).
         let consumer = loom::thread::spawn(move || {
             let mut got = Vec::new();
             for _ in 0..2 {
-                if let Some(v) = c0.pop() {
-                    got.push(v);
+                if let Some(block) = c0.pop() {
+                    got.extend(block);
                 }
             }
             (c0, got)
         });
-        // Two grant rounds, each spent entirely, so the bound is tight,
-        // not slack.
+        // Two grant rounds, each spent entirely in blocks whose lengths
+        // cycle 1, 2, 3, so the bound is tight, not slack.
         let mut next = 0u32;
+        let mut len = 1u64;
         for _ in 0..2 {
-            let free = (CAP as u64).saturating_sub(p0.pushed().saturating_sub(p0.consumed()));
+            let free = (CAP as u64).saturating_sub(in_flight.updates(p0.consumed()));
             let grant = window.grantable(free);
             window.record_grant(grant);
-            for _ in 0..grant {
-                assert!(window.on_update(), "an update inside the grant");
-                p0.push(next)
+            let mut left = grant;
+            while left > 0 {
+                let n = len.min(left);
+                len = len % 3 + 1;
+                for _ in 0..n {
+                    assert!(window.on_update(), "an update inside the grant");
+                }
+                let block: Vec<u32> = (next..next + n as u32).collect();
+                p0.push(block)
                     .expect("credited push found a full ring: the grant overran occupancy");
-                next += 1;
+                in_flight.on_push(n);
+                next += n as u32;
+                left -= n;
             }
         }
         let (mut c0, mut got) = consumer.join().expect("consumer thread");
-        while let Some(v) = c0.pop() {
-            got.push(v);
+        while let Some(block) = c0.pop() {
+            got.extend(block);
         }
         let expected: Vec<u32> = (0..next).collect();
         assert_eq!(got, expected, "granted pushes stay FIFO");

@@ -11,6 +11,8 @@
 //!           + overflow_dropped + expired_dropped + dedup_dropped
 //! ```
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 use strip_db::object::{Importance, ViewObjectId};
 use strip_db::osqueue::OsQueue;
@@ -205,30 +207,84 @@ fn phased_ops(seed: u64, n: usize, objects: u32) -> Vec<Op> {
     ops
 }
 
-/// OS-queue mirror: `deliver`/`receive` under the paper's overflow rule
-/// (a full queue rejects the arrival) conserves every delivered message
-/// and counts exactly the rejections as dropped.
-fn run_os_conservation(arrivals: Vec<(u32, bool, u32)>, cap: usize) {
+/// One operation on the OS queue: an arrival, a block of `n` arrivals,
+/// or a receive.
+#[derive(Debug, Clone)]
+enum OsOp {
+    Deliver,
+    Append(usize),
+    Receive,
+}
+
+fn os_op_strategy() -> impl Strategy<Value = OsOp> {
+    prop_oneof![
+        4 => Just(OsOp::Deliver),
+        2 => (0usize..24).prop_map(OsOp::Append),
+        4 => Just(OsOp::Receive),
+    ]
+}
+
+/// OS-queue mirror: `deliver`, `append` and `receive` under the paper's
+/// overflow rule (a full queue rejects the arrival) behave exactly as a
+/// `VecDeque` bounded at `cap` — the same arrivals accepted and rejected,
+/// the same FIFO output, the same length and drop count — and conserve
+/// every delivered message after every step.
+fn run_os_conservation(ops: Vec<OsOp>, cap: usize) {
     let mut q = OsQueue::new(cap);
-    let mut received = 0u64;
-    let mut delivered = 0u64;
-    let mut rejected = 0u64;
-    for (i, (obj, high, gen_ms)) in arrivals.into_iter().enumerate() {
-        delivered += 1;
-        if !q.deliver(mk_update(i as u64, obj, high, gen_ms)).accepted {
-            rejected += 1;
+    let mut reference = VecDeque::new();
+    let mut reference_dropped = 0u64;
+    let (mut seq, mut delivered, mut received) = (0u64, 0u64, 0u64);
+    let mut arrival = || {
+        seq += 1;
+        mk_update(seq, (seq % 8) as u32, seq % 3 == 0, (seq % 10_000) as u32)
+    };
+    for op in ops {
+        match op {
+            OsOp::Deliver => {
+                let u = arrival();
+                let fits = reference.len() < cap;
+                if fits {
+                    reference.push_back(u);
+                } else {
+                    reference_dropped += 1;
+                }
+                assert_eq!(q.deliver(u).accepted, fits);
+                delivered += 1;
+            }
+            OsOp::Append(n) => {
+                let block: Vec<Update> = (0..n).map(|_| arrival()).collect();
+                let room = cap - reference.len();
+                reference.extend(block.iter().take(room).copied());
+                reference_dropped += n.saturating_sub(room) as u64;
+                assert_eq!(q.append(block), n.min(room));
+                delivered += n as u64;
+            }
+            OsOp::Receive => {
+                let got = q.receive();
+                assert_eq!(got, reference.pop_front(), "FIFO order diverged");
+                received += u64::from(got.is_some());
+            }
         }
-        // Drain a little so the queue sees both full and empty regimes.
-        if i % 3 == 0 {
-            received += u64::from(q.receive().is_some());
-        }
+        assert_eq!(q.len(), reference.len());
+        assert_eq!(q.dropped(), reference_dropped);
         assert_eq!(
             delivered,
-            received + q.len() as u64 + rejected,
+            received + q.len() as u64 + q.dropped(),
             "OS conservation violated"
         );
-        assert_eq!(q.dropped(), rejected);
         assert!(q.len() <= cap);
+    }
+}
+
+/// A queue that empties after every arrival keeps its one block: a long
+/// deliver/receive ping-pong allocates nothing after the first arrival.
+#[test]
+fn os_queue_ping_pong_holds_one_block() {
+    let mut q = OsQueue::new(4);
+    for i in 0..10_000u64 {
+        assert!(q.deliver(mk_update(i, 0, false, 0)).accepted);
+        assert_eq!(q.receive().map(|u| u.seq), Some(i));
+        assert_eq!(q.blocks(), 1);
     }
 }
 
@@ -273,10 +329,10 @@ proptest! {
 
     #[test]
     fn os_queue_conserves(
-        arrivals in prop::collection::vec((0u32..8, proptest::bool::ANY, 0u32..10_000), 1..160),
+        ops in prop::collection::vec(os_op_strategy(), 1..160),
         cap in 1usize..16,
     ) {
-        run_os_conservation(arrivals, cap);
+        run_os_conservation(ops, cap);
     }
 }
 
