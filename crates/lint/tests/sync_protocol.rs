@@ -102,7 +102,7 @@ fn committed_registry_covers_the_audited_surface() {
         .atomic("crates/live/src/wal.rs", "written")
         .expect("written");
     assert_eq!(written.role, "publication");
-    assert_eq!(written.relaxed_in, ["flusher_loop"]);
+    assert_eq!(written.relaxed_in, ["Flusher::step"]);
     assert!(reg.atomic("crates/live/src/wal.rs", "failed").is_some());
 
     // Shutdown plumbing and the sweep counters.

@@ -2,27 +2,50 @@
 //! The wall-clock boundary of the live runtime.
 //!
 //! The whole `strip-db` substrate (store, queues, staleness tracker,
-//! metrics) speaks [`SimTime`]. [`LiveClock`] maps monotonic wall time onto
-//! that axis — `SimTime::ZERO` is the instant the clock was started — so
-//! the executor reuses the substrate unchanged. This module is the *only*
-//! place in the workspace's deterministic crates where `Instant` appears;
-//! everything above it is clock-agnostic (see `strip_core::policy`).
+//! metrics) speaks [`SimTime`]. A [`Clock`] tells time on that axis: the
+//! executor and the WAL flusher read time only through one, so a test can
+//! hand them a clock it owns. [`LiveClock`], the only production clock,
+//! maps monotonic wall time onto the axis — `SimTime::ZERO` is the instant
+//! it was started. This module is the *only* place in the workspace's
+//! deterministic crates where `Instant` appears; everything above it is
+//! clock-agnostic (see `strip_core::policy`).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use strip_sim::time::SimTime;
 
-#[cfg(test)]
-thread_local! {
-    /// Clock readings taken on this thread — the executor is
-    /// single-threaded, so a test that runs it inline gets an exact count.
-    static READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+/// A source of time on the substrate's axis, never going back.
+pub trait Clock {
+    /// The current reading.
+    fn now(&self) -> SimTime;
+
+    /// Burns CPU until the clock reads at least `deadline` (spin wait) and
+    /// returns the reading that ended the wait — exactly one reading when
+    /// the deadline has already passed. The executor charges slices in
+    /// chunks far below the scheduler's sleep granularity, so spinning is
+    /// the only way to model the paper's busy CPU faithfully; callers bound
+    /// the distance to `deadline` by the preemption quantum.
+    fn spin_until(&self, deadline: SimTime) -> SimTime {
+        loop {
+            let now = self.now();
+            if now >= deadline {
+                return now;
+            }
+            std::hint::spin_loop();
+        }
+    }
 }
 
 /// Monotonic wall clock anchored at an origin instant.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveClock {
     origin: Instant,
+}
+
+impl Clock for LiveClock {
+    fn now(&self) -> SimTime {
+        SimTime::from_secs(self.origin.elapsed().as_secs_f64())
+    }
 }
 
 impl LiveClock {
@@ -34,34 +57,11 @@ impl LiveClock {
         }
     }
 
-    /// Wall time elapsed since the origin, on the substrate's time axis.
+    /// Wall time elapsed since the origin, on the substrate's time axis
+    /// ([`Clock::now`], callable without the trait in scope).
     #[must_use]
     pub fn now(&self) -> SimTime {
-        #[cfg(test)]
-        READS.with(|r| r.set(r.get() + 1));
-        SimTime::from_secs(self.origin.elapsed().as_secs_f64())
-    }
-
-    /// Clock readings this thread has taken so far (test-only counter).
-    #[cfg(test)]
-    pub(crate) fn reads() -> u64 {
-        READS.with(std::cell::Cell::get)
-    }
-
-    /// Burns CPU until the clock reads at least `deadline` (spin wait) and
-    /// returns the reading that ended the wait — exactly one reading when
-    /// the deadline has already passed. The executor charges slices in
-    /// chunks far below the scheduler's sleep granularity, so spinning is
-    /// the only way to model the paper's busy CPU faithfully; callers bound
-    /// the distance to `deadline` by the preemption quantum.
-    pub fn spin_until(&self, deadline: SimTime) -> SimTime {
-        loop {
-            let now = self.now();
-            if now >= deadline {
-                return now;
-            }
-            std::hint::spin_loop();
-        }
+        Clock::now(self)
     }
 
     /// Maps a protocol timestamp (signed microseconds on this clock's axis)
@@ -79,25 +79,68 @@ impl LiveClock {
     }
 
     /// Burns CPU until `secs` of wall time have passed from the call:
-    /// [`LiveClock::spin_until`] on a clock started here.
+    /// [`Clock::spin_until`] on a clock started here.
     pub fn spin_for(secs: f64) {
         if secs > 0.0 {
             LiveClock::start().spin_until(SimTime::from_secs(secs));
         }
     }
-
-    /// Sleeps approximately `secs` (used only on idle paths, where
-    /// precision does not matter).
-    pub fn coarse_sleep(secs: f64) {
-        if secs > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(secs));
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    /// A clock the test owns: every reading advances it by a fixed step,
+    /// `spin_until` jumps straight to its deadline, and every reading is
+    /// counted. [`TestClock::advance`] moves it without a reading.
+    #[derive(Debug)]
+    pub(crate) struct TestClock {
+        at: Cell<SimTime>,
+        step: f64,
+        reads: Cell<u64>,
+    }
+
+    impl TestClock {
+        /// A clock at zero whose readings are `step` seconds apart.
+        pub(crate) fn new(step: f64) -> Self {
+            TestClock {
+                at: Cell::new(SimTime::ZERO),
+                step,
+                reads: Cell::new(0),
+            }
+        }
+
+        /// Readings taken so far (`spin_until` counts two when it waits:
+        /// the one that found the deadline ahead and the one at it).
+        pub(crate) fn reads(&self) -> u64 {
+            self.reads.get()
+        }
+
+        /// Lets `secs` pass.
+        pub(crate) fn advance(&self, secs: f64) {
+            self.at.set(self.at.get() + secs);
+        }
+    }
+
+    impl Clock for TestClock {
+        fn now(&self) -> SimTime {
+            self.reads.set(self.reads.get() + 1);
+            self.advance(self.step);
+            self.at.get()
+        }
+
+        fn spin_until(&self, deadline: SimTime) -> SimTime {
+            let now = self.now();
+            if now >= deadline {
+                return now;
+            }
+            self.reads.set(self.reads.get() + 1);
+            self.at.set(deadline);
+            deadline
+        }
+    }
 
     #[test]
     fn clock_is_monotonic_from_zero() {
@@ -113,29 +156,62 @@ mod tests {
         );
     }
 
+    /// Counts the readings of the wall clock it wraps, so the default
+    /// `spin_until` is checked on real time.
+    struct Counted {
+        clock: LiveClock,
+        reads: Cell<u64>,
+    }
+
+    impl Clock for Counted {
+        fn now(&self) -> SimTime {
+            self.reads.set(self.reads.get() + 1);
+            self.clock.now()
+        }
+    }
+
+    fn counted() -> Counted {
+        Counted {
+            clock: LiveClock::start(),
+            reads: Cell::new(0),
+        }
+    }
+
     #[test]
     fn spin_until_returns_a_reading_at_or_past_the_deadline() {
-        let c = LiveClock::start();
+        let c = counted();
         let deadline = c.now() + 0.001;
-        let before = LiveClock::reads();
+        let before = c.reads.get();
         let end = c.spin_until(deadline);
         assert!(
             end >= deadline,
             "spin ended at {end:?}, before {deadline:?}"
         );
-        assert!(LiveClock::reads() - before > 1, "a future deadline spins");
+        assert!(c.reads.get() - before > 1, "a future deadline spins");
         assert!(c.now() >= end);
     }
 
     #[test]
     fn spin_until_a_past_deadline_takes_exactly_one_reading() {
-        let c = LiveClock::start();
+        let c = counted();
         let past = c.now();
         LiveClock::spin_for(20e-6);
-        let before = LiveClock::reads();
+        let before = c.reads.get();
         let end = c.spin_until(past);
-        assert_eq!(LiveClock::reads() - before, 1);
+        assert_eq!(c.reads.get() - before, 1);
         assert!(end >= past + 20e-6);
+    }
+
+    #[test]
+    fn the_test_clock_steps_per_reading_and_jumps_to_a_deadline() {
+        let c = TestClock::new(1e-6);
+        assert_eq!(c.now(), SimTime::from_secs(1e-6));
+        assert_eq!(c.spin_until(SimTime::ZERO), SimTime::from_secs(2e-6));
+        let deadline = SimTime::from_secs(0.5);
+        assert_eq!(c.spin_until(deadline), deadline);
+        assert_eq!(c.reads(), 4);
+        c.advance(0.25);
+        assert_eq!(c.now(), SimTime::from_secs(0.75 + 1e-6));
     }
 
     #[test]

@@ -43,6 +43,7 @@
 //! channel; the TCP front end (`server`) and in-process tests use the same
 //! channel type, so the scheduling core is exercised identically in both.
 
+use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
@@ -58,7 +59,7 @@ use strip_db::staleness::ExpiryWatch;
 use strip_db::update::Update;
 use strip_sim::time::SimTime;
 
-use crate::clock::LiveClock;
+use crate::clock::{Clock, LiveClock};
 use crate::protocol::{
     WireDerivedQuery, WireDerivedQueryResponse, WireQuery, WireQueryResponse, WireTxn, WireUpdate,
 };
@@ -244,30 +245,9 @@ pub enum Ingest {
     Shutdown,
 }
 
-/// Min-heap entry ordered by wall-clock seconds (`f64` via `total_cmp`).
-#[derive(Debug)]
-struct Timer<T> {
-    at: f64,
-    item: T,
-}
-
-impl<T> PartialEq for Timer<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at.total_cmp(&other.at) == std::cmp::Ordering::Equal
-    }
-}
-impl<T> Eq for Timer<T> {}
-impl<T> PartialOrd for Timer<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Timer<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest `at`.
-        other.at.total_cmp(&self.at)
-    }
-}
+/// Timer heap entry: `(at, item)`, reversed so that `BinaryHeap`, a
+/// max-heap, has the earliest instant on top (ties go to the lower item).
+type Timer<T> = Reverse<(SimTime, T)>;
 
 /// Slices between two clock readings inside a run. A reading costs about
 /// 40 ns, so this stride adds under 1 ns to an update; at the ~100 ns the
@@ -300,18 +280,18 @@ enum Cut {
     Shutdown,
 }
 
-/// The single-threaded wall-clock driver of the scheduler core.
+/// The single-threaded driver of the scheduler core, on a [`Clock`].
 ///
 /// Construct with [`Executor::new`], feed the channel from any number of
 /// producer threads, and call [`Executor::run`]; it returns the final
 /// [`RunReport`] once an [`Ingest::Shutdown`] arrives (or every sender is
 /// dropped).
 #[derive(Debug)]
-pub struct Executor {
+pub struct Executor<C: Clock = LiveClock> {
     /// Every piece of scheduling state, and every decision.
     core: Scheduler,
     quantum: f64,
-    clock: LiveClock,
+    clock: C,
     /// The latest clock reading: where the previous scheduling point, run
     /// or burned slice ended and the next slice starts (see the module
     /// docs). Never ahead of the wall clock.
@@ -383,6 +363,19 @@ impl Executor {
         wal: Option<crate::wal::WalHandle>,
         recovered: Option<crate::recovery::Recovered>,
     ) -> Self {
+        Executor::with_clock(cfg, rx, wal, recovered, LiveClock::start())
+    }
+}
+
+impl<C: Clock> Executor<C> {
+    /// [`Executor::with_wal`] on `clock`.
+    fn with_clock(
+        cfg: &LiveConfig,
+        rx: Receiver<Ingest>,
+        wal: Option<crate::wal::WalHandle>,
+        recovered: Option<crate::recovery::Recovered>,
+        clock: C,
+    ) -> Self {
         let (store, update_seq, recovery_replayed, recovery_discarded) = match recovered {
             Some(r) => (r.store, r.next_seq, r.replayed, r.discarded),
             None => (initial_store(&cfg.sim), 0, 0, 0),
@@ -396,7 +389,7 @@ impl Executor {
         Executor {
             core: Scheduler::new(cfg.sim.clone(), store, update_seq),
             quantum: cfg.quantum,
-            clock: LiveClock::start(),
+            clock,
             now: SimTime::ZERO,
             poll_by: SimTime::ZERO,
             watches: vec![None; (cfg.sim.n_low + cfg.sim.n_high) as usize],
@@ -426,19 +419,8 @@ impl Executor {
         }
         self.now = self.clock.now();
         while !self.shutdown {
-            let polled_at = self.now;
-            self.poll();
-            if self.shutdown {
-                break;
-            }
-            if !self.step() {
+            if !self.pass() && !self.shutdown {
                 self.idle_wait();
-            }
-            // A pass that neither burned nor handled input (an abort, an
-            // idle timeout) still ends on a fresh reading, so timers
-            // cannot starve.
-            if self.now == polled_at {
-                self.now = self.clock.now();
             }
         }
         // A shutdown can arrive while batched updates sit un-popped in
@@ -448,6 +430,22 @@ impl Executor {
         self.now = self.clock.now();
         self.drain_streams(self.now);
         self.finalize()
+    }
+
+    /// One pass of the run loop: a scheduling point, then (unless it brought
+    /// a shutdown) whatever [`Executor::step`] runs before the next one;
+    /// false when there was nothing to run. A pass that neither burned nor
+    /// handled input (an abort) still ends on a fresh reading.
+    fn pass(&mut self) -> bool {
+        let polled_at = self.now;
+        self.poll();
+        if self.shutdown || !self.step() {
+            return false;
+        }
+        if self.now == polled_at {
+            self.now = self.clock.now();
+        }
+        true
     }
 
     /// One scheduling point at the current reading: fires due timers,
@@ -616,10 +614,7 @@ impl Executor {
             derived_reads: Vec::new(),
         };
         let (deadline, verdict) = self.core.on_txn(spec, now);
-        self.deadlines.push(Timer {
-            at: deadline.as_secs(),
-            item: w.id,
-        });
+        self.deadlines.push(Reverse((deadline, w.id)));
         verdict
     }
 
@@ -688,39 +683,37 @@ impl Executor {
         if let Some(wal) = &mut self.wal {
             wal.flush();
         }
-        let t = now.as_secs();
         while let Some(mut head) = self.expiry.peek_mut() {
-            if head.at > t {
+            let Reverse((at, slot)) = *head;
+            if at > now {
                 break;
             }
-            let slot = &mut self.watches[head.item];
-            match *slot {
+            match self.watches[slot] {
                 // Overwritten since the entry was keyed: wait for the
                 // latest value's instant instead.
-                Some(watch) if watch.at.as_secs() > t => head.at = watch.at.as_secs(),
+                Some(watch) if watch.at > now => *head = Reverse((watch.at, slot)),
                 _ => {
-                    let fired = slot.take();
                     PeekMut::pop(head);
-                    if let Some(watch) = fired {
+                    if let Some(watch) = self.watches[slot].take() {
                         self.core.on_expiry(watch, now);
                         self.events += 1;
                     }
                 }
             }
         }
-        if self.core.metrics().warmup_pending() && t >= self.core.config().warmup {
+        if self.core.metrics().warmup_pending() && now.as_secs() >= self.core.config().warmup {
             self.core.on_warmup_end(now);
             self.events += 1;
         }
-        while let Some(head) = self.deadlines.peek_mut() {
-            if head.at > t {
+        while let Some(&Reverse((at, id))) = self.deadlines.peek() {
+            if at > now {
                 break;
             }
-            let e = PeekMut::pop(head);
+            self.deadlines.pop();
             self.events += 1;
             // A watchdog whose transaction already finished is stale; the
             // core ignores it.
-            self.core.on_deadline(e.item, now);
+            self.core.on_deadline(id, now);
         }
         self.maybe_snapshot(now);
     }
@@ -771,10 +764,7 @@ impl Executor {
     fn arm(&mut self, watch: ExpiryWatch) {
         let slot = self.watch_slot(watch.object);
         if self.watches[slot].replace(watch).is_none() {
-            self.expiry.push(Timer {
-                at: watch.at.as_secs(),
-                item: slot,
-            });
+            self.expiry.push(Reverse((watch.at, slot)));
         }
     }
 
@@ -787,14 +777,12 @@ impl Executor {
         (base + object.index) as usize
     }
 
-    /// Wall-clock seconds of the earliest pending timer, if any.
-    fn next_timer_at(&self) -> Option<f64> {
-        let e = self.expiry.peek().map(|e| e.at);
-        let d = self.deadlines.peek().map(|e| e.at);
-        match (e, d) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (x, None) | (None, x) => x,
-        }
+    /// The instant of the earliest pending timer, if any.
+    fn next_timer_at(&self) -> Option<SimTime> {
+        let e = self.expiry.peek().map(|&Reverse((at, _))| at);
+        e.into_iter()
+            .chain(self.deadlines.peek().map(|&Reverse((at, _))| at))
+            .min()
     }
 
     /// Blocks on the ingest channel until a message, the next timer, or a
@@ -802,9 +790,9 @@ impl Executor {
     /// With lock-free streams attached the tick tightens to 200 µs: ring
     /// pushes do not wake the channel, so the poll interval bounds the
     /// ring's idle-side latency. With acks parked it is [`ACK_TICK`]: the
-    /// flusher's writes do not wake the channel either.
+    /// flusher's writes do not wake the channel either. Ends on a fresh
+    /// reading.
     fn idle_wait(&mut self) {
-        let now = self.now.as_secs();
         let mut wait: f64 = if !self.acks.is_empty() {
             ACK_TICK
         } else if self.streams.is_empty() {
@@ -813,18 +801,14 @@ impl Executor {
             200e-6
         };
         if let Some(at) = self.next_timer_at() {
-            wait = wait.min((at - now).max(0.0));
+            wait = wait.min(at.since(self.now).max(0.0));
         }
-        if wait <= 0.0 {
-            return;
-        }
-        match self.rx.recv_timeout(Duration::from_secs_f64(wait)) {
-            Ok(msg) => {
-                self.now = self.clock.now();
-                self.handle_msg(msg, self.now);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => self.shutdown = true,
+        let msg = (wait > 0.0).then(|| self.rx.recv_timeout(Duration::from_secs_f64(wait)));
+        self.now = self.clock.now();
+        match msg {
+            Some(Ok(msg)) => _ = self.handle_msg(msg, self.now),
+            Some(Err(RecvTimeoutError::Disconnected)) => self.shutdown = true,
+            _ => {}
         }
     }
 
@@ -1024,6 +1008,10 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::tests::TestClock;
+    use crate::wal::tests::{scratch, stepped_log, Stepper};
+    use crate::wal::{DurabilityConfig, FsyncPolicy, WalHandle, HDR_LEN, REC_LEN};
+    use std::path::PathBuf;
     use std::sync::mpsc;
     use strip_core::config::Policy;
     use strip_db::cost::CostModel;
@@ -1152,7 +1140,7 @@ mod tests {
     /// and as nothing else: no sequence number, no arrival, no WAL record.
     #[test]
     fn an_out_of_range_update_counts_as_an_event_and_nothing_else() {
-        let (tx, mut exec, stats) = stepped_durable(base_cfg());
+        let (tx, mut exec, _flusher, dir) = stepped_durable(base_cfg(), "exec-out-of-range");
         exec.poll(); // the warm-up end fires here, not below
         let (mut prod, cons) = crate::spsc::ring(8);
         let frame = [(0, 0), (0, 9), (1, 1), (1, 4), (0, 2)];
@@ -1165,8 +1153,10 @@ mod tests {
         exec.poll();
         assert_eq!(exec.events - before, 1 + 5, "the attach and five pops");
         assert_eq!(exec.core.update_seq(), 3);
-        assert_eq!(exec.snapshot(exec.now).updates.arrived, 3);
-        assert_eq!(stats.durability().wal_appended, 3);
+        let report = exec.snapshot(exec.now);
+        assert_eq!(report.updates.arrived, 3);
+        assert_eq!(report.durability.wal_appended, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1203,7 +1193,7 @@ mod tests {
             if (r.generation_micros == 5_000 && r.age_micros >= 0) || tries > 5_000 {
                 break r;
             }
-            LiveClock::coarse_sleep(0.001);
+            std::thread::sleep(Duration::from_millis(1));
         };
         assert_eq!(resp.generation_micros, 5_000);
         assert!((resp.payload - 42.5).abs() < 1e-12);
@@ -1229,42 +1219,49 @@ mod tests {
     /// with its first clock reading taken. No feasibility screening: a
     /// late transaction must run into its deadline, not be turned away.
     fn stepped(quantum: f64) -> (mpsc::Sender<Ingest>, Executor) {
-        let sim = SimConfig {
+        stepped_with(updates_first(), quantum)
+    }
+
+    /// The configuration [`stepped`] runs.
+    fn updates_first() -> SimConfig {
+        SimConfig {
             policy: Policy::UpdatesFirst,
             feasible_deadline: false,
             ..base_cfg()
-        };
-        stepped_with(sim, quantum)
+        }
     }
 
     /// [`stepped`] over any configuration.
     fn stepped_with(sim: SimConfig, quantum: f64) -> (mpsc::Sender<Ingest>, Executor) {
+        stepped_on(sim, quantum, LiveClock::start())
+    }
+
+    /// [`stepped_with`] on any clock.
+    fn stepped_on<C: Clock>(
+        sim: SimConfig,
+        quantum: f64,
+        clock: C,
+    ) -> (mpsc::Sender<Ingest>, Executor<C>) {
         let cfg = LiveConfig::with_quantum(sim, quantum).expect("valid live config");
         let (tx, rx) = mpsc::channel();
-        let mut exec = Executor::new(&cfg, rx);
+        let mut exec = Executor::with_clock(&cfg, rx, None, None, clock);
         exec.now = exec.clock.now();
         (tx, exec)
     }
 
-    /// [`stepped_with`] over a [`WalHandle::stalled`] log: nothing is
-    /// written until the test moves the watermark through the returned
-    /// counters.
-    ///
-    /// [`WalHandle::stalled`]: crate::wal::WalHandle::stalled
+    /// [`stepped_with`] over a log in a fresh directory named after `tag`,
+    /// whose flusher the test steps: nothing is written until it does.
     fn stepped_durable(
         sim: SimConfig,
-    ) -> (
-        mpsc::Sender<Ingest>,
-        Executor,
-        std::sync::Arc<crate::wal::WalStats>,
-    ) {
+        tag: &str,
+    ) -> (mpsc::Sender<Ingest>, Executor, Stepper, PathBuf) {
+        let dir = scratch(tag);
         let cfg = LiveConfig::new(sim).expect("valid live config");
-        let wal = crate::wal::WalHandle::stalled(0);
-        let stats = wal.stats();
+        let (wal, flusher) = stepped_log(&DurabilityConfig::new(&dir));
         let (tx, rx) = mpsc::channel();
         let mut exec = Executor::with_wal(&cfg, rx, Some(wal), None);
         exec.now = exec.clock.now();
-        (tx, exec, stats)
+        (tx, exec, flusher, dir)
     }
 
     /// Asks for a report; the reply arrives on the returned receiver.
@@ -1277,7 +1274,7 @@ mod tests {
 
     /// Keeps the core's trace from here on, so a test can read the stamps
     /// the driver hands it ([`trace_of`]).
-    fn traced(mut exec: Executor) -> Executor {
+    fn traced<C: Clock>(mut exec: Executor<C>) -> Executor<C> {
         exec.core.set_trace(strip_obs::TraceConfig {
             capacity: 1 << 20,
             gauge_every: None,
@@ -1285,22 +1282,10 @@ mod tests {
         exec
     }
 
-    /// One pass of the run loop, minus the idle wait: a scheduling point,
-    /// then whatever [`Executor::step`] runs before the next one is due.
-    fn pass(exec: &mut Executor) -> bool {
-        let polled_at = exec.now;
-        exec.poll();
-        let ran = exec.step();
-        if exec.now == polled_at {
-            exec.now = exec.clock.now();
-        }
-        ran
-    }
-
     /// `n` updates with rising generations, spread over both classes and
     /// `per_class` objects of each, handed to the core at the current
     /// reading: a backlog already in the OS queue.
-    fn backlog(exec: &mut Executor, n: u64, per_class: u64) {
+    fn backlog<C: Clock>(exec: &mut Executor<C>, n: u64, per_class: u64) {
         for i in 0..n {
             let w = wire_update(
                 (i % 2) as u8,
@@ -1325,7 +1310,7 @@ mod tests {
     /// The records of a [`traced`] executor, in the order the driver
     /// caused them: their stamps must never go back, and none may lie
     /// ahead of the reading the executor is at.
-    fn trace_of(exec: &mut Executor) -> Vec<strip_obs::TraceRecord> {
+    fn trace_of<C: Clock>(exec: &mut Executor<C>) -> Vec<strip_obs::TraceRecord> {
         let trace = exec.core.take_trace().expect("a traced executor");
         assert_eq!(trace.overwritten, 0, "the trace ring was too small");
         let stamps = trace.records;
@@ -1348,6 +1333,11 @@ mod tests {
         }
     }
 
+    /// What a stride of installs costs the runtime at ~100 ns each: the
+    /// test clock's step, so that under a model cheaper than the runtime
+    /// only the runtime's own time moves the clock, as on the wall.
+    const STRIDE_WALL: f64 = RUN_CLOCK_STRIDE as f64 * 100e-9;
+
     #[test]
     fn a_run_of_installs_reads_the_clock_once_per_stride() {
         const N: u64 = 100_000;
@@ -1363,9 +1353,8 @@ mod tests {
             },
             ..base_cfg()
         };
-        let cfg = LiveConfig::new(sim).expect("valid live config");
-        let (tx, rx) = mpsc::channel();
-        let exec = Executor::new(&cfg, rx);
+        let clock = TestClock::new(STRIDE_WALL);
+        let (tx, mut exec) = stepped_on(sim, LiveConfig::DEFAULT_QUANTUM, clock);
         for i in 0..N {
             tx.send(Ingest::Update(wire_update(
                 (i % 2) as u8,
@@ -1375,26 +1364,23 @@ mod tests {
             )))
             .expect("send update");
         }
-        // The executor runs on this thread (the read counter is
-        // thread-local); a helper stops it once the backlog is installed.
-        let stopper = std::thread::spawn(move || loop {
-            let (rtx, rrx) = mpsc::sync_channel(1);
-            tx.send(Ingest::Snapshot { reply: rtx })
-                .expect("send snapshot");
-            let report = rrx.recv().expect("interim report");
-            if report.updates.installed_total() == N {
-                tx.send(Ingest::Shutdown).expect("send shutdown");
-                return;
-            }
-            LiveClock::coarse_sleep(0.002);
-        });
-        let before = LiveClock::reads();
-        let report = exec.run();
-        let reads = LiveClock::reads() - before;
-        stopper.join().expect("stopper thread");
-        assert_eq!(report.updates.installed_total(), N);
-        eprintln!("{reads} clock readings for {N} installed updates");
-        assert!(reads * 20 <= N, "more than 0.05 readings per update");
+        let before = exec.clock.reads();
+        let mut passes = 0;
+        while exec.pass() {
+            passes += 1;
+        }
+        let reads = exec.clock.reads() - before;
+        assert_eq!(exec.core.store().installs(), N);
+        // A stride reading per 64 installs, and per pass at most three
+        // more: after the poll that drained the channel, the settle of the
+        // run's end (two when it waits) or the fresh reading of a pass that
+        // only polled.
+        let strides = N / u64::from(RUN_CLOCK_STRIDE);
+        assert!(
+            (strides..=strides + 3 * passes).contains(&reads),
+            "{reads} clock readings in {passes} passes for {N} installed updates"
+        );
+        assert!(reads * 50 <= N, "more than 0.02 readings per update");
     }
 
     #[test]
@@ -1442,7 +1428,7 @@ mod tests {
         let mut exec = traced(exec);
         backlog(&mut exec, N, 4);
         let mut interim = 0;
-        while pass(&mut exec) {
+        while exec.pass() {
             assert!(
                 exec.now <= exec.clock.now(),
                 "a poll ahead of the wall clock"
@@ -1528,9 +1514,8 @@ mod tests {
         // OS queue — under a model where planned time all but stands
         // still, so only the in-run clock stride ends a run.
         const N: u64 = 1_000_000;
+        let quantum = LiveConfig::DEFAULT_QUANTUM;
         let sim = SimConfig {
-            policy: Policy::UpdatesFirst,
-            feasible_deadline: false,
             n_low: 256,
             n_high: 256,
             os_max: N as usize + 1,
@@ -1538,19 +1523,19 @@ mod tests {
                 ips: 1.0e15,
                 ..CostModel::default()
             },
-            ..base_cfg()
+            ..updates_first()
         };
-        let (tx, mut exec) = stepped_with(sim, LiveConfig::DEFAULT_QUANTUM);
+        let (tx, mut exec) = stepped_on(sim, quantum, TestClock::new(STRIDE_WALL));
         backlog(&mut exec, N, 256);
         exec.now = exec.clock.now();
         // A transaction the backlog starves: its deadline passes unserved.
         exec.accept_txn(wire_txn(1_000, 9_000), exec.now);
-        let deadline = SimTime::from_secs(exec.deadlines.peek().expect("armed").at);
+        let Reverse((deadline, _)) = *exec.deadlines.peek().expect("armed");
         for _ in 0..3 {
-            assert!(pass(&mut exec));
+            assert!(exec.pass());
         }
         let (qtx, qrx) = mpsc::sync_channel(1);
-        let asked = exec.clock.now();
+        let asked = exec.now;
         tx.send(Ingest::Query {
             q: WireQuery { class: 0, index: 1 },
             reply: qtx,
@@ -1558,19 +1543,30 @@ mod tests {
         .expect("send query");
         let (mut answered, mut missed) = (None, None);
         while answered.is_none() || missed.is_none() {
-            assert!(pass(&mut exec), "the backlog ran out first");
+            let polled_at = exec.now;
+            assert!(exec.pass(), "the backlog ran out first");
             if answered.is_none() && qrx.try_recv().is_ok() {
-                answered = Some(exec.clock.now().since(asked));
+                answered = Some(exec.now.since(asked));
             }
             if missed.is_none() && exec.deadlines.is_empty() {
-                missed = Some(exec.now.since(deadline));
+                missed = Some(polled_at.since(deadline));
             }
         }
         assert!(exec.core.queue_drops().left_in_os > 0, "not mid-backlog");
         let (answered, missed) = (answered.expect("set"), missed.expect("set"));
-        assert!(answered <= 0.005, "query answered after {answered} s");
-        assert!((0.0..=0.005).contains(&missed), "miss seen {missed} s late");
-        while pass(&mut exec) {}
+        // The query is answered by the next poll, and the pass that poll
+        // opens is one window long, counted from the reading after the
+        // drain, plus the stride reading that ends its run: both one step
+        // of the clock.
+        assert!(
+            answered <= quantum + 2.0 * STRIDE_WALL,
+            "query answered after {answered} s"
+        );
+        assert!(
+            (0.0..=quantum).contains(&missed),
+            "miss seen {missed} s late"
+        );
+        while exec.pass() {}
         assert_eq!(exec.core.store().installs(), N);
         // One watch per object, however many installs.
         assert!(
@@ -1595,14 +1591,14 @@ mod tests {
         let mut exec = traced(exec);
         backlog(&mut exec, 100, 4);
         for _ in 0..2 {
-            assert!(pass(&mut exec));
+            assert!(exec.pass());
         }
         let installed = exec.core.store().installs();
         assert!((1..100).contains(&installed), "{installed} installed");
         tx.send(Ingest::Txn(wire_txn(1_000, 50_000)))
             .expect("send txn");
         let wall = exec.clock.now();
-        while pass(&mut exec) {
+        while exec.pass() {
             assert!(
                 exec.now <= exec.clock.now(),
                 "a poll ahead of the wall clock"
@@ -1659,7 +1655,7 @@ mod tests {
             );
             exec.accept_update(&w, exec.now);
         }
-        while pass(&mut exec) {}
+        while exec.pass() {}
         assert_eq!(exec.core.store().installs(), 100_000);
         assert!(exec.expiry.len() <= 4, "{} heap entries", exec.expiry.len());
         // A and B get a value generated now; then idle, a poll every
@@ -1683,7 +1679,7 @@ mod tests {
                 );
                 overwritten = true;
             }
-            pass(&mut exec);
+            exec.pass();
             assert!(exec.expiry.len() <= 4, "{} heap entries", exec.expiry.len());
             if b_stale_at.is_none() && exec.core.tracker().is_stale(b) {
                 // The watch of A's overwritten value was due with B's.
@@ -1729,7 +1725,7 @@ mod tests {
     #[test]
     fn deadline_inside_a_slice_aborts_within_one_quantum() {
         let quantum = LiveConfig::DEFAULT_QUANTUM;
-        let (_tx, mut exec) = stepped(quantum);
+        let (_tx, mut exec) = stepped_on(updates_first(), quantum, TestClock::new(1e-6));
         // 50 ms of work due 50 ms after arrival, started 30 ms late: the
         // deadline falls 20 ms into the 50 ms slice.
         exec.accept_txn(wire_txn(50_000, 0), exec.now);
@@ -1740,12 +1736,13 @@ mod tests {
             exec.core.bound_txn().is_none(),
             "the late transaction must be gone"
         );
+        // The slice is burned in chunks that end one quantum apart, and the
+        // deadline is checked at each chunk's end.
         let late = exec.now.since(deadline);
-        assert!(late >= 0.0, "aborted {late} s before the deadline");
-        // One quantum when the thread keeps its CPU; the bound leaves room
-        // for a lost timeslice and is still half of what running the slice
-        // out would give (30 ms).
-        assert!(late < 30.0 * quantum, "abort detected {late} s late");
+        assert!(
+            (0.0..=quantum).contains(&late),
+            "abort detected {late} s late"
+        );
         let report = exec.finalize();
         assert_eq!(report.txns.missed_deadline, 1);
         assert_eq!(report.txns.committed, 0);
@@ -1775,7 +1772,7 @@ mod tests {
             },
             exec.now,
         );
-        while pass(&mut exec) {}
+        while exec.pass() {}
         let report = exec.finalize();
         assert_eq!(report.txns.arrived, 1);
         assert_eq!(report.txns.committed, 1);
@@ -1871,24 +1868,22 @@ mod tests {
             costs: costs_with_install(4.8e-6),
             ..base_cfg()
         };
-        let (tx, mut exec, wal) = stepped_durable(sim);
-        backlog(&mut exec, N, 4);
+        let (tx, mut exec, mut flusher, dir) = stepped_durable(sim, "exec-parked-ack");
+        // The flusher writes the first N - 1 records; the last one and the
+        // ack that counts it come after.
+        backlog(&mut exec, N - 1, 4);
+        exec.poll();
+        assert!(flusher.step());
+        exec.accept_update(&wire_update(1, 3, N as i64, 7.0), exec.now);
         let reply = ask_report(&tx);
         let mut windows = 0;
         while exec.core.store().installs() < N {
-            assert!(pass(&mut exec), "the backlog ran out first");
-            assert!(
-                reply.try_recv().is_err(),
-                "acked before the log was written"
-            );
+            assert!(exec.pass(), "the backlog ran out first");
+            assert!(reply.try_recv().is_err(), "acked a record still unwritten");
             windows += 1;
         }
         assert!(windows > 1, "the backlog ran in one window");
-        // The flusher writes the first N - 1 records: still not covered.
-        wal.mark_written(N - 1, false);
-        exec.poll();
-        assert!(reply.try_recv().is_err(), "acked a record still unwritten");
-        wal.mark_written(N, false);
+        assert!(flusher.step());
         exec.poll();
         // The report is the one taken when the request was handled, before
         // any install; it leaves once the log covers all it counts.
@@ -1896,41 +1891,76 @@ mod tests {
         assert_eq!(report.updates.arrived, N);
         assert_eq!(report.updates.installed_total(), 0);
         assert_eq!(report.updates.terminal_total(), report.updates.arrived);
+        flusher.hand_over();
         assert_eq!(exec.finalize().updates.installed_total(), N);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Whether a parked report has left, and how many arrivals it counts.
+    fn arrived(rrx: &mpsc::Receiver<RunReport>) -> Option<u64> {
+        rrx.try_recv().ok().map(|r| r.updates.arrived)
     }
 
     #[test]
-    fn parked_acks_leave_in_order_and_once_the_log_fails_or_is_sealed() {
-        let (tx, mut exec, wal) = stepped_durable(base_cfg());
+    fn parked_acks_leave_in_order_once_the_log_covers_them_or_is_sealed() {
+        let (tx, mut exec, mut flusher, dir) = stepped_durable(base_cfg(), "exec-acks");
         let mut asked = Vec::new();
-        for _ in 0..3 {
+        for _ in 0..2 {
             backlog(&mut exec, 2, 4);
             asked.push(ask_report(&tx));
             exec.poll();
         }
-        let arrived =
-            |rrx: &mpsc::Receiver<RunReport>| rrx.try_recv().ok().map(|r| r.updates.arrived);
-        assert_eq!(asked.iter().map(arrived).collect::<Vec<_>>(), [None; 3]);
-        // Covering the first two leaves the third parked.
-        wal.mark_written(4, false);
+        assert_eq!(asked.iter().map(arrived).collect::<Vec<_>>(), [None; 2]);
+        // The flusher writes the records of the first two; the third is
+        // asked for behind them and stays parked.
+        assert!(flusher.step());
+        backlog(&mut exec, 2, 4);
+        asked.push(ask_report(&tx));
         exec.poll();
         assert_eq!(
             asked.iter().map(arrived).collect::<Vec<_>>(),
             [Some(2), Some(4), None]
         );
-        // A failed flusher holds nothing back: the run goes on undurable.
-        wal.mark_written(4, true);
-        exec.poll();
-        assert_eq!(arrived(&asked[2]), Some(6));
-
         // Sealing writes everything, so shutdown answers what is parked.
-        let (tx, mut exec, _wal) = stepped_durable(base_cfg());
-        backlog(&mut exec, 2, 4);
-        let last = ask_report(&tx);
-        exec.poll();
-        assert!(last.try_recv().is_err());
+        flusher.hand_over();
         exec.finalize();
-        assert_eq!(arrived(&last), Some(2));
+        assert_eq!(arrived(&asked[2]), Some(6));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log whose rotation fails under it — its directory removed — holds
+    /// no ack back: the run goes on undurable, and an ack the log can
+    /// never cover leaves.
+    #[test]
+    fn a_failed_log_holds_no_ack_back() {
+        let dir = scratch("exec-failed-log");
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.fsync = FsyncPolicy::Off;
+        durability.rotate_bytes = (HDR_LEN + 4 * REC_LEN) as u64;
+        let wal = WalHandle::start(&durability, 1, 0).expect("start wal");
+        let stats = wal.stats();
+        let cfg = LiveConfig::new(base_cfg()).expect("valid live config");
+        let (tx, rx) = mpsc::channel();
+        let mut exec = Executor::with_wal(&cfg, rx, Some(wal), None);
+        exec.now = exec.clock.now();
+        std::fs::remove_dir_all(&dir).expect("remove the log directory");
+        backlog(&mut exec, 4, 4);
+        let first = ask_report(&tx);
+        exec.poll();
+        for _ in 0..10_000 {
+            if stats.is_failed() {
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        assert!(stats.is_failed(), "the rotation must fail the log");
+        backlog(&mut exec, 2, 4);
+        let second = ask_report(&tx);
+        exec.poll();
+        assert!(stats.written_seq() < 6, "the failed log wrote on");
+        assert_eq!([&first, &second].map(arrived), [Some(4), Some(6)]);
+        // The seal fails too, and the executor reports all the same.
+        assert_eq!(exec.finalize().updates.arrived, 6);
     }
 
     fn dag_cfg(policy: Policy) -> SimConfig {
@@ -1969,7 +1999,7 @@ mod tests {
                 assert_eq!(r.generation_micros, gen_micros, "install never landed");
                 return;
             }
-            LiveClock::coarse_sleep(0.001);
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 

@@ -22,13 +22,15 @@
 
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use strip_core::config::SimConfig;
 use strip_core::sources::{TxnSource, UpdateSource, UpdateSpec};
 use strip_core::txn::TxnSpec;
+use strip_sim::time::SimTime;
 use strip_workload::generators::{PoissonTxns, UpdateStream};
 
-use crate::clock::LiveClock;
+use crate::clock::{Clock, LiveClock};
 use crate::protocol::{
     encode_batch_body, read_msg, write_msg, Msg, WireStats, WireTxn, WireUpdate, UPDATE_ENTRY,
 };
@@ -316,16 +318,13 @@ pub fn replay(addr: &str, cfg: &SimConfig) -> io::Result<LoadgenSummary> {
 }
 
 /// Sleeps coarsely to within 2 ms of the target instant, then spins the
-/// rest — send jitter stays far below the executor's quantum.
+/// rest on `clock` — send jitter stays far below the executor's quantum.
 fn pace_until(clock: &LiveClock, target_secs: f64) {
     let gap = target_secs - clock.now().as_secs();
     if gap > 0.002 {
-        LiveClock::coarse_sleep(gap - 0.002);
+        std::thread::sleep(Duration::from_secs_f64(gap - 0.002));
     }
-    let rest = target_secs - clock.now().as_secs();
-    if rest > 0.0 {
-        LiveClock::spin_for(rest);
-    }
+    clock.spin_until(SimTime::from_secs(target_secs));
 }
 
 #[cfg(test)]

@@ -202,6 +202,9 @@ fn accept_loop(listener: &TcpListener, tx: &Sender<Ingest>, stop: &Arc<AtomicBoo
             break; // the wake-up connection, or a client racing it
         }
         let Ok((stream, _)) = conn else { break };
+        if stream.set_nodelay(true).is_err() {
+            continue; // the peer is already gone
+        }
         let conn_tx = tx.clone();
         let conn_stop = Arc::clone(stop);
         let _ = thread::Builder::new()
@@ -332,7 +335,7 @@ impl BatchState {
     /// the stream would stall) this *must* grant as soon as anything is
     /// consumable, spinning until the executor frees window — it is
     /// always draining, so the wait terminates.
-    fn top_up(&mut self, stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<()> {
+    fn top_up(&mut self, stream: &mut impl Write, stop: &AtomicBool) -> io::Result<()> {
         let mut grantable = self.grantable();
         while grantable < CREDIT_LOW_WATER {
             if !self.window.starved() {
@@ -368,11 +371,10 @@ impl BatchState {
 /// Serves one connection: either a binary protocol session or, when the
 /// first bytes spell an HTTP GET, one `/metrics` scrape.
 fn handle_conn(
-    mut stream: TcpStream,
+    mut stream: impl Read + Write,
     tx: &Sender<Ingest>,
     stop: &Arc<AtomicBool>,
 ) -> io::Result<()> {
-    stream.set_nodelay(true)?;
     // Sniff the transport: binary frames are at least 5 bytes, so waiting
     // for 4 cannot deadlock a well-formed client. The bytes are read, not
     // peeked, so a peer that closes short of them is an EOF here.
@@ -576,7 +578,7 @@ pub fn render_metrics(r: &RunReport) -> String {
 }
 
 /// Answers one HTTP GET with the metrics page and closes.
-fn serve_metrics(stream: &mut TcpStream, tx: &Sender<Ingest>) -> io::Result<()> {
+fn serve_metrics(stream: &mut (impl Read + Write), tx: &Sender<Ingest>) -> io::Result<()> {
     // Read and discard the rest of the request head (bounded); the
     // caller's sniff took its first four bytes.
     let mut buf = [0u8; 4096];
@@ -605,9 +607,12 @@ fn serve_metrics(stream: &mut TcpStream, tx: &Sender<Ingest>) -> io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::LiveClock;
     use crate::protocol::{read_msg, WireTxn, WireUpdate};
+    use std::os::unix::net::UnixStream;
     use std::sync::mpsc::Receiver;
     use std::time::Duration;
+    use strip_sim::time::SimTime;
 
     #[test]
     fn stats_mapping_is_conservative_by_construction() {
@@ -744,15 +749,13 @@ mod tests {
         assert_eq!(state.grantable(), cap);
     }
 
-    /// A session on a loopback socket whose server end runs
-    /// [`handle_conn`] into `tx` on a thread the test can join.
+    /// A session over a socket pair whose server end runs [`handle_conn`]
+    /// into `tx` on a thread the test can join.
     fn session_into(
         tx: Sender<Ingest>,
         stop: &Arc<AtomicBool>,
-    ) -> (TcpStream, JoinHandle<io::Result<()>>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (conn, _) = listener.accept().expect("accept");
+    ) -> (UnixStream, JoinHandle<io::Result<()>>) {
+        let (client, conn) = UnixStream::pair().expect("socket pair");
         let stop = Arc::clone(stop);
         (client, thread::spawn(move || handle_conn(conn, &tx, &stop)))
     }
@@ -761,13 +764,29 @@ mod tests {
     /// session thread and the receiving end of the channel it talks to.
     fn loopback_session(
         stop: &Arc<AtomicBool>,
-    ) -> (TcpStream, JoinHandle<io::Result<()>>, Receiver<Ingest>) {
+    ) -> (UnixStream, JoinHandle<io::Result<()>>, Receiver<Ingest>) {
         let (tx, rx) = mpsc::channel();
         let (client, session) = session_into(tx, stop);
         (client, session, rx)
     }
 
     const STEP: Duration = Duration::from_secs(10);
+
+    /// Polls `done` every 2 ms until it holds or `bound` of wall time has
+    /// passed; returns whether it held.
+    fn within(bound: Duration, mut done: impl FnMut() -> bool) -> bool {
+        let clock = LiveClock::start();
+        let deadline = SimTime::from_secs(bound.as_secs_f64());
+        loop {
+            if done() {
+                return true;
+            }
+            if clock.now() >= deadline {
+                return false;
+            }
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
 
     /// The ring the session hands over at its first accepted update.
     fn expect_stream(rx: &Receiver<Ingest>) -> spsc::Consumer<Block> {
@@ -780,14 +799,10 @@ mod tests {
     /// Waits for a session to end on its own, then returns the error it
     /// ended with.
     fn refusal(session: JoinHandle<io::Result<()>>) -> io::Error {
-        let deadline = std::time::Instant::now() + STEP;
-        while !session.is_finished() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "session outlived its protocol breach"
-            );
-            thread::sleep(Duration::from_millis(5));
-        }
+        assert!(
+            within(STEP, || session.is_finished()),
+            "session outlived its protocol breach"
+        );
         session
             .join()
             .expect("session thread panicked")
@@ -851,12 +866,7 @@ mod tests {
         }
         assert_eq!(refusal(session).kind(), io::ErrorKind::InvalidData);
         // The session's ring is closed; poll until the executor popped it.
-        let deadline = std::time::Instant::now() + STEP;
-        let mut seen = ingested(server.addr());
-        while seen < grant && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(2));
-            seen = ingested(server.addr());
-        }
+        let seen = ingested_reaching(server.addr(), grant);
         assert_eq!(seen, grant, "exactly the granted updates arrive");
         server.shutdown().expect("shutdown");
     }
@@ -864,17 +874,16 @@ mod tests {
     /// `ingested` once it reaches `want` or [`STEP`] has passed, whichever
     /// comes first.
     fn ingested_reaching(addr: SocketAddr, want: u64) -> u64 {
-        let deadline = std::time::Instant::now() + STEP;
-        let mut seen = ingested(addr);
-        while seen < want && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(2));
+        let mut seen = 0;
+        within(STEP, || {
             seen = ingested(addr);
-        }
+            seen >= want
+        });
         seen
     }
 
     /// The session's credit grant, asked for on a fresh session.
-    fn ask_credit(client: &mut TcpStream) -> u64 {
+    fn ask_credit(client: &mut UnixStream) -> u64 {
         write_msg(client, &Msg::CreditRequest).expect("credit request");
         match read_msg(client) {
             Ok(Some(Msg::Credit(g))) => g,
@@ -1006,14 +1015,10 @@ mod tests {
         let (mut client, session, _rx) = loopback_session(&stop);
         client.write_all(&[5, 0]).expect("send two bytes");
         drop(client);
-        let deadline = std::time::Instant::now() + Duration::from_secs(1);
-        while !session.is_finished() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "session outlived its peer"
-            );
-            thread::sleep(Duration::from_millis(5));
-        }
+        assert!(
+            within(Duration::from_secs(1), || session.is_finished()),
+            "session outlived its peer"
+        );
         session
             .join()
             .expect("session thread")

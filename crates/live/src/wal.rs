@@ -1,4 +1,3 @@
-// lint: allow-file(wall-clock, reason=group-commit cadence is wall-clock by definition; the flusher thread lives off the quantum loop and never feeds scheduling decisions)
 //! Append-only write-ahead log with group commit.
 //!
 //! Durability for the live runtime (DESIGN.md §14): every update the
@@ -42,10 +41,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use strip_core::report::DurabilityStats;
+use strip_sim::time::SimTime;
 
+use crate::clock::{Clock, LiveClock};
 use crate::logdir::Segment;
 pub use crate::logdir::{list_rotated, rotated_segment_name, SEGMENT_FILE};
 use crate::protocol::WireUpdate;
@@ -551,12 +552,8 @@ impl WalStats {
         self.failed.load(Ordering::Acquire)
     }
 
-    /// Moves the written watermark of a [`WalHandle::stalled`] log, or
-    /// marks it failed, as the flusher would.
-    #[cfg(test)]
-    pub(crate) fn mark_written(&self, seq: u64, failed: bool) {
-        self.written.store(seq, Ordering::Release);
-        self.failed.store(failed, Ordering::Release);
+    fn add_bytes(&self, bytes: u64) {
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Point-in-time durability counters (recovery fields are the
@@ -626,16 +623,13 @@ impl WalHandle {
     /// Directory creation, segment open/write/sync, or thread spawn
     /// failures.
     pub fn start(cfg: &DurabilityConfig, fingerprint: u64, base_seq: u64) -> io::Result<WalHandle> {
-        let seg = Segment::start(cfg, fingerprint, base_seq)?;
-        let stats = Arc::new(WalStats::new(base_seq));
-        stats.bytes.fetch_add(HDR_LEN as u64, Ordering::Relaxed);
-        let (tx, rx) = spsc::ring(WAL_RING_CAPACITY);
-        let policy = cfg.fsync;
+        let (tx, flusher) = Flusher::open(cfg, fingerprint, base_seq, LiveClock::start())?;
+        let stats = Arc::clone(&flusher.stats);
         let flusher_stats = Arc::clone(&stats);
         let flusher = std::thread::Builder::new()
             .name("stripd-wal".into())
             .spawn(move || {
-                let res = flusher_loop(seg, rx, policy, &flusher_stats);
+                let res = flusher.run();
                 if res.is_err() {
                     flusher_stats.failed.store(true, Ordering::Release);
                 }
@@ -720,38 +714,6 @@ impl WalHandle {
         Arc::clone(&self.stats)
     }
 
-    /// A handle whose flusher writes nothing until the seal: it discards
-    /// every message and leaves the written watermark at `base_seq` until
-    /// a test moves it ([`WalStats::mark_written`]), so a test can hold
-    /// acks parked. Sealing marks every appended record written.
-    #[cfg(test)]
-    pub(crate) fn stalled(base_seq: u64) -> WalHandle {
-        let (tx, mut rx) = spsc::ring(WAL_RING_CAPACITY);
-        let stats = Arc::new(WalStats::new(base_seq));
-        let flusher_stats = Arc::clone(&stats);
-        let flusher = std::thread::spawn(move || {
-            let mut next_seq = base_seq;
-            loop {
-                while let Some(msg) = rx.pop() {
-                    if let WalMsg::Chunk(records) = msg {
-                        next_seq = records.last().map_or(next_seq, |r| r.seq + 1);
-                    }
-                }
-                if rx.is_closed() && rx.is_empty() {
-                    flusher_stats.written.store(next_seq, Ordering::Release);
-                    return Ok(());
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        });
-        WalHandle {
-            tx,
-            pending: Vec::with_capacity(CHUNK_RECORDS),
-            stats,
-            flusher,
-        }
-    }
-
     /// Closes the ring and joins the flusher, which drains every pending
     /// record, appends a [`REC_SEAL`] marker, and fsyncs — an orderly
     /// shutdown (clean frame or SIGTERM/SIGINT) is never lossy.
@@ -777,28 +739,93 @@ impl WalHandle {
 
 // ---- flusher thread ---------------------------------------------------------
 
-fn flusher_loop(
-    mut seg: Segment,
-    mut rx: spsc::Consumer<WalMsg>,
+/// What one [`Flusher::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Drained records or a snapshot into the log.
+    Wrote,
+    /// Found nothing queued (a due fsync may still have been issued).
+    Idle,
+    /// Found the ring closed and drained, and sealed the log.
+    Sealed,
+}
+
+/// The flusher: the log's write side and the group-commit state. The
+/// thread body is [`Flusher::run`], `step` in a loop with a nap when idle;
+/// a test steps the same flusher on a clock it owns.
+#[derive(Debug)]
+struct Flusher<C: Clock> {
+    seg: Segment,
+    rx: spsc::Consumer<WalMsg>,
     policy: FsyncPolicy,
-    stats: &WalStats,
-) -> io::Result<()> {
-    let mut buf: Vec<u8> = Vec::with_capacity(256 * REC_LEN);
-    let mut unsynced: u64 = 0;
-    let mut last_sync = Instant::now();
-    loop {
-        // Drain whatever has accumulated into one write. A snapshot message
-        // is a batch boundary: records before it must land in the old
-        // segment, records after it in the truncated one.
-        buf.clear();
+    stats: Arc<WalStats>,
+    clock: C,
+    /// Encoded records of the batch being written.
+    buf: Vec<u8>,
+    /// Records written since the last fsync.
+    unsynced: u64,
+    /// When the last fsync (or rotation, or cut) finished.
+    last_sync: SimTime,
+}
+
+impl<C: Clock> Flusher<C> {
+    /// Starts the directory's active segment at `base_seq`; returns the
+    /// flusher and the producer end of the ring it drains.
+    fn open(
+        cfg: &DurabilityConfig,
+        fingerprint: u64,
+        base_seq: u64,
+        clock: C,
+    ) -> io::Result<(spsc::Producer<WalMsg>, Flusher<C>)> {
+        let seg = Segment::start(cfg, fingerprint, base_seq)?;
+        let stats = Arc::new(WalStats::new(base_seq));
+        let (tx, rx) = spsc::ring(WAL_RING_CAPACITY);
+        let flusher = Flusher {
+            seg,
+            rx,
+            policy: cfg.fsync,
+            stats,
+            buf: Vec::with_capacity(256 * REC_LEN),
+            unsynced: 0,
+            last_sync: clock.now(),
+            clock,
+        };
+        flusher.stats.add_bytes(HDR_LEN as u64);
+        Ok((tx, flusher))
+    }
+
+    /// The thread body: steps until the log is sealed, napping while idle.
+    fn run(mut self) -> io::Result<()> {
+        // Bounded well under every group cadence so a due fsync or a close
+        // is noticed promptly.
+        let nap = Duration::from_micros(match self.policy {
+            FsyncPolicy::Group(us) => us.clamp(20, 200),
+            _ => 100,
+        });
+        loop {
+            match self.step()? {
+                Pass::Wrote => {}
+                Pass::Idle => std::thread::sleep(nap),
+                Pass::Sealed => return Ok(()),
+            }
+        }
+    }
+
+    /// One pass: drains whatever has accumulated into one write, cuts the
+    /// log at a snapshot, fsyncs when the policy says one is due, and seals
+    /// the log once the ring is closed and drained.
+    fn step(&mut self) -> io::Result<Pass> {
+        // A snapshot message is a batch boundary: records before it must
+        // land in the old segment, records after it in the truncated one.
+        self.buf.clear();
         let mut last_seq = None;
         let mut pending_snapshot = None;
-        while let Some(msg) = rx.pop() {
+        while let Some(msg) = self.rx.pop() {
             match msg {
                 WalMsg::Chunk(records) => {
                     for r in &records {
                         let rec = WalRecord::update(r.seq, r.update, r.arrival_micros);
-                        buf.extend_from_slice(&rec.encode());
+                        self.buf.extend_from_slice(&rec.encode());
                         last_seq = Some(r.seq);
                     }
                 }
@@ -809,72 +836,70 @@ fn flusher_loop(
             }
         }
         if let Some(seq) = last_seq {
-            stats.bytes.fetch_add(seg.append(&buf)?, Ordering::Relaxed);
-            unsynced += (buf.len() / REC_LEN) as u64;
+            self.stats.add_bytes(self.seg.append(&self.buf)?);
+            self.unsynced += (self.buf.len() / REC_LEN) as u64;
             // The barrier releases only after write_all returned: the
             // records are the kernel's problem now and survive kill -9.
-            stats.written.store(seq + 1, Ordering::Release);
-            if seg.is_full() {
+            self.stats.written.store(seq + 1, Ordering::Release);
+            if self.seg.is_full() {
                 // Size bound reached: seal this segment into the chain
                 // and continue in a fresh one. Unsynced records were just
                 // fsynced by the rotation's seal.
-                stats
-                    .bytes
-                    .fetch_add(seg.rotate(seq + 1)?, Ordering::Relaxed);
-                stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-                stats.rotations.fetch_add(1, Ordering::Relaxed);
-                stats.group_max.fetch_max(unsynced, Ordering::Relaxed);
-                unsynced = 0;
-                last_sync = Instant::now();
+                self.stats.add_bytes(self.seg.rotate(seq + 1)?);
+                self.stats.rotations.fetch_add(1, Ordering::Relaxed);
+                self.synced();
             }
         }
         if let Some((bytes, next_seq)) = pending_snapshot {
-            stats
-                .bytes
-                .fetch_add(seg.cut(&bytes, next_seq)?, Ordering::Relaxed);
-            stats.snapshots.fetch_add(1, Ordering::Relaxed);
-            unsynced = 0;
-            last_sync = Instant::now();
-            continue; // more messages may already be queued
+            self.stats.add_bytes(self.seg.cut(&bytes, next_seq)?);
+            self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
+            self.unsynced = 0;
+            self.last_sync = self.clock.now();
+            return Ok(Pass::Wrote); // more messages may already be queued
         }
-        let sync_due = match policy {
-            FsyncPolicy::Always => unsynced > 0,
-            FsyncPolicy::Group(us) => {
-                unsynced > 0 && last_sync.elapsed() >= Duration::from_micros(us)
-            }
-            FsyncPolicy::Off => false,
-        };
+        let sync_due = self.unsynced > 0
+            && match self.policy {
+                FsyncPolicy::Always => true,
+                FsyncPolicy::Group(us) => {
+                    self.clock.now().since(self.last_sync) >= us as f64 * 1e-6
+                }
+                FsyncPolicy::Off => false,
+            };
         if sync_due {
-            seg.sync()?;
-            stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            stats.group_max.fetch_max(unsynced, Ordering::Relaxed);
-            unsynced = 0;
-            last_sync = Instant::now();
+            self.seg.sync()?;
+            self.synced();
         }
-        if rx.is_closed() && rx.is_empty() {
+        if self.rx.is_closed() && self.rx.is_empty() {
             // Sealing is the orderly-shutdown path: it fsyncs even under
             // `--fsync off`.
-            let sealed = seg.seal(stats.written.load(Ordering::Relaxed))?;
-            stats.bytes.fetch_add(sealed, Ordering::Relaxed);
-            stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            stats.group_max.fetch_max(unsynced, Ordering::Relaxed);
-            return Ok(());
+            let sealed = self.seg.seal(self.stats.written.load(Ordering::Relaxed))?;
+            self.stats.add_bytes(sealed);
+            self.synced();
+            return Ok(Pass::Sealed);
         }
-        if last_seq.is_none() {
-            // Idle: nap briefly. Bounded well under every group cadence so
-            // a due fsync or a close is noticed promptly.
-            let nap = match policy {
-                FsyncPolicy::Group(us) => us.clamp(20, 200),
-                _ => 100,
-            };
-            std::thread::sleep(Duration::from_micros(nap));
-        }
+        Ok(if last_seq.is_some() {
+            Pass::Wrote
+        } else {
+            Pass::Idle
+        })
+    }
+
+    /// Counts the fsync that just covered every unsynced record.
+    fn synced(&mut self) {
+        self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .group_max
+            .fetch_max(self.unsynced, Ordering::Relaxed);
+        self.unsynced = 0;
+        self.last_sync = self.clock.now();
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::clock::tests::TestClock;
+    use std::sync::mpsc;
 
     fn sample_update(seq: u64) -> WalRecord {
         WalRecord::update(
@@ -1077,8 +1102,7 @@ mod tests {
 
     #[test]
     fn handle_appends_then_seal_produces_replayable_segment() {
-        let dir = std::env::temp_dir().join(format!("strip-wal-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("wal-test");
         let mut cfg = DurabilityConfig::new(&dir);
         cfg.fsync = FsyncPolicy::Off;
         let mut wal = WalHandle::start(&cfg, 99, 0).expect("start wal");
@@ -1109,8 +1133,7 @@ mod tests {
 
     #[test]
     fn flusher_rotates_at_size_bound_and_chain_stays_contiguous() {
-        let dir = std::env::temp_dir().join(format!("strip-wal-rotate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("wal-rotate");
         let mut cfg = DurabilityConfig::new(&dir);
         // Rotate after roughly four records; exact chain layout depends
         // on the flusher's batching, so assert invariants, not counts.
@@ -1162,5 +1185,189 @@ mod tests {
         }
         assert_eq!(next_update, 64, "no update lost or duplicated by rotation");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The test's end of a log whose flusher it steps (see [`stepped_log`]).
+    pub(crate) struct Stepper {
+        flusher: Flusher<TestClock>,
+        hand: mpsc::Sender<Flusher<TestClock>>,
+    }
+
+    impl Stepper {
+        /// One flusher pass; true when it wrote.
+        pub(crate) fn step(&mut self) -> bool {
+            self.flusher.step().expect("flusher step") == Pass::Wrote
+        }
+
+        /// The clock the flusher reads.
+        fn clock(&self) -> &TestClock {
+            &self.flusher.clock
+        }
+
+        /// Hands the flusher to the log's thread, which runs it until the
+        /// seal: do this before anything seals the log.
+        pub(crate) fn hand_over(self) {
+            self.hand
+                .send(self.flusher)
+                .expect("the log's thread waits");
+        }
+    }
+
+    /// A log in a fresh `dir` whose flusher the test steps, on a clock
+    /// that only [`TestClock::advance`] moves. The log's thread runs that
+    /// same flusher once [`Stepper::hand_over`] gives it over; a seal
+    /// joins that thread.
+    pub(crate) fn stepped_log(cfg: &DurabilityConfig) -> (WalHandle, Stepper) {
+        let (tx, flusher) = Flusher::open(cfg, 99, 0, TestClock::new(0.0)).expect("open the log");
+        let (hand, handed) = mpsc::channel();
+        let wal = WalHandle {
+            tx,
+            pending: Vec::with_capacity(CHUNK_RECORDS),
+            stats: Arc::clone(&flusher.stats),
+            flusher: std::thread::spawn(move || handed.recv().map_or(Ok(()), Flusher::run)),
+        };
+        (wal, Stepper { flusher, hand })
+    }
+
+    /// A scratch directory for one test.
+    pub(crate) fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("strip-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Appends the records `from..from + n` and hands them to the flusher.
+    fn append_n(wal: &mut WalHandle, from: u64, n: u64) {
+        for seq in from..from + n {
+            let rec = sample_update(seq);
+            wal.append(seq, rec.update, rec.arrival_micros);
+        }
+        wal.flush();
+    }
+
+    /// `(wal_fsyncs, wal_group_max)`.
+    fn syncs(stats: &WalStats) -> (u64, u64) {
+        let d = stats.durability();
+        (d.wal_fsyncs, d.wal_group_max)
+    }
+
+    /// Steps a stepped log to its seal and returns its counters.
+    fn seal_stepped(wal: WalHandle, stepper: Stepper) -> Arc<WalStats> {
+        let stats = wal.stats();
+        stepper.hand_over();
+        wal.seal().expect("seal");
+        stats
+    }
+
+    #[test]
+    fn fsync_off_syncs_only_at_a_rotation_and_the_seal() {
+        let dir = scratch("wal-cadence-off");
+        let mut cfg = DurabilityConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::Off;
+        cfg.rotate_bytes = (HDR_LEN + 4 * REC_LEN) as u64;
+        let (mut wal, mut flusher) = stepped_log(&cfg);
+        let stats = wal.stats();
+        append_n(&mut wal, 0, 3);
+        assert!(flusher.step());
+        flusher.clock().advance(1.0);
+        assert!(!flusher.step());
+        assert_eq!(syncs(&stats), (0, 0), "written, idle: no fsync");
+        // Five records reach the four-record bound: the rotation's seal is
+        // the first fsync, and it covers all five.
+        append_n(&mut wal, 3, 2);
+        assert!(flusher.step());
+        assert_eq!(syncs(&stats), (1, 5));
+        assert_eq!(stats.durability().wal_rotations, 1);
+        append_n(&mut wal, 5, 1);
+        assert!(flusher.step());
+        assert_eq!(syncs(&stats), (1, 5));
+        assert_eq!(syncs(&seal_stepped(wal, flusher)), (2, 5), "the seal syncs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fsync_always_syncs_once_per_written_batch() {
+        let dir = scratch("wal-cadence-always");
+        let mut cfg = DurabilityConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::Always;
+        let (mut wal, mut flusher) = stepped_log(&cfg);
+        let stats = wal.stats();
+        append_n(&mut wal, 0, 2);
+        assert!(flusher.step());
+        assert_eq!(syncs(&stats), (1, 2));
+        // Two chunks handed over before a pass are one batch.
+        append_n(&mut wal, 2, 2);
+        append_n(&mut wal, 4, 3);
+        assert!(flusher.step());
+        assert_eq!(syncs(&stats), (2, 5));
+        assert!(!flusher.step());
+        assert_eq!(syncs(&stats), (2, 5), "an idle pass syncs nothing");
+        append_n(&mut wal, 7, 1);
+        assert!(flusher.step());
+        assert_eq!(syncs(&stats), (3, 5));
+        assert_eq!(syncs(&seal_stepped(wal, flusher)), (4, 5));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn group_commit_syncs_when_records_wait_and_the_window_has_passed() {
+        let dir = scratch("wal-cadence-group");
+        let mut cfg = DurabilityConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::Group(1_000);
+        let (mut wal, mut flusher) = stepped_log(&cfg);
+        let stats = wal.stats();
+        append_n(&mut wal, 0, 2);
+        assert!(flusher.step());
+        flusher.clock().advance(0.0005);
+        assert!(!flusher.step());
+        assert_eq!(syncs(&stats), (0, 0), "half a window since the open");
+        flusher.clock().advance(0.0005);
+        assert!(!flusher.step());
+        assert_eq!(syncs(&stats), (1, 2), "one window: due");
+        flusher.clock().advance(0.002);
+        assert!(!flusher.step());
+        assert_eq!(syncs(&stats), (1, 2), "nothing unsynced: nothing due");
+        // Records written two windows after the last fsync are synced by
+        // the pass that writes them.
+        append_n(&mut wal, 2, 3);
+        assert!(flusher.step());
+        assert_eq!(syncs(&stats), (2, 3));
+        append_n(&mut wal, 5, 1);
+        assert!(flusher.step());
+        assert_eq!(syncs(&stats), (2, 3), "inside the window again");
+        assert_eq!(syncs(&seal_stepped(wal, flusher)), (3, 3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The rotation's rename into a directory removed under the flusher
+    /// fails with `ENOENT`: the log latches failed, and from then on an
+    /// append, a barrier and even a full ring let the caller through.
+    #[test]
+    fn a_rotation_into_a_removed_directory_fails_the_log_and_blocks_nothing() {
+        let dir = scratch("wal-removed");
+        let mut cfg = DurabilityConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::Off;
+        cfg.rotate_bytes = (HDR_LEN + 4 * REC_LEN) as u64;
+        let mut wal = WalHandle::start(&cfg, 99, 0).expect("start wal");
+        let stats = wal.stats();
+        std::fs::remove_dir_all(&dir).expect("remove the log directory");
+        append_n(&mut wal, 0, 4);
+        wal.barrier(4);
+        for _ in 0..10_000 {
+            if stats.is_failed() {
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        assert!(stats.is_failed(), "the failed rotation must latch");
+        assert_eq!(stats.written_seq(), 4, "the batch was written before it");
+        append_n(&mut wal, 4, 2 * CHUNK_RECORDS as u64);
+        wal.barrier(4 + 2 * CHUNK_RECORDS as u64);
+        for _ in 0..=WAL_RING_CAPACITY {
+            wal.request_snapshot(Vec::new(), 4);
+        }
+        assert_eq!(stats.written_seq(), 4);
+        let err = wal.seal().expect_err("the flusher failed");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
     }
 }

@@ -6,11 +6,12 @@
 
 use std::net::TcpListener;
 use std::sync::mpsc;
+use std::thread::sleep;
+use std::time::Duration;
 
 use strip_core::config::{Policy, SimConfig};
 use strip_core::report::RunReport;
 use strip_db::staleness::StalenessSpec;
-use strip_live::clock::LiveClock;
 use strip_live::executor::{Ingest, LiveConfig};
 use strip_live::loadgen::replay;
 use strip_live::protocol::{WireQuery, WireTxn, WireUpdate};
@@ -154,7 +155,7 @@ fn query_metadata_tracks_a_known_update_schedule() {
             break;
         }
         tries += 1;
-        LiveClock::coarse_sleep(0.0002);
+        sleep(Duration::from_micros(200));
     }
     assert!(
         saw_stale,
@@ -171,13 +172,13 @@ fn query_metadata_tracks_a_known_update_schedule() {
         }
         tries += 1;
         assert!(tries <= 5_000, "update never installed: last {r:?}");
-        LiveClock::coarse_sleep(0.001);
+        sleep(Duration::from_millis(1));
     };
     assert!((fresh.payload - 9.75).abs() < 1e-12);
     assert!(fresh.age_micros >= 0, "age {} negative", fresh.age_micros);
 
     // Phase 3: with no further updates the same generation only ages.
-    LiveClock::coarse_sleep(0.02);
+    sleep(Duration::from_millis(20));
     let later = query(&tx);
     assert_eq!(later.generation_micros, 10_000);
     assert!(

@@ -168,7 +168,7 @@ fn credit_grants_never_let_a_credited_push_find_a_full_ring() {
 }
 
 /// WAL chunk-handoff model: the flusher's watermark publication protocol
-/// from `strip_live::wal::flusher_loop`, in miniature. The flusher
+/// from `strip_live::wal`'s `Flusher::step`, in miniature. The flusher
 /// writes a chunk's records and only then Release-stores the durable
 /// watermark (`written` in the sync-site registry); an appender
 /// Acquire-samples the watermark to decide what is safely on disk. Under
