@@ -81,7 +81,7 @@ use strip_sim::dist::{Distribution, Exponential};
 use strip_sim::rng::Xoshiro256pp;
 use strip_sim::time::SimTime;
 
-use crate::config::SimConfig;
+use crate::config::{HistoryAccess, IoModel, SimConfig};
 use crate::metrics::{AbortReason, Activity, InstallPath, Metrics, QueueDrops};
 use crate::policy::{self, ArrivalRoute, ReadCheck, ServiceOrder, WorkState};
 use crate::ready::ReadyQueue;
@@ -89,8 +89,9 @@ use crate::report::{ResilienceStats, RunReport};
 use crate::sources::UpdateSpec;
 use crate::txn::{Segment, Transaction, TxnSpec};
 
-/// What kind of transaction-attributed CPU slice is running.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What kind of transaction-attributed CPU slice is running, with what
+/// the slice carries.
+#[derive(Debug)]
 enum TxnSliceKind {
     /// The current plan segment (work or view-read lookup).
     Segment,
@@ -101,8 +102,10 @@ enum TxnSliceKind {
         /// Seconds left in the scan (survives preemption).
         remaining: f64,
     },
-    /// Applying an on-demand update taken from the queue (OD).
-    OdApply { obj: ViewObjectId, remaining: f64 },
+    /// Applying an on-demand update taken from the queue (OD). The update
+    /// travels in the slice until it is installed, or until the
+    /// transaction is dropped and [`Scheduler::release`] puts it back.
+    OdApply { update: Update, remaining: f64 },
     /// Waiting out a buffer-pool miss on a view read (disk extension).
     IoStall { obj: ViewObjectId, remaining: f64 },
     /// Recursively refreshing the stale ancestors of a derived node before
@@ -122,17 +125,14 @@ impl TxnSliceKind {
             | TxnSliceKind::DagRefresh { remaining, .. } => Some(remaining),
         }
     }
-
-    fn remaining(mut self) -> Option<f64> {
-        self.remaining_mut().map(|r| *r)
-    }
 }
 
 /// The work of one CPU slice (see [`Scheduler::next_slice`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug)]
 enum Work {
-    /// Running the bound transaction.
-    Txn(TxnSliceKind),
+    /// A slice of the bound transaction, which the slice owns while it is
+    /// out; what the slice does is the transaction's `slice`.
+    Txn(Box<RunningTxn>),
     /// Installing one update (lookup + write, or lookup-only when
     /// superseded); the update itself waits in `Scheduler::installing`.
     Install { path: InstallPath, superseded: bool },
@@ -147,18 +147,30 @@ enum Work {
 }
 
 impl Work {
-    /// Which side of the CPU split the slice is charged to.
-    fn activity(&self) -> Activity {
+    /// The exported job kind of the slice.
+    fn job(&self) -> TraceJob {
         match self {
-            Work::Txn(TxnSliceKind::Segment | TxnSliceKind::IoStall { .. }) => Activity::Txn,
-            // Queue scans, on-demand installs and on-demand DAG refreshes
-            // are update work (the paper counts OD's on-demand installs in
-            // ρu — Figure 3b).
-            Work::Txn(_)
-            | Work::Install { .. }
-            | Work::QueueTransfer
-            | Work::RuleExec { .. }
-            | Work::DagApply { .. } => Activity::Update,
+            Work::Txn(rt) => match rt.slice {
+                TxnSliceKind::Segment => TraceJob::Segment,
+                TxnSliceKind::StaleScan { .. } => TraceJob::StaleScan,
+                TxnSliceKind::OdApply { .. } => TraceJob::OdApply,
+                TxnSliceKind::IoStall { .. } => TraceJob::IoStall,
+                TxnSliceKind::DagRefresh { .. } => TraceJob::DagRefresh,
+            },
+            Work::Install { .. } => TraceJob::Install,
+            Work::QueueTransfer => TraceJob::QueueTransfer,
+            Work::RuleExec { .. } => TraceJob::RuleExec,
+            Work::DagApply { .. } => TraceJob::DagApply,
+        }
+    }
+
+    /// Which side of the CPU split the slice is charged to. Queue scans,
+    /// on-demand installs and on-demand DAG refreshes are update work (the
+    /// paper counts OD's on-demand installs in ρu — Figure 3b).
+    fn activity(&self) -> Activity {
+        match self.job() {
+            TraceJob::Segment | TraceJob::IoStall => Activity::Txn,
+            _ => Activity::Update,
         }
     }
 
@@ -168,38 +180,61 @@ impl Work {
             Activity::Txn => TraceTrack::Txn,
             Activity::Update => TraceTrack::Update,
         };
-        let kind = match self {
-            Work::Txn(TxnSliceKind::Segment) => TraceJob::Segment,
-            Work::Txn(TxnSliceKind::StaleScan { .. }) => TraceJob::StaleScan,
-            Work::Txn(TxnSliceKind::OdApply { .. }) => TraceJob::OdApply,
-            Work::Txn(TxnSliceKind::IoStall { .. }) => TraceJob::IoStall,
-            Work::Txn(TxnSliceKind::DagRefresh { .. }) => TraceJob::DagRefresh,
-            Work::Install { .. } => TraceJob::Install,
-            Work::QueueTransfer => TraceJob::QueueTransfer,
-            Work::RuleExec { .. } => TraceJob::RuleExec,
-            Work::DagApply { .. } => TraceJob::DagApply,
-        };
-        (track, kind)
+        (track, self.job())
     }
 }
 
-/// The transaction currently bound to the CPU (possibly preempted).
+/// The transaction bound to the CPU (possibly preempted), with its slice.
 #[derive(Debug)]
 struct RunningTxn {
     txn: Transaction,
     /// Kind of the slice in progress or to resume.
     slice: TxnSliceKind,
-    /// OD update taken from the queue, to be installed by `OdApply`.
-    pending_apply: Option<Update>,
 }
 
-impl RunningTxn {
-    /// Seconds the slice in progress or to resume still needs.
-    fn slice_secs(&self) -> f64 {
-        self.slice
-            .remaining()
-            .unwrap_or_else(|| self.txn.segment_remaining())
+/// Historical views (extension): the version chains, the access pattern
+/// and the RNG deciding which reads are as-of reads.
+#[derive(Debug)]
+struct History {
+    store: HistoryStore,
+    access: HistoryAccess,
+    rng: Xoshiro256pp,
+}
+
+/// Update-triggered rules (extension). `pending` maps a pending rule to
+/// the set of distinct sources that changed since it was queued — the
+/// delta-scaled execution charge depends on it.
+#[derive(Debug)]
+struct Rules {
+    set: RuleSet,
+    queue: VecDeque<(u32, SimTime)>,
+    pending: BTreeMap<u32, BTreeSet<ViewObjectId>>,
+    max_pending: usize,
+}
+
+/// Derived-view DAG (extension): topology, maintenance state, the
+/// transitive-staleness observer and the recompute cost per input edge.
+#[derive(Debug)]
+struct Dag {
+    dag: ViewDag,
+    state: DagState,
+    stale: DerivedStaleness,
+    edge_cost_instr: f64,
+}
+
+impl Dag {
+    /// Records the post-change backlog and transitive staleness.
+    fn observe(&mut self, metrics: &mut Metrics, now: SimTime) {
+        metrics.observe_dag_pending(self.state.pending_len());
+        self.stale.observe(now, self.state.stale_count());
     }
+}
+
+/// Buffer-pool model (disk extension) and the RNG drawing its misses.
+#[derive(Debug)]
+struct Disk {
+    model: IoModel,
+    rng: Xoshiro256pp,
 }
 
 /// Result of one attempted step of update work.
@@ -283,7 +318,10 @@ pub struct Scheduler {
     os_queue: OsQueue,
     uq: DualUpdateQueue,
     ready: ReadyQueue,
-    running: Option<RunningTxn>,
+    /// The bound transaction while it is off the CPU (preempted, or its
+    /// next slice chained). While a slice of it is out, that slice owns it
+    /// ([`Work::Txn`]) and this is `None`.
+    running: Option<Box<RunningTxn>>,
     /// The slice out with the driver — or, at the end of a run, the update
     /// work that was cut and so is still in flight.
     on_cpu: Option<Work>,
@@ -291,7 +329,9 @@ pub struct Scheduler {
     /// beside the enum, not inside it: a variant that carries the 48-byte
     /// update is assembled on the stack and copied into place from an
     /// odd offset, and that copy stalls on store forwarding — about
-    /// 7 ns of a 165 ns back-to-back install.
+    /// 7 ns of a 165 ns back-to-back install. For the same reason a
+    /// transaction slice holds its transaction boxed: `Option<Work>` stays
+    /// at 24 bytes (pinned by a unit test).
     installing: Option<Update>,
     /// The bound transaction's next slice follows the one just finished
     /// with no scheduling point in between.
@@ -305,23 +345,11 @@ pub struct Scheduler {
     update_seq: u64,
     /// `2·x_switch` owed by the next update slice after a preemption.
     pending_preempt_cost: f64,
-    /// Historical views (extension): version chains plus the RNG deciding
-    /// which reads are as-of reads.
-    history: Option<HistoryStore>,
-    hist_rng: Xoshiro256pp,
-    /// Update-triggered rules (extension). `rule_pending` maps a pending
-    /// rule to the set of distinct sources that changed since it was
-    /// queued — the delta-scaled execution charge depends on it.
-    rules: Option<RuleSet>,
-    rule_queue: VecDeque<(u32, SimTime)>,
-    rule_pending: BTreeMap<u32, BTreeSet<ViewObjectId>>,
-    /// Derived-view DAG (extension): topology, maintenance state and the
-    /// transitive-staleness observer.
-    dag: Option<ViewDag>,
-    dag_state: Option<DagState>,
-    derived_stale: Option<DerivedStaleness>,
-    /// Buffer-pool model (disk extension).
-    io_rng: Xoshiro256pp,
+    /// The extensions, each `None` when it is off.
+    history: Option<History>,
+    rules: Option<Rules>,
+    dag: Option<Dag>,
+    disk: Option<Disk>,
     /// Per-object view-read counts, feeding the HotFirst discipline
     /// (indexed `[class][index]`).
     read_counts: [Vec<u64>; 2],
@@ -350,35 +378,19 @@ impl Scheduler {
         if let Some(width) = cfg.timeline_window {
             metrics.enable_timeline(width);
         }
-        let history = cfg
-            .history
-            .map(|h| HistoryStore::new(h.policy, cfg.n_low, cfg.n_high));
-        let rules = cfg.triggers.map(|t| {
-            let mut rule_rng = root.substream(0x712);
-            generate_rules(
-                t.n_rules,
-                t.sources_per_rule,
-                t.exec_instr,
-                cfg.n_low,
-                cfg.n_high,
-                cfg.n_general,
-                &mut rule_rng,
-            )
-        });
-        // The DAG sub-stream (0xDA6) is only drawn when the extension is
-        // on, so DAG-less configs stay bit-identical to the seed. Derived
-        // state is computed from the store image, so a recovered store
-        // yields exactly the derived values a full recompute implies.
+        // Each extension's RNG sub-stream is derived from the run seed
+        // only when it is on; deriving one draws nothing from the root.
+        // Derived state is computed from the store image, so a recovered
+        // store yields exactly the derived values a full recompute implies.
         let dag = cfg.dag.map(|spec| {
-            let mut dag_rng = root.substream(0xDA6);
-            generate_dag(&spec, cfg.n_low, cfg.n_high, &mut dag_rng)
+            let dag = generate_dag(&spec, cfg.n_low, cfg.n_high, &mut root.substream(0xDA6));
+            Dag {
+                state: DagState::new(&dag, &store, spec.max_pending),
+                stale: DerivedStaleness::new(dag.len(), SimTime::ZERO),
+                edge_cost_instr: spec.edge_cost_instr,
+                dag,
+            }
         });
-        let dag_state = dag
-            .as_ref()
-            .map(|d| DagState::new(d, &store, cfg.dag.map_or(1, |s| s.max_pending)));
-        let derived_stale = dag
-            .as_ref()
-            .map(|d| DerivedStaleness::new(d.len(), SimTime::ZERO));
         Scheduler {
             costs: cfg.costs,
             alpha: cfg.staleness.alpha(),
@@ -401,15 +413,30 @@ impl Scheduler {
             metrics,
             update_seq,
             pending_preempt_cost: 0.0,
-            history,
-            hist_rng: root.substream(0x415),
-            rules,
-            rule_queue: VecDeque::new(),
-            rule_pending: BTreeMap::new(),
+            history: cfg.history.map(|access| History {
+                store: HistoryStore::new(access.policy, cfg.n_low, cfg.n_high),
+                access,
+                rng: root.substream(0x415),
+            }),
+            rules: cfg.triggers.map(|t| Rules {
+                set: generate_rules(
+                    t.n_rules,
+                    t.sources_per_rule,
+                    t.exec_instr,
+                    cfg.n_low,
+                    cfg.n_high,
+                    cfg.n_general,
+                    &mut root.substream(0x712),
+                ),
+                queue: VecDeque::new(),
+                pending: BTreeMap::new(),
+                max_pending: t.max_pending,
+            }),
             dag,
-            dag_state,
-            derived_stale,
-            io_rng: root.substream(0xD15C),
+            disk: cfg.io.map(|model| Disk {
+                model,
+                rng: root.substream(0xD15C),
+            }),
             read_counts: [vec![0; cfg.n_low as usize], vec![0; cfg.n_high as usize]],
             trace: None,
             cfg,
@@ -448,10 +475,18 @@ impl Scheduler {
         self.update_seq
     }
 
+    /// The bound transaction with its slice, on the CPU or off it.
+    fn bound(&self) -> Option<&RunningTxn> {
+        match &self.on_cpu {
+            Some(Work::Txn(rt)) => Some(rt),
+            _ => self.running.as_deref(),
+        }
+    }
+
     /// The transaction bound to the CPU (running or preempted), if any.
     #[must_use]
     pub fn bound_txn(&self) -> Option<&Transaction> {
-        self.running.as_ref().map(|rt| &rt.txn)
+        self.bound().map(|rt| &rt.txn)
     }
 
     /// The bound transaction, when it is a slice of it that is out — the
@@ -459,42 +494,10 @@ impl Scheduler {
     /// are not preempted, §4.2).
     #[must_use]
     pub fn txn_on_cpu(&self) -> Option<&Transaction> {
-        match self.on_cpu {
-            Some(Work::Txn(_)) => self.bound_txn(),
+        match &self.on_cpu {
+            Some(Work::Txn(rt)) => Some(&rt.txn),
             _ => None,
         }
-    }
-
-    // ---- scheduling invariants ----------------------------------------------
-
-    /// The running transaction, with a descriptive panic when the
-    /// scheduling invariant (an event that implies a bound transaction)
-    /// is violated. Takes the field rather than `&mut self` so callers
-    /// can keep other field borrows alive.
-    fn running<'a>(
-        running: &'a mut Option<RunningTxn>,
-        now: SimTime,
-        event: &str,
-    ) -> &'a mut RunningTxn {
-        running.as_mut().unwrap_or_else(|| {
-            // lint: allow(live-panic, reason=a txn slice or read step exists only while a transaction is bound; a driver that breaks this has lost the schedule)
-            panic!(
-                "invariant violated: no running transaction at t={:.6}s while handling {event}",
-                now.as_secs()
-            )
-        })
-    }
-
-    /// Unbinds and returns the running transaction; panics like
-    /// [`Scheduler::running`] when the invariant is violated.
-    fn take_running(running: &mut Option<RunningTxn>, now: SimTime, event: &str) -> RunningTxn {
-        running.take().unwrap_or_else(|| {
-            // lint: allow(live-panic, reason=same invariant as `running`: the caller just observed the bound transaction)
-            panic!(
-                "invariant violated: no running transaction at t={:.6}s while handling {event}",
-                now.as_secs()
-            )
-        })
     }
 
     // ---- tracing (strip-obs) ------------------------------------------------
@@ -530,16 +533,6 @@ impl Scheduler {
             let uq = self.uq.len() as u32;
             self.emit(now, TraceKind::QueueDepth { os, uq });
         }
-    }
-
-    fn emit_abort(&mut self, now: SimTime, txn: &Transaction, reason: TraceAbort) {
-        self.emit(
-            now,
-            TraceKind::Abort {
-                txn: txn.id(),
-                reason,
-            },
-        );
     }
 
     fn emit_slice_end(&mut self, now: SimTime, work: &Work, interrupted: bool) {
@@ -672,10 +665,9 @@ impl Scheduler {
         self.metrics.txn_arrived(now, spec.class);
         let txn = Transaction::new(spec, self.cfg.p_view, &self.costs);
         let outbids = self.cfg.txn_preemption
-            && matches!(self.on_cpu, Some(Work::Txn(TxnSliceKind::Segment)))
-            && self
-                .bound_txn()
-                .is_some_and(|bound| txn.value_density() > bound.value_density());
+            && matches!(&self.on_cpu, Some(Work::Txn(rt))
+                if matches!(rt.slice, TxnSliceKind::Segment)
+                    && txn.value_density() > rt.txn.value_density());
         let deadline = txn.deadline();
         self.ready.push(txn);
         (deadline, outbids.then_some(Preempt::ByTxn))
@@ -687,15 +679,16 @@ impl Scheduler {
     /// ([`Scheduler::txn_on_cpu`]), the driver must
     /// [`Scheduler::interrupt`] it first.
     pub fn on_deadline(&mut self, txn_id: u64, now: SimTime) {
-        let txn = if self.bound_txn().is_some_and(|t| t.id() == txn_id) {
-            self.running.take().map(|rt| rt.txn)
-        } else {
-            self.ready.remove(txn_id)
+        debug_assert!(
+            self.txn_on_cpu().is_none_or(|t| t.id() != txn_id),
+            "the due transaction's slice is still out"
+        );
+        let txn = match self.running.take_if(|rt| rt.txn.id() == txn_id) {
+            Some(rt) => Some(self.release(rt)),
+            None => self.ready.remove(txn_id),
         };
         if let Some(txn) = txn {
-            self.metrics
-                .txn_aborted_at(&txn, AbortReason::MissedDeadline, now);
-            self.emit_abort(now, &txn, TraceAbort::MissedDeadline);
+            self.abort(&txn, AbortReason::MissedDeadline, now);
         }
     }
 
@@ -758,14 +751,14 @@ impl Scheduler {
             }
             Work::QueueTransfer => {}
             Work::RuleExec { rule_id, fired_at } => {
-                if let Some(rules) = self.rules.as_ref() {
-                    rules.execute(rule_id, &mut self.store);
+                if let Some(rules) = self.rules.as_mut() {
+                    rules.set.execute(rule_id, &mut self.store);
+                    rules.pending.remove(&rule_id);
                 }
-                self.rule_pending.remove(&rule_id);
                 self.metrics.rule_executed(now, now.since(fired_at));
             }
             Work::DagApply { node } => self.dag_apply(node, now),
-            Work::Txn(kind) => self.on_txn_slice_done(kind, now),
+            Work::Txn(rt) => self.on_txn_slice_done(rt, now),
         }
         self.watch.take()
     }
@@ -786,16 +779,12 @@ impl Scheduler {
             .charge_busy(work.activity(), self.slice_started, now);
         self.emit_slice_end(now, &work, true);
         match work {
-            Work::Txn(mut kind) => {
-                if let Some(rt) = self.running.as_mut() {
-                    match kind.remaining_mut() {
-                        None => rt.txn.consume(performed_secs),
-                        Some(remaining) => {
-                            *remaining = (*remaining - performed_secs).max(0.0);
-                            rt.slice = kind;
-                        }
-                    }
+            Work::Txn(mut rt) => {
+                match rt.slice.remaining_mut() {
+                    None => rt.txn.consume(performed_secs),
+                    Some(remaining) => *remaining = (*remaining - performed_secs).max(0.0),
                 }
+                self.running = Some(rt);
             }
             work => self.on_cpu = Some(work),
         }
@@ -816,10 +805,11 @@ impl Scheduler {
             }
             Preempt::ByTxn => {
                 if let Some(rt) = self.running.take() {
+                    let txn = self.release(rt);
                     // No switch cost is modelled between transactions.
-                    let (txn, cost_secs) = (rt.txn.id(), 0.0);
-                    self.emit(now, TraceKind::Preempt { txn, cost_secs });
-                    self.ready.push(rt.txn);
+                    let (id, cost_secs) = (txn.id(), 0.0);
+                    self.emit(now, TraceKind::Preempt { txn: id, cost_secs });
+                    self.ready.push(txn);
                 }
             }
         }
@@ -832,10 +822,9 @@ impl Scheduler {
     #[must_use]
     pub fn queue_drops(&self) -> QueueDrops {
         let on_cpu = u64::from(self.installing.is_some());
-        let pending_od = self
-            .running
-            .as_ref()
-            .map_or(0, |rt| u64::from(rt.pending_apply.is_some()));
+        let pending_od = self.bound().map_or(0, |rt| {
+            u64::from(matches!(rt.slice, TxnSliceKind::OdApply { .. }))
+        });
         QueueDrops {
             expired: self.uq.expired_dropped(),
             overflow: self.uq.overflow_dropped(),
@@ -861,20 +850,19 @@ impl Scheduler {
         for txn in self.bound_txn().into_iter().chain(self.ready.iter()) {
             m.txn_in_flight(txn);
         }
-        if let Some(history) = self.history.as_ref() {
-            m.history_store_totals(
-                history.appends(),
-                history.pruned(),
-                history.total_entries() as u64,
-            );
+        if let Some(h) = self.history.as_ref() {
+            let entries = h.store.total_entries() as u64;
+            m.history_store_totals(h.store.appends(), h.store.pruned(), entries);
         }
-        let rule_on_cpu = u64::from(matches!(self.on_cpu, Some(Work::RuleExec { .. })));
-        m.rules_pending_at_end(self.rule_queue.len() as u64 + rule_on_cpu);
+        if let Some(rules) = self.rules.as_ref() {
+            let on_cpu = u64::from(matches!(self.on_cpu, Some(Work::RuleExec { .. })));
+            m.rules_pending_at_end(rules.queue.len() as u64 + on_cpu);
+        }
         // A DagApply slice that was cut never removed its entry from the
         // pending map, so the map alone is the pending bucket.
-        if let Some(state) = self.dag_state.as_ref() {
-            let fold = self.derived_stale.as_ref().map_or(0.0, |ds| ds.fold(now));
-            m.dag_totals(state.stats, state.pending_len() as u64, fold);
+        if let Some(d) = self.dag.as_ref() {
+            let pending = d.state.pending_len() as u64;
+            m.dag_totals(d.state.stats, pending, d.stale.fold(now));
         }
         m.finalize(
             self.cfg.policy.label(),
@@ -893,14 +881,14 @@ impl Scheduler {
     /// Draws the buffer-pool miss penalty for one object access (seconds);
     /// 0 for the paper's main-memory model.
     fn io_penalty(&mut self, now: SimTime, on_install: bool) -> f64 {
-        let Some(io) = self.cfg.io else {
+        let Some(disk) = self.disk.as_mut() else {
             return 0.0;
         };
-        if self.io_rng.chance(io.hit_ratio) {
+        if disk.rng.chance(disk.model.hit_ratio) {
             return 0.0;
         }
         self.metrics.io_miss(now, on_install);
-        self.costs.secs(io.x_io)
+        self.costs.secs(disk.model.x_io)
     }
 
     /// Puts the install slice for `update` on the CPU. `path` records how the install was
@@ -962,8 +950,9 @@ impl Scheduler {
                     debug_assert!(self.watch.is_none(), "one install per finished slice");
                     self.watch = Some(watch);
                 }
-                if let Some(history) = self.history.as_mut() {
-                    history.record(update.object, update.generation_ts, update.payload);
+                if let Some(h) = self.history.as_mut() {
+                    h.store
+                        .record(update.object, update.generation_ts, update.payload);
                 }
                 self.fire_rules(update.object, now);
                 self.propagate_base_install(update, now);
@@ -1013,9 +1002,19 @@ impl Scheduler {
             return None;
         }
         // `None`: a deadline that fired between the two slices unbound it.
-        let rt = self.running.as_ref()?;
-        self.on_cpu = Some(Work::Txn(rt.slice));
-        Some(rt.slice_secs())
+        let rt = self.running.take()?;
+        Some(self.put_on_cpu(rt))
+    }
+
+    /// Puts a slice of the bound transaction on the CPU; the slice owns
+    /// the transaction until it ends.
+    fn put_on_cpu(&mut self, mut rt: Box<RunningTxn>) -> f64 {
+        let secs = rt
+            .slice
+            .remaining_mut()
+            .map_or(rt.txn.segment_remaining(), |r| *r);
+        self.on_cpu = Some(Work::Txn(rt));
+        secs
     }
 
     /// Chooses the next CPU slice at a scheduling point.
@@ -1049,20 +1048,22 @@ impl Scheduler {
             }
             // Feasible-deadline purge, then highest value density — unless
             // a preempted transaction is waiting to resume.
-            if self.running.is_none() {
-                if self.cfg.feasible_deadline {
-                    for t in self.ready.drain_infeasible(now) {
-                        self.abort_infeasible(&t, now);
+            let bound = match self.running.take() {
+                Some(rt) => Some(rt),
+                None => {
+                    if self.cfg.feasible_deadline {
+                        for t in self.ready.drain_infeasible(now) {
+                            self.abort(&t, AbortReason::Infeasible, now);
+                        }
                     }
+                    self.ready.pop_best().map(|txn| {
+                        let slice = TxnSliceKind::Segment;
+                        Box::new(RunningTxn { txn, slice })
+                    })
                 }
-                self.running = self.ready.pop_best().map(|txn| RunningTxn {
-                    txn,
-                    slice: TxnSliceKind::Segment,
-                    pending_apply: None,
-                });
-            }
-            if self.running.is_some() {
-                match self.resume_running(now) {
+            };
+            if let Some(rt) = bound {
+                match self.resume_running(rt, now) {
                     Some(secs) => return Some(secs),
                     None => continue, // aborted instead; re-evaluate
                 }
@@ -1076,67 +1077,84 @@ impl Scheduler {
         }
     }
 
-    fn abort_infeasible(&mut self, txn: &Transaction, now: SimTime) {
-        self.metrics
-            .txn_aborted_at(txn, AbortReason::Infeasible, now);
-        self.emit_abort(now, txn, TraceAbort::Infeasible);
+    /// Counts and traces the abort of a transaction no longer bound.
+    fn abort(&mut self, txn: &Transaction, reason: AbortReason, now: SimTime) {
+        self.metrics.txn_aborted_at(txn, reason, now);
+        let reason = match reason {
+            AbortReason::MissedDeadline => TraceAbort::MissedDeadline,
+            AbortReason::Infeasible => TraceAbort::Infeasible,
+            AbortReason::StaleRead => TraceAbort::StaleRead,
+        };
+        let txn = txn.id();
+        self.emit(now, TraceKind::Abort { txn, reason });
+    }
+
+    /// Unbinds `rt` for good: every path that commits, aborts or requeues
+    /// the bound transaction goes through here. An on-demand update its
+    /// slice took from the update queue goes back there, uninstalled and
+    /// uncharged; from then on the queue's own expiry, dedup and overflow
+    /// shedding account for it.
+    fn release(&mut self, rt: Box<RunningTxn>) -> Transaction {
+        let RunningTxn { txn, slice } = *rt;
+        match slice {
+            TxnSliceKind::OdApply { update, .. } => _ = self.uq.insert(update),
+            TxnSliceKind::Segment
+            | TxnSliceKind::StaleScan { .. }
+            | TxnSliceKind::IoStall { .. }
+            | TxnSliceKind::DagRefresh { .. } => {}
+        }
+        txn
     }
 
     /// Puts the bound transaction's current slice on the CPU at a
     /// scheduling point; `None` if it was aborted instead (infeasible).
-    fn resume_running(&mut self, now: SimTime) -> Option<f64> {
-        let rt = Self::running(&mut self.running, now, "resume of the bound transaction");
+    fn resume_running(&mut self, rt: Box<RunningTxn>, now: SimTime) -> Option<f64> {
         if self.cfg.feasible_deadline
-            && rt.slice == TxnSliceKind::Segment
+            && matches!(rt.slice, TxnSliceKind::Segment)
             && !rt.txn.feasible_at(now)
         {
-            let rt = Self::take_running(&mut self.running, now, "infeasibility abort at resume");
-            self.abort_infeasible(&rt.txn, now);
+            let txn = self.release(rt);
+            self.abort(&txn, AbortReason::Infeasible, now);
             return None;
         }
-        self.on_cpu = Some(Work::Txn(rt.slice));
-        Some(rt.slice_secs())
+        Some(self.put_on_cpu(rt))
     }
 
     /// Fires every rule watching `object` (triggers extension), coalescing
     /// rules that are already pending and bounding the pending queue.
     fn fire_rules(&mut self, object: ViewObjectId, now: SimTime) {
-        let Some(rules) = self.rules.as_ref() else {
+        let Some(rules) = self.rules.as_mut() else {
             return;
         };
-        let max_pending = self.cfg.triggers.map_or(usize::MAX, |t| t.max_pending);
-        // Collect first: firing mutates queue/pending while `rules` borrows.
-        let fired: Vec<u32> = rules.triggered_by(object).to_vec();
-        for id in fired {
-            if let Some(changed) = self.rule_pending.get_mut(&id) {
+        for &id in rules.set.triggered_by(object) {
+            if let Some(changed) = rules.pending.get_mut(&id) {
                 changed.insert(object);
                 self.metrics.rule_fired(now, true, false);
-            } else if self.rule_queue.len() >= max_pending {
+            } else if rules.queue.len() >= rules.max_pending {
                 self.metrics.rule_fired(now, false, true);
             } else {
-                self.rule_pending
-                    .insert(id, std::iter::once(object).collect());
-                self.rule_queue.push_back((id, now));
+                rules.pending.insert(id, std::iter::once(object).collect());
+                rules.queue.push_back((id, now));
                 self.metrics.rule_fired(now, false, false);
             }
         }
-        self.metrics.observe_rule_queue(self.rule_queue.len());
+        self.metrics.observe_rule_queue(rules.queue.len());
     }
 
     /// A rule-execution slice if a firing is pending; otherwise falls
     /// through to DAG delta propagation.
     fn try_rule_step(&mut self) -> UpdateStep {
-        let Some((rule_id, fired_at)) = self.rule_queue.pop_front() else {
-            return self.try_dag_step();
-        };
         // Delta-scaled charge (see `RuleSet::exec_cost`): a coalesced
         // execution recomputes only its changed sources' share of the
         // refresh, not the whole rule every time.
-        let changed = self.rule_pending.get(&rule_id).map_or(0, BTreeSet::len);
-        let exec_instr = self
-            .rules
-            .as_ref()
-            .map_or(0.0, |r| r.exec_cost(rule_id, changed));
+        let next = self.rules.as_mut().and_then(|r| {
+            let (rule_id, fired_at) = r.queue.pop_front()?;
+            let changed = r.pending.get(&rule_id).map_or(0, BTreeSet::len);
+            Some((rule_id, fired_at, r.set.exec_cost(rule_id, changed)))
+        });
+        let Some((rule_id, fired_at, exec_instr)) = next else {
+            return self.try_dag_step();
+        };
         let duration = self.costs.secs(exec_instr) + self.take_preempt_cost();
         self.on_cpu = Some(Work::RuleExec { rule_id, fired_at });
         UpdateStep::Slice(duration)
@@ -1146,11 +1164,13 @@ impl Scheduler {
     /// rank-order drain always applies the lowest pending node id, which
     /// (ids being topological) is never waiting on a node below it.
     fn try_dag_step(&mut self) -> UpdateStep {
-        let Some(node) = self.dag_state.as_ref().and_then(DagState::next_pending) else {
+        let next = self.dag.as_ref().and_then(|d| {
+            let node = d.state.next_pending()?;
+            Some((node, d.edge_cost_instr * d.dag.inputs(node).len() as f64))
+        });
+        let Some((node, instr)) = next else {
             return UpdateStep::Nothing;
         };
-        let inputs = self.dag.as_ref().map_or(0, |d| d.inputs(node).len());
-        let instr = self.cfg.dag.map_or(0.0, |s| s.edge_cost_instr) * inputs as f64;
         let duration = self.costs.secs(instr) + self.take_preempt_cost();
         self.on_cpu = Some(Work::DagApply { node });
         UpdateStep::Slice(duration)
@@ -1223,91 +1243,69 @@ impl Scheduler {
     }
 
     // ---- transaction steps --------------------------------------------------
+    //
+    // Each handler takes the bound transaction by value and ends by
+    // chaining it, committing it, aborting it or handing it to the next.
 
     /// Lines up `kind` as the bound transaction's next slice, to start
     /// where the one just finished ends (no scheduling point in between).
-    fn chain(&mut self, kind: TxnSliceKind, now: SimTime, event: &str) {
-        Self::running(&mut self.running, now, event).slice = kind;
+    fn chain(&mut self, mut rt: Box<RunningTxn>, kind: TxnSliceKind) {
+        rt.slice = kind;
+        self.running = Some(rt);
         self.chained = true;
     }
 
-    fn on_txn_slice_done(&mut self, kind: TxnSliceKind, now: SimTime) {
-        match kind {
+    fn on_txn_slice_done(&mut self, mut rt: Box<RunningTxn>, now: SimTime) {
+        match std::mem::replace(&mut rt.slice, TxnSliceKind::Segment) {
             TxnSliceKind::Segment => {
-                let rt = Self::running(&mut self.running, now, "segment completion");
                 let finished = rt.txn.complete_segment();
                 rt.txn.arm_segment(&self.costs);
                 match finished {
-                    Segment::Work(_) => self.continue_txn(now),
-                    Segment::ReadDerived(node) => self.handle_derived_read(node, now),
+                    Segment::Work(_) => self.continue_txn(rt, now),
+                    Segment::ReadDerived(node) => self.handle_derived_read(rt, node, now),
                     Segment::ReadView(obj) => {
                         self.read_counts[obj.class.index()][obj.index as usize] += 1;
                         // Disk extension: the lookup may miss the buffer
                         // pool, stalling the transaction before the
                         // staleness check.
-                        let stall = self.io_penalty(now, false);
-                        if stall > 0.0 {
-                            let remaining = stall;
-                            self.chain(
-                                TxnSliceKind::IoStall { obj, remaining },
-                                now,
-                                "view-read buffer miss",
-                            );
+                        let remaining = self.io_penalty(now, false);
+                        if remaining > 0.0 {
+                            self.chain(rt, TxnSliceKind::IoStall { obj, remaining });
                         } else {
-                            self.handle_view_read(obj, now);
+                            self.handle_view_read(rt, obj, now);
                         }
                     }
                 }
             }
-            TxnSliceKind::StaleScan { obj, .. } => self.handle_post_scan(obj, now),
+            TxnSliceKind::StaleScan { obj, .. } => self.handle_post_scan(rt, obj, now),
             TxnSliceKind::DagRefresh { node, .. } => {
-                let rt = Self::running(&mut self.running, now, "derived-read refresh completion");
-                rt.slice = TxnSliceKind::Segment;
                 self.perform_dag_refresh(node, now);
-                self.finalize_derived_read(node, now);
+                self.finalize_derived_read(rt, node, now);
             }
-            TxnSliceKind::IoStall { obj, .. } => {
-                let rt = Self::running(&mut self.running, now, "I/O stall completion");
-                rt.slice = TxnSliceKind::Segment;
-                self.handle_view_read(obj, now);
-            }
-            TxnSliceKind::OdApply { obj, .. } => {
-                let rt = Self::running(&mut self.running, now, "on-demand apply completion");
-                rt.slice = TxnSliceKind::Segment;
-                let update = rt.pending_apply.take().unwrap_or_else(|| {
-                    // lint: allow(live-panic, reason=the update is parked by `handle_post_scan` in the same step that lines up the OdApply slice)
-                    panic!(
-                        "invariant violated: no pending OD update at t={:.6}s \
-                         while handling on-demand apply completion",
-                        now.as_secs()
-                    )
-                });
+            TxnSliceKind::IoStall { obj, .. } => self.handle_view_read(rt, obj, now),
+            TxnSliceKind::OdApply { update, .. } => {
                 let applied = self.apply_update(&update, now);
                 self.record_install(&update, InstallPath::OnDemand, applied, now);
-                self.finalize_read(obj, now);
+                self.finalize_read(rt, update.object, now);
             }
         }
     }
 
     /// A view-read lookup just completed: perform the staleness check
     /// (paper §3.4 step 2), possibly starting a queue scan.
-    fn handle_view_read(&mut self, obj: ViewObjectId, now: SimTime) {
+    fn handle_view_read(&mut self, rt: Box<RunningTxn>, obj: ViewObjectId, now: SimTime) {
         // Historical views (extension): some reads are as-of reads against
         // a past instant. The past is immutable, so they are never stale
         // and never trigger on-demand refreshes; they can *miss* when the
         // instant predates the retained window.
-        if let (Some(history), Some(access)) = (self.history.as_ref(), self.cfg.history) {
-            if access.p_historical_read > 0.0 && self.hist_rng.chance(access.p_historical_read) {
-                let lag =
-                    access.lag_min + (access.lag_max - access.lag_min) * self.hist_rng.next_f64();
+        if let Some(h) = self.history.as_mut() {
+            let a = h.access;
+            if a.p_historical_read > 0.0 && h.rng.chance(a.p_historical_read) {
+                let lag = a.lag_min + (a.lag_max - a.lag_min) * h.rng.next_f64();
                 let as_of = SimTime::from_secs(now.as_secs() - lag);
-                let hit = history.value_as_of(obj, as_of).is_some();
-                let arrival = Self::running(&mut self.running, now, "historical view read")
-                    .txn
-                    .spec()
-                    .arrival;
-                self.metrics.historical_read(arrival, hit);
-                self.continue_txn(now);
+                let hit = h.store.value_as_of(obj, as_of).is_some();
+                self.metrics.historical_read(rt.txn.spec().arrival, hit);
+                self.continue_txn(rt, now);
                 return;
             }
         }
@@ -1319,33 +1317,26 @@ impl Scheduler {
             StalenessSpec::UnappliedUpdate | StalenessSpec::Either { .. } => false,
         };
         match policy::read_check(self.cfg.policy, self.cfg.staleness, ma_stale) {
-            ReadCheck::Scan => self.begin_scan(obj, now),
-            ReadCheck::Direct => self.finalize_read(obj, now),
+            ReadCheck::Scan => self.begin_scan(rt, obj, now),
+            ReadCheck::Direct => self.finalize_read(rt, obj, now),
         }
     }
 
-    fn begin_scan(&mut self, obj: ViewObjectId, now: SimTime) {
+    fn begin_scan(&mut self, rt: Box<RunningTxn>, obj: ViewObjectId, now: SimTime) {
         let remaining = if self.cfg.indexed_queue {
             self.costs.indexed_probe_time()
         } else {
             self.costs.scan_time(self.uq.len())
         };
         if remaining > 0.0 {
-            self.chain(
-                TxnSliceKind::StaleScan { obj, remaining },
-                now,
-                "start of a staleness scan",
-            );
+            self.chain(rt, TxnSliceKind::StaleScan { obj, remaining });
         } else {
-            self.handle_post_scan(obj, now);
+            self.handle_post_scan(rt, obj, now);
         }
     }
 
     /// The queue scan finished: decide whether an on-demand install happens.
-    fn handle_post_scan(&mut self, obj: ViewObjectId, now: SimTime) {
-        if let Some(rt) = self.running.as_mut() {
-            rt.slice = TxnSliceKind::Segment;
-        }
+    fn handle_post_scan(&mut self, mut rt: Box<RunningTxn>, obj: ViewObjectId, now: SimTime) {
         let queued_newest = self.uq.newest_for(obj).map(|u| u.generation_ts);
         let installed_gen = self.store.view(obj).generation_ts;
         let refresh = if policy::od_refresh(self.cfg.policy, queued_newest, installed_gen) {
@@ -1354,24 +1345,23 @@ impl Scheduler {
             None
         };
         let Some(update) = refresh else {
-            self.finalize_read(obj, now);
+            self.finalize_read(rt, obj, now);
             return;
         };
         // Applying the found update costs x_update (the object is already
         // located by the read's lookup — §5.3).
         let remaining = self.costs.update_write_time();
-        let rt = Self::running(&mut self.running, now, "on-demand refresh decision");
-        rt.pending_apply = Some(update);
-        let apply = TxnSliceKind::OdApply { obj, remaining };
+        let apply = TxnSliceKind::OdApply { update, remaining };
         if remaining > 0.0 {
-            self.chain(apply, now, "on-demand refresh decision");
+            self.chain(rt, apply);
         } else {
-            self.on_txn_slice_done(apply, now);
+            rt.slice = apply;
+            self.on_txn_slice_done(rt, now);
         }
     }
 
     /// Concludes a view read: record staleness, possibly abort, continue.
-    fn finalize_read(&mut self, obj: ViewObjectId, now: SimTime) {
+    fn finalize_read(&mut self, mut rt: Box<RunningTxn>, obj: ViewObjectId, now: SimTime) {
         // Both verdicts delegate to the policy module: the *metric*
         // verdict (what the evaluation reports) and the *system* verdict
         // (what abort-on-stale can actually detect — an update dropped
@@ -1392,83 +1382,69 @@ impl Scheduler {
             .newest_for(obj)
             .is_some_and(|u| u.generation_ts > self.store.view(obj).generation_ts);
         let sys_stale = policy::system_stale(self.cfg.staleness, ma_stale, queue_has_newer);
-        let rt = Self::running(&mut self.running, now, "view-read finalisation");
-        let arrival = rt.txn.spec().arrival;
         if metric_stale {
             rt.txn.mark_stale_read();
         }
-        self.metrics.view_read(arrival, metric_stale);
+        self.metrics.view_read(rt.txn.spec().arrival, metric_stale);
         if self.cfg.abort_on_stale && sys_stale {
-            let rt = Self::take_running(&mut self.running, now, "abort-on-stale");
-            self.metrics
-                .txn_aborted_at(&rt.txn, AbortReason::StaleRead, now);
-            self.emit_abort(now, &rt.txn, TraceAbort::StaleRead);
+            let txn = self.release(rt);
+            self.abort(&txn, AbortReason::StaleRead, now);
             return;
         }
-        self.continue_txn(now);
+        self.continue_txn(rt, now);
     }
 
     /// Starts the next planned segment, or commits if the plan is complete.
-    fn continue_txn(&mut self, now: SimTime) {
-        let rt = Self::running(&mut self.running, now, "transaction continuation");
-        if rt.txn.finished() {
-            let rt = Self::take_running(&mut self.running, now, "commit");
-            debug_assert!(
-                now <= rt.txn.deadline() + 1e-9,
-                "commit after deadline should have been cut off by the watchdog"
-            );
-            self.metrics.txn_committed(&rt.txn, now);
-            self.emit(now, TraceKind::Commit { txn: rt.txn.id() });
+    fn continue_txn(&mut self, rt: Box<RunningTxn>, now: SimTime) {
+        if !rt.txn.finished() {
+            self.chain(rt, TxnSliceKind::Segment);
             return;
         }
-        self.chain(TxnSliceKind::Segment, now, "transaction continuation");
+        let txn = self.release(rt);
+        debug_assert!(
+            now <= txn.deadline() + 1e-9,
+            "commit after deadline should have been cut off by the watchdog"
+        );
+        self.metrics.txn_committed(&txn, now);
+        self.emit(now, TraceKind::Commit { txn: txn.id() });
     }
 
     // ---- derived-view DAG (extension) ---------------------------------------
 
-    /// Records the DAG's post-change backlog and transitive staleness.
-    fn observe_dag(&mut self, now: SimTime) {
-        if let Some(state) = self.dag_state.as_ref() {
-            self.metrics.observe_dag_pending(state.pending_len());
-            if let Some(ds) = self.derived_stale.as_mut() {
-                ds.observe(now, state.stale_count());
-            }
-        }
-    }
-
     /// A base install landed: enqueue typed deltas for every DAG dependent
     /// and account the transitive-staleness change.
     fn propagate_base_install(&mut self, update: &Update, now: SimTime) {
-        let (Some(dag), Some(state)) = (self.dag.as_ref(), self.dag_state.as_mut()) else {
+        let Some(d) = self.dag.as_mut() else {
             return;
         };
-        state.on_base_install(dag, update.object, update.payload, now);
-        self.observe_dag(now);
+        d.state
+            .on_base_install(&d.dag, update.object, update.payload, now);
+        d.observe(&mut self.metrics, now);
     }
 
     /// A background delta-application slice completed: recompute the node,
     /// cascade on change, account the outcome.
     fn dag_apply(&mut self, node: u32, now: SimTime) {
-        let (Some(dag), Some(state)) = (self.dag.as_ref(), self.dag_state.as_mut()) else {
+        let Some(d) = self.dag.as_mut() else {
             return;
         };
-        if let Some(r) = state.apply(dag, &self.store, node, now) {
+        if let Some(r) = d.state.apply(&d.dag, &self.store, node, now) {
             self.metrics.dag_delta_applied(now, r.lag);
         }
-        self.observe_dag(now);
+        d.observe(&mut self.metrics, now);
     }
 
     /// CPU seconds a recursive on-demand refresh of `node` costs: one
     /// recompute per stale ancestor, at `edge_cost_instr` per input edge.
     fn dag_refresh_work(&self, node: u32) -> f64 {
-        let (Some(dag), Some(state)) = (self.dag.as_ref(), self.dag_state.as_ref()) else {
+        let Some(d) = self.dag.as_ref() else {
             return 0.0;
         };
-        let per_edge = self.cfg.dag.map_or(0.0, |s| s.edge_cost_instr);
-        let instr: f64 = state
-            .stale_closure(dag, node)
+        let instr: f64 = d
+            .state
+            .stale_closure(&d.dag, node)
             .iter()
-            .map(|&n| per_edge * dag.inputs(n).len() as f64)
+            .map(|&n| d.edge_cost_instr * d.dag.inputs(n).len() as f64)
             .sum();
         self.costs.secs(instr)
     }
@@ -1479,57 +1455,49 @@ impl Scheduler {
     /// background propagation (the refresh repairs the read, not the
     /// world).
     fn perform_dag_refresh(&mut self, node: u32, now: SimTime) {
-        let (Some(dag), Some(state)) = (self.dag.as_ref(), self.dag_state.as_mut()) else {
+        let Some(d) = self.dag.as_mut() else {
             return;
         };
         self.metrics.dag_od_refresh(now);
-        for n in state.stale_closure(dag, node) {
+        for n in d.state.stale_closure(&d.dag, node) {
             // Transitively stale ancestors may have nothing pending yet;
             // apply() is a no-op for them unless an in-cone cascade (from a
             // lower closure member, already applied — ascending order)
             // queued one.
-            if let Some(r) = state.apply(dag, &self.store, n, now) {
+            if let Some(r) = d.state.apply(&d.dag, &self.store, n, now) {
                 self.metrics.dag_delta_applied(now, r.lag);
             }
         }
-        self.observe_dag(now);
+        d.observe(&mut self.metrics, now);
     }
 
     fn node_stale(&self, node: u32) -> bool {
-        self.dag_state.as_ref().is_some_and(|s| s.is_stale(node))
+        self.dag.as_ref().is_some_and(|d| d.state.is_stale(node))
     }
 
     /// A derived-node read finished its lookup: under OD a stale node is
     /// recursively refreshed along the DAG before the read is answered
     /// (the generalisation of §4.4 to multi-level views; the refresh
     /// decision lives in the policy module).
-    fn handle_derived_read(&mut self, node: u32, now: SimTime) {
+    fn handle_derived_read(&mut self, rt: Box<RunningTxn>, node: u32, now: SimTime) {
         if policy::dag_refresh(self.cfg.policy, self.node_stale(node)) {
             let remaining = self.dag_refresh_work(node);
             if remaining > 0.0 {
-                self.chain(
-                    TxnSliceKind::DagRefresh { node, remaining },
-                    now,
-                    "derived-read refresh decision",
-                );
+                self.chain(rt, TxnSliceKind::DagRefresh { node, remaining });
                 return;
             }
             self.perform_dag_refresh(node, now);
         }
-        self.finalize_derived_read(node, now);
+        self.finalize_derived_read(rt, node, now);
     }
 
     /// Concludes a derived-node read: record (transitive) staleness and
     /// continue. Derived staleness is advisory — like the paper's fold
     /// metrics it is reported, not aborted on.
-    fn finalize_derived_read(&mut self, node: u32, now: SimTime) {
+    fn finalize_derived_read(&mut self, rt: Box<RunningTxn>, node: u32, now: SimTime) {
         let stale = self.node_stale(node);
-        let arrival = Self::running(&mut self.running, now, "derived-read finalisation")
-            .txn
-            .spec()
-            .arrival;
-        self.metrics.derived_read(arrival, stale);
-        self.continue_txn(now);
+        self.metrics.derived_read(rt.txn.spec().arrival, stale);
+        self.continue_txn(rt, now);
     }
 
     /// Answers a monitoring-plane read of one derived node: no CPU is
@@ -1538,7 +1506,11 @@ impl Scheduler {
     /// recomputed ancestor cone. `None` without a DAG or for a node out of
     /// range.
     pub fn read_derived(&mut self, node: u32, now: SimTime) -> Option<DerivedAnswer> {
-        if self.dag.as_ref().is_none_or(|d| (node as usize) >= d.len()) {
+        if self
+            .dag
+            .as_ref()
+            .is_none_or(|d| (node as usize) >= d.dag.len())
+        {
             return None;
         }
         let refreshed = policy::dag_refresh(self.cfg.policy, self.node_stale(node));
@@ -1548,9 +1520,24 @@ impl Scheduler {
         let stale = self.node_stale(node);
         self.metrics.derived_read(now, stale);
         Some(DerivedAnswer {
-            value: self.dag_state.as_ref().map_or(f64::NAN, |s| s.value(node)),
+            value: self.dag.as_ref().map_or(f64::NAN, |d| d.state.value(node)),
             stale,
             refreshed,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A slice is put on the CPU and taken off it at every scheduling
+    /// point, and the install path does it back to back (see
+    /// `Scheduler::installing`): a transaction slice carries its
+    /// transaction boxed so the slot stays small.
+    #[test]
+    fn a_slice_stays_small() {
+        let bytes = std::mem::size_of::<Option<Work>>();
+        assert!(bytes <= 24, "Option<Work> is {bytes} bytes");
     }
 }

@@ -174,6 +174,29 @@ fn od_refreshes_stale_object_on_demand() {
 }
 
 #[test]
+fn deadline_inside_an_od_apply_puts_the_update_back() {
+    let mut c = cfg(Policy::OnDemand, 12.0);
+    c.staleness = StalenessSpec::MaxAge { alpha: 7.0 };
+    c.feasible_deadline = false;
+    // As in `od_refreshes_stale_object_on_demand`, B takes the queued
+    // update at 8.4 + LOOKUP; its deadline falls halfway through the write.
+    let a = txn(1, 7.4, 1.0, 3.0, vec![]);
+    let b = txn(2, 7.6, 0.1, 0.7 + WRITE / 2.0, vec![low(0)]);
+    let u = upd(7.5, 7.3, low(0));
+    let r = run(&c, vec![u], vec![a, b]);
+    assert_eq!((r.txns.committed, r.txns.missed_deadline), (1, 1));
+    assert_eq!(r.updates.installed_on_demand, 0);
+    assert_eq!(
+        r.updates.terminal_total(),
+        r.updates.arrived,
+        "{:?}",
+        r.updates
+    );
+    // Back in the queue, the update is installed once the CPU is idle.
+    assert_eq!(r.updates.installed_background, 1);
+}
+
+#[test]
 fn tf_reads_stale_where_od_refreshes() {
     let mut c = cfg(Policy::TransactionsFirst, 12.0);
     c.staleness = StalenessSpec::MaxAge { alpha: 7.0 };

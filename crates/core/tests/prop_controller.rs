@@ -174,6 +174,7 @@ proptest! {
         history in proptest::bool::ANY,
         triggers in proptest::bool::ANY,
         io in proptest::bool::ANY,
+        p_view in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
     ) {
         let staleness = if uu {
             StalenessSpec::UnappliedUpdate
@@ -183,7 +184,10 @@ proptest! {
         let qp = if lifo { QueuePolicy::Lifo } else { QueuePolicy::Fifo };
         let extras = Extras { history, triggers, io };
         let (us, ts, n_updates, n_txns) = build_sources(&seed);
-        let c = cfg(policy, staleness, abort, qp, indexed, &extras);
+        let mut c = cfg(policy, staleness, abort, qp, indexed, &extras);
+        // Reads anywhere from first to last in the plan: late reads let a
+        // deadline land inside an on-demand apply.
+        c.p_view = p_view;
         let r = run_simulation(&c, us, ts, None).unwrap().0;
 
         // Every arrival is accounted for.

@@ -41,7 +41,7 @@ const FIGURES: &str = "crates/experiments/src/figures.rs";
 const SWEEP_CODE: &[&str] = &["crates/experiments/src/", "crates/core/src/"];
 
 /// Every structure check, in gate order.
-pub const ROWS: [Row; 21] = [
+pub const ROWS: [Row; 22] = [
     Row {
         rule: RuleId::SchedulerCore,
         needles: &[
@@ -80,6 +80,13 @@ pub const ROWS: [Row; 21] = [
         scope: &["crates/"],
         expect: Expect::Never,
         why: "no generic model layer stands between the calendar and the Controller",
+    },
+    Row {
+        rule: RuleId::SchedulerCore,
+        needles: &["// allow(live-panic"],
+        scope: &[SCHEDULER],
+        expect: Expect::Never,
+        why: "the core handles the bound transaction by value and needs no panic allowance",
     },
     Row {
         rule: RuleId::UpdatePath,

@@ -19,7 +19,7 @@ fn scan(name: &str, scanned_as: &str) -> Vec<Violation> {
 }
 
 /// (fixture, the path it is scanned as, the rule that fires).
-const CASES: [(&str, &str, RuleId); 27] = [
+const CASES: [(&str, &str, RuleId); 28] = [
     ("d1.rs", "d1.rs", RuleId::WallClock),
     ("d2.rs", "d2.rs", RuleId::NondeterministicOrder),
     ("d3.rs", "d3.rs", RuleId::AmbientEntropy),
@@ -45,6 +45,11 @@ const CASES: [(&str, &str, RuleId); 27] = [
     (
         "s1_simulation_trait.rs",
         "crates/simkit/src/engine.rs",
+        RuleId::SchedulerCore,
+    ),
+    (
+        "s1_scheduler_allow.rs",
+        "crates/core/src/scheduler.rs",
         RuleId::SchedulerCore,
     ),
     (

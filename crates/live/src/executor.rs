@@ -1748,6 +1748,41 @@ mod tests {
         assert_eq!(report.txns.committed, 0);
     }
 
+    /// The live twin of `deadline_inside_an_od_apply_puts_the_update_back`
+    /// (`controller_scenarios.rs`): the deadline cuts the on-demand apply,
+    /// and the update it took goes back to the update queue.
+    #[test]
+    fn a_deadline_inside_an_od_apply_puts_the_update_back() {
+        let sim = SimConfig {
+            policy: Policy::OnDemand,
+            staleness: StalenessSpec::UnappliedUpdate,
+            feasible_deadline: false,
+            // A 48 ms install: an 8 ms lookup and a 40 ms write.
+            costs: costs_with_install(0.048),
+            ..base_cfg()
+        };
+        let clock = TestClock::new(1e-6);
+        let (_tx, mut exec) = stepped_on(sim, LiveConfig::DEFAULT_QUANTUM, clock);
+        exec.accept_update(&wire_update(0, 1, 1_000, 1.0), exec.now);
+        // Due 20 ms into the write that follows the read's lookup.
+        let od_read = WireTxn {
+            reads: vec![(0, 1)],
+            ..wire_txn(0, 20_000)
+        };
+        exec.accept_txn(od_read, exec.now);
+        assert!(exec.step());
+        assert!(exec.core.bound_txn().is_none(), "the transaction is gone");
+        let interim = exec.snapshot(exec.now);
+        assert_eq!(interim.txns.missed_deadline, 1);
+        assert_eq!(interim.updates.installed_on_demand, 0);
+        assert_eq!(interim.updates.left_in_update_queue, 1);
+        assert_eq!(interim.updates.terminal_total(), interim.updates.arrived);
+        while exec.pass() {}
+        let last = exec.finalize();
+        assert_eq!(last.updates.installed_background, 1);
+        assert_eq!(last.updates.terminal_total(), last.updates.arrived);
+    }
+
     /// A value that is NaN, infinite or negative would win every
     /// value-density comparison or poison `value_committed`, so it is
     /// refused before it is counted, like a bad read set.

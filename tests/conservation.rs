@@ -122,6 +122,12 @@ fn invariants_hold_under_stress_knobs() {
     cfg.lambda_t = 10.0;
     check_invariants(&run_paper_sim(&cfg), "uf-switch-cost");
 
+    // Reads last: firm deadlines land inside on-demand applies.
+    let mut cfg = base(Policy::OnDemand, 0);
+    cfg.p_view = 1.0;
+    cfg.lambda_t = 25.0;
+    check_invariants(&run_paper_sim(&cfg), "od-reads-last");
+
     let mut cfg = base(Policy::OnDemand, 7);
     cfg.warmup = 10.0;
     cfg.lambda_t = 10.0;
