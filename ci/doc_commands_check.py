@@ -10,8 +10,12 @@ code span of the files in DOCS and resolves its `-p PKG` (or
 directories cargo auto-discovers targets from; every `python3 ci/X.py`
 quoted the same way must name a script that exists, and every figure name
 (`fig…`) in a quoted `repro …` command must be one `figure_ids!` declares
-in FIGURES. Exits 1 listing every command whose package, target, script or
-figure is missing. Standard library only.
+in FIGURES. Every `DESIGN.md §N` / `DESIGN §N` (and each `§M` chained to
+it by `,`, `/`, `and` or `or`) in CITING and CITING_GLOBS must name
+a `## N.` heading of DESIGN.md, and a quoted phrase right after the
+citation (`§5 "Clock discipline"`) must appear in that section. Exits 1
+listing every command, citation or phrase that does not resolve. Standard
+library only.
 """
 import glob
 import os
@@ -26,6 +30,25 @@ DOCS = [
     'benchmark/README.md',
     '.claude/skills/verify/SKILL.md',
 ]
+# Files whose `DESIGN §N` citations must resolve, besides every match of
+# CITING_GLOBS.
+CITING = [
+    'README.md',
+    'EXPERIMENTS.md',
+    'ROADMAP.md',
+    '.claude/skills/verify/SKILL.md',
+]
+CITING_GLOBS = [
+    'crates/**/*.rs',
+    'tests/**/*.rs',
+    'src/**/*.rs',
+    'examples/**/*.rs',
+    '.github/workflows/*.yml',
+]
+CITATION = re.compile(r'DESIGN(?:\.md)?\s+§\d+(?:\s*(?:,|/|and|or)\s*§\d+)*')
+# A quoted phrase directly after the last number of a citation.
+PHRASE = re.compile(r'\s*["“]([^"”]+)["”]')
+HEADING = re.compile(r'^## (\d+)\. ', re.M)
 # flag -> (manifest table, directory cargo auto-discovers the kind from)
 KINDS = {
     '--bin': ('bin', 'src/bin'),
@@ -113,6 +136,62 @@ def commands(text, pattern=CARGO):
             yield span.start(1) + m.start(), m.group()
 
 
+def design_sections(root):
+    """{N: text of DESIGN.md's `## N.` section, whitespace collapsed}."""
+    with open(os.path.join(root, 'DESIGN.md')) as f:
+        text = f.read()
+    starts = list(HEADING.finditer(text))
+    ends = [m.start() for m in starts[1:]] + [len(text)]
+    return {m.group(1): ' '.join(text[m.start():end].split())
+            for m, end in zip(starts, ends)}
+
+
+def citing_files(root):
+    """Workspace-relative paths of every file whose citations are checked."""
+    return CITING + sorted(
+        path for pattern in CITING_GLOBS
+        for path in glob.glob(pattern, root_dir=root, recursive=True))
+
+
+def uncommented(text):
+    """`text` with line-leading comment markers blanked, so a citation or a
+    phrase broken across comment lines reads as prose; every offset stays
+    where it was."""
+    return re.sub(r'(?m)^(\s*)(//[/!]?|#)',
+                  lambda m: m.group(1) + ' ' * len(m.group(2)), text)
+
+
+def citations(text, sections):
+    """(offset, complaint) of every citation in `text` that does not resolve."""
+    for m in CITATION.finditer(text):
+        numbers = re.findall(r'§(\d+)', m.group())
+        for n in numbers:
+            if n not in sections:
+                yield m.start(), f'no section {n} in DESIGN.md: {m.group()}'
+        phrase = PHRASE.match(text, m.end())
+        last = numbers[-1]
+        if phrase and last in sections:
+            words = ' '.join(phrase.group(1).split())
+            if words not in sections[last]:
+                yield m.start(), (f'"{words}" is not in DESIGN.md section '
+                                  f'{last}: {" ".join(m.group().split())}')
+
+
+def check_citations(root):
+    """(citations checked, complaints printed)."""
+    sections = design_sections(root)
+    checked = failures = 0
+    for path in citing_files(root):
+        with open(os.path.join(root, path), encoding='utf-8') as f:
+            text = uncommented(f.read())
+        checked += len(CITATION.findall(text))
+        for offset, complaint in citations(text, sections):
+            failures += 1
+            line = text.count('\n', 0, offset) + 1
+            print(f'{path}:{line}: {complaint}')
+    return checked, failures
+
+
 def check(root, packages, root_name, command):
     """The complaints about one command (none when it resolves)."""
     words = command.split()
@@ -175,8 +254,10 @@ def main():
                 failures += 1
                 print(f'{doc}:{line}: no figure `{name}` in {FIGURES}: '
                       f'{" ".join(command.split())}')
+    cited, unresolved = check_citations(root)
+    failures += unresolved
     print(f'doc_commands_check: {checked} command(s) in {len(DOCS)} '
-          f'file(s), {failures} unresolved')
+          f'file(s) and {cited} DESIGN citation(s), {failures} unresolved')
     return 1 if failures else 0
 
 

@@ -431,7 +431,7 @@ impl SimConfig {
     /// the next arrival of each source, transaction deadlines, the
     /// completions of preempted slices — fit in a constant 256. The
     /// calendar reserves this many slab slots and near-heap entries
-    /// (DESIGN.md §8).
+    /// (DESIGN.md §6).
     #[must_use]
     pub fn calendar_capacity_hint(&self) -> usize {
         let watches = self.staleness.alpha().map_or(0, |alpha| {

@@ -11,8 +11,9 @@
 //! every non-vendored workspace crate with a purpose-built lexer (the
 //! offline build has no `syn`; see [`lex`]) and enforces the per-file rules
 //! D1–D5, D7 and D8 ([`rules`]), the cross-file rules D9–D11 ([`sync`]) and
-//! the structure rows S1–S5 ([`structure`]); [`RuleId`] describes each, and
-//! DESIGN.md §11 has the table with scopes and evidence.
+//! the structure rows S1–S5 ([`structure`]); [`RuleId`] describes each,
+//! [`rules_for`] gives each per-file rule's scope, and DESIGN.md §11 has the
+//! rationale.
 //!
 //! D9–D11 are cross-file: they check the code against the sync-site
 //! registry (see [`registry`] and [`sync`]) and fail on stale registry

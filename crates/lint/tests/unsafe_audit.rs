@@ -21,7 +21,7 @@ use strip_lint::{relative_label, scan_targets};
 /// raw `signal(2)` FFI registrations with an async-signal-safe handler —
 /// see `crates/live/src/signal.rs`), and the live ingest ring
 /// (single-producer/single-consumer slot handoff — see
-/// `crates/live/src/spsc.rs` for the SAFETY arguments and DESIGN.md §13
+/// `crates/live/src/spsc.rs` for the SAFETY arguments and DESIGN.md §7
 /// for the ordering protocol).
 const UNSAFE_ALLOWLIST: [&str; 3] = [
     "crates/live/src/signal.rs",

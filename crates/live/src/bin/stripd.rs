@@ -8,7 +8,7 @@
 //! With `--wal DIR` every accepted update is group-committed to an
 //! append-only log and the store is snapshotted periodically; after a
 //! crash, `--recover` replays the snapshot + WAL tail before the listener
-//! binds. See DESIGN.md §14.
+//! binds. See DESIGN.md §10.
 //!
 //! ```text
 //! stripd [--addr 127.0.0.1:7411] [--policy uf|tf|su|od] \

@@ -4,7 +4,7 @@
 //! exact code (not a copy) against real SPSC rings under the model
 //! checker, and `server.rs` wires it to sockets.
 //!
-//! Protocol recap (DESIGN.md §13): a client sends `CreditRequest`, the
+//! Protocol recap (DESIGN.md §7): a client sends `CreditRequest`, the
 //! server grants window in `Credit` frames, and the client may have at
 //! most `granted - received` updates in flight. An update past the window
 //! is refused. The server computes grants from *ring occupancy* — the

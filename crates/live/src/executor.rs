@@ -22,7 +22,7 @@
 //! an arrival whose verdict asks for one — an update under UF/SU, a denser
 //! transaction under value-density preemption — cuts the transaction
 //! slice at the next chunk boundary rather than instantaneously
-//! (DESIGN.md §12 quantifies the approximation).
+//! (DESIGN.md §5 quantifies the approximation).
 //!
 //! Clock discipline: [`Executor::now`] is always a reading the wall clock
 //! has reached, and every handler of a scheduling point is passed that one
@@ -94,8 +94,9 @@ pub struct LiveConfig {
     /// stamping, the preemption latency under UF/SU and the deadline- and
     /// expiry-detection error.
     pub quantum: f64,
-    /// Crash durability (WAL + snapshots); `None` runs in-memory only,
-    /// exactly as before the durability subsystem existed.
+    /// Crash durability (WAL + snapshots); `None` runs in memory only:
+    /// nothing is logged, no snapshot is taken and every ack leaves when
+    /// its request is handled.
     pub durability: Option<crate::wal::DurabilityConfig>,
 }
 

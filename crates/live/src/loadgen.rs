@@ -18,7 +18,7 @@
 //! Clock note: update generation timestamps are sampled relative to the
 //! loadgen's clock origin, which trails the server's by the connect time.
 //! Generation ages (mean `a_update`, seconds) dwarf that skew; DESIGN.md
-//! §12 discusses the approximation.
+//! §5 "Clock skew" discusses the approximation.
 
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
@@ -230,7 +230,7 @@ fn write_frame_vectored(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
 /// then retrieves the server's stats and JSON report over the same
 /// connection. Updates travel in [`Msg::UpdateBatch`] frames of up to
 /// [`MAX_BATCH`] updates under the credit-based flow control of
-/// DESIGN.md §13. Pacing is per *arrival*, not per frame: a batch frame
+/// DESIGN.md §7. Pacing is per *arrival*, not per frame: a batch frame
 /// carries exactly the updates that are already due when it is sent, so
 /// the offered load keeps the generators' seeded Poisson timing.
 ///

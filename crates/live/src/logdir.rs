@@ -1,5 +1,5 @@
 //! The durability directory: every file `stripd` names, creates,
-//! truncates, renames, unlinks or fsyncs (DESIGN.md §14).
+//! truncates, renames, unlinks or fsyncs (DESIGN.md §10).
 //!
 //! ```text
 //! <dir>/snapshot.bin      store image stamped with the first seq it does not cover
@@ -32,7 +32,7 @@
 //! base is [`Recovered::next_seq`](crate::recovery::Recovered) and the
 //! re-base snapshot `recover()` just wrote stays, only the chain it covers
 //! goes. Every state a crash can leave between two of these calls, and
-//! what recovery makes of it, is the table in DESIGN.md §14.
+//! what recovery makes of it, is the table in DESIGN.md §10.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};

@@ -14,7 +14,7 @@
 //! [`Msg::StatsResponse`], [`Msg::ReportJson`],
 //! [`Msg::DerivedQueryResponse`].
 //!
-//! One frame kind carries updates (DESIGN.md §13): an [`Msg::UpdateBatch`]
+//! One frame kind carries updates (DESIGN.md §7): an [`Msg::UpdateBatch`]
 //! holds up to [`MAX_BATCH_UPDATES`] of them, and a sender may have only
 //! as many in flight as the server granted it ([`Msg::CreditRequest`],
 //! then [`Msg::Credit`]), so the server's lock-free ingest ring never

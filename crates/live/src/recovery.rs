@@ -3,7 +3,7 @@
 //! Recovery runs **before** `stripd` binds its listener, so a recovering
 //! server is never visible half-built. It reads the durability directory
 //! through [`crate::logdir`] only, and what it makes of every state a
-//! crash can leave there is the table in DESIGN.md §14:
+//! crash can leave there is the table in DESIGN.md §10:
 //!
 //! 1. **Snapshot** — a valid image yields a [`Store`] and the first
 //!    sequence number it does not cover. No snapshot means the configured

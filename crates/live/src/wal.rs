@@ -1,21 +1,21 @@
 //! Append-only write-ahead log with group commit.
 //!
-//! Durability for the live runtime (DESIGN.md §14): every update the
-//! executor accepts is encoded into a fixed-size, CRC-protected record and
-//! handed to a dedicated **flusher thread** over the same lock-free SPSC
-//! ring the ingest path uses ([`crate::spsc`]), so the 500 µs quantum loop
-//! never blocks on a syscall, let alone an `fsync`. The flusher batches
-//! whatever has accumulated since its last pass into one `write`, then
-//! syncs on a configurable cadence ([`FsyncPolicy`]): after every batch
-//! (`always`), at most once per group window (`group:<µs>`), or never
-//! (`off` — `kill -9` still loses nothing, because completed `write`s
-//! survive process death in the page cache; only power/kernel loss is at
-//! stake).
+//! Durability for the live runtime (DESIGN.md §10): every update the
+//! executor accepts is copied, unencoded, into a chunk that is handed to a
+//! dedicated **flusher thread** over the same lock-free SPSC ring the
+//! ingest path uses ([`crate::spsc`]), so the quantum loop never blocks on
+//! a syscall, let alone an `fsync`. The flusher encodes whatever has
+//! accumulated since its last pass into fixed-size, CRC-protected records,
+//! writes them with one `write`, then syncs on a configurable cadence
+//! ([`FsyncPolicy`]): after every batch (`always`), at most once per group
+//! window (`group:<µs>`), or never (`off` — `kill -9` still loses nothing,
+//! because completed `write`s survive process death in the page cache;
+//! only power/kernel loss is at stake).
 //!
 //! This module is the record format, the executor-side handle and the
 //! flusher's policy — drain, batch boundary, fsync cadence. Which files
 //! hold the log and the order they are replaced in is [`crate::logdir`]'s
-//! business (crash table: DESIGN.md §14).
+//! business (crash table: DESIGN.md §10).
 //!
 //! ## On-disk format
 //!
@@ -644,7 +644,7 @@ impl WalHandle {
     }
 
     /// Appends one accepted update: a plain struct copy into the pending
-    /// chunk — no encode, no CRC, no atomics on the hot path. Full chunks
+    /// chunk — no encode, no CRC, one relaxed counter bump. Full chunks
     /// are handed to the flusher; call [`WalHandle::flush`] at quantum
     /// boundaries to bound the handoff delay of partial ones.
     pub fn append(&mut self, seq: u64, update: WireUpdate, arrival_micros: i64) {

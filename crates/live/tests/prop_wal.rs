@@ -396,7 +396,7 @@ struct Crashed {
 
 #[test]
 fn recovery_accepts_every_state_a_crashed_transition_leaves() {
-    // Rows of the crash table in DESIGN.md §14 that the tests above do not
+    // Rows of the crash table in DESIGN.md §10 that the tests above do not
     // reach.
     #[rustfmt::skip]
     let rows = [

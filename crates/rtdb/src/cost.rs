@@ -76,13 +76,6 @@ impl CostModel {
         self.secs(self.x_lookup + self.x_update)
     }
 
-    /// Time for one context switch.
-    #[inline]
-    #[must_use]
-    pub fn switch_time(&self) -> f64 {
-        self.secs(self.x_switch)
-    }
-
     /// Time to preempt a running transaction to receive an update: two
     /// switches (out and back, paper §3.3 step 2).
     #[inline]
@@ -177,6 +170,6 @@ mod tests {
             x_switch: 1_000.0,
             ..CostModel::default()
         };
-        assert!((c.preempt_time() - 2.0 * c.switch_time()).abs() < 1e-18);
+        assert!((c.preempt_time() - 2.0 * c.x_switch / c.ips).abs() < 1e-18);
     }
 }

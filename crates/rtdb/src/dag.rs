@@ -1,6 +1,5 @@
-//! Derived-view DAGs maintained by incremental delta propagation
-//! (ROADMAP item 3: views over views, beyond the flat [`crate::triggers`]
-//! rules).
+//! Derived-view DAGs maintained by incremental delta propagation: views
+//! over views, beyond the flat [`crate::triggers`] rules.
 //!
 //! A [`ViewDag`] is a validated-acyclic graph of derived nodes. Rank-0
 //! nodes aggregate base view objects; higher ranks aggregate lower-rank

@@ -22,7 +22,7 @@
 //! * [`triggers`] — update-triggered rules maintaining derived general data
 //!   (paper §7 extension).
 //! * [`dag`] — derived-view DAGs maintained by incremental delta
-//!   propagation with transitive staleness (ROADMAP item 3).
+//!   propagation with transitive staleness.
 //! * [`cost`] — the instruction-count CPU cost model of Table 3.
 //!
 //! The scheduler itself (the paper's contribution) lives in `strip-core`.

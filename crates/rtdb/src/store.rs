@@ -191,12 +191,6 @@ impl Store {
         self.general[index] = value;
     }
 
-    /// Number of general objects.
-    #[must_use]
-    pub fn general_len(&self) -> usize {
-        self.general.len()
-    }
-
     /// Successful installs so far.
     #[must_use]
     pub fn installs(&self) -> u64 {
@@ -207,21 +201,6 @@ impl Store {
     #[must_use]
     pub fn superseded(&self) -> u64 {
         self.superseded
-    }
-
-    /// Iterates over all view objects of a class with their ids.
-    pub fn iter_class(
-        &self,
-        class: Importance,
-    ) -> impl Iterator<Item = (ViewObjectId, &ViewObject)> {
-        let slice = match class {
-            Importance::Low => &self.low,
-            Importance::High => &self.high,
-        };
-        slice
-            .iter()
-            .enumerate()
-            .map(move |(i, o)| (ViewObjectId::new(class, i as u32), o))
     }
 }
 
@@ -298,7 +277,7 @@ mod tests {
         s.write_general(2, 9.5);
         assert_eq!(s.read_general(2), 9.5);
         assert_eq!(s.read_general(0), 0.0);
-        assert_eq!(s.general_len(), 4);
+        assert_eq!(s.general.len(), 4);
     }
 
     #[test]
@@ -350,7 +329,7 @@ mod tests {
         assert_eq!(restored.view(id).payload, 7.0);
         assert_eq!(restored.view(id).version, 1);
         assert_eq!(restored.view(id).generation_ts, t(2.0));
-        assert_eq!(restored.general_len(), 3);
+        assert_eq!(restored.general.len(), 3);
         // Run counters are metrics, not state: they restart at zero.
         assert_eq!(restored.installs(), 0);
         assert_eq!(restored.superseded(), 0);
@@ -360,13 +339,5 @@ mod tests {
             restored.install(&upd(Importance::Low, 1, 1.5, 9.0)),
             InstallOutcome::Superseded
         );
-    }
-
-    #[test]
-    fn iter_class_yields_all() {
-        let s = Store::new(3, 5, 0, t(0.0));
-        assert_eq!(s.iter_class(Importance::Low).count(), 3);
-        assert_eq!(s.iter_class(Importance::High).count(), 5);
-        assert_eq!(s.class_len(Importance::High), 5);
     }
 }

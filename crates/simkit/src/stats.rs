@@ -119,23 +119,6 @@ impl Welford {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Reconstructs an accumulator from summary moments — `n` observations
-    /// with sample mean `mean` and (unbiased) sample standard deviation
-    /// `std_dev`. Together with [`Welford::merge`] this pools per-replica
-    /// `(mean, sd, n)` summaries into the exact all-observation statistics.
-    #[must_use]
-    pub fn from_moments(n: u64, mean: f64, std_dev: f64) -> Self {
-        Welford {
-            n,
-            mean: if n == 0 { 0.0 } else { mean },
-            m2: if n < 2 {
-                0.0
-            } else {
-                std_dev * std_dev * (n - 1) as f64
-            },
-        }
-    }
-
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -268,32 +251,6 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-10);
         assert!((a.variance() - all.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn from_moments_round_trips_and_pools() {
-        let xs: Vec<f64> = (0..60).map(|i| (i as f64 * 0.37).cos() * 4.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        // Summarise two halves, reconstruct, merge: pooled stats must match
-        // the single-pass accumulation over every observation.
-        let (mut a, mut b) = (Welford::new(), Welford::new());
-        for &x in &xs[..25] {
-            a.push(x);
-        }
-        for &x in &xs[25..] {
-            b.push(x);
-        }
-        let mut pooled = Welford::from_moments(a.count(), a.mean(), a.std_dev());
-        pooled.merge(&Welford::from_moments(b.count(), b.mean(), b.std_dev()));
-        assert_eq!(pooled.count(), all.count());
-        assert!((pooled.mean() - all.mean()).abs() < 1e-9);
-        assert!((pooled.std_dev() - all.std_dev()).abs() < 1e-9);
-        // Degenerate summaries stay well-defined.
-        assert_eq!(Welford::from_moments(0, 5.0, 2.0).mean(), 0.0);
-        assert_eq!(Welford::from_moments(1, 5.0, 0.0).std_dev(), 0.0);
     }
 
     #[test]

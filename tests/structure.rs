@@ -2,7 +2,7 @@
 //! `strip-lint`'s determinism & soundness rules (D1–D5, D7–D11) and none
 //! of its structure rows (S1–S5: one scheduler core, one update path, one
 //! config contract, one experiment table, one durability directory). This
-//! is the only place the scan runs; DESIGN.md §11 has the tables.
+//! is the only place the scan runs; DESIGN.md §11 points to the tables.
 
 use std::path::Path;
 
