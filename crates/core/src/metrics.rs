@@ -310,16 +310,14 @@ impl Metrics {
 
     // ---- update events -----------------------------------------------------
 
-    /// An update arrived at the system; `os_accepted` is false when the OS
-    /// queue overflowed.
-    pub fn update_arrived(&mut self, arrival: SimTime, os_accepted: bool) {
+    /// `n` updates arrived at the system at one instant, `os_dropped` of
+    /// them refused by a full OS queue.
+    pub fn updates_arrived(&mut self, arrival: SimTime, n: u64, os_dropped: u64) {
         if !self.in_window(arrival) {
             return;
         }
-        self.updates.arrived += 1;
-        if !os_accepted {
-            self.updates.os_dropped += 1;
-        }
+        self.updates.arrived += n;
+        self.updates.os_dropped += os_dropped;
     }
 
     /// An update entered the application-level update queue.
@@ -541,8 +539,8 @@ mod tests {
         m.txn_aborted_at(&early, AbortReason::MissedDeadline, t(6.5));
         m.view_read(t(5.0), true);
         m.view_read(t(15.0), true);
-        m.update_arrived(t(5.0), true);
-        m.update_arrived(t(15.0), false);
+        m.updates_arrived(t(5.0), 1, 0);
+        m.updates_arrived(t(15.0), 1, 1);
         let tr = tracker();
         m.snapshot_warmup(&tr, t(10.0));
         let r = m.finalize(

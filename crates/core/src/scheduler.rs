@@ -55,6 +55,18 @@
 //! deadline is the driver's own timer: it [`Scheduler::interrupt`]s a slice
 //! of the transaction that is due, then calls [`Scheduler::on_deadline`].
 //!
+//! Update work is never cut short (§4.2), so a driver that lets no input
+//! in between may hand a stretch of it back in one call:
+//! [`Scheduler::run_updates`] finishes the update slice that is out and
+//! every update slice that follows it back to back, each at the instant
+//! the one before it ended plus its length — what `finish` then
+//! `next_slice` at that instant would do, bit for bit, counters, busy
+//! time and trace records included. It stops before a slice that would
+//! end past the driver's `until`, before a transaction slice (both are
+//! then out), when the CPU falls idle, or after `max` slices with nothing
+//! out; every watch it arms goes to the driver's `arm` as it is armed. A
+//! run changes no decision, only how many calls a driver makes for it.
+//!
 //! The same holds for configuration: whatever `SimConfig::validate`
 //! accepts, every driver runs. Value-density preemption, historical
 //! views, rules and the disk model are state and decisions in here, and
@@ -247,6 +259,38 @@ enum UpdateStep {
     Nothing,
 }
 
+/// The CPU seconds of the two parts of an install (§5.3), priced once per
+/// run rather than divided out per install.
+#[derive(Debug, Clone, Copy)]
+struct InstallCosts {
+    lookup: f64,
+    write: f64,
+}
+
+impl InstallCosts {
+    fn of(costs: &CostModel) -> Self {
+        InstallCosts {
+            lookup: costs.lookup_time(),
+            write: costs.update_write_time(),
+        }
+    }
+}
+
+/// How a [`Scheduler::run_updates`] call ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UpdateRun {
+    /// The instant the last slice finished ended at; the `at` passed in
+    /// when none finished.
+    pub at: SimTime,
+    /// Update slices finished, at most the `max` passed in.
+    pub finished: u32,
+    /// The length of the slice out after the run, which started at `at`:
+    /// a transaction slice, or update work that would end past `until`.
+    /// `None` when nothing is out — the CPU fell idle, or `max` slices
+    /// finished (`finished == max`) and the driver asks for the next one.
+    pub next: Option<f64>,
+}
+
 /// Why an arrival wants the transaction slice that is out cut short: the
 /// verdict of [`Scheduler::on_update`] and [`Scheduler::on_txn`], handed
 /// back through [`Scheduler::preempt`].
@@ -338,9 +382,6 @@ pub struct Scheduler {
     chained: bool,
     /// When the slice in `on_cpu` started.
     slice_started: SimTime,
-    /// The MA-expiry watch armed by the install of the slice being
-    /// finished, on its way out to the driver.
-    watch: Option<ExpiryWatch>,
     metrics: Metrics,
     update_seq: u64,
     /// `2·x_switch` owed by the next update slice after a preemption.
@@ -409,7 +450,6 @@ impl Scheduler {
             installing: None,
             chained: false,
             slice_started: SimTime::ZERO,
-            watch: None,
             metrics,
             update_seq,
             pending_preempt_cost: 0.0,
@@ -549,6 +589,15 @@ impl Scheduler {
         }
     }
 
+    /// The slice now in `on_cpu`, `secs` long, starts at `now`.
+    fn start_slice(&mut self, now: SimTime, secs: f64) {
+        if let (Some(work), true) = (&self.on_cpu, self.trace.is_some()) {
+            let (track, job) = work.trace_job();
+            self.emit(now, TraceKind::SliceStart { track, job, secs });
+        }
+        self.slice_started = now;
+    }
+
     /// Samples the gauge set into the trace when a sample is due. A driver
     /// calls this from an observation hook after each input, never from a
     /// scheduled event of its own, so a traced run takes exactly the same
@@ -588,19 +637,17 @@ impl Scheduler {
     /// the driver must hand it back through [`Scheduler::preempt`].
     pub fn on_update(&mut self, spec: &UpdateSpec, now: SimTime) -> Option<Preempt> {
         debug_assert!(spec.arrival == now);
-        let update = Update {
-            seq: self.update_seq,
+        let mut update = Update {
+            seq: 0,
             object: spec.object,
             generation_ts: spec.generation_ts,
             arrival_ts: now,
             payload: spec.payload,
             attr_mask: spec.attr_mask,
         };
-        self.update_seq += 1;
+        self.note_arrivals(std::slice::from_mut(&mut update), now);
         // A full OS queue rejects the arrival (paper §3.3).
-        let accepted = self.os_queue.deliver(update).accepted;
-        let os_len = self.os_queue.len();
-        self.note_arrival(spec.object, spec.generation_ts, accepted, os_len, now);
+        self.os_queue.deliver(update);
         self.arrival_verdict()
     }
 
@@ -614,39 +661,37 @@ impl Scheduler {
         if block.is_empty() {
             return None;
         }
-        let before = self.os_queue.len();
-        let room = self.os_queue.capacity() - before;
-        for (i, u) in block.iter_mut().enumerate() {
-            u.seq = self.update_seq;
-            u.arrival_ts = now;
-            self.update_seq += 1;
-            let os_len = before + room.min(i + 1);
-            self.note_arrival(u.object, u.generation_ts, i < room, os_len, now);
-        }
+        self.note_arrivals(&mut block, now);
         self.os_queue.append(block);
         self.arrival_verdict()
     }
 
-    /// The bookkeeping of one arrival, whether or not the OS queue kept
-    /// it; `os_len` is the queue's length just after it.
-    fn note_arrival(
-        &mut self,
-        object: ViewObjectId,
-        generation_ts: SimTime,
-        os_accepted: bool,
-        os_len: usize,
-        now: SimTime,
-    ) {
-        self.metrics.update_arrived(now, os_accepted);
-        // The system has been handed this update: under UU the object is now
-        // stale until a value at least this recent is installed, whether or
-        // not the OS queue kept the message.
-        self.tracker.on_receive(object, generation_ts, now);
-        self.metrics.observe_queue_lengths(os_len, self.uq.len());
-        if self.trace.is_some() {
-            let (os, uq) = (os_len as u32, self.uq.len() as u32);
-            self.emit(now, TraceKind::QueueDepth { os, uq });
+    /// Stamps and accounts the arrivals of `block` at `now`, whether or not
+    /// the OS queue, which takes them next, keeps them. What is the same
+    /// for the whole block is done once: the measurement-window check and,
+    /// since the OS queue only grows and the update queue stands still
+    /// meanwhile, the high-water marks, taken at the final lengths.
+    fn note_arrivals(&mut self, block: &mut [Update], now: SimTime) {
+        let before = self.os_queue.len();
+        let room = self.os_queue.capacity() - before;
+        let kept = room.min(block.len());
+        let uq = self.uq.len();
+        for (i, u) in block.iter_mut().enumerate() {
+            u.seq = self.update_seq;
+            u.arrival_ts = now;
+            self.update_seq += 1;
+            // The system has been handed this update: under UU the object
+            // is now stale until a value at least this recent is
+            // installed, whether or not the OS queue keeps the message.
+            self.tracker.on_receive(u.object, u.generation_ts, now);
+            if self.trace.is_some() {
+                let os = (before + room.min(i + 1)) as u32;
+                self.emit(now, TraceKind::QueueDepth { os, uq: uq as u32 });
+            }
         }
+        let n = block.len() as u64;
+        self.metrics.updates_arrived(now, n, n - kept as u64);
+        self.metrics.observe_queue_lengths(before + kept, uq);
     }
 
     /// Whether an arrival preempts the transaction slice that is out.
@@ -721,11 +766,7 @@ impl Scheduler {
             None => self.dispatch(now)?,
         };
         debug_assert!(secs >= 0.0);
-        if let (Some(work), true) = (&self.on_cpu, self.trace.is_some()) {
-            let (track, job) = work.trace_job();
-            self.emit(now, TraceKind::SliceStart { track, job, secs });
-        }
-        self.slice_started = now;
+        self.start_slice(now, secs);
         Some(secs)
     }
 
@@ -744,23 +785,104 @@ impl Scheduler {
         self.emit_slice_end(now, &work, false);
         match work {
             Work::Install { path, superseded } => {
-                if let Some(update) = self.installing.take() {
-                    let applied = !superseded && self.apply_update(&update, now);
-                    self.record_install(&update, path, applied, now);
-                }
+                let update = self.installing.take()?;
+                self.install(&update, path, superseded, now)
             }
-            Work::QueueTransfer => {}
+            Work::QueueTransfer => None,
             Work::RuleExec { rule_id, fired_at } => {
                 if let Some(rules) = self.rules.as_mut() {
                     rules.set.execute(rule_id, &mut self.store);
                     rules.pending.remove(&rule_id);
                 }
                 self.metrics.rule_executed(now, now.since(fired_at));
+                None
             }
-            Work::DagApply { node } => self.dag_apply(node, now),
+            Work::DagApply { node } => {
+                self.dag_apply(node, now);
+                None
+            }
             Work::Txn(rt) => self.on_txn_slice_done(rt, now),
         }
-        self.watch.take()
+    }
+
+    /// Finishes the update slice that is out, started at `at` and `secs`
+    /// long, and every update slice that follows it back to back, each at
+    /// the instant the one before it ended plus its length: the sequence
+    /// of `finish` and `next_slice` calls a driver would make, with the
+    /// same effects and watches. Stops before a slice that would end past
+    /// `until` or a transaction slice, leaving it out; when the CPU falls
+    /// idle; or after `max` finished slices, with nothing out (see
+    /// [`UpdateRun`]). Every watch a finished slice arms goes to `arm`.
+    ///
+    /// While the policy receives every arrival straight into an install
+    /// (UF, §4.1), the slice that follows an update slice is the install
+    /// of the OS queue's next arrival — what `next_slice` would choose
+    /// there — and the run puts it on, prices it and finishes it itself,
+    /// the update in a local, through the same pricing and install effect
+    /// `next_slice` and `finish` use.
+    pub fn run_updates(
+        &mut self,
+        mut at: SimTime,
+        mut secs: f64,
+        until: SimTime,
+        max: u32,
+        mut arm: impl FnMut(ExpiryWatch),
+    ) -> UpdateRun {
+        debug_assert!(self.on_cpu.is_some() && self.slice_started == at);
+        let immediate = !self.cfg.policy.uses_update_queue();
+        let costs = InstallCosts::of(&self.costs);
+        let traced = self.trace.is_some();
+        let mut finished = 0;
+        let next = 'run: loop {
+            // The slice out is in `on_cpu`.
+            if finished == max || matches!(self.on_cpu, Some(Work::Txn(_))) || at + secs > until {
+                break Some(secs);
+            }
+            at += secs;
+            if let Some(watch) = self.finish(at) {
+                arm(watch);
+            }
+            finished += 1;
+            while immediate && finished < max {
+                let Some(update) = self.os_queue.receive() else {
+                    break;
+                };
+                let (secs, superseded) = self.price_install(costs, &update, 0.0, at);
+                let path = InstallPath::Immediate;
+                if at + secs > until {
+                    self.put_install(update, path, superseded);
+                    self.start_slice(at, secs);
+                    break 'run Some(secs);
+                }
+                let started = at;
+                at += secs;
+                if traced {
+                    let (track, job, interrupted) = (TraceTrack::Update, TraceJob::Install, false);
+                    self.emit(started, TraceKind::SliceStart { track, job, secs });
+                    self.emit(
+                        at,
+                        TraceKind::SliceEnd {
+                            track,
+                            job,
+                            interrupted,
+                        },
+                    );
+                }
+                self.metrics.charge_busy(Activity::Update, started, at);
+                if let Some(watch) = self.install(&update, path, superseded, at) {
+                    arm(watch);
+                }
+                finished += 1;
+            }
+            if finished == max {
+                break None;
+            }
+            let Some(next) = self.next_slice(at) else {
+                break None;
+            };
+            secs = next;
+        };
+        UpdateRun { at, finished, next }
     }
 
     /// The slice that is out was cut after `performed_secs` of its length
@@ -901,6 +1023,22 @@ impl Scheduler {
         path: InstallPath,
         extra: f64,
     ) -> UpdateStep {
+        let costs = InstallCosts::of(&self.costs);
+        let (secs, superseded) = self.price_install(costs, &update, extra, now);
+        self.put_install(update, path, superseded);
+        UpdateStep::Slice(secs)
+    }
+
+    /// The install of `update` starting at `now`: its length in seconds,
+    /// `extra` included, and whether the lookup will find it superseded.
+    #[inline]
+    fn price_install(
+        &mut self,
+        costs: InstallCosts,
+        update: &Update,
+        extra: f64,
+        now: SimTime,
+    ) -> (f64, bool) {
         let obj = self.store.view(update.object);
         let superseded = if obj.attr_count() == 1 {
             update.generation_ts <= obj.generation_ts
@@ -913,29 +1051,53 @@ impl Scheduler {
         };
         let work = if superseded {
             // The lookup reveals a value at least as recent; skip the write.
-            self.costs.lookup_time()
+            costs.lookup
         } else {
             // A partial update writes only its covered attributes, so its
-            // write cost scales with the fraction provided.
+            // write cost scales with the fraction provided. A whole one
+            // skips the count and the division, the dearest steps of the
+            // pricing: the quotient would be exactly 1.
             let attrs = self.cfg.attrs_per_object.max(1);
-            let frac = f64::from(update.provided_attrs(attrs)) / f64::from(attrs);
-            self.costs.lookup_time() + self.costs.update_write_time() * frac
+            let frac = if update.provides_all(attrs) {
+                1.0
+            } else {
+                f64::from(update.provided_attrs(attrs)) / f64::from(attrs)
+            };
+            costs.lookup + costs.write * frac
         };
         let io = self.io_penalty(now, true);
-        let duration = work + extra + io + self.take_preempt_cost();
+        (work + extra + io + self.take_preempt_cost(), superseded)
+    }
+
+    /// Makes the install of `update` the slice that is out.
+    fn put_install(&mut self, update: Update, path: InstallPath, superseded: bool) {
         self.installing = Some(update);
         self.on_cpu = Some(Work::Install { path, superseded });
-        UpdateStep::Slice(duration)
     }
 
     fn take_preempt_cost(&mut self) -> f64 {
         std::mem::take(&mut self.pending_preempt_cost)
     }
 
-    /// Applies a (non-superseded) update to the store and staleness
-    /// tracking; arms the MA expiry watchdog.
-    fn apply_update(&mut self, update: &Update, now: SimTime) -> bool {
-        match self.store.install(update) {
+    /// The effect of an install that ran its full length, whichever path
+    /// ran it: unless the lookup found it `superseded`, the update goes
+    /// into the store, the staleness tracker and the extensions that
+    /// watch installs; then it is counted. Returns the MA-expiry watch of
+    /// the value installed, for the driver to arm.
+    #[inline]
+    fn install(
+        &mut self,
+        update: &Update,
+        path: InstallPath,
+        superseded: bool,
+        now: SimTime,
+    ) -> Option<ExpiryWatch> {
+        let outcome = if superseded {
+            InstallOutcome::Superseded
+        } else {
+            self.store.install(update)
+        };
+        let (applied, watch) = match outcome {
             InstallOutcome::Installed {
                 new_version,
                 min_generation,
@@ -943,27 +1105,23 @@ impl Scheduler {
                 // The MA-relevant generation is the object's oldest
                 // attribute after the write (equals the update's generation
                 // for complete updates on single-attribute objects).
-                if let Some(watch) =
+                let watch =
                     self.tracker
-                        .on_install(update.object, min_generation, new_version, now)
-                {
-                    debug_assert!(self.watch.is_none(), "one install per finished slice");
-                    self.watch = Some(watch);
-                }
+                        .on_install(update.object, min_generation, new_version, now);
                 if let Some(h) = self.history.as_mut() {
                     h.store
                         .record(update.object, update.generation_ts, update.payload);
                 }
-                self.fire_rules(update.object, now);
+                // Checked here too: the call is out of line, and an
+                // install with no rules should not pay for it.
+                if self.rules.is_some() {
+                    self.fire_rules(update.object, now);
+                }
                 self.propagate_base_install(update, now);
-                true
+                (true, watch)
             }
-            InstallOutcome::Superseded => false,
-        }
-    }
-
-    /// Accounts one completed install slice, whichever path ran it.
-    fn record_install(&mut self, update: &Update, path: InstallPath, applied: bool, now: SimTime) {
+            InstallOutcome::Superseded => (false, None),
+        };
         if applied {
             self.metrics.update_installed(now, path);
         } else {
@@ -981,6 +1139,7 @@ impl Scheduler {
                 superseded: !applied,
             },
         );
+        watch
     }
 
     // ---- dispatch -----------------------------------------------------------
@@ -1255,7 +1414,9 @@ impl Scheduler {
         self.chained = true;
     }
 
-    fn on_txn_slice_done(&mut self, mut rt: Box<RunningTxn>, now: SimTime) {
+    /// A slice of the bound transaction ran its full length. Returns the
+    /// watch of a value an on-demand install armed.
+    fn on_txn_slice_done(&mut self, mut rt: Box<RunningTxn>, now: SimTime) -> Option<ExpiryWatch> {
         match std::mem::replace(&mut rt.slice, TxnSliceKind::Segment) {
             TxnSliceKind::Segment => {
                 let finished = rt.txn.complete_segment();
@@ -1272,28 +1433,34 @@ impl Scheduler {
                         if remaining > 0.0 {
                             self.chain(rt, TxnSliceKind::IoStall { obj, remaining });
                         } else {
-                            self.handle_view_read(rt, obj, now);
+                            return self.handle_view_read(rt, obj, now);
                         }
                     }
                 }
             }
-            TxnSliceKind::StaleScan { obj, .. } => self.handle_post_scan(rt, obj, now),
+            TxnSliceKind::StaleScan { obj, .. } => return self.handle_post_scan(rt, obj, now),
             TxnSliceKind::DagRefresh { node, .. } => {
                 self.perform_dag_refresh(node, now);
                 self.finalize_derived_read(rt, node, now);
             }
-            TxnSliceKind::IoStall { obj, .. } => self.handle_view_read(rt, obj, now),
+            TxnSliceKind::IoStall { obj, .. } => return self.handle_view_read(rt, obj, now),
             TxnSliceKind::OdApply { update, .. } => {
-                let applied = self.apply_update(&update, now);
-                self.record_install(&update, InstallPath::OnDemand, applied, now);
+                let watch = self.install(&update, InstallPath::OnDemand, false, now);
                 self.finalize_read(rt, update.object, now);
+                return watch;
             }
         }
+        None
     }
 
     /// A view-read lookup just completed: perform the staleness check
     /// (paper §3.4 step 2), possibly starting a queue scan.
-    fn handle_view_read(&mut self, rt: Box<RunningTxn>, obj: ViewObjectId, now: SimTime) {
+    fn handle_view_read(
+        &mut self,
+        rt: Box<RunningTxn>,
+        obj: ViewObjectId,
+        now: SimTime,
+    ) -> Option<ExpiryWatch> {
         // Historical views (extension): some reads are as-of reads against
         // a past instant. The past is immutable, so they are never stale
         // and never trigger on-demand refreshes; they can *miss* when the
@@ -1306,7 +1473,7 @@ impl Scheduler {
                 let hit = h.store.value_as_of(obj, as_of).is_some();
                 self.metrics.historical_read(rt.txn.spec().arrival, hit);
                 self.continue_txn(rt, now);
-                return;
+                return None;
             }
         }
         // The scan decision (OD's on-demand search under MA; the UU check
@@ -1318,11 +1485,19 @@ impl Scheduler {
         };
         match policy::read_check(self.cfg.policy, self.cfg.staleness, ma_stale) {
             ReadCheck::Scan => self.begin_scan(rt, obj, now),
-            ReadCheck::Direct => self.finalize_read(rt, obj, now),
+            ReadCheck::Direct => {
+                self.finalize_read(rt, obj, now);
+                None
+            }
         }
     }
 
-    fn begin_scan(&mut self, rt: Box<RunningTxn>, obj: ViewObjectId, now: SimTime) {
+    fn begin_scan(
+        &mut self,
+        rt: Box<RunningTxn>,
+        obj: ViewObjectId,
+        now: SimTime,
+    ) -> Option<ExpiryWatch> {
         let remaining = if self.cfg.indexed_queue {
             self.costs.indexed_probe_time()
         } else {
@@ -1330,13 +1505,19 @@ impl Scheduler {
         };
         if remaining > 0.0 {
             self.chain(rt, TxnSliceKind::StaleScan { obj, remaining });
+            None
         } else {
-            self.handle_post_scan(rt, obj, now);
+            self.handle_post_scan(rt, obj, now)
         }
     }
 
     /// The queue scan finished: decide whether an on-demand install happens.
-    fn handle_post_scan(&mut self, mut rt: Box<RunningTxn>, obj: ViewObjectId, now: SimTime) {
+    fn handle_post_scan(
+        &mut self,
+        mut rt: Box<RunningTxn>,
+        obj: ViewObjectId,
+        now: SimTime,
+    ) -> Option<ExpiryWatch> {
         let queued_newest = self.uq.newest_for(obj).map(|u| u.generation_ts);
         let installed_gen = self.store.view(obj).generation_ts;
         let refresh = if policy::od_refresh(self.cfg.policy, queued_newest, installed_gen) {
@@ -1346,7 +1527,7 @@ impl Scheduler {
         };
         let Some(update) = refresh else {
             self.finalize_read(rt, obj, now);
-            return;
+            return None;
         };
         // Applying the found update costs x_update (the object is already
         // located by the read's lookup — §5.3).
@@ -1354,9 +1535,10 @@ impl Scheduler {
         let apply = TxnSliceKind::OdApply { update, remaining };
         if remaining > 0.0 {
             self.chain(rt, apply);
+            None
         } else {
             rt.slice = apply;
-            self.on_txn_slice_done(rt, now);
+            self.on_txn_slice_done(rt, now)
         }
     }
 

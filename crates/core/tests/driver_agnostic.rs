@@ -18,17 +18,25 @@
 //! planned end), and events at equal times pop in scheduling order. The
 //! arrivals here carry continuous random times, so the only ties are the
 //! initial expiry watches clamped to t = 0, which commute.
+//!
+//! A driver may also hand back a stretch of update work in one call,
+//! [`Scheduler::run_updates`]. The last test pins that call to the
+//! `finish`/`next_slice` loop it stands for: the same driver, with the
+//! same seeded choice of how far each run may go, once through the core's
+//! run and once through that loop, must see the same runs, the same
+//! watches, the same trace and the same report.
 
 use strip_core::config::{
     DagSpec, HistoryAccess, IoModel, Policy, SimConfig, SimConfigBuilder, TriggerConfig,
 };
 use strip_core::controller::run_simulation;
 use strip_core::report::{ResilienceStats, RunReport};
-use strip_core::scheduler::{initial_store, Scheduler};
+use strip_core::scheduler::{initial_store, Scheduler, UpdateRun};
 use strip_core::sources::{ScriptedTxns, ScriptedUpdates, UpdateSpec};
 use strip_core::txn::TxnSpec;
 use strip_db::object::{Importance, ViewObjectId};
 use strip_db::staleness::ExpiryWatch;
+use strip_obs::{TraceConfig, TraceData};
 use strip_sim::dist::{ClampedNormal, Distribution, Exponential, Uniform};
 use strip_sim::rng::Xoshiro256pp;
 use strip_sim::time::SimTime;
@@ -117,10 +125,78 @@ enum Next {
     WarmupEnd,
 }
 
-/// Runs `cfg` over the given arrivals with no event calendar.
-fn drive(cfg: &SimConfig, updates: &[UpdateSpec], txns: &[TxnSpec]) -> RunReport {
+/// Who hands a stretch of update work back to the core.
+#[derive(Clone, Copy)]
+enum Runner {
+    /// [`Scheduler::run_updates`].
+    Core,
+    /// The `finish`/`next_slice` loop it stands for, spelled out.
+    Loop,
+}
+
+/// The loop [`Scheduler::run_updates`] stands for: finish the update slice
+/// that is out at its end, ask for the next at that instant, and stop as
+/// the run contract says.
+fn loop_run(
+    core: &mut Scheduler,
+    mut at: SimTime,
+    mut secs: f64,
+    until: SimTime,
+    max: u32,
+    arm: &mut impl FnMut(ExpiryWatch),
+) -> UpdateRun {
+    let mut finished = 0;
+    loop {
+        if finished == max || core.txn_on_cpu().is_some() || at + secs > until {
+            let next = Some(secs);
+            return UpdateRun { at, finished, next };
+        }
+        at += secs;
+        if let Some(watch) = core.finish(at) {
+            arm(watch);
+        }
+        finished += 1;
+        let next = if finished == max {
+            None
+        } else {
+            core.next_slice(at)
+        };
+        match next {
+            Some(next) => secs = next,
+            None => return UpdateRun { at, finished, next },
+        }
+    }
+}
+
+/// What one [`drive`] saw.
+struct Driven {
+    report: RunReport,
+    runs: Vec<UpdateRun>,
+    watches: Vec<ExpiryWatch>,
+    trace: Option<TraceData>,
+}
+
+/// Runs `cfg` over the given arrivals with no event calendar. With a
+/// `runner`, the end of an update slice starts a run instead of a lone
+/// `finish`: as far as a seeded `until` — never past the next input — and
+/// for at most a seeded `max` slices. Update work a run leaves out because
+/// it ends past `until` is finished by itself at its end, as a driver
+/// that burns it would.
+fn drive(
+    cfg: &SimConfig,
+    updates: &[UpdateSpec],
+    txns: &[TxnSpec],
+    runner: Option<Runner>,
+    traced: bool,
+) -> Driven {
     let horizon = SimTime::from_secs(cfg.duration);
     let mut core = Scheduler::new(cfg.clone(), initial_store(cfg), 0);
+    if traced {
+        core.set_trace(TraceConfig {
+            capacity: 1 << 20,
+            gauge_every: None,
+        });
+    }
     // Armed watchdogs: (when, what).
     let mut expiries: Vec<(SimTime, ExpiryWatch)> = core
         .initial_watches()
@@ -133,10 +209,11 @@ fn drive(cfg: &SimConfig, updates: &[UpdateSpec], txns: &[TxnSpec]) -> RunReport
     // The slice on the CPU: (started, planned end).
     let mut slice: Option<(SimTime, SimTime)> = None;
     let mut events = 0u64;
+    let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed).substream(0x2A9);
+    let (mut runs, mut watches) = (Vec::new(), Vec::new());
 
     loop {
-        let candidates = [
-            slice.map(|(_, end)| (end, Next::SliceEnd)),
+        let inputs = [
             updates.get(next_update).map(|u| (u.arrival, Next::Update)),
             txns.get(next_txn).map(|t| (t.arrival, Next::Txn)),
             (0..deadlines.len())
@@ -147,7 +224,8 @@ fn drive(cfg: &SimConfig, updates: &[UpdateSpec], txns: &[TxnSpec]) -> RunReport
                 .map(|i| (expiries[i].0, Next::Expiry(i))),
             warmup.map(|at| (at, Next::WarmupEnd)),
         ];
-        let Some((now, next)) = candidates
+        let input = inputs.into_iter().flatten().min_by(|a, b| a.0.cmp(&b.0));
+        let Some((now, next)) = [slice.map(|(_, end)| (end, Next::SliceEnd)), input]
             .into_iter()
             .flatten()
             .min_by(|a, b| a.0.cmp(&b.0))
@@ -168,11 +246,60 @@ fn drive(cfg: &SimConfig, updates: &[UpdateSpec], txns: &[TxnSpec]) -> RunReport
             events += u64::from(end <= horizon);
             now.since(started)
         };
+        let mut at = now;
+        let runner = runner.filter(|_| core.txn_on_cpu().is_none());
         match next {
-            Next::SliceEnd => {
+            Next::SliceEnd if runner.is_none() => {
                 slice = None;
                 if let Some(watch) = core.finish(now) {
+                    watches.push(watch);
                     expiries.push((watch.at, watch));
+                }
+            }
+            Next::SliceEnd => {
+                let (started, end) = slice.take().expect("a slice is out");
+                let secs = end.since(started);
+                // Sometimes not even the first slice fits, sometimes a few
+                // do, mostly everything up to the next input.
+                let next_input = input.map_or(horizon, |(t, _)| t).min(horizon);
+                let until = match rng.next_below(4) {
+                    0 => started,
+                    1 => started + secs * (1.0 + 3.0 * rng.next_f64()),
+                    _ => next_input,
+                }
+                .min(next_input);
+                let max = match rng.next_below(3) {
+                    0 => 1,
+                    1 => 1 + rng.next_below(8) as u32,
+                    _ => u32::MAX,
+                };
+                let mut arm = |watch: ExpiryWatch| {
+                    watches.push(watch);
+                    expiries.push((watch.at, watch));
+                };
+                let run = match runner {
+                    Some(Runner::Core) => core.run_updates(started, secs, until, max, &mut arm),
+                    _ => loop_run(&mut core, started, secs, until, max, &mut arm),
+                };
+                assert!(run.finished <= max, "{run:?} past max {max}");
+                assert!(
+                    run.finished == 0 || run.at <= until,
+                    "{run:?} past until {until:?}"
+                );
+                events += u64::from(run.finished);
+                runs.push(run);
+                at = run.at;
+                if let Some(secs) = run.next {
+                    slice = Some((at, at + secs));
+                }
+                if run.finished == 0 && core.txn_on_cpu().is_none() {
+                    // Too long for `until`: it runs to its end by itself.
+                    slice = None;
+                    if let Some(watch) = core.finish(end) {
+                        watches.push(watch);
+                        expiries.push((watch.at, watch));
+                    }
+                    at = end;
                 }
             }
             Next::Update => {
@@ -208,13 +335,18 @@ fn drive(cfg: &SimConfig, updates: &[UpdateSpec], txns: &[TxnSpec]) -> RunReport
             }
         }
         if slice.is_none() {
-            slice = core.next_slice(now).map(|secs| (now, now + secs));
+            slice = core.next_slice(at).map(|secs| (at, at + secs));
         }
     }
     if let Some((started, _)) = slice {
         core.interrupt(horizon.since(started), horizon);
     }
-    core.report(horizon, events, ResilienceStats::default())
+    Driven {
+        report: core.report(horizon, events, ResilienceStats::default()),
+        runs,
+        watches,
+        trace: core.take_trace(),
+    }
 }
 
 fn assert_same_report(cfg: &SimConfig, label: &str) -> RunReport {
@@ -230,7 +362,7 @@ fn assert_same_report(cfg: &SimConfig, label: &str) -> RunReport {
         None,
     )
     .unwrap();
-    let driven = drive(cfg, &updates, &txns);
+    let driven = drive(cfg, &updates, &txns, None, false).report;
     assert!(simulated.txns.committed > 0, "{label}: nothing committed");
     assert_eq!(driven.to_json(), simulated.to_json(), "{label}");
     driven
@@ -312,4 +444,80 @@ fn calendar_free_driver_reproduces_the_simulator_with_every_extension() {
         assert_same_report(&cfg, "txn_preemption")
     });
     assert_ne!(plain.to_json(), preempting.to_json(), "nobody was out-bid");
+}
+
+#[test]
+fn a_run_of_update_work_is_the_finish_next_slice_loop_it_stands_for() {
+    let base = || {
+        SimConfig::builder()
+            .lambda_t(10.0)
+            .duration(5.0)
+            .seed(0x5712_1995)
+    };
+    let mut points: Vec<(String, SimConfig)> = Vec::new();
+    for policy in Policy::PAPER_SET {
+        for lambda_t in [2.5, 10.0, 20.0] {
+            let cfg = base().policy(policy).lambda_t(lambda_t).build();
+            points.push((format!("{}/lt{lambda_t}", policy.label()), cfg.unwrap()));
+        }
+        let partial = base().policy(policy).attrs_per_object(4).build();
+        points.push((format!("{}/partial", policy.label()), partial.unwrap()));
+    }
+    let extensions = [
+        (
+            "dag",
+            base()
+                .policy(Policy::OnDemand)
+                .dag(Some(DagSpec::default())),
+        ),
+        ("history", base().history(Some(HistoryAccess::default()))),
+        ("triggers", base().triggers(Some(TriggerConfig::default()))),
+        (
+            "io",
+            base().policy(Policy::OnDemand).io(Some(IoModel::default())),
+        ),
+        (
+            "txn_preemption",
+            base()
+                .policy(Policy::TransactionsFirst)
+                .lambda_t(20.0)
+                .txn_preemption(true),
+        ),
+    ];
+    for (label, cfg) in extensions {
+        points.push((label.to_string(), cfg.build().expect("a valid point")));
+    }
+    let mut longest = 0;
+    for (label, cfg) in &points {
+        let (mut updates, txns) = arrivals(cfg);
+        if cfg.attrs_per_object > 1 {
+            // Partial updates: a random non-empty subset of the attributes.
+            let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed).substream(0x9A7);
+            let attrs = u64::from(cfg.attrs_per_object);
+            for u in &mut updates {
+                u.attr_mask = 1 + rng.next_below((1 << attrs) - 1);
+            }
+        }
+        for traced in [false, true] {
+            let by_core = drive(cfg, &updates, &txns, Some(Runner::Core), traced);
+            let by_loop = drive(cfg, &updates, &txns, Some(Runner::Loop), traced);
+            let runs = &by_core.runs;
+            assert!(runs.len() > 50, "{label}: {} runs", runs.len());
+            assert!(runs.iter().any(|r| r.finished > 1), "{label}: no run");
+            assert_eq!(by_core.trace.is_some(), traced, "{label}");
+            assert!(by_core.trace.as_ref().is_none_or(|t| t.overwritten == 0));
+            let label = format!("{label}, traced {traced}");
+            assert_eq!(by_core.runs, by_loop.runs, "{label}: runs");
+            assert_eq!(by_core.watches, by_loop.watches, "{label}: watches");
+            assert!(by_core.trace == by_loop.trace, "{label}: traces");
+            let (core_json, loop_json) = (by_core.report.to_json(), by_loop.report.to_json());
+            assert_eq!(core_json, loop_json, "{label}: reports");
+            longest = by_core
+                .runs
+                .iter()
+                .map(|r| r.finished)
+                .fold(longest, u32::max);
+        }
+    }
+    assert!(longest > 8, "no run finished more than {longest} slices");
 }

@@ -46,7 +46,8 @@ pub const ROWS: [Row; 22] = [
         rule: RuleId::SchedulerCore,
         needles: &[
             "fn try_update_step",
-            "fn apply_update",
+            "fn run_updates",
+            "fn price_install",
             "fn take_preempt_cost",
             "fn work_state",
             "fn try_dag_step",

@@ -11,7 +11,8 @@ impl Scheduler {
     }
 
     fn try_update_step() {}
-    fn apply_update() {}
+    fn run_updates() {}
+    fn price_install() {}
     fn take_preempt_cost() {}
     fn work_state() {}
     fn try_dag_step() {}

@@ -11,26 +11,29 @@
 //! every slice with no transaction on the CPU — is never preempted (§4.2),
 //! so while such slices follow each other back to back and their planned
 //! ends stay inside the window, the executor does exactly what the
-//! simulator does: `finish` at the planned instant `start + secs`, then
-//! `next_slice` at that instant, with no clock read, timer pass or ingest
-//! poll in between. That sequence is a *run*. It is *settled* — the wall
-//! clock is spun up to the run's planned end — before anything can
-//! observe it: before the next poll, before a transaction slice, and
-//! before a slice too long for the window. Those slices are *burned* by
-//! spinning on the wall clock in chunks that end at the poll deadline,
-//! with a scheduling point after each chunk, so preemption is quantised:
-//! an arrival whose verdict asks for one — an update under UF/SU, a denser
-//! transaction under value-density preemption — cuts the transaction
-//! slice at the next chunk boundary rather than instantaneously
-//! (DESIGN.md §5 quantifies the approximation).
+//! simulator does: each finishes at the planned instant `start + secs`
+//! and the next starts there, with no clock read, timer pass or ingest
+//! poll in between. That sequence is a *run*, and the core does it in one
+//! call, [`Scheduler::run_updates`] with `until` = the poll deadline,
+//! which arms each watch in the executor's table as it goes. A run is
+//! *settled* — the wall clock is spun up to its planned end — before
+//! anything can observe it: before the next poll, before a transaction
+//! slice, and before a slice too long for the window. Those slices are
+//! *burned* by spinning on the wall clock in chunks that end at the poll
+//! deadline, with a scheduling point after each chunk, so preemption is
+//! quantised: an arrival whose verdict asks for one — an update under
+//! UF/SU, a denser transaction under value-density preemption — cuts the
+//! transaction slice at the next chunk boundary rather than
+//! instantaneously (DESIGN.md §5 quantifies the approximation).
 //!
 //! Clock discipline: [`Executor::now`] is always a reading the wall clock
 //! has reached, and every handler of a scheduling point is passed that one
 //! reading. Inside a run time is *planned*, not read; the clock is only
-//! consulted every [`RUN_CLOCK_STRIDE`] slices, so that a cost model
-//! cheaper than the runtime itself cannot carry a run past its poll
-//! deadline. Busy time inside a run is therefore the modelled time, as in
-//! the simulator; what the runtime spends beyond the model reads as idle.
+//! consulted every [`RUN_CLOCK_STRIDE`] slices — the `max` of each
+//! `run_updates` call — so that a cost model cheaper than the runtime
+//! itself cannot carry a run past its poll deadline. Busy time inside a
+//! run is therefore the modelled time, as in the simulator; what the
+//! runtime spends beyond the model reads as idle.
 //!
 //! A stats, report or `/metrics` reply is an *ack*: it counts every update
 //! accepted before it, so with a WAL it may leave only once the flusher
@@ -250,10 +253,12 @@ pub enum Ingest {
 /// max-heap, has the earliest instant on top (ties go to the lower item).
 type Timer<T> = Reverse<(SimTime, T)>;
 
-/// Slices between two clock readings inside a run. A reading costs about
-/// 40 ns, so this stride adds under 1 ns to an update; at the ~100 ns the
-/// runtime spends on one, it lets a run whose modelled cost is below that
-/// overrun its poll deadline by a few µs at most.
+/// Slices between two clock readings inside a run. A reading costs 50 to
+/// 100 ns (`clock.now_ns` on a 2-vCPU host), so this stride adds 1 to 2 ns
+/// to an update; at the ~80 ns of executor CPU an update costs, ingest
+/// included (0.08 s of `executor.cpu_s` per 1 M-update `live_drain`
+/// burst), it lets a run whose modelled cost is below that overrun its
+/// poll deadline by about 5 µs at most.
 const RUN_CLOCK_STRIDE: u32 = 64;
 
 /// The longest an idle executor sleeps while acks are parked: a quarter
@@ -281,6 +286,29 @@ enum Cut {
     Shutdown,
 }
 
+/// Arms the expiry watchdog of the value just installed into
+/// `watch.object`, replacing the one of the value it overwrote in
+/// `watches`, where each object has a slot: the `n_low` low-importance
+/// ones, then the high. An object's watches only move later (an install
+/// never lowers a generation), so the `expiry` entry already there comes
+/// due no later than this watch and [`Executor::process_timers`] re-keys
+/// it then.
+fn arm(
+    watches: &mut [Option<ExpiryWatch>],
+    expiry: &mut BinaryHeap<Timer<usize>>,
+    n_low: u32,
+    watch: ExpiryWatch,
+) {
+    let base = match watch.object.class {
+        Importance::Low => 0,
+        Importance::High => n_low,
+    };
+    let slot = (base + watch.object.index) as usize;
+    if watches[slot].replace(watch).is_none() {
+        expiry.push(Reverse((watch.at, slot)));
+    }
+}
+
 /// The single-threaded driver of the scheduler core, on a [`Clock`].
 ///
 /// Construct with [`Executor::new`], feed the channel from any number of
@@ -300,8 +328,8 @@ pub struct Executor<C: Clock = LiveClock> {
     /// When the next scheduling point is due: one quantum past the reading
     /// the last one ended at.
     poll_by: SimTime,
-    /// The MA-expiry watch of each object's latest install, by
-    /// [`Executor::watch_slot`]; `None` once it fired (or before any
+    /// The MA-expiry watch of each object's latest install, by the slot
+    /// [`arm`] gives the object; `None` once it fired (or before any
     /// install). An overwritten watch could never act — the tracker
     /// ignores a superseded version — so only the latest is kept.
     watches: Vec<Option<ExpiryWatch>>,
@@ -757,25 +785,10 @@ impl<C: Clock> Executor<C> {
         self.next_snapshot_at = now.as_secs() + every;
     }
 
-    /// Arms the expiry watchdog of the value just installed into
-    /// `watch.object`, replacing the one of the value it overwrote. An
-    /// object's watches only move later (an install never lowers a
-    /// generation), so the heap entry already there comes due no later
-    /// than this watch and [`Executor::process_timers`] re-keys it then.
+    /// Arms the expiry watchdog of the value just installed (see [`arm`]).
     fn arm(&mut self, watch: ExpiryWatch) {
-        let slot = self.watch_slot(watch.object);
-        if self.watches[slot].replace(watch).is_none() {
-            self.expiry.push(Reverse((watch.at, slot)));
-        }
-    }
-
-    /// Index of `object` in `watches`: the low partition, then the high.
-    fn watch_slot(&self, object: ViewObjectId) -> usize {
-        let base = match object.class {
-            Importance::Low => 0,
-            Importance::High => self.core.config().n_low,
-        };
-        (base + object.index) as usize
+        let n_low = self.core.config().n_low;
+        arm(&mut self.watches, &mut self.expiry, n_low, watch);
     }
 
     /// The instant of the earliest pending timer, if any.
@@ -830,29 +843,37 @@ impl<C: Clock> Executor<C> {
         let mut at = self.now;
         let mut run = 0u32;
         loop {
-            // Only a slice of the bound transaction can be cut by an
-            // arrival or by its own deadline.
-            let txn = self.core.txn_on_cpu().map(|t| (t.id(), t.deadline()));
-            if txn.is_none() && at + secs <= self.poll_by {
-                at += secs;
-                self.finish(at);
-                run += 1;
-                if run.is_multiple_of(RUN_CLOCK_STRIDE) {
+            let stride = RUN_CLOCK_STRIDE - run % RUN_CLOCK_STRIDE;
+            let n_low = self.core.config().n_low;
+            let (watches, expiry) = (&mut self.watches, &mut self.expiry);
+            let ran = self
+                .core
+                .run_updates(at, secs, self.poll_by, stride, |watch| {
+                    arm(watches, expiry, n_low, watch);
+                });
+            self.events += u64::from(ran.finished);
+            (at, run) = (ran.at, run + ran.finished);
+            let Some(next) = ran.next else {
+                // A run cut at the stride reads the clock: past the poll
+                // deadline the window is over, short of it the run goes on.
+                if ran.finished == stride {
                     let reading = self.clock.now();
                     if reading >= self.poll_by {
                         self.now = reading;
                         return true;
                     }
-                }
-                match self.core.next_slice(at) {
-                    Some(next) => secs = next,
-                    None => {
-                        self.settle(at);
-                        return true;
+                    if let Some(next) = self.core.next_slice(at) {
+                        secs = next;
+                        continue;
                     }
                 }
-                continue;
-            }
+                self.settle(at);
+                return true;
+            };
+            secs = next;
+            // Only a slice of the bound transaction can be cut by an
+            // arrival or by its own deadline.
+            let txn = self.core.txn_on_cpu().map(|t| (t.id(), t.deadline()));
             if run > 0 {
                 self.settle(at);
                 // Update work too long for what is left of the window gets

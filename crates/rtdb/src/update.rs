@@ -45,6 +45,21 @@ impl Update {
         (self.attr_mask & ((1u64 << attrs) - 1)).count_ones()
     }
 
+    /// Whether this update provides every one of `attrs` attributes:
+    /// `provided_attrs(attrs) == attrs` without counting bits.
+    #[inline]
+    #[must_use]
+    pub fn provides_all(&self, attrs: u32) -> bool {
+        match attrs {
+            0..64 => {
+                let all = (1u64 << attrs) - 1;
+                self.attr_mask & all == all
+            }
+            64 => self.attr_mask == u64::MAX,
+            _ => false,
+        }
+    }
+
     /// Age of the update's value at time `now`.
     #[inline]
     #[must_use]
@@ -91,6 +106,21 @@ mod tests {
         assert_eq!(u.provided_attrs(4), 2);
         assert_eq!(u.provided_attrs(2), 1);
         assert_eq!(u.provided_attrs(64), 2);
+    }
+
+    #[test]
+    fn provides_all_is_a_full_count() {
+        let mut u = upd(0.0, 0.1);
+        for mask in [0, 1, 0b0101, 0b1111, u64::MAX >> 1, u64::MAX] {
+            u.attr_mask = mask;
+            for attrs in [0, 1, 2, 4, 5, 63, 64, 65] {
+                assert_eq!(
+                    u.provides_all(attrs),
+                    u.provided_attrs(attrs) == attrs,
+                    "mask {mask:#x}, {attrs} attributes"
+                );
+            }
+        }
     }
 
     #[test]
