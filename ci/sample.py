@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Where a program spends its time: a ptrace PC sampler for hosts without perf.
 
-    sample.py [--interval-ms 5] [--top 25] [--thread PREFIX] [--lines N]
-              BINARY [ARGS...]
+    sample.py [--interval-ms 5] [--top 25] [--thread PREFIX[,PREFIX...]]
+              [--lines N] BINARY [ARGS...]
 
 Runs BINARY ARGS (its stdout goes to this script's stderr) and, every
 interval until it exits, attaches to each of its threads with ptrace, reads
 the program counter, and detaches. With `--thread PREFIX` only threads whose
 name (`/proc/PID/task/TID/comm`) starts with PREFIX are sampled, so idle
-helper threads do not dilute the profile. Each sample is symbolised with
+helper threads do not dilute the profile. A comma list samples the threads
+of every prefix in one run and prints one table per prefix, each with its
+own sample count and shares (a thread whose name matches several prefixes
+counts in each of their tables). Each sample is symbolised with
 `addr2line -f -i -C`, so a frame inlined into another counts for both.
 A sample in a shared library is attributed to the nearest symbol at or
 before it that `nm -D --defined-only` lists for the library: the frame
@@ -167,25 +170,34 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split('\n\n')[0])
     ap.add_argument('--interval-ms', type=float, default=5.0)
     ap.add_argument('--top', type=int, default=25)
-    ap.add_argument('--thread', metavar='PREFIX', default='',
-                    help='sample only threads whose name starts with PREFIX')
+    ap.add_argument('--thread', metavar='PREFIX[,PREFIX...]', default='',
+                    help='sample only threads whose name starts with a PREFIX; '
+                         'one table per PREFIX')
     ap.add_argument('--lines', metavar='N', type=int, default=0,
                     help='also rank the N source lines holding the most samples')
     ap.add_argument('binary')
     ap.add_argument('args', nargs=argparse.REMAINDER)
     args = ap.parse_args()
+    prefixes = args.thread.split(',')
 
     child = subprocess.Popen([args.binary] + args.args, stdout=sys.stderr)
     binary = os.path.realpath(args.binary)
-    pcs = collections.Counter()
+    # One counter of program counters per prefix.
+    pcs = {prefix: collections.Counter() for prefix in prefixes}
     maps = []
     while child.poll() is None:
         time.sleep(args.interval_ms / 1000)
         try:
-            tids = [int(t) for t in os.listdir(f'/proc/{child.pid}/task')
-                    if thread_name(child.pid, t).startswith(args.thread)]
-            fresh = [pc for pc in map(sample_pc, tids) if pc is not None]
-            pcs.update(fresh)
+            named = [(int(t), thread_name(child.pid, t))
+                     for t in os.listdir(f'/proc/{child.pid}/task')]
+            fresh = []
+            for tid, name in named:
+                matching = [p for p in prefixes if name.startswith(p)]
+                pc = sample_pc(tid) if matching else None
+                if pc is not None:
+                    fresh.append(pc)
+                    for prefix in matching:
+                        pcs[prefix][pc] += 1
             if any(not any(s <= pc < e for s, e, _, _ in maps) for pc in fresh):
                 maps = mappings(child.pid)
         except (FileNotFoundError, ProcessLookupError):
@@ -197,7 +209,7 @@ def main():
     segs = load_segments(binary)
     libs = {}
     where, chains = {}, {}
-    for pc in pcs:
+    for pc in set().union(*pcs.values()):
         hit = next(((off + pc - s, path) for s, e, off, path in maps if s <= pc < e), None)
         if hit is None:
             chains[pc] = [('[unknown]', '[unknown]')]
@@ -212,9 +224,23 @@ def main():
             chains[pc] = [library_frame(symbols, os.path.basename(path), vaddr)]
     frames = symbolise(binary, sorted(set(where.values())))
 
-    total = sum(pcs.values())
-    if not total:
+    if not any(sum(c.values()) for c in pcs.values()):
         sys.exit(f'no samples (no thread named {args.thread}*?)' if args.thread else 'no samples')
+    for i, prefix in enumerate(prefixes):
+        if i:
+            print()
+        table(pcs[prefix], chains, frames, where, args, prefix)
+    return child.returncode
+
+
+def table(pcs, chains, frames, where, args, prefix):
+    """Prints the frame (and, with --lines, the source line) ranking of the
+    samples in `pcs`, the threads whose name starts with `prefix`."""
+    total = sum(pcs.values())
+    threads = f' (threads {prefix}*)' if prefix else ''
+    if not total:
+        print(f'0 samples{threads} of {" ".join([args.binary] + args.args)}')
+        return
     leaf, incl, lines = collections.Counter(), collections.Counter(), collections.Counter()
     for pc, n in pcs.items():
         chain = chains.get(pc) or frames.get(where[pc]) or [('??', '??')]
@@ -223,7 +249,7 @@ def main():
         for name in {name for name, _ in chain}:
             incl[name] += n
 
-    print(f'{total} samples of {" ".join([args.binary] + args.args)}')
+    print(f'{total} samples{threads} of {" ".join([args.binary] + args.args)}')
     print(f'{"leaf":>7} {"incl":>7}  frame')
     for name, n in incl.most_common(args.top):
         print(f'{leaf[name] / total:7.1%} {n / total:7.1%}  {name}')
@@ -231,7 +257,6 @@ def main():
         print(f'\n{"leaf":>7}  source line')
         for loc, n in lines.most_common(args.lines):
             print(f'{n / total:7.1%}  {loc}')
-    return child.returncode
 
 
 if __name__ == '__main__':

@@ -655,15 +655,26 @@ impl Scheduler {
     /// is stamped in place with the next sequence number and arrival `now`
     /// and accounted exactly as [`Scheduler::on_update`] accounts one
     /// arrival; then the OS queue takes the block whole, rejecting the
-    /// entries past its capacity. Returns the verdict the block's first
-    /// arrival would get from `on_update` (every later one gets the same).
+    /// entries past its capacity, and hands it back through
+    /// [`Scheduler::take_spent`] once used up (an empty one at once).
+    /// Returns the verdict the block's first arrival would get from
+    /// `on_update` (every later one gets the same).
     pub fn on_updates(&mut self, mut block: Vec<Update>, now: SimTime) -> Option<Preempt> {
         if block.is_empty() {
+            self.os_queue.append(block);
             return None;
         }
         self.note_arrivals(&mut block, now);
         self.os_queue.append(block);
         self.arrival_verdict()
+    }
+
+    /// The blocks [`Scheduler::on_updates`] queued that the OS queue has
+    /// used up, emptied with their capacity kept, in the order they were
+    /// queued (see [`OsQueue::take_spent`]). A driver that never asks lets
+    /// them pile up here.
+    pub fn take_spent(&mut self) -> std::vec::Drain<'_, Vec<Update>> {
+        self.os_queue.take_spent()
     }
 
     /// Stamps and accounts the arrivals of `block` at `now`, whether or not

@@ -45,11 +45,16 @@
 //! The executor runs on one thread and is fed through an [`Ingest`]
 //! channel; the TCP front end (`server`) and in-process tests use the same
 //! channel type, so the scheduling core is exercised identically in both.
+//! A session's updates come over its own ring ([`Stream`]); the executor
+//! unparks the session after popping it, and sends each block the OS queue
+//! has used up back to the session that filled it, over a second ring, at
+//! every scheduling point.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::thread::Thread;
 use std::time::Duration;
 
 use strip_core::config::SimConfig;
@@ -192,6 +197,20 @@ pub fn unstamped(w: &WireUpdate) -> Option<Update> {
     })
 }
 
+/// A session's update path, handed to the executor with its first block
+/// ([`Ingest::Stream`]).
+#[derive(Debug)]
+pub struct Stream {
+    /// The session's blocks, in wire order.
+    pub blocks: spsc::Consumer<Block>,
+    /// Where the executor sends the session's used-up blocks back,
+    /// emptied, capacity kept.
+    pub spent: spsc::Producer<Block>,
+    /// The session's thread, which parks while it waits for the executor
+    /// to pop `blocks`; the executor unparks it after each pop.
+    pub session: Thread,
+}
+
 /// The wire update an [`unstamped`] entry was decoded from.
 fn wire_of(u: &Update) -> WireUpdate {
     WireUpdate {
@@ -244,7 +263,7 @@ pub enum Ingest {
     /// every ingest drain. This is how every wire update travels — in its
     /// frame's [`Block`], through its connection's bounded ring, never the
     /// channel, which carries the control messages.
-    Stream(spsc::Consumer<Block>),
+    Stream(Stream),
     /// Stop the run; the executor finalises metrics and returns.
     Shutdown,
 }
@@ -343,8 +362,14 @@ pub struct Executor<C: Clock = LiveClock> {
     shutdown: bool,
     rx: Receiver<Ingest>,
     /// Lock-free ingest rings attached by [`Ingest::Stream`], one per
-    /// batching connection; popped on every ingest drain.
-    streams: Vec<spsc::Consumer<Block>>,
+    /// batching connection, each under the id its blocks are sent home
+    /// by; popped on every ingest drain.
+    streams: Vec<(u64, Stream)>,
+    /// The id the next attached stream gets.
+    next_stream: u64,
+    /// The stream id of each block handed to the core and not yet back
+    /// from it, in the order handed (the order they come back in).
+    homes: VecDeque<u64>,
     /// Handle to the WAL flusher thread, when durability is on.
     wal: Option<crate::wal::WalHandle>,
     /// WAL counters, kept past [`WalHandle::seal`](crate::wal::WalHandle)
@@ -428,6 +453,8 @@ impl<C: Clock> Executor<C> {
             shutdown: false,
             rx,
             streams: Vec::new(),
+            next_stream: 0,
+            homes: VecDeque::new(),
             wal,
             wal_stats,
             acks: VecDeque::new(),
@@ -478,12 +505,13 @@ impl<C: Clock> Executor<C> {
     }
 
     /// One scheduling point at the current reading: fires due timers,
-    /// drains ingest, sends the acks the WAL has caught up with, and opens
-    /// the next window. Returns the verdict [`Executor::drain_ingest`]
-    /// does.
+    /// drains ingest, sends used-up blocks home and the acks the WAL has
+    /// caught up with, and opens the next window. Returns the verdict
+    /// [`Executor::drain_ingest`] does.
     fn poll(&mut self) -> Option<Preempt> {
         self.process_timers(self.now);
         let preempt = self.drain_ingest();
+        self.return_spent();
         self.release_acks();
         self.poll_by = self.now + self.quantum;
         preempt
@@ -521,9 +549,10 @@ impl<C: Clock> Executor<C> {
 
     /// Pops every block currently queued in the attached lock-free
     /// rings (bounded by a per-ring length snapshot, so a producer
-    /// pushing at full speed cannot pin the executor here) and drops
-    /// rings whose producer has disconnected and that are empty.
-    /// Returns the first verdict a popped block was given.
+    /// pushing at full speed cannot pin the executor here), unparks each
+    /// session whose ring it popped, and drops rings whose producer has
+    /// disconnected and that are empty. Returns the first verdict a
+    /// popped block was given.
     fn drain_streams(&mut self, now: SimTime) -> Option<Preempt> {
         if self.streams.is_empty() {
             return None;
@@ -532,15 +561,32 @@ impl<C: Clock> Executor<C> {
         // The rings move out of `self` for the duration of the drain so
         // `accept_block` can borrow the rest of the executor mutably.
         let mut streams = std::mem::take(&mut self.streams);
-        for c in &mut streams {
-            for _ in 0..c.len() {
-                let Some(block) = c.pop() else { break };
+        for (id, s) in &mut streams {
+            let queued = s.blocks.len();
+            for _ in 0..queued {
+                let Some(block) = s.blocks.pop() else { break };
+                self.homes.push_back(*id);
                 preempt = preempt.or(self.accept_block(block, now));
             }
+            if queued > 0 {
+                s.session.unpark();
+            }
         }
-        streams.retain(|c| !(c.is_closed() && c.is_empty()));
+        streams.retain(|(_, s)| !(s.blocks.is_closed() && s.blocks.is_empty()));
         self.streams = streams;
         preempt
+    }
+
+    /// Sends each block the core has used up back to the session that
+    /// filled it. A block whose session has gone, or whose return ring is
+    /// full, is freed here.
+    fn return_spent(&mut self) {
+        for block in self.core.take_spent() {
+            let home = self.homes.pop_front();
+            if let Some((_, s)) = self.streams.iter_mut().find(|(id, _)| Some(*id) == home) {
+                let _ = s.spent.push(block);
+            }
+        }
     }
 
     /// Handles one ingest message; returns the core's verdict when it was
@@ -570,7 +616,10 @@ impl<C: Clock> Executor<C> {
                 });
                 self.release_acks();
             }
-            Ingest::Stream(consumer) => self.streams.push(consumer),
+            Ingest::Stream(stream) => {
+                self.streams.push((self.next_stream, stream));
+                self.next_stream += 1;
+            }
             Ingest::Shutdown => self.shutdown = true,
         }
         None
@@ -601,7 +650,8 @@ impl<C: Clock> Executor<C> {
     /// Hands one popped block to the core (and, first, to the WAL). Every
     /// entry is an event; one naming an object outside the store is
     /// dropped here, as [`Executor::accept_update`] drops it, and the rest
-    /// are stamped and queued by [`Scheduler::on_updates`]. Returns the
+    /// are stamped and queued by [`Scheduler::on_updates`], which hands
+    /// the block back through `take_spent` once used up. Returns the
     /// core's verdict on preemption.
     fn accept_block(&mut self, mut block: Block, now: SimTime) -> Option<Preempt> {
         self.events += block.len() as u64;
@@ -1071,6 +1121,52 @@ mod tests {
 
     /// A block entry logs the generation micros that arrived, including
     /// ones a round trip through seconds would not return.
+    /// A session of `cap` ring slots on this thread: the producer of its
+    /// blocks, the [`Stream`] that attaches it, and the consumer its
+    /// blocks come home on.
+    fn session(cap: usize) -> (spsc::Producer<Block>, Stream, spsc::Consumer<Block>) {
+        let (producer, blocks) = spsc::ring(cap);
+        let (spent, home) = spsc::ring(cap);
+        let session = std::thread::current();
+        let stream = Stream {
+            blocks,
+            spent,
+            session,
+        };
+        (producer, stream, home)
+    }
+
+    /// Each block the core has used up goes back, emptied and in its own
+    /// allocation, to the session that filled it — one whose entries were
+    /// all outside the store too, in its turn.
+    #[test]
+    fn used_up_blocks_go_home_to_the_session_that_filled_them() {
+        let (tx, mut exec) = stepped(LiveConfig::DEFAULT_QUANTUM);
+        let (mut a, stream_a, mut home_a) = session(8);
+        let (mut b, stream_b, mut home_b) = session(8);
+        let fill = |ring: &mut spsc::Producer<Block>, index: u32| {
+            let block = block([wire_update(0, index, 1_000, 1.0)]);
+            let at = block.as_ptr();
+            ring.push(block).expect("ring has room");
+            at
+        };
+        let a_blocks = [fill(&mut a, 1), fill(&mut a, 99), fill(&mut a, 2)];
+        let b_blocks = [fill(&mut b, 3)];
+        tx.send(Ingest::Stream(stream_a)).expect("attach a");
+        tx.send(Ingest::Stream(stream_b)).expect("attach b");
+        while exec.pass() {}
+        assert_eq!(exec.core.store().installs(), 3);
+        for (home, sent) in [(&mut home_a, &a_blocks[..]), (&mut home_b, &b_blocks[..])] {
+            let back: Vec<_> = std::iter::from_fn(|| home.pop())
+                .map(|block| {
+                    assert!(block.is_empty() && block.capacity() == 1);
+                    block.as_ptr()
+                })
+                .collect();
+            assert_eq!(back, sent);
+        }
+    }
+
     #[test]
     fn an_unstamped_entry_logs_the_wire_update_it_was_decoded_from() {
         for micros in [i64::MIN, -1, 0, (1 << 53) + 1, i64::MAX] {
@@ -1136,7 +1232,7 @@ mod tests {
         let cfg = LiveConfig::new(base_cfg()).expect("valid live config");
         let (tx, rx) = mpsc::channel();
         let exec = Executor::new(&cfg, rx);
-        let (mut prod, cons) = crate::spsc::ring(64);
+        let (mut prod, stream, _) = session(64);
         for frame in [0..3u32, 3..4, 4..10] {
             prod.push(block(frame.map(|i| {
                 wire_update(
@@ -1151,7 +1247,7 @@ mod tests {
         drop(prod);
         // The shutdown is already queued behind the stream attach: the
         // executor must still pop every ring entry before finalising.
-        tx.send(Ingest::Stream(cons)).expect("attach stream");
+        tx.send(Ingest::Stream(stream)).expect("attach stream");
         tx.send(Ingest::Shutdown).expect("send shutdown");
         let report = exec.run();
         assert_eq!(report.updates.arrived, 10);
@@ -1164,17 +1260,20 @@ mod tests {
     fn an_out_of_range_update_counts_as_an_event_and_nothing_else() {
         let (tx, mut exec, _flusher, dir) = stepped_durable(base_cfg(), "exec-out-of-range");
         exec.poll(); // the warm-up end fires here, not below
-        let (mut prod, cons) = crate::spsc::ring(8);
+        let (mut prod, stream, _) = session(8);
         let frame = [(0, 0), (0, 9), (1, 1), (1, 4), (0, 2)];
         prod.push(block(
             frame.map(|(class, index)| wire_update(class, index, 1_000, 1.0)),
         ))
         .expect("ring has room");
-        tx.send(Ingest::Stream(cons)).expect("attach stream");
+        tx.send(Ingest::Stream(stream)).expect("attach stream");
         let before = exec.events;
         exec.poll();
         assert_eq!(exec.events - before, 1 + 5, "the attach and five pops");
         assert_eq!(exec.core.update_seq(), 3);
+        // `appended` counts a chunk when it is handed to the flusher, which
+        // the next scheduling point does.
+        exec.poll();
         let report = exec.snapshot(exec.now);
         assert_eq!(report.updates.arrived, 3);
         assert_eq!(report.durability.wal_appended, 3);
@@ -2127,7 +2226,7 @@ mod tests {
         // uninstalled, and the background propagation is cut off
         // mid-stream. Every enqueued delta must still land in exactly one
         // terminal bucket (applied, coalesced, shed, or pending at end).
-        let (mut prod, cons) = crate::spsc::ring(64);
+        let (mut prod, stream, _) = session(64);
         prod.push(block((0..10u32).map(|i| {
             wire_update(
                 u8::from(i % 2 == 0),
@@ -2138,7 +2237,7 @@ mod tests {
         })))
         .expect("ring has room");
         drop(prod);
-        tx.send(Ingest::Stream(cons)).expect("attach stream");
+        tx.send(Ingest::Stream(stream)).expect("attach stream");
         tx.send(Ingest::Shutdown).expect("send shutdown");
         let report = handle.join().expect("executor thread");
         assert_eq!(report.updates.terminal_total(), report.updates.arrived);

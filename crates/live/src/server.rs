@@ -6,7 +6,13 @@
 //! tag-7 batch frames, only within the credit the session was granted
 //! (`CreditRequest` → `Credit`), are decoded into one block per frame,
 //! and ride the session's bounded SPSC ring; an update past the grant
-//! ends the session. **Control**: transactions,
+//! ends the session. Blocks go home: the executor sends each one the OS
+//! queue has used up back over a second ring, and the session decodes its
+//! next frame into it, so a steady session allocates nothing. A session
+//! that waits on the executor — out of credit, or flushing its ring
+//! before a control frame — parks until the executor, which unparks it
+//! after every pop of its ring, has freed what it waits for.
+//! **Control**: transactions,
 //! queries, snapshots, the ring hand-over and shutdown ride the executor's
 //! [`Ingest`] channel, each control frame only after the session's ring
 //! has been popped — so one connection's frames take effect in wire order,
@@ -22,14 +28,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 use strip_core::report::RunReport;
 use strip_obs::PromText;
 
 use crate::credit::{CreditWindow, InFlight};
-use crate::executor::{unstamped, Block, Executor, Ingest, LiveConfig};
+use crate::executor::{unstamped, Block, Executor, Ingest, LiveConfig, Stream};
 use crate::protocol::{
-    decode_body, for_each_batch_update, write_msg, FrameReader, Msg, WireStats, UPDATE_ENTRY,
+    decode_body, for_each_batch_update, write_credit, write_msg, FrameReader, Msg, WireStats,
+    UPDATE_ENTRY,
 };
 use crate::recovery::Recovered;
 use crate::spsc;
@@ -45,6 +53,12 @@ pub const RING_CAPACITY: usize = 1 << 16;
 /// granted, so the grant traffic stays a small fraction of the update
 /// traffic (one Credit frame per half-ring of updates).
 const CREDIT_LOW_WATER: u64 = (RING_CAPACITY / 2) as u64;
+
+/// The longest a waiting session parks before it looks again without an
+/// unpark: the executor unparks it after every pop of its ring, so this
+/// only bounds how late it sees the stop flag or a pop by a consumer that
+/// does not unpark (a test playing executor).
+const PARK: Duration = Duration::from_millis(1);
 
 const _: () = assert!(
     RING_CAPACITY >= crate::protocol::MAX_BATCH_UPDATES,
@@ -228,8 +242,8 @@ fn wake_accept(mut addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
-/// Per-connection state of the update path: the session's ring producer
-/// (none until its first accepted update), the updates in that ring, and
+/// Per-connection state of the update path: the session's two rings
+/// (none until its first accepted update), the updates in flight, and
 /// the credit-window counters (see [`CreditWindow`] and [`InFlight`] for
 /// the grant arithmetic, which is model-checked under loom in
 /// `tests/loom_spsc.rs`).
@@ -237,6 +251,9 @@ struct BatchState {
     /// The producer half of the session's ring; `None` until
     /// [`BatchState::push`] accepts the first block.
     producer: Option<spsc::Producer<Block>>,
+    /// The consumer half of the ring the executor sends used-up blocks
+    /// back on; created with `producer`.
+    spent: Option<spsc::Consumer<Block>>,
     /// Updates pushed into the ring and not yet popped.
     in_flight: InFlight,
     /// Cumulative counters of the credit protocol for this connection.
@@ -248,18 +265,25 @@ impl BatchState {
     fn new() -> BatchState {
         BatchState {
             producer: None,
+            spent: None,
             in_flight: InFlight::new(),
             window: CreditWindow::new(),
         }
     }
 
-    /// Decodes one batch frame (`body`, tag included) into a block sized
-    /// to it, spending one unit of window per update, and pushes the block.
-    /// The updates inside the window are pushed even when a later one
-    /// overruns it or fails to decode; then the session ends with that
-    /// error. Returns the frame's update count.
+    /// Decodes one batch frame (`body`, tag included) into a block — one
+    /// the executor sent home when one is waiting — spending one unit of
+    /// window per update, and pushes the block. The updates inside the
+    /// window are pushed even when a later one overruns it or fails to
+    /// decode; then the session ends with that error. Returns the frame's
+    /// update count.
     fn push_frame(&mut self, body: &[u8], tx: &Sender<Ingest>) -> io::Result<usize> {
-        let mut block = Vec::with_capacity(body.len() / UPDATE_ENTRY);
+        let mut block = self
+            .spent
+            .as_mut()
+            .and_then(spsc::Consumer::pop)
+            .unwrap_or_default();
+        block.reserve(body.len() / UPDATE_ENTRY);
         let mut overrun = false;
         let window = &mut self.window;
         let decoded = for_each_batch_update(body, |w| {
@@ -283,10 +307,11 @@ impl BatchState {
     }
 
     /// Pushes one block into the session's ring; the first block creates
-    /// the ring and hands its consumer half to the executor. Inside the
-    /// window the ring has room — [`BatchState::grantable`] keeps a slot
-    /// free for every granted update, and a block holds at least one — so
-    /// a full ring is an error, never a wait. An empty block is not sent.
+    /// the ring and the one blocks come home on, and hands the executor
+    /// its ends of both. Inside the window the ring has room —
+    /// [`BatchState::grantable`] keeps a slot free for every granted
+    /// update, and a block holds at least one — so a full ring is an
+    /// error, never a wait. An empty block is not sent.
     fn push(&mut self, block: Block, tx: &Sender<Ingest>) -> io::Result<()> {
         if block.is_empty() {
             return Ok(());
@@ -294,9 +319,16 @@ impl BatchState {
         let producer = match &mut self.producer {
             Some(producer) => producer,
             None => {
-                let (producer, consumer) = spsc::ring(RING_CAPACITY);
-                tx.send(Ingest::Stream(consumer))
-                    .map_err(|_| io::Error::other("executor gone"))?;
+                let (producer, blocks) = spsc::ring(RING_CAPACITY);
+                let (spent, spent_rx) = spsc::ring(RING_CAPACITY);
+                let session = thread::current();
+                tx.send(Ingest::Stream(Stream {
+                    blocks,
+                    spent,
+                    session,
+                }))
+                .map_err(|_| io::Error::other("executor gone"))?;
+                self.spent = Some(spent_rx);
                 self.producer.insert(producer)
             }
         };
@@ -333,8 +365,9 @@ impl BatchState {
     /// worth a frame once `CREDIT_LOW_WATER` has freed up; but when the
     /// client is provably out of credit (every granted unit spent, and
     /// the stream would stall) this *must* grant as soon as anything is
-    /// consumable, spinning until the executor frees window — it is
-    /// always draining, so the wait terminates.
+    /// consumable, parking until the executor frees window — it is
+    /// always draining, and unparks the session when it pops, so the wait
+    /// terminates.
     fn top_up(&mut self, stream: &mut impl Write, stop: &AtomicBool) -> io::Result<()> {
         let mut grantable = self.grantable();
         while grantable < CREDIT_LOW_WATER {
@@ -347,14 +380,14 @@ impl BatchState {
             if stop.load(Ordering::Acquire) {
                 return Ok(());
             }
-            thread::yield_now();
+            thread::park_timeout(PARK);
             grantable = self.grantable();
         }
         self.window.record_grant(grantable);
-        write_msg(stream, &Msg::Credit(grantable))
+        write_credit(stream, grantable)
     }
 
-    /// Blocks until the executor has popped everything this connection
+    /// Parks until the executor has popped everything this connection
     /// pushed, so a control frame sent after an update takes effect after
     /// it (and a stats reply or final report counts it).
     fn flush(&self, stop: &AtomicBool) {
@@ -363,7 +396,7 @@ impl BatchState {
             if stop.load(Ordering::Acquire) {
                 return;
             }
-            thread::yield_now();
+            thread::park_timeout(PARK);
         }
     }
 }
@@ -417,7 +450,7 @@ fn handle_conn(
                 // repeated request resets nothing.
                 let grant = batch.grantable();
                 batch.window.record_grant(grant);
-                write_msg(&mut stream, &Msg::Credit(grant))?;
+                write_credit(&mut stream, grant)?;
             }
             Msg::Txn(w) => {
                 if tx.send(Ingest::Txn(w)).is_err() {
@@ -717,7 +750,7 @@ mod tests {
             assert_eq!(pushed.expect("updates inside the window"), n as usize);
         }
         let mut consumer = match rx.try_recv() {
-            Ok(Ingest::Stream(c)) => c,
+            Ok(Ingest::Stream(s)) => s.blocks,
             other => panic!("expected stream attach, got {other:?}"),
         };
         assert_eq!(state.grantable(), 0, "full ring, window spent");
@@ -791,7 +824,7 @@ mod tests {
     /// The ring the session hands over at its first accepted update.
     fn expect_stream(rx: &Receiver<Ingest>) -> spsc::Consumer<Block> {
         match rx.recv_timeout(STEP) {
-            Ok(Ingest::Stream(c)) => c,
+            Ok(Ingest::Stream(s)) => s.blocks,
             other => panic!("expected the session's ring first, got {other:?}"),
         }
     }

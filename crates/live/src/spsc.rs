@@ -1,7 +1,9 @@
 //! Bounded lock-free single-producer/single-consumer ring.
 //!
 //! This is the handoff between a connection's socket-reader thread (the
-//! producer) and the quantum executor (the consumer): the executor must
+//! producer) and the quantum executor (the consumer), and the way back
+//! for the blocks it carried; the WAL's chunks travel the same way
+//! between the executor and the flusher. The executor must
 //! never block on — or even contend for — a lock that an ingest thread
 //! holds, or a slow client could stall the scheduling core mid-quantum
 //! and degrade freshness for every other client (see PAPERS.md,

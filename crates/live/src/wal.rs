@@ -4,13 +4,19 @@
 //! executor accepts is copied, unencoded, into a chunk that is handed to a
 //! dedicated **flusher thread** over the same lock-free SPSC ring the
 //! ingest path uses ([`crate::spsc`]), so the quantum loop never blocks on
-//! a syscall, let alone an `fsync`. The flusher encodes whatever has
-//! accumulated since its last pass into fixed-size, CRC-protected records,
-//! writes them with one `write`, then syncs on a configurable cadence
+//! a syscall, let alone an `fsync`. The flusher encodes what has
+//! accumulated since its last pass — at most [`WRITE_CHUNKS`] chunks —
+//! into fixed-size, CRC-protected records in one reused buffer, writes
+//! them with one `write`, then syncs on a configurable cadence
 //! ([`FsyncPolicy`]): after every batch (`always`), at most once per group
 //! window (`group:<µs>`), or never (`off` — `kill -9` still loses nothing,
 //! because completed `write`s survive process death in the page cache;
 //! only power/kernel loss is at stake).
+//!
+//! Chunks go home: the flusher hands each encoded chunk back, emptied
+//! with its capacity kept, over a second ring, and the executor refills it.
+//! In steady state neither thread allocates, and no chunk is freed on a
+//! thread other than the one that allocated it.
 //!
 //! This module is the record format, the executor-side handle and the
 //! flusher's policy — drain, batch boundary, fsync cadence. Which files
@@ -69,11 +75,19 @@ pub const REC_UPDATE: u8 = 1;
 /// Record kind: clean end of segment (orderly shutdown).
 pub const REC_SEAL: u8 = 2;
 
-/// Ring capacity between the executor and the flusher. At 50 bytes per
-/// record this bounds the executor-side buffer near 3 MiB; the executor
-/// spins (off the hot path, at ingest rates far above any measured) only
-/// if the flusher falls this far behind.
+/// Ring capacity between the executor and the flusher, in messages, and
+/// of the ring that takes spent chunks back. The executor spins (off the
+/// hot path, at ingest rates far above any measured) only if the flusher
+/// falls this far behind. A chunk is allocated only when no spent one is
+/// waiting, so the chunks alive never outnumber the return ring's slots
+/// by more than the two in hand.
 const WAL_RING_CAPACITY: usize = 1 << 16;
+
+/// The most chunks one flusher pass encodes into one `write`: 64 × 256
+/// records × 50 bytes = 800 KiB, the size of the buffer the flusher keeps.
+/// A full ring drained in one pass would grow that buffer to the ring's
+/// worth of records, about 840 MB.
+pub const WRITE_CHUNKS: usize = 64;
 
 // ---- CRC32 (IEEE, slice-by-8) -----------------------------------------------
 
@@ -335,6 +349,13 @@ impl WalRecord {
     #[must_use]
     pub fn encode(&self) -> [u8; REC_LEN] {
         let mut b = [0u8; REC_LEN];
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Encodes into `b` in place: how the flusher fills its write buffer
+    /// without staging each record in a copy.
+    pub fn encode_into(&self, b: &mut [u8; REC_LEN]) {
         // kind, seq, class and index go in as one integer. Four stores of
         // three widths there are re-read by the CRC as dwords, and whether
         // LLVM forwards them in registers or stages them through the stack
@@ -345,13 +366,12 @@ impl WalRecord {
             | u128::from(self.update.class) << 72
             | u128::from(self.update.index) << 80;
         b[..14].copy_from_slice(&head.to_le_bytes()[..14]);
-        put_u64(&mut b, 14, self.update.generation_micros as u64);
-        put_u64(&mut b, 22, self.update.payload.to_bits());
-        put_u64(&mut b, 30, self.update.attr_mask);
-        put_u64(&mut b, 38, self.arrival_micros as u64);
+        put_u64(b, 14, self.update.generation_micros as u64);
+        put_u64(b, 22, self.update.payload.to_bits());
+        put_u64(b, 30, self.update.attr_mask);
+        put_u64(b, 38, self.arrival_micros as u64);
         let crc = crc32(&b[..REC_LEN - 4]);
-        put_u32(&mut b, REC_LEN - 4, crc);
-        b
+        put_u32(b, REC_LEN - 4, crc);
     }
 
     /// Decodes one record; rejects short buffers, checksum mismatches, and
@@ -583,9 +603,13 @@ struct RawRecord {
     arrival_micros: i64,
 }
 
+/// A batch of raw records, in sequence order: what the executor hands the
+/// flusher, and the flusher hands back emptied.
+type Chunk = Vec<RawRecord>;
+
 enum WalMsg {
-    /// A batch of raw records, in sequence order.
-    Chunk(Vec<RawRecord>),
+    /// A chunk of records.
+    Chunk(Chunk),
     Snapshot {
         bytes: Vec<u8>,
         next_seq: u64,
@@ -606,7 +630,9 @@ const CHUNK_RECORDS: usize = 256;
 #[derive(Debug)]
 pub struct WalHandle {
     tx: spsc::Producer<WalMsg>,
-    pending: Vec<RawRecord>,
+    /// Chunks the flusher has encoded, emptied, capacity kept.
+    spent: spsc::Consumer<Chunk>,
+    pending: Chunk,
     stats: Arc<WalStats>,
     flusher: JoinHandle<io::Result<()>>,
 }
@@ -623,7 +649,7 @@ impl WalHandle {
     /// Directory creation, segment open/write/sync, or thread spawn
     /// failures.
     pub fn start(cfg: &DurabilityConfig, fingerprint: u64, base_seq: u64) -> io::Result<WalHandle> {
-        let (tx, flusher) = Flusher::open(cfg, fingerprint, base_seq, LiveClock::start())?;
+        let (tx, spent, flusher) = Flusher::open(cfg, fingerprint, base_seq, LiveClock::start())?;
         let stats = Arc::clone(&flusher.stats);
         let flusher_stats = Arc::clone(&stats);
         let flusher = std::thread::Builder::new()
@@ -637,6 +663,7 @@ impl WalHandle {
             })?;
         Ok(WalHandle {
             tx,
+            spent,
             pending: Vec::with_capacity(CHUNK_RECORDS),
             stats,
             flusher,
@@ -644,8 +671,8 @@ impl WalHandle {
     }
 
     /// Appends one accepted update: a plain struct copy into the pending
-    /// chunk — no encode, no CRC, one relaxed counter bump. Full chunks
-    /// are handed to the flusher; call [`WalHandle::flush`] at quantum
+    /// chunk — no encode, no CRC, no shared counter. Full chunks are
+    /// handed to the flusher; call [`WalHandle::flush`] at quantum
     /// boundaries to bound the handoff delay of partial ones.
     pub fn append(&mut self, seq: u64, update: WireUpdate, arrival_micros: i64) {
         self.pending.push(RawRecord {
@@ -653,21 +680,28 @@ impl WalHandle {
             update,
             arrival_micros,
         });
-        self.stats.appended.fetch_add(1, Ordering::Relaxed);
         if self.pending.len() >= CHUNK_RECORDS {
             self.flush();
         }
     }
 
-    /// Hands the buffered partial chunk to the flusher. Never blocks on
-    /// I/O; spins only if the flusher is a full ring behind (and gives up
-    /// if it has died, so a disk failure degrades the run instead of
-    /// wedging the executor).
+    /// Hands the buffered partial chunk to the flusher and counts its
+    /// records as appended; the next chunk is a spent one the flusher gave
+    /// back, when one is waiting. Never blocks on I/O; spins only if the
+    /// flusher is a full ring behind (and gives up if it has died, so a
+    /// disk failure degrades the run instead of wedging the executor).
     pub fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let chunk = std::mem::replace(&mut self.pending, Vec::with_capacity(CHUNK_RECORDS));
+        let next = self
+            .spent
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(CHUNK_RECORDS));
+        let chunk = std::mem::replace(&mut self.pending, next);
+        self.stats
+            .appended
+            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
         self.push_msg(WalMsg::Chunk(chunk));
     }
 
@@ -723,12 +757,7 @@ impl WalHandle {
     /// Any I/O error the flusher hit, or an error if it panicked.
     pub fn seal(mut self) -> io::Result<()> {
         self.flush();
-        let WalHandle {
-            tx,
-            pending: _,
-            stats: _,
-            flusher,
-        } = self;
+        let WalHandle { tx, flusher, .. } = self;
         drop(tx); // closes the ring; the flusher sees it drained
         match flusher.join() {
             Ok(res) => res,
@@ -757,10 +786,13 @@ enum Pass {
 struct Flusher<C: Clock> {
     seg: Segment,
     rx: spsc::Consumer<WalMsg>,
+    /// Where encoded chunks go back to the executor.
+    spent: spsc::Producer<Chunk>,
     policy: FsyncPolicy,
     stats: Arc<WalStats>,
     clock: C,
-    /// Encoded records of the batch being written.
+    /// Encoded records of the batch being written; holds one write's
+    /// worth, [`WRITE_CHUNKS`] chunks, from the open on.
     buf: Vec<u8>,
     /// Records written since the last fsync.
     unsynced: u64,
@@ -770,28 +802,31 @@ struct Flusher<C: Clock> {
 
 impl<C: Clock> Flusher<C> {
     /// Starts the directory's active segment at `base_seq`; returns the
-    /// flusher and the producer end of the ring it drains.
+    /// producer end of the ring the flusher drains, the consumer end of the
+    /// ring it hands spent chunks back on, and the flusher.
     fn open(
         cfg: &DurabilityConfig,
         fingerprint: u64,
         base_seq: u64,
         clock: C,
-    ) -> io::Result<(spsc::Producer<WalMsg>, Flusher<C>)> {
+    ) -> io::Result<(spsc::Producer<WalMsg>, spsc::Consumer<Chunk>, Flusher<C>)> {
         let seg = Segment::start(cfg, fingerprint, base_seq)?;
         let stats = Arc::new(WalStats::new(base_seq));
         let (tx, rx) = spsc::ring(WAL_RING_CAPACITY);
+        let (spent, spent_rx) = spsc::ring(WAL_RING_CAPACITY);
         let flusher = Flusher {
             seg,
             rx,
+            spent,
             policy: cfg.fsync,
             stats,
-            buf: Vec::with_capacity(256 * REC_LEN),
+            buf: Vec::with_capacity(WRITE_CHUNKS * CHUNK_RECORDS * REC_LEN),
             unsynced: 0,
             last_sync: clock.now(),
             clock,
         };
         flusher.stats.add_bytes(HDR_LEN as u64);
-        Ok((tx, flusher))
+        Ok((tx, spent_rx, flusher))
     }
 
     /// The thread body: steps until the log is sealed, napping while idle.
@@ -811,23 +846,25 @@ impl<C: Clock> Flusher<C> {
         }
     }
 
-    /// One pass: drains whatever has accumulated into one write, cuts the
-    /// log at a snapshot, fsyncs when the policy says one is due, and seals
-    /// the log once the ring is closed and drained.
+    /// One pass: drains what has accumulated, up to [`WRITE_CHUNKS`]
+    /// chunks, into one write, cuts the log at a snapshot, fsyncs when the
+    /// policy says one is due, and seals the log once the ring is closed
+    /// and drained.
     fn step(&mut self) -> io::Result<Pass> {
         // A snapshot message is a batch boundary: records before it must
         // land in the old segment, records after it in the truncated one.
         self.buf.clear();
         let mut last_seq = None;
         let mut pending_snapshot = None;
-        while let Some(msg) = self.rx.pop() {
+        for _ in 0..WRITE_CHUNKS {
+            let Some(msg) = self.rx.pop() else { break };
             match msg {
-                WalMsg::Chunk(records) => {
-                    for r in &records {
-                        let rec = WalRecord::update(r.seq, r.update, r.arrival_micros);
-                        self.buf.extend_from_slice(&rec.encode());
-                        last_seq = Some(r.seq);
-                    }
+                WalMsg::Chunk(mut records) => {
+                    last_seq = records.last().map(|r| r.seq).or(last_seq);
+                    self.encode(&records);
+                    records.clear();
+                    // A full return ring drops the chunk here instead.
+                    let _ = self.spent.push(records);
                 }
                 WalMsg::Snapshot { bytes, next_seq } => {
                     pending_snapshot = Some((bytes, next_seq));
@@ -882,6 +919,16 @@ impl<C: Clock> Flusher<C> {
         } else {
             Pass::Idle
         })
+    }
+
+    /// Appends the records of one chunk to `buf`, each encoded in place.
+    fn encode(&mut self, records: &[RawRecord]) {
+        let at = self.buf.len();
+        self.buf.resize(at + records.len() * REC_LEN, 0);
+        let (slots, _) = self.buf[at..].as_chunks_mut::<REC_LEN>();
+        for (r, out) in records.iter().zip(slots) {
+            WalRecord::update(r.seq, r.update, r.arrival_micros).encode_into(out);
+        }
     }
 
     /// Counts the fsync that just covered every unsynced record.
@@ -1218,10 +1265,12 @@ pub(crate) mod tests {
     /// same flusher once [`Stepper::hand_over`] gives it over; a seal
     /// joins that thread.
     pub(crate) fn stepped_log(cfg: &DurabilityConfig) -> (WalHandle, Stepper) {
-        let (tx, flusher) = Flusher::open(cfg, 99, 0, TestClock::new(0.0)).expect("open the log");
+        let (tx, spent, flusher) =
+            Flusher::open(cfg, 99, 0, TestClock::new(0.0)).expect("open the log");
         let (hand, handed) = mpsc::channel();
         let wal = WalHandle {
             tx,
+            spent,
             pending: Vec::with_capacity(CHUNK_RECORDS),
             stats: Arc::clone(&flusher.stats),
             flusher: std::thread::spawn(move || handed.recv().map_or(Ok(()), Flusher::run)),
@@ -1336,6 +1385,48 @@ pub(crate) mod tests {
         assert!(flusher.step());
         assert_eq!(syncs(&stats), (2, 3), "inside the window again");
         assert_eq!(syncs(&seal_stepped(wal, flusher)), (3, 3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One pass writes at most [`WRITE_CHUNKS`] chunks however many are
+    /// queued, and hands each encoded chunk back for the next flush.
+    #[test]
+    fn one_pass_writes_at_most_write_chunks_and_hands_them_back() {
+        let dir = scratch("wal-bounded-write");
+        let mut cfg = DurabilityConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::Off;
+        let (mut wal, mut flusher) = stepped_log(&cfg);
+        let stats = wal.stats();
+        let one_write = (WRITE_CHUNKS * CHUNK_RECORDS) as u64;
+        let queued = one_write + 3 * CHUNK_RECORDS as u64 + 5;
+        append_n(&mut wal, 0, queued);
+        assert_eq!(stats.durability().wal_appended, queued, "counted per chunk");
+        let bytes = || stats.durability().wal_bytes;
+        let before = bytes();
+        assert!(flusher.step());
+        assert_eq!(
+            bytes() - before,
+            one_write * REC_LEN as u64,
+            "one bounded write"
+        );
+        assert_eq!(stats.written_seq(), one_write);
+        assert_eq!(
+            wal.spent.len(),
+            WRITE_CHUNKS,
+            "every written chunk went home"
+        );
+        assert!(flusher.step());
+        assert_eq!(stats.written_seq(), queued, "the next pass writes the rest");
+        assert!(!flusher.step());
+        assert_eq!(wal.spent.len(), WRITE_CHUNKS + 4);
+        // A flush refills a chunk that came home rather than a new one.
+        append_n(&mut wal, queued, 1);
+        assert_eq!(wal.spent.len(), WRITE_CHUNKS + 3);
+        let d = seal_stepped(wal, flusher).durability();
+        assert_eq!(
+            d.wal_bytes,
+            (HDR_LEN as u64) + (queued + 2) * REC_LEN as u64
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

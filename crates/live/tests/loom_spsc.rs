@@ -8,11 +8,11 @@
 //! (a push against a full ring hands the value back instead of
 //! overwriting), and the empty-ring/close edge (a pop against an empty
 //! ring returns `None` and close is observed only after the last value).
-//! Two protocol models ride along: the server's credit-grant arithmetic
+//! Three protocol models ride along: the server's credit-grant arithmetic
 //! (the real [`CreditWindow`] and [`InFlight`] against a real ring of
-//! blocks — grants may never let a credited push find it full) and the
-//! WAL flusher's
-//! chunk-then-watermark Release publication.
+//! blocks — grants may never let a credited push find it full), the WAL
+//! flusher's chunk-then-watermark Release publication, and a block's round
+//! trip from session to executor and home again over two rings.
 //!
 //! Run with:
 //!
@@ -221,6 +221,114 @@ fn wal_watermark_is_monotone_and_never_overtakes_its_chunk() {
         }
         flusher.join().expect("flusher thread");
         assert_eq!(written.load(Ordering::Acquire), 4, "all chunks durable");
+    });
+}
+
+/// Blocks going home: the session (this thread) decodes each frame into a
+/// block the executor sent back when one is waiting, and allocates one
+/// otherwise; the executor (the spawned thread) pops blocks, empties each
+/// and sends it back, and drops it when the return ring is full — the
+/// shape of `server.rs`'s `BatchState::push_frame` and the executor's
+/// `return_spent`, on two real rings. Both rings start full, so every
+/// push races a pop at the full edge. Under every interleaving:
+///
+/// * no block is refilled while it is still queued — every popped block
+///   holds exactly the one frame it was filled with, in FIFO order;
+/// * none is returned twice — each block that comes home is one the
+///   session lent out and has not had back since;
+/// * the blocks alive never exceed the two rings' slots plus one in each
+///   thread's hand.
+#[test]
+fn blocks_go_home_once_and_are_refilled_only_in_hand() {
+    use loom::sync::atomic::{AtomicUsize, Ordering};
+    use loom::sync::Arc;
+
+    loom::model(|| {
+        const SLOTS: usize = 2;
+        const MOST_ALIVE: usize = 2 * SLOTS + 2;
+        // A block is `[id]` when empty and `[id, frame]` when filled.
+        let (mut blocks_tx, mut blocks_rx) = ring::<Vec<u32>>(SLOTS);
+        let (mut spent_tx, mut spent_rx) = ring::<Vec<u32>>(SLOTS);
+        let dropped = Arc::new(AtomicUsize::new(0));
+        // The session's books: blocks allocated, and the ids lent to the
+        // executor and not yet back.
+        let mut allocated = 0u32;
+        let mut lent = Vec::new();
+        for frame in 0..SLOTS as u32 {
+            blocks_tx.push(vec![allocated, frame]).expect("room");
+            lent.push(allocated);
+            allocated += 1;
+        }
+        for _ in 0..SLOTS {
+            spent_tx.push(vec![allocated]).expect("room");
+            lent.push(allocated);
+            allocated += 1;
+        }
+        let executor = {
+            let dropped = Arc::clone(&dropped);
+            loom::thread::spawn(move || {
+                let mut next = 0;
+                for _ in 0..2 {
+                    let Some(mut block) = blocks_rx.pop() else {
+                        continue;
+                    };
+                    assert_eq!(
+                        block[1..],
+                        [next],
+                        "block {} filled once, in order",
+                        block[0]
+                    );
+                    next += 1;
+                    block.truncate(1);
+                    if spent_tx.push(block).is_err() {
+                        dropped.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                (blocks_rx, next)
+            })
+        };
+        let mut hand: Option<Vec<u32>> = None;
+        let mut frame = SLOTS as u32;
+        for _ in 0..2 {
+            let mut block = match hand.take().or_else(|| spent_rx.pop()) {
+                Some(block) if block.len() == 1 => {
+                    let at = lent.iter().position(|&id| id == block[0]);
+                    lent.swap_remove(at.expect("a block came home twice"));
+                    block
+                }
+                Some(held) => held,
+                None => {
+                    allocated += 1;
+                    let alive = allocated as usize - dropped.load(Ordering::SeqCst);
+                    assert!(alive <= MOST_ALIVE, "{alive} blocks alive");
+                    vec![allocated - 1]
+                }
+            };
+            if block.len() == 1 {
+                block.push(frame);
+            }
+            let id = block[0];
+            match blocks_tx.push(block) {
+                Ok(()) => {
+                    lent.push(id);
+                    frame += 1;
+                }
+                Err(block) => hand = Some(block),
+            }
+        }
+        let (mut blocks_rx, mut next) = executor.join().expect("executor thread");
+        while let Some(block) = blocks_rx.pop() {
+            assert_eq!(
+                block[1..],
+                [next],
+                "block {} filled once, in order",
+                block[0]
+            );
+            next += 1;
+        }
+        assert_eq!(next, frame, "every frame pushed came out once");
+        let alive = allocated as usize - dropped.load(Ordering::SeqCst);
+        assert!(alive <= MOST_ALIVE, "{alive} blocks alive");
     });
 }
 

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -57,13 +57,13 @@ fn live_cfg(dir: &Path, ips: f64, os_max: usize) -> LiveConfig {
         .with_durability(dur)
 }
 
-/// An executor with a WAL on its own thread, as `serve()` starts one.
-fn start(cfg: &LiveConfig) -> (Sender<Ingest>, JoinHandle<RunReport>) {
+/// An executor with a WAL on its own thread, as `serve()` starts one,
+/// fed by `rx`.
+fn start(cfg: &LiveConfig, rx: Receiver<Ingest>) -> JoinHandle<RunReport> {
     let dur = cfg.durability.as_ref().expect("durability configured");
     let wal = WalHandle::start(dur, strip_core::config_fingerprint(&cfg.sim), 0).expect("wal");
-    let (tx, rx) = mpsc::channel();
     let exec = Executor::with_wal(cfg, rx, Some(wal), None);
-    (tx, std::thread::spawn(move || exec.run()))
+    std::thread::spawn(move || exec.run())
 }
 
 /// Sends updates `from..to` (rising generations, so each is worth
@@ -142,9 +142,13 @@ fn snapshot_due_under_backlog_loses_no_acked_update() {
     let wal_dir = scratch("wal");
     let crash_dir = scratch("crash");
     let cfg = live_cfg(&wal_dir, CostModel::default().ips, BURST as usize + 1);
-    let (tx, exec) = start(&cfg);
+    // The burst is queued before the executor starts: a snapshot that fell
+    // due before its first update arrived would be an image of the empty
+    // store, stamped 0, which is right but is not the case under test.
+    let (tx, rx) = mpsc::channel();
     let mut last = HashMap::new();
     send(&tx, 0, BURST, &mut last);
+    let exec = start(&cfg, rx);
     assert_eq!(acked_report(&tx).updates.arrived, u64::from(BURST));
 
     // Ten snapshot periods later most of the burst is still queued; what
@@ -171,7 +175,8 @@ fn deferred_snapshot_is_taken_once_the_backlog_is_gone() {
     const HALF: u32 = 64;
     let wal_dir = scratch("deferred");
     let cfg = live_cfg(&wal_dir, 50.0e9, 4 * HALF as usize);
-    let (tx, exec) = start(&cfg);
+    let (tx, rx) = mpsc::channel();
+    let exec = start(&cfg, rx);
     let mut last = HashMap::new();
     send(&tx, 0, HALF, &mut last);
     // Installs take well under a microsecond here: wait (bounded) for the
