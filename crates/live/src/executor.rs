@@ -1119,8 +1119,6 @@ mod tests {
             .collect()
     }
 
-    /// A block entry logs the generation micros that arrived, including
-    /// ones a round trip through seconds would not return.
     /// A session of `cap` ring slots on this thread: the producer of its
     /// blocks, the [`Stream`] that attaches it, and the consumer its
     /// blocks come home on.
@@ -1167,6 +1165,8 @@ mod tests {
         }
     }
 
+    /// A block entry logs the generation micros that arrived, including
+    /// ones a round trip through seconds would not return.
     #[test]
     fn an_unstamped_entry_logs_the_wire_update_it_was_decoded_from() {
         for micros in [i64::MIN, -1, 0, (1 << 53) + 1, i64::MAX] {

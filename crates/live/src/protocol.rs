@@ -827,34 +827,9 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
     w.write_all(&frame)
 }
 
-/// Writes a [`Msg::Credit`] frame from a stack buffer, byte for byte what
-/// [`write_msg`] writes for it: a grant is the one frame a session sends
-/// while updates stream in, so a steady session allocates nothing.
-///
-/// # Errors
-///
-/// Propagates write errors.
-pub fn write_credit<W: Write>(w: &mut W, grant: u64) -> io::Result<()> {
-    let mut frame = [0u8; 13];
-    frame[..4].copy_from_slice(&9u32.to_le_bytes());
-    frame[4] = 36;
-    frame[5..].copy_from_slice(&grant.to_le_bytes());
-    w.write_all(&frame)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a_credit_frame_is_written_as_write_msg_writes_it() {
-        for grant in [0, 1, 65_536, u64::MAX] {
-            let (mut ours, mut general) = (Vec::new(), Vec::new());
-            write_credit(&mut ours, grant).expect("write to a Vec");
-            write_msg(&mut general, &Msg::Credit(grant)).expect("write to a Vec");
-            assert_eq!(ours, general, "grant {grant}");
-        }
-    }
 
     #[test]
     fn round_trip_every_fixed_message() {

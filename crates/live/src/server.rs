@@ -8,7 +8,7 @@
 //! and ride the session's bounded SPSC ring; an update past the grant
 //! ends the session. Blocks go home: the executor sends each one the OS
 //! queue has used up back over a second ring, and the session decodes its
-//! next frame into it, so a steady session allocates nothing. A session
+//! next frame into it, so a steady session allocates no block. A session
 //! that waits on the executor — out of credit, or flushing its ring
 //! before a control frame — parks until the executor, which unparks it
 //! after every pop of its ring, has freed what it waits for.
@@ -36,8 +36,7 @@ use strip_obs::PromText;
 use crate::credit::{CreditWindow, InFlight};
 use crate::executor::{unstamped, Block, Executor, Ingest, LiveConfig, Stream};
 use crate::protocol::{
-    decode_body, for_each_batch_update, write_credit, write_msg, FrameReader, Msg, WireStats,
-    UPDATE_ENTRY,
+    decode_body, for_each_batch_update, write_msg, FrameReader, Msg, WireStats, UPDATE_ENTRY,
 };
 use crate::recovery::Recovered;
 use crate::spsc;
@@ -48,6 +47,11 @@ use crate::spsc;
 /// ring's worth) always admits the largest legal batch frame without the
 /// producer blocking mid-frame.
 pub const RING_CAPACITY: usize = 1 << 16;
+
+/// Capacity of each session's return ring, in blocks. The executor drops
+/// a used-up block that finds it full, so after an OS-queue backlog a
+/// session keeps at most this many idle blocks, not the backlog's peak.
+const SPENT_BLOCKS: usize = 256;
 
 /// Credit top-ups are withheld until at least this much window can be
 /// granted, so the grant traffic stays a small fraction of the update
@@ -320,7 +324,7 @@ impl BatchState {
             Some(producer) => producer,
             None => {
                 let (producer, blocks) = spsc::ring(RING_CAPACITY);
-                let (spent, spent_rx) = spsc::ring(RING_CAPACITY);
+                let (spent, spent_rx) = spsc::ring(SPENT_BLOCKS);
                 let session = thread::current();
                 tx.send(Ingest::Stream(Stream {
                     blocks,
@@ -384,7 +388,7 @@ impl BatchState {
             grantable = self.grantable();
         }
         self.window.record_grant(grantable);
-        write_credit(stream, grantable)
+        write_msg(stream, &Msg::Credit(grantable))
     }
 
     /// Parks until the executor has popped everything this connection
@@ -450,7 +454,7 @@ fn handle_conn(
                 // repeated request resets nothing.
                 let grant = batch.grantable();
                 batch.window.record_grant(grant);
-                write_credit(&mut stream, grant)?;
+                write_msg(&mut stream, &Msg::Credit(grant))?;
             }
             Msg::Txn(w) => {
                 if tx.send(Ingest::Txn(w)).is_err() {

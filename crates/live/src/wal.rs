@@ -75,12 +75,9 @@ pub const REC_UPDATE: u8 = 1;
 /// Record kind: clean end of segment (orderly shutdown).
 pub const REC_SEAL: u8 = 2;
 
-/// Ring capacity between the executor and the flusher, in messages, and
-/// of the ring that takes spent chunks back. The executor spins (off the
-/// hot path, at ingest rates far above any measured) only if the flusher
-/// falls this far behind. A chunk is allocated only when no spent one is
-/// waiting, so the chunks alive never outnumber the return ring's slots
-/// by more than the two in hand.
+/// Ring capacity between the executor and the flusher, in messages. The
+/// executor spins (off the hot path, at ingest rates far above any
+/// measured) only if the flusher falls this far behind.
 const WAL_RING_CAPACITY: usize = 1 << 16;
 
 /// The most chunks one flusher pass encodes into one `write`: 64 × 256
@@ -88,6 +85,12 @@ const WAL_RING_CAPACITY: usize = 1 << 16;
 /// A full ring drained in one pass would grow that buffer to the ring's
 /// worth of records, about 840 MB.
 pub const WRITE_CHUNKS: usize = 64;
+
+/// Capacity of the ring that takes spent chunks back, in chunks: two
+/// passes' worth. The flusher drops a chunk that finds it full, so after
+/// a backlog the pool keeps at most this many chunks (1.5 MB), not the
+/// backlog's peak.
+const SPENT_CHUNKS: usize = 2 * WRITE_CHUNKS;
 
 // ---- CRC32 (IEEE, slice-by-8) -----------------------------------------------
 
@@ -813,7 +816,7 @@ impl<C: Clock> Flusher<C> {
         let seg = Segment::start(cfg, fingerprint, base_seq)?;
         let stats = Arc::new(WalStats::new(base_seq));
         let (tx, rx) = spsc::ring(WAL_RING_CAPACITY);
-        let (spent, spent_rx) = spsc::ring(WAL_RING_CAPACITY);
+        let (spent, spent_rx) = spsc::ring(SPENT_CHUNKS);
         let flusher = Flusher {
             seg,
             rx,
@@ -1427,6 +1430,23 @@ pub(crate) mod tests {
             d.wal_bytes,
             (HDR_LEN as u64) + (queued + 2) * REC_LEN as u64
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A backlog larger than the return ring leaves a pool of
+    /// [`SPENT_CHUNKS`] chunks: the flusher drops the rest.
+    #[test]
+    fn chunks_beyond_the_return_ring_are_dropped() {
+        let dir = scratch("wal-spent-bound");
+        let mut cfg = DurabilityConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::Off;
+        let (mut wal, mut flusher) = stepped_log(&cfg);
+        let queued = (3 * WRITE_CHUNKS * CHUNK_RECORDS) as u64;
+        append_n(&mut wal, 0, queued);
+        while flusher.step() {}
+        assert_eq!(wal.stats().written_seq(), queued);
+        assert_eq!(wal.spent.len(), SPENT_CHUNKS);
+        seal_stepped(wal, flusher);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

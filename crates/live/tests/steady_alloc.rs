@@ -1,64 +1,76 @@
 //! The live data path does no allocation in steady state.
 //!
-//! A counting global allocator sees every allocation of the process — the
-//! client below and every server thread. One session sends two bursts of
-//! updates to a real server with the WAL on, the second four times the
-//! first, from buffers the client reuses; each burst ends on a stats
-//! request, whose reply is an ack (every update of the burst queued or
-//! installed, and written to the log). The blocks frames are decoded
-//! into and the WAL's chunks come back to the thread that fills them, the
-//! flusher keeps one write buffer, and a credit grant allocates nothing,
-//! so the second burst allocates no more than the first, which also
-//! builds the rings and the pools the second one reuses. Were a frame's block or
-//! a chunk of 256 logged updates allocated afresh, the second burst would
-//! allocate about four times what the first does.
+//! A counting global allocator counts every allocation of the server's
+//! threads; the client's own thread is not counted. One session sends two
+//! bursts of updates to a real server with the WAL on, the second four
+//! times the first. The blocks frames are decoded into and the WAL's
+//! chunks come back to the thread that fills them, and the flusher keeps
+//! one write buffer, so the second burst allocates no more than the first,
+//! which also builds the rings and the pools the second one reuses. Were a
+//! frame's block or a chunk of 256 logged updates allocated afresh, the
+//! second burst would allocate about four times what the first does.
 //!
-//! A pool holds what is in flight at once, and a backlog is in flight: a
-//! burst sent faster than the server installs and logs it leaves a backlog
-//! in the OS queue and the WAL ring that grows with the burst, and the
-//! pools with it. So each burst is sent in rounds with a pause between
-//! them that the server drains the round in — timed on a server of its
-//! own first — and the backlog, and the pools, are at most a round's
-//! worth in either burst.
+//! A pool holds what is in flight at once, so a backlog would grow the
+//! pools with the burst. Each burst is therefore sent one frame at a time,
+//! and the next frame leaves only once the server has drained the last:
+//! the test asks the executor for a report until it counts every update
+//! sent and none queued. A report is an ack (it leaves once the log has
+//! every update before it), so by then the frame's block and its chunks
+//! are home. An ask allocates the report's policy label on the executor,
+//! once — the test checks that on the idle server first — so each burst's
+//! count is taken net of its asks, however many the drain needed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::{Read, Write};
+use std::cell::Cell;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::mpsc::{self, Sender};
 
 use strip_core::config::{Policy, SimConfig};
 use strip_db::cost::CostModel;
-use strip_live::clock::LiveClock;
-use strip_live::executor::LiveConfig;
-use strip_live::protocol::{encode_batch_body, read_msg, write_msg, Msg, WireUpdate};
-use strip_live::server::{serve, ServerHandle};
+use strip_live::executor::{Ingest, LiveConfig};
+use strip_live::protocol::{read_msg, write_msg, Msg, WireStats, WireUpdate};
+use strip_live::server::{serve, stats_from_report, ServerHandle};
 use strip_live::wal::{DurabilityConfig, FsyncPolicy};
 
-/// The system allocator, counting every allocation and reallocation.
+/// The system allocator, counting every allocation and reallocation made
+/// on a thread that counts.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count; the client's thread
+    /// turns it off.
+    static COUNTED: Cell<bool> = const { Cell::new(true) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(true) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are this allocator's; the counter
-// is a relaxed atomic and touches no allocated memory.
+// is a relaxed atomic and the flag a `const`-initialised thread-local
+// without a destructor, so counting touches no allocated memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded unchanged; the caller upholds the contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded unchanged; `ptr` came from this allocator,
         // which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -79,91 +91,8 @@ fn allocations() -> u64 {
 
 /// Updates in the first burst; the second sends four times as many.
 const BURST: usize = 32_768;
-/// A burst is sent in rounds of this many updates, each followed by a
-/// pause long enough for the server to install and log the round.
-const ROUND: usize = 8_192;
 /// Updates per frame, as the benchmark sends them.
 const FRAME: usize = 512;
-
-/// A credited session whose buffers are all allocated up front.
-struct Client {
-    stream: TcpStream,
-    credit: u64,
-    updates: Vec<WireUpdate>,
-    body: Vec<u8>,
-    frame: Vec<u8>,
-    generation: i64,
-}
-
-impl Client {
-    fn connect(stream: TcpStream) -> Client {
-        let mut client = Client {
-            stream,
-            credit: 0,
-            updates: Vec::with_capacity(FRAME),
-            body: Vec::with_capacity(16 + FRAME * 64),
-            frame: Vec::with_capacity(16 + FRAME * 64),
-            generation: 0,
-        };
-        write_msg(&mut client.stream, &Msg::CreditRequest).expect("credit request");
-        client.credit = client.read_credit();
-        client
-    }
-
-    /// Reads one `Credit` frame into a stack buffer: length 9, tag 36, a
-    /// `u64` grant.
-    fn read_credit(&mut self) -> u64 {
-        let mut frame = [0u8; 13];
-        self.stream.read_exact(&mut frame).expect("a Credit frame");
-        assert_eq!(frame[..5], [9, 0, 0, 0, 36], "a Credit frame");
-        u64::from_le_bytes(frame[5..].try_into().expect("eight bytes"))
-    }
-
-    /// Sends `n` updates in frames of at most [`FRAME`], each inside the
-    /// credit, waiting for a grant whenever the credit is spent.
-    fn send(&mut self, mut n: usize) {
-        while n > 0 {
-            if self.credit == 0 {
-                self.credit = self.read_credit();
-                continue;
-            }
-            let len = n.min(FRAME).min(self.credit as usize);
-            self.updates.clear();
-            for i in 0..len {
-                self.generation += 1;
-                self.updates.push(WireUpdate {
-                    class: (i % 2) as u8,
-                    index: (i % 256) as u32,
-                    generation_micros: self.generation,
-                    payload: 1.0,
-                    attr_mask: u64::MAX,
-                });
-            }
-            encode_batch_body(&mut self.body, &self.updates).expect("encode");
-            self.frame.clear();
-            self.frame
-                .extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-            self.frame.extend_from_slice(&self.body);
-            self.stream.write_all(&self.frame).expect("send a frame");
-            self.credit -= len as u64;
-            n -= len;
-        }
-    }
-
-    /// `ingested` from a stats reply: an ack, so it leaves once every
-    /// update before it is installed or queued and written to the log.
-    fn ingested(&mut self) -> u64 {
-        write_msg(&mut self.stream, &Msg::StatsRequest).expect("stats request");
-        loop {
-            match read_msg(&mut self.stream).expect("stats reply") {
-                Some(Msg::StatsResponse(s)) => return s.ingested,
-                // A top-up the session sent before it read the request.
-                Some(Msg::Credit(grant)) => self.credit += grant,
-                other => panic!("expected StatsResponse, got {other:?}"),
-            }
-        }
-    }
-}
 
 /// A server as the test runs it, with its log in `dir`.
 fn server(dir: &Path) -> ServerHandle {
@@ -191,48 +120,118 @@ fn server(dir: &Path) -> ServerHandle {
     serve(&cfg, TcpListener::bind("127.0.0.1:0").expect("bind")).expect("serve")
 }
 
-/// A session with `server`.
-fn client(server: &ServerHandle) -> Client {
-    let stream = TcpStream::connect(server.addr()).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    Client::connect(stream)
+/// One session with the server, and the executor's own ingest channel.
+struct Client {
+    stream: TcpStream,
+    ingest: Sender<Ingest>,
+    credit: u64,
+    sent: u64,
+    /// Reports asked for so far.
+    asks: u64,
 }
 
-/// The pause between rounds: twice what one round and its ack take on a
-/// server of its own, and at least 20 ms, so that it covers the drain on
-/// a debug build as on a release one.
-fn pause(dir: &Path) -> Duration {
-    let server = server(dir);
-    let mut client = client(&server);
-    let clock = LiveClock::start();
-    client.send(ROUND);
-    assert_eq!(client.ingested(), ROUND as u64);
-    let round = Duration::from_secs_f64(clock.now().as_secs());
-    drop(client);
-    server.shutdown().expect("shutdown");
-    (2 * round).max(Duration::from_millis(20))
+impl Client {
+    /// Sends one frame of `n` updates inside the credit, waiting for a
+    /// grant first if the credit is spent (or, for `n` = 0, for one grant
+    /// and no frame).
+    fn send(&mut self, n: usize) {
+        while self.credit == 0 || (self.credit as usize) < n {
+            match read_msg(&mut self.stream).expect("read a grant") {
+                Some(Msg::Credit(grant)) => self.credit += grant,
+                other => panic!("expected Credit, got {other:?}"),
+            }
+        }
+        if n == 0 {
+            return;
+        }
+        let updates = (0..n)
+            .map(|i| WireUpdate {
+                class: (i % 2) as u8,
+                index: (i % 256) as u32,
+                generation_micros: (self.sent + i as u64 + 1) as i64,
+                payload: 1.0,
+                attr_mask: u64::MAX,
+            })
+            .collect();
+        write_msg(&mut self.stream, &Msg::UpdateBatch(updates)).expect("send a frame");
+        self.credit -= n as u64;
+        self.sent += n as u64;
+    }
+
+    /// The executor's report, asked for directly rather than through the
+    /// session: an ack, so it leaves once every update the executor has
+    /// accepted is in the log.
+    fn ask(&mut self) -> WireStats {
+        self.asks += 1;
+        let (reply, report) = mpsc::sync_channel(1);
+        self.ingest
+            .send(Ingest::Snapshot { reply })
+            .expect("the executor runs");
+        stats_from_report(&report.recv().expect("a report"))
+    }
+
+    /// Asks until the report counts every update sent and none queued:
+    /// every block filled so far and every chunk logged is home.
+    fn drain(&mut self) {
+        loop {
+            let stats = self.ask();
+            if stats.ingested == self.sent && stats.queued == 0 {
+                return;
+            }
+        }
+    }
+
+    /// Sends `n` updates a frame at a time, draining after each; returns
+    /// the allocations the server made meanwhile, net of the asks, at
+    /// `per_ask` each.
+    fn burst(&mut self, n: usize, per_ask: u64) -> u64 {
+        let (before, asks) = (allocations(), self.asks);
+        for _ in 0..n / FRAME {
+            self.send(FRAME);
+            self.drain();
+        }
+        allocations() - before - (self.asks - asks) * per_ask
+    }
 }
 
 #[test]
 fn a_burst_four_times_longer_allocates_no_more() {
+    COUNTED.with(|c| c.set(false));
     let dir = std::env::temp_dir().join(format!("strip-steady-alloc-{}", std::process::id()));
-    let pause = pause(&dir);
     let server = server(&dir);
-    let mut client = client(&server);
-    let mut burst = |n: usize, ingested: u64| {
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut client = Client {
+        stream,
+        ingest: server.ingest(),
+        credit: 0,
+        sent: 0,
+        asks: 0,
+    };
+    write_msg(&mut client.stream, &Msg::CreditRequest).expect("credit request");
+    client.send(0);
+
+    // What one ask costs the server, measured on the idle server after a
+    // first one (which also grows the executor's queue of parked acks):
+    // the same for every ask.
+    client.ask();
+    let cost = |client: &mut Client| {
         let before = allocations();
-        for _ in 0..n / ROUND {
-            client.send(ROUND);
-            std::thread::sleep(pause);
-        }
-        assert_eq!(client.ingested(), ingested + n as u64);
+        client.ask();
         allocations() - before
     };
-    let first = burst(BURST, 0);
-    let second = burst(4 * BURST, BURST as u64);
+    let per_ask = cost(&mut client);
+    for _ in 0..16 {
+        assert_eq!(cost(&mut client), per_ask, "an ask's cost varies");
+    }
+
+    let first = client.burst(BURST, per_ask);
+    let second = client.burst(4 * BURST, per_ask);
     eprintln!(
-        "allocations: {first} in {BURST} updates, {second} in {}, {pause:?} pauses",
-        4 * BURST
+        "allocations: {first} in {BURST} updates, {second} in {}, \
+         net of {} asks at {per_ask}",
+        4 * BURST,
+        client.asks
     );
     assert!(
         second <= first,
