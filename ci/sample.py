@@ -25,8 +25,18 @@ innermost frame of the sample) and the inclusive share (the frame appears
 anywhere in the sample's inline chain). Only the inline chain is known: a
 function's out-of-line callees are not in its inclusive share. With
 `--lines N` it also ranks the N source lines that hold the most samples
-(the innermost frame's `file:line`). Standard library only (ctypes, /proc,
-addr2line, nm); x86-64 Linux.
+(the innermost frame's `file:line`).
+
+Busy and waiting samples are ranked apart. Before each attach the thread's
+scheduler state is read from `/proc/PID/task/TID/stat`: a sample of a thread
+in state `R` (running, or runnable and waiting for a CPU) is *on-CPU*, one in
+any other state (`S` sleeping, `D` in an uninterruptible wait, ...) is
+*off-CPU*. Each table is headed by the split, then ranks the on-CPU samples
+— where the busy time goes, whatever share of the run the thread waited —
+and then the off-CPU ones, whose leaf frames name what the thread waits in
+(a futex `syscall`, `recv`, `clock_nanosleep`, ...). Each ranking's shares
+are of its own samples. Standard library only (ctypes, /proc, addr2line,
+nm); x86-64 Linux.
 """
 import argparse
 import bisect
@@ -63,6 +73,18 @@ def sample_pc(tid):
         return None
     finally:
         libc.ptrace(PTRACE_DETACH, tid, None, None)
+
+
+def thread_state(pid, tid):
+    """The scheduler state letter of thread `tid` of process `pid` (`R`,
+    `S`, `D`, ...), or '' once it has exited."""
+    try:
+        with open(f'/proc/{pid}/task/{tid}/stat') as f:
+            stat = f.read()
+    except OSError:
+        return ''
+    # The name in parentheses may hold spaces; the state follows it.
+    return stat[stat.rindex(')') + 2:][:1]
 
 
 def thread_name(pid, tid):
@@ -182,8 +204,11 @@ def main():
 
     child = subprocess.Popen([args.binary] + args.args, stdout=sys.stderr)
     binary = os.path.realpath(args.binary)
-    # One counter of program counters per prefix.
-    pcs = {prefix: collections.Counter() for prefix in prefixes}
+    # Per prefix, one counter of program counters on-CPU and one off-CPU.
+    pcs = {prefix: {True: collections.Counter(), False: collections.Counter()}
+           for prefix in prefixes}
+    # Per prefix, the off-CPU states seen.
+    waits = {prefix: collections.Counter() for prefix in prefixes}
     maps = []
     while child.poll() is None:
         time.sleep(args.interval_ms / 1000)
@@ -193,11 +218,14 @@ def main():
             fresh = []
             for tid, name in named:
                 matching = [p for p in prefixes if name.startswith(p)]
-                pc = sample_pc(tid) if matching else None
+                state = thread_state(child.pid, tid) if matching else ''
+                pc = sample_pc(tid) if state else None
                 if pc is not None:
                     fresh.append(pc)
                     for prefix in matching:
-                        pcs[prefix][pc] += 1
+                        pcs[prefix][state == 'R'][pc] += 1
+                        if state != 'R':
+                            waits[prefix][state] += 1
             if any(not any(s <= pc < e for s, e, _, _ in maps) for pc in fresh):
                 maps = mappings(child.pid)
         except (FileNotFoundError, ProcessLookupError):
@@ -209,7 +237,7 @@ def main():
     segs = load_segments(binary)
     libs = {}
     where, chains = {}, {}
-    for pc in set().union(*pcs.values()):
+    for pc in set().union(*(c for by_cpu in pcs.values() for c in by_cpu.values())):
         hit = next(((off + pc - s, path) for s, e, off, path in maps if s <= pc < e), None)
         if hit is None:
             chains[pc] = [('[unknown]', '[unknown]')]
@@ -224,22 +252,33 @@ def main():
             chains[pc] = [library_frame(symbols, os.path.basename(path), vaddr)]
     frames = symbolise(binary, sorted(set(where.values())))
 
-    if not any(sum(c.values()) for c in pcs.values()):
+    if not any(sum(c.values()) for by_cpu in pcs.values() for c in by_cpu.values()):
         sys.exit(f'no samples (no thread named {args.thread}*?)' if args.thread else 'no samples')
+    command = " ".join([args.binary] + args.args)
     for i, prefix in enumerate(prefixes):
         if i:
             print()
-        table(pcs[prefix], chains, frames, where, args, prefix)
+        on, off = pcs[prefix][True], pcs[prefix][False]
+        n_on, n_off = sum(on.values()), sum(off.values())
+        total = n_on + n_off
+        threads = f' (threads {prefix}*)' if prefix else ''
+        print(f'{total} samples{threads} of {command}')
+        if not total:
+            continue
+        states = ', '.join(f'{s} {n}' for s, n in waits[prefix].most_common())
+        print(f'on-CPU (R) {n_on} ({n_on / total:.1%}), '
+              f'off-CPU {n_off} ({n_off / total:.1%}{": " + states if states else ""})')
+        for heading, counter in (('on-CPU', on), ('off-CPU', off)):
+            print(f'\n{heading}: {sum(counter.values())} samples')
+            table(counter, chains, frames, where, args)
     return child.returncode
 
 
-def table(pcs, chains, frames, where, args, prefix):
+def table(pcs, chains, frames, where, args):
     """Prints the frame (and, with --lines, the source line) ranking of the
-    samples in `pcs`, the threads whose name starts with `prefix`."""
+    samples in `pcs`."""
     total = sum(pcs.values())
-    threads = f' (threads {prefix}*)' if prefix else ''
     if not total:
-        print(f'0 samples{threads} of {" ".join([args.binary] + args.args)}')
         return
     leaf, incl, lines = collections.Counter(), collections.Counter(), collections.Counter()
     for pc, n in pcs.items():
@@ -249,7 +288,6 @@ def table(pcs, chains, frames, where, args, prefix):
         for name in {name for name, _ in chain}:
             incl[name] += n
 
-    print(f'{total} samples{threads} of {" ".join([args.binary] + args.args)}')
     print(f'{"leaf":>7} {"incl":>7}  frame')
     for name, n in incl.most_common(args.top):
         print(f'{leaf[name] / total:7.1%} {n / total:7.1%}  {name}')

@@ -392,8 +392,8 @@ pub struct Scheduler {
     dag: Option<Dag>,
     disk: Option<Disk>,
     /// Per-object view-read counts, feeding the HotFirst discipline
-    /// (indexed `[class][index]`).
-    read_counts: [Vec<u64>; 2],
+    /// (a row per object at its slot).
+    read_counts: Vec<u64>,
     /// Flight recorder (strip-obs). `None` unless tracing was requested;
     /// every record site is behind one `is_some` check, and the sink never
     /// feeds back into scheduling, so a traced run is bit-identical to an
@@ -477,7 +477,7 @@ impl Scheduler {
                 model,
                 rng: root.substream(0xD15C),
             }),
-            read_counts: [vec![0; cfg.n_low as usize], vec![0; cfg.n_high as usize]],
+            read_counts: vec![0; ViewObjectId::slots(cfg.n_low, cfg.n_high)],
             trace: None,
             cfg,
         }
@@ -637,35 +637,39 @@ impl Scheduler {
     /// the driver must hand it back through [`Scheduler::preempt`].
     pub fn on_update(&mut self, spec: &UpdateSpec, now: SimTime) -> Option<Preempt> {
         debug_assert!(spec.arrival == now);
-        let mut update = Update {
-            seq: 0,
+        let update = Update {
+            seq: self.update_seq,
             object: spec.object,
             generation_ts: spec.generation_ts,
             arrival_ts: now,
             payload: spec.payload,
             attr_mask: spec.attr_mask,
         };
-        self.note_arrivals(std::slice::from_mut(&mut update), now);
+        self.note_arrivals(std::slice::from_ref(&update), now);
         // A full OS queue rejects the arrival (paper §3.3).
         self.os_queue.deliver(update);
         self.arrival_verdict()
     }
 
     /// A block of external updates arrives at `now`: each entry, in order,
-    /// is stamped in place with the next sequence number and arrival `now`
-    /// and accounted exactly as [`Scheduler::on_update`] accounts one
-    /// arrival; then the OS queue takes the block whole, rejecting the
-    /// entries past its capacity, and hands it back through
-    /// [`Scheduler::take_spent`] once used up (an empty one at once).
-    /// Returns the verdict the block's first arrival would get from
-    /// `on_update` (every later one gets the same).
-    pub fn on_updates(&mut self, mut block: Vec<Update>, now: SimTime) -> Option<Preempt> {
+    /// takes the next sequence number and arrival `now` and is accounted
+    /// exactly as [`Scheduler::on_update`] accounts one arrival; then the
+    /// OS queue takes the block whole, rejecting the entries past its
+    /// capacity, and hands it back through [`Scheduler::take_spent`] once
+    /// used up (an empty one at once). The entries are not written: the
+    /// OS queue records the block's first sequence number and `now` once
+    /// and stamps each entry as it is received, so an entry's own `seq`
+    /// and `arrival_ts` are the caller's until then. Every entry must name
+    /// an object of the store. Returns the verdict the block's first
+    /// arrival would get from `on_update` (every later one gets the same).
+    pub fn on_updates(&mut self, block: Vec<Update>, now: SimTime) -> Option<Preempt> {
+        let first_seq = self.update_seq;
         if block.is_empty() {
-            self.os_queue.append(block);
+            self.os_queue.append(block, first_seq, now);
             return None;
         }
-        self.note_arrivals(&mut block, now);
-        self.os_queue.append(block);
+        self.note_arrivals(&block, now);
+        self.os_queue.append(block, first_seq, now);
         self.arrival_verdict()
     }
 
@@ -677,30 +681,34 @@ impl Scheduler {
         self.os_queue.take_spent()
     }
 
-    /// Stamps and accounts the arrivals of `block` at `now`, whether or not
-    /// the OS queue, which takes them next, keeps them. What is the same
-    /// for the whole block is done once: the measurement-window check and,
-    /// since the OS queue only grows and the update queue stands still
-    /// meanwhile, the high-water marks, taken at the final lengths.
-    fn note_arrivals(&mut self, block: &mut [Update], now: SimTime) {
+    /// Accounts the arrivals of `block` at `now`, whether or not the OS
+    /// queue, which takes them next, keeps them, and takes their sequence
+    /// numbers. What is the same for the whole block is done once: the
+    /// sequence numbers, the measurement-window check and, since the OS
+    /// queue only grows and the update queue stands still meanwhile, the
+    /// high-water marks, taken at the final lengths. Only the tracker's
+    /// receive (under UU) and a trace's queue depths are per entry, so
+    /// without either the entries are not walked.
+    fn note_arrivals(&mut self, block: &[Update], now: SimTime) {
         let before = self.os_queue.len();
         let room = self.os_queue.capacity() - before;
         let kept = room.min(block.len());
         let uq = self.uq.len();
-        for (i, u) in block.iter_mut().enumerate() {
-            u.seq = self.update_seq;
-            u.arrival_ts = now;
-            self.update_seq += 1;
-            // The system has been handed this update: under UU the object
-            // is now stale until a value at least this recent is
-            // installed, whether or not the OS queue keeps the message.
-            self.tracker.on_receive(u.object, u.generation_ts, now);
-            if self.trace.is_some() {
-                let os = (before + room.min(i + 1)) as u32;
-                self.emit(now, TraceKind::QueueDepth { os, uq: uq as u32 });
+        if self.cfg.staleness.tracks_unapplied() || self.trace.is_some() {
+            for (i, u) in block.iter().enumerate() {
+                // The system has been handed this update: under UU the
+                // object is now stale until a value at least this recent
+                // is installed, whether or not the OS queue keeps the
+                // message.
+                self.tracker.on_receive(u.object, u.generation_ts, now);
+                if self.trace.is_some() {
+                    let os = (before + room.min(i + 1)) as u32;
+                    self.emit(now, TraceKind::QueueDepth { os, uq: uq as u32 });
+                }
             }
         }
         let n = block.len() as u64;
+        self.update_seq += n;
         self.metrics.updates_arrived(now, n, n - kept as u64);
         self.metrics.observe_queue_lengths(before + kept, uq);
     }
@@ -1123,12 +1131,14 @@ impl Scheduler {
                     h.store
                         .record(update.object, update.generation_ts, update.payload);
                 }
-                // Checked here too: the call is out of line, and an
-                // install with no rules should not pay for it.
+                // Checked here too: the calls are out of line, and an
+                // install with no rules or DAG should not pay for them.
                 if self.rules.is_some() {
                     self.fire_rules(update.object, now);
                 }
-                self.propagate_base_install(update, now);
+                if self.dag.is_some() {
+                    self.propagate_base_install(update, now);
+                }
                 (true, watch)
             }
             InstallOutcome::Superseded => (false, None),
@@ -1138,18 +1148,20 @@ impl Scheduler {
         } else {
             self.metrics.update_superseded(now);
         }
-        self.emit(
-            now,
-            TraceKind::Install {
-                path: match path {
-                    InstallPath::Background => TracePath::Background,
-                    InstallPath::Immediate => TracePath::Immediate,
-                    InstallPath::OnDemand => TracePath::OnDemand,
+        if self.trace.is_some() {
+            self.emit(
+                now,
+                TraceKind::Install {
+                    path: match path {
+                        InstallPath::Background => TracePath::Background,
+                        InstallPath::Immediate => TracePath::Immediate,
+                        InstallPath::OnDemand => TracePath::OnDemand,
+                    },
+                    high_class: update.object.class == Importance::High,
+                    superseded: !applied,
                 },
-                high_class: update.object.class == Importance::High,
-                superseded: !applied,
-            },
-        );
+            );
+        }
         watch
     }
 
@@ -1398,8 +1410,7 @@ impl Scheduler {
             ServiceOrder::NewestFirst => self.uq.pop(true),
             ServiceOrder::HottestFirst => {
                 let counts = &self.read_counts;
-                self.uq
-                    .pop_hottest(|id| counts[id.class.index()][id.index as usize])
+                self.uq.pop_hottest(|id| counts[id.slot()])
             }
         };
         match popped {
@@ -1436,7 +1447,7 @@ impl Scheduler {
                     Segment::Work(_) => self.continue_txn(rt, now),
                     Segment::ReadDerived(node) => self.handle_derived_read(rt, node, now),
                     Segment::ReadView(obj) => {
-                        self.read_counts[obj.class.index()][obj.index as usize] += 1;
+                        self.read_counts[obj.slot()] += 1;
                         // Disk extension: the lookup may miss the buffer
                         // pool, stalling the transaction before the
                         // staleness check.

@@ -25,6 +25,10 @@
 //! same seeded choice of how far each run may go, once through the core's
 //! run and once through that loop, must see the same runs, the same
 //! watches, the same trace and the same report.
+//!
+//! A driver may likewise hand the arrivals of one instant over as a
+//! block, [`Scheduler::on_updates`], as the live executor does. The final
+//! test pins that call to the `on_update` calls it stands for.
 
 use strip_core::config::{
     DagSpec, HistoryAccess, IoModel, Policy, SimConfig, SimConfigBuilder, TriggerConfig,
@@ -35,7 +39,8 @@ use strip_core::scheduler::{initial_store, Scheduler, UpdateRun};
 use strip_core::sources::{ScriptedTxns, ScriptedUpdates, UpdateSpec};
 use strip_core::txn::TxnSpec;
 use strip_db::object::{Importance, ViewObjectId};
-use strip_db::staleness::ExpiryWatch;
+use strip_db::staleness::{ExpiryWatch, StalenessSpec};
+use strip_db::update::Update;
 use strip_obs::{TraceConfig, TraceData};
 use strip_sim::dist::{ClampedNormal, Distribution, Exponential, Uniform};
 use strip_sim::rng::Xoshiro256pp;
@@ -520,4 +525,150 @@ fn a_run_of_update_work_is_the_finish_next_slice_loop_it_stands_for() {
         }
     }
     assert!(longest > 8, "no run finished more than {longest} slices");
+}
+
+/// Finishes the update work and fires the expiries due by `until`, in
+/// time order, lining up the next slice after each finished one.
+fn settle(
+    core: &mut Scheduler,
+    slice: &mut Option<SimTime>,
+    expiries: &mut Vec<ExpiryWatch>,
+    until: SimTime,
+) {
+    loop {
+        let due = |w: &ExpiryWatch| w.at.max(SimTime::ZERO);
+        let expiry = (0..expiries.len()).min_by_key(|&i| due(&expiries[i]));
+        let expiry_at = expiry.map(|i| due(&expiries[i]));
+        match (*slice, expiry) {
+            (Some(end), _) if end <= until && expiry_at.is_none_or(|at| end <= at) => {
+                expiries.extend(core.finish(end));
+                *slice = core.next_slice(end).map(|secs| end + secs);
+            }
+            (_, Some(i)) if expiry_at.is_some_and(|at| at <= until) => {
+                let watch = expiries.swap_remove(i);
+                core.on_expiry(watch, due(&watch));
+            }
+            _ => return,
+        }
+    }
+}
+
+/// What [`feed`] saw: the report, the trace, and each view object's
+/// payload and version at the end, slot by slot.
+struct Fed {
+    report: RunReport,
+    trace: Option<TraceData>,
+    store: Vec<(f64, u64)>,
+}
+
+/// Runs `cfg` over `updates`, arrivals only, handing the arrivals of each
+/// instant to the core as one block ([`Scheduler::on_updates`], entries
+/// unstamped as a live session leaves them) or one at a time
+/// ([`Scheduler::on_update`]), with nothing between them.
+fn feed(cfg: &SimConfig, updates: &[UpdateSpec], blocks: bool, traced: bool) -> Fed {
+    let horizon = SimTime::from_secs(cfg.duration);
+    let mut core = Scheduler::new(cfg.clone(), initial_store(cfg), 0);
+    if traced {
+        core.set_trace(TraceConfig {
+            capacity: 1 << 20,
+            gauge_every: None,
+        });
+    }
+    let mut expiries = core.initial_watches();
+    // The planned end of the update slice that is out.
+    let mut slice = None;
+    for group in updates.chunk_by(|a, b| a.arrival == b.arrival) {
+        let now = group[0].arrival;
+        settle(&mut core, &mut slice, &mut expiries, now);
+        if blocks {
+            let block = group
+                .iter()
+                .map(|u| Update {
+                    seq: u64::MAX,
+                    object: u.object,
+                    generation_ts: u.generation_ts,
+                    arrival_ts: SimTime::ZERO,
+                    payload: u.payload,
+                    attr_mask: u.attr_mask,
+                })
+                .collect();
+            assert!(core.on_updates(block, now).is_none());
+        } else {
+            for u in group {
+                assert!(core.on_update(u, now).is_none());
+            }
+        }
+        if slice.is_none() {
+            slice = core.next_slice(now).map(|secs| now + secs);
+        }
+    }
+    settle(&mut core, &mut slice, &mut expiries, horizon);
+    if slice.is_some() {
+        core.interrupt(0.0, horizon);
+    }
+    let store = (0..ViewObjectId::slots(cfg.n_low, cfg.n_high))
+        .map(|slot| core.store().view(ViewObjectId::from_slot(slot)))
+        .map(|v| (v.payload, v.version))
+        .collect();
+    Fed {
+        report: core.report(horizon, 0, ResilienceStats::default()),
+        trace: core.take_trace(),
+        store,
+    }
+}
+
+/// A block of arrivals at one instant is those arrivals one at a time:
+/// the same report, the same trace and the same store, under the
+/// criteria whose receive walks the block (UU, and MA with UU) and with a
+/// trace, whose queue depths do, and through an OS queue the blocks
+/// overflow; and a traced run reports what an untraced one does.
+/// Generations are on a 10 ms grid, so an object often gets two updates
+/// of one generation: the update queue orders those by the sequence
+/// numbers the OS queue stamped, and which of the two installs shows in
+/// the store's payload.
+#[test]
+fn a_block_of_arrivals_is_its_arrivals_one_at_a_time() {
+    let points = [
+        (Policy::UpdatesFirst, StalenessSpec::UnappliedUpdate),
+        (
+            Policy::TransactionsFirst,
+            StalenessSpec::Either { alpha: 0.5 },
+        ),
+        (Policy::OnDemand, StalenessSpec::MaxAge { alpha: 0.5 }),
+    ];
+    for (policy, staleness) in points {
+        let cfg = SimConfig::builder()
+            .policy(policy)
+            .staleness(staleness)
+            .n_low(8)
+            .n_high(8)
+            .os_max(24)
+            .lambda_t(1.0)
+            .duration(3.0)
+            .seed(0x5712_1995)
+            .build()
+            .expect("a valid point");
+        // Arrival instants on a 100 ms grid: about 40 arrivals an instant,
+        // more than the OS queue holds.
+        let (mut updates, _) = arrivals(&cfg);
+        let grid = |t: SimTime, step: f64| SimTime::from_secs((t.as_secs() / step).floor() * step);
+        for u in &mut updates {
+            u.arrival = grid(u.arrival, 0.1);
+            u.generation_ts = grid(u.generation_ts, 0.01);
+        }
+        let mut untraced = None;
+        for traced in [false, true] {
+            let label = format!("{}/{staleness:?}, traced {traced}", policy.label());
+            let one = feed(&cfg, &updates, false, traced);
+            let block = feed(&cfg, &updates, true, traced);
+            let json = one.report.to_json();
+            assert_eq!(block.report.to_json(), json, "{label}: reports");
+            assert!(block.trace == one.trace, "{label}: traces");
+            assert_eq!(block.store, one.store, "{label}: stores");
+            assert_eq!(*untraced.get_or_insert(json.clone()), json, "{label}");
+            let updates = &one.report.updates;
+            assert!(updates.os_dropped > 0, "{label}: no overflow");
+            assert!(updates.installed_total() > 100, "{label}: thin run");
+        }
+    }
 }

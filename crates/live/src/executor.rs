@@ -15,7 +15,7 @@
 //! and the next starts there, with no clock read, timer pass or ingest
 //! poll in between. That sequence is a *run*, and the core does it in one
 //! call, [`Scheduler::run_updates`] with `until` = the poll deadline,
-//! which arms each watch in the executor's table as it goes. A run is
+//! which arms each MA-expiry watch as it goes. A run is
 //! *settled* — the wall clock is spun up to its planned end — before
 //! anything can observe it: before the next poll, before a transaction
 //! slice, and before a slice too long for the window. Those slices are
@@ -45,10 +45,23 @@
 //! The executor runs on one thread and is fed through an [`Ingest`]
 //! channel; the TCP front end (`server`) and in-process tests use the same
 //! channel type, so the scheduling core is exercised identically in both.
-//! A session's updates come over its own ring ([`Stream`]); the executor
-//! unparks the session after popping it, and sends each block the OS queue
-//! has used up back to the session that filled it, over a second ring, at
+//! A session's updates come over its own ring ([`Stream`]), in blocks
+//! whose every entry its connection thread has already checked against
+//! the store, so accepting a block is O(1) on this thread — one WAL
+//! append per entry when logging, nothing per entry otherwise: the OS
+//! queue records the block's first sequence number and arrival once and
+//! stamps each entry when it is received. The executor unparks the
+//! session after popping its ring, and sends each block the OS queue has
+//! used up back to the session that filled it, over a second ring, at
 //! every scheduling point.
+//!
+//! MA expiry is one bit per object and one heap entry per set bit. An
+//! install whose value will expire sets its object's bit, and pushes an
+//! entry keyed by the expiry instant when the bit was clear. When the
+//! entry comes due, the object's current expiry is read back from the
+//! store — its generation plus α — so a value installed since re-keys the
+//! entry, and otherwise the expiry is handed to the core with the
+//! tracker's version of the object, the one it holds current.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -171,25 +184,35 @@ impl LiveConfig {
         self.durability = Some(durability);
         self
     }
+
+    /// Objects per class of the store, by [`Importance::index`]: what
+    /// [`unstamped`] checks a wire update's index against.
+    #[must_use]
+    pub fn class_len(&self) -> [u32; 2] {
+        [self.sim.n_low, self.sim.n_high]
+    }
 }
 
 /// One batch frame's updates, decoded on its connection thread: what a
 /// session's ring carries ([`Ingest::Stream`]) and what the OS queue keeps
-/// once the executor has popped and stamped it. Each entry is
-/// [`unstamped`] until then.
+/// once the executor has popped it. Each entry is [`unstamped`]: the OS
+/// queue writes its sequence number and arrival when it is received.
 pub type Block = Vec<Update>;
 
-/// A wire update as its connection thread puts it into a [`Block`]: the
-/// executor stamps `seq` and `arrival_ts` when it pops the block. Until
+/// A wire update as its connection thread puts it into a [`Block`], or
+/// `None` when it names no object of a store of `class_len` objects per
+/// class (a class byte the decoder refuses, or an index out of range):
+/// such an update spends the session's credit and nothing else. The OS
+/// queue stamps `seq` and `arrival_ts` when it hands the entry out. Until
 /// then `arrival_ts` is zero and `seq` carries the wire's
 /// `generation_micros`, so the WAL logs the timestamp that arrived, not
-/// one rounded through seconds. `None` for a class byte the decoder
-/// refuses.
+/// one rounded through seconds.
 #[must_use]
-pub fn unstamped(w: &WireUpdate) -> Option<Update> {
-    Some(Update {
+pub fn unstamped(w: &WireUpdate, class_len: [u32; 2]) -> Option<Update> {
+    let class = Importance::from_index(w.class as usize)?;
+    (w.index < class_len[class.index()]).then(|| Update {
         seq: w.generation_micros as u64,
-        object: ViewObjectId::new(Importance::from_index(w.class as usize)?, w.index),
+        object: ViewObjectId::new(class, w.index),
         generation_ts: LiveClock::micros_to_sim(w.generation_micros),
         arrival_ts: SimTime::ZERO,
         payload: w.payload,
@@ -198,10 +221,13 @@ pub fn unstamped(w: &WireUpdate) -> Option<Update> {
 }
 
 /// A session's update path, handed to the executor with its first block
-/// ([`Ingest::Stream`]).
+/// ([`Ingest::Stream`]). Its producer validates every entry it puts into a
+/// block — each is [`unstamped`] against the store the executor serves —
+/// so the executor takes a block as it comes.
 #[derive(Debug)]
 pub struct Stream {
-    /// The session's blocks, in wire order.
+    /// The session's blocks, in wire order; every entry names an object
+    /// of the store.
     pub blocks: spsc::Consumer<Block>,
     /// Where the executor sends the session's used-up blocks back,
     /// emptied, capacity kept.
@@ -274,10 +300,10 @@ type Timer<T> = Reverse<(SimTime, T)>;
 
 /// Slices between two clock readings inside a run. A reading costs 50 to
 /// 100 ns (`clock.now_ns` on a 2-vCPU host), so this stride adds 1 to 2 ns
-/// to an update; at the ~80 ns of executor CPU an update costs, ingest
-/// included (0.08 s of `executor.cpu_s` per 1 M-update `live_drain`
-/// burst), it lets a run whose modelled cost is below that overrun its
-/// poll deadline by about 5 µs at most.
+/// to an update; at the ~50 ns of executor CPU an update costs, ingest
+/// included (0.05 s of `executor.cpu_s` per 1 M-update `live_drain`
+/// burst on that host), it lets a run whose modelled cost is below that
+/// overrun its poll deadline by about 3 µs at most.
 const RUN_CLOCK_STRIDE: u32 = 64;
 
 /// The longest an idle executor sleeps while acks are parked: a quarter
@@ -306,24 +332,14 @@ enum Cut {
 }
 
 /// Arms the expiry watchdog of the value just installed into
-/// `watch.object`, replacing the one of the value it overwrote in
-/// `watches`, where each object has a slot: the `n_low` low-importance
-/// ones, then the high. An object's watches only move later (an install
-/// never lowers a generation), so the `expiry` entry already there comes
-/// due no later than this watch and [`Executor::process_timers`] re-keys
-/// it then.
-fn arm(
-    watches: &mut [Option<ExpiryWatch>],
-    expiry: &mut BinaryHeap<Timer<usize>>,
-    n_low: u32,
-    watch: ExpiryWatch,
-) {
-    let base = match watch.object.class {
-        Importance::Low => 0,
-        Importance::High => n_low,
-    };
-    let slot = (base + watch.object.index) as usize;
-    if watches[slot].replace(watch).is_none() {
+/// `watch.object`: sets the object's bit in `armed`, at its slot, and
+/// keys an `expiry` entry at `watch.at` if the bit was clear. An object's
+/// expiry only moves later (an install never lowers a generation), so an
+/// entry already there comes due no later than this watch, and
+/// [`Executor::process_timers`] re-keys it then.
+fn arm(armed: &mut [bool], expiry: &mut BinaryHeap<Timer<usize>>, watch: ExpiryWatch) {
+    let slot = watch.object.slot();
+    if !std::mem::replace(&mut armed[slot], true) {
         expiry.push(Reverse((watch.at, slot)));
     }
 }
@@ -347,13 +363,13 @@ pub struct Executor<C: Clock = LiveClock> {
     /// When the next scheduling point is due: one quantum past the reading
     /// the last one ended at.
     poll_by: SimTime,
-    /// The MA-expiry watch of each object's latest install, by the slot
-    /// [`arm`] gives the object; `None` once it fired (or before any
-    /// install). An overwritten watch could never act — the tracker
-    /// ignores a superseded version — so only the latest is kept.
-    watches: Vec<Option<ExpiryWatch>>,
-    /// One entry per `Some` slot of `watches`, keyed by the instant of the
-    /// watch that armed it; a later watch of the same slot re-keys the
+    /// Whether each object, at its [`ViewObjectId::slot`], has an MA
+    /// expiry pending: set by [`arm`], cleared when the expiry fires. The
+    /// instant and version are not kept: the store's generation and the
+    /// tracker give them back when the entry comes due.
+    armed: Vec<bool>,
+    /// One entry per set bit of `armed`, keyed by the instant of the
+    /// watch that set it; a later value of the same object re-keys the
     /// entry when it comes due. At most one entry per object, whatever
     /// the update rate.
     expiry: BinaryHeap<Timer<usize>>,
@@ -440,13 +456,13 @@ impl<C: Clock> Executor<C> {
             .as_ref()
             .map(|d| d.snapshot_secs)
             .filter(|s| s.is_finite() && *s > 0.0);
-        Executor {
+        let mut exec = Executor {
             core: Scheduler::new(cfg.sim.clone(), store, update_seq),
             quantum: cfg.quantum,
             clock,
             now: SimTime::ZERO,
             poll_by: SimTime::ZERO,
-            watches: vec![None; (cfg.sim.n_low + cfg.sim.n_high) as usize],
+            armed: vec![false; ViewObjectId::slots(cfg.sim.n_low, cfg.sim.n_high)],
             expiry: BinaryHeap::new(),
             deadlines: BinaryHeap::new(),
             events: 0,
@@ -463,16 +479,17 @@ impl<C: Clock> Executor<C> {
             next_snapshot_at: snapshot_every.unwrap_or(f64::INFINITY),
             recovery_replayed,
             recovery_discarded,
+        };
+        for watch in exec.core.initial_watches() {
+            exec.arm(watch);
         }
+        exec
     }
 
     /// Runs until shutdown; returns the final report. Consumes the
     /// executor — the substrate's counters end their life in the report.
     #[must_use]
     pub fn run(mut self) -> RunReport {
-        for watch in self.core.initial_watches() {
-            self.arm(watch);
-        }
         self.now = self.clock.now();
         while !self.shutdown {
             if !self.pass() && !self.shutdown {
@@ -648,14 +665,13 @@ impl<C: Clock> Executor<C> {
     }
 
     /// Hands one popped block to the core (and, first, to the WAL). Every
-    /// entry is an event; one naming an object outside the store is
-    /// dropped here, as [`Executor::accept_update`] drops it, and the rest
-    /// are stamped and queued by [`Scheduler::on_updates`], which hands
-    /// the block back through `take_spent` once used up. Returns the
-    /// core's verdict on preemption.
-    fn accept_block(&mut self, mut block: Block, now: SimTime) -> Option<Preempt> {
+    /// entry is an event and names an object of the store (its session
+    /// refused the others, see [`Stream`]); [`Scheduler::on_updates`]
+    /// queues the block whole and hands it back through `take_spent` once
+    /// used up. Returns the core's verdict on preemption.
+    fn accept_block(&mut self, block: Block, now: SimTime) -> Option<Preempt> {
+        debug_assert!(block.iter().all(|u| self.in_store(u.object)));
         self.events += block.len() as u64;
-        block.retain(|u| self.in_store(u.object));
         if let Some(wal) = &mut self.wal {
             // Log before state, with the sequence numbers the core is
             // about to stamp.
@@ -762,23 +778,8 @@ impl<C: Clock> Executor<C> {
         if let Some(wal) = &mut self.wal {
             wal.flush();
         }
-        while let Some(mut head) = self.expiry.peek_mut() {
-            let Reverse((at, slot)) = *head;
-            if at > now {
-                break;
-            }
-            match self.watches[slot] {
-                // Overwritten since the entry was keyed: wait for the
-                // latest value's instant instead.
-                Some(watch) if watch.at > now => *head = Reverse((watch.at, slot)),
-                _ => {
-                    PeekMut::pop(head);
-                    if let Some(watch) = self.watches[slot].take() {
-                        self.core.on_expiry(watch, now);
-                        self.events += 1;
-                    }
-                }
-            }
+        if let Some(alpha) = self.core.config().staleness.alpha() {
+            self.fire_expiries(alpha, now);
         }
         if self.core.metrics().warmup_pending() && now.as_secs() >= self.core.config().warmup {
             self.core.on_warmup_end(now);
@@ -835,10 +836,40 @@ impl<C: Clock> Executor<C> {
         self.next_snapshot_at = now.as_secs() + every;
     }
 
+    /// Fires every MA expiry due by `now`. A due entry's object expires
+    /// at its installed generation + `alpha`, as the store holds it now:
+    /// later than the entry's key when a value was installed since, and
+    /// the entry is re-keyed there; otherwise the object is stale, and
+    /// the core hears so with the tracker's version of the object — the
+    /// store's counter can be ahead of it after recovery.
+    fn fire_expiries(&mut self, alpha: f64, now: SimTime) {
+        while let Some(mut head) = self.expiry.peek_mut() {
+            let Reverse((at, slot)) = *head;
+            if at > now {
+                break;
+            }
+            let object = ViewObjectId::from_slot(slot);
+            let due = self.core.store().view(object).generation_ts + alpha;
+            if due > now {
+                *head = Reverse((due, slot));
+                continue;
+            }
+            PeekMut::pop(head);
+            self.armed[slot] = false;
+            let version = self.core.tracker().version(object);
+            let watch = ExpiryWatch {
+                object,
+                version,
+                at: due,
+            };
+            self.core.on_expiry(watch, now);
+            self.events += 1;
+        }
+    }
+
     /// Arms the expiry watchdog of the value just installed (see [`arm`]).
     fn arm(&mut self, watch: ExpiryWatch) {
-        let n_low = self.core.config().n_low;
-        arm(&mut self.watches, &mut self.expiry, n_low, watch);
+        arm(&mut self.armed, &mut self.expiry, watch);
     }
 
     /// The instant of the earliest pending timer, if any.
@@ -894,12 +925,11 @@ impl<C: Clock> Executor<C> {
         let mut run = 0u32;
         loop {
             let stride = RUN_CLOCK_STRIDE - run % RUN_CLOCK_STRIDE;
-            let n_low = self.core.config().n_low;
-            let (watches, expiry) = (&mut self.watches, &mut self.expiry);
+            let (armed, expiry) = (&mut self.armed, &mut self.expiry);
             let ran = self
                 .core
                 .run_updates(at, secs, self.poll_by, stride, |watch| {
-                    arm(watches, expiry, n_low, watch);
+                    arm(armed, expiry, watch);
                 });
             self.events += u64::from(ran.finished);
             (at, run) = (ran.at, run + ran.finished);
@@ -1111,11 +1141,15 @@ mod tests {
         }
     }
 
-    /// The block a connection thread decodes from a frame of `updates`.
+    /// Objects per class of [`base_cfg`]'s store.
+    const BASE_CLASS_LEN: [u32; 2] = [4, 4];
+
+    /// The block a connection thread decodes from a frame of `updates`,
+    /// each naming an object of [`base_cfg`]'s store.
     fn block(updates: impl IntoIterator<Item = WireUpdate>) -> Block {
         updates
             .into_iter()
-            .map(|w| unstamped(&w).expect("a valid class"))
+            .map(|w| unstamped(&w, BASE_CLASS_LEN).expect("an object of the store"))
             .collect()
     }
 
@@ -1135,8 +1169,7 @@ mod tests {
     }
 
     /// Each block the core has used up goes back, emptied and in its own
-    /// allocation, to the session that filled it — one whose entries were
-    /// all outside the store too, in its turn.
+    /// allocation, to the session that filled it, in its turn.
     #[test]
     fn used_up_blocks_go_home_to_the_session_that_filled_them() {
         let (tx, mut exec) = stepped(LiveConfig::DEFAULT_QUANTUM);
@@ -1148,12 +1181,12 @@ mod tests {
             ring.push(block).expect("ring has room");
             at
         };
-        let a_blocks = [fill(&mut a, 1), fill(&mut a, 99), fill(&mut a, 2)];
+        let a_blocks = [fill(&mut a, 1), fill(&mut a, 0), fill(&mut a, 2)];
         let b_blocks = [fill(&mut b, 3)];
         tx.send(Ingest::Stream(stream_a)).expect("attach a");
         tx.send(Ingest::Stream(stream_b)).expect("attach b");
         while exec.pass() {}
-        assert_eq!(exec.core.store().installs(), 3);
+        assert_eq!(exec.core.store().installs(), 4);
         for (home, sent) in [(&mut home_a, &a_blocks[..]), (&mut home_b, &b_blocks[..])] {
             let back: Vec<_> = std::iter::from_fn(|| home.pop())
                 .map(|block| {
@@ -1166,7 +1199,8 @@ mod tests {
     }
 
     /// A block entry logs the generation micros that arrived, including
-    /// ones a round trip through seconds would not return.
+    /// ones a round trip through seconds would not return; an update
+    /// naming no object of the store makes no entry.
     #[test]
     fn an_unstamped_entry_logs_the_wire_update_it_was_decoded_from() {
         for micros in [i64::MIN, -1, 0, (1 << 53) + 1, i64::MAX] {
@@ -1177,9 +1211,18 @@ mod tests {
                 payload: -2.5,
                 attr_mask: 0b101,
             };
-            assert_eq!(wire_of(&unstamped(&w).expect("a valid class")), w);
+            assert_eq!(
+                wire_of(&unstamped(&w, BASE_CLASS_LEN).expect("an object of the store")),
+                w
+            );
         }
-        assert!(unstamped(&wire_update(2, 0, 0, 0.0)).is_none());
+        for (class, index) in [(2, 0), (0, 4), (1, 4), (1, u32::MAX)] {
+            let w = wire_update(class, index, 0, 0.0);
+            assert!(unstamped(&w, BASE_CLASS_LEN).is_none(), "{class}/{index}");
+        }
+        // The sizes are the served store's, class by class.
+        assert!(unstamped(&wire_update(1, 4, 0, 0.0), [4, 5]).is_some());
+        assert!(unstamped(&wire_update(0, 4, 0, 0.0), [4, 5]).is_none());
     }
 
     #[test]
@@ -1254,22 +1297,33 @@ mod tests {
         assert_eq!(report.updates.terminal_total(), report.updates.arrived);
     }
 
-    /// An update naming an object outside the store counts as an event
-    /// and as nothing else: no sequence number, no arrival, no WAL record.
+    /// An update naming an object outside the store is refused where its
+    /// frame is decoded, against the served configuration's class sizes,
+    /// as a session decodes it: it never reaches the executor, so it is no
+    /// event, takes no sequence number, and is neither arrived nor
+    /// logged. That it still spends the session's credit is
+    /// `server::tests::an_out_of_range_update_spends_credit_and_is_neither_arrived_nor_logged`.
     #[test]
-    fn an_out_of_range_update_counts_as_an_event_and_nothing_else() {
+    fn an_out_of_range_update_is_refused_before_it_is_an_event() {
         let (tx, mut exec, _flusher, dir) = stepped_durable(base_cfg(), "exec-out-of-range");
         exec.poll(); // the warm-up end fires here, not below
         let (mut prod, stream, _) = session(8);
+        let class_len = LiveConfig::new(base_cfg())
+            .expect("valid live config")
+            .class_len();
         let frame = [(0, 0), (0, 9), (1, 1), (1, 4), (0, 2)];
-        prod.push(block(
-            frame.map(|(class, index)| wire_update(class, index, 1_000, 1.0)),
-        ))
-        .expect("ring has room");
+        let decoded: Block = frame
+            .iter()
+            .filter_map(|&(class, index)| {
+                unstamped(&wire_update(class, index, 1_000, 1.0), class_len)
+            })
+            .collect();
+        assert_eq!(decoded.len(), 3);
+        prod.push(decoded).expect("ring has room");
         tx.send(Ingest::Stream(stream)).expect("attach stream");
         let before = exec.events;
         exec.poll();
-        assert_eq!(exec.events - before, 1 + 5, "the attach and five pops");
+        assert_eq!(exec.events - before, 1 + 3, "the attach and three pops");
         assert_eq!(exec.core.update_seq(), 3);
         // `appended` counts a chunk when it is handed to the flusher, which
         // the next scheduling point does.
@@ -1831,16 +1885,92 @@ mod tests {
 
     #[test]
     fn three_quantum_install_spans_three_quanta_and_is_charged_end_to_end() {
-        // Table 3 install: 24 000 instructions at 50 MIPS = 480 µs.
+        // Table 3 install: 24 000 instructions at 50 MIPS = 480 µs, three
+        // quanta. On a test clock whose readings take no time every chunk
+        // ends exactly at its poll deadline and the last at the slice's
+        // end, so the span is the plan, with no wall-clock overshoot. In
+        // floating point 3 × 160 µs lies one ulp above 480 µs (and the
+        // third poll deadline one below the slice's end), so the span is
+        // held to the plan, and to more than two quanta, not to that
+        // product.
         let quantum = 160e-6;
-        let (_tx, mut exec) = stepped(quantum);
+        let install = CostModel::default().install_time();
+        let (_tx, mut exec) = stepped_on(updates_first(), quantum, TestClock::new(0.0));
         exec.accept_update(&wire_update(0, 1, 1_000, 1.0), exec.now);
+        exec.poll();
         let started = exec.now;
         assert!(exec.step());
         let spanned = exec.now.since(started);
-        assert!(spanned >= 3.0 * quantum, "slice spanned only {spanned} s");
+        assert_eq!(exec.now, started + install);
+        assert!(spanned > 2.0 * quantum, "slice spanned only {spanned} s");
         assert_eq!(exec.core.metrics().busy_update_so_far(), spanned);
         assert_eq!(exec.finalize().updates.installed_total(), 1);
+    }
+
+    /// After recovery the store's versions run ahead of the tracker's,
+    /// which starts every object at version 0: an expiry still flags its
+    /// object stale at generation + α, for a recovered value and an
+    /// installed one alike.
+    #[test]
+    fn a_recovered_store_still_expires_objects_at_generation_plus_alpha() {
+        use strip_db::object::ViewObject;
+        use strip_db::store::Store;
+        let alpha = 0.050;
+        let sim = SimConfig {
+            staleness: StalenessSpec::MaxAge { alpha },
+            ..updates_first()
+        };
+        let cfg = LiveConfig::new(sim).expect("valid live config");
+        let store = Store::restore(4, 4, 0, |_| {
+            ViewObject::restore(1.0, 7, vec![SimTime::ZERO])
+        });
+        let recovered = crate::recovery::Recovered {
+            store,
+            next_seq: 100,
+            replayed: 0,
+            discarded: 0,
+            snapshot_loaded: true,
+        };
+        let (_tx, rx) = mpsc::channel();
+        let clock = TestClock::new(1e-6);
+        let mut exec = Executor::with_clock(&cfg, rx, None, Some(recovered), clock);
+        exec.now = exec.clock.now();
+        let (a, b) = (
+            ViewObjectId::new(Importance::Low, 1),
+            ViewObjectId::new(Importance::High, 2),
+        );
+        // A gets a value generated at 20 ms; B keeps its recovered one.
+        exec.accept_update(&wire_update(0, 1, 20_000, 2.0), exec.now);
+        while exec.pass() {}
+        assert_eq!(exec.core.store().view(a).version, 8);
+        assert_eq!(exec.core.tracker().version(b), 0);
+        let (mut a_stale_at, mut b_stale_at) = (None, None);
+        while a_stale_at.is_none() {
+            exec.clock.advance(100e-6);
+            exec.now = exec.clock.now();
+            exec.pass();
+            let tracker = exec.core.tracker();
+            if b_stale_at.is_none() && tracker.is_stale(b) {
+                assert!(!tracker.is_stale(a), "A flipped with B's expiry");
+                b_stale_at = Some(exec.now);
+            }
+            if tracker.is_stale(a) {
+                a_stale_at = Some(exec.now);
+            }
+            assert!(exec.now.as_secs() < 1.0, "A never expired");
+        }
+        // Each flips at the first poll at or past its expiry: one 100 µs
+        // step late at most.
+        let b_late = b_stale_at
+            .expect("B expires before A")
+            .since(SimTime::from_secs(alpha));
+        let a_late = a_stale_at
+            .expect("loop ended")
+            .since(SimTime::from_secs(0.020 + alpha));
+        for late in [b_late, a_late] {
+            assert!((0.0..=110e-6).contains(&late), "flipped {late} s late");
+        }
+        assert!(exec.expiry.is_empty() && exec.armed.iter().all(|&bit| !bit));
     }
 
     #[test]

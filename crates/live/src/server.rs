@@ -197,9 +197,10 @@ pub fn serve_recovered(
         .spawn(move || exec.run())?;
     let stop = Arc::new(AtomicBool::new(false));
     let (accept_tx, accept_stop) = (tx.clone(), Arc::clone(&stop));
+    let class_len = cfg.class_len();
     let accept = thread::Builder::new()
         .name("stripd-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_tx, &accept_stop))?;
+        .spawn(move || accept_loop(&listener, &accept_tx, &accept_stop, class_len))?;
     Ok(ServerHandle {
         addr,
         tx,
@@ -212,8 +213,14 @@ pub fn serve_recovered(
 /// Blocks in `accept()`, handing each connection to its own thread, until
 /// the stop flag is found raised on return from the call — every stop path
 /// ends in [`ServerHandle::wait`], which raises the flag and then connects
-/// to the listener itself ([`wake_accept`]).
-fn accept_loop(listener: &TcpListener, tx: &Sender<Ingest>, stop: &Arc<AtomicBool>) {
+/// to the listener itself ([`wake_accept`]). Each session checks its
+/// updates against a store of `class_len` objects per class.
+fn accept_loop(
+    listener: &TcpListener,
+    tx: &Sender<Ingest>,
+    stop: &Arc<AtomicBool>,
+    class_len: [u32; 2],
+) {
     loop {
         let conn = listener.accept();
         if stop.load(Ordering::Acquire) {
@@ -228,7 +235,7 @@ fn accept_loop(listener: &TcpListener, tx: &Sender<Ingest>, stop: &Arc<AtomicBoo
         let _ = thread::Builder::new()
             .name("stripd-conn".into())
             .spawn(move || {
-                let _ = handle_conn(stream, &conn_tx, &conn_stop);
+                let _ = handle_conn(stream, &conn_tx, &conn_stop, class_len);
             });
     }
 }
@@ -262,16 +269,21 @@ struct BatchState {
     in_flight: InFlight,
     /// Cumulative counters of the credit protocol for this connection.
     window: CreditWindow,
+    /// Objects per class of the store the executor serves: an update
+    /// naming none of them spends window and is not pushed.
+    class_len: [u32; 2],
 }
 
 impl BatchState {
-    /// A session that has sent no update yet: no ring, nothing granted.
-    fn new() -> BatchState {
+    /// A session that has sent no update yet, to a store of `class_len`
+    /// objects per class: no ring, nothing granted.
+    fn new(class_len: [u32; 2]) -> BatchState {
         BatchState {
             producer: None,
             spent: None,
             in_flight: InFlight::new(),
             window: CreditWindow::new(),
+            class_len,
         }
     }
 
@@ -279,8 +291,10 @@ impl BatchState {
     /// the executor sent home when one is waiting — spending one unit of
     /// window per update, and pushes the block. The updates inside the
     /// window are pushed even when a later one overruns it or fails to
-    /// decode; then the session ends with that error. Returns the frame's
-    /// update count.
+    /// decode; then the session ends with that error. An update naming no
+    /// object of the store spends its unit and is not pushed: the executor
+    /// takes every entry of a block as valid. Returns the frame's update
+    /// count.
     fn push_frame(&mut self, body: &[u8], tx: &Sender<Ingest>) -> io::Result<usize> {
         let mut block = self
             .spent
@@ -289,13 +303,13 @@ impl BatchState {
             .unwrap_or_default();
         block.reserve(body.len() / UPDATE_ENTRY);
         let mut overrun = false;
-        let window = &mut self.window;
+        let (window, class_len) = (&mut self.window, self.class_len);
         let decoded = for_each_batch_update(body, |w| {
             // The first update past the window ends the session; the
             // window stays spent, so none after it is kept either.
             if !window.on_update() {
                 overrun = true;
-            } else if let Some(u) = unstamped(&w) {
+            } else if let Some(u) = unstamped(&w, class_len) {
                 block.push(u);
             }
         });
@@ -405,12 +419,14 @@ impl BatchState {
     }
 }
 
-/// Serves one connection: either a binary protocol session or, when the
-/// first bytes spell an HTTP GET, one `/metrics` scrape.
+/// Serves one connection: either a binary protocol session, to a store of
+/// `class_len` objects per class, or, when the first bytes spell an HTTP
+/// GET, one `/metrics` scrape.
 fn handle_conn(
     mut stream: impl Read + Write,
     tx: &Sender<Ingest>,
     stop: &Arc<AtomicBool>,
+    class_len: [u32; 2],
 ) -> io::Result<()> {
     // Sniff the transport: binary frames are at least 5 bytes, so waiting
     // for 4 cannot deadlock a well-formed client. The bytes are read, not
@@ -424,7 +440,7 @@ fn handle_conn(
         return serve_metrics(&mut stream, tx);
     }
     let mut frames = FrameReader::with_prefix(&first);
-    let mut batch = BatchState::new();
+    let mut batch = BatchState::new(class_len);
     loop {
         let Some(body) = frames.next_frame(&mut stream)? else {
             return Ok(()); // clean EOF
@@ -742,7 +758,7 @@ mod tests {
     #[test]
     fn credit_window_grants_exactly_the_slots_the_executor_freed() {
         let (tx, rx) = mpsc::channel();
-        let mut state = BatchState::new();
+        let mut state = BatchState::new(idle_config().class_len());
         let cap = RING_CAPACITY as u64;
 
         // The first grant is the whole ring, which does not exist yet.
@@ -794,7 +810,11 @@ mod tests {
     ) -> (UnixStream, JoinHandle<io::Result<()>>) {
         let (client, conn) = UnixStream::pair().expect("socket pair");
         let stop = Arc::clone(stop);
-        (client, thread::spawn(move || handle_conn(conn, &tx, &stop)))
+        let class_len = idle_config().class_len();
+        (
+            client,
+            thread::spawn(move || handle_conn(conn, &tx, &stop, class_len)),
+        )
     }
 
     /// A session with the test playing executor: the client socket, the
@@ -1016,7 +1036,7 @@ mod tests {
         for sent in [5, 1] {
             let stop = Arc::new(AtomicBool::new(false));
             let (mut client, session, rx) = loopback_session(&stop);
-            let updates = (0..sent).map(|i| wire_update(1, i)).collect();
+            let updates = (0..sent).map(|i| wire_update(1, i % 4)).collect();
             write_msg(&mut client, &Msg::CreditRequest).expect("credit request");
             assert!(matches!(
                 read_msg(&mut client),

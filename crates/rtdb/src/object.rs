@@ -63,12 +63,29 @@ impl ViewObjectId {
         ViewObjectId { class, index }
     }
 
-    /// Dense index over both classes, `index · 2 + class`: the slot of
-    /// per-object tables (update-queue chains, DAG base dependents).
+    /// Dense index over both classes, `index · 2 + class`: the row of
+    /// every per-object table (store, staleness tracker, update-queue
+    /// chains, DAG base dependents, the live executor's expiry bits). No
+    /// branch on the class; when the classes differ in size, the larger
+    /// one's tail leaves every other row of a table unused.
     #[inline]
     #[must_use]
     pub fn slot(self) -> usize {
         self.index as usize * 2 + self.class.index()
+    }
+
+    /// Inverse of [`ViewObjectId::slot`].
+    #[inline]
+    #[must_use]
+    pub fn from_slot(slot: usize) -> Self {
+        ViewObjectId::new(Importance::ALL[slot & 1], (slot / 2) as u32)
+    }
+
+    /// Rows a per-object table needs for `n_low` + `n_high` objects.
+    #[inline]
+    #[must_use]
+    pub fn slots(n_low: u32, n_high: u32) -> usize {
+        (n_low as usize * 2).max(n_high as usize * 2)
     }
 }
 

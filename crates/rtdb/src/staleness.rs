@@ -127,7 +127,14 @@ impl ObjState {
 #[derive(Debug, Clone)]
 pub struct StalenessTracker {
     spec: StalenessSpec,
-    objs: [Vec<ObjState>; 2],
+    /// `spec`'s MA threshold and whether it tracks unapplied updates,
+    /// read once here rather than matched on every receive and install.
+    alpha: Option<f64>,
+    unapplied: bool,
+    /// A row per object at its [`ViewObjectId::slot`].
+    objs: Vec<ObjState>,
+    /// Objects per class, by [`Importance::index`].
+    class_len: [u32; 2],
     stale_counts: [TimeWeighted; 2],
     start: SimTime,
 }
@@ -147,32 +154,39 @@ impl StalenessTracker {
     where
         F: FnMut(ViewObjectId) -> SimTime,
     {
-        let build = |class: Importance, n: u32, init_gen: &mut F| -> Vec<ObjState> {
-            (0..n)
-                .map(|i| {
-                    let gen = init_gen(ViewObjectId::new(class, i));
-                    let ma_stale = spec.alpha().is_some_and(|alpha| start.since(gen) > alpha);
-                    ObjState {
-                        ma_stale,
-                        uu_stale: false,
-                        version: 0,
-                        received_gen: gen,
-                        installed_gen: gen,
-                    }
-                })
-                .collect()
+        let unused = ObjState {
+            ma_stale: false,
+            uu_stale: false,
+            version: 0,
+            received_gen: SimTime::ZERO,
+            installed_gen: SimTime::ZERO,
         };
-        let low = build(Importance::Low, n_low, &mut init_gen);
-        let high = build(Importance::High, n_high, &mut init_gen);
-        let stale_low = low.iter().filter(|o| o.combined(spec)).count() as f64;
-        let stale_high = high.iter().filter(|o| o.combined(spec)).count() as f64;
+        let mut objs = vec![unused; ViewObjectId::slots(n_low, n_high)];
+        let mut stale = [0.0; 2];
+        for (class, n) in [(Importance::Low, n_low), (Importance::High, n_high)] {
+            for i in 0..n {
+                let id = ViewObjectId::new(class, i);
+                let gen = init_gen(id);
+                let st = ObjState {
+                    ma_stale: spec.alpha().is_some_and(|alpha| start.since(gen) > alpha),
+                    uu_stale: false,
+                    version: 0,
+                    received_gen: gen,
+                    installed_gen: gen,
+                };
+                if st.combined(spec) {
+                    stale[class.index()] += 1.0;
+                }
+                objs[id.slot()] = st;
+            }
+        }
         StalenessTracker {
             spec,
-            objs: [low, high],
-            stale_counts: [
-                TimeWeighted::new(start, stale_low),
-                TimeWeighted::new(start, stale_high),
-            ],
+            alpha: spec.alpha(),
+            unapplied: spec.tracks_unapplied(),
+            objs,
+            class_len: [n_low, n_high],
+            stale_counts: stale.map(|count| TimeWeighted::new(start, count)),
             start,
         }
     }
@@ -183,16 +197,21 @@ impl StalenessTracker {
         self.spec
     }
 
+    #[inline]
     fn obj_mut(&mut self, id: ViewObjectId) -> &mut ObjState {
-        &mut self.objs[id.class.index()][id.index as usize]
+        debug_assert!(id.index < self.class_len[id.class.index()]);
+        &mut self.objs[id.slot()]
     }
 
+    #[inline]
     fn obj(&self, id: ViewObjectId) -> &ObjState {
-        &self.objs[id.class.index()][id.index as usize]
+        debug_assert!(id.index < self.class_len[id.class.index()]);
+        &self.objs[id.slot()]
     }
 
     /// Applies flag changes, updating the time-weighted stale count when
     /// the combined verdict flips.
+    #[inline]
     fn set_flags(&mut self, id: ViewObjectId, now: SimTime, ma: Option<bool>, uu: Option<bool>) {
         let spec = self.spec;
         let st = self.obj_mut(id);
@@ -214,15 +233,17 @@ impl StalenessTracker {
     /// Under UU returns an empty vector.
     #[must_use]
     pub fn initial_watches(&self) -> Vec<ExpiryWatch> {
-        let Some(alpha) = self.spec.alpha() else {
+        let Some(alpha) = self.alpha else {
             return Vec::new();
         };
         let mut watches = Vec::new();
         for class in Importance::ALL {
-            for (i, st) in self.objs[class.index()].iter().enumerate() {
+            for i in 0..self.class_len[class.index()] {
+                let object = ViewObjectId::new(class, i);
+                let st = self.obj(object);
                 if !st.ma_stale {
                     watches.push(ExpiryWatch {
-                        object: ViewObjectId::new(class, i as u32),
+                        object,
                         version: 0,
                         at: st.installed_gen + alpha,
                     });
@@ -234,15 +255,16 @@ impl StalenessTracker {
 
     /// Records that the system received (was handed) an update for `object`
     /// generated at `gen`. Only meaningful under UU; a no-op under MA.
+    #[inline]
     pub fn on_receive(&mut self, object: ViewObjectId, gen: SimTime, now: SimTime) {
-        if !self.spec.tracks_unapplied() {
+        if !self.unapplied {
             return;
         }
         let st = self.obj_mut(object);
         if gen > st.received_gen {
             st.received_gen = gen;
         }
-        if self.obj(object).received_gen > self.obj(object).installed_gen {
+        if st.received_gen > st.installed_gen {
             self.set_flags(object, now, None, Some(true));
         }
     }
@@ -250,6 +272,7 @@ impl StalenessTracker {
     /// Records that a value generated at `gen` with store version `version`
     /// was installed into `object` at `now`. Returns the expiry watchdog to
     /// schedule (MA only).
+    #[inline]
     pub fn on_install(
         &mut self,
         object: ViewObjectId,
@@ -257,55 +280,36 @@ impl StalenessTracker {
         version: u64,
         now: SimTime,
     ) -> Option<ExpiryWatch> {
+        let (alpha, unapplied) = (self.alpha, self.unapplied);
+        let st = self.obj_mut(object);
+        if gen > st.installed_gen {
+            st.installed_gen = gen;
+        }
         // UU component: a generation at least as new as everything received
         // clears the unapplied flag.
-        let mut uu_flag = None;
-        if self.spec.tracks_unapplied() {
-            let st = self.obj_mut(object);
-            if gen > st.installed_gen {
-                st.installed_gen = gen;
-            }
-            if st.installed_gen >= st.received_gen {
-                uu_flag = Some(false);
-            }
-        }
+        let uu_flag = (unapplied && st.installed_gen >= st.received_gen).then_some(false);
         // MA component: the new value is fresh until `gen + alpha`.
-        let mut watch = None;
-        let mut ma_flag = None;
-        if let Some(alpha) = self.spec.alpha() {
-            let st = self.obj_mut(object);
-            st.version = version;
-            if gen > st.installed_gen {
-                st.installed_gen = gen;
-            }
-            let expires = gen + alpha;
-            if expires > now {
-                ma_flag = Some(false);
-                watch = Some(ExpiryWatch {
-                    object,
-                    version,
-                    at: expires,
-                });
-            } else {
-                // Installing an already-expired value (possible under FIFO
-                // with very old queued updates).
-                ma_flag = Some(true);
-            }
-        } else {
-            // Pure UU: still record the installed generation.
-            let st = self.obj_mut(object);
-            if gen > st.installed_gen {
-                st.installed_gen = gen;
-            }
-        }
-        self.set_flags(object, now, ma_flag, uu_flag);
-        watch
+        let Some(alpha) = alpha else {
+            self.set_flags(object, now, None, uu_flag);
+            return None;
+        };
+        st.version = version;
+        let expires = gen + alpha;
+        // Installing an already-expired value (possible under FIFO with
+        // very old queued updates) leaves the object stale.
+        let fresh = expires > now;
+        self.set_flags(object, now, Some(!fresh), uu_flag);
+        fresh.then_some(ExpiryWatch {
+            object,
+            version,
+            at: expires,
+        })
     }
 
     /// Fires an expiry watchdog (MA): if the guarded value is still the
     /// installed one, the object becomes stale.
     pub fn on_expiry(&mut self, watch: ExpiryWatch, now: SimTime) {
-        if self.spec.alpha().is_none() {
+        if self.alpha.is_none() {
             return;
         }
         if self.obj(watch.object).version == watch.version {
@@ -320,6 +324,15 @@ impl StalenessTracker {
         self.obj(object).combined(self.spec)
     }
 
+    /// The version of `object`'s installed value as the last
+    /// [`StalenessTracker::on_install`] reported it under MA: 0 before
+    /// any, whatever the store's own counter read when tracking began.
+    /// An expiry watch of that version is the one that still applies.
+    #[must_use]
+    pub fn version(&self, object: ViewObjectId) -> u64 {
+        self.obj(object).version
+    }
+
     /// Current number of stale objects in `class`.
     #[must_use]
     pub fn stale_count(&self, class: Importance) -> f64 {
@@ -330,7 +343,7 @@ impl StalenessTracker {
     /// stale objects over `[start, end]`.
     #[must_use]
     pub fn fold(&self, class: Importance, end: SimTime) -> f64 {
-        let n = self.objs[class.index()].len();
+        let n = self.class_len[class.index()];
         if n == 0 {
             return 0.0;
         }
@@ -349,7 +362,7 @@ impl StalenessTracker {
     /// Number of tracked objects in `class`.
     #[must_use]
     pub fn class_len(&self, class: Importance) -> usize {
-        self.objs[class.index()].len()
+        self.class_len[class.index()] as usize
     }
 }
 

@@ -6,6 +6,11 @@
 //! general data. Installs enforce the *worthiness check* of §3.3: an update
 //! whose generation timestamp is not newer than the installed value is
 //! skipped (this happens when updates are applied out of order).
+//!
+//! Both view partitions live in one table, a row per object at
+//! [`ViewObjectId::slot`], so finding an object is one multiply-add and
+//! no branch on its class; the class sizes are kept beside it for the
+//! range check.
 
 use serde::{Deserialize, Serialize};
 use strip_sim::time::SimTime;
@@ -33,8 +38,11 @@ pub enum InstallOutcome {
 /// The partitioned main-memory database.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Store {
-    low: Vec<ViewObject>,
-    high: Vec<ViewObject>,
+    /// Both view partitions, a row per object at its slot; the rows no
+    /// object has (only when the class sizes differ) are never read.
+    views: Vec<ViewObject>,
+    /// Objects per class, by [`Importance::index`].
+    class_len: [u32; 2],
     general: Vec<f64>,
     installs: u64,
     superseded: u64,
@@ -46,17 +54,9 @@ impl Store {
     /// given initial generation timestamp.
     #[must_use]
     pub fn new(n_low: u32, n_high: u32, n_general: u32, initial_ts: SimTime) -> Self {
-        Store {
-            low: (0..n_low)
-                .map(|_| ViewObject::new(0.0, initial_ts))
-                .collect(),
-            high: (0..n_high)
-                .map(|_| ViewObject::new(0.0, initial_ts))
-                .collect(),
-            general: vec![0.0; n_general as usize],
-            installs: 0,
-            superseded: 0,
-        }
+        Self::restore(n_low, n_high, n_general, |_| {
+            ViewObject::new(0.0, initial_ts)
+        })
     }
 
     /// Creates a store where each view object's initial generation timestamp
@@ -74,29 +74,16 @@ impl Store {
     where
         F: FnMut(ViewObjectId) -> SimTime,
     {
-        let low = (0..n_low)
-            .map(|i| {
-                ViewObject::with_attrs(0.0, init_ts(ViewObjectId::new(Importance::Low, i)), attrs)
-            })
-            .collect();
-        let high = (0..n_high)
-            .map(|i| {
-                ViewObject::with_attrs(0.0, init_ts(ViewObjectId::new(Importance::High, i)), attrs)
-            })
-            .collect();
-        Store {
-            low,
-            high,
-            general: vec![0.0; n_general as usize],
-            installs: 0,
-            superseded: 0,
-        }
+        Self::restore(n_low, n_high, n_general, |id| {
+            ViewObject::with_attrs(0.0, init_ts(id), attrs)
+        })
     }
 
     /// Rebuilds a store from persisted per-object state: `restore(id)`
-    /// supplies each view object (see [`ViewObject::restore`]), in any
-    /// order the caller likes — the store invokes it once per id. General
-    /// data is transaction-private scratch and restarts zeroed; the
+    /// supplies each view object (see [`ViewObject::restore`]); the store
+    /// invokes it once per id, every low-importance one in index order
+    /// and then every high-importance one. General data is
+    /// transaction-private scratch and restarts zeroed; the
     /// install/superseded counters restart at zero too (they are run
     /// metrics, not state — the recovered run's report counts its own
     /// installs, with replays accounted separately).
@@ -105,13 +92,17 @@ impl Store {
     where
         F: FnMut(ViewObjectId) -> ViewObject,
     {
+        let mut views =
+            vec![ViewObject::new(0.0, SimTime::ZERO); ViewObjectId::slots(n_low, n_high)];
+        for (class, n) in [(Importance::Low, n_low), (Importance::High, n_high)] {
+            for i in 0..n {
+                let id = ViewObjectId::new(class, i);
+                views[id.slot()] = restore(id);
+            }
+        }
         Store {
-            low: (0..n_low)
-                .map(|i| restore(ViewObjectId::new(Importance::Low, i)))
-                .collect(),
-            high: (0..n_high)
-                .map(|i| restore(ViewObjectId::new(Importance::High, i)))
-                .collect(),
+            views,
+            class_len: [n_low, n_high],
             general: vec![0.0; n_general as usize],
             installs: 0,
             superseded: 0,
@@ -121,10 +112,17 @@ impl Store {
     /// Number of view objects in a class.
     #[must_use]
     pub fn class_len(&self, class: Importance) -> usize {
-        match class {
-            Importance::Low => self.low.len(),
-            Importance::High => self.high.len(),
-        }
+        self.class_len[class.index()] as usize
+    }
+
+    /// The row of `id`, range-checked against its class.
+    #[inline]
+    fn row(&self, id: ViewObjectId) -> usize {
+        assert!(
+            id.index < self.class_len[id.class.index()],
+            "no view object {id:?}"
+        );
+        id.slot()
     }
 
     /// Immutable access to a view object.
@@ -132,19 +130,16 @@ impl Store {
     /// # Panics
     ///
     /// Panics if the index is out of range for the class.
+    #[inline]
     #[must_use]
     pub fn view(&self, id: ViewObjectId) -> &ViewObject {
-        match id.class {
-            Importance::Low => &self.low[id.index as usize],
-            Importance::High => &self.high[id.index as usize],
-        }
+        &self.views[self.row(id)]
     }
 
+    #[inline]
     fn view_mut(&mut self, id: ViewObjectId) -> &mut ViewObject {
-        match id.class {
-            Importance::Low => &mut self.low[id.index as usize],
-            Importance::High => &mut self.high[id.index as usize],
-        }
+        let row = self.row(id);
+        &mut self.views[row]
     }
 
     /// Installs `update`, applying the worthiness check (for partial

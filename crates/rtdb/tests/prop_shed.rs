@@ -252,11 +252,18 @@ fn run_os_conservation(ops: Vec<OsOp>, cap: usize) {
                 delivered += 1;
             }
             OsOp::Append(n) => {
+                // The block arrives at one instant with consecutive
+                // sequence numbers: the stamp `append` records once.
                 let block: Vec<Update> = (0..n).map(|_| arrival()).collect();
+                let first = block.first().map_or(0, |u| u.seq);
+                let at = block.first().map_or(SimTime::ZERO, |u| u.arrival_ts);
                 let room = cap - reference.len();
-                reference.extend(block.iter().take(room).copied());
+                reference.extend(block.iter().take(room).map(|u| Update {
+                    arrival_ts: at,
+                    ..*u
+                }));
                 reference_dropped += n.saturating_sub(room) as u64;
-                assert_eq!(q.append(block), n.min(room));
+                assert_eq!(q.append(block, first, at), n.min(room));
                 delivered += n as u64;
             }
             OsOp::Receive => {
