@@ -19,7 +19,14 @@ ranking names it `symbol [library]`, the line ranking
 `library:symbol+offset`. Only exported symbols are listed, so a sample in
 an internal routine (glibc's `__memmove_avx_unaligned_erms`, say) lands
 on the exported symbol laid out before it; the offset tells such samples
-apart from ones in the symbol itself. It
+apart from ones in the symbol itself. Such a sample also names its caller
+in the binary: during the same attach the sampler reads up to
+STACK_WORDS words up from the stack pointer (`PTRACE_PEEKDATA`) and takes
+the first that lands in the binary's executable mapping, the return
+address of the call that left the binary. The frame is then ranked as
+`symbol [library] ← caller` (`← inner in outer` when the call site is
+inlined), and the caller's inline chain counts in the inclusive shares,
+so a futex `syscall` says which of the binary's functions made it. It
 prints the sample count and, for the top frames, the leaf share (the
 innermost frame of the sample) and the inclusive share (the frame appears
 anywhere in the sample's inline chain). Only the inline chain is known: a
@@ -49,18 +56,36 @@ import subprocess
 import sys
 import time
 
-PTRACE_GETREGS, PTRACE_ATTACH, PTRACE_DETACH = 12, 16, 17
+PTRACE_PEEKDATA, PTRACE_GETREGS, PTRACE_ATTACH, PTRACE_DETACH = 2, 12, 16, 17
 WALL = 0x40000000
-# struct user_regs_struct (x86-64): 27 registers, rip is the 17th.
-REGS_WORDS, RIP = 27, 16
+# struct user_regs_struct (x86-64): 27 registers, rip is the 17th, rsp the 20th.
+REGS_WORDS, RIP, RSP = 27, 16, 19
+# How far up the stack a library sample looks for its caller.
+STACK_WORDS = 64
+WORD_MASK = (1 << 64) - 1
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
 libc.ptrace.restype = ctypes.c_long
 
 
-def sample_pc(tid):
-    """The program counter of thread `tid`, or None if it could not be read."""
+def first_return(tid, sp, in_text):
+    """The first of the STACK_WORDS words at and above `sp` of the stopped
+    thread `tid` that `in_text` accepts, or None."""
+    for i in range(STACK_WORDS):
+        ctypes.set_errno(0)
+        word = libc.ptrace(PTRACE_PEEKDATA, tid, ctypes.c_void_p(sp + 8 * i), None)
+        if word == -1 and ctypes.get_errno():
+            return None
+        if in_text(word & WORD_MASK):
+            return word & WORD_MASK
+    return None
+
+
+def sample_pc(tid, in_text):
+    """(pc, caller) of thread `tid`, or None if it could not be read. When
+    `in_text` refuses the pc, `caller` is the first stack word it accepts
+    (see `first_return`); otherwise it is None."""
     if libc.ptrace(PTRACE_ATTACH, tid, None, None) != 0:
         return None
     try:
@@ -68,7 +93,8 @@ def sample_pc(tid):
         regs = (ctypes.c_ulonglong * REGS_WORDS)()
         if libc.ptrace(PTRACE_GETREGS, tid, None, ctypes.byref(regs)) != 0:
             return None
-        return regs[RIP]
+        pc = regs[RIP]
+        return pc, None if in_text(pc) else first_return(tid, regs[RSP], in_text)
     except ChildProcessError:
         return None
     finally:
@@ -204,26 +230,35 @@ def main():
 
     child = subprocess.Popen([args.binary] + args.args, stdout=sys.stderr)
     binary = os.path.realpath(args.binary)
-    # Per prefix, one counter of program counters on-CPU and one off-CPU.
+    # Per prefix, one counter of (pc, caller) samples on-CPU and one off-CPU.
     pcs = {prefix: {True: collections.Counter(), False: collections.Counter()}
            for prefix in prefixes}
     # Per prefix, the off-CPU states seen.
     waits = {prefix: collections.Counter() for prefix in prefixes}
     maps = []
+    # (start, end, file offset) of the binary's executable mappings.
+    text = []
+
+    def in_text(addr):
+        return any(s <= addr < e for s, e, _ in text)
+
     while child.poll() is None:
         time.sleep(args.interval_ms / 1000)
         try:
+            if not text:
+                text = [(s, e, off) for s, e, off, path in mappings(child.pid)
+                        if os.path.realpath(path) == binary]
             named = [(int(t), thread_name(child.pid, t))
                      for t in os.listdir(f'/proc/{child.pid}/task')]
             fresh = []
             for tid, name in named:
                 matching = [p for p in prefixes if name.startswith(p)]
                 state = thread_state(child.pid, tid) if matching else ''
-                pc = sample_pc(tid) if state else None
-                if pc is not None:
-                    fresh.append(pc)
+                sample = sample_pc(tid, in_text) if state else None
+                if sample is not None:
+                    fresh.append(sample[0])
                     for prefix in matching:
-                        pcs[prefix][state == 'R'][pc] += 1
+                        pcs[prefix][state == 'R'][sample] += 1
                         if state != 'R':
                             waits[prefix][state] += 1
             if any(not any(s <= pc < e for s, e, _, _ in maps) for pc in fresh):
@@ -237,7 +272,8 @@ def main():
     segs = load_segments(binary)
     libs = {}
     where, chains = {}, {}
-    for pc in set().union(*(c for by_cpu in pcs.values() for c in by_cpu.values())):
+    samples = set().union(*(c for by_cpu in pcs.values() for c in by_cpu.values()))
+    for pc in {pc for pc, _ in samples}:
         hit = next(((off + pc - s, path) for s, e, off, path in maps if s <= pc < e), None)
         if hit is None:
             chains[pc] = [('[unknown]', '[unknown]')]
@@ -250,7 +286,13 @@ def main():
             lib_segs, symbols = libs[path]
             vaddr = to_vaddr(lib_segs, hit[0])
             chains[pc] = [library_frame(symbols, os.path.basename(path), vaddr)]
-    frames = symbolise(binary, sorted(set(where.values())))
+    # A caller is a return address: its call site is the byte before it.
+    call_sites = {caller: to_vaddr(segs, off + caller - s) - 1
+                  for _, caller in samples if caller is not None
+                  for s, e, off in text if s <= caller < e}
+    frames = symbolise(binary, sorted(set(where.values()) | set(call_sites.values())))
+    resolved = {sample: sample_chain(sample, chains, frames, where, call_sites)
+                for sample in samples}
 
     if not any(sum(c.values()) for by_cpu in pcs.values() for c in by_cpu.values()):
         sys.exit(f'no samples (no thread named {args.thread}*?)' if args.thread else 'no samples')
@@ -270,19 +312,33 @@ def main():
               f'off-CPU {n_off} ({n_off / total:.1%}{": " + states if states else ""})')
         for heading, counter in (('on-CPU', on), ('off-CPU', off)):
             print(f'\n{heading}: {sum(counter.values())} samples')
-            table(counter, chains, frames, where, args)
+            table(counter, resolved, args)
     return child.returncode
 
 
-def table(pcs, chains, frames, where, args):
+def sample_chain(sample, chains, frames, where, call_sites):
+    """The [(function, file:line)] chain of a (pc, caller) sample, innermost
+    first. A library frame with a known caller is named `frame ← caller`
+    and followed by the call site's inline chain."""
+    pc, caller = sample
+    chain = chains.get(pc) or frames.get(where[pc]) or [('??', '??')]
+    site = frames.get(call_sites.get(caller))
+    if not site:
+        return chain
+    inner, outer = site[0][0], site[-1][0]
+    label = inner if inner == outer else f'{inner} in {outer}'
+    return [(f'{chain[0][0]} ← {label}', chain[0][1])] + site
+
+
+def table(samples, resolved, args):
     """Prints the frame (and, with --lines, the source line) ranking of the
-    samples in `pcs`."""
-    total = sum(pcs.values())
+    (pc, caller) counts in `samples`."""
+    total = sum(samples.values())
     if not total:
         return
     leaf, incl, lines = collections.Counter(), collections.Counter(), collections.Counter()
-    for pc, n in pcs.items():
-        chain = chains.get(pc) or frames.get(where[pc]) or [('??', '??')]
+    for sample, n in samples.items():
+        chain = resolved[sample]
         leaf[chain[0][0]] += n
         lines[chain[0][1]] += n
         for name in {name for name, _ in chain}:

@@ -42,26 +42,13 @@ pub enum Event {
         txn_id: u64,
     },
     /// MA staleness watchdog for one installed value; it fires at the
-    /// watch's instant, so only what the tracker compares rides along.
+    /// watch's instant, so only its object rides along.
     Expiry {
         /// Object to re-examine.
         object: ViewObjectId,
-        /// Version of the install the watchdog guards.
-        version: u64,
     },
     /// End of the metric warm-up window.
     WarmupEnd,
-}
-
-impl Event {
-    /// The calendar entry of `watch`: its instant and the event.
-    fn expiry(watch: ExpiryWatch) -> (SimTime, Event) {
-        let event = Event::Expiry {
-            object: watch.object,
-            version: watch.version,
-        };
-        (watch.at, event)
-    }
 }
 
 /// The slice on the CPU, as the calendar knows it (the work itself stays
@@ -130,9 +117,9 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
             outage_baseline: None,
             recovery_at: None,
         };
-        for watch in c.core.initial_watches() {
-            let (at, event) = Event::expiry(watch);
-            c.calendar.schedule(at.max(SimTime::ZERO), event);
+        for ExpiryWatch { object, at } in c.core.initial_watches() {
+            c.calendar
+                .schedule(at.max(SimTime::ZERO), Event::Expiry { object });
         }
         let warmup = c.core.config().warmup;
         if warmup > 0.0 {
@@ -298,9 +285,8 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
                     return; // stale completion from a preempted slice
                 }
                 self.cpu = None;
-                if let Some(watch) = self.core.finish(now) {
-                    let (at, event) = Event::expiry(watch);
-                    self.calendar.schedule(at, event);
+                if let Some(ExpiryWatch { object, at }) = self.core.finish(now) {
+                    self.calendar.schedule(at, Event::Expiry { object });
                 }
             }
             Event::Deadline { txn_id } => {
@@ -311,13 +297,10 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
                 }
                 self.core.on_deadline(txn_id, now);
             }
-            Event::Expiry { object, version } => {
-                let watch = ExpiryWatch {
-                    object,
-                    version,
-                    at: now,
-                };
-                self.core.on_expiry(watch, now);
+            Event::Expiry { object } => {
+                // A superseded watch answers its object's later expiry,
+                // which the superseding install put on the calendar itself.
+                let _later = self.core.on_expiry(object, now);
             }
             Event::WarmupEnd => self.core.on_warmup_end(now),
         }

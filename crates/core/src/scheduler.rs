@@ -45,8 +45,9 @@
 //! most one slice is out at a time, and while none is out (after a
 //! `finish`, an `interrupt`, a `preempt`, or an input that found the CPU
 //! idle) it calls `next_slice` before letting time pass; and it arms the
-//! MA-expiry watch a `finish` returns, delivering it to `on_expiry` at its
-//! instant. An arrival that wants the slice that is out cut short says so
+//! MA-expiry watch a `finish` returns, delivering it to `on_expiry` at or
+//! after its instant (the object goes stale when it is delivered). An
+//! arrival that wants the slice that is out cut short says so
 //! with a [`Preempt`] verdict — [`Scheduler::on_update`], `on_updates` and
 //! [`Scheduler::on_txn`] return the same `Option<Preempt>` — and the driver
 //! hands that verdict back through [`Scheduler::preempt`], which cuts the
@@ -756,9 +757,15 @@ impl Scheduler {
         }
     }
 
-    /// The MA staleness watchdog of one installed value fires.
-    pub fn on_expiry(&mut self, watch: ExpiryWatch, now: SimTime) {
-        self.tracker.on_expiry(watch, now);
+    /// An MA expiry watch of `object` is delivered at `now`, at or after
+    /// its instant: the object is flagged stale if its installed value is
+    /// α old by now. Otherwise a value installed since the watch was
+    /// handed out supersedes it, and the answer is that value's later
+    /// expiry (see [`StalenessTracker::on_expiry`]): a driver that keeps
+    /// one watch per object re-keys it there, one that arms every watch
+    /// has the later one armed already.
+    pub fn on_expiry(&mut self, object: ViewObjectId, now: SimTime) -> Option<SimTime> {
+        self.tracker.on_expiry(object, now)
     }
 
     /// The metric warm-up window ends: measurement starts here.
@@ -792,8 +799,8 @@ impl Scheduler {
     /// The slice that is out ran its full length: charge it, perform its
     /// effect (install, commit, staleness verdict, …) and line up what
     /// follows. Returns the MA-expiry watch of the value it installed, if
-    /// any: the driver must deliver it to [`Scheduler::on_expiry`] at its
-    /// instant.
+    /// any: the driver must deliver it to [`Scheduler::on_expiry`] at or
+    /// after its instant, the object going stale when it is delivered.
     pub fn finish(&mut self, now: SimTime) -> Option<ExpiryWatch> {
         let Some(work) = self.on_cpu.take() else {
             debug_assert!(false, "finish without a slice out");

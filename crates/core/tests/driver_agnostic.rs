@@ -332,7 +332,7 @@ fn drive(
             }
             Next::Expiry(i) => {
                 let (_, watch) = expiries.swap_remove(i);
-                core.on_expiry(watch, now);
+                core.on_expiry(watch.object, now);
             }
             Next::WarmupEnd => {
                 warmup = None;
@@ -546,7 +546,7 @@ fn settle(
             }
             (_, Some(i)) if expiry_at.is_some_and(|at| at <= until) => {
                 let watch = expiries.swap_remove(i);
-                core.on_expiry(watch, due(&watch));
+                core.on_expiry(watch.object, due(&watch));
             }
             _ => return,
         }

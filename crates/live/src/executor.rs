@@ -58,10 +58,9 @@
 //! MA expiry is one bit per object and one heap entry per set bit. An
 //! install whose value will expire sets its object's bit, and pushes an
 //! entry keyed by the expiry instant when the bit was clear. When the
-//! entry comes due, the object's current expiry is read back from the
-//! store — its generation plus α — so a value installed since re-keys the
-//! entry, and otherwise the expiry is handed to the core with the
-//! tracker's version of the object, the one it holds current.
+//! entry comes due, the object goes to the core's `on_expiry`, which
+//! either flags it stale, and the bit is cleared, or answers the later
+//! expiry of a value installed since, and the entry is re-keyed there.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -365,8 +364,7 @@ pub struct Executor<C: Clock = LiveClock> {
     poll_by: SimTime,
     /// Whether each object, at its [`ViewObjectId::slot`], has an MA
     /// expiry pending: set by [`arm`], cleared when the expiry fires. The
-    /// instant and version are not kept: the store's generation and the
-    /// tracker give them back when the entry comes due.
+    /// instant is not kept: the core answers it when the entry comes due.
     armed: Vec<bool>,
     /// One entry per set bit of `armed`, keyed by the instant of the
     /// watch that set it; a later value of the same object re-keys the
@@ -481,7 +479,7 @@ impl<C: Clock> Executor<C> {
             recovery_discarded,
         };
         for watch in exec.core.initial_watches() {
-            exec.arm(watch);
+            arm(&mut exec.armed, &mut exec.expiry, watch);
         }
         exec
     }
@@ -778,9 +776,7 @@ impl<C: Clock> Executor<C> {
         if let Some(wal) = &mut self.wal {
             wal.flush();
         }
-        if let Some(alpha) = self.core.config().staleness.alpha() {
-            self.fire_expiries(alpha, now);
-        }
+        self.fire_expiries(now);
         if self.core.metrics().warmup_pending() && now.as_secs() >= self.core.config().warmup {
             self.core.on_warmup_end(now);
             self.events += 1;
@@ -836,40 +832,23 @@ impl<C: Clock> Executor<C> {
         self.next_snapshot_at = now.as_secs() + every;
     }
 
-    /// Fires every MA expiry due by `now`. A due entry's object expires
-    /// at its installed generation + `alpha`, as the store holds it now:
-    /// later than the entry's key when a value was installed since, and
-    /// the entry is re-keyed there; otherwise the object is stale, and
-    /// the core hears so with the tracker's version of the object — the
-    /// store's counter can be ahead of it after recovery.
-    fn fire_expiries(&mut self, alpha: f64, now: SimTime) {
+    /// Fires every MA expiry due by `now`. The core flags a due entry's
+    /// object stale, and its bit is cleared, or answers the later expiry
+    /// of a value installed since, and the entry is re-keyed there.
+    fn fire_expiries(&mut self, now: SimTime) {
         while let Some(mut head) = self.expiry.peek_mut() {
             let Reverse((at, slot)) = *head;
             if at > now {
                 break;
             }
-            let object = ViewObjectId::from_slot(slot);
-            let due = self.core.store().view(object).generation_ts + alpha;
-            if due > now {
-                *head = Reverse((due, slot));
+            if let Some(later) = self.core.on_expiry(ViewObjectId::from_slot(slot), now) {
+                *head = Reverse((later, slot));
                 continue;
             }
             PeekMut::pop(head);
             self.armed[slot] = false;
-            let version = self.core.tracker().version(object);
-            let watch = ExpiryWatch {
-                object,
-                version,
-                at: due,
-            };
-            self.core.on_expiry(watch, now);
             self.events += 1;
         }
-    }
-
-    /// Arms the expiry watchdog of the value just installed (see [`arm`]).
-    fn arm(&mut self, watch: ExpiryWatch) {
-        arm(&mut self.armed, &mut self.expiry, watch);
     }
 
     /// The instant of the earliest pending timer, if any.
@@ -1005,7 +984,7 @@ impl<C: Clock> Executor<C> {
     /// to the core and arms the watch of the value it installed, if any.
     fn finish(&mut self, at: SimTime) {
         if let Some(watch) = self.core.finish(at) {
-            self.arm(watch);
+            arm(&mut self.armed, &mut self.expiry, watch);
         }
         self.events += 1;
     }
@@ -1907,10 +1886,9 @@ mod tests {
         assert_eq!(exec.finalize().updates.installed_total(), 1);
     }
 
-    /// After recovery the store's versions run ahead of the tracker's,
-    /// which starts every object at version 0: an expiry still flags its
-    /// object stale at generation + α, for a recovered value and an
-    /// installed one alike.
+    /// After recovery an expiry flags its object stale at generation + α,
+    /// for a recovered value and an installed one alike, whatever the
+    /// recovered store's versions read.
     #[test]
     fn a_recovered_store_still_expires_objects_at_generation_plus_alpha() {
         use strip_db::object::ViewObject;
@@ -1943,7 +1921,6 @@ mod tests {
         exec.accept_update(&wire_update(0, 1, 20_000, 2.0), exec.now);
         while exec.pass() {}
         assert_eq!(exec.core.store().view(a).version, 8);
-        assert_eq!(exec.core.tracker().version(b), 0);
         let (mut a_stale_at, mut b_stale_at) = (None, None);
         while a_stale_at.is_none() {
             exec.clock.advance(100e-6);

@@ -91,7 +91,7 @@ impl ViewObjectId {
 
 /// A snapshot view object: the current externally sourced value, the
 /// generation timestamp of that value at its external source, and a local
-/// version counter used to invalidate stale-expiry watchdogs.
+/// version counter of its installs.
 ///
 /// An object may carry multiple *attributes* (the partial-update extension,
 /// paper §2): each attribute then has its own generation timestamp, and

@@ -67,16 +67,24 @@ impl StalenessSpec {
 }
 
 /// A request to fire a staleness-expiry watchdog: under MA, the value
-/// installed into `object` becomes stale at `at` unless something newer is
-/// installed first (checked via `version`).
+/// installed into `object` becomes stale at `at` unless a newer generation
+/// is installed first. Whether it still applies is the tracker's to decide
+/// when it is delivered ([`StalenessTracker::on_expiry`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpiryWatch {
     /// Object to re-examine.
     pub object: ViewObjectId,
-    /// Version counter of the install this watchdog guards.
-    pub version: u64,
-    /// When the installed value exceeds the maximum age.
+    /// When the installed value reaches the maximum age.
     pub at: SimTime,
+}
+
+/// The Maximum Age rule, the one place it is applied: a value generated
+/// at `gen` is stale from `gen + alpha` on. Returns that instant and
+/// whether `now` has reached it.
+#[inline]
+fn ma_expiry(gen: SimTime, alpha: f64, now: SimTime) -> (SimTime, bool) {
+    let at = gen + alpha;
+    (at, at <= now)
 }
 
 #[derive(Debug, Clone)]
@@ -85,11 +93,9 @@ struct ObjState {
     ma_stale: bool,
     /// A received update newer than the installed value is unapplied.
     uu_stale: bool,
-    /// MA: version of the currently installed value.
-    version: u64,
     /// UU: newest generation received by the system for this object.
     received_gen: SimTime,
-    /// Generation of the installed value.
+    /// Newest generation installed; MA measures its age.
     installed_gen: SimTime,
 }
 
@@ -157,7 +163,6 @@ impl StalenessTracker {
         let unused = ObjState {
             ma_stale: false,
             uu_stale: false,
-            version: 0,
             received_gen: SimTime::ZERO,
             installed_gen: SimTime::ZERO,
         };
@@ -168,9 +173,10 @@ impl StalenessTracker {
                 let id = ViewObjectId::new(class, i);
                 let gen = init_gen(id);
                 let st = ObjState {
-                    ma_stale: spec.alpha().is_some_and(|alpha| start.since(gen) > alpha),
+                    ma_stale: spec
+                        .alpha()
+                        .is_some_and(|alpha| ma_expiry(gen, alpha, start).1),
                     uu_stale: false,
-                    version: 0,
                     received_gen: gen,
                     installed_gen: gen,
                 };
@@ -244,7 +250,6 @@ impl StalenessTracker {
                 if !st.ma_stale {
                     watches.push(ExpiryWatch {
                         object,
-                        version: 0,
                         at: st.installed_gen + alpha,
                     });
                 }
@@ -269,15 +274,22 @@ impl StalenessTracker {
         }
     }
 
-    /// Records that a value generated at `gen` with store version `version`
-    /// was installed into `object` at `now`. Returns the expiry watchdog to
-    /// schedule (MA only).
+    /// Records that a value generated at `gen` was installed into `object`
+    /// at `now`. Under MA returns the watch of the value's expiry, unless
+    /// it is stale already: the driver delivers it to
+    /// [`StalenessTracker::on_expiry`] at or after its instant, whatever
+    /// is installed meanwhile.
+    ///
+    /// `_version`, the store's version of the write, is unused: the MA
+    /// rule reads generations only. It stays because
+    /// `benchmark/src/layers.rs` passes it; only a change that may edit
+    /// `benchmark/` can drop it.
     #[inline]
     pub fn on_install(
         &mut self,
         object: ViewObjectId,
         gen: SimTime,
-        version: u64,
+        _version: u64,
         now: SimTime,
     ) -> Option<ExpiryWatch> {
         let (alpha, unapplied) = (self.alpha, self.unapplied);
@@ -288,33 +300,34 @@ impl StalenessTracker {
         // UU component: a generation at least as new as everything received
         // clears the unapplied flag.
         let uu_flag = (unapplied && st.installed_gen >= st.received_gen).then_some(false);
-        // MA component: the new value is fresh until `gen + alpha`.
         let Some(alpha) = alpha else {
             self.set_flags(object, now, None, uu_flag);
             return None;
         };
-        st.version = version;
-        let expires = gen + alpha;
-        // Installing an already-expired value (possible under FIFO with
-        // very old queued updates) leaves the object stale.
-        let fresh = expires > now;
-        self.set_flags(object, now, Some(!fresh), uu_flag);
-        fresh.then_some(ExpiryWatch {
-            object,
-            version,
-            at: expires,
-        })
+        // MA component: installing an already-expired value (possible
+        // under FIFO with very old queued updates) leaves the object stale.
+        let (at, stale) = ma_expiry(st.installed_gen, alpha, now);
+        self.set_flags(object, now, Some(stale), uu_flag);
+        (!stale).then_some(ExpiryWatch { object, at })
     }
 
-    /// Fires an expiry watchdog (MA): if the guarded value is still the
-    /// installed one, the object becomes stale.
-    pub fn on_expiry(&mut self, watch: ExpiryWatch, now: SimTime) {
-        if self.alpha.is_none() {
-            return;
+    /// Delivers an expiry watch of `object` at `now`, at or after the
+    /// watch's instant (MA). The object is stale from its installed
+    /// generation + α on: once `now` has reached that, it is flagged
+    /// stale — again, harmlessly, when it already is — and `None` comes
+    /// back. When a newer value was installed since the watch was handed
+    /// out, nothing changes and that value's later expiry comes back, for
+    /// a driver that keeps one watch per object to re-key; a driver that
+    /// arms every watch [`StalenessTracker::on_install`] returns can
+    /// ignore it. Always `None` without an MA component.
+    pub fn on_expiry(&mut self, object: ViewObjectId, now: SimTime) -> Option<SimTime> {
+        let alpha = self.alpha?;
+        let (at, stale) = ma_expiry(self.obj(object).installed_gen, alpha, now);
+        if !stale {
+            return Some(at);
         }
-        if self.obj(watch.object).version == watch.version {
-            self.set_flags(watch.object, now, Some(true), None);
-        }
+        self.set_flags(object, now, Some(true), None);
+        None
     }
 
     /// Whether `object` is stale right now under the tracked criterion
@@ -322,15 +335,6 @@ impl StalenessTracker {
     #[must_use]
     pub fn is_stale(&self, object: ViewObjectId) -> bool {
         self.obj(object).combined(self.spec)
-    }
-
-    /// The version of `object`'s installed value as the last
-    /// [`StalenessTracker::on_install`] reported it under MA: 0 before
-    /// any, whatever the store's own counter read when tracking began.
-    /// An expiry watch of that version is the one that still applies.
-    #[must_use]
-    pub fn version(&self, object: ViewObjectId) -> u64 {
-        self.obj(object).version
     }
 
     /// Current number of stale objects in `class`.
@@ -438,7 +442,7 @@ mod tests {
         assert_eq!(watches.len(), 4);
         assert_eq!(watches[0].at, t(6.0)); // -1 + 7
         for w in watches {
-            tr.on_expiry(w, w.at);
+            assert_eq!(tr.on_expiry(w.object, w.at), None);
         }
         assert_eq!(tr.stale_count(Importance::Low), 2.0);
         assert_eq!(tr.stale_count(Importance::High), 2.0);
@@ -455,19 +459,23 @@ mod tests {
     }
 
     #[test]
-    fn ma_install_freshens_and_stale_expiry_respects_version() {
+    fn ma_install_freshens_and_a_superseded_expiry_re_keys() {
         let mut tr = ma_tracker(7.0, 10.0);
         let id = ViewObjectId::new(Importance::Low, 0);
         assert!(tr.is_stale(id));
         let w = tr.on_install(id, t(1.0), 1, t(2.0)).expect("watch");
         assert!(!tr.is_stale(id));
         assert_eq!(w.at, t(8.0));
-        // A newer install supersedes the watchdog.
+        // A newer install supersedes the watchdog: delivered late, it
+        // changes nothing and answers the newer value's expiry.
         let w2 = tr.on_install(id, t(5.0), 2, t(5.5)).expect("watch2");
-        tr.on_expiry(w, t(8.0)); // version 1 != 2 -> ignored
+        assert_eq!(tr.on_expiry(w.object, t(9.0)), Some(t(12.0)));
         assert!(!tr.is_stale(id));
-        tr.on_expiry(w2, t(12.0));
+        assert_eq!(tr.on_expiry(w2.object, t(12.0)), None);
         assert!(tr.is_stale(id));
+        // Delivered again, it flags nothing new.
+        assert_eq!(tr.on_expiry(w2.object, t(13.0)), None);
+        assert_eq!(tr.stale_count(Importance::Low), 2.0);
     }
 
     #[test]
@@ -566,7 +574,7 @@ mod tests {
         let w = tr.on_install(id, t(1.0), 1, t(2.0)).expect("MA watch");
         assert!(!tr.is_stale(id));
         // MA component: the watchdog fires with no pending update.
-        tr.on_expiry(w, w.at);
+        assert_eq!(tr.on_expiry(w.object, w.at), None);
         assert!(tr.is_stale(id), "MA-stale even though nothing is pending");
         // A newer install clears both components.
         tr.on_install(id, t(9.0), 2, t(9.5));

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use strip_db::object::{Importance, ViewObjectId};
 use strip_db::staleness::{ExpiryWatch, StalenessSpec, StalenessTracker};
+use strip_db::update::Update;
 use strip_sim::time::SimTime;
 
 #[derive(Debug, Clone)]
@@ -21,6 +22,32 @@ fn ev_strategy() -> impl Strategy<Value = Ev> {
 
 fn t_ms(ms: u32) -> SimTime {
     SimTime::from_secs(f64::from(ms) / 1000.0)
+}
+
+/// One step of [`ma_tracker_matches_oracle_under_late_and_repeated_delivery`],
+/// `dt` ms after the one before.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A value generated `age` ms ago is installed into the attributes of
+    /// `obj` that `mask` covers (two attributes per object).
+    Install {
+        dt: u32,
+        obj: u32,
+        age: u32,
+        mask: u64,
+    },
+    /// Every pending watch due by now is delivered; with `again`, each one
+    /// that left its object stale is delivered once more at the next poll.
+    Poll { dt: u32, again: bool },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let mask = prop_oneof![Just(0b01u64), Just(0b10u64), Just(Update::COMPLETE)];
+    prop_oneof![
+        3 => (0u32..1_500, 0u32..4, 0u32..8_000, mask)
+            .prop_map(|(dt, obj, age, mask)| Step::Install { dt, obj, age, mask }),
+        1 => (0u32..4_000, proptest::bool::ANY).prop_map(|(dt, again)| Step::Poll { dt, again }),
+    ]
 }
 
 proptest! {
@@ -113,7 +140,7 @@ proptest! {
                     .position(|w| w.at == now)
                     .expect("watch present");
                 let w = watches.swap_remove(idx);
-                tracker.on_expiry(w, now);
+                tracker.on_expiry(w.object, now);
             } else {
                 let (at_ms, obj, gen_ms) = schedule[i];
                 i += 1;
@@ -147,6 +174,118 @@ proptest! {
                         "object {} at {}ms (gen {}ms, alpha {}ms)",
                         o, at_ms, latest_gen[o as usize], alpha_ms
                     );
+                }
+            }
+        }
+    }
+
+    /// MA tracker, delivered the way the live executor delivers: only at
+    /// polls, late, after newer installs of the same object, sometimes
+    /// twice, with superseded watches re-keyed on the tracker's answer,
+    /// and with partial installs that leave the oldest attribute (the
+    /// generation MA measures) where it was. After every poll the flags
+    /// and the stale count equal the timestamp oracle's.
+    #[test]
+    fn ma_tracker_matches_oracle_under_late_and_repeated_delivery(
+        steps in prop::collection::vec(step_strategy(), 1..120),
+        alpha_ms in 1_000u32..5_000,
+    ) {
+        let n = 4u32;
+        let alpha = f64::from(alpha_ms) / 1000.0;
+        let obj = |o: u32| ViewObjectId::new(Importance::Low, o);
+        let mut tracker = StalenessTracker::new(
+            StalenessSpec::MaxAge { alpha }, n, 0, SimTime::ZERO, |_| SimTime::ZERO,
+        );
+        // Oracle: each object's two attribute generations, in ms. MA
+        // measures the oldest.
+        let mut attrs = vec![[0i64; 2]; n as usize];
+        let oldest = |row: [i64; 2]| SimTime::from_secs(row[0].min(row[1]) as f64 / 1000.0);
+        // The executor's timers: at most one pending watch per object,
+        // whose bit is set while it is, plus the watches that flagged
+        // their object at the last poll, to be delivered once more.
+        fn arm(armed: &mut [bool], pending: &mut Vec<ExpiryWatch>, w: ExpiryWatch) {
+            if !std::mem::replace(&mut armed[w.object.index as usize], true) {
+                pending.push(w);
+            }
+        }
+        let mut armed = vec![false; n as usize];
+        let (mut pending, mut repeats) = (Vec::new(), Vec::<ExpiryWatch>::new());
+        for w in tracker.initial_watches() {
+            arm(&mut armed, &mut pending, w);
+        }
+        let (mut now_ms, mut version) = (0u32, 0u64);
+        for step in &steps {
+            match *step {
+                Step::Install { dt, obj: o, age, mask } => {
+                    now_ms += dt;
+                    let gen = i64::from(now_ms) - i64::from(age);
+                    let row = &mut attrs[o as usize];
+                    let mut advanced = false;
+                    for (i, a) in row.iter_mut().enumerate() {
+                        if (mask >> i) & 1 == 1 && gen > *a {
+                            *a = gen;
+                            advanced = true;
+                        }
+                    }
+                    // The store's worthiness check: only an advance installs.
+                    if advanced {
+                        version += 1;
+                        let gen = oldest(*row);
+                        if let Some(w) = tracker.on_install(obj(o), gen, version, t_ms(now_ms)) {
+                            arm(&mut armed, &mut pending, w);
+                        }
+                    }
+                }
+                Step::Poll { dt, again } => {
+                    now_ms += dt;
+                    let now = t_ms(now_ms);
+                    for w in std::mem::take(&mut repeats) {
+                        // Whatever it answers, the object's armed watch, if
+                        // any, stands for a newer value.
+                        let _ = tracker.on_expiry(w.object, now);
+                    }
+                    pending.retain_mut(|w| {
+                        if w.at > now {
+                            return true;
+                        }
+                        let o = w.object.index as usize;
+                        match tracker.on_expiry(w.object, now) {
+                            Some(later) => {
+                                // The superseding value's expiry, still ahead.
+                                assert_eq!(later, oldest(attrs[o]) + alpha);
+                                assert!(later > now, "{later:?} re-keys {w:?} into the past");
+                                w.at = later;
+                                true
+                            }
+                            None => {
+                                armed[o] = false;
+                                if again {
+                                    repeats.push(*w);
+                                }
+                                false
+                            }
+                        }
+                    });
+                    let mut stale_count = Some(0.0);
+                    for o in 0..n {
+                        let oldest_ms = attrs[o as usize][0].min(attrs[o as usize][1]);
+                        let age_ms = i64::from(now_ms) - oldest_ms;
+                        if age_ms == i64::from(alpha_ms) {
+                            stale_count = None;
+                            continue;
+                        }
+                        let expect = age_ms > i64::from(alpha_ms);
+                        prop_assert_eq!(
+                            tracker.is_stale(obj(o)),
+                            expect,
+                            "object {} at {}ms (oldest gen {}ms, alpha {}ms)",
+                            o, now_ms, oldest_ms, alpha_ms
+                        );
+                        stale_count = stale_count.map(|c| c + f64::from(u8::from(expect)));
+                    }
+                    if let Some(count) = stale_count {
+                        prop_assert_eq!(tracker.stale_count(Importance::Low), count);
+                    }
                 }
             }
         }
