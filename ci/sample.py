@@ -19,7 +19,14 @@ ranking names it `symbol [library]`, the line ranking
 `library:symbol+offset`. Only exported symbols are listed, so a sample in
 an internal routine (glibc's `__memmove_avx_unaligned_erms`, say) lands
 on the exported symbol laid out before it; the offset tells such samples
-apart from ones in the symbol itself. Such a sample also names its caller
+apart from ones in the symbol itself. The vDSO (the kernel's
+`clock_gettime` and friends, mapped into every process as `[vdso]`) is
+symbolised the same way: it is an ELF image, so the sampler copies the
+mapping out of `/proc/PID/mem` once per run and lists it with `nm -D`,
+and its frames read `symbol [vdso]`. The image exports only its entry
+points, laid out after the internal routines they call, so a sample in
+those routines has no symbol at or before it and reads `[vdso]` (the
+line ranking gives its offset). Such a sample also names its caller
 in the binary: during the same attach the sampler reads up to
 STACK_WORDS words up from the stack pointer (`PTRACE_PEEKDATA`) and takes
 the first that lands in the binary's executable mapping, the return
@@ -54,6 +61,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 
 PTRACE_PEEKDATA, PTRACE_GETREGS, PTRACE_ATTACH, PTRACE_DETACH = 2, 12, 16, 17
@@ -122,16 +130,37 @@ def thread_name(pid, tid):
         return ''
 
 
+VDSO = '[vdso]'
+
+
 def mappings(pid):
-    """(start, end, file offset, path) of every file-backed executable mapping."""
+    """(start, end, file offset, path) of every file-backed executable
+    mapping, and of the vDSO (path `[vdso]`)."""
     out = []
     with open(f'/proc/{pid}/maps') as f:
         for line in f:
             parts = line.split(maxsplit=5)
-            if len(parts) == 6 and 'x' in parts[1] and parts[5].startswith('/'):
+            if len(parts) == 6 and 'x' in parts[1] and (
+                    parts[5].startswith('/') or parts[5].strip() == VDSO):
                 start, end = (int(x, 16) for x in parts[0].split('-'))
                 out.append((start, end, int(parts[2], 16), parts[5].strip()))
     return out
+
+
+def dump_vdso(pid, maps, out):
+    """Copies the vDSO mapping of process `pid` into the open file `out`;
+    returns whether `maps` had one and it could be read."""
+    for start, end, _, path in maps:
+        if path == VDSO:
+            try:
+                with open(f'/proc/{pid}/mem', 'rb') as mem:
+                    mem.seek(start)
+                    out.write(mem.read(end - start))
+                out.flush()
+                return True
+            except OSError:
+                return False
+    return False
 
 
 def load_segments(path):
@@ -238,6 +267,9 @@ def main():
     maps = []
     # (start, end, file offset) of the binary's executable mappings.
     text = []
+    # The vDSO image, copied once: it stands in for `[vdso]` as a library.
+    vdso = tempfile.NamedTemporaryFile(prefix='sample-', suffix='.vdso')
+    files = {}
 
     def in_text(addr):
         return any(s <= addr < e for s, e, _ in text)
@@ -246,8 +278,11 @@ def main():
         time.sleep(args.interval_ms / 1000)
         try:
             if not text:
-                text = [(s, e, off) for s, e, off, path in mappings(child.pid)
+                maps = mappings(child.pid)
+                text = [(s, e, off) for s, e, off, path in maps
                         if os.path.realpath(path) == binary]
+                if dump_vdso(child.pid, maps, vdso):
+                    files[VDSO] = vdso.name
             named = [(int(t), thread_name(child.pid, t))
                      for t in os.listdir(f'/proc/{child.pid}/task')]
             fresh = []
@@ -277,15 +312,19 @@ def main():
         hit = next(((off + pc - s, path) for s, e, off, path in maps if s <= pc < e), None)
         if hit is None:
             chains[pc] = [('[unknown]', '[unknown]')]
-        elif os.path.realpath(hit[1]) == binary:
+        elif hit[1] != VDSO and os.path.realpath(hit[1]) == binary:
             where[pc] = to_vaddr(segs, hit[0])
+        elif hit[1] == VDSO and VDSO not in files:
+            chains[pc] = [(VDSO, f'{VDSO}:{hit[0]:#x}')]
         else:
             path = hit[1]
             if path not in libs:
-                libs[path] = (load_segments(path), dynamic_symbols(path))
+                image = files.get(path, path)
+                libs[path] = (load_segments(image), dynamic_symbols(image))
             lib_segs, symbols = libs[path]
             vaddr = to_vaddr(lib_segs, hit[0])
-            chains[pc] = [library_frame(symbols, os.path.basename(path), vaddr)]
+            lib = 'vdso' if path == VDSO else os.path.basename(path)
+            chains[pc] = [library_frame(symbols, lib, vaddr)]
     # A caller is a return address: its call site is the byte before it.
     call_sites = {caller: to_vaddr(segs, off + caller - s) - 1
                   for _, caller in samples if caller is not None

@@ -1091,7 +1091,7 @@ mod tests {
     use super::*;
     use crate::clock::tests::TestClock;
     use crate::wal::tests::{scratch, stepped_log, Stepper};
-    use crate::wal::{DurabilityConfig, FsyncPolicy, WalHandle, HDR_LEN, REC_LEN};
+    use crate::wal::{batch_len, DurabilityConfig, FsyncPolicy, WalHandle, HDR_LEN};
     use std::path::PathBuf;
     use std::sync::mpsc;
     use strip_core::config::Policy;
@@ -2199,7 +2199,8 @@ mod tests {
         let dir = scratch("exec-failed-log");
         let mut durability = DurabilityConfig::new(&dir);
         durability.fsync = FsyncPolicy::Off;
-        durability.rotate_bytes = (HDR_LEN + 4 * REC_LEN) as u64;
+        // Four updates at one instant are one batch of this length.
+        durability.rotate_bytes = (HDR_LEN + batch_len(4)) as u64;
         let wal = WalHandle::start(&durability, 1, 0).expect("start wal");
         let stats = wal.stats();
         let cfg = LiveConfig::new(base_cfg()).expect("valid live config");

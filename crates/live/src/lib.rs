@@ -50,6 +50,7 @@
 #![warn(clippy::all)]
 
 pub mod clock;
+mod crc32;
 pub mod credit;
 pub mod executor;
 pub mod loadgen;

@@ -261,12 +261,33 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-fn put_update(out: &mut Vec<u8>, u: &WireUpdate) {
+/// Appends one update-batch entry, [`UPDATE_ENTRY`] bytes. The WAL's
+/// batch records hold the same entries ([`crate::wal`]).
+pub(crate) fn put_update(out: &mut Vec<u8>, u: &WireUpdate) {
     out.push(u.class);
     put_u32(out, u.index);
     put_i64(out, u.generation_micros);
     put_f64(out, u.payload);
     put_u64(out, u.attr_mask);
+}
+
+/// Reads one entry as [`put_update`] wrote it, the class byte unchecked:
+/// the wire decoder refuses a class outside {0, 1}; in a WAL batch the
+/// entries stand behind the record's CRC, and replay judges the class as
+/// it does a single update record's.
+pub(crate) fn read_update(e: &[u8; UPDATE_ENTRY]) -> WireUpdate {
+    let u64_at = |at: usize| {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&e[at..at + 8]);
+        u64::from_le_bytes(b)
+    };
+    WireUpdate {
+        class: e[0],
+        index: u32::from_le_bytes([e[1], e[2], e[3], e[4]]),
+        generation_micros: u64_at(5) as i64,
+        payload: f64::from_bits(u64_at(13)),
+        attr_mask: u64_at(21),
+    }
 }
 
 /// Appends an update-batch payload (count, entries) after its tag byte.
@@ -424,13 +445,12 @@ impl<'a> Cursor<'a> {
     }
 
     fn update(&mut self) -> Result<WireUpdate, ProtoError> {
-        Ok(WireUpdate {
-            class: self.class()?,
-            index: self.u32()?,
-            generation_micros: self.i64()?,
-            payload: self.f64()?,
-            attr_mask: self.u64()?,
-        })
+        let (entry, _) = self.take(UPDATE_ENTRY)?.as_chunks::<UPDATE_ENTRY>();
+        let u = read_update(entry.first().ok_or(ProtoError::Truncated)?);
+        if u.class > 1 {
+            return Err(ProtoError::BadClass(u.class));
+        }
+        Ok(u)
     }
 
     fn finish(self, msg: Msg) -> Result<Msg, ProtoError> {
@@ -881,6 +901,30 @@ mod tests {
             });
             assert_eq!(decode_body(&msg.encode_body()), Ok(msg));
         }
+    }
+
+    /// The WAL reads batch entries with `read_update`: it must read what
+    /// the wire decoder reads, entry for entry.
+    #[test]
+    fn read_update_reads_each_entry_of_a_batch_body() {
+        let updates: Vec<WireUpdate> = (0..5u32)
+            .map(|i| WireUpdate {
+                class: (i % 2) as u8,
+                index: i.wrapping_mul(0x0101_0101),
+                generation_micros: -(i64::from(i) << 40),
+                payload: f64::from(i) - 0.5,
+                attr_mask: u64::MAX >> i,
+            })
+            .collect();
+        let mut body = Vec::new();
+        encode_batch_body(&mut body, &updates).unwrap();
+        let (entries, rest) = body[BATCH_FIXED..].as_chunks::<UPDATE_ENTRY>();
+        assert!(rest.is_empty());
+        let read: Vec<WireUpdate> = entries.iter().map(read_update).collect();
+        assert_eq!(read, updates);
+        let mut decoded = Vec::new();
+        for_each_batch_update(&body, |u| decoded.push(u)).unwrap();
+        assert_eq!(decoded, read);
     }
 
     #[test]

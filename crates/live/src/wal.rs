@@ -6,8 +6,9 @@
 //! ingest path uses ([`crate::spsc`]), so the quantum loop never blocks on
 //! a syscall, let alone an `fsync`. The flusher encodes what has
 //! accumulated since its last pass — at most [`WRITE_CHUNKS`] chunks —
-//! into fixed-size, CRC-protected records in one reused buffer, writes
-//! them with one `write`, then syncs on a configurable cadence
+//! into CRC-protected records in one reused buffer, one record per run of
+//! updates that arrived together, writes them with one `write`, then
+//! syncs on a configurable cadence
 //! ([`FsyncPolicy`]): after every batch (`always`), at most once per group
 //! window (`group:<µs>`), or never (`off` — `kill -9` still loses nothing,
 //! because completed `write`s survive process death in the page cache;
@@ -25,22 +26,33 @@
 //!
 //! ## On-disk format
 //!
-//! A segment is a 32-byte header followed by 50-byte records:
+//! A segment is a 32-byte header followed by records of three kinds:
 //!
 //! ```text
 //! header:  "STRIPWAL" | version u32 | config fingerprint u64 | base_seq u64 | crc32
-//! record:  kind u8 | seq u64 | class u8 | index u32 | generation µs i64
-//!          | payload f64 bits | attr_mask u64 | arrival µs i64 | crc32
+//! update:  kind=1 u8 | seq u64 | class u8 | index u32 | generation µs i64
+//!          | payload f64 bits | attr_mask u64 | arrival µs i64 | crc32      (50 B)
+//! seal:    kind=2 u8 | next_seq u64 | 37 zero bytes | crc32                 (50 B)
+//! batch:   kind=3 u8 | first_seq u64 | count u16 | arrival µs i64
+//!          | count × entry | crc32                                (23 + 29·count B)
+//! entry:   class u8 | index u32 | generation µs i64 | payload f64 bits | attr_mask u64
 //! ```
 //!
-//! All integers are little-endian. The fingerprint is
+//! All integers are little-endian. A batch holds the updates `first_seq ..
+//! first_seq + count`, all arrived at one instant, each entry byte for byte
+//! an update-batch wire entry ([`crate::protocol::UPDATE_ENTRY`]); the
+//! flusher writes one per run of two or more such updates inside a chunk
+//! and a 50-byte update record for a run of one. Version 2 added batches;
+//! a version-1 segment (update and seal records only) still reads. The
+//! fingerprint is
 //! [`strip_core::fingerprint::config_fingerprint`] — a segment written
 //! under one configuration is never replayed under another. `base_seq` is
 //! the sequence number of the first record the segment may hold; records
 //! below it belong to the snapshot that sealed the previous segment
 //! ([`crate::snapshot`]). A [`REC_SEAL`] record marks a clean shutdown;
 //! recovery treats anything after a torn or CRC-failing record as lost
-//! ([`crate::recovery`]).
+//! ([`crate::recovery`]): a record's length follows from its kind (and a
+//! batch's count), and its CRC covers every byte before it.
 
 use std::io;
 use std::path::PathBuf;
@@ -53,9 +65,10 @@ use strip_core::report::DurabilityStats;
 use strip_sim::time::SimTime;
 
 use crate::clock::{Clock, LiveClock};
+pub use crate::crc32::crc32;
 use crate::logdir::Segment;
 pub use crate::logdir::{list_rotated, rotated_segment_name, SEGMENT_FILE};
-use crate::protocol::WireUpdate;
+use crate::protocol::{put_update, read_update, WireUpdate, UPDATE_ENTRY};
 use crate::spsc;
 
 /// Default size bound for the active segment before the flusher rotates
@@ -63,17 +76,31 @@ use crate::spsc;
 pub const DEFAULT_ROTATE_BYTES: u64 = 64 * 1024 * 1024;
 /// Segment header magic.
 pub const WAL_MAGIC: [u8; 8] = *b"STRIPWAL";
-/// Segment format version.
-pub const WAL_VERSION: u32 = 1;
+/// Segment format version this build writes: 2, which added
+/// [`REC_BATCH`]. Version 1 still reads; a build that reads only version 1
+/// refuses a version-2 segment instead of taking a batch for a torn tail.
+pub const WAL_VERSION: u32 = 2;
 /// Encoded segment header length in bytes.
 pub const HDR_LEN: usize = 32;
-/// Encoded record length in bytes (fixed — torn tails are detected by
-/// length arithmetic plus the per-record CRC, never by scanning).
+/// Encoded length of an update or seal record in bytes.
 pub const REC_LEN: usize = 50;
 /// Record kind: one accepted update.
 pub const REC_UPDATE: u8 = 1;
 /// Record kind: clean end of segment (orderly shutdown).
 pub const REC_SEAL: u8 = 2;
+/// Record kind: a run of accepted updates with consecutive sequence
+/// numbers and one arrival instant.
+pub const REC_BATCH: u8 = 3;
+/// Bytes of a batch before its entries: kind, first seq, count, arrival.
+const BATCH_HEAD: usize = 1 + 8 + 2 + 8;
+/// The most updates one batch holds (its count is a `u16`).
+const MAX_RUN: usize = u16::MAX as usize;
+
+/// Encoded length of a batch of `count` updates.
+#[must_use]
+pub(crate) const fn batch_len(count: usize) -> usize {
+    BATCH_HEAD + count * UPDATE_ENTRY + 4
+}
 
 /// Ring capacity between the executor and the flusher, in messages. The
 /// executor spins (off the hot path, at ingest rates far above any
@@ -81,9 +108,10 @@ pub const REC_SEAL: u8 = 2;
 const WAL_RING_CAPACITY: usize = 1 << 16;
 
 /// The most chunks one flusher pass encodes into one `write`: 64 × 256
-/// records × 50 bytes = 800 KiB, the size of the buffer the flusher keeps.
-/// A full ring drained in one pass would grow that buffer to the ring's
-/// worth of records, about 840 MB.
+/// updates × at most 50 bytes (a run of one; a batch takes 29 bytes an
+/// update and 23 a run) = 800 KiB, the size of the buffer the flusher
+/// keeps. A full ring drained in one pass would grow that buffer to the
+/// ring's worth of records, about 840 MB.
 pub const WRITE_CHUNKS: usize = 64;
 
 /// Capacity of the ring that takes spent chunks back, in chunks: two
@@ -91,72 +119,6 @@ pub const WRITE_CHUNKS: usize = 64;
 /// a backlog the pool keeps at most this many chunks (1.5 MB), not the
 /// backlog's peak.
 const SPENT_CHUNKS: usize = 2 * WRITE_CHUNKS;
-
-// ---- CRC32 (IEEE, slice-by-8) -----------------------------------------------
-
-/// Eight derived lookup tables for slice-by-8: `TABLES[0]` is the classic
-/// byte-at-a-time table; `TABLES[j]` advances a byte `j` further positions
-/// in one lookup. Same polynomial, same checksums as the byte-wise form —
-/// only the number of table lookups per byte changes.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 == 1 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[j - 1][i];
-            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    tables
-}
-
-const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
-///
-/// Slice-by-8: eight bytes per iteration, eight independent table lookups
-/// the CPU can overlap. The flusher checksums every record on the hot
-/// path, so this runs ~4-5x faster than the byte-wise loop while
-/// producing bit-identical checksums.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---- little-endian encode helpers -------------------------------------------
 
@@ -377,8 +339,8 @@ impl WalRecord {
         put_u32(b, REC_LEN - 4, crc);
     }
 
-    /// Decodes one record; rejects short buffers, checksum mismatches, and
-    /// unknown kinds.
+    /// Decodes one update or seal record; rejects short buffers, checksum
+    /// mismatches, and other kinds (a batch is [`scan_segment`]'s to read).
     ///
     /// # Errors
     ///
@@ -411,6 +373,89 @@ impl WalRecord {
     }
 }
 
+/// Appends to `out` the records of `updates`, which carry the sequence
+/// numbers `first_seq..` and all arrived at `arrival_micros`, as the
+/// flusher writes such a run: a [`REC_BATCH`] per 65 535 updates, and a
+/// [`REC_UPDATE`] for a run of one.
+pub fn encode_run(out: &mut Vec<u8>, first_seq: u64, arrival_micros: i64, updates: &[WireUpdate]) {
+    for (i, run) in updates.chunks(MAX_RUN).enumerate() {
+        let seq = first_seq.wrapping_add((i * MAX_RUN) as u64);
+        put_run(out, seq, arrival_micros, run.iter());
+    }
+}
+
+/// Appends one run of at most [`MAX_RUN`] updates to `out`, the checksum
+/// computed once over the whole record.
+fn put_run<'a>(
+    out: &mut Vec<u8>,
+    first_seq: u64,
+    arrival_micros: i64,
+    mut updates: impl ExactSizeIterator<Item = &'a WireUpdate>,
+) {
+    debug_assert!(updates.len() <= MAX_RUN);
+    let at = out.len();
+    if updates.len() == 1 {
+        out.resize(at + REC_LEN, 0);
+        if let (Some(u), Some(slot)) = (updates.next(), out[at..].as_chunks_mut().0.first_mut()) {
+            WalRecord::update(first_seq, *u, arrival_micros).encode_into(slot);
+        }
+        return;
+    }
+    out.push(REC_BATCH);
+    out.extend_from_slice(&first_seq.to_le_bytes());
+    out.extend_from_slice(&(updates.len() as u16).to_le_bytes());
+    out.extend_from_slice(&arrival_micros.to_le_bytes());
+    for u in updates {
+        put_update(out, u);
+    }
+    let crc = crc32(&out[at..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// The length of the record `bytes` begins with, as its kind (and a
+/// batch's count) claims it; `None` for an unknown kind or a batch head
+/// cut short.
+fn record_len(bytes: &[u8]) -> Option<usize> {
+    match *bytes.first()? {
+        REC_UPDATE | REC_SEAL => Some(REC_LEN),
+        REC_BATCH => {
+            let count = bytes.get(9..11)?;
+            Some(batch_len(usize::from(u16::from_le_bytes([
+                count[0], count[1],
+            ]))))
+        }
+        _ => None,
+    }
+}
+
+/// Decodes the record `bytes` begins with into `records` (a batch as its
+/// updates) and returns its length, or `None` when it is torn, fails its
+/// checksum or has an unknown kind. A batch's count sizes nothing before
+/// its checksum has passed.
+fn decode_into(bytes: &[u8], records: &mut Vec<WalRecord>) -> Option<usize> {
+    let len = record_len(bytes)?;
+    let rec = bytes.get(..len)?;
+    if rec[0] != REC_BATCH {
+        records.push(WalRecord::decode(rec).ok()?);
+        return Some(len);
+    }
+    let (body, crc) = rec.split_at(len - 4);
+    if get_u32(crc, 0) != crc32(body) {
+        return None;
+    }
+    let first_seq = get_u64(body, 1);
+    let arrival_micros = get_u64(body, 11) as i64;
+    let (entries, _) = body[BATCH_HEAD..].as_chunks::<UPDATE_ENTRY>();
+    records.extend(entries.iter().enumerate().map(|(i, e)| {
+        WalRecord::update(
+            first_seq.wrapping_add(i as u64),
+            read_update(e),
+            arrival_micros,
+        )
+    }));
+    Some(len)
+}
+
 /// Decoded segment header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
@@ -434,8 +479,8 @@ impl SegmentHeader {
         b
     }
 
-    /// Decodes a header; rejects short buffers, bad magic, unknown
-    /// versions, and checksum mismatches.
+    /// Decodes a header of version 1 or 2; rejects short buffers, bad
+    /// magic, other versions, and checksum mismatches.
     ///
     /// # Errors
     ///
@@ -453,7 +498,7 @@ impl SegmentHeader {
             return Err(WalError::BadCrc);
         }
         let version = get_u32(b, 8);
-        if version != WAL_VERSION {
+        if !(1..=WAL_VERSION).contains(&version) {
             return Err(WalError::BadVersion(version));
         }
         Ok(SegmentHeader {
@@ -469,10 +514,12 @@ impl SegmentHeader {
 pub struct SegmentScan {
     /// The segment header.
     pub header: SegmentHeader,
-    /// Every valid record up to (and including) a seal, in log order.
+    /// Every valid record up to (and including) a seal, in log order; a
+    /// batch comes out as one [`REC_UPDATE`] record per update.
     pub records: Vec<WalRecord>,
     /// Whole-or-partial trailing records dropped at the first torn or
-    /// CRC-failing position (the longest-valid-prefix rule).
+    /// CRC-failing position (the longest-valid-prefix rule), each as long
+    /// as its kind and count claim; bytes no claim delimits count as one.
     pub discarded: u64,
     /// The scan ended at a [`REC_SEAL`] record (clean shutdown).
     pub sealed: bool,
@@ -500,27 +547,21 @@ pub fn scan_segment(bytes: &[u8], expected_fingerprint: u64) -> Result<SegmentSc
     let mut records = Vec::new();
     let mut pos = HDR_LEN;
     let mut sealed = false;
-    while pos < bytes.len() {
-        match WalRecord::decode(&bytes[pos..]) {
-            Ok(rec) => {
-                pos += REC_LEN;
-                let is_seal = rec.kind == REC_SEAL;
-                records.push(rec);
-                if is_seal {
-                    sealed = true;
-                    break;
-                }
-            }
-            Err(_) => break,
+    while let Some(len) = bytes.get(pos..).and_then(|b| decode_into(b, &mut records)) {
+        pos += len;
+        if records.last().is_some_and(|r| r.kind == REC_SEAL) {
+            sealed = true;
+            break;
         }
     }
-    let left = bytes.len().saturating_sub(pos);
-    let discarded = if sealed {
-        // Bytes after a seal are stale pre-truncation leftovers, not loss.
-        0
-    } else {
-        (left as u64).div_ceil(REC_LEN as u64)
-    };
+    // Bytes after a seal are stale pre-truncation leftovers, not loss.
+    let mut tail = if sealed { &[][..] } else { &bytes[pos..] };
+    let mut discarded = 0;
+    while !tail.is_empty() {
+        let len = record_len(tail).map_or(tail.len(), |len| len.min(tail.len()));
+        tail = &tail[len..];
+        discarded += 1;
+    }
     Ok(SegmentScan {
         header,
         records,
@@ -858,12 +899,14 @@ impl<C: Clock> Flusher<C> {
         // land in the old segment, records after it in the truncated one.
         self.buf.clear();
         let mut last_seq = None;
+        let mut drained = 0;
         let mut pending_snapshot = None;
         for _ in 0..WRITE_CHUNKS {
             let Some(msg) = self.rx.pop() else { break };
             match msg {
                 WalMsg::Chunk(mut records) => {
                     last_seq = records.last().map(|r| r.seq).or(last_seq);
+                    drained += records.len() as u64;
                     self.encode(&records);
                     records.clear();
                     // A full return ring drops the chunk here instead.
@@ -877,7 +920,7 @@ impl<C: Clock> Flusher<C> {
         }
         if let Some(seq) = last_seq {
             self.stats.add_bytes(self.seg.append(&self.buf)?);
-            self.unsynced += (self.buf.len() / REC_LEN) as u64;
+            self.unsynced += drained;
             // The barrier releases only after write_all returned: the
             // records are the kernel's problem now and survive kill -9.
             self.stats.written.store(seq + 1, Ordering::Release);
@@ -924,13 +967,17 @@ impl<C: Clock> Flusher<C> {
         })
     }
 
-    /// Appends the records of one chunk to `buf`, each encoded in place.
+    /// Appends the records of one chunk to `buf`: one per run of updates
+    /// with consecutive sequence numbers and one arrival instant.
     fn encode(&mut self, records: &[RawRecord]) {
-        let at = self.buf.len();
-        self.buf.resize(at + records.len() * REC_LEN, 0);
-        let (slots, _) = self.buf[at..].as_chunks_mut::<REC_LEN>();
-        for (r, out) in records.iter().zip(slots) {
-            WalRecord::update(r.seq, r.update, r.arrival_micros).encode_into(out);
+        let runs = records.chunk_by(|a, b| {
+            b.seq == a.seq.wrapping_add(1) && b.arrival_micros == a.arrival_micros
+        });
+        for run in runs.flat_map(|run| run.chunks(MAX_RUN)) {
+            if let Some(first) = run.first() {
+                let updates = run.iter().map(|r| &r.update);
+                put_run(&mut self.buf, first.seq, first.arrival_micros, updates);
+            }
         }
     }
 
@@ -976,30 +1023,6 @@ pub(crate) mod tests {
             bytes.extend_from_slice(&sample_update(seq).encode());
         }
         bytes
-    }
-
-    #[test]
-    fn crc32_slice_by_8_matches_bytewise_reference() {
-        // Lengths straddling the 8-byte chunk boundary, including 46
-        // (record body) and 28 (header body).
-        let data: Vec<u8> = (0u16..512)
-            .map(|i| (i.wrapping_mul(167) >> 3) as u8)
-            .collect();
-        for len in [0, 1, 7, 8, 9, 15, 16, 28, 46, 63, 64, 255, 512] {
-            let bytes = &data[..len];
-            let mut c = 0xFFFF_FFFFu32;
-            for &b in bytes {
-                c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-            }
-            assert_eq!(crc32(bytes), c ^ 0xFFFF_FFFF, "len {len}");
-        }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The standard IEEE check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -1060,6 +1083,18 @@ pub(crate) mod tests {
             Err(WalError::BadVersion(_)) | Err(WalError::BadCrc)
         ));
 
+        // Version 1 (before batches) still reads; 0 and 3 do not.
+        for (version, reads) in [(0, false), (1, true), (WAL_VERSION, true), (3, false)] {
+            let mut b = bytes;
+            put_u32(&mut b, 8, version);
+            let crc = crc32(&b[..HDR_LEN - 4]);
+            put_u32(&mut b, HDR_LEN - 4, crc);
+            match SegmentHeader::decode(&b) {
+                Ok(h) => assert!(reads && h == hdr, "version {version}"),
+                Err(e) => assert!(!reads && e == WalError::BadVersion(version), "{e}"),
+            }
+        }
+
         let mut bad = bytes;
         bad[20] ^= 0x01; // base_seq: caught by the header CRC
         assert!(matches!(SegmentHeader::decode(&bad), Err(WalError::BadCrc)));
@@ -1114,6 +1149,81 @@ pub(crate) mod tests {
         assert_eq!(scan.header.base_seq, 10);
     }
 
+    /// `n` updates from `first_seq` in runs of `run`, each run at one
+    /// arrival, as records of [`sample_update`] would carry them.
+    fn runs(first_seq: u64, n: u64, run: u64) -> Vec<WalRecord> {
+        (first_seq..first_seq + n)
+            .map(|seq| {
+                let arrival =
+                    sample_update(first_seq + (seq - first_seq) / run * run).arrival_micros;
+                WalRecord::update(seq, sample_update(seq).update, arrival)
+            })
+            .collect()
+    }
+
+    /// `records` (updates, in runs as [`runs`] cuts them) encoded as the
+    /// flusher encodes them.
+    fn encode_runs(out: &mut Vec<u8>, records: &[WalRecord], run: u64) {
+        for group in records.chunks(run as usize) {
+            let updates: Vec<WireUpdate> = group.iter().map(|r| r.update).collect();
+            encode_run(out, group[0].seq, group[0].arrival_micros, &updates);
+        }
+    }
+
+    #[test]
+    fn a_run_is_one_batch_and_a_run_of_one_an_update_record() {
+        let records = runs(10, 7, 3);
+        let mut bytes = SegmentHeader {
+            fingerprint: 1,
+            base_seq: 10,
+        }
+        .encode()
+        .to_vec();
+        encode_runs(&mut bytes, &records, 3);
+        // Runs of 3, 3 and 1.
+        assert_eq!(bytes.len(), HDR_LEN + 2 * batch_len(3) + REC_LEN);
+        assert_eq!(bytes[HDR_LEN], REC_BATCH);
+        assert_eq!(bytes[HDR_LEN + 2 * batch_len(3)], REC_UPDATE);
+        // Each entry is the wire entry of its update.
+        let mut wire = Vec::new();
+        put_update(&mut wire, &records[1].update);
+        let entry = HDR_LEN + BATCH_HEAD + UPDATE_ENTRY;
+        assert_eq!(bytes[entry..entry + UPDATE_ENTRY], wire[..]);
+        let scan = scan_segment(&bytes, 1).expect("header intact");
+        assert_eq!(scan.records, records);
+        assert_eq!((scan.discarded, scan.sealed), (0, false));
+
+        // A batch torn anywhere is one discarded record; so is a batch
+        // whose count is past the end of the segment.
+        let cut = HDR_LEN + batch_len(3) + 5;
+        let scan = scan_segment(&bytes[..cut], 1).expect("header intact");
+        assert_eq!((scan.records.len(), scan.discarded), (3, 1));
+        let mut big = bytes.clone();
+        big[HDR_LEN + 9..HDR_LEN + 11].copy_from_slice(&u16::MAX.to_le_bytes());
+        let scan = scan_segment(&big, 1).expect("header intact");
+        assert_eq!((scan.records.len(), scan.discarded), (0, 1));
+    }
+
+    #[test]
+    fn encode_run_splits_past_the_count_field() {
+        let updates = vec![sample_update(0).update; MAX_RUN + 2];
+        let mut bytes = SegmentHeader {
+            fingerprint: 1,
+            base_seq: 0,
+        }
+        .encode()
+        .to_vec();
+        encode_run(&mut bytes, 0, 9, &updates);
+        assert_eq!(bytes.len(), HDR_LEN + batch_len(MAX_RUN) + batch_len(2));
+        let scan = scan_segment(&bytes, 1).expect("header intact");
+        assert_eq!(scan.records.len(), MAX_RUN + 2);
+        assert!(scan
+            .records
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.seq == i as u64));
+    }
+
     #[test]
     fn scan_rejects_fingerprint_mismatch() {
         let bytes = segment(7, 0, 1);
@@ -1156,17 +1266,22 @@ pub(crate) mod tests {
         let mut cfg = DurabilityConfig::new(&dir);
         cfg.fsync = FsyncPolicy::Off;
         let mut wal = WalHandle::start(&cfg, 99, 0).expect("start wal");
-        for seq in 0..64 {
-            let rec = sample_update(seq);
-            wal.append(seq, rec.update, rec.arrival_micros);
+        // Four runs of 15 and four updates of their own.
+        let records = [runs(0, 60, 15), runs(60, 4, 1)].concat();
+        for rec in &records {
+            wal.append(rec.seq, rec.update, rec.arrival_micros);
         }
         wal.barrier(64);
         let stats = wal.stats();
         assert_eq!(stats.written_seq(), 64);
         wal.seal().expect("seal");
-        // Header + 64 records + seal; the seal's fsync is the only one.
+        // Header + four batches + four records + seal; the seal's fsync is
+        // the only one.
         let d = stats.durability();
-        assert_eq!(d.wal_bytes, (HDR_LEN + 65 * REC_LEN) as u64);
+        assert_eq!(
+            d.wal_bytes,
+            (HDR_LEN + 4 * batch_len(15) + 5 * REC_LEN) as u64
+        );
         assert_eq!(
             (d.wal_fsyncs, d.wal_rotations, d.snapshots_written),
             (1, 0, 0)
@@ -1176,6 +1291,7 @@ pub(crate) mod tests {
         let scan = scan_segment(&bytes, 99).expect("segment scans");
         assert!(scan.sealed);
         assert_eq!(scan.discarded, 0);
+        assert_eq!(scan.records[..64], records[..]);
         assert_eq!(scan.records.len(), 65); // 64 updates + the seal
         assert_eq!(scan.records[64].seq, 64);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1189,9 +1305,8 @@ pub(crate) mod tests {
         // on the flusher's batching, so assert invariants, not counts.
         cfg.rotate_bytes = (HDR_LEN + 4 * REC_LEN) as u64;
         let mut wal = WalHandle::start(&cfg, 99, 0).expect("start wal");
-        for seq in 0..64 {
-            let rec = sample_update(seq);
-            wal.append(seq, rec.update, rec.arrival_micros);
+        for rec in runs(0, 64, 5) {
+            wal.append(rec.seq, rec.update, rec.arrival_micros);
         }
         wal.barrier(64);
         let stats = wal.stats();
@@ -1288,11 +1403,11 @@ pub(crate) mod tests {
         dir
     }
 
-    /// Appends the records `from..from + n` and hands them to the flusher.
+    /// Appends the updates `from..from + n`, arrived at one instant, and
+    /// hands them to the flusher.
     fn append_n(wal: &mut WalHandle, from: u64, n: u64) {
-        for seq in from..from + n {
-            let rec = sample_update(seq);
-            wal.append(seq, rec.update, rec.arrival_micros);
+        for rec in runs(from, n, n) {
+            wal.append(rec.seq, rec.update, rec.arrival_micros);
         }
         wal.flush();
     }
@@ -1311,12 +1426,37 @@ pub(crate) mod tests {
         stats
     }
 
+    /// A run ends where the sequence numbers jump, even at one arrival.
+    #[test]
+    fn the_flusher_cuts_a_run_at_a_sequence_gap() {
+        let dir = scratch("wal-seq-gap");
+        let (mut wal, mut flusher) = stepped_log(&DurabilityConfig::new(&dir));
+        let stats = wal.stats();
+        let records: Vec<WalRecord> = [0, 1, 5, 6]
+            .map(|seq| WalRecord::update(seq, sample_update(seq).update, 7))
+            .to_vec();
+        for rec in &records {
+            wal.append(rec.seq, rec.update, rec.arrival_micros);
+        }
+        wal.flush();
+        assert!(flusher.step());
+        assert_eq!(
+            stats.durability().wal_bytes,
+            (HDR_LEN + 2 * batch_len(2)) as u64
+        );
+        seal_stepped(wal, flusher);
+        let bytes = std::fs::read(dir.join(SEGMENT_FILE)).expect("segment readable");
+        let scan = scan_segment(&bytes, 99).expect("segment scans");
+        assert_eq!(scan.records[..4], records[..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn fsync_off_syncs_only_at_a_rotation_and_the_seal() {
         let dir = scratch("wal-cadence-off");
         let mut cfg = DurabilityConfig::new(&dir);
         cfg.fsync = FsyncPolicy::Off;
-        cfg.rotate_bytes = (HDR_LEN + 4 * REC_LEN) as u64;
+        cfg.rotate_bytes = (HDR_LEN + batch_len(4)) as u64;
         let (mut wal, mut flusher) = stepped_log(&cfg);
         let stats = wal.stats();
         append_n(&mut wal, 0, 3);
@@ -1324,8 +1464,9 @@ pub(crate) mod tests {
         flusher.clock().advance(1.0);
         assert!(!flusher.step());
         assert_eq!(syncs(&stats), (0, 0), "written, idle: no fsync");
-        // Five records reach the four-record bound: the rotation's seal is
-        // the first fsync, and it covers all five.
+        // Five updates in two runs pass the bound of one four-update
+        // batch: the rotation's seal is the first fsync, and it covers all
+        // five.
         append_n(&mut wal, 3, 2);
         assert!(flusher.step());
         assert_eq!(syncs(&stats), (1, 5));
@@ -1402,6 +1543,7 @@ pub(crate) mod tests {
         let stats = wal.stats();
         let one_write = (WRITE_CHUNKS * CHUNK_RECORDS) as u64;
         let queued = one_write + 3 * CHUNK_RECORDS as u64 + 5;
+        // One run: the flusher cuts it at every chunk's end.
         append_n(&mut wal, 0, queued);
         assert_eq!(stats.durability().wal_appended, queued, "counted per chunk");
         let bytes = || stats.durability().wal_bytes;
@@ -1409,8 +1551,8 @@ pub(crate) mod tests {
         assert!(flusher.step());
         assert_eq!(
             bytes() - before,
-            one_write * REC_LEN as u64,
-            "one bounded write"
+            (WRITE_CHUNKS * batch_len(CHUNK_RECORDS)) as u64,
+            "one bounded write, a batch a chunk"
         );
         assert_eq!(stats.written_seq(), one_write);
         assert_eq!(
@@ -1426,10 +1568,8 @@ pub(crate) mod tests {
         append_n(&mut wal, queued, 1);
         assert_eq!(wal.spent.len(), WRITE_CHUNKS + 3);
         let d = seal_stepped(wal, flusher).durability();
-        assert_eq!(
-            d.wal_bytes,
-            (HDR_LEN as u64) + (queued + 2) * REC_LEN as u64
-        );
+        let batches = (WRITE_CHUNKS + 3) * batch_len(CHUNK_RECORDS) + batch_len(5);
+        assert_eq!(d.wal_bytes, (HDR_LEN + batches + 2 * REC_LEN) as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1458,7 +1598,7 @@ pub(crate) mod tests {
         let dir = scratch("wal-removed");
         let mut cfg = DurabilityConfig::new(&dir);
         cfg.fsync = FsyncPolicy::Off;
-        cfg.rotate_bytes = (HDR_LEN + 4 * REC_LEN) as u64;
+        cfg.rotate_bytes = (HDR_LEN + batch_len(4)) as u64;
         let mut wal = WalHandle::start(&cfg, 99, 0).expect("start wal");
         let stats = wal.stats();
         std::fs::remove_dir_all(&dir).expect("remove the log directory");

@@ -1,7 +1,7 @@
-//! Property tests for the WAL wire formats: records, segment headers, and
-//! whole-segment scans must round-trip exactly, reject every single-byte
-//! corruption, and recover the longest valid prefix from a torn tail at
-//! any byte offset — the invariants crash recovery stands on.
+//! Property tests for the WAL wire formats: records, batches, segment
+//! headers, and whole-segment scans must round-trip exactly, reject every
+//! single-byte corruption, and recover the longest valid prefix from a
+//! torn tail at any byte offset — the invariants crash recovery stands on.
 
 use proptest::prelude::*;
 use strip_core::config::SimConfig;
@@ -9,8 +9,9 @@ use strip_core::config_fingerprint;
 use strip_db::store::Store;
 use strip_live::protocol::WireUpdate;
 use strip_live::wal::{
-    rotated_segment_name, scan_segment, DurabilityConfig, SegmentHeader, WalError, WalRecord,
-    HDR_LEN, REC_LEN, REC_SEAL, SEGMENT_FILE,
+    crc32, encode_run, rotated_segment_name, scan_segment, DurabilityConfig, SegmentHeader,
+    WalError, WalRecord, HDR_LEN, REC_BATCH, REC_LEN, REC_SEAL, REC_UPDATE, SEGMENT_FILE,
+    WAL_VERSION,
 };
 use strip_live::{recover, snapshot, LiveConfig, Recovered};
 
@@ -53,6 +54,49 @@ fn encode_segment(fingerprint: u64, base_seq: u64, records: &[WalRecord]) -> Vec
         bytes.extend_from_slice(&rec.encode());
     }
     bytes
+}
+
+/// Runs of one to five updates, each run at its own arrival instant.
+fn runs_strategy() -> impl Strategy<Value = Vec<(i64, Vec<WireUpdate>)>> {
+    prop::collection::vec(
+        (
+            i64::MIN..i64::MAX,
+            prop::collection::vec(update_strategy(), 1..6),
+        ),
+        0..6,
+    )
+}
+
+/// Appends `runs` from sequence number `seq` to `bytes` as the flusher
+/// writes them; returns the records a scan must yield and, per record
+/// written, its end offset and how many of those records end by it.
+fn append_runs(
+    bytes: &mut Vec<u8>,
+    mut seq: u64,
+    runs: &[(i64, Vec<WireUpdate>)],
+) -> (Vec<WalRecord>, Vec<(usize, usize)>) {
+    let mut records = Vec::new();
+    let mut ends = Vec::new();
+    for (arrival, updates) in runs {
+        encode_run(bytes, seq, *arrival, updates);
+        for u in updates {
+            records.push(WalRecord::update(seq, *u, *arrival));
+            seq += 1;
+        }
+        ends.push((bytes.len(), records.len()));
+    }
+    (records, ends)
+}
+
+/// A header only, as [`SegmentHeader::encode`] writes it.
+fn header(fingerprint: u64, base_seq: u64) -> Vec<u8> {
+    let bytes = SegmentHeader {
+        fingerprint,
+        base_seq,
+    }
+    .encode();
+    assert_eq!(bytes[8..12], WAL_VERSION.to_le_bytes());
+    bytes.to_vec()
 }
 
 proptest! {
@@ -135,6 +179,86 @@ proptest! {
         prop_assert_eq!(scan.discarded, 0);
         prop_assert_eq!(scan.records.len(), records.len() + 1);
         prop_assert_eq!(scan.records[records.len()].seq, records.len() as u64);
+    }
+
+    #[test]
+    fn a_segment_of_runs_cut_anywhere_keeps_the_whole_records_before_the_cut(
+        runs in runs_strategy(),
+        fingerprint in 0u64..u64::MAX,
+        base in 0u64..u64::MAX / 2,
+    ) {
+        let mut full = header(fingerprint, base);
+        let (records, ends) = append_runs(&mut full, base, &runs);
+        let scan = scan_segment(&full, fingerprint).expect("header intact");
+        prop_assert_eq!(&scan.records, &records);
+        for cut in HDR_LEN..=full.len() {
+            let scan = scan_segment(&full[..cut], fingerprint).expect("header intact");
+            let (end, whole) = ends
+                .iter()
+                .rev()
+                .find(|(end, _)| *end <= cut)
+                .copied()
+                .unwrap_or((HDR_LEN, 0));
+            prop_assert_eq!(&scan.records[..], &records[..whole], "cut at {}", cut);
+            prop_assert_eq!(scan.discarded, u64::from(cut > end), "cut at {}", cut);
+            prop_assert!(!scan.sealed);
+        }
+    }
+
+    #[test]
+    fn flipping_any_byte_of_a_batch_drops_it_and_every_record_after_it(
+        before in runs_strategy(),
+        batch in prop::collection::vec(update_strategy(), 2..6),
+        arrival in i64::MIN..i64::MAX,
+        after in runs_strategy(),
+        fingerprint in 0u64..u64::MAX,
+        flip in 1u8..u8::MAX,
+    ) {
+        let mut bytes = header(fingerprint, 0);
+        let (kept, _) = append_runs(&mut bytes, 0, &before);
+        let at = bytes.len();
+        encode_run(&mut bytes, kept.len() as u64, arrival, &batch);
+        let end = bytes.len();
+        prop_assert_eq!(bytes[at], REC_BATCH);
+        append_runs(&mut bytes, (kept.len() + batch.len()) as u64, &after);
+        // Kind, first seq, count, arrival, every entry, the CRC.
+        for pos in at..end {
+            let mut bad = bytes.clone();
+            bad[pos] ^= flip;
+            let scan = scan_segment(&bad, fingerprint).expect("header intact");
+            prop_assert_eq!(&scan.records, &kept, "byte {} of the batch", pos - at);
+            prop_assert!(scan.discarded >= 1);
+        }
+    }
+
+    // D7: a count is read before the checksum that covers it, so it may
+    // be anything. It sizes no allocation and indexes nothing before the
+    // checksum passes, whether the bytes it claims are there or not.
+    #[test]
+    fn a_corrupt_count_sizes_nothing_and_panics_nowhere(
+        before in runs_strategy(),
+        count in 1024u16..u16::MAX,
+        filled in 0usize..3,
+        seq in 0u64..u64::MAX,
+    ) {
+        let mut bytes = header(1, 0);
+        let (kept, _) = append_runs(&mut bytes, 0, &before);
+        bytes.push(REC_BATCH);
+        bytes.extend_from_slice(&seq.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&7i64.to_le_bytes());
+        // None, some, or every byte the count claims (and a CRC that fails).
+        let claimed = usize::from(count) * 29 + 4;
+        bytes.resize(bytes.len() + claimed * filled / 2, 0x5A);
+        let scan = scan_segment(&bytes, 1).expect("header intact");
+        prop_assert_eq!(&scan.records, &kept);
+        prop_assert_eq!(scan.discarded, 1);
+        prop_assert!(
+            scan.records.capacity() <= 2 * kept.len() + 8,
+            "capacity {} for {} records",
+            scan.records.capacity(),
+            kept.len()
+        );
     }
 
     #[test]
@@ -223,6 +347,7 @@ proptest! {
     fn recovery_replays_rotated_chain_and_tolerates_torn_tail(
         per_link in prop::collection::vec(1usize..6, 0..4),
         tail in 0usize..8,
+        run in 1usize..4,
         cut_back in 0usize..REC_LEN * 2,
     ) {
         let dir = fresh_chain_dir("replay");
@@ -246,15 +371,18 @@ proptest! {
             )
             .expect("write link");
         }
+        // The active segment holds the tail in runs of `run` updates, each
+        // run at one instant: batches, and a record of its own for a run
+        // of one.
         let chain_records = seq;
-        let active: Vec<WalRecord> = (0..tail)
-            .map(|_| {
-                let r = chain_update(seq);
-                seq += 1;
-                r
-            })
+        let mut bytes = header(fingerprint, chain_records);
+        let runs: Vec<(i64, Vec<WireUpdate>)> = (chain_records..chain_records + tail as u64)
+            .map(chain_update)
+            .collect::<Vec<_>>()
+            .chunks(run)
+            .map(|g| (g[0].arrival_micros, g.iter().map(|r| r.update).collect()))
             .collect();
-        let mut bytes = encode_segment(fingerprint, chain_records, &active);
+        let (_, ends) = append_runs(&mut bytes, chain_records, &runs);
         let cut = bytes.len().saturating_sub(cut_back);
         bytes.truncate(cut);
         std::fs::write(dir.join(SEGMENT_FILE), &bytes).expect("write active");
@@ -262,9 +390,16 @@ proptest! {
         let rec = recover(&cfg).expect("chain recovers");
         // A tail torn inside its header holds no record; the torn bytes
         // count like any other torn record.
-        let (whole_tail, torn) = match cut.checked_sub(HDR_LEN) {
-            Some(body) => ((body / REC_LEN) as u64, !body.is_multiple_of(REC_LEN)),
-            None => (0, cut > 0),
+        let (whole_tail, torn) = if cut < HDR_LEN {
+            (0, cut > 0)
+        } else {
+            let (end, whole) = ends
+                .iter()
+                .rev()
+                .find(|(end, _)| *end <= cut)
+                .copied()
+                .unwrap_or((HDR_LEN, 0));
+            (whole as u64, cut > end)
         };
         prop_assert_eq!(rec.replayed, chain_records + whole_tail);
         prop_assert_eq!(rec.discarded, u64::from(torn));
@@ -440,4 +575,70 @@ fn recovery_accepts_every_state_a_crashed_transition_leaves() {
         assert_recovery_is_idempotent(&cfg, &rec);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// `header(fingerprint, base_seq)` as the build before batches wrote it:
+/// version 1.
+fn version_1_header(fingerprint: u64, base_seq: u64) -> Vec<u8> {
+    let mut bytes = header(fingerprint, base_seq);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let crc = crc32(&bytes[..HDR_LEN - 4]);
+    bytes[HDR_LEN - 4..].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn a_version_1_segment_and_a_segment_of_all_three_kinds_recover_in_full() {
+    // Version 1: 50-byte update records, a sealed link and the active tail.
+    let dir = fresh_chain_dir("version-1");
+    let cfg = chain_config(&dir);
+    let fingerprint = config_fingerprint(&cfg.sim);
+    let mut link = version_1_header(fingerprint, 0);
+    for seq in 0..5 {
+        link.extend_from_slice(&chain_update(seq).encode());
+    }
+    link.extend_from_slice(&WalRecord::seal(5).encode());
+    std::fs::write(dir.join(rotated_segment_name(0)), &link).expect("write link");
+    let mut active = version_1_header(fingerprint, 5);
+    for seq in 5..9 {
+        active.extend_from_slice(&chain_update(seq).encode());
+    }
+    std::fs::write(dir.join(SEGMENT_FILE), &active).expect("write active");
+    let rec = recover(&cfg).expect("a version-1 chain recovers");
+    assert_eq!((rec.replayed, rec.next_seq, rec.discarded), (9, 9, 0));
+    assert_recovery_is_idempotent(&cfg, &rec);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Version 2: a link of an update, a batch and a seal; an active
+    // segment of a batch and an update.
+    let dir = fresh_chain_dir("all-kinds");
+    let cfg = chain_config(&dir);
+    let run = |seqs: std::ops::Range<u64>| {
+        let records: Vec<WalRecord> = seqs.map(chain_update).collect();
+        let updates: Vec<WireUpdate> = records.iter().map(|r| r.update).collect();
+        (records[0].seq, records[0].arrival_micros, updates)
+    };
+    let mut link = header(fingerprint, 0);
+    for (first, arrival, updates) in [run(0..1), run(1..6)] {
+        encode_run(&mut link, first, arrival, &updates);
+    }
+    link.extend_from_slice(&WalRecord::seal(6).encode());
+    assert_eq!(
+        [
+            link[HDR_LEN],
+            link[HDR_LEN + REC_LEN],
+            link[link.len() - REC_LEN]
+        ],
+        [REC_UPDATE, REC_BATCH, REC_SEAL]
+    );
+    std::fs::write(dir.join(rotated_segment_name(0)), &link).expect("write link");
+    let mut active = header(fingerprint, 6);
+    for (first, arrival, updates) in [run(6..10), run(10..11)] {
+        encode_run(&mut active, first, arrival, &updates);
+    }
+    std::fs::write(dir.join(SEGMENT_FILE), &active).expect("write active");
+    let rec = recover(&cfg).expect("a chain of all three kinds recovers");
+    assert_eq!((rec.replayed, rec.next_seq, rec.discarded), (11, 11, 0));
+    assert_recovery_is_idempotent(&cfg, &rec);
+    let _ = std::fs::remove_dir_all(&dir);
 }
