@@ -45,12 +45,16 @@ Busy and waiting samples are ranked apart. Before each attach the thread's
 scheduler state is read from `/proc/PID/task/TID/stat`: a sample of a thread
 in state `R` (running, or runnable and waiting for a CPU) is *on-CPU*, one in
 any other state (`S` sleeping, `D` in an uninterruptible wait, ...) is
-*off-CPU*. Each table is headed by the split, then ranks the on-CPU samples
-— where the busy time goes, whatever share of the run the thread waited —
-and then the off-CPU ones, whose leaf frames name what the thread waits in
-(a futex `syscall`, `recv`, `clock_nanosleep`, ...). Each ranking's shares
-are of its own samples. Standard library only (ctypes, /proc, addr2line,
-nm); x86-64 Linux.
+*off-CPU*. A thread woken from a blocking call is runnable before it runs
+again: a state-`R` sample whose leaf is such a call (`clock_nanosleep`, a
+futex wait, `recv`, `fsync`; see `blocking`) is *woken*, a thread waiting
+for a CPU on a host with fewer CPUs than busy threads, and is ranked apart
+from the *busy* rest. Each table is headed by the split, then ranks the
+busy samples — where the CPU time goes, whatever share of the run the
+thread waited — then the woken ones, then the off-CPU ones, whose leaf
+frames name what the thread waits in (a futex `syscall`, `recv`,
+`clock_nanosleep`, ...). Each ranking's shares are of its own samples.
+Standard library only (ctypes, /proc, addr2line, nm); x86-64 Linux.
 """
 import argparse
 import bisect
@@ -68,6 +72,9 @@ PTRACE_PEEKDATA, PTRACE_GETREGS, PTRACE_ATTACH, PTRACE_DETACH = 2, 12, 16, 17
 WALL = 0x40000000
 # struct user_regs_struct (x86-64): 27 registers, rip is the 17th, rsp the 20th.
 REGS_WORDS, RIP, RSP = 27, 16, 19
+# Library calls a thread blocks in: a sample in one is a wait, not work.
+BLOCKING = {'clock_nanosleep', 'nanosleep', 'recv', 'recvfrom', 'recvmsg', 'read',
+            'fsync', 'fdatasync'}
 # How far up the stack a library sample looks for its caller.
 STACK_WORDS = 64
 WORD_MASK = (1 << 64) - 1
@@ -346,13 +353,28 @@ def main():
         print(f'{total} samples{threads} of {command}')
         if not total:
             continue
+        woken = collections.Counter(
+            {sample: n for sample, n in on.items() if blocking(resolved[sample][0][0])})
+        busy = on - woken
+        n_woken = sum(woken.values())
         states = ', '.join(f'{s} {n}' for s, n in waits[prefix].most_common())
-        print(f'on-CPU (R) {n_on} ({n_on / total:.1%}), '
+        print(f'on-CPU (R) {n_on} ({n_on / total:.1%}: busy {n_on - n_woken}, '
+              f'woken {n_woken}), '
               f'off-CPU {n_off} ({n_off / total:.1%}{": " + states if states else ""})')
-        for heading, counter in (('on-CPU', on), ('off-CPU', off)):
+        for heading, counter in (('on-CPU busy', busy),
+                                 ('on-CPU woken, waiting for a CPU', woken),
+                                 ('off-CPU', off)):
             print(f'\n{heading}: {sum(counter.values())} samples')
             table(counter, resolved, args)
     return child.returncode
+
+
+def blocking(frame):
+    """Whether leaf `frame` (`symbol [library] ← caller`) is a blocking
+    call: a symbol of BLOCKING, or a futex wait (a `syscall` made from a
+    `futex_wait`)."""
+    symbol = frame.split(' [', 1)[0].lstrip('_')
+    return symbol in BLOCKING or (symbol == 'syscall' and 'futex_wait' in frame)
 
 
 def sample_chain(sample, chains, frames, where, call_sites):

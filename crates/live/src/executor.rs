@@ -47,13 +47,15 @@
 //! channel type, so the scheduling core is exercised identically in both.
 //! A session's updates come over its own ring ([`Stream`]), in blocks
 //! whose every entry its connection thread has already checked against
-//! the store, so accepting a block is O(1) on this thread — one WAL
-//! append per entry when logging, nothing per entry otherwise: the OS
-//! queue records the block's first sequence number and arrival once and
-//! stamps each entry when it is received. The executor unparks the
-//! session after popping its ring, and sends each block the OS queue has
-//! used up back to the session that filled it, over a second ring, at
-//! every scheduling point.
+//! the store, so accepting a block is O(1) on this thread, logging
+//! included: when the server logs, the block also carries its frame's
+//! kept wire entries behind a zeroed run head, and the executor writes
+//! the head and moves that buffer to the WAL flusher whole; the OS queue
+//! records the block's first sequence number and arrival once and stamps
+//! each entry when it is received. The executor unparks the session after
+//! popping its ring, and sends each block the OS queue has used up back
+//! to the session that filled it, over a second ring, at every scheduling
+//! point, with a wire buffer the flusher has sent home attached.
 //!
 //! MA expiry is one bit per object and one heap entry per set bit. An
 //! install whose value will expire sets its object's bit, and pushes an
@@ -82,8 +84,10 @@ use strip_sim::time::SimTime;
 use crate::clock::{Clock, LiveClock};
 use crate::protocol::{
     WireDerivedQuery, WireDerivedQueryResponse, WireQuery, WireQueryResponse, WireTxn, WireUpdate,
+    UPDATE_ENTRY,
 };
 use crate::spsc;
+use crate::wal::{WalHandle, RUN_HEAD};
 
 /// `uu_stale` value in a [`WireQueryResponse`] for a query that named an
 /// object outside the configured store (0 = fresh, 1 = stale).
@@ -193,24 +197,31 @@ impl LiveConfig {
 }
 
 /// One batch frame's updates, decoded on its connection thread: what a
-/// session's ring carries ([`Ingest::Stream`]) and what the OS queue keeps
-/// once the executor has popped it. Each entry is [`unstamped`]: the OS
-/// queue writes its sequence number and arrival when it is received.
-pub type Block = Vec<Update>;
+/// session's ring carries ([`Ingest::Stream`]).
+#[derive(Debug, Default)]
+pub struct Block {
+    /// The frame's kept updates, each [`unstamped`]: what the OS queue
+    /// keeps once the executor has popped the block; it writes each
+    /// entry's sequence number and arrival when the entry is received.
+    pub updates: Vec<Update>,
+    /// When the server logs, a zeroed [`RUN_HEAD`](crate::wal::RUN_HEAD)
+    /// and then the wire entries of `updates`, byte for byte as the frame
+    /// held them: the WAL record body, which the executor moves to the
+    /// flusher. Empty when the server keeps no log.
+    pub wire: Vec<u8>,
+}
 
-/// A wire update as its connection thread puts it into a [`Block`], or
-/// `None` when it names no object of a store of `class_len` objects per
-/// class (a class byte the decoder refuses, or an index out of range):
-/// such an update spends the session's credit and nothing else. The OS
-/// queue stamps `seq` and `arrival_ts` when it hands the entry out. Until
-/// then `arrival_ts` is zero and `seq` carries the wire's
-/// `generation_micros`, so the WAL logs the timestamp that arrived, not
-/// one rounded through seconds.
+/// A wire update as its connection thread puts it into a [`Block`]'s
+/// updates, or `None` when it names no object of a store of `class_len`
+/// objects per class (a class byte the decoder refuses, or an index out
+/// of range): such an update spends the session's credit and nothing
+/// else. The OS queue stamps `seq` and `arrival_ts` when it hands the
+/// entry out; until then both are zero.
 #[must_use]
 pub fn unstamped(w: &WireUpdate, class_len: [u32; 2]) -> Option<Update> {
     let class = Importance::from_index(w.class as usize)?;
     (w.index < class_len[class.index()]).then(|| Update {
-        seq: w.generation_micros as u64,
+        seq: 0,
         object: ViewObjectId::new(class, w.index),
         generation_ts: LiveClock::micros_to_sim(w.generation_micros),
         arrival_ts: SimTime::ZERO,
@@ -229,22 +240,12 @@ pub struct Stream {
     /// of the store.
     pub blocks: spsc::Consumer<Block>,
     /// Where the executor sends the session's used-up blocks back,
-    /// emptied, capacity kept.
+    /// emptied, capacity kept, each with a wire buffer when one is
+    /// spare.
     pub spent: spsc::Producer<Block>,
     /// The session's thread, which parks while it waits for the executor
     /// to pop `blocks`; the executor unparks it after each pop.
     pub session: Thread,
-}
-
-/// The wire update an [`unstamped`] entry was decoded from.
-fn wire_of(u: &Update) -> WireUpdate {
-    WireUpdate {
-        class: u.object.class.index() as u8,
-        index: u.object.index,
-        generation_micros: u.seq as i64,
-        payload: u.payload,
-        attr_mask: u.attr_mask,
-    }
 }
 
 /// One message into the executor thread: the control plane of the TCP
@@ -593,13 +594,16 @@ impl<C: Clock> Executor<C> {
     }
 
     /// Sends each block the core has used up back to the session that
-    /// filled it. A block whose session has gone, or whose return ring is
-    /// full, is freed here.
+    /// filled it, with a wire buffer the flusher has sent home, when one is
+    /// waiting, for the session to copy its next frame's entries into. A
+    /// block whose session has gone, or whose return ring is full, is
+    /// freed here.
     fn return_spent(&mut self) {
-        for block in self.core.take_spent() {
+        for updates in self.core.take_spent() {
             let home = self.homes.pop_front();
             if let Some((_, s)) = self.streams.iter_mut().find(|(id, _)| Some(*id) == home) {
-                let _ = s.spent.push(block);
+                let wire = self.wal.as_mut().map_or_else(Vec::new, WalHandle::spare);
+                let _ = s.spent.push(Block { updates, wire });
             }
         }
     }
@@ -662,23 +666,23 @@ impl<C: Clock> Executor<C> {
         self.core.on_update(&spec, now)
     }
 
-    /// Hands one popped block to the core (and, first, to the WAL). Every
-    /// entry is an event and names an object of the store (its session
-    /// refused the others, see [`Stream`]); [`Scheduler::on_updates`]
-    /// queues the block whole and hands it back through `take_spent` once
-    /// used up. Returns the core's verdict on preemption.
+    /// Hands one popped block to the core (and, first, its wire entries
+    /// to the WAL). Every entry is an event and names an object of the
+    /// store (its session refused the others, see [`Stream`]);
+    /// [`Scheduler::on_updates`] queues the updates whole and hands them
+    /// back through `take_spent` once used up. Returns the core's verdict
+    /// on preemption.
     fn accept_block(&mut self, block: Block, now: SimTime) -> Option<Preempt> {
-        debug_assert!(block.iter().all(|u| self.in_store(u.object)));
-        self.events += block.len() as u64;
+        let Block { updates, wire } = block;
+        debug_assert!(updates.iter().all(|u| self.in_store(u.object)));
+        self.events += updates.len() as u64;
         if let Some(wal) = &mut self.wal {
             // Log before state, with the sequence numbers the core is
             // about to stamp.
-            let arrival = LiveClock::sim_to_micros(now);
-            for (seq, u) in (self.core.update_seq()..).zip(&block) {
-                wal.append(seq, wire_of(u), arrival);
-            }
+            debug_assert_eq!(wire.len(), RUN_HEAD + updates.len() * UPDATE_ENTRY);
+            wal.append_run(self.core.update_seq(), LiveClock::sim_to_micros(now), wire);
         }
-        self.core.on_updates(block, now)
+        self.core.on_updates(updates, now)
     }
 
     /// Admits one transaction and arms its deadline watchdog. Returns the
@@ -770,9 +774,9 @@ impl<C: Clock> Executor<C> {
     /// whose deadline is already due is being burned — the burn loop
     /// checks its own deadline first, then calls this with the same `now`.
     fn process_timers(&mut self, now: SimTime) {
-        // Hand any partial WAL chunk to the flusher once per quantum: the
-        // append hot path only buffers, so this bounds how long a record
-        // can sit outside the flusher's reach.
+        // Hand the runs `append` has gathered to the flusher once per
+        // quantum: an in-process update is only buffered, so this bounds
+        // how long its record can sit outside the flusher's reach.
         if let Some(wal) = &mut self.wal {
             wal.flush();
         }
@@ -1123,13 +1127,21 @@ mod tests {
     /// Objects per class of [`base_cfg`]'s store.
     const BASE_CLASS_LEN: [u32; 2] = [4, 4];
 
-    /// The block a connection thread decodes from a frame of `updates`,
-    /// each naming an object of [`base_cfg`]'s store.
+    /// The block a logging connection thread decodes from a frame of
+    /// `updates`, each naming an object of [`base_cfg`]'s store.
     fn block(updates: impl IntoIterator<Item = WireUpdate>) -> Block {
-        updates
-            .into_iter()
-            .map(|w| unstamped(&w, BASE_CLASS_LEN).expect("an object of the store"))
-            .collect()
+        let updates: Vec<WireUpdate> = updates.into_iter().collect();
+        let mut wire = vec![0; RUN_HEAD];
+        for w in &updates {
+            crate::protocol::put_update(&mut wire, w);
+        }
+        Block {
+            updates: updates
+                .iter()
+                .map(|w| unstamped(w, BASE_CLASS_LEN).expect("an object of the store"))
+                .collect(),
+            wire,
+        }
     }
 
     /// A session of `cap` ring slots on this thread: the producer of its
@@ -1156,7 +1168,7 @@ mod tests {
         let (mut b, stream_b, mut home_b) = session(8);
         let fill = |ring: &mut spsc::Producer<Block>, index: u32| {
             let block = block([wire_update(0, index, 1_000, 1.0)]);
-            let at = block.as_ptr();
+            let at = block.updates.as_ptr();
             ring.push(block).expect("ring has room");
             at
         };
@@ -1169,36 +1181,25 @@ mod tests {
         for (home, sent) in [(&mut home_a, &a_blocks[..]), (&mut home_b, &b_blocks[..])] {
             let back: Vec<_> = std::iter::from_fn(|| home.pop())
                 .map(|block| {
-                    assert!(block.is_empty() && block.capacity() == 1);
-                    block.as_ptr()
+                    let updates = block.updates;
+                    assert!(updates.is_empty() && updates.capacity() == 1);
+                    assert!(block.wire.is_empty(), "no log: no wire buffer");
+                    updates.as_ptr()
                 })
                 .collect();
             assert_eq!(back, sent);
         }
     }
 
-    /// A block entry logs the generation micros that arrived, including
-    /// ones a round trip through seconds would not return; an update
-    /// naming no object of the store makes no entry.
+    /// An update naming no object of the store, by class or by index
+    /// against the served store's class sizes, is not unstamped.
     #[test]
-    fn an_unstamped_entry_logs_the_wire_update_it_was_decoded_from() {
-        for micros in [i64::MIN, -1, 0, (1 << 53) + 1, i64::MAX] {
-            let w = WireUpdate {
-                class: 1,
-                index: 3,
-                generation_micros: micros,
-                payload: -2.5,
-                attr_mask: 0b101,
-            };
-            assert_eq!(
-                wire_of(&unstamped(&w, BASE_CLASS_LEN).expect("an object of the store")),
-                w
-            );
-        }
+    fn unstamped_refuses_an_update_naming_no_object_of_the_store() {
         for (class, index) in [(2, 0), (0, 4), (1, 4), (1, u32::MAX)] {
             let w = wire_update(class, index, 0, 0.0);
             assert!(unstamped(&w, BASE_CLASS_LEN).is_none(), "{class}/{index}");
         }
+        assert!(unstamped(&wire_update(1, 3, 0, 0.0), BASE_CLASS_LEN).is_some());
         // The sizes are the served store's, class by class.
         assert!(unstamped(&wire_update(1, 4, 0, 0.0), [4, 5]).is_some());
         assert!(unstamped(&wire_update(0, 4, 0, 0.0), [4, 5]).is_none());
@@ -1291,22 +1292,21 @@ mod tests {
             .expect("valid live config")
             .class_len();
         let frame = [(0, 0), (0, 9), (1, 1), (1, 4), (0, 2)];
-        let decoded: Block = frame
-            .iter()
-            .filter_map(|&(class, index)| {
-                unstamped(&wire_update(class, index, 1_000, 1.0), class_len)
-            })
-            .collect();
-        assert_eq!(decoded.len(), 3);
+        let decoded = block(
+            frame
+                .iter()
+                .map(|&(class, index)| wire_update(class, index, 1_000, 1.0))
+                .filter(|w| unstamped(w, class_len).is_some()),
+        );
+        assert_eq!(decoded.updates.len(), 3);
         prod.push(decoded).expect("ring has room");
         tx.send(Ingest::Stream(stream)).expect("attach stream");
         let before = exec.events;
         exec.poll();
         assert_eq!(exec.events - before, 1 + 3, "the attach and three pops");
         assert_eq!(exec.core.update_seq(), 3);
-        // `appended` counts a chunk when it is handed to the flusher, which
-        // the next scheduling point does.
-        exec.poll();
+        // `appended` counts a block when it is handed to the flusher, at
+        // its pop.
         let report = exec.snapshot(exec.now);
         assert_eq!(report.updates.arrived, 3);
         assert_eq!(report.durability.wal_appended, 3);

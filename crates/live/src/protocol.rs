@@ -290,6 +290,13 @@ pub(crate) fn read_update(e: &[u8; UPDATE_ENTRY]) -> WireUpdate {
     }
 }
 
+/// The whole entries of an update-batch body (tag included), as they
+/// follow its count: each the bytes [`for_each_batch_update`] decodes one
+/// update from, in order.
+pub(crate) fn batch_entries(body: &[u8]) -> &[[u8; UPDATE_ENTRY]] {
+    body.get(BATCH_FIXED..).unwrap_or_default().as_chunks().0
+}
+
 /// Appends an update-batch payload (count, entries) after its tag byte.
 /// The one tag-7 encoder: [`Msg::encode_body`] and [`encode_batch_body`]
 /// both end here.

@@ -6,9 +6,13 @@
 //! tag-7 batch frames, only within the credit the session was granted
 //! (`CreditRequest` → `Credit`), are decoded into one block per frame,
 //! and ride the session's bounded SPSC ring; an update past the grant
-//! ends the session. Blocks go home: the executor sends each one the OS
-//! queue has used up back over a second ring, and the session decodes its
-//! next frame into it, so a steady session allocates no block. A session
+//! ends the session. When the server logs, a block also carries the
+//! frame's bytes of the updates it keeps, behind a zeroed run head: the
+//! body of the block's WAL record, which the executor moves to the log's
+//! flusher without reading it. Blocks go home: the executor sends each
+//! one the OS queue has used up back over a second ring, with a wire
+//! buffer the flusher has sent back, and the session decodes its next
+//! frame into them, so a steady session allocates no block. A session
 //! that waits on the executor — out of credit, or flushing its ring
 //! before a control frame — parks until the executor, which unparks it
 //! after every pop of its ring, has freed what it waits for.
@@ -36,10 +40,12 @@ use strip_obs::PromText;
 use crate::credit::{CreditWindow, InFlight};
 use crate::executor::{unstamped, Block, Executor, Ingest, LiveConfig, Stream};
 use crate::protocol::{
-    decode_body, for_each_batch_update, write_msg, FrameReader, Msg, WireStats, UPDATE_ENTRY,
+    batch_entries, decode_body, for_each_batch_update, write_msg, FrameReader, Msg, WireStats,
+    UPDATE_ENTRY,
 };
 use crate::recovery::Recovered;
 use crate::spsc;
+use crate::wal::RUN_HEAD;
 
 /// Capacity of each connection's lock-free ingest ring, in blocks, and the
 /// most credit a session holds, in updates. Must be at least
@@ -197,10 +203,10 @@ pub fn serve_recovered(
         .spawn(move || exec.run())?;
     let stop = Arc::new(AtomicBool::new(false));
     let (accept_tx, accept_stop) = (tx.clone(), Arc::clone(&stop));
-    let class_len = cfg.class_len();
+    let intake = Intake::of(cfg);
     let accept = thread::Builder::new()
         .name("stripd-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_tx, &accept_stop, class_len))?;
+        .spawn(move || accept_loop(&listener, &accept_tx, &accept_stop, intake))?;
     Ok(ServerHandle {
         addr,
         tx,
@@ -213,13 +219,13 @@ pub fn serve_recovered(
 /// Blocks in `accept()`, handing each connection to its own thread, until
 /// the stop flag is found raised on return from the call — every stop path
 /// ends in [`ServerHandle::wait`], which raises the flag and then connects
-/// to the listener itself ([`wake_accept`]). Each session checks its
-/// updates against a store of `class_len` objects per class.
+/// to the listener itself ([`wake_accept`]). Each session takes its
+/// updates in as `intake` says.
 fn accept_loop(
     listener: &TcpListener,
     tx: &Sender<Ingest>,
     stop: &Arc<AtomicBool>,
-    class_len: [u32; 2],
+    intake: Intake,
 ) {
     loop {
         let conn = listener.accept();
@@ -235,7 +241,7 @@ fn accept_loop(
         let _ = thread::Builder::new()
             .name("stripd-conn".into())
             .spawn(move || {
-                let _ = handle_conn(stream, &conn_tx, &conn_stop, class_len);
+                let _ = handle_conn(stream, &conn_tx, &conn_stop, intake);
             });
     }
 }
@@ -251,6 +257,27 @@ fn wake_accept(mut addr: SocketAddr) {
         });
     }
     let _ = TcpStream::connect(addr);
+}
+
+/// What a session needs to know of the server it feeds.
+#[derive(Debug, Clone, Copy)]
+struct Intake {
+    /// Objects per class of the store the executor serves: an update
+    /// naming none of them spends window and is not pushed.
+    class_len: [u32; 2],
+    /// The server logs: each block also carries its kept wire entries,
+    /// the body of its WAL record.
+    logs: bool,
+}
+
+impl Intake {
+    /// The intake of a server run under `cfg`.
+    fn of(cfg: &LiveConfig) -> Intake {
+        Intake {
+            class_len: cfg.class_len(),
+            logs: cfg.durability.is_some(),
+        }
+    }
 }
 
 /// Per-connection state of the update path: the session's two rings
@@ -269,21 +296,20 @@ struct BatchState {
     in_flight: InFlight,
     /// Cumulative counters of the credit protocol for this connection.
     window: CreditWindow,
-    /// Objects per class of the store the executor serves: an update
-    /// naming none of them spends window and is not pushed.
-    class_len: [u32; 2],
+    /// How the session takes its updates in.
+    intake: Intake,
 }
 
 impl BatchState {
-    /// A session that has sent no update yet, to a store of `class_len`
-    /// objects per class: no ring, nothing granted.
-    fn new(class_len: [u32; 2]) -> BatchState {
+    /// A session that has sent no update yet, taking its updates in as
+    /// `intake` says: no ring, nothing granted.
+    fn new(intake: Intake) -> BatchState {
         BatchState {
             producer: None,
             spent: None,
             in_flight: InFlight::new(),
             window: CreditWindow::new(),
-            class_len,
+            intake,
         }
     }
 
@@ -293,26 +319,50 @@ impl BatchState {
     /// window are pushed even when a later one overruns it or fails to
     /// decode; then the session ends with that error. An update naming no
     /// object of the store spends its unit and is not pushed: the executor
-    /// takes every entry of a block as valid. Returns the frame's update
-    /// count.
+    /// takes every entry of a block as valid. When the server logs, the
+    /// block's wire buffer gets a zeroed run head and then the kept
+    /// entries as the frame holds them, one copy per run of kept entries:
+    /// one for the frame when every entry is kept. Returns the frame's
+    /// update count.
     fn push_frame(&mut self, body: &[u8], tx: &Sender<Ingest>) -> io::Result<usize> {
         let mut block = self
             .spent
             .as_mut()
             .and_then(spsc::Consumer::pop)
             .unwrap_or_default();
-        block.reserve(body.len() / UPDATE_ENTRY);
+        block.updates.reserve(body.len() / UPDATE_ENTRY);
+        let Intake { class_len, logs } = self.intake;
+        let entries = batch_entries(body);
+        if logs {
+            block.wire.clear();
+            block.wire.reserve(RUN_HEAD + entries.as_flattened().len());
+            block.wire.resize(RUN_HEAD, 0);
+        }
+        let (updates, wire) = (&mut block.updates, &mut block.wire);
+        let window = &mut self.window;
         let mut overrun = false;
-        let (window, class_len) = (&mut self.window, self.class_len);
+        // Entries decoded so far, and the first of the kept ones not yet
+        // copied: the kept entries between two refused ones go to the
+        // wire in one copy, all of them when none is refused.
+        let (mut seen, mut kept_from) = (0, 0);
         let decoded = for_each_batch_update(body, |w| {
+            seen += 1;
             // The first update past the window ends the session; the
             // window stays spent, so none after it is kept either.
             if !window.on_update() {
                 overrun = true;
             } else if let Some(u) = unstamped(&w, class_len) {
-                block.push(u);
+                updates.push(u);
+                return;
             }
+            if logs {
+                wire.extend_from_slice(entries[kept_from..seen - 1].as_flattened());
+            }
+            kept_from = seen;
         });
+        if logs {
+            wire.extend_from_slice(entries[kept_from..seen].as_flattened());
+        }
         self.push(block, tx)?;
         let n = decoded.map_err(io::Error::from)?;
         if overrun {
@@ -331,7 +381,7 @@ impl BatchState {
     /// update, and a block holds at least one — so a full ring is an
     /// error, never a wait. An empty block is not sent.
     fn push(&mut self, block: Block, tx: &Sender<Ingest>) -> io::Result<()> {
-        if block.is_empty() {
+        if block.updates.is_empty() {
             return Ok(());
         }
         let producer = match &mut self.producer {
@@ -350,7 +400,7 @@ impl BatchState {
                 self.producer.insert(producer)
             }
         };
-        let len = block.len() as u64;
+        let len = block.updates.len() as u64;
         producer.push(block).map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -419,14 +469,14 @@ impl BatchState {
     }
 }
 
-/// Serves one connection: either a binary protocol session, to a store of
-/// `class_len` objects per class, or, when the first bytes spell an HTTP
+/// Serves one connection: either a binary protocol session, taking its
+/// updates in as `intake` says, or, when the first bytes spell an HTTP
 /// GET, one `/metrics` scrape.
 fn handle_conn(
     mut stream: impl Read + Write,
     tx: &Sender<Ingest>,
     stop: &Arc<AtomicBool>,
-    class_len: [u32; 2],
+    intake: Intake,
 ) -> io::Result<()> {
     // Sniff the transport: binary frames are at least 5 bytes, so waiting
     // for 4 cannot deadlock a well-formed client. The bytes are read, not
@@ -440,7 +490,7 @@ fn handle_conn(
         return serve_metrics(&mut stream, tx);
     }
     let mut frames = FrameReader::with_prefix(&first);
-    let mut batch = BatchState::new(class_len);
+    let mut batch = BatchState::new(intake);
     loop {
         let Some(body) = frames.next_frame(&mut stream)? else {
             return Ok(()); // clean EOF
@@ -758,7 +808,7 @@ mod tests {
     #[test]
     fn credit_window_grants_exactly_the_slots_the_executor_freed() {
         let (tx, rx) = mpsc::channel();
-        let mut state = BatchState::new(idle_config().class_len());
+        let mut state = BatchState::new(Intake::of(&idle_config()));
         let cap = RING_CAPACITY as u64;
 
         // The first grant is the whole ring, which does not exist yet.
@@ -778,7 +828,7 @@ mod tests {
         // Drain half the ring's updates; exactly that much window opens up.
         let mut popped = 0;
         while popped < cap / 2 {
-            popped += consumer.pop().expect("a queued block").len() as u64;
+            popped += consumer.pop().expect("a queued block").updates.len() as u64;
         }
         assert_eq!(popped, cap / 2);
         assert_eq!(state.grantable(), cap / 2);
@@ -803,17 +853,19 @@ mod tests {
     }
 
     /// A session over a socket pair whose server end runs [`handle_conn`]
-    /// into `tx` on a thread the test can join.
+    /// into `tx`, for a server run under `cfg`, on a thread the test can
+    /// join.
     fn session_into(
         tx: Sender<Ingest>,
         stop: &Arc<AtomicBool>,
+        cfg: &LiveConfig,
     ) -> (UnixStream, JoinHandle<io::Result<()>>) {
         let (client, conn) = UnixStream::pair().expect("socket pair");
         let stop = Arc::clone(stop);
-        let class_len = idle_config().class_len();
+        let intake = Intake::of(cfg);
         (
             client,
-            thread::spawn(move || handle_conn(conn, &tx, &stop, class_len)),
+            thread::spawn(move || handle_conn(conn, &tx, &stop, intake)),
         )
     }
 
@@ -823,7 +875,7 @@ mod tests {
         stop: &Arc<AtomicBool>,
     ) -> (UnixStream, JoinHandle<io::Result<()>>, Receiver<Ingest>) {
         let (tx, rx) = mpsc::channel();
-        let (client, session) = session_into(tx, stop);
+        let (client, session) = session_into(tx, stop, &idle_config());
         (client, session, rx)
     }
 
@@ -906,7 +958,7 @@ mod tests {
     fn an_update_past_the_grant_ends_the_session_and_is_not_ingested() {
         let server = idle_server();
         let stop = Arc::new(AtomicBool::new(false));
-        let (mut client, session) = session_into(server.ingest(), &stop);
+        let (mut client, session) = session_into(server.ingest(), &stop, &idle_config());
         write_msg(&mut client, &Msg::CreditRequest).expect("credit request");
         let grant = match read_msg(&mut client) {
             Ok(Some(Msg::Credit(g))) => g,
@@ -955,7 +1007,7 @@ mod tests {
         const K: usize = 5;
         let server = idle_server();
         let stop = Arc::new(AtomicBool::new(false));
-        let (mut client, session) = session_into(server.ingest(), &stop);
+        let (mut client, session) = session_into(server.ingest(), &stop, &idle_config());
         assert!(ask_credit(&mut client) > 8);
         let updates: Vec<_> = (0..8).map(|i| wire_update(1, i % 4)).collect();
         let mut body = Vec::new();
@@ -979,7 +1031,7 @@ mod tests {
         let cfg = idle_config().with_durability(crate::wal::DurabilityConfig::new(&dir));
         let server = serve(&cfg, TcpListener::bind("127.0.0.1:0").expect("bind")).expect("serve");
         let stop = Arc::new(AtomicBool::new(false));
-        let (mut client, session) = session_into(server.ingest(), &stop);
+        let (mut client, session) = session_into(server.ingest(), &stop, &cfg);
         let grant = ask_credit(&mut client);
         // As in the overrun test, two frames carry grant + 1 updates; every
         // fourth of the first names index 99 of a 4-object class. Were those
@@ -1001,13 +1053,166 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A logging session copies into a block's wire buffer, behind a
+    /// zeroed run head, the frame's bytes of exactly the entries it keeps,
+    /// whether all are kept, some name no object, or the window runs out;
+    /// each decodes to the update sent, its generation micros unrounded. A
+    /// session of a server without a log fills no wire buffer.
+    #[test]
+    fn a_logging_session_copies_exactly_the_kept_wire_entries() {
+        let micros = [i64::MIN, -1, 0, (1 << 53) + 1, i64::MAX];
+        let sent: Vec<WireUpdate> = (0..5u32)
+            .map(|i| WireUpdate {
+                class: (i % 2) as u8,
+                index: i % 4,
+                generation_micros: micros[i as usize],
+                payload: -2.5 * f64::from(i),
+                attr_mask: 0b101 << i,
+            })
+            .collect();
+        let out_of_range = |at: &[usize]| -> Vec<WireUpdate> {
+            let mut frame = sent.clone();
+            for &i in at {
+                frame[i].index = 99;
+            }
+            frame
+        };
+        // (frame, window granted, entries kept)
+        let cases = [
+            (sent.clone(), 8, vec![0, 1, 2, 3, 4]),
+            (out_of_range(&[1, 3]), 8, vec![0, 2, 4]),
+            (out_of_range(&[0]), 8, vec![1, 2, 3, 4]),
+            (sent.clone(), 3, vec![0, 1, 2]),
+        ];
+        for (frame, grant, kept) in cases {
+            let mut body = Vec::new();
+            crate::protocol::encode_batch_body(&mut body, &frame).expect("encode");
+            for logs in [true, false] {
+                let (tx, rx) = mpsc::channel();
+                let mut state = BatchState::new(Intake {
+                    class_len: [4, 4],
+                    logs,
+                });
+                state.window.record_grant(grant);
+                let pushed = state.push_frame(&body, &tx);
+                assert_eq!(pushed.is_ok(), grant >= 5, "an overrun ends the session");
+                let block = expect_stream(&rx).pop().expect("the frame's block");
+                assert_eq!(block.updates.len(), kept.len());
+                if !logs {
+                    assert!(block.wire.is_empty(), "no log, no wire");
+                    continue;
+                }
+                let (head, entries) = block.wire.split_at(RUN_HEAD);
+                assert_eq!(head, [0; RUN_HEAD]);
+                let kept: Vec<WireUpdate> = kept.iter().map(|&i| frame[i]).collect();
+                let mut want = Vec::new();
+                for w in &kept {
+                    crate::protocol::put_update(&mut want, w);
+                }
+                assert_eq!(entries, want, "the kept entries' bytes");
+                let (entries, _) = entries.as_chunks();
+                let read: Vec<WireUpdate> =
+                    entries.iter().map(crate::protocol::read_update).collect();
+                assert_eq!(read, kept);
+            }
+        }
+    }
+
+    /// A frame whose entries partly name no object logs one record of
+    /// exactly its kept entries, and recovery from that log rebuilds
+    /// exactly the store the server had installed.
+    #[test]
+    fn a_frame_with_an_out_of_range_index_logs_exactly_its_kept_entries() {
+        use crate::wal::{batch_len, scan_segment, DurabilityConfig, FsyncPolicy};
+        use crate::wal::{HDR_LEN, REC_LEN, REC_UPDATE, SEGMENT_FILE};
+        use strip_db::object::{Importance, ViewObjectId};
+
+        let dir = std::env::temp_dir().join(format!("strip-server-capture-{}", std::process::id()));
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.fsync = FsyncPolicy::Off;
+        durability.snapshot_secs = f64::INFINITY;
+        let cfg = idle_config().with_durability(durability);
+        let server = serve(&cfg, TcpListener::bind("127.0.0.1:0").expect("bind")).expect("serve");
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut client, _session) = session_into(server.ingest(), &stop, &cfg);
+        ask_credit(&mut client);
+        let frame: Vec<WireUpdate> = (0..8u32)
+            .map(|i| WireUpdate {
+                class: (i % 2) as u8,
+                index: if i == 2 || i == 5 { 99 } else { i / 2 },
+                generation_micros: 1_000 * i64::from(i + 1),
+                payload: f64::from(i) + 0.5,
+                attr_mask: u64::MAX,
+            })
+            .collect();
+        let kept: Vec<WireUpdate> = frame.iter().copied().filter(|w| w.index < 4).collect();
+        write_msg(&mut client, &Msg::UpdateBatch(frame)).expect("send batch");
+        assert_eq!(ingested_reaching(server.addr(), 6), 6);
+
+        // The installed state, object by object, once every kept update
+        // is installed.
+        let query = |class: u8, index: u32| {
+            let (reply, answer) = mpsc::sync_channel(1);
+            let q = crate::protocol::WireQuery { class, index };
+            server
+                .ingest()
+                .send(Ingest::Query { q, reply })
+                .expect("the executor runs");
+            let a = answer.recv().expect("an answer");
+            (a.payload, a.generation_micros)
+        };
+        let objects: Vec<(u8, u32)> = (0..2).flat_map(|c| (0..4).map(move |i| (c, i))).collect();
+        assert!(within(STEP, || kept.iter().all(|w| query(
+            w.class, w.index
+        ) == (
+            w.payload,
+            w.generation_micros
+        ))));
+        let installed: Vec<_> = objects.iter().map(|&(c, i)| query(c, i)).collect();
+        drop(client);
+        let report = server.shutdown().expect("shutdown");
+        assert_eq!(report.durability.wal_appended, 6);
+
+        let bytes = std::fs::read(dir.join(SEGMENT_FILE)).expect("the segment");
+        assert_eq!(
+            bytes.len(),
+            HDR_LEN + batch_len(6) + REC_LEN,
+            "one batch, a seal"
+        );
+        let scan = scan_segment(&bytes, strip_core::config_fingerprint(&cfg.sim)).expect("scan");
+        assert!(scan.sealed);
+        let logged: Vec<_> = scan
+            .records
+            .iter()
+            .filter(|r| r.kind == REC_UPDATE)
+            .collect();
+        assert_eq!(logged.len(), 6);
+        for (seq, (r, w)) in logged.iter().zip(&kept).enumerate() {
+            assert_eq!((r.seq, r.update), (seq as u64, *w));
+            assert_eq!(
+                r.arrival_micros, logged[0].arrival_micros,
+                "one block, one arrival"
+            );
+        }
+
+        let recovered = crate::recovery::recover(&cfg).expect("recover");
+        assert_eq!((recovered.replayed, recovered.next_seq), (6, 6));
+        for (&(c, i), &(payload, micros)) in objects.iter().zip(&installed) {
+            let class = Importance::from_index(c as usize).expect("a class");
+            let v = recovered.store.view(ViewObjectId::new(class, i));
+            assert_eq!(v.payload.to_bits(), payload.to_bits(), "{c}/{i}");
+            assert_eq!(LiveClock::sim_to_micros(v.generation_ts), micros, "{c}/{i}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A session that never asked for credit has none: its first update
     /// closes it, and nothing reaches the executor.
     #[test]
     fn an_update_before_any_credit_request_ends_the_session() {
         let server = idle_server();
         let stop = Arc::new(AtomicBool::new(false));
-        let (mut client, session) = session_into(server.ingest(), &stop);
+        let (mut client, session) = session_into(server.ingest(), &stop, &idle_config());
         write_msg(&mut client, &Msg::UpdateBatch(vec![wire_update(0, 1)])).expect("send batch");
         assert_eq!(refusal(session).kind(), io::ErrorKind::InvalidData);
         assert!(
@@ -1050,7 +1255,9 @@ mod tests {
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 other => panic!("control overtook the un-popped ring: {other:?}"),
             }
-            let waiting: usize = std::iter::from_fn(|| ring.pop()).map(|b| b.len()).sum();
+            let waiting: usize = std::iter::from_fn(|| ring.pop())
+                .map(|b| b.updates.len())
+                .sum();
             assert_eq!(waiting, sent as usize, "every update waits in the ring");
             match rx.recv_timeout(STEP) {
                 Ok(Ingest::Txn(got)) => assert_eq!(got, txn),

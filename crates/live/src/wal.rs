@@ -1,23 +1,28 @@
 //! Append-only write-ahead log with group commit.
 //!
 //! Durability for the live runtime (DESIGN.md §10): every update the
-//! executor accepts is copied, unencoded, into a chunk that is handed to a
-//! dedicated **flusher thread** over the same lock-free SPSC ring the
-//! ingest path uses ([`crate::spsc`]), so the quantum loop never blocks on
-//! a syscall, let alone an `fsync`. The flusher encodes what has
-//! accumulated since its last pass — at most [`WRITE_CHUNKS`] chunks —
-//! into CRC-protected records in one reused buffer, one record per run of
-//! updates that arrived together, writes them with one `write`, then
-//! syncs on a configurable cadence
+//! executor accepts reaches a dedicated **flusher thread** as its wire
+//! entry, inside a *run message* — runs of updates, each a head
+//! (`first_seq u64 | count u32 | arrival µs i64`) and its entries — over
+//! the same lock-free SPSC ring the ingest path uses ([`crate::spsc`]), so
+//! the quantum loop never blocks on a syscall, let alone an `fsync`. A
+//! popped block's wire entries already are such a message: its session
+//! copied them out of the frame behind a zeroed head, and
+//! [`WalHandle::append_run`] writes the head in place and moves the buffer
+//! to the flusher, O(1) per block. The flusher frames what has accumulated
+//! since its last pass — at most [`WRITE_BYTES`] and one more message —
+//! into CRC-protected records in one reused buffer, one record per run,
+//! writes them with one `write`, then syncs on a configurable cadence
 //! ([`FsyncPolicy`]): after every batch (`always`), at most once per group
 //! window (`group:<µs>`), or never (`off` — `kill -9` still loses nothing,
 //! because completed `write`s survive process death in the page cache;
 //! only power/kernel loss is at stake).
 //!
-//! Chunks go home: the flusher hands each encoded chunk back, emptied
-//! with its capacity kept, over a second ring, and the executor refills it.
-//! In steady state neither thread allocates, and no chunk is freed on a
-//! thread other than the one that allocated it.
+//! Buffers go home: the flusher hands each framed message back, emptied
+//! with its capacity kept, over a second ring; the executor attaches one
+//! to each block it sends back to a session, which copies its next
+//! frame's entries into it. In steady state no thread allocates for the
+//! log.
 //!
 //! This module is the record format, the executor-side handle and the
 //! flusher's policy — drain, batch boundary, fsync cadence. Which files
@@ -41,7 +46,7 @@
 //! All integers are little-endian. A batch holds the updates `first_seq ..
 //! first_seq + count`, all arrived at one instant, each entry byte for byte
 //! an update-batch wire entry ([`crate::protocol::UPDATE_ENTRY`]); the
-//! flusher writes one per run of two or more such updates inside a chunk
+//! flusher writes one per run of two or more updates of a run message
 //! and a 50-byte update record for a run of one. Version 2 added batches;
 //! a version-1 segment (update and seal records only) still reads. The
 //! fingerprint is
@@ -95,6 +100,13 @@ pub const REC_BATCH: u8 = 3;
 const BATCH_HEAD: usize = 1 + 8 + 2 + 8;
 /// The most updates one batch holds (its count is a `u16`).
 const MAX_RUN: usize = u16::MAX as usize;
+/// Bytes of a run's head in a run message: first seq u64, count u32,
+/// arrival µs i64. A session reserves it, zeroed, at the front of a
+/// block's wire entries; [`WalHandle::append_run`] fills it in.
+pub const RUN_HEAD: usize = 8 + 4 + 8;
+
+// A block is one frame, so it is always exactly one record.
+const _: () = assert!(crate::protocol::MAX_BATCH_UPDATES <= MAX_RUN);
 
 /// Encoded length of a batch of `count` updates.
 #[must_use]
@@ -104,21 +116,30 @@ pub(crate) const fn batch_len(count: usize) -> usize {
 
 /// Ring capacity between the executor and the flusher, in messages. The
 /// executor spins (off the hot path, at ingest rates far above any
-/// measured) only if the flusher falls this far behind.
+/// measured) only if the flusher falls this far behind, or
+/// [`MAX_BACKLOG`] updates.
 const WAL_RING_CAPACITY: usize = 1 << 16;
 
-/// The most chunks one flusher pass encodes into one `write`: 64 × 256
-/// updates × at most 50 bytes (a run of one; a batch takes 29 bytes an
-/// update and 23 a run) = 800 KiB, the size of the buffer the flusher
-/// keeps. A full ring drained in one pass would grow that buffer to the
-/// ring's worth of records, about 840 MB.
-pub const WRITE_CHUNKS: usize = 64;
+/// The most updates handed to the flusher and not yet written: 65 536
+/// messages of 256 updates, what the ring bounded when every message held
+/// 256. The executor waits, as on a full ring, before a message that
+/// would pass it, so a stalled disk queues at most about 490 MB of
+/// entries, however large the frames.
+const MAX_BACKLOG: u64 = WAL_RING_CAPACITY as u64 * 256;
 
-/// Capacity of the ring that takes spent chunks back, in chunks: two
-/// passes' worth. The flusher drops a chunk that finds it full, so after
-/// a backlog the pool keeps at most this many chunks (1.5 MB), not the
-/// backlog's peak.
-const SPENT_CHUNKS: usize = 2 * WRITE_CHUNKS;
+/// The bytes one flusher pass frames into one `write`: it stops draining
+/// once its buffer holds this many, so a pass holds at most 800 KiB and
+/// one message (a frame: 1 MiB). A full ring drained in one pass would
+/// grow that buffer to the ring's worth of records.
+pub const WRITE_BYTES: usize = 800 << 10;
+
+/// Bytes of runs [`WalHandle::append`] gathers before it hands them over.
+const APPEND_BYTES: usize = 16 << 10;
+
+/// Capacity of the ring that takes framed messages back, in buffers. The
+/// flusher drops a buffer that finds it full, so after a backlog the pool
+/// keeps at most this many, not the backlog's peak.
+const SPENT_BUFFERS: usize = 128;
 
 // ---- little-endian encode helpers -------------------------------------------
 
@@ -378,38 +399,49 @@ impl WalRecord {
 /// flusher writes such a run: a [`REC_BATCH`] per 65 535 updates, and a
 /// [`REC_UPDATE`] for a run of one.
 pub fn encode_run(out: &mut Vec<u8>, first_seq: u64, arrival_micros: i64, updates: &[WireUpdate]) {
-    for (i, run) in updates.chunks(MAX_RUN).enumerate() {
-        let seq = first_seq.wrapping_add((i * MAX_RUN) as u64);
-        put_run(out, seq, arrival_micros, run.iter());
+    let mut entries = Vec::with_capacity(updates.len() * UPDATE_ENTRY);
+    for u in updates {
+        put_update(&mut entries, u);
+    }
+    put_run(out, first_seq, arrival_micros, &entries);
+}
+
+/// Appends the records of one run of wire `entries` to `out`: a batch per
+/// [`MAX_RUN`] entries, its checksum computed once over the whole record,
+/// and a [`REC_UPDATE`] for a run of one.
+fn put_run(out: &mut Vec<u8>, first_seq: u64, arrival_micros: i64, entries: &[u8]) {
+    let (entries, _) = entries.as_chunks::<UPDATE_ENTRY>();
+    let mut seq = first_seq;
+    for run in entries.chunks(MAX_RUN) {
+        let at = out.len();
+        if let [entry] = run {
+            out.resize(at + REC_LEN, 0);
+            if let Some(slot) = out[at..].as_chunks_mut().0.first_mut() {
+                WalRecord::update(seq, read_update(entry), arrival_micros).encode_into(slot);
+            }
+        } else {
+            out.push(REC_BATCH);
+            out.extend_from_slice(&seq.to_le_bytes());
+            out.extend_from_slice(&(run.len() as u16).to_le_bytes());
+            out.extend_from_slice(&arrival_micros.to_le_bytes());
+            out.extend_from_slice(run.as_flattened());
+            let crc = crc32(&out[at..]);
+            out.extend_from_slice(&crc.to_le_bytes());
+        }
+        seq = seq.wrapping_add(run.len() as u64);
     }
 }
 
-/// Appends one run of at most [`MAX_RUN`] updates to `out`, the checksum
-/// computed once over the whole record.
-fn put_run<'a>(
-    out: &mut Vec<u8>,
-    first_seq: u64,
-    arrival_micros: i64,
-    mut updates: impl ExactSizeIterator<Item = &'a WireUpdate>,
-) {
-    debug_assert!(updates.len() <= MAX_RUN);
-    let at = out.len();
-    if updates.len() == 1 {
-        out.resize(at + REC_LEN, 0);
-        if let (Some(u), Some(slot)) = (updates.next(), out[at..].as_chunks_mut().0.first_mut()) {
-            WalRecord::update(first_seq, *u, arrival_micros).encode_into(slot);
-        }
-        return;
-    }
-    out.push(REC_BATCH);
-    out.extend_from_slice(&first_seq.to_le_bytes());
-    out.extend_from_slice(&(updates.len() as u16).to_le_bytes());
-    out.extend_from_slice(&arrival_micros.to_le_bytes());
-    for u in updates {
-        put_update(out, u);
-    }
-    let crc = crc32(&out[at..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+/// Writes a run head into the first [`RUN_HEAD`] bytes of `head`.
+fn put_run_head(head: &mut [u8], first_seq: u64, count: u32, arrival_micros: i64) {
+    put_u64(head, 0, first_seq);
+    put_u32(head, 8, count);
+    put_u64(head, 12, arrival_micros as u64);
+}
+
+/// The `(first_seq, count, arrival µs)` of the run head `head` begins with.
+fn run_head(head: &[u8]) -> (u64, u32, i64) {
+    (get_u64(head, 0), get_u32(head, 8), get_u64(head, 12) as i64)
 }
 
 /// The length of the record `bytes` begins with, as its kind (and a
@@ -637,46 +669,49 @@ impl WalStats {
     }
 }
 
-/// One accepted update awaiting encode — buffered raw on the executor
-/// side so the hot path pays a plain struct copy; the flusher thread does
-/// the encode + CRC work along with the `write`.
-#[derive(Debug, Clone, Copy)]
-struct RawRecord {
-    seq: u64,
-    update: WireUpdate,
-    arrival_micros: i64,
-}
-
-/// A batch of raw records, in sequence order: what the executor hands the
-/// flusher, and the flusher hands back emptied.
-type Chunk = Vec<RawRecord>;
-
 enum WalMsg {
-    /// A chunk of records.
-    Chunk(Chunk),
+    /// A run message: runs of updates, each a [`RUN_HEAD`] and its wire
+    /// entries, in sequence order.
+    Runs(Vec<u8>),
     Snapshot {
         bytes: Vec<u8>,
         next_seq: u64,
     },
 }
 
-/// Records buffered executor-side before one ring handoff. Amortises the
-/// SPSC push (and its cache-line traffic) across many appends; the
-/// executor flushes partial chunks every quantum and before any barrier,
-/// so the handoff delay is bounded by the quantum, far inside every group
-/// cadence.
-const CHUNK_RECORDS: usize = 256;
+/// The runs of a run message, each as `(first_seq, arrival µs, entries)`.
+fn runs_of(mut msg: &[u8]) -> impl Iterator<Item = (u64, i64, &[u8])> {
+    std::iter::from_fn(move || {
+        let (head, rest) = msg.split_at_checked(RUN_HEAD)?;
+        let (first_seq, count, arrival_micros) = run_head(head);
+        let (entries, rest) = rest.split_at_checked(count as usize * UPDATE_ENTRY)?;
+        msg = rest;
+        Some((first_seq, arrival_micros, entries))
+    })
+}
+
+/// The executor's ends of the flusher's rings: run messages go out on the
+/// first, emptied buffers come back on the second.
+type Ends = (spsc::Producer<WalMsg>, spsc::Consumer<Vec<u8>>);
 
 // ---- executor-side handle ---------------------------------------------------
 
-/// Executor-side handle to the flusher thread: appends records, requests
-/// snapshots, waits on the write barrier, and seals on shutdown.
+/// Executor-side handle to the flusher thread: hands it runs of updates,
+/// requests snapshots, waits on the write barrier, and seals on shutdown.
 #[derive(Debug)]
 pub struct WalHandle {
     tx: spsc::Producer<WalMsg>,
-    /// Chunks the flusher has encoded, emptied, capacity kept.
-    spent: spsc::Consumer<Chunk>,
-    pending: Chunk,
+    /// Run messages the flusher has framed, emptied, capacity kept.
+    spent: spsc::Consumer<Vec<u8>>,
+    /// The runs [`WalHandle::append`] has gathered and not handed over.
+    pending: Vec<u8>,
+    /// Where the last run of `pending` starts, while `append` may extend
+    /// it.
+    open: Option<usize>,
+    /// One past the last sequence number handed to the flusher.
+    queued_to: u64,
+    /// The most updates queued before a hand-over waits: [`MAX_BACKLOG`].
+    max_backlog: u64,
     stats: Arc<WalStats>,
     flusher: JoinHandle<io::Result<()>>,
 }
@@ -693,7 +728,7 @@ impl WalHandle {
     /// Directory creation, segment open/write/sync, or thread spawn
     /// failures.
     pub fn start(cfg: &DurabilityConfig, fingerprint: u64, base_seq: u64) -> io::Result<WalHandle> {
-        let (tx, spent, flusher) = Flusher::open(cfg, fingerprint, base_seq, LiveClock::start())?;
+        let (ends, flusher) = Flusher::open(cfg, fingerprint, base_seq, LiveClock::start())?;
         let stats = Arc::clone(&flusher.stats);
         let flusher_stats = Arc::clone(&stats);
         let flusher = std::thread::Builder::new()
@@ -705,48 +740,104 @@ impl WalHandle {
                 }
                 res
             })?;
-        Ok(WalHandle {
-            tx,
-            spent,
-            pending: Vec::with_capacity(CHUNK_RECORDS),
-            stats,
-            flusher,
-        })
+        Ok(WalHandle::new(ends, stats, flusher))
     }
 
-    /// Appends one accepted update: a plain struct copy into the pending
-    /// chunk — no encode, no CRC, no shared counter. Full chunks are
-    /// handed to the flusher; call [`WalHandle::flush`] at quantum
-    /// boundaries to bound the handoff delay of partial ones.
+    fn new((tx, spent): Ends, stats: Arc<WalStats>, flusher: JoinHandle<io::Result<()>>) -> Self {
+        WalHandle {
+            tx,
+            spent,
+            pending: Vec::new(),
+            open: None,
+            queued_to: 0,
+            max_backlog: MAX_BACKLOG,
+            stats,
+            flusher,
+        }
+    }
+
+    /// Appends one accepted update to the pending runs, extending the last
+    /// one when `seq` and the arrival continue it — no CRC, no shared
+    /// counter. The runs are handed to the flusher once they fill
+    /// [`APPEND_BYTES`]; call [`WalHandle::flush`] at quantum boundaries
+    /// to bound the handoff delay of the rest.
     pub fn append(&mut self, seq: u64, update: WireUpdate, arrival_micros: i64) {
-        self.pending.push(RawRecord {
-            seq,
-            update,
-            arrival_micros,
+        let open = self.open.filter(|&at| {
+            let (first_seq, count, arrival) = run_head(&self.pending[at..]);
+            first_seq.wrapping_add(u64::from(count)) == seq
+                && arrival == arrival_micros
+                && (count as usize) < MAX_RUN
         });
-        if self.pending.len() >= CHUNK_RECORDS {
+        if let Some(at) = open {
+            let count = get_u32(&self.pending, at + 8);
+            put_u32(&mut self.pending, at + 8, count + 1);
+        } else {
+            let mut head = [0; RUN_HEAD];
+            put_run_head(&mut head, seq, 1, arrival_micros);
+            self.open = Some(self.pending.len());
+            self.pending.extend_from_slice(&head);
+        }
+        put_update(&mut self.pending, &update);
+        if self.pending.len() >= APPEND_BYTES {
             self.flush();
         }
     }
 
-    /// Hands the buffered partial chunk to the flusher and counts its
-    /// records as appended; the next chunk is a spent one the flusher gave
-    /// back, when one is waiting. Never blocks on I/O; spins only if the
-    /// flusher is a full ring behind (and gives up if it has died, so a
-    /// disk failure degrades the run instead of wedging the executor).
+    /// Logs one block: `wire` is a zeroed [`RUN_HEAD`] and then the wire
+    /// entries of the updates `first_seq..`, all arrived at
+    /// `arrival_micros`. Writes the head in place and moves the buffer to
+    /// the flusher, after the runs [`WalHandle::append`] has gathered: the
+    /// same work for a block of any length.
+    pub fn append_run(&mut self, first_seq: u64, arrival_micros: i64, mut wire: Vec<u8>) {
+        let count = wire.len().saturating_sub(RUN_HEAD) / UPDATE_ENTRY;
+        debug_assert_eq!(wire.len(), RUN_HEAD + count * UPDATE_ENTRY);
+        if count == 0 {
+            return;
+        }
+        put_run_head(&mut wire, first_seq, count as u32, arrival_micros);
+        self.flush();
+        self.send(wire);
+    }
+
+    /// A buffer the flusher sent home, emptied, or a new empty one when
+    /// none is waiting: what the executor attaches to each block it sends
+    /// back to a session.
+    pub fn spare(&mut self) -> Vec<u8> {
+        self.spent.pop().unwrap_or_default()
+    }
+
+    /// Hands the pending runs to the flusher; the next ones go into a
+    /// buffer the flusher sent home, when one is waiting. Never blocks on
+    /// I/O.
     pub fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let next = self
-            .spent
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(CHUNK_RECORDS));
-        let chunk = std::mem::replace(&mut self.pending, next);
-        self.stats
-            .appended
-            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-        self.push_msg(WalMsg::Chunk(chunk));
+        let next = self.spare();
+        let runs = std::mem::replace(&mut self.pending, next);
+        self.open = None;
+        self.send(runs);
+    }
+
+    /// Hands one run message to the flusher and counts its updates as
+    /// appended. Spins only if the flusher is a full ring or
+    /// [`MAX_BACKLOG`] updates behind (and gives up if it has died, so a
+    /// disk failure degrades the run instead of wedging the executor).
+    fn send(&mut self, runs: Vec<u8>) {
+        let (updates, end) = runs_of(&runs).fold((0, self.queued_to), |(n, _), (seq, _, e)| {
+            let count = (e.len() / UPDATE_ENTRY) as u64;
+            (n + count, seq.wrapping_add(count))
+        });
+        loop {
+            let queued = self.queued_to.saturating_sub(self.stats.written_seq());
+            if queued == 0 || queued + updates <= self.max_backlog || self.stats.is_failed() {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        self.queued_to = end;
+        self.stats.appended.fetch_add(updates, Ordering::Relaxed);
+        self.push_msg(WalMsg::Runs(runs));
     }
 
     fn push_msg(&mut self, mut msg: WalMsg) {
@@ -766,14 +857,14 @@ impl WalHandle {
 
     /// Hands an encoded store snapshot to the flusher; once persisted
     /// (atomic write-rename) the flusher truncates the segment to a fresh
-    /// header at `next_seq`. Flushes the pending chunk first — records
+    /// header at `next_seq`. Flushes the pending runs first — records
     /// below `next_seq` must reach the old segment before it is cut.
     pub fn request_snapshot(&mut self, bytes: Vec<u8>, next_seq: u64) {
         self.flush();
         self.push_msg(WalMsg::Snapshot { bytes, next_seq });
     }
 
-    /// The ack barrier, blocking: flushes the pending chunk, then waits
+    /// The ack barrier, blocking: flushes the pending runs, then waits
     /// until every record below `next_seq` has been `write`-handed to the
     /// OS (NOT necessarily fsynced — see [`WalStats::written`]), or the
     /// flusher has failed. For a caller with nothing else to do; the
@@ -830,15 +921,15 @@ enum Pass {
 struct Flusher<C: Clock> {
     seg: Segment,
     rx: spsc::Consumer<WalMsg>,
-    /// Where encoded chunks go back to the executor.
-    spent: spsc::Producer<Chunk>,
+    /// Where framed run messages go back to the executor.
+    spent: spsc::Producer<Vec<u8>>,
     policy: FsyncPolicy,
     stats: Arc<WalStats>,
     clock: C,
     /// Encoded records of the batch being written; holds one write's
-    /// worth, [`WRITE_CHUNKS`] chunks, from the open on.
+    /// worth, [`WRITE_BYTES`] and a frame, from the open on.
     buf: Vec<u8>,
-    /// Records written since the last fsync.
+    /// Updates written since the last fsync.
     unsynced: u64,
     /// When the last fsync (or rotation, or cut) finished.
     last_sync: SimTime,
@@ -846,31 +937,30 @@ struct Flusher<C: Clock> {
 
 impl<C: Clock> Flusher<C> {
     /// Starts the directory's active segment at `base_seq`; returns the
-    /// producer end of the ring the flusher drains, the consumer end of the
-    /// ring it hands spent chunks back on, and the flusher.
+    /// executor's ends of the flusher's rings and the flusher.
     fn open(
         cfg: &DurabilityConfig,
         fingerprint: u64,
         base_seq: u64,
         clock: C,
-    ) -> io::Result<(spsc::Producer<WalMsg>, spsc::Consumer<Chunk>, Flusher<C>)> {
+    ) -> io::Result<(Ends, Flusher<C>)> {
         let seg = Segment::start(cfg, fingerprint, base_seq)?;
         let stats = Arc::new(WalStats::new(base_seq));
         let (tx, rx) = spsc::ring(WAL_RING_CAPACITY);
-        let (spent, spent_rx) = spsc::ring(SPENT_CHUNKS);
+        let (spent, spent_rx) = spsc::ring(SPENT_BUFFERS);
         let flusher = Flusher {
             seg,
             rx,
             spent,
             policy: cfg.fsync,
             stats,
-            buf: Vec::with_capacity(WRITE_CHUNKS * CHUNK_RECORDS * REC_LEN),
+            buf: Vec::with_capacity(WRITE_BYTES + crate::protocol::MAX_FRAME),
             unsynced: 0,
             last_sync: clock.now(),
             clock,
         };
         flusher.stats.add_bytes(HDR_LEN as u64);
-        Ok((tx, spent_rx, flusher))
+        Ok(((tx, spent_rx), flusher))
     }
 
     /// The thread body: steps until the log is sealed, napping while idle.
@@ -890,27 +980,31 @@ impl<C: Clock> Flusher<C> {
         }
     }
 
-    /// One pass: drains what has accumulated, up to [`WRITE_CHUNKS`]
-    /// chunks, into one write, cuts the log at a snapshot, fsyncs when the
+    /// One pass: drains what has accumulated, until [`WRITE_BYTES`] are
+    /// framed, into one write, cuts the log at a snapshot, fsyncs when the
     /// policy says one is due, and seals the log once the ring is closed
     /// and drained.
     fn step(&mut self) -> io::Result<Pass> {
         // A snapshot message is a batch boundary: records before it must
         // land in the old segment, records after it in the truncated one.
         self.buf.clear();
-        let mut last_seq = None;
+        // One past the last sequence number framed.
+        let mut framed_to = None;
         let mut drained = 0;
         let mut pending_snapshot = None;
-        for _ in 0..WRITE_CHUNKS {
+        while self.buf.len() < WRITE_BYTES {
             let Some(msg) = self.rx.pop() else { break };
             match msg {
-                WalMsg::Chunk(mut records) => {
-                    last_seq = records.last().map(|r| r.seq).or(last_seq);
-                    drained += records.len() as u64;
-                    self.encode(&records);
-                    records.clear();
-                    // A full return ring drops the chunk here instead.
-                    let _ = self.spent.push(records);
+                WalMsg::Runs(mut runs) => {
+                    for (first_seq, arrival_micros, entries) in runs_of(&runs) {
+                        let count = (entries.len() / UPDATE_ENTRY) as u64;
+                        put_run(&mut self.buf, first_seq, arrival_micros, entries);
+                        drained += count;
+                        framed_to = Some(first_seq.wrapping_add(count));
+                    }
+                    runs.clear();
+                    // A full return ring drops the buffer here instead.
+                    let _ = self.spent.push(runs);
                 }
                 WalMsg::Snapshot { bytes, next_seq } => {
                     pending_snapshot = Some((bytes, next_seq));
@@ -918,17 +1012,17 @@ impl<C: Clock> Flusher<C> {
                 }
             }
         }
-        if let Some(seq) = last_seq {
+        if let Some(end) = framed_to {
             self.stats.add_bytes(self.seg.append(&self.buf)?);
             self.unsynced += drained;
             // The barrier releases only after write_all returned: the
             // records are the kernel's problem now and survive kill -9.
-            self.stats.written.store(seq + 1, Ordering::Release);
+            self.stats.written.store(end, Ordering::Release);
             if self.seg.is_full() {
                 // Size bound reached: seal this segment into the chain
                 // and continue in a fresh one. Unsynced records were just
                 // fsynced by the rotation's seal.
-                self.stats.add_bytes(self.seg.rotate(seq + 1)?);
+                self.stats.add_bytes(self.seg.rotate(end)?);
                 self.stats.rotations.fetch_add(1, Ordering::Relaxed);
                 self.synced();
             }
@@ -960,25 +1054,11 @@ impl<C: Clock> Flusher<C> {
             self.synced();
             return Ok(Pass::Sealed);
         }
-        Ok(if last_seq.is_some() {
+        Ok(if framed_to.is_some() {
             Pass::Wrote
         } else {
             Pass::Idle
         })
-    }
-
-    /// Appends the records of one chunk to `buf`: one per run of updates
-    /// with consecutive sequence numbers and one arrival instant.
-    fn encode(&mut self, records: &[RawRecord]) {
-        let runs = records.chunk_by(|a, b| {
-            b.seq == a.seq.wrapping_add(1) && b.arrival_micros == a.arrival_micros
-        });
-        for run in runs.flat_map(|run| run.chunks(MAX_RUN)) {
-            if let Some(first) = run.first() {
-                let updates = run.iter().map(|r| &r.update);
-                put_run(&mut self.buf, first.seq, first.arrival_micros, updates);
-            }
-        }
     }
 
     /// Counts the fsync that just covered every unsynced record.
@@ -1383,16 +1463,13 @@ pub(crate) mod tests {
     /// same flusher once [`Stepper::hand_over`] gives it over; a seal
     /// joins that thread.
     pub(crate) fn stepped_log(cfg: &DurabilityConfig) -> (WalHandle, Stepper) {
-        let (tx, spent, flusher) =
-            Flusher::open(cfg, 99, 0, TestClock::new(0.0)).expect("open the log");
+        let (ends, flusher) = Flusher::open(cfg, 99, 0, TestClock::new(0.0)).expect("open the log");
         let (hand, handed) = mpsc::channel();
-        let wal = WalHandle {
-            tx,
-            spent,
-            pending: Vec::with_capacity(CHUNK_RECORDS),
-            stats: Arc::clone(&flusher.stats),
-            flusher: std::thread::spawn(move || handed.recv().map_or(Ok(()), Flusher::run)),
-        };
+        let wal = WalHandle::new(
+            ends,
+            Arc::clone(&flusher.stats),
+            std::thread::spawn(move || handed.recv().map_or(Ok(()), Flusher::run)),
+        );
         (wal, Stepper { flusher, hand })
     }
 
@@ -1403,13 +1480,21 @@ pub(crate) mod tests {
         dir
     }
 
-    /// Appends the updates `from..from + n`, arrived at one instant, and
-    /// hands them to the flusher.
-    fn append_n(wal: &mut WalHandle, from: u64, n: u64) {
-        for rec in runs(from, n, n) {
-            wal.append(rec.seq, rec.update, rec.arrival_micros);
+    /// A block's wire buffer as a logging session fills it: a zeroed
+    /// run head, then the entries of `records`.
+    pub(crate) fn wire(records: &[WalRecord]) -> Vec<u8> {
+        let mut wire = vec![0; RUN_HEAD];
+        for r in records {
+            put_update(&mut wire, &r.update);
         }
-        wal.flush();
+        wire
+    }
+
+    /// Hands the flusher the updates `from..from + n`, arrived at one
+    /// instant, as one block.
+    fn append_n(wal: &mut WalHandle, from: u64, n: u64) {
+        let records = runs(from, n, n);
+        wal.append_run(from, records[0].arrival_micros, wire(&records));
     }
 
     /// `(wal_fsyncs, wal_group_max)`.
@@ -1426,14 +1511,16 @@ pub(crate) mod tests {
         stats
     }
 
-    /// A run ends where the sequence numbers jump, even at one arrival.
+    /// `append` extends a run while the sequence number and the arrival
+    /// continue it: a run ends where the sequence numbers jump, even at
+    /// one arrival, and where the arrival changes.
     #[test]
-    fn the_flusher_cuts_a_run_at_a_sequence_gap() {
+    fn append_ends_a_run_at_a_sequence_gap_and_a_new_arrival() {
         let dir = scratch("wal-seq-gap");
         let (mut wal, mut flusher) = stepped_log(&DurabilityConfig::new(&dir));
         let stats = wal.stats();
-        let records: Vec<WalRecord> = [0, 1, 5, 6]
-            .map(|seq| WalRecord::update(seq, sample_update(seq).update, 7))
+        let records: Vec<WalRecord> = [(0, 7), (1, 7), (5, 7), (6, 7), (7, 8)]
+            .map(|(seq, arrival)| WalRecord::update(seq, sample_update(seq).update, arrival))
             .to_vec();
         for rec in &records {
             wal.append(rec.seq, rec.update, rec.arrival_micros);
@@ -1442,12 +1529,12 @@ pub(crate) mod tests {
         assert!(flusher.step());
         assert_eq!(
             stats.durability().wal_bytes,
-            (HDR_LEN + 2 * batch_len(2)) as u64
+            (HDR_LEN + 2 * batch_len(2) + REC_LEN) as u64
         );
         seal_stepped(wal, flusher);
         let bytes = std::fs::read(dir.join(SEGMENT_FILE)).expect("segment readable");
         let scan = scan_segment(&bytes, 99).expect("segment scans");
-        assert_eq!(scan.records[..4], records[..]);
+        assert_eq!(scan.records[..5], records[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1488,7 +1575,7 @@ pub(crate) mod tests {
         append_n(&mut wal, 0, 2);
         assert!(flusher.step());
         assert_eq!(syncs(&stats), (1, 2));
-        // Two chunks handed over before a pass are one batch.
+        // Two blocks handed over before a pass are one write.
         append_n(&mut wal, 2, 2);
         append_n(&mut wal, 4, 3);
         assert!(flusher.step());
@@ -1532,60 +1619,121 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// One pass writes at most [`WRITE_CHUNKS`] chunks however many are
-    /// queued, and hands each encoded chunk back for the next flush.
+    /// One pass stops draining once it has framed [`WRITE_BYTES`],
+    /// however much is queued, so it writes at most that and one message;
+    /// it hands every buffer it framed back, and a flush takes one.
     #[test]
-    fn one_pass_writes_at_most_write_chunks_and_hands_them_back() {
+    fn one_pass_writes_at_most_write_bytes_and_hands_the_buffers_back() {
         let dir = scratch("wal-bounded-write");
         let mut cfg = DurabilityConfig::new(&dir);
         cfg.fsync = FsyncPolicy::Off;
         let (mut wal, mut flusher) = stepped_log(&cfg);
         let stats = wal.stats();
-        let one_write = (WRITE_CHUNKS * CHUNK_RECORDS) as u64;
-        let queued = one_write + 3 * CHUNK_RECORDS as u64 + 5;
-        // One run: the flusher cuts it at every chunk's end.
-        append_n(&mut wal, 0, queued);
-        assert_eq!(stats.durability().wal_appended, queued, "counted per chunk");
+        // Blocks of 512: the pass that frames the one crossing the bound
+        // stops there.
+        let block = 512;
+        let one_write = WRITE_BYTES.div_ceil(batch_len(block));
+        let blocks = one_write + 3;
+        for i in 0..blocks {
+            append_n(&mut wal, (i * block) as u64, block as u64);
+        }
+        let queued = (blocks * block) as u64;
+        assert_eq!(stats.durability().wal_appended, queued, "counted per block");
         let bytes = || stats.durability().wal_bytes;
         let before = bytes();
         assert!(flusher.step());
+        let written = (one_write * batch_len(block)) as u64;
         assert_eq!(
             bytes() - before,
-            (WRITE_CHUNKS * batch_len(CHUNK_RECORDS)) as u64,
-            "one bounded write, a batch a chunk"
+            written,
+            "one bounded write, a batch a block"
         );
-        assert_eq!(stats.written_seq(), one_write);
-        assert_eq!(
-            wal.spent.len(),
-            WRITE_CHUNKS,
-            "every written chunk went home"
-        );
+        assert!(written < (WRITE_BYTES + batch_len(block)) as u64);
+        assert_eq!(stats.written_seq(), (one_write * block) as u64);
+        assert_eq!(wal.spent.len(), one_write, "every framed buffer went home");
         assert!(flusher.step());
         assert_eq!(stats.written_seq(), queued, "the next pass writes the rest");
         assert!(!flusher.step());
-        assert_eq!(wal.spent.len(), WRITE_CHUNKS + 4);
-        // A flush refills a chunk that came home rather than a new one.
-        append_n(&mut wal, queued, 1);
-        assert_eq!(wal.spent.len(), WRITE_CHUNKS + 3);
-        let d = seal_stepped(wal, flusher).durability();
-        let batches = (WRITE_CHUNKS + 3) * batch_len(CHUNK_RECORDS) + batch_len(5);
-        assert_eq!(d.wal_bytes, (HDR_LEN + batches + 2 * REC_LEN) as u64);
+        assert_eq!(wal.spent.len(), blocks);
+        // A flush refills a buffer that came home rather than a new one.
+        wal.append(queued, sample_update(0).update, 0);
+        wal.flush();
+        assert_eq!(wal.spent.len(), blocks - 1);
+        // The largest frame's block still goes whole into one pass.
+        let max = crate::protocol::MAX_BATCH_UPDATES;
+        append_n(&mut wal, queued + 1, max as u64);
+        assert!(flusher.step());
+        assert_eq!(
+            bytes() - before,
+            (written + (3 * batch_len(block)) as u64) + (REC_LEN + batch_len(max)) as u64
+        );
+        assert_eq!(
+            batch_len(max),
+            crate::protocol::MAX_FRAME,
+            "a frame's record is a frame"
+        );
+        seal_stepped(wal, flusher);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A backlog larger than the return ring leaves a pool of
-    /// [`SPENT_CHUNKS`] chunks: the flusher drops the rest.
+    /// [`SPENT_BUFFERS`] buffers: the flusher drops the rest.
     #[test]
-    fn chunks_beyond_the_return_ring_are_dropped() {
+    fn buffers_beyond_the_return_ring_are_dropped() {
         let dir = scratch("wal-spent-bound");
         let mut cfg = DurabilityConfig::new(&dir);
         cfg.fsync = FsyncPolicy::Off;
         let (mut wal, mut flusher) = stepped_log(&cfg);
-        let queued = (3 * WRITE_CHUNKS * CHUNK_RECORDS) as u64;
-        append_n(&mut wal, 0, queued);
+        let blocks = 2 * SPENT_BUFFERS as u64 + 5;
+        for i in 0..blocks {
+            append_n(&mut wal, 4 * i, 4);
+        }
         while flusher.step() {}
-        assert_eq!(wal.stats().written_seq(), queued);
-        assert_eq!(wal.spent.len(), SPENT_CHUNKS);
+        assert_eq!(wal.stats().written_seq(), 4 * blocks);
+        assert_eq!(wal.spent.len(), SPENT_BUFFERS);
+        seal_stepped(wal, flusher);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// While the flusher is behind by its bound in updates, a hand-over
+    /// waits as on a full ring: what is queued never exceeds the bound,
+    /// and every update still reaches the log.
+    #[test]
+    fn what_is_queued_never_exceeds_the_backlog_bound() {
+        let dir = scratch("wal-backlog");
+        let mut cfg = DurabilityConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::Off;
+        let (mut wal, mut flusher) = stepped_log(&cfg);
+        let stats = wal.stats();
+        let bound = 1_000;
+        wal.max_backlog = bound;
+        let (block, blocks) = (100, 50);
+        let producer = std::thread::spawn(move || {
+            for i in 0..blocks {
+                append_n(&mut wal, i * block, block);
+            }
+            wal
+        });
+        let appended = || stats.durability().wal_appended;
+        // Nothing is written until the test steps: the producer stops at
+        // the bound.
+        for _ in 0..100_000 {
+            if appended() >= bound {
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        // Time to pass the bound, were the hand-over not to wait.
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(appended(), bound, "the hand-over past the bound waits");
+        while stats.written_seq() < block * blocks {
+            // Only this thread moves the written watermark.
+            let queued = appended() - stats.written_seq();
+            assert!(queued <= bound, "{queued} updates queued");
+            flusher.step();
+        }
+        let wal = producer.join().expect("producer");
+        assert_eq!(appended(), block * blocks);
         seal_stepped(wal, flusher);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1612,8 +1760,8 @@ pub(crate) mod tests {
         }
         assert!(stats.is_failed(), "the failed rotation must latch");
         assert_eq!(stats.written_seq(), 4, "the batch was written before it");
-        append_n(&mut wal, 4, 2 * CHUNK_RECORDS as u64);
-        wal.barrier(4 + 2 * CHUNK_RECORDS as u64);
+        append_n(&mut wal, 4, 512);
+        wal.barrier(4 + 512);
         for _ in 0..=WAL_RING_CAPACITY {
             wal.request_snapshot(Vec::new(), 4);
         }

@@ -11,8 +11,9 @@
 //! Three protocol models ride along: the server's credit-grant arithmetic
 //! (the real [`CreditWindow`] and [`InFlight`] against a real ring of
 //! blocks — grants may never let a credited push find it full), the WAL
-//! flusher's chunk-then-watermark Release publication, and a block's round
-//! trip from session to executor and home again over two rings.
+//! flusher's chunk-then-watermark Release publication, a block's round
+//! trip from session to executor and home again over two rings, and a
+//! block's wire buffer's longer one, through the WAL flusher and back.
 //!
 //! Run with:
 //!
@@ -329,6 +330,128 @@ fn blocks_go_home_once_and_are_refilled_only_in_hand() {
         assert_eq!(next, frame, "every frame pushed came out once");
         let alive = allocated as usize - dropped.load(Ordering::SeqCst);
         assert!(alive <= MOST_ALIVE, "{alive} blocks alive");
+    });
+}
+
+/// Wire buffers on their round trip through the log: the executor (this
+/// thread) pops a block, moves its wire buffer to the flusher, and sends
+/// the block home with a buffer the flusher has sent back, or none, where
+/// the session fills that buffer with its next frame, or a new one when
+/// the block came without; the flusher frames a buffer, empties it and
+/// sends it back, dropping it when the return ring is full — the
+/// executor's `accept_block` and `return_spent`, `wal.rs`'s
+/// `Flusher::step` and `server.rs`'s `BatchState::push_frame`. The
+/// executor–flusher leg runs on two real rings, both full at the start so
+/// every push races a pop at the full edge; the session's leg is played
+/// in this thread's hand, in the order the executor sends blocks home
+/// (`blocks_go_home_once_and_are_refilled_only_in_hand` races that leg,
+/// whose rings carry the block and its buffer together). A buffer is
+/// `[id]` when empty and `[id, frame]` when filled. Under every
+/// interleaving:
+///
+/// * a buffer has one owner at a time, and none is refilled while queued
+///   — the flusher sees every frame once, filled with exactly that frame,
+///   in FIFO order;
+/// * a buffer comes home only once for each time it was lent out;
+/// * the buffers alive never exceed the two rings' slots plus one in each
+///   hand: the flusher's, the executor's and the session's.
+#[test]
+fn wire_buffers_go_through_the_log_once_and_are_refilled_only_in_hand() {
+    use loom::sync::atomic::{AtomicUsize, Ordering};
+    use loom::sync::Arc;
+
+    loom::model(|| {
+        const SLOTS: usize = 1;
+        const TURNS: u32 = 2;
+        const MOST_ALIVE: usize = 2 * SLOTS + 3;
+        let (mut wal_tx, mut wal_rx) = ring::<Vec<u32>>(SLOTS);
+        let (mut spent_tx, mut spent_rx) = ring::<Vec<u32>>(SLOTS);
+        // Frame 0 waits for the flusher; buffer 1 came back from it.
+        wal_tx.push(vec![0, 0]).expect("room");
+        spent_tx.push(vec![1]).expect("room");
+        let mut allocated = 2;
+        // Buffer ids lent to the executor by the session and not yet back.
+        let mut lent = vec![0, 1];
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let flusher = {
+            let dropped = Arc::clone(&dropped);
+            loom::thread::spawn(move || {
+                let mut next = 0;
+                for _ in 0..TURNS {
+                    let Some(mut wire) = wal_rx.pop() else {
+                        continue;
+                    };
+                    assert_eq!(
+                        wire[1..],
+                        [next],
+                        "buffer {} framed once, in order",
+                        wire[0]
+                    );
+                    next += 1;
+                    wire.truncate(1);
+                    if spent_tx.push(wire).is_err() {
+                        dropped.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                (wal_rx, next)
+            })
+        };
+        // What the session holds: the buffer the last block came home
+        // with, if any.
+        let mut home: Option<Vec<u32>> = None;
+        // A filled buffer the full WAL ring handed back (the real
+        // executor spins on it).
+        let mut held: Option<Vec<u32>> = None;
+        let mut frame = 1;
+        for _ in 0..TURNS {
+            if let Some(wire) = held.take() {
+                held = wal_tx.push(wire).err();
+                continue;
+            }
+            // The session fills its next frame into the buffer that came
+            // home, or a new one; the executor pops that block.
+            let mut wire = match home.take().filter(|w| !w.is_empty()) {
+                Some(wire) => {
+                    assert_eq!(wire.len(), 1, "buffer {} came home filled", wire[0]);
+                    let at = lent.iter().position(|&id| id == wire[0]);
+                    lent.swap_remove(at.expect("a buffer came home twice"));
+                    wire
+                }
+                None => {
+                    allocated += 1;
+                    let alive = allocated as usize - dropped.load(Ordering::SeqCst);
+                    assert!(alive <= MOST_ALIVE, "{alive} buffers alive");
+                    vec![allocated - 1]
+                }
+            };
+            wire.push(frame);
+            lent.push(wire[0]);
+            frame += 1;
+            held = wal_tx.push(wire).err();
+            // The block goes home with a spare buffer, or none.
+            home = Some(spent_rx.pop().unwrap_or_default());
+        }
+        let (mut wal_rx, framed) = flusher.join().expect("flusher thread");
+        // What is still queued or held comes out in order, each frame once.
+        let mut next = framed;
+        for wire in std::iter::from_fn(|| wal_rx.pop()).chain(held) {
+            assert_eq!(
+                wire[1..],
+                [next],
+                "buffer {} filled once, in order",
+                wire[0]
+            );
+            next += 1;
+        }
+        assert_eq!(next, frame, "every frame filled came out once");
+        let alive = allocated as usize - dropped.load(Ordering::SeqCst);
+        assert!(alive <= MOST_ALIVE, "{alive} buffers alive");
+        // Every buffer alive is queued for the flusher, in a hand, or
+        // framed and back.
+        let unframed = (next - framed) as usize;
+        let idle = home.into_iter().filter(|w| !w.is_empty()).count()
+            + std::iter::from_fn(|| spent_rx.pop()).count();
+        assert_eq!(alive, unframed + idle, "a buffer was lost or duplicated");
     });
 }
 

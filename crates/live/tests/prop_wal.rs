@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use strip_core::config::SimConfig;
 use strip_core::config_fingerprint;
 use strip_db::store::Store;
-use strip_live::protocol::WireUpdate;
+use strip_live::protocol::{encode_batch_body, WireUpdate};
 use strip_live::wal::{
-    crc32, encode_run, rotated_segment_name, scan_segment, DurabilityConfig, SegmentHeader,
-    WalError, WalRecord, HDR_LEN, REC_BATCH, REC_LEN, REC_SEAL, REC_UPDATE, SEGMENT_FILE,
-    WAL_VERSION,
+    crc32, encode_run, rotated_segment_name, scan_segment, DurabilityConfig, FsyncPolicy,
+    SegmentHeader, WalError, WalHandle, WalRecord, HDR_LEN, REC_BATCH, REC_LEN, REC_SEAL,
+    REC_UPDATE, RUN_HEAD, SEGMENT_FILE, WAL_VERSION,
 };
 use strip_live::{recover, snapshot, LiveConfig, Recovered};
 
@@ -641,4 +641,132 @@ fn a_version_1_segment_and_a_segment_of_all_three_kinds_recover_in_full() {
     assert_eq!((rec.replayed, rec.next_seq, rec.discarded), (11, 11, 0));
     assert_recovery_is_idempotent(&cfg, &rec);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The log a [`WalHandle`] writes for `log` into a fresh directory under
+/// `tag`, sealed, as its active segment's bytes.
+fn logged(tag: &str, log: impl FnOnce(&mut WalHandle)) -> Vec<u8> {
+    let dir = fresh_chain_dir(tag);
+    let mut cfg = DurabilityConfig::new(&dir);
+    cfg.fsync = FsyncPolicy::Off;
+    cfg.snapshot_secs = f64::INFINITY;
+    let mut wal = WalHandle::start(&cfg, 0x5EED_F00D, 0).expect("start the log");
+    log(&mut wal);
+    wal.seal().expect("seal");
+    let bytes = std::fs::read(dir.join(SEGMENT_FILE)).expect("the active segment");
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes
+}
+
+/// A block's wire buffer as a logging session fills it: a zeroed run
+/// head, then the wire entries of `updates`.
+fn block_wire(updates: &[WireUpdate]) -> Vec<u8> {
+    let mut body = Vec::new();
+    encode_batch_body(&mut body, updates).expect("a frame's worth");
+    let mut wire = vec![0; RUN_HEAD];
+    wire.extend_from_slice(&body[1 + 4..]);
+    wire
+}
+
+proptest! {
+    // The two ways into the log write the same updates: blocks moved in
+    // whole (`append_run`, the session path) and one update at a time
+    // (`append`, the in-process path, which also joins neighbouring runs
+    // of one arrival). Their segments may cut records differently; the
+    // records a scan yields — seq, update, arrival — are equal.
+    #[test]
+    fn blocks_and_single_appends_log_equal_records(
+        runs in prop::collection::vec(
+            (0i64..3, prop::collection::vec(update_strategy(), 1..40)),
+            0..8,
+        ),
+    ) {
+        let mut expected = Vec::new();
+        let mut seq = 0;
+        for (arrival, updates) in &runs {
+            for u in updates {
+                expected.push(WalRecord::update(seq, *u, *arrival));
+                seq += 1;
+            }
+        }
+        let blocks = logged("as-blocks", |wal| {
+            let mut seq = 0;
+            for (arrival, updates) in &runs {
+                wal.append_run(seq, *arrival, block_wire(updates));
+                seq += updates.len() as u64;
+            }
+        });
+        let singles = logged("as-singles", |wal| {
+            for r in &expected {
+                wal.append(r.seq, r.update, r.arrival_micros);
+            }
+        });
+        for bytes in [&blocks, &singles] {
+            let scan = scan_segment(bytes, 0x5EED_F00D).expect("the segment scans");
+            prop_assert!(scan.sealed);
+            prop_assert_eq!(scan.discarded, 0);
+            prop_assert_eq!(&scan.records[..expected.len()], &expected[..]);
+            prop_assert_eq!(scan.records.len(), expected.len() + 1);
+        }
+    }
+}
+
+/// An update of the records `golden/wal_v2_segment.seg` holds.
+fn fixture_update(seq: u64) -> WireUpdate {
+    WireUpdate {
+        class: (seq % 2) as u8,
+        index: (seq * 7 % 1_000) as u32,
+        generation_micros: (seq as i64) * 131 - 5_000,
+        payload: 0.25 + seq as f64,
+        attr_mask: u64::MAX >> (seq % 17),
+    }
+}
+
+/// The records `golden/wal_v2_segment.seg` holds before its seal: runs of
+/// 1 to 40 updates, neighbours sharing an arrival, a sequence gap.
+fn fixture_records() -> Vec<WalRecord> {
+    // (updates, seq gap before, arrival µs)
+    let runs = [
+        (1, 0, 10),
+        (3, 0, 10),
+        (1, 0, 11),
+        (1, 0, 12),
+        (17, 0, 12),
+        (2, 10, 13),
+        (40, 0, 14),
+        (1, 0, 15),
+        (5, 0, 15),
+    ];
+    let mut records = Vec::new();
+    let mut seq = 0;
+    for (len, gap, arrival) in runs {
+        seq += gap;
+        for _ in 0..len {
+            records.push(WalRecord::update(seq, fixture_update(seq), arrival));
+            seq += 1;
+        }
+    }
+    records
+}
+
+/// `golden/wal_v2_segment.seg` was written, through `WalHandle::append`,
+/// by the build whose executor copied each update into a chunk of 256
+/// and whose flusher found the runs: it scans to the records appended,
+/// and the same appends today write the same bytes, so the format on
+/// disk has not moved.
+#[test]
+fn a_segment_the_chunked_build_wrote_scans_to_equal_records() {
+    let golden = include_bytes!("golden/wal_v2_segment.seg");
+    let records = fixture_records();
+    let scan = scan_segment(golden, 0x5EED_F00D).expect("the segment scans");
+    assert!(scan.sealed);
+    assert_eq!(scan.discarded, 0);
+    assert_eq!(scan.records[..records.len()], records[..]);
+    assert_eq!(scan.records.len(), records.len() + 1);
+    let today = logged("golden-again", |wal| {
+        for r in &records {
+            wal.append(r.seq, r.update, r.arrival_micros);
+        }
+    });
+    assert_eq!(today[..], golden[..]);
 }
