@@ -10,6 +10,9 @@ not cut the file, so such items count as the production code they sit
 in.
 
 Usage: python3 ci/loc.py [ROOT]   (ROOT defaults to the current directory)
+
+Exits 2 when ROOT has no `crates/` directory (a mistyped path or an
+option taken for ROOT), rather than printing a table of zeros.
 """
 
 import re
@@ -30,6 +33,9 @@ def non_test_lines(path: Path) -> int:
 
 def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+    if not (root / "crates").is_dir():
+        print(f"loc.py: {root} has no crates/ directory", file=sys.stderr)
+        return 2
     per_crate = {}
     for src in sorted(root.glob("crates/*/src")) + [root / "src"]:
         name = src.parent.name if src.parent != root else "(root)"

@@ -9,6 +9,8 @@
 //! Knobs: `PERF_DUR_UPDATES` scales the end-to-end streams (default
 //! 50 000), `PERF_DUR_LAYER` the socket-free layers (default 20× that).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 use strip_bench::live_perf::{

@@ -88,9 +88,9 @@ pub struct Controller<U, T> {
 
 impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
     /// Builds a controller for `cfg`, initialising view objects with
-    /// steady-state exponential ages (see DESIGN.md), and puts the initial
-    /// staleness watchdogs, the warm-up boundary and the first arrivals on
-    /// a calendar sized by [`SimConfig::calendar_capacity_hint`].
+    /// steady-state exponential ages (see DESIGN.md), and puts the first
+    /// arrivals, the initial staleness watchdogs and the warm-up boundary
+    /// on a calendar sized by [`SimConfig::calendar_capacity_hint`].
     ///
     /// # Errors
     ///
@@ -117,6 +117,17 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
             outage_baseline: None,
             recovery_at: None,
         };
+        // The first arrivals go first: the first event filed into the
+        // empty calendar sets its current bucket, and the initial watches
+        // (up to α ahead) belong in the far tier, not in the near heap.
+        c.next_update = c.update_src.next_update();
+        if let Some(u) = &c.next_update {
+            c.calendar.schedule(u.arrival, Event::UpdateArrival);
+        }
+        c.next_txn = c.txn_src.next_txn();
+        if let Some(t) = &c.next_txn {
+            c.calendar.schedule(t.arrival, Event::TxnArrival);
+        }
         for ExpiryWatch { object, at } in c.core.initial_watches() {
             c.calendar
                 .schedule(at.max(SimTime::ZERO), Event::Expiry { object });
@@ -125,14 +136,6 @@ impl<U: UpdateSource, T: TxnSource> Controller<U, T> {
         if warmup > 0.0 {
             c.calendar
                 .schedule(SimTime::from_secs(warmup), Event::WarmupEnd);
-        }
-        c.next_update = c.update_src.next_update();
-        if let Some(u) = &c.next_update {
-            c.calendar.schedule(u.arrival, Event::UpdateArrival);
-        }
-        c.next_txn = c.txn_src.next_txn();
-        if let Some(t) = &c.next_txn {
-            c.calendar.schedule(t.arrival, Event::TxnArrival);
         }
         Ok(c)
     }

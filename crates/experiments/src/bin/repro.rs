@@ -13,6 +13,8 @@
 //! repro trace telecom --trace out/   # trace a scenario preset elsewhere
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -24,6 +24,8 @@
 //! `// lint: allow-file(<rule>, reason=...)`; the reason is mandatory.
 //! Nothing silences an S-row. See DESIGN.md §11 for the full rationale.
 
+#![forbid(unsafe_code)]
+
 pub mod lex;
 pub mod registry;
 pub mod rules;

@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;

@@ -18,8 +18,12 @@
 //! time-weighted stale counts from which `fold_l` and `fold_h` are computed.
 //! The in-system behavioural checks (a timestamp compare for MA, an update
 //! queue scan for UU) are performed by the controller and charged to the CPU
-//! via the cost model; the MA behavioural check and the MA metric coincide,
-//! while the UU metric is omniscient about drops that the in-system queue
+//! via the cost model. Neither coincides with its metric. The MA metric
+//! counts an object stale once generation + α ≤ now, while the behavioural
+//! MA check (`Store::is_stale_ma`, `Update::expired_at`,
+//! `UpdateQueue::discard_expired`) asks for an age now − generation > α,
+//! strictly: the two disagree at age = α exactly, and up to rounding near
+//! it. The UU metric is omniscient about drops that the in-system queue
 //! scan can no longer see.
 
 use serde::{Deserialize, Serialize};

@@ -12,10 +12,12 @@
 //! split on fixed-width time buckets (`bucket = secs / width`, truncated
 //! toward zero):
 //!
-//! * the **near tier** is a four-ary min-heap of `(time, seq)` keys and
-//!   slot indices covering every pending event whose bucket is at or
-//!   before the `current` bucket — the few events of the next
-//!   milliseconds;
+//! * the **near tier** is a `std::collections::BinaryHeap` of `(time,
+//!   seq)` keys and slot indices covering every pending event whose bucket
+//!   is at or before the `current` bucket — the few events of the next
+//!   milliseconds. Over the `sim_sweep` fig03 points it holds 2.0–6.2
+//!   events on average (sampled after every pop) and at most 62, start-up
+//!   included, so a plain binary heap is all it needs;
 //! * the **far tier** is a ring of `RING` buckets, each an unsorted list
 //!   of slots, holding the events of the next `RING · width` seconds (in
 //!   the simulator: the Maximum Age watchdogs, armed α = 7 s out by every
@@ -30,36 +32,56 @@
 //! [`SimTime::order_bits`], which is `SimTime`'s own order (`-0.0` and
 //! `+0.0` tie, and pop as `+0.0`). Because `(time, seq)` is
 //! a strict total order (`seq` is unique), the calendar pops the same
-//! sequence as the `std::collections::BinaryHeap` it replaced (kept under
+//! sequence as the plain `BinaryHeap` calendar it replaced (kept under
 //! `tests/reference/` as the pop-order oracle) — the tiers cannot change
 //! simulation results.
 
-use core::mem::{self, ManuallyDrop};
-use core::ptr;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+use std::mem;
 
 use crate::time::SimTime;
 
-/// A near-heap entry, keyed by the packed `u128`
-/// `time.order_bits() << 64 | seq`:
-/// the earliest time pops first and the sequence number breaks ties in
-/// scheduling order. Packing the whole key into one integer makes every
-/// heap comparison a single branch (or a conditional move inside the child
-/// tournament). The event itself stays in slab slot `slot`, so a sift moves
-/// 32 bytes whatever the size of `E`.
+/// A near-heap entry, ordered by its key alone, the packed `u128`
+/// `time.order_bits() << 64 | seq`: the earliest time pops first and the
+/// sequence number breaks ties in scheduling order. Keys are unique, so
+/// `slot` never decides, and leaving it out of the order makes each heap
+/// comparison one integer compare. The event itself stays in slab slot
+/// `slot`, so the heap moves 32 bytes whatever the size of `E`.
 #[derive(Clone, Copy)]
 struct Entry {
     key: u128,
     slot: u32,
 }
 
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
 /// Buckets per second: a bucket is 2⁻⁷ s ≈ 7.8 ms wide. At the paper's
 /// baseline an update arrives every 2.5 ms and installs in 0.48 ms, so a
 /// bucket holds a few arrivals, their installs and the watchdogs that
-/// fall due beside them — over the `sim_sweep` points the near heap holds
-/// 2–5 events on average and never more than ≈ 50 of the ≈ 2 800 pending,
-/// while transaction compute (≈ 120 ms), deadlines (0.1–1.2 s) and MA
-/// watchdogs (α = 7 s) wait unsorted in the ring. A power of two, so the
-/// product below is exact scaling.
+/// fall due beside them — over the 250 s `sim_sweep` fig03 points the
+/// near heap holds 2.0–6.2 events on average and never more than 62 of the
+/// up to ≈ 2 900 pending — while transaction compute (≈ 120 ms), deadlines
+/// (0.1–1.2 s) and MA watchdogs (α = 7 s) wait unsorted in the ring. A
+/// power of two, so the product below is exact scaling.
 const BUCKETS_PER_SEC: f64 = 128.0;
 
 /// Ring length (a power of two): 2 048 × 7.8 ms = 16 s of lookahead, which
@@ -98,99 +120,13 @@ struct Slot<E> {
     event: Option<E>,
 }
 
-/// Heap arity: each node has up to four children.
-const ARITY: usize = 4;
-
-/// A hole in the heap slice during a sift: the displaced element is held
-/// outside the slice, each level costs one move instead of a three-move
-/// swap, and the element is written back exactly once on drop. This is the
-/// same technique `std::collections::BinaryHeap` uses internally.
-///
-/// Invariant: `pos` is in bounds and the slot at `pos` is logically empty —
-/// reads go through [`Hole::get`] with an index different from `pos`.
-struct Hole<'a, T> {
-    data: &'a mut [T],
-    elt: ManuallyDrop<T>,
-    pos: usize,
-}
-
-impl<'a, T> Hole<'a, T> {
-    /// Opens a hole at `pos`.
-    ///
-    /// # Safety
-    /// `pos` must be in bounds of `data`.
-    unsafe fn new(data: &'a mut [T], pos: usize) -> Self {
-        debug_assert!(pos < data.len());
-        // SAFETY: caller guarantees `pos` is in bounds; the slot is treated
-        // as empty until drop writes `elt` back.
-        let elt = unsafe { ptr::read(data.get_unchecked(pos)) };
-        Hole {
-            data,
-            elt: ManuallyDrop::new(elt),
-            pos,
-        }
-    }
-
-    /// The element removed from the hole.
-    #[inline]
-    fn element(&self) -> &T {
-        &self.elt
-    }
-
-    /// Reads the element at `index`.
-    ///
-    /// # Safety
-    /// `index` must be in bounds and different from the hole position.
-    #[inline]
-    unsafe fn get(&self, index: usize) -> &T {
-        debug_assert!(index != self.pos && index < self.data.len());
-        // SAFETY: caller guarantees the index is in bounds and occupied.
-        unsafe { self.data.get_unchecked(index) }
-    }
-
-    /// Reads the element at `index` through the normal bounds check. The
-    /// cold partial-last-level scan is not performance-critical, so it
-    /// pays the checked access and carries no safety contract.
-    #[inline]
-    fn get_checked(&self, index: usize) -> &T {
-        debug_assert!(index != self.pos);
-        &self.data[index]
-    }
-
-    /// Moves the element at `index` into the hole; the hole moves to `index`.
-    ///
-    /// # Safety
-    /// `index` must be in bounds and different from the hole position.
-    #[inline]
-    unsafe fn move_to(&mut self, index: usize) {
-        debug_assert!(index != self.pos && index < self.data.len());
-        // SAFETY: source and destination are distinct in-bounds slots.
-        unsafe {
-            let ptr = self.data.as_mut_ptr();
-            ptr::copy_nonoverlapping(ptr.add(index), ptr.add(self.pos), 1);
-        }
-        self.pos = index;
-    }
-}
-
-impl<T> Drop for Hole<'_, T> {
-    fn drop(&mut self) {
-        // Fill the hole with the held element.
-        // SAFETY: `pos` is in bounds and its slot is logically empty.
-        unsafe {
-            let pos = self.pos;
-            ptr::copy_nonoverlapping(&*self.elt, self.data.get_unchecked_mut(pos), 1);
-        }
-    }
-}
-
 /// A future-event list holding events of type `E` (see the module docs
 /// for the two tiers).
 pub struct EventQueue<E> {
-    /// Near tier: a four-ary heap over every pending event whose bucket is
-    /// at or before `current`. Non-empty whenever the queue is: a pop that
+    /// Near tier: a min-heap over every pending event whose bucket is at
+    /// or before `current`. Non-empty whenever the queue is: a pop that
     /// empties it refills it from the far tier.
-    near: Vec<Entry>,
+    near: BinaryHeap<Reverse<Entry>>,
     /// Every pending event, in either tier, plus the free slots.
     slab: Vec<Slot<E>>,
     /// Head of the free-slot list.
@@ -235,7 +171,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            near: Vec::with_capacity(cap),
+            near: BinaryHeap::with_capacity(cap),
             slab: Vec::with_capacity(cap),
             free: NIL,
             ring: vec![NIL; RING].into_boxed_slice(),
@@ -280,11 +216,8 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let mut top = self.near.pop()?;
-        if !self.near.is_empty() {
-            mem::swap(&mut top, &mut self.near[0]);
-            self.sift_down_to_bottom(0);
-        } else if self.far_len > 0 {
+        let Reverse(top) = self.near.pop()?;
+        if self.near.is_empty() && self.far_len > 0 {
             self.refill();
         }
         let slot = &mut self.slab[top.slot as usize];
@@ -297,7 +230,7 @@ impl<E> EventQueue<E> {
     /// The time of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.near.first().map(|top| key_time(top.key))
+        self.near.peek().map(|Reverse(top)| key_time(top.key))
     }
 
     /// Number of pending events.
@@ -324,11 +257,18 @@ impl<E> EventQueue<E> {
         self.near.capacity().min(self.slab.capacity())
     }
 
+    /// Number of pending events in the near tier (for diagnostics: the
+    /// heap's size is what its choice of structure rests on).
+    #[must_use]
+    pub fn near_len(&self) -> usize {
+        self.near.len()
+    }
+
     /// Files a slotted event of bucket `bucket` into the tier it belongs
     /// to.
     fn file(&mut self, bucket: i64, entry: Entry) {
         if bucket <= self.current {
-            self.push_near(entry);
+            self.near.push(Reverse(entry));
             return;
         }
         // `bucket > current`; the difference may exceed `i64::MAX` (±∞
@@ -374,7 +314,7 @@ impl<E> EventQueue<E> {
             while s != NIL {
                 let (entry, next) = self.listed(s);
                 self.far_len -= 1;
-                self.push_near(entry);
+                self.near.push(Reverse(entry));
                 s = next;
             }
         }
@@ -402,95 +342,6 @@ impl<E> EventQueue<E> {
             },
             slot.next,
         )
-    }
-
-    fn push_near(&mut self, entry: Entry) {
-        self.near.push(entry);
-        self.sift_up(self.near.len() - 1);
-    }
-
-    fn sift_up(&mut self, pos: usize) {
-        // SAFETY: callers pass an in-bounds index (the just-pushed slot);
-        // parent indices of in-bounds nodes are in bounds and never equal
-        // the hole position.
-        unsafe {
-            let mut hole = Hole::new(&mut self.near, pos);
-            while hole.pos > 0 {
-                let parent = (hole.pos - 1) / ARITY;
-                if hole.get(parent).key <= hole.element().key {
-                    break;
-                }
-                hole.move_to(parent);
-            }
-        }
-    }
-
-    /// Restores the heap after a pop replaced the root with the (former)
-    /// last element: the hole is driven straight to a leaf along the
-    /// smallest-child path — *without* comparing the displaced element at
-    /// each level — and the element is then bubbled back up from there.
-    /// Because the displaced element came from the bottom of the heap, it
-    /// almost always belongs near a leaf, so skipping the per-level element
-    /// comparison saves a quarter of the comparisons on the hot pop path
-    /// (the same "bounce" strategy `BinaryHeap::pop` uses).
-    fn sift_down_to_bottom(&mut self, pos: usize) {
-        let n = self.near.len();
-        // SAFETY: callers pass an in-bounds index; child indices are checked
-        // against `n` before use and are strictly greater than the hole
-        // position, and the bubble-up phase only revisits ancestors of the
-        // leaf the hole reached.
-        unsafe {
-            let mut hole = Hole::new(&mut self.near, pos);
-            loop {
-                let first = hole.pos * ARITY + 1;
-                if first + ARITY <= n {
-                    // All four children exist (the common case everywhere
-                    // above the last level): a balanced tournament, which
-                    // the optimiser lowers to conditional moves instead of
-                    // a chain of mispredictable branches.
-                    let k0 = hole.get(first).key;
-                    let k1 = hole.get(first + 1).key;
-                    let k2 = hole.get(first + 2).key;
-                    let k3 = hole.get(first + 3).key;
-                    let (ia, ka) = if k1 < k0 {
-                        (first + 1, k1)
-                    } else {
-                        (first, k0)
-                    };
-                    let (ib, kb) = if k3 < k2 {
-                        (first + 3, k3)
-                    } else {
-                        (first + 2, k2)
-                    };
-                    hole.move_to(if kb < ka { ib } else { ia });
-                } else {
-                    if first >= n {
-                        break;
-                    }
-                    // Partial last level: linear scan over the 1–3 leaves,
-                    // through the safe checked accessor — this runs at most
-                    // once per pop, so the bounds checks are free noise.
-                    let mut best = first;
-                    let mut best_key = hole.get_checked(first).key;
-                    for c in first + 1..n {
-                        let key = hole.get_checked(c).key;
-                        if key < best_key {
-                            best = c;
-                            best_key = key;
-                        }
-                    }
-                    hole.move_to(best);
-                    break;
-                }
-            }
-            while hole.pos > pos {
-                let parent = (hole.pos - 1) / ARITY;
-                if hole.get(parent).key <= hole.element().key {
-                    break;
-                }
-                hole.move_to(parent);
-            }
-        }
     }
 }
 

@@ -1,18 +1,14 @@
-//! Miri regression tests for the calendar's hole-sifting path and its
-//! slab tiers.
+//! Miri regression tests for the calendar's slab tiers.
 //!
-//! The near tier's 4-ary heap moves elements with `ptr::read` /
-//! `copy_nonoverlapping` through a `Hole` that leaves one slot logically
-//! empty until drop; the far tier parks events in slab slots threaded onto
-//! ring-bucket, overflow and free lists. The bugs those invite — double
-//! drops, leaks of a displaced or parked event, reads of a vacated slot —
-//! are exactly what Miri detects and ordinary tests cannot. These tests
-//! drive the queue through deterministic churn with a drop-counting
-//! payload so Miri's borrow and initialization tracking covers every sift
-//! path (hot four-child tournament, cold partial last level, sift-up
-//! bounce, mid-heap holes from interleaved push/pop) and every tier move
-//! (bucket into heap, overflow redistribution, slot reuse), and drop the
-//! queue with events still waiting in each tier.
+//! The calendar itself is safe code (`strip-sim` forbids `unsafe`): the
+//! near tier is a `std::collections::BinaryHeap`, and the far tier parks
+//! events in slab slots threaded onto ring-bucket, overflow and free
+//! lists. The bugs that slab invites — leaks of a parked event, double
+//! drops through a reused slot — are what these tests and Miri's leak
+//! check catch. They drive the queue through deterministic churn with a
+//! drop-counting payload across every tier move (bucket into heap,
+//! overflow redistribution, slot reuse, interleaved push/pop), and drop
+//! the queue with events still waiting in each tier.
 //!
 //! CI runs this weekly under `cargo +nightly miri test` (see
 //! `.github/workflows/miri.yml`); under plain `cargo test` it still

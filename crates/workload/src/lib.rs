@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 pub mod disturbance;
 pub mod generators;

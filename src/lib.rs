@@ -34,6 +34,8 @@
 //! assert!(report.txns.arrived > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use strip_core as core;
 pub use strip_db as db;
 pub use strip_experiments as experiments;

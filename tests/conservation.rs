@@ -195,3 +195,28 @@ fn calendar_holds_a_baseline_run_within_its_capacity_hint() {
         "the calendar reallocated mid-run"
     );
 }
+
+#[test]
+fn calendar_near_tier_stays_a_few_events() {
+    // The near tier holds only the events of the current 7.8 ms bucket;
+    // the MA watchdogs wait in the ring. Filing the first arrival before
+    // the initial watchdogs keeps start-up there too: were a watchdog
+    // first into the empty calendar, its bucket (up to α = 7 s ahead)
+    // would become the current one, and every event of the seconds
+    // before it would pile into the heap (≈ 1 000 of them).
+    let cfg = base(Policy::UpdatesFirst, 0x5712_1995);
+    let mut controller = Controller::new(
+        cfg.clone(),
+        UpdateStream::from_config(&cfg),
+        PoissonTxns::from_config(&cfg),
+    )
+    .unwrap();
+    let mut peak = controller.calendar().near_len();
+    let start_up = (1..=10_000).map(|ms| f64::from(ms) / 1e3);
+    let after = (11..=cfg.duration as u32).map(f64::from);
+    for secs in start_up.chain(after) {
+        controller.run_until(SimTime::from_secs(secs));
+        peak = peak.max(controller.calendar().near_len());
+    }
+    assert!(peak <= 64, "the near tier peaked at {peak} events");
+}
