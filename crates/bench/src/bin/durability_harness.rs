@@ -10,6 +10,7 @@
 //! 50 000), `PERF_DUR_LAYER` the socket-free layers (default 20× that).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 use std::fmt::Write as _;
 

@@ -10,5 +10,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod live_perf;

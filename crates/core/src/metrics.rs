@@ -387,7 +387,10 @@ impl Metrics {
     /// counters are read from the queue structures by the controller and
     /// passed in via `queue_drops`; the outage counter and the recovery
     /// time come pre-assembled in `resilience`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the report's parts come from the controller's separate owners"
+    )]
     pub fn finalize(
         mut self,
         policy_label: &str,

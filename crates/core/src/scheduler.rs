@@ -74,6 +74,10 @@
 //! a slice's modelled I/O stall is one more cost a driver lets pass like
 //! any other.
 
+// D8 (DESIGN.md §11): the executor thread runs this core, and it handles
+// the bound transaction by value, so no site is allowed a panic.
+#![forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use strip_db::cost::CostModel;

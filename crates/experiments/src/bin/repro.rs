@@ -14,6 +14,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod figures;
 pub mod runner;

@@ -21,6 +21,15 @@
 //! — not just policy/seed/duration — invalidates the checkpoint, and the
 //! point is re-simulated.
 
+// D5 (DESIGN.md §11): checkpoint and trace I/O runs unattended inside long
+// sweeps and degrades through `Result`, never a panic.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
 use std::any::Any;
 use std::fmt;
 use std::fmt::Write as _;

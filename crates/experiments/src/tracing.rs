@@ -17,6 +17,15 @@
 //! The traced run is observation-only: it produces bit-identical results
 //! to the untraced sweep point it represents.
 
+// D5 (DESIGN.md §11): checkpoint and trace I/O runs unattended inside long
+// sweeps and degrades through `Result`, never a panic.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;

@@ -2,8 +2,8 @@
 //!
 //! The build environment has no registry access, so `syn` is not available;
 //! the rules only need identifier/punctuation streams with accurate line
-//! numbers plus the comment text (for `SAFETY:` markers and `lint: allow`
-//! annotations), which a few hundred lines of hand lexing provide. String,
+//! numbers plus the comment text (for `lint: allow` annotations), which a
+//! few hundred lines of hand lexing provide. String,
 //! char, raw-string and nested block-comment forms are handled so that rule
 //! keywords inside literals or comments can never fire.
 

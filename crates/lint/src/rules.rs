@@ -1,50 +1,30 @@
-//! The per-file determinism & soundness rules (D1–D5, D7, D8) and the
-//! annotation escape hatch.
+//! The rule identifiers, the `lint: allow` annotation parser and the token
+//! helpers that the sync rules D9–D11 ([`crate::sync`]) and the structure
+//! rows S1–S5 ([`crate::structure`]) share.
 //!
-//! Every rule walks the token stream produced by [`crate::lex`]; comments
-//! and literals are already out of band, so rule keywords inside strings or
-//! docs can never fire. Regions under `#[cfg(test)]` (and `#[cfg(loom)]` /
-//! `#[test]` items) are exempt from the *determinism* rules — tests may use
-//! hash collections for membership checks — but nothing is exempt from D4:
-//! an undocumented `unsafe` block is a defect wherever it lives.
+//! Every check walks the token stream produced by [`crate::lex`]; comments
+//! and literals are already out of band, so a rule keyword inside a string
+//! or a doc can never fire. Regions under `#[cfg(test)]` (and
+//! `#[cfg(loom)]` / `#[test]` items) are found by [`test_regions`].
 //!
-//! A violation is silenced in place with
+//! The per-file rules D1–D5, D7 and D8 are compiler and clippy lints
+//! (DESIGN.md §11), so a D9–D11 violation is the only one silenced in place,
+//! with
 //!
 //! ```text
-//! // lint: allow(nondeterministic-order, reason=keyed lookups only; never iterated)
+//! // lint: allow(atomic-protocol, reason=bench scaffolding; never shared)
 //! ```
 //!
 //! on the offending line (trailing) or the line above, or for a whole file
 //! with `// lint: allow-file(rule, reason=...)`. The `reason=` clause is
-//! mandatory; an allow without one is itself reported (`bad-allow`).
+//! mandatory; an allow without one, or naming no D9–D11 rule, is itself
+//! reported (`bad-allow`).
 
-use crate::lex::{lex, Comment, Lexed, Tok, TokKind};
+use crate::lex::{Comment, Tok, TokKind};
 
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// D1: wall-clock time sources in sim-time crates.
-    WallClock,
-    /// D2: hash collections (nondeterministic iteration order) in
-    /// deterministic sim/report paths.
-    NondeterministicOrder,
-    /// D3: ambient entropy outside `simkit::rng`.
-    AmbientEntropy,
-    /// D4: `unsafe` without a `SAFETY:` comment.
-    UndocumentedUnsafe,
-    /// D5: panicking calls / indexing in checkpoint & trace I/O modules.
-    PanickingIo,
-    /// D7: durability boundary — WAL/snapshot/recovery modules must stay
-    /// checked-I/O (no unwrap/expect/panic), and no sim-path crate may
-    /// import them (the simulator must never grow a filesystem
-    /// dependency).
-    DurabilityBoundary,
-    /// D8: live-runtime panic sites — every `unwrap`/`expect`/`panic!` in
-    /// the live crate's non-durability modules must carry an explicit
-    /// per-site allow naming the invariant it stands on. Network- or
-    /// I/O-reachable failures must be checked errors; only pinned
-    /// internal invariants may panic.
-    LivePanic,
     /// D9: atomic-protocol — every atomic operation naming an
     /// `Ordering::*` must match a role declared in
     /// `crates/lint/sync_protocol.toml`: the field is registered, the
@@ -75,29 +55,15 @@ pub enum RuleId {
 impl RuleId {
     /// Every rule a `lint: allow` can name, in document order (the
     /// structure gates and the meta rule take no annotation).
-    pub const ALL: [RuleId; 10] = [
-        RuleId::WallClock,
-        RuleId::NondeterministicOrder,
-        RuleId::AmbientEntropy,
-        RuleId::UndocumentedUnsafe,
-        RuleId::PanickingIo,
-        RuleId::DurabilityBoundary,
-        RuleId::LivePanic,
+    pub const ALL: [RuleId; 3] = [
         RuleId::AtomicProtocol,
         RuleId::LockOrder,
         RuleId::SendSyncAudit,
     ];
 
-    /// Short code ("D1") and annotation name ("wall-clock").
+    /// Short code ("D9") and annotation name ("atomic-protocol").
     fn code_and_name(self) -> (&'static str, &'static str) {
         match self {
-            RuleId::WallClock => ("D1", "wall-clock"),
-            RuleId::NondeterministicOrder => ("D2", "nondeterministic-order"),
-            RuleId::AmbientEntropy => ("D3", "ambient-entropy"),
-            RuleId::UndocumentedUnsafe => ("D4", "undocumented-unsafe"),
-            RuleId::PanickingIo => ("D5", "panicking-io"),
-            RuleId::DurabilityBoundary => ("D7", "durability-boundary"),
-            RuleId::LivePanic => ("D8", "live-panic"),
             RuleId::AtomicProtocol => ("D9", "atomic-protocol"),
             RuleId::LockOrder => ("D10", "lock-order"),
             RuleId::SendSyncAudit => ("D11", "send-sync-audit"),
@@ -110,13 +76,13 @@ impl RuleId {
         }
     }
 
-    /// Short code ("D1").
+    /// Short code ("D9").
     #[must_use]
     pub fn code(&self) -> &'static str {
         self.code_and_name().0
     }
 
-    /// Annotation name ("nondeterministic-order").
+    /// Annotation name ("atomic-protocol").
     #[must_use]
     pub fn name(&self) -> &'static str {
         self.code_and_name().1
@@ -146,7 +112,7 @@ pub(crate) struct Allow {
 }
 
 /// Line spans (inclusive) of `#[cfg(test)]` / `#[cfg(loom)]` / `#[test]`
-/// items: determinism rules skip them.
+/// items: the sync rules and the structure rows skip them.
 pub(crate) fn test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let mut i = 0usize;
@@ -327,461 +293,55 @@ pub(crate) fn snippet(lines: &[&str], line: u32) -> String {
         .map_or(String::new(), |l| l.trim().to_string())
 }
 
-/// The durability modules themselves, by trailing file name. D7's
-/// checked-I/O mode fires only inside these; its isolation mode (the
-/// `strip_live::<module>` path ban) covers everything else the rule is
-/// enabled for.
-fn is_durability_file(file: &str) -> bool {
-    matches!(
-        file.rsplit('/').next(),
-        Some("wal.rs" | "snapshot.rs" | "recovery.rs" | "logdir.rs")
-    )
-}
-
-/// Runs `rules` over `src`, reporting as `file`. The caller decides which
-/// rules apply to the file (see [`crate::rules_for`]); `BadAllow` is always
-/// active.
-#[must_use]
-pub fn analyze_source(file: &str, src: &str, rules: &[RuleId]) -> Vec<Violation> {
-    let Lexed { tokens, comments } = lex(src);
-    let lines: Vec<&str> = src.lines().collect();
-    let mut out = Vec::new();
-    let allows = parse_allows(&comments, file, &lines, &mut out);
-    let tests = test_regions(&tokens);
-
-    let fire = |rule: RuleId, tok: &Tok, msg: String, out: &mut Vec<Violation>| {
-        if allowed(&allows, rule, tok.line) {
-            return;
-        }
-        out.push(Violation {
-            rule,
-            file: file.to_string(),
-            line: tok.line,
-            col: tok.col,
-            message: msg,
-            snippet: snippet(&lines, tok.line),
-        });
-    };
-
-    // Skip-in-tests applies to the determinism rules; D4 sees everything.
-    let exempt =
-        |rule: RuleId, line: u32| rule != RuleId::UndocumentedUnsafe && in_regions(&tests, line);
-
-    // D1 context: does the file import std::time at all? (A bare
-    // `Instant::now()` after `use std::time::Instant` has no `std::time`
-    // prefix at the call site.)
-    let mut imports_std_time = false;
-    for w in tokens.windows(4) {
-        if w[0].is_ident("std") && w[1].is_punct(':') && w[2].is_punct(':') && w[3].is_ident("time")
-        {
-            imports_std_time = true;
-        }
-    }
-
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            // D5 indexing heuristic handled on punct below.
-            if rules.contains(&RuleId::PanickingIo)
-                && t.is_punct('[')
-                && !exempt(RuleId::PanickingIo, t.line)
-            {
-                let prev = i.checked_sub(1).map(|p| &tokens[p]);
-                let indexes = prev.is_some_and(|p| {
-                    p.kind == TokKind::Ident && !is_keyword(&p.text)
-                        || p.is_punct(')')
-                        || p.is_punct(']')
-                });
-                if indexes {
-                    fire(
-                        RuleId::PanickingIo,
-                        t,
-                        "indexing can panic; prefer `.get()`/iterators in I/O paths".to_string(),
-                        &mut out,
-                    );
-                }
-            }
-            continue;
-        }
-        let prev_is_dot = i > 0 && tokens[i - 1].is_punct('.');
-        let followed_by = |a: char, b: &str| {
-            tokens.get(i + 1).is_some_and(|x| x.is_punct(a))
-                && tokens.get(i + 2).is_some_and(|x| x.is_punct(a))
-                && tokens.get(i + 3).is_some_and(|x| x.is_ident(b))
-        };
-        let preceded_by_path = |seg: &str| {
-            i >= 3
-                && tokens[i - 1].is_punct(':')
-                && tokens[i - 2].is_punct(':')
-                && tokens[i - 3].is_ident(seg)
-        };
-
-        match t.text.as_str() {
-            "Instant" | "SystemTime"
-                if rules.contains(&RuleId::WallClock)
-                    && !exempt(RuleId::WallClock, t.line)
-                    && (preceded_by_path("time")
-                        || followed_by(':', "now")
-                        || imports_std_time) =>
-            {
-                fire(
-                    RuleId::WallClock,
-                    t,
-                    format!(
-                        "`{}` reads the wall clock; simulations must use SimTime",
-                        t.text
-                    ),
-                    &mut out,
-                );
-            }
-            "HashMap" | "HashSet"
-                if rules.contains(&RuleId::NondeterministicOrder)
-                    && !exempt(RuleId::NondeterministicOrder, t.line) =>
-            {
-                fire(
-                    RuleId::NondeterministicOrder,
-                    t,
-                    format!(
-                        "`{}` iteration order is nondeterministic in a sim/report path",
-                        t.text
-                    ),
-                    &mut out,
-                );
-            }
-            "thread_rng" | "RandomState" | "from_entropy" | "OsRng"
-                if rules.contains(&RuleId::AmbientEntropy)
-                    && !exempt(RuleId::AmbientEntropy, t.line) =>
-            {
-                fire(
-                    RuleId::AmbientEntropy,
-                    t,
-                    format!(
-                        "`{}` draws ambient entropy; derive from the run seed",
-                        t.text
-                    ),
-                    &mut out,
-                );
-            }
-            "unsafe"
-                if rules.contains(&RuleId::UndocumentedUnsafe)
-                    && !has_safety_comment(&comments, t.line) =>
-            {
-                fire(
-                    RuleId::UndocumentedUnsafe,
-                    t,
-                    "`unsafe` needs a `// SAFETY:` comment (or `# Safety` doc) within the \
-                     6 lines above"
-                        .to_string(),
-                    &mut out,
-                );
-            }
-            // The three no-panic rules, first claimant wins: D5 in
-            // checkpoint/trace I/O; D7's checked-I/O mode in the durability
-            // modules, which run the crash path unattended (no indexing
-            // heuristic there — the fixed-offset codecs slice by constant
-            // bounds on length-checked buffers); D8 in the rest of the live
-            // runtime, where a panic takes the executor down, so every
-            // surviving site names its invariant in a per-site allow.
-            "unwrap" | "expect" | "panic" if !in_regions(&tests, t.line) => {
-                let (what, called) = if t.text == "panic" {
-                    let bang = tokens.get(i + 1).is_some_and(|x| x.is_punct('!'));
-                    ("panic!".to_string(), bang)
-                } else {
-                    (format!(".{}()", t.text), prev_is_dot)
-                };
-                let claim = [
-                    (
-                        RuleId::PanickingIo,
-                        "checkpoint/trace I/O stays Result-based",
-                    ),
-                    (
-                        RuleId::DurabilityBoundary,
-                        "WAL/snapshot/recovery I/O stays Result-based",
-                    ),
-                    (
-                        RuleId::LivePanic,
-                        "use a checked error, or pin the invariant with an allow",
-                    ),
-                ]
-                .into_iter()
-                .find(|(rule, _)| {
-                    rules.contains(rule)
-                        && (*rule != RuleId::DurabilityBoundary || is_durability_file(file))
-                });
-                if let (true, Some((rule, why))) = (called, claim) {
-                    fire(rule, t, format!("`{what}` can panic; {why}"), &mut out);
-                }
-            }
-            // D7 isolation mode: a sim-path crate naming a durability
-            // module would grow the deterministic simulator a filesystem
-            // dependency. Matching the full `strip_live::<module>` path
-            // keeps idents like `Ingest::Snapshot` from firing.
-            "wal" | "snapshot" | "recovery" | "logdir"
-                if rules.contains(&RuleId::DurabilityBoundary)
-                    && preceded_by_path("strip_live")
-                    && !exempt(RuleId::DurabilityBoundary, t.line) =>
-            {
-                fire(
-                    RuleId::DurabilityBoundary,
-                    t,
-                    format!(
-                        "durability module `strip_live::{}` named in a sim-path crate",
-                        t.text
-                    ),
-                    &mut out,
-                );
-            }
-            _ => {}
-        }
-    }
-    out.sort_by_key(|a| (a.line, a.col, a.rule));
-    out
-}
-
-/// Keywords that can precede `[` without it being an indexing expression
-/// (slice patterns, array types after `mut`, etc.).
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "mut"
-            | "in"
-            | "return"
-            | "break"
-            | "as"
-            | "const"
-            | "static"
-            | "let"
-            | "ref"
-            | "move"
-            | "else"
-            | "match"
-            | "if"
-            | "dyn"
-            | "impl"
-            | "where"
-            | "box"
-            | "await"
-            | "yield"
-    )
-}
-
-/// True when a `SAFETY:` marker (or a `# Safety` doc section) appears in a
-/// comment ending within the six lines above `line` (or trailing on it).
-fn has_safety_comment(comments: &[Comment], line: u32) -> bool {
-    comments.iter().any(|c| {
-        c.end_line <= line
-            && line.saturating_sub(c.end_line) <= 6
-            && (c.text.contains("SAFETY:") || c.text.contains("# Safety"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lex::lex;
 
-    fn run(src: &str) -> Vec<Violation> {
-        analyze_source("test.rs", src, &RuleId::ALL)
+    fn allows(src: &str) -> (Vec<Allow>, Vec<Violation>) {
+        let lexed = lex(src);
+        let lines: Vec<&str> = src.lines().collect();
+        let mut bad = Vec::new();
+        let allows = parse_allows(&lexed.comments, "test.rs", &lines, &mut bad);
+        (allows, bad)
     }
 
     #[test]
-    fn d2_fires_and_allow_silences() {
-        let v = run("use std::collections::HashMap;\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::NondeterministicOrder);
-        let v = run(
-            "// lint: allow(nondeterministic-order, reason=keyed lookups only)\n\
-             use std::collections::HashMap;\n",
-        );
-        assert!(v.is_empty(), "{v:?}");
-        // Trailing form.
-        let v = run("use std::collections::HashMap; // lint: allow(D2, reason=keyed)\n");
-        assert!(v.is_empty(), "{v:?}");
+    fn an_allow_covers_its_own_or_the_next_line() {
+        let (a, bad) = allows("// lint: allow(atomic-protocol, reason=single owner)\nx.load();\n");
+        assert!(bad.is_empty(), "{bad:?}");
+        assert!(allowed(&a, RuleId::AtomicProtocol, 2));
+        assert!(!allowed(&a, RuleId::AtomicProtocol, 3));
+        assert!(!allowed(&a, RuleId::LockOrder, 2));
+        let (a, _) = allows("\nx.lock(); // lint: allow(D10, reason=leaf lock)\n");
+        assert!(allowed(&a, RuleId::LockOrder, 2));
+        let (a, _) = allows("// lint: allow-file(D11, reason=reference oracle)\n");
+        assert!(allowed(&a, RuleId::SendSyncAudit, 400));
     }
 
     #[test]
-    fn allow_without_reason_is_reported() {
-        let v = run("// lint: allow(nondeterministic-order)\nuse std::collections::HashMap;\n");
-        assert!(v.iter().any(|x| x.rule == RuleId::BadAllow));
-        assert!(v.iter().any(|x| x.rule == RuleId::NondeterministicOrder));
-    }
-
-    #[test]
-    fn allow_file_covers_everything() {
-        let v = run("// lint: allow-file(D2, reason=reference oracle)\n\
-             use std::collections::HashMap;\nfn f() { let _ = HashMap::<u8, u8>::new(); }\n");
-        assert!(v.is_empty(), "{v:?}");
+    fn malformed_or_retired_allows_are_reported() {
+        for src in [
+            "// lint: allow(atomic-protocol)\n",
+            "// lint: allow(atomic-protocol, reason=)\n",
+            "// lint: allow(wall-clock, reason=a compiler lint now)\n",
+            "// lint: allow(D2, reason=a compiler lint now)\n",
+        ] {
+            let (a, bad) = allows(src);
+            assert!(a.is_empty(), "{src}");
+            assert_eq!(bad.len(), 1, "{src}");
+            assert_eq!(bad[0].rule, RuleId::BadAllow);
+        }
         // Doc comments are prose, never live annotations.
-        let v = run("//! write `// lint: allow(D2, reason=...)` to silence\n");
-        assert!(v.is_empty(), "{v:?}");
+        let (a, bad) = allows("//! write `// lint: allow(D9, reason=...)` to silence\n");
+        assert!(a.is_empty() && bad.is_empty());
     }
 
     #[test]
-    fn cfg_test_is_exempt_for_determinism_rules() {
-        let src = "\
-fn main() {}\n\
-#[cfg(test)]\n\
-mod tests {\n\
-    use std::collections::HashSet;\n\
-    #[test]\n\
-    fn t() { let _ = HashSet::<u8>::new(); }\n\
-}\n";
-        assert!(run(src).is_empty(), "{:?}", run(src));
-    }
-
-    #[test]
-    fn unsafe_needs_safety_even_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { unsafe { core::hint::unreachable_unchecked() } }\n}\n";
-        let v = run(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::UndocumentedUnsafe);
-    }
-
-    #[test]
-    fn safety_comment_and_doc_section_satisfy_d4() {
-        let ok = "// SAFETY: ptr is valid\nunsafe { do_it() }\n";
-        assert!(run(ok).is_empty());
-        let doc = "/// # Safety\n/// caller checks bounds\nunsafe fn f() {}\n";
-        assert!(run(doc).is_empty());
-    }
-
-    #[test]
-    fn d1_matches_paths_and_nows() {
-        let v = run("use std::time::Instant;\nfn f() { let _ = Instant::now(); }\n");
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|x| x.rule == RuleId::WallClock));
-        // An unrelated ident containing the word does not fire.
-        assert!(run("enum Step { InstantProgress }\n").is_empty());
-    }
-
-    #[test]
-    fn d5_catches_unwrap_expect_panic_indexing() {
-        let only = [RuleId::PanickingIo];
-        let v = analyze_source(
-            "test.rs",
-            "fn f(xs: &[u8]) { xs.first().unwrap(); }\n",
-            &only,
-        );
-        assert_eq!(v.len(), 1);
-        let v = analyze_source("test.rs", "fn f() { panic!(\"boom\"); }\n", &only);
-        assert_eq!(v.len(), 1);
-        let v = analyze_source(
-            "test.rs",
-            "fn f(xs: &[u8], i: usize) -> u8 { xs[i] }\n",
-            &only,
-        );
-        assert_eq!(v.len(), 1, "{v:?}");
-        // Array types, attributes and vec! are not indexing.
-        let v = analyze_source(
-            "test.rs",
-            "#[derive(Debug)]\nstruct S { a: [u8; 4] }\n",
-            &only,
-        );
-        assert!(v.is_empty());
-        let v = analyze_source("test.rs", "fn f() { let _ = vec![1, 2]; }\n", &only);
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn d8_requires_pinned_allows_outside_tests() {
-        let only = [RuleId::LivePanic];
-        let v = analyze_source(
-            "crates/live/src/executor.rs",
-            "fn f(r: Option<u8>) -> u8 { r.expect(\"x\") }\n",
-            &only,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::LivePanic);
-        let v = analyze_source(
-            "crates/live/src/executor.rs",
-            "fn f() { panic!(\"boom\"); }\n",
-            &only,
-        );
-        assert_eq!(v.len(), 1);
-        // A per-site pin naming the invariant silences it.
-        let v = analyze_source(
-            "crates/live/src/executor.rs",
-            "fn f(r: Option<u8>) -> u8 {\n    // lint: allow(live-panic, reason=peeked above)\n    r.expect(\"x\")\n}\n",
-            &only,
-        );
-        assert!(v.is_empty(), "{v:?}");
-        // Tests are exempt; checked combinators never fire.
-        let v = analyze_source(
-            "crates/live/src/executor.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t() { None::<u8>.unwrap(); }\n}\n",
-            &only,
-        );
-        assert!(v.is_empty(), "{v:?}");
-        let v = analyze_source(
-            "crates/live/src/executor.rs",
-            "fn f(r: Option<u8>) -> u8 { r.unwrap_or(0) }\n",
-            &only,
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn strings_never_fire() {
-        assert!(run("fn f() -> &'static str { \"HashMap unsafe thread_rng\" }\n").is_empty());
-    }
-
-    #[test]
-    fn d7_checked_io_mode_catches_unwrap_expect_panic_but_not_indexing() {
-        let only = [RuleId::DurabilityBoundary];
-        let v = analyze_source(
-            "wal.rs",
-            "fn f(r: Option<u8>) -> u8 { r.unwrap() }\n",
-            &only,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::DurabilityBoundary);
-        let v = analyze_source("wal.rs", "fn f() { panic!(\"torn\"); }\n", &only);
-        assert_eq!(v.len(), 1);
-        // Fixed-offset codec slicing is deliberate: no indexing heuristic.
-        let v = analyze_source("wal.rs", "fn f(b: &mut [u8]) { b[0] = 1; }\n", &only);
-        assert!(v.is_empty(), "{v:?}");
-        // `unwrap_or` is checked, not panicking.
-        let v = analyze_source(
-            "wal.rs",
-            "fn f(r: Option<u8>) -> u8 { r.unwrap_or(0) }\n",
-            &only,
-        );
-        assert!(v.is_empty(), "{v:?}");
-        // Outside the durability modules only isolation mode applies:
-        // ordinary sim-crate panics belong to D5's jurisdiction, not D7.
-        let v = analyze_source(
-            "sim.rs",
-            "fn f(r: Option<u8>) -> u8 { r.expect(\"x\") }\n",
-            &only,
-        );
-        assert!(v.is_empty(), "{v:?}");
-        let v = analyze_source("sim.rs", "fn f() { panic!(\"x\"); }\n", &only);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn d7_isolation_mode_catches_durability_paths_only() {
-        let only = [RuleId::DurabilityBoundary];
-        let v = analyze_source("sim.rs", "use strip_live::wal::WalHandle;\n", &only);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::DurabilityBoundary);
-        let v = analyze_source(
-            "sim.rs",
-            "fn f() { strip_live::recovery::noop(); }\n",
-            &only,
-        );
-        assert_eq!(v.len(), 1);
-        // Bare idents and enum variants that merely share the words do
-        // not fire: only the full `strip_live::<module>` path counts.
-        let v = analyze_source(
-            "sim.rs",
-            "fn f() { let snapshot = 1; let _ = snapshot; }\n",
-            &only,
-        );
-        assert!(v.is_empty(), "{v:?}");
-        let v = analyze_source(
-            "sim.rs",
-            "fn f(m: Ingest) { matches!(m, Ingest::Snapshot); }\n",
-            &only,
-        );
-        assert!(v.is_empty(), "{v:?}");
+    fn test_regions_span_the_attributed_item() {
+        let src = "fn main() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
+        let regions = test_regions(&lex(src).tokens);
+        assert_eq!(regions, [(2, 5)]);
+        assert!(in_regions(&regions, 4) && !in_regions(&regions, 6));
     }
 }

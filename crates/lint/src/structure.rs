@@ -4,7 +4,7 @@
 //! `#[cfg(test)]` regions, so neither a comment nor a test module can trip
 //! or hide one, and no `lint: allow` silences them.
 
-use crate::lex::{lex, Comment, Lexed, Tok};
+use crate::lex::{lex, Tok};
 use crate::rules::{in_regions, snippet, test_regions, RuleId, Violation};
 
 /// Where a row's needles may occur inside its scope.
@@ -24,9 +24,8 @@ pub struct Row {
     /// The gate (S1–S5) the row reports as.
     pub rule: RuleId,
     /// Written as source and lexed like it: a needle matches a contiguous
-    /// run of tokens, a `*` after an identifier makes that identifier a
-    /// prefix, and a needle that is a comment matches any comment
-    /// containing its text.
+    /// run of tokens, and a `*` after an identifier makes that identifier
+    /// a prefix.
     pub needles: &'static [&'static str],
     /// Workspace-relative path prefixes the row looks under.
     pub scope: &'static [&'static str],
@@ -41,7 +40,7 @@ const FIGURES: &str = "crates/experiments/src/figures.rs";
 const SWEEP_CODE: &[&str] = &["crates/experiments/src/", "crates/core/src/"];
 
 /// Every structure check, in gate order.
-pub const ROWS: [Row; 22] = [
+pub const ROWS: [Row; 21] = [
     Row {
         rule: RuleId::SchedulerCore,
         needles: &[
@@ -81,13 +80,6 @@ pub const ROWS: [Row; 22] = [
         scope: &["crates/"],
         expect: Expect::Never,
         why: "no generic model layer stands between the calendar and the Controller",
-    },
-    Row {
-        rule: RuleId::SchedulerCore,
-        needles: &["// allow(live-panic"],
-        scope: &[SCHEDULER],
-        expect: Expect::Never,
-        why: "the core handles the bound transaction by value and needs no panic allowance",
     },
     Row {
         rule: RuleId::UpdatePath,
@@ -163,13 +155,6 @@ pub const ROWS: [Row; 22] = [
         scope: &["crates/core/src/"],
         expect: Expect::Never,
         why: "drivers hand the Preempt verdict back through Scheduler::preempt",
-    },
-    Row {
-        rule: RuleId::ConfigContract,
-        needles: &["// allow(live-panic"],
-        scope: &["crates/live/src/loadgen.rs"],
-        expect: Expect::Never,
-        why: "the loadgen's merge needs no panic allowance",
     },
     Row {
         rule: RuleId::ConfigContract,
@@ -262,19 +247,24 @@ pub const ROWS: [Row; 22] = [
         expect: Expect::OnlyIn("crates/live/src/logdir.rs"),
         why: "one module names, opens, truncates, renames, unlinks and fsyncs files",
     },
+    Row {
+        rule: RuleId::DurabilityDirectory,
+        needles: &[
+            "strip_live::wal",
+            "strip_live::snapshot",
+            "strip_live::recovery",
+            "strip_live::logdir",
+        ],
+        scope: &["src/"],
+        expect: Expect::Never,
+        why: "the simulator's facade names no durability module (the sim crates cannot: \
+              they do not depend on strip-live)",
+    },
 ];
 
 /// Position (line, col) of every occurrence of `needle`.
-fn hits(needle: &str, tokens: &[Tok], comments: &[Comment]) -> Vec<(u32, u32)> {
+fn hits(needle: &str, tokens: &[Tok]) -> Vec<(u32, u32)> {
     let pattern = lex(needle);
-    if let Some(c) = pattern.comments.first() {
-        let text = c.text.trim_start_matches('/').trim();
-        return comments
-            .iter()
-            .filter(|c| c.text.contains(text))
-            .map(|c| (c.line, 1))
-            .collect();
-    }
     let mut elems: Vec<(&Tok, bool)> = Vec::new();
     for t in &pattern.tokens {
         match elems.last_mut() {
@@ -307,7 +297,7 @@ pub fn check_structure(sources: &[(String, String)]) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut found: Vec<Vec<bool>> = ROWS.iter().map(|r| vec![false; r.needles.len()]).collect();
     for (rel, src) in sources {
-        let Lexed { tokens, comments } = lex(src);
+        let tokens = lex(src).tokens;
         let tests = test_regions(&tokens);
         let lines: Vec<&str> = src.lines().collect();
         for (row, found) in ROWS.iter().zip(&mut found) {
@@ -315,7 +305,7 @@ pub fn check_structure(sources: &[(String, String)]) -> Vec<Violation> {
                 continue;
             }
             for (needle, found) in row.needles.iter().zip(found) {
-                for (line, col) in hits(needle, &tokens, &comments) {
+                for (line, col) in hits(needle, &tokens) {
                     if in_regions(&tests, line) {
                         continue;
                     }
@@ -383,17 +373,12 @@ mod tests {
     fn needles_match_tokens_not_text() {
         let l =
             lex("fn replay() {} fn replay_batched() {} // fn replay_x\nlet s = \"fn replay_y\";");
-        assert_eq!(hits("fn replay*", &l.tokens, &l.comments).len(), 2);
+        assert_eq!(hits("fn replay*", &l.tokens).len(), 2);
         let l = lex("match a { \"--batch\" => 1, \"usage: --batch N\" => 2 }");
-        assert_eq!(hits("\"--batch\"", &l.tokens, &l.comments).len(), 1);
+        assert_eq!(hits("\"--batch\"", &l.tokens).len(), 1);
         let l = lex("LogFile::open(p); File::open(p); file.rename(a); fs::rename(a, b);");
-        assert_eq!(hits("File::", &l.tokens, &l.comments), [(1, 19)]);
-        assert_eq!(hits("rename(", &l.tokens, &l.comments).len(), 2);
-        let l = lex("// lint: allow(live-panic, reason=x)\nfn f() {}");
-        assert_eq!(
-            hits("// allow(live-panic", &l.tokens, &l.comments),
-            [(1, 1)]
-        );
+        assert_eq!(hits("File::", &l.tokens), [(1, 19)]);
+        assert_eq!(hits("rename(", &l.tokens).len(), 2);
     }
 
     #[test]

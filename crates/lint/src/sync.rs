@@ -1,6 +1,6 @@
 //! D9/D10/D11 — the cross-file synchronization-protocol analysis.
 //!
-//! Unlike the token-local D1–D8 rules, these three check the code against
+//! Unlike a per-file lint, these three check the code against
 //! the sync-site registry ([`crate::registry`], loaded from
 //! `crates/lint/sync_protocol.toml`) and against *each other's* sites:
 //!
@@ -18,8 +18,8 @@
 //!   make the workspace-wide acquisition graph acyclic by construction
 //!   (any cycle would need at least one non-ascending edge).
 //! * **D11 (send-sync-audit)** — every `unsafe impl Send`/`Sync` must
-//!   carry a registry entry naming the invariant it stands on. Like D4,
-//!   nothing is exempt — an unsound impl in a test module still breaks
+//!   carry a registry entry naming the invariant it stands on. Nothing
+//!   is exempt — an unsound impl in a test module still breaks
 //!   the whole program's soundness.
 //!
 //! Registry entries must not go stale either: an entry with no matching
@@ -204,7 +204,11 @@ struct HeldGuard {
     depth: i32,
 }
 
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(
+    clippy::too_many_arguments,
+    clippy::too_many_lines,
+    reason = "one token walk feeds the three sync rules; splitting it would re-lex"
+)]
 fn scan_file(
     file_idx: usize,
     file: &str,
@@ -219,11 +223,9 @@ fn scan_file(
     let toks = &lexed.tokens;
     let lines: Vec<&str> = src.lines().collect();
     let tests = test_regions(toks);
-    // Allow annotations: malformed ones are already reported by the
-    // per-file pass (`analyze_source` always checks them), so the scratch
-    // vec is discarded here to avoid duplicates.
-    let mut scratch = Vec::new();
-    let allows = crate::rules::parse_allows(&lexed.comments, file, &lines, &mut scratch);
+    // Allow annotations; a malformed one is reported with the file's
+    // violations.
+    let allows = crate::rules::parse_allows(&lexed.comments, file, &lines, out);
     let allowed = |rule: RuleId, line: u32| -> bool { crate::rules::allowed(&allows, rule, line) };
 
     let mut ctx = ContextTracker::default();

@@ -1,29 +1,19 @@
-// Fixture: must pass every rule and every structure row, exercising the
-// escape hatches.
+// Fixture: must pass every structure row: the needles appear only in
+// comments, strings and a test module, where no row looks.
 // Not compiled; read as data by the self-tests.
 
 use std::collections::BTreeMap;
-// lint: allow(nondeterministic-order, reason=keyed lookups only; never iterated)
-use std::collections::HashMap;
 
+// Not `fn run_until`, nor `Msg::Update(` nor `std::fs`.
 fn lookup(m: &BTreeMap<u32, u32>, k: u32) -> Option<u32> {
+    let _ = "fn run_until strip_live::wal AdmissionControl";
     m.get(&k).copied()
-}
-
-fn first(xs: &[u8]) -> u8 {
-    // SAFETY: callers guarantee `xs` is non-empty, so the pointer read
-    // stays in bounds.
-    unsafe { *xs.as_ptr() }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
-
     #[test]
-    fn membership() {
-        let mut s = HashSet::new();
-        s.insert(1u8);
-        assert!(s.contains(&1));
+    fn scratch_file() {
+        let _ = std::fs::read("scratch");
     }
 }

@@ -1,34 +1,24 @@
-//! Self-tests over the fixtures: each must trigger its rule or structure
-//! row exactly once (and nothing else) when scanned under the path it
-//! stands in for, and `clean.rs` must pass everything.
+//! Self-tests over the structure fixtures: each must trigger its row
+//! exactly once (and nothing else) when scanned under the path it stands
+//! in for, and `clean.rs` must pass everything. The sync fixtures
+//! (`d9.rs`–`d11.rs`) are `sync_protocol.rs`'s.
 
 use std::path::PathBuf;
 
-use strip_lint::{analyze_source, check_structure, RuleId, Violation};
+use strip_lint::{check_structure, RuleId, Violation};
 
-/// Every per-file rule and every structure row over the fixture `name`,
-/// scanned as the workspace file `scanned_as`.
+/// Every structure row over the fixture `name`, scanned as the workspace
+/// file `scanned_as`.
 fn scan(name: &str, scanned_as: &str) -> Vec<Violation> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
     let src = std::fs::read_to_string(&path).expect("fixture readable");
-    let mut violations = analyze_source(scanned_as, &src, &RuleId::ALL);
-    violations.extend(check_structure(&[(scanned_as.to_string(), src)]));
-    violations
+    check_structure(&[(scanned_as.to_string(), src)])
 }
 
 /// (fixture, the path it is scanned as, the rule that fires).
-const CASES: [(&str, &str, RuleId); 28] = [
-    ("d1.rs", "d1.rs", RuleId::WallClock),
-    ("d2.rs", "d2.rs", RuleId::NondeterministicOrder),
-    ("d3.rs", "d3.rs", RuleId::AmbientEntropy),
-    ("d4.rs", "d4.rs", RuleId::UndocumentedUnsafe),
-    ("d5.rs", "d5.rs", RuleId::PanickingIo),
-    // d7.rs exercises D7's isolation mode (a sim-path crate naming a
-    // durability module); the checked-I/O mode is covered by unit tests,
-    // since under the full rule set an `.unwrap()` is claimed by D5 first.
-    ("d7.rs", "d7.rs", RuleId::DurabilityBoundary),
+const CASES: [(&str, &str, RuleId); 21] = [
     // One fixture per row of `structure::ROWS`, in table order. The two
     // `OnceIn` rows whose fixture stands in for the row's own file carry
     // the first definition too; the others are scanned as a neighbour.
@@ -45,11 +35,6 @@ const CASES: [(&str, &str, RuleId); 28] = [
     (
         "s1_simulation_trait.rs",
         "crates/simkit/src/engine.rs",
-        RuleId::SchedulerCore,
-    ),
-    (
-        "s1_scheduler_allow.rs",
-        "crates/core/src/scheduler.rs",
         RuleId::SchedulerCore,
     ),
     (
@@ -103,11 +88,6 @@ const CASES: [(&str, &str, RuleId); 28] = [
         RuleId::ConfigContract,
     ),
     (
-        "s3_loadgen_allow.rs",
-        "crates/live/src/loadgen.rs",
-        RuleId::ConfigContract,
-    ),
-    (
         "s3_stream_by_hand.rs",
         "crates/experiments/src/runner.rs",
         RuleId::ConfigContract,
@@ -142,6 +122,11 @@ const CASES: [(&str, &str, RuleId); 28] = [
         "crates/live/src/wal.rs",
         RuleId::DurabilityDirectory,
     ),
+    (
+        "s5_root_names_wal.rs",
+        "src/lib.rs",
+        RuleId::DurabilityDirectory,
+    ),
 ];
 
 #[test]
@@ -160,6 +145,8 @@ fn each_fixture_triggers_its_rule_exactly_once() {
 
 #[test]
 fn clean_fixture_passes_every_rule() {
-    let violations = scan("clean.rs", "clean.rs");
-    assert!(violations.is_empty(), "{violations:?}");
+    for scanned_as in ["src/lib.rs", "crates/live/src/wal.rs"] {
+        let violations = scan("clean.rs", scanned_as);
+        assert!(violations.is_empty(), "{scanned_as}: {violations:?}");
+    }
 }

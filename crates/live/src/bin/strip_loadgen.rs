@@ -15,6 +15,14 @@
 //! control; with `--shutdown` the loadgen sends a shutdown frame after
 //! collecting the report, ending the server run.
 
+// D4, D8 and the unsafe boundary, as in the library (DESIGN.md §11).
+#![deny(unsafe_code)]
+#![deny(
+    clippy::allow_attributes_without_reason,
+    clippy::undocumented_unsafe_blocks
+)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::net::TcpStream;
 use std::process::ExitCode;
 

@@ -18,6 +18,14 @@
 //!        [--snapshot-secs SECS] [--recover] [--dag DEPTHxWIDTHxFANOUT]
 //! ```
 
+// D4, D8 and the unsafe boundary, as in the library (DESIGN.md §11).
+#![deny(unsafe_code)]
+#![deny(
+    clippy::allow_attributes_without_reason,
+    clippy::undocumented_unsafe_blocks
+)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::time::Duration;

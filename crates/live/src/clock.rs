@@ -1,4 +1,3 @@
-// lint: allow-file(wall-clock, reason=this module is the live runtime's single wall-clock boundary; everything above it speaks SimTime)
 //! The wall-clock boundary of the live runtime.
 //!
 //! The whole `strip-db` substrate (store, queues, staleness tracker,
@@ -7,8 +6,14 @@
 //! hand them a clock it owns. [`LiveClock`], the only production clock,
 //! maps monotonic wall time onto the axis — `SimTime::ZERO` is the instant
 //! it was started. This module is the *only* place in the workspace's
-//! deterministic crates where `Instant` appears; everything above it is
-//! clock-agnostic (see `strip_core::policy`).
+//! deterministic crates where `Instant` appears, by the one allowance of
+//! rule D1's `disallowed-types` lint (the root `clippy.toml`, DESIGN.md
+//! §11); everything above it is clock-agnostic (see `strip_core::policy`).
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the live runtime's single wall-clock boundary; everything above it speaks SimTime"
+)]
 
 use std::time::Instant;
 

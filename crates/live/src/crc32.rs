@@ -11,6 +11,11 @@
 //! tail of fewer than 16 bytes. The checksums are bit-identical
 //! (`tests::hardware_path_matches_the_tables_at_every_length_and_offset`).
 
+#![expect(
+    unsafe_code,
+    reason = "the PCLMULQDQ kernel: SIMD intrinsics called after a run-time feature check"
+)]
+
 /// Eight derived lookup tables for slice-by-8: `TABLES[0]` is the classic
 /// byte-at-a-time table; `TABLES[j]` advances a byte `j` further positions
 /// in one lookup. Same polynomial, same checksums as the byte-wise form —

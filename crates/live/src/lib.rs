@@ -48,6 +48,16 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+// D4, D8 and the unsafe boundary (DESIGN.md §11): `unsafe` lives in the
+// three modules that `expect` it, each block with a `SAFETY:` comment; a
+// panic site in the live runtime names its invariant in an
+// `#[allow(.., reason = ..)]`.
+#![deny(unsafe_code)]
+#![deny(
+    clippy::allow_attributes_without_reason,
+    clippy::undocumented_unsafe_blocks
+)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod clock;
 mod crc32;

@@ -20,6 +20,9 @@
 //! Generation ages (mean `a_update`, seconds) dwarf that skew; DESIGN.md
 //! §5 "Clock skew" discusses the approximation.
 
+// D8 (DESIGN.md §11): the loadgen's merge needs no panic allowance.
+#![forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
 use std::time::Duration;

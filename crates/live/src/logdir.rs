@@ -34,6 +34,10 @@
 //! goes. Every state a crash can leave between two of these calls, and
 //! what recovery makes of it, is the table in DESIGN.md §10.
 
+// D7 (DESIGN.md §11): the crash path runs unattended, so a disk fault is an
+// `Err`, never a panic, and no site is allowed one.
+#![forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};

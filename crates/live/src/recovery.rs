@@ -29,6 +29,10 @@
 //! either artefact aborts recovery with an error: replaying a log into a
 //! differently-shaped store would corrupt it silently.
 
+// D7 (DESIGN.md §11): the crash path runs unattended, so a disk fault is an
+// `Err`, never a panic, and no site is allowed one.
+#![forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::io;
 
 use strip_core::config_fingerprint;

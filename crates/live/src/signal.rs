@@ -9,6 +9,11 @@
 //! relaxed atomic flag. A watcher (the `stripd` main thread) polls the
 //! flag and triggers the same shutdown path a wire shutdown frame takes.
 
+#![expect(
+    unsafe_code,
+    reason = "the two raw signal(2) registrations; the handler only stores an atomic flag"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set by the handler when SIGTERM or SIGINT has been delivered.

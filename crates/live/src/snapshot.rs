@@ -27,6 +27,10 @@
 //! `SimTime` the tracker and worthiness checks saw, and the initial ages
 //! drawn at startup are not microsecond-aligned.
 
+// D7 (DESIGN.md §11): the crash path runs unattended, so a disk fault is an
+// `Err`, never a panic, and no site is allowed one.
+#![forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::io;
 use std::path::Path;
 

@@ -35,8 +35,13 @@
 //! intentionally the only unsafe, *ordering-sensitive* code in the live
 //! runtime (the crate's other unsafe is the pair of `signal(2)` FFI
 //! registrations in [`crate::signal`] and the CRC-32 kernel in
-//! `crc32.rs`) — `crates/lint/tests/unsafe_audit.rs` pins that
-//! claim.
+//! `crc32.rs`) — the crate roots' `#![deny(unsafe_code)]` and the
+//! `#![expect(unsafe_code)]` of these three modules pin that claim.
+
+#![expect(
+    unsafe_code,
+    reason = "the ring hands slots between one producer and one consumer through raw cells"
+)]
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

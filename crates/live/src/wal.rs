@@ -59,6 +59,10 @@
 //! ([`crate::recovery`]): a record's length follows from its kind (and a
 //! batch's count), and its CRC covers every byte before it.
 
+// D7 (DESIGN.md §11): the crash path runs unattended, so a disk fault is an
+// `Err`, never a panic, and no site is allowed one.
+#![forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

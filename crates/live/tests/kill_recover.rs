@@ -5,6 +5,10 @@
 //! in-repo twin of the CI `recovery-smoke` job and of experiment figR2.
 
 #![cfg(unix)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the expected store is looked up by key, never iterated"
+)]
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read as _, Write as _};

@@ -243,6 +243,10 @@ fn metrics_endpoint_serves_prometheus_text() {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_types,
+    reason = "times real scrapes against a wall-clock bound"
+)]
 fn accept_does_not_wait_out_a_poll_interval() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
     let handle = serve(&live_cfg(Policy::UpdatesFirst), listener).expect("serve");

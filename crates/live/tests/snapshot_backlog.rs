@@ -8,6 +8,11 @@
 //! or in flight; these tests pin both halves — no loss under backlog, and
 //! the deferred snapshot still happens once the backlog is gone.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the expected store is looked up by key, never iterated"
+)]
+
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender};

@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;

@@ -320,6 +320,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "tests the Hash impl; never iterated"
+    )]
     fn ids_are_ordered_and_hashable() {
         use std::collections::HashSet;
         let a = ViewObjectId::new(Importance::Low, 3);

@@ -3,8 +3,8 @@
 //!
 //! Two criteria are modelled:
 //!
-//! * **Maximum Age (MA)** — an object is stale when the *generation* age of
-//!   its installed value exceeds `alpha`. Even an object whose true value
+//! * **Maximum Age (MA)** — an object is stale once the *generation* age of
+//!   its installed value reaches `alpha`. Even an object whose true value
 //!   never changes goes stale unless it is periodically refreshed.
 //! * **Unapplied Update (UU)** — an object is optimistically fresh unless an
 //!   update for it has been received by the system but not yet applied.
@@ -18,13 +18,11 @@
 //! time-weighted stale counts from which `fold_l` and `fold_h` are computed.
 //! The in-system behavioural checks (a timestamp compare for MA, an update
 //! queue scan for UU) are performed by the controller and charged to the CPU
-//! via the cost model. Neither coincides with its metric. The MA metric
-//! counts an object stale once generation + α ≤ now, while the behavioural
-//! MA check (`Store::is_stale_ma`, `Update::expired_at`,
-//! `UpdateQueue::discard_expired`) asks for an age now − generation > α,
-//! strictly: the two disagree at age = α exactly, and up to rounding near
-//! it. The UU metric is omniscient about drops that the in-system queue
-//! scan can no longer see.
+//! via the cost model. For MA the check and the metric are one rule,
+//! [`ma_stale`] (generation + α ≤ now), which `Store::is_stale_ma`,
+//! `Update::expired_at` and `UpdateQueue::discard_expired` ask as well.
+//! The UU metric is omniscient about drops that the in-system queue scan
+//! can no longer see.
 
 use serde::{Deserialize, Serialize};
 use strip_sim::stats::TimeWeighted;
@@ -82,13 +80,22 @@ pub struct ExpiryWatch {
     pub at: SimTime,
 }
 
-/// The Maximum Age rule, the one place it is applied: a value generated
-/// at `gen` is stale from `gen + alpha` on. Returns that instant and
-/// whether `now` has reached it.
+/// The Maximum Age rule (paper §2), the one place it is stated: a value
+/// generated at `gen` is stale from `gen + alpha` on, the instant an
+/// expiry timer fires at. The paper's "older than α" differs from it only
+/// at that instant. The tracker's metric and every in-system check (a
+/// read, an install, the update queue's discard) ask this one predicate.
+#[inline]
+#[must_use]
+pub fn ma_stale(gen: SimTime, alpha: f64, now: SimTime) -> bool {
+    gen + alpha <= now
+}
+
+/// When a value generated at `gen` goes stale under MA, and whether `now`
+/// has reached that instant ([`ma_stale`]).
 #[inline]
 fn ma_expiry(gen: SimTime, alpha: f64, now: SimTime) -> (SimTime, bool) {
-    let at = gen + alpha;
-    (at, at <= now)
+    (gen + alpha, ma_stale(gen, alpha, now))
 }
 
 #[derive(Debug, Clone)]

@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 use strip_sim::time::SimTime;
 
 use crate::object::{Importance, ViewObject, ViewObjectId};
+use crate::staleness::ma_stale;
 use crate::update::Update;
 
 /// Result of attempting to install an update.
@@ -159,12 +160,13 @@ impl Store {
         }
     }
 
-    /// True if the object's installed value is older than `alpha` at `now`
-    /// (the Maximum Age staleness test, paper §2).
+    /// True if the object's installed value has reached the maximum age
+    /// `alpha` at `now` (the Maximum Age staleness test, paper §2:
+    /// [`ma_stale`]).
     #[inline]
     #[must_use]
     pub fn is_stale_ma(&self, id: ViewObjectId, now: SimTime, alpha: f64) -> bool {
-        self.view(id).age_at(now) > alpha
+        ma_stale(self.view(id).generation_ts, alpha, now)
     }
 
     /// Reads a general object.
@@ -262,7 +264,10 @@ mod tests {
         let mut s = Store::new(1, 0, 0, t(0.0));
         let id = ViewObjectId::new(Importance::Low, 0);
         s.install(&upd(Importance::Low, 0, 1.0, 1.0));
-        assert!(!s.is_stale_ma(id, t(8.0), 7.0));
+        assert!(!s.is_stale_ma(id, t(7.9), 7.0));
+        // Stale from generation + α on: at age == α exactly, as the
+        // tracker's metric counts it.
+        assert!(s.is_stale_ma(id, t(8.0), 7.0));
         assert!(s.is_stale_ma(id, t(8.1), 7.0));
     }
 

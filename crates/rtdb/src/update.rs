@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 use strip_sim::time::SimTime;
 
 use crate::object::ViewObjectId;
+use crate::staleness::ma_stale;
 
 /// One update to a snapshot view object. An update is *complete* (provides
 /// every attribute, the paper's focus) or *partial* (provides a subset —
@@ -67,12 +68,13 @@ impl Update {
         now.since(self.generation_ts)
     }
 
-    /// True if the update's value exceeds the maximum age `alpha` at `now`
-    /// (it would install an already-stale value under the MA criterion).
+    /// True if the update's value has reached the maximum age `alpha` at
+    /// `now` (it would install an already-stale value under the MA
+    /// criterion: [`ma_stale`]).
     #[inline]
     #[must_use]
     pub fn expired_at(&self, now: SimTime, alpha: f64) -> bool {
-        self.age_at(now) > alpha
+        ma_stale(self.generation_ts, alpha, now)
     }
 }
 
@@ -124,9 +126,10 @@ mod tests {
     }
 
     #[test]
-    fn expiry_is_strict() {
+    fn expiry_starts_at_generation_plus_alpha() {
         let u = upd(0.0, 0.1);
-        assert!(!u.expired_at(SimTime::from_secs(7.0), 7.0));
+        assert!(!u.expired_at(SimTime::from_secs(6.9999), 7.0));
+        assert!(u.expired_at(SimTime::from_secs(7.0), 7.0));
         assert!(u.expired_at(SimTime::from_secs(7.0001), 7.0));
     }
 }

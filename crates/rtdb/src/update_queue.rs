@@ -60,6 +60,7 @@ use strip_sim::time::SimTime;
 
 use crate::object::{Importance, ViewObjectId};
 use crate::shed::ShedPolicy;
+use crate::staleness::ma_stale;
 use crate::update::Update;
 
 /// Key ordering queued updates by generation time, the sequence number
@@ -422,12 +423,12 @@ impl UpdateQueue {
     pub fn discard_expired(&mut self, now: SimTime, alpha: f64) -> usize {
         let mut n = 0;
         while let Some(head) = self.order.front() {
-            // Same age test as `Update::expired_at`, so the head check and
-            // per-update expiry agree bit-for-bit. The generation comes
-            // from the key, not the node: a `-0.0` comes back as `+0.0`,
-            // which changes neither the difference's value nor the test.
+            // The MA predicate `Update::expired_at` asks too, so the head
+            // check and per-update expiry agree bit-for-bit. The generation
+            // comes from the key, not the node: a `-0.0` comes back as
+            // `+0.0`, which changes neither the sum's value nor the test.
             let gen_ts = SimTime::from_order_bits((head.key >> 64) as u64);
-            if now.since(gen_ts) <= alpha {
+            if !ma_stale(gen_ts, alpha, now) {
                 break;
             }
             self.remove_at(0);
@@ -812,9 +813,10 @@ mod tests {
         assert_eq!(q.discard_expired(t(10.0), 7.0), 1);
         assert_eq!(q.len(), 2);
         assert_eq!(q.expired_dropped(), 1);
-        // Exactly at the boundary (age == alpha) is not expired.
-        assert_eq!(q.discard_expired(t(11.0), 7.0), 0);
-        assert_eq!(q.discard_expired(t(11.1), 7.0), 1);
+        // Generation 4.0 expires at 11.0 exactly (age == alpha), the
+        // instant the tracker counts it stale.
+        assert_eq!(q.discard_expired(t(10.9), 7.0), 0);
+        assert_eq!(q.discard_expired(t(11.0), 7.0), 1);
         assert!(q.check_invariants());
     }
 
@@ -958,7 +960,8 @@ mod tests {
         q.insert(upd(2, 1, 2.0));
         q.insert(upd(3, 2, 3.0)); // low partition overflows (cap 2)
         assert_eq!(q.overflow_dropped(), 1);
-        assert_eq!(q.discard_expired(t(10.0), 7.0), 2); // gens 1.5 and 2.0
+        // Gens 1.5 and 2.0; gen 3.0 expires at 10.0.
+        assert_eq!(q.discard_expired(t(9.5), 7.0), 2);
         assert_eq!(q.expired_dropped(), 2);
     }
 

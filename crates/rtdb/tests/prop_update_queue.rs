@@ -90,7 +90,8 @@ impl Model {
 
     fn discard_expired(&mut self, now: SimTime, alpha: f64) -> usize {
         let before = self.items.len();
-        self.items.retain(|e| now.since(e.generation_ts) <= alpha);
+        // The MA rule: stale from generation + alpha on.
+        self.items.retain(|e| e.generation_ts + alpha > now);
         before - self.items.len()
     }
 
@@ -362,6 +363,7 @@ proptest! {
         for (i, (obj, gen)) in inserts.into_iter().enumerate() {
             q.insert(mk_update(i as u64, obj, gen));
         }
+        #[allow(clippy::disallowed_types, reason = "a membership check; never iterated")]
         let mut seen = std::collections::HashSet::new();
         for u in q.iter() {
             assert!(seen.insert(u.object), "duplicate pending update for {:?}", u.object);

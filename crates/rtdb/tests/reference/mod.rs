@@ -1,4 +1,6 @@
-//! The seed `BTreeMap`-based update queue, kept verbatim as the oracle.
+//! The seed `BTreeMap`-based update queue, kept as the oracle: verbatim but
+//! for its MA expiry test, which asks the one rule (generation + α ≤ now)
+//! the production queue asks.
 //!
 //! [`ReferenceUpdateQueue`] is the repository's original implementation of
 //! the generation-ordered update queue: a `BTreeMap<QueueKey, Update>` for
@@ -7,6 +9,11 @@
 //! slab-backed `strip_db::update_queue::UpdateQueue` replaced it; it shares
 //! no code with that structure, which is what makes it the oracle
 //! `prop_update_queue.rs` compares against.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the seed queue's per-object index is looked up, never iterated"
+)]
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -132,12 +139,12 @@ impl ReferenceUpdateQueue {
         self.unlink(key)
     }
 
-    /// Discards every queued update whose value age exceeds `alpha` at
-    /// `now`; returns how many were discarded.
+    /// Discards every queued update whose value is stale under MA at `now`
+    /// (generation + `alpha` ≤ `now`); returns how many were discarded.
     pub fn discard_expired(&mut self, now: SimTime, alpha: f64) -> usize {
         let mut n = 0;
         while let Some((&(gen_ts, seq), _)) = self.by_generation.iter().next() {
-            if now.since(gen_ts) <= alpha {
+            if gen_ts + alpha > now {
                 break;
             }
             self.unlink((gen_ts, seq));

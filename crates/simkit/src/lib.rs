@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod dist;
 pub mod event;

@@ -529,6 +529,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "a membership count; never iterated"
+    )]
     fn update_targets_cover_partition() {
         let mut src = PoissonUpdates::from_config(&cfg());
         let mut seen = std::collections::HashSet::new();
@@ -658,6 +662,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "each object's gaps are checked alone; the visiting order is immaterial"
+    )]
     fn periodic_refreshes_every_object_regularly() {
         let mut src = PeriodicUpdates::from_config(&periodic_cfg(0.0));
         let mut per_obj: std::collections::HashMap<ViewObjectId, Vec<f64>> =
@@ -679,6 +687,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; never iterated"
+    )]
     fn periodic_jitter_perturbs_gaps_but_keeps_order() {
         let mut src = PeriodicUpdates::from_config(&periodic_cfg(0.5));
         let mut last = SimTime::ZERO;

@@ -35,6 +35,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub use strip_core as core;
 pub use strip_db as db;
