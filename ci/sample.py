@@ -37,7 +37,13 @@ so a futex `syscall` says which of the binary's functions made it. It
 prints the sample count and, for the top frames, the leaf share (the
 innermost frame of the sample) and the inclusive share (the frame appears
 anywhere in the sample's inline chain). Only the inline chain is known: a
-function's out-of-line callees are not in its inclusive share. With
+function's out-of-line callees are not in its inclusive share. The busy
+samples are ranked a third way, by the *compiled* function: the
+outermost frame of the PC's own inline chain (the last function
+`addr2line -i` prints for it, or the library symbol), the one function
+the PC's machine code belongs to. A frame that ranks here under its own
+name was called out of line; one that ranks only in the first ranking
+was inlined into its caller. With
 `--lines N` it also ranks the N source lines that hold the most samples
 (the innermost frame's `file:line`).
 
@@ -339,6 +345,9 @@ def main():
     frames = symbolise(binary, sorted(set(where.values()) | set(call_sites.values())))
     resolved = {sample: sample_chain(sample, chains, frames, where, call_sites)
                 for sample in samples}
+    compiled = {sample: (chains.get(sample[0]) or frames.get(where[sample[0]])
+                         or [('??', '??')])[-1][0]
+                for sample in samples}
 
     if not any(sum(c.values()) for by_cpu in pcs.values() for c in by_cpu.values()):
         sys.exit(f'no samples (no thread named {args.thread}*?)' if args.thread else 'no samples')
@@ -366,6 +375,8 @@ def main():
                                  ('off-CPU', off)):
             print(f'\n{heading}: {sum(counter.values())} samples')
             table(counter, resolved, args)
+            if counter is busy:
+                compiled_table(busy, compiled, args)
     return child.returncode
 
 
@@ -389,6 +400,20 @@ def sample_chain(sample, chains, frames, where, call_sites):
     inner, outer = site[0][0], site[-1][0]
     label = inner if inner == outer else f'{inner} in {outer}'
     return [(f'{chain[0][0]} ← {label}', chain[0][1])] + site
+
+
+def compiled_table(samples, compiled, args):
+    """Prints the ranking of the (pc, caller) counts in `samples` by the
+    function each PC is compiled in (its outermost inline frame)."""
+    total = sum(samples.values())
+    if not total:
+        return
+    by_function = collections.Counter()
+    for sample, n in samples.items():
+        by_function[compiled[sample]] += n
+    print(f'\n{"self":>7}  compiled function (outermost frame)')
+    for name, n in by_function.most_common(args.top):
+        print(f'{n / total:7.1%}  {name}')
 
 
 def table(samples, resolved, args):

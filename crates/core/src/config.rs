@@ -430,8 +430,8 @@ impl SimConfig {
     /// (the initial watches fall due as installs arm new ones). The rest —
     /// the next arrival of each source, transaction deadlines, the
     /// completions of preempted slices — fit in a constant 256. The
-    /// calendar reserves this many slab slots and near-heap entries
-    /// (DESIGN.md §6).
+    /// calendar reserves this many slab slots; its near heap holds a few
+    /// events and grows on demand (DESIGN.md §6).
     #[must_use]
     pub fn calendar_capacity_hint(&self) -> usize {
         let watches = self.staleness.alpha().map_or(0, |alpha| {

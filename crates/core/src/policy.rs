@@ -76,6 +76,7 @@ pub enum ServiceOrder {
 /// True when the policy serves update work before transactions at this
 /// dispatch point (§4.1 UF, §4.3 SU's arrival class, §7's fixed fraction).
 /// TF and OD always let transactions go first and drain queues when idle.
+#[inline]
 #[must_use]
 pub fn updates_have_priority(policy: Policy, state: &WorkState) -> bool {
     match policy {
@@ -97,6 +98,7 @@ pub fn updates_have_priority(policy: Policy, state: &WorkState) -> bool {
 /// True when an update *arrival* preempts a running transaction slice
 /// (charging `2·x_switch`): UF and SU react to arrivals; TF, OD and the
 /// fixed-fraction extension let them wait in the OS queue.
+#[inline]
 #[must_use]
 pub fn preempts_on_arrival(policy: Policy) -> bool {
     matches!(policy, Policy::UpdatesFirst | Policy::SplitUpdates)
@@ -104,6 +106,7 @@ pub fn preempts_on_arrival(policy: Policy) -> bool {
 
 /// Where an update received from the OS queue goes: straight to an install
 /// slice (UF always, SU for high importance) or into the update queue.
+#[inline]
 #[must_use]
 pub fn arrival_route(policy: Policy, class: Importance) -> ArrivalRoute {
     match policy {
@@ -120,6 +123,7 @@ pub fn arrival_route(policy: Policy, class: Importance) -> ArrivalRoute {
 /// Under UU (and the combined criterion) the unapplied-update *check
 /// itself* is a queue scan, paid by every queue-using algorithm on every
 /// view read (§6.3); UF has no queue to search.
+#[inline]
 #[must_use]
 pub fn read_check(policy: Policy, staleness: StalenessSpec, ma_stale: bool) -> ReadCheck {
     match staleness {
@@ -144,6 +148,7 @@ pub fn read_check(policy: Policy, staleness: StalenessSpec, ma_stale: bool) -> R
 /// newest queued generation for the object (if any) must be strictly newer
 /// than the installed one. Under the combined criterion a queued newer
 /// update is worth applying whether the object is MA-stale or UU-stale.
+#[inline]
 #[must_use]
 pub fn od_refresh(
     policy: Policy,
@@ -162,6 +167,7 @@ pub fn od_refresh(
 /// is the only policy that installs queued updates on a view read.
 /// Shared verbatim by the simulator and the live executor so derived
 /// reads keep sim/live decision parity.
+#[inline]
 #[must_use]
 pub fn dag_refresh(policy: Policy, node_stale: bool) -> bool {
     policy == Policy::OnDemand && node_stale
@@ -170,6 +176,7 @@ pub fn dag_refresh(policy: Policy, node_stale: bool) -> bool {
 /// True when the *metric* staleness verdict of a view read comes from the
 /// receive-side tracker (UU and the combined criterion) rather than the
 /// store's MA timestamp.
+#[inline]
 #[must_use]
 pub fn metric_uses_tracker(staleness: StalenessSpec) -> bool {
     matches!(
@@ -181,6 +188,7 @@ pub fn metric_uses_tracker(staleness: StalenessSpec) -> bool {
 /// What the running *system* can detect (drives abort-on-stale): MA uses
 /// the store timestamp; UU sees only the queue — an update dropped before
 /// being applied is invisible; the combined criterion ORs both detectors.
+#[inline]
 #[must_use]
 pub fn system_stale(staleness: StalenessSpec, ma_stale: bool, queue_has_newer: bool) -> bool {
     match staleness {
@@ -192,6 +200,7 @@ pub fn system_stale(staleness: StalenessSpec, ma_stale: bool, queue_has_newer: b
 
 /// Maps the configured queue discipline onto the background-install
 /// service order.
+#[inline]
 #[must_use]
 pub fn service_order(queue_policy: QueuePolicy) -> ServiceOrder {
     match queue_policy {

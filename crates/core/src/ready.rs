@@ -20,17 +20,20 @@ pub struct ReadyQueue {
 
 impl ReadyQueue {
     /// Creates an empty queue.
+    #[inline]
     #[must_use]
     pub fn new() -> Self {
         ReadyQueue { txns: Vec::new() }
     }
 
     /// Adds a transaction.
+    #[inline]
     pub fn push(&mut self, txn: Transaction) {
         self.txns.push(txn);
     }
 
     /// Removes and returns the highest value-density transaction.
+    #[inline]
     pub fn pop_best(&mut self) -> Option<Transaction> {
         if self.txns.is_empty() {
             return None;
@@ -48,6 +51,7 @@ impl ReadyQueue {
     }
 
     /// The highest value density currently queued (for preemption checks).
+    #[inline]
     #[must_use]
     pub fn best_density(&self) -> Option<f64> {
         self.txns
@@ -58,6 +62,7 @@ impl ReadyQueue {
 
     /// Removes and returns every transaction that cannot finish by its
     /// deadline if started at `now` (the feasible-deadline purge).
+    #[inline]
     pub fn drain_infeasible(&mut self, now: SimTime) -> Vec<Transaction> {
         let mut out = Vec::new();
         let mut i = 0;
@@ -73,23 +78,27 @@ impl ReadyQueue {
 
     /// Removes the transaction with the given id, if queued (used by the
     /// firm-deadline watchdog).
+    #[inline]
     pub fn remove(&mut self, id: u64) -> Option<Transaction> {
         let idx = self.txns.iter().position(|t| t.id() == id)?;
         Some(self.txns.swap_remove(idx))
     }
 
     /// The queued transactions, in no particular order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
         self.txns.iter()
     }
 
     /// Number of queued transactions.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.txns.len()
     }
 
     /// True when no transactions are waiting.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.txns.is_empty()

@@ -133,6 +133,7 @@ enum TxnSliceKind {
 impl TxnSliceKind {
     /// Seconds left in an injected slice; `None` for a plan segment, whose
     /// remainder the transaction itself tracks.
+    #[inline]
     fn remaining_mut(&mut self) -> Option<&mut f64> {
         match self {
             TxnSliceKind::Segment => None,
@@ -165,6 +166,7 @@ enum Work {
 
 impl Work {
     /// The exported job kind of the slice.
+    #[inline]
     fn job(&self) -> TraceJob {
         match self {
             Work::Txn(rt) => match rt.slice {
@@ -184,6 +186,7 @@ impl Work {
     /// Which side of the CPU split the slice is charged to. Queue scans,
     /// on-demand installs and on-demand DAG refreshes are update work (the
     /// paper counts OD's on-demand installs in ρu — Figure 3b).
+    #[inline]
     fn activity(&self) -> Activity {
         match self.job() {
             TraceJob::Segment | TraceJob::IoStall => Activity::Txn,
@@ -192,6 +195,7 @@ impl Work {
     }
 
     /// The exported (track, job-kind) pair of the slice.
+    #[inline]
     fn trace_job(&self) -> (TraceTrack, TraceJob) {
         let track = match self.activity() {
             Activity::Txn => TraceTrack::Txn,
@@ -241,6 +245,7 @@ struct Dag {
 
 impl Dag {
     /// Records the post-change backlog and transitive staleness.
+    #[inline]
     fn observe(&mut self, metrics: &mut Metrics, now: SimTime) {
         metrics.observe_dag_pending(self.state.pending_len());
         self.stale.observe(now, self.state.stale_count());
@@ -273,6 +278,7 @@ struct InstallCosts {
 }
 
 impl InstallCosts {
+    #[inline]
     fn of(costs: &CostModel) -> Self {
         InstallCosts {
             lookup: costs.lookup_time(),
@@ -326,6 +332,7 @@ pub struct DerivedAnswer {
 /// steady-state exponential initial ages drawn from the run seed (see
 /// DESIGN.md), so staleness statistics begin in steady state rather than
 /// with a cold synchronized store.
+#[inline]
 #[must_use]
 pub fn initial_store(cfg: &SimConfig) -> Store {
     let mut init_rng = Xoshiro256pp::seed_from_u64(cfg.seed).substream(0xA9E);
@@ -413,6 +420,7 @@ impl Scheduler {
     /// image and its successor sequence. The staleness tracker is seeded
     /// from the store's own generation timestamps, so a recovered store
     /// resumes tracking exactly where the crash left it.
+    #[inline]
     #[must_use]
     pub fn new(cfg: SimConfig, store: Store, update_seq: u64) -> Self {
         let root = Xoshiro256pp::seed_from_u64(cfg.seed);
@@ -491,36 +499,42 @@ impl Scheduler {
     // ---- read-only views ----------------------------------------------------
 
     /// The configuration the core was built for.
+    #[inline]
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.cfg
     }
 
     /// Read-only access to the store.
+    #[inline]
     #[must_use]
     pub fn store(&self) -> &Store {
         &self.store
     }
 
     /// Read-only access to the staleness tracker.
+    #[inline]
     #[must_use]
     pub fn tracker(&self) -> &StalenessTracker {
         &self.tracker
     }
 
     /// Read-only access to the metrics collected so far.
+    #[inline]
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
 
     /// The sequence number the next accepted update will carry.
+    #[inline]
     #[must_use]
     pub fn update_seq(&self) -> u64 {
         self.update_seq
     }
 
     /// The bound transaction with its slice, on the CPU or off it.
+    #[inline]
     fn bound(&self) -> Option<&RunningTxn> {
         match &self.on_cpu {
             Some(Work::Txn(rt)) => Some(rt),
@@ -529,6 +543,7 @@ impl Scheduler {
     }
 
     /// The transaction bound to the CPU (running or preempted), if any.
+    #[inline]
     #[must_use]
     pub fn bound_txn(&self) -> Option<&Transaction> {
         self.bound().map(|rt| &rt.txn)
@@ -537,6 +552,7 @@ impl Scheduler {
     /// The bound transaction, when it is a slice of it that is out — the
     /// only kind of slice an arrival or a deadline may cut short (installs
     /// are not preempted, §4.2).
+    #[inline]
     #[must_use]
     pub fn txn_on_cpu(&self) -> Option<&Transaction> {
         match &self.on_cpu {
@@ -550,6 +566,7 @@ impl Scheduler {
     /// Installs a flight recorder; subsequent scheduling points are
     /// recorded into it. Tracing is observation-only: it must not (and by
     /// construction cannot) change the schedule.
+    #[inline]
     pub fn set_trace(&mut self, cfg: TraceConfig) {
         let policy = self.cfg.policy.label();
         self.trace = Some(Box::new(TraceSink::new(cfg, policy)));
@@ -557,6 +574,7 @@ impl Scheduler {
 
     /// Detaches the recorder and returns its capture; `None` when tracing
     /// was never enabled.
+    #[inline]
     pub fn take_trace(&mut self) -> Option<TraceData> {
         self.trace.take().map(|sink| sink.finish())
     }
@@ -580,6 +598,7 @@ impl Scheduler {
         }
     }
 
+    #[inline]
     fn emit_slice_end(&mut self, now: SimTime, work: &Work, interrupted: bool) {
         if self.trace.is_some() {
             let (track, job) = work.trace_job();
@@ -595,6 +614,7 @@ impl Scheduler {
     }
 
     /// The slice now in `on_cpu`, `secs` long, starts at `now`.
+    #[inline]
     fn start_slice(&mut self, now: SimTime, secs: f64) {
         if let (Some(work), true) = (&self.on_cpu, self.trace.is_some()) {
             let (track, job) = work.trace_job();
@@ -607,6 +627,7 @@ impl Scheduler {
     /// calls this from an observation hook after each input, never from a
     /// scheduled event of its own, so a traced run takes exactly the same
     /// inputs as an untraced one.
+    #[inline]
     pub fn sample_gauges(&mut self, now: SimTime) {
         let Some(sink) = self.trace.as_deref_mut() else {
             return;
@@ -640,6 +661,7 @@ impl Scheduler {
     /// An external update arrives (`spec.arrival` is `now`). Returns a
     /// verdict when the arrival preempts the transaction slice that is out:
     /// the driver must hand it back through [`Scheduler::preempt`].
+    #[inline]
     pub fn on_update(&mut self, spec: &UpdateSpec, now: SimTime) -> Option<Preempt> {
         debug_assert!(spec.arrival == now);
         let update = Update {
@@ -667,6 +689,7 @@ impl Scheduler {
     /// and `arrival_ts` are the caller's until then. Every entry must name
     /// an object of the store. Returns the verdict the block's first
     /// arrival would get from `on_update` (every later one gets the same).
+    #[inline]
     pub fn on_updates(&mut self, block: Vec<Update>, now: SimTime) -> Option<Preempt> {
         let first_seq = self.update_seq;
         if block.is_empty() {
@@ -682,6 +705,7 @@ impl Scheduler {
     /// used up, emptied with their capacity kept, in the order they were
     /// queued (see [`OsQueue::take_spent`]). A driver that never asks lets
     /// them pile up here.
+    #[inline]
     pub fn take_spent(&mut self) -> std::vec::Drain<'_, Vec<Update>> {
         self.os_queue.take_spent()
     }
@@ -694,6 +718,7 @@ impl Scheduler {
     /// high-water marks, taken at the final lengths. Only the tracker's
     /// receive (under UU) and a trace's queue depths are per entry, so
     /// without either the entries are not walked.
+    #[inline]
     fn note_arrivals(&mut self, block: &[Update], now: SimTime) {
         let before = self.os_queue.len();
         let room = self.os_queue.capacity() - before;
@@ -719,6 +744,7 @@ impl Scheduler {
     }
 
     /// Whether an arrival preempts the transaction slice that is out.
+    #[inline]
     fn arrival_verdict(&self) -> Option<Preempt> {
         (policy::preempts_on_arrival(self.cfg.policy) && self.txn_on_cpu().is_some())
             .then_some(Preempt::ByUpdate)
@@ -729,6 +755,7 @@ impl Scheduler {
     /// and a verdict when it out-bids the transaction whose plan segment is
     /// out (the value-density preemption extension): the driver must hand
     /// it back through [`Scheduler::preempt`].
+    #[inline]
     pub fn on_txn(&mut self, spec: TxnSpec, now: SimTime) -> (SimTime, Option<Preempt>) {
         debug_assert!(spec.arrival == now);
         self.metrics.txn_arrived(now, spec.class);
@@ -747,6 +774,7 @@ impl Scheduler {
     /// If a slice of that very transaction is out
     /// ([`Scheduler::txn_on_cpu`]), the driver must
     /// [`Scheduler::interrupt`] it first.
+    #[inline]
     pub fn on_deadline(&mut self, txn_id: u64, now: SimTime) {
         debug_assert!(
             self.txn_on_cpu().is_none_or(|t| t.id() != txn_id),
@@ -768,16 +796,19 @@ impl Scheduler {
     /// expiry (see [`StalenessTracker::on_expiry`]): a driver that keeps
     /// one watch per object re-keys it there, one that arms every watch
     /// has the later one armed already.
+    #[inline]
     pub fn on_expiry(&mut self, object: ViewObjectId, now: SimTime) -> Option<SimTime> {
         self.tracker.on_expiry(object, now)
     }
 
     /// The metric warm-up window ends: measurement starts here.
+    #[inline]
     pub fn on_warmup_end(&mut self, now: SimTime) {
         self.metrics.snapshot_warmup(&self.tracker, now);
     }
 
     /// The watchdogs of the values the store starts with.
+    #[inline]
     #[must_use]
     pub fn initial_watches(&self) -> Vec<ExpiryWatch> {
         self.tracker.initial_watches()
@@ -789,6 +820,7 @@ impl Scheduler {
     /// instant transition (free enqueues, infeasibility aborts) on the
     /// way. Returns the length in seconds of the slice it put on the CPU;
     /// `None` when there is nothing to run.
+    #[inline]
     pub fn next_slice(&mut self, now: SimTime) -> Option<f64> {
         debug_assert!(self.on_cpu.is_none(), "a slice is already out");
         let secs = match self.chained_slice() {
@@ -805,6 +837,7 @@ impl Scheduler {
     /// follows. Returns the MA-expiry watch of the value it installed, if
     /// any: the driver must deliver it to [`Scheduler::on_expiry`] at or
     /// after its instant, the object going stale when it is delivered.
+    #[inline]
     pub fn finish(&mut self, now: SimTime) -> Option<ExpiryWatch> {
         let Some(work) = self.on_cpu.take() else {
             debug_assert!(false, "finish without a slice out");
@@ -850,6 +883,7 @@ impl Scheduler {
     /// there — and the run puts it on, prices it and finishes it itself,
     /// the update in a local, through the same pricing and install effect
     /// `next_slice` and `finish` use.
+    #[inline]
     pub fn run_updates(
         &mut self,
         mut at: SimTime,
@@ -922,6 +956,7 @@ impl Scheduler {
     /// resumable — installs are never preempted (§4.2) — so a driver only
     /// cuts it when the run ends; it then stays on the CPU, and
     /// [`Scheduler::report`] counts it as in flight.
+    #[inline]
     pub fn interrupt(&mut self, performed_secs: f64, now: SimTime) {
         let Some(work) = self.on_cpu.take() else {
             debug_assert!(false, "interrupt without a slice out");
@@ -945,6 +980,7 @@ impl Scheduler {
     /// The driver cut the slice that is out, after `performed_secs` of its
     /// length, on the verdict an arrival returned: [`Scheduler::interrupt`]
     /// plus what the verdict implies for the transaction that lost the CPU.
+    #[inline]
     pub fn preempt(&mut self, verdict: Preempt, performed_secs: f64, now: SimTime) {
         self.interrupt(performed_secs, now);
         match verdict {
@@ -971,6 +1007,7 @@ impl Scheduler {
 
     /// Queue/CPU occupancy at this instant, for the report's conservation
     /// identity (`terminal_total == arrived`).
+    #[inline]
     #[must_use]
     pub fn queue_drops(&self) -> QueueDrops {
         let on_cpu = u64::from(self.installing.is_some());
@@ -991,6 +1028,7 @@ impl Scheduler {
     /// untouched. Every transaction and update still in the system is
     /// accounted as in flight, so both conservation identities hold at any
     /// instant; `events` is the driver's processed-input count.
+    #[inline]
     #[must_use]
     pub fn report(&self, now: SimTime, events: u64, resilience: ResilienceStats) -> RunReport {
         let mut m = self.metrics.clone();
@@ -1032,6 +1070,7 @@ impl Scheduler {
 
     /// Draws the buffer-pool miss penalty for one object access (seconds);
     /// 0 for the paper's main-memory model.
+    #[inline]
     fn io_penalty(&mut self, now: SimTime, on_install: bool) -> f64 {
         let Some(disk) = self.disk.as_mut() else {
             return 0.0;
@@ -1046,6 +1085,7 @@ impl Scheduler {
     /// Puts the install slice for `update` on the CPU. `path` records how the install was
     /// triggered; `extra` is additional CPU owed by this slice (queue
     /// dequeue cost).
+    #[inline]
     fn install_slice(
         &mut self,
         now: SimTime,
@@ -1100,11 +1140,13 @@ impl Scheduler {
     }
 
     /// Makes the install of `update` the slice that is out.
+    #[inline]
     fn put_install(&mut self, update: Update, path: InstallPath, superseded: bool) {
         self.installing = Some(update);
         self.on_cpu = Some(Work::Install { path, superseded });
     }
 
+    #[inline]
     fn take_preempt_cost(&mut self) -> f64 {
         std::mem::take(&mut self.pending_preempt_cost)
     }
@@ -1179,6 +1221,7 @@ impl Scheduler {
     // ---- dispatch -----------------------------------------------------------
 
     /// The observable scheduler state the pure policy functions decide on.
+    #[inline]
     fn work_state(&self) -> WorkState {
         WorkState {
             os_empty: self.os_queue.is_empty(),
@@ -1190,6 +1233,7 @@ impl Scheduler {
 
     /// The bound transaction's next slice, when the handler of the one
     /// just finished lined it up.
+    #[inline]
     fn chained_slice(&mut self) -> Option<f64> {
         if !std::mem::take(&mut self.chained) {
             return None;
@@ -1201,6 +1245,7 @@ impl Scheduler {
 
     /// Puts a slice of the bound transaction on the CPU; the slice owns
     /// the transaction until it ends.
+    #[inline]
     fn put_on_cpu(&mut self, mut rt: Box<RunningTxn>) -> f64 {
         let secs = rt
             .slice
@@ -1211,6 +1256,7 @@ impl Scheduler {
     }
 
     /// Chooses the next CPU slice at a scheduling point.
+    #[inline]
     fn dispatch(&mut self, now: SimTime) -> Option<f64> {
         let uses_queue = self.cfg.policy.uses_update_queue();
         // Scheduling-point housekeeping: discard MA-expired queued updates
@@ -1271,6 +1317,7 @@ impl Scheduler {
     }
 
     /// Counts and traces the abort of a transaction no longer bound.
+    #[inline]
     fn abort(&mut self, txn: &Transaction, reason: AbortReason, now: SimTime) {
         self.metrics.txn_aborted_at(txn, reason, now);
         let reason = match reason {
@@ -1287,6 +1334,7 @@ impl Scheduler {
     /// slice took from the update queue goes back there, uninstalled and
     /// uncharged; from then on the queue's own expiry, dedup and overflow
     /// shedding account for it.
+    #[inline]
     fn release(&mut self, rt: Box<RunningTxn>) -> Transaction {
         let RunningTxn { txn, slice } = *rt;
         match slice {
@@ -1301,6 +1349,7 @@ impl Scheduler {
 
     /// Puts the bound transaction's current slice on the CPU at a
     /// scheduling point; `None` if it was aborted instead (infeasible).
+    #[inline]
     fn resume_running(&mut self, rt: Box<RunningTxn>, now: SimTime) -> Option<f64> {
         if self.cfg.feasible_deadline
             && matches!(rt.slice, TxnSliceKind::Segment)
@@ -1315,6 +1364,7 @@ impl Scheduler {
 
     /// Fires every rule watching `object` (triggers extension), coalescing
     /// rules that are already pending and bounding the pending queue.
+    #[inline]
     fn fire_rules(&mut self, object: ViewObjectId, now: SimTime) {
         let Some(rules) = self.rules.as_mut() else {
             return;
@@ -1336,6 +1386,7 @@ impl Scheduler {
 
     /// A rule-execution slice if a firing is pending; otherwise falls
     /// through to DAG delta propagation.
+    #[inline]
     fn try_rule_step(&mut self) -> UpdateStep {
         // Delta-scaled charge (see `RuleSet::exec_cost`): a coalesced
         // execution recomputes only its changed sources' share of the
@@ -1356,6 +1407,7 @@ impl Scheduler {
     /// A delta-application slice when the DAG has pending deltas: the
     /// rank-order drain always applies the lowest pending node id, which
     /// (ids being topological) is never waiting on a node below it.
+    #[inline]
     fn try_dag_step(&mut self) -> UpdateStep {
         let next = self.dag.as_ref().and_then(|d| {
             let node = d.state.next_pending()?;
@@ -1374,6 +1426,7 @@ impl Scheduler {
     /// its destination (update queue, or an immediate install for classes
     /// that are applied on arrival); background installs from the update
     /// queue are excluded.
+    #[inline]
     fn try_update_step(&mut self, now: SimTime, receive_only: bool) -> UpdateStep {
         if !self.cfg.policy.uses_update_queue() {
             if receive_only {
@@ -1441,6 +1494,7 @@ impl Scheduler {
 
     /// Lines up `kind` as the bound transaction's next slice, to start
     /// where the one just finished ends (no scheduling point in between).
+    #[inline]
     fn chain(&mut self, mut rt: Box<RunningTxn>, kind: TxnSliceKind) {
         rt.slice = kind;
         self.running = Some(rt);
@@ -1449,6 +1503,7 @@ impl Scheduler {
 
     /// A slice of the bound transaction ran its full length. Returns the
     /// watch of a value an on-demand install armed.
+    #[inline]
     fn on_txn_slice_done(&mut self, mut rt: Box<RunningTxn>, now: SimTime) -> Option<ExpiryWatch> {
         match std::mem::replace(&mut rt.slice, TxnSliceKind::Segment) {
             TxnSliceKind::Segment => {
@@ -1488,6 +1543,7 @@ impl Scheduler {
 
     /// A view-read lookup just completed: perform the staleness check
     /// (paper §3.4 step 2), possibly starting a queue scan.
+    #[inline]
     fn handle_view_read(
         &mut self,
         rt: Box<RunningTxn>,
@@ -1525,6 +1581,7 @@ impl Scheduler {
         }
     }
 
+    #[inline]
     fn begin_scan(
         &mut self,
         rt: Box<RunningTxn>,
@@ -1545,6 +1602,7 @@ impl Scheduler {
     }
 
     /// The queue scan finished: decide whether an on-demand install happens.
+    #[inline]
     fn handle_post_scan(
         &mut self,
         mut rt: Box<RunningTxn>,
@@ -1576,6 +1634,7 @@ impl Scheduler {
     }
 
     /// Concludes a view read: record staleness, possibly abort, continue.
+    #[inline]
     fn finalize_read(&mut self, mut rt: Box<RunningTxn>, obj: ViewObjectId, now: SimTime) {
         // Both verdicts delegate to the policy module: the *metric*
         // verdict (what the evaluation reports) and the *system* verdict
@@ -1610,6 +1669,7 @@ impl Scheduler {
     }
 
     /// Starts the next planned segment, or commits if the plan is complete.
+    #[inline]
     fn continue_txn(&mut self, rt: Box<RunningTxn>, now: SimTime) {
         if !rt.txn.finished() {
             self.chain(rt, TxnSliceKind::Segment);
@@ -1628,6 +1688,7 @@ impl Scheduler {
 
     /// A base install landed: enqueue typed deltas for every DAG dependent
     /// and account the transitive-staleness change.
+    #[inline]
     fn propagate_base_install(&mut self, update: &Update, now: SimTime) {
         let Some(d) = self.dag.as_mut() else {
             return;
@@ -1639,6 +1700,7 @@ impl Scheduler {
 
     /// A background delta-application slice completed: recompute the node,
     /// cascade on change, account the outcome.
+    #[inline]
     fn dag_apply(&mut self, node: u32, now: SimTime) {
         let Some(d) = self.dag.as_mut() else {
             return;
@@ -1651,6 +1713,7 @@ impl Scheduler {
 
     /// CPU seconds a recursive on-demand refresh of `node` costs: one
     /// recompute per stale ancestor, at `edge_cost_instr` per input edge.
+    #[inline]
     fn dag_refresh_work(&self, node: u32) -> f64 {
         let Some(d) = self.dag.as_ref() else {
             return 0.0;
@@ -1669,6 +1732,7 @@ impl Scheduler {
     /// answered. Cascades that leave the ancestor cone stay pending for
     /// background propagation (the refresh repairs the read, not the
     /// world).
+    #[inline]
     fn perform_dag_refresh(&mut self, node: u32, now: SimTime) {
         let Some(d) = self.dag.as_mut() else {
             return;
@@ -1686,6 +1750,7 @@ impl Scheduler {
         d.observe(&mut self.metrics, now);
     }
 
+    #[inline]
     fn node_stale(&self, node: u32) -> bool {
         self.dag.as_ref().is_some_and(|d| d.state.is_stale(node))
     }
@@ -1694,6 +1759,7 @@ impl Scheduler {
     /// recursively refreshed along the DAG before the read is answered
     /// (the generalisation of §4.4 to multi-level views; the refresh
     /// decision lives in the policy module).
+    #[inline]
     fn handle_derived_read(&mut self, rt: Box<RunningTxn>, node: u32, now: SimTime) {
         if policy::dag_refresh(self.cfg.policy, self.node_stale(node)) {
             let remaining = self.dag_refresh_work(node);
@@ -1709,6 +1775,7 @@ impl Scheduler {
     /// Concludes a derived-node read: record (transitive) staleness and
     /// continue. Derived staleness is advisory — like the paper's fold
     /// metrics it is reported, not aborted on.
+    #[inline]
     fn finalize_derived_read(&mut self, rt: Box<RunningTxn>, node: u32, now: SimTime) {
         let stale = self.node_stale(node);
         self.metrics.derived_read(rt.txn.spec().arrival, stale);
@@ -1720,6 +1787,7 @@ impl Scheduler {
     /// derived read gets, so under OD the answer reflects a freshly
     /// recomputed ancestor cone. `None` without a DAG or for a node out of
     /// range.
+    #[inline]
     pub fn read_derived(&mut self, node: u32, now: SimTime) -> Option<DerivedAnswer> {
         if self
             .dag

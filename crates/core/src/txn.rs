@@ -71,6 +71,7 @@ pub struct Transaction {
 
 impl Transaction {
     /// Compiles `spec` into an executable plan under `costs`.
+    #[inline]
     #[must_use]
     pub fn new(spec: TxnSpec, p_view: f64, costs: &CostModel) -> Self {
         let lookup = costs.lookup_time();
@@ -104,6 +105,7 @@ impl Transaction {
         }
     }
 
+    #[inline]
     fn segment_cost(seg: &Segment, lookup: f64) -> f64 {
         match seg {
             Segment::Work(t) => *t,
@@ -112,36 +114,42 @@ impl Transaction {
     }
 
     /// The admission-time description.
+    #[inline]
     #[must_use]
     pub fn spec(&self) -> &TxnSpec {
         &self.spec
     }
 
     /// Unique id.
+    #[inline]
     #[must_use]
     pub fn id(&self) -> u64 {
         self.spec.id
     }
 
     /// The firm deadline: `arrival + execution estimate + slack`.
+    #[inline]
     #[must_use]
     pub fn deadline(&self) -> SimTime {
         self.deadline
     }
 
     /// The perfect execution-time estimate.
+    #[inline]
     #[must_use]
     pub fn base_exec(&self) -> f64 {
         self.base_exec
     }
 
     /// Planned work remaining, seconds.
+    #[inline]
     #[must_use]
     pub fn total_remaining(&self) -> f64 {
         self.total_remaining
     }
 
     /// Value density: value divided by remaining processing time (§3.4).
+    #[inline]
     #[must_use]
     pub fn value_density(&self) -> f64 {
         self.spec.value / self.total_remaining.max(1e-12)
@@ -149,18 +157,21 @@ impl Transaction {
 
     /// True if the transaction can still finish its planned work by its
     /// deadline starting now.
+    #[inline]
     #[must_use]
     pub fn feasible_at(&self, now: SimTime) -> bool {
         now + self.total_remaining <= self.deadline + 1e-12
     }
 
     /// The current segment, or `None` if the plan is complete.
+    #[inline]
     #[must_use]
     pub fn current_segment(&self) -> Option<Segment> {
         self.segments.get(self.cursor).copied()
     }
 
     /// Seconds needed to finish the current segment.
+    #[inline]
     #[must_use]
     pub fn segment_remaining(&self) -> f64 {
         self.segment_remaining
@@ -173,6 +184,7 @@ impl Transaction {
     ///
     /// Panics (in debug builds) if `dt` exceeds the segment remainder by
     /// more than rounding error.
+    #[inline]
     pub fn consume(&mut self, dt: f64) {
         debug_assert!(
             dt <= self.segment_remaining + 1e-9,
@@ -190,6 +202,7 @@ impl Transaction {
     /// # Panics
     ///
     /// Panics if the plan is already complete.
+    #[inline]
     pub fn complete_segment(&mut self) -> Segment {
         let finished = self.segments[self.cursor];
         self.total_remaining = (self.total_remaining - self.segment_remaining).max(0.0);
@@ -201,6 +214,7 @@ impl Transaction {
     /// Re-arms `segment_remaining` for the (new) current segment. Called by
     /// the controller after `complete_segment`, with the lookup cost from
     /// its cost model.
+    #[inline]
     pub fn arm_segment(&mut self, costs: &CostModel) {
         self.segment_remaining = self
             .current_segment()
@@ -209,23 +223,27 @@ impl Transaction {
     }
 
     /// True once every planned segment has completed.
+    #[inline]
     #[must_use]
     pub fn finished(&self) -> bool {
         self.cursor >= self.segments.len()
     }
 
     /// Records that a view read observed stale data.
+    #[inline]
     pub fn mark_stale_read(&mut self) {
         self.read_stale = true;
     }
 
     /// True if any view read observed stale data.
+    #[inline]
     #[must_use]
     pub fn read_stale(&self) -> bool {
         self.read_stale
     }
 
     /// Number of view-read segments in the plan.
+    #[inline]
     #[must_use]
     pub fn read_count(&self) -> usize {
         self.spec.reads.len()

@@ -86,11 +86,12 @@ impl CostModel {
 
     /// Time to add or remove one update to/from a queue currently holding
     /// `n` updates: `x_queue · ln(n)` (paper §3.3 step 3). Defined as zero
-    /// for `n <= 1` (ln is clamped at zero).
+    /// for `n <= 1` (ln is clamped at zero). The baseline's `x_queue` is 0,
+    /// and then the `ln` is skipped: `+0.0 / ips` is the same `+0.0`.
     #[inline]
     #[must_use]
     pub fn queue_op_time(&self, n: usize) -> f64 {
-        if n <= 1 {
+        if n <= 1 || self.x_queue == 0.0 {
             return 0.0;
         }
         self.secs(self.x_queue * (n as f64).ln())
@@ -151,6 +152,13 @@ mod tests {
         let t100 = c.queue_op_time(100);
         assert!(t100 > t10);
         assert!((t100 / t10 - 2.0).abs() < 0.01, "ln(100)/ln(10) = 2");
+        // The baseline's x_queue = 0 costs nothing at any length, and the
+        // zero is the +0.0 that `0 · ln(n) / ips` would give.
+        let free = CostModel::default();
+        for n in [2, 10, 1_000_000] {
+            let t = free.queue_op_time(n);
+            assert_eq!(t.to_bits(), (0.0 * (n as f64).ln() / free.ips).to_bits());
+        }
     }
 
     #[test]

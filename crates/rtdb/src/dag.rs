@@ -50,6 +50,7 @@ pub struct DagSpec {
 }
 
 impl Default for DagSpec {
+    #[inline]
     fn default() -> Self {
         DagSpec {
             depth: 3,
@@ -83,6 +84,7 @@ pub struct DagNode {
 
 impl DagNode {
     /// The node's distinct base objects, in input order.
+    #[inline]
     fn distinct_bases(&self) -> impl Iterator<Item = ViewObjectId> + '_ {
         let inputs = &self.inputs;
         (0..inputs.len()).filter_map(move |k| match inputs[k] {
@@ -108,6 +110,7 @@ pub enum DagError {
 }
 
 impl std::fmt::Display for DagError {
+    #[inline]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DagError::BadId(i) => write!(f, "node at index {i} has a mismatched id"),
@@ -144,6 +147,7 @@ impl ViewDag {
     ///
     /// Returns [`DagError`] on a mismatched id or an edge that would make
     /// the graph cyclic.
+    #[inline]
     pub fn new(nodes: Vec<DagNode>) -> Result<Self, DagError> {
         let mut ranks = vec![0u32; nodes.len()];
         let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
@@ -200,36 +204,42 @@ impl ViewDag {
     }
 
     /// Number of nodes.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// True when the graph has no nodes.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
     /// The nodes in id (topological) order.
+    #[inline]
     #[must_use]
     pub fn nodes(&self) -> &[DagNode] {
         &self.nodes
     }
 
     /// Topological rank of `node` (0 = reads only base objects).
+    #[inline]
     #[must_use]
     pub fn rank(&self, node: u32) -> u32 {
         self.ranks[node as usize]
     }
 
     /// Input edges of `node`.
+    #[inline]
     #[must_use]
     pub fn inputs(&self, node: u32) -> &[DagInput] {
         &self.nodes[node as usize].inputs
     }
 
     /// Derived nodes that read base object `object`.
+    #[inline]
     #[must_use]
     pub fn base_dependents(&self, object: ViewObjectId) -> &[u32] {
         match self.base_offsets.get(object.slot()..object.slot() + 2) {
@@ -239,6 +249,7 @@ impl ViewDag {
     }
 
     /// Derived nodes that read derived node `node`.
+    #[inline]
     #[must_use]
     pub fn dependents(&self, node: u32) -> &[u32] {
         &self.dependents[node as usize]
@@ -251,6 +262,7 @@ impl ViewDag {
 /// [`crate::triggers::generate_rules`]), higher ranks drawing their first
 /// input from the immediately lower rank (so declared depth is realised)
 /// and the rest from any lower rank.
+#[inline]
 #[must_use]
 pub fn generate_dag(
     spec: &DagSpec,
@@ -380,6 +392,7 @@ pub struct DagState {
 impl DagState {
     /// Fresh state: every node's value is a full recompute against
     /// `store`, nothing pending, nothing stale.
+    #[inline]
     #[must_use]
     pub fn new(dag: &ViewDag, store: &Store, max_pending: u32) -> Self {
         DagState {
@@ -396,12 +409,14 @@ impl DagState {
     }
 
     /// Current value of `node`.
+    #[inline]
     #[must_use]
     pub fn value(&self, node: u32) -> f64 {
         self.values[node as usize]
     }
 
     /// All current values in node order.
+    #[inline]
     #[must_use]
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -409,18 +424,21 @@ impl DagState {
 
     /// Transitive staleness: the node has an unapplied delta or a stale
     /// derived input.
+    #[inline]
     #[must_use]
     pub fn is_stale(&self, node: u32) -> bool {
         self.pending[node as usize].is_some() || self.stale_inputs[node as usize] > 0
     }
 
     /// How many nodes are stale right now.
+    #[inline]
     #[must_use]
     pub fn stale_count(&self) -> u32 {
         self.stale_now
     }
 
     /// Number of nodes with a pending delta.
+    #[inline]
     #[must_use]
     pub fn pending_len(&self) -> usize {
         self.pending_len
@@ -429,6 +447,7 @@ impl DagState {
     /// Lowest node id with a pending delta — the next node the rank-order
     /// drain applies (ids are topological, so the minimum key is never
     /// waiting on another pending node below it).
+    #[inline]
     #[must_use]
     pub fn next_pending(&self) -> Option<u32> {
         let (word, bits) = self
@@ -440,12 +459,14 @@ impl DagState {
     }
 
     /// The pending entry of `node`, if any.
+    #[inline]
     #[must_use]
     pub fn pending(&self, node: u32) -> Option<&PendingDelta> {
         self.pending.get(node as usize)?.as_ref()
     }
 
     /// Removes and returns the pending entry of `node`, if any.
+    #[inline]
     fn take_pending(&mut self, node: u32) -> Option<PendingDelta> {
         let entry = self.pending.get_mut(node as usize)?.take()?;
         self.pending_bits[node as usize / 64] &= !(1 << (node % 64));
@@ -453,6 +474,7 @@ impl DagState {
         Some(entry)
     }
 
+    #[inline]
     fn flip_on(&mut self, dag: &ViewDag, node: u32) {
         // `node` just became stale: bump every dependent's stale-input
         // count, recursing into dependents that flip in turn.
@@ -472,6 +494,7 @@ impl DagState {
         self.stack = stack;
     }
 
+    #[inline]
     fn flip_off(&mut self, dag: &ViewDag, node: u32) {
         // `node` just became fresh: the exact inverse cascade.
         let mut stack = std::mem::take(&mut self.stack);
@@ -489,6 +512,7 @@ impl DagState {
         self.stack = stack;
     }
 
+    #[inline]
     fn enqueue(
         &mut self,
         dag: &ViewDag,
@@ -525,6 +549,7 @@ impl DagState {
 
     /// A base-object install: enqueues one [`DeltaKind::Base`] delta per
     /// dependent node. Returns the number of enqueue events.
+    #[inline]
     pub fn on_base_install(
         &mut self,
         dag: &ViewDag,
@@ -543,6 +568,7 @@ impl DagState {
     /// Applies the pending delta of `node`: exact recompute from current
     /// inputs, cascading to dependents when the value changed. Returns
     /// `None` when the node has nothing pending.
+    #[inline]
     pub fn apply(
         &mut self,
         dag: &ViewDag,
@@ -576,6 +602,7 @@ impl DagState {
     /// The pending ancestor closure of `node`, ascending (= topological)
     /// order, including `node` itself: exactly the applications a
     /// recursive on-demand refresh performs before answering a read.
+    #[inline]
     #[must_use]
     pub fn pending_closure(&self, dag: &ViewDag, node: u32) -> Vec<u32> {
         self.closure(dag, node, |n| self.pending[n as usize].is_some())
@@ -589,6 +616,7 @@ impl DagState {
     /// a single ascending pass of [`DagState::apply`] over this set
     /// reaches quiescence of the cone (cascades that leave the cone stay
     /// pending for background propagation).
+    #[inline]
     #[must_use]
     pub fn stale_closure(&self, dag: &ViewDag, node: u32) -> Vec<u32> {
         self.closure(dag, node, |n| self.is_stale(n))
@@ -597,6 +625,7 @@ impl DagState {
     /// The nodes satisfying `keep` among `node` and its ancestors reached
     /// through stale derived inputs (fresh ancestors have nothing pending
     /// anywhere above them), ascending.
+    #[inline]
     fn closure(&self, dag: &ViewDag, node: u32, keep: impl Fn(u32) -> bool) -> Vec<u32> {
         let mut seen = vec![false; dag.len()];
         let mut stack = vec![node];
@@ -621,6 +650,7 @@ impl DagState {
     }
 }
 
+#[inline]
 fn recompute_node(dag: &ViewDag, store: &Store, values: &[f64], node: u32) -> f64 {
     let inputs = dag.inputs(node);
     if inputs.is_empty() {
@@ -639,6 +669,7 @@ fn recompute_node(dag: &ViewDag, store: &Store, values: &[f64], node: u32) -> f6
 /// Full recompute of every node in topological order — the oracle the
 /// incremental path must match at quiescent points, and the recovery
 /// path's way to rebuild derived values from a recovered base store.
+#[inline]
 #[must_use]
 pub fn full_recompute(dag: &ViewDag, store: &Store) -> Vec<f64> {
     let mut values = vec![0.0; dag.len()];

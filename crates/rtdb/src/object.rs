@@ -58,6 +58,7 @@ pub struct ViewObjectId {
 
 impl ViewObjectId {
     /// Convenience constructor.
+    #[inline]
     #[must_use]
     pub fn new(class: Importance, index: u32) -> Self {
         ViewObjectId { class, index }
@@ -116,6 +117,7 @@ pub struct ViewObject {
 impl ViewObject {
     /// Creates a single-attribute object whose current value was generated
     /// at `generation_ts`.
+    #[inline]
     #[must_use]
     pub fn new(payload: f64, generation_ts: SimTime) -> Self {
         ViewObject {
@@ -128,6 +130,7 @@ impl ViewObject {
 
     /// Creates an object with `attrs` attributes, all generated at
     /// `generation_ts`.
+    #[inline]
     #[must_use]
     pub fn with_attrs(payload: f64, generation_ts: SimTime, attrs: u32) -> Self {
         let attr_gens = if attrs <= 1 {
@@ -150,6 +153,7 @@ impl ViewObject {
     /// [`ViewObject::apply`] maintains it. An empty `attr_generations` is
     /// treated as a single attribute at `SimTime::ZERO` (a decoder should
     /// never produce it, but restore must not panic on hostile input).
+    #[inline]
     #[must_use]
     pub fn restore(payload: f64, version: u64, attr_generations: Vec<SimTime>) -> Self {
         let generation_ts = attr_generations
@@ -171,6 +175,7 @@ impl ViewObject {
     }
 
     /// Number of attributes (1 for the paper's single-attribute model).
+    #[inline]
     #[must_use]
     pub fn attr_count(&self) -> u32 {
         if self.attr_gens.is_empty() {
@@ -185,6 +190,7 @@ impl ViewObject {
     /// # Panics
     ///
     /// Panics if `attr` is out of range.
+    #[inline]
     #[must_use]
     pub fn attr_generation(&self, attr: u32) -> SimTime {
         if self.attr_gens.is_empty() {
@@ -199,6 +205,7 @@ impl ViewObject {
     /// `mask`. Returns `true` if any covered attribute advanced (the
     /// worthiness check of paper §3.3); on advance the version is bumped
     /// and `generation_ts` re-derived as the minimum attribute generation.
+    #[inline]
     pub fn apply(&mut self, gen: SimTime, payload: f64, mask: u64) -> bool {
         if self.attr_gens.is_empty() {
             if gen <= self.generation_ts {

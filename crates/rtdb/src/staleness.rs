@@ -50,6 +50,7 @@ pub enum StalenessSpec {
 
 impl StalenessSpec {
     /// The maximum-age threshold, if the criterion has an MA component.
+    #[inline]
     #[must_use]
     pub fn alpha(&self) -> Option<f64> {
         match self {
@@ -59,6 +60,7 @@ impl StalenessSpec {
     }
 
     /// True if the criterion has an Unapplied Update component.
+    #[inline]
     #[must_use]
     pub fn tracks_unapplied(&self) -> bool {
         matches!(
@@ -111,6 +113,7 @@ struct ObjState {
 }
 
 impl ObjState {
+    #[inline]
     fn combined(&self, spec: StalenessSpec) -> bool {
         match spec {
             StalenessSpec::MaxAge { .. } => self.ma_stale,
@@ -209,6 +212,7 @@ impl StalenessTracker {
     }
 
     /// The criterion in force.
+    #[inline]
     #[must_use]
     pub fn spec(&self) -> StalenessSpec {
         self.spec
@@ -248,6 +252,7 @@ impl StalenessTracker {
 
     /// Expiry watchdogs for the initial (pre-simulation) values under MA.
     /// Under UU returns an empty vector.
+    #[inline]
     #[must_use]
     pub fn initial_watches(&self) -> Vec<ExpiryWatch> {
         let Some(alpha) = self.alpha else {
@@ -331,6 +336,7 @@ impl StalenessTracker {
     /// a driver that keeps one watch per object to re-key; a driver that
     /// arms every watch [`StalenessTracker::on_install`] returns can
     /// ignore it. Always `None` without an MA component.
+    #[inline]
     pub fn on_expiry(&mut self, object: ViewObjectId, now: SimTime) -> Option<SimTime> {
         let alpha = self.alpha?;
         let (at, stale) = ma_expiry(self.obj(object).installed_gen, alpha, now);
@@ -343,12 +349,14 @@ impl StalenessTracker {
 
     /// Whether `object` is stale right now under the tracked criterion
     /// (metric view; see module docs for the UU system-visible distinction).
+    #[inline]
     #[must_use]
     pub fn is_stale(&self, object: ViewObjectId) -> bool {
         self.obj(object).combined(self.spec)
     }
 
     /// Current number of stale objects in `class`.
+    #[inline]
     #[must_use]
     pub fn stale_count(&self, class: Importance) -> f64 {
         self.stale_counts[class.index()].current()
@@ -356,6 +364,7 @@ impl StalenessTracker {
 
     /// The paper's `fold` for `class`: the time-weighted average fraction of
     /// stale objects over `[start, end]`.
+    #[inline]
     #[must_use]
     pub fn fold(&self, class: Importance, end: SimTime) -> f64 {
         let n = self.class_len[class.index()];
@@ -369,12 +378,14 @@ impl StalenessTracker {
     /// tracking through `at` (object-seconds). Used by callers that exclude
     /// a warm-up prefix: `fold over [w, end]` is
     /// `(integral(end) - integral(w)) / (N · (end - w))`.
+    #[inline]
     #[must_use]
     pub fn stale_count_integral(&self, class: Importance, at: SimTime) -> f64 {
         self.stale_counts[class.index()].integral_through(at)
     }
 
     /// Number of tracked objects in `class`.
+    #[inline]
     #[must_use]
     pub fn class_len(&self, class: Importance) -> usize {
         self.class_len[class.index()] as usize
@@ -401,6 +412,7 @@ pub struct DerivedStaleness {
 impl DerivedStaleness {
     /// Tracker over `n_nodes` derived nodes, all initially fresh,
     /// accumulating from `start`.
+    #[inline]
     #[must_use]
     pub fn new(n_nodes: usize, start: SimTime) -> Self {
         DerivedStaleness {
@@ -412,6 +424,7 @@ impl DerivedStaleness {
     }
 
     /// Records that `stale` nodes are stale as of `now`.
+    #[inline]
     pub fn observe(&mut self, now: SimTime, stale: u32) {
         let v = f64::from(stale);
         if (v - self.last).abs() > 0.0 {
@@ -422,6 +435,7 @@ impl DerivedStaleness {
 
     /// Time-weighted average fraction of stale derived nodes over
     /// `[start, end]`; 0 for an empty DAG.
+    #[inline]
     #[must_use]
     pub fn fold(&self, end: SimTime) -> f64 {
         if self.n == 0 {

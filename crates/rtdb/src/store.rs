@@ -53,6 +53,7 @@ impl Store {
     /// Creates a store with `n_low` + `n_high` view objects and `n_general`
     /// general objects. Every view object starts with payload 0 and the
     /// given initial generation timestamp.
+    #[inline]
     #[must_use]
     pub fn new(n_low: u32, n_high: u32, n_general: u32, initial_ts: SimTime) -> Self {
         Self::restore(n_low, n_high, n_general, |_| {
@@ -111,6 +112,7 @@ impl Store {
     }
 
     /// Number of view objects in a class.
+    #[inline]
     #[must_use]
     pub fn class_len(&self, class: Importance) -> usize {
         self.class_len[class.index()] as usize
@@ -145,6 +147,7 @@ impl Store {
 
     /// Installs `update`, applying the worthiness check (for partial
     /// updates: at least one covered attribute must advance).
+    #[inline]
     pub fn install(&mut self, update: &Update) -> InstallOutcome {
         let obj = self.view_mut(update.object);
         if !obj.apply(update.generation_ts, update.payload, update.attr_mask) {
@@ -174,6 +177,7 @@ impl Store {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
+    #[inline]
     #[must_use]
     pub fn read_general(&self, index: usize) -> f64 {
         self.general[index]
@@ -184,17 +188,20 @@ impl Store {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
+    #[inline]
     pub fn write_general(&mut self, index: usize, value: f64) {
         self.general[index] = value;
     }
 
     /// Successful installs so far.
+    #[inline]
     #[must_use]
     pub fn installs(&self) -> u64 {
         self.installs
     }
 
     /// Updates skipped as superseded so far.
+    #[inline]
     #[must_use]
     pub fn superseded(&self) -> u64 {
         self.superseded

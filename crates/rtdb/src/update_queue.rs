@@ -90,6 +90,7 @@ struct Entry {
 }
 
 impl Entry {
+    #[inline]
     fn is_live(self) -> bool {
         self.slot != NIL
     }
@@ -170,6 +171,7 @@ impl UpdateQueue {
     /// overflow rule (discard the oldest generation). With `dedup` enabled
     /// the hash-index extension keeps at most one (the newest) update per
     /// object.
+    #[inline]
     #[must_use]
     pub fn new(capacity: usize, dedup: bool) -> Self {
         UpdateQueue::with_shed(capacity, dedup, ShedPolicy::DropOldest)
@@ -177,6 +179,7 @@ impl UpdateQueue {
 
     /// Creates a queue bounded at `capacity` updates with an explicit
     /// overflow shedding policy.
+    #[inline]
     #[must_use]
     pub fn with_shed(capacity: usize, dedup: bool, shed: ShedPolicy) -> Self {
         UpdateQueue {
@@ -194,10 +197,12 @@ impl UpdateQueue {
         }
     }
 
+    #[inline]
     fn key(u: &Update) -> QueueKey {
         (u128::from(u.generation_ts.order_bits()) << 64) | u128::from(u.seq)
     }
 
+    #[inline]
     fn object_at(slot: usize) -> ViewObjectId {
         let class = if slot.is_multiple_of(2) {
             Importance::Low
@@ -207,6 +212,7 @@ impl UpdateQueue {
         ViewObjectId::new(class, (slot / 2) as u32)
     }
 
+    #[inline]
     fn chain(&self, object: ViewObjectId) -> ObjChain {
         self.chains
             .get(object.slot())
@@ -214,10 +220,12 @@ impl UpdateQueue {
             .unwrap_or(EMPTY_CHAIN)
     }
 
+    #[inline]
     fn node_key(&self, idx: u32) -> QueueKey {
         Self::key(&self.nodes[idx as usize].update)
     }
 
+    #[inline]
     fn alloc(&mut self, update: Update) -> u32 {
         let fresh = Node {
             update,
@@ -238,6 +246,7 @@ impl UpdateQueue {
 
     /// Files `update` into the order and onto its object's chain, each at
     /// its key-sorted position.
+    #[inline]
     fn link(&mut self, update: Update) {
         let key = Self::key(&update);
         let object = update.object;
@@ -281,6 +290,7 @@ impl UpdateQueue {
 
     /// Removes the update whose entry is at `pos` of the order: off an end
     /// directly, from the middle as a tombstone.
+    #[inline]
     fn remove_at(&mut self, pos: usize) -> Update {
         let idx = self.order[pos].slot;
         debug_assert!(idx != NIL, "removing a tombstone");
@@ -309,6 +319,7 @@ impl UpdateQueue {
 
     /// Removes the update held by node `idx`, finding its entry by binary
     /// search on its key.
+    #[inline]
     fn remove_node(&mut self, idx: u32) -> Update {
         let key = self.node_key(idx);
         let mut pos = self.order.partition_point(|e| e.key < key);
@@ -322,6 +333,7 @@ impl UpdateQueue {
 
     /// Detaches node `idx` from its object's chain and returns it to the
     /// free list.
+    #[inline]
     fn release(&mut self, idx: u32) -> Update {
         let node = self.nodes[idx as usize];
         let slot = node.update.object.slot();
@@ -342,6 +354,7 @@ impl UpdateQueue {
 
     /// Enqueues `update`, applying dedup (if enabled) and the overflow
     /// policy.
+    #[inline]
     pub fn insert(&mut self, update: Update) -> InsertOutcome {
         let mut outcome = InsertOutcome {
             deduped: 0,
@@ -384,6 +397,7 @@ impl UpdateQueue {
     /// stays O(1); the scanning policies walk the order from the oldest
     /// generation, which is fine because this only runs on the overflow
     /// path.
+    #[inline]
     fn overflow_victim(&self) -> usize {
         let first = |pred: &dyn Fn(&Node) -> bool| {
             self.order
@@ -406,11 +420,13 @@ impl UpdateQueue {
     }
 
     /// Removes the update with the oldest generation (FIFO service).
+    #[inline]
     pub fn pop_oldest(&mut self) -> Option<Update> {
         (!self.order.is_empty()).then(|| self.remove_at(0))
     }
 
     /// Removes the update with the newest generation (LIFO service).
+    #[inline]
     pub fn pop_newest(&mut self) -> Option<Update> {
         let last = self.order.len().checked_sub(1)?;
         Some(self.remove_at(last))
@@ -420,6 +436,7 @@ impl UpdateQueue {
     /// `now` (MA expiry, performed at scheduling points). Returns how many
     /// were discarded. Because the queue is generation-ordered this only
     /// inspects the head.
+    #[inline]
     pub fn discard_expired(&mut self, now: SimTime, alpha: f64) -> usize {
         let mut n = 0;
         while let Some(head) = self.order.front() {
@@ -440,6 +457,7 @@ impl UpdateQueue {
 
     /// The newest queued update for `object`, if any (what an On-Demand
     /// refresh or an Unapplied-Update staleness check looks for).
+    #[inline]
     #[must_use]
     pub fn newest_for(&self, object: ViewObjectId) -> Option<&Update> {
         let tail = self.chain(object).tail;
@@ -447,12 +465,14 @@ impl UpdateQueue {
     }
 
     /// Removes and returns the newest queued update for `object`.
+    #[inline]
     pub fn take_newest_for(&mut self, object: ViewObjectId) -> Option<Update> {
         let tail = self.chain(object).tail;
         (tail != NIL).then(|| self.remove_node(tail))
     }
 
     /// True if any update for `object` is queued.
+    #[inline]
     #[must_use]
     pub fn has_pending_for(&self, object: ViewObjectId) -> bool {
         self.chain(object).tail != NIL
@@ -480,42 +500,49 @@ impl UpdateQueue {
     }
 
     /// Number of queued updates.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.order.len() - self.tombs
     }
 
     /// True when no updates are queued.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
 
     /// The configured bound (`UQ_max`).
+    #[inline]
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Updates discarded by the overflow policy so far.
+    #[inline]
     #[must_use]
     pub fn overflow_dropped(&self) -> u64 {
         self.overflow_dropped
     }
 
     /// Updates discarded as MA-expired so far.
+    #[inline]
     #[must_use]
     pub fn expired_dropped(&self) -> u64 {
         self.expired_dropped
     }
 
     /// Updates removed as superseded by dedup mode so far.
+    #[inline]
     #[must_use]
     pub fn dedup_dropped(&self) -> u64 {
         self.dedup_dropped
     }
 
     /// Iterates queued updates in generation order (oldest first).
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &Update> {
         self.order
             .iter()
@@ -525,6 +552,7 @@ impl UpdateQueue {
 
     /// Slab high-water mark: how many node slots have ever been allocated
     /// (diagnostic; steady state reuses freed slots instead of growing).
+    #[inline]
     #[doc(hidden)]
     #[must_use]
     pub fn slab_slots(&self) -> usize {
@@ -532,6 +560,7 @@ impl UpdateQueue {
     }
 
     /// Tombstones currently in the generation order (diagnostic).
+    #[inline]
     #[doc(hidden)]
     #[must_use]
     pub fn tombstones(&self) -> usize {
@@ -542,6 +571,7 @@ impl UpdateQueue {
     /// tombstone count is right and never exceeds its live entries, both
     /// ends are live, and every live entry names a distinct node holding
     /// its key; the object chains are sorted and cover exactly those nodes.
+    #[inline]
     #[doc(hidden)]
     #[must_use]
     pub fn check_invariants(&self) -> bool {
@@ -622,6 +652,7 @@ pub struct DualUpdateQueue {
 impl DualUpdateQueue {
     /// Creates the queue set. With `split`, each partition is bounded at
     /// `capacity` separately (the bound protects memory per queue).
+    #[inline]
     #[must_use]
     pub fn new(capacity: usize, dedup: bool, split: bool) -> Self {
         DualUpdateQueue::with_shed(capacity, dedup, split, ShedPolicy::DropOldest)
@@ -629,6 +660,7 @@ impl DualUpdateQueue {
 
     /// Creates the queue set with an explicit overflow shedding policy
     /// applied to each partition.
+    #[inline]
     #[must_use]
     pub fn with_shed(capacity: usize, dedup: bool, split: bool, shed: ShedPolicy) -> Self {
         DualUpdateQueue {
@@ -637,6 +669,7 @@ impl DualUpdateQueue {
         }
     }
 
+    #[inline]
     fn queue_for(&self, object: ViewObjectId) -> &UpdateQueue {
         match (&self.high, object.class) {
             (Some(high), crate::object::Importance::High) => high,
@@ -644,6 +677,7 @@ impl DualUpdateQueue {
         }
     }
 
+    #[inline]
     fn queue_for_mut(&mut self, object: ViewObjectId) -> &mut UpdateQueue {
         match (&mut self.high, object.class) {
             (Some(high), crate::object::Importance::High) => high,
@@ -652,12 +686,14 @@ impl DualUpdateQueue {
     }
 
     /// Enqueues an update into its partition.
+    #[inline]
     pub fn insert(&mut self, update: Update) -> InsertOutcome {
         self.queue_for_mut(update.object).insert(update)
     }
 
     /// Removes the next update to install: high-importance partition first,
     /// then low, each under the given discipline (`newest_first` = LIFO).
+    #[inline]
     pub fn pop(&mut self, newest_first: bool) -> Option<Update> {
         let pick = |q: &mut UpdateQueue| {
             if newest_first {
@@ -675,6 +711,7 @@ impl DualUpdateQueue {
     }
 
     /// Discards MA-expired updates from both partitions.
+    #[inline]
     pub fn discard_expired(&mut self, now: SimTime, alpha: f64) -> usize {
         let mut n = self.low.discard_expired(now, alpha);
         if let Some(high) = self.high.as_mut() {
@@ -684,12 +721,14 @@ impl DualUpdateQueue {
     }
 
     /// The newest queued update for `object`.
+    #[inline]
     #[must_use]
     pub fn newest_for(&self, object: ViewObjectId) -> Option<&Update> {
         self.queue_for(object).newest_for(object)
     }
 
     /// Removes and returns the newest queued update for `object`.
+    #[inline]
     pub fn take_newest_for(&mut self, object: ViewObjectId) -> Option<Update> {
         self.queue_for_mut(object).take_newest_for(object)
     }
@@ -709,30 +748,35 @@ impl DualUpdateQueue {
     }
 
     /// Total queued updates across partitions.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.low.len() + self.high.as_ref().map_or(0, UpdateQueue::len)
     }
 
     /// True when both partitions are empty.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Total overflow discards.
+    #[inline]
     #[must_use]
     pub fn overflow_dropped(&self) -> u64 {
         self.low.overflow_dropped() + self.high.as_ref().map_or(0, UpdateQueue::overflow_dropped)
     }
 
     /// Total MA-expiry discards.
+    #[inline]
     #[must_use]
     pub fn expired_dropped(&self) -> u64 {
         self.low.expired_dropped() + self.high.as_ref().map_or(0, UpdateQueue::expired_dropped)
     }
 
     /// Total dedup removals.
+    #[inline]
     #[must_use]
     pub fn dedup_dropped(&self) -> u64 {
         self.low.dedup_dropped() + self.high.as_ref().map_or(0, UpdateQueue::dedup_dropped)

@@ -29,6 +29,7 @@ impl Uniform {
     /// # Panics
     ///
     /// Panics if `lo > hi` or either bound is not finite.
+    #[inline]
     #[must_use]
     pub fn new(lo: f64, hi: f64) -> Self {
         assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
@@ -59,6 +60,7 @@ impl Exponential {
     /// # Panics
     ///
     /// Panics if `mean` is negative or not finite.
+    #[inline]
     #[must_use]
     pub fn new(mean: f64) -> Self {
         assert!(mean.is_finite() && mean >= 0.0, "mean must be >= 0");
@@ -70,6 +72,7 @@ impl Exponential {
     /// # Panics
     ///
     /// Panics if `rate` is not strictly positive and finite.
+    #[inline]
     #[must_use]
     pub fn from_rate(rate: f64) -> Self {
         assert!(rate.is_finite() && rate > 0.0, "rate must be > 0");
@@ -77,6 +80,7 @@ impl Exponential {
     }
 
     /// The distribution mean.
+    #[inline]
     #[must_use]
     pub fn mean(&self) -> f64 {
         self.mean
@@ -112,6 +116,7 @@ impl Normal {
     /// # Panics
     ///
     /// Panics if `sd` is negative or either parameter is not finite.
+    #[inline]
     #[must_use]
     pub fn new(mean: f64, sd: f64) -> Self {
         assert!(mean.is_finite() && sd.is_finite(), "params must be finite");
@@ -121,6 +126,7 @@ impl Normal {
 }
 
 impl Distribution for Normal {
+    #[inline]
     fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
         if self.sd == 0.0 {
             return self.mean;
@@ -150,6 +156,7 @@ pub struct ClampedNormal {
 
 impl ClampedNormal {
     /// Creates a normal clamped below at `floor`.
+    #[inline]
     #[must_use]
     pub fn new(mean: f64, sd: f64, floor: f64) -> Self {
         ClampedNormal {
@@ -181,6 +188,7 @@ impl Poisson {
     /// # Panics
     ///
     /// Panics if `mean` is negative or not finite.
+    #[inline]
     #[must_use]
     pub fn new(mean: f64) -> Self {
         assert!(mean.is_finite() && mean >= 0.0, "mean must be >= 0");
@@ -190,6 +198,7 @@ impl Poisson {
     }
 
     /// Draws one count.
+    #[inline]
     pub fn sample_count(&self, rng: &mut Xoshiro256pp) -> u64 {
         let mut k = 0u64;
         let mut p = 1.0f64;
@@ -236,6 +245,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0`, or `s` is negative or not finite.
+    #[inline]
     #[must_use]
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
@@ -254,18 +264,21 @@ impl Zipf {
     }
 
     /// Draws a rank in `0..n`.
+    #[inline]
     pub fn sample_rank(&self, rng: &mut Xoshiro256pp) -> u64 {
         let u = rng.next_f64();
         self.cdf.partition_point(|&c| c < u) as u64
     }
 
     /// Number of ranks.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.cdf.len()
     }
 
     /// Always false (the distribution has at least one rank).
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         false

@@ -17,7 +17,8 @@
 //!   is at or before the `current` bucket — the few events of the next
 //!   milliseconds. Over the `sim_sweep` fig03 points it holds 2.0–6.2
 //!   events on average (sampled after every pop) and at most 62, start-up
-//!   included, so a plain binary heap is all it needs;
+//!   included, so a plain binary heap is all it needs, grown on demand
+//!   (`with_capacity` reserves only the slab);
 //! * the **far tier** is a ring of `RING` buckets, each an unsorted list
 //!   of slots, holding the events of the next `RING · width` seconds (in
 //!   the simulator: the Maximum Age watchdogs, armed α = 7 s out by every
@@ -164,14 +165,18 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty calendar with room for `cap` pending events, so a
-    /// run with a known population (one MA watchdog per install within α)
-    /// never reallocates. The ring is one fixed allocation whatever `cap`
-    /// is.
+    /// Creates an empty calendar whose slab has room for `cap` pending
+    /// events, so a run with a known population (one MA watchdog per
+    /// install within α) never reallocates it. The near heap is not
+    /// reserved: it holds a few events of the current bucket and grows to
+    /// its peak (62 entries over the `sim_sweep` fig03 points) on demand,
+    /// where reserving it for `cap` would set aside 32 bytes per pending
+    /// event it never holds. The ring is one fixed allocation whatever
+    /// `cap` is.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            near: BinaryHeap::with_capacity(cap),
+            near: BinaryHeap::new(),
             slab: Vec::with_capacity(cap),
             free: NIL,
             ring: vec![NIL; RING].into_boxed_slice(),
@@ -251,10 +256,11 @@ impl<E> EventQueue<E> {
         self.scheduled
     }
 
-    /// How many pending events fit without reallocating (for diagnostics).
+    /// How many pending events the slab holds without reallocating (for
+    /// diagnostics; the near heap grows on its own, see `with_capacity`).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.near.capacity().min(self.slab.capacity())
+        self.slab.capacity()
     }
 
     /// Number of pending events in the near tier (for diagnostics: the
@@ -403,8 +409,10 @@ mod tests {
         let mut q = EventQueue::with_capacity(64);
         let cap = q.capacity();
         assert!(cap >= 64);
-        // Descending times all land in the near heap; ascending ones over
-        // 32 s fill ring buckets and the overflow list.
+        // Descending times all land in the near heap, which grows on
+        // demand; ascending ones over 32 s fill ring buckets and the
+        // overflow list. Either way every event sits in a slab slot, and
+        // the slab keeps its reservation.
         for secs in [|i: i32| 64.0 - f64::from(i), |i: i32| f64::from(i) / 2.0] {
             for i in 0..64 {
                 q.schedule(t(secs(i)), i);

@@ -23,12 +23,14 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
+    #[inline]
     #[must_use]
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -47,6 +49,7 @@ pub struct Xoshiro256pp {
 impl Xoshiro256pp {
     /// Creates a generator from a 64-bit seed, expanding it with SplitMix64
     /// as recommended by the xoshiro authors.
+    #[inline]
     #[must_use]
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
@@ -68,6 +71,7 @@ impl Xoshiro256pp {
     /// SplitMix64, which in practice decorrelates streams completely. This is
     /// how the simulator gives each stochastic process (update arrivals,
     /// transaction arrivals, ages, values, …) its own stream.
+    #[inline]
     #[must_use]
     pub fn substream(&self, label: u64) -> Self {
         let mut sm = SplitMix64::new(
@@ -120,6 +124,7 @@ impl Xoshiro256pp {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn next_below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "next_below(0)");
         let mut x = self.next_u64();

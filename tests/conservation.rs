@@ -171,7 +171,10 @@ fn different_seeds_differ_but_agree_statistically() {
 fn calendar_holds_a_baseline_run_within_its_capacity_hint() {
     // Under UF every update installs and arms an MA watchdog α = 7 s out,
     // so ≈ α·λu = 2 800 of them are pending at once — not one per view
-    // object (1 000), which is what the hint used to count.
+    // object (1 000), which is what the hint used to count. The hint
+    // reserves the calendar's slab, where every pending event sits; its
+    // near heap is not reserved and stays a few entries
+    // (`calendar_near_tier_stays_a_few_events`).
     let cfg = base(Policy::UpdatesFirst, 0x5712_1995);
     let hint = cfg.calendar_capacity_hint();
     let mut controller = Controller::new(
@@ -192,7 +195,7 @@ fn calendar_holds_a_baseline_run_within_its_capacity_hint() {
     assert_eq!(
         controller.calendar().capacity(),
         reserved,
-        "the calendar reallocated mid-run"
+        "the calendar's slab reallocated mid-run"
     );
 }
 
